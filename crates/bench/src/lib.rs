@@ -366,25 +366,32 @@ pub fn enable_series(eps: &[Endpoint]) {
     }
 }
 
+/// Fold one telemetry plane across `eps`: `snapshot` copies the plane
+/// out of an endpoint, `merge` is that plane's (order-independent)
+/// merge, and `S::default()` is its identity.
+fn merged<S: Default>(
+    eps: &[Endpoint],
+    snapshot: impl Fn(&Endpoint) -> S,
+    merge: impl Fn(&mut S, &S),
+) -> S {
+    let mut out = S::default();
+    for ep in eps {
+        merge(&mut out, &snapshot(ep));
+    }
+    out
+}
+
 /// Merge the windowed series recorded by `eps` (for runs that drive
 /// endpoints directly instead of going through
 /// [`run_cluster_workload`]).
 pub fn merged_series(eps: &[Endpoint]) -> SeriesSnapshot {
-    let mut s = SeriesSnapshot::empty();
-    for ep in eps {
-        s.merge(&ep.series_snapshot());
-    }
-    s
+    merged(eps, Endpoint::series_snapshot, SeriesSnapshot::merge)
 }
 
 /// Merge the gauge health planes recorded by `eps` (the companion of
 /// [`merged_series`] for endpoint-level runs).
 pub fn merged_health(eps: &[Endpoint]) -> HealthSnapshot {
-    let mut h = HealthSnapshot::empty();
-    for ep in eps {
-        h.merge(&ep.health_snapshot());
-    }
-    h
+    merged(eps, Endpoint::health_snapshot, HealthSnapshot::merge)
 }
 
 /// Merge the fabric-utilization planes recorded by `eps` (the third
@@ -392,11 +399,7 @@ pub fn merged_health(eps: &[Endpoint]) -> HealthSnapshot {
 /// is not stamped here — callers that own the allocators stamp it onto
 /// the returned snapshot.
 pub fn merged_utilization(eps: &[Endpoint]) -> UtilSnapshot {
-    let mut u = UtilSnapshot::empty();
-    for ep in eps {
-        u.merge(&ep.utilization_snapshot());
-    }
-    u
+    merged(eps, Endpoint::utilization_snapshot, UtilSnapshot::merge)
 }
 
 /// Machine-readable experiment output: every `exp_*` binary builds a

@@ -13,7 +13,8 @@
 
 use std::cell::Cell;
 
-/// The verb classes we account separately.
+/// The verb classes we account separately. Declaration order is the
+/// index into per-class tables (`kind as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// One-sided remote read.

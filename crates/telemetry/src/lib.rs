@@ -62,6 +62,7 @@ pub mod timeseries;
 pub mod trace;
 pub mod utilization;
 pub mod watchdog;
+mod window;
 
 pub use analysis::{
     gini, max_mean_ratio, move_plan_from_json, move_plan_json, placement_advisor, sparkline,

@@ -21,13 +21,13 @@
 //! timestamp and never advances any clock: a run with gauges on and off
 //! produces the identical timeline (asserted by `exp_o3_watchdog`).
 //!
-//! Width handling mirrors [`crate::timeseries::SeriesRecorder`]: a
-//! recorder doubles its window width (pairwise coalesce — exact,
-//! because net deltas are additive) whenever the run outgrows
-//! [`MAX_WINDOWS`].
+//! Bucketing, width doubling and the width-aligning merge are
+//! [`crate::window`]'s; they are exact here because net deltas are
+//! additive.
 
-use crate::timeseries::MAX_WINDOWS;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+
+use crate::window::{self, Windowed};
 
 /// Number of tracked gauges (length of a gauge window vector).
 pub const GAUGES: usize = 7;
@@ -82,22 +82,14 @@ impl Gauge {
     }
 }
 
-type GaugeWindow = [i64; GAUGES];
-
-const ZERO_GAUGES: GaugeWindow = [0; GAUGES];
-
 /// Per-thread gauge collector. Disabled (width 0) until
 /// [`GaugeRecorder::enable`]; recording while disabled is a no-op, so
 /// instrumented layers can call unconditionally.
 #[derive(Debug, Default)]
 pub struct GaugeRecorder {
-    /// Configured window width; restored by [`GaugeRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
-    width_ns: Cell<u64>,
-    windows: RefCell<Vec<GaugeWindow>>,
+    windows: Windowed<[i64; GAUGES]>,
     /// Running levels (sum of all deltas recorded since enable).
-    levels: Cell<GaugeWindow>,
+    levels: Cell<[i64; GAUGES]>,
 }
 
 impl GaugeRecorder {
@@ -109,15 +101,14 @@ impl GaugeRecorder {
     /// Turn sampling on with `width_ns`-wide windows (0 turns it off).
     /// Drops any previously recorded windows and zeroes the levels.
     pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
-        self.width_ns.set(width_ns);
-        self.windows.borrow_mut().clear();
-        self.levels.set(ZERO_GAUGES);
+        self.windows.enable(width_ns);
+        self.levels.set([0; GAUGES]);
     }
 
     /// Whether sampling is on.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
+        self.windows.enabled()
     }
 
     /// Current level of `gauge` (sum of recorded deltas).
@@ -129,60 +120,26 @@ impl GaugeRecorder {
     /// time `now_ns`. Never advances any clock.
     #[inline]
     pub fn add(&self, now_ns: u64, gauge: Gauge, delta: i64) {
-        let width = self.width_ns.get();
-        if width == 0 || delta == 0 {
+        if delta == 0 || !self.enabled() {
             return;
         }
         let mut levels = self.levels.get();
         levels[gauge as usize] += delta;
         self.levels.set(levels);
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
-        let mut windows = self.windows.borrow_mut();
-        if windows.len() <= idx {
-            windows.resize(idx + 1, ZERO_GAUGES);
-        }
-        windows[idx][gauge as usize] += delta;
-    }
-
-    /// Double the window width (summing adjacent pairs of net deltas)
-    /// until `now_ns` fits under [`MAX_WINDOWS`]. Exact: a net delta
-    /// stays inside the coarser window containing its timestamp.
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut windows = self.windows.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            let half = windows.len().div_ceil(2);
-            for i in 0..half {
-                let mut merged = windows[2 * i];
-                if let Some(odd) = windows.get(2 * i + 1) {
-                    for (dst, src) in merged.iter_mut().zip(odd.iter()) {
-                        *dst += src;
-                    }
-                }
-                windows[i] = merged;
-            }
-            windows.truncate(half);
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
+        self.windows.update(now_ns, |w| w[gauge as usize] += delta);
     }
 
     /// Drop all windows, zero the levels, restore the base width.
     pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
-        self.windows.borrow_mut().clear();
-        self.levels.set(ZERO_GAUGES);
+        self.windows.clear();
+        self.levels.set([0; GAUGES]);
     }
 
     /// Copy out the recorded health series (empty when disabled).
     pub fn snapshot(&self) -> HealthSnapshot {
         HealthSnapshot {
-            window_ns: self.width_ns.get(),
-            windows: self.windows.borrow().clone(),
+            window_ns: self.windows.width_ns(),
+            windows: self.windows.windows(),
         }
     }
 }
@@ -196,13 +153,6 @@ pub struct HealthSnapshot {
     /// Contiguous windows from virtual time 0; entry `i` holds the net
     /// signed gauge changes inside `[i*window_ns, (i+1)*window_ns)`.
     pub windows: Vec<[i64; GAUGES]>,
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 impl HealthSnapshot {
@@ -268,26 +218,7 @@ impl HealthSnapshot {
     /// width). Exact: net deltas only move into the coarser window
     /// already containing their original one.
     pub fn coarsen_to(&mut self, new_width: u64) {
-        if self.window_ns == new_width || self.is_empty() {
-            self.window_ns = new_width.max(self.window_ns);
-            return;
-        }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
-        let coarse_len = self.windows.len().div_ceil(f);
-        let mut coarse = vec![ZERO_GAUGES; coarse_len];
-        for (i, w) in self.windows.iter().enumerate() {
-            let dst = &mut coarse[i / f];
-            for (d, s) in dst.iter_mut().zip(w.iter()) {
-                *d += s;
-            }
-        }
-        self.windows = coarse;
-        self.window_ns = new_width;
+        window::coarsen_to(&mut self.window_ns, &mut self.windows, new_width);
     }
 
     /// Fold `other` into `self`. Widths are aligned to their least
@@ -295,25 +226,7 @@ impl HealthSnapshot {
     /// the cross-node health merge (levels of the merged snapshot are
     /// the sums of per-node levels), associative and commutative.
     pub fn merge(&mut self, other: &HealthSnapshot) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let target = self.window_ns / gcd(self.window_ns, other.window_ns) * other.window_ns;
-        self.coarsen_to(target);
-        let mut o = other.clone();
-        o.coarsen_to(target);
-        if self.windows.len() < o.windows.len() {
-            self.windows.resize(o.windows.len(), ZERO_GAUGES);
-        }
-        for (dst, src) in self.windows.iter_mut().zip(o.windows.iter()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
+        window::merge(&mut self.window_ns, &mut self.windows, other.window_ns, &other.windows);
     }
 
     /// The incremental delta from an earlier snapshot `prev` of the
@@ -343,6 +256,7 @@ impl HealthSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::MAX_WINDOWS;
 
     #[test]
     fn disabled_recorder_records_nothing() {
@@ -371,21 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_doubles_width_without_losing_deltas() {
-        let r = GaugeRecorder::new();
-        r.enable(10);
-        for i in 0..(4 * MAX_WINDOWS as u64) {
-            r.add(i * 10, Gauge::PoolResident, 1);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.window_ns, 40);
-        assert_eq!(s.len(), MAX_WINDOWS);
-        assert_eq!(s.final_level(Gauge::PoolResident), 4 * MAX_WINDOWS as i64);
-        assert!(s.deltas(Gauge::PoolResident).iter().all(|&d| d == 4));
-    }
-
-    #[test]
-    fn merge_aligns_widths_and_adds_levels() {
+    fn merged_levels_are_the_sums_of_per_node_levels() {
         let a = GaugeRecorder::new();
         a.enable(50);
         a.add(0, Gauge::LocksHeld, 1);
@@ -396,80 +296,16 @@ mod tests {
         b.add(150, Gauge::LocksHeld, 3);
         let mut ab = a.snapshot();
         ab.merge(&b.snapshot());
-        let mut ba = b.snapshot();
-        ba.merge(&a.snapshot());
-        assert_eq!(ab, ba, "merge must be commutative");
         // At width 100 both of a's acquires (t=0, t=60) coalesce into
         // window 0; its release and b's +3 land in window 1.
         assert_eq!(ab.window_ns, 100);
         assert_eq!(ab.deltas(Gauge::LocksHeld), [2, 2]);
         assert_eq!(ab.levels(Gauge::LocksHeld), [2, 4]);
-    }
-
-    #[test]
-    fn merge_identity() {
-        let r = GaugeRecorder::new();
-        r.enable(100);
-        r.add(10, Gauge::PoolDirty, 2);
-        let mut s = r.snapshot();
-        s.merge(&HealthSnapshot::empty());
-        let mut e = HealthSnapshot::empty();
-        e.merge(&s);
-        assert_eq!(s, e);
-    }
-
-    #[test]
-    fn merge_of_two_empties_stays_the_identity() {
-        let mut a = HealthSnapshot::empty();
-        a.merge(&HealthSnapshot::empty());
-        assert!(a.is_empty());
-        assert_eq!(a.window_ns, 0);
+        // The identity has no levels at all.
+        let e = HealthSnapshot::empty();
         for g in Gauge::ALL {
-            assert_eq!(a.final_level(g), 0);
-            assert_eq!(a.min_level(g), 0);
-            assert_eq!(a.max_level(g), 0);
+            assert_eq!((e.final_level(g), e.min_level(g), e.max_level(g)), (0, 0, 0));
         }
-    }
-
-    #[test]
-    fn merge_single_window_inputs_adds_without_padding() {
-        let a = GaugeRecorder::new();
-        a.enable(100);
-        a.add(10, Gauge::LocksHeld, 2);
-        let b = GaugeRecorder::new();
-        b.enable(100);
-        b.add(90, Gauge::LocksHeld, 3);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        // Two single-window snapshots of the same width merge into one
-        // window — no phantom trailing windows appear.
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.deltas(Gauge::LocksHeld), [5]);
-        assert_eq!(m.final_level(Gauge::LocksHeld), 5);
-    }
-
-    #[test]
-    fn merge_zero_delta_windows_change_nothing_but_geometry() {
-        let a = GaugeRecorder::new();
-        a.enable(100);
-        a.add(50, Gauge::PoolResident, 7);
-        let mut m = a.snapshot();
-        // A snapshot whose windows exist but net to zero (acquire and
-        // release inside each window) must not disturb any level...
-        let z = GaugeRecorder::new();
-        z.enable(100);
-        for w in 0..3u64 {
-            z.add(w * 100 + 1, Gauge::PoolResident, 4);
-            z.add(w * 100 + 2, Gauge::PoolResident, -4);
-        }
-        let zs = z.snapshot();
-        assert_eq!(zs.len(), 3);
-        m.merge(&zs);
-        assert_eq!(m.deltas(Gauge::PoolResident), [7, 0, 0]);
-        assert_eq!(m.final_level(Gauge::PoolResident), 7);
-        assert_eq!(m.max_level(Gauge::PoolResident), 7);
-        // ...and the merged length covers the longer of the two inputs.
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -506,13 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_restores_base_width_and_zero_levels() {
+    fn clear_zeroes_the_levels() {
         let r = GaugeRecorder::new();
         r.enable(10);
-        r.add(10 * (MAX_WINDOWS as u64 + 1), Gauge::LocksHeld, 5);
-        assert_eq!(r.snapshot().window_ns, 20);
+        r.add(5, Gauge::LocksHeld, 5);
+        assert_eq!(r.level(Gauge::LocksHeld), 5);
         r.clear();
-        assert_eq!(r.snapshot().window_ns, 10);
         assert!(r.snapshot().is_empty());
         assert_eq!(r.level(Gauge::LocksHeld), 0);
     }

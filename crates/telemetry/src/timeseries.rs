@@ -19,16 +19,11 @@
 //!   associative, commutative, and lossless: merging per-session
 //!   series in any order equals recording everything single-threaded.
 //!
-//! **Window widths.** A recorder starts at its configured width and
-//! doubles it (coalescing adjacent window pairs) whenever the run
-//! outgrows [`MAX_WINDOWS`], so memory stays bounded without losing a
-//! single count. Because an event at virtual time `t` lands in window
-//! `t / width` and widths only grow by integer factors,
-//! `floor(floor(t/w)/f) == floor(t/(w*f))` — coalescing later is the
-//! same as having recorded coarse from the start, which is what makes
-//! cross-session merge exact even when sessions doubled independently.
+//! **Window widths.** Bucketing, width doubling past [`MAX_WINDOWS`]
+//! and the width-aligning merge are [`crate::window`]'s; a window here
+//! is a flat vector of counts and folds by addition.
 
-use std::cell::{Cell, RefCell};
+use crate::window::{self, Windowed};
 
 /// Number of tracked metrics (length of a window vector).
 pub const METRICS: usize = 27;
@@ -172,20 +167,12 @@ impl Metric {
     }
 }
 
-type Window = [u64; METRICS];
-
-const ZERO_WINDOW: Window = [0; METRICS];
-
 /// Per-thread windowed counter collector. Disabled (width 0) until
 /// [`SeriesRecorder::enable`]; recording while disabled is a no-op, so
 /// instrumented layers can call unconditionally.
 #[derive(Debug, Default)]
 pub struct SeriesRecorder {
-    /// Configured window width; restored by [`SeriesRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
-    width_ns: Cell<u64>,
-    windows: RefCell<Vec<Window>>,
+    windows: Windowed<[u64; METRICS]>,
 }
 
 impl SeriesRecorder {
@@ -197,70 +184,34 @@ impl SeriesRecorder {
     /// Turn sampling on with `width_ns`-wide windows (0 turns it off).
     /// Drops any previously recorded windows.
     pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
-        self.width_ns.set(width_ns);
-        self.windows.borrow_mut().clear();
+        self.windows.enable(width_ns);
     }
 
     /// Whether sampling is on.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
+        self.windows.enabled()
     }
 
     /// Add `delta` to `metric` in the window covering virtual time
     /// `now_ns`. Never advances any clock.
     #[inline]
     pub fn note(&self, now_ns: u64, metric: Metric, delta: u64) {
-        let width = self.width_ns.get();
-        if width == 0 || delta == 0 {
-            return;
+        if delta != 0 {
+            self.windows.update(now_ns, |w| w[metric as usize] += delta);
         }
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
-        let mut windows = self.windows.borrow_mut();
-        if windows.len() <= idx {
-            windows.resize(idx + 1, ZERO_WINDOW);
-        }
-        windows[idx][metric as usize] += delta;
-    }
-
-    /// Double the window width (summing adjacent pairs) until `now_ns`
-    /// fits under [`MAX_WINDOWS`]. Exact: every count stays in the
-    /// window covering its original timestamp.
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut windows = self.windows.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            let half = windows.len().div_ceil(2);
-            for i in 0..half {
-                let mut merged = windows[2 * i];
-                if let Some(odd) = windows.get(2 * i + 1) {
-                    for (dst, src) in merged.iter_mut().zip(odd.iter()) {
-                        *dst += src;
-                    }
-                }
-                windows[i] = merged;
-            }
-            windows.truncate(half);
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
     }
 
     /// Drop all windows and restore the configured base width.
     pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
-        self.windows.borrow_mut().clear();
+        self.windows.clear();
     }
 
     /// Copy out the recorded series (empty when disabled).
     pub fn snapshot(&self) -> SeriesSnapshot {
         SeriesSnapshot {
-            window_ns: self.width_ns.get(),
-            windows: self.windows.borrow().clone(),
+            window_ns: self.windows.width_ns(),
+            windows: self.windows.windows(),
         }
     }
 }
@@ -273,13 +224,6 @@ pub struct SeriesSnapshot {
     /// Contiguous windows from virtual time 0; window `i` covers
     /// `[i*window_ns, (i+1)*window_ns)`.
     pub windows: Vec<[u64; METRICS]>,
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 impl SeriesSnapshot {
@@ -351,51 +295,14 @@ impl SeriesSnapshot {
     /// width). Exact: counts only move into the coarser window that
     /// already contains their original one.
     pub fn coarsen_to(&mut self, new_width: u64) {
-        if self.window_ns == new_width || self.is_empty() {
-            self.window_ns = new_width.max(self.window_ns);
-            return;
-        }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
-        let coarse_len = self.windows.len().div_ceil(f);
-        let mut coarse = vec![ZERO_WINDOW; coarse_len];
-        for (i, w) in self.windows.iter().enumerate() {
-            let dst = &mut coarse[i / f];
-            for (d, s) in dst.iter_mut().zip(w.iter()) {
-                *d += s;
-            }
-        }
-        self.windows = coarse;
-        self.window_ns = new_width;
+        window::coarsen_to(&mut self.window_ns, &mut self.windows, new_width);
     }
 
     /// Fold `other` into `self`. Widths are aligned to their least
     /// common multiple first, so the operation is associative,
     /// commutative, and lossless (totals are preserved exactly).
     pub fn merge(&mut self, other: &SeriesSnapshot) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let target = self.window_ns / gcd(self.window_ns, other.window_ns) * other.window_ns;
-        self.coarsen_to(target);
-        let mut o = other.clone();
-        o.coarsen_to(target);
-        if self.windows.len() < o.windows.len() {
-            self.windows.resize(o.windows.len(), ZERO_WINDOW);
-        }
-        for (dst, src) in self.windows.iter_mut().zip(o.windows.iter()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
+        window::merge(&mut self.window_ns, &mut self.windows, other.window_ns, &other.windows);
     }
 }
 
@@ -429,62 +336,13 @@ mod tests {
     }
 
     #[test]
-    fn overflow_doubles_width_without_losing_counts() {
-        let r = SeriesRecorder::new();
-        r.enable(10);
-        // One count per window across 4x the cap: forces two doublings.
-        for i in 0..(4 * MAX_WINDOWS as u64) {
-            r.note(i * 10, Metric::Reads, 1);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.window_ns, 40);
-        assert_eq!(s.len(), MAX_WINDOWS);
-        assert_eq!(s.total(Metric::Reads), 4 * MAX_WINDOWS as u64);
-        assert!(s.series(Metric::Reads).iter().all(|&c| c == 4));
-    }
-
-    #[test]
-    fn clear_restores_base_width() {
-        let r = SeriesRecorder::new();
-        r.enable(10);
-        r.note(10 * (MAX_WINDOWS as u64 + 1), Metric::Reads, 1);
-        assert_eq!(r.snapshot().window_ns, 20);
-        r.clear();
-        assert_eq!(r.snapshot().window_ns, 10);
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn merge_aligns_mismatched_widths_exactly() {
-        let fine = SeriesRecorder::new();
-        fine.enable(50);
-        fine.note(0, Metric::Commits, 1);
-        fine.note(60, Metric::Commits, 1);
-        fine.note(199, Metric::Commits, 1);
-        let coarse = SeriesRecorder::new();
-        coarse.enable(100);
-        coarse.note(150, Metric::Commits, 5);
-        let mut a = fine.snapshot();
-        a.merge(&coarse.snapshot());
-        let mut b = coarse.snapshot();
-        b.merge(&fine.snapshot());
-        assert_eq!(a, b, "merge must be commutative");
-        assert_eq!(a.window_ns, 100);
-        assert_eq!(a.series(Metric::Commits), [2, 6]);
-        assert_eq!(a.total(Metric::Commits), 8);
-    }
-
-    #[test]
-    fn merge_identity_and_rates() {
+    fn snapshot_reports_the_width_before_any_window_and_rates_scale_by_it() {
         let r = SeriesRecorder::new();
         r.enable(1_000);
+        assert!(r.snapshot().is_empty());
+        assert_eq!(r.snapshot().window_ns, 1_000);
         r.note(500, Metric::Commits, 10);
-        let mut s = r.snapshot();
-        s.merge(&SeriesSnapshot::empty());
-        let mut e = SeriesSnapshot::empty();
-        e.merge(&s);
-        assert_eq!(s, e);
-        assert_eq!(s.rate_per_sec(Metric::Commits), [1e7]);
+        assert_eq!(r.snapshot().rate_per_sec(Metric::Commits), [1e7]);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! module supplies the sensors that claim needs:
 //!
 //! * **Per-memory-node accounting** — ingress/egress bytes, verbs, and
-//!   remote nanoseconds per fixed-width virtual-time window (the same
-//!   geometry and pairwise-doubling coalescing as
-//!   [`crate::timeseries::SeriesRecorder`]), plus a per-window
-//!   queue-delay high-water mark (atomic-unit queueing observed at that
-//!   node). Occupancy (allocated vs capacity bytes) is stamped onto the
+//!   remote nanoseconds per fixed-width virtual-time window (one
+//!   [`crate::window`] track per node), plus a per-window queue-delay
+//!   high-water mark (atomic-unit queueing observed at that node).
+//!   Occupancy (allocated vs capacity bytes) is stamped onto the
 //!   snapshot by the harness that owns the allocators.
 //! * **Per-key-range heat** — space-saving [`TopK`] sketches of 64 KiB
 //!   page ranges by remote bytes, verbs, and remote ns
@@ -34,7 +33,7 @@ use std::cell::{Cell, RefCell};
 use crate::contention::{merge_top, TopEntry, TopK};
 use crate::json::Json;
 use crate::span::{bucket_name, OTHER_BUCKET};
-use crate::timeseries::MAX_WINDOWS;
+use crate::window::{self, Window, Windowed};
 
 /// Page-range granularity of the heat sketches: offsets are bucketed
 /// into `1 << HEAT_RANGE_SHIFT`-byte ranges (64 KiB).
@@ -87,8 +86,16 @@ pub struct UtilWindow {
     pub queue_hwm_ns: u64,
 }
 
-impl UtilWindow {
-    /// Fold `other` into `self`: sums add, the high-water mark maxes.
+impl Window for UtilWindow {
+    const ZERO: Self = UtilWindow {
+        ingress_bytes: 0,
+        egress_bytes: 0,
+        verbs: 0,
+        remote_ns: 0,
+        queue_hwm_ns: 0,
+    };
+
+    /// Sums add; the high-water mark maxes, which is exact for maxima.
     fn absorb(&mut self, other: &UtilWindow) {
         self.ingress_bytes += other.ingress_bytes;
         self.egress_bytes += other.egress_bytes;
@@ -96,7 +103,9 @@ impl UtilWindow {
         self.remote_ns += other.remote_ns;
         self.queue_hwm_ns = self.queue_hwm_ns.max(other.queue_hwm_ns);
     }
+}
 
+impl UtilWindow {
     /// All-zero window.
     pub fn is_zero(&self) -> bool {
         *self == UtilWindow::default()
@@ -131,15 +140,14 @@ impl PhaseLoad {
 /// the fabric can call unconditionally.
 #[derive(Debug)]
 pub struct UtilRecorder {
-    /// Configured window width; restored by [`UtilRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
+    /// Configured window width (0 = off); every node track starts at it.
     width_ns: Cell<u64>,
     /// Session tag recorded into the by-session sketch (0 = untagged).
     session_tag: Cell<u64>,
     /// Per-node window tracks, keyed by node id (small linear vec —
-    /// clusters have a handful of memory nodes).
-    nodes: RefCell<Vec<(u64, Vec<UtilWindow>)>>,
+    /// clusters have a handful of memory nodes). A track doubles its
+    /// width on its own; [`UtilRecorder::snapshot`] aligns them.
+    nodes: RefCell<Vec<(u64, Windowed<UtilWindow>)>>,
     heat_bytes: RefCell<TopK>,
     heat_verbs: RefCell<TopK>,
     heat_ns: RefCell<TopK>,
@@ -157,7 +165,6 @@ impl UtilRecorder {
     /// A recorder that ignores everything until enabled.
     pub fn new() -> Self {
         Self {
-            base_width_ns: Cell::new(0),
             width_ns: Cell::new(0),
             session_tag: Cell::new(0),
             nodes: RefCell::new(Vec::new()),
@@ -172,7 +179,6 @@ impl UtilRecorder {
     /// Turn capture on with `width_ns`-wide windows (0 turns it off).
     /// Drops any previously recorded state.
     pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
         self.width_ns.set(width_ns);
         self.reset_state();
         let cap = if width_ns == 0 { 0 } else { HEAT_TOP_K };
@@ -214,32 +220,25 @@ impl UtilRecorder {
         if width == 0 {
             return;
         }
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
         {
             let mut nodes = self.nodes.borrow_mut();
             let pos = match nodes.iter().position(|(n, _)| *n == node) {
                 Some(p) => p,
                 None => {
-                    nodes.push((node, Vec::new()));
+                    nodes.push((node, Windowed::new(width)));
                     nodes.len() - 1
                 }
             };
-            let track = &mut nodes[pos].1;
-            if track.len() <= idx {
-                track.resize(idx + 1, UtilWindow::default());
-            }
-            let w = &mut track[idx];
-            if ingress {
-                w.ingress_bytes += bytes;
-            } else {
-                w.egress_bytes += bytes;
-            }
-            w.verbs += 1;
-            w.remote_ns += remote_ns;
-            w.queue_hwm_ns = w.queue_hwm_ns.max(queue_ns);
+            nodes[pos].1.update(now_ns, |w| {
+                if ingress {
+                    w.ingress_bytes += bytes;
+                } else {
+                    w.egress_bytes += bytes;
+                }
+                w.verbs += 1;
+                w.remote_ns += remote_ns;
+                w.queue_hwm_ns = w.queue_hwm_ns.max(queue_ns);
+            });
         }
         let key = heat_key(node, offset);
         self.heat_bytes.borrow_mut().offer(key, bytes);
@@ -256,33 +255,8 @@ impl UtilRecorder {
         p.remote_ns += remote_ns;
     }
 
-    /// Double the window width (folding adjacent pairs on every node
-    /// track) until `now_ns` fits under [`MAX_WINDOWS`]. Exact for the
-    /// sums and for the high-water marks (max of a pair of maxima).
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut nodes = self.nodes.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            for (_, track) in nodes.iter_mut() {
-                let half = track.len().div_ceil(2);
-                for i in 0..half {
-                    let mut merged = track[2 * i];
-                    if let Some(odd) = track.get(2 * i + 1) {
-                        merged.absorb(odd);
-                    }
-                    track[i] = merged;
-                }
-                track.truncate(half);
-            }
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
-    }
-
     /// Drop all recorded state and restore the configured base width.
     pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
         self.reset_state();
         self.heat_bytes.borrow_mut().reset();
         self.heat_verbs.borrow_mut().reset();
@@ -297,16 +271,17 @@ impl UtilRecorder {
     }
 
     /// Copy out the recorded utilization (empty when disabled). Node
-    /// tracks are sorted by node id and padded to a common window
-    /// count, so the snapshot is independent of traffic order.
+    /// tracks are coarsened to the widest track's width, sorted by node
+    /// id and padded to a common window count, so the snapshot is
+    /// independent of traffic order.
     pub fn snapshot(&self) -> UtilSnapshot {
         let nodes = self.nodes.borrow();
-        let max_len = nodes.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+        let window_ns = nodes.iter().map(|(_, t)| t.width_ns()).max().unwrap_or(0);
         let mut out: Vec<NodeUtil> = nodes
             .iter()
             .map(|(n, t)| {
-                let mut windows = t.clone();
-                windows.resize(max_len, UtilWindow::default());
+                let (mut width, mut windows) = (t.width_ns(), t.windows());
+                window::coarsen_to(&mut width, &mut windows, window_ns);
                 NodeUtil {
                     node: *n,
                     capacity_bytes: 0,
@@ -315,9 +290,13 @@ impl UtilRecorder {
                 }
             })
             .collect();
+        let max_len = out.iter().map(|n| n.windows.len()).max().unwrap_or(0);
+        for n in &mut out {
+            n.windows.resize(max_len, UtilWindow::ZERO);
+        }
         out.sort_by_key(|n| n.node);
         UtilSnapshot {
-            window_ns: if out.is_empty() { 0 } else { self.width_ns.get() },
+            window_ns,
             nodes: out,
             heat_bytes: self.heat_bytes.borrow().snapshot(),
             heat_verbs: self.heat_verbs.borrow().snapshot(),
@@ -389,13 +368,6 @@ pub struct UtilSnapshot {
     pub by_phase: Vec<PhaseLoad>,
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 impl UtilSnapshot {
     /// The identity for [`UtilSnapshot::merge`].
     pub fn empty() -> Self {
@@ -450,25 +422,11 @@ impl UtilSnapshot {
     /// the current width). Sums stay exact; high-water marks take the
     /// max of the folded windows, which is exact for maxima.
     pub fn coarsen_to(&mut self, new_width: u64) {
-        if self.window_ns == new_width || self.nodes.is_empty() {
-            self.window_ns = new_width.max(self.window_ns);
-            return;
-        }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
         for n in &mut self.nodes {
-            let coarse_len = n.windows.len().div_ceil(f);
-            let mut coarse = vec![UtilWindow::default(); coarse_len];
-            for (i, w) in n.windows.iter().enumerate() {
-                coarse[i / f].absorb(w);
-            }
-            n.windows = coarse;
+            let mut width = self.window_ns;
+            window::coarsen_to(&mut width, &mut n.windows, new_width);
         }
-        self.window_ns = new_width;
+        self.window_ns = new_width.max(self.window_ns);
     }
 
     /// Fold `other` into `self`. Window widths align to their least
@@ -498,18 +456,13 @@ impl UtilSnapshot {
             // At most one side carries windows; adopt its geometry.
             self.window_ns = self.window_ns.max(o.window_ns);
         } else {
-            let target = self.window_ns / gcd(self.window_ns, o.window_ns) * o.window_ns;
+            let target = window::lcm(self.window_ns, o.window_ns);
             self.coarsen_to(target);
             o.coarsen_to(target);
         }
         for on in &o.nodes {
             if let Some(n) = self.nodes.iter_mut().find(|n| n.node == on.node) {
-                if n.windows.len() < on.windows.len() {
-                    n.windows.resize(on.windows.len(), UtilWindow::default());
-                }
-                for (dst, src) in n.windows.iter_mut().zip(on.windows.iter()) {
-                    dst.absorb(src);
-                }
+                window::absorb_aligned(&mut n.windows, &on.windows);
                 n.capacity_bytes = n.capacity_bytes.max(on.capacity_bytes);
                 n.allocated_bytes = n.allocated_bytes.max(on.allocated_bytes);
             } else {
@@ -754,6 +707,7 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::MAX_WINDOWS;
 
     #[test]
     fn disabled_recorder_records_nothing() {
@@ -761,6 +715,10 @@ mod tests {
         r.note(100, 0, 0, true, 64, 10, 0, 0);
         assert!(!r.enabled());
         assert!(r.snapshot().is_empty());
+        // Unlike the counter series, an enabled recorder that saw no
+        // node reports width 0: there is no track to be that wide.
+        r.enable(100);
+        assert_eq!(r.snapshot().window_ns, 0);
     }
 
     #[test]
@@ -819,19 +777,26 @@ mod tests {
     }
 
     #[test]
-    fn overflow_doubles_width_preserving_sums_and_maxima() {
+    fn node_tracks_that_doubled_apart_align_in_the_snapshot() {
         let r = UtilRecorder::new();
         r.enable(10);
+        // Node 1 is only touched early; node 0's traffic outgrows the
+        // window cap and doubles its own track.
+        r.note(15, 1, 0, false, 3, 1, 70, 0);
         for i in 0..(MAX_WINDOWS as u64 * 2) {
             r.note(i * 10, 0, i * 8, true, 8, 5, (i % 7) * 10, 0);
         }
         let s = r.snapshot();
-        assert!(s.len() <= MAX_WINDOWS);
-        assert!(s.window_ns > 10);
+        assert_eq!(s.window_ns, 20);
+        assert_eq!(s.len(), MAX_WINDOWS);
+        assert!(s.nodes.iter().all(|n| n.windows.len() == MAX_WINDOWS));
         let t = s.nodes[0].totals();
         assert_eq!(t.ingress_bytes, MAX_WINDOWS as u64 * 2 * 8);
         assert_eq!(t.verbs, MAX_WINDOWS as u64 * 2);
         assert_eq!(t.queue_hwm_ns, 60);
+        // Node 1's t=15 sample sits in window 0 of the aligned width.
+        assert_eq!(s.nodes[1].windows[0].egress_bytes, 3);
+        assert_eq!(s.nodes[1].totals().queue_hwm_ns, 70);
     }
 
     #[test]
@@ -869,6 +834,18 @@ mod tests {
         let mut m2 = s.clone();
         m2.merge(&UtilSnapshot::empty());
         assert_eq!(m2, s);
+        // A side with loads but no node track (nothing to align) takes
+        // the other side's geometry as is.
+        let trackless = UtilSnapshot {
+            by_phase: vec![PhaseLoad { bytes: 1, verbs: 1, remote_ns: 1 }],
+            ..UtilSnapshot::empty()
+        };
+        let mut m3 = trackless.clone();
+        m3.merge(&s);
+        assert_eq!((m3.window_ns, &m3.nodes), (100, &s.nodes));
+        let mut m4 = s.clone();
+        m4.merge(&trackless);
+        assert_eq!(m4, m3);
     }
 
     #[test]

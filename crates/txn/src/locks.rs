@@ -723,6 +723,21 @@ mod tests {
         // Readers and writers hammering the same lock: meta must end at 0
         // and a protected counter must equal the number of writer
         // sections.
+        //
+        // Backoff only advances *virtual* time, so a call's retry budget
+        // is real CPU burnt (up to (budget + 1)^2 CAS/READ/WRITE rounds)
+        // while a descheduled latch holder waits for a core. Keep the
+        // budget small and let the loop around the call yield the core.
+        const BUDGET: u32 = 4;
+        fn until_done(mut op: impl FnMut() -> Result<(), LockError>) {
+            loop {
+                match op() {
+                    Ok(()) => return,
+                    Err(LockError::Busy | LockError::Timeout) => std::thread::yield_now(),
+                    Err(e) => panic!("lock protocol error: {e}"),
+                }
+            }
+        }
         let (f, l, a) = setup();
         let data = l.alloc(8).unwrap();
         let writes_done = std::sync::atomic::AtomicU64::new(0);
@@ -734,25 +749,15 @@ mod tests {
                     let ep = f.endpoint();
                     for i in 0..200 {
                         if (t + i) % 4 == 0 {
-                            loop {
-                                if SharedExclusiveLock::acquire_exclusive(&l, &ep, a, 100).is_ok() {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
+                            until_done(|| SharedExclusiveLock::acquire_exclusive(&l, &ep, a, BUDGET));
                             let v = l.read_u64(&ep, data).unwrap();
                             l.write_u64(&ep, data, v + 1).unwrap();
                             writes_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            SharedExclusiveLock::release_exclusive(&l, &ep, a, 100).unwrap();
+                            until_done(|| SharedExclusiveLock::release_exclusive(&l, &ep, a, BUDGET));
                         } else {
-                            loop {
-                                if SharedExclusiveLock::acquire_shared(&l, &ep, a, 100).is_ok() {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
+                            until_done(|| SharedExclusiveLock::acquire_shared(&l, &ep, a, BUDGET));
                             let _ = l.read_u64(&ep, data).unwrap();
-                            SharedExclusiveLock::release_shared(&l, &ep, a, 100).unwrap();
+                            until_done(|| SharedExclusiveLock::release_shared(&l, &ep, a, BUDGET));
                         }
                     }
                 });
