@@ -528,8 +528,10 @@ impl Session {
             // reports as unattributed, not compute.
             let lost =
                 self.ep.flight_pushed() - pushed0 > self.ep.flight_capacity() as u64;
-            let events = self.ep.forensic_events_for(trace);
-            collector.record(telemetry::extract(trace, t0, end, &events, result.is_ok(), lost));
+            let ep = &self.ep;
+            collector.record_steps(trace, t0, end, result.is_ok(), lost, || {
+                ep.forensic_tail(trace, pushed0)
+            });
         }
         if announce {
             let fabric = self.ep.fabric();
@@ -1364,6 +1366,132 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
             server.join().unwrap();
         });
+    }
+
+    /// Run `ops` on `s` and fold into `reference` what a filter over the
+    /// whole ring attributes to that transaction, where `execute` reads
+    /// only the transaction's own tail of it. Nothing may reach the
+    /// session's inbox early enough to move its clock before the
+    /// transaction's window opens.
+    fn execute_and_refold(
+        s: &mut Session,
+        reference: &mut telemetry::ForensicsCollector,
+        ops: &[Op],
+        expect_lost: bool,
+    ) -> u64 {
+        let t0 = s.ep.clock().now_ns();
+        let committed = s.execute(ops).is_ok();
+        let end = s.ep.clock().now_ns();
+        let trace = (s.owner_tag << 32) | s.txn_seq;
+        let in_ring: Vec<telemetry::PathEvent> = s
+            .ep
+            .flight_events()
+            .iter()
+            .filter(|e| e.txn == trace)
+            .filter_map(rdma_sim::recorder::to_path_event)
+            .collect();
+        let want = telemetry::extract(trace, t0, end, &in_ring, committed, expect_lost);
+        let residual = want.blame_ns[telemetry::Blame::Unattributed as usize];
+        assert_eq!(residual > 0, expect_lost, "txn {trace:#x}: {want:?}");
+        reference.record(want);
+        trace
+    }
+
+    /// 3a sessions with real verb costs, a `ring`-event flight recorder
+    /// and a worst-`k` reservoir: `txns` transactions of `ops_per_txn`
+    /// read-modify-writes each, refolded one by one.
+    fn refold_3a(ring: usize, k: usize, txns: u64, ops_per_txn: u64, expect_lost: bool) {
+        let cluster = Cluster::build(ClusterConfig {
+            profile: NetworkProfile::rdma_cx6(),
+            ..config(Architecture::NoCacheNoShard, CcProtocol::TplExclusive, 1, 1)
+        })
+        .unwrap();
+        let mut s = cluster.session(0, 0);
+        s.ep.enable_flight_recorder(ring);
+        s.enable_forensics(k);
+        let mut reference = telemetry::ForensicsCollector::new(k);
+        for t in 0..txns {
+            let ops: Vec<Op> = (0..ops_per_txn)
+                .map(|i| Op::Rmw { key: (7 * t + 3 * i) % 64, delta: 1 })
+                .collect();
+            execute_and_refold(&mut s, &mut reference, &ops, expect_lost);
+        }
+        assert!(s.ep.flight_pushed() > 4 * ring as u64, "the ring must have wrapped");
+        let got = s.forensics_snapshot();
+        assert_eq!(got, reference.snapshot());
+        assert_eq!(got.txns, txns);
+        assert_eq!(got.worst.len(), k.min(txns as usize));
+    }
+
+    #[test]
+    fn forensic_tail_equals_a_full_ring_filter_when_the_ring_wraps_between_txns() {
+        // Every transaction an exemplar, then almost none: the second run
+        // takes the path that copies no chain.
+        refold_3a(48, 64, 24, 2, false);
+        refold_3a(48, 1, 24, 2, false);
+    }
+
+    #[test]
+    fn forensic_tail_of_a_ring_smaller_than_one_txn_reports_the_loss() {
+        refold_3a(8, 64, 12, 4, true);
+        refold_3a(8, 2, 12, 4, true);
+    }
+
+    /// `xshard_2pc` in one thread: while session B coordinates a
+    /// cross-shard transaction it serves, between its own prepare and its
+    /// own votes, a peer's prepare for B's shard. The served work is
+    /// tagged with B's trace and lies inside B's window, so it belongs to
+    /// B's critical path whichever way the ring is read. The peer is
+    /// scripted: its prepare and decision are already queued, addressed
+    /// so that the answers B sends while serving them are the very vote
+    /// and ack B is waiting for (node 0 itself never runs).
+    #[test]
+    fn forensic_tail_includes_a_prepare_served_inside_the_coordinators_window() {
+        let cluster = Cluster::build(ClusterConfig {
+            profile: NetworkProfile::rdma_cx6(),
+            ..config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1)
+        })
+        .unwrap();
+        let peer = cluster.session(0, 0);
+        let mut b = cluster.session(1, 0);
+        b.ep.enable_flight_recorder(256);
+        b.enable_forensics(4);
+        let mut reference = telemetry::ForensicsCollector::new(4);
+        // Keys 32..64 are B's shard. B has been running for a while, so
+        // none of the deliveries below moves its clock.
+        execute_and_refold(&mut b, &mut reference, &[Op::Rmw { key: 40, delta: 1 }], false);
+        b.ep.charge_local(100_000);
+
+        let txn_id = cluster.txn_ids.load(Ordering::Relaxed);
+        let script = |payload: Vec<u8>| peer.ep.send(node_inbox_id(1), b.reply_id, payload).unwrap();
+        // `execute` serves four messages before its window opens, the
+        // vote loop two per empty poll, the ack loop the rest.
+        for _ in 0..4 {
+            script(vec![0xFF]);
+        }
+        let served = [Op::Rmw { key: 50, delta: 5 }];
+        let prepare = encode_prepare(peer.epoch, 0, 0xBEEF, &served);
+        script(encode_2pc(MsgKind::Prepare, txn_id, &prepare));
+        script(vec![0xFF]);
+        script(encode_2pc(MsgKind::Commit, txn_id, &[]));
+
+        let ops = [Op::Rmw { key: 33, delta: -5 }, Op::Rmw { key: 1, delta: 5 }];
+        let trace = execute_and_refold(&mut b, &mut reference, &ops, false);
+        assert_eq!(b.stats().cross_shard, 1);
+        assert_eq!(b.stats().served_subtxns, 1);
+        // Its own prepare phase and the served one, under one trace.
+        let prepares = b
+            .ep
+            .flight_events()
+            .iter()
+            .filter(|e| {
+                e.txn == trace
+                    && e.kind == rdma_sim::EventKind::PhaseBegin
+                    && e.addr == Phase::TwoPcPrepare as u64
+            })
+            .count();
+        assert_eq!(prepares, 2);
+        assert_eq!(b.forensics_snapshot(), reference.snapshot());
     }
 
     /// A coordinator whose node epoch was bumped (declared crashed) is

@@ -77,11 +77,12 @@ impl Fabric {
     }
 
     /// Withdraw the trace announced under `owner_tag` (transaction end).
+    /// The tag keeps its registry entry, now naming no trace, so the next
+    /// announcement under it allocates nothing.
     pub fn retire_trace(&self, owner_tag: u64) {
-        if owner_tag == 0 {
-            return;
+        if let Some(trace) = self.trace_registry.lock().get_mut(&owner_tag) {
+            *trace = 0;
         }
-        self.trace_registry.lock().remove(&owner_tag);
     }
 
     /// The live trace id announced under `owner_tag`, or 0 when the
@@ -416,28 +417,29 @@ impl Endpoint {
             self.contention.note_cas_retry(addr);
         }
         if self.series.enabled() {
-            self.series.note(now, VERB_METRIC[ev.kind as usize], 1);
-            if ev.kind != OpKind::Recv {
-                // RECVs observe bytes the sender already put on the wire.
-                self.series.note(now, Metric::BytesWire, ev.bytes as u64);
-            }
+            // RECVs observe bytes the sender already put on the wire.
+            let wire_bytes = if ev.kind != OpKind::Recv { ev.bytes as u64 } else { 0 };
             // Doorbell accounting runs ahead of its member verbs, so the
             // wire-RT total can transiently sit below the mark; taking
             // only positive deltas nets each group out to exactly its
             // paid wire RTs, attributed to the window of the last verb.
             let wire = self.stats.wire_rts_now();
-            let mark = self.series_wire_mark.get();
-            if wire > mark {
-                self.series.note(now, Metric::WireRts, wire - mark);
+            let paid = wire.saturating_sub(self.series_wire_mark.get());
+            if paid > 0 {
                 self.series_wire_mark.set(wire);
             }
+            self.series.note_all(
+                now,
+                [
+                    (VERB_METRIC[ev.kind as usize], 1),
+                    (Metric::BytesWire, wire_bytes),
+                    (Metric::WireRts, paid),
+                ],
+            );
         }
-        if self.health.enabled() {
-            // +1 at issue, -1 at completion: net deltas bracket the span
-            // the verb was in flight, so windowed levels show how many were.
-            self.health.add(now.saturating_sub(ev.cost_ns), Gauge::VerbsOutstanding, 1);
-            self.health.add(now, Gauge::VerbsOutstanding, -1);
-        }
+        // +1 at issue, -1 at completion: net deltas bracket the span the
+        // verb was in flight, so windowed levels show how many were.
+        self.health.pulse(now.saturating_sub(ev.cost_ns), now, Gauge::VerbsOutstanding);
         if let Some(node) = ev.peer {
             if self.util.enabled() {
                 // Heat goes to the innermost open phase and the session
@@ -648,8 +650,7 @@ impl Endpoint {
     fn record_wait(&self, addr: u64, ns: u64, holder_trace: impl FnOnce() -> u64) {
         if self.series.enabled() {
             let now = self.clock.now_ns();
-            self.series.note(now, Metric::LockWaits, 1);
-            self.series.note(now, Metric::LockWaitNs, ns);
+            self.series.note_all(now, [(Metric::LockWaits, 1), (Metric::LockWaitNs, ns)]);
         }
         if self.recorder.enabled() {
             self.record_event(EventKind::Wait, None, addr, 0, outcome::OK, ns, holder_trace());
@@ -662,14 +663,20 @@ impl Endpoint {
         self.recorder.enabled()
     }
 
-    /// Trace id `txn`'s recorded events translated into forensic
-    /// critical-path steps (phase boundaries elided), oldest first.
-    pub fn forensic_events_for(&self, txn: u64) -> Vec<telemetry::PathEvent> {
+    /// The forensic critical-path steps (phase boundaries elided) that
+    /// trace id `txn` recorded since [`Endpoint::flight_pushed`] read
+    /// `pushed0`, oldest first. Walks only the events pushed since then,
+    /// in place — or the whole ring if that is less. Nothing may be
+    /// recorded while the iterator lives.
+    pub fn forensic_tail(
+        &self,
+        txn: u64,
+        pushed0: u64,
+    ) -> impl Iterator<Item = telemetry::PathEvent> + '_ {
         self.recorder
-            .events_for(txn)
-            .iter()
-            .filter_map(crate::recorder::to_path_event)
-            .collect()
+            .tail(self.recorder.pushed() - pushed0)
+            .filter(move |e| e.txn == txn)
+            .filter_map(|e| crate::recorder::to_path_event(&e))
     }
 
     /// Record a lock wait-for edge: `waiter` wanted `addr`, which
@@ -1346,8 +1353,8 @@ mod tests {
         // Local lock wait with a directly known holder trace.
         waiter.charge_local(100);
         waiter.note_local_lock_wait(7, 100, 0x9_0003);
-        let evs = waiter.recorder.events_for(0x7_0001);
-        assert_eq!(evs.len(), 3);
+        let evs: Vec<Event> = waiter.recorder.tail(3).collect();
+        assert!(evs.iter().all(|e| e.txn == 0x7_0001));
         assert_eq!(evs[0].kind, EventKind::Wait);
         assert_eq!(evs[0].aux, 0x42_0001);
         assert_eq!(evs[0].ts_ns, 0, "wait charge is backdated");
@@ -1357,8 +1364,11 @@ mod tests {
         fabric.retire_trace(42);
         assert_eq!(fabric.trace_of(42), 0);
         // The forensic translation keeps the holders.
-        let path = waiter.forensic_events_for(0x7_0001);
+        let path: Vec<telemetry::PathEvent> = waiter.forensic_tail(0x7_0001, 0).collect();
         assert_eq!(path.len(), 3);
+        // The tail starts where the caller read the push counter.
+        assert_eq!(waiter.forensic_tail(0x7_0001, 2).count(), 1);
+        assert_eq!(waiter.forensic_tail(0x7_0002, 0).count(), 0);
         assert_eq!(path[0].step, telemetry::StepKind::Wait { holder: 0x42_0001 });
         // Local waits stay out of the hot-key sketch; fabric waits feed it.
         assert_eq!(waiter.contention_snapshot().wait_ns_total, 700);
@@ -1605,6 +1615,45 @@ mod tests {
         assert!(health.min_level(Gauge::VerbsOutstanding) >= 0);
         assert!(health.max_level(Gauge::VerbsOutstanding) >= 1);
         assert_eq!(ep.gauge_level(Gauge::VerbsOutstanding), 0);
+
+        // `complete` folds a verb into each plane with one window lookup.
+        // Replaying the ring through fresh recorders one counter at a
+        // time must land every verb in the same windows.
+        let ref_series = SeriesRecorder::new();
+        let ref_health = GaugeRecorder::new();
+        let ref_util = UtilRecorder::new();
+        ref_series.enable(1_000);
+        ref_health.enable(1_000);
+        ref_util.enable(1_000);
+        for e in &events {
+            let EventKind::Verb(kind) = e.kind else { continue };
+            let (end, bytes) = (e.ts_ns + e.dur_ns, e.bytes as u64);
+            ref_series.note(end, VERB_METRIC[kind as usize], 1);
+            if kind != OpKind::Recv {
+                ref_series.note(end, Metric::BytesWire, bytes);
+            }
+            ref_health.add(e.ts_ns, Gauge::VerbsOutstanding, 1);
+            ref_health.add(end, Gauge::VerbsOutstanding, -1);
+            if e.peer != u16::MAX {
+                let offset = e.addr & ((1 << 48) - 1);
+                let ingress = kind != OpKind::Read;
+                ref_util.note(end, e.peer as u64, offset, ingress, bytes, e.dur_ns, 0, e.phase as usize);
+            }
+        }
+        assert_eq!(health, ref_health.snapshot());
+        // Wire RTs follow the doorbell mark, which the ring does not
+        // carry (their total is checked above); atomic-unit queueing
+        // likewise.
+        let mut series = series;
+        for w in &mut series.windows {
+            w[Metric::WireRts as usize] = 0;
+        }
+        assert_eq!(series, ref_series.snapshot());
+        let mut util = util;
+        for w in util.nodes.iter_mut().flat_map(|n| &mut n.windows) {
+            w.queue_hwm_ns = 0;
+        }
+        assert_eq!(util, ref_util.snapshot());
     }
 
     #[test]

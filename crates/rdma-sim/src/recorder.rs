@@ -22,7 +22,7 @@
 //! Both live inside `Endpoint` (single-threaded, `Cell`/`RefCell`, no
 //! atomics) and reset with it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 use telemetry::contention::{ContentionSnapshot, TopK, WaitEdge};
 use telemetry::{bucket_name, ChromeTrace, Json};
@@ -157,7 +157,7 @@ impl FlightRecorder {
         } else {
             let i = self.next.get();
             buf[i] = ev;
-            self.next.set((i + 1) % cap);
+            self.next.set(if i + 1 == cap { 0 } else { i + 1 });
             self.dropped.set(self.dropped.get() + 1);
         }
     }
@@ -197,10 +197,43 @@ impl FlightRecorder {
         self.buf.borrow_mut().clear();
     }
 
-    /// Recorded events carrying transaction trace id `txn`, oldest
-    /// first — the raw material for critical-path extraction.
-    pub fn events_for(&self, txn: u64) -> Vec<Event> {
-        self.events().into_iter().filter(|e| e.txn == txn).collect()
+    /// The newest `n` recorded events (all of them when fewer are held),
+    /// oldest first, read in place: nothing is copied but the event being
+    /// yielded. The ring stays borrowed until the iterator is dropped, so
+    /// nothing may be recorded meanwhile.
+    pub fn tail(&self, n: u64) -> Tail<'_> {
+        let buf = self.buf.borrow();
+        let len = buf.len();
+        let left = n.min(len as u64) as usize;
+        // One past the newest event, which is also where the oldest sits
+        // once the ring is full.
+        let end = if len < self.cap.get() { len } else { self.next.get() };
+        let at = if left <= end { end - left } else { end + len - left };
+        Tail { buf, at, left }
+    }
+}
+
+/// The newest events of a [`FlightRecorder`], oldest first; see
+/// [`FlightRecorder::tail`].
+#[derive(Debug)]
+pub struct Tail<'a> {
+    buf: Ref<'a, Vec<Event>>,
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for Tail<'_> {
+    type Item = Event;
+
+    #[inline]
+    fn next(&mut self) -> Option<Event> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let ev = self.buf[self.at];
+        self.at = if self.at + 1 == self.buf.len() { 0 } else { self.at + 1 };
+        Some(ev)
     }
 }
 
@@ -508,14 +541,24 @@ mod tests {
     }
 
     #[test]
-    fn events_for_filters_by_trace_id() {
+    fn tail_is_the_newest_events_oldest_first_at_every_fill_level() {
         let r = FlightRecorder::default();
-        r.set_capacity(8);
-        r.push(Event { txn: 1, ..ev(0) });
-        r.push(Event { txn: 2, ..ev(1) });
-        r.push(Event { txn: 1, ..ev(2) });
-        let got: Vec<u64> = r.events_for(1).iter().map(|e| e.ts_ns).collect();
-        assert_eq!(got, vec![0, 2]);
+        r.set_capacity(4);
+        assert_eq!(r.tail(3).count(), 0);
+        // Filling (0..4), exactly full (4), wrapped mid-ring (5..8) and
+        // wrapped back onto slot 0 (8).
+        for pushed in 1..=8u64 {
+            r.push(Event { txn: pushed % 2, ..ev(pushed) });
+            let all = r.events();
+            for n in 0..=6u64 {
+                let got: Vec<Event> = r.tail(n).collect();
+                let keep = (n as usize).min(all.len());
+                assert_eq!(got, all[all.len() - keep..], "pushed {pushed}, tail({n})");
+            }
+            // A trace's events are a filter over the tail.
+            let odd: Vec<u64> = r.tail(u64::MAX).filter(|e| e.txn == 1).map(|e| e.ts_ns).collect();
+            assert!(odd.iter().all(|ts| ts % 2 == 1) && odd.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

@@ -41,10 +41,32 @@ pub struct TopEntry {
 ///
 /// Deterministic: eviction picks the minimum `(count, key)` entry, so
 /// identical offer sequences produce identical snapshots.
+///
+/// An offer costs O(log `cap`), and O(1) when it hits a key that is not
+/// close to eviction. Entries never move: a key is found through a
+/// small chained hash index, and the next victim is the winner of a
+/// tournament over the entries, replayed only along the one path whose
+/// entry grew. Neither structure is observable — a snapshot depends
+/// only on the set of entries.
 #[derive(Debug, Clone)]
 pub struct TopK {
     cap: usize,
-    entries: Vec<TopEntry>,
+    /// `count << 64 | key` of each entry, so one integer comparison
+    /// orders two entries by `(count, key)`.
+    rank: Vec<u128>,
+    /// `err` of each entry.
+    err: Vec<u64>,
+    /// Key index: `heads[bucket]` starts a chain through `next` of the
+    /// entries whose keys hash to `bucket`. Both hold an entry plus one,
+    /// 0 ends a chain. A power-of-two number of buckets, at least four
+    /// per entry, keeps most chains at one entry or none.
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// The tournament, built once the sketch is full (nothing is evicted
+    /// before): `2 * cap` nodes, entry `e` at the leaf `cap + e`, node
+    /// `i` above the nodes `2 * i` and `2 * i + 1`, node 1 the root. A
+    /// node holds the entry of smallest rank below it.
+    winner: Vec<u32>,
 }
 
 impl TopK {
@@ -53,7 +75,11 @@ impl TopK {
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
-            entries: Vec::with_capacity(cap.min(1024)),
+            rank: Vec::new(),
+            err: Vec::new(),
+            heads: Vec::new(),
+            next: Vec::new(),
+            winner: Vec::new(),
         }
     }
 
@@ -62,52 +88,161 @@ impl TopK {
         if self.cap == 0 || weight == 0 {
             return;
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.count += weight;
+        if let Some(e) = self.find(key) {
+            self.rank[e] += (weight as u128) << 64;
+            self.replay(e);
             return;
         }
-        if self.entries.len() < self.cap {
-            self.entries.push(TopEntry { key, count: weight, err: 0 });
+        let len = self.rank.len();
+        if len < self.cap {
+            if (len + 1) * 4 > self.heads.len() {
+                self.grow_index();
+            }
+            self.rank.push((weight as u128) << 64 | key as u128);
+            self.err.push(0);
+            self.next.push(0);
+            self.index_insert(key, len);
+            if len + 1 == self.cap {
+                self.build_tournament();
+            }
             return;
         }
         // Evict the minimum-count entry (ties broken by key for
         // determinism); the newcomer inherits its count as error.
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.count, e.key))
-            .map(|(i, _)| i)
-            .expect("cap > 0");
-        let floor = self.entries[victim].count;
-        self.entries[victim] = TopEntry {
-            key,
-            count: floor + weight,
-            err: floor,
-        };
+        let e = self.winner[1] as usize;
+        let (victim, floor) = (self.rank[e] as u64, (self.rank[e] >> 64) as u64);
+        self.index_remove(victim, e);
+        self.index_insert(key, e);
+        self.rank[e] = ((floor + weight) as u128) << 64 | key as u128;
+        self.err[e] = floor;
+        self.replay(e);
     }
 
     /// Total weight offered so far (sum of estimates minus errors is a
     /// lower bound; this is the exact bookkeeping sum of estimates).
     pub fn estimate_sum(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
+        self.rank.iter().map(|r| (r >> 64) as u64).sum()
     }
 
     /// Entries sorted by `(count desc, key asc)` — the hot list.
     pub fn snapshot(&self) -> Vec<TopEntry> {
-        let mut v = self.entries.clone();
+        let mut v: Vec<TopEntry> = (0..self.rank.len()).map(|e| self.entry(e)).collect();
         v.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         v
     }
 
     /// The estimate for `key`, if tracked.
     pub fn get(&self, key: u64) -> Option<TopEntry> {
-        self.entries.iter().copied().find(|e| e.key == key)
+        self.find(key).map(|e| self.entry(e))
     }
 
     /// Drop all entries.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.rank.clear();
+        self.err.clear();
+        self.heads.fill(0);
+        self.next.clear();
+        self.winner.clear();
+    }
+
+    fn entry(&self, e: usize) -> TopEntry {
+        TopEntry {
+            key: self.rank[e] as u64,
+            count: (self.rank[e] >> 64) as u64,
+            err: self.err[e],
+        }
+    }
+
+    /// `key`'s bucket. There must be one.
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        // Fibonacci hashing: heat keys differ only in their lowest
+        // (range) and highest (node) bits; the multiply spreads both
+        // over the upper half.
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.heads.len() - 1)
+    }
+
+    /// The entry tracking `key`.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        if self.heads.is_empty() {
+            return None;
+        }
+        let mut link = self.heads[self.bucket(key)];
+        while link != 0 {
+            let e = link as usize - 1;
+            if self.rank[e] as u64 == key {
+                return Some(e);
+            }
+            link = self.next[e];
+        }
+        None
+    }
+
+    /// Index entry `e`, which now tracks the so far untracked `key`.
+    #[inline]
+    fn index_insert(&mut self, key: u64, e: usize) {
+        let b = self.bucket(key);
+        self.next[e] = self.heads[b];
+        self.heads[b] = e as u32 + 1;
+    }
+
+    /// Unlink entry `e`, which tracks `key`.
+    #[inline]
+    fn index_remove(&mut self, key: u64, e: usize) {
+        let b = self.bucket(key);
+        let link = e as u32 + 1;
+        if self.heads[b] == link {
+            self.heads[b] = self.next[e];
+            return;
+        }
+        let mut before = self.heads[b] as usize - 1;
+        while self.next[before] != link {
+            before = self.next[before] as usize - 1;
+        }
+        self.next[before] = self.next[e];
+    }
+
+    /// Double the buckets and re-chain every entry.
+    #[cold]
+    fn grow_index(&mut self) {
+        let len = (self.heads.len() * 2).max(4);
+        self.heads.clear();
+        self.heads.resize(len, 0);
+        for e in 0..self.rank.len() {
+            self.index_insert(self.rank[e] as u64, e);
+        }
+    }
+
+    /// Play the whole tournament over the `cap` entries.
+    #[cold]
+    fn build_tournament(&mut self) {
+        let cap = self.cap;
+        self.winner.clear();
+        self.winner.resize(cap, 0);
+        self.winner.extend(0..cap as u32);
+        for i in (1..cap).rev() {
+            let (a, b) = (self.winner[2 * i], self.winner[2 * i + 1]);
+            self.winner[i] = if self.rank[b as usize] < self.rank[a as usize] { b } else { a };
+        }
+    }
+
+    /// Entry `e` grew: replay the matches it had won, from its leaf up.
+    /// It cannot win one it had lost, so the walk ends at the first node
+    /// it does not hold — at once, unless it is close to eviction, and
+    /// before the tournament exists.
+    #[inline]
+    fn replay(&mut self, e: usize) {
+        let (mut node, mut best, mut best_rank) = (self.cap + e, e as u32, self.rank[e]);
+        while node > 1 && self.winner.get(node / 2) == Some(&(e as u32)) {
+            let other = self.winner[node ^ 1];
+            let other_rank = self.rank[other as usize];
+            if other_rank < best_rank {
+                (best, best_rank) = (other, other_rank);
+            }
+            node /= 2;
+            self.winner[node] = best;
+        }
     }
 }
 

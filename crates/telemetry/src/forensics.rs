@@ -193,16 +193,39 @@ pub fn extract(
     committed: bool,
     lost: bool,
 ) -> TxnForensics {
+    let mut chain: Vec<PathEvent> = Vec::with_capacity(events.len());
+    let (total_ns, blame_ns) =
+        fold_window(start_ns, end_ns, lost, events.iter().copied(), |e, _| chain.push(*e));
+    TxnForensics { trace, start_ns, total_ns, blame_ns, committed, chain }
+}
+
+/// The steps that start inside `[start_ns, end_ns)`.
+fn within(
+    start_ns: u64,
+    end_ns: u64,
+    steps: impl Iterator<Item = PathEvent>,
+) -> impl Iterator<Item = PathEvent> {
+    steps.filter(move |e| (start_ns..end_ns).contains(&e.ts_ns))
+}
+
+/// Charge every step of `steps` that starts inside `[start_ns, end_ns)`
+/// to its blame bucket, handing each to `on_step`, and the rest of the
+/// window to the residual bucket `lost` selects. Returns the window's
+/// `(total_ns, blame_ns)`.
+fn fold_window(
+    start_ns: u64,
+    end_ns: u64,
+    lost: bool,
+    steps: impl Iterator<Item = PathEvent>,
+    mut on_step: impl FnMut(&PathEvent, Blame),
+) -> (u64, [u64; BLAME_KINDS]) {
     let mut blame_ns = [0u64; BLAME_KINDS];
     let mut covered = 0u64;
-    let mut chain: Vec<PathEvent> = Vec::with_capacity(events.len());
-    for e in events {
-        if e.ts_ns < start_ns || e.ts_ns >= end_ns {
-            continue;
-        }
-        blame_ns[blame_of(e) as usize] += e.dur_ns;
+    for e in within(start_ns, end_ns, steps) {
+        let blame = blame_of(&e);
+        blame_ns[blame as usize] += e.dur_ns;
         covered += e.dur_ns;
-        chain.push(*e);
+        on_step(&e, blame);
     }
     // Charged intervals never overlap on the single virtual clock, so
     // the window minus the covered steps is exactly the un-evented time.
@@ -210,7 +233,7 @@ pub fn extract(
     let residual = total_ns - covered;
     let bucket = if lost { Blame::Unattributed } else { Blame::LocalCompute };
     blame_ns[bucket as usize] += residual;
-    TxnForensics { trace, start_ns, total_ns, blame_ns, committed, chain }
+    (total_ns, blame_ns)
 }
 
 /// Mergeable forensics rollup: the blame-share histogram over every
@@ -289,6 +312,12 @@ fn rank(worst: &mut Vec<TxnForensics>, k: usize) {
     worst.truncate(k);
 }
 
+/// Whether a `total_ns`-long transaction `trace` ranks strictly ahead
+/// of `w` in the `(total_ns desc, trace asc)` exemplar order.
+fn outranks(total_ns: u64, trace: u64, w: &TxnForensics) -> bool {
+    total_ns > w.total_ns || (total_ns == w.total_ns && trace < w.trace)
+}
+
 /// Per-session collector: fold in one [`TxnForensics`] per executed
 /// transaction, keep the K slowest.
 #[derive(Debug, Clone)]
@@ -306,17 +335,67 @@ impl ForensicsCollector {
 
     /// Fold one transaction in.
     pub fn record(&mut self, t: TxnForensics) {
-        self.snap.txns += 1;
-        for i in 0..BLAME_KINDS {
-            self.snap.blame_ns[i] += t.blame_ns[i];
-        }
         for e in &t.chain {
             if blame_of(e) == Blame::RemoteFetch {
                 *self.snap.remote_by_peer.entry(e.peer).or_insert(0) += e.dur_ns;
             }
         }
-        self.snap.worst.push(t);
-        rank(&mut self.snap.worst, self.snap.k);
+        self.count(&t.blame_ns);
+        if self.admits(t.total_ns, t.trace) {
+            self.admit(t);
+        }
+    }
+
+    /// Fold in the transaction `trace` that ran over `[start_ns, end_ns)`,
+    /// reading its steps straight from where they were recorded: the same
+    /// result as [`extract`] then [`ForensicsCollector::record`] over
+    /// `steps().collect()`. `steps` is walked once for the blame; only a
+    /// transaction that enters the worst-K reservoir has it walked again
+    /// to copy its chain out, so every other transaction costs its own
+    /// steps and, once each of its peers has been seen, no allocation.
+    /// `lost` is as for [`extract`].
+    pub fn record_steps<I: Iterator<Item = PathEvent>>(
+        &mut self,
+        trace: u64,
+        start_ns: u64,
+        end_ns: u64,
+        committed: bool,
+        lost: bool,
+        steps: impl Fn() -> I,
+    ) {
+        let by_peer = &mut self.snap.remote_by_peer;
+        let (total_ns, blame_ns) = fold_window(start_ns, end_ns, lost, steps(), |e, blame| {
+            if blame == Blame::RemoteFetch {
+                *by_peer.entry(e.peer).or_insert(0) += e.dur_ns;
+            }
+        });
+        self.count(&blame_ns);
+        if self.admits(total_ns, trace) {
+            let chain = within(start_ns, end_ns, steps()).collect();
+            self.admit(TxnForensics { trace, start_ns, total_ns, blame_ns, committed, chain });
+        }
+    }
+
+    fn count(&mut self, blame_ns: &[u64; BLAME_KINDS]) {
+        self.snap.txns += 1;
+        for (sum, ns) in self.snap.blame_ns.iter_mut().zip(blame_ns) {
+            *sum += ns;
+        }
+    }
+
+    /// Whether a transaction this slow belongs among the K worst so far.
+    fn admits(&self, total_ns: u64, trace: u64) -> bool {
+        let worst = &self.snap.worst;
+        worst.len() < self.snap.k
+            || worst.last().is_some_and(|w| outranks(total_ns, trace, w))
+    }
+
+    /// Put `t` at its rank; `worst` is sorted and stays so.
+    fn admit(&mut self, t: TxnForensics) {
+        let worst = &mut self.snap.worst;
+        let at = worst.partition_point(|w| !outranks(t.total_ns, t.trace, w));
+        worst.insert(at, t);
+        worst.truncate(self.snap.k);
     }
 
     /// Copy out the mergeable snapshot.

@@ -89,7 +89,7 @@ impl Gauge {
 pub struct GaugeRecorder {
     windows: Windowed<[i64; GAUGES]>,
     /// Running levels (sum of all deltas recorded since enable).
-    levels: Cell<[i64; GAUGES]>,
+    levels: [Cell<i64>; GAUGES],
 }
 
 impl GaugeRecorder {
@@ -102,7 +102,7 @@ impl GaugeRecorder {
     /// Drops any previously recorded windows and zeroes the levels.
     pub fn enable(&self, width_ns: u64) {
         self.windows.enable(width_ns);
-        self.levels.set([0; GAUGES]);
+        self.zero_levels();
     }
 
     /// Whether sampling is on.
@@ -113,7 +113,7 @@ impl GaugeRecorder {
 
     /// Current level of `gauge` (sum of recorded deltas).
     pub fn level(&self, gauge: Gauge) -> i64 {
-        self.levels.get()[gauge as usize]
+        self.levels[gauge as usize].get()
     }
 
     /// Add the signed `delta` to `gauge` in the window covering virtual
@@ -123,16 +123,30 @@ impl GaugeRecorder {
         if delta == 0 || !self.enabled() {
             return;
         }
-        let mut levels = self.levels.get();
-        levels[gauge as usize] += delta;
-        self.levels.set(levels);
+        let level = &self.levels[gauge as usize];
+        level.set(level.get() + delta);
         self.windows.update(now_ns, |w| w[gauge as usize] += delta);
+    }
+
+    /// `gauge` stood one higher from `start_ns` to the later `end_ns`:
+    /// [`GaugeRecorder::add`] of +1 at `start_ns` and of -1 at `end_ns`,
+    /// with one window lookup unless the span crosses a window boundary.
+    #[inline]
+    pub fn pulse(&self, start_ns: u64, end_ns: u64, gauge: Gauge) {
+        let g = gauge as usize;
+        self.windows.update_pair(start_ns, end_ns, |w| w[g] += 1, |w| w[g] -= 1);
     }
 
     /// Drop all windows, zero the levels, restore the base width.
     pub fn clear(&self) {
         self.windows.clear();
-        self.levels.set([0; GAUGES]);
+        self.zero_levels();
+    }
+
+    fn zero_levels(&self) {
+        for level in &self.levels {
+            level.set(0);
+        }
     }
 
     /// Copy out the recorded health series (empty when disabled).

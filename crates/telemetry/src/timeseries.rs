@@ -197,8 +197,19 @@ impl SeriesRecorder {
     /// `now_ns`. Never advances any clock.
     #[inline]
     pub fn note(&self, now_ns: u64, metric: Metric, delta: u64) {
-        if delta != 0 {
-            self.windows.update(now_ns, |w| w[metric as usize] += delta);
+        self.note_all(now_ns, [(metric, delta)]);
+    }
+
+    /// [`SeriesRecorder::note`] for several metrics at one instant, with
+    /// one window lookup between them.
+    #[inline]
+    pub fn note_all<const N: usize>(&self, now_ns: u64, deltas: [(Metric, u64); N]) {
+        if deltas.iter().any(|&(_, delta)| delta != 0) {
+            self.windows.update(now_ns, |w| {
+                for (metric, delta) in deltas {
+                    w[metric as usize] += delta;
+                }
+            });
         }
     }
 

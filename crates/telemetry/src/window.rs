@@ -15,7 +15,7 @@
 //! what a window *means* (counts, net gauge deltas, load with a
 //! high-water mark) stays with the plane that owns it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 
 use crate::timeseries::MAX_WINDOWS;
 
@@ -58,6 +58,9 @@ pub(crate) struct Windowed<W> {
     base_width_ns: Cell<u64>,
     /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
     width_ns: Cell<u64>,
+    /// `(start, idx)` of the window found last. A session's clock mostly
+    /// stays inside it from one sample to the next, which saves dividing.
+    last: Cell<(u64, usize)>,
     windows: RefCell<Vec<W>>,
 }
 
@@ -74,6 +77,7 @@ impl<W: Window> Windowed<W> {
         Self {
             base_width_ns: Cell::new(width_ns),
             width_ns: Cell::new(width_ns),
+            last: Cell::new((0, 0)),
             windows: RefCell::new(Vec::new()),
         }
     }
@@ -97,19 +101,58 @@ impl<W: Window> Windowed<W> {
     /// Apply `f` to the window covering `now_ns`.
     #[inline]
     pub fn update(&self, now_ns: u64, f: impl FnOnce(&mut W)) {
+        if let Some((mut windows, idx)) = self.locate(now_ns) {
+            f(&mut windows[idx]);
+        }
+    }
+
+    /// Apply `then_f` to the window covering `then_ns` and `now_f` to the
+    /// one covering the later `now_ns`: the same as two [`Windowed::update`]s
+    /// in that order, with one lookup when both fall in one window.
+    #[inline]
+    pub fn update_pair(
+        &self,
+        then_ns: u64,
+        now_ns: u64,
+        then_f: impl FnOnce(&mut W),
+        now_f: impl FnOnce(&mut W),
+    ) {
+        debug_assert!(then_ns <= now_ns);
+        if let Some((mut windows, idx)) = self.locate(now_ns) {
+            let then_idx = if then_ns >= self.last.get().0 {
+                idx
+            } else {
+                (then_ns / self.width_ns.get()) as usize
+            };
+            then_f(&mut windows[then_idx]);
+            now_f(&mut windows[idx]);
+        }
+    }
+
+    /// The windows, grown to cover `now_ns` (and widened first if that
+    /// would take more than [`MAX_WINDOWS`]), with the index of the one
+    /// that does; `None` while recording is off. Leaves that window in
+    /// `last`.
+    #[inline]
+    fn locate(&self, now_ns: u64) -> Option<(RefMut<'_, Vec<W>>, usize)> {
         let width = self.width_ns.get();
         if width == 0 {
-            return;
+            return None;
         }
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            idx = self.coalesce_until(now_ns);
+        let (start, mut idx) = self.last.get();
+        // Also false for a `now_ns` before `start`: the difference wraps.
+        if now_ns.wrapping_sub(start) >= width {
+            idx = (now_ns / width) as usize;
+            if idx >= MAX_WINDOWS {
+                idx = self.coalesce_until(now_ns);
+            }
+            self.last.set((idx as u64 * self.width_ns.get(), idx));
         }
         let mut windows = self.windows.borrow_mut();
         if windows.len() <= idx {
             windows.resize(idx + 1, W::ZERO);
         }
-        f(&mut windows[idx]);
+        Some((windows, idx))
     }
 
     /// Double the width, folding windows pairwise, until `now_ns` falls
@@ -130,6 +173,7 @@ impl<W: Window> Windowed<W> {
     /// Drop every window and restore the configured width.
     pub fn clear(&self) {
         self.width_ns.set(self.base_width_ns.get());
+        self.last.set((0, 0));
         self.windows.borrow_mut().clear();
     }
 

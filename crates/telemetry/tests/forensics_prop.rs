@@ -86,7 +86,7 @@ fn check(txn_steps: Vec<Vec<GenStep>>, sessions: Vec<usize>) -> Result<(), Strin
     // The "ring": every transaction's events interleaved into one
     // stream ordered by timestamp (ties broken by trace, as distinct
     // sessions' rings would merge). Extraction sees only the filtered
-    // per-trace view, exactly like `events_for`.
+    // per-trace view, exactly like `Endpoint::forensic_tail`.
     let mut ring: Vec<(u64, PathEvent)> = chains
         .iter()
         .flat_map(|(trace, _, _, evs)| evs.iter().map(|e| (*trace, *e)))
@@ -122,8 +122,12 @@ fn check(txn_steps: Vec<Vec<GenStep>>, sessions: Vec<usize>) -> Result<(), Strin
             prop_assert_eq!(blame_of(e), reference_blame(e));
         }
 
-        per_session[sessions[i % sessions.len()] % SESSIONS].record(t.clone());
-        single.record(t);
+        // Two routes into a collector: the materialised path, and the
+        // steps read in place off the ring. They must not differ.
+        per_session[sessions[i % sessions.len()] % SESSIONS].record(t);
+        single.record_steps(*trace, *start, *end, true, false, || {
+            ring.iter().filter(|(t, _)| t == trace).map(|&(_, e)| e)
+        });
     }
 
     // Merge order-independence: forward, reverse, and grouped folds all
