@@ -11,13 +11,17 @@
 //! * atomic verbs (lock words, counters) execute on the primary only —
 //!   transient synchronization state is rebuilt, not replicated, exactly
 //!   as in the paper's recovery discussion.
+//!
+//! [`DsmLayer::doorbell`] applies the three rules to a mixed group of
+//! work requests and posts the result as one fabric doorbell; the batched
+//! and replicated entry points are that path with a fixed verb.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memnode::{AllocError, AllocStats, MemoryNode, OffloadFn};
-use rdma_sim::{Endpoint, Fabric, NetworkProfile, NodeId, RdmaError};
+use rdma_sim::{Endpoint, Fabric, NetworkProfile, NodeId, RdmaError, Wr};
 
 use crate::addr::GlobalAddr;
 use crate::retry::RetryPolicy;
@@ -98,6 +102,97 @@ impl Default for DsmConfig {
             replication: 1,
             mem_cores: 2,
             weak_cpu_factor: 4.0,
+        }
+    }
+}
+
+/// One work request of a [`DsmLayer::doorbell`] group: [`rdma_sim::Wr`]
+/// over logical addresses. The layer resolves each to fabric members —
+/// CAS on the group primary, READ from the first reachable member, WRITE
+/// to every reachable member.
+#[derive(Debug)]
+pub enum GlobalWr<'a> {
+    /// Read `dst.len()` bytes at `addr`.
+    Read { addr: GlobalAddr, dst: &'a mut [u8] },
+    /// Write `src` at `addr` on every reachable mirror member.
+    Write { addr: GlobalAddr, src: &'a [u8] },
+    /// Compare-and-swap the word at `addr`; `prev` receives the pre-op
+    /// value and is left untouched if the member was never executed.
+    Cas {
+        addr: GlobalAddr,
+        expected: u64,
+        new: u64,
+        prev: &'a mut u64,
+    },
+}
+
+impl GlobalWr<'_> {
+    /// The same request borrowed for a shorter time, so a slice of
+    /// requests can be posted again after a transient fault.
+    fn reborrow(&mut self) -> GlobalWr<'_> {
+        match self {
+            GlobalWr::Read { addr, dst } => GlobalWr::Read { addr: *addr, dst },
+            GlobalWr::Write { addr, src } => GlobalWr::Write { addr: *addr, src },
+            GlobalWr::Cas { addr, expected, new, prev } => GlobalWr::Cas {
+                addr: *addr,
+                expected: *expected,
+                new: *new,
+                prev,
+            },
+        }
+    }
+}
+
+/// Members a doorbell of many requests may resolve to before the list
+/// leaves the stack: a 16-page multi-get, or the release doorbell of an
+/// 8-key transaction over 2-way mirrors (8 x 2 write-backs + 8 x 2
+/// unlocks).
+const INLINE_MEMBERS: usize = 32;
+
+/// The same for a doorbell of at most [`FEW_REQUESTS`] requests — one
+/// replicated write, a lock CAS with its payload READ — which is most
+/// doorbells, and should not pay for filling the large list.
+const INLINE_MEMBERS_FEW: usize = 8;
+const FEW_REQUESTS: usize = 2;
+
+/// The fabric-level members of the doorbell being posted. Up to `N` live
+/// in the frame of [`DsmLayer::post_within`], so a steady stream of doorbells
+/// allocates nothing; a larger group spills to the heap.
+struct Members<'a, const N: usize> {
+    inline: [Wr<'a>; N],
+    /// Members in `inline`; stays `N` once `spilled` took over.
+    len: usize,
+    /// Every member, once there were more than fit inline.
+    spilled: Vec<Wr<'a>>,
+}
+
+impl<'a, const N: usize> Members<'a, N> {
+    /// Fills the inline slots no member has been written to.
+    const UNUSED: Wr<'a> = Wr::Write { node: 0, offset: 0, src: &[] };
+
+    fn new() -> Self {
+        Self { inline: [Self::UNUSED; N], len: 0, spilled: Vec::new() }
+    }
+
+    fn push(&mut self, wr: Wr<'a>) {
+        if self.len < N {
+            self.inline[self.len] = wr;
+            self.len += 1;
+            return;
+        }
+        if self.spilled.is_empty() {
+            self.spilled.reserve(2 * N);
+            let inline = self.inline.iter_mut();
+            self.spilled.extend(inline.map(|slot| std::mem::replace(slot, Self::UNUSED)));
+        }
+        self.spilled.push(wr);
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Wr<'a>] {
+        if self.spilled.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled
         }
     }
 }
@@ -366,109 +461,117 @@ impl DsmLayer {
         }
     }
 
-    /// Doorbell-batched multi-get: every address in `reqs` is read in one
-    /// doorbell group — the leader pays the full round trip, the rest ride
-    /// along at the marginal batched cost. Each address reads from the
-    /// first live member of its mirror group; if a member dies mid-batch
-    /// the whole set falls back to per-address fail-over [`DsmLayer::read`]s.
-    pub fn read_batch(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<()> {
+    /// One doorbell over a mixed group of work requests on logical
+    /// addresses: each CAS goes to its group's primary, each READ to the
+    /// first reachable member of its group, each WRITE to every reachable
+    /// member, and the members are posted in that order as one
+    /// [`Endpoint::doorbell`] — one wire round trip for the whole group.
+    /// The fabric pre-flights every target before any word is touched, so
+    /// a transient fault leaves nothing half-done and the layer's
+    /// [`RetryPolicy`] posts the whole group again. A hard fault past the
+    /// pre-flight (a member died after it was chosen) ends the group
+    /// there: the `prev` of a CAS tells whether it was executed.
+    pub fn doorbell(&self, ep: &Endpoint, wrs: &mut [GlobalWr<'_>]) -> DsmResult<()> {
         self.retry_policy()
-            .run(ep, || self.read_batch_once(ep, &mut *reqs))
+            .run(ep, || self.post(ep, wrs.iter_mut().map(GlobalWr::reborrow)))
     }
 
-    fn read_batch_once(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<()> {
-        if reqs.is_empty() {
-            return Ok(());
+    /// Resolve `wrs` against the group table (taken once for the whole
+    /// group) and ring the doorbell.
+    fn post<'a>(&self, ep: &Endpoint, wrs: impl ExactSizeIterator<Item = GlobalWr<'a>>) -> DsmResult<()> {
+        if wrs.len() <= FEW_REQUESTS {
+            self.post_within::<INLINE_MEMBERS_FEW>(ep, wrs)
+        } else {
+            self.post_within::<INLINE_MEMBERS>(ep, wrs)
         }
-        if reqs.len() == 1 {
-            let (addr, dst) = &mut reqs[0];
-            return self.read_once(ep, *addr, dst);
-        }
-        let mut ops: Vec<(NodeId, u64, &mut [u8])> = Vec::with_capacity(reqs.len());
-        for (addr, dst) in reqs.iter_mut() {
-            let g = self.group_of(*addr)?;
-            let node = g
-                .members
-                .iter()
-                .map(|m| m.id())
-                .find(|&id| ep.node_reachable(id))
-                .ok_or(DsmError::GroupUnavailable {
-                    primary: addr.node(),
-                })?;
-            ops.push((node, addr.offset(), &mut dst[..]));
-        }
-        match ep.read_batch(&mut ops) {
-            Ok(()) => Ok(()),
-            Err(RdmaError::NodeUnreachable(_)) => {
-                // A member died between the liveness check and the batch:
-                // retry slowly, letting per-address fail-over pick mirrors.
-                drop(ops);
-                for (addr, dst) in reqs.iter_mut() {
-                    self.read_once(ep, *addr, dst)?;
+    }
+
+    /// [`DsmLayer::post`] with a member list of `N` inline slots.
+    fn post_within<'a, const N: usize>(
+        &self,
+        ep: &Endpoint,
+        wrs: impl Iterator<Item = GlobalWr<'a>>,
+    ) -> DsmResult<()> {
+        let mut members = Members::<N>::new();
+        {
+            let groups = self.groups.read();
+            let by_primary = self.by_primary.read();
+            let group_of = |addr: GlobalAddr| {
+                by_primary
+                    .get(&addr.node())
+                    .map(|&idx| &groups[idx])
+                    .ok_or(DsmError::UnknownAddress(addr))
+            };
+            let unavailable = |addr: GlobalAddr| DsmError::GroupUnavailable {
+                primary: addr.node(),
+            };
+            for wr in wrs {
+                match wr {
+                    GlobalWr::Cas { addr, expected, new, prev } => members.push(Wr::Cas {
+                        node: group_of(addr)?.primary().id(),
+                        offset: addr.offset(),
+                        expected,
+                        new,
+                        prev,
+                    }),
+                    GlobalWr::Read { addr, dst } => {
+                        let node = group_of(addr)?
+                            .members
+                            .iter()
+                            .map(|m| m.id())
+                            .find(|&id| ep.node_reachable(id))
+                            .ok_or_else(|| unavailable(addr))?;
+                        members.push(Wr::Read { node, offset: addr.offset(), dst });
+                    }
+                    GlobalWr::Write { addr, src } => {
+                        let mut reachable = false;
+                        for m in &group_of(addr)?.members {
+                            if ep.node_reachable(m.id()) {
+                                members.push(Wr::Write { node: m.id(), offset: addr.offset(), src });
+                                reachable = true;
+                            }
+                        }
+                        if !reachable {
+                            return Err(unavailable(addr));
+                        }
+                    }
                 }
-                Ok(())
             }
-            Err(e) => Err(e.into()),
         }
+        Ok(ep.doorbell(members.as_mut_slice())?)
     }
 
-    /// Doorbell-batched multi-put: every `(addr, src)` pair is expanded to
-    /// all live mirror members of its group and the whole set is posted as
-    /// one doorbell group (k-way replication of m pages = one wire round
-    /// trip plus `k*m - 1` coalesced ops).
+    /// Doorbell-batched multi-get: every address in `reqs` is read in one
+    /// [`DsmLayer::doorbell`]. If a member dies mid-group the whole set
+    /// falls back to per-address fail-over [`DsmLayer::read`]s.
+    pub fn read_batch(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<()> {
+        self.retry_policy().run(ep, || {
+            let reads = reqs
+                .iter_mut()
+                .map(|(addr, dst)| GlobalWr::Read { addr: *addr, dst });
+            match self.post(ep, reads) {
+                Err(DsmError::Rdma(RdmaError::NodeUnreachable(_))) => reqs
+                    .iter_mut()
+                    .try_for_each(|(addr, dst)| self.read_once(ep, *addr, dst)),
+                posted => posted,
+            }
+        })
+    }
+
+    /// Doorbell-batched multi-put: one [`DsmLayer::doorbell`] of WRITEs
+    /// (k-way replication of m pages = one wire round trip plus
+    /// `k*m - 1` coalesced ops).
     pub fn write_batch(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || self.write_batch_once(ep, reqs))
-    }
-
-    fn write_batch_once(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
-        if reqs.is_empty() {
-            return Ok(());
-        }
-        let mut ops: Vec<(NodeId, u64, &[u8])> =
-            Vec::with_capacity(reqs.len() * self.replication);
-        for (addr, src) in reqs {
-            let g = self.group_of(*addr)?;
-            let before = ops.len();
-            for m in &g.members {
-                if ep.node_reachable(m.id()) {
-                    ops.push((m.id(), addr.offset(), src));
-                }
-            }
-            if ops.len() == before {
-                return Err(DsmError::GroupUnavailable {
-                    primary: addr.node(),
-                });
-            }
-        }
-        // Fault injection pre-flights every distinct target before any
-        // byte lands, so an injected fault fails the replica set
-        // all-or-nothing and the retry re-issues the whole doorbell.
-        ep.write_batch(&ops)?;
-        Ok(())
+        self.retry_policy().run(ep, || {
+            let writes = reqs.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
+            self.post(ep, writes)
+        })
     }
 
     /// One-sided WRITE of `src` to `addr` on every live mirror member
-    /// (doorbell-batched).
+    /// (a [`DsmLayer::doorbell`] of one request).
     pub fn write(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || self.write_once(ep, addr, src))
-    }
-
-    fn write_once(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        let g = self.group_of(addr)?;
-        let ops: Vec<(NodeId, u64, &[u8])> = g
-            .members
-            .iter()
-            .map(|m| m.id())
-            .filter(|&id| ep.node_reachable(id))
-            .map(|id| (id, addr.offset(), src))
-            .collect();
-        if ops.is_empty() {
-            return Err(DsmError::GroupUnavailable {
-                primary: addr.node(),
-            });
-        }
-        ep.write_batch(&ops)?;
-        Ok(())
+        self.doorbell(ep, &mut [GlobalWr::Write { addr, src }])
     }
 
     /// 8-byte CAS on the group primary (synchronization state lives on the
@@ -730,6 +833,136 @@ mod tests {
         assert_eq!(l.faa(&ep, a, 3).unwrap(), 5);
         // Primary sees 8; the CAS/FAA did not mirror (by design).
         assert_eq!(l.read_u64(&ep, a).unwrap(), 8);
+    }
+
+    #[test]
+    fn a_group_past_the_inline_member_list_is_still_one_doorbell() {
+        // 20 replicated writes and a read-back of the last: 41 members,
+        // so the list spills once, in posting order.
+        let (f, l) = layer(2, 4);
+        let ep = f.endpoint();
+        let base = l.alloc_on(0, 20 * 8).unwrap();
+        let values: Vec<[u8; 8]> = (1..=20u64).map(u64::to_le_bytes).collect();
+        let mut got = [0u8; 8];
+        let mut wrs: Vec<GlobalWr<'_>> = values
+            .iter()
+            .enumerate()
+            .map(|(i, src)| GlobalWr::Write { addr: base.offset_by(8 * i as u64), src })
+            .collect();
+        wrs.push(GlobalWr::Read { addr: base.offset_by(8 * 19), dst: &mut got });
+        assert!(wrs.len() * 2 - 1 > INLINE_MEMBERS);
+        l.doorbell(&ep, &mut wrs).unwrap();
+        assert_eq!(u64::from_le_bytes(got), 20);
+        let s = ep.stats();
+        assert_eq!((s.writes, s.reads, s.wire_round_trips()), (40, 1, 1));
+        for m in l.group_members(0) {
+            let region = f.region(m.id()).unwrap();
+            for i in 0..20 {
+                assert_eq!(region.read_u64(base.offset() + 8 * i).unwrap(), i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn doorbell_routes_each_verb_by_its_replication_rule() {
+        let (f, l) = layer(2, 4);
+        let ep = f.endpoint();
+        let (a, b) = (l.alloc_on(0, 64).unwrap(), l.alloc_on(1, 64).unwrap());
+        let ids = |g: usize| l.group_members(g).iter().map(|m| m.id()).collect::<Vec<_>>();
+        let word = |node: NodeId, addr: GlobalAddr| {
+            f.region(node).unwrap().read_u64(addr.offset()).unwrap()
+        };
+        let mut prev = u64::MAX;
+        let mut got = [0u8; 8];
+        l.doorbell(
+            &ep,
+            &mut [
+                GlobalWr::Cas { addr: a, expected: 0, new: 7, prev: &mut prev },
+                GlobalWr::Write { addr: b, src: &9u64.to_le_bytes() },
+                GlobalWr::Read { addr: b, dst: &mut got },
+            ],
+        )
+        .unwrap();
+        // CAS: primary only. WRITE: every member. READ: sees the WRITE
+        // posted ahead of it. One wire round trip for all four members.
+        assert_eq!((prev, u64::from_le_bytes(got)), (0, 9));
+        assert_eq!((word(ids(0)[0], a), word(ids(0)[1], a)), (7, 0));
+        assert_eq!((word(ids(1)[0], b), word(ids(1)[1], b)), (9, 9));
+        let s = ep.stats();
+        assert_eq!((s.cas, s.writes, s.reads, s.wire_round_trips()), (1, 2, 1, 1));
+
+        // With group 1's primary down, its WRITE and READ use the mirror;
+        // a CAS there has no primary to run on, and the group stops at it.
+        l.crash_member(1, 0).unwrap();
+        let (mut on_a, mut on_b) = (u64::MAX, u64::MAX);
+        l.doorbell(
+            &ep,
+            &mut [
+                GlobalWr::Write { addr: b, src: &5u64.to_le_bytes() },
+                GlobalWr::Read { addr: b, dst: &mut got },
+            ],
+        )
+        .unwrap();
+        assert_eq!((u64::from_le_bytes(got), word(ids(1)[0], b), word(ids(1)[1], b)), (5, 9, 5));
+        let cut = l.doorbell(
+            &ep,
+            &mut [
+                GlobalWr::Cas { addr: a, expected: 7, new: 0, prev: &mut on_a },
+                GlobalWr::Cas { addr: b, expected: 0, new: 1, prev: &mut on_b },
+            ],
+        );
+        assert_eq!(cut, Err(DsmError::Rdma(RdmaError::NodeUnreachable(ids(1)[0]))));
+        assert_eq!((on_a, on_b), (7, u64::MAX), "`prev` tells which CAS ran");
+        // A group with no member left cannot take a WRITE: nothing of the
+        // doorbell is posted.
+        l.crash_member(1, 1).unwrap();
+        let none = l.doorbell(
+            &ep,
+            &mut [
+                GlobalWr::Write { addr: a, src: &[1u8; 8] },
+                GlobalWr::Write { addr: b, src: &[1u8; 8] },
+            ],
+        );
+        assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
+        assert_eq!(word(ids(0)[0], a), 0, "still the value the last CAS left");
+    }
+
+    #[test]
+    fn a_transient_retries_the_whole_doorbell_before_any_word_is_touched() {
+        use rdma_sim::FaultPlan;
+        let (f, l) = layer(2, 4);
+        let ep = f.endpoint();
+        let (a, b) = (l.alloc_on(0, 8).unwrap(), l.alloc_on(1, 8).unwrap());
+        let second_primary = l.group_primary(1).id();
+        f.install_fault_plan(FaultPlan::new(5).transient_first_n(second_primary, 1));
+        let (mut on_a, mut on_b) = (u64::MAX, u64::MAX);
+        let lock_both = |on_a: &mut u64, on_b: &mut u64| {
+            l.doorbell(
+                &ep,
+                &mut [
+                    GlobalWr::Cas { addr: a, expected: 0, new: 3, prev: on_a },
+                    GlobalWr::Cas { addr: b, expected: 0, new: 3, prev: on_b },
+                ],
+            )
+        };
+        // The default policy absorbs the fault; had the first attempt
+        // taken word `a`, the second would have lost it to itself.
+        lock_both(&mut on_a, &mut on_b).unwrap();
+        assert_eq!((on_a, on_b), (0, 0));
+        assert_eq!((ep.stats().cas, ep.stats().cas_failures), (2, 0));
+        // Without a retry policy the fault surfaces, with nothing done.
+        l.set_retry_policy(RetryPolicy::none());
+        f.install_fault_plan(FaultPlan::new(5).transient_first_n(second_primary, 1));
+        let (c, d) = (l.alloc_on(0, 8).unwrap(), l.alloc_on(1, 8).unwrap());
+        let refused = l.doorbell(
+            &ep,
+            &mut [
+                GlobalWr::Write { addr: c, src: &[1u8; 8] },
+                GlobalWr::Cas { addr: d, expected: 0, new: 3, prev: &mut on_b },
+            ],
+        );
+        assert_eq!(refused, Err(DsmError::Rdma(RdmaError::Transient(second_primary))));
+        assert_eq!(l.read_u64(&ep, c).unwrap(), 0);
     }
 
     #[test]

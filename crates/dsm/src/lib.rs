@@ -34,5 +34,5 @@ pub use addr::GlobalAddr;
 pub use checkpoint::{CheckpointManager, RecoveryStats};
 pub use durability::{DurabilityMode, DurableLog};
 pub use erasure::{ErasureConfig, ErasureStore, StripedPage};
-pub use layer::{DsmConfig, DsmError, DsmLayer, DsmResult};
+pub use layer::{DsmConfig, DsmError, DsmLayer, DsmResult, GlobalWr};
 pub use retry::RetryPolicy;

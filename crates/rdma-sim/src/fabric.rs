@@ -1,6 +1,6 @@
 //! The fabric: registered nodes, endpoints, and verb execution.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -320,6 +320,45 @@ struct VerbEvent {
     queue_ns: u64,
     /// One of the [`outcome`] codes.
     outcome: u8,
+}
+
+/// One work request of a doorbell group posted with
+/// [`Endpoint::doorbell`]: the group's members may mix verbs and target
+/// nodes (several queue pairs rung by one doorbell).
+#[derive(Debug)]
+pub enum Wr<'a> {
+    /// One-sided READ of `dst.len()` bytes from `(node, offset)`.
+    Read {
+        node: NodeId,
+        offset: u64,
+        dst: &'a mut [u8],
+    },
+    /// One-sided WRITE of `src` to `(node, offset)`.
+    Write {
+        node: NodeId,
+        offset: u64,
+        src: &'a [u8],
+    },
+    /// 8-byte compare-and-swap on `(node, offset)`. The member's result
+    /// lands in `prev`: the pre-op value, equal to `expected` iff the
+    /// swap installed. A member that was never executed (the group ended
+    /// at an earlier one) leaves `prev` as the caller set it.
+    Cas {
+        node: NodeId,
+        offset: u64,
+        expected: u64,
+        new: u64,
+        prev: &'a mut u64,
+    },
+}
+
+impl Wr<'_> {
+    /// The member's target node.
+    fn node(&self) -> NodeId {
+        match *self {
+            Wr::Read { node, .. } | Wr::Write { node, .. } | Wr::Cas { node, .. } => node,
+        }
+    }
 }
 
 /// RAII phase span: opened by [`Endpoint::span`], closed (and its
@@ -742,26 +781,34 @@ impl Endpoint {
     /// injected fault, charges the plan's detection latency (the
     /// completion timeout) and surfaces the fault.
     fn inject(&self, node: NodeId) -> RdmaResult<u64> {
+        let mut view = self.fault_view();
+        let checked = view.check(node, self.clock.now_ns());
+        checked.map_err(|e| self.fault_detected(view, node, e))
+    }
+
+    /// This endpoint's view of the fault plan installed right now.
+    fn fault_view(&self) -> RefMut<'_, FaultView> {
         let gen = self.fabric.fault_generation();
         let mut view = self.faults.borrow_mut();
         if view.generation() != gen {
             view.rebind(gen, self.fabric.fault_plan_arc());
         }
-        match view.check(node, self.clock.now_ns()) {
-            Ok(extra) => Ok(extra),
-            Err(e) => {
-                let detect = view.plan().map(|p| p.detect_ns()).unwrap_or(0);
-                self.clock.advance(detect);
-                drop(view);
-                let code = match &e {
-                    RdmaError::Timeout(_) => outcome::TIMEOUT,
-                    RdmaError::Transient(_) => outcome::TRANSIENT,
-                    _ => outcome::UNREACHABLE,
-                };
-                self.record_event(EventKind::Fault, Some(node), 0, 0, code, detect, 0);
-                Err(e)
-            }
-        }
+        view
+    }
+
+    /// An injected fault `e` surfaced on a verb to `node`: charge the
+    /// plan's detection latency and record the fault.
+    fn fault_detected(&self, view: RefMut<'_, FaultView>, node: NodeId, e: RdmaError) -> RdmaError {
+        let detect = view.plan().map(|p| p.detect_ns()).unwrap_or(0);
+        drop(view);
+        self.clock.advance(detect);
+        let code = match &e {
+            RdmaError::Timeout(_) => outcome::TIMEOUT,
+            RdmaError::Transient(_) => outcome::TRANSIENT,
+            _ => outcome::UNREACHABLE,
+        };
+        self.record_event(EventKind::Fault, Some(node), 0, 0, code, detect, 0);
+        e
     }
 
     /// Whether `node` looks reachable from this endpoint *right now*:
@@ -772,24 +819,19 @@ impl Endpoint {
         if !self.fabric.is_alive(node) {
             return false;
         }
-        let gen = self.fabric.fault_generation();
-        let mut view = self.faults.borrow_mut();
-        if view.generation() != gen {
-            view.rebind(gen, self.fabric.fault_plan_arc());
-        }
-        match view.plan() {
+        match self.fault_view().plan() {
             Some(plan) => !plan.crash_active(node, self.clock.now_ns()),
             None => true,
         }
     }
 
-    /// The one-sided path shared by the scalar verbs and by every member
-    /// of a doorbell batch: run `op` against the target's live region,
-    /// charge the verb and complete it. `batch_pos` is `None` for a verb
-    /// posted alone (consults the fault plan, pays a full round trip
-    /// plus any spike) and the member's position for a batched one (the
-    /// batch was pre-flighted by [`Endpoint::inject_batch`]; only the
-    /// leader pays the full round trip).
+    /// The one-sided path shared by the scalar verbs and by every READ
+    /// and WRITE member of a doorbell group: run `op` against the
+    /// target's live region, charge the verb and complete it. `batch_pos`
+    /// is `None` for a verb posted alone (consults the fault plan, pays a
+    /// full round trip plus any spike) and the member's position for a
+    /// batched one (the group was pre-flighted by
+    /// [`Endpoint::preflight`]; only the leader pays the full round trip).
     #[inline]
     fn one_sided<T>(
         &self,
@@ -843,67 +885,112 @@ impl Endpoint {
         self.one_sided(OpKind::Write, node, offset, 8, None, |r| r.write_u64(offset, value).map(drop))
     }
 
-    /// Pre-flight an entire doorbell batch against the fault plan: every
-    /// distinct target node is checked *before any memory is touched*, so
-    /// an injected fault fails the batch all-or-nothing instead of
-    /// leaving a half-written replica set. Spike latency is charged once
-    /// per distinct node (the doorbell amortizes the rest).
-    fn inject_batch<'t>(&self, targets: impl Iterator<Item = &'t NodeId>) -> RdmaResult<()> {
-        let mut seen: Vec<NodeId> = Vec::new();
-        let mut extra_total = 0u64;
-        for &node in targets {
-            if !seen.contains(&node) {
-                seen.push(node);
-                extra_total += self.inject(node)?;
+    /// Pre-flight a doorbell group against the fault plan and count it:
+    /// every distinct target node is checked *before any memory is
+    /// touched*, so an injected fault fails the group all-or-nothing
+    /// instead of leaving a half-written replica set or a half-taken lock
+    /// set. Spike latency is charged once per distinct node, ahead of the
+    /// members (the doorbell amortizes the rest). Returns whether the
+    /// members run as a group: a group of one is not pre-flighted, its
+    /// member is the verb posted alone (which consults the plan itself
+    /// and carries a spike in its own cost).
+    fn preflight(&self, len: usize, nodes: impl Iterator<Item = NodeId>) -> RdmaResult<bool> {
+        if len == 1 {
+            return Ok(false);
+        }
+        let mut view = self.fault_view();
+        match view.check_group(nodes, self.clock.now_ns()) {
+            Ok(extra_ns) => {
+                drop(view);
+                self.clock.advance(extra_ns);
+                self.stats.record_doorbell(len);
+                Ok(true)
+            }
+            Err((node, e)) => Err(self.fault_detected(view, node, e)),
+        }
+    }
+
+    /// Execute one work request: the member at `batch_pos` of a
+    /// pre-flighted doorbell group, or (`None`) the verb posted alone.
+    fn member(&self, batch_pos: Option<usize>, wr: &mut Wr<'_>) -> RdmaResult<()> {
+        match wr {
+            Wr::Read { node, offset, dst } => {
+                let offset = *offset;
+                self.one_sided(OpKind::Read, *node, offset, dst.len(), batch_pos, |r| r.read(offset, dst))
+            }
+            Wr::Write { node, offset, src } => {
+                let offset = *offset;
+                self.one_sided(OpKind::Write, *node, offset, src.len(), batch_pos, |r| r.write(offset, src))
+            }
+            Wr::Cas { node, offset, expected, new, prev } => {
+                let (offset, expected, new) = (*offset, *expected, *new);
+                **prev = self.atomic(OpKind::Cas, *node, offset, Some(expected), batch_pos, |r| {
+                    r.cas_u64(offset, expected, new)
+                })?;
+                Ok(())
             }
         }
-        self.clock.advance(extra_total);
-        Ok(())
     }
 
-    /// Doorbell-batched reads: the first pays a full round trip, the rest
-    /// pay the marginal batched cost. Targets may span nodes (multiple QPs
-    /// rung in one doorbell). A member that fails after the pre-flight
-    /// (dead node, bad range) ends the batch there; earlier members stay
-    /// completed.
+    /// One doorbell over a mixed group of work requests: the members are
+    /// executed in posting order, the first pays its verb's full round
+    /// trip and every later one the marginal batched cost (a CAS, leader
+    /// or rider, also takes its turn at the target's atomic unit), and
+    /// the whole group is one wire round trip. Targets may span nodes.
+    /// A group of one is the scalar verb. A member that fails after the
+    /// pre-flight (dead node, bad range) ends the group there; earlier
+    /// members stay completed.
+    pub fn doorbell(&self, wrs: &mut [Wr<'_>]) -> RdmaResult<()> {
+        let grouped = self.preflight(wrs.len(), wrs.iter().map(Wr::node))?;
+        wrs.iter_mut()
+            .enumerate()
+            .try_for_each(|(pos, wr)| self.member(grouped.then_some(pos), wr))
+    }
+
+    /// A doorbell group of READs (see [`Endpoint::doorbell`]).
     pub fn read_batch(&self, ops: &mut [(NodeId, u64, &mut [u8])]) -> RdmaResult<()> {
-        self.inject_batch(ops.iter().map(|(node, _, _)| node))?;
-        self.stats.record_doorbell(ops.len());
-        for (i, (node, offset, dst)) in ops.iter_mut().enumerate() {
-            let offset = *offset;
-            self.one_sided(OpKind::Read, *node, offset, dst.len(), Some(i), |r| r.read(offset, dst))?;
-        }
-        Ok(())
+        let grouped = self.preflight(ops.len(), ops.iter().map(|op| op.0))?;
+        ops.iter_mut().enumerate().try_for_each(|(pos, (node, offset, dst))| {
+            self.member(grouped.then_some(pos), &mut Wr::Read { node: *node, offset: *offset, dst })
+        })
     }
 
-    /// Doorbell-batched writes (see [`Endpoint::read_batch`]).
+    /// A doorbell group of WRITEs (see [`Endpoint::doorbell`]).
     pub fn write_batch(&self, ops: &[(NodeId, u64, &[u8])]) -> RdmaResult<()> {
-        self.inject_batch(ops.iter().map(|(node, _, _)| node))?;
-        self.stats.record_doorbell(ops.len());
-        for (i, &(node, offset, src)) in ops.iter().enumerate() {
-            self.one_sided(OpKind::Write, node, offset, src.len(), Some(i), |r| r.write(offset, src))?;
-        }
-        Ok(())
+        let grouped = self.preflight(ops.len(), ops.iter().map(|op| op.0))?;
+        ops.iter().enumerate().try_for_each(|(pos, &(node, offset, src))| {
+            self.member(grouped.then_some(pos), &mut Wr::Write { node, offset, src })
+        })
     }
 
-    /// The atomic path shared by CAS and FAA: run `op` on the target
-    /// word, then serialize behind the target NIC's atomic unit. The
-    /// verb's latency includes that queueing — the contention delay is
-    /// exactly what the per-verb tail should expose. With `expected`
-    /// set, a pre-op value that differs from it marks the verb a lost CAS.
+    /// The atomic path shared by CAS, FAA and every CAS member of a
+    /// doorbell group (`batch_pos` as in [`Endpoint::one_sided`]): run
+    /// `op` on the target word, then serialize behind the target NIC's
+    /// atomic unit — a rider pays the marginal batched cost on the wire
+    /// but still takes its turn there. The verb's latency includes that
+    /// queueing — the contention delay is exactly what the per-verb tail
+    /// should expose. With `expected` set, a pre-op value that differs
+    /// from it marks the verb a lost CAS.
     fn atomic(
         &self,
         kind: OpKind,
         node: NodeId,
         offset: u64,
         expected: Option<u64>,
+        batch_pos: Option<usize>,
         op: impl FnOnce(&Region) -> RdmaResult<u64>,
     ) -> RdmaResult<u64> {
-        let extra = self.inject(node)?;
+        let extra = match batch_pos {
+            None => self.inject(node)?,
+            Some(_) => 0,
+        };
         let (region, unit) = self.fabric.live_region_atomic(node)?;
         let prev = op(&region).map_err(|e| fix_node(e, node))?;
         let start = self.clock.now_ns();
-        let wire_ns = self.profile.atomic_cost_ns() + extra;
+        let wire_ns = match batch_pos {
+            Some(pos) if pos > 0 => self.profile.batched_cost_ns(8),
+            _ => self.profile.atomic_cost_ns() + extra,
+        };
         self.clock.advance(wire_ns);
         if self.profile.atomic_unit_ns > 0 {
             let done = unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
@@ -929,13 +1016,13 @@ impl Endpoint {
     /// installed iff the return equals `expected`. Atomics serialize at
     /// the target NIC's atomic unit (queueing under contention).
     pub fn cas(&self, node: NodeId, offset: u64, expected: u64, new: u64) -> RdmaResult<u64> {
-        self.atomic(OpKind::Cas, node, offset, Some(expected), |r| r.cas_u64(offset, expected, new))
+        self.atomic(OpKind::Cas, node, offset, Some(expected), None, |r| r.cas_u64(offset, expected, new))
     }
 
     /// 8-byte fetch-and-add. Returns the pre-add value. Serializes at the
     /// target NIC's atomic unit like [`Endpoint::cas`].
     pub fn faa(&self, node: NodeId, offset: u64, add: u64) -> RdmaResult<u64> {
-        self.atomic(OpKind::Faa, node, offset, None, |r| r.faa_u64(offset, add))
+        self.atomic(OpKind::Faa, node, offset, None, None, |r| r.faa_u64(offset, add))
     }
 
     /// Charge `cost_ns`, enqueue `payload` to mailbox `to` stamped with
@@ -1255,6 +1342,64 @@ mod tests {
     }
 
     #[test]
+    fn a_mixed_doorbell_prices_riders_marginally_and_queues_every_cas() {
+        let p = NetworkProfile::rdma_cx6();
+        let fabric = Fabric::new(p);
+        let n0 = fabric.register_node(1 << 12);
+        let n1 = fabric.register_node(1 << 12);
+        // Word 64 of node 0 is already taken: that member loses.
+        fabric.region(n0).unwrap().write_u64(64, 9).unwrap();
+        fabric.region(n1).unwrap().write(256, &[7u8; 64]).unwrap();
+        let ep = fabric.endpoint();
+        let mut prevs = [u64::MAX; 3];
+        let mut bufs = [[0u8; 64]; 3];
+        {
+            let [p0, p1, p2] = &mut prevs;
+            let [b0, b1, b2] = &mut bufs;
+            ep.doorbell(&mut [
+                Wr::Cas { node: n0, offset: 0, expected: 0, new: 5, prev: p0 },
+                Wr::Read { node: n0, offset: 256, dst: b0 },
+                Wr::Cas { node: n0, offset: 64, expected: 0, new: 5, prev: p1 },
+                Wr::Read { node: n0, offset: 320, dst: b1 },
+                Wr::Cas { node: n1, offset: 0, expected: 0, new: 5, prev: p2 },
+                Wr::Read { node: n1, offset: 256, dst: b2 },
+            ])
+            .unwrap();
+        }
+        assert_eq!(prevs, [0, 9, 0]);
+        assert_eq!(bufs[2], [7u8; 64], "the READ behind a CAS sees the node's memory");
+        assert_eq!(fabric.region(n0).unwrap().read_u64(0).unwrap(), 5);
+        assert_eq!(fabric.region(n0).unwrap().read_u64(64).unwrap(), 9);
+        // Leader CAS: full atomic round trip + its turn at the atomic
+        // unit. Rider CAS: marginal cost + its turn. Rider READ: marginal.
+        let unit = p.atomic_unit_ns;
+        let rider_cas = p.batched_cost_ns(8) + unit;
+        let rider_read = p.batched_cost_ns(64);
+        assert_eq!(
+            ep.clock().now_ns(),
+            p.atomic_cost_ns() + unit + 2 * rider_cas + 3 * rider_read
+        );
+        assert_eq!(ep.clock().now_ns(), 1850 + 2 * 200 + 3 * 152);
+        let s = ep.stats();
+        assert_eq!((s.cas, s.reads, s.cas_failures), (3, 3, 1));
+        assert_eq!((s.doorbells, s.coalesced, s.wire_round_trips()), (1, 5, 1));
+        // Each node's atomic unit served exactly the CASes sent to it:
+        // busy until its last one completed.
+        let busy_until = |node: NodeId| {
+            fabric
+                .with_slot(node, |slot| slot.atomic_unit.busy_until_ns())
+                .unwrap()
+        };
+        let second_cas_done = p.atomic_cost_ns() + unit + rider_read + rider_cas;
+        assert_eq!(busy_until(n0), second_cas_done);
+        assert_eq!(busy_until(n1), second_cas_done + rider_read + rider_cas);
+        // An empty group is nothing at all.
+        let before = (ep.clock().now_ns(), ep.stats());
+        ep.doorbell(&mut []).unwrap();
+        assert_eq!((ep.clock().now_ns(), ep.stats()), before);
+    }
+
+    #[test]
     fn batch_faults_are_all_or_nothing() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let a = fabric.register_node(64);
@@ -1272,6 +1417,23 @@ mod tests {
         ep.write_batch(&[(a, 0, &7u64.to_le_bytes()), (b, 0, &7u64.to_le_bytes())])
             .unwrap();
         assert_eq!(fabric.region(b).unwrap().read_u64(0).unwrap(), 7);
+        // The same holds for a lock set: no word is taken before every
+        // target passed, and a node named twice is checked once.
+        let ep = fabric.endpoint();
+        let (mut on_a, mut on_b) = (u64::MAX, u64::MAX);
+        let group = |on_a: &mut u64, on_b: &mut u64| {
+            ep.doorbell(&mut [
+                Wr::Cas { node: a, offset: 8, expected: 0, new: 1, prev: on_a },
+                Wr::Cas { node: b, offset: 8, expected: 0, new: 1, prev: on_b },
+                Wr::Write { node: b, offset: 16, src: &[1u8; 8] },
+            ])
+        };
+        assert_eq!(group(&mut on_a, &mut on_b), Err(RdmaError::Transient(b)));
+        assert_eq!((on_a, on_b), (u64::MAX, u64::MAX), "no member ran");
+        assert_eq!(fabric.region(a).unwrap().read_u64(8).unwrap(), 0);
+        assert_eq!(group(&mut on_a, &mut on_b), Ok(()));
+        assert_eq!((on_a, on_b), (0, 0));
+        assert_eq!(ep.stats().cas, 2);
     }
 
     #[test]
@@ -1518,7 +1680,7 @@ mod tests {
             (OpKind::Send, Metric::Sends),
             (OpKind::Recv, Metric::Recvs),
         ];
-        // A script through all 11 entry points. Windows are narrower
+        // A script through all 12 entry points. Windows are narrower
         // than a verb, so batches straddle them.
         let run = |planes: bool| {
             let fabric = Fabric::new(NetworkProfile::rdma_cx6());
@@ -1557,6 +1719,19 @@ mod tests {
             assert_eq!(ep.cas(n0, 512, 0, 1).unwrap(), 0);
             assert_eq!(ep.cas(n0, 512, 0, 2).unwrap(), 1); // lost
             assert_eq!(ep.faa(n1, 256, 5).unwrap(), 0);
+            // The mixed doorbell: a leader CAS that wins, a READ riding
+            // behind it, a rider CAS that loses (word 512 of node 0 is
+            // taken above) and a WRITE, across both nodes.
+            let (mut won, mut lost) = (u64::MAX, u64::MAX);
+            let mut d = [0u8; 24];
+            ep.doorbell(&mut [
+                Wr::Cas { node: n1, offset: 512, expected: 0, new: 7, prev: &mut won },
+                Wr::Read { node: n1, offset: 64, dst: &mut d },
+                Wr::Cas { node: n0, offset: 512, expected: 0, new: 3, prev: &mut lost },
+                Wr::Write { node: n0, offset: 1 << 19, src: &[5u8; 16] },
+            ])
+            .unwrap();
+            assert_eq!((won, lost), (0, 1));
             ep.recv(&inbox).unwrap();
             ep.try_recv(&inbox).unwrap();
             for msg in inbox.drain() {
@@ -1571,24 +1746,27 @@ mod tests {
         let series = ep.series_snapshot();
         let events = ep.flight_events();
         let counted = [stats.reads, stats.writes, stats.cas, stats.faa, stats.sends, stats.recvs];
-        assert_eq!(counted, [5, 4, 2, 1, 3, 3]);
+        assert_eq!(counted, [6, 5, 4, 1, 3, 3]);
         for ((kind, metric), n) in KINDS.into_iter().zip(counted) {
             assert_eq!(series.total(metric), n, "{kind:?}: series");
             assert_eq!(ep.verb_latency(kind).count(), n, "{kind:?}: latency histogram");
             let in_ring = events.iter().filter(|e| e.kind == EventKind::Verb(kind)).count();
             assert_eq!(in_ring as u64, n, "{kind:?}: flight recorder");
         }
-        assert_eq!(stats.cas_failures, 1);
+        // One CAS lost alone, one as a doorbell rider: each counted once.
+        assert_eq!(stats.cas_failures, 2);
         let lost: Vec<&Event> = events.iter().filter(|e| e.outcome == outcome::CAS_LOST).collect();
-        assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].addr, pack_addr(0, 512));
-        assert_eq!(ep.contention_snapshot().cas_top[0].key, pack_addr(0, 512));
+        assert_eq!(lost.len(), 2);
+        assert!(lost.iter().all(|e| e.addr == pack_addr(0, 512)));
+        let hot_word = ep.contention_snapshot().cas_top[0];
+        assert_eq!((hot_word.key, hot_word.count), (pack_addr(0, 512), 2));
 
-        // 15 verbs pay 15 - 4 riders (1 SEND, 2 READ, 1 WRITE) wire RTs.
-        assert_eq!(stats.wire_round_trips(), 11);
+        // 19 verbs pay 19 - 7 riders (1 SEND, 2 READ, 1 WRITE, and the
+        // mixed doorbell's READ, CAS and WRITE) wire RTs.
+        assert_eq!(stats.wire_round_trips(), 12);
         assert_eq!(series.total(Metric::WireRts), stats.wire_round_trips());
         // RECVs re-observe the senders' bytes; they are not wire bytes.
-        let sent = stats.bytes_read + stats.bytes_written + stats.bytes_sent + 3 * 8;
+        let sent = stats.bytes_read + stats.bytes_written + stats.bytes_sent + 5 * 8;
         assert_eq!(series.total(Metric::BytesWire), sent);
         assert_eq!(stats.bytes_recvd, stats.bytes_sent);
 
@@ -1607,7 +1785,7 @@ mod tests {
             let ns: u64 = to_node.iter().map(|e| e.dur_ns).sum();
             assert_eq!(t.remote_ns, ns, "node {node}: remote ns");
         }
-        assert_eq!(util.node_verbs(), [(0, 7), (1, 5)]);
+        assert_eq!(util.node_verbs(), [(0, 9), (1, 7)]);
 
         // Every verb that went out came back.
         let health = ep.health_snapshot();
@@ -1654,6 +1832,57 @@ mod tests {
             w.queue_hwm_ns = 0;
         }
         assert_eq!(util, ref_util.snapshot());
+
+        // A doorbell of one member is the scalar verb: same clock, same
+        // counters, same events in every plane — also when the fault plan
+        // slows it down (the READ and the first CAS carry the spike in
+        // their own cost) or refuses it.
+        let one = |as_doorbell: bool| {
+            let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+            let node = fabric.register_node(1 << 12);
+            fabric.install_fault_plan(
+                FaultPlan::new(3)
+                    .latency_spike(node, 1_000, 4_000, 300)
+                    .partition(node, 6_500, 9_000),
+            );
+            let ep = fabric.endpoint();
+            ep.enable_timeseries(1_000);
+            ep.enable_health(1_000);
+            ep.enable_utilization(1_000);
+            ep.enable_flight_recorder(64);
+            let mut got = [0u8; 40];
+            let mut prevs = [u64::MAX; 3];
+            // WRITE, READ, a CAS that wins, one that loses, then a CAS
+            // inside the partition window.
+            let refused = if as_doorbell {
+                let [won, lost, cut] = &mut prevs;
+                ep.doorbell(&mut [Wr::Write { node, offset: 64, src: &[9u8; 40] }]).unwrap();
+                ep.doorbell(&mut [Wr::Read { node, offset: 64, dst: &mut got }]).unwrap();
+                ep.doorbell(&mut [Wr::Cas { node, offset: 8, expected: 0, new: 4, prev: won }]).unwrap();
+                ep.doorbell(&mut [Wr::Cas { node, offset: 8, expected: 0, new: 6, prev: lost }]).unwrap();
+                ep.doorbell(&mut [Wr::Cas { node, offset: 8, expected: 4, new: 0, prev: cut }])
+            } else {
+                ep.write(node, 64, &[9u8; 40]).unwrap();
+                ep.read(node, 64, &mut got).unwrap();
+                prevs[0] = ep.cas(node, 8, 0, 4).unwrap();
+                prevs[1] = ep.cas(node, 8, 0, 6).unwrap();
+                ep.cas(node, 8, 4, 0).map(|prev| prevs[2] = prev)
+            };
+            assert_eq!(refused, Err(RdmaError::Timeout(node)));
+            assert_eq!((got, prevs), ([9u8; 40], [0, 4, u64::MAX]));
+            let events = ep.flight_events();
+            let slow_cas = |e: &&Event| e.kind == EventKind::Verb(OpKind::Cas) && e.dur_ns == 1_850 + 300;
+            assert_eq!(events.iter().filter(slow_cas).count(), 1, "the spike is part of the verb");
+            (
+                ep.clock().now_ns(),
+                ep.stats(),
+                ep.flight_events(),
+                ep.series_snapshot(),
+                ep.health_snapshot(),
+                ep.utilization_snapshot(),
+            )
+        };
+        assert_eq!(one(true), one(false));
     }
 
     #[test]

@@ -200,6 +200,11 @@ pub(crate) struct FaultView {
     transient_left: Vec<(NodeId, u32)>,
     /// Verbs issued so far, per peer (indexes the flaky hash).
     ops_seen: Vec<(NodeId, u64)>,
+    /// Doorbell groups pre-flighted so far.
+    group: u64,
+    /// The last group each peer was pre-flighted in: a doorbell checks
+    /// every distinct target once, however many members address it.
+    group_of: Vec<(NodeId, u64)>,
 }
 
 impl FaultView {
@@ -209,6 +214,7 @@ impl FaultView {
         self.plan = plan;
         self.transient_left.clear();
         self.ops_seen.clear();
+        self.group_of.clear();
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -241,6 +247,45 @@ impl FaultView {
             return Err(RdmaError::Transient(node));
         }
         Ok(plan.spike_extra_ns(node, now_ns))
+    }
+
+    /// Evaluate injection for one doorbell group posted at `now_ns`:
+    /// each distinct node of `nodes` is checked once, in posting order.
+    /// Returns the spike latency summed over the distinct nodes, or the
+    /// first injected fault with the node that drew it (later nodes are
+    /// then not consulted). Allocates only the first time a peer is seen.
+    pub(crate) fn check_group(
+        &mut self,
+        nodes: impl Iterator<Item = NodeId>,
+        now_ns: u64,
+    ) -> Result<u64, (NodeId, RdmaError)> {
+        if self.plan.is_none() {
+            return Ok(0);
+        }
+        self.group += 1;
+        let mut extra_ns = 0u64;
+        for node in nodes {
+            if self.enter_group(node) {
+                extra_ns += self.check(node, now_ns).map_err(|e| (node, e))?;
+            }
+        }
+        Ok(extra_ns)
+    }
+
+    /// Stamp `node` with the current group; false if it already carries it.
+    fn enter_group(&mut self, node: NodeId) -> bool {
+        let group = self.group;
+        match self.group_of.iter_mut().find(|(n, _)| *n == node) {
+            Some((_, g)) if *g == group => false,
+            Some((_, g)) => {
+                *g = group;
+                true
+            }
+            None => {
+                self.group_of.push((node, group));
+                true
+            }
+        }
     }
 
     /// Post-increment this endpoint's per-peer op index.
@@ -297,6 +342,31 @@ mod tests {
         assert_eq!(view.check(2, 0), Ok(0));
         // A different peer is unaffected.
         assert_eq!(view.check(5, 0), Ok(0));
+    }
+
+    #[test]
+    fn a_group_checks_each_distinct_node_once() {
+        let plan = std::sync::Arc::new(
+            FaultPlan::new(7)
+                .transient_first_n(2, 1)
+                .latency_spike(5, 0, u64::MAX, 300),
+        );
+        let mut view = FaultView::default();
+        view.rebind(1, Some(plan));
+        // Node 5 twice in one group: its spike is charged once. Node 2's
+        // single transient fires, and node 9 behind it is not consulted.
+        assert_eq!(
+            view.check_group([5, 5, 2, 9].into_iter(), 0),
+            Err((2, RdmaError::Transient(2)))
+        );
+        // The retry finds node 2's budget spent; both nodes check clean.
+        assert_eq!(view.check_group([5, 2, 5, 2].into_iter(), 0), Ok(300));
+        // Two groups consumed two of node 5's op indices, not four.
+        assert_eq!(view.ops_seen, [(5, 2), (2, 2)]);
+        // No plan: nothing is evaluated.
+        view.rebind(2, None);
+        assert_eq!(view.check_group([5, 2].into_iter(), 0), Ok(0));
+        assert!(view.ops_seen.is_empty());
     }
 
     #[test]

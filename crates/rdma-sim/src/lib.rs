@@ -51,7 +51,7 @@ pub mod stats;
 pub use clock::Clock;
 pub use error::{RdmaError, RdmaResult};
 pub use fault::FaultPlan;
-pub use fabric::{Endpoint, Fabric, NodeId, SpanGuard};
+pub use fabric::{Endpoint, Fabric, NodeId, SpanGuard, Wr};
 pub use mailbox::{Mailbox, MailboxId, Message};
 pub use profile::NetworkProfile;
 pub use recorder::{pack_addr, Event, EventKind, FlightRecorder};

@@ -87,10 +87,11 @@ impl OpStats {
 
     /// A doorbell ring covering `ops` verbs posted as one batch. Each verb
     /// still counts individually via [`OpStats::record`]; this tracks how
-    /// many *wire* round trips were saved: `ops - 1` verbs rode along.
+    /// many *wire* round trips were saved: `ops - 1` verbs rode along. A
+    /// group of one is a verb posted alone: nothing rode, nothing counts.
     #[inline]
     pub fn record_doorbell(&self, ops: usize) {
-        if ops == 0 {
+        if ops < 2 {
             return;
         }
         self.doorbells.set(self.doorbells.get() + 1);
@@ -292,7 +293,8 @@ mod tests {
         assert_eq!(s.verbs_now(), 5);
         assert_eq!(s.wire_rts_now(), 2);
         s.record_doorbell(0); // empty batch: no-op
-        assert_eq!(s.snapshot().doorbells, 1);
+        s.record_doorbell(1); // a group of one is the scalar verb
+        assert_eq!(s.snapshot(), snap);
     }
 
     #[test]

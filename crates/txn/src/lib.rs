@@ -32,7 +32,7 @@ pub mod protocols;
 pub mod table;
 pub mod twopc;
 
-pub use locks::{ExclusiveLock, LeaseLock, LeaseToken, LockError, SharedExclusiveLock};
+pub use locks::{ExclusiveLock, LeaseLock, LeaseToken, LockError, LockWord, SharedExclusiveLock};
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
     AbortCause, ConcurrencyControl, DirectIo, LeasedTpl, Mvcc, Occ, Op, PayloadIo,

@@ -6,6 +6,9 @@
 //! needs at least 2 round trips."
 //!
 //! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one write to release.
+//!   A whole *set* of words is still one round trip each way: the CASes
+//!   (each with an optional payload READ right behind it) leave in one
+//!   doorbell, and so do the unlocks, behind the holder's write-back.
 //! * [`SharedExclusiveLock`]: footnote 2's construction — a spinlock latch
 //!   guarding holder metadata. Round 1: CAS the latch; round 2 (doorbell-
 //!   batched): update the metadata and release the latch. Readers admit
@@ -24,7 +27,7 @@
 //! word (Lotus-style recoverable disaggregated locks). The old owner
 //! discovers the theft on release/validation and must abort.
 
-use dsm::{DsmError, DsmLayer, GlobalAddr};
+use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
 use rdma_sim::{Endpoint, Gauge};
 
 /// Lock acquisition failures.
@@ -88,6 +91,34 @@ fn backoff(ep: &Endpoint, attempt: u32, lock: GlobalAddr, holder_tag: u64) {
 /// be nonzero and unique per worker (e.g. `worker_id + 1`).
 pub struct ExclusiveLock;
 
+/// One word of an [`ExclusiveLock`] set and what became of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LockWord {
+    addr: GlobalAddr,
+    /// What the latest CAS on the word found there: 0 means that CAS
+    /// installed the owner's tag. [`LockWord::UNTRIED`] until one ran.
+    prev: u64,
+}
+
+impl LockWord {
+    /// No owner tag: tags are small worker ids.
+    const UNTRIED: u64 = u64::MAX;
+
+    /// The word at `addr`, not yet tried.
+    pub fn new(addr: GlobalAddr) -> Self {
+        Self { addr, prev: Self::UNTRIED }
+    }
+
+    /// Whether the set's owner holds the word.
+    pub fn held(&self) -> bool {
+        self.prev == 0
+    }
+
+    fn cas(&mut self, owner_tag: u64) -> GlobalWr<'_> {
+        GlobalWr::Cas { addr: self.addr, expected: 0, new: owner_tag, prev: &mut self.prev }
+    }
+}
+
 impl ExclusiveLock {
     /// Try to acquire: one CAS per attempt, up to `max_retries + 1`
     /// attempts.
@@ -98,21 +129,7 @@ impl ExclusiveLock {
         owner_tag: u64,
         max_retries: u32,
     ) -> Result<(), LockError> {
-        debug_assert!(owner_tag != 0);
-        for attempt in 0..=max_retries {
-            let prev = layer.cas(ep, lock, 0, owner_tag)?;
-            if prev == 0 {
-                ep.gauge_add(Gauge::LocksHeld, 1);
-                return Ok(());
-            }
-            // The failed CAS's `prev` *is* the holder's tag: a free
-            // wait-for edge for the contention observatory.
-            ep.note_wait_edge(owner_tag, prev, lock.to_raw());
-            if attempt < max_retries {
-                backoff(ep, attempt, lock, prev);
-            }
-        }
-        Err(LockError::Busy)
+        Self::acquire_set(layer, ep, &mut [LockWord::new(lock)], &mut [], owner_tag, max_retries)
     }
 
     /// Release: one write. Only the owner may call this.
@@ -120,6 +137,126 @@ impl ExclusiveLock {
         layer.write_u64(ep, lock, 0)?;
         ep.gauge_add(Gauge::LocksHeld, -1);
         Ok(())
+    }
+
+    /// Acquire a whole lock set in one round trip: the CAS of every word
+    /// of `words` leaves in one doorbell. `riders` is empty or names, per
+    /// word, a `(addr, dst)` READ posted right behind that word's CAS —
+    /// same queue pair, so it observes memory after the CAS, and what it
+    /// fetched is valid iff the word was won.
+    ///
+    /// A word that came back busy then climbs the scalar ladder on its
+    /// own — backoff, CAS (and rider) again, up to `max_retries` more
+    /// attempts — while the words already won stay held; the first word
+    /// to exhaust its ladder ends the call with [`LockError::Busy`].
+    /// However the call ends, [`LockWord::held`] tells which words the
+    /// caller now owns and must pass to [`ExclusiveLock::release_set`].
+    pub fn acquire_set(
+        layer: &DsmLayer,
+        ep: &Endpoint,
+        words: &mut [LockWord],
+        riders: &mut [(GlobalAddr, &mut [u8])],
+        owner_tag: u64,
+        max_retries: u32,
+    ) -> Result<(), LockError> {
+        debug_assert!(owner_tag != 0 && owner_tag != LockWord::UNTRIED);
+        debug_assert!(riders.is_empty() || riders.len() == words.len());
+        if words.len() > 1 {
+            Self::post_cas(layer, ep, words, riders, owner_tag)?;
+        }
+        for i in 0..words.len() {
+            let mut attempt = 0;
+            while !words[i].held() {
+                let LockWord { addr, prev } = words[i];
+                if prev != LockWord::UNTRIED {
+                    // The failed CAS's `prev` *is* the holder's tag: a
+                    // free wait-for edge for the contention observatory.
+                    ep.note_wait_edge(owner_tag, prev, addr.to_raw());
+                    if attempt == max_retries {
+                        return Err(LockError::Busy);
+                    }
+                    backoff(ep, attempt, addr, prev);
+                    attempt += 1;
+                }
+                let rider = riders.get_mut(i..=i).unwrap_or_default();
+                Self::post_cas(layer, ep, &mut words[i..=i], rider, owner_tag)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One doorbell: CAS free → `owner_tag` on every word of `words`
+    /// (none held yet), each followed by its rider. Words won are counted
+    /// into the `LocksHeld` gauge even when a later member failed.
+    fn post_cas(
+        layer: &DsmLayer,
+        ep: &Endpoint,
+        words: &mut [LockWord],
+        riders: &mut [(GlobalAddr, &mut [u8])],
+        owner_tag: u64,
+    ) -> Result<(), DsmError> {
+        let posted = match (&mut *words, riders) {
+            // The ladder's shapes never leave the stack.
+            ([word], []) => layer.doorbell(ep, &mut [word.cas(owner_tag)]),
+            ([word], [(addr, dst)]) => {
+                layer.doorbell(ep, &mut [word.cas(owner_tag), GlobalWr::Read { addr: *addr, dst }])
+            }
+            (words, riders) => {
+                let mut riders = riders.iter_mut();
+                let mut wrs = Vec::with_capacity(2 * words.len());
+                for word in words {
+                    wrs.push(word.cas(owner_tag));
+                    if let Some((addr, dst)) = riders.next() {
+                        wrs.push(GlobalWr::Read { addr: *addr, dst });
+                    }
+                }
+                layer.doorbell(ep, &mut wrs)
+            }
+        };
+        let won = words.iter().filter(|w| w.held()).count();
+        if won > 0 {
+            ep.gauge_add(Gauge::LocksHeld, won as i64);
+        }
+        posted
+    }
+
+    /// The release doorbell of a lock set: every write of `writes` (the
+    /// holder's write-back), then the unlock of every held word of
+    /// `words` — one round trip, all writes ahead of all unlocks.
+    ///
+    /// If the doorbell fails, no word may stay locked because another
+    /// one's target is down: each held word is then unlocked on its own
+    /// and the doorbell's error returned. Those unlocks are CASes from
+    /// `owner_tag`, which cannot free a word that the cut-short doorbell
+    /// already freed and someone else has taken since.
+    pub fn release_set(
+        layer: &DsmLayer,
+        ep: &Endpoint,
+        writes: &[(GlobalAddr, &[u8])],
+        words: &mut [LockWord],
+        owner_tag: u64,
+    ) -> Result<(), LockError> {
+        const FREE: [u8; 8] = 0u64.to_le_bytes();
+        let held = words.iter().filter(|w| w.held()).count();
+        if held == 0 && writes.is_empty() {
+            return Ok(());
+        }
+        let mut wrs = Vec::with_capacity(writes.len() + held);
+        wrs.extend(writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src }));
+        wrs.extend(
+            words
+                .iter()
+                .filter(|w| w.held())
+                .map(|w| GlobalWr::Write { addr: w.addr, src: &FREE }),
+        );
+        let posted = layer.doorbell(ep, &mut wrs);
+        for word in words.iter_mut().filter(|w| w.held()) {
+            if posted.is_ok() || layer.cas(ep, word.addr, owner_tag, 0).is_ok() {
+                *word = LockWord::new(word.addr);
+                ep.gauge_add(Gauge::LocksHeld, -1);
+            }
+        }
+        Ok(posted?)
     }
 }
 

@@ -211,6 +211,15 @@ pub trait PayloadIo: Send + Sync {
         v: usize,
         src: &[u8],
     ) -> DsmResult<()>;
+
+    /// Whether payloads sit at their DSM addresses with nothing in front
+    /// of them — no cache to fill, no sharer to invalidate. A protocol may
+    /// then move them itself, inside its own doorbells, between
+    /// [`RecordTable::payload_read_addr`] and
+    /// [`RecordTable::payload_write_targets`].
+    fn is_direct(&self) -> bool {
+        false
+    }
 }
 
 /// Payload access via plain one-sided verbs (Figure 3a: no cache).
@@ -242,6 +251,10 @@ impl PayloadIo for DirectIo {
             table.layer().write(ep, new, src)?;
         }
         Ok(())
+    }
+
+    fn is_direct(&self) -> bool {
+        true
     }
 }
 
@@ -276,15 +289,20 @@ pub(crate) fn apply_delta(payload: &mut [u8], delta: i64) {
     payload[0..8].copy_from_slice(&(cur + delta).to_le_bytes());
 }
 
-/// Sorted, deduplicated keys of the write set and full set.
+/// Sorted, deduplicated keys of `ops`.
+pub(crate) fn distinct_keys<'a>(ops: impl Iterator<Item = &'a Op>) -> Vec<u64> {
+    let mut keys: Vec<u64> = ops.map(Op::key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Sorted, deduplicated keys of the full set and of the write set.
 pub(crate) fn key_sets(ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
-    let mut all: Vec<u64> = ops.iter().map(|o| o.key()).collect();
-    all.sort_unstable();
-    all.dedup();
-    let mut writes: Vec<u64> = ops.iter().filter(|o| o.is_write()).map(|o| o.key()).collect();
-    writes.sort_unstable();
-    writes.dedup();
-    (all, writes)
+    (
+        distinct_keys(ops.iter()),
+        distinct_keys(ops.iter().filter(|o| o.is_write())),
+    )
 }
 
 #[cfg(test)]

@@ -1,25 +1,40 @@
 //! Two-phase locking over RDMA locks.
 //!
-//! Growing phase acquires every lock in sorted key order (deadlock-free),
-//! the transaction executes, then the shrinking phase releases everything.
-//! Two lock configurations per §4 Challenge 6:
+//! The growing phase takes every lock before the transaction executes,
+//! the shrinking phase releases everything after it. Two lock
+//! configurations per §4 Challenge 6:
 //!
 //! * `shared_locks = false` — the 1-RT exclusive spinlock for *every*
-//!   access, reads included. Cheap locks, zero read-read concurrency.
+//!   access, reads included. Cheap locks, zero read-read concurrency —
+//!   and the whole transaction is two doorbells. **Acquire:** one CAS per
+//!   distinct key, each with the key's payload READ riding right behind
+//!   it when the [`PayloadIo`](super::PayloadIo) is direct. **Execute**
+//!   on transaction-local copies, ops in program order. **Release:**
+//!   every payload write, then every unlock. A cached `PayloadIo` keeps
+//!   its own payload calls between the two; only the lock set and the
+//!   unlock set are batched then.
 //! * `shared_locks = true` — the 2-RT shared-exclusive lock: readers
 //!   admit concurrently, writers drain. More round trips per lock, more
-//!   concurrency. ("It remains open if the allowed extra concurrency can
-//!   offset the performance overhead of the advanced locks" — experiment
-//!   C2 answers this for our fabric.)
+//!   concurrency, taken and released key by key in sorted order. ("It
+//!   remains open if the allowed extra concurrency can offset the
+//!   performance overhead of the advanced locks" — experiment C2 answers
+//!   this for our fabric.)
+//!
+//! Neither waits: a lock still busy after its bounded retries aborts the
+//! transaction, so holding part of a set while retrying the rest cannot
+//! deadlock.
 //!
 //! Note: the shared-exclusive lock stores holder metadata in the record's
 //! `rts` word, so this configuration must not be mixed with TSO/MVCC on
 //! the same table.
 
+use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
-use super::{apply_delta, key_sets, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{ExclusiveLock, SharedExclusiveLock};
+use super::{
+    apply_delta, distinct_keys, key_sets, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+};
+use crate::locks::{ExclusiveLock, LockWord, SharedExclusiveLock};
 
 /// 2PL with no-wait bounded-retry acquisition.
 pub struct TwoPhaseLocking {
@@ -45,12 +60,169 @@ impl TwoPhaseLocking {
             max_retries: 3,
         }
     }
+
+    /// A transaction under exclusive locks: acquire doorbell, execute,
+    /// release doorbell.
+    fn execute_exclusive(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
+        let (ep, table) = (ctx.ep, ctx.table);
+        let layer = table.layer();
+        let keys = distinct_keys(ops.iter());
+        let direct = ctx.io.is_direct();
+        let psize = table.payload_size();
+        let mut words: Vec<LockWord> =
+            keys.iter().map(|&key| LockWord::new(table.lock_addr(key))).collect();
+        // The transaction's own copy of each key's payload, in key order.
+        let mut copies = vec![0u8; if direct { keys.len() * psize } else { 0 }];
+
+        let grown = {
+            let mut riders: Vec<(GlobalAddr, &mut [u8])> = Vec::new();
+            if direct {
+                let mut rest = copies.as_mut_slice();
+                for &key in &keys {
+                    let (copy, tail) = rest.split_at_mut(psize);
+                    riders.push((table.payload_read_addr(key, 0), copy));
+                    rest = tail;
+                }
+            }
+            let _span = ep.span(Phase::LockAcquire);
+            ExclusiveLock::acquire_set(layer, ep, &mut words, &mut riders, ctx.worker_tag, self.max_retries)
+        };
+
+        // Execute (only if fully locked).
+        let mut out = TxnOutput::default();
+        let mut dirty = vec![false; keys.len()];
+        let mut failed = grown.err().map(TxnError::from);
+        if failed.is_none() && direct {
+            for op in ops {
+                let slot = keys.binary_search(&op.key()).expect("every op's key is in `keys`");
+                let copy = &mut copies[slot * psize..][..psize];
+                match op {
+                    Op::Read(key) => out.reads.push((*key, copy.to_vec())),
+                    Op::Update { value, .. } => {
+                        copy[..value.len()].copy_from_slice(value);
+                        dirty[slot] = true;
+                    }
+                    Op::Rmw { key, delta } => {
+                        out.reads.push((*key, copy.to_vec()));
+                        apply_delta(copy, *delta);
+                        dirty[slot] = true;
+                    }
+                }
+            }
+        } else if failed.is_none() {
+            failed = run_ops(ctx, ops, &mut out).err();
+        }
+
+        // Release: always unlock what we hold; write back only a txn
+        // that ran to its end.
+        let mut writes: Vec<(GlobalAddr, &[u8])> = Vec::new();
+        if failed.is_none() {
+            for (slot, &key) in keys.iter().enumerate().filter(|&(slot, _)| dirty[slot]) {
+                let copy = &copies[slot * psize..][..psize];
+                let (old, dual) = table.payload_write_targets(key, 0);
+                writes.push((old, copy));
+                writes.extend(dual.map(|new| (new, copy)));
+            }
+        }
+        // A doorbell is one span, riders included: the write-back
+        // doorbell carries the unlocks, an unlock-only one is lock work.
+        let phase = if writes.is_empty() {
+            Phase::LockAcquire
+        } else {
+            Phase::Writeback
+        };
+        let _span = ep.span(phase);
+        let released = ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag);
+        match failed {
+            Some(e) => Err(e),
+            None => released.map(|()| out).map_err(TxnError::from),
+        }
+    }
+
+    /// A transaction under shared-exclusive locks, key by key.
+    fn execute_shared(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
+        let (all_keys, write_keys) = key_sets(ops);
+        let layer = ctx.table.layer();
+        // `(key, taken for writing)` of every lock held.
+        let mut held: Vec<(u64, bool)> = Vec::with_capacity(all_keys.len());
+
+        // Growing phase, sorted order.
+        let mut failed = None;
+        let grow_span = ctx.ep.span(Phase::LockAcquire);
+        for &key in &all_keys {
+            let lock = ctx.table.lock_addr(key);
+            let is_write = write_keys.binary_search(&key).is_ok();
+            let result = if is_write {
+                SharedExclusiveLock::acquire_exclusive(layer, ctx.ep, lock, self.max_retries)
+            } else {
+                SharedExclusiveLock::acquire_shared(layer, ctx.ep, lock, self.max_retries)
+            };
+            match result {
+                Ok(()) => held.push((key, is_write)),
+                Err(e) => {
+                    failed = Some(TxnError::from(e));
+                    break;
+                }
+            }
+        }
+        drop(grow_span);
+
+        // Execute (only if fully locked).
+        let mut out = TxnOutput::default();
+        if failed.is_none() {
+            failed = run_ops(ctx, ops, &mut out).err();
+        }
+
+        // Shrinking phase: attempt every release — one that fails must
+        // not leave the rest held — and report the first failure.
+        let _shrink_span = ctx.ep.span(Phase::LockAcquire);
+        for (key, is_write) in held.into_iter().rev() {
+            let lock = ctx.table.lock_addr(key);
+            // Releases must eventually succeed: retry hard.
+            let released = if is_write {
+                SharedExclusiveLock::release_exclusive(layer, ctx.ep, lock, 10_000)
+            } else {
+                SharedExclusiveLock::release_shared(layer, ctx.ep, lock, 10_000)
+            };
+            if let Err(e) = released {
+                failed.get_or_insert(e.into());
+            }
+        }
+
+        match failed {
+            None => Ok(out),
+            Some(e) => Err(e),
+        }
+    }
 }
 
-enum Held {
-    Exclusive(u64),
-    Shared(u64),
-    SharedExclusiveWrite(u64),
+/// Run `ops` in program order, each payload access through `ctx.io`.
+fn run_ops(ctx: &TxnCtx<'_>, ops: &[Op], out: &mut TxnOutput) -> Result<(), TxnError> {
+    let mut buf = vec![0u8; ctx.table.payload_size()];
+    for op in ops {
+        match op {
+            Op::Read(key) => {
+                let _span = ctx.ep.span(Phase::PageFetch);
+                ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
+                out.reads.push((*key, buf.clone()));
+            }
+            Op::Update { key, value } => {
+                let _span = ctx.ep.span(Phase::Writeback);
+                ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, value)?;
+            }
+            Op::Rmw { key, delta } => {
+                {
+                    let _span = ctx.ep.span(Phase::PageFetch);
+                    ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
+                }
+                out.reads.push((*key, buf.clone()));
+                apply_delta(&mut buf, *delta);
+                let _span = ctx.ep.span(Phase::Writeback);
+                ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, &buf)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl ConcurrencyControl for TwoPhaseLocking {
@@ -63,110 +235,203 @@ impl ConcurrencyControl for TwoPhaseLocking {
     }
 
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let (all_keys, write_keys) = key_sets(ops);
-        let layer = ctx.table.layer();
-        let mut held: Vec<Held> = Vec::with_capacity(all_keys.len());
-
-        // Growing phase, sorted order.
-        let mut failed = None;
-        let grow_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in &all_keys {
-            let lock = ctx.table.lock_addr(key);
-            let is_write = write_keys.binary_search(&key).is_ok();
-            let result = if !self.shared_locks {
-                ExclusiveLock::acquire(layer, ctx.ep, lock, ctx.worker_tag, self.max_retries)
-                    .map(|()| Held::Exclusive(key))
-            } else if is_write {
-                SharedExclusiveLock::acquire_exclusive(layer, ctx.ep, lock, self.max_retries)
-                    .map(|()| Held::SharedExclusiveWrite(key))
-            } else {
-                SharedExclusiveLock::acquire_shared(layer, ctx.ep, lock, self.max_retries)
-                    .map(|()| Held::Shared(key))
-            };
-            match result {
-                Ok(h) => held.push(h),
-                Err(e) => {
-                    failed = Some(TxnError::from(e));
-                    break;
-                }
-            }
-        }
-        drop(grow_span);
-
-        // Execute (only if fully locked).
-        let mut out = TxnOutput::default();
-        if failed.is_none() {
-            let psize = ctx.table.payload_size();
-            let mut buf = vec![0u8; psize];
-            for op in ops {
-                let r: Result<(), TxnError> = (|| {
-                    match op {
-                        Op::Read(key) => {
-                            let _span = ctx.ep.span(Phase::PageFetch);
-                            ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
-                            out.reads.push((*key, buf.clone()));
-                        }
-                        Op::Update { key, value } => {
-                            let _span = ctx.ep.span(Phase::Writeback);
-                            ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, value)?;
-                        }
-                        Op::Rmw { key, delta } => {
-                            {
-                                let _span = ctx.ep.span(Phase::PageFetch);
-                                ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
-                            }
-                            out.reads.push((*key, buf.clone()));
-                            apply_delta(&mut buf, *delta);
-                            let _span = ctx.ep.span(Phase::Writeback);
-                            ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, &buf)?;
-                        }
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = r {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Shrinking phase: always release what we hold.
-        let _shrink_span = ctx.ep.span(Phase::LockAcquire);
-        for h in held.into_iter().rev() {
-            let release = |key: u64| -> Result<(), TxnError> {
-                let lock = ctx.table.lock_addr(key);
-                match h {
-                    Held::Exclusive(_) => {
-                        ExclusiveLock::release(layer, ctx.ep, lock)?;
-                    }
-                    Held::Shared(_) => {
-                        // Releases must eventually succeed: retry hard.
-                        SharedExclusiveLock::release_shared(layer, ctx.ep, lock, 10_000)?;
-                    }
-                    Held::SharedExclusiveWrite(_) => {
-                        SharedExclusiveLock::release_exclusive(layer, ctx.ep, lock, 10_000)?;
-                    }
-                }
-                Ok(())
-            };
-            let key = match h {
-                Held::Exclusive(k) | Held::Shared(k) | Held::SharedExclusiveWrite(k) => k,
-            };
-            release(key)?;
-        }
-
-        match failed {
-            None => Ok(out),
-            Some(e) => Err(e),
+        if self.shared_locks {
+            self.execute_shared(ctx, ops)
+        } else {
+            self.execute_exclusive(ctx, ops)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use dsm::{DsmConfig, DsmLayer, DsmResult};
+    use rdma_sim::{Endpoint, Fabric, FaultPlan, Gauge, NetworkProfile, NodeId};
+
     use super::*;
     use crate::protocols::testutil::{bank_invariant_holds, table};
-    use crate::protocols::DirectIo;
+    use crate::protocols::{DirectIo, PayloadIo};
+    use crate::table::RecordTable;
+
+    /// Eight 16-byte records striped over two unreplicated groups (even
+    /// keys on group 0) of a ConnectX-6 fabric, so tests can place faults
+    /// in virtual time.
+    fn timed_table() -> Arc<RecordTable> {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let layer = DsmLayer::build(
+            &fabric,
+            DsmConfig {
+                memory_nodes: 2,
+                capacity_per_node: 1 << 20,
+                replication: 1,
+                mem_cores: 1,
+                weak_cpu_factor: 4.0,
+            },
+        );
+        Arc::new(RecordTable::create(&layer, 8, 16, 1).unwrap())
+    }
+
+    fn rmw_each(keys: &[u64]) -> Vec<Op> {
+        keys.iter().map(|&key| Op::Rmw { key, delta: 1 }).collect()
+    }
+
+    /// The lock word and the leading counter of `key`, read off the
+    /// primary's memory (no verb, no fault plan).
+    fn word_and_counter(t: &RecordTable, key: u64) -> (u64, i64) {
+        let fabric = t.layer().fabric();
+        let (lock, payload) = (t.lock_addr(key), t.payload_addr(key, 0));
+        let region = fabric.region(lock.node()).unwrap();
+        let counter = region.read_u64(payload.offset()).unwrap() as i64;
+        (region.read_u64(lock.offset()).unwrap(), counter)
+    }
+
+    #[test]
+    fn a_busy_word_climbs_the_ladder_alone_then_one_doorbell_frees_the_rest() {
+        let t = timed_table();
+        let layer = t.layer();
+        let holder = layer.fabric().endpoint();
+        ExclusiveLock::acquire(layer, &holder, t.lock_addr(2), 42, 0).unwrap();
+        let ep = layer.fabric().endpoint();
+        ep.enable_health(1_000);
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+        let cc = TwoPhaseLocking::exclusive();
+        let err = cc.execute(&ctx, &rmw_each(&[0, 1, 2, 3])).unwrap_err();
+        assert_eq!(err, TxnError::Aborted("lock-busy"));
+        let s = ep.stats();
+        // Word 2 lost in the acquire doorbell and on every rung.
+        assert_eq!(s.cas_failures, cc.max_retries as u64 + 1);
+        assert_eq!(s.cas, 4 + cc.max_retries as u64);
+        assert_eq!(s.reads, s.cas, "each CAS brought its payload READ");
+        // Acquire doorbell, one doorbell per rung, one release doorbell
+        // of three unlocks and no write-back.
+        assert_eq!(s.wire_round_trips(), 1 + cc.max_retries as u64 + 1);
+        assert_eq!(s.writes, 3);
+        for key in 0..4 {
+            let held_by = if key == 2 { 42 } else { 0 };
+            assert_eq!(word_and_counter(&t, key), (held_by, 0), "key {key}");
+        }
+        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
+        // Today's ladder, unchanged: 100 + 200 + 400 ns of backoff, every
+        // wait-for edge naming the holder.
+        let seen = ep.contention_snapshot();
+        assert_eq!(seen.wait_ns_total, 700);
+        assert!(!seen.edges.is_empty());
+        assert!(seen.edges.iter().all(|e| (e.waiter, e.holder) == (7, 42)));
+    }
+
+    #[test]
+    fn a_transient_on_either_doorbell_retries_the_whole_group() {
+        let cc = TwoPhaseLocking::exclusive();
+        // Acquire: group 1's primary refuses its first verb. Had the
+        // first attempt taken word 0, the second would lose it to itself.
+        let t = timed_table();
+        let second = t.lock_addr(1).node();
+        t.layer().fabric().install_fault_plan(FaultPlan::new(1).transient_first_n(second, 1));
+        let ep = t.layer().fabric().endpoint();
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+        cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
+        let s = ep.stats();
+        assert_eq!((s.cas, s.cas_failures, s.writes), (2, 0, 4));
+        assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
+
+        // Release: the acquire doorbell is pre-flighted at t = 0, the
+        // release doorbell inside the partition, its retry after it.
+        let t = timed_table();
+        t.layer()
+            .fabric()
+            .install_fault_plan(FaultPlan::new(1).partition(second, 1, 12_000));
+        let ep = t.layer().fabric().endpoint();
+        ep.enable_health(1_000);
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+        cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
+        assert!(ep.clock().now_ns() > 12_000, "the release waited the partition out");
+        let s = ep.stats();
+        assert_eq!((s.cas, s.writes), (2, 4), "nothing was written or unlocked twice");
+        assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
+        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
+    }
+
+    #[test]
+    fn a_crash_between_the_doorbells_leaves_no_word_held_on_a_reachable_node() {
+        let t = timed_table();
+        let dead = t.lock_addr(1).node();
+        // Group 1 disappears right after the acquire doorbell left.
+        t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
+        let ep = t.layer().fabric().endpoint();
+        ep.enable_health(1_000);
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+        let err = TwoPhaseLocking::exclusive()
+            .execute(&ctx, &rmw_each(&[0, 1, 2, 3]))
+            .unwrap_err();
+        assert_eq!(err, TxnError::NodeUnavailable { node: dead });
+        // The write-back could not be posted, so nothing of it landed; the
+        // words on the live group came free one by one.
+        for key in [0, 2] {
+            assert_eq!(word_and_counter(&t, key), (0, 0), "key {key}");
+        }
+        for key in [1, 3] {
+            assert_eq!(word_and_counter(&t, key).0, 7, "key {key} is beyond reach");
+        }
+        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2);
+    }
+
+    /// [`DirectIo`] behind a cache's face, crashing `node` once `calls`
+    /// payload calls have been served.
+    struct CrashAfter {
+        node: NodeId,
+        calls: AtomicUsize,
+    }
+
+    impl CrashAfter {
+        fn served(&self, ep: &Endpoint) {
+            if self.calls.fetch_sub(1, Ordering::Relaxed) == 1 {
+                ep.fabric().crash(self.node).unwrap();
+            }
+        }
+    }
+
+    impl PayloadIo for CrashAfter {
+        fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
+            DirectIo.read_payload(ep, table, key, v, dst)?;
+            self.served(ep);
+            Ok(())
+        }
+
+        fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
+            DirectIo.write_payload(ep, table, key, v, src)?;
+            self.served(ep);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_unlock_does_not_leak_the_other_locks() {
+        for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
+            let t = timed_table();
+            let dead = t.lock_addr(1).node();
+            let ep = t.layer().fabric().endpoint();
+            ep.enable_health(1_000);
+            // Group 1 dies under the last payload call, with every lock
+            // held: its unlocks fail, group 0's must not be skipped.
+            let io = CrashAfter { node: dead, calls: AtomicUsize::new(4) };
+            let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: 7 };
+            let ops = [Op::Read(0), Op::Read(1), Op::Read(2), Op::Read(3)];
+            let err = cc.execute(&ctx, &ops).unwrap_err();
+            assert_eq!(err, TxnError::NodeUnavailable { node: dead }, "{}", cc.name());
+            for key in [0, 2] {
+                // Lock word (exclusive) or latch and holder metadata
+                // (shared-exclusive): all clear.
+                let slot = t.slot_addr(key);
+                let region = t.layer().fabric().region(slot.node()).unwrap();
+                let words = [0, 8].map(|off| region.read_u64(slot.offset() + off).unwrap());
+                assert_eq!(words, [0, 0], "{}: key {key} leaked", cc.name());
+            }
+            assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2, "{}", cc.name());
+        }
+    }
 
     #[test]
     fn exclusive_2pl_preserves_bank_invariant() {

@@ -1,11 +1,12 @@
 //! Property tests for the CC layer: serial equivalence against a
-//! reference interpreter, for every protocol.
+//! reference interpreter, for every protocol, and the two-doorbell 2PL
+//! transaction against a sequential in-memory model on every layout.
 
 use std::sync::Arc;
 
 use dsm::{DsmConfig, DsmLayer};
 use proptest::prelude::*;
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, Gauge, NetworkProfile};
 use txn::{
     ConcurrencyControl, DirectIo, FaaOracle, Mvcc, Occ, Op, RecordTable, TwoPhaseLocking, Tso,
     TxnCtx, TxnError,
@@ -132,8 +133,96 @@ fn serial_equivalence(
     }
 }
 
+const KEYS: u64 = 12;
+const PAYLOAD: usize = 16;
+
+/// Arbitrary op lists: 1–8 ops over 12 keys, so keys repeat within a
+/// transaction in every combination of read, overwrite and
+/// read-modify-write.
+fn op_lists() -> impl Strategy<Value = Vec<Vec<Op>>> {
+    let op = prop_oneof![
+        (0..KEYS).prop_map(Op::Read),
+        ((0..KEYS), any::<u8>()).prop_map(|(key, fill)| Op::Update {
+            key,
+            value: vec![fill; PAYLOAD]
+        }),
+        ((0..KEYS), (-50i64..50)).prop_map(|(key, delta)| Op::Rmw { key, delta }),
+    ];
+    proptest::collection::vec(proptest::collection::vec(op, 1..=8), 1..24)
+}
+
+/// Run `txns` through exclusive 2PL over `DirectIo` on `groups` mirror
+/// groups of `replication` members and through a plain array; reads,
+/// the bytes on every replica, every lock word and the `LocksHeld` gauge
+/// must agree with the array afterwards.
+fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<Op>]) {
+    let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+    let layer = DsmLayer::build(
+        &fabric,
+        DsmConfig {
+            memory_nodes: groups * replication,
+            capacity_per_node: 1 << 20,
+            replication,
+            mem_cores: 1,
+            weak_cpu_factor: 4.0,
+        },
+    );
+    let t = RecordTable::create(&layer, KEYS, PAYLOAD, 1).unwrap();
+    let ep = fabric.endpoint();
+    ep.enable_health(10_000);
+    let ctx = TxnCtx {
+        ep: &ep,
+        table: &t,
+        io: &DirectIo,
+        worker_tag: 1,
+    };
+    let cc = TwoPhaseLocking::exclusive();
+    let mut model = vec![[0u8; PAYLOAD]; KEYS as usize];
+    for ops in txns {
+        let before = ep.stats();
+        let out = cc.execute(&ctx, ops).expect("a lone session never aborts");
+        let mut expected = Vec::new();
+        for op in ops {
+            let record = &mut model[op.key() as usize];
+            match op {
+                Op::Read(key) => expected.push((*key, record.to_vec())),
+                Op::Update { value, .. } => record.copy_from_slice(value),
+                Op::Rmw { key, delta } => {
+                    expected.push((*key, record.to_vec()));
+                    let counter = i64::from_le_bytes(record[0..8].try_into().unwrap());
+                    record[0..8].copy_from_slice(&(counter + delta).to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(out.reads, expected, "{ops:?}");
+        let after = ep.stats();
+        assert_eq!(after.wire_round_trips() - before.wire_round_trips(), 2, "{ops:?}");
+        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
+    }
+    for key in 0..KEYS {
+        let (lock, payload) = (t.lock_addr(key), t.payload_addr(key, 0));
+        let group = layer.group_index_of(lock.node()).expect("table group");
+        for member in layer.group_members(group) {
+            let mut bytes = [0u8; PAYLOAD];
+            member.region().read(payload.offset(), &mut bytes).unwrap();
+            assert_eq!(bytes, model[key as usize], "key {key} on node {}", member.id());
+            let word = member.region().read_u64(lock.offset()).unwrap();
+            assert_eq!(word, 0, "lock of key {key} on node {}", member.id());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn tpl_two_doorbells_match_a_sequential_model(
+        groups in 1usize..=4,
+        replication in 1usize..=2,
+        txns in op_lists(),
+    ) {
+        two_doorbells_match_the_model(groups, replication, &txns);
+    }
 
     #[test]
     fn tpl_exclusive_serial_equivalence(seq in txns()) {

@@ -1,38 +1,59 @@
 #!/usr/bin/env bash
-# The observed-path overhead gate: what the five telemetry planes cost in
-# wall clock, as the benchmark's own same-process ratio
+# Two gates read off one `direct_rmw` run of the benchmark (3-5 rmw per
+# txn on 4 memory nodes x 2 replicas, no cache: two doorbells of ~24
+# verbs per txn, the workload on which the planes weigh most).
 #
-#   telemetry.host_overhead_ratio
-#     = host ns per txn with the planes on / with the planes off
+# 1. The observed-path overhead: what the five telemetry planes cost in
+#    wall clock, as the benchmark's own same-process ratio
 #
-# on `direct_rmw` (24 verbs per txn, no cache: the workload on which the
-# planes weigh most). Both sides run in one process on one runner, so
-# runner speed cancels. Every `exp_*` binary runs with the planes on:
-# this ratio, not the verb path, bounds regen_results.sh and
-# check_reports.sh.
+#      telemetry.host_overhead_ratio
+#        = host ns per txn with the planes on / with the planes off
+#
+#    Both sides run in one process on one runner, so runner speed
+#    cancels. Every `exp_*` binary runs with the planes on: this ratio,
+#    not the verb path, bounds regen_results.sh and check_reports.sh.
+#    Fails above LIMIT: one run, one verdict.
+# 2. The two-doorbell transaction: `rdma-sim.wire_rts_per_txn`, exact on
+#    the sim clock (2.10 at this seed: acquire + release, plus the lock
+#    ladder of the 1-in-50 ghosted txns). A change that un-batches the
+#    2PL path (16.14 when every verb was its own round trip) fails
+#    above WIRE_RT_LIMIT.
 #
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s); build it first with
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml
-# Fails above LIMIT, set with headroom over the 1.8 this scale measures.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LIMIT=2.5
+WIRE_RT_LIMIT=4
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
-last_line="$("$BIN" --workload direct_rmw --seconds 1 --trace 1 --seed 42 | tail -n 1)"
-ratio="$(grep -o '"telemetry.host_overhead_ratio":{"value":[0-9.eE+-]*' <<<"$last_line" | sed 's/.*://')"
-if [[ -z "$ratio" ]]; then
-  echo "check_overhead: no telemetry.host_overhead_ratio in the benchmark's last line" >&2
-  exit 1
-fi
+# metric <name>: its value in the benchmark's last-line JSON.
+metric() {
+  local value
+  value="$(grep -o "\"$1\":{\"value\":[0-9.eE+-]*" <<<"$last_line" | sed 's/.*://')"
+  if [[ -z "$value" ]]; then
+    echo "check_overhead: no $1 in the benchmark's last line" >&2
+    exit 1
+  fi
+  echo "$value"
+}
 
-if awk -v r="$ratio" -v limit="$LIMIT" 'BEGIN { exit !(r <= limit) }'; then
-  echo "check_overhead: observed/bare host time per txn on direct_rmw = $ratio (limit $LIMIT)"
-else
-  echo "check_overhead: observed/bare host time per txn on direct_rmw = $ratio exceeds $LIMIT" >&2
-  exit 1
-fi
+# gate <what> <value> <limit>: fail unless value <= limit.
+gate() {
+  if awk -v v="$2" -v limit="$3" 'BEGIN { exit !(v <= limit) }'; then
+    echo "check_overhead: $1 = $2 (limit $3)"
+  else
+    echo "check_overhead: $1 = $2 exceeds $3" >&2
+    exit 1
+  fi
+}
+
+last_line="$("$BIN" --workload direct_rmw --seconds 1 --trace 1 --seed 42 | tail -n 1)"
+ratio="$(metric telemetry.host_overhead_ratio)"
+wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
+gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
+gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
