@@ -81,8 +81,8 @@ fn main() {
             cross.to_string(),
             table::n(sharded.tps() as u64),
             table::n(direct.tps() as u64),
-            table::f2(sharded.rts_per_txn()),
-            table::f2(direct.rts_per_txn()),
+            table::f2(sharded.wire_rts_per_txn()),
+            table::f2(direct.wire_rts_per_txn()),
         ]);
         rep.row(
             &format!("cross={cross}%"),

@@ -86,7 +86,7 @@ fn main() {
                 name.to_string(),
                 table::n(r.tps() as u64),
                 table::f2(r.abort_rate() * 100.0),
-                table::f2(r.rts_per_txn()),
+                table::f2(r.wire_rts_per_txn()),
             ]);
             rep.row(
                 &format!("read={read_pct}% arch={name}"),

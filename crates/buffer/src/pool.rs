@@ -178,6 +178,17 @@ struct PendingWriteback {
     data: Box<[u8]>,
 }
 
+/// What a frame that just took a written page owes DSM for it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Owes {
+    /// Nothing: the caller moves the page itself ([`BufferPool::install_page`]).
+    Nothing,
+    /// The bytes, in this call's doorbell (write-through).
+    Now,
+    /// The bytes, when the frame is evicted or flushed (write-back).
+    Later,
+}
+
 enum Step {
     /// Request served (hit, or write applied to a frame).
     Done,
@@ -365,6 +376,46 @@ impl BufferPool {
         Ok(self.read_pages(ep, &mut reqs)? == 1)
     }
 
+    /// Read the page at `addr` into `dst` if it is resident — a hit in
+    /// every respect — and return whether it was. A page that is not is
+    /// neither fetched nor charged for: the caller brings it from DSM
+    /// itself and hands it over with [`BufferPool::install_page`].
+    pub fn read_resident(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> bool {
+        assert_eq!(dst.len(), self.page_size);
+        let key = addr.to_raw();
+        let sh = &self.shards[self.shard_of(key)];
+        let mut inner = sh.inner.lock();
+        loop {
+            let s = &mut *inner;
+            match s.page_table.get(&key) {
+                Some(&f) if s.frames[f].filling => {
+                    ep.note_lock_wait(key, LOCK_NS);
+                    sh.cv.wait(&mut inner);
+                }
+                Some(&f) => {
+                    self.serve_hit(ep, s, f, key, dst);
+                    return true;
+                }
+                None => return false,
+            }
+        }
+    }
+
+    /// Copy resident frame `f` (page `key`) out to `dst`: the read hit.
+    #[inline]
+    fn serve_hit(&self, ep: &Endpoint, s: &mut ShardInner, f: FrameId, key: u64, dst: &mut [u8]) {
+        let latch = if s.policy.latch_free_hits() { 0 } else { LOCK_NS };
+        let pol = s.policy.on_hit(f, key);
+        Self::charge(ep, s, MAP_OP_NS + latch + pol);
+        ep.charge_local(copy_cost_ns(self.page_size));
+        dst.copy_from_slice(&s.frames[f].data);
+        s.stats.hits += 1;
+        ep.series_note(Metric::CacheHits, 1);
+        s.tele
+            .hit_ns
+            .record(MAP_OP_NS + latch + pol + copy_cost_ns(self.page_size));
+    }
+
     /// Read every page in `reqs` (addresses must be distinct), resolving
     /// hits locally and fetching all misses in one doorbell group (plus
     /// one group for any dirty victim write-backs). Returns the number of
@@ -422,16 +473,7 @@ impl BufferPool {
                     sh.cv.wait(&mut inner);
                     continue;
                 }
-                let latch = if s.policy.latch_free_hits() { 0 } else { LOCK_NS };
-                let pol = s.policy.on_hit(f, key);
-                Self::charge(ep, s, MAP_OP_NS + latch + pol);
-                ep.charge_local(copy_cost_ns(self.page_size));
-                dst.copy_from_slice(&s.frames[f].data);
-                s.stats.hits += 1;
-                ep.series_note(Metric::CacheHits, 1);
-                s.tele
-                    .hit_ns
-                    .record(MAP_OP_NS + latch + pol + copy_cost_ns(self.page_size));
+                self.serve_hit(ep, s, f, key, dst);
                 return Ok(Step::Done);
             }
             if s.writing_back.contains(&key) {
@@ -600,17 +642,35 @@ impl BufferPool {
         self.write_pages(ep, &[(addr, src)])
     }
 
+    /// Make the cached copy of `addr` equal `src` (a full page) and leave
+    /// DSM alone: the write path minus the propagation. For a caller that
+    /// moves the page to or from DSM in a doorbell of its own — `src` is
+    /// what it just read there, or what it is about to write there — so
+    /// the frame is clean afterwards in either write mode.
+    pub fn install_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
+        self.put_pages(ep, &[(addr, src)], Owes::Nothing)
+    }
+
     /// Write every full page in `reqs` through the cache. All remote
     /// traffic of the call — dirty victim write-backs plus (in
     /// write-through mode) the propagation of every page — goes out as one
     /// doorbell group.
     pub fn write_pages(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
+        let owes = match self.mode {
+            WriteMode::WriteThrough => Owes::Now,
+            WriteMode::WriteBack => Owes::Later,
+        };
+        self.put_pages(ep, reqs, owes)
+    }
+
+    /// The write path: the frames take the pages of `reqs` and owe DSM
+    /// `owes` for them.
+    fn put_pages(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])], owes: Owes) -> DsmResult<()> {
         let mut wbs: Vec<PendingWriteback> = Vec::new();
         let mut through: Vec<usize> = Vec::new();
         let mut i = 0;
         while i < reqs.len() {
-            let can_wait = wbs.is_empty() && through.is_empty();
-            match self.resolve_write(ep, i, reqs, &mut wbs, &mut through, can_wait)? {
+            match self.resolve_write(ep, i, reqs, owes, &mut wbs, &mut through)? {
                 Step::Done => i += 1,
                 Step::Reserved(_) => unreachable!("write path fills frames locally"),
                 Step::MustFlush => self.complete_writes(ep, reqs, &mut wbs, &mut through)?,
@@ -627,10 +687,12 @@ impl BufferPool {
         ep: &Endpoint,
         i: usize,
         reqs: &[(GlobalAddr, &[u8])],
+        owes: Owes,
         wbs: &mut Vec<PendingWriteback>,
         through: &mut Vec<usize>,
-        can_wait: bool,
     ) -> DsmResult<Step> {
+        // Never sleep while holding batched state: flush first.
+        let can_wait = wbs.is_empty() && through.is_empty();
         let (addr, src) = &reqs[i];
         assert_eq!(src.len(), self.page_size);
         let key = addr.to_raw();
@@ -657,21 +719,13 @@ impl BufferPool {
                     .hit_ns
                     .record(MAP_OP_NS + LOCK_NS + pol + copy_cost_ns(self.page_size));
                 s.frames[f].data.copy_from_slice(src);
-                let was_dirty = s.frames[f].dirty;
-                match self.mode {
-                    WriteMode::WriteThrough => {
-                        s.frames[f].dirty = false;
-                        if was_dirty {
-                            ep.gauge_add(Gauge::PoolDirty, -1);
-                        }
-                        through.push(i);
-                    }
-                    WriteMode::WriteBack => {
-                        s.frames[f].dirty = true;
-                        if !was_dirty {
-                            ep.gauge_add(Gauge::PoolDirty, 1);
-                        }
-                    }
+                let dirty = owes == Owes::Later;
+                let was_dirty = std::mem::replace(&mut s.frames[f].dirty, dirty);
+                if was_dirty != dirty {
+                    ep.gauge_add(Gauge::PoolDirty, if dirty { 1 } else { -1 });
+                }
+                if owes == Owes::Now {
+                    through.push(i);
                 }
                 return Ok(Step::Done);
             }
@@ -724,11 +778,11 @@ impl BufferPool {
             fr.page = key;
             ep.charge_local(copy_cost_ns(self.page_size));
             fr.data.copy_from_slice(src);
-            fr.dirty = matches!(self.mode, WriteMode::WriteBack);
+            fr.dirty = owes == Owes::Later;
             if fr.dirty {
                 ep.gauge_add(Gauge::PoolDirty, 1);
             }
-            if matches!(self.mode, WriteMode::WriteThrough) {
+            if owes == Owes::Now {
                 through.push(i);
             }
             s.page_table.insert(key, f);
@@ -925,6 +979,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LIST_OP_NS;
     use crate::policy::LruPolicy;
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
@@ -1058,6 +1113,45 @@ mod tests {
         assert_eq!(buf, [3u8; 64]);
         let other = layer.alloc(64).unwrap();
         assert!(!pool.update_if_resident(&ep, other, &[4u8; 64]));
+    }
+
+    #[test]
+    fn install_is_the_write_path_without_the_write() {
+        for mode in [WriteMode::WriteThrough, WriteMode::WriteBack] {
+            let (f, layer, pool) = setup(2, mode);
+            let ep = f.endpoint();
+            ep.enable_health(1_000);
+            let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
+            // Absent: not served, not fetched, not charged.
+            let mut buf = [0u8; 64];
+            assert!(!pool.read_resident(&ep, addrs[0], &mut buf));
+            assert_eq!((ep.clock().now_ns(), pool.stats(), pool.resident()), (0, PoolStats::default(), 0));
+            // Installed: a miss of the write path, and no verb.
+            pool.install_page(&ep, addrs[0], &[5u8; 64]).unwrap();
+            let miss_ns = ep.clock().now_ns();
+            assert_eq!(miss_ns, MAP_OP_NS + LOCK_NS + MAP_OP_NS + 2 * LIST_OP_NS);
+            assert_eq!(ep.stats().round_trips(), 0);
+            // Resident: `read_resident` is `read_page`'s hit to the ns.
+            assert!(pool.read_resident(&ep, addrs[0], &mut buf));
+            assert_eq!(buf, [5u8; 64]);
+            let hit_ns = ep.clock().now_ns() - miss_ns;
+            assert!(pool.read_page(&ep, addrs[0], &mut buf).unwrap());
+            assert_eq!(ep.clock().now_ns() - miss_ns, 2 * hit_ns);
+            assert_eq!((pool.stats().hits, pool.stats().misses), (2, 1));
+            // Over a dirty frame (write-back mode) it leaves a clean one:
+            // the caller has said DSM gets these bytes from it.
+            pool.write_page(&ep, addrs[0], &[6u8; 64]).unwrap();
+            pool.install_page(&ep, addrs[0], &[7u8; 64]).unwrap();
+            assert_eq!(ep.gauge_level(Gauge::PoolDirty), 0, "{mode:?}");
+            // Evicted by two more installs, it writes nothing back.
+            let writes = ep.stats().writes;
+            pool.install_page(&ep, addrs[1], &[1u8; 64]).unwrap();
+            pool.install_page(&ep, addrs[2], &[2u8; 64]).unwrap();
+            assert!(!pool.contains(addrs[0]));
+            pool.flush_all(&ep).unwrap();
+            assert_eq!(ep.stats().writes, writes, "{mode:?}");
+            assert_eq!(ep.gauge_level(Gauge::PoolResident), 2);
+        }
     }
 
     #[test]

@@ -5,25 +5,31 @@
 //! many implementation details can affect performance, e.g., invalidation-
 //! vs. update-based". Both flavours are here, built on:
 //!
-//! * a **directory** in DSM — one word per record holding the bitmap of
-//!   compute nodes that may cache it (64-node limit = 64 bits);
+//! * a **sharer word** per record — the bitmap of compute nodes that may
+//!   cache it (64-node limit = 64 bits), kept in the record header right
+//!   beside the lock word ([`RecordTable::sharers_addr`]). 3b runs under
+//!   exclusive 2PL only, so the word is read and written by the holder of
+//!   the record's lock and by nobody else: it needs no atomics and no
+//!   round trips of its own, it rides the lock's two doorbells;
 //! * two-sided **coherence messages** between compute nodes; writers
 //!   block (in virtual time) until every sharer acknowledges, which keeps
 //!   the protocol sequentially consistent under the record locks the
 //!   lock-based CC already holds.
 //!
-//! Reads set the reader's directory bit *before* fetching, so a writer
-//! that follows always sees the sharer. Evictions do not clear bits —
-//! a later invalidation of a non-resident page is simply acked, trading a
-//! rare spurious message for a cheaper eviction path.
+//! A node sets its bit in the release doorbell of the transaction that
+//! filled its cache, and holds the record's lock from the fetch until
+//! then, so a writer that follows always sees the sharer: at every unlock
+//! the sharer word is a superset of the nodes holding a copy. Evictions do
+//! not clear bits — a later invalidation of a non-resident page is simply
+//! acked, trading a rare spurious message for a cheaper eviction path.
 
 use std::sync::Arc;
 
 use buffer::BufferPool;
-use dsm::{DsmLayer, DsmResult, GlobalAddr};
+use dsm::{DsmResult, GlobalAddr};
 use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase};
 use txn::table::RecordTable;
-use txn::PayloadIo;
+use txn::{KeyUse, PayloadIo, Rider};
 
 use crate::config::CoherenceMode;
 
@@ -41,69 +47,6 @@ pub fn session_inbox_id(node: usize, thread: usize) -> MailboxId {
 const MSG_INVALIDATE: u8 = 1;
 const MSG_UPDATE: u8 = 2;
 const MSG_ACK: u8 = 3;
-
-/// The per-record sharer directory in DSM.
-pub struct Directory {
-    layer: Arc<DsmLayer>,
-    base: GlobalAddr,
-    n_records: u64,
-}
-
-impl Directory {
-    /// Allocate a directory for `n_records` (one u64 each) on group 0.
-    pub fn create(layer: &Arc<DsmLayer>, n_records: u64) -> DsmResult<Self> {
-        let base = layer.alloc_on(0, n_records * 8)?;
-        Ok(Self {
-            layer: layer.clone(),
-            base,
-            n_records,
-        })
-    }
-
-    fn addr(&self, key: u64) -> GlobalAddr {
-        assert!(key < self.n_records);
-        self.base.offset_by(key * 8)
-    }
-
-    /// Set `node`'s sharer bit; returns the bitmap *before* the change.
-    pub fn add_sharer(&self, ep: &Endpoint, key: u64, node: usize) -> DsmResult<u64> {
-        let bit = 1u64 << node;
-        let addr = self.addr(key);
-        let mut cur = self.layer.read_u64(ep, addr)?;
-        loop {
-            if cur & bit != 0 {
-                return Ok(cur);
-            }
-            let prev = self.layer.cas(ep, addr, cur, cur | bit)?;
-            if prev == cur {
-                return Ok(prev);
-            }
-            cur = prev;
-        }
-    }
-
-    /// Read the sharer bitmap.
-    pub fn sharers(&self, ep: &Endpoint, key: u64) -> DsmResult<u64> {
-        self.layer.read_u64(ep, self.addr(key))
-    }
-
-    /// Clear the given bits (post-invalidation).
-    pub fn clear_bits(&self, ep: &Endpoint, key: u64, bits: u64) -> DsmResult<()> {
-        let addr = self.addr(key);
-        let mut cur = self.layer.read_u64(ep, addr)?;
-        loop {
-            let next = cur & !bits;
-            if next == cur {
-                return Ok(());
-            }
-            let prev = self.layer.cas(ep, addr, cur, next)?;
-            if prev == cur {
-                return Ok(());
-            }
-            cur = prev;
-        }
-    }
-}
 
 /// Shared per-compute-node cache state: the buffer pool plus the node's
 /// coherence inbox (served by any of the node's sessions).
@@ -149,17 +92,22 @@ impl NodeCache {
     }
 }
 
-/// The Figure 3b payload path: pool hits locally, misses fetch from DSM,
-/// writes go through + run the coherence protocol. One per session.
+/// Bytes of slot header in front of each key's payload copy in the
+/// transaction's buffer: `slot[8 .. 24]`, the sharer word and `wts_0`. The
+/// payload follows them in the slot too, so one READ brings all three.
+const HDR: usize = 16;
+
+/// The Figure 3b payload path, one per session: what a transaction reads
+/// comes from the node's pool or, for a page that is not resident, with
+/// the lock CAS; what it writes goes through to DSM with the unlock, after
+/// every other sharer has dropped or refreshed its copy.
 pub struct CoherentIo {
     /// This node's shared cache.
     pub cache: Arc<NodeCache>,
-    /// The record directory.
-    pub dir: Arc<Directory>,
     /// Invalidate vs update.
     pub mode: CoherenceMode,
-    /// Session-private reply inbox.
-    pub reply: Mailbox,
+    /// Session-private reply inbox (the session keeps a handle too).
+    pub reply: Arc<Mailbox>,
     /// Its id (put into messages as reply-to).
     pub reply_id: MailboxId,
     /// Total compute nodes (bitmap width sanity).
@@ -167,28 +115,37 @@ pub struct CoherentIo {
 }
 
 impl CoherentIo {
-    fn page_addr(table: &RecordTable, key: u64, v: usize) -> GlobalAddr {
-        table.payload_addr(key, v)
+    /// The pool's name for `key`'s page.
+    fn page_addr(table: &RecordTable, key: u64) -> GlobalAddr {
+        table.payload_addr(key, 0)
     }
 
-    /// Run the writer side of the protocol for `key` after the DSM copy
-    /// is updated: notify every other sharer and wait for their acks.
-    fn propagate(
-        &self,
-        ep: &Endpoint,
+    /// Hand `post` the READs that fill `chunk` = `slot[8 .. 24 + payload]`
+    /// of `key`: one — or two, the sharer word and the payload apart,
+    /// while a migration has the payload read from its new home.
+    fn slot_reads<'a>(
         table: &RecordTable,
         key: u64,
-        new_data: &[u8],
-    ) -> DsmResult<()> {
-        let _span = ep.span(Phase::CoherenceInval);
-        let sharers = self.dir.sharers(ep, key)?;
-        let my_bit = 1u64 << self.cache.node;
-        let others = sharers & !my_bit;
-        if others == 0 {
-            return Ok(());
+        chunk: &'a mut [u8],
+        mut post: impl FnMut(GlobalAddr, &'a mut [u8]),
+    ) {
+        let sharers = table.sharers_addr(key);
+        let payload = table.payload_read_addr(key, 0);
+        if payload == sharers.offset_by(HDR as u64) {
+            post(sharers, chunk);
+        } else {
+            let (hdr, copy) = chunk.split_at_mut(HDR);
+            post(sharers, &mut hdr[..8]);
+            post(payload, copy);
         }
+    }
+
+    /// The writer side of the protocol for one page: tell every node of
+    /// `others` to drop (or take `new_data` as) its copy and wait for
+    /// their acks.
+    fn propagate(&self, ep: &Endpoint, page: GlobalAddr, others: u64, new_data: &[u8]) -> DsmResult<()> {
+        let _span = ep.span(Phase::CoherenceInval);
         ep.note_inval_fanout(others.count_ones() as u64);
-        let addr = Self::page_addr(table, key, 0);
         // The broadcast to all M sharers is ONE doorbell group: the first
         // message pays the full send latency, the rest ride along. Nodes
         // that never started (or already stopped) cannot hold a stale
@@ -201,7 +158,7 @@ impl CoherentIo {
                 } else {
                     MSG_UPDATE
                 }];
-                payload.extend_from_slice(&addr.to_raw().to_le_bytes());
+                payload.extend_from_slice(&page.to_raw().to_le_bytes());
                 payload.extend_from_slice(&self.reply_id.to_le_bytes());
                 if self.mode == CoherenceMode::Update {
                     payload.extend_from_slice(new_data);
@@ -222,53 +179,145 @@ impl CoherentIo {
                 }
             }
         }
-        if self.mode == CoherenceMode::Invalidate {
-            self.dir.clear_bits(ep, key, others)?;
-        }
         Ok(())
+    }
+
+    /// One key's three steps on their own, `body` in place of the ops: for
+    /// a caller that already holds the key's exclusive lock.
+    fn under_lock(
+        &self,
+        ep: &Endpoint,
+        table: &RecordTable,
+        mut uses: [KeyUse; 1],
+        body: impl FnOnce(&mut [u8]),
+    ) -> DsmResult<()> {
+        let layer = table.layer();
+        let mut buf = vec![0u8; HDR + table.payload_size()];
+        {
+            let mut riders = Vec::new();
+            self.ride(table, &mut uses, &mut buf, &mut riders);
+            let mut reads: Vec<_> = riders.into_iter().map(|r| (r.addr, r.dst)).collect();
+            if !reads.is_empty() {
+                let _span = ep.span(Phase::PageFetch);
+                layer.read_batch(ep, &mut reads)?;
+            }
+        }
+        self.admit(ep, table, &mut uses, &mut buf)?;
+        body(&mut buf[HDR..]);
+        let mut writes = Vec::new();
+        let done = self.retire(ep, table, &uses, &mut buf, &mut writes).and_then(|()| {
+            let _span = ep.span(Phase::Writeback);
+            layer.write_batch(ep, &writes)
+        });
+        if done.is_err() {
+            self.abandon(ep, table, &uses);
+        }
+        done
     }
 }
 
 impl PayloadIo for CoherentIo {
-    fn read_payload(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        key: u64,
-        v: usize,
-        dst: &mut [u8],
-    ) -> DsmResult<()> {
-        let addr = Self::page_addr(table, key, v);
-        // Fast path: a resident copy implies our directory bit is already
-        // set (it was set at fill time and only cleared by invalidations,
-        // which also evict the copy) — no remote directory traffic.
-        if !self.cache.pool.contains(addr) {
-            // Register as a sharer *before* the fetch so any later writer
-            // sees us.
-            self.dir.add_sharer(ep, key, self.cache.node)?;
+    /// Valid under the key's exclusive lock only. The engine never comes
+    /// this way: 3b runs exclusive 2PL, whose lock set drives the steps.
+    fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
+        assert_eq!(v, 0, "a coherent cache holds single-version records");
+        let read = KeyUse { key, written: false, reads_old: true, fetched: false };
+        self.under_lock(ep, table, [read], |copy| dst.copy_from_slice(copy))
+    }
+
+    /// As [`CoherentIo::read_payload`]: under the key's exclusive lock.
+    fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
+        assert_eq!(v, 0, "a coherent cache holds single-version records");
+        let overwrite = KeyUse { key, written: true, reads_old: false, fetched: false };
+        self.under_lock(ep, table, [overwrite], |copy| copy.copy_from_slice(src))
+    }
+
+    fn header_len(&self) -> usize {
+        HDR
+    }
+
+    /// Behind the lock CAS of a key whose old value is observed and whose
+    /// page is not resident: `slot[8 .. 24 + payload]`. Of any other key
+    /// that is written: the sharer word. Of a resident key that is only
+    /// read: nothing — it is a sharer already and nobody has to know.
+    fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>) {
+        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        for (word, (u, chunk)) in uses.iter_mut().zip(chunks).enumerate() {
+            u.fetched = u.reads_old && !self.cache.pool.contains(Self::page_addr(table, u.key));
+            if u.fetched {
+                Self::slot_reads(table, u.key, chunk, |addr, dst| riders.push(Rider { word, addr, dst }));
+            } else if u.written {
+                riders.push(Rider { word, addr: table.sharers_addr(u.key), dst: &mut chunk[..8] });
+            }
         }
-        self.cache.pool.read_page(ep, addr, dst)?;
+    }
+
+    /// Copy out of the pool what did not come with the lock.
+    fn admit(&self, ep: &Endpoint, table: &RecordTable, uses: &mut [KeyUse], buf: &mut [u8]) -> DsmResult<()> {
+        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        for (u, chunk) in uses.iter_mut().zip(chunks) {
+            let from_pool = u.reads_old && !u.fetched;
+            if !from_pool || self.cache.pool.read_resident(ep, Self::page_addr(table, u.key), &mut chunk[HDR..]) {
+                continue;
+            }
+            // A sibling thread's fill took the frame since `ride`: the
+            // same READ on its own, now under the lock.
+            let mut reads = Vec::with_capacity(2);
+            Self::slot_reads(table, u.key, chunk, |addr, dst| reads.push((addr, dst)));
+            let _span = ep.span(Phase::PageFetch);
+            table.layer().read_batch(ep, &mut reads)?;
+            u.fetched = true;
+        }
         Ok(())
     }
 
-    fn write_payload(
+    /// For a written key: every other sharer drops or refreshes its copy,
+    /// the payload goes through to DSM. For a written or fetched key: the
+    /// pool takes the page, and the sharer word — only if its value
+    /// changes — goes to DSM as a plain WRITE.
+    fn retire<'a>(
         &self,
         ep: &Endpoint,
         table: &RecordTable,
-        key: u64,
-        v: usize,
-        src: &[u8],
+        uses: &[KeyUse],
+        buf: &'a mut [u8],
+        writes: &mut Vec<(GlobalAddr, &'a [u8])>,
     ) -> DsmResult<()> {
-        let addr = Self::page_addr(table, key, v);
-        if !self.cache.pool.contains(addr) {
-            self.dir.add_sharer(ep, key, self.cache.node)?;
+        let me = 1u64 << self.cache.node;
+        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written || u.fetched) {
+            let page = Self::page_addr(table, u.key);
+            let (hdr, copy) = chunk.split_at_mut(HDR);
+            let sharers = u64::from_le_bytes(hdr[..8].try_into().expect("8-byte sharer word"));
+            let others = sharers & !me;
+            if u.written && others != 0 {
+                self.propagate(ep, page, others, copy)?;
+            }
+            self.cache.pool.install_page(ep, page, copy)?;
+            let keep = match self.mode {
+                CoherenceMode::Invalidate if u.written => me,
+                _ => sharers | me,
+            };
+            hdr[..8].copy_from_slice(&keep.to_le_bytes());
+            let (hdr, copy): (&'a [u8], &'a [u8]) = (hdr, copy);
+            if u.written {
+                let (old, dual) = table.payload_write_targets(u.key, 0);
+                writes.push((old, copy));
+                writes.extend(dual.map(|new| (new, copy)));
+            }
+            if keep != sharers {
+                writes.push((table.sharers_addr(u.key), &hdr[..8]));
+            }
         }
-        // Write-through: local copy + DSM copy.
-        self.cache.pool.write_page(ep, addr, src)?;
-        // Coherence: fix every other sharer's copy before returning (the
-        // record lock is held by our caller, making this atomic w.r.t.
-        // other transactions).
-        self.propagate(ep, table, key, src)
+        Ok(())
+    }
+
+    /// Drop every frame the transaction may have installed: its sharer
+    /// bits may never have reached DSM, and its values never committed.
+    fn abandon(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse]) {
+        for u in uses.iter().filter(|u| u.written || u.fetched) {
+            self.cache.pool.invalidate(ep, Self::page_addr(table, u.key));
+        }
     }
 }
 
@@ -276,13 +325,12 @@ impl PayloadIo for CoherentIo {
 mod tests {
     use super::*;
     use buffer::{LruPolicy, WriteMode};
-    use dsm::DsmConfig;
+    use dsm::{DsmConfig, DsmLayer};
     use rdma_sim::{Fabric, NetworkProfile};
 
     struct Setup {
         layer: Arc<DsmLayer>,
         table: Arc<RecordTable>,
-        dir: Arc<Directory>,
         caches: Vec<Arc<NodeCache>>,
         ios: Vec<CoherentIo>,
     }
@@ -300,7 +348,6 @@ mod tests {
             },
         );
         let table = Arc::new(RecordTable::create(&layer, 64, 16, 1).unwrap());
-        let dir = Arc::new(Directory::create(&layer, 64).unwrap());
         let mut caches = Vec::new();
         let mut ios = Vec::new();
         for n in 0..2 {
@@ -319,9 +366,8 @@ mod tests {
             let reply_id = session_inbox_id(n, 0);
             ios.push(CoherentIo {
                 cache,
-                dir: dir.clone(),
                 mode,
-                reply: fabric.mailboxes().register(reply_id),
+                reply: Arc::new(fabric.mailboxes().register(reply_id)),
                 reply_id,
                 compute_nodes: 2,
             });
@@ -329,21 +375,44 @@ mod tests {
         Setup {
             layer,
             table,
-            dir,
             caches,
             ios,
         }
     }
 
+    /// `key`'s sharer word, read off the memory node (no verb).
+    fn sharers(table: &RecordTable, key: u64) -> u64 {
+        let addr = table.sharers_addr(key);
+        let region = table.layer().fabric().region(addr.node()).unwrap();
+        region.read_u64(addr.offset()).unwrap()
+    }
+
+    /// `write` on its own thread while node 1 answers its inbox.
+    fn while_node_1_serves(caches: &[Arc<NodeCache>], ep1: &Endpoint, write: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            let writer = s.spawn(write);
+            while !writer.is_finished() {
+                caches[1].serve_one(ep1);
+                std::thread::yield_now();
+            }
+        });
+    }
+
     #[test]
     fn read_sets_directory_bit() {
-        let Setup { layer, table, dir, ios, .. } = setup(CoherenceMode::Invalidate);
+        // The directory entry is the sharer word beside the lock word.
+        let Setup { layer, table, ios, .. } = setup(CoherenceMode::Invalidate);
         let ep = layer.fabric().endpoint();
         let mut buf = [0u8; 16];
         ios[0].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
-        assert_eq!(dir.sharers(&ep, 5).unwrap(), 0b01);
+        assert_eq!(sharers(&table, 5), 0b01);
         ios[1].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
-        assert_eq!(dir.sharers(&ep, 5).unwrap(), 0b11);
+        assert_eq!(sharers(&table, 5), 0b11);
+        assert_eq!(table.sharers_addr(5), table.lock_addr(5).offset_by(8));
+        // Resident now: a reread touches neither the word nor the wire.
+        let verbs = ep.stats().round_trips();
+        ios[1].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
+        assert_eq!(ep.stats().round_trips(), verbs);
     }
 
     #[test]
@@ -355,25 +424,17 @@ mod tests {
         // Node 1 caches key 3.
         ios[1].read_payload(&ep1, &table, 3, 0, &mut buf).unwrap();
         assert_eq!(caches[1].pool.resident(), 1);
-        // Node 0 writes key 3: the ack wait needs node 1 to serve, so run
-        // the write in a thread while node 1 polls.
-        std::thread::scope(|s| {
-            let writer = {
-                let table = table.clone();
-                let io0 = &ios[0];
-                s.spawn(move || {
-                    io0.write_payload(&ep0, &table, 3, 0, &[9u8; 16]).unwrap();
-                })
-            };
-            while !writer.is_finished() {
-                caches[1].serve_one(&ep1);
-                std::thread::yield_now();
-            }
+        // Node 0 writes key 3: the ack wait needs node 1 to serve.
+        let (io0, t) = (&ios[0], &table);
+        while_node_1_serves(&caches, &ep1, move || {
+            io0.write_payload(&ep0, t, 3, 0, &[9u8; 16]).unwrap();
         });
         assert_eq!(caches[1].pool.resident(), 0, "copy invalidated");
+        assert_eq!(sharers(&table, 3), 0b01, "only the writer holds a copy");
         // Node 1 rereads: sees the new value.
         ios[1].read_payload(&ep1, &table, 3, 0, &mut buf).unwrap();
         assert_eq!(buf, [9u8; 16]);
+        assert_eq!(sharers(&table, 3), 0b11);
     }
 
     #[test]
@@ -383,19 +444,11 @@ mod tests {
         let ep1 = layer.fabric().endpoint();
         let mut buf = [0u8; 16];
         ios[1].read_payload(&ep1, &table, 7, 0, &mut buf).unwrap();
-        std::thread::scope(|s| {
-            let writer = {
-                let table = table.clone();
-                let io0 = &ios[0];
-                s.spawn(move || {
-                    io0.write_payload(&ep0, &table, 7, 0, &[4u8; 16]).unwrap();
-                })
-            };
-            while !writer.is_finished() {
-                caches[1].serve_one(&ep1);
-                std::thread::yield_now();
-            }
+        let (io0, t) = (&ios[0], &table);
+        while_node_1_serves(&caches, &ep1, move || {
+            io0.write_payload(&ep0, t, 7, 0, &[4u8; 16]).unwrap();
         });
+        assert_eq!(sharers(&table, 7), 0b11, "both still hold a copy");
         // Still resident AND fresh — and the reread is a pure hit.
         assert_eq!(caches[1].pool.resident(), 1);
         let before = caches[1].pool.stats().hits;
@@ -410,5 +463,74 @@ mod tests {
         let ep = layer.fabric().endpoint();
         ios[0].write_payload(&ep, &table, 9, 0, &[1u8; 16]).unwrap();
         assert_eq!(ep.stats().sends, 0);
+        assert_eq!(sharers(&table, 9), 0b01);
+        // A blind write needs the sharer word, not the old payload; the
+        // sharer word did not change the second time, so it stays home.
+        let before = ep.stats();
+        ios[0].write_payload(&ep, &table, 9, 0, &[2u8; 16]).unwrap();
+        let s = ep.stats();
+        assert_eq!((s.reads - before.reads, s.bytes_read - before.bytes_read), (1, 8));
+        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written), (1, 16));
+    }
+
+    /// One key through `ride` and `admit` by hand, `between` them.
+    fn ride_then_admit(io: &CoherentIo, table: &RecordTable, ep: &Endpoint, key: u64, between: impl FnOnce()) -> (KeyUse, Vec<u8>) {
+        let mut uses = [KeyUse { key, written: false, reads_old: true, fetched: false }];
+        let mut buf = vec![0u8; HDR + table.payload_size()];
+        let mut riders = Vec::new();
+        io.ride(table, &mut uses, &mut buf, &mut riders);
+        let mut reads: Vec<_> = riders.into_iter().map(|r| (r.addr, r.dst)).collect();
+        if !reads.is_empty() {
+            table.layer().read_batch(ep, &mut reads).unwrap();
+        }
+        between();
+        io.admit(ep, table, &mut uses, &mut buf).unwrap();
+        (uses[0], buf)
+    }
+
+    #[test]
+    fn a_page_evicted_between_ride_and_admit_is_fetched_under_the_lock() {
+        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let ep = layer.fabric().endpoint();
+        ios[0].write_payload(&ep, &table, 4, 0, &[8u8; 16]).unwrap();
+        // Resident at `ride`: nothing rides, the pool serves `admit`.
+        let before = ep.stats().reads;
+        let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 4, || {});
+        assert_eq!((seen.fetched, &buf[HDR..], ep.stats().reads), (false, &[8u8; 16][..], before));
+        // Gone by `admit` (a sibling thread's fill took the frame): one
+        // READ of the slot on its own, and the key counts as a fill.
+        let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 4, || {
+            caches[0].pool.invalidate(&ep, table.payload_addr(4, 0));
+        });
+        assert_eq!((seen.fetched, &buf[HDR..], ep.stats().reads), (true, &[8u8; 16][..], before + 1));
+        assert_eq!(buf[..8], 0b01u64.to_le_bytes(), "sharers | wts | payload in one READ");
+    }
+
+    #[test]
+    fn a_payload_read_from_a_migrations_new_home_rides_apart_from_the_sharer_word() {
+        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let ep = layer.fabric().endpoint();
+        ios[0].write_payload(&ep, &table, 2, 0, &[3u8; 16]).unwrap();
+        let dst = layer.join_group(4 << 20, 1, 4.0);
+        table.begin_migration(dst, 0, 8).unwrap();
+        while table.migrate_chunk(&ep, 8).unwrap() > 0 {}
+        assert_ne!(table.payload_read_addr(2, 0).node(), table.sharers_addr(2).node());
+        // Refill key 2: two riders, 8 B of the old home's header and the
+        // payload from the new home.
+        caches[0].pool.invalidate(&ep, table.payload_addr(2, 0));
+        let before = ep.stats();
+        let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 2, || {});
+        let s = ep.stats();
+        assert_eq!((s.reads - before.reads, s.bytes_read - before.bytes_read), (2, 8 + 16));
+        assert_eq!((seen.fetched, &buf[HDR..]), (true, &[3u8; 16][..]));
+        assert_eq!(buf[..8], 0b01u64.to_le_bytes());
+        // A write in the window goes through to both homes.
+        ios[0].write_payload(&ep, &table, 2, 0, &[6u8; 16]).unwrap();
+        let (old, new) = table.dual_payload_addrs(2, 0).unwrap();
+        for home in [old, new] {
+            let mut at_home = [0u8; 16];
+            layer.read(&ep, home, &mut at_home).unwrap();
+            assert_eq!(at_home, [6u8; 16]);
+        }
     }
 }

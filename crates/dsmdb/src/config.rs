@@ -44,7 +44,7 @@ pub enum CcProtocol {
 /// Everything needed to build a [`crate::Cluster`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
-    /// Compute nodes (multi-master width). Max 64 (directory bitmap).
+    /// Compute nodes (multi-master width). Max 64 (sharer bitmap).
     pub compute_nodes: usize,
     /// Worker threads per compute node.
     pub threads_per_node: usize,
@@ -122,8 +122,9 @@ impl ClusterConfig {
         }
         if matches!(self.architecture, Architecture::CacheNoShard(_)) {
             assert!(
-                matches!(self.cc, CcProtocol::TplExclusive | CcProtocol::TplSharedExclusive),
-                "coherent caching requires lock-based CC (see DESIGN.md)"
+                matches!(self.cc, CcProtocol::TplExclusive),
+                "coherent caching requires exclusive lock-based CC: a record's sharer \
+                 word belongs to the holder of its exclusive lock (see DESIGN.md)"
             );
         }
         if matches!(self.architecture, Architecture::CacheShard) {
@@ -161,6 +162,19 @@ mod tests {
         ClusterConfig {
             architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
             cc: CcProtocol::Occ,
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exclusive lock-based CC")]
+    fn coherent_cache_rejects_shared_exclusive_locks() {
+        // Shared-exclusive 2PL keeps its holder count in the very word the
+        // coherent cache keeps its sharers in.
+        ClusterConfig {
+            architecture: Architecture::CacheNoShard(CoherenceMode::Update),
+            cc: CcProtocol::TplSharedExclusive,
             ..Default::default()
         }
         .validate();

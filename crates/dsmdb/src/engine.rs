@@ -30,7 +30,7 @@ use txn::{
     TwoPhaseLocking, Tso, TxnError, TxnOutput,
 };
 
-use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo, Directory, NodeCache};
+use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo, NodeCache};
 use crate::config::{Architecture, CcProtocol, ClusterConfig};
 use crate::membership::Membership;
 use crate::shard::{LockTable, ShardMap};
@@ -99,7 +99,6 @@ pub struct Cluster {
     layer: Arc<DsmLayer>,
     table: Arc<RecordTable>,
     oracle: Option<Arc<FaaOracle>>,
-    directory: Option<Arc<Directory>>,
     nodes: Vec<Arc<NodeRuntime>>,
     shard_map: Arc<ShardMap>,
     membership: Membership,
@@ -134,13 +133,6 @@ impl Cluster {
         let oracle = match config.cc {
             CcProtocol::Tso | CcProtocol::Mvcc => Some(Arc::new(
                 FaaOracle::new(&layer).map_err(|e| EngineError::Setup(e.to_string()))?,
-            )),
-            _ => None,
-        };
-        let directory = match config.architecture {
-            Architecture::CacheNoShard(_) => Some(Arc::new(
-                Directory::create(&layer, config.n_records)
-                    .map_err(|e| EngineError::Setup(e.to_string()))?,
             )),
             _ => None,
         };
@@ -195,7 +187,6 @@ impl Cluster {
             layer,
             table,
             oracle,
-            directory,
             nodes,
             shard_map: Arc::new(ShardMap::equal(config.compute_nodes, config.n_records)),
             membership,
@@ -233,14 +224,21 @@ impl Cluster {
         &self.membership
     }
 
+    /// Compute node `node`'s coherent cache (3b only).
+    pub fn node_cache(&self, node: usize) -> Option<&Arc<NodeCache>> {
+        self.nodes[node].cache.as_ref()
+    }
+
     /// Open the session for `(node, thread)`. Each worker thread gets
     /// exactly one; sessions are not `Sync`.
     pub fn session(self: &Arc<Self>, node: usize, thread: usize) -> Session {
         assert!(node < self.config.compute_nodes);
         assert!(thread < self.config.threads_per_node);
         let ep = self.fabric.endpoint();
+        // One reply box per session: registering the id again would
+        // replace the channel and leave the first handle dead.
         let reply_id = session_inbox_id(node, thread);
-        let reply = self.fabric.mailboxes().register(reply_id);
+        let reply = Arc::new(self.fabric.mailboxes().register(reply_id));
         let owner_tag = (node * self.config.threads_per_node + thread + 1) as u64;
         // Sessions sign lock words and 2PC prepares with their node's
         // current epoch; after a crash-recover cycle bumps it, anything
@@ -263,9 +261,8 @@ impl Cluster {
             Architecture::NoCacheNoShard | Architecture::CacheShard => Box::new(DirectIo),
             Architecture::CacheNoShard(mode) => Box::new(CoherentIo {
                 cache: self.nodes[node].cache.as_ref().expect("3b cache").clone(),
-                dir: self.directory.as_ref().expect("3b directory").clone(),
                 mode,
-                reply: self.fabric.mailboxes().register(reply_id),
+                reply: reply.clone(),
                 reply_id,
                 compute_nodes: self.config.compute_nodes,
             }),
@@ -390,7 +387,7 @@ pub struct Session {
     cluster: Arc<Cluster>,
     node: usize,
     ep: Endpoint,
-    reply: Mailbox,
+    reply: Arc<Mailbox>,
     reply_id: MailboxId,
     cc: Option<Box<dyn ConcurrencyControl>>,
     io: Box<dyn PayloadIo>,
@@ -1201,6 +1198,22 @@ mod tests {
         s.execute(&[Op::Read(7)]).unwrap();
         let pool = &cluster.nodes[0].cache.as_ref().unwrap().pool;
         assert!(pool.stats().hits >= 1);
+    }
+
+    #[test]
+    fn a_3b_session_receives_on_the_reply_box_it_keeps() {
+        let cluster = Cluster::build(config(
+            Architecture::CacheNoShard(CoherenceMode::Invalidate),
+            CcProtocol::TplExclusive,
+            1,
+            1,
+        ))
+        .unwrap();
+        let s = cluster.session(0, 0);
+        let peer = cluster.fabric().endpoint();
+        // Registered once: the session's handle and its io's are one box.
+        peer.send(session_inbox_id(0, 0), 0, vec![0xAB]).unwrap();
+        assert_eq!(s.reply.try_recv().unwrap().payload, vec![0xAB]);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!   a typed move plan for the reshard layer.
 //! * [`json`] + [`report`] — a small no-dependency JSON
 //!   serializer/parser and the [`report::Report`] type every `exp_*`
-//!   binary serializes next to its `.txt`, plus the cross-PR
+//!   binary serializes into `results/`, plus the cross-PR
 //!   `BENCH_summary.json` merge.
 //!
 //! The crate is a leaf (no workspace dependencies): `rdma-sim` embeds

@@ -32,10 +32,12 @@ pub mod protocols;
 pub mod table;
 pub mod twopc;
 
-pub use locks::{ExclusiveLock, LeaseLock, LeaseToken, LockError, LockWord, SharedExclusiveLock};
+pub use locks::{
+    ExclusiveLock, LeaseLock, LeaseToken, LockError, LockWord, Rider, SharedExclusiveLock,
+};
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
-    AbortCause, ConcurrencyControl, DirectIo, LeasedTpl, Mvcc, Occ, Op, PayloadIo,
+    AbortCause, ConcurrencyControl, DirectIo, KeyUse, LeasedTpl, Mvcc, Occ, Op, PayloadIo,
     TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,
 };
 pub use table::RecordTable;

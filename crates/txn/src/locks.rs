@@ -7,7 +7,8 @@
 //!
 //! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one write to release.
 //!   A whole *set* of words is still one round trip each way: the CASes
-//!   (each with an optional payload READ right behind it) leave in one
+//!   (each with whatever READs its holder wants right behind it — the
+//!   payload, a coherent cache's sharer word, nothing) leave in one
 //!   doorbell, and so do the unlocks, behind the holder's write-back.
 //! * [`SharedExclusiveLock`]: footnote 2's construction — a spinlock latch
 //!   guarding holder metadata. Round 1: CAS the latch; round 2 (doorbell-
@@ -119,6 +120,26 @@ impl LockWord {
     }
 }
 
+/// A READ that leaves in the acquire doorbell right behind the CAS of
+/// one word of an [`ExclusiveLock`] set: same queue pair, so it observes
+/// memory after the CAS, and what it fetched is valid iff the word was
+/// won.
+#[derive(Debug)]
+pub struct Rider<'a> {
+    /// Index, in the set, of the word the READ rides behind.
+    pub word: usize,
+    /// Where to read.
+    pub addr: GlobalAddr,
+    /// Where the bytes go.
+    pub dst: &'a mut [u8],
+}
+
+impl Rider<'_> {
+    fn read(&mut self) -> GlobalWr<'_> {
+        GlobalWr::Read { addr: self.addr, dst: &mut *self.dst }
+    }
+}
+
 impl ExclusiveLock {
     /// Try to acquire: one CAS per attempt, up to `max_retries + 1`
     /// attempts.
@@ -140,29 +161,29 @@ impl ExclusiveLock {
     }
 
     /// Acquire a whole lock set in one round trip: the CAS of every word
-    /// of `words` leaves in one doorbell. `riders` is empty or names, per
-    /// word, a `(addr, dst)` READ posted right behind that word's CAS —
-    /// same queue pair, so it observes memory after the CAS, and what it
-    /// fetched is valid iff the word was won.
+    /// of `words` leaves in one doorbell, each followed by its
+    /// [`Rider`]s — none, one or several per word, in `riders` sorted by
+    /// word.
     ///
     /// A word that came back busy then climbs the scalar ladder on its
-    /// own — backoff, CAS (and rider) again, up to `max_retries` more
-    /// attempts — while the words already won stay held; the first word
-    /// to exhaust its ladder ends the call with [`LockError::Busy`].
+    /// own — backoff, CAS (and its riders) again, up to `max_retries`
+    /// more attempts — while the words already won stay held; the first
+    /// word to exhaust its ladder ends the call with [`LockError::Busy`].
     /// However the call ends, [`LockWord::held`] tells which words the
     /// caller now owns and must pass to [`ExclusiveLock::release_set`].
     pub fn acquire_set(
         layer: &DsmLayer,
         ep: &Endpoint,
         words: &mut [LockWord],
-        riders: &mut [(GlobalAddr, &mut [u8])],
+        riders: &mut [Rider<'_>],
         owner_tag: u64,
         max_retries: u32,
     ) -> Result<(), LockError> {
         debug_assert!(owner_tag != 0 && owner_tag != LockWord::UNTRIED);
-        debug_assert!(riders.is_empty() || riders.len() == words.len());
+        debug_assert!(riders.windows(2).all(|w| w[0].word <= w[1].word));
+        debug_assert!(riders.last().is_none_or(|r| r.word < words.len()));
         if words.len() > 1 {
-            Self::post_cas(layer, ep, words, riders, owner_tag)?;
+            Self::post_cas(layer, ep, words, 0, riders, owner_tag)?;
         }
         for i in 0..words.len() {
             let mut attempt = 0;
@@ -178,36 +199,36 @@ impl ExclusiveLock {
                     backoff(ep, attempt, addr, prev);
                     attempt += 1;
                 }
-                let rider = riders.get_mut(i..=i).unwrap_or_default();
-                Self::post_cas(layer, ep, &mut words[i..=i], rider, owner_tag)?;
+                let own = riders.partition_point(|r| r.word < i)..riders.partition_point(|r| r.word <= i);
+                Self::post_cas(layer, ep, &mut words[i..=i], i, &mut riders[own], owner_tag)?;
             }
         }
         Ok(())
     }
 
     /// One doorbell: CAS free → `owner_tag` on every word of `words`
-    /// (none held yet), each followed by its rider. Words won are counted
-    /// into the `LocksHeld` gauge even when a later member failed.
+    /// (none held yet; `words[0]` is word `first` of the set), each
+    /// followed by its riders. Words won are counted into the `LocksHeld`
+    /// gauge even when a later member failed.
     fn post_cas(
         layer: &DsmLayer,
         ep: &Endpoint,
         words: &mut [LockWord],
-        riders: &mut [(GlobalAddr, &mut [u8])],
+        first: usize,
+        riders: &mut [Rider<'_>],
         owner_tag: u64,
     ) -> Result<(), DsmError> {
         let posted = match (&mut *words, riders) {
-            // The ladder's shapes never leave the stack.
+            // The ladder's usual shapes never leave the stack.
             ([word], []) => layer.doorbell(ep, &mut [word.cas(owner_tag)]),
-            ([word], [(addr, dst)]) => {
-                layer.doorbell(ep, &mut [word.cas(owner_tag), GlobalWr::Read { addr: *addr, dst }])
-            }
+            ([word], [rider]) => layer.doorbell(ep, &mut [word.cas(owner_tag), rider.read()]),
             (words, riders) => {
-                let mut riders = riders.iter_mut();
-                let mut wrs = Vec::with_capacity(2 * words.len());
-                for word in words {
+                let mut riders = riders.iter_mut().peekable();
+                let mut wrs = Vec::with_capacity(words.len() + riders.len());
+                for (i, word) in words.iter_mut().enumerate() {
                     wrs.push(word.cas(owner_tag));
-                    if let Some((addr, dst)) = riders.next() {
-                        wrs.push(GlobalWr::Read { addr: *addr, dst });
+                    while let Some(rider) = riders.next_if(|r| r.word == first + i) {
+                        wrs.push(rider.read());
                     }
                 }
                 layer.doorbell(ep, &mut wrs)
@@ -585,6 +606,39 @@ mod tests {
         );
         ExclusiveLock::release(&l, &ep1, a).unwrap();
         ExclusiveLock::acquire(&l, &ep2, a, 2, 0).unwrap();
+    }
+
+    #[test]
+    fn riders_are_per_word_and_a_busy_word_re_posts_only_its_own() {
+        let (f, l, _) = setup();
+        let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(8).unwrap()).collect();
+        let data = l.alloc(24).unwrap();
+        let holder = f.endpoint();
+        l.write(&holder, data, &std::array::from_fn::<u8, 24, _>(|i| i as u8)).unwrap();
+        ExclusiveLock::acquire(&l, &holder, locks[1], 42, 0).unwrap();
+
+        // Word 0 brings nothing, word 1 two READs, word 2 one.
+        let ep = f.endpoint();
+        let mut words: Vec<LockWord> = locks.iter().map(|&addr| LockWord::new(addr)).collect();
+        let mut fetched = [[0u8; 8]; 3];
+        let [first, second, third] = &mut fetched;
+        let mut riders = [
+            Rider { word: 1, addr: data, dst: first },
+            Rider { word: 1, addr: data.offset_by(8), dst: second },
+            Rider { word: 2, addr: data.offset_by(16), dst: third },
+        ];
+        let err = ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut riders, 7, 2).unwrap_err();
+        assert_eq!(err, LockError::Busy);
+        assert_eq!(words.iter().map(LockWord::held).collect::<Vec<_>>(), [true, false, true]);
+        // One doorbell of 3 CAS + 3 READs, then two rungs of word 1 alone
+        // with its own two READs.
+        let s = ep.stats();
+        assert_eq!((s.cas, s.cas_failures, s.reads), (3 + 2, 3, 3 + 2 * 2));
+        assert_eq!(s.wire_round_trips(), 1 + 2);
+        assert_eq!(fetched.concat(), (0..24).collect::<Vec<u8>>());
+        ExclusiveLock::release_set(&l, &ep, &[], &mut words, 7).unwrap();
+        let left: Vec<u64> = locks.iter().map(|&addr| l.read_u64(&ep, addr).unwrap()).collect();
+        assert_eq!(left, [0, 42, 0]);
     }
 
     #[test]

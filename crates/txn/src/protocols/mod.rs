@@ -29,10 +29,10 @@ pub use tpl::TwoPhaseLocking;
 pub use tpl_leased::LeasedTpl;
 pub use tso::Tso;
 
-use dsm::{DsmError, DsmResult};
-use rdma_sim::Endpoint;
+use dsm::{DsmError, DsmResult, GlobalAddr};
+use rdma_sim::{Endpoint, Phase};
 
-use crate::locks::LockError;
+use crate::locks::{LockError, Rider};
 use crate::table::RecordTable;
 
 /// One operation inside a transaction.
@@ -186,11 +186,54 @@ impl From<LockError> for TxnError {
     }
 }
 
-/// How protocols reach record payloads. Header words (lock, rts, wts)
-/// always go straight to DSM — synchronization state cannot be cached —
-/// but payload bytes may be served by a compute-node cache (Figure 3b/c).
-/// The engine crate supplies cached implementations; [`DirectIo`] is the
-/// no-cache Figure 3a path.
+/// How one transaction under exclusive locks uses one of its keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyUse {
+    /// The record.
+    pub key: u64,
+    /// Some op writes the key.
+    pub written: bool,
+    /// The key's first op observes the value from before the transaction
+    /// (it is not a blind [`Op::Update`]).
+    pub reads_old: bool,
+    /// The [`PayloadIo`]'s own note from one step to the next: the key's
+    /// bytes in the transaction's buffer came from DSM, not from a cache.
+    pub fetched: bool,
+}
+
+/// The distinct keys of `ops`, sorted, each with how `ops` use it.
+pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
+    let mut uses: Vec<KeyUse> = Vec::with_capacity(ops.len());
+    for op in ops {
+        match uses.iter_mut().find(|u| u.key == op.key()) {
+            Some(u) => u.written |= op.is_write(),
+            None => uses.push(KeyUse {
+                key: op.key(),
+                written: op.is_write(),
+                reads_old: !matches!(op, Op::Update { .. }),
+                fetched: false,
+            }),
+        }
+    }
+    uses.sort_unstable_by_key(|u| u.key);
+    uses
+}
+
+/// How protocols reach record payloads. Lock words always go straight to
+/// DSM — synchronization state cannot be cached — but payload bytes may be
+/// served by a compute-node cache (Figure 3b/c). The engine crate supplies
+/// cached implementations; [`DirectIo`] is the no-cache Figure 3a path.
+///
+/// There are two ways in. A protocol that works key by key calls
+/// [`read_payload`](PayloadIo::read_payload) and
+/// [`write_payload`](PayloadIo::write_payload). A protocol that holds a
+/// whole exclusive lock set ([`TwoPhaseLocking`]) moves the payloads
+/// inside its own two doorbells instead and asks the io three things, in
+/// order, about the set's [`KeyUse`]s; the provided answers fall back on
+/// the two calls above. All three see one buffer, one chunk of
+/// [`header_len`](PayloadIo::header_len)` + payload_size` bytes per key in
+/// key order: the io's header bytes, then the transaction's copy of the
+/// payload.
 pub trait PayloadIo: Send + Sync {
     /// Read version `v`'s payload of `key` into `dst`.
     fn read_payload(
@@ -212,14 +255,64 @@ pub trait PayloadIo: Send + Sync {
         src: &[u8],
     ) -> DsmResult<()>;
 
-    /// Whether payloads sit at their DSM addresses with nothing in front
-    /// of them — no cache to fill, no sharer to invalidate. A protocol may
-    /// then move them itself, inside its own doorbells, between
-    /// [`RecordTable::payload_read_addr`] and
-    /// [`RecordTable::payload_write_targets`].
-    fn is_direct(&self) -> bool {
-        false
+    /// Bytes the io keeps for itself in front of each key's payload copy.
+    fn header_len(&self) -> usize {
+        0
     }
+
+    /// Step 1, before any lock is taken: the READs that ride the acquire
+    /// doorbell behind each key's lock CAS, fetching into the key's chunk
+    /// of `buf`.
+    fn ride<'a>(
+        &self,
+        _table: &RecordTable,
+        _uses: &mut [KeyUse],
+        _buf: &'a mut [u8],
+        _riders: &mut Vec<Rider<'a>>,
+    ) {
+    }
+
+    /// Step 2, once every lock is won: see that each key whose old value
+    /// is observed has it in its payload copy.
+    fn admit(
+        &self,
+        ep: &Endpoint,
+        table: &RecordTable,
+        uses: &mut [KeyUse],
+        buf: &mut [u8],
+    ) -> DsmResult<()> {
+        let hdr = self.header_len();
+        let chunks = buf.chunks_exact_mut(hdr + table.payload_size());
+        for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.reads_old) {
+            let _span = ep.span(Phase::PageFetch);
+            self.read_payload(ep, table, u.key, 0, &mut chunk[hdr..])?;
+        }
+        Ok(())
+    }
+
+    /// Step 3, after the ops ran on the copies and before the release
+    /// doorbell: do what a committed transaction owes beyond that doorbell
+    /// and append to `writes` what must ride it, ahead of the unlocks.
+    fn retire<'a>(
+        &self,
+        ep: &Endpoint,
+        table: &RecordTable,
+        uses: &[KeyUse],
+        buf: &'a mut [u8],
+        _writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+    ) -> DsmResult<()> {
+        let hdr = self.header_len();
+        let chunks = buf.chunks_exact(hdr + table.payload_size());
+        for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written) {
+            let _span = ep.span(Phase::Writeback);
+            self.write_payload(ep, table, u.key, 0, &chunk[hdr..])?;
+        }
+        Ok(())
+    }
+
+    /// [`retire`](PayloadIo::retire) or the release doorbell failed: nothing
+    /// the transaction left on this node may outlive it.
+    fn abandon(&self, _ep: &Endpoint, _table: &RecordTable, _uses: &[KeyUse]) {}
 }
 
 /// Payload access via plain one-sided verbs (Figure 3a: no cache).
@@ -253,8 +346,43 @@ impl PayloadIo for DirectIo {
         Ok(())
     }
 
-    fn is_direct(&self) -> bool {
-        true
+    /// Every key's payload READ rides its lock CAS.
+    fn ride<'a>(
+        &self,
+        table: &RecordTable,
+        uses: &mut [KeyUse],
+        buf: &'a mut [u8],
+        riders: &mut Vec<Rider<'a>>,
+    ) {
+        let copies = buf.chunks_exact_mut(table.payload_size());
+        riders.extend(uses.iter().zip(copies).enumerate().map(|(word, (u, dst))| Rider {
+            word,
+            addr: table.payload_read_addr(u.key, 0),
+            dst,
+        }));
+    }
+
+    fn admit(&self, _: &Endpoint, _: &RecordTable, _: &mut [KeyUse], _: &mut [u8]) -> DsmResult<()> {
+        Ok(())
+    }
+
+    /// Every written key's payload rides the release doorbell.
+    fn retire<'a>(
+        &self,
+        _ep: &Endpoint,
+        table: &RecordTable,
+        uses: &[KeyUse],
+        buf: &'a mut [u8],
+        writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+    ) -> DsmResult<()> {
+        let buf: &'a [u8] = buf;
+        let copies = buf.chunks_exact(table.payload_size());
+        for (u, copy) in uses.iter().zip(copies).filter(|(u, _)| u.written) {
+            let (old, dual) = table.payload_write_targets(u.key, 0);
+            writes.push((old, copy));
+            writes.extend(dual.map(|new| (new, copy)));
+        }
+        Ok(())
     }
 }
 

@@ -6,13 +6,14 @@
 //!
 //! * `shared_locks = false` — the 1-RT exclusive spinlock for *every*
 //!   access, reads included. Cheap locks, zero read-read concurrency —
-//!   and the whole transaction is two doorbells. **Acquire:** one CAS per
-//!   distinct key, each with the key's payload READ riding right behind
-//!   it when the [`PayloadIo`](super::PayloadIo) is direct. **Execute**
-//!   on transaction-local copies, ops in program order. **Release:**
-//!   every payload write, then every unlock. A cached `PayloadIo` keeps
-//!   its own payload calls between the two; only the lock set and the
-//!   unlock set are batched then.
+//!   and the whole transaction is two doorbells, whatever sits in front
+//!   of the payloads. **Acquire:** one CAS per distinct key, each with
+//!   the READs the [`PayloadIo`](super::PayloadIo) wants right behind it
+//!   (no cache: the key's payload; a coherent cache: the sharer word
+//!   beside the lock word, with the payload if the key is not resident).
+//!   **Execute** on transaction-local copies, ops in program order.
+//!   **Release:** every write the io hands back — payloads, a changed
+//!   sharer word — then every unlock.
 //! * `shared_locks = true` — the 2-RT shared-exclusive lock: readers
 //!   admit concurrently, writers drain. More round trips per lock, more
 //!   concurrency, taken and released key by key in sorted order. ("It
@@ -32,7 +33,7 @@ use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
 use super::{
-    apply_delta, distinct_keys, key_sets, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+    apply_delta, key_sets, key_uses, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
 };
 use crate::locks::{ExclusiveLock, LockWord, SharedExclusiveLock};
 
@@ -61,78 +62,74 @@ impl TwoPhaseLocking {
         }
     }
 
-    /// A transaction under exclusive locks: acquire doorbell, execute,
-    /// release doorbell.
+    /// A transaction under exclusive locks: acquire doorbell, execute on
+    /// the transaction's own copies, release doorbell. What rides the two
+    /// doorbells beside the lock words is the [`PayloadIo`]'s to say.
     fn execute_exclusive(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let (ep, table) = (ctx.ep, ctx.table);
+        let (ep, table, io) = (ctx.ep, ctx.table, ctx.io);
         let layer = table.layer();
-        let keys = distinct_keys(ops.iter());
-        let direct = ctx.io.is_direct();
-        let psize = table.payload_size();
+        let mut uses = key_uses(ops);
         let mut words: Vec<LockWord> =
-            keys.iter().map(|&key| LockWord::new(table.lock_addr(key))).collect();
-        // The transaction's own copy of each key's payload, in key order.
-        let mut copies = vec![0u8; if direct { keys.len() * psize } else { 0 }];
+            uses.iter().map(|u| LockWord::new(table.lock_addr(u.key))).collect();
+        // One chunk per key, in key order: the io's header bytes, then the
+        // transaction's own copy of the payload.
+        let (hdr, psize) = (io.header_len(), table.payload_size());
+        let mut buf = vec![0u8; uses.len() * (hdr + psize)];
 
         let grown = {
-            let mut riders: Vec<(GlobalAddr, &mut [u8])> = Vec::new();
-            if direct {
-                let mut rest = copies.as_mut_slice();
-                for &key in &keys {
-                    let (copy, tail) = rest.split_at_mut(psize);
-                    riders.push((table.payload_read_addr(key, 0), copy));
-                    rest = tail;
-                }
-            }
+            let mut riders = Vec::new();
+            io.ride(table, &mut uses, &mut buf, &mut riders);
             let _span = ep.span(Phase::LockAcquire);
             ExclusiveLock::acquire_set(layer, ep, &mut words, &mut riders, ctx.worker_tag, self.max_retries)
         };
 
-        // Execute (only if fully locked).
+        // Execute (only if fully locked), ops in program order.
         let mut out = TxnOutput::default();
-        let mut dirty = vec![false; keys.len()];
         let mut failed = grown.err().map(TxnError::from);
-        if failed.is_none() && direct {
+        if failed.is_none() {
+            failed = io.admit(ep, table, &mut uses, &mut buf).err().map(TxnError::from);
+        }
+        if failed.is_none() {
             for op in ops {
-                let slot = keys.binary_search(&op.key()).expect("every op's key is in `keys`");
-                let copy = &mut copies[slot * psize..][..psize];
+                let slot = uses
+                    .binary_search_by_key(&op.key(), |u| u.key)
+                    .expect("every op's key is in `uses`");
+                let copy = &mut buf[slot * (hdr + psize) + hdr..][..psize];
                 match op {
                     Op::Read(key) => out.reads.push((*key, copy.to_vec())),
-                    Op::Update { value, .. } => {
-                        copy[..value.len()].copy_from_slice(value);
-                        dirty[slot] = true;
-                    }
+                    Op::Update { value, .. } => copy[..value.len()].copy_from_slice(value),
                     Op::Rmw { key, delta } => {
                         out.reads.push((*key, copy.to_vec()));
                         apply_delta(copy, *delta);
-                        dirty[slot] = true;
                     }
                 }
             }
-        } else if failed.is_none() {
-            failed = run_ops(ctx, ops, &mut out).err();
         }
 
         // Release: always unlock what we hold; write back only a txn
         // that ran to its end.
         let mut writes: Vec<(GlobalAddr, &[u8])> = Vec::new();
-        if failed.is_none() {
-            for (slot, &key) in keys.iter().enumerate().filter(|&(slot, _)| dirty[slot]) {
-                let copy = &copies[slot * psize..][..psize];
-                let (old, dual) = table.payload_write_targets(key, 0);
-                writes.push((old, copy));
-                writes.extend(dual.map(|new| (new, copy)));
+        let ran = failed.is_none();
+        if ran {
+            failed = io.retire(ep, table, &uses, &mut buf, &mut writes).err().map(TxnError::from);
+            if failed.is_some() {
+                writes.clear();
             }
         }
-        // A doorbell is one span, riders included: the write-back
-        // doorbell carries the unlocks, an unlock-only one is lock work.
-        let phase = if writes.is_empty() {
-            Phase::LockAcquire
-        } else {
+        // A doorbell is one span, riders included: the doorbell that
+        // carries a payload home is write-back, any other is lock work.
+        let phase = if !writes.is_empty() && uses.iter().any(|u| u.written) {
             Phase::Writeback
+        } else {
+            Phase::LockAcquire
         };
-        let _span = ep.span(phase);
-        let released = ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag);
+        let released = {
+            let _span = ep.span(phase);
+            ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag)
+        };
+        if ran && (failed.is_some() || released.is_err()) {
+            io.abandon(ep, table, &uses);
+        }
         match failed {
             Some(e) => Err(e),
             None => released.map(|()| out).map_err(TxnError::from),

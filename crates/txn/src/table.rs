@@ -8,7 +8,9 @@
 //! ```
 //!
 //! * `lock` — the word the RDMA lock primitives CAS on;
-//! * `rts`  — read timestamp (TSO/MVCC); unused by 2PL/OCC;
+//! * `rts`  — read timestamp (TSO/MVCC), holder count (shared-exclusive
+//!   2PL) or, under exclusive 2PL with a coherent cache, the record's
+//!   sharer bitmap ([`RecordTable::sharers_addr`]); unused by OCC;
 //! * each version slot holds a write timestamp and the payload. With
 //!   `versions = 1` this degenerates to the single-version layout 2PL and
 //!   OCC use, where `wts_0` doubles as the OCC version counter.
@@ -198,6 +200,16 @@ impl RecordTable {
     /// Address of the record's read-timestamp word.
     pub fn rts_addr(&self, key: u64) -> GlobalAddr {
         self.slot_addr(key).offset_by(RTS_OFF)
+    }
+
+    /// Address of the record's sharer word: under exclusive 2PL, which
+    /// has no use for a read timestamp, a coherent cache keeps in the
+    /// `rts` word the bitmap of compute nodes that may hold a copy. Only
+    /// the holder of the record's lock reads or writes it, so it needs no
+    /// atomics, and it sits 8 bytes past the lock word and 16 before the
+    /// payload, so it travels in their doorbells.
+    pub fn sharers_addr(&self, key: u64) -> GlobalAddr {
+        self.rts_addr(key)
     }
 
     /// Address of version `v`'s write-timestamp word.

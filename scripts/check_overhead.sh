@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Two gates read off one `direct_rmw` run of the benchmark (3-5 rmw per
-# txn on 4 memory nodes x 2 replicas, no cache: two doorbells of ~24
-# verbs per txn, the workload on which the planes weigh most).
+# Three gates read off two runs of the benchmark, one verdict each.
+#
+# From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
+# replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
+# which the planes weigh most):
 #
 # 1. The observed-path overhead: what the five telemetry planes cost in
 #    wall clock, as the benchmark's own same-process ratio
@@ -19,9 +21,18 @@
 #    2PL path (16.14 when every verb was its own round trip) fails
 #    above WIRE_RT_LIMIT.
 #
+# From one `coherent_rw` run (3b invalidate, 2 nodes, single-op txns):
+#
+# 3. The coherent-cache transaction is two doorbells too:
+#    `rdma-sim.wire_rts_per_txn`, exact on the sim clock (2.1823 at this
+#    seed = 2 + the 0.1823 coherence messages per txn, which the metric
+#    counts). The sharer word rides the lock word's round trips; a change
+#    that gives the directory round trips of its own again (4.4187 when
+#    it had them) fails above COHERENT_WIRE_RT_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
-# Runs the already-built benchmark binary (~3 s); build it first with
+# Runs the already-built benchmark binary (~3 s per run); build it first with
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 set -euo pipefail
@@ -29,6 +40,7 @@ cd "$(dirname "$0")/.."
 
 LIMIT=2.5
 WIRE_RT_LIMIT=4
+COHERENT_WIRE_RT_LIMIT=2.5
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
 # metric <name>: its value in the benchmark's last-line JSON.
@@ -52,8 +64,16 @@ gate() {
   fi
 }
 
-last_line="$("$BIN" --workload direct_rmw --seconds 1 --trace 1 --seed 42 | tail -n 1)"
+# run <workload>: the benchmark's last-line JSON of one traced 1 s run.
+run() {
+  "$BIN" --workload "$1" --seconds 1 --trace 1 --seed 42 | tail -n 1
+}
+
+last_line="$(run direct_rmw)"
 ratio="$(metric telemetry.host_overhead_ratio)"
 wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
+last_line="$(run coherent_rw)"
+coherent_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
+gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"

@@ -5,7 +5,7 @@
 #   scripts/regen_results.sh
 #
 # Pass 1 runs all exp_* binaries at full scale into results/ (reports,
-# text tables, forensics exemplars, heat top-K, move plans), validates
+# forensics exemplars, heat top-K, move plans), validates
 # the whole directory with check_telemetry, then promotes the fresh
 # BENCH_summary.json to results/BENCH_baseline.json.
 #
