@@ -6,10 +6,11 @@
 //! * RACE-style hash: O(1) READs per lookup, near-zero local state;
 //! * remote LSM: local memtable + bloom/fences, block-sized reads.
 //!
-//! Expected shape: cached B+tree ≈ 1 RT/lookup at the cost of local
-//! memory; naive pays one RT per level; hash is flat and cheapest for
-//! points but unordered; LSM absorbs writes locally and needs ≤ 1 block
-//! read per lookup thanks to filters.
+//! Expected shape: cached B+tree = 1 RT/lookup at the cost of local
+//! memory; naive pays one RT per level; hash is flat, 1 RT and cheapest
+//! for points but unordered; LSM absorbs writes locally and needs ≤ 1
+//! block read per lookup thanks to filters. RT/lookup counts wire round
+//! trips: a doorbell's riders share their leader's.
 
 use bench::report::{self, Json, Report};
 use bench::{scale_down, table};
@@ -77,7 +78,7 @@ fn main() {
             name,
             load_us_per_op: load_ns as f64 / 1e3 / n as f64,
             lookup_us_per_op: lep.clock().now_ns() as f64 / 1e3 / lookups as f64,
-            rts_per_lookup: lep.stats().round_trips() as f64 / lookups as f64,
+            rts_per_lookup: lep.stats().wire_round_trips() as f64 / lookups as f64,
             local_kb: t.cache_bytes() as f64 / 1024.0,
         });
     }
@@ -100,10 +101,8 @@ fn main() {
             name: "race hash",
             load_us_per_op: load_ns as f64 / 1e3 / n as f64,
             lookup_us_per_op: lep.clock().now_ns() as f64 / 1e3 / lookups as f64,
-            rts_per_lookup: lep.stats().round_trips() as f64 / lookups as f64,
-            // Directory cache: 8 bytes per entry at final depth (approx
-            // by keys/BUCKET_SLOTS rounded up to a power of two).
-            local_kb: ((n / 4).next_power_of_two() * 8) as f64 / 1024.0,
+            rts_per_lookup: lep.stats().wire_round_trips() as f64 / lookups as f64,
+            local_kb: h.cache_bytes() as f64 / 1024.0,
         });
     }
 
@@ -134,7 +133,7 @@ fn main() {
             name: "remote lsm",
             load_us_per_op: load_ns as f64 / 1e3 / n as f64,
             lookup_us_per_op: lep.clock().now_ns() as f64 / 1e3 / lookups as f64,
-            rts_per_lookup: lep.stats().round_trips() as f64 / lookups as f64,
+            rts_per_lookup: lep.stats().wire_round_trips() as f64 / lookups as f64,
             local_kb: t.local_bytes() as f64 / 1024.0,
         });
     }
@@ -182,8 +181,8 @@ fn main() {
     }
     report::emit(&rep);
     println!(
-        "\nShape check (§6): caching internal nodes buys ~1-RT lookups for \
-         local memory (Sherman's trade); the hash is O(1) RTs without \
+        "\nShape check (§6): caching internal nodes buys 1-RT lookups for \
+         local memory (Sherman's trade); the hash is 1 RT without \
          ordering; the LSM holds filters/fences locally to avoid wasted RTs."
     );
 }

@@ -1,41 +1,63 @@
 //! A Sherman-style remote B+tree (§6, \[62\]).
 //!
 //! All data lives in DSM; compute nodes operate on it purely with
-//! one-sided verbs. Design points taken from Sherman:
+//! one-sided verbs, and each operation costs what Sherman states for it:
 //!
-//! * **One-sided only** — a search descends by READing nodes; an insert
-//!   CASes the leaf's lock word, rewrites the leaf (lock tag embedded, so
-//!   the word-granular image write never frees the lock early), bumps the
-//!   version, then releases with an 8-byte write.
-//! * **Internal-node caching** — with `cache_internal = true` the handle
-//!   keeps every internal node it has seen in local memory (charged as
-//!   local DRAM), so a warm search costs a *single* round trip (the
-//!   leaf). Staleness after splits is caught by fence-key validation and
-//!   triggers a path invalidation + retry from the root. With the cache
-//!   off, every level costs one round trip — the naive baseline of
-//!   experiment C9.
+//! * **A search is one round trip.** With `cache_internal = true` the
+//!   handle keeps the root address and every internal node it has seen in
+//!   local memory (charged as local DRAM). A node's meta word carries its
+//!   *level* (leaf = 0), so a cached level-1 node hands out a leaf address
+//!   without reading it and a warm search is exactly the leaf READ. Fence
+//!   keys are the only staleness check: a node that does not cover the
+//!   key means some ancestor that routed us there is stale, so the handle
+//!   drops the cached path *and* the root address and restarts. A
+//!   handle's own structure modification installs the images it just
+//!   wrote into its cache, so it never refills what it wrote itself. With
+//!   the cache off every level is read from the root pointer down — the
+//!   naive baseline of experiment C9.
+//! * **An insert is two doorbells** (Sherman's "command combination":
+//!   members of one doorbell on one queue pair execute in order). Acquire
+//!   = {CAS lock word, READ image}; release = {WRITE image, WRITE unlock}.
+//!   The image keeps the writer's lock tag embedded — a node write lands
+//!   word by word from offset 0, so an embedded 0 would free the lock
+//!   before the keys arrived — and the unlock behind it is what frees it.
+//!   `remove` and the leaf half of a split are the same pair.
+//! * **Readers take no lock.** The version is stored in the node's second
+//!   word and again in its last; reads and writes both run low to high,
+//!   so a READ that raced a WRITE sees the two copies differ and is
+//!   posted again. Internal nodes, which are rewritten without a lock
+//!   word, are read the same way.
 //! * **Coarse SMO lock** — splits take a tree-wide structure-modification
 //!   lock in DSM. Simpler than Sherman's fine-grained scheme and rare
 //!   enough under point workloads; the experiments measure the fast path.
+//!   Internal nodes change only under it, so the path a split READs while
+//!   holding it is exact and is not read twice.
+//!
+//! **What shares a doorbell and what does not.** Members whose order
+//! matters address the same memory node (a node's lock word and its
+//! image), where one queue pair keeps them in order. Publication steps
+//! that cross nodes — the new right sibling before the left's `next`, a
+//! node before the parent entry or root pointer that names it — stay
+//! separate round trips.
 //!
 //! Node layout (fixed `NODE_SIZE` bytes in DSM):
 //!
 //! ```text
-//! [lock][version][meta: is_leaf|nkeys][fence_low][fence_high][next]
-//! [keys; FANOUT][vals_or_children; FANOUT]
+//! [lock][version][meta: level|nkeys][fence_low][fence_high][next]
+//! [keys; FANOUT][vals_or_children; FANOUT][version]
 //! ```
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dsm::{DsmError, DsmLayer, DsmResult, GlobalAddr};
+use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
 use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Phase};
 
 /// Keys per node.
 pub const FANOUT: usize = 16;
 /// Node size in bytes.
-pub const NODE_SIZE: usize = 48 + FANOUT * 16;
+pub const NODE_SIZE: usize = 56 + FANOUT * 16;
 
 const OFF_LOCK: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -45,54 +67,74 @@ const OFF_FENCE_HIGH: usize = 32;
 const OFF_NEXT: usize = 40;
 const OFF_KEYS: usize = 48;
 const OFF_VALS: usize = 48 + FANOUT * 8;
+const OFF_VERSION_REAR: usize = 48 + FANOUT * 16;
 
 /// Local decoded image of a remote node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     lock: u64,
     version: u64,
-    is_leaf: bool,
+    /// Height above the leaves. A leaf (0) holds values in `vals`; a
+    /// node at level 1 holds leaf addresses, and so on up.
+    level: u32,
     nkeys: usize,
     fence_low: u64,
     fence_high: u64,
     next: u64,
-    keys: Vec<u64>,
-    vals: Vec<u64>,
+    keys: [u64; FANOUT],
+    vals: [u64; FANOUT],
 }
 
 impl Node {
-    fn decode(buf: &[u8]) -> Node {
-        let u = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let meta = u(OFF_META);
-        let nkeys = (meta >> 1) as usize;
+    fn empty(level: u32, fence_low: u64, fence_high: u64) -> Node {
         Node {
-            lock: u(OFF_LOCK),
-            version: u(OFF_VERSION),
-            is_leaf: meta & 1 == 1,
-            nkeys,
-            fence_low: u(OFF_FENCE_LOW),
-            fence_high: u(OFF_FENCE_HIGH),
-            next: u(OFF_NEXT),
-            keys: (0..nkeys).map(|i| u(OFF_KEYS + i * 8)).collect(),
-            vals: (0..nkeys).map(|i| u(OFF_VALS + i * 8)).collect(),
+            lock: 0,
+            version: 1,
+            level,
+            nkeys: 0,
+            fence_low,
+            fence_high,
+            next: 0,
+            keys: [0; FANOUT],
+            vals: [0; FANOUT],
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; NODE_SIZE];
+    /// `None` for a torn image: one whose two version copies differ
+    /// because a WRITE of the node was landing while it was read.
+    fn decode(buf: &[u8; NODE_SIZE]) -> Option<Node> {
+        let u = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
+        if u(OFF_VERSION) != u(OFF_VERSION_REAR) {
+            return None;
+        }
+        let meta = u(OFF_META);
+        Some(Node {
+            lock: u(OFF_LOCK),
+            version: u(OFF_VERSION),
+            level: (meta >> 32) as u32,
+            nkeys: (meta as u32 as usize).min(FANOUT),
+            fence_low: u(OFF_FENCE_LOW),
+            fence_high: u(OFF_FENCE_HIGH),
+            next: u(OFF_NEXT),
+            keys: std::array::from_fn(|i| u(OFF_KEYS + i * 8)),
+            vals: std::array::from_fn(|i| u(OFF_VALS + i * 8)),
+        })
+    }
+
+    fn encode(&self) -> [u8; NODE_SIZE] {
+        let mut buf = [0u8; NODE_SIZE];
         let mut put = |o: usize, v: u64| buf[o..o + 8].copy_from_slice(&v.to_le_bytes());
         put(OFF_LOCK, self.lock);
         put(OFF_VERSION, self.version);
-        put(OFF_META, ((self.nkeys as u64) << 1) | self.is_leaf as u64);
+        put(OFF_META, ((self.level as u64) << 32) | self.nkeys as u64);
         put(OFF_FENCE_LOW, self.fence_low);
         put(OFF_FENCE_HIGH, self.fence_high);
         put(OFF_NEXT, self.next);
-        for (i, &k) in self.keys.iter().enumerate() {
-            put(OFF_KEYS + i * 8, k);
+        for i in 0..self.nkeys {
+            put(OFF_KEYS + i * 8, self.keys[i]);
+            put(OFF_VALS + i * 8, self.vals[i]);
         }
-        for (i, &v) in self.vals.iter().enumerate() {
-            put(OFF_VALS + i * 8, v);
-        }
+        put(OFF_VERSION_REAR, self.version);
         buf
     }
 
@@ -101,14 +143,47 @@ impl Node {
     }
 
     /// Child to follow for `key` (internal nodes). `keys[i]` is the lower
-    /// separator of `vals[i+1]`; `vals\[0\]` covers everything below
-    /// `keys\[0\]`.
-    fn child_for(&self, key: u64) -> u64 {
-        let mut idx = 0;
-        while idx < self.nkeys - 1 && key >= self.keys[idx + 1] {
-            idx += 1;
-        }
-        self.vals[idx]
+    /// separator of `vals[i]`; `vals\[0\]` also covers everything below
+    /// `keys\[1\]`.
+    fn child_for(&self, key: u64) -> GlobalAddr {
+        let idx = self.keys[1..self.nkeys.max(1)].partition_point(|&k| k <= key);
+        GlobalAddr::from_raw(self.vals[idx])
+    }
+
+    /// Slot of `key` in a leaf (kept sorted): `Ok` if present, `Err` with
+    /// the slot it would take.
+    fn slot_of(&self, key: u64) -> Result<usize, usize> {
+        self.keys[..self.nkeys].binary_search(&key)
+    }
+
+    /// Open slot `pos` for `key -> val`. The node must have room.
+    fn insert_at(&mut self, pos: usize, key: u64, val: u64) {
+        self.keys.copy_within(pos..self.nkeys, pos + 1);
+        self.vals.copy_within(pos..self.nkeys, pos + 1);
+        self.keys[pos] = key;
+        self.vals[pos] = val;
+        self.nkeys += 1;
+    }
+
+    /// Add the child `right` with lower separator `sep` (internal nodes).
+    fn insert_child(&mut self, sep: u64, right: GlobalAddr) {
+        let pos = self.keys[..self.nkeys].partition_point(|&k| k <= sep);
+        self.insert_at(pos, sep, right.to_raw());
+    }
+
+    /// Move the upper half into a new right sibling and shrink this node
+    /// to the lower half; the sibling's `fence_low` is the separator.
+    fn split_off(&mut self) -> Node {
+        let mid = self.nkeys / 2;
+        let mut right = Node::empty(self.level, self.keys[mid], self.fence_high);
+        right.next = self.next;
+        right.nkeys = self.nkeys - mid;
+        right.keys[..right.nkeys].copy_from_slice(&self.keys[mid..self.nkeys]);
+        right.vals[..right.nkeys].copy_from_slice(&self.vals[mid..self.nkeys]);
+        self.nkeys = mid;
+        self.fence_high = right.fence_low;
+        self.version += 1;
+        right
     }
 }
 
@@ -125,6 +200,15 @@ pub struct BTreeStats {
     pub splits: u64,
 }
 
+/// What a caching handle remembers of the tree.
+#[derive(Default)]
+struct Local {
+    /// The root address, as last read from `meta` or published by us.
+    root: Option<GlobalAddr>,
+    /// Internal nodes (level >= 1) by raw address.
+    nodes: HashMap<u64, Node>,
+}
+
 /// A compute-node handle to a DSM-resident B+tree.
 ///
 /// One handle per worker thread (handles share the tree through DSM, not
@@ -135,7 +219,8 @@ pub struct RemoteBTree {
     /// Root pointer cell in DSM: [root addr][smo lock].
     meta: GlobalAddr,
     cache_internal: bool,
-    cache: Mutex<HashMap<u64, Node>>,
+    /// Stays empty when `cache_internal` is off.
+    local: Mutex<Local>,
     stats: Mutex<BTreeStats>,
     worker_tag: u64,
 }
@@ -150,22 +235,13 @@ impl RemoteBTree {
     ) -> DsmResult<(Self, GlobalAddr)> {
         let ep = layer.fabric().endpoint();
         let meta = layer.alloc(16)?;
-        let root_addr = layer.alloc(NODE_SIZE as u64)?;
-        let root = Node {
-            lock: 0,
-            version: 1,
-            is_leaf: true,
-            nkeys: 0,
-            fence_low: 0,
-            fence_high: u64::MAX,
-            next: 0,
-            keys: vec![],
-            vals: vec![],
-        };
-        layer.write(&ep, root_addr, &root.encode())?;
-        layer.write_u64(&ep, meta, root_addr.to_raw())?;
-        layer.write_u64(&ep, meta.offset_by(8), 0)?;
-        Ok((Self::open(layer, meta, cache_internal, worker_tag), meta))
+        let tree = Self::open(layer, meta, cache_internal, worker_tag);
+        let root = tree.publish(&ep, &Node::empty(0, 0, u64::MAX))?;
+        let mut cell = [0u8; 16]; // smo lock = 0
+        cell[..8].copy_from_slice(&root.to_raw().to_le_bytes());
+        layer.write(&ep, meta, &cell)?;
+        tree.remember_root(root);
+        Ok((tree, meta))
     }
 
     /// Open a handle onto an existing tree.
@@ -179,7 +255,7 @@ impl RemoteBTree {
             layer: layer.clone(),
             meta,
             cache_internal,
-            cache: Mutex::new(HashMap::new()),
+            local: Mutex::new(Local::default()),
             stats: Mutex::new(BTreeStats::default()),
             worker_tag: worker_tag.max(1),
         }
@@ -192,58 +268,97 @@ impl RemoteBTree {
 
     /// Bytes of local memory the internal-node cache currently uses.
     pub fn cache_bytes(&self) -> usize {
-        self.cache.lock().len() * NODE_SIZE
+        self.local.lock().nodes.len() * NODE_SIZE
     }
 
-    fn root(&self, ep: &Endpoint) -> DsmResult<GlobalAddr> {
-        Ok(GlobalAddr::from_raw(self.layer.read_u64(ep, self.meta)?))
-    }
-
+    /// READ the node at `addr`, again while a WRITE of it is landing.
     fn read_node(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<Node> {
-        let mut buf = vec![0u8; NODE_SIZE];
-        self.layer.read(ep, addr, &mut buf)?;
-        Ok(Node::decode(&buf))
+        let mut buf = [0u8; NODE_SIZE];
+        loop {
+            self.layer.read(ep, addr, &mut buf)?;
+            if let Some(node) = Node::decode(&buf) {
+                return Ok(node);
+            }
+            std::hint::spin_loop();
+        }
     }
 
-    /// Descend to the leaf that should cover `key`; returns
-    /// `(leaf_addr, leaf)` using cached internals when enabled.
-    fn descend(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Node)> {
-        'restart: loop {
-            let mut addr = self.root(ep)?;
-            loop {
-                // Try the local cache for internal nodes.
-                let node = if self.cache_internal {
-                    let cached = self.cache.lock().get(&addr.to_raw()).cloned();
-                    match cached {
-                        Some(n) => {
-                            ep.charge_local(60); // local map probe + node touch
-                            n
-                        }
-                        None => {
-                            let n = self.read_node(ep, addr)?;
-                            if !n.is_leaf {
-                                self.cache.lock().insert(addr.to_raw(), n.clone());
-                            }
-                            n
-                        }
-                    }
-                } else {
-                    self.read_node(ep, addr)?
-                };
+    /// Allocate a node and WRITE `node` there. Nothing points at it yet.
+    fn publish(&self, ep: &Endpoint, node: &Node) -> DsmResult<GlobalAddr> {
+        let addr = self.layer.alloc(NODE_SIZE as u64)?;
+        self.layer.write(ep, addr, &node.encode())?;
+        Ok(addr)
+    }
 
-                if !node.covers(key) {
-                    // Stale cache: the *ancestors* that routed us here are
-                    // the stale ones, so drop the whole cached path —
-                    // evicting only this node would retry through the same
-                    // stale parent forever.
-                    self.cache.lock().clear();
-                    self.stats.lock().stale_retries += 1;
+    /// Keep the internal node we just read under the SMO lock, or wrote.
+    fn remember(&self, addr: GlobalAddr, node: &Node) {
+        if self.cache_internal {
+            self.local.lock().nodes.insert(addr.to_raw(), *node);
+        }
+    }
+
+    /// Keep the root address we created, read under the SMO lock, or
+    /// published.
+    fn remember_root(&self, root: GlobalAddr) {
+        if self.cache_internal {
+            self.local.lock().root = Some(root);
+        }
+    }
+
+    /// A fence check failed below a cached node, so an ancestor we hold
+    /// is stale and we cannot tell which: drop the whole path, and the
+    /// root address it hangs from.
+    fn forget(&self) {
+        *self.local.lock() = Local::default();
+        self.stats.lock().stale_retries += 1;
+    }
+
+    /// Find the leaf that should cover `key`: through the cached root and
+    /// internals without a verb, READing (and keeping) only what is
+    /// missing; with the cache off, level by level from the root pointer.
+    /// The leaf itself is not read — a level-1 node says its children are
+    /// leaves — unless it is the root, whose level only its image tells;
+    /// that image is handed back.
+    fn descend(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Option<Node>)> {
+        'restart: loop {
+            let mut local = self.local.lock();
+            let mut addr = match local.root {
+                Some(root) => root,
+                None => {
+                    let root = GlobalAddr::from_raw(self.layer.read_u64(ep, self.meta)?);
+                    if self.cache_internal {
+                        local.root = Some(root);
+                    }
+                    root
+                }
+            };
+            loop {
+                let route = |n: &Node| (n.covers(key), n.level, n.child_for(key));
+                let (covers, level, child) = match local.nodes.get(&addr.to_raw()) {
+                    Some(node) => {
+                        ep.charge_local(60); // local map probe + node touch
+                        route(node)
+                    }
+                    None => {
+                        let node = self.read_node(ep, addr)?;
+                        if node.level == 0 {
+                            return Ok((addr, Some(node)));
+                        }
+                        if self.cache_internal {
+                            local.nodes.insert(addr.to_raw(), node);
+                        }
+                        route(&node)
+                    }
+                };
+                if !covers {
+                    drop(local);
+                    self.forget();
                     continue 'restart;
                 }
-                if node.is_leaf {
-                    return Ok((addr, node));
+                if level == 1 {
+                    return Ok((child, None));
                 }
-                addr = GlobalAddr::from_raw(node.child_for(key));
+                addr = child;
             }
         }
     }
@@ -252,19 +367,17 @@ impl RemoteBTree {
     pub fn search(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
         let _span = ep.span(Phase::IndexLookup);
         loop {
-            let (addr, leaf) = self.descend(ep, key)?;
-            if leaf.lock != 0 {
-                // Writer mid-update: the leaf image may be torn.
-                std::hint::spin_loop();
-                continue;
-            }
-            if !leaf.covers(key) {
-                self.stats.lock().stale_retries += 1;
-                let _ = addr;
+            let (addr, image) = self.descend(ep, key)?;
+            let leaf = match image {
+                Some(leaf) => leaf,
+                None => self.read_node(ep, addr)?,
+            };
+            if leaf.level != 0 || !leaf.covers(key) {
+                self.forget();
                 continue;
             }
             self.stats.lock().searches += 1;
-            return Ok(leaf.keys.iter().position(|&k| k == key).map(|i| leaf.vals[i]));
+            return Ok(leaf.slot_of(key).ok().map(|i| leaf.vals[i]));
         }
     }
 
@@ -273,249 +386,216 @@ impl RemoteBTree {
     pub fn scan(&self, ep: &Endpoint, low: u64, limit: usize) -> DsmResult<Vec<(u64, u64)>> {
         let _span = ep.span(Phase::IndexLookup);
         let mut out = Vec::with_capacity(limit);
-        let (mut addr, mut leaf) = self.descend(ep, low)?;
+        // A stale path ends at or left of the covering leaf, and the
+        // chain only runs right, so no fence check is needed here.
+        let (mut addr, mut image) = self.descend(ep, low)?;
         loop {
-            if leaf.lock == 0 {
-                for i in 0..leaf.nkeys {
-                    if leaf.keys[i] >= low && out.len() < limit {
-                        out.push((leaf.keys[i], leaf.vals[i]));
-                    }
+            let leaf = match image.take() {
+                Some(leaf) => leaf,
+                None => self.read_node(ep, addr)?,
+            };
+            for i in 0..leaf.nkeys {
+                if leaf.keys[i] >= low && out.len() < limit {
+                    out.push((leaf.keys[i], leaf.vals[i]));
                 }
-            } else {
-                // Re-read a locked leaf once it settles.
-                leaf = self.read_node(ep, addr)?;
-                continue;
             }
             if out.len() >= limit || leaf.next == 0 {
                 return Ok(out);
             }
             addr = GlobalAddr::from_raw(leaf.next);
-            leaf = self.read_node(ep, addr)?;
         }
     }
 
-    fn lock_node(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<bool> {
-        Ok(self.layer.cas(ep, addr, 0, self.worker_tag)? == 0)
+    /// The acquire doorbell: CAS the node's lock word with the READ of
+    /// its image riding behind it. `None` if another writer holds it.
+    fn acquire(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<Option<Node>> {
+        let mut buf = [0u8; NODE_SIZE];
+        let won = crate::lock_and_read(&self.layer, ep, addr, self.worker_tag, addr, &mut buf)?;
+        Ok(won.then(|| Node::decode(&buf).expect("image read under the node's lock is whole")))
     }
 
-    fn unlock_node(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<()> {
+    /// The release doorbell: WRITE `node`'s image — which carries our
+    /// lock tag, as read behind the winning CAS — and the unlock behind
+    /// it. If the doorbell fails the lock is still given back.
+    fn release(&self, ep: &Endpoint, addr: GlobalAddr, node: &Node) -> DsmResult<()> {
+        debug_assert_eq!(node.lock, self.worker_tag);
+        let posted = self.layer.doorbell(
+            ep,
+            &mut [
+                GlobalWr::Write { addr, src: &node.encode() },
+                GlobalWr::Write { addr, src: &[0u8; 8] },
+            ],
+        );
+        if posted.is_err() {
+            let _ = self.unlock(ep, addr);
+        }
+        posted
+    }
+
+    /// Give the lock (the node's first word) back leaving the node as it
+    /// was.
+    fn unlock(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<()> {
         self.layer.write_u64(ep, addr, 0)
+    }
+
+    /// Lock the leaf covering `key`; returns its address and the image
+    /// read under the lock. Every exit of the caller must `release` or
+    /// `unlock` it.
+    fn lock_leaf(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Node)> {
+        loop {
+            let (addr, _) = self.descend(ep, key)?;
+            let Some(leaf) = self.acquire(ep, addr)? else {
+                std::hint::spin_loop();
+                continue;
+            };
+            if leaf.level == 0 && leaf.covers(key) {
+                return Ok((addr, leaf));
+            }
+            // Raced a split, or the cached path is stale.
+            self.unlock(ep, addr)?;
+            self.forget();
+        }
     }
 
     /// Insert or update `key -> value`.
     pub fn insert(&self, ep: &Endpoint, key: u64, value: u64) -> DsmResult<()> {
         loop {
-            let (addr, _) = self.descend(ep, key)?;
-            if !self.lock_node(ep, addr)? {
-                std::hint::spin_loop();
-                continue;
+            let (addr, mut leaf) = self.lock_leaf(ep, key)?;
+            match leaf.slot_of(key) {
+                Ok(i) => leaf.vals[i] = value,
+                Err(pos) if leaf.nkeys < FANOUT => leaf.insert_at(pos, key, value),
+                Err(_) => {
+                    // Full: split under the SMO lock, then try again.
+                    self.unlock(ep, addr)?;
+                    self.split(ep, key)?;
+                    continue;
+                }
             }
-            // Re-read under the lock (authoritative image).
-            let mut leaf = self.read_node(ep, addr)?;
-            leaf.lock = self.worker_tag;
-            if !leaf.covers(key) || !leaf.is_leaf {
-                // Raced a split; retry from the root.
-                self.unlock_node(ep, addr)?;
-                self.stats.lock().stale_retries += 1;
-                continue;
-            }
-            if let Some(i) = leaf.keys.iter().position(|&k| k == key) {
-                leaf.vals[i] = value;
-                leaf.version += 1;
-                // The image keeps our lock tag: node writes land word by
-                // word from offset 0 upward, so an embedded 0 would free
-                // the lock *before* the keys/vals words arrive and let a
-                // second writer rewrite the leaf from a torn image.
-                self.layer.write(ep, addr, &leaf.encode())?;
-                self.unlock_node(ep, addr)?;
-                self.stats.lock().inserts += 1;
-                return Ok(());
-            }
-            if leaf.nkeys < FANOUT {
-                let pos = leaf.keys.partition_point(|&k| k < key);
-                leaf.keys.insert(pos, key);
-                leaf.vals.insert(pos, value);
-                leaf.nkeys += 1;
-                leaf.version += 1;
-                self.layer.write(ep, addr, &leaf.encode())?;
-                self.unlock_node(ep, addr)?;
-                self.stats.lock().inserts += 1;
-                return Ok(());
-            }
-            // Full: split under the SMO lock.
-            self.unlock_node(ep, addr)?;
-            self.split(ep, key)?;
+            leaf.version += 1;
+            self.release(ep, addr, &leaf)?;
+            self.stats.lock().inserts += 1;
+            return Ok(());
         }
     }
 
     /// Remove `key`; returns whether it existed.
     pub fn remove(&self, ep: &Endpoint, key: u64) -> DsmResult<bool> {
-        loop {
-            let (addr, _) = self.descend(ep, key)?;
-            if !self.lock_node(ep, addr)? {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut leaf = self.read_node(ep, addr)?;
-            leaf.lock = self.worker_tag;
-            if !leaf.covers(key) {
-                self.unlock_node(ep, addr)?;
-                continue;
-            }
-            let existed = if let Some(i) = leaf.keys.iter().position(|&k| k == key) {
-                leaf.keys.remove(i);
-                leaf.vals.remove(i);
-                leaf.nkeys -= 1;
-                true
-            } else {
-                false
-            };
-            leaf.version += 1;
-            self.layer.write(ep, addr, &leaf.encode())?;
-            self.unlock_node(ep, addr)?;
-            return Ok(existed);
-        }
+        let (addr, mut leaf) = self.lock_leaf(ep, key)?;
+        let Ok(i) = leaf.slot_of(key) else {
+            self.unlock(ep, addr)?;
+            return Ok(false);
+        };
+        leaf.keys.copy_within(i + 1..leaf.nkeys, i);
+        leaf.vals.copy_within(i + 1..leaf.nkeys, i);
+        leaf.nkeys -= 1;
+        leaf.version += 1;
+        self.release(ep, addr, &leaf)?;
+        Ok(true)
     }
 
     /// Split the leaf covering `key` (and its ancestors as needed),
     /// serialized by the tree-wide SMO lock.
     fn split(&self, ep: &Endpoint, key: u64) -> DsmResult<()> {
+        // The lock's CAS brings the root pointer beside it back with it.
         let smo = self.meta.offset_by(8);
-        while self.layer.cas(ep, smo, 0, self.worker_tag)? != 0 {
+        let mut cell = [0u8; 16];
+        while !crate::lock_and_read(&self.layer, ep, smo, self.worker_tag, self.meta, &mut cell)? {
             std::hint::spin_loop();
         }
-        let result = self.split_locked(ep, key);
-        self.layer.write_u64(ep, smo, 0)?;
-        // The whole cached path may be stale now.
-        self.cache.lock().clear();
-        result
+        let root = GlobalAddr::from_raw(u64::from_le_bytes(cell[..8].try_into().unwrap()));
+        let result = self.split_locked(ep, key, root);
+        let unlocked = self.layer.write_u64(ep, smo, 0);
+        if result.is_err() {
+            // Some of what we kept along the way may never have landed.
+            *self.local.lock() = Local::default();
+        }
+        result.and(unlocked)
     }
 
-    fn split_locked(&self, ep: &Endpoint, key: u64) -> DsmResult<()> {
-        // Re-descend remotely (no cache) recording the path.
+    fn split_locked(&self, ep: &Endpoint, key: u64, root: GlobalAddr) -> DsmResult<()> {
+        // READ the internal path from the root down. Internal nodes
+        // change only under the SMO lock we hold, so these images stay
+        // exact until we rewrite them, and are worth keeping.
         let mut path: Vec<(GlobalAddr, Node)> = Vec::new();
-        let mut addr = self.root(ep)?;
+        let mut addr = root;
         loop {
             let node = self.read_node(ep, addr)?;
-            let leaf = node.is_leaf;
+            if node.level == 0 {
+                break; // the root is the leaf
+            }
+            self.remember(addr, &node);
             path.push((addr, node));
-            if leaf {
+            addr = node.child_for(key);
+            if node.level == 1 {
                 break;
             }
-            let n = &path.last().unwrap().1;
-            addr = GlobalAddr::from_raw(n.child_for(key));
         }
-        let leaf_addr = path.last().unwrap().0;
+        self.remember_root(root);
+
         // Exclude concurrent leaf writers for the duration of the split.
-        while !self.lock_node(ep, leaf_addr)? {
+        let leaf_addr = addr;
+        let mut left = loop {
+            if let Some(leaf) = self.acquire(ep, leaf_addr)? {
+                break leaf;
+            }
             std::hint::spin_loop();
-        }
-        let mut leaf = self.read_node(ep, leaf_addr)?;
-        leaf.lock = self.worker_tag; // held until the left image has landed
-        if leaf.nkeys < FANOUT {
-            self.unlock_node(ep, leaf_addr)?;
-            return Ok(()); // someone else already split
-        }
-
-        // Split the leaf: upper half moves to a new node.
-        let mut left = leaf.clone();
-        let mid = FANOUT / 2;
-        let right = Node {
-            lock: 0,
-            version: 1,
-            is_leaf: true,
-            nkeys: FANOUT - mid,
-            fence_low: left.keys[mid],
-            fence_high: left.fence_high,
-            next: left.next,
-            keys: left.keys.split_off(mid),
-            vals: left.vals.split_off(mid),
         };
-        let right_addr = self.layer.alloc(NODE_SIZE as u64)?;
-        let sep = right.fence_low;
-        left.nkeys = mid;
-        left.fence_high = sep;
-        left.next = right_addr.to_raw();
-        left.version += 1;
-        self.layer.write(ep, right_addr, &right.encode())?;
-        self.layer.write(ep, leaf_addr, &left.encode())?;
-        // Release only now: the left image is written with our lock tag
-        // embedded (a node write lands low-to-high, so an embedded 0
-        // would free the lock before the tail of the image arrived).
-        self.unlock_node(ep, leaf_addr)?;
-
-        // Install the separator upward.
-        self.insert_into_parent(ep, &path[..path.len() - 1], leaf_addr, sep, right_addr)
-    }
-
-    fn insert_into_parent(
-        &self,
-        ep: &Endpoint,
-        ancestors: &[(GlobalAddr, Node)],
-        left_addr: GlobalAddr,
-        sep: u64,
-        right_addr: GlobalAddr,
-    ) -> DsmResult<()> {
-        self.stats.lock().splits += 1;
-        match ancestors.last() {
-            None => {
-                // Split the root: build a fresh internal root.
-                let left_node = self.read_node(ep, left_addr)?;
-                let new_root = Node {
-                    lock: 0,
-                    version: 1,
-                    is_leaf: false,
-                    nkeys: 2,
-                    fence_low: left_node.fence_low,
-                    fence_high: u64::MAX,
-                    next: 0,
-                    keys: vec![left_node.fence_low, sep],
-                    vals: vec![left_addr.to_raw(), right_addr.to_raw()],
-                };
-                let new_root_addr = self.layer.alloc(NODE_SIZE as u64)?;
-                self.layer.write(ep, new_root_addr, &new_root.encode())?;
-                self.layer.write_u64(ep, self.meta, new_root_addr.to_raw())?;
-                Ok(())
-            }
-            Some((parent_addr, _)) => {
-                let mut parent = self.read_node(ep, *parent_addr)?;
-                let pos = parent.keys.partition_point(|&k| k <= sep);
-                parent.keys.insert(pos, sep);
-                parent.vals.insert(pos, right_addr.to_raw());
-                parent.nkeys += 1;
-                parent.version += 1;
-                if parent.nkeys <= FANOUT {
-                    self.layer.write(ep, *parent_addr, &parent.encode())?;
-                    return Ok(());
-                }
-                // Parent overflows: split it too.
-                let mid = parent.nkeys / 2;
-                let right_parent = Node {
-                    lock: 0,
-                    version: 1,
-                    is_leaf: false,
-                    nkeys: parent.nkeys - mid,
-                    fence_low: parent.keys[mid],
-                    fence_high: parent.fence_high,
-                    next: 0,
-                    keys: parent.keys.split_off(mid),
-                    vals: parent.vals.split_off(mid),
-                };
-                let right_parent_addr = self.layer.alloc(NODE_SIZE as u64)?;
-                let up_sep = right_parent.fence_low;
-                parent.nkeys = mid;
-                parent.fence_high = up_sep;
-                self.layer.write(ep, right_parent_addr, &right_parent.encode())?;
-                self.layer.write(ep, *parent_addr, &parent.encode())?;
-                self.insert_into_parent(
-                    ep,
-                    &ancestors[..ancestors.len() - 1],
-                    *parent_addr,
-                    up_sep,
-                    right_parent_addr,
-                )
-            }
+        if left.nkeys < FANOUT {
+            return self.unlock(ep, leaf_addr); // someone else already split
         }
+        // The right sibling first, and only then the left image that
+        // names it. The leaf lock is given back on every way out.
+        let right = left.split_off();
+        let mut right_addr = match self.publish(ep, &right) {
+            Ok(addr) => addr,
+            Err(e) => {
+                let _ = self.unlock(ep, leaf_addr);
+                return Err(e);
+            }
+        };
+        left.next = right_addr.to_raw();
+        self.release(ep, leaf_addr, &left)?;
+        self.stats.lock().splits += 1;
+
+        // Install the separator upward, splitting full ancestors.
+        let (mut left_addr, mut low, mut sep) = (leaf_addr, left.fence_low, right.fence_low);
+        let mut level = 0;
+        for (parent_addr, parent) in path.iter_mut().rev() {
+            level = parent.level;
+            if parent.nkeys < FANOUT {
+                parent.insert_child(sep, right_addr);
+                parent.version += 1;
+                self.layer.write(ep, *parent_addr, &parent.encode())?;
+                self.remember(*parent_addr, parent);
+                return Ok(());
+            }
+            // Full too: split it, then add the separator to the half
+            // that now covers it.
+            let mut right_parent = parent.split_off();
+            let up_sep = right_parent.fence_low;
+            if sep < up_sep {
+                parent.insert_child(sep, right_addr);
+            } else {
+                right_parent.insert_child(sep, right_addr);
+            }
+            right_addr = self.publish(ep, &right_parent)?;
+            self.layer.write(ep, *parent_addr, &parent.encode())?;
+            self.remember(right_addr, &right_parent);
+            self.remember(*parent_addr, parent);
+            self.stats.lock().splits += 1;
+            (left_addr, low, sep) = (*parent_addr, parent.fence_low, up_sep);
+        }
+
+        // The root itself split: a fresh root above the two halves, then
+        // the root pointer.
+        let mut new_root = Node::empty(level + 1, low, u64::MAX);
+        new_root.insert_at(0, low, left_addr.to_raw());
+        new_root.insert_at(1, sep, right_addr.to_raw());
+        let new_root_addr = self.publish(ep, &new_root)?;
+        self.layer.write_u64(ep, self.meta, new_root_addr.to_raw())?;
+        self.remember(new_root_addr, &new_root);
+        self.remember_root(new_root_addr);
+        Ok(())
     }
 }
 
@@ -523,22 +603,18 @@ impl std::fmt::Debug for RemoteBTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteBTree")
             .field("cache_internal", &self.cache_internal)
-            .field("cached_nodes", &self.cache.lock().len())
+            .field("cached_nodes", &self.local.lock().nodes.len())
             .finish()
     }
-}
-
-/// Map a DSM error to "retry at a higher level" semantics for tests.
-#[allow(dead_code)]
-fn is_transient(e: &DsmError) -> bool {
-    matches!(e, DsmError::Rdma(_))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost;
     use dsm::DsmConfig;
-    use rdma_sim::{Fabric, NetworkProfile};
+    use rdma_sim::{Fabric, FaultPlan, NetworkProfile};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn layer(profile: NetworkProfile) -> Arc<DsmLayer> {
         let fabric = Fabric::new(profile);
@@ -624,7 +700,7 @@ mod tests {
 
     #[test]
     fn cached_tree_uses_fewer_round_trips_than_naive() {
-        // §6 / C9: Sherman's internal-node cache buys ~1-RT searches.
+        // §6 / C9: Sherman's internal-node cache buys 1-RT searches.
         let l = layer(NetworkProfile::rdma_cx6());
         let (cached, meta) = RemoteBTree::create(&l, true, 1).unwrap();
         let naive = RemoteBTree::open(&l, meta, false, 2);
@@ -643,12 +719,11 @@ mod tests {
             cached.search(&ep_c, k * 4).unwrap();
             naive.search(&ep_n, k * 4).unwrap();
         }
-        let rt_c = ep_c.stats().round_trips();
-        let rt_n = ep_n.stats().round_trips();
-        assert!(
-            rt_c * 2 <= rt_n,
-            "cached {rt_c} RTs vs naive {rt_n} RTs"
-        );
+        let rt_c = ep_c.stats().wire_round_trips();
+        let rt_n = ep_n.stats().wire_round_trips();
+        assert_eq!(rt_c, 500, "a warm cached search is exactly the leaf READ");
+        // Root pointer, three internal levels, leaf.
+        assert_eq!(rt_n, 5 * 500, "the naive tree pays every level");
         assert!(cached.cache_bytes() > 0);
         assert_eq!(naive.cache_bytes(), 0);
     }
@@ -677,5 +752,216 @@ mod tests {
                 assert_eq!(t0.search(&ep, k).unwrap(), Some(k), "key {k}");
             }
         }
+    }
+
+    fn root_of(t: &RemoteBTree, ep: &Endpoint) -> (GlobalAddr, Node) {
+        let addr = GlobalAddr::from_raw(t.layer.read_u64(ep, t.meta).unwrap());
+        (addr, t.read_node(ep, addr).unwrap())
+    }
+
+    /// Every leaf, left to right along the chain.
+    fn leaves_of(t: &RemoteBTree, ep: &Endpoint) -> Vec<(GlobalAddr, Node)> {
+        let (mut addr, mut node) = root_of(t, ep);
+        while node.level > 0 {
+            addr = GlobalAddr::from_raw(node.vals[0]);
+            node = t.read_node(ep, addr).unwrap();
+        }
+        let mut leaves = vec![(addr, node)];
+        while node.next != 0 {
+            addr = GlobalAddr::from_raw(node.next);
+            node = t.read_node(ep, addr).unwrap();
+            leaves.push((addr, node));
+        }
+        leaves
+    }
+
+    #[test]
+    fn operations_cost_what_sherman_states() {
+        let p = NetworkProfile::rdma_cx6();
+        let l = layer(p);
+        let (t, _) = RemoteBTree::create(&l, true, 1).unwrap();
+        // One endpoint loads and probes: a fresh one would queue its
+        // first CAS behind the loader's atomic-unit reservations.
+        let ep = l.fabric().endpoint();
+        for k in 0..2_000u64 {
+            t.insert(&ep, 2 * k, k).unwrap();
+        }
+        for k in 0..2_000u64 {
+            t.search(&ep, 2 * k).unwrap();
+        }
+        let levels = root_of(&t, &ep).1.level as u64;
+        let local = 60 * levels; // one cache probe per internal level
+
+        // Warm search, hit or miss: the leaf READ and nothing else.
+        let leaf_read = p.rw_cost_ns(NODE_SIZE);
+        assert_eq!(cost(&ep, || t.search(&ep, 1_000).unwrap()), (1, 1, leaf_read + local));
+        assert_eq!(cost(&ep, || t.search(&ep, 1_001).unwrap()), (1, 1, leaf_read + local));
+        assert_eq!((leaf_read, local), (1_612, 180));
+
+        // Insert = update = remove: {CAS lock, READ image}, then {WRITE
+        // image, WRITE unlock}.
+        let two_doorbells = p.atomic_cost_ns()
+            + p.atomic_unit_ns
+            + p.batched_cost_ns(NODE_SIZE)
+            + p.rw_cost_ns(NODE_SIZE)
+            + p.batched_cost_ns(8);
+        assert_eq!(two_doorbells, 3_774);
+        let before = t.stats();
+        // Ascending loads leave every leaf but the last half full.
+        assert_eq!(cost(&ep, || t.insert(&ep, 1_001, 7).unwrap()), (2, 4, two_doorbells + local));
+        assert_eq!(cost(&ep, || t.insert(&ep, 1_001, 8).unwrap()), (2, 4, two_doorbells + local));
+        assert_eq!(cost(&ep, || assert!(t.remove(&ep, 1_001).unwrap())), (2, 4, two_doorbells + local));
+        assert_eq!(t.stats().splits, before.splits);
+        assert_eq!(t.stats().stale_retries, 0);
+        assert_eq!(t.search(&ep, 1_001).unwrap(), None);
+        assert_eq!(t.search(&ep, 1_000).unwrap(), Some(500));
+    }
+
+    #[test]
+    fn own_split_leaves_the_cache_exact() {
+        let l = layer(NetworkProfile::rdma_cx6());
+        let (t, _) = RemoteBTree::create(&l, true, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        // Through leaf, internal and root splits: after each insert that
+        // split something, the key it moved is still one READ away.
+        let mut checked = 0;
+        for k in 0..3_000u64 {
+            let key = (k * 2_654_435_761) % 100_000;
+            let splits = t.stats().splits;
+            t.insert(&ep, key, k).unwrap();
+            if t.stats().splits > splits {
+                let (wire, verbs, _) = cost(&ep, || assert_eq!(t.search(&ep, key).unwrap(), Some(k)));
+                assert_eq!((wire, verbs), (1, 1), "search after own split #{splits}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 200 && root_of(&t, &ep).1.level >= 2);
+        assert_eq!(t.stats().stale_retries, 0, "a handle never finds its own cache stale");
+    }
+
+    #[test]
+    fn second_handle_detects_stale_path() {
+        let l = layer(NetworkProfile::zero());
+        let (a, meta) = RemoteBTree::create(&l, true, 1).unwrap();
+        let b = RemoteBTree::open(&l, meta, true, 2);
+        let ep = l.fabric().endpoint();
+        let key = |i: u64| (i * 2_654_435_761) % 1_000_000;
+        for i in 0..300 {
+            a.insert(&ep, key(i), i).unwrap();
+        }
+        // Warm b's root, internals and levels.
+        for i in 0..300 {
+            assert_eq!(b.search(&ep, key(i)).unwrap(), Some(i));
+        }
+        let (old_root, old_image) = root_of(&a, &ep);
+        assert_eq!(b.stats().stale_retries, 0);
+        // a grows the tree through leaf, internal and root splits.
+        for i in 300..6_000 {
+            a.insert(&ep, key(i), i).unwrap();
+        }
+        let (new_root, new_image) = root_of(&a, &ep);
+        assert!(new_root != old_root && new_image.level > old_image.level);
+        // b must still find everything despite its stale path.
+        for i in 0..6_000 {
+            assert_eq!(b.search(&ep, key(i)).unwrap(), Some(i), "key {i}");
+        }
+        assert!(b.stats().stale_retries > 0, "fence checks caught the stale path");
+        let (wire, verbs, _) = cost(&ep, || b.search(&ep, key(4_242)).unwrap());
+        assert_eq!((wire, verbs), (1, 1), "refreshed along the way");
+    }
+
+    #[test]
+    fn readers_see_loaded_values_while_writers_split() {
+        let l = layer(NetworkProfile::zero());
+        let (t0, meta) = RemoteBTree::create(&l, true, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 0..1_000u64 {
+            t0.insert(&ep, 8 * k, k + 1).unwrap();
+        }
+        let writers_left = AtomicUsize::new(2);
+        // Readers and writers start together.
+        let start = std::sync::Barrier::new(4);
+        let splits = std::thread::scope(|s| {
+            for r in 0..2u64 {
+                let (l, writers_left, start) = (l.clone(), &writers_left, &start);
+                s.spawn(move || {
+                    let t = RemoteBTree::open(&l, meta, true, 20 + r);
+                    let ep = l.fabric().endpoint();
+                    start.wait();
+                    // At least one pass, then until the writers are done.
+                    loop {
+                        let last = writers_left.load(Ordering::Acquire) == 0;
+                        for k in 0..1_000u64 {
+                            assert_eq!(t.search(&ep, 8 * k).unwrap(), Some(k + 1), "key {}", 8 * k);
+                        }
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            let writers: Vec<_> = (0..2u64)
+                .map(|w| {
+                    let (l, writers_left, start) = (l.clone(), &writers_left, &start);
+                    s.spawn(move || {
+                        let t = RemoteBTree::open(&l, meta, true, 10 + w);
+                        let ep = l.fabric().endpoint();
+                        start.wait();
+                        // Fresh keys between the loaded ones, everywhere.
+                        for i in 0..3_000u64 {
+                            let k = (i * 2_654_435_761) % 8_000;
+                            t.insert(&ep, k - k % 8 + 1 + w + 2 * (i % 3), i).unwrap();
+                        }
+                        writers_left.fetch_sub(1, Ordering::Release);
+                        t.stats().splits
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum::<u64>()
+        });
+        assert!(splits > 100, "the writers split under the readers: {splits}");
+    }
+
+    #[test]
+    fn error_after_lock_gives_the_leaf_back() {
+        let l = layer(NetworkProfile::rdma_cx6());
+        let (t, meta) = RemoteBTree::create(&l, true, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let (good, bad) = (meta.node(), 1 - meta.node());
+        // Burn one allocation so that the root the first split creates
+        // lands beside `meta`: a split under the fault then reaches the
+        // SMO lock, the root and (below) its leaf, and nothing else.
+        l.alloc(8).unwrap();
+        for k in 0..60u64 {
+            t.insert(&ep, 10 * k, k).unwrap();
+        }
+        let (root_addr, root) = root_of(&t, &ep);
+        assert_eq!((root_addr.node(), root.level), (good, 1));
+        // Fill a leaf on the good node to the brim, no split yet.
+        let (leaf_addr, leaf) =
+            *leaves_of(&t, &ep).iter().find(|(addr, leaf)| addr.node() == good && leaf.nkeys == 8).unwrap();
+        for k in 1..=8 {
+            t.insert(&ep, leaf.fence_low + k, 0).unwrap();
+        }
+        assert_eq!(t.read_node(&ep, leaf_addr).unwrap().nkeys, FANOUT);
+        // The next allocation — the split's new sibling — goes to the
+        // other node, which drops off the network between two calls: a
+        // lock is only ever taken on a node that answers.
+        while l.alloc(8).unwrap().node() != good {}
+        let fabric = l.fabric();
+        fabric.install_fault_plan(FaultPlan::new(1).partition(bad, ep.clock().now_ns(), u64::MAX));
+        let splits = t.stats().splits;
+        assert!(t.insert(&ep, leaf.fence_low + 9, 0).is_err(), "the sibling cannot be written");
+        assert_eq!(t.stats().splits, splits);
+        fabric.clear_fault_plan();
+
+        // No lock outlives the failed call.
+        for (addr, leaf) in leaves_of(&t, &ep) {
+            assert_eq!(leaf.lock, 0, "leaf {addr} still locked");
+        }
+        assert_eq!(l.read_u64(&ep, meta.offset_by(8)).unwrap(), 0, "SMO lock still held");
+        t.insert(&ep, leaf.fence_low + 9, 9).unwrap();
+        assert_eq!(t.search(&ep, leaf.fence_low + 9).unwrap(), Some(9));
+        assert_eq!(t.stats().splits, splits + 1);
     }
 }

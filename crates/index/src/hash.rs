@@ -2,26 +2,47 @@
 //!
 //! "RACE is a hash index for MD but it only uses one-sided RDMA. It
 //! implements a lock-free multi-node CC protocol for the hash buckets."
-//! The essentials reproduced here:
+//! The essentials reproduced here, each at the round trips RACE states:
 //!
-//! * **1-RT lookups** — the directory is cached locally, so a lookup is a
-//!   single one-sided READ of the bucket.
+//! * **1-RT lookups** — the directory is cached locally (one immutable
+//!   image shared by reference, swapped whole on refresh), and a lookup
+//!   is one doorbell on the bucket's memory node: {READ bucket, READ
+//!   header}. The second READ is the seqlock validation; it executes
+//!   after the first because both are on one queue pair.
 //! * **Lock-free inserts** — a slot is claimed by CASing its key word
 //!   from 0 to a reservation marker, the value is written under that
 //!   reservation, and only then is the real key published, so a
 //!   concurrent reader never observes a half-initialized slot and two
 //!   writers racing for the same free slot cannot pair one writer's key
-//!   with the other's value.
+//!   with the other's value. A fresh put is READ bucket, slot CAS, then
+//!   {WRITE value, WRITE key, READ header} — the value never rides behind
+//!   the claiming CAS, because a lost CAS must not touch the slot. An
+//!   update is READ, then {WRITE value, READ header}; a delete READ, then
+//!   {CAS tombstone, READ header}.
 //! * **Extendible growth** — on overflow, a directory-lock-protected
 //!   split doubles the directory (up to `MAX_GLOBAL_DEPTH`) and rehashes
 //!   one bucket; handles detect stale directories by version and refresh.
+//!   A split moves only what changed: it trusts its cached directory iff
+//!   its version is the one read under the lock, writes the entries that
+//!   now name the sibling with the version behind them, and writes a
+//!   whole directory only when doubling.
+//!
+//! **What shares a doorbell and what does not.** Members whose order
+//! matters address the same memory node: a bucket and its header, the
+//! words of one slot, the directory lock and the meta cell, directory
+//! entries and the directory version. Publication steps that cross nodes
+//! — sibling bucket before the directory entry that names it, directory
+//! before `meta` — stay separate round trips.
 //!
 //! Limitations mirroring RACE's scope: keys are nonzero `u64` (0 marks an
-//! empty slot), values are `u64`, and deletes tombstone the slot.
+//! empty slot), values are `u64`, and deletes tombstone the slot. A slot
+//! is two words, so a lookup that reads a key just before it is deleted
+//! and its slot reused may pair it with the new tenant's value; RACE's
+//! slots are one word and do not have this window.
 
 use std::sync::Arc;
 
-use dsm::{DsmLayer, DsmResult, GlobalAddr};
+use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
 use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Phase};
 
@@ -50,6 +71,12 @@ const RESERVED: u64 = u64::MAX - 1;
 const BUCKET_SIZE: usize = 16 + BUCKET_SLOTS * 16;
 const SLOT0: usize = 16;
 
+// Meta cell: [dir_version][dir_lock][dir_addr raw][dir_depth]; the last
+// two are read and written as one 16-byte unit.
+const META_SIZE: usize = 32;
+const META_LOCK: u64 = 8;
+const META_DIR: u64 = 16;
+
 #[inline]
 fn header_depth(h: u64) -> u32 {
     (h / 2) as u32
@@ -66,8 +93,10 @@ fn stable_header(depth: u32) -> u64 {
 }
 
 // Remote directory layout: [version u64][depth u64][entries: raw addr x 2^depth]
+const DIR_ENTRIES: u64 = 16;
+
 fn dir_bytes(depth: u32) -> u64 {
-    16 + (1u64 << depth) * 8
+    DIR_ENTRIES + (1u64 << depth) * 8
 }
 
 #[inline]
@@ -78,12 +107,87 @@ fn hash(key: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Locally cached directory image.
-#[derive(Debug, Clone)]
-struct DirCache {
+#[inline]
+fn word(buf: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
+}
+
+#[inline]
+fn is_reserved_key(key: u64) -> bool {
+    key == 0 || key == TOMBSTONE || key == RESERVED
+}
+
+/// Local copy of a remote bucket.
+struct Bucket([u8; BUCKET_SIZE]);
+
+impl Bucket {
+    fn zeroed() -> Self {
+        Bucket([0; BUCKET_SIZE])
+    }
+
+    fn header(&self) -> u64 {
+        word(&self.0, 0)
+    }
+
+    fn pattern(&self) -> u64 {
+        word(&self.0, 8)
+    }
+
+    fn key(&self, slot: usize) -> u64 {
+        word(&self.0, SLOT0 + slot * 16)
+    }
+
+    fn value(&self, slot: usize) -> u64 {
+        word(&self.0, SLOT0 + slot * 16 + 8)
+    }
+
+    fn set(&mut self, off: usize, v: u64) {
+        self.0[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn set_slot(&mut self, slot: usize, key: u64, value: u64) {
+        self.set(SLOT0 + slot * 16, key);
+        self.set(SLOT0 + slot * 16 + 8, value);
+    }
+
+    /// The slot holding `key`.
+    fn find(&self, key: u64) -> Option<usize> {
+        (0..BUCKET_SLOTS).find(|&s| self.key(s) == key)
+    }
+
+    /// Ownership check: does this bucket's (depth, pattern) cover `key`?
+    fn covers(&self, key: u64) -> bool {
+        hash(key) & ((1u64 << header_depth(self.header())) - 1) == self.pattern()
+    }
+}
+
+/// Locally cached directory image. Immutable once built: a refresh or a
+/// split swaps in a new one.
+#[derive(Debug)]
+struct Dir {
     version: u64,
     depth: u32,
     entries: Vec<u64>, // raw bucket addrs
+}
+
+impl Dir {
+    fn bucket_for(&self, key: u64) -> GlobalAddr {
+        let idx = (hash(key) & ((1u64 << self.depth) - 1)) as usize;
+        GlobalAddr::from_raw(self.entries[idx])
+    }
+
+    fn decode(image: &[u8]) -> Dir {
+        Dir {
+            version: word(image, 0),
+            depth: word(image, 8) as u32,
+            entries: image[DIR_ENTRIES as usize..].chunks_exact(8).map(|c| word(c, 0)).collect(),
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let words = [self.version, self.depth as u64];
+        words.iter().chain(&self.entries).flat_map(|w| w.to_le_bytes()).collect()
+    }
 }
 
 /// A compute-node handle to a DSM-resident extendible hash index.
@@ -91,7 +195,7 @@ pub struct RaceHash {
     layer: Arc<DsmLayer>,
     /// Meta cell: [dir_version][dir_lock][dir_addr raw][dir_depth].
     meta: GlobalAddr,
-    cache: Mutex<Option<DirCache>>,
+    cache: Mutex<Option<Arc<Dir>>>,
     worker_tag: u64,
 }
 
@@ -104,26 +208,25 @@ impl RaceHash {
         worker_tag: u64,
     ) -> DsmResult<(Self, GlobalAddr)> {
         let ep = layer.fabric().endpoint();
-        let meta = layer.alloc(32)?;
-        let n = 1u64 << initial_depth;
+        let meta = layer.alloc(META_SIZE as u64)?;
         let dir_addr = layer.alloc(dir_bytes(initial_depth))?;
         // Allocate buckets and fill the directory.
-        let mut dir_body = Vec::with_capacity(n as usize * 8);
-        for i in 0..n {
+        let mut dir = Dir { version: 1, depth: initial_depth, entries: Vec::new() };
+        let mut empty = Bucket::zeroed();
+        empty.set(0, stable_header(initial_depth));
+        for pattern in 0..1u64 << initial_depth {
             let b = layer.alloc(BUCKET_SIZE as u64)?;
-            layer.write_u64(&ep, b, stable_header(initial_depth))?;
-            layer.write_u64(&ep, b.offset_by(8), i)?; // pattern
-            dir_body.extend_from_slice(&b.to_raw().to_le_bytes());
+            empty.set(8, pattern);
+            layer.write(&ep, b, &empty.0[..SLOT0])?;
+            dir.entries.push(b.to_raw());
         }
-        layer.write_u64(&ep, dir_addr, 1)?; // version
-        layer.write_u64(&ep, dir_addr.offset_by(8), initial_depth as u64)?;
-        layer.write(&ep, dir_addr.offset_by(16), &dir_body)?;
-
-        layer.write_u64(&ep, meta, 1)?; // dir version mirror
-        layer.write_u64(&ep, meta.offset_by(8), 0)?; // dir lock
-        layer.write_u64(&ep, meta.offset_by(16), dir_addr.to_raw())?;
-        layer.write_u64(&ep, meta.offset_by(24), initial_depth as u64)?;
-        Ok((Self::open(layer, meta, worker_tag), meta))
+        layer.write(&ep, dir_addr, &dir.encode())?;
+        // version mirror, lock = 0, where the directory is and how deep.
+        let cell = [dir.version, 0, dir_addr.to_raw(), initial_depth as u64];
+        layer.write(&ep, meta, &cell.map(u64::to_le_bytes).concat())?;
+        let index = Self::open(layer, meta, worker_tag);
+        index.install(dir);
+        Ok((index, meta))
     }
 
     /// Open a handle onto an existing index.
@@ -136,361 +239,346 @@ impl RaceHash {
         }
     }
 
-    fn fetch_dir(&self, ep: &Endpoint) -> DsmResult<DirCache> {
-        let dir_raw = self.layer.read_u64(ep, self.meta.offset_by(16))?;
-        let dir_addr = GlobalAddr::from_raw(dir_raw);
-        let mut hdr = [0u8; 16];
-        self.layer.read(ep, dir_addr, &mut hdr)?;
-        let version = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
-        let depth = u64::from_le_bytes(hdr[8..16].try_into().unwrap()) as u32;
-        let n = 1usize << depth;
-        let mut body = vec![0u8; n * 8];
-        self.layer.read(ep, dir_addr.offset_by(16), &mut body)?;
-        let entries = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let cache = DirCache {
-            version,
-            depth,
-            entries,
-        };
-        *self.cache.lock() = Some(cache.clone());
-        Ok(cache)
+    /// Bytes of local memory the cached directory currently uses.
+    pub fn cache_bytes(&self) -> usize {
+        self.cache.lock().as_ref().map_or(0, |dir| dir_bytes(dir.depth) as usize)
     }
 
-    fn dir(&self, ep: &Endpoint) -> DsmResult<DirCache> {
-        if let Some(c) = self.cache.lock().clone() {
+    /// Make `dir` the cached directory.
+    fn install(&self, dir: Dir) -> Arc<Dir> {
+        let dir = Arc::new(dir);
+        *self.cache.lock() = Some(dir.clone());
+        dir
+    }
+
+    /// READ the directory at `addr`, header and body in one verb. `None`
+    /// if it is not `depth` deep: the meta cell that said so was read
+    /// while a doubling was rewriting it.
+    fn read_dir(&self, ep: &Endpoint, addr: GlobalAddr, depth: u32) -> DsmResult<Option<Dir>> {
+        let mut image = vec![0u8; dir_bytes(depth) as usize];
+        self.layer.read(ep, addr, &mut image)?;
+        let dir = Dir::decode(&image);
+        Ok((dir.depth == depth).then_some(dir))
+    }
+
+    /// Refresh the cached directory: one READ of where it is and how
+    /// deep, one of the directory itself.
+    fn fetch_dir(&self, ep: &Endpoint) -> DsmResult<Arc<Dir>> {
+        loop {
+            let mut at = [0u8; 16];
+            self.layer.read(ep, self.meta.offset_by(META_DIR), &mut at)?;
+            let addr = GlobalAddr::from_raw(word(&at, 0));
+            if let Some(dir) = self.read_dir(ep, addr, word(&at, 8) as u32)? {
+                return Ok(self.install(dir));
+            }
+        }
+    }
+
+    fn dir(&self, ep: &Endpoint) -> DsmResult<Arc<Dir>> {
+        if let Some(dir) = self.cache.lock().clone() {
             ep.charge_local(40); // local directory probe
-            return Ok(c);
+            return Ok(dir);
         }
         self.fetch_dir(ep)
     }
 
-    fn bucket_for(&self, dir: &DirCache, key: u64) -> GlobalAddr {
-        let idx = (hash(key) & ((1u64 << dir.depth) - 1)) as usize;
-        GlobalAddr::from_raw(dir.entries[idx])
-    }
-
-    /// Ownership check: does a bucket with (depth, pattern) cover `key`?
-    fn covers(key: u64, depth: u32, pattern: u64) -> bool {
-        hash(key) & ((1u64 << depth) - 1) == pattern
-    }
-
-    /// Current directory version in DSM (cheap staleness probe).
-    fn remote_version(&self, ep: &Endpoint) -> DsmResult<u64> {
-        self.layer.read_u64(ep, self.meta)
-    }
-
-    /// Point lookup: one bucket READ plus a header-validation read.
-    pub fn get(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
-        assert!(key != 0 && key != TOMBSTONE && key != RESERVED, "reserved key");
-        let _span = ep.span(Phase::IndexLookup);
+    /// READ the bucket `key` routes to, refreshing the directory until
+    /// the bucket is stable and covers the key. With `revalidate`, the
+    /// seqlock re-read of the header rides the same doorbell and the
+    /// bucket is returned only if no split rewrote it in between.
+    fn locate(&self, ep: &Endpoint, key: u64, revalidate: bool) -> DsmResult<(GlobalAddr, Bucket)> {
+        assert!(!is_reserved_key(key), "reserved key");
         loop {
             let dir = self.dir(ep)?;
-            let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
-            self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+            let addr = dir.bucket_for(key);
+            let mut bucket = Bucket::zeroed();
+            let mut after = [0u8; 8];
+            if revalidate {
+                self.layer.doorbell(
+                    ep,
+                    &mut [
+                        GlobalWr::Read { addr, dst: &mut bucket.0 },
+                        GlobalWr::Read { addr, dst: &mut after },
+                    ],
+                )?;
+            } else {
+                self.layer.read(ep, addr, &mut bucket.0)?;
+            }
+            let header = bucket.header();
             if header_is_splitting(header) {
                 std::hint::spin_loop();
                 continue;
             }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
+            if header_depth(header) > dir.depth || !bucket.covers(key) {
                 // Bucket split since we cached the directory.
                 self.fetch_dir(ep)?;
                 continue;
             }
-            let mut found = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                if k == key {
-                    found =
-                        Some(u64::from_le_bytes(buf[base + 8..base + 16].try_into().unwrap()));
-                    break;
-                }
-            }
             // Seqlock validation: if a split rewrote the bucket while we
             // scanned, our snapshot may pair keys with stale values.
-            if self.layer.read_u64(ep, bucket)? != header {
+            if revalidate && word(&after, 0) != header {
                 continue;
             }
-            return Ok(found);
+            return Ok((addr, bucket));
         }
+    }
+
+    /// Point lookup: one doorbell, the bucket READ and the
+    /// header-validation READ behind it.
+    pub fn get(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
+        let _span = ep.span(Phase::IndexLookup);
+        let (_, bucket) = self.locate(ep, key, true)?;
+        Ok(bucket.find(key).map(|s| bucket.value(s)))
     }
 
     /// Insert (or update) `key -> value`.
     pub fn put(&self, ep: &Endpoint, key: u64, value: u64) -> DsmResult<()> {
-        assert!(key != 0 && key != TOMBSTONE && key != RESERVED, "reserved key");
         loop {
-            let dir = self.dir(ep)?;
-            let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
-            self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if header_is_splitting(header) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
+            let (bucket_addr, bucket) = self.locate(ep, key, false)?;
+            let header = bucket.header();
+            let slot_addr = |s: usize| bucket_addr.offset_by((SLOT0 + s * 16) as u64);
+            let value = value.to_le_bytes();
+            let mut after = [0u8; 8];
+            if let Some(s) = bucket.find(key) {
+                // Update in place. A concurrent split may have copied the
+                // old value into a rewritten image; revalidate and redo.
+                self.layer.doorbell(
+                    ep,
+                    &mut [
+                        GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &value },
+                        GlobalWr::Read { addr: bucket_addr, dst: &mut after },
+                    ],
+                )?;
+                if word(&after, 0) == header {
+                    return Ok(());
+                }
                 self.fetch_dir(ep)?;
                 continue;
             }
-            // Update in place if present.
-            let mut free_slot = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                if k == key {
-                    self.layer
-                        .write_u64(ep, bucket.offset_by((base + 8) as u64), value)?;
-                    // A concurrent split may have copied the old value
-                    // into a rewritten image; revalidate and redo if so.
-                    if self.layer.read_u64(ep, bucket)? == header {
-                        return Ok(());
-                    }
-                    self.fetch_dir(ep)?;
-                    continue;
-                }
-                if (k == 0 || k == TOMBSTONE) && free_slot.is_none() {
-                    free_slot = Some((s, k));
-                }
-            }
-            if let Some((s, old_k)) = free_slot {
-                let base = (SLOT0 + s * 16) as u64;
-                // Reserve the key word by CAS, write the value under the
-                // reservation, then publish the real key. Claiming before
-                // the value write is what makes the slot race safe: a
-                // loser's CAS fails before it ever touches the value
-                // word, and readers match neither RESERVED nor 0.
-                if self.layer.cas(ep, bucket.offset_by(base), old_k, RESERVED)? == old_k {
-                    self.layer.write_u64(ep, bucket.offset_by(base + 8), value)?;
-                    self.layer.write_u64(ep, bucket.offset_by(base), key)?;
-                    // Validate against a concurrent split. The splitter
-                    // flips the header to odd *before* it reads the
-                    // bucket, so either (a) our published entry is in
-                    // its snapshot and survives the rewrite, or (b) the
-                    // snapshot caught RESERVED (reclaimed as dead) or
-                    // predates our claim — then the header we re-read
-                    // here already differs and we undo + retry.
-                    if self.layer.read_u64(ep, bucket)? == header {
-                        return Ok(());
-                    }
-                    let _ = self.layer.cas(ep, bucket.offset_by(base), key, 0)?;
-                    self.fetch_dir(ep)?;
-                    continue;
-                }
-                // Lost the slot race; retry from the bucket read.
+            let free = (0..BUCKET_SLOTS).find(|&s| matches!(bucket.key(s), 0 | TOMBSTONE));
+            let Some(s) = free else {
+                // Bucket full: split it, then retry.
+                self.split_bucket(ep, key, bucket_addr, header)?;
                 continue;
+            };
+            // Reserve the key word by CAS, write the value under the
+            // reservation, then publish the real key. Claiming before
+            // the value write is what makes the slot race safe: a
+            // loser's CAS fails before it ever touches the value
+            // word, and readers match neither RESERVED nor 0.
+            let old_k = bucket.key(s);
+            if self.layer.cas(ep, slot_addr(s), old_k, RESERVED)? != old_k {
+                continue; // lost the slot race; retry from the bucket read
             }
-            // Bucket full: split it, then retry.
-            self.split_bucket(ep, key)?;
+            // Validate against a concurrent split. The splitter
+            // flips the header to odd *before* it reads the
+            // bucket, so either (a) our published entry is in
+            // its snapshot and survives the rewrite, or (b) the
+            // snapshot caught RESERVED (reclaimed as dead) or
+            // predates our claim — then the header we re-read
+            // here already differs and we undo + retry.
+            self.layer.doorbell(
+                ep,
+                &mut [
+                    GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &value },
+                    GlobalWr::Write { addr: slot_addr(s), src: &key.to_le_bytes() },
+                    GlobalWr::Read { addr: bucket_addr, dst: &mut after },
+                ],
+            )?;
+            if word(&after, 0) == header {
+                return Ok(());
+            }
+            let _ = self.layer.cas(ep, slot_addr(s), key, 0)?;
+            self.fetch_dir(ep)?;
         }
     }
 
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, ep: &Endpoint, key: u64) -> DsmResult<bool> {
         loop {
-            let dir = self.dir(ep)?;
-            let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
-            self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if header_is_splitting(header) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
-                self.fetch_dir(ep)?;
-                continue;
-            }
-            let mut removed = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = (SLOT0 + s * 16) as u64;
-                let k = u64::from_le_bytes(
-                    buf[base as usize..base as usize + 8].try_into().unwrap(),
-                );
-                if k == key {
-                    // Tombstone the key word.
-                    removed = Some(
-                        self.layer.cas(ep, bucket.offset_by(base), key, TOMBSTONE)? == key,
-                    );
-                    break;
-                }
-            }
-            let Some(removed) = removed else {
+            let (bucket_addr, bucket) = self.locate(ep, key, false)?;
+            let Some(s) = bucket.find(key) else {
                 return Ok(false);
             };
-            if self.layer.read_u64(ep, bucket)? == header {
-                return Ok(removed);
+            // Tombstone the key word, the validation READ behind it.
+            let mut prev = 0;
+            let mut after = [0u8; 8];
+            self.layer.doorbell(
+                ep,
+                &mut [
+                    GlobalWr::Cas {
+                        addr: bucket_addr.offset_by((SLOT0 + s * 16) as u64),
+                        expected: key,
+                        new: TOMBSTONE,
+                        prev: &mut prev,
+                    },
+                    GlobalWr::Read { addr: bucket_addr, dst: &mut after },
+                ],
+            )?;
+            if word(&after, 0) == bucket.header() {
+                return Ok(prev == key);
             }
             // Raced a split: the rewritten image may have resurrected the
             // key; retry the delete against the fresh layout.
             self.fetch_dir(ep)?;
-            continue;
         }
     }
 
-    /// Split the bucket `key` hashes to, doubling the directory if its
-    /// local depth equals the global depth. Serialized by the directory
-    /// lock in DSM.
-    fn split_bucket(&self, ep: &Endpoint, key: u64) -> DsmResult<()> {
-        let dir_lock = self.meta.offset_by(8);
-        while self.layer.cas(ep, dir_lock, 0, self.worker_tag)? != 0 {
+    /// Split `bucket`, which the caller found full of live keys under the
+    /// stable `header` and which `key` hashes to, doubling the directory
+    /// if its local depth equals the global depth. Serialized by the
+    /// directory lock in DSM, whose CAS brings the meta cell back with it.
+    fn split_bucket(&self, ep: &Endpoint, key: u64, bucket: GlobalAddr, header: u64) -> DsmResult<()> {
+        let lock = self.meta.offset_by(META_LOCK);
+        let mut meta = [0u8; META_SIZE];
+        while !crate::lock_and_read(&self.layer, ep, lock, self.worker_tag, self.meta, &mut meta)? {
             std::hint::spin_loop();
         }
-        let result = self.split_bucket_locked(ep, key);
-        self.layer.write_u64(ep, dir_lock, 0)?;
-        result
+        let result = self.split_bucket_locked(ep, key, bucket, header, &meta);
+        let unlocked = self.layer.write_u64(ep, lock, 0);
+        result.and(unlocked)
     }
 
-    fn split_bucket_locked(&self, ep: &Endpoint, key: u64) -> DsmResult<()> {
-        // Authoritative directory under the lock.
-        let dir = self.fetch_dir(ep)?;
-        let old_bucket = self.bucket_for(&dir, key);
-        // Announce the split FIRST (header goes odd), THEN snapshot the
-        // bucket. Any writer whose slot-CAS lands after our snapshot will
-        // see the odd/changed header in its validation read and undo;
-        // any CAS before our snapshot is included in the images we write.
-        let header = self.layer.read_u64(ep, old_bucket)?;
-        debug_assert!(!header_is_splitting(header), "split under dir lock");
-        let local_depth = header_depth(header);
-        self.layer.write_u64(ep, old_bucket, header + 1)?;
-        let mut buf = vec![0u8; BUCKET_SIZE];
-        self.layer.read(ep, old_bucket, &mut buf)?;
-
-        // Re-check fullness (someone may have split already / writers may
-        // have undone entries).
-        let live = (0..BUCKET_SLOTS)
-            .filter(|s| {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                k != 0 && k != TOMBSTONE && k != RESERVED
-            })
-            .count();
-        if live < BUCKET_SLOTS {
-            // Restore the stable header and bail.
-            self.layer.write_u64(ep, old_bucket, header)?;
-            return Ok(());
-        }
-
-        let (new_depth, new_dir) = if local_depth == dir.depth {
-            // Double the directory.
-            assert!(dir.depth < MAX_GLOBAL_DEPTH, "directory at max depth");
-            let nd = dir.depth + 1;
-            let new_dir_addr = self.layer.alloc(dir_bytes(nd))?;
-            let mut entries: Vec<u64> = Vec::with_capacity(1 << nd);
-            entries.extend_from_slice(&dir.entries);
-            entries.extend_from_slice(&dir.entries); // high half mirrors
-            (nd, Some((new_dir_addr, entries)))
-        } else {
-            (dir.depth, None)
+    fn split_bucket_locked(
+        &self,
+        ep: &Endpoint,
+        key: u64,
+        bucket: GlobalAddr,
+        header: u64,
+        meta: &[u8; META_SIZE],
+    ) -> DsmResult<()> {
+        // The authoritative directory: ours, if its version is the one
+        // `meta` showed under the lock; else the one `meta` points at.
+        let dir_addr = GlobalAddr::from_raw(word(meta, META_DIR as usize));
+        let cached = self.cache.lock().clone();
+        let dir = match cached {
+            Some(dir) if dir.version == word(meta, 0) => dir,
+            _ => {
+                let depth = word(meta, META_DIR as usize + 8) as u32;
+                let dir = self.read_dir(ep, dir_addr, depth)?;
+                self.install(dir.expect("meta cell read under the directory lock is whole"))
+            }
         };
+        if dir.bucket_for(key) != bucket {
+            return Ok(()); // split since the caller looked
+        }
+        let local_depth = header_depth(header);
+        let doubling = local_depth == dir.depth;
+        assert!(!doubling || dir.depth < MAX_GLOBAL_DEPTH, "directory at max depth");
+
+        // Announce the split FIRST (header goes odd), THEN snapshot the
+        // bucket: one doorbell, the READ behind the CAS. Any writer whose
+        // slot-CAS lands after our snapshot will see the odd/changed
+        // header in its validation read and undo; any CAS before our
+        // snapshot is included in the images we write.
+        let mut old = Bucket::zeroed();
+        let mut prev = !header;
+        let announced = self.layer.doorbell(
+            ep,
+            &mut [
+                GlobalWr::Cas { addr: bucket, expected: header, new: header + 1, prev: &mut prev },
+                GlobalWr::Read { addr: bucket, dst: &mut old.0 },
+            ],
+        );
+        // Put the stable header back on the ways out that change nothing.
+        let restore = |e| {
+            let _ = self.layer.write_u64(ep, bucket, header);
+            e
+        };
+        if prev != header {
+            return announced; // split since the caller looked
+        }
+        announced.map_err(restore)?;
+        // Re-check fullness (writers may have undone entries).
+        if (0..BUCKET_SLOTS).any(|s| is_reserved_key(old.key(s))) {
+            return self.layer.write_u64(ep, bucket, header);
+        }
 
         // New sibling bucket at local_depth + 1.
-        let sibling = self.layer.alloc(BUCKET_SIZE as u64)?;
+        let sibling = self.layer.alloc(BUCKET_SIZE as u64).map_err(restore)?;
+        let new_dir = doubling.then(|| self.layer.alloc(dir_bytes(dir.depth + 1)));
+        let new_dir_addr = new_dir.transpose().map_err(restore)?;
+
+        // Rehash: entries whose hash has the split bit set move. `old`
+        // keeps the odd header it was read with; the stable one is
+        // written behind the image.
         let split_bit = 1u64 << local_depth;
-
-        // Rehash: entries whose hash has the split bit set move.
-        let old_pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let mut old_img = buf.clone();
-        let mut new_img = vec![0u8; BUCKET_SIZE];
-        old_img[0..8].copy_from_slice(&stable_header(local_depth + 1).to_le_bytes());
-        new_img[0..8].copy_from_slice(&stable_header(local_depth + 1).to_le_bytes());
-        old_img[8..16].copy_from_slice(&old_pattern.to_le_bytes());
-        new_img[8..16].copy_from_slice(&(old_pattern | split_bit).to_le_bytes());
-        let mut new_slot = 0usize;
+        let stable = stable_header(local_depth + 1);
+        let mut new = Bucket::zeroed();
+        new.set(0, stable);
+        new.set(8, old.pattern() | split_bit);
+        let mut moved = 0;
         for s in 0..BUCKET_SLOTS {
-            let base = SLOT0 + s * 16;
-            let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-            if k == 0 || k == TOMBSTONE || k == RESERVED {
-                // RESERVED is an insert we caught mid-claim: its writer
-                // will fail the header validation and retry, so the
-                // reservation is reclaimable dead space here.
-                old_img[base..base + 16].fill(0);
-                continue;
-            }
-            if hash(k) & split_bit != 0 {
-                new_img[SLOT0 + new_slot * 16..SLOT0 + new_slot * 16 + 16]
-                    .copy_from_slice(&buf[base..base + 16]);
-                new_slot += 1;
-                old_img[base..base + 16].fill(0);
+            if hash(old.key(s)) & split_bit != 0 {
+                new.set_slot(moved, old.key(s), old.value(s));
+                moved += 1;
+                old.set_slot(s, 0, 0);
             }
         }
-        self.layer.write(ep, sibling, &new_img)?;
+        self.layer.doorbell(
+            ep,
+            &mut [
+                GlobalWr::Write { addr: sibling, src: &new.0 },
+                GlobalWr::Write { addr: bucket, src: &old.0 },
+                GlobalWr::Write { addr: bucket, src: &stable.to_le_bytes() },
+            ],
+        )?;
 
-        // Point the affected directory entries at the sibling and publish.
-        let mut entries = match &new_dir {
-            Some((_, e)) => e.clone(),
-            None => dir.entries.clone(),
+        // Point the directory entries that named the old bucket and map
+        // hashes with the split bit set at the sibling, and publish:
+        // directory, then `meta`. Readers stay safe in between: they
+        // re-check local depth and pattern against the bucket they reach.
+        let mut next = Dir {
+            version: dir.version + 1,
+            depth: dir.depth + doubling as u32,
+            entries: dir.entries.clone(),
         };
-        let nd_mask = (1u64 << new_depth) - 1;
-        for (i, e) in entries.iter_mut().enumerate() {
-            if *e == old_bucket.to_raw() {
-                // This directory slot maps hashes with index bits == i.
-                if (i as u64 & nd_mask) & split_bit != 0 {
-                    *e = sibling.to_raw();
-                }
-            }
+        if doubling {
+            next.entries.extend_from_slice(&dir.entries); // high half mirrors
         }
-
-        // Write the rehashed old bucket, then the directory, then bump
-        // versions (publication order keeps readers safe: they re-check
-        // local depth vs cached global depth).
-        self.layer.write(ep, old_bucket, &old_img)?;
-        let new_version = dir.version + 1;
-        match new_dir {
-            Some((new_dir_addr, _)) => {
-                let mut body = Vec::with_capacity(entries.len() * 8);
-                for e in &entries {
-                    body.extend_from_slice(&e.to_le_bytes());
-                }
-                self.layer.write_u64(ep, new_dir_addr, new_version)?;
-                self.layer
-                    .write_u64(ep, new_dir_addr.offset_by(8), new_depth as u64)?;
-                self.layer.write(ep, new_dir_addr.offset_by(16), &body)?;
-                self.layer
-                    .write_u64(ep, self.meta.offset_by(16), new_dir_addr.to_raw())?;
-                self.layer
-                    .write_u64(ep, self.meta.offset_by(24), new_depth as u64)?;
+        let first = (old.pattern() | split_bit) as usize;
+        let repointed = (first..next.entries.len()).step_by(2 * split_bit as usize);
+        for i in repointed.clone() {
+            debug_assert_eq!(next.entries[i], bucket.to_raw());
+            next.entries[i] = sibling.to_raw();
+        }
+        let version = next.version.to_le_bytes();
+        match new_dir_addr {
+            Some(new_dir_addr) => {
+                self.layer.write(ep, new_dir_addr, &next.encode())?;
+                let at = [new_dir_addr.to_raw(), next.depth as u64].map(u64::to_le_bytes).concat();
+                self.layer.doorbell(
+                    ep,
+                    &mut [
+                        GlobalWr::Write { addr: self.meta.offset_by(META_DIR), src: &at },
+                        GlobalWr::Write { addr: self.meta, src: &version },
+                    ],
+                )?;
             }
             None => {
-                let dir_addr =
-                    GlobalAddr::from_raw(self.layer.read_u64(ep, self.meta.offset_by(16))?);
-                let mut body = Vec::with_capacity(entries.len() * 8);
-                for e in &entries {
-                    body.extend_from_slice(&e.to_le_bytes());
-                }
-                self.layer.write(ep, dir_addr.offset_by(16), &body)?;
-                self.layer.write_u64(ep, dir_addr, new_version)?;
+                // Only the entries that changed, the version behind them.
+                let raw = sibling.to_raw().to_le_bytes();
+                let mut wrs: Vec<GlobalWr> = repointed
+                    .map(|i| GlobalWr::Write {
+                        addr: dir_addr.offset_by(DIR_ENTRIES + 8 * i as u64),
+                        src: &raw,
+                    })
+                    .collect();
+                wrs.push(GlobalWr::Write { addr: dir_addr, src: &version });
+                self.layer.doorbell(ep, &mut wrs)?;
+                self.layer.write(ep, self.meta, &version)?;
             }
         }
-        self.layer.write_u64(ep, self.meta, new_version)?;
-        // Refresh our own cache.
-        self.fetch_dir(ep)?;
+        // Our cache is what we published.
+        self.install(next);
         Ok(())
     }
 
     /// Force a directory staleness check against DSM (handles that go
     /// long without misses call this periodically).
     pub fn refresh_if_stale(&self, ep: &Endpoint) -> DsmResult<bool> {
-        let remote = self.remote_version(ep)?;
-        let stale = self
-            .cache
-            .lock()
-            .as_ref()
-            .map(|c| c.version != remote)
-            .unwrap_or(true);
+        let remote = self.layer.read_u64(ep, self.meta)?;
+        let stale = self.cache.lock().as_ref().is_none_or(|c| c.version != remote);
         if stale {
             self.fetch_dir(ep)?;
         }
@@ -508,11 +596,17 @@ impl std::fmt::Debug for RaceHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost;
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn layer() -> Arc<DsmLayer> {
-        let fabric = Fabric::new(NetworkProfile::zero());
+        layer_on(NetworkProfile::zero())
+    }
+
+    fn layer_on(profile: NetworkProfile) -> Arc<DsmLayer> {
+        let fabric = Fabric::new(profile);
         DsmLayer::build(
             &fabric,
             DsmConfig {
@@ -602,9 +696,11 @@ mod tests {
         h.put(&ep, 42, 1).unwrap();
         let probe = l.fabric().endpoint();
         h.get(&probe, 42).unwrap();
-        // One bucket READ plus the 8-byte seqlock validation read —
-        // constant, independent of index size (vs O(depth) for a tree).
+        // One bucket READ with the 8-byte seqlock validation read riding
+        // its doorbell — constant, independent of index size (vs O(depth)
+        // for a tree).
         assert_eq!(probe.stats().reads, 2, "RACE fast path is O(1) READs");
+        assert_eq!(probe.stats().wire_round_trips(), 1, "in one round trip");
     }
 
     #[test]
@@ -632,5 +728,103 @@ mod tests {
                 assert_eq!(verify.get(&ep, k).unwrap(), Some(k), "key {k}");
             }
         }
+    }
+
+    #[test]
+    fn operations_cost_what_race_states() {
+        let p = NetworkProfile::rdma_cx6();
+        let l = layer_on(p);
+        let (h, _) = RaceHash::create(&l, 6, 1).unwrap();
+        // One endpoint loads and probes: a fresh one would queue its
+        // first CAS behind the loader's atomic-unit reservations.
+        let ep = l.fabric().endpoint();
+        for k in 1..=40u64 {
+            h.put(&ep, k, k * 10).unwrap();
+        }
+        // Every operation starts at the cached directory and the bucket.
+        let bucket_read = 40 + p.rw_cost_ns(BUCKET_SIZE);
+        let (word_rw, rider) = (p.rw_cost_ns(8), p.batched_cost_ns(8));
+        let cas = p.atomic_cost_ns() + p.atomic_unit_ns;
+        assert_eq!((bucket_read, word_rw, rider, cas), (1_645, 1_600, 150, 1_850));
+
+        // get, hit or miss: {READ bucket, READ header}.
+        assert_eq!(cost(&ep, || h.get(&ep, 7).unwrap()), (1, 2, bucket_read + rider));
+        assert_eq!(cost(&ep, || h.get(&ep, 777).unwrap()), (1, 2, bucket_read + rider));
+        // update: READ, {WRITE value, READ header}.
+        assert_eq!(cost(&ep, || h.put(&ep, 7, 71).unwrap()), (2, 3, bucket_read + word_rw + rider));
+        // fresh put: READ, slot CAS, {WRITE value, WRITE key, READ header}.
+        let fresh = bucket_read + cas + word_rw + 2 * rider;
+        assert_eq!(cost(&ep, || h.put(&ep, 777, 1).unwrap()), (3, 5, fresh));
+        // delete: READ, {CAS tombstone, READ header}.
+        assert_eq!(cost(&ep, || assert!(h.delete(&ep, 777).unwrap())), (2, 3, bucket_read + cas + rider));
+        assert_eq!(h.get(&ep, 7).unwrap(), Some(71));
+        assert_eq!(h.get(&ep, 777).unwrap(), None);
+        assert_eq!(h.cache_bytes(), dir_bytes(6) as usize);
+    }
+
+    #[test]
+    fn a_split_moves_what_changed_not_the_directory() {
+        let l = layer();
+        let (h, _) = RaceHash::create(&l, 1, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 1..=1_000u64 {
+            h.put(&ep, k, k).unwrap();
+        }
+        // The directory is 2 KiB and more by now; a put that re-read and
+        // rewrote it on every split would move several KiB on average.
+        let before = ep.stats().one_sided_bytes();
+        for k in 1_001..=2_000u64 {
+            h.put(&ep, k, k).unwrap();
+        }
+        let per_put = (ep.stats().one_sided_bytes() - before) / 1_000;
+        assert!(h.cache_bytes() >= 2_048 && per_put < 1_024, "{per_put} B per put");
+    }
+
+    #[test]
+    fn readers_see_loaded_values_while_writers_split() {
+        let l = layer();
+        let (h0, meta) = RaceHash::create(&l, 2, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 1..=1_000u64 {
+            h0.put(&ep, k, k + 7).unwrap();
+        }
+        let depth_before = h0.cache_bytes();
+        let writers_left = AtomicUsize::new(2);
+        // Readers and writers start together.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for r in 0..2u64 {
+                let (l, writers_left, start) = (l.clone(), &writers_left, &start);
+                s.spawn(move || {
+                    let h = RaceHash::open(&l, meta, 20 + r);
+                    let ep = l.fabric().endpoint();
+                    start.wait();
+                    // At least one pass, then until the writers are done.
+                    loop {
+                        let last = writers_left.load(Ordering::Acquire) == 0;
+                        for k in 1..=1_000u64 {
+                            assert_eq!(h.get(&ep, k).unwrap(), Some(k + 7), "key {k}");
+                        }
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            for w in 0..2u64 {
+                let (l, writers_left, start) = (l.clone(), &writers_left, &start);
+                s.spawn(move || {
+                    let h = RaceHash::open(&l, meta, 10 + w);
+                    let ep = l.fabric().endpoint();
+                    start.wait();
+                    for i in 0..3_000u64 {
+                        h.put(&ep, 10_000 + 2 * i + w, i).unwrap();
+                    }
+                    writers_left.fetch_sub(1, Ordering::Release);
+                });
+            }
+        });
+        h0.refresh_if_stale(&ep).unwrap();
+        assert!(h0.cache_bytes() >= 4 * depth_before, "the writers split and doubled under the readers");
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Three gates read off two runs of the benchmark, one verdict each.
+# Four gates read off three runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
@@ -30,6 +30,17 @@
 #    that gives the directory round trips of its own again (4.4187 when
 #    it had them) fails above COHERENT_WIRE_RT_LIMIT.
 #
+# From one `index_probe` run (B+tree with cached internals and RACE hash,
+# 90 % lookups):
+#
+# 4. An index lookup is one round trip: `index.btree_sim_rts_per_search`
+#    and `index.race_sim_rts_per_get`, exact on the sim clock (1.0000
+#    each: the leaf READ; the bucket READ with its validation READ riding
+#    the same doorbell). A change that gives the root pointer, a
+#    refilled internal node or the validation read a round trip of its
+#    own again (2.78 and 2.00 when they had them) fails above
+#    INDEX_RT_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per run); build it first with
@@ -41,6 +52,7 @@ cd "$(dirname "$0")/.."
 LIMIT=2.5
 WIRE_RT_LIMIT=4
 COHERENT_WIRE_RT_LIMIT=2.5
+INDEX_RT_LIMIT=1.1
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
 # metric <name>: its value in the benchmark's last-line JSON.
@@ -74,6 +86,11 @@ ratio="$(metric telemetry.host_overhead_ratio)"
 wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run coherent_rw)"
 coherent_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
+last_line="$(run index_probe)"
+btree_rts="$(metric index.btree_sim_rts_per_search)"
+race_rts="$(metric index.race_sim_rts_per_get)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
 gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
+gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT_LIMIT"
+gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
