@@ -1,785 +1,29 @@
-//! Validate the machine-readable experiment output in `results/`.
+//! Validate the machine-readable experiment output in `results/` (or
+//! `$BENCH_RESULTS_DIR`). CI runs it on the committed reports and on a
+//! reduced-scale regeneration of all of them.
 //!
-//! Used by CI after a reduced-scale experiment run: every
-//! `results/exp_*.json` must parse, carry the report schema
-//! (schema_version / experiment / title / rows) plus a top-level
-//! `timeseries` section (since schema v2) with consistent window geometry
-//! (monotone starts at exact stride, width x count covering the
-//! makespan) and per-window counts that sum to the recorded totals;
-//! any embedded phase breakdown must have shares that sum to ~1, and
-//! any embedded `contention` section must carry the observatory schema
-//! (ranked top-K lists, wait-for summary, coherence counters). Schema
-//! v3 adds two mandatory live-plane sections: `health` (windowed gauge
-//! deltas whose rendered levels must match their own prefix sums and
-//! never go negative) and `alerts` (a typed watchdog log whose events
-//! must alternate open/clear per kind at non-decreasing window
-//! boundaries inside the sampled run span).
-//! Schema v4 adds a mandatory `forensics` section: blame-share
-//! histogram whose per-category nanoseconds must sum to the recorded
-//! total, a worst-K exemplar reservoir sorted slowest-first and no
-//! deeper than its declared capacity, and a `critical_path_wire_share`
-//! in `[0, 1]`; reports whose headline carries `p99_ns` must also
-//! carry the `p999_ns` and `max_ns` tail rungs the exemplars explain.
-//! Schema v5 adds a mandatory `utilization` section: the fabric
-//! heatmap — per-node windowed ingress/egress/verbs/remote-ns/queue
-//! tracks whose derived totals must equal their own window sums,
-//! occupancy stamps with `allocated <= capacity`, space-saving heat
-//! top-K lists sorted by count desc with `err <= count`, and
-//! imbalance indices (`gini_*` in `[0, 1]`, `max_mean_bytes >= 0`).
-//! `results/exp_*_trace.json` files are Chrome `trace_event` exports
-//! and must hold a non-empty `traceEvents` array;
-//! `results/exp_*_exemplars.json` files are standalone worst-K
-//! artifacts mapping part names to forensics sections;
-//! `results/exp_*_heat.json` files are standalone utilization
-//! snapshots and `results/exp_*_moveplan.json` files are typed
-//! placement-advisor move plans — both must parse back typed.
-//! `BENCH_summary.json` must parse and reference only experiments
-//! whose report file exists.
+//! The rules live beside what they describe, not here:
+//! [`bench::report::dir_violations`] walks the directory — every
+//! `exp_*.json` report, the `_trace` / `_alerts` / `_exemplars` /
+//! `_heat` / `_moveplan` artifacts, and `BENCH_summary.json` — and a
+//! section is valid iff it parses back into its snapshot type, the
+//! snapshot renders to the bytes it was read from, and the snapshot's
+//! own `violations()` is empty (`telemetry::report`).
 //!
 //! Exits non-zero with a message per violation.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use bench::report::{
-    alerts_from_json, forensics_from_json, health_from_json, move_plan_from_json, results_dir,
-    utilization_from_json, Json,
-};
-use bench::{AlertState, Gauge};
-
-fn check_phases(path: &Path, ctx: &str, v: &Json, errors: &mut Vec<String>) {
-    match v {
-        Json::O(members) => {
-            if let Some(Json::O(buckets)) = v.get("phases") {
-                let share_sum: f64 = buckets
-                    .iter()
-                    .filter_map(|(_, b)| b.get("share").and_then(|s| s.as_f64()))
-                    .sum();
-                // All-zero shares mean no phase activity (legal for
-                // experiments that never enter the engine).
-                if !buckets.is_empty() && share_sum != 0.0 && (share_sum - 1.0).abs() > 1e-6 {
-                    errors.push(format!(
-                        "{}: {}: phase shares sum to {share_sum}, expected 1.0",
-                        path.display(),
-                        ctx
-                    ));
-                }
-            }
-            for (key, member) in members {
-                check_phases(path, &format!("{ctx}.{key}"), member, errors);
-            }
-        }
-        Json::A(items) => {
-            for (i, item) in items.iter().enumerate() {
-                check_phases(path, &format!("{ctx}[{i}]"), item, errors);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Validate every embedded `contention` section (the observatory
-/// schema emitted by `ContentionSnapshot::to_json`).
-fn check_contention(path: &Path, ctx: &str, v: &Json, errors: &mut Vec<String>) {
-    match v {
-        Json::O(members) => {
-            if let Some(c) = v.get("contention") {
-                validate_contention(path, ctx, c, errors);
-            }
-            for (key, member) in members {
-                check_contention(path, &format!("{ctx}.{key}"), member, errors);
-            }
-        }
-        Json::A(items) => {
-            for (i, item) in items.iter().enumerate() {
-                check_contention(path, &format!("{ctx}[{i}]"), item, errors);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn validate_contention(path: &Path, ctx: &str, c: &Json, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: {ctx}: {msg}", path.display()));
-    for key in ["top_wait_ns", "top_cas_retries", "wait_for", "coherence", "wait_ns_total"] {
-        if c.get(key).is_none() {
-            err(format!("contention section missing \"{key}\""));
-        }
-    }
-    for list in ["top_wait_ns", "top_cas_retries"] {
-        if let Some(Json::A(items)) = c.get(list) {
-            let mut prev = u64::MAX;
-            for (i, item) in items.iter().enumerate() {
-                let count = item.get("count").and_then(|v| v.as_u64());
-                let e = item.get("err").and_then(|v| v.as_u64());
-                match (item.get("key"), count, e) {
-                    (Some(_), Some(count), Some(e)) => {
-                        if count > prev {
-                            err(format!("{list}[{i}] not sorted by count desc"));
-                        }
-                        if e > count {
-                            err(format!("{list}[{i}]: err {e} exceeds count {count}"));
-                        }
-                        prev = count;
-                    }
-                    _ => err(format!("{list}[{i}] missing key/count/err")),
-                }
-            }
-        }
-    }
-    if let Some(wf) = c.get("wait_for") {
-        for key in ["edges", "cycles", "max_depth", "dropped"] {
-            if wf.get(key).is_none() {
-                err(format!("wait_for missing \"{key}\""));
-            }
-        }
-    }
-    if let Some(co) = c.get("coherence") {
-        for key in ["broadcasts", "messages", "max_fanout"] {
-            if co.get(key).is_none() {
-                err(format!("coherence missing \"{key}\""));
-            }
-        }
-    }
-}
-
-/// Validate the report's top-level `timeseries` section (since schema v2):
-/// positive window width, monotone window starts at exact stride,
-/// width x count covering the makespan (to one window's tolerance),
-/// known metric names, per-metric arrays of the right length, and
-/// per-window counts summing to the recorded totals.
-fn check_timeseries(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: timeseries: {msg}", path.display()));
-    let Some(ts) = json.get("timeseries") else {
-        err("missing (every report must carry a timeseries section)".into());
-        return;
-    };
-    let Some(window_ns) = ts.get("window_ns").and_then(|v| v.as_u64()) else {
-        err("missing window_ns".into());
-        return;
-    };
-    if window_ns == 0 {
-        err("window_ns is 0".into());
-        return;
-    }
-    let Some(n) = ts.get("windows").and_then(|v| v.as_u64()) else {
-        err("missing windows".into());
-        return;
-    };
-    let Some(makespan) = ts.get("makespan_ns").and_then(|v| v.as_u64()) else {
-        err("missing makespan_ns".into());
-        return;
-    };
-    match ts.get("window_starts_ns").and_then(|v| v.as_array()) {
-        Some(starts) => {
-            if starts.len() as u64 != n {
-                err(format!("{} window starts for {n} windows", starts.len()));
-            }
-            for (i, s) in starts.iter().enumerate() {
-                match s.as_u64() {
-                    Some(s) if s == i as u64 * window_ns => {}
-                    Some(s) => {
-                        err(format!(
-                            "window_starts_ns[{i}] = {s}, expected {} (stride {window_ns})",
-                            i as u64 * window_ns
-                        ));
-                        break;
-                    }
-                    None => {
-                        err(format!("window_starts_ns[{i}] not a u64"));
-                        break;
-                    }
-                }
-            }
-        }
-        None => err("missing window_starts_ns".into()),
-    }
-    // Coverage: the windows must span the makespan to within one window
-    // on either side (the last sample can land just before a boundary).
-    let span = n * window_ns;
-    if span + window_ns < makespan {
-        err(format!(
-            "{n} windows x {window_ns} ns = {span} ns do not cover makespan {makespan} ns"
-        ));
-    }
-    if makespan + window_ns < span {
-        err(format!(
-            "{n} windows x {window_ns} ns = {span} ns overshoot makespan {makespan} ns"
-        ));
-    }
-    let totals = match ts.get("totals") {
-        Some(Json::O(members)) => members.clone(),
-        _ => {
-            err("missing totals".into());
-            Vec::new()
-        }
-    };
-    match ts.get("metrics") {
-        Some(Json::O(metrics)) => {
-            for (name, arr) in metrics {
-                if bench::Metric::from_name(name).is_none() {
-                    err(format!("unknown metric \"{name}\""));
-                    continue;
-                }
-                let Some(counts) = arr.as_array() else {
-                    err(format!("metric \"{name}\" is not an array"));
-                    continue;
-                };
-                if counts.len() as u64 != n {
-                    err(format!(
-                        "metric \"{name}\" has {} windows, expected {n}",
-                        counts.len()
-                    ));
-                    continue;
-                }
-                let sum: u64 = counts.iter().filter_map(|c| c.as_u64()).sum();
-                match totals.iter().find(|(k, _)| k == name).and_then(|(_, v)| v.as_u64()) {
-                    Some(total) if total == sum => {}
-                    Some(total) => err(format!(
-                        "metric \"{name}\" windows sum to {sum}, totals say {total}"
-                    )),
-                    None => err(format!("metric \"{name}\" has no totals entry")),
-                }
-            }
-        }
-        _ => err("missing metrics".into()),
-    }
-}
-
-/// Validate the report's top-level `health` section (schema v3): it
-/// must parse back into a [`rdma_sim::HealthSnapshot`] (known gauge
-/// names, delta arrays of the declared window count), the rendered
-/// final/min/max levels must equal the prefix sums of the deltas, and
-/// the cluster-level counting gauges must never go negative.
-fn check_health(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: health: {msg}", path.display()));
-    let Some(section) = json.get("health") else {
-        err("missing (every report must carry a health section)".into());
-        return;
-    };
-    let Some(snap) = health_from_json(section) else {
-        err("does not parse back into a HealthSnapshot \
-             (unknown gauge name or wrong delta-array length?)"
-            .into());
-        return;
-    };
-    if snap.window_ns == 0 && !snap.is_empty() {
-        err("windows recorded with window_ns = 0".into());
-        return;
-    }
-    let levels = section.get("levels");
-    for g in Gauge::ALL {
-        // Levels are redundant with the deltas by construction; the
-        // section must agree with its own prefix sums.
-        if let Some(l) = levels.and_then(|l| l.get(g.name())) {
-            for (key, want) in [
-                ("final", snap.final_level(g)),
-                ("min", snap.min_level(g)),
-                ("max", snap.max_level(g)),
-            ] {
-                match l.get(key).and_then(|v| v.as_i64()) {
-                    Some(got) if got == want => {}
-                    Some(got) => err(format!(
-                        "levels.{}.{key} = {got}, deltas say {want}",
-                        g.name()
-                    )),
-                    None => err(format!("levels.{}.{key} missing", g.name())),
-                }
-            }
-        }
-        // Every gauge counts things that exist (sessions, held locks,
-        // resident frames, posted verbs, epochs): merged across a whole
-        // cluster the level can never go negative.
-        if snap.min_level(g) < 0 {
-            err(format!(
-                "gauge {} dips to {} (cluster levels must stay >= 0)",
-                g.name(),
-                snap.min_level(g)
-            ));
-        }
-    }
-    // Sessions always leave before the report is written.
-    if snap.final_level(Gauge::SessionsInFlight) != 0 {
-        err(format!(
-            "sessions_in_flight ends at {} (all sessions must drain)",
-            snap.final_level(Gauge::SessionsInFlight)
-        ));
-    }
-}
-
-/// Validate the report's top-level `alerts` section (schema v3): the
-/// typed log must parse, count must match, seq must be the event
-/// index, timestamps must be non-decreasing window boundaries within
-/// the run span, and each kind's events must alternate open → clear.
-fn check_alerts(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: alerts: {msg}", path.display()));
-    let Some(section) = json.get("alerts") else {
-        err("missing (every report must carry an alerts section)".into());
-        return;
-    };
-    let Some(events) = alerts_from_json(section) else {
-        err("does not parse back into a typed alert log \
-             (unknown kind/state name or missing field?)"
-            .into());
-        return;
-    };
-    match section.get("count").and_then(|c| c.as_u64()) {
-        Some(count) if count == events.len() as u64 => {}
-        Some(count) => err(format!("count = {count}, but {} events", events.len())),
-        None => err("missing count".into()),
-    }
-    // The run span: every alert fires at a window boundary inside the
-    // sampled series (the watchdog never invents timestamps).
-    let span = json.get("timeseries").map(|ts| {
-        let w = ts.get("window_ns").and_then(|v| v.as_u64()).unwrap_or(0);
-        let n = ts.get("windows").and_then(|v| v.as_u64()).unwrap_or(0);
-        (w, n * w)
-    });
-    let mut last_at = 0;
-    let mut open = [false; bench::AlertKind::ALL.len()];
-    for (i, e) in events.iter().enumerate() {
-        if e.seq != i as u64 {
-            err(format!("events[{i}].seq = {}, expected {i}", e.seq));
-        }
-        if e.at_ns < last_at {
-            err(format!("events[{i}].at_ns = {} goes backwards", e.at_ns));
-        }
-        last_at = e.at_ns;
-        if let Some((window_ns, span_ns)) = span {
-            if window_ns > 0 && (e.at_ns % window_ns != 0 || e.at_ns > span_ns) {
-                err(format!(
-                    "events[{i}].at_ns = {} is not a window boundary within \
-                     the {span_ns} ns run span",
-                    e.at_ns
-                ));
-            }
-        }
-        // open/clear must alternate per kind, starting with open.
-        let k = e.kind as usize;
-        match e.state {
-            AlertState::Open if open[k] => {
-                err(format!("events[{i}]: {} opened twice", e.kind.name()))
-            }
-            AlertState::Clear if !open[k] => {
-                err(format!("events[{i}]: {} cleared while not open", e.kind.name()))
-            }
-            _ => open[k] = e.state == AlertState::Open,
-        }
-    }
-}
-
-/// Validate the report's top-level `forensics` section (schema v4):
-/// it must parse back into a typed summary, the per-category blame
-/// nanoseconds must sum to the recorded `total_ns`, the worst-K
-/// reservoir must respect its capacity and be sorted slowest-first,
-/// every exemplar's `attributed_share` must be a share, and the
-/// `critical_path_wire_share` the regression gate watches must exist.
-fn check_forensics(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: forensics: {msg}", path.display()));
-    let Some(section) = json.get("forensics") else {
-        err("missing (every report must carry a forensics section)".into());
-        return;
-    };
-    let Some(sum) = forensics_from_json(section) else {
-        err("does not parse back into a forensics summary \
-             (missing blame bucket or malformed exemplar?)"
-            .into());
-        return;
-    };
-    let blame_total: u64 = sum.blame_ns.iter().sum();
-    match section.get("total_ns").and_then(|v| v.as_u64()) {
-        Some(total) if total == blame_total => {}
-        Some(total) => err(format!("total_ns = {total}, blame buckets sum to {blame_total}")),
-        None => err("missing total_ns".into()),
-    }
-    match section.get("critical_path_wire_share").and_then(|v| v.as_f64()) {
-        Some(s) if (0.0..=1.0).contains(&s) => {}
-        Some(s) => err(format!("critical_path_wire_share = {s} outside [0, 1]")),
-        None => err("missing critical_path_wire_share".into()),
-    }
-    if sum.worst.len() as u64 > sum.k {
-        err(format!("{} exemplars exceed reservoir capacity {}", sum.worst.len(), sum.k));
-    }
-    if sum.worst.len() as u64 > sum.txns {
-        err(format!("{} exemplars but only {} transactions", sum.worst.len(), sum.txns));
-    }
-    let mut prev = u64::MAX;
-    for (i, &(total_ns, share, _events)) in sum.worst.iter().enumerate() {
-        if total_ns > prev {
-            err(format!("worst[{i}] not sorted by total_ns desc"));
-        }
-        prev = total_ns;
-        if !(0.0..=1.0).contains(&share) {
-            err(format!("worst[{i}].attributed_share = {share} outside [0, 1]"));
-        }
-    }
-}
-
-/// A space-saving top-K list (heat ranges, sessions): entries sorted
-/// by count desc, each overestimate bound no larger than its count.
-fn check_topk_list(path: &Path, ctx: &str, list: &Json, count_key: &str, errors: &mut Vec<String>) {
-    let mut err = |msg: String| errors.push(format!("{}: utilization: {msg}", path.display()));
-    let Some(items) = list.as_array() else {
-        err(format!("{ctx} is not an array"));
-        return;
-    };
-    let mut prev = u64::MAX;
-    for (i, item) in items.iter().enumerate() {
-        match (
-            item.get(count_key).and_then(|v| v.as_u64()),
-            item.get("err").and_then(|v| v.as_u64()),
-        ) {
-            (Some(count), Some(e)) => {
-                if count > prev {
-                    err(format!("{ctx}[{i}] not sorted by {count_key} desc"));
-                }
-                if e > count {
-                    err(format!("{ctx}[{i}]: err {e} exceeds {count_key} {count}"));
-                }
-                prev = count;
-            }
-            _ => err(format!("{ctx}[{i}] missing {count_key}/err")),
-        }
-    }
-}
-
-/// Validate the report's top-level `utilization` section (schema v5):
-/// it must parse back into a [`rdma_sim::UtilSnapshot`], every node's
-/// derived totals must equal the sums of its own window tracks,
-/// occupancy stamps must satisfy `allocated <= capacity`, the heat and
-/// session top-K lists must be sorted with bounded error, and the
-/// derived imbalance indices must be well-formed.
-fn util_err(errors: &mut Vec<String>, path: &Path, msg: String) {
-    errors.push(format!("{}: utilization: {msg}", path.display()));
-}
-
-fn check_utilization(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let Some(section) = json.get("utilization") else {
-        util_err(errors, path, "missing (schema v5: every report must carry a utilization section)".into());
-        return;
-    };
-    let Some(snap) = utilization_from_json(section) else {
-        util_err(errors, path, "does not parse back into a UtilSnapshot \
-             (wrong track length, unknown phase name, or missing field?)"
-            .into());
-        return;
-    };
-    if snap.window_ns == 0 && !snap.is_empty() {
-        util_err(errors, path, "windows recorded with window_ns = 0".into());
-        return;
-    }
-    if let Some(Json::A(nodes)) = section.get("nodes") {
-        for (i, n) in nodes.iter().enumerate() {
-            let sum = |key: &str| -> u64 {
-                n.get(key)
-                    .and_then(|v| v.as_array())
-                    .map(|a| a.iter().filter_map(|w| w.as_u64()).sum())
-                    .unwrap_or(0)
-            };
-            let want_bytes = sum("ingress_bytes") + sum("egress_bytes");
-            let want_verbs = sum("verbs");
-            let want_ns = sum("remote_ns");
-            for (key, want) in [("bytes", want_bytes), ("verbs", want_verbs), ("remote_ns", want_ns)]
-            {
-                match n.get("totals").and_then(|t| t.get(key)).and_then(|v| v.as_u64()) {
-                    Some(got) if got == want => {}
-                    Some(got) => util_err(errors, path, format!(
-                        "nodes[{i}].totals.{key} = {got}, window tracks sum to {want}"
-                    )),
-                    None => util_err(errors, path, format!("nodes[{i}].totals.{key} missing")),
-                }
-            }
-            let capacity = n.get("capacity_bytes").and_then(|v| v.as_u64()).unwrap_or(0);
-            let allocated = n.get("allocated_bytes").and_then(|v| v.as_u64()).unwrap_or(0);
-            if capacity > 0 && allocated > capacity {
-                util_err(errors, path, format!(
-                    "nodes[{i}]: allocated {allocated} exceeds capacity {capacity}"
-                ));
-            }
-        }
-    }
-    if let Some(heat) = section.get("heat") {
-        for list in ["by_bytes", "by_verbs", "by_remote_ns"] {
-            match heat.get(list) {
-                Some(l) => check_topk_list(path, &format!("heat.{list}"), l, "count", errors),
-                None => util_err(errors, path, format!("heat missing \"{list}\"")),
-            }
-        }
-    } else {
-        util_err(errors, path, "missing heat".into());
-    }
-    match section.get("by_session") {
-        Some(l) => check_topk_list(path, "by_session", l, "bytes", errors),
-        None => util_err(errors, path, "missing by_session".into()),
-    }
-    match section.get("imbalance") {
-        Some(imb) => {
-            for key in ["gini_bytes", "gini_verbs"] {
-                match imb.get(key).and_then(|v| v.as_f64()) {
-                    Some(g) if (0.0..=1.0).contains(&g) => {}
-                    Some(g) => util_err(errors, path, format!("imbalance.{key} = {g} outside [0, 1]")),
-                    None => util_err(errors, path, format!("imbalance.{key} missing")),
-                }
-            }
-            match imb.get("max_mean_bytes").and_then(|v| v.as_f64()) {
-                Some(m) if m >= 0.0 => {}
-                Some(m) => util_err(errors, path, format!("imbalance.max_mean_bytes = {m} is negative")),
-                None => util_err(errors, path, "imbalance.max_mean_bytes missing".into()),
-            }
-        }
-        None => util_err(errors, path, "missing imbalance".into()),
-    }
-}
-
-/// Reports that headline `p99_ns` must also headline the deeper tail
-/// rungs the forensics section explains.
-fn check_headline_tail(path: &Path, json: &Json, errors: &mut Vec<String>) {
-    let Some(headline) = json.get("headline") else {
-        return;
-    };
-    if headline.get("p99_ns").is_none() {
-        return;
-    }
-    for key in ["p999_ns", "max_ns"] {
-        if headline.get(key).is_none() {
-            errors.push(format!(
-                "{}: headline has p99_ns but no {key} (tail rungs are mandatory)",
-                path.display()
-            ));
-        }
-    }
-}
-
-/// Validate a Chrome `trace_event` export: parses and carries a
-/// non-empty `traceEvents` array whose entries have a `ph` tag.
-fn check_trace(path: &Path, errors: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return errors.push(format!("{}: unreadable: {e}", path.display())),
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => return errors.push(format!("{}: invalid JSON: {e}", path.display())),
-    };
-    match json.get("traceEvents").and_then(|t| t.as_array()) {
-        Some(events) if !events.is_empty() => {
-            for (i, ev) in events.iter().enumerate() {
-                if ev.get("ph").and_then(|p| p.as_str()).is_none() {
-                    errors.push(format!(
-                        "{}: traceEvents[{i}] has no \"ph\" tag",
-                        path.display()
-                    ));
-                    break;
-                }
-            }
-        }
-        _ => errors.push(format!("{}: no traceEvents", path.display())),
-    }
-}
-
-fn check_report(path: &Path, errors: &mut Vec<String>) -> Option<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            errors.push(format!("{}: unreadable: {e}", path.display()));
-            return None;
-        }
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            errors.push(format!("{}: invalid JSON: {e}", path.display()));
-            return None;
-        }
-    };
-    for key in ["schema_version", "experiment", "title", "rows"] {
-        if json.get(key).is_none() {
-            errors.push(format!("{}: missing \"{key}\"", path.display()));
-        }
-    }
-    let experiment = json.get("experiment").and_then(|e| e.as_str()).map(String::from);
-    if let Some(ref name) = experiment {
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        if name != stem {
-            errors.push(format!(
-                "{}: experiment \"{name}\" does not match file name",
-                path.display()
-            ));
-        }
-    }
-    if json.get("rows").and_then(|r| r.as_array()).is_none_or(|r| r.is_empty()) {
-        errors.push(format!("{}: no rows", path.display()));
-    }
-    check_phases(path, "$", &json, errors);
-    check_contention(path, "$", &json, errors);
-    check_timeseries(path, &json, errors);
-    check_health(path, &json, errors);
-    check_alerts(path, &json, errors);
-    check_forensics(path, &json, errors);
-    check_utilization(path, &json, errors);
-    check_headline_tail(path, &json, errors);
-    experiment
-}
-
 fn main() -> ExitCode {
-    let dir = results_dir();
-    let mut errors = Vec::new();
-    let mut reports = Vec::new();
-
-    let mut entries: Vec<_> = match std::fs::read_dir(&dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.extension().is_some_and(|x| x == "json")
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("exp_"))
-            })
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    entries.sort();
-    let (traces, entries): (Vec<_>, Vec<_>) = entries.into_iter().partition(|p| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with("_trace.json"))
-    });
-    let (alert_logs, entries): (Vec<_>, Vec<_>) = entries.into_iter().partition(|p| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with("_alerts.json"))
-    });
-    let (exemplar_files, entries): (Vec<_>, Vec<_>) = entries.into_iter().partition(|p| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with("_exemplars.json"))
-    });
-    let (heat_files, entries): (Vec<_>, Vec<_>) = entries.into_iter().partition(|p| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with("_heat.json"))
-    });
-    let (moveplan_files, entries): (Vec<_>, Vec<_>) = entries.into_iter().partition(|p| {
-        p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with("_moveplan.json"))
-    });
-    if entries.is_empty() {
-        eprintln!("no exp_*.json reports in {}", dir.display());
-        return ExitCode::FAILURE;
+    let dir = bench::report::results_dir();
+    let (files, violations) = bench::report::dir_violations(&dir);
+    if violations.is_empty() {
+        println!("ok: {files} file(s) valid in {}", dir.display());
+        return ExitCode::SUCCESS;
     }
-    for path in &entries {
-        if let Some(name) = check_report(path, &mut errors) {
-            reports.push(name);
-        }
+    for v in &violations {
+        eprintln!("error: {v}");
     }
-    for path in &traces {
-        check_trace(path, &mut errors);
-    }
-    // Standalone worst-K artifacts map part names to forensics sections.
-    for path in &exemplar_files {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(Json::O(parts)) if !parts.is_empty() => {
-                    for (name, section) in &parts {
-                        if forensics_from_json(section).is_none() {
-                            errors.push(format!(
-                                "{}: part \"{name}\" is not a forensics section",
-                                path.display()
-                            ));
-                        }
-                    }
-                }
-                Ok(_) => errors.push(format!(
-                    "{}: not a non-empty object of forensics sections",
-                    path.display()
-                )),
-                Err(e) => errors.push(format!("{}: invalid JSON: {e}", path.display())),
-            },
-            Err(e) => errors.push(format!("{}: unreadable: {e}", path.display())),
-        }
-    }
-    // Standalone heat artifacts hold exactly a utilization section.
-    for path in &heat_files {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(json) if utilization_from_json(&json).is_some() => {}
-                Ok(_) => errors.push(format!(
-                    "{}: not a typed utilization snapshot",
-                    path.display()
-                )),
-                Err(e) => errors.push(format!("{}: invalid JSON: {e}", path.display())),
-            },
-            Err(e) => errors.push(format!("{}: unreadable: {e}", path.display())),
-        }
-    }
-    // Standalone move-plan artifacts hold exactly an advisor plan.
-    for path in &moveplan_files {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(json) if move_plan_from_json(&json).is_some() => {}
-                Ok(_) => errors.push(format!("{}: not a typed move plan", path.display())),
-                Err(e) => errors.push(format!("{}: invalid JSON: {e}", path.display())),
-            },
-            Err(e) => errors.push(format!("{}: unreadable: {e}", path.display())),
-        }
-    }
-    // Standalone alert-log artifacts hold exactly an `alerts` section.
-    for path in &alert_logs {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(json) if alerts_from_json(&json).is_some() => {}
-                Ok(_) => errors.push(format!("{}: not a typed alert log", path.display())),
-                Err(e) => errors.push(format!("{}: invalid JSON: {e}", path.display())),
-            },
-            Err(e) => errors.push(format!("{}: unreadable: {e}", path.display())),
-        }
-    }
-
-    let summary_path = dir.join("BENCH_summary.json");
-    match std::fs::read_to_string(&summary_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(json) => match json.get("experiments") {
-                // Headlines are keyed by experiment name, sorted on merge.
-                Some(Json::O(entries)) if !entries.is_empty() => {
-                    for (name, _) in entries {
-                        if !dir.join(format!("{name}.json")).exists() {
-                            errors.push(format!(
-                                "{}: entry \"{name}\" has no report file",
-                                summary_path.display()
-                            ));
-                        }
-                    }
-                    check_phases(&summary_path, "$", &json, &mut errors);
-                }
-                _ => errors.push(format!("{}: no experiments", summary_path.display())),
-            },
-            Err(e) => errors.push(format!("{}: invalid JSON: {e}", summary_path.display())),
-        },
-        Err(e) => errors.push(format!("{}: unreadable: {e}", summary_path.display())),
-    }
-
-    if errors.is_empty() {
-        println!(
-            "ok: {} report(s) + {} trace(s) + {} alert log(s) + {} exemplar file(s) \
-             + {} heat file(s) + {} move plan(s) + BENCH_summary.json valid in {}",
-            reports.len(),
-            traces.len(),
-            alert_logs.len(),
-            exemplar_files.len(),
-            heat_files.len(),
-            moveplan_files.len(),
-            dir.display()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("error: {e}");
-        }
-        eprintln!("{} violation(s)", errors.len());
-        ExitCode::FAILURE
-    }
+    eprintln!("{} violation(s)", violations.len());
+    ExitCode::FAILURE
 }

@@ -172,8 +172,7 @@ fn ablation_fabric(rep: &mut Report, txns: usize) {
         ]);
         if profile.name == NetworkProfile::rdma_cx6().name {
             // Flagship fabric: carry its windowed series in the report.
-            report::attach_timeseries(rep, &r);
-            report::attach_live_plane(rep, &r);
+            r.planes.live().attach(rep, r.makespan_ns, r.sessions);
         }
         rep.row(
             &format!("fabric={}", profile.name),

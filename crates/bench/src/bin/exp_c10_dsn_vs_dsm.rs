@@ -136,8 +136,7 @@ fn main() {
         }
         if w == windows - 1 {
             // Last DSM window doubles as the report's time-series sample.
-            report::attach_timeseries(&mut rep, &r);
-            report::attach_live_plane(&mut rep, &r);
+            r.planes.live().attach(&mut rep, r.makespan_ns, r.sessions);
         }
     }
     let moved = dsn.stats().reshard_bytes;

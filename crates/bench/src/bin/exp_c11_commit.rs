@@ -96,8 +96,7 @@ fn main() {
             rep.headline("sharded_2pc_tps_50cross", Json::F(sharded.tps()));
             rep.headline("onesided_tps_50cross", Json::F(direct.tps()));
             // Flagship point of the sweep carries the windowed series.
-            report::attach_timeseries(&mut rep, &sharded);
-            report::attach_live_plane(&mut rep, &sharded);
+            sharded.planes.live().attach(&mut rep, sharded.makespan_ns, sharded.sessions);
         }
     }
     report::emit(&rep);

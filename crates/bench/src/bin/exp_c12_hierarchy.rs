@@ -13,9 +13,9 @@
 //! concurrency control across compute nodes".
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table};
+use bench::{scale_down, table, Planes};
 use dsm::{DsmConfig, DsmLayer};
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 use txn::hierarchy::HierarchicalLocks;
 use txn::{ExclusiveLock, LockError};
 
@@ -26,7 +26,7 @@ fn run(
     sections: usize,
     hierarchical: bool,
     capture: bool,
-) -> (f64, u64, Option<(rdma_sim::SeriesSnapshot, rdma_sim::HealthSnapshot, u64)>) {
+) -> (f64, u64, Option<(Planes, u64)>) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -41,8 +41,7 @@ fn run(
     let mgr = HierarchicalLocks::new(1);
     let total_cas = std::sync::atomic::AtomicU64::new(0);
     let makespan = std::sync::atomic::AtomicU64::new(0);
-    let series = std::sync::Mutex::new(rdma_sim::SeriesSnapshot::empty());
-    let health = std::sync::Mutex::new(rdma_sim::HealthSnapshot::empty());
+    let planes = std::sync::Mutex::new(Planes::default());
     let barrier = std::sync::Barrier::new(threads);
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -50,13 +49,12 @@ fn run(
                 (fabric.clone(), layer.clone(), mgr.clone(), locks.clone(), data.clone());
             let total_cas = &total_cas;
             let makespan = &makespan;
-            let series = &series;
-            let health = &health;
+            let planes = &planes;
             let barrier = &barrier;
             s.spawn(move || {
                 let ep = fabric.endpoint();
                 if capture {
-                    bench::enable_series(std::slice::from_ref(&ep));
+                    Planes::enable(&ep, DEFAULT_WINDOW_NS, None);
                 }
                 barrier.wait();
                 for i in 0..sections {
@@ -95,8 +93,7 @@ fn run(
                 total_cas.fetch_add(ep.stats().cas, std::sync::atomic::Ordering::Relaxed);
                 makespan.fetch_max(ep.clock().now_ns(), std::sync::atomic::Ordering::Relaxed);
                 if capture {
-                    series.lock().unwrap().merge(&ep.series_snapshot());
-                    health.lock().unwrap().merge(&ep.health_snapshot());
+                    planes.lock().unwrap().collect(&ep);
                 }
             });
         }
@@ -106,7 +103,7 @@ fn run(
     (
         total * 1e9 / ns.max(1) as f64,
         total_cas.load(std::sync::atomic::Ordering::Relaxed),
-        capture.then(|| (series.into_inner().unwrap(), health.into_inner().unwrap(), ns)),
+        capture.then(|| (planes.into_inner().unwrap(), ns)),
     )
 }
 
@@ -152,10 +149,8 @@ fn main() {
             rep.headline("flat_cas_8t", Json::U(flat_cas));
             rep.headline("hier_cas_8t", Json::U(hier_cas));
         }
-        if let Some((s, h, makespan)) = flagship {
-            rep.timeseries(report::series_json(&s, makespan));
-            rep.health(report::health_json(&h));
-            rep.alerts(report::alerts_json(&report::watchdog_replay(&s, &h, threads as u32)));
+        if let Some((planes, makespan)) = flagship {
+            planes.attach(&mut rep, makespan, threads as u32);
         }
     }
     report::emit(&rep);

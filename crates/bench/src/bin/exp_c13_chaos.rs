@@ -12,7 +12,7 @@
 //! `BENCH_SCALE=10` shrinks the run for CI smoke; the full-scale
 //! invariants are also asserted by `crates/bench/tests/chaos.rs`.
 
-use bench::chaos::{report_for, run_chaos, tps_sparkline, ChaosConfig};
+use bench::chaos::{report_for, run_chaos, ChaosConfig};
 use bench::{config, report, scale_down, table};
 
 fn main() {
@@ -57,7 +57,7 @@ fn main() {
     );
     println!(
         "invariants: lost_writes={} stuck_locks={} (janitor reclaimed {})",
-        out.lost_writes, out.stuck_locks, out.janitor_reclaims,
+        out.audit.lost_writes, out.audit.stuck_locks, out.audit.janitor_reclaims,
     );
     println!(
         "recovery (from the windowed series): baseline {:.1} tps, dip {:.1} tps          ({:.0}% deep)",
@@ -79,7 +79,7 @@ fn main() {
         out.recovered_tps_ratio * 100.0
     );
     println!("commit rate  {}  ({} windows of {} ns)",
-        tps_sparkline(&out, 48), out.series.len(), out.series.window_ns);
+        out.planes.tps_sparkline(48), out.planes.series.len(), out.planes.series.window_ns);
 
     report::emit(&report_for(&cfg, &out));
     if config::trace_enabled() {
@@ -92,8 +92,8 @@ fn main() {
         println!("chrome trace skipped (set BENCH_TRACE=1 to write it)");
     }
 
-    assert_eq!(out.lost_writes, 0, "committed writes were lost");
-    assert_eq!(out.stuck_locks, 0, "a lock stayed held forever");
+    assert_eq!(out.audit.lost_writes, 0, "committed writes were lost");
+    assert_eq!(out.audit.stuck_locks, 0, "a lock stayed held forever");
     println!("\nShape check: the fault window dips (dead group aborts with the \
               typed error, zombie leases time out), then steals + mirror \
               rebuild bring throughput back.");

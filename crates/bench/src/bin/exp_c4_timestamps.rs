@@ -13,9 +13,9 @@
 //! CPU saturates.
 
 use bench::report::{self, Json, Report};
-use bench::{lockstep, scale_down, table};
+use bench::{lockstep, scale_down, table, Planes};
 use dsm::{DsmConfig, DsmLayer};
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 use txn::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 
 fn throughput(
@@ -78,12 +78,13 @@ fn main() {
             // Flagship replay with the time-series recorder on: the FAA
             // oracle at max clients, windowed per-verb.
             let eps: Vec<_> = (0..clients).map(|_| fabric.endpoint()).collect();
-            bench::enable_series(&eps);
+            for ep in &eps {
+                Planes::enable(ep, DEFAULT_WINDOW_NS, Some(0));
+            }
             let makespan = lockstep(&eps, per_client, |_i, ep| {
                 faa.next_ts(ep).unwrap();
             });
-            report::attach_endpoint_series(&mut rep, &eps, makespan);
-            report::attach_endpoint_live_plane(&mut rep, &eps);
+            Planes::of_endpoints(&eps).attach(&mut rep, makespan, eps.len() as u32);
         }
     }
     report::emit(&rep);

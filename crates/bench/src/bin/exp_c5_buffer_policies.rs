@@ -13,12 +13,12 @@
 //! hit rates — software overhead becomes the bottleneck.
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table};
+use bench::{scale_down, table, Planes};
 use buffer::{all_policies, BufferPool, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 use workload::ZipfGenerator;
 
 const RECORDS: u64 = 8_192;
@@ -58,7 +58,7 @@ fn run_gap(
         // windowed series (cache hits/misses per window over the replay).
         let capture = pi == 0 && flagship.is_some();
         if capture {
-            bench::enable_series(std::slice::from_ref(&ep));
+            Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
         }
         let mut buf = vec![0u8; PAGE];
         for &key in trace {
@@ -67,12 +67,7 @@ fn run_gap(
         }
         if capture {
             if let Some(rep) = flagship.as_deref_mut() {
-                report::attach_endpoint_series(
-                    rep,
-                    std::slice::from_ref(&ep),
-                    ep.clock().now_ns(),
-                );
-                report::attach_endpoint_live_plane(rep, std::slice::from_ref(&ep));
+                Planes::of_endpoints(std::slice::from_ref(&ep)).attach(rep, ep.clock().now_ns(), 1);
             }
         }
         let s = pool.stats();

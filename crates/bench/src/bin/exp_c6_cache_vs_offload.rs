@@ -17,11 +17,11 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table};
+use bench::{scale_down, table, Planes};
 use buffer::{BufferPool, ClockPolicy, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use memnode::OffloadOutput;
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 
 const RECORDS: u64 = 4_096;
 const PAGE: usize = 256;
@@ -183,7 +183,7 @@ fn main() {
             WriteMode::WriteThrough,
         );
         let ep = layer.fabric().endpoint();
-        bench::enable_series(std::slice::from_ref(&ep));
+        Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
         let mut buf = vec![0u8; PAGE];
         for _ in 0..reps {
             for k in 0..SEGMENT {
@@ -191,8 +191,7 @@ fn main() {
                     .unwrap();
             }
         }
-        report::attach_endpoint_series(&mut rep, std::slice::from_ref(&ep), ep.clock().now_ns());
-        report::attach_endpoint_live_plane(&mut rep, std::slice::from_ref(&ep));
+        Planes::of_endpoints(std::slice::from_ref(&ep)).attach(&mut rep, ep.clock().now_ns(), 1);
     }
     report::emit(&rep);
     println!(

@@ -14,10 +14,10 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::{lockstep, scale_down, table};
+use bench::{lockstep, scale_down, table, Planes};
 use cloudstore::LogStore;
 use dsm::{DsmConfig, DsmLayer, DurabilityMode, DurableLog};
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 
 const RECORD: usize = 256;
 
@@ -42,7 +42,9 @@ fn run(
     // The replicated-log flagship carries the report's windowed series.
     let capture = mode_name == "repl k=3" && group == 1;
     if capture {
-        bench::enable_series(&eps);
+        for ep in &eps {
+            Planes::enable(ep, DEFAULT_WINDOW_NS, Some(0));
+        }
     }
     let record = vec![0xCCu8; RECORD];
     let rounds = commits / 8;
@@ -79,8 +81,7 @@ fn run(
     );
     if capture {
         rep.headline("repl_k3_commits_per_s", Json::F(tps));
-        report::attach_endpoint_series(rep, &eps, makespan);
-        report::attach_endpoint_live_plane(rep, &eps);
+        Planes::of_endpoints(&eps).attach(rep, makespan, eps.len() as u32);
     }
 }
 

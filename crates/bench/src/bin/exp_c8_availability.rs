@@ -14,13 +14,13 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::table;
+use bench::{table, Planes};
 use cloudstore::ObjectStore;
 use dsm::{
     CheckpointManager, DsmConfig, DsmLayer, DurabilityMode, DurableLog, ErasureConfig,
     ErasureStore, GlobalAddr,
 };
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 
 const NODE_CAP: usize = 512 << 10; // small regions keep user data ~= region size
 const PAGE: usize = 4_096;
@@ -39,19 +39,18 @@ fn mirror3(rep: &mut Report) -> (f64, u64, u64) {
     let ep = fabric.endpoint();
     // Populate some pages. This flagship scheme also carries the report's
     // windowed series: populate writes followed by the recovery copy.
-    bench::enable_series(std::slice::from_ref(&ep));
+    Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
     for _ in 0..64 {
         let a = layer.alloc(PAGE as u64).unwrap();
         layer.write(&ep, a, &vec![7u8; PAGE]).unwrap();
     }
     layer.crash_member(0, 1).unwrap();
     let rec_ep = fabric.endpoint();
-    bench::enable_series(std::slice::from_ref(&rec_ep));
+    Planes::enable(&rec_ep, DEFAULT_WINDOW_NS, Some(0));
     let bytes = layer.recover_member_from_mirror(&rec_ep, 0, 1).unwrap();
     let eps = [ep, rec_ep];
     let makespan = eps.iter().map(|e| e.clock().now_ns()).max().unwrap();
-    report::attach_endpoint_series(rep, &eps, makespan);
-    report::attach_endpoint_live_plane(rep, &eps);
+    Planes::of_endpoints(&eps).attach(rep, makespan, eps.len() as u32);
     (3.0, eps[1].clock().now_ns(), bytes)
 }
 

@@ -13,10 +13,10 @@
 //! trips: a doorbell's riders share their leader's.
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table};
+use bench::{scale_down, table, Planes};
 use dsm::{DsmConfig, DsmLayer};
 use index::{RaceHash, RemoteBTree, RemoteLsm};
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
 use std::sync::Arc;
 
 fn layer() -> Arc<DsmLayer> {
@@ -48,7 +48,7 @@ fn main() {
     let mut rows = Vec::new();
     // Flagship series + live plane (btree+cache lookups), attached once
     // the report exists.
-    let mut flagship: Option<(rdma_sim::SeriesSnapshot, rdma_sim::HealthSnapshot, u64)> = None;
+    let mut flagship: Option<(Planes, u64)> = None;
 
     // --- B+tree, cached internals (Sherman) ----------------------------
     for (name, cached) in [("btree+cache", true), ("btree naive", false)] {
@@ -61,18 +61,14 @@ fn main() {
         let load_ns = ep.clock().now_ns();
         let lep = l.fabric().endpoint();
         if cached {
-            bench::enable_series(std::slice::from_ref(&lep));
+            Planes::enable(&lep, DEFAULT_WINDOW_NS, None);
         }
         for i in 0..lookups {
             let k = keys[(i * 7 % n) as usize];
             assert!(t.search(&lep, k).unwrap().is_some());
         }
         if cached {
-            flagship = Some((
-                bench::merged_series(std::slice::from_ref(&lep)),
-                bench::merged_health(std::slice::from_ref(&lep)),
-                lep.clock().now_ns(),
-            ));
+            flagship = Some((Planes::of_endpoints(std::slice::from_ref(&lep)), lep.clock().now_ns()));
         }
         rows.push(Row {
             name,
@@ -145,10 +141,8 @@ fn main() {
     );
     rep.meta("keys", Json::U(n));
     rep.meta("lookups", Json::U(lookups));
-    if let Some((s, h, makespan)) = &flagship {
-        rep.timeseries(report::series_json(s, *makespan));
-        rep.health(report::health_json(h));
-        rep.alerts(report::alerts_json(&report::watchdog_replay(s, h, 1)));
+    if let Some((planes, makespan)) = &flagship {
+        planes.attach(&mut rep, *makespan, 1);
     }
     table::header(&[
         "index",

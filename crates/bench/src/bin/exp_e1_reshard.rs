@@ -14,7 +14,7 @@
 //! `BENCH_SCALE=10` shrinks the run for CI smoke; same-seed
 //! determinism is asserted by `crates/bench/tests/reshard.rs`.
 
-use bench::reshard::{report_for, run_reshard, tps_sparkline, ReshardConfig, Scenario};
+use bench::reshard::{report_for, run_reshard, ReshardConfig, Scenario};
 use bench::{config, report, scale_down, table};
 use dsmdb::MigrationState;
 
@@ -62,8 +62,8 @@ fn main() {
             out.scenario.name(),
             out.final_state,
             out.final_epoch,
-            out.lost_writes,
-            out.stuck_locks,
+            out.audit.lost_writes,
+            out.audit.stuck_locks,
             out.dual_reads_checked,
             out.steals,
         );
@@ -88,9 +88,9 @@ fn main() {
     }
     println!(
         "crash_source commit rate  {}  ({} windows of {} ns)",
-        tps_sparkline(crash, 48),
-        crash.series.len(),
-        crash.series.window_ns,
+        crash.planes.tps_sparkline(48),
+        crash.planes.series.len(),
+        crash.planes.series.window_ns,
     );
     let clean = outs
         .iter()
@@ -110,8 +110,8 @@ fn main() {
             "{}: migration must end at a single owner",
             out.scenario.name()
         );
-        assert_eq!(out.lost_writes, 0, "{}: committed writes were lost", out.scenario.name());
-        assert_eq!(out.stuck_locks, 0, "{}: a lock stayed held forever", out.scenario.name());
+        assert_eq!(out.audit.lost_writes, 0, "{}: committed writes were lost", out.scenario.name());
+        assert_eq!(out.audit.stuck_locks, 0, "{}: a lock stayed held forever", out.scenario.name());
         assert_eq!(
             out.divergent_dual_reads, 0,
             "{}: a page was readable from two live homes with different contents",

@@ -16,7 +16,8 @@
 //! memory utilization … lower total cost of ownership").
 
 use bench::report::{self, Json, Report};
-use bench::table;
+use bench::{table, Planes};
+use rdma_sim::DEFAULT_WINDOW_NS;
 use memnode::ExtentAllocator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,18 +161,13 @@ fn main() {
             let fabric = rdma_sim::Fabric::new(rdma_sim::NetworkProfile::rdma_cx6());
             let node = fabric.register_node(1 << 20);
             let ep = fabric.endpoint();
-            bench::enable_series(std::slice::from_ref(&ep));
+            Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
             let rec = [0u8; 64];
             let chunks: u64 = ts.iter().map(|t| t.dram.div_ceil(1 << 30)).sum();
             for c in 0..chunks {
                 ep.write(node, (c % 1024) * 64, &rec).unwrap();
             }
-            report::attach_endpoint_series(
-                &mut rep,
-                std::slice::from_ref(&ep),
-                ep.clock().now_ns(),
-            );
-            report::attach_endpoint_live_plane(&mut rep, std::slice::from_ref(&ep));
+            Planes::of_endpoints(std::slice::from_ref(&ep)).attach(&mut rep, ep.clock().now_ns(), 1);
         }
     }
     report::emit(&rep);

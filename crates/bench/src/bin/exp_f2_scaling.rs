@@ -80,8 +80,7 @@ fn main() {
             rep.headline("dsm_tps_8n", Json::F(dsm.tps()));
             rep.headline("dss_tps_8n", Json::F(dss));
             // The 8-node DSM run is the flagship: keep its series.
-            report::attach_timeseries(&mut rep, &dsm);
-            report::attach_live_plane(&mut rep, &dsm);
+            dsm.planes.live().attach(&mut rep, dsm.makespan_ns, dsm.sessions);
         }
         let _ = base_dss;
     }

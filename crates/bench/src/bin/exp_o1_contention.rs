@@ -20,8 +20,8 @@
 //! the trace as an artifact; it is too large to commit.)
 
 use bench::observatory::{run_observatory, ObsConfig, ObsOutcome};
-use bench::report::{self, abort_causes_json, series_json, Json, Report};
-use bench::{scale_down, sparkline, table, Metric};
+use bench::report::{self, abort_causes_json, Json, Report};
+use bench::{scale_down, table};
 use dsmdb::CcProtocol;
 
 const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
@@ -54,7 +54,7 @@ fn main() {
         for theta in THETAS {
             let cfg = ObsConfig { cc, theta, ..base };
             let out = run_observatory(&cfg);
-            let wf = out.contention.wait_for();
+            let wf = out.planes.contention.wait_for();
             let hot = out
                 .hot_keys
                 .first()
@@ -66,7 +66,7 @@ fn main() {
                 table::n(out.commits),
                 table::n(out.aborts.total()),
                 table::f1(out.tps()),
-                table::f1(out.contention.wait_ns_total as f64 / 1e3),
+                table::f1(out.planes.contention.wait_ns_total as f64 / 1e3),
                 table::n(wf.edges.len() as u64),
                 table::n(wf.max_depth),
                 hot,
@@ -94,7 +94,7 @@ fn main() {
                                 .collect(),
                         ),
                     ),
-                    ("contention", out.contention.to_json()),
+                    ("contention", out.planes.contention.to_json()),
                 ],
             );
             if cc == CcProtocol::TplExclusive && theta == 1.2 {
@@ -129,11 +129,11 @@ fn main() {
         "flight recorder cost {overhead_pct:.3}% tps, budget is <2%"
     );
 
-    let wf = flagship.contention.wait_for();
+    let wf = flagship.planes.contention.wait_for();
     println!(
         "flagship (2pl, theta=1.2): wait_ns_total={} wait_for_edges={} max_depth={} \
          top_hot_keys={:?}",
-        flagship.contention.wait_ns_total,
+        flagship.planes.contention.wait_ns_total,
         wf.edges.len(),
         wf.max_depth,
         &flagship.hot_keys[..flagship.hot_keys.len().min(5)],
@@ -141,21 +141,15 @@ fn main() {
 
     println!(
         "flagship commit rate  {}  ({} windows of {} ns)",
-        sparkline(&flagship.series.rate_per_sec(Metric::Commits), 48),
-        flagship.series.len(),
-        flagship.series.window_ns
+        flagship.planes.tps_sparkline(48),
+        flagship.planes.series.len(),
+        flagship.planes.series.window_ns
     );
 
-    rep.timeseries(series_json(&flagship.series, flagship.makespan_ns));
-    rep.health(report::health_json(&flagship.health));
-    rep.alerts(report::alerts_json(&report::watchdog_replay(
-        &flagship.series,
-        &flagship.health,
-        base.sessions as u32,
-    )));
+    flagship.planes.live().attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
     rep.headline("tps", Json::F(flagship.tps()));
     rep.headline("recorder_overhead_pct", Json::F(overhead_pct));
-    rep.headline("wait_ns_total", Json::U(flagship.contention.wait_ns_total));
+    rep.headline("wait_ns_total", Json::U(flagship.planes.contention.wait_ns_total));
     rep.headline("wait_for_edges", Json::U(wf.edges.len() as u64));
     rep.headline("wait_for_max_depth", Json::U(wf.max_depth));
     report::emit(&rep);

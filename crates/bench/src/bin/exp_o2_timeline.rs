@@ -22,7 +22,7 @@
 //!
 //! `BENCH_SCALE=10` shrinks the run for CI smoke.
 
-use bench::chaos::{run_chaos, tps_sparkline, ChaosConfig};
+use bench::chaos::{run_chaos, ChaosConfig};
 use bench::report::{self, series_from_json, series_json, Json, Report};
 use bench::{run_cluster_workload, scale_down, sparkline, table, Metric};
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op};
@@ -91,7 +91,7 @@ fn main() {
 
     // The recovery story is computed, not hand-stated: round-trip the
     // series through the report JSON and re-derive every fact.
-    let section = series_json(&on.series, on.post.end_ns);
+    let section = series_json(&on.planes.series, on.post.end_ns);
     let parsed = series_from_json(&section).expect("series_json round-trips");
     let refacts = analysis::recovery_facts(&parsed, on.t_crash_ns, 0.9);
     assert_eq!(
@@ -113,7 +113,7 @@ fn main() {
     assert!(on.recovery.dip_depth > 0.0, "chaos run must actually dip");
 
     // Same seed, same bytes: the series JSON is deterministic.
-    let twin_section = series_json(&twin.series, twin.post.end_ns);
+    let twin_section = series_json(&twin.planes.series, twin.post.end_ns);
     assert_eq!(
         section.render_pretty(2),
         twin_section.render_pretty(2),
@@ -147,9 +147,9 @@ fn main() {
     }
     println!(
         "commit rate  {}  ({} windows of {} ns)",
-        tps_sparkline(&on, 48),
-        on.series.len(),
-        on.series.window_ns,
+        on.planes.tps_sparkline(48),
+        on.planes.series.len(),
+        on.planes.series.window_ns,
     );
     println!(
         "sampling cost: {vtime_overhead_pct:.3}% virtual-time tps (asserted identical), \
@@ -178,7 +178,7 @@ fn main() {
     let warm = run_cluster_workload(&cluster, warm_txns, move |_n, _t, i| {
         vec![Op::Read((i as u64 * 13) % working_set)]
     });
-    let hit_ramp = warm.series.share_per_window(Metric::CacheHits, Metric::CacheMisses);
+    let hit_ramp = warm.planes.series.share_per_window(Metric::CacheHits, Metric::CacheMisses);
     let (first_hit, last_hit) = (
         hit_ramp.first().copied().unwrap_or(0.0),
         hit_ramp.last().copied().unwrap_or(0.0),
@@ -196,8 +196,8 @@ fn main() {
     println!(
         "hit rate     {}  ({} windows of {} ns)",
         sparkline(&hit_ramp, 48),
-        warm.series.len(),
-        warm.series.window_ns,
+        warm.planes.series.len(),
+        warm.planes.series.window_ns,
     );
 
     // --- report --------------------------------------------------------
@@ -239,12 +239,10 @@ fn main() {
         vec![
             ("first_window_hit_rate", Json::F(first_hit)),
             ("last_window_hit_rate", Json::F(last_hit)),
-            ("windows", Json::U(warm.series.len() as u64)),
+            ("windows", Json::U(warm.planes.series.len() as u64)),
         ],
     );
-    rep.timeseries(section);
-    rep.health(report::health_json(&on.health));
-    rep.alerts(report::alerts_json(&bench::chaos::watchdog_log(&cfg, &on, None)));
+    on.planes.live().attach(&mut rep, on.post.end_ns, cfg.sessions as u32);
     rep.headline("dip_depth", Json::F(on.recovery.dip_depth));
     rep.headline(
         "time_to_recovery_ns",

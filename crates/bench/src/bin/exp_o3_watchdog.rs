@@ -26,7 +26,7 @@
 
 use bench::chaos::{run_chaos, watchdog_log, ChaosConfig, PARTITION_START_NS};
 use bench::observatory::{run_observatory, ObsConfig};
-use bench::report::{self, alerts_json, health_json, Json, Report};
+use bench::report::{self, alerts_json, Json, Report, Section};
 use bench::{config, table, AlertEvent, AlertKind, AlertState, Gauge, WatchdogConfig};
 use telemetry::watchdog::{run_over, windowed_p99};
 
@@ -50,7 +50,7 @@ fn main() {
     let base = run_chaos(&base_cfg);
     // Arm the p99 objective from the baseline's own behaviour: twice
     // the worst windowed p99 a healthy run exhibits.
-    let base_p99s = windowed_p99(&base.latency_samples, base.series.window_ns, base.series.len());
+    let base_p99s = windowed_p99(&base.latency_samples, base.planes.series.window_ns, base.planes.series.len());
     let worst_ok_p99 = base_p99s.iter().flatten().copied().max().unwrap_or(0);
     let slo = (worst_ok_p99 > 0).then_some(worst_ok_p99 * 2);
     let base_log = watchdog_log(&base_cfg, &base, slo);
@@ -142,10 +142,10 @@ fn main() {
     // The health plane agrees with the run's ground truth: the cluster
     // gauges never go negative, every session leaves, and the epoch
     // bump is on record at the recovery instant.
-    assert!(out.health.min_level(Gauge::SessionsInFlight) >= 0);
-    assert!(out.health.min_level(Gauge::LocksHeld) >= 0);
-    assert_eq!(out.health.final_level(Gauge::SessionsInFlight), 0);
-    assert_eq!(out.health.final_level(Gauge::MembershipEpoch), 1);
+    assert!(out.planes.health.min_level(Gauge::SessionsInFlight) >= 0);
+    assert!(out.planes.health.min_level(Gauge::LocksHeld) >= 0);
+    assert_eq!(out.planes.health.final_level(Gauge::SessionsInFlight), 0);
+    assert_eq!(out.planes.health.final_level(Gauge::MembershipEpoch), 1);
 
     // --- Claim 3: antagonist onset is localized ----------------------
     let obs_rounds = config::scale_down(600).max(8);
@@ -158,13 +158,13 @@ fn main() {
         ..ObsConfig::default()
     };
     let obs = run_observatory(&obs_cfg);
-    let mut wcfg = WatchdogConfig::new(obs.series.window_ns, obs_cfg.sessions as u32);
+    let mut wcfg = WatchdogConfig::new(obs.planes.series.window_ns, obs_cfg.sessions as u32);
     // Round-robin sessions never block each other — every lock wait in
     // this harness is the antagonist's doing, and the share is exactly
     // zero before its onset. Arm the rule at 0.1% of the session-time
     // budget so even short retry-then-abort waits trip it.
     wcfg.wait_frac = 0.001;
-    let obs_log = run_over(wcfg, &obs.series, Some(&obs.health), None);
+    let obs_log = run_over(wcfg, &obs.planes.series, Some(&obs.planes.health), None);
     let wait_open = first_open(&obs_log, AlertKind::LockWaitConcentration)
         .expect("antagonist squatting was never detected");
     println!(
@@ -192,7 +192,7 @@ fn main() {
         "live-plane sampling changed the makespan"
     );
     assert_eq!(off.pre.commits, out.pre.commits);
-    assert!(off.series.is_empty() && off.health.is_empty());
+    assert!(off.planes.series.is_empty() && off.planes.health.is_empty());
     println!("\nsampling off vs on: identical makespan ({} ns) — 0% overhead", out.post.end_ns);
 
     // --- Claim 4b: same-seed alert logs are byte-identical -----------
@@ -247,9 +247,9 @@ fn main() {
             ("deterministic", Json::Bool(true)),
         ],
     );
-    rep.timeseries(report::series_json(&out.series, out.post.end_ns));
-    rep.health(health_json(&out.health));
-    rep.alerts(alerts_json(&log));
+    // The live plane, with the SLO-armed log in place of the default one.
+    out.planes.live().attach(&mut rep, out.post.end_ns, fault_cfg.sessions as u32);
+    rep.section(Section::Alerts, alerts_json(&log));
     let latency_of = |kind: AlertKind| {
         detection.iter().find(|(f, k, ..)| *f == "crash" && *k == kind).unwrap().3
     };

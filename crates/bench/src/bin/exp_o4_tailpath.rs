@@ -25,7 +25,7 @@
 
 use bench::chaos::{run_chaos, ChaosConfig};
 use bench::observatory::{run_observatory, ObsConfig, ObsOutcome};
-use bench::report::{self, forensics_json, series_json, Json, Report};
+use bench::report::{self, forensics_json, Json, Report};
 use bench::{config, scale_down, table, ForensicsSnapshot};
 use dsmdb::CcProtocol;
 use telemetry::{blame_name, Blame, BLAME_KINDS};
@@ -117,7 +117,7 @@ fn main() {
     rep.meta("seed", Json::U(base.seed));
     rep.meta("sessions", Json::U(base.sessions as u64));
     rep.meta("rounds", Json::U(rounds as u64));
-    rep.meta("exemplars_k", Json::U(config::exemplars() as u64));
+    rep.meta("exemplars_k", Json::U(bench::EXEMPLARS as u64));
 
     // Part A: the C2 Zipf sweep. As skew rises the tail's blame must
     // migrate toward lock_wait on the antagonist's trace.
@@ -126,7 +126,7 @@ fn main() {
     for theta in THETAS {
         let cfg = ObsConfig { cc: CcProtocol::TplExclusive, theta, ..base };
         let out = run_observatory(&cfg);
-        let f = &out.forensics;
+        let f = &out.planes.forensics;
         let tail = tail_blame(f);
         let tail_total: u64 = tail.iter().sum();
         let tail_dom = tail_majority(f);
@@ -159,7 +159,7 @@ fn main() {
         }
     }
     let flagship = flagship.expect("flagship theta ran");
-    let ff = &flagship.forensics;
+    let ff = &flagship.planes.forensics;
 
     // The skewed tail must be lock-wait dominated, and the blame must
     // name the antagonist: its synthetic traces live in the high bits.
@@ -185,7 +185,7 @@ fn main() {
         ..ChaosConfig::default()
     };
     let chaos = run_chaos(&ccfg);
-    let cf = &chaos.forensics;
+    let cf = &chaos.planes.forensics;
     let ctail = tail_blame(cf);
     println!();
     println!(
@@ -231,7 +231,7 @@ fn main() {
     let rerun = run_observatory(&ObsConfig { cc: CcProtocol::TplExclusive, theta: 1.2, ..base });
     assert_eq!(
         forensics_json(ff).render(),
-        forensics_json(&rerun.forensics).render(),
+        forensics_json(&rerun.planes.forensics).render(),
         "same-seed forensics must be byte-identical"
     );
     println!("determinism: same-seed rerun renders byte-identical forensics JSON");
@@ -273,14 +273,7 @@ fn main() {
         }
     }
 
-    rep.timeseries(series_json(&flagship.series, flagship.makespan_ns));
-    rep.health(report::health_json(&flagship.health));
-    rep.alerts(report::alerts_json(&report::watchdog_replay(
-        &flagship.series,
-        &flagship.health,
-        base.sessions as u32,
-    )));
-    rep.forensics(forensics_json(ff));
+    flagship.planes.attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
     rep.headline("tps", Json::F(flagship.tps()));
     rep.headline("critical_path_wire_share", Json::F(ff.wire_share()));
     rep.headline("tail_lock_wait_share", Json::F({

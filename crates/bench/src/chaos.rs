@@ -27,22 +27,16 @@
 //! (zero lost writes) and runs a janitor over every lock word (zero
 //! permanently-held locks).
 
-use dsmdb::{
-    Architecture, CcProtocol, Cluster, ClusterConfig, NodeStatus, Op, Session, TxnError,
-};
-use rdma_sim::{
-    ChromeTrace, ContentionSnapshot, HealthSnapshot, NetworkProfile, PhaseSnapshot,
-    SeriesSnapshot, DEFAULT_WINDOW_NS,
-};
+use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, NodeStatus, Session};
+use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
 use telemetry::watchdog::{run_over, windowed_p99};
 use telemetry::RecoveryFacts;
 use txn::locks::LeaseLock;
 
-use crate::report::{
-    abort_causes_json, alerts_json, health_json, phases_json, series_json, Json, Report,
-};
-use crate::{sparkline, AbortCauses, AlertEvent, Metric, WatchdogConfig};
+use crate::fleet::{max_clock, Audit, Fleet};
+use crate::report::{abort_causes_json, phases_json, Json, Report};
+use crate::{AbortCauses, AlertEvent, Planes, WatchdogConfig};
 
 /// Flight-recorder ring capacity per session: deep enough to keep the
 /// interesting tail (fault window + recovery) of a smoke-scale run.
@@ -152,7 +146,7 @@ impl WindowStats {
 }
 
 /// Everything a chaos run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosOutcome {
     /// Segment tallies: pre-fault, fault, post-recovery.
     pub pre: WindowStats,
@@ -169,12 +163,9 @@ pub struct ChaosOutcome {
     pub zombie_fenced: u64,
     /// Zombie locks released cleanly (lease never contested).
     pub zombie_survived: u64,
-    /// Keys whose final DSM value diverged from the committed model.
-    pub lost_writes: u64,
-    /// Locks still held and unexpired after the run (must be 0).
-    pub stuck_locks: u64,
-    /// Expired leftovers the janitor stole and cleared.
-    pub janitor_reclaims: u64,
+    /// Committed writes lost and locks left held (both must be 0), and
+    /// the expired leftovers the janitor reclaimed.
+    pub audit: Audit,
     /// Degraded (mirror-fallback) reads observed during the outage.
     pub degraded_reads: u64,
     /// Bytes copied rebuilding the dead member from its mirror.
@@ -190,49 +181,19 @@ pub struct ChaosOutcome {
     pub recovery: RecoveryFacts,
     /// post tps / pre tps.
     pub recovered_tps_ratio: f64,
-    /// Merged per-phase attribution across all sessions.
-    pub phases: PhaseSnapshot,
-    /// Merged hot-key/wait-for contention profile across all sessions.
-    pub contention: ContentionSnapshot,
+    /// Telemetry merged across all sessions; the health plane also
+    /// folds in the zombie and the recovery endpoint. Series and
+    /// health are empty when [`ChaosConfig::window_ns`] is 0.
+    pub planes: Planes,
     /// Chrome `trace_event` timeline of the run (one thread track per
     /// session), built from each endpoint's flight-recorder ring.
     pub trace: ChromeTrace,
-    /// Windowed time-series merged across all sessions (empty when
-    /// [`ChaosConfig::window_ns`] is 0).
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across all sessions, the zombie, and
-    /// the recovery endpoint (empty when sampling is off).
-    pub health: HealthSnapshot,
     /// Per-transaction `(virtual completion ns, latency ns)` samples in
     /// round-robin order — the raw feed for windowed p99s.
     pub latency_samples: Vec<(u64, u64)>,
     /// Virtual instant the recovery actions ran (mirror rebuild + epoch
     /// bump + zombie fencing), ns; 0 when faults were not injected.
     pub t_recover_ns: u64,
-    /// Tail-latency forensics merged across all sessions: blame-share
-    /// histogram plus the worst-K exemplar reservoir.
-    pub forensics: crate::ForensicsSnapshot,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Wrap-aware "deadline passed" on u32 microseconds (mirrors the lease
-/// word's encoding).
-fn lease_expired(now_us: u32, expiry_us: u32) -> bool {
-    now_us.wrapping_sub(expiry_us) < (1 << 31)
-}
-
-fn max_clock(sessions: &[Session]) -> u64 {
-    sessions
-        .iter()
-        .map(|s| s.endpoint().clock().now_ns())
-        .max()
-        .unwrap_or(0)
 }
 
 /// Run the chaos experiment. Deterministic in `cfg` (and nothing else).
@@ -276,45 +237,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     // free in virtual time, so enabling them cannot perturb the
     // measured timeline.
     for s in &mut sessions {
-        s.endpoint().enable_flight_recorder(TRACE_RING);
-        s.enable_forensics(crate::config::exemplars());
-        if cfg.window_ns > 0 {
-            s.endpoint().enable_timeseries(cfg.window_ns);
-            s.endpoint().enable_health(cfg.window_ns);
-        }
+        Planes::enable_forensics(s, TRACE_RING);
+        Planes::enable(s.endpoint(), cfg.window_ns, None);
     }
-    let mut model: Vec<i64> = vec![0; cfg.records as usize];
+    let mut fleet = Fleet::new(cfg.seed, cfg.records);
     let mut out = ChaosOutcome {
-        pre: WindowStats::default(),
-        fault: WindowStats::default(),
-        post: WindowStats::default(),
-        aborts: AbortCauses::default(),
-        steals: 0,
-        zombie_fenced: 0,
-        zombie_survived: 0,
-        lost_writes: 0,
-        stuck_locks: 0,
-        janitor_reclaims: 0,
-        degraded_reads: 0,
-        recovery_bytes: 0,
-        final_epoch: 0,
-        t_crash_ns: 0,
-        recovery: RecoveryFacts {
-            baseline_tps: 0.0,
-            dip_tps: 0.0,
-            dip_depth: 0.0,
-            time_to_detection_ns: None,
-            time_to_recovery_ns: None,
-        },
-        recovered_tps_ratio: 0.0,
-        phases: PhaseSnapshot::default(),
-        contention: ContentionSnapshot::default(),
-        trace: ChromeTrace::new(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
         latency_samples: Vec::with_capacity(cfg.sessions * cfg.rounds),
-        t_recover_ns: 0,
-        forensics: crate::ForensicsSnapshot::empty(),
+        ..ChaosOutcome::default()
     };
 
     let r_crash = cfg.rounds / 3;
@@ -336,9 +265,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             // zombie's hold, so only with the zombie on record does the
             // cluster-level LocksHeld level stay exact.
             let zep = fabric.endpoint();
-            if cfg.window_ns > 0 {
-                zep.enable_health(cfg.window_ns);
-            }
+            zep.enable_health(cfg.window_ns);
             zep.charge_local(t_crash);
             let mut held = Vec::new();
             for &k in &[hot_g0, hot_g1] {
@@ -386,9 +313,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 
             fabric.clear_fault_plan();
             let rec_ep = fabric.endpoint();
-            if cfg.window_ns > 0 {
-                rec_ep.enable_health(cfg.window_ns);
-            }
+            rec_ep.enable_health(cfg.window_ns);
             rec_ep.charge_local(t);
             out.recovery_bytes = layer
                 .recover_member_from_mirror(&rec_ep, 0, 0)
@@ -414,9 +339,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                         Ok(()) => out.zombie_survived += 1,
                     }
                 }
-                out.health.merge(&zep.health_snapshot());
+                out.planes.health.merge(&zep.health_snapshot());
             }
-            out.health.merge(&rec_ep.health_snapshot());
+            out.planes.health.merge(&rec_ep.health_snapshot());
         }
 
         let seg = if round < r_crash {
@@ -426,45 +351,19 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         } else {
             &mut out.post
         };
+        // Keep the hot keys hot so zombie leases get contested.
+        let hot = if round % 3 == 0 {
+            Some(hot_g1)
+        } else if round % 5 == 0 {
+            Some(hot_g0)
+        } else {
+            None
+        };
         for (t, s) in sessions.iter_mut().enumerate() {
-            let mut r = splitmix64(cfg.seed ^ ((t as u64) << 32) ^ round as u64);
-            let mut a = r % cfg.records;
-            r = splitmix64(r);
-            let mut b = r % cfg.records;
-            // Keep the hot keys hot so zombie leases get contested.
-            if round % 3 == 0 {
-                a = hot_g1;
-            } else if round % 5 == 0 {
-                a = hot_g0;
-            }
-            if b == a {
-                b = (b + 1) % cfg.records;
-            }
-            let delta = 1 + (r % 7) as i64;
-            let ops = [
-                Op::Rmw { key: a, delta: -delta },
-                Op::Rmw { key: b, delta },
-            ];
-            let t0 = s.endpoint().clock().now_ns();
-            let result = s.execute(&ops);
-            let t1 = s.endpoint().clock().now_ns();
-            out.latency_samples.push((t1, t1.saturating_sub(t0)));
-            match result {
-                Ok(_) => {
-                    model[a as usize] -= delta;
-                    model[b as usize] += delta;
-                    seg.commits += 1;
-                }
-                Err(e) => {
-                    seg.aborts += 1;
-                    if let TxnError::Dsm(_) = e {
-                        panic!("chaos run hit a non-typed failure: {e}");
-                    }
-                    out.aborts.classify(&e);
-                }
-            }
+            out.latency_samples.push(fleet.transfer(s, t, round, hot, seg));
         }
     }
+    out.aborts = fleet.aborts;
     let t_end = max_clock(&sessions);
     out.post.end_ns = t_end;
     out.pre.start_ns = 0;
@@ -476,11 +375,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     out.steals = sessions.iter().map(|s| s.lock_steals()).sum();
     out.trace.name_process(0, "compute0");
     for (t, s) in sessions.iter().enumerate() {
-        out.phases.merge(&s.phases());
-        out.contention.merge(&s.endpoint().contention_snapshot());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
-        out.forensics.merge(&s.forensics_snapshot());
+        out.planes.collect_session(s);
         out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
         s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
     }
@@ -488,80 +383,35 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     out.t_crash_ns = t_crash;
     // The recovery story is *computed* from the windowed series — the
     // printed dip/recovery numbers can no longer drift from the data.
-    if !out.series.is_empty() {
-        out.recovery = analysis::recovery_facts(&out.series, t_crash, 0.9);
+    if !out.planes.series.is_empty() {
+        out.recovery = analysis::recovery_facts(&out.planes.series, t_crash, 0.9);
     }
 
-    // --- Audit 1: no committed write lost. Every record's final DSM
-    // value must equal the committed-transfer model exactly.
-    let audit = fabric.endpoint();
-    let mut buf = vec![0u8; cfg.payload];
-    for k in 0..cfg.records {
-        layer
-            .read(&audit, table.payload_addr(k, 0), &mut buf)
-            .expect("post-recovery read");
-        let v = i64::from_le_bytes(buf[0..8].try_into().unwrap());
-        if v != model[k as usize] {
-            out.lost_writes += 1;
-        }
-    }
-
-    // --- Audit 2: no lock held forever. A live, unexpired lock word
-    // after the fleet has exited would spin everyone forever; expired
-    // leftovers must be stealable (janitor steals and clears them).
-    audit.charge_local(t_end.saturating_sub(audit.clock().now_ns()));
-    for k in 0..cfg.records {
-        let word = layer.read_u64(&audit, table.lock_addr(k)).expect("lock read");
-        if word == 0 {
-            continue;
-        }
-        let (_, _, expiry_us) = LeaseLock::decode(word);
-        let now_us = (audit.clock().now_ns() / 1_000) as u32;
-        if !lease_expired(now_us, expiry_us) {
-            out.stuck_locks += 1;
-            continue;
-        }
-        let token = LeaseLock::acquire(
-            &layer,
-            &audit,
-            table.lock_addr(k),
-            998,
-            1,
-            cfg.lease_ns,
-            4,
-        )
-        .expect("expired lease must be stealable");
-        LeaseLock::release(&layer, &audit, table.lock_addr(k), token)
-            .expect("janitor owns the word it installed");
-        out.janitor_reclaims += 1;
-    }
+    // Zero lost writes and zero permanently-held locks are the claims.
+    out.audit = fleet.audit(&cluster, t_end);
     out
 }
 
-/// The watchdog thresholds a chaos run is monitored with: the
-/// harness's session count and (optionally) a p99 objective. Every
-/// other threshold keeps the [`WatchdogConfig::new`] defaults.
-pub fn watchdog_config(cfg: &ChaosConfig, slo_p99_ns: Option<u64>) -> WatchdogConfig {
-    let mut wd = WatchdogConfig::new(cfg.window_ns, cfg.sessions as u32);
-    wd.slo_p99_ns = slo_p99_ns;
-    wd
-}
-
 /// Replay a finished chaos run through the online watchdog — counter
-/// windows, gauge levels, and exact windowed p99s — and return the
-/// typed alert log. Deterministic bookkeeping over closed windows: two
-/// same-seed runs produce byte-identical logs.
+/// windows, gauge levels, and exact windowed p99s against the
+/// (optional) `slo_p99_ns` objective, every other threshold at its
+/// [`WatchdogConfig::new`] default — and return the typed alert log.
+/// Deterministic bookkeeping over closed windows: two same-seed runs
+/// produce byte-identical logs.
 pub fn watchdog_log(
     cfg: &ChaosConfig,
     out: &ChaosOutcome,
     slo_p99_ns: Option<u64>,
 ) -> Vec<AlertEvent> {
-    if out.series.is_empty() {
+    let (series, health) = (&out.planes.series, &out.planes.health);
+    if series.is_empty() {
         return Vec::new();
     }
-    let p99s = windowed_p99(&out.latency_samples, out.series.window_ns, out.series.len());
-    let health = (!out.health.is_empty()).then_some(&out.health);
-    run_over(watchdog_config(cfg, slo_p99_ns), &out.series, health, Some(&p99s))
+    let p99s = windowed_p99(&out.latency_samples, series.window_ns, series.len());
+    let health = (!health.is_empty()).then_some(health);
+    let mut wd = WatchdogConfig::new(cfg.window_ns, cfg.sessions as u32);
+    wd.slo_p99_ns = slo_p99_ns;
+    run_over(wd, series, health, Some(&p99s))
 }
 
 /// Build the C13 report (shared by the binary and the determinism test
@@ -592,13 +442,13 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
         );
     }
     rep.row("aborts", vec![("abort_causes", abort_causes_json(&out.aborts))]);
-    rep.row("contention", vec![("contention", out.contention.to_json())]);
+    rep.row("contention", vec![("contention", out.planes.contention.to_json())]);
     rep.row(
         "invariants",
         vec![
-            ("lost_writes", Json::U(out.lost_writes)),
-            ("stuck_locks", Json::U(out.stuck_locks)),
-            ("janitor_reclaims", Json::U(out.janitor_reclaims)),
+            ("lost_writes", Json::U(out.audit.lost_writes)),
+            ("stuck_locks", Json::U(out.audit.stuck_locks)),
+            ("janitor_reclaims", Json::U(out.audit.janitor_reclaims)),
             ("zombie_fenced", Json::U(out.zombie_fenced)),
             ("zombie_survived", Json::U(out.zombie_survived)),
         ],
@@ -622,15 +472,10 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
                 "time_to_recovery_ns",
                 out.recovery.time_to_recovery_ns.map_or(Json::Null, Json::U),
             ),
-            ("phases", phases_json(&out.phases)),
+            ("phases", phases_json(&out.planes.phases)),
         ],
     );
-    if !out.series.is_empty() {
-        rep.timeseries(series_json(&out.series, out.post.end_ns));
-    }
-    rep.health(health_json(&out.health));
-    rep.alerts(alerts_json(&watchdog_log(cfg, out, None)));
-    rep.forensics(crate::report::forensics_json(&out.forensics));
+    out.planes.attach(&mut rep, out.post.end_ns, cfg.sessions as u32);
     rep.headline("pre_tps", Json::F(out.pre.tps()));
     rep.headline("fault_tps", Json::F(out.fault.tps()));
     rep.headline("post_tps", Json::F(out.post.tps()));
@@ -641,12 +486,7 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
         out.recovery.time_to_recovery_ns.map_or(Json::Null, Json::U),
     );
     rep.headline("steals", Json::U(out.steals));
-    rep.headline("lost_writes", Json::U(out.lost_writes));
-    rep.headline("stuck_locks", Json::U(out.stuck_locks));
+    rep.headline("lost_writes", Json::U(out.audit.lost_writes));
+    rep.headline("stuck_locks", Json::U(out.audit.stuck_locks));
     rep
-}
-
-/// Compact commit-rate sparkline over the run's merged series.
-pub fn tps_sparkline(out: &ChaosOutcome, max_chars: usize) -> String {
-    sparkline(&out.series.rate_per_sec(Metric::Commits), max_chars)
 }

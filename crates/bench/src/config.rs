@@ -8,8 +8,6 @@
 //! * `BENCH_ALERT_LOG` — write the watchdog's typed alert log next to
 //!   the report ([`alert_log_enabled`]);
 //! * `BENCH_SEED` — override a harness's master seed ([`seed`]);
-//! * `BENCH_EXEMPLARS` — worst-K forensics reservoir depth
-//!   ([`exemplars`]);
 //! * `BENCH_RESULTS_DIR` — where reports land ([`results_dir`]).
 //!
 //! Every knob is read at call time (not cached), so tests can set and
@@ -56,17 +54,6 @@ pub fn seed(default: u64) -> u64 {
     parsed.unwrap_or(default)
 }
 
-/// Worst-K forensics exemplar reservoir depth: `BENCH_EXEMPLARS`
-/// (default 8). Unparseable or zero values fall back to the default —
-/// a 0-deep reservoir would silently disable the exemplar evidence.
-pub fn exemplars() -> usize {
-    std::env::var("BENCH_EXEMPLARS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(8)
-}
-
 /// Where reports land: `$BENCH_RESULTS_DIR`, defaulting to `results/`
 /// under the current directory.
 pub fn results_dir() -> PathBuf {
@@ -81,7 +68,7 @@ mod tests {
     // test (Rust runs #[test] fns concurrently by default).
     #[test]
     fn knobs_parse_and_default() {
-        for k in ["BENCH_SCALE", "BENCH_TRACE", "BENCH_ALERT_LOG", "BENCH_SEED", "BENCH_EXEMPLARS"] {
+        for k in ["BENCH_SCALE", "BENCH_TRACE", "BENCH_ALERT_LOG", "BENCH_SEED"] {
             std::env::remove_var(k);
         }
         assert_eq!(super::scale(), 1);
@@ -89,7 +76,6 @@ mod tests {
         assert!(!super::trace_enabled());
         assert!(!super::alert_log_enabled());
         assert_eq!(super::seed(7), 7);
-        assert_eq!(super::exemplars(), 8);
 
         std::env::set_var("BENCH_SCALE", "10");
         assert_eq!(super::scale_down(100), 10);
@@ -117,13 +103,5 @@ mod tests {
         std::env::set_var("BENCH_SEED", "nope");
         assert_eq!(super::seed(7), 7);
         std::env::remove_var("BENCH_SEED");
-
-        std::env::set_var("BENCH_EXEMPLARS", "16");
-        assert_eq!(super::exemplars(), 16);
-        std::env::set_var("BENCH_EXEMPLARS", "0");
-        assert_eq!(super::exemplars(), 8, "zero reservoir is rejected");
-        std::env::set_var("BENCH_EXEMPLARS", "many");
-        assert_eq!(super::exemplars(), 8, "garbage falls back to default");
-        std::env::remove_var("BENCH_EXEMPLARS");
     }
 }

@@ -34,8 +34,10 @@ use dsmdb::Migrator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{Endpoint, Fabric, NetworkProfile, Phase, UtilSnapshot, DEFAULT_WINDOW_NS};
-use telemetry::{heat_key_base_offset, heat_key_node, HealthSnapshot, MovePlan, SeriesSnapshot, HEAT_RANGE_BYTES};
+use telemetry::{heat_key_base_offset, heat_key_node, MovePlan, HEAT_RANGE_BYTES};
 use txn::RecordTable;
+
+use crate::Planes;
 
 /// One heat run's knobs. `window_ns = 0` disables utilization capture
 /// entirely (the zero-cost control); series/health sampling stays on
@@ -94,13 +96,14 @@ pub struct HeatOutcome {
     pub ops: u64,
     pub reads: u64,
     pub writes: u64,
-    pub util: UtilSnapshot,
-    pub series: SeriesSnapshot,
-    pub health: HealthSnapshot,
+    /// Series, health and (unless `window_ns` is 0) utilization with
+    /// every group's occupancy stamped, merged across the sessions.
+    pub planes: Planes,
 }
 
 impl HeatBed {
-    fn build(cfg: &HeatConfig, memory_nodes: usize) -> Self {
+    /// The sweep bed: table striped over `memory_nodes` groups.
+    pub fn striped(cfg: &HeatConfig, memory_nodes: usize) -> Self {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let layer = DsmLayer::build(
             &fabric,
@@ -125,15 +128,10 @@ impl HeatBed {
         }
     }
 
-    /// The sweep bed: table striped over `memory_nodes` groups.
-    pub fn striped(cfg: &HeatConfig, memory_nodes: usize) -> Self {
-        Self::build(cfg, memory_nodes)
-    }
-
     /// The advisor bed: one contiguous extent on node 0, plus `cold`
     /// freshly-joined empty groups for the advisor to move heat onto.
     pub fn contiguous(cfg: &HeatConfig, cold: usize) -> Self {
-        let bed = Self::build(cfg, 1);
+        let bed = Self::striped(cfg, 1);
         for _ in 0..cold {
             bed.layer.join_group(32 << 20, 1, 4.0);
         }
@@ -157,12 +155,9 @@ impl HeatBed {
 pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
     let eps: Vec<Endpoint> = (0..cfg.sessions).map(|_| bed.fabric.endpoint()).collect();
     for (t, ep) in eps.iter().enumerate() {
-        ep.enable_timeseries(DEFAULT_WINDOW_NS);
-        ep.enable_health(DEFAULT_WINDOW_NS);
-        if cfg.window_ns > 0 {
-            ep.enable_utilization(cfg.window_ns);
-            ep.set_util_session(t as u64 + 1);
-        }
+        Planes::enable(ep, DEFAULT_WINDOW_NS, None);
+        ep.enable_utilization(cfg.window_ns);
+        ep.set_util_session(t as u64 + 1);
     }
     let mut rngs: Vec<StdRng> = (0..cfg.sessions)
         .map(|t| StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1))))
@@ -194,23 +189,9 @@ pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
         }
     }
     let makespan_ns = eps.iter().map(|e| e.clock().now_ns()).max().unwrap_or(0);
-    let mut util = crate::merged_utilization(&eps);
-    // Stamp occupancy for every group — including idle cold groups, so
-    // the advisor sees them as move destinations.
-    for g in 0..bed.layer.group_count() {
-        let primary = bed.layer.group_primary(g);
-        let stats = primary.alloc_stats();
-        util.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
-    }
-    HeatOutcome {
-        makespan_ns,
-        ops,
-        reads,
-        writes,
-        util,
-        series: crate::merged_series(&eps),
-        health: crate::merged_health(&eps),
-    }
+    let mut planes = Planes::of_endpoints(&eps);
+    planes.stamp_occupancy(&bed.layer);
+    HeatOutcome { makespan_ns, ops, reads, writes, planes }
 }
 
 /// Gini index over a snapshot's per-node remote bytes — the imbalance
@@ -302,10 +283,10 @@ mod tests {
         let uni = drive(&HeatBed::striped(&cfg_uni, 4), &cfg_uni);
         let hot = drive(&HeatBed::striped(&cfg_hot, 4), &cfg_hot);
         assert!(
-            measured_gini(&hot.util) > measured_gini(&uni.util) + 0.1,
+            measured_gini(&hot.planes.utilization) > measured_gini(&uni.planes.utilization) + 0.1,
             "theta 1.2 gini {} must clearly exceed uniform gini {}",
-            measured_gini(&hot.util),
-            measured_gini(&uni.util)
+            measured_gini(&hot.planes.utilization),
+            measured_gini(&uni.planes.utilization)
         );
         // The hottest heat range is the base of node 0's extent — where
         // rank 0 lives under the range-partitioned key map.
@@ -313,7 +294,7 @@ mod tests {
         let out = drive(&bed, &cfg_hot);
         let a = bed.table.slot_addr(bed.key_of(0));
         let expect = telemetry::heat_key(a.node() as u64, a.offset());
-        assert_eq!(out.util.heat_bytes[0].key, expect);
+        assert_eq!(out.planes.utilization.heat_bytes[0].key, expect);
     }
 
     #[test]
@@ -324,7 +305,7 @@ mod tests {
         let off = drive(&HeatBed::striped(&off_cfg, 2), &off_cfg);
         assert_eq!(on.makespan_ns, off.makespan_ns, "utilization capture must be free");
         assert_eq!(on.ops, off.ops);
-        assert!(off.util.node_bytes().iter().all(|&(_, b)| b == 0));
+        assert!(off.planes.utilization.node_bytes().iter().all(|&(_, b)| b == 0));
     }
 
     #[test]
@@ -332,14 +313,14 @@ mod tests {
         let cfg = small(1.2, DEFAULT_WINDOW_NS);
         let bed = HeatBed::contiguous(&cfg, 3);
         let before = drive(&bed, &cfg);
-        let g_before = measured_gini(&before.util);
-        let plan = placement_advisor(&before.util, 8);
+        let g_before = measured_gini(&before.planes.utilization);
+        let plan = placement_advisor(&before.planes.utilization, 8);
         assert!(!plan.moves.is_empty(), "skewed contiguous bed must yield moves");
         assert!(plan.index_projected < plan.index_before);
         let (applied, bytes) = replay_move_plan(&bed, &plan);
         assert!(applied > 0 && bytes > 0);
         let after = drive(&bed, &cfg);
-        let g_after = measured_gini(&after.util);
+        let g_after = measured_gini(&after.planes.utilization);
         assert!(
             g_after < g_before,
             "replaying the move plan must shrink gini: before {g_before} after {g_after}"

@@ -1,8 +1,7 @@
 //! # bench — experiment harnesses for every figure and claim in the paper
 //!
 //! Each `exp_*` binary regenerates one experiment from DESIGN.md §4
-//! (`cargo run --release -p bench --bin exp_<id>`); Criterion
-//! microbenchmarks for the hot substrate paths live in `benches/`.
+//! (`cargo run --release -p bench --bin exp_<id>`).
 //!
 //! This library holds the shared measurement machinery:
 //!
@@ -13,35 +12,39 @@
 //! * [`run_cluster_workload`] — the real-thread driver for
 //!   message-passing architectures (3b coherence, 3c 2PC): every session
 //!   runs its share and keeps serving peers until the fleet is done;
+//! * [`Planes`] — the one telemetry bundle every run records, merges and
+//!   attaches to its report;
+//! * [`report`] — report emission, and the validator of everything the
+//!   experiments write to `results/`;
 //! * [`table`] — fixed-width table printing so experiment output reads
 //!   like the paper's tables.
 
 pub mod chaos;
 pub mod config;
+mod fleet;
 pub mod heatmap;
 pub mod observatory;
+mod planes;
 pub mod regression;
 pub mod reshard;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use dsmdb::{AbortCause, Cluster, Op, Session, TxnError};
-use rdma_sim::{
-    ContentionSnapshot, Endpoint, HealthSnapshot, HistSnapshot, PhaseSnapshot, SeriesSnapshot,
-    UtilSnapshot, DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{Endpoint, DEFAULT_WINDOW_NS};
 
 pub use config::scale_down;
+pub use fleet::Audit;
+pub use planes::{Planes, EXEMPLARS};
 pub use telemetry::{
     sparkline, AlertEvent, AlertKind, AlertState, ForensicsSnapshot, Gauge, Metric, Watchdog,
     WatchdogConfig,
 };
 
 /// Flight-recorder ring depth [`run_cluster_workload`] gives each
-/// session: deep enough to hold any single transaction's event chain
-/// (forensics only reads back the current txn's events), shallow enough
-/// to stay cheap at thousands of sessions.
+/// session: deep enough to hold any single transaction's event chain,
+/// shallow enough to stay cheap at thousands of sessions.
 pub const WORKLOAD_TRACE_RING: usize = 1024;
 
 /// Drive `clients` virtual clients in lockstep for `rounds` rounds. The
@@ -125,7 +128,7 @@ impl AbortCauses {
 }
 
 /// Outcome of a cluster workload run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadResult {
     /// Committed transactions across all sessions.
     pub commits: u64,
@@ -138,32 +141,12 @@ pub struct WorkloadResult {
     /// Round trips actually paid on the wire: verbs minus the ops that
     /// rode along in doorbell groups behind their leader.
     pub wire_round_trips: u64,
-    /// End-to-end transaction latency distribution (virtual ns), merged
-    /// across every session — committed and aborted attempts alike.
-    pub latency: HistSnapshot,
-    /// Per-phase virtual-time/verb attribution, merged across sessions.
-    pub phases: PhaseSnapshot,
-    /// Hot-key/wait-for/coherence contention profile, merged across
-    /// every session endpoint.
-    pub contention: ContentionSnapshot,
-    /// Windowed time-series (commits, aborts by cause, verbs, cache,
-    /// locks) merged across every session endpoint.
-    pub series: SeriesSnapshot,
-    /// Per-node health plane (gauge deltas: sessions in flight, locks
-    /// held, pool occupancy, outstanding verbs, membership epoch)
-    /// merged across every session endpoint.
-    pub health: HealthSnapshot,
     /// Concurrent sessions that fed the run (nodes x threads) — the
     /// watchdog's lock-wait budget denominator.
     pub sessions: u32,
-    /// Tail-latency forensics: blame-share histogram over every
-    /// transaction plus the worst-K exemplar reservoir, merged across
-    /// sessions.
-    pub forensics: ForensicsSnapshot,
-    /// Fabric-utilization plane: per-memory-node windowed load with
-    /// occupancy stamps, page-range heat top-K, and session/phase
-    /// splits, merged across every session endpoint.
-    pub utilization: UtilSnapshot,
+    /// Every telemetry plane, merged across every session; utilization
+    /// carries each memory group's occupancy stamp.
+    pub planes: Planes,
 }
 
 impl WorkloadResult {
@@ -209,13 +192,37 @@ impl WorkloadResult {
     /// Transaction-latency percentile ladder `(p50, p95, p99, p999)`,
     /// virtual ns.
     pub fn latency_percentiles(&self) -> (u64, u64, u64, u64) {
-        self.latency.percentiles()
+        self.planes.latency.percentiles()
     }
 
-    /// Compact sparkline of the windowed commit rate (empty when the
-    /// series was not recorded).
-    pub fn tps_sparkline(&self, max_chars: usize) -> String {
-        sparkline(&self.series.rate_per_sec(Metric::Commits), max_chars)
+    /// Fold one worker's share into the run's.
+    fn merge(&mut self, o: &WorkloadResult) {
+        self.commits += o.commits;
+        self.aborts.merge(&o.aborts);
+        self.makespan_ns = self.makespan_ns.max(o.makespan_ns);
+        self.round_trips += o.round_trips;
+        self.wire_round_trips += o.wire_round_trips;
+        self.sessions += o.sessions;
+        self.planes.merge(&o.planes);
+    }
+}
+
+/// Counts its worker as finished when dropped — on the normal path
+/// before the worker starts draining, and during unwinding if the
+/// worker panics (which also fails the run, so the peers stop issuing
+/// transactions it would have to answer) — so no exit path leaves the
+/// peers waiting for it.
+struct Finished<'a> {
+    count: &'a AtomicUsize,
+    failure: &'a OnceLock<String>,
+}
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.failure.set("a workload session panicked".into());
+        }
+        self.count.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -224,6 +231,13 @@ impl WorkloadResult {
 /// other: coherence acks, 2PC votes). `gen` produces the ops for session
 /// `(node, thread)`'s `i`-th transaction; aborted transactions retry
 /// until they commit (counted).
+///
+/// # Panics
+///
+/// With the first non-abort error any session hit. That session and
+/// its peers stop issuing transactions but keep answering each other
+/// until all have stopped, so the run ends instead of waiting on a
+/// worker that is gone.
 pub fn run_cluster_workload<G>(
     cluster: &std::sync::Arc<Cluster>,
     txns_per_session: usize,
@@ -236,195 +250,91 @@ where
     let threads = cluster.config().threads_per_node;
     let total_workers = nodes * threads;
     let finished = AtomicUsize::new(0);
-    let commits = AtomicUsize::new(0);
-    let aborts = Mutex::new(AbortCauses::default());
-    let contention = Mutex::new(ContentionSnapshot::default());
-    let makespan = std::sync::atomic::AtomicU64::new(0);
-    let rts = std::sync::atomic::AtomicU64::new(0);
-    let wire_rts = std::sync::atomic::AtomicU64::new(0);
-    let latency = Mutex::new(HistSnapshot::empty());
-    let phases = Mutex::new(PhaseSnapshot::default());
-    let series = Mutex::new(SeriesSnapshot::empty());
-    let health = Mutex::new(HealthSnapshot::empty());
-    let forensics = Mutex::new(ForensicsSnapshot::empty());
-    let utilization = Mutex::new(UtilSnapshot::empty());
+    let failure: OnceLock<String> = OnceLock::new();
+    let total = Mutex::new(WorkloadResult::default());
     std::thread::scope(|sc| {
         for n in 0..nodes {
             for t in 0..threads {
-                let cluster = cluster.clone();
-                let gen = &gen;
-                let finished = &finished;
-                let commits = &commits;
-                let aborts = &aborts;
-                let contention = &contention;
-                let makespan = &makespan;
-                let rts = &rts;
-                let wire_rts = &wire_rts;
-                let latency = &latency;
-                let phases = &phases;
-                let series = &series;
-                let health = &health;
-                let forensics = &forensics;
-                let utilization = &utilization;
+                let (cluster, gen, finished, failure, total) =
+                    (cluster.clone(), &gen, &finished, &failure, &total);
                 sc.spawn(move || {
+                    let working = Finished { count: finished, failure };
                     let mut s: Session = cluster.session(n, t);
-                    s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
-                    s.endpoint().enable_health(DEFAULT_WINDOW_NS);
-                    s.endpoint().enable_utilization(DEFAULT_WINDOW_NS);
                     // Stable worker id (1-based; 0 = untagged) for the
                     // by-session heat split.
-                    s.endpoint().set_util_session((n * threads + t + 1) as u64);
-                    s.endpoint().enable_flight_recorder(WORKLOAD_TRACE_RING);
-                    s.enable_forensics(config::exemplars());
-                    let mut my_aborts = AbortCauses::default();
+                    let id = (n * threads + t + 1) as u64;
+                    Planes::enable(s.endpoint(), DEFAULT_WINDOW_NS, Some(id));
+                    Planes::enable_forensics(&mut s, WORKLOAD_TRACE_RING);
+                    let mut mine = WorkloadResult { sessions: 1, ..Default::default() };
                     for i in 0..txns_per_session {
                         let ops = gen(n, t, i);
-                        loop {
+                        // Retry until it commits — or any session,
+                        // this one included, has failed for good.
+                        while failure.get().is_none() {
                             match s.execute(&ops) {
                                 Ok(_) => {
-                                    commits.fetch_add(1, Ordering::Relaxed);
+                                    mine.commits += 1;
                                     break;
                                 }
                                 Err(e @ TxnError::Aborted(_)) => {
-                                    my_aborts.classify(&e);
+                                    mine.aborts.classify(&e);
                                     s.serve_pending(8);
                                     // Real-thread fairness: give the lock
                                     // holder a chance instead of spinning
                                     // it off the CPU.
                                     std::thread::yield_now();
                                 }
-                                Err(e) => panic!("workload failed: {e}"),
+                                Err(e) => {
+                                    let _ = failure.set(format!("workload failed: {e}"));
+                                }
                             }
                         }
+                        if failure.get().is_some() {
+                            break;
+                        }
                     }
-                    finished.fetch_add(1, Ordering::Release);
+                    drop(working);
                     while finished.load(Ordering::Acquire) < total_workers {
                         if !s.serve_pending(16) {
                             std::thread::yield_now();
                         }
                     }
                     s.serve_pending(usize::MAX >> 1);
-                    makespan.fetch_max(s.endpoint().clock().now_ns(), Ordering::Relaxed);
+                    mine.makespan_ns = s.endpoint().clock().now_ns();
                     let snap = s.endpoint().stats();
-                    rts.fetch_add(snap.round_trips(), Ordering::Relaxed);
-                    wire_rts.fetch_add(snap.wire_round_trips(), Ordering::Relaxed);
-                    latency.lock().unwrap().merge(&s.latency());
-                    phases.lock().unwrap().merge(&s.phases());
-                    aborts.lock().unwrap().merge(&my_aborts);
-                    contention
-                        .lock()
-                        .unwrap()
-                        .merge(&s.endpoint().contention_snapshot());
-                    series.lock().unwrap().merge(&s.endpoint().series_snapshot());
-                    health.lock().unwrap().merge(&s.endpoint().health_snapshot());
-                    forensics.lock().unwrap().merge(&s.forensics_snapshot());
-                    utilization
-                        .lock()
-                        .unwrap()
-                        .merge(&s.endpoint().utilization_snapshot());
+                    mine.round_trips = snap.round_trips();
+                    mine.wire_round_trips = snap.wire_round_trips();
+                    mine.planes.collect_session(&s);
+                    total.lock().expect("no worker panics while merging").merge(&mine);
                 });
             }
         }
     });
-    // Occupancy is allocator state, not fabric flow: stamp it onto the
-    // merged snapshot from the layer that owns the memory nodes (cold
-    // groups get idle tracks, which is what imbalance-over-occupancy
-    // needs to see).
-    let mut utilization = utilization.into_inner().unwrap();
-    let layer = cluster.layer();
-    for g in 0..layer.group_count() {
-        let primary = layer.group_primary(g);
-        let stats = primary.alloc_stats();
-        utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
+    if let Some(e) = failure.get() {
+        panic!("{e}");
     }
-    WorkloadResult {
-        commits: commits.load(Ordering::Relaxed) as u64,
-        aborts: aborts.into_inner().unwrap(),
-        makespan_ns: makespan.load(Ordering::Relaxed),
-        round_trips: rts.load(Ordering::Relaxed),
-        wire_round_trips: wire_rts.load(Ordering::Relaxed),
-        latency: latency.into_inner().unwrap(),
-        phases: phases.into_inner().unwrap(),
-        contention: contention.into_inner().unwrap(),
-        series: series.into_inner().unwrap(),
-        health: health.into_inner().unwrap(),
-        sessions: total_workers as u32,
-        forensics: forensics.into_inner().unwrap(),
-        utilization,
-    }
-}
-
-/// Turn on windowed time-series sampling and gauge health (default
-/// width) on every endpoint of an endpoint-level run. Sampling reads
-/// the virtual clock but never advances it, so enabling this cannot
-/// perturb the run.
-pub fn enable_series(eps: &[Endpoint]) {
-    for ep in eps {
-        ep.enable_timeseries(DEFAULT_WINDOW_NS);
-        ep.enable_health(DEFAULT_WINDOW_NS);
-        ep.enable_utilization(DEFAULT_WINDOW_NS);
-    }
-}
-
-/// Fold one telemetry plane across `eps`: `snapshot` copies the plane
-/// out of an endpoint, `merge` is that plane's (order-independent)
-/// merge, and `S::default()` is its identity.
-fn merged<S: Default>(
-    eps: &[Endpoint],
-    snapshot: impl Fn(&Endpoint) -> S,
-    merge: impl Fn(&mut S, &S),
-) -> S {
-    let mut out = S::default();
-    for ep in eps {
-        merge(&mut out, &snapshot(ep));
-    }
+    let mut out = total.into_inner().expect("no worker panics while merging");
+    out.planes.stamp_occupancy(cluster.layer());
     out
-}
-
-/// Merge the windowed series recorded by `eps` (for runs that drive
-/// endpoints directly instead of going through
-/// [`run_cluster_workload`]).
-pub fn merged_series(eps: &[Endpoint]) -> SeriesSnapshot {
-    merged(eps, Endpoint::series_snapshot, SeriesSnapshot::merge)
-}
-
-/// Merge the gauge health planes recorded by `eps` (the companion of
-/// [`merged_series`] for endpoint-level runs).
-pub fn merged_health(eps: &[Endpoint]) -> HealthSnapshot {
-    merged(eps, Endpoint::health_snapshot, HealthSnapshot::merge)
-}
-
-/// Merge the fabric-utilization planes recorded by `eps` (the third
-/// companion of [`merged_series`] for endpoint-level runs). Occupancy
-/// is not stamped here — callers that own the allocators stamp it onto
-/// the returned snapshot.
-pub fn merged_utilization(eps: &[Endpoint]) -> UtilSnapshot {
-    merged(eps, Endpoint::utilization_snapshot, UtilSnapshot::merge)
 }
 
 /// Machine-readable experiment output: every `exp_*` binary builds a
 /// [`telemetry::Report`] alongside its printed table and calls
 /// [`report::emit`], which writes `results/<experiment>.json` and folds
-/// the headline into `results/BENCH_summary.json`.
+/// the headline into `results/BENCH_summary.json`;
+/// [`report::dir_violations`] is the validator of what lands there.
 pub mod report {
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     pub use telemetry::report::{
-        alerts_from_json, alerts_json, health_from_json, health_json, hist_json, phases_json,
-        series_from_json, series_json,
+        alerts_json, hist_json, phases_json, series_from_json, series_json, violations, Section,
     };
-    pub use telemetry::{
-        forensics_from_json, forensics_json, move_plan_from_json, move_plan_json,
-        utilization_from_json, utilization_json, Json, Report,
-    };
+    pub use telemetry::{forensics_json, move_plan_json, utilization_json, Json, Report};
 
-    use crate::{AbortCauses, AlertEvent, WatchdogConfig, WorkloadResult};
-
-    /// Where reports land: `$BENCH_RESULTS_DIR`, defaulting to
-    /// `results/` under the current directory.
-    pub fn results_dir() -> PathBuf {
-        crate::config::results_dir()
-    }
+    pub use crate::config::results_dir;
+    use crate::{AbortCauses, WorkloadResult};
+    use telemetry::report::{check, embedded_violations};
+    use telemetry::{move_plan_from_json, MovePlan};
 
     /// Write `report` and merge its headline into `BENCH_summary.json`.
     pub fn emit(report: &Report) {
@@ -462,9 +372,9 @@ pub mod report {
             ("tps", Json::F(r.tps())),
             ("rts_per_txn", Json::F(r.rts_per_txn())),
             ("wire_rts_per_txn", Json::F(r.wire_rts_per_txn())),
-            ("latency", hist_json(&r.latency)),
-            ("phases", phases_json(&r.phases)),
-            ("contention", r.contention.to_json()),
+            ("latency", hist_json(&r.planes.latency)),
+            ("phases", phases_json(&r.planes.phases)),
+            ("contention", r.planes.contention.to_json()),
         ])
     }
 
@@ -472,79 +382,121 @@ pub mod report {
     /// considers its flagship configuration: tps, the latency ladder
     /// through p999 and max (p99 alone hides the exemplars the
     /// forensics section exists for), wire round trips per txn, and
-    /// phase shares — and attach the flagship run's windowed
-    /// time-series, health plane, watchdog alert log, and forensics as
-    /// the report's schema-v3/v4 sections.
+    /// phase shares — and attach the flagship run's planes.
     pub fn standard_headline(rep: &mut Report, r: &WorkloadResult) {
-        let (p50, _p95, p99, p999) = r.latency.percentiles();
+        let (p50, _p95, p99, p999) = r.planes.latency.percentiles();
         rep.headline("tps", Json::F(r.tps()));
         rep.headline("p50_ns", Json::U(p50));
         rep.headline("p99_ns", Json::U(p99));
         rep.headline("p999_ns", Json::U(p999));
-        rep.headline("max_ns", Json::U(r.latency.max()));
+        rep.headline("max_ns", Json::U(r.planes.latency.max()));
         rep.headline("wire_rts_per_txn", Json::F(r.wire_rts_per_txn()));
-        rep.headline("phases", phases_json(&r.phases));
-        attach_timeseries(rep, r);
-        attach_live_plane(rep, r);
-        rep.forensics(forensics_json(&r.forensics));
-        rep.utilization(utilization_json(&r.utilization));
+        rep.headline("phases", phases_json(&r.planes.phases));
+        r.planes.attach(rep, r.makespan_ns, r.sessions);
     }
 
-    /// Replay the flagship run through a default-threshold [`crate::Watchdog`]
-    /// and attach the health plane plus the resulting alert log. The
-    /// replay is deterministic bookkeeping over already-closed windows,
-    /// so this cannot change any measured number.
-    pub fn attach_live_plane(rep: &mut Report, r: &WorkloadResult) {
-        rep.health(health_json(&r.health));
-        rep.alerts(alerts_json(&standard_alerts(r)));
+    /// Why a parsed document is not a valid instance of one kind.
+    type Rule = fn(&Json) -> Vec<String>;
+
+    /// What a file in the results directory holds, by the suffix of
+    /// its stem; anything else named `exp_*.json` is a report.
+    const ARTIFACTS: [(&str, Rule); 5] = [
+        // A Chrome `trace_event` export: a non-empty `traceEvents`
+        // array whose entries carry a `ph` tag.
+        ("_trace", |doc| match doc.get("traceEvents").and_then(Json::as_array) {
+            Some(events) if !events.is_empty() => events
+                .iter()
+                .position(|ev| ev.get("ph").and_then(Json::as_str).is_none())
+                .map(|i| format!("traceEvents[{i}] has no \"ph\" tag"))
+                .into_iter()
+                .collect(),
+            _ => vec!["no traceEvents".into()],
+        }),
+        // The watchdog's log, exactly an `alerts` section.
+        ("_alerts", |doc| Section::Alerts.violations(doc, None)),
+        // Worst-K chains: part name -> `forensics` section.
+        ("_exemplars", |doc| match doc {
+            Json::O(parts) if !parts.is_empty() => parts
+                .iter()
+                .flat_map(|(name, part)| {
+                    let found = Section::Forensics.violations(part, None);
+                    found.into_iter().map(move |v| format!("part \"{name}\": forensics: {v}"))
+                })
+                .collect(),
+            _ => vec!["not a non-empty object of forensics sections".into()],
+        }),
+        // The flagship heat snapshot, exactly a `utilization` section.
+        ("_heat", |doc| Section::Utilization.violations(doc, None)),
+        // The placement advisor's typed plan.
+        ("_moveplan", |doc| {
+            check(doc, move_plan_from_json(doc), move_plan_json, MovePlan::violations)
+        }),
+    ];
+
+    fn load(path: &Path) -> Result<Json, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
+        Json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))
     }
 
-    /// The default-threshold watchdog log for one workload run (empty
-    /// when the series was not recorded).
-    pub fn standard_alerts(r: &WorkloadResult) -> Vec<AlertEvent> {
-        watchdog_replay(&r.series, &r.health, r.sessions)
-    }
-
-    /// Attach `r`'s windowed series as the report's `timeseries`
-    /// section (the flagship run only — per-row series would multiply
-    /// report size without adding a claim).
-    pub fn attach_timeseries(rep: &mut Report, r: &WorkloadResult) {
-        rep.timeseries(series_json(&r.series, r.makespan_ns));
-    }
-
-    /// Attach the merged series of an endpoint-level flagship run.
-    pub fn attach_endpoint_series(
-        rep: &mut Report,
-        eps: &[rdma_sim::Endpoint],
-        makespan_ns: u64,
-    ) {
-        rep.timeseries(series_json(&crate::merged_series(eps), makespan_ns));
-    }
-
-    /// Attach the live plane of an endpoint-level flagship run: the
-    /// merged gauge health across `eps` plus a default-threshold
-    /// watchdog replay over the merged series (one "session" per
-    /// endpoint for the wait-budget denominator).
-    pub fn attach_endpoint_live_plane(rep: &mut Report, eps: &[rdma_sim::Endpoint]) {
-        let series = crate::merged_series(eps);
-        let health = crate::merged_health(eps);
-        rep.health(health_json(&health));
-        rep.alerts(alerts_json(&watchdog_replay(&series, &health, eps.len() as u32)));
-        rep.utilization(utilization_json(&crate::merged_utilization(eps)));
-    }
-
-    /// The default-threshold watchdog log over an already-recorded
-    /// series + health plane (empty when the series was not recorded).
-    pub fn watchdog_replay(
-        series: &rdma_sim::SeriesSnapshot,
-        health: &rdma_sim::HealthSnapshot,
-        sessions: u32,
-    ) -> Vec<AlertEvent> {
-        if series.is_empty() {
-            return Vec::new();
+    /// Why the file at `path` is not what its name says it is (empty
+    /// when it is): a report must be valid ([`violations`]) and named
+    /// after its experiment, an artifact must be a valid instance of
+    /// the section its suffix names. Each message starts with the path.
+    pub fn file_violations(path: &Path) -> Vec<String> {
+        let doc = match load(path) {
+            Ok(doc) => doc,
+            Err(e) => return vec![format!("{}: {e}", path.display())],
+        };
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        let mut found = match ARTIFACTS.iter().find(|(suffix, _)| stem.ends_with(suffix)) {
+            Some((_, check)) => check(&doc),
+            None => violations(&doc),
+        };
+        let named = doc.get("experiment").and_then(Json::as_str);
+        if named.is_some_and(|name| name != stem) {
+            found.push(format!("experiment {named:?} does not match the file name"));
         }
-        let cfg = WatchdogConfig::new(series.window_ns, sessions);
-        telemetry::watchdog::run_over(cfg, series, (!health.is_empty()).then_some(health), None)
+        found.into_iter().map(|v| format!("{}: {v}", path.display())).collect()
+    }
+
+    /// Validate everything the experiments wrote to `dir`: every
+    /// `exp_*.json` ([`file_violations`]) and `BENCH_summary.json`,
+    /// whose entries must each have a report file and valid embedded
+    /// phase shares. Returns how many files were checked and every
+    /// violation found; a directory with no report is itself one.
+    pub fn dir_violations(dir: &Path) -> (usize, Vec<String>) {
+        let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
+            Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
+            Err(e) => return (0, vec![format!("cannot read {}: {e}", dir.display())]),
+        };
+        paths.retain(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("exp_") && name.ends_with(".json")
+        });
+        paths.sort();
+        let mut found: Vec<String> = paths.iter().flat_map(|p| file_violations(p)).collect();
+        if paths.is_empty() {
+            found.push(format!("no exp_*.json reports in {}", dir.display()));
+        }
+        let summary = dir.join("BENCH_summary.json");
+        let mut in_summary = Vec::new();
+        match load(&summary) {
+            Ok(doc) => match doc.get("experiments") {
+                // Headlines are keyed by experiment name, sorted on merge.
+                Some(Json::O(entries)) if !entries.is_empty() => {
+                    for (name, _) in entries {
+                        if !dir.join(format!("{name}.json")).exists() {
+                            in_summary.push(format!("entry \"{name}\" has no report file"));
+                        }
+                    }
+                    embedded_violations("$", &doc, &mut in_summary);
+                }
+                _ => in_summary.push("no experiments".into()),
+            },
+            Err(e) => in_summary.push(e),
+        }
+        found.extend(in_summary.into_iter().map(|v| format!("{}: {v}", summary.display())));
+        (paths.len() + 1, found)
     }
 }
 
@@ -632,17 +584,62 @@ mod tests {
         assert!(r.makespan_ns > 0);
         assert!(r.tps() > 0.0);
         // The merged series must agree with the aggregate counters.
-        assert_eq!(r.series.total(Metric::Commits), r.commits);
-        assert_eq!(r.series.total(Metric::Aborts), r.aborts.total());
-        assert!(!r.tps_sparkline(24).is_empty());
+        assert_eq!(r.planes.series.total(Metric::Commits), r.commits);
+        assert_eq!(r.planes.series.total(Metric::Aborts), r.aborts.total());
+        assert!(!r.planes.tps_sparkline(24).is_empty());
         // The health plane rode along: sessions entered and left, and
         // the cluster-level gauges return to zero at the end.
         assert_eq!(r.sessions, 2);
-        assert!(!r.health.is_empty());
-        assert_eq!(r.health.final_level(Gauge::SessionsInFlight), 0);
-        assert_eq!(r.health.final_level(Gauge::LocksHeld), 0);
-        assert!(r.health.min_level(Gauge::SessionsInFlight) >= 0);
-        assert!(r.health.max_level(Gauge::SessionsInFlight) >= 1);
+        let health = &r.planes.health;
+        assert!(!health.is_empty());
+        assert_eq!(health.final_level(Gauge::SessionsInFlight), 0);
+        assert_eq!(health.final_level(Gauge::LocksHeld), 0);
+        assert!(health.min_level(Gauge::SessionsInFlight) >= 0);
+        assert!(health.max_level(Gauge::SessionsInFlight) >= 1);
+    }
+
+    /// Thread 0 only touches keys of memory group 0, which is down, so
+    /// its first transaction fails for good; thread 1 only touches
+    /// group 1 and finishes. The run must end with thread 0's error —
+    /// not leave thread 1 waiting forever for a peer that is gone.
+    #[test]
+    fn one_failed_worker_fails_the_run_instead_of_hanging_it() {
+        let cluster = Cluster::build(ClusterConfig {
+            compute_nodes: 1,
+            threads_per_node: 2,
+            memory_nodes: 2,
+            replication: 1,
+            n_records: 64,
+            payload_size: 16,
+            profile: NetworkProfile::rdma_cx6(),
+            architecture: Architecture::NoCacheNoShard,
+            cc: CcProtocol::TplExclusive,
+            ..Default::default()
+        })
+        .unwrap();
+        let keys = [0, 1].map(|g| {
+            let in_group = (0..64u64).filter(|&k| cluster.table().group_of(k) == g);
+            in_group.collect::<Vec<_>>()
+        });
+        cluster.layer().crash_member(0, 0).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_cluster_workload(&cluster, 200, |_n, t, i| {
+                    vec![Op::Rmw { key: keys[t][i % keys[t].len()], delta: 1 }]
+                })
+            }));
+            let _ = tx.send(run.map(|r| r.commits).map_err(|p| match p.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(_) => "a panic without a message".to_string(),
+            }));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_cluster_workload hung on a failed worker");
+        runner.join().unwrap();
+        let msg = outcome.expect_err("a run with a dead memory group must not succeed");
+        assert!(msg.starts_with("workload failed: "), "{msg}");
     }
 
     #[test]

@@ -27,14 +27,12 @@
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op, Session, TxnError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdma_sim::{
-    ChromeTrace, ContentionSnapshot, HealthSnapshot, NetworkProfile, SeriesSnapshot,
-    DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use txn::locks::ExclusiveLock;
 use workload::ZipfGenerator;
 
-use crate::AbortCauses;
+use crate::fleet::max_clock;
+use crate::{AbortCauses, Planes};
 
 /// Lock-word tag the antagonist signs its holds with; far outside the
 /// session worker-tag range so wait-for edges name it unambiguously.
@@ -88,7 +86,7 @@ impl Default for ObsConfig {
 }
 
 /// Everything one observatory run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsOutcome {
     /// Committed transactions.
     pub commits: u64,
@@ -96,25 +94,17 @@ pub struct ObsOutcome {
     pub aborts: AbortCauses,
     /// Max session virtual time, ns.
     pub makespan_ns: u64,
-    /// Merged contention profile across all sessions.
-    pub contention: ContentionSnapshot,
+    /// Telemetry merged across all sessions: series and health are
+    /// empty when `window_ns` is 0, forensics when `trace_ring` is 0.
+    pub planes: Planes,
     /// Hot keys: `(record key, wait ns)` for every lock word the top-K
     /// sketch ranked, resolved back from lock addresses to record ids.
     pub hot_keys: Vec<(u64, u64)>,
     /// Chrome trace of the run (empty when `trace_ring` is 0).
     pub trace: ChromeTrace,
-    /// Windowed time-series merged across sessions (empty when
-    /// `window_ns` is 0).
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across sessions (empty when
-    /// `window_ns` is 0).
-    pub health: HealthSnapshot,
     /// Virtual instant of the antagonist's first squat (max session
     /// clock at the onset round), ns; 0 when it squats from round 0.
     pub t_antagonist_ns: u64,
-    /// Tail-latency forensics merged across sessions (empty when
-    /// `trace_ring` is 0).
-    pub forensics: crate::ForensicsSnapshot,
 }
 
 impl ObsOutcome {
@@ -153,38 +143,19 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         (0..cfg.sessions).map(|t| cluster.session(0, t)).collect();
     for s in &mut sessions {
         if cfg.trace_ring > 0 {
-            s.endpoint().enable_flight_recorder(cfg.trace_ring);
-            s.enable_forensics(crate::config::exemplars());
+            Planes::enable_forensics(s, cfg.trace_ring);
         }
-        if cfg.window_ns > 0 {
-            s.endpoint().enable_timeseries(cfg.window_ns);
-            s.endpoint().enable_health(cfg.window_ns);
-        }
+        Planes::enable(s.endpoint(), cfg.window_ns, None);
     }
 
-    let mut out = ObsOutcome {
-        commits: 0,
-        aborts: AbortCauses::default(),
-        makespan_ns: 0,
-        contention: ContentionSnapshot::default(),
-        hot_keys: Vec::new(),
-        trace: ChromeTrace::new(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
-        t_antagonist_ns: 0,
-        forensics: crate::ForensicsSnapshot::empty(),
-    };
+    let mut out = ObsOutcome::default();
 
     for round in 0..cfg.rounds {
         // From the onset round, the antagonist squats on one Zipf-hot
         // lock for the round.
         let squat = if round >= cfg.antagonist_from_round {
             if round == cfg.antagonist_from_round && round > 0 {
-                out.t_antagonist_ns = sessions
-                    .iter()
-                    .map(|s| s.endpoint().clock().now_ns())
-                    .max()
-                    .unwrap_or(0);
+                out.t_antagonist_ns = max_clock(&sessions);
             }
             let mut arng = StdRng::seed_from_u64(cfg.seed ^ 0xA11A ^ ((round as u64) << 16));
             let key = zipf.next(&mut arng);
@@ -227,17 +198,10 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         }
     }
 
-    out.makespan_ns = sessions
-        .iter()
-        .map(|s| s.endpoint().clock().now_ns())
-        .max()
-        .unwrap_or(0);
+    out.makespan_ns = max_clock(&sessions);
     out.trace.name_process(0, "compute0");
     for (t, s) in sessions.iter().enumerate() {
-        out.contention.merge(&s.endpoint().contention_snapshot());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
-        out.forensics.merge(&s.forensics_snapshot());
+        out.planes.collect_session(s);
         if cfg.trace_ring > 0 {
             out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
             s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
@@ -252,6 +216,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         by_addr.insert(table.payload_addr(k, 0).to_raw(), k);
     }
     out.hot_keys = out
+        .planes
         .contention
         .wait_top
         .iter()
@@ -278,7 +243,7 @@ mod tests {
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.aborts, b.aborts);
         assert_eq!(a.makespan_ns, b.makespan_ns);
-        assert_eq!(a.contention, b.contention);
+        assert_eq!(a.planes.contention, b.planes.contention);
         // The Chrome trace must be byte-identical, not merely similar.
         assert_eq!(a.trace.render(), b.trace.render());
         assert!(!a.trace.is_empty());
@@ -294,8 +259,8 @@ mod tests {
         assert_eq!(a.commits, b.commits);
         assert!(b.trace.is_empty() && !a.trace.is_empty());
         // Same zero-cost contract for the time-series sampler.
-        assert!(b.series.is_empty() && !a.series.is_empty());
-        assert_eq!(a.series.total(crate::Metric::Commits), a.commits);
+        assert!(b.planes.series.is_empty() && !a.planes.series.is_empty());
+        assert_eq!(a.planes.series.total(crate::Metric::Commits), a.commits);
     }
 
     #[test]
@@ -318,7 +283,7 @@ mod tests {
         });
         // Heavier skew ⇒ more lock-wait time overall, and the top key
         // holds a larger share of it.
-        assert!(skewed.contention.wait_ns_total > uniform.contention.wait_ns_total);
+        assert!(skewed.planes.contention.wait_ns_total > uniform.planes.contention.wait_ns_total);
         assert!(!skewed.hot_keys.is_empty());
     }
 }

@@ -1,0 +1,165 @@
+//! One telemetry bundle per run.
+//!
+//! Every harness records the same seven planes — transaction latency,
+//! phase attribution, contention, windowed series, gauge health, tail
+//! forensics, fabric utilization — on each session or bare endpoint it
+//! drives, merges them across the fleet, and hands the flagship run's
+//! merge to the report. [`Planes`] is that bundle: harnesses
+//! [`enable`](Planes::enable) what they record,
+//! [`collect`](Planes::collect) what was recorded, and
+//! [`attach`](Planes::attach) it; a plane nobody enabled stays empty
+//! and renders as the report's well-formed empty section.
+
+use dsm::DsmLayer;
+use dsmdb::Session;
+use rdma_sim::{
+    ContentionSnapshot, Endpoint, HealthSnapshot, HistSnapshot, PhaseSnapshot, SeriesSnapshot,
+    UtilSnapshot,
+};
+use telemetry::report::{alerts_json, health_json, series_json, Report, Section};
+use telemetry::watchdog::run_over;
+use telemetry::{
+    forensics_json, sparkline, utilization_json, AlertEvent, ForensicsSnapshot, Metric,
+    WatchdogConfig,
+};
+
+/// Worst-K forensics exemplar reservoir depth of every harness.
+pub const EXEMPLARS: usize = 8;
+
+/// The telemetry planes of one run, merged across everything that
+/// recorded them. Every merge is associative and commutative, so the
+/// bundle is independent of collection order.
+#[derive(Debug, Clone, Default)]
+pub struct Planes {
+    /// End-to-end transaction latency (virtual ns), committed and
+    /// aborted attempts alike.
+    pub latency: HistSnapshot,
+    /// Per-phase virtual-time / verb attribution.
+    pub phases: PhaseSnapshot,
+    /// Hot-key, wait-for and coherence contention profile.
+    pub contention: ContentionSnapshot,
+    /// Windowed counters (commits, aborts by cause, verbs, cache, locks).
+    pub series: SeriesSnapshot,
+    /// Windowed gauge deltas (sessions in flight, locks held, pool
+    /// occupancy, outstanding verbs, membership epoch).
+    pub health: HealthSnapshot,
+    /// Blame-share histogram over every transaction plus the worst-K
+    /// exemplar reservoir.
+    pub forensics: ForensicsSnapshot,
+    /// Per-memory-node windowed load, page-range heat top-K and the
+    /// session / phase splits.
+    pub utilization: UtilSnapshot,
+}
+
+impl Planes {
+    /// Turn on `ep`'s windowed planes at `window_ns` (0 = off): series
+    /// and health, plus — when `util_session` is given — utilization,
+    /// tagged with that session id for the by-session heat split (0 =
+    /// untagged). Sampling reads the virtual clock but never advances
+    /// it, so enabling cannot perturb the run.
+    pub fn enable(ep: &Endpoint, window_ns: u64, util_session: Option<u64>) {
+        ep.enable_timeseries(window_ns);
+        ep.enable_health(window_ns);
+        if let Some(tag) = util_session {
+            ep.enable_utilization(window_ns);
+            ep.set_util_session(tag);
+        }
+    }
+
+    /// Turn on tail forensics for `s`: a flight-recorder ring of `ring`
+    /// events (deep enough for one transaction's chain — forensics only
+    /// reads back the current one) feeding a worst-[`EXEMPLARS`]
+    /// reservoir.
+    pub fn enable_forensics(s: &mut Session, ring: usize) {
+        s.endpoint().enable_flight_recorder(ring);
+        s.enable_forensics(EXEMPLARS);
+    }
+
+    /// Fold in everything `ep` recorded (the endpoint-level planes).
+    pub fn collect(&mut self, ep: &Endpoint) {
+        self.phases.merge(&ep.phase_snapshot());
+        self.contention.merge(&ep.contention_snapshot());
+        self.series.merge(&ep.series_snapshot());
+        self.health.merge(&ep.health_snapshot());
+        self.utilization.merge(&ep.utilization_snapshot());
+    }
+
+    /// Fold in everything `s` and its endpoint recorded.
+    pub fn collect_session(&mut self, s: &Session) {
+        self.latency.merge(&s.latency());
+        self.forensics.merge(&s.forensics_snapshot());
+        self.collect(s.endpoint());
+    }
+
+    /// The merged bundle of an endpoint-level run.
+    pub fn of_endpoints(eps: &[Endpoint]) -> Self {
+        let mut out = Self::default();
+        for ep in eps {
+            out.collect(ep);
+        }
+        out
+    }
+
+    /// Fold another bundle in.
+    pub fn merge(&mut self, o: &Planes) {
+        self.latency.merge(&o.latency);
+        self.phases.merge(&o.phases);
+        self.contention.merge(&o.contention);
+        self.series.merge(&o.series);
+        self.health.merge(&o.health);
+        self.forensics.merge(&o.forensics);
+        self.utilization.merge(&o.utilization);
+    }
+
+    /// Stamp every memory group's occupancy onto the utilization
+    /// plane. Occupancy is allocator state, not fabric flow, so it
+    /// comes from the layer that owns the memory nodes; cold groups
+    /// get idle tracks, which is what imbalance-over-occupancy and the
+    /// placement advisor need to see. Call after merging.
+    pub fn stamp_occupancy(&mut self, layer: &DsmLayer) {
+        for g in 0..layer.group_count() {
+            let primary = layer.group_primary(g);
+            let stats = primary.alloc_stats();
+            self.utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
+        }
+    }
+
+    /// The bundle reduced to its live plane: series and health, which
+    /// is also everything the watchdog replays. For reports that carry
+    /// no forensics or utilization section.
+    pub fn live(&self) -> Planes {
+        Planes { series: self.series.clone(), health: self.health.clone(), ..Planes::default() }
+    }
+
+    /// The default-threshold watchdog log over the recorded series and
+    /// health (`sessions` is the lock-wait budget denominator). The
+    /// replay is deterministic bookkeeping over already-closed windows;
+    /// empty when the series was not recorded.
+    pub fn alerts(&self, sessions: u32) -> Vec<AlertEvent> {
+        if self.series.is_empty() {
+            return Vec::new();
+        }
+        let cfg = WatchdogConfig::new(self.series.window_ns, sessions);
+        run_over(cfg, &self.series, (!self.health.is_empty()).then_some(&self.health), None)
+    }
+
+    /// Attach the bundle as the report's plane sections — the flagship
+    /// run only; per-row planes would multiply report size without
+    /// adding a claim. A run that sampled no series gets no
+    /// `timeseries` section.
+    pub fn attach(&self, rep: &mut Report, makespan_ns: u64, sessions: u32) {
+        if !self.series.is_empty() {
+            rep.section(Section::Timeseries, series_json(&self.series, makespan_ns));
+        }
+        rep.section(Section::Health, health_json(&self.health));
+        rep.section(Section::Alerts, alerts_json(&self.alerts(sessions)));
+        rep.section(Section::Forensics, forensics_json(&self.forensics));
+        rep.section(Section::Utilization, utilization_json(&self.utilization));
+    }
+
+    /// Compact sparkline of the windowed commit rate (empty when the
+    /// series was not recorded).
+    pub fn tps_sparkline(&self, max_chars: usize) -> String {
+        sparkline(&self.series.rate_per_sec(Metric::Commits), max_chars)
+    }
+}

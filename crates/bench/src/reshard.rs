@@ -39,26 +39,22 @@
 
 use dsmdb::{
     Architecture, CcProtocol, Cluster, ClusterConfig, MigrateError, MigrationState, Migrator,
-    NodeStatus, Op, RecoveryOutcome, Session, TxnError,
+    NodeStatus, RecoveryOutcome, Session,
 };
-use rdma_sim::{
-    HealthSnapshot, NetworkProfile, PhaseSnapshot, SeriesSnapshot, DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
-use telemetry::watchdog::{run_over, windowed_p99};
 use telemetry::RecoveryFacts;
-use txn::locks::LeaseLock;
 
 use crate::chaos::{scenarios, WindowStats};
-use crate::report::{
-    abort_causes_json, alerts_json, health_json, series_json, Json, Report,
-};
-use crate::{sparkline, AbortCauses, AlertEvent, Metric, WatchdogConfig};
+use crate::fleet::{max_clock, splitmix64, Audit, Fleet};
+use crate::report::{abort_causes_json, Json, Report};
+use crate::{AbortCauses, Metric, Planes};
 
 /// Which fault the timeline injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scenario {
     /// No fault: measure the migration tax alone.
+    #[default]
     Clean,
     /// Source primary dies mid-copy; mirror failover carries both the
     /// copier and degraded reads until the rebuild.
@@ -145,7 +141,7 @@ impl ReshardConfig {
 }
 
 /// Everything one scenario run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReshardOutcome {
     /// Which fault ran.
     pub scenario: Scenario,
@@ -167,12 +163,9 @@ pub struct ReshardOutcome {
     pub dual_reads_checked: u64,
     /// Samples whose two homes diverged (must be 0).
     pub divergent_dual_reads: u64,
-    /// Keys whose final DSM value diverged from the committed model.
-    pub lost_writes: u64,
-    /// Locks still held and unexpired after the run (must be 0).
-    pub stuck_locks: u64,
-    /// Expired leftovers the janitor stole and cleared.
-    pub janitor_reclaims: u64,
+    /// Committed writes lost and locks left held at the new home (both
+    /// must be 0), and the expired leftovers the janitor reclaimed.
+    pub audit: Audit,
     /// Stale-coordinator commits refused by the epoch fence.
     pub fenced_commits: u64,
     /// Expired leases stolen by workers.
@@ -197,33 +190,9 @@ pub struct ReshardOutcome {
     /// difference is copier traffic + dual writes + old-home routing —
     /// so this isolates the migration from the capacity the join added.
     pub migration_tax: f64,
-    /// Merged per-phase attribution across all sessions.
-    pub phases: PhaseSnapshot,
-    /// Windowed time-series merged across all endpoints.
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across all endpoints.
-    pub health: HealthSnapshot,
-    /// `(virtual completion ns, latency ns)` per transaction.
-    pub latency_samples: Vec<(u64, u64)>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn lease_expired(now_us: u32, expiry_us: u32) -> bool {
-    now_us.wrapping_sub(expiry_us) < (1 << 31)
-}
-
-fn max_clock(sessions: &[Session]) -> u64 {
-    sessions
-        .iter()
-        .map(|s| s.endpoint().clock().now_ns())
-        .max()
-        .unwrap_or(0)
+    /// Telemetry merged across all sessions; the health plane also
+    /// folds in the coordinator, recovery and leave endpoints.
+    pub planes: Planes,
 }
 
 fn fleet_clock(core: &[Session], joiners: &[Session]) -> u64 {
@@ -297,19 +266,14 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let mut joiners: Vec<Session> = Vec::new();
     let coord = fabric.endpoint();
     for s in &core {
-        if cfg.window_ns > 0 {
-            s.endpoint().enable_timeseries(cfg.window_ns);
-            s.endpoint().enable_health(cfg.window_ns);
-        }
+        Planes::enable(s.endpoint(), cfg.window_ns, None);
     }
     // The coordinator carries the migration gauge (health plane) but NO
     // timeseries: its clock sits at the fleet edge while it drives the
     // copier, and an extra series would stretch the merged window range
     // without adding commit signal. Copier progress is instead noted on
     // a session endpoint (below), which is fleet-timed by construction.
-    if cfg.window_ns > 0 {
-        coord.enable_health(cfg.window_ns);
-    }
+    coord.enable_health(cfg.window_ns);
 
     // Copier streams: series-less endpoints that do the bulk copy in
     // parallel. Each round they advance until they catch the fleet
@@ -336,41 +300,8 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let copy_rounds = (2 * cfg.rounds / 5).max(2) as u64;
     let chunk = cfg.records.div_ceil(copy_rounds);
 
-    let mut model: Vec<i64> = vec![0; cfg.records as usize];
-    let mut out = ReshardOutcome {
-        scenario,
-        pre: WindowStats::default(),
-        migrate: WindowStats::default(),
-        settle: WindowStats::default(),
-        post: WindowStats::default(),
-        aborts: AbortCauses::default(),
-        migrated_bytes: 0,
-        dual_reads_checked: 0,
-        divergent_dual_reads: 0,
-        lost_writes: 0,
-        stuck_locks: 0,
-        janitor_reclaims: 0,
-        fenced_commits: 0,
-        steals: 0,
-        final_state: MigrationState::Idle,
-        final_epoch: 0,
-        t_begin_ns: 0,
-        t_fault_ns: 0,
-        t_flip_ns: 0,
-        recovery: RecoveryFacts {
-            baseline_tps: 0.0,
-            dip_tps: 0.0,
-            dip_depth: 0.0,
-            time_to_detection_ns: None,
-            time_to_recovery_ns: None,
-        },
-        recovered_tps_ratio: 0.0,
-        migration_tax: 0.0,
-        phases: PhaseSnapshot::default(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
-        latency_samples: Vec::with_capacity(cfg.sessions * cfg.rounds * 2),
-    };
+    let mut fleet = Fleet::new(cfg.seed, cfg.records);
+    let mut out = ReshardOutcome { scenario, ..ReshardOutcome::default() };
 
     let mut drive = Drive::Idle;
     let mut dst_group = usize::MAX;
@@ -396,10 +327,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             joiners = (0..cfg.sessions).map(|t| cluster.session(1, t)).collect();
             for s in &joiners {
                 s.endpoint().charge_local(t);
-                if cfg.window_ns > 0 {
-                    s.endpoint().enable_timeseries(cfg.window_ns);
-                    s.endpoint().enable_health(cfg.window_ns);
-                }
+                Planes::enable(s.endpoint(), cfg.window_ns, None);
             }
             coord.charge_local(t.saturating_sub(coord.clock().now_ns()));
             for st in &streams {
@@ -448,25 +376,21 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 Scenario::CrashSource => {
                     fabric.clear_fault_plan();
                     let rec = fabric.endpoint();
-                    if cfg.window_ns > 0 {
-                        rec.enable_health(cfg.window_ns);
-                    }
+                    rec.enable_health(cfg.window_ns);
                     rec.charge_local(fleet_clock(&core, &joiners));
                     layer
                         .recover_member_from_mirror(&rec, 0, 0)
                         .expect("rebuild source member");
-                    out.health.merge(&rec.health_snapshot());
+                    out.planes.health.merge(&rec.health_snapshot());
                 }
                 Scenario::CrashDest => {
                     let rec = fabric.endpoint();
-                    if cfg.window_ns > 0 {
-                        rec.enable_health(cfg.window_ns);
-                    }
+                    rec.enable_health(cfg.window_ns);
                     rec.charge_local(fleet_clock(&core, &joiners));
                     layer
                         .recover_member_from_mirror(&rec, dst_group, 0)
                         .expect("rebuild dest member");
-                    out.health.merge(&rec.health_snapshot());
+                    out.planes.health.merge(&rec.health_snapshot());
                     // Re-run the migration; the bigger unthrottled cap
                     // still lands the flip before the leave.
                     migrator
@@ -482,9 +406,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             // the network, bump the epoch, resolve the descriptor.
             fabric.clear_fault_plan();
             let rec = fabric.endpoint();
-            if cfg.window_ns > 0 {
-                rec.enable_health(cfg.window_ns);
-            }
+            rec.enable_health(cfg.window_ns);
             rec.charge_local(fleet_clock(&core, &joiners));
             let new_epoch = cluster
                 .membership()
@@ -508,7 +430,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 s.refresh_epoch().expect("epoch refresh");
             }
             epoch = new_epoch;
-            out.health.merge(&rec.health_snapshot());
+            out.planes.health.merge(&rec.health_snapshot());
             migrator
                 .begin(&coord, dst_group, 0, cfg.records, epoch)
                 .expect("re-begin under new epoch");
@@ -606,9 +528,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             out.settle.end_ns = t;
             out.post.start_ns = t;
             let leave_ep = fabric.endpoint();
-            if cfg.window_ns > 0 {
-                leave_ep.enable_health(cfg.window_ns);
-            }
+            leave_ep.enable_health(cfg.window_ns);
             leave_ep.charge_local(t);
             cluster
                 .membership()
@@ -620,54 +540,23 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 .expect("joiner down");
             for s in joiners.drain(..) {
                 out.steals += s.lock_steals();
-                out.phases.merge(&s.phases());
-                out.series.merge(&s.endpoint().series_snapshot());
-                out.health.merge(&s.endpoint().health_snapshot());
+                out.planes.collect_session(&s);
             }
-            out.health.merge(&leave_ep.health_snapshot());
+            out.planes.health.merge(&leave_ep.health_snapshot());
         }
 
         // --- One workload round ---------------------------------------
+        let seg = if round < r_join {
+            &mut out.pre
+        } else if out.t_flip_ns == 0 {
+            &mut out.migrate
+        } else if round < r_leave {
+            &mut out.settle
+        } else {
+            &mut out.post
+        };
         for (t, s) in core.iter_mut().chain(joiners.iter_mut()).enumerate() {
-            let mut r = splitmix64(cfg.seed ^ ((t as u64) << 32) ^ round as u64);
-            let a = r % cfg.records;
-            r = splitmix64(r);
-            let mut b = r % cfg.records;
-            if b == a {
-                b = (b + 1) % cfg.records;
-            }
-            let delta = 1 + (r % 7) as i64;
-            let ops = [
-                Op::Rmw { key: a, delta: -delta },
-                Op::Rmw { key: b, delta },
-            ];
-            let t0 = s.endpoint().clock().now_ns();
-            let result = s.execute(&ops);
-            let t1 = s.endpoint().clock().now_ns();
-            out.latency_samples.push((t1, t1.saturating_sub(t0)));
-            let seg = if round < r_join {
-                &mut out.pre
-            } else if out.t_flip_ns == 0 {
-                &mut out.migrate
-            } else if round < r_leave {
-                &mut out.settle
-            } else {
-                &mut out.post
-            };
-            match result {
-                Ok(_) => {
-                    model[a as usize] -= delta;
-                    model[b as usize] += delta;
-                    seg.commits += 1;
-                }
-                Err(e) => {
-                    seg.aborts += 1;
-                    if let TxnError::Dsm(_) = e {
-                        panic!("reshard run hit a non-typed failure: {e}");
-                    }
-                    out.aborts.classify(&e);
-                }
-            }
+            fleet.transfer(s, t, round, None, seg);
         }
 
         // --- Dual-home divergence audit -------------------------------
@@ -692,6 +581,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         }
     }
 
+    out.aborts = fleet.aborts;
     let t_end = max_clock(&core);
     out.post.end_ns = t_end;
     out.pre.start_ns = 0;
@@ -712,11 +602,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     };
     for s in &core {
         out.steals += s.lock_steals();
-        out.phases.merge(&s.phases());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
+        out.planes.collect_session(s);
     }
-    out.health.merge(&coord.health_snapshot());
+    out.planes.health.merge(&coord.health_snapshot());
     drop(core);
 
     // The disturbance the recovery story is measured around: the fault
@@ -725,9 +613,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     // run has three session-count regimes, and windows from another
     // regime would poison both the baseline and the recovery scan.
     let t_disturb = if out.t_fault_ns > 0 { out.t_fault_ns } else { out.t_begin_ns };
-    if !out.series.is_empty() {
+    if !out.planes.series.is_empty() {
         out.recovery = analysis::recovery_facts_between(
-            &out.series,
+            &out.planes.series,
             t_disturb,
             0.9,
             out.t_begin_ns,
@@ -735,52 +623,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         );
     }
 
-    // --- Audit 1: no committed write lost ----------------------------
-    let audit = fabric.endpoint();
-    let mut buf = vec![0u8; cfg.payload];
-    for k in 0..cfg.records {
-        layer
-            .read(&audit, table.payload_addr(k, 0), &mut buf)
-            .expect("post-flip read");
-        let v = i64::from_le_bytes(buf[0..8].try_into().unwrap());
-        if v != model[k as usize] {
-            out.lost_writes += 1;
-        }
-    }
-
-    // --- Audit 2: no lock held forever (at the NEW home) -------------
-    audit.charge_local(t_end.saturating_sub(audit.clock().now_ns()));
-    for k in 0..cfg.records {
-        let word = layer.read_u64(&audit, table.lock_addr(k)).expect("lock read");
-        if word == 0 {
-            continue;
-        }
-        let (_, _, expiry_us) = LeaseLock::decode(word);
-        let now_us = (audit.clock().now_ns() / 1_000) as u32;
-        if !lease_expired(now_us, expiry_us) {
-            out.stuck_locks += 1;
-            continue;
-        }
-        let token = LeaseLock::acquire(&layer, &audit, table.lock_addr(k), 998, 1, cfg.lease_ns, 4)
-            .expect("expired lease must be stealable");
-        LeaseLock::release(&layer, &audit, table.lock_addr(k), token)
-            .expect("janitor owns the word it installed");
-        out.janitor_reclaims += 1;
-    }
+    // Zero lost writes, and zero locks held forever at the NEW home.
+    out.audit = fleet.audit(&cluster, t_end);
     out
-}
-
-/// Replay a finished reshard run through the online watchdog (counter
-/// windows, gauge levels — including `MigrationInFlight` — and exact
-/// windowed p99s). Deterministic over closed windows.
-pub fn watchdog_log(cfg: &ReshardConfig, out: &ReshardOutcome) -> Vec<AlertEvent> {
-    if out.series.is_empty() {
-        return Vec::new();
-    }
-    let p99s = windowed_p99(&out.latency_samples, out.series.window_ns, out.series.len());
-    let wd = WatchdogConfig::new(cfg.window_ns, (cfg.sessions * 2) as u32);
-    let health = (!out.health.is_empty()).then_some(&out.health);
-    run_over(wd, &out.series, health, Some(&p99s))
 }
 
 /// Build the E1 report over all scenario outcomes (shared by the binary
@@ -812,9 +657,9 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
                 ("migrated_bytes", Json::U(out.migrated_bytes)),
                 ("dual_reads_checked", Json::U(out.dual_reads_checked)),
                 ("divergent_dual_reads", Json::U(out.divergent_dual_reads)),
-                ("lost_writes", Json::U(out.lost_writes)),
-                ("stuck_locks", Json::U(out.stuck_locks)),
-                ("janitor_reclaims", Json::U(out.janitor_reclaims)),
+                ("lost_writes", Json::U(out.audit.lost_writes)),
+                ("stuck_locks", Json::U(out.audit.stuck_locks)),
+                ("janitor_reclaims", Json::U(out.audit.janitor_reclaims)),
                 ("fenced_commits", Json::U(out.fenced_commits)),
                 ("steals", Json::U(out.steals)),
                 ("final_state", Json::S(format!("{:?}", out.final_state))),
@@ -834,11 +679,9 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
     let clean = outs.iter().find(|o| o.scenario == Scenario::Clean);
     let crash = outs.iter().find(|o| o.scenario == Scenario::CrashSource);
     if let Some(c) = clean {
-        if !c.series.is_empty() {
-            rep.timeseries(series_json(&c.series, c.post.end_ns));
-        }
-        rep.health(health_json(&c.health));
-        rep.alerts(alerts_json(&watchdog_log(cfg, c)));
+        // Node 1 is joined for most of the run: 2x sessions feed the
+        // watchdog's lock-wait budget.
+        c.planes.attach(&mut rep, c.post.end_ns, (cfg.sessions * 2) as u32);
         rep.headline("pre_tps", Json::F(c.pre.tps()));
         rep.headline("migrate_tps", Json::F(c.migrate.tps()));
         rep.headline("post_tps", Json::F(c.post.tps()));
@@ -852,16 +695,11 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
             c.recovery.time_to_recovery_ns.map_or(Json::Null, Json::U),
         );
     }
-    let lost: u64 = outs.iter().map(|o| o.lost_writes).sum();
-    let stuck: u64 = outs.iter().map(|o| o.stuck_locks).sum();
+    let lost: u64 = outs.iter().map(|o| o.audit.lost_writes).sum();
+    let stuck: u64 = outs.iter().map(|o| o.audit.stuck_locks).sum();
     let divergent: u64 = outs.iter().map(|o| o.divergent_dual_reads).sum();
     rep.headline("lost_writes", Json::U(lost));
     rep.headline("stuck_locks", Json::U(stuck));
     rep.headline("divergent_dual_reads", Json::U(divergent));
     rep
-}
-
-/// Compact commit-rate sparkline over one scenario's merged series.
-pub fn tps_sparkline(out: &ReshardOutcome, max_chars: usize) -> String {
-    sparkline(&out.series.rate_per_sec(Metric::Commits), max_chars)
 }

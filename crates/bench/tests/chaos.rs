@@ -20,8 +20,8 @@ fn cfg() -> ChaosConfig {
 
 fn assert_invariants(out: &ChaosOutcome) {
     // Safety: no committed write lost, no lock held forever.
-    assert_eq!(out.lost_writes, 0, "committed writes were lost");
-    assert_eq!(out.stuck_locks, 0, "a lock stayed held forever");
+    assert_eq!(out.audit.lost_writes, 0, "committed writes were lost");
+    assert_eq!(out.audit.stuck_locks, 0, "a lock stayed held forever");
     // The crash was visible: dead-group transactions aborted with the
     // typed error and the fault window lost throughput.
     assert!(out.aborts.node_unavailable > 0, "crash never surfaced");
@@ -55,7 +55,7 @@ fn assert_invariants(out: &ChaosOutcome) {
     // The recovery story comes from the windowed series: the crash must
     // have been detected there, and the dip the analysis found must be
     // consistent with the segment tallies.
-    assert!(!out.series.is_empty(), "series sampling was off");
+    assert!(!out.planes.series.is_empty(), "series sampling was off");
     assert!(out.recovery.time_to_detection_ns.is_some(), "dip never detected");
     assert!(out.recovery.dip_depth > 0.0, "analysis saw no dip");
     assert!(
@@ -93,6 +93,6 @@ fn chaos_is_deterministic_in_the_seed() {
     // are not an artifact of one lucky schedule.
     let other = ChaosConfig { seed: 7, ..cfg };
     let out = run_chaos(&other);
-    assert_eq!(out.lost_writes, 0);
-    assert_eq!(out.stuck_locks, 0);
+    assert_eq!(out.audit.lost_writes, 0);
+    assert_eq!(out.audit.stuck_locks, 0);
 }

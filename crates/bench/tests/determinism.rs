@@ -51,7 +51,7 @@ fn render(r: &WorkloadResult) -> String {
 fn identical_runs_render_identical_json() {
     let ra = run_once();
     // The probe must carry real signal, not an all-zero report.
-    assert!(ra.latency.count() > 0, "probe committed no transactions");
+    assert!(ra.planes.latency.count() > 0, "probe committed no transactions");
     let a = render(&ra);
     let b = render(&run_once());
     assert_eq!(a, b, "two identical single-threaded runs diverged");
@@ -73,14 +73,14 @@ fn identical_runs_render_identical_json() {
 fn forensics_section_is_byte_identical_and_fully_attributed() {
     let ra = run_once();
     let rb = run_once();
-    assert!(ra.forensics.txns > 0, "probe recorded no transactions");
-    assert!(!ra.forensics.worst.is_empty(), "empty worst-K reservoir");
-    let a = report::forensics_json(&ra.forensics).render_pretty(2);
-    let b = report::forensics_json(&rb.forensics).render_pretty(2);
+    assert!(ra.planes.forensics.txns > 0, "probe recorded no transactions");
+    assert!(!ra.planes.forensics.worst.is_empty(), "empty worst-K reservoir");
+    let a = report::forensics_json(&ra.planes.forensics).render_pretty(2);
+    let b = report::forensics_json(&rb.planes.forensics).render_pretty(2);
     assert_eq!(a, b, "same-seed forensics sections diverged");
     // The probe's ring is big enough that nothing wraps: every exemplar
     // must be 100% attributed to typed categories.
-    for t in &ra.forensics.worst {
+    for t in &ra.planes.forensics.worst {
         assert!(
             (t.attributed_share() - 1.0).abs() < 1e-12,
             "exemplar {} lost coverage: attributed {}",
@@ -95,13 +95,13 @@ fn forensics_section_is_byte_identical_and_fully_attributed() {
 #[test]
 fn phase_shares_cover_the_txn_timeline() {
     let r = run_once();
-    let phases = r.phases;
+    let phases = r.planes.phases;
     let total: u64 = phases.ns.iter().sum();
     assert!(total > 0, "no phase time recorded");
     // Everything inside Session::execute is covered by the Execute span
     // (or an inner phase), so unattributed time should be a small slice
     // of the workload: setup, scheduling, and pool maintenance only.
-    let latency_total = (r.latency.count() as f64 * r.latency.mean()) as u64;
+    let latency_total = (r.planes.latency.count() as f64 * r.planes.latency.mean()) as u64;
     assert!(
         total >= latency_total / 2,
         "phase time {total} implausibly small vs txn time {latency_total}"

@@ -32,8 +32,8 @@ fn reshard_preserves_safety_in_every_scenario() {
             MigrationState::Done,
             "{name}: must end at a single owner"
         );
-        assert_eq!(out.lost_writes, 0, "{name}: committed writes were lost");
-        assert_eq!(out.stuck_locks, 0, "{name}: a lock stayed held forever");
+        assert_eq!(out.audit.lost_writes, 0, "{name}: committed writes were lost");
+        assert_eq!(out.audit.stuck_locks, 0, "{name}: a lock stayed held forever");
         assert_eq!(
             out.divergent_dual_reads, 0,
             "{name}: dual homes served different bytes"
@@ -68,7 +68,7 @@ fn reshard_is_deterministic_in_the_seed() {
     // are not an artifact of one lucky schedule.
     let other = ReshardConfig { seed: 77, ..cfg };
     let out = run_reshard(&other, Scenario::CrashSource);
-    assert_eq!(out.lost_writes, 0);
-    assert_eq!(out.stuck_locks, 0);
+    assert_eq!(out.audit.lost_writes, 0);
+    assert_eq!(out.audit.stuck_locks, 0);
     assert_eq!(out.divergent_dual_reads, 0);
 }

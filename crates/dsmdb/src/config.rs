@@ -62,9 +62,6 @@ pub struct ClusterConfig {
     pub versions: usize,
     /// Local buffer-pool frames per compute node (caching architectures).
     pub cache_frames: usize,
-    /// Lock shards the buffer pool is striped into (power of two; clamped
-    /// so every shard holds at least one frame).
-    pub pool_shards: usize,
     /// Network tier.
     pub profile: NetworkProfile,
     /// Figure 3 architecture.
@@ -89,7 +86,6 @@ impl Default for ClusterConfig {
             payload_size: 64,
             versions: 1,
             cache_frames: 1_024,
-            pool_shards: 8,
             profile: NetworkProfile::rdma_cx6(),
             architecture: Architecture::NoCacheNoShard,
             cc: CcProtocol::TplExclusive,
@@ -105,10 +101,6 @@ impl ClusterConfig {
         assert!(self.threads_per_node >= 1);
         assert!(self.n_records >= 1);
         assert!(self.payload_size >= 8, "payload must hold the i64 counter");
-        assert!(
-            self.pool_shards >= 1 && self.pool_shards.is_power_of_two(),
-            "pool_shards must be a power of two"
-        );
         if self.cc == CcProtocol::Mvcc {
             assert!(self.versions >= 2, "MVCC needs >= 2 versions");
         }

@@ -136,9 +136,11 @@ impl Cluster {
             )),
             _ => None,
         };
-        // Stripe each node's pool; clamp so every shard holds >= 1 frame.
+        // Stripe each node's pool over POOL_SHARDS locks (a power of
+        // two); clamp so every shard holds >= 1 frame.
+        const POOL_SHARDS: usize = 8;
         let pool_shards = {
-            let mut s = config.pool_shards;
+            let mut s = POOL_SHARDS;
             while s > 1 && s > config.cache_frames {
                 s /= 2;
             }

@@ -37,9 +37,10 @@ use rdma_sim::{Endpoint, Gauge, Metric};
 use txn::table::RecordTable;
 
 /// Where a migration stands, as recorded in its DSM descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MigrationState {
     /// No migration in flight.
+    #[default]
     Idle,
     /// Destination extent allocated, descriptor being filled in.
     Preparing,

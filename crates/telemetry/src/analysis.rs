@@ -19,7 +19,7 @@ use crate::json::Json;
 use crate::timeseries::{Metric, SeriesSnapshot};
 
 /// Recovery facts computed from a series around one fault instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryFacts {
     /// Mean commit rate over the complete windows before the fault,
     /// commits per virtual second.
@@ -344,6 +344,20 @@ pub struct MovePlan {
     pub index_before: f64,
     /// Projected Gini index after all moves execute.
     pub index_projected: f64,
+}
+
+impl MovePlan {
+    /// What a move plan that re-renders to itself can still get wrong:
+    /// the advisor keeps a move only if it lowers the projected index.
+    pub fn violations(&self) -> Vec<String> {
+        if self.index_projected > self.index_before {
+            return vec![format!(
+                "index_projected {} above index_before {}",
+                self.index_projected, self.index_before
+            )];
+        }
+        Vec::new()
+    }
 }
 
 /// The steady-state placement advisor: turn a merged

@@ -268,6 +268,39 @@ pub fn merge_top(lists: &[Vec<TopEntry>], cap: usize) -> Vec<TopEntry> {
     v
 }
 
+/// Parse a rendered ranked list whose entries name their key `key` and
+/// their weight `count` (the heat lists say `key`/`count`, the session
+/// split `session`/`bytes`).
+pub(crate) fn top_from_json(list: &Json, key: &str, count: &str) -> Option<Vec<TopEntry>> {
+    list.as_array()?
+        .iter()
+        .map(|e| {
+            Some(TopEntry {
+                key: e.get(key)?.as_u64()?,
+                count: e.get(count)?.as_u64()?,
+                err: e.get("err")?.as_u64()?,
+            })
+        })
+        .collect()
+}
+
+/// A space-saving ranked list is sorted by weight, heaviest first, and
+/// no entry's overestimate bound exceeds its weight.
+pub(crate) fn top_violations(name: &str, list: &[TopEntry]) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut prev = u64::MAX;
+    for (i, e) in list.iter().enumerate() {
+        if e.count > prev {
+            out.push(format!("{name}[{i}] not sorted by weight desc"));
+        }
+        if e.err > e.count {
+            out.push(format!("{name}[{i}]: err {} exceeds its weight {}", e.err, e.count));
+        }
+        prev = e.count;
+    }
+    out
+}
+
 /// One observed lock wait: `waiter` failed to acquire `addr` because
 /// `holder` held it. Holder `0` means "unknown holder" (e.g. a shared
 /// latch whose word only stores a reader count).
@@ -419,6 +452,41 @@ impl ContentionSnapshot {
     /// The wait-for fold of the collected edges.
     pub fn wait_for(&self) -> WaitForSummary {
         wait_for_analysis(&self.edges)
+    }
+
+    /// What a `contention` object that re-renders to itself can still
+    /// get wrong: the order and error bounds of its ranked lists.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = top_violations("top_wait_ns", &self.wait_top);
+        out.extend(top_violations("top_cas_retries", &self.cas_top));
+        out
+    }
+
+    /// Rebuild a snapshot from a parsed `contention` object — the read
+    /// side of [`ContentionSnapshot::to_json`]. The rendered wait-for
+    /// edges are already the distinct sorted set, and the fold over
+    /// them is a function of that set, so rendering the result again
+    /// recomputes `cycles` and `max_depth`.
+    pub fn from_json(v: &Json) -> Option<Self> {
+        let (wf, co) = (v.get("wait_for")?, v.get("coherence")?);
+        let mut edges = Vec::new();
+        for e in wf.get("edges")?.as_array()? {
+            edges.push(WaitEdge {
+                waiter: e.get("waiter")?.as_u64()?,
+                holder: e.get("holder")?.as_u64()?,
+                addr: e.get("addr")?.as_u64()?,
+            });
+        }
+        Some(Self {
+            wait_top: top_from_json(v.get("top_wait_ns")?, "key", "count")?,
+            cas_top: top_from_json(v.get("top_cas_retries")?, "key", "count")?,
+            edges,
+            inval_broadcasts: co.get("broadcasts")?.as_u64()?,
+            inval_msgs: co.get("messages")?.as_u64()?,
+            inval_max_fanout: co.get("max_fanout")?.as_u64()?,
+            wait_ns_total: v.get("wait_ns_total")?.as_u64()?,
+            edges_dropped: wf.get("dropped")?.as_u64()?,
+        })
     }
 
     /// Deterministic JSON (insertion-ordered objects, sorted lists).

@@ -500,9 +500,58 @@ pub struct ForensicsSummary {
     pub k: u64,
     /// Total ns per blame category.
     pub blame_ns: [u64; BLAME_KINDS],
+    /// `remote_fetch` ns by home node.
+    pub remote_by_peer: BTreeMap<u16, u64>,
     /// `(total_ns, attributed_share, events rendered)` per exemplar,
     /// slowest first.
     pub worst: Vec<(u64, f64, usize)>,
+}
+
+impl ForensicsSummary {
+    /// The section this summary was parsed from, rendered again: every
+    /// derived member (`total_ns`, the blame shares,
+    /// `critical_path_wire_share`) is recomputed from the parsed blame
+    /// by [`forensics_json`] itself; the exemplars, whose chains stay
+    /// raw JSON, are carried over from `section`.
+    pub fn rerender(&self, section: &Json) -> Json {
+        let mut out = forensics_json(&ForensicsSnapshot {
+            k: self.k as usize,
+            txns: self.txns,
+            blame_ns: self.blame_ns,
+            remote_by_peer: self.remote_by_peer.clone(),
+            worst: Vec::new(),
+        });
+        if let (Json::O(members), Some(raw)) = (&mut out, section.get("worst")) {
+            members.retain(|(k, _)| k != "worst");
+            members.push(("worst".to_string(), raw.clone()));
+        }
+        out
+    }
+
+    /// What a `forensics` section that re-renders to itself can still
+    /// get wrong: the worst-K reservoir is sorted slowest-first, holds
+    /// no more than its capacity or the transaction count, and every
+    /// exemplar's `attributed_share` is a share.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.worst.len() as u64 > self.k {
+            out.push(format!("{} exemplars exceed reservoir capacity {}", self.worst.len(), self.k));
+        }
+        if self.worst.len() as u64 > self.txns {
+            out.push(format!("{} exemplars but only {} transactions", self.worst.len(), self.txns));
+        }
+        let mut prev = u64::MAX;
+        for (i, &(total_ns, share, _)) in self.worst.iter().enumerate() {
+            if total_ns > prev {
+                out.push(format!("worst[{i}] not sorted by total_ns desc"));
+            }
+            prev = total_ns;
+            if !(0.0..=1.0).contains(&share) {
+                out.push(format!("worst[{i}].attributed_share = {share} outside [0, 1]"));
+            }
+        }
+        out
+    }
 }
 
 /// Parse a `forensics` section. `None` on any structural violation.
@@ -514,6 +563,12 @@ pub fn forensics_from_json(section: &Json) -> Option<ForensicsSummary> {
     for (i, b) in blame_ns.iter_mut().enumerate() {
         *b = blame.get(blame_name(i))?.get("ns")?.as_u64()?;
     }
+    let mut remote_by_peer = BTreeMap::new();
+    if let Some(Json::O(peers)) = section.get("remote_fetch_by_node") {
+        for (name, ns) in peers {
+            remote_by_peer.insert(name.strip_prefix("node")?.parse().ok()?, ns.as_u64()?);
+        }
+    }
     let mut worst = Vec::new();
     for w in section.get("worst")?.as_array()? {
         worst.push((
@@ -522,7 +577,7 @@ pub fn forensics_from_json(section: &Json) -> Option<ForensicsSummary> {
             w.get("events")?.as_array()?.len(),
         ));
     }
-    Some(ForensicsSummary { txns, k, blame_ns, worst })
+    Some(ForensicsSummary { txns, k, blame_ns, remote_by_peer, worst })
 }
 
 #[cfg(test)]

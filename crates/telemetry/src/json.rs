@@ -169,6 +169,34 @@ impl Json {
         }
     }
 
+    /// Where `self` and `other` first render differently, as a path
+    /// plus the two values (`None` when they render to the same bytes).
+    /// This is what a validator prints when a section does not
+    /// re-render to itself.
+    pub fn first_difference(&self, other: &Json) -> Option<String> {
+        fn brief(v: &Json) -> String {
+            match v {
+                Json::O(m) => format!("{{{}}}", m.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>().join(", ")),
+                Json::A(a) => format!("[{} items]", a.len()),
+                v => v.render(),
+            }
+        }
+        match (self, other) {
+            (Json::O(a), Json::O(b)) if a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0) => a
+                .iter()
+                .zip(b)
+                .find_map(|((k, x), (_, y))| x.first_difference(y).map(|d| format!(".{k}{d}"))),
+            (Json::A(a), Json::A(b)) if a.len() == b.len() => a
+                .iter()
+                .zip(b)
+                .enumerate()
+                .find_map(|(i, (x, y))| x.first_difference(y).map(|d| format!("[{i}]{d}"))),
+            // `I(0)` and `U(0)` differ as values but not as bytes.
+            _ if self == other || self.render() == other.render() => None,
+            _ => Some(format!(": {} != {}", brief(self), brief(other))),
+        }
+    }
+
     /// Parse a JSON document. Returns a descriptive error with the byte
     /// offset on malformed input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {

@@ -243,6 +243,28 @@ impl HealthSnapshot {
         window::merge(&mut self.window_ns, &mut self.windows, other.window_ns, &other.windows);
     }
 
+    /// What a `health` section that re-renders to itself can still get
+    /// wrong: every gauge counts things that exist (sessions, held
+    /// locks, resident frames, posted verbs, epochs), so merged across
+    /// a cluster no level goes negative, and every session has left
+    /// before the report is written.
+    pub fn violations(&self) -> Vec<String> {
+        if self.window_ns == 0 && !self.is_empty() {
+            return vec!["windows recorded with window_ns = 0".into()];
+        }
+        let mut out = Vec::new();
+        for g in Gauge::ALL {
+            if self.min_level(g) < 0 {
+                out.push(format!("gauge {} dips to {} (cluster levels must stay >= 0)", g.name(), self.min_level(g)));
+            }
+        }
+        let left = self.final_level(Gauge::SessionsInFlight);
+        if left != 0 {
+            out.push(format!("sessions_in_flight ends at {left} (all sessions must drain)"));
+        }
+        out
+    }
+
     /// The incremental delta from an earlier snapshot `prev` of the
     /// same recorder to `self`: a snapshot such that
     /// `prev.merge(&delta) == self`. This is the wire encoding a node

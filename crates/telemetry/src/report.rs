@@ -8,31 +8,193 @@
 //! kept sorted by name so the file is diffable and independent of the
 //! order experiments were run in. Nothing here consults wall-clock time:
 //! identical runs produce byte-identical files.
+//!
+//! The same module validates what it writes ([`violations`]): each
+//! snapshot type owns its renderer, its parser and a `violations()`
+//! list, and a section is valid iff it parses back, re-renders to the
+//! bytes it was read from, and violates nothing ([`check`]). A field
+//! added to a renderer is thereby validated with no further edit.
 
 use std::path::Path;
 
+use crate::contention::ContentionSnapshot;
+use crate::forensics::{forensics_from_json, forensics_json, ForensicsSnapshot};
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::live::{Gauge, HealthSnapshot};
 use crate::span::{bucket_name, PhaseSnapshot, OTHER_BUCKET};
 use crate::timeseries::{Metric, SeriesSnapshot};
-use crate::watchdog::{AlertEvent, AlertKind, AlertState};
+use crate::utilization::{utilization_from_json, utilization_json, UtilSnapshot};
+use crate::watchdog::{log_violations, AlertEvent, AlertKind, AlertState};
 
 /// Schema version stamped into every report, bumped on breaking changes.
-/// v2: every report carries a top-level `timeseries` section
-/// ([`series_json`]) with per-window metric counts on the virtual clock.
-/// v3: every report carries mandatory `health` ([`health_json`]) and
-/// `alerts` ([`alerts_json`]) sections — empty but well-formed when the
-/// experiment wires no live plane.
-/// v4: every report carries a mandatory `forensics` section
-/// ([`crate::forensics::forensics_json`]) — blame-share histogram plus
-/// worst-K exemplars, empty but well-formed when forensics is unwired.
-/// v5: every report carries a mandatory `utilization` section
-/// ([`crate::utilization::utilization_json`]) — per-memory-node
-/// occupancy/bandwidth windows, page-range heat top-K, session/phase
-/// splits, and imbalance indices; empty but well-formed when the
-/// utilization plane is unwired.
+/// v2 added the `timeseries` section, v3 `health` and `alerts`, v4
+/// `forensics`, v5 `utilization` — see [`Section`].
 pub const SCHEMA_VERSION: u64 = 5;
+
+/// The plane sections every report carries between `rows` and
+/// `headline`, in document order. Each is rendered from one snapshot
+/// type by one function and validated by one rule
+/// ([`Section::violations`]): the renderer is the schema.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// [`series_json`]: per-window metric counts on the virtual clock.
+    Timeseries,
+    /// [`health_json`]: windowed gauge deltas and their levels.
+    Health,
+    /// [`alerts_json`]: the watchdog's typed open/clear log.
+    Alerts,
+    /// [`forensics_json`]: blame histogram plus worst-K exemplars.
+    Forensics,
+    /// [`utilization_json`]: per-memory-node load, heat top-K, splits
+    /// and imbalance indices.
+    Utilization,
+}
+
+impl Section {
+    /// Every section, in document order.
+    pub const ALL: [Section; 5] = [
+        Section::Timeseries,
+        Section::Health,
+        Section::Alerts,
+        Section::Forensics,
+        Section::Utilization,
+    ];
+
+    /// The report member the section is stored under.
+    pub fn key(self) -> &'static str {
+        match self {
+            Section::Timeseries => "timeseries",
+            Section::Health => "health",
+            Section::Alerts => "alerts",
+            Section::Forensics => "forensics",
+            Section::Utilization => "utilization",
+        }
+    }
+
+    /// The well-formed empty section a report carries when the
+    /// experiment attached none, so consumers can rely on the key.
+    /// `timeseries` has no empty form: a report without one is invalid.
+    fn empty(self) -> Option<Json> {
+        match self {
+            Section::Timeseries => None,
+            Section::Health => Some(health_json(&HealthSnapshot::empty())),
+            Section::Alerts => Some(alerts_json(&[])),
+            Section::Forensics => Some(forensics_json(&ForensicsSnapshot::empty())),
+            Section::Utilization => Some(utilization_json(&UtilSnapshot::empty())),
+        }
+    }
+
+    /// Why `section` is not a valid section of this kind (empty when
+    /// it is). `span` is the report's sampled `(window_ns, span_ns)`,
+    /// which bounds where an alert may sit.
+    pub fn violations(self, section: &Json, span: Option<(u64, u64)>) -> Vec<String> {
+        match self {
+            Section::Timeseries => {
+                let makespan = section.get("makespan_ns").and_then(Json::as_u64);
+                let parsed = makespan.and_then(|_| series_from_json(section));
+                let makespan = makespan.unwrap_or(0);
+                check(section, parsed, |s| series_json(s, makespan), |s| s.violations(makespan))
+            }
+            Section::Health => check(section, health_from_json(section), health_json, HealthSnapshot::violations),
+            Section::Alerts => {
+                check(section, alerts_from_json(section), |e| alerts_json(e), |e| log_violations(e, span))
+            }
+            Section::Forensics => {
+                check(section, forensics_from_json(section), |f| f.rerender(section), |f| f.violations())
+            }
+            Section::Utilization => {
+                check(section, utilization_from_json(section), utilization_json, UtilSnapshot::violations)
+            }
+        }
+    }
+}
+
+/// The one validity rule for anything a snapshot renders: it parses
+/// back, the parsed snapshot renders to the bytes it was read from (so
+/// every derived member — totals, levels, counts, shares, indices —
+/// agrees with the data beside it), and the snapshot reports no
+/// violations of its own.
+pub fn check<T>(
+    rendered: &Json,
+    parsed: Option<T>,
+    render: impl FnOnce(&T) -> Json,
+    violations: impl FnOnce(&T) -> Vec<String>,
+) -> Vec<String> {
+    let Some(t) = parsed else {
+        return vec!["does not parse back (unknown name, wrong array length or missing member)".into()];
+    };
+    let mut out = violations(&t);
+    if let Some(at) = render(&t).first_difference(rendered) {
+        out.push(format!("does not re-render to itself at {at}"));
+    }
+    out
+}
+
+/// Why `report` is not a valid report document (empty when it is):
+/// the fixed members, non-empty `rows`, every [`Section`] valid, every
+/// embedded `phases` and `contention` object valid, and a headline
+/// that carries `p99_ns` also carrying the `p999_ns` / `max_ns` rungs
+/// the forensics section explains. Each message names its section.
+pub fn violations(report: &Json) -> Vec<String> {
+    let mut out = Vec::new();
+    for key in ["schema_version", "experiment", "title", "rows"] {
+        if report.get(key).is_none() {
+            out.push(format!("missing \"{key}\""));
+        }
+    }
+    if report.get("rows").and_then(Json::as_array).is_none_or(|r| r.is_empty()) {
+        out.push("no rows".into());
+    }
+    let span = report.get("timeseries").map(|ts| {
+        let field = |k| ts.get(k).and_then(Json::as_u64).unwrap_or(0);
+        (field("window_ns"), field("windows") * field("window_ns"))
+    });
+    for s in Section::ALL {
+        match report.get(s.key()) {
+            Some(section) => out.extend(s.violations(section, span).into_iter().map(|v| format!("{}: {v}", s.key()))),
+            None => out.push(format!("{}: missing (every report must carry one)", s.key())),
+        }
+    }
+    embedded_violations("$", report, &mut out);
+    if let Some(headline) = report.get("headline").filter(|h| h.get("p99_ns").is_some()) {
+        for key in ["p999_ns", "max_ns"] {
+            if headline.get(key).is_none() {
+                out.push(format!("headline has p99_ns but no {key} (tail rungs are mandatory)"));
+            }
+        }
+    }
+    out
+}
+
+/// Validate every `phases` and `contention` object anywhere under `v`
+/// (rows and headlines embed them; so does `BENCH_summary.json`).
+pub fn embedded_violations(ctx: &str, v: &Json, out: &mut Vec<String>) {
+    match v {
+        Json::O(members) => {
+            for (key, member) in members {
+                let found = match key.as_str() {
+                    "phases" => check(member, phases_from_json(member), phases_json, |_| Vec::new()),
+                    "contention" => check(
+                        member,
+                        ContentionSnapshot::from_json(member),
+                        ContentionSnapshot::to_json,
+                        ContentionSnapshot::violations,
+                    ),
+                    _ => Vec::new(),
+                };
+                out.extend(found.into_iter().map(|f| format!("{ctx}.{key}: {f}")));
+                embedded_violations(&format!("{ctx}.{key}"), member, out);
+            }
+        }
+        Json::A(items) => {
+            for (i, item) in items.iter().enumerate() {
+                embedded_violations(&format!("{ctx}[{i}]"), item, out);
+            }
+        }
+        _ => {}
+    }
+}
 
 /// One experiment's machine-readable output.
 #[derive(Debug, Clone)]
@@ -41,11 +203,8 @@ pub struct Report {
     title: String,
     meta: Vec<(String, Json)>,
     rows: Vec<Json>,
-    timeseries: Option<Json>,
-    health: Option<Json>,
-    alerts: Option<Json>,
-    forensics: Option<Json>,
-    utilization: Option<Json>,
+    /// Attached sections, indexed by [`Section`].
+    sections: [Option<Json>; Section::ALL.len()],
     headline: Vec<(String, Json)>,
 }
 
@@ -58,11 +217,7 @@ impl Report {
             title: title.to_string(),
             meta: Vec::new(),
             rows: Vec::new(),
-            timeseries: None,
-            health: None,
-            alerts: None,
-            forensics: None,
-            utilization: None,
+            sections: Default::default(),
             headline: Vec::new(),
         }
     }
@@ -88,53 +243,17 @@ impl Report {
         self
     }
 
-    /// Install the report's `timeseries` section (the flagship run's
-    /// windowed series, rendered by [`series_json`]). Idempotent: the
-    /// last call wins.
-    pub fn timeseries(&mut self, section: Json) -> &mut Self {
-        self.timeseries = Some(section);
+    /// Install the flagship run's `rendered` section of kind `which`
+    /// (one run per report — per-row sections would multiply report
+    /// size without adding a claim). The last call wins.
+    pub fn section(&mut self, which: Section, rendered: Json) -> &mut Self {
+        self.sections[which as usize] = Some(rendered);
         self
     }
 
-    /// Install the report's `health` section (the flagship run's merged
-    /// gauge plane, rendered by [`health_json`]). Idempotent: the last
-    /// call wins.
-    pub fn health(&mut self, section: Json) -> &mut Self {
-        self.health = Some(section);
-        self
-    }
-
-    /// Install the report's `alerts` section (the watchdog log over the
-    /// flagship run, rendered by [`alerts_json`]). Idempotent: the last
-    /// call wins.
-    pub fn alerts(&mut self, section: Json) -> &mut Self {
-        self.alerts = Some(section);
-        self
-    }
-
-    /// Install the report's `forensics` section (blame-share histogram
-    /// plus worst-K exemplars, rendered by
-    /// [`crate::forensics::forensics_json`]). Idempotent: the last call
-    /// wins.
-    pub fn forensics(&mut self, section: Json) -> &mut Self {
-        self.forensics = Some(section);
-        self
-    }
-
-    /// Install the report's `utilization` section (per-node fabric
-    /// load, heat top-K, and imbalance indices, rendered by
-    /// [`crate::utilization::utilization_json`]). Idempotent: the last
-    /// call wins.
-    pub fn utilization(&mut self, section: Json) -> &mut Self {
-        self.utilization = Some(section);
-        self
-    }
-
-    /// The full report document. The schema-v3 `health`/`alerts`,
-    /// schema-v4 `forensics`, and schema-v5 `utilization` sections are
-    /// mandatory: experiments that wire no live plane, forensics, or
-    /// utilization capture get well-formed empty sections rather than
-    /// missing keys, so every consumer can rely on their presence.
+    /// The full report document: fixed members, then every [`Section`]
+    /// in order (the attached one, else its well-formed empty form),
+    /// then the headline.
     pub fn to_json(&self) -> Json {
         let mut members = vec![
             ("schema_version".to_string(), Json::U(SCHEMA_VERSION)),
@@ -143,22 +262,11 @@ impl Report {
             ("meta".to_string(), Json::O(self.meta.clone())),
             ("rows".to_string(), Json::A(self.rows.clone())),
         ];
-        if let Some(ts) = &self.timeseries {
-            members.push(("timeseries".to_string(), ts.clone()));
+        for s in Section::ALL {
+            if let Some(section) = self.sections[s as usize].clone().or_else(|| s.empty()) {
+                members.push((s.key().to_string(), section));
+            }
         }
-        let health = self.health.clone().unwrap_or_else(|| health_json(&HealthSnapshot::empty()));
-        members.push(("health".to_string(), health));
-        let alerts = self.alerts.clone().unwrap_or_else(|| alerts_json(&[]));
-        members.push(("alerts".to_string(), alerts));
-        let forensics = self
-            .forensics
-            .clone()
-            .unwrap_or_else(|| crate::forensics::forensics_json(&crate::forensics::ForensicsSnapshot::empty()));
-        members.push(("forensics".to_string(), forensics));
-        let utilization = self.utilization.clone().unwrap_or_else(|| {
-            crate::utilization::utilization_json(&crate::utilization::UtilSnapshot::empty())
-        });
-        members.push(("utilization".to_string(), utilization));
         members.push(("headline".to_string(), Json::O(self.headline.clone())));
         Json::O(members)
     }
@@ -223,10 +331,10 @@ pub fn hist_json(h: &HistSnapshot) -> Json {
 }
 
 /// Windowed series → the report `timeseries` section. Emits the window
-/// geometry, explicit window starts (so validators can check
-/// monotonicity and coverage against `makespan_ns`), per-window counts
-/// for every metric that fired, and per-metric totals (so per-window
-/// counts can be checked against the run's aggregates).
+/// geometry with explicit window starts, per-window counts for every
+/// metric that fired, and per-metric totals. Starts and totals are
+/// derived: a section is valid only if parsing it back and rendering
+/// again reproduces them.
 pub fn series_json(s: &SeriesSnapshot, makespan_ns: u64) -> Json {
     let starts = Json::A((0..s.len()).map(|i| Json::U(s.window_start_ns(i))).collect());
     let mut metrics = Vec::new();
@@ -277,9 +385,9 @@ pub fn series_from_json(section: &Json) -> Option<SeriesSnapshot> {
 /// Merged gauge plane → the report `health` section. Emits the window
 /// geometry, per-window *net deltas* for every gauge that moved (the
 /// mergeable encoding), and a per-gauge level summary (final/min/max
-/// window-end levels) so readers and validators get levels without
-/// redoing the prefix sums. An empty snapshot renders as the
-/// well-formed zero-window section every schema-v3 report carries.
+/// window-end levels) so readers get levels without redoing the prefix
+/// sums. An empty snapshot renders as the well-formed zero-window
+/// section a report with no health plane carries.
 pub fn health_json(h: &HealthSnapshot) -> Json {
     let mut deltas = Vec::new();
     let mut levels = Vec::new();
@@ -373,6 +481,21 @@ pub fn alerts_from_json(section: &Json) -> Option<Vec<AlertEvent>> {
         });
     }
     Some(out)
+}
+
+/// Rebuild a [`PhaseSnapshot`] from a parsed `phases` object — the
+/// read side of [`phases_json`]. Shares are ignored on the way in;
+/// rendering the result again recomputes them, so a valid object's
+/// shares sum to 1 (or are all 0 when no time was tracked).
+pub fn phases_from_json(phases: &Json) -> Option<PhaseSnapshot> {
+    let mut p = PhaseSnapshot::default();
+    for i in 0..=OTHER_BUCKET {
+        let bucket = phases.get(bucket_name(i))?;
+        p.ns[i] = bucket.get("ns")?.as_u64()?;
+        p.verbs[i] = bucket.get("verbs")?.as_u64()?;
+        p.wire_rts[i] = bucket.get("wire_rts")?.as_u64()?;
+    }
+    Some(p)
 }
 
 /// Phase snapshot → JSON: per-phase `{ns, share, verbs, wire_rts}` for

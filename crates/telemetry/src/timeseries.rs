@@ -309,6 +309,25 @@ impl SeriesSnapshot {
         window::coarsen_to(&mut self.window_ns, &mut self.windows, new_width);
     }
 
+    /// What a `timeseries` section that re-renders to itself can still
+    /// get wrong: a zero width, or windows that fall short of / run
+    /// past the run's makespan by more than one window (the last
+    /// sample can land just before a boundary).
+    pub fn violations(&self, makespan_ns: u64) -> Vec<String> {
+        let (n, w) = (self.len() as u64, self.window_ns);
+        if w == 0 {
+            return vec!["window_ns is 0".into()];
+        }
+        let mut out = Vec::new();
+        if n * w + w < makespan_ns {
+            out.push(format!("{n} windows x {w} ns do not cover makespan {makespan_ns} ns"));
+        }
+        if makespan_ns + w < n * w {
+            out.push(format!("{n} windows x {w} ns overshoot makespan {makespan_ns} ns"));
+        }
+        out
+    }
+
     /// Fold `other` into `self`. Widths are aligned to their least
     /// common multiple first, so the operation is associative,
     /// commutative, and lossless (totals are preserved exactly).

@@ -30,7 +30,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::contention::{merge_top, TopEntry, TopK};
+use crate::contention::{merge_top, top_from_json, top_violations, TopEntry, TopK};
 use crate::json::Json;
 use crate::span::{bucket_name, OTHER_BUCKET};
 use crate::window::{self, Window, Windowed};
@@ -418,6 +418,33 @@ impl UtilSnapshot {
         self.nodes.iter().map(|n| (n.node, n.totals().verbs)).collect()
     }
 
+    /// What a `utilization` section that re-renders to itself can
+    /// still get wrong: an occupancy stamp above its capacity, and the
+    /// order and error bounds of the heat and session rankings.
+    pub fn violations(&self) -> Vec<String> {
+        if self.window_ns == 0 && !self.is_empty() {
+            return vec!["windows recorded with window_ns = 0".into()];
+        }
+        let mut out = Vec::new();
+        for n in &self.nodes {
+            if n.capacity_bytes > 0 && n.allocated_bytes > n.capacity_bytes {
+                out.push(format!(
+                    "node {}: allocated {} exceeds capacity {}",
+                    n.node, n.allocated_bytes, n.capacity_bytes
+                ));
+            }
+        }
+        for (name, list) in [
+            ("heat.by_bytes", &self.heat_bytes),
+            ("heat.by_verbs", &self.heat_verbs),
+            ("heat.by_remote_ns", &self.heat_ns),
+            ("by_session", &self.by_session),
+        ] {
+            out.extend(top_violations(name, list));
+        }
+        out
+    }
+
     /// Re-bucket every node track to `new_width` (must be a multiple of
     /// the current width). Sums stay exact; high-water marks take the
     /// max of the folded windows, which is exact for maxima.
@@ -513,55 +540,30 @@ fn heat_list_json(list: &[TopEntry]) -> Json {
     )
 }
 
-fn heat_list_from_json(v: &Json) -> Option<Vec<TopEntry>> {
-    let items = v.as_array()?;
-    let mut out = Vec::with_capacity(items.len());
-    for e in items {
-        out.push(TopEntry {
-            key: e.get("key")?.as_u64()?,
-            count: e.get("count")?.as_u64()?,
-            err: e.get("err")?.as_u64()?,
-        });
-    }
-    Some(out)
-}
-
 /// Utilization snapshot → the report `utilization` section. Per-node
-/// window arrays plus totals (so validators can cross-check), the three
-/// heat lists, the session/phase splits, and the computed imbalance
-/// indices (Gini and max/mean over node bytes and verbs — derived, so
-/// the parse side recomputes rather than trusts them). Deterministic:
-/// identical snapshots render byte-identically.
+/// window arrays plus totals, the three heat lists, the session/phase
+/// splits, and the computed imbalance indices (Gini and max/mean over
+/// node bytes and verbs). Totals and indices are derived: a section is
+/// valid only if parsing it back and rendering again reproduces them.
+/// Deterministic: identical snapshots render byte-identically.
 pub fn utilization_json(u: &UtilSnapshot) -> Json {
     let nodes = Json::A(
         u.nodes
             .iter()
             .map(|n| {
                 let t = n.totals();
+                let track = |of: fn(&UtilWindow) -> u64| {
+                    Json::A(n.windows.iter().map(|w| Json::U(of(w))).collect())
+                };
                 Json::obj(vec![
                     ("node", Json::U(n.node)),
                     ("capacity_bytes", Json::U(n.capacity_bytes)),
                     ("allocated_bytes", Json::U(n.allocated_bytes)),
-                    (
-                        "ingress_bytes",
-                        Json::A(n.windows.iter().map(|w| Json::U(w.ingress_bytes)).collect()),
-                    ),
-                    (
-                        "egress_bytes",
-                        Json::A(n.windows.iter().map(|w| Json::U(w.egress_bytes)).collect()),
-                    ),
-                    (
-                        "verbs",
-                        Json::A(n.windows.iter().map(|w| Json::U(w.verbs)).collect()),
-                    ),
-                    (
-                        "remote_ns",
-                        Json::A(n.windows.iter().map(|w| Json::U(w.remote_ns)).collect()),
-                    ),
-                    (
-                        "queue_hwm_ns",
-                        Json::A(n.windows.iter().map(|w| Json::U(w.queue_hwm_ns)).collect()),
-                    ),
+                    ("ingress_bytes", track(|w| w.ingress_bytes)),
+                    ("egress_bytes", track(|w| w.egress_bytes)),
+                    ("verbs", track(|w| w.verbs)),
+                    ("remote_ns", track(|w| w.remote_ns)),
+                    ("queue_hwm_ns", track(|w| w.queue_hwm_ns)),
                     (
                         "totals",
                         Json::obj(vec![
@@ -638,8 +640,8 @@ pub fn utilization_json(u: &UtilSnapshot) -> Json {
 
 /// Rebuild a [`UtilSnapshot`] from a parsed `utilization` section — the
 /// read side of [`utilization_json`], used by validators. Derived
-/// members (`totals`, `imbalance`) are ignored on the way in; the
-/// validator recomputes and cross-checks them instead.
+/// members (`totals`, `imbalance`) are ignored on the way in; rendering
+/// the result again recomputes them.
 pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
     let window_ns = section.get("window_ns")?.as_u64()?;
     let n_windows = section.get("windows")?.as_u64()? as usize;
@@ -674,14 +676,7 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
         });
     }
     let heat = section.get("heat")?;
-    let mut by_session = Vec::new();
-    for e in section.get("by_session")?.as_array()? {
-        by_session.push(TopEntry {
-            key: e.get("session")?.as_u64()?,
-            count: e.get("bytes")?.as_u64()?,
-            err: e.get("err")?.as_u64()?,
-        });
-    }
+    let heat_list = |name: &str| top_from_json(heat.get(name)?, "key", "count");
     let mut by_phase = vec![PhaseLoad::default(); UTIL_PHASES];
     if let Some(Json::O(members)) = section.get("by_phase") {
         for (name, p) in members {
@@ -696,10 +691,10 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
     Some(UtilSnapshot {
         window_ns,
         nodes,
-        heat_bytes: heat_list_from_json(heat.get("by_bytes")?)?,
-        heat_verbs: heat_list_from_json(heat.get("by_verbs")?)?,
-        heat_ns: heat_list_from_json(heat.get("by_remote_ns")?)?,
-        by_session,
+        heat_bytes: heat_list("by_bytes")?,
+        heat_verbs: heat_list("by_verbs")?,
+        heat_ns: heat_list("by_remote_ns")?,
+        by_session: top_from_json(section.get("by_session")?, "session", "bytes")?,
         by_phase: trim_phases(by_phase),
     })
 }

@@ -426,6 +426,44 @@ pub fn run_over(
     wd.into_log()
 }
 
+/// What an `alerts` section that re-renders to itself can still get
+/// wrong: `seq` is the event index, timestamps never go backwards,
+/// each kind alternates open -> clear starting with open, and — given
+/// the run's `(window_ns, span_ns)` — every event sits on a window
+/// boundary inside the sampled span (the watchdog never invents
+/// timestamps).
+pub fn log_violations(events: &[AlertEvent], span: Option<(u64, u64)>) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut last_at = 0;
+    let mut open = [false; RULES];
+    for (i, e) in events.iter().enumerate() {
+        if e.seq != i as u64 {
+            out.push(format!("events[{i}].seq = {}, expected {i}", e.seq));
+        }
+        if e.at_ns < last_at {
+            out.push(format!("events[{i}].at_ns = {} goes backwards", e.at_ns));
+        }
+        last_at = e.at_ns;
+        if let Some((window_ns, span_ns)) = span {
+            if window_ns > 0 && (!e.at_ns.is_multiple_of(window_ns) || e.at_ns > span_ns) {
+                out.push(format!(
+                    "events[{i}].at_ns = {} is not a window boundary within the {span_ns} ns run span",
+                    e.at_ns
+                ));
+            }
+        }
+        let k = e.kind as usize;
+        match e.state {
+            AlertState::Open if open[k] => out.push(format!("events[{i}]: {} opened twice", e.kind.name())),
+            AlertState::Clear if !open[k] => {
+                out.push(format!("events[{i}]: {} cleared while not open", e.kind.name()))
+            }
+            _ => open[k] = e.state == AlertState::Open,
+        }
+    }
+    out
+}
+
 /// Exact per-window p99 from raw `(virtual_end_ns, latency_ns)` txn
 /// samples, bucketed by `window_ns` into `n_windows` windows. Windows
 /// with no samples yield `None`. Deterministic: nearest-rank on the
