@@ -3,7 +3,8 @@
 //! Two ways to run the same two-key transfer mix on two compute nodes:
 //!
 //! * **3c + 2PC** — keys are sharded; a cross-shard transfer ships the
-//!   remote half to its owner and coordinates with two-phase commit;
+//!   remote half to its owner, which as the last agent prepares and
+//!   commits in one message round (`PrepareCommit`, `VoteYes`);
 //! * **3a one-sided** — no sharding: the transaction executes entirely at
 //!   its origin with one-sided verbs and RDMA locks; "if a compute node
 //!   uses one-sided RDMA to access memory nodes, it knows whether or not
@@ -11,7 +12,7 @@
 //!
 //! Swept over the cross-shard fraction. Expected shape: at 0% cross the
 //! sharded design wins big (owner-local locks + cache); as cross-shard
-//! grows its 2PC message rounds erode the advantage until the
+//! grows its message round erodes the advantage until the
 //! one-sided/no-sharding design overtakes it — the paper's reason to
 //! question whether 2PC is "still applicable in DSM-DB".
 

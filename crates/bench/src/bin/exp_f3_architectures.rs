@@ -3,7 +3,8 @@
 //!
 //! * 3a — no cache, no sharding: every access is a remote verb.
 //! * 3b — cache + software coherence (invalidation mode).
-//! * 3c — cache + logical sharding: owner-local locks, 2PC across shards.
+//! * 3c — cache + logical sharding: owner-local locks, last-agent 2PC
+//!   across shards.
 //!
 //! Swept over read ratio at Zipf 0.9 with 2 compute nodes x 2 threads.
 //! Expected shape: 3c wins when transactions stay in-shard (single-key

@@ -9,7 +9,8 @@ pub enum Architecture {
     NoCacheNoShard,
     /// Fig. 3b: per-node cache + software coherence; no sharding.
     CacheNoShard(CoherenceMode),
-    /// Fig. 3c: logical sharding; owner-local caching, cross-shard 2PC.
+    /// Fig. 3c: logical sharding; owner-local caching, cross-shard
+    /// last-agent 2PC.
     CacheShard,
 }
 

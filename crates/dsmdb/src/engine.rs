@@ -9,8 +9,8 @@
 //! Multi-master is the default: *every* session on *every* compute node
 //! executes read-write transactions (§8: "DSM-DB is main-memory-based
 //! that supports multi-masters"), with conflicts handled by the
-//! configured CC protocol (3a/3b) or by owner-local locking + 2PC
-//! function shipping (3c).
+//! configured CC protocol (3a/3b) or by owner-local locking + function
+//! shipping under last-agent commit (3c).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,7 @@ use rdma_sim::{
 };
 use telemetry::Histogram;
 use txn::table::RecordTable;
-use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind};
+use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind, TwoPcMsg};
 use txn::{
     AbortCause, ConcurrencyControl, DirectIo, FaaOracle, LeasedTpl, Mvcc, Occ, Op, PayloadIo,
     TwoPhaseLocking, Tso, TxnError, TxnOutput,
@@ -63,8 +63,8 @@ pub struct SessionStats {
     pub cross_shard: u64,
     /// Sub-transactions served for other nodes (3c only).
     pub served_subtxns: u64,
-    /// Decided-commit write-backs that failed (3c participant side): the
-    /// 2PC decision was final but the staged writes could not reach DSM —
+    /// Decided-commit write-backs that failed (3c owner side): the commit
+    /// decision was final but the staged writes could not reach DSM —
     /// the record is left to mirror rebuild instead of silently dropped.
     pub apply_failures: u64,
 }
@@ -72,7 +72,7 @@ pub struct SessionStats {
 /// Buffered writes of a (sub-)transaction: `(key, new payload)`.
 type StagedWrites = Vec<(u64, Vec<u8>)>;
 
-/// A transaction prepared on this node awaiting the 2PC decision.
+/// A transaction prepared on this node awaiting the coordinator's decision.
 struct Prepared {
     keys: Vec<u64>,
     staged: StagedWrites,
@@ -84,7 +84,7 @@ struct NodeRuntime {
     cache: Option<Arc<NodeCache>>,
     /// Figure 3c owner cache (uncoherent by construction).
     shard_pool: Option<BufferPool>,
-    /// Figure 3c message inbox (2PC traffic).
+    /// Figure 3c message inbox (commit traffic).
     shard_inbox: Option<Mailbox>,
     /// Figure 3c local lock table.
     locks: LockTable,
@@ -229,6 +229,14 @@ impl Cluster {
     /// Compute node `node`'s coherent cache (3b only).
     pub fn node_cache(&self, node: usize) -> Option<&Arc<NodeCache>> {
         self.nodes[node].cache.as_ref()
+    }
+
+    /// What compute node `node`'s 3c commit state still holds: keys locked
+    /// in its lock table and transactions prepared on it awaiting a
+    /// decision. Both are 0 whenever no transaction is in flight.
+    pub fn shard_residue(&self, node: usize) -> (usize, usize) {
+        let n = &self.nodes[node];
+        (n.locks.held(), n.prepared.lock().len())
     }
 
     /// Open the session for `(node, thread)`. Each worker thread gets
@@ -574,23 +582,31 @@ impl Session {
     // ------------------------------------------------------------------
 
     fn execute_sharded(&mut self, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        // Partition ops by owner.
         let map = &self.cluster.shard_map;
-        let mut by_owner: HashMap<usize, Vec<Op>> = HashMap::new();
-        for op in ops {
-            by_owner
-                .entry(map.owner_of(op.key()))
-                .or_default()
-                .push(op.clone());
-        }
-        let local_ops = by_owner.remove(&self.node).unwrap_or_default();
-
-        if by_owner.is_empty() {
+        if ops.iter().all(|op| map.owner_of(op.key()) == self.node) {
             // Single-shard fast path: owner-local execution.
+            return self.execute_local_shard(ops);
+        }
+        // Partition by owner, ascending, so the last agent is a function
+        // of the transaction alone.
+        let mut parts: Vec<(usize, Vec<Op>)> = Vec::new();
+        for op in ops {
+            let owner = map.owner_of(op.key());
+            match parts.binary_search_by_key(&owner, |p| p.0) {
+                Ok(i) => parts[i].1.push(op.clone()),
+                Err(i) => parts.insert(i, (owner, vec![op.clone()])),
+            }
+        }
+        let local_ops = match parts.binary_search_by_key(&self.node, |p| p.0) {
+            Ok(i) => parts.remove(i).1,
+            Err(_) => Vec::new(),
+        };
+        if parts.is_empty() {
+            // A reshard moved the other keys here since the check above.
             return self.execute_local_shard(&local_ops);
         }
         self.stats.cross_shard += 1;
-        self.coordinate_cross_shard(local_ops, by_owner)
+        self.coordinate_cross_shard(&local_ops, parts)
     }
 
     /// Owner-local path: local no-wait locks + cached (write-through)
@@ -678,17 +694,22 @@ impl Session {
         Ok(out)
     }
 
-    /// 2PC across shard owners: this session is the coordinator and (if
-    /// it owns some keys) also a participant for its local part.
+    /// Last-agent commit across shard owners (Samaras et al., ICDE 1993).
+    /// This session prepares its own part first, then every remote owner
+    /// but the last (one doorbell), and only if all of them voted yes hands
+    /// the last owner a `PrepareCommit`: that owner prepares and, if it
+    /// can, commits in the same message round, so its vote is the
+    /// decision. With one remote owner a transaction is two messages.
+    /// `remote` is sorted by owner and not empty.
     fn coordinate_cross_shard(
         &mut self,
-        local_ops: Vec<Op>,
-        remote: HashMap<usize, Vec<Op>>,
+        local_ops: &[Op],
+        mut remote: Vec<(usize, Vec<Op>)>,
     ) -> Result<TxnOutput, TxnError> {
         let node = self.cluster.nodes[self.node].clone();
         let txn_id = self.cluster.txn_ids.fetch_add(1, Ordering::Relaxed);
 
-        // Phase 0: local prepare.
+        // Step 1: prepare the local part.
         let mut local_keys: Vec<u64> = local_ops.iter().map(|o| o.key()).collect();
         local_keys.sort_unstable();
         local_keys.dedup();
@@ -706,9 +727,9 @@ impl Session {
         let local_exec = if local_ops.is_empty() {
             Ok((TxnOutput::default(), Vec::new()))
         } else {
-            self.prepare_ops(&local_ops)
+            self.prepare_ops(local_ops)
         };
-        let (local_out, local_staged) = match local_exec {
+        let (mut out, local_staged) = match local_exec {
             Ok(v) => v,
             Err(e) => {
                 node.locks.unlock_all(&local_keys);
@@ -716,95 +737,91 @@ impl Session {
             }
         };
 
-        // Phase 1: prepare fan-out — one doorbell for every participant.
-        // Manual phase brackets: the vote/ack poll loops need `&mut self`
+        // Step 2: every owner but the last prepares, one doorbell for all.
+        // An owner the doorbell did not reach counts as a No vote. Manual
+        // phase brackets: waiting for replies needs `&mut self`
         // (serve_pending), which a SpanGuard's borrow would block.
         self.ep.phase_enter(Phase::TwoPcPrepare);
-        let participants: Vec<usize> = remote.keys().copied().collect();
+        let (last, last_ops) = remote.pop().expect("a cross-shard txn has a remote owner");
         let delivered = self
             .ep
-            .send_batch(remote.iter().map(|(&owner, ops)| {
+            .send_batch(remote.iter().map(|(owner, ops)| {
                 (
-                    node_inbox_id(owner),
+                    node_inbox_id(*owner),
                     self.reply_id,
-                    // Prepares carry the coordinator's (node, epoch)
-                    // signature; participants fence stale epochs.
-                    encode_2pc(
-                        MsgKind::Prepare,
-                        txn_id,
-                        &encode_prepare(self.epoch, self.node, self.ep.trace_id(), ops),
-                    ),
+                    self.prepare_msg(MsgKind::Prepare, txn_id, ops),
                 )
             }))
             .unwrap_or(0);
-        if (delivered as usize) < participants.len() {
-            self.ep.phase_exit();
-            node.locks.unlock_all(&local_keys);
-            return Err(TxnError::Aborted("owner-unreachable"));
+        let mut refused = ((delivered as usize) < remote.len()).then_some("owner-unreachable");
+        for _ in 0..delivered {
+            let vote = self.wait_reply(txn_id);
+            if vote.kind != MsgKind::VoteYes {
+                refused.get_or_insert("remote-vote-no");
+            }
+            out.reads.extend(decode_reads(&vote.body));
         }
-
-        // Collect votes while serving our own inbox.
-        let mut yes_bodies: Vec<Vec<u8>> = Vec::new();
-        let mut no = false;
-        let mut answered = 0;
-        while answered < participants.len() {
-            match self.ep.try_recv(&self.reply) {
-                Ok(msg) => {
-                    if let Some(m) = decode_2pc(&msg.payload) {
-                        if m.txn_id == txn_id {
-                            match m.kind {
-                                MsgKind::VoteYes => {
-                                    yes_bodies.push(m.body);
-                                    answered += 1;
-                                }
-                                MsgKind::VoteNo => {
-                                    no = true;
-                                    answered += 1;
-                                }
-                                _ => {}
-                            }
-                        }
+        // Step 3: the last owner prepares and decides.
+        if refused.is_none() {
+            let msg = self.prepare_msg(MsgKind::PrepareCommit, txn_id, &last_ops);
+            match self.ep.send(node_inbox_id(last), self.reply_id, msg) {
+                Err(_) => refused = Some("owner-unreachable"),
+                Ok(()) => {
+                    let vote = self.wait_reply(txn_id);
+                    if vote.kind != MsgKind::VoteYes {
+                        refused = Some("remote-vote-no");
                     }
-                }
-                Err(_) => {
-                    if !self.serve_pending(2) {
-                        std::thread::yield_now();
-                    }
+                    out.reads.extend(decode_reads(&vote.body));
                 }
             }
         }
-
         self.ep.phase_exit();
 
-        // Phase 2: decision — one doorbell for every participant.
+        // Step 5: apply the decision here, then tell the owners of step 2.
         self.ep.phase_enter(Phase::TwoPcDecide);
-        let decision = if no { MsgKind::Abort } else { MsgKind::Commit };
-        let _ = self.ep.send_batch(participants.iter().map(|&owner| {
-            (
-                node_inbox_id(owner),
-                self.reply_id,
-                encode_2pc(decision, txn_id, &[]),
-            )
-        }));
-        // Local decision.
-        if decision == MsgKind::Commit {
-            let pool_result = self.apply_staged(&local_staged);
-            node.locks.unlock_all(&local_keys);
-            pool_result?;
-        } else {
-            node.locks.unlock_all(&local_keys);
+        let (decision, applied) = match refused {
+            None => (MsgKind::Commit, self.apply_staged(&local_staged)),
+            Some(_) => (MsgKind::Abort, Ok(())),
+        };
+        node.locks.unlock_all(&local_keys);
+        let decided = self
+            .ep
+            .send_batch(remote.iter().map(|(owner, _)| {
+                (
+                    node_inbox_id(*owner),
+                    self.reply_id,
+                    encode_2pc(decision, txn_id, &[]),
+                )
+            }))
+            .unwrap_or(0);
+        for _ in 0..decided {
+            self.wait_reply(txn_id);
         }
-        // Acks.
-        let mut acks = 0;
-        while acks < participants.len() {
+        self.ep.phase_exit();
+        applied?;
+        match refused {
+            None => Ok(out),
+            Some(why) => Err(TxnError::Aborted(why)),
+        }
+    }
+
+    /// A prepare for `ops`, signed with this session's (node, epoch) —
+    /// owners fence stale epochs — and trace.
+    fn prepare_msg(&self, kind: MsgKind, txn_id: u64, ops: &[Op]) -> Vec<u8> {
+        let body = encode_prepare(self.epoch, self.node, self.ep.trace_id(), ops);
+        encode_2pc(kind, txn_id, &body)
+    }
+
+    /// The next reply for `txn_id` on this session's box: a vote or an
+    /// ack. While there is none, serve this node's inbox — the owner
+    /// being waited for may be waiting for this node too.
+    fn wait_reply(&mut self, txn_id: u64) -> TwoPcMsg {
+        loop {
             match self.ep.try_recv(&self.reply) {
-                Ok(msg) => {
-                    if let Some(m) = decode_2pc(&msg.payload) {
-                        if m.txn_id == txn_id && m.kind == MsgKind::Ack {
-                            acks += 1;
-                        }
-                    }
-                }
+                Ok(msg) => match decode_2pc(&msg.payload) {
+                    Some(m) if m.txn_id == txn_id => return m,
+                    _ => {}
+                },
                 Err(_) => {
                     if !self.serve_pending(2) {
                         std::thread::yield_now();
@@ -812,17 +829,6 @@ impl Session {
                 }
             }
         }
-        self.ep.phase_exit();
-
-        if no {
-            return Err(TxnError::Aborted("remote-vote-no"));
-        }
-        // Merge read results: local first, then remote in vote order.
-        let mut out = local_out;
-        for body in yes_bodies {
-            out.reads.extend(decode_reads(&body));
-        }
-        Ok(out)
     }
 
     /// Execute reads and stage writes (no pool mutation yet) for a
@@ -902,101 +908,93 @@ impl Session {
         let Some(m) = decode_2pc(&msg.payload) else {
             return true;
         };
-        match m.kind {
-            MsgKind::Prepare => {
+        let reply = match m.kind {
+            MsgKind::Prepare | MsgKind::PrepareCommit => {
                 self.ep.phase_enter(Phase::TwoPcPrepare);
-                let (coord_epoch, coord_node, coord_trace, ops) = decode_prepare(&m.body);
-                // Epoch fence: once the cluster bumps a node's epoch
-                // (declaring it crashed and its locks stealable), prepares
-                // signed with the older epoch are refused — a zombie
-                // coordinator that was merely partitioned cannot come back
-                // and drive a commit with pre-crash state.
-                let fenced = match self.cluster.membership.epoch(
-                    &self.cluster.layer,
-                    &self.ep,
-                    coord_node,
-                ) {
-                    Ok(current) => coord_epoch < current,
-                    Err(_) => true, // membership unreadable: refuse, don't guess
-                };
-                if fenced {
-                    let _ = self.ep.send(
-                        msg.from,
-                        node_inbox_id(self.node),
-                        encode_2pc(MsgKind::VoteNo, m.txn_id, &[]),
-                    );
-                    self.ep.phase_exit();
-                    return true;
-                }
-                let mut keys: Vec<u64> = ops.iter().map(|o| o.key()).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                self.ep.charge_local(50 * keys.len() as u64);
-                // Participant locks are held on behalf of the
-                // *coordinator's* transaction: later conflicters blame
-                // the coordinator's trace, not the serving session's.
-                if let Err(holder) = node.locks.try_lock_all(&keys, coord_trace) {
-                    self.ep.note_local_lock_wait(keys[0], 50 * keys.len() as u64, holder);
-                    let _ = self.ep.send(
-                        msg.from,
-                        node_inbox_id(self.node),
-                        encode_2pc(MsgKind::VoteNo, m.txn_id, &[]),
-                    );
-                    self.ep.phase_exit();
-                    return true;
-                }
-                match self.prepare_ops(&ops) {
-                    Ok((out, staged)) => {
-                        node.prepared.lock().insert(
-                            m.txn_id,
-                            Prepared {
-                                keys,
-                                staged,
-                            },
-                        );
+                match self.prepare_for_coordinator(&node, &m.body) {
+                    Some((p, out)) => {
                         self.stats.served_subtxns += 1;
-                        let _ = self.ep.send(
-                            msg.from,
-                            node_inbox_id(self.node),
-                            encode_2pc(MsgKind::VoteYes, m.txn_id, &encode_reads(&out.reads)),
-                        );
+                        if m.kind == MsgKind::Prepare {
+                            node.prepared.lock().insert(m.txn_id, p);
+                        } else {
+                            // The last agent: its yes is the commit.
+                            self.finish(&node, p, true);
+                        }
+                        encode_2pc(MsgKind::VoteYes, m.txn_id, &encode_reads(&out.reads))
                     }
-                    Err(_) => {
-                        node.locks.unlock_all(&keys);
-                        let _ = self.ep.send(
-                            msg.from,
-                            node_inbox_id(self.node),
-                            encode_2pc(MsgKind::VoteNo, m.txn_id, &[]),
-                        );
-                    }
+                    None => encode_2pc(MsgKind::VoteNo, m.txn_id, &[]),
                 }
-                self.ep.phase_exit();
             }
             MsgKind::Commit | MsgKind::Abort => {
-                let _span = self.ep.span(Phase::TwoPcDecide);
+                self.ep.phase_enter(Phase::TwoPcDecide);
                 let prepared = node.prepared.lock().remove(&m.txn_id);
                 if let Some(p) = prepared {
-                    if m.kind == MsgKind::Commit {
-                        // The decision is final; if the write-back cannot
-                        // reach DSM (memory node crashed mid-2PC) the
-                        // failure is counted, not swallowed — the record's
-                        // surviving mirrors hold the pre-txn value until
-                        // rebuild, and the operator sees the count.
-                        if self.apply_staged(&p.staged).is_err() {
-                            self.stats.apply_failures += 1;
-                        }
-                    }
-                    node.locks.unlock_all(&p.keys);
+                    self.finish(&node, p, m.kind == MsgKind::Commit);
                 }
-                let _ = self.ep.send(
-                    msg.from,
-                    node_inbox_id(self.node),
-                    encode_2pc(MsgKind::Ack, m.txn_id, &[]),
-                );
+                encode_2pc(MsgKind::Ack, m.txn_id, &[])
             }
-            _ => {}
-        }
+            _ => return true,
+        };
+        let _ = self.ep.send(msg.from, node_inbox_id(self.node), reply);
+        self.ep.phase_exit();
         true
+    }
+
+    /// The owner's half of a prepare: refuse a fenced coordinator, lock
+    /// the keys in the coordinator's name, read and stage. `None` is a No
+    /// vote, with nothing held.
+    fn prepare_for_coordinator(
+        &mut self,
+        node: &NodeRuntime,
+        body: &[u8],
+    ) -> Option<(Prepared, TxnOutput)> {
+        let (coord_epoch, coord_node, coord_trace, ops) = decode_prepare(body);
+        // Epoch fence: once the cluster bumps a node's epoch (declaring it
+        // crashed and its locks stealable), prepares signed with the older
+        // epoch are refused — a zombie coordinator that was merely
+        // partitioned cannot come back and drive a commit with pre-crash
+        // state. A last agent runs it too, before it decides.
+        let fenced = match self.cluster.membership.epoch(
+            &self.cluster.layer,
+            &self.ep,
+            coord_node,
+        ) {
+            Ok(current) => coord_epoch < current,
+            Err(_) => true, // membership unreadable: refuse, don't guess
+        };
+        if fenced {
+            return None;
+        }
+        let mut keys: Vec<u64> = ops.iter().map(|o| o.key()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.ep.charge_local(50 * keys.len() as u64);
+        // Owner locks are held on behalf of the *coordinator's*
+        // transaction: later conflicters blame the coordinator's trace,
+        // not the serving session's.
+        if let Err(holder) = node.locks.try_lock_all(&keys, coord_trace) {
+            self.ep.note_local_lock_wait(keys[0], 50 * keys.len() as u64, holder);
+            return None;
+        }
+        match self.prepare_ops(&ops) {
+            Ok((out, staged)) => Some((Prepared { keys, staged }, out)),
+            Err(_) => {
+                node.locks.unlock_all(&keys);
+                None
+            }
+        }
+    }
+
+    /// Carry out the decision on a prepared sub-transaction and release
+    /// its keys. A commit is final: if the write-back cannot reach DSM
+    /// (memory node crashed mid-commit) the failure is counted, not
+    /// swallowed — the record's surviving mirrors hold the pre-txn value
+    /// until rebuild, and the operator sees the count.
+    fn finish(&mut self, node: &NodeRuntime, p: Prepared, commit: bool) {
+        if commit && self.apply_staged(&p.staged).is_err() {
+            self.stats.apply_failures += 1;
+        }
+        node.locks.unlock_all(&p.keys);
     }
 }
 
@@ -1114,7 +1112,7 @@ fn decode_reads(body: &[u8]) -> Vec<(u64, Vec<u8>)> {
 mod tests {
     use super::*;
     use crate::config::CoherenceMode;
-    use rdma_sim::NetworkProfile;
+    use rdma_sim::{NetworkProfile, StatsSnapshot};
 
     fn config(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) -> ClusterConfig {
         ClusterConfig {
@@ -1253,6 +1251,13 @@ mod tests {
         bank_run(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1);
     }
 
+    /// Three owners: a transfer between two shards neither of which is the
+    /// coordinator's has a step-2 owner beside its last agent.
+    #[test]
+    fn multi_master_bank_invariant_3c_three_nodes() {
+        bank_run(Architecture::CacheShard, CcProtocol::TplExclusive, 3, 1);
+    }
+
     /// The cross-architecture serializability smoke test: concurrent
     /// transfers must conserve total balance.
     fn bank_run(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) {
@@ -1335,27 +1340,16 @@ mod tests {
             total += best.1;
         }
         assert_eq!(total, 0, "{arch:?}/{cc:?} leaked money");
+        for n in 0..nodes {
+            assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}: locks held, txns prepared");
+        }
     }
 
     #[test]
     fn sharded_cross_shard_transfer_works() {
-        let cluster =
-            Cluster::build(config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1))
-                .unwrap();
         // Keys 0..32 owned by node 0; 32..64 by node 1.
-        std::thread::scope(|sc| {
-            let c2 = cluster.clone();
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let stop2 = stop.clone();
-            let server = sc.spawn(move || {
-                let mut s = c2.session(1, 0);
-                while !stop2.load(Ordering::Relaxed) {
-                    if !s.serve_pending(16) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            let mut s0 = cluster.session(0, 0);
+        let cluster = shard_cluster(2);
+        with_owners(&cluster, |s0| {
             let out = s0
                 .execute_retrying(
                     &[
@@ -1378,8 +1372,6 @@ mod tests {
                 .collect();
             assert_eq!(vals[&1], -10);
             assert_eq!(vals[&60], 10);
-            stop.store(true, Ordering::Relaxed);
-            server.join().unwrap();
         });
     }
 
@@ -1453,13 +1445,13 @@ mod tests {
     }
 
     /// `xshard_2pc` in one thread: while session B coordinates a
-    /// cross-shard transaction it serves, between its own prepare and its
-    /// own votes, a peer's prepare for B's shard. The served work is
-    /// tagged with B's trace and lies inside B's window, so it belongs to
-    /// B's critical path whichever way the ring is read. The peer is
-    /// scripted: its prepare and decision are already queued, addressed
-    /// so that the answers B sends while serving them are the very vote
-    /// and ack B is waiting for (node 0 itself never runs).
+    /// cross-shard transaction it serves, between handing its last agent
+    /// the decision and hearing back, a peer's prepare for B's shard. The
+    /// served work is tagged with B's trace and lies inside B's window, so
+    /// it belongs to B's critical path whichever way the ring is read. The
+    /// peer is scripted: its `PrepareCommit` is already queued, addressed
+    /// so that the vote B sends while serving it is the very reply B is
+    /// waiting for (node 0 itself never runs).
     #[test]
     fn forensic_tail_includes_a_prepare_served_inside_the_coordinators_window() {
         let cluster = Cluster::build(ClusterConfig {
@@ -1480,15 +1472,14 @@ mod tests {
         let txn_id = cluster.txn_ids.load(Ordering::Relaxed);
         let script = |payload: Vec<u8>| peer.ep.send(node_inbox_id(1), b.reply_id, payload).unwrap();
         // `execute` serves four messages before its window opens, the
-        // vote loop two per empty poll, the ack loop the rest.
+        // reply wait two per empty poll.
         for _ in 0..4 {
             script(vec![0xFF]);
         }
         let served = [Op::Rmw { key: 50, delta: 5 }];
         let prepare = encode_prepare(peer.epoch, 0, 0xBEEF, &served);
-        script(encode_2pc(MsgKind::Prepare, txn_id, &prepare));
+        script(encode_2pc(MsgKind::PrepareCommit, txn_id, &prepare));
         script(vec![0xFF]);
-        script(encode_2pc(MsgKind::Commit, txn_id, &[]));
 
         let ops = [Op::Rmw { key: 33, delta: -5 }, Op::Rmw { key: 1, delta: 5 }];
         let trace = execute_and_refold(&mut b, &mut reference, &ops, false);
@@ -1507,29 +1498,18 @@ mod tests {
             .count();
         assert_eq!(prepares, 2);
         assert_eq!(b.forensics_snapshot(), reference.snapshot());
+        // The served sub-transaction committed where it was decided.
+        assert_eq!(cluster.shard_residue(1), (0, 0));
+        assert_eq!(counter(&b.execute(&[Op::Read(50)]).unwrap(), 0), 5);
     }
 
     /// A coordinator whose node epoch was bumped (declared crashed) is
-    /// refused by 2PC participants until it refreshes its epoch — the
+    /// refused by shard owners until it refreshes its epoch — the
     /// zombie-coordinator fence.
     #[test]
     fn stale_epoch_coordinator_is_fenced_until_refresh() {
-        let cluster =
-            Cluster::build(config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1))
-                .unwrap();
-        std::thread::scope(|sc| {
-            let c2 = cluster.clone();
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let stop2 = stop.clone();
-            let server = sc.spawn(move || {
-                let mut s = c2.session(1, 0);
-                while !stop2.load(Ordering::Relaxed) {
-                    if !s.serve_pending(16) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            let mut s0 = cluster.session(0, 0);
+        let cluster = shard_cluster(2);
+        with_owners(&cluster, |s0| {
             assert_eq!(s0.epoch(), 1);
             // The cluster declares node 0 crashed-and-recovered.
             let ep = cluster.fabric().endpoint();
@@ -1538,7 +1518,7 @@ mod tests {
                 .bump_epoch(cluster.layer(), &ep, 0)
                 .unwrap();
             // s0 still signs with epoch 1: every cross-shard attempt is
-            // voted down by the participant.
+            // voted down by the owner.
             let ops = [
                 Op::Rmw { key: 1, delta: -10 }, // local shard
                 Op::Rmw { key: 60, delta: 10 }, // remote shard
@@ -1552,8 +1532,6 @@ mod tests {
             s0.refresh_epoch().unwrap();
             assert_eq!(s0.epoch(), 2);
             s0.execute_retrying(&ops, 50).unwrap();
-            stop.store(true, Ordering::Relaxed);
-            server.join().unwrap();
         });
     }
 
@@ -1575,5 +1553,171 @@ mod tests {
         let mut s1 = cluster.session(1, 0);
         let out = s1.execute(&[Op::Read(5)]).unwrap();
         assert_eq!(counter(&out, 0), 42);
+    }
+
+    // Last-agent commit (3c) on `rdma_cx6`: node `n` owns keys
+    // `[32 n, 32 n + 32)`, node 0 coordinates, the others serve.
+
+    fn shard_cluster(nodes: usize) -> Arc<Cluster> {
+        Cluster::build(ClusterConfig {
+            n_records: 32 * nodes as u64,
+            payload_size: 64,
+            profile: NetworkProfile::rdma_cx6(),
+            ..config(Architecture::CacheShard, CcProtocol::TplExclusive, nodes, 1)
+        })
+        .unwrap()
+    }
+
+    /// Run `body` on node 0's session while every other node's session
+    /// serves its inbox on a thread of its own and drains it before it
+    /// stops. Returns what each of those did, node 1 first.
+    fn with_owners<R>(
+        cluster: &Arc<Cluster>,
+        body: impl FnOnce(&mut Session) -> R,
+    ) -> (R, Vec<(StatsSnapshot, SessionStats)>) {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            let owners: Vec<_> = (1..cluster.config.compute_nodes)
+                .map(|n| {
+                    let stop = &stop;
+                    sc.spawn(move || {
+                        let mut s = cluster.session(n, 0);
+                        while !stop.load(Ordering::Acquire) {
+                            if !s.serve_pending(16) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        s.serve_pending(usize::MAX >> 1);
+                        (s.ep.stats(), s.stats())
+                    })
+                })
+                .collect();
+            let out = body(&mut cluster.session(0, 0));
+            stop.store(true, Ordering::Release);
+            (out, owners.into_iter().map(|h| h.join().unwrap()).collect())
+        })
+    }
+
+    /// `key`'s counter as DSM holds it (3c pools write through).
+    fn stored(cluster: &Cluster, key: u64) -> i64 {
+        let mut buf = [0u8; 64];
+        let addr = cluster.table().payload_addr(key, 0);
+        cluster.layer().read(&cluster.fabric().endpoint(), addr, &mut buf).unwrap();
+        i64::from_le_bytes(buf[0..8].try_into().unwrap())
+    }
+
+    /// Execute `ops` on `s`: (virtual ns, messages sent).
+    fn cost_of(s: &mut Session, ops: &[Op]) -> (u64, u64) {
+        let (t0, sends) = (s.ep.clock().now_ns(), s.ep.stats().sends);
+        s.execute(ops).unwrap();
+        (s.ep.clock().now_ns() - t0, s.ep.stats().sends - sends)
+    }
+
+    /// One remote owner: `PrepareCommit` out, the last agent's vote back,
+    /// no decision and no ack, and the coordinator's clock is the cost
+    /// model's sum to the ns — owner page missed or hit, with or without a
+    /// local part.
+    #[test]
+    fn one_remote_owner_is_two_messages_at_the_cost_the_model_gives() {
+        use buffer::cost::{ATOMIC_NS, LOCK_NS, MAP_OP_NS};
+        let p = NetworkProfile::rdma_cx6();
+        let lock = 50; // one key, local lock table
+        let miss = MAP_OP_NS + LOCK_NS + MAP_OP_NS + p.rw_cost_ns(64) + ATOMIC_NS;
+        let hit = MAP_OP_NS + ATOMIC_NS; // CLOCK: latch-free
+        let write_through = MAP_OP_NS + LOCK_NS + ATOMIC_NS + p.rw_cost_ns(64);
+        // 9 B header; 24 B signature + one Rmw out, one 64 B read back.
+        let prepare_commit = p.send_cost_ns(9 + 24 + 2 + 17);
+        let vote = p.send_cost_ns(9 + 2 + 10 + 64);
+        // Epoch fence READ, lock, page, write-through, all before the vote.
+        let owner = |page| p.rw_cost_ns(8) + lock + page + write_through;
+
+        let cluster = shard_cluster(2);
+        let transfer = [Op::Rmw { key: 1, delta: -10 }, Op::Rmw { key: 40, delta: 10 }];
+        let (costs, owners) = with_owners(&cluster, |s0| {
+            // Past anything the owner's clock holds.
+            s0.ep.charge_local(1_000_000);
+            let costs = [
+                cost_of(s0, &transfer),
+                cost_of(s0, &transfer),
+                // F3's remote point txn: no local part.
+                cost_of(s0, &[Op::Rmw { key: 41, delta: 7 }]),
+            ];
+            assert_eq!(s0.stats().cross_shard, 3);
+            costs
+        });
+        let miss_miss = lock + miss + prepare_commit + owner(miss) + vote + write_through;
+        let hit_hit = lock + hit + prepare_commit + owner(hit) + vote + write_through;
+        let shipped = prepare_commit + owner(miss) + vote;
+        assert_eq!(costs, [(miss_miss, 1), (hit_hit, 1), (shipped, 1)]);
+        assert_eq!(costs.map(|c| c.0), [13_191, 9_897, 9_798]);
+        let (net, served) = owners[0];
+        assert_eq!((net.recvs, net.sends, served.served_subtxns), (3, 3, 3));
+        assert_eq!(cluster.shard_residue(1), (0, 0));
+        assert_eq!([1, 40, 41].map(|k| stored(&cluster, k)), [-20, 20, 7]);
+    }
+
+    /// Node 1, prepared in step 2, votes no: node 2 — the last agent — is
+    /// never asked, nothing is applied anywhere, every lock is free.
+    #[test]
+    fn a_no_from_a_step_two_owner_sends_no_prepare_commit() {
+        let cluster = shard_cluster(3);
+        let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
+        cluster.nodes[1].locks.try_lock_all(&[40], 0xDEAD).unwrap();
+        let ((err, sends), owners) =
+            with_owners(&cluster, |s0| (s0.execute(&txn).unwrap_err(), s0.ep.stats().sends));
+        assert!(matches!(err, TxnError::Aborted("remote-vote-no")), "{err}");
+        // Prepare and Abort to node 1, which votes and acks.
+        assert_eq!(sends, 2);
+        assert_eq!((owners[0].0.recvs, owners[0].0.sends), (2, 2));
+        assert_eq!((owners[1].0.recvs, owners[1].0.sends), (0, 0));
+        cluster.nodes[1].locks.unlock_all(&[40]);
+        for n in 0..3 {
+            assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
+        }
+        assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [0; 3]);
+    }
+
+    /// The last agent is busy and votes no: node 1, prepared in step 2,
+    /// gets `Abort`, keeps its value and frees its lock — the same
+    /// transaction commits once the last agent's key is free.
+    #[test]
+    fn a_busy_last_agent_aborts_the_prepared_owners() {
+        let cluster = shard_cluster(3);
+        let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
+        cluster.nodes[2].locks.try_lock_all(&[70], 0xDEAD).unwrap();
+        let ((err, sends), owners) =
+            with_owners(&cluster, |s0| (s0.execute(&txn).unwrap_err(), s0.ep.stats().sends));
+        assert!(matches!(err, TxnError::Aborted("remote-vote-no")), "{err}");
+        // Prepare, PrepareCommit, Abort.
+        assert_eq!(sends, 3);
+        assert_eq!((owners[0].0.recvs, owners[0].0.sends, owners[0].1.served_subtxns), (2, 2, 1));
+        assert_eq!((owners[1].0.recvs, owners[1].0.sends, owners[1].1.served_subtxns), (1, 1, 0));
+        assert_eq!([0, 1, 2].map(|n| cluster.shard_residue(n)), [(0, 0), (0, 0), (1, 0)]);
+        assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [0; 3]);
+
+        cluster.nodes[2].locks.unlock_all(&[70]);
+        with_owners(&cluster, |s0| s0.execute(&txn)).0.unwrap();
+        assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [1; 3]);
+        assert_eq!([0, 1, 2].map(|n| cluster.shard_residue(n)), [(0, 0); 3]);
+    }
+
+    /// A prepare doorbell that reaches only some owners of step 2 (node 2's
+    /// inbox is gone) is a No vote: the owners it did reach are told to
+    /// abort, so their keys are free again, and the last agent is never
+    /// asked.
+    #[test]
+    fn a_partly_delivered_prepare_aborts_the_owners_it_reached() {
+        let cluster = shard_cluster(4);
+        cluster.fabric().mailboxes().unregister(node_inbox_id(2));
+        let txn = [1, 40, 70, 100].map(|key| Op::Rmw { key, delta: 1 });
+        let (result, _) = with_owners(&cluster, |s0| s0.execute(&txn));
+        assert!(matches!(result, Err(TxnError::Aborted("owner-unreachable"))), "{result:?}");
+        for (node, key) in [(1, 40), (3, 100)] {
+            cluster.session(node, 0).execute(&[Op::Rmw { key, delta: 1 }]).unwrap();
+        }
+        for n in 0..4 {
+            assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
+        }
+        assert_eq!([1, 40, 70, 100].map(|k| stored(&cluster, k)), [0, 1, 0, 1]);
     }
 }

@@ -16,7 +16,9 @@
 //! * [`Architecture::CacheShard`] (Fig. 3c) — logical range sharding:
 //!   the owner runs its shard with *local* latches and its cache needs no
 //!   coherence; cross-shard transactions are function-shipped to owners
-//!   under 2PC. Resharding moves **metadata only** (§2 benefit 4).
+//!   under two-phase commit whose last owner prepares and decides in one
+//!   round (two messages with one remote owner). Resharding moves
+//!   **metadata only** (§2 benefit 4).
 //!
 //! The engine exposes [`Cluster`] (build once) and per-thread
 //! [`Session`]s (execute transactions); all timing flows through the

@@ -19,9 +19,10 @@
 //! * [`protocols`] — 2PL (exclusive or shared-exclusive, no-wait),
 //!   OCC with version validation, timestamp ordering (TSO), and MVCC.
 //!   Experiment **C3** sweeps them against contention.
-//! * [`twopc`] — two-phase commit messages for the sharded architecture
-//!   (Figure 3c), plus the RDMA-native direct-write alternative the paper
-//!   hints at in Challenge 5. Experiment **C11**.
+//! * [`twopc`] — the commit messages of the sharded architecture (Figure
+//!   3c): two-phase commit whose last owner prepares and decides in one
+//!   round (last-agent commit); the RDMA-native direct-write alternative
+//!   the paper hints at in Challenge 5 is 3a. Experiment **C11**.
 //! * [`hierarchy`] — hierarchical (local + global) locking for massive
 //!   concurrency (§4 Challenge 7). Experiment **C12**.
 

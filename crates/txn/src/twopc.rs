@@ -1,36 +1,48 @@
-//! Two-phase commit between compute nodes — §4 Challenge 5.
+//! Distributed commit between compute nodes — §4 Challenge 5.
 //!
 //! Relevant only for the sharded architecture (Figure 3c): a transaction
 //! touching shards owned by other compute nodes ships the remote sub-work
-//! to the owners and coordinates with classic presumed-nothing 2PC over
-//! two-sided messages. This module provides the wire format and the
-//! coordinator state machine; shard owners run [`decode`] in their
-//! message loop and answer with votes/acks.
+//! to the owners over two-sided messages and commits it with the
+//! *last-agent* rule (Samaras et al., ICDE 1993). The coordinator
+//! prepares its own part, sends `Prepare` to every remote owner but the
+//! last and collects their votes, and only if all said yes sends the last
+//! owner (the highest owner id) a `PrepareCommit`. That owner prepares
+//! and, if it can, commits at once: its `VoteYes` is the decision, so no
+//! decision or ack for it crosses the wire. The coordinator then applies
+//! its own part and sends `Commit` / `Abort` to the owners it prepared
+//! (each answers `Ack`). With one remote owner a cross-shard transaction
+//! is two messages — the classic 2PC round trip of prepare and vote, with
+//! the decision round folded into it.
+//!
+//! This module is the wire format; the coordinator and the owners' message
+//! loop live in `dsmdb`'s engine.
 //!
 //! The same challenge notes the RDMA-native alternative: "If a compute
 //! node uses one-sided RDMA to access memory nodes, it knows whether or
 //! not a write is successful" — i.e. cross-shard data can also be reached
-//! directly with one-sided verbs + locks, skipping 2PC entirely.
-//! Experiment **C11** compares both paths.
+//! directly with one-sided verbs + locks, skipping distributed commit
+//! entirely. Experiment **C11** compares both paths.
 
-use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase, RdmaResult};
-
-/// 2PC wire-message kinds.
+/// Commit wire-message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MsgKind {
-    /// Coordinator -> participant: prepare, body = sub-transaction.
+    /// Coordinator -> owner: prepare, body = sub-transaction.
     Prepare = 1,
-    /// Participant -> coordinator: prepared successfully.
+    /// Owner -> coordinator: prepared (committed, after `PrepareCommit`);
+    /// body = the sub-transaction's reads.
     VoteYes = 2,
-    /// Participant -> coordinator: must abort.
+    /// Owner -> coordinator: must abort; nothing is held or applied.
     VoteNo = 3,
-    /// Coordinator -> participant: commit.
+    /// Coordinator -> prepared owner: commit.
     Commit = 4,
-    /// Coordinator -> participant: abort/rollback.
+    /// Coordinator -> prepared owner: abort/rollback.
     Abort = 5,
-    /// Participant -> coordinator: commit/abort applied.
+    /// Owner -> coordinator: commit/abort applied.
     Ack = 6,
+    /// Coordinator -> last agent: prepare and, if that succeeds, commit;
+    /// body = sub-transaction.
+    PrepareCommit = 7,
 }
 
 impl MsgKind {
@@ -42,24 +54,25 @@ impl MsgKind {
             4 => MsgKind::Commit,
             5 => MsgKind::Abort,
             6 => MsgKind::Ack,
+            7 => MsgKind::PrepareCommit,
             _ => return None,
         })
     }
 }
 
-/// A decoded 2PC message.
+/// A decoded commit message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwoPcMsg {
     /// Message kind.
     pub kind: MsgKind,
     /// Transaction id (coordinator-chosen, unique per coordinator).
     pub txn_id: u64,
-    /// Application body (sub-transaction encoding for Prepare, empty
-    /// otherwise).
+    /// Application body (sub-transaction encoding for the prepares, the
+    /// reads for `VoteYes`, empty otherwise).
     pub body: Vec<u8>,
 }
 
-/// Encode a 2PC message.
+/// Encode a commit message.
 pub fn encode(kind: MsgKind, txn_id: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(9 + body.len());
     out.push(kind as u8);
@@ -68,7 +81,7 @@ pub fn encode(kind: MsgKind, txn_id: u64, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a 2PC message (None for foreign/garbled payloads).
+/// Decode a commit message (None for foreign/garbled payloads).
 pub fn decode(payload: &[u8]) -> Option<TwoPcMsg> {
     if payload.len() < 9 {
         return None;
@@ -80,75 +93,9 @@ pub fn decode(payload: &[u8]) -> Option<TwoPcMsg> {
     })
 }
 
-/// Outcome of a coordinated transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TwoPcOutcome {
-    /// All participants voted yes and acknowledged commit.
-    Committed,
-    /// At least one participant voted no; everyone rolled back.
-    Aborted,
-}
-
-/// Run 2PC as the coordinator.
-///
-/// Sends `Prepare(body)` to each `(participant, body)` pair, collects
-/// votes on `inbox`, broadcasts the decision, and waits for acks. Blocks
-/// the calling (real) thread until participants answer — they must be
-/// polling their mailboxes. Messages from other transactions arriving on
-/// `inbox` are not supported (one coordinator per mailbox at a time);
-/// stray duplicates for this `txn_id` are tolerated.
-pub fn coordinate(
-    ep: &Endpoint,
-    inbox: &Mailbox,
-    my_id: MailboxId,
-    txn_id: u64,
-    work: &[(MailboxId, Vec<u8>)],
-) -> RdmaResult<TwoPcOutcome> {
-    // Phase 1: prepare.
-    let prepare_span = ep.span(Phase::TwoPcPrepare);
-    for (participant, body) in work {
-        ep.send(*participant, my_id, encode(MsgKind::Prepare, txn_id, body))?;
-    }
-    let mut yes = 0usize;
-    let mut no = 0usize;
-    while yes + no < work.len() {
-        let msg = ep.recv(inbox)?;
-        let Some(m) = decode(&msg.payload) else { continue };
-        if m.txn_id != txn_id {
-            continue;
-        }
-        match m.kind {
-            MsgKind::VoteYes => yes += 1,
-            MsgKind::VoteNo => no += 1,
-            _ => {}
-        }
-    }
-    drop(prepare_span);
-    // Phase 2: decision.
-    let _decide_span = ep.span(Phase::TwoPcDecide);
-    let (decision, outcome) = if no == 0 {
-        (MsgKind::Commit, TwoPcOutcome::Committed)
-    } else {
-        (MsgKind::Abort, TwoPcOutcome::Aborted)
-    };
-    for (participant, _) in work {
-        ep.send(*participant, my_id, encode(decision, txn_id, &[]))?;
-    }
-    let mut acks = 0usize;
-    while acks < work.len() {
-        let msg = ep.recv(inbox)?;
-        let Some(m) = decode(&msg.payload) else { continue };
-        if m.txn_id == txn_id && m.kind == MsgKind::Ack {
-            acks += 1;
-        }
-    }
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::{Fabric, NetworkProfile};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -159,98 +106,10 @@ mod tests {
         assert_eq!(m.body, b"work");
         assert!(decode(&[1, 2]).is_none());
         assert!(decode(&encode(MsgKind::Ack, 1, &[])).is_some());
+        let last = decode(&encode(MsgKind::PrepareCommit, 7, b"w")).unwrap();
+        assert_eq!((last.kind, last.txn_id, &last.body[..]), (MsgKind::PrepareCommit, 7, &b"w"[..]));
         let mut bad = encode(MsgKind::Ack, 1, &[]);
         bad[0] = 99;
         assert!(decode(&bad).is_none());
-    }
-
-    fn participant_loop(fabric: std::sync::Arc<Fabric>, my_id: MailboxId, vote_yes: bool) {
-        let ep = fabric.endpoint();
-        let inbox = fabric.mailboxes().register(my_id);
-        // Serve exactly one transaction: prepare -> vote, decision -> ack.
-        let msg = ep.recv(&inbox).unwrap();
-        let m = decode(&msg.payload).unwrap();
-        assert_eq!(m.kind, MsgKind::Prepare);
-        let vote = if vote_yes {
-            MsgKind::VoteYes
-        } else {
-            MsgKind::VoteNo
-        };
-        ep.send(msg.from, my_id, encode(vote, m.txn_id, &[])).unwrap();
-        let decision = ep.recv(&inbox).unwrap();
-        let d = decode(&decision.payload).unwrap();
-        assert!(matches!(d.kind, MsgKind::Commit | MsgKind::Abort));
-        ep.send(decision.from, my_id, encode(MsgKind::Ack, d.txn_id, &[]))
-            .unwrap();
-    }
-
-    #[test]
-    fn unanimous_yes_commits() {
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let coord_inbox = fabric.mailboxes().register(100);
-        std::thread::scope(|s| {
-            for pid in [1u64, 2, 3] {
-                let f = fabric.clone();
-                s.spawn(move || participant_loop(f, pid, true));
-            }
-            // Give participants a beat to register their mailboxes.
-            while !(1..=3).all(|id| fabric.mailboxes().has(id)) {
-                std::thread::yield_now();
-            }
-            let ep = fabric.endpoint();
-            let work: Vec<(MailboxId, Vec<u8>)> =
-                vec![(1, b"a".to_vec()), (2, b"b".to_vec()), (3, b"c".to_vec())];
-            let outcome = coordinate(&ep, &coord_inbox, 100, 7, &work).unwrap();
-            assert_eq!(outcome, TwoPcOutcome::Committed);
-            // 2 messages to each of 3 participants.
-            assert_eq!(ep.stats().sends, 6);
-            assert_eq!(ep.stats().recvs, 6);
-        });
-    }
-
-    #[test]
-    fn single_no_vote_aborts_all() {
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let coord_inbox = fabric.mailboxes().register(100);
-        std::thread::scope(|s| {
-            for (pid, yes) in [(1u64, true), (2, false), (3, true)] {
-                let f = fabric.clone();
-                s.spawn(move || participant_loop(f, pid, yes));
-            }
-            while !(1..=3).all(|id| fabric.mailboxes().has(id)) {
-                std::thread::yield_now();
-            }
-            let ep = fabric.endpoint();
-            let work: Vec<(MailboxId, Vec<u8>)> =
-                vec![(1, vec![]), (2, vec![]), (3, vec![])];
-            let outcome = coordinate(&ep, &coord_inbox, 100, 8, &work).unwrap();
-            assert_eq!(outcome, TwoPcOutcome::Aborted);
-        });
-    }
-
-    #[test]
-    fn two_pc_costs_four_message_delays() {
-        // Commit latency = prepare + vote + decision + ack sends; with
-        // one participant that is 4 sends total across both sides.
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let coord_inbox = fabric.mailboxes().register(100);
-        std::thread::scope(|s| {
-            let f = fabric.clone();
-            s.spawn(move || participant_loop(f, 1, true));
-            while !fabric.mailboxes().has(1) {
-                std::thread::yield_now();
-            }
-            let ep = fabric.endpoint();
-            let outcome =
-                coordinate(&ep, &coord_inbox, 100, 9, &[(1, vec![])]).unwrap();
-            assert_eq!(outcome, TwoPcOutcome::Committed);
-            let send = NetworkProfile::rdma_cx6().send_cost_ns(9);
-            assert!(
-                ep.clock().now_ns() >= 4 * send,
-                "commit path {} must cover 4 one-way delays {}",
-                ep.clock().now_ns(),
-                4 * send
-            );
-        });
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Four gates read off three runs of the benchmark, one verdict each.
+# Five gates read off four runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
@@ -41,6 +41,15 @@
 #    own again (2.78 and 2.00 when they had them) fails above
 #    INDEX_RT_LIMIT.
 #
+# From one `xshard_2pc` run (3c, 2 nodes, 10 % cross-shard transfers):
+#
+# 5. A cross-shard transaction is one message round trip:
+#    `rdma-sim.msgs_per_txn`, exact on the sim clock (0.2008 at this seed:
+#    the coordinator's `PrepareCommit` and the last agent's vote, on 10 %
+#    of the txns). A change that brings back the decision and ack round of
+#    classic two-phase commit (0.4016 when it had it) fails above
+#    MSG_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per run); build it first with
@@ -53,6 +62,7 @@ LIMIT=2.5
 WIRE_RT_LIMIT=4
 COHERENT_WIRE_RT_LIMIT=2.5
 INDEX_RT_LIMIT=1.1
+MSG_LIMIT=0.3
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
 # metric <name>: its value in the benchmark's last-line JSON.
@@ -89,8 +99,11 @@ coherent_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run index_probe)"
 btree_rts="$(metric index.btree_sim_rts_per_search)"
 race_rts="$(metric index.race_sim_rts_per_get)"
+last_line="$(run xshard_2pc)"
+msgs="$(metric rdma-sim.msgs_per_txn)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
 gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
 gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT_LIMIT"
 gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
+gate "messages per txn on xshard_2pc" "$msgs" "$MSG_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
