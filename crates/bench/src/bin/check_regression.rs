@@ -1,8 +1,8 @@
-//! CI perf-regression gate: `check_regression [baseline] [fresh]`.
+//! Perf-regression gate: `check_regression [baseline] [fresh]`.
 //!
 //! Compares a freshly generated `BENCH_summary.json` (default
-//! `results/BENCH_summary.json`, or `$BENCH_RESULTS_DIR`) against the
-//! committed baseline (default `results/BENCH_baseline.json`) using
+//! `$BENCH_RESULTS_DIR/BENCH_summary.json`) against the committed
+//! baseline (default `results/BENCH_summary.json`) using
 //! the one-sided tolerance bands in [`bench::regression`]: tps −5%,
 //! `wire_rts_per_txn` +2%, `p99_ns` +10%, `time_to_recovery_ns` and
 //! `dip_depth` +25% (chaos/reshard runs). Exits non-zero on any breach or on a gated
@@ -30,7 +30,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let baseline_path = args
         .next()
-        .unwrap_or_else(|| "results/BENCH_baseline.json".into());
+        .unwrap_or_else(|| "results/BENCH_summary.json".into());
     let fresh_path = args.next().unwrap_or_else(|| {
         bench::report::results_dir()
             .join("BENCH_summary.json")

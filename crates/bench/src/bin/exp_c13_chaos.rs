@@ -34,17 +34,8 @@ fn main() {
         ]);
     }
     println!();
-    println!(
-        "aborts: node_unavailable={} lock_timeout={} lease_stolen={} transient={} \
-         lock_busy={} validation_fail={} other={}",
-        out.aborts.node_unavailable,
-        out.aborts.lock_timeout,
-        out.aborts.lease_stolen,
-        out.aborts.transient,
-        out.aborts.lock_busy,
-        out.aborts.validation_fail,
-        out.aborts.other,
-    );
+    let mix: Vec<String> = out.aborts.named().map(|(cause, n)| format!("{cause}={n}")).collect();
+    println!("aborts: {}", mix.join(" "));
     println!(
         "steals={} zombie_fenced={} zombie_survived={} degraded_reads={} \
          recovery_bytes={} final_epoch={}",

@@ -3,7 +3,7 @@
 //! Sweeps Zipf theta over 2PL (exclusive locks) and OCC while a
 //! deterministic antagonist squats on Zipf-hot lock words. As skew
 //! rises the observatory should show (1) lock-wait time concentrating
-//! on a few hot records (space-saving top-K), (2) wait-for edges
+//! on a few hot records (exact hot lists), (2) wait-for edges
 //! pointing at the antagonist, and (3) the abort-cause mix shifting —
 //! 2PL aborts turn into `lock_busy`, OCC aborts into
 //! `validation_fail`.

@@ -11,14 +11,14 @@
 //! 2. **Cache warm-up ramp** — a cold buffer pool serving a fixed
 //!    working set; the per-window hit rate must ramp from cold to ~1.
 //!
-//! Cost accounting, asserted and measured:
+//! Both asserted:
 //!
 //! * sampling costs **0% virtual time** — the sampler-off replay of the
-//!   same seed produces identical commits and an identical makespan
-//!   (asserted, not eyeballed);
-//! * the wall-clock overhead of sampling is measured (min of two runs
-//!   each way) and printed — budget is <2%;
-//! * same-seed runs render **byte-identical** series JSON (asserted).
+//!   same seed produces identical commits and an identical makespan;
+//! * same-seed runs render **byte-identical** series JSON.
+//!
+//! Sampling's cost on the host clock is `telemetry.host_overhead_ratio`
+//! of the `benchmark/` crate, which `scripts/check_overhead.sh` gates.
 //!
 //! `BENCH_SCALE=10` shrinks the run for CI smoke.
 
@@ -37,35 +37,11 @@ fn main() {
         ..ChaosConfig::default()
     };
 
-    // --- 1. recovery timeline: sampler on (twice: determinism + wall
-    // clock) vs sampler off (twice: wall clock). ------------------------
-    // Wall-clock comparison: two untimed warm-up runs (the first runs of
-    // the process pay allocator/page-cache cold-start costs), then three
-    // timed pairs with alternating order, keeping the min of each side.
-    let off_cfg = ChaosConfig { window_ns: 0, ..cfg };
-    let _ = run_chaos(&off_cfg);
-    let _ = run_chaos(&cfg);
-    let (mut wall_on, mut wall_off) = (f64::MAX, f64::MAX);
-    for pair in 0..3 {
-        for side in 0..2 {
-            // Timed runs drop their outcome immediately: retaining the
-            // (large) traces across runs perturbs the allocator enough
-            // to swamp the effect being measured.
-            let t = std::time::Instant::now();
-            if (pair + side) % 2 == 0 {
-                drop(run_chaos(&cfg));
-                wall_on = wall_on.min(t.elapsed().as_secs_f64());
-            } else {
-                drop(run_chaos(&off_cfg));
-                wall_off = wall_off.min(t.elapsed().as_secs_f64());
-            }
-        }
-    }
-    // The analyzed outcomes come from untimed runs (same seed, so they
-    // replay the timed runs' virtual timeline exactly).
+    // --- 1. recovery timeline: sampler on (twice: determinism) vs
+    // sampler off. ------------------------------------------------------
     let on = run_chaos(&cfg);
     let twin = run_chaos(&cfg);
-    let off = run_chaos(&off_cfg);
+    let off = run_chaos(&ChaosConfig { window_ns: 0, ..cfg });
 
     // Sampling is free in virtual time: the off-run must replay the
     // exact same timeline. Asserted, so the 0% claim can never rot.
@@ -81,12 +57,6 @@ fn main() {
     let vtime_overhead_pct = {
         let (a, b) = (on.post.tps(), off.post.tps());
         if b > 0.0 { (b - a) / b * 100.0 } else { 0.0 }
-    };
-
-    let wall_overhead_pct = if wall_off > 0.0 {
-        (wall_on - wall_off) / wall_off * 100.0
-    } else {
-        0.0
     };
 
     // The recovery story is computed, not hand-stated: round-trip the
@@ -151,13 +121,7 @@ fn main() {
         on.planes.series.len(),
         on.planes.series.window_ns,
     );
-    println!(
-        "sampling cost: {vtime_overhead_pct:.3}% virtual-time tps (asserted identical), \
-         {wall_overhead_pct:+.2}% wall clock ({:.1} ms on vs {:.1} ms off; budget <2%, \
-         machine noise can exceed it in either direction)",
-        wall_on * 1e3,
-        wall_off * 1e3,
-    );
+    println!("sampling cost: {vtime_overhead_pct:.3}% virtual-time tps (asserted identical)");
 
     // --- 2. cache warm-up ramp ----------------------------------------
     let warm_txns = scale_down(2_000).max(200);
@@ -228,8 +192,6 @@ fn main() {
             ),
         ],
     );
-    // Wall-clock overhead is machine noise and stays print-only: the
-    // report must be byte-identical across same-seed runs.
     rep.row(
         "sampling_cost",
         vec![("vtime_overhead_pct", Json::F(vtime_overhead_pct))],

@@ -110,7 +110,7 @@ fn main() {
                 let a = bed.table.slot_addr(bed.key_of(0));
                 let expect = telemetry::heat_key(a.node() as u64, a.offset());
                 assert_eq!(
-                    out.planes.utilization.heat_bytes[0].key, expect,
+                    out.planes.utilization.heat_bytes.ranked()[0].key, expect,
                     "nodes={nodes} theta={theta}: hottest range must be node 0's base"
                 );
             }
@@ -120,13 +120,12 @@ fn main() {
         }
     }
     let (_flag_bed, flagship) = flagship.expect("flagship ran");
-    let hot = &flagship.planes.utilization.heat_bytes[0];
+    let hot = flagship.planes.utilization.heat_bytes.ranked()[0];
     println!(
-        "\nflagship (nodes={FLAGSHIP_NODES}, theta={FLAGSHIP_THETA}): hottest range node {} offset {:#x} — {} remote bytes (err {})",
+        "\nflagship (nodes={FLAGSHIP_NODES}, theta={FLAGSHIP_THETA}): hottest range node {} offset {:#x} — {} remote bytes",
         heat_key_node(hot.key),
         heat_key_base_offset(hot.key),
-        hot.count,
-        hot.err
+        hot.count
     );
 
     // Part B: advisor + migrator replay on the contiguous bed.

@@ -294,7 +294,7 @@ mod tests {
         let out = drive(&bed, &cfg_hot);
         let a = bed.table.slot_addr(bed.key_of(0));
         let expect = telemetry::heat_key(a.node() as u64, a.offset());
-        assert_eq!(out.planes.utilization.heat_bytes[0].key, expect);
+        assert_eq!(out.planes.utilization.heat_bytes.ranked()[0].key, expect);
     }
 
     #[test]

@@ -62,68 +62,45 @@ where
     eps.iter().map(|e| e.clock().now_ns()).max().unwrap_or(0)
 }
 
-/// Typed abort-cause taxonomy. Every aborted attempt is classified by
-/// *why* it aborted, so experiment reports can show the abort mix
-/// shifting (e.g. validation failures giving way to lock timeouts as
-/// contention rises) instead of one opaque count.
+/// Aborted attempts per typed cause, indexed by [`AbortCause`]. Every
+/// aborted attempt is classified by *why* it aborted, so experiment
+/// reports can show the abort mix shifting (e.g. validation failures
+/// giving way to lock timeouts as contention rises) instead of one
+/// opaque count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AbortCauses {
-    /// A no-wait lock was held by someone else for the whole retry
-    /// budget (`lock-busy`, and the sharded engine's local lock table).
-    pub lock_busy: u64,
-    /// The lock holder never released within the bounded-retry budget
-    /// (likely crashed or stalled).
-    pub lock_timeout: u64,
-    /// Commit-time validation failed: OCC read-set drift, TSO/MVCC
-    /// version conflicts.
-    pub validation_fail: u64,
-    /// A lease expired mid-transaction and another worker stole the
-    /// lock; the ex-owner must not commit.
-    pub lease_stolen: u64,
-    /// A node the transaction must reach is down (typed
-    /// [`TxnError::NodeUnavailable`]).
-    pub node_unavailable: u64,
-    /// A transient fabric fault leaked past the DSM retry budget.
-    pub transient: u64,
-    /// Anything else (unclassified CC labels, infrastructure errors).
-    pub other: u64,
-}
+pub struct AbortCauses([u64; AbortCause::NAMES.len()]);
 
 impl AbortCauses {
     /// Tally one failed attempt under its typed cause (the mapping
     /// lives in [`TxnError::cause`], shared with the per-window series).
     pub fn classify(&mut self, e: &TxnError) {
-        match e.cause() {
-            AbortCause::LockBusy => self.lock_busy += 1,
-            AbortCause::LockTimeout => self.lock_timeout += 1,
-            AbortCause::ValidationFail => self.validation_fail += 1,
-            AbortCause::LeaseStolen => self.lease_stolen += 1,
-            AbortCause::NodeUnavailable => self.node_unavailable += 1,
-            AbortCause::Transient => self.transient += 1,
-            AbortCause::Other => self.other += 1,
-        }
+        self.0[e.cause() as usize] += 1;
     }
 
     /// Total aborted attempts across all causes.
     pub fn total(&self) -> u64 {
-        self.lock_busy
-            + self.lock_timeout
-            + self.validation_fail
-            + self.lease_stolen
-            + self.node_unavailable
-            + self.transient
-            + self.other
+        self.0.iter().sum()
     }
 
     /// Fold another tally into this one.
     pub fn merge(&mut self, o: &AbortCauses) {
-        self.lock_busy += o.lock_busy;
-        self.lock_timeout += o.lock_timeout;
-        self.validation_fail += o.validation_fail;
-        self.lease_stolen += o.lease_stolen;
-        self.node_unavailable += o.node_unavailable;
-        self.transient += o.transient;
-        self.other += o.other;
+        for (n, m) in self.0.iter_mut().zip(o.0) {
+            *n += m;
+        }
+    }
+
+    /// Every cause's report name and count, in [`AbortCause::NAMES`]
+    /// order.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        AbortCause::NAMES.into_iter().zip(self.0)
+    }
+}
+
+impl std::ops::Index<AbortCause> for AbortCauses {
+    type Output = u64;
+
+    fn index(&self, cause: AbortCause) -> &u64 {
+        &self.0[cause as usize]
     }
 }
 
@@ -348,15 +325,7 @@ pub mod report {
 
     /// Per-cause abort tally as a JSON object (fixed key order).
     pub fn abort_causes_json(a: &AbortCauses) -> Json {
-        Json::obj(vec![
-            ("lock_busy", Json::U(a.lock_busy)),
-            ("lock_timeout", Json::U(a.lock_timeout)),
-            ("validation_fail", Json::U(a.validation_fail)),
-            ("lease_stolen", Json::U(a.lease_stolen)),
-            ("node_unavailable", Json::U(a.node_unavailable)),
-            ("transient", Json::U(a.transient)),
-            ("other", Json::U(a.other)),
-        ])
+        Json::O(a.named().map(|(name, n)| (name.to_string(), Json::U(n))).collect())
     }
 
     /// The standard metrics object for one workload run: throughput,

@@ -28,6 +28,7 @@ use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op, Session, TxnEr
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
+use telemetry::MERGED_TOP_K;
 use txn::locks::ExclusiveLock;
 use workload::ZipfGenerator;
 
@@ -97,8 +98,9 @@ pub struct ObsOutcome {
     /// Telemetry merged across all sessions: series and health are
     /// empty when `window_ns` is 0, forensics when `trace_ring` is 0.
     pub planes: Planes,
-    /// Hot keys: `(record key, wait ns)` for every lock word the top-K
-    /// sketch ranked, resolved back from lock addresses to record ids.
+    /// Hot keys: `(record key, wait ns)` for the [`MERGED_TOP_K`] lock
+    /// words that waited longest, resolved back from lock addresses to
+    /// record ids.
     pub hot_keys: Vec<(u64, u64)>,
     /// Chrome trace of the run (empty when `trace_ring` is 0).
     pub trace: ChromeTrace,
@@ -208,8 +210,8 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         }
     }
 
-    // Resolve the sketch's hot lock addresses back to record keys so
-    // the report names records, not raw fabric addresses.
+    // Resolve the hottest lock addresses back to record keys so the
+    // report names records, not raw fabric addresses.
     let mut by_addr = std::collections::BTreeMap::new();
     for k in 0..cfg.records {
         by_addr.insert(table.lock_addr(k).to_raw(), k);
@@ -219,7 +221,9 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         .planes
         .contention
         .wait_top
+        .ranked()
         .iter()
+        .take(MERGED_TOP_K)
         .filter_map(|e| by_addr.get(&e.key).map(|&k| (k, e.count)))
         .collect();
     out

@@ -46,7 +46,7 @@ pub struct Planes {
     /// Blame-share histogram over every transaction plus the worst-K
     /// exemplar reservoir.
     pub forensics: ForensicsSnapshot,
-    /// Per-memory-node windowed load, page-range heat top-K and the
+    /// Per-memory-node windowed load, page-range heat lists and the
     /// session / phase splits.
     pub utilization: UtilSnapshot,
 }

@@ -3,6 +3,7 @@
 //! and two runs with the same seed must be byte-identical.
 
 use bench::chaos::{report_for, run_chaos, ChaosConfig, ChaosOutcome};
+use dsmdb::AbortCause;
 
 /// Small enough to run in the test suite, large enough that leases
 /// expire (and get stolen) inside the fault window.
@@ -24,7 +25,7 @@ fn assert_invariants(out: &ChaosOutcome) {
     assert_eq!(out.audit.stuck_locks, 0, "a lock stayed held forever");
     // The crash was visible: dead-group transactions aborted with the
     // typed error and the fault window lost throughput.
-    assert!(out.aborts.node_unavailable > 0, "crash never surfaced");
+    assert!(out.aborts[AbortCause::NodeUnavailable] > 0, "crash never surfaced");
     assert!(
         out.fault.tps() < out.pre.tps(),
         "fault window should dip: fault={} pre={}",
@@ -34,7 +35,7 @@ fn assert_invariants(out: &ChaosOutcome) {
     // The zombie's locks were contested: timeouts while the lease was
     // live, at least one steal after expiry, and the woken zombie found
     // every lock fenced.
-    assert!(out.aborts.lock_timeout > 0, "zombie locks never blocked anyone");
+    assert!(out.aborts[AbortCause::LockTimeout] > 0, "zombie locks never blocked anyone");
     assert!(out.steals > 0, "no expired lease was stolen");
     assert_eq!(out.zombie_survived, 0, "zombie released a contested lock");
     assert_eq!(out.zombie_fenced, 2, "both zombie locks must be fenced");

@@ -220,11 +220,14 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
         ("utilization: does not re-render to itself at .nodes[0].totals.bytes", bump("utilization.nodes[0].totals.bytes", 1)),
         ("utilization: does not parse back", pop("utilization.nodes[0].verbs")),
         ("exceeds capacity", above("utilization.nodes[0].allocated_bytes", "utilization.nodes[0].capacity_bytes")),
-        ("utilization: heat.by_bytes[1] not sorted", above("utilization.heat.by_bytes[1].count", "utilization.heat.by_bytes[0].count")),
-        ("utilization: by_session[0]: err", above("utilization.by_session[0].err", "utilization.by_session[0].bytes")),
+        // A ranked list out of order, and one naming a key twice.
+        ("utilization: does not re-render to itself at .heat.by_bytes[0].key", above("utilization.heat.by_bytes[1].count", "utilization.heat.by_bytes[0].count")),
+        ("utilization: does not re-render to itself at .by_session: [3 items]", Box::new(|d| {
+            *at(d, "utilization.by_session[1].session") = int(num(d, "utilization.by_session[0].session"))
+        })),
         ("utilization: does not re-render to itself at .imbalance.gini_bytes", put("utilization.imbalance.gini_bytes", Json::F(1.5))),
         // contention and phases objects embedded in rows
-        ("contention: top_wait_ns[1] not sorted", Box::new(move |d| {
+        ("contention: does not re-render to itself at .top_wait_ns[0]", Box::new(move |d| {
             let list = find(d, "top_wait_ns", &ranked).expect("a row with two ranked waits");
             above("[1].count", "[0].count")(list)
         })),

@@ -465,7 +465,7 @@ impl BufferPool {
                     // Another thread's fetch is in flight: wait on the
                     // frame, not the pool — then it's a hit. Real
                     // page-level contention: attribute it to the page in
-                    // the endpoint's hot-key sketch.
+                    // the endpoint's hot-key tally.
                     if !can_wait {
                         return Ok(Step::MustFlush);
                     }

@@ -331,24 +331,17 @@ impl Cluster {
     }
 }
 
+/// Per-window series metric for one typed abort cause: the per-cause
+/// metrics sit in [`AbortCause`] order from [`Metric::AbortsLockBusy`].
+fn abort_metric(cause: AbortCause) -> Metric {
+    Metric::ALL[Metric::AbortsLockBusy as usize + cause as usize]
+}
+
 /// Lock-ownership tag for `(owner, epoch)`. Lease-based locking packs the
 /// epoch into bits 16..32 of the tag (the lease word's epoch field) so a
 /// recovered node's new sessions never collide with pre-crash lock words;
 /// the other protocols use the plain owner id, whose uniqueness is all
 /// they need.
-/// Per-window series metric for one typed abort cause.
-fn abort_metric(cause: AbortCause) -> Metric {
-    match cause {
-        AbortCause::LockBusy => Metric::AbortsLockBusy,
-        AbortCause::LockTimeout => Metric::AbortsLockTimeout,
-        AbortCause::ValidationFail => Metric::AbortsValidation,
-        AbortCause::LeaseStolen => Metric::AbortsLeaseStolen,
-        AbortCause::NodeUnavailable => Metric::AbortsNodeUnavailable,
-        AbortCause::Transient => Metric::AbortsTransient,
-        AbortCause::Other => Metric::AbortsOther,
-    }
-}
-
 fn compose_worker_tag(cc: CcProtocol, owner: u64, epoch: u64) -> u64 {
     match cc {
         CcProtocol::TplLeased => ((epoch & 0xFFFF) << 16) | (owner & 0xFFFF),
@@ -1132,6 +1125,26 @@ mod tests {
 
     fn counter(out: &TxnOutput, idx: usize) -> i64 {
         i64::from_le_bytes(out.reads[idx].1[0..8].try_into().unwrap())
+    }
+
+    #[test]
+    fn every_abort_cause_lands_in_its_own_metric() {
+        let errors = [
+            TxnError::Aborted("lock-busy"),
+            TxnError::Aborted("lock-timeout"),
+            TxnError::Aborted("validate-version"),
+            TxnError::Aborted("lease-stolen"),
+            TxnError::NodeUnavailable { node: 0 },
+            TxnError::Aborted("transient-fault"),
+            TxnError::Aborted("no-such-rule"),
+        ];
+        for (i, e) in errors.iter().enumerate() {
+            let (cause, metric) = (e.cause(), abort_metric(e.cause()));
+            assert_eq!(cause as usize, i);
+            // `aborts_validation` counts `validation_fail`.
+            let short = metric.name().strip_prefix("aborts_").unwrap();
+            assert!(AbortCause::NAMES[i].starts_with(short), "{cause:?} -> {metric:?}");
+        }
     }
 
     #[test]

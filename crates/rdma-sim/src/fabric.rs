@@ -437,7 +437,7 @@ impl Endpoint {
 
     /// The single completion path: fold one finished verb into every
     /// view of the endpoint — op counters, the per-class latency
-    /// histogram, the CAS-retry sketch, the windowed series, the
+    /// histogram, the CAS-retry tally, the windowed series, the
     /// outstanding-verbs gauge, the per-node utilization plane and the
     /// flight-recorder ring. Reads the clock (already advanced past the
     /// verb), never moves it; each plane that is off costs one branch.
@@ -451,7 +451,7 @@ impl Endpoint {
         let addr = ev.peer.map_or(ev.addr, |node| pack_addr(node, ev.addr));
         if ev.outcome == outcome::CAS_LOST {
             // A lost CAS is the contention signal: feed the hot-word
-            // retry sketch with the packed lock-word address.
+            // retry tally with the packed lock-word address.
             self.stats.record_cas_failure();
             self.contention.note_cas_retry(addr);
         }
@@ -586,7 +586,7 @@ impl Endpoint {
     /// Turn on fabric-utilization capture with `width_ns`-wide
     /// virtual-time windows (0 turns it back off): per-memory-node
     /// ingress/egress bytes, verbs, remote ns, and atomic-queue
-    /// high-water marks, plus page-range heat top-K sketches. Like the
+    /// high-water marks, plus page-range heat lists. Like the
     /// series and gauges, capture reads the clock but never advances
     /// it — the virtual timeline is byte-identical with utilization on
     /// or off.
@@ -655,7 +655,7 @@ impl Endpoint {
     }
 
     /// Account `ns` of lock/latch waiting attributed to the packed
-    /// address `addr` (feeds the hot-key wait sketch). Holder unknown —
+    /// address `addr` (feeds the hot-key wait tally). Holder unknown —
     /// equivalent to [`Endpoint::note_lock_wait_traced`] with tag 0.
     #[inline]
     pub fn note_lock_wait(&self, addr: u64, ns: u64) {
@@ -663,7 +663,7 @@ impl Endpoint {
     }
 
     /// Account `ns` of lock waiting on `addr` where the lock word named
-    /// `holder_tag` as the current owner. Feeds the hot-key wait sketch
+    /// `holder_tag` as the current owner. Feeds the hot-key wait tally
     /// and series like [`Endpoint::note_lock_wait`]; additionally, when
     /// the flight recorder is on, records a [`EventKind::Wait`] event
     /// whose `aux` is the holder's trace id resolved through the
@@ -676,7 +676,7 @@ impl Endpoint {
 
     /// Account `ns` of waiting on a *local* (in-process) lock whose
     /// holder's trace id is already known. Local keys are not packed
-    /// global addresses, so this skips the hot-key wait sketch (where
+    /// global addresses, so this skips the hot-key wait tally (where
     /// they would alias fabric addresses) but still lands in the series
     /// and, when the recorder is on, the event ring.
     pub fn note_local_lock_wait(&self, addr: u64, ns: u64, holder_trace: u64) {
@@ -1482,7 +1482,7 @@ mod tests {
         assert_eq!(ev_on[2].outcome, outcome::CAS_LOST);
         assert_eq!(ev_on[4].kind, EventKind::Verb(OpKind::Read));
         assert_eq!(ev_on[4].txn, 0, "trace id cleared");
-        // The lost CAS fed the retry sketch.
+        // The lost CAS fed the retry tally.
         let c = run_probe();
         assert_eq!(c, 1);
 
@@ -1492,9 +1492,9 @@ mod tests {
             let ep = fabric.endpoint();
             ep.cas(node, 16, 0, 1).unwrap();
             ep.cas(node, 16, 0, 2).unwrap();
-            let snap = ep.contention_snapshot();
-            assert_eq!(snap.cas_top[0].key, pack_addr(node, 16));
-            snap.cas_top[0].count
+            let hot = ep.contention_snapshot().cas_top.ranked();
+            assert_eq!(hot[0].key, pack_addr(node, 16));
+            hot[0].count
         }
     }
 
@@ -1532,7 +1532,7 @@ mod tests {
         assert_eq!(waiter.forensic_tail(0x7_0001, 2).count(), 1);
         assert_eq!(waiter.forensic_tail(0x7_0002, 0).count(), 0);
         assert_eq!(path[0].step, telemetry::StepKind::Wait { holder: 0x42_0001 });
-        // Local waits stay out of the hot-key sketch; fabric waits feed it.
+        // Local waits stay out of the hot-key tally; fabric waits feed it.
         assert_eq!(waiter.contention_snapshot().wait_ns_total, 700);
     }
 
@@ -1625,13 +1625,11 @@ mod tests {
         // Heat: node 0's range 0 is hottest by bytes; node 1's write at
         // 128 KiB lands in its own range (node ids are registration
         // order: 0 then 1).
-        assert_eq!(u_on.heat_bytes[0].key, telemetry::heat_key(0, 0));
-        assert!(u_on
-            .heat_bytes
-            .iter()
-            .any(|e| e.key == telemetry::heat_key(1, 1 << 17)));
+        let heat = u_on.heat_bytes.ranked();
+        assert_eq!(heat[0].key, telemetry::heat_key(0, 0));
+        assert!(heat.iter().any(|e| e.key == telemetry::heat_key(1, 1 << 17)));
         // Session and phase splits.
-        assert_eq!(u_on.by_session[0].key, 9);
+        assert_eq!(u_on.by_session.ranked()[0].key, 9);
         assert_eq!(u_on.by_phase[Phase::PageFetch as usize].bytes, 128);
         assert_eq!(u_on.by_phase[Phase::Writeback as usize].bytes, 96);
         // reset() drops the windows but keeps capture on.
@@ -1758,7 +1756,7 @@ mod tests {
         let lost: Vec<&Event> = events.iter().filter(|e| e.outcome == outcome::CAS_LOST).collect();
         assert_eq!(lost.len(), 2);
         assert!(lost.iter().all(|e| e.addr == pack_addr(0, 512)));
-        let hot_word = ep.contention_snapshot().cas_top[0];
+        let hot_word = ep.contention_snapshot().cas_top.ranked()[0];
         assert_eq!((hot_word.key, hot_word.count), (pack_addr(0, 512), 2));
 
         // 19 verbs pay 19 - 7 riders (1 SEND, 2 READ, 1 WRITE, and the

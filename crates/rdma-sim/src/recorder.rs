@@ -13,9 +13,9 @@
 //!   and off produce identical timings and identical results, which is
 //!   how the <2% (actually 0%) virtual-time overhead criterion is met
 //!   and *measured* rather than assumed.
-//! * [`ContentionProbe`] — always-on, cheap contention accounting: two
-//!   space-saving sketches (hot keys by lock-wait ns, hot lock words by
-//!   CAS retries), a bounded wait-for edge log fed by the lock layer,
+//! * [`ContentionProbe`] — always-on, cheap contention accounting: one
+//!   exact tally of lock-wait ns and CAS retries per lock word, a
+//!   bounded wait-for edge log fed by the lock layer,
 //!   and coherence fan-out counters fed by the cache layer. Snapshots
 //!   merge order-independently into `telemetry::ContentionSnapshot`.
 //!
@@ -24,7 +24,7 @@
 
 use std::cell::{Cell, Ref, RefCell};
 
-use telemetry::contention::{ContentionSnapshot, TopK, WaitEdge};
+use telemetry::contention::{ContentionSnapshot, Tally, WaitEdge};
 use telemetry::{bucket_name, ChromeTrace, Json};
 
 use crate::fabric::NodeId;
@@ -334,17 +334,14 @@ pub fn export_chrome(events: &[Event], pid: u64, tid: u64, trace: &mut ChromeTra
     }
 }
 
-/// Per-endpoint top-K capacity. 32 entries bound the per-key error by
-/// total-weight/32 per endpoint before the cross-endpoint merge.
-pub const ENDPOINT_TOP_K: usize = 32;
 /// Per-endpoint wait-for edge log bound.
 pub const ENDPOINT_EDGE_CAP: usize = 256;
 
 /// Always-on contention accounting for one endpoint.
 #[derive(Debug)]
 pub struct ContentionProbe {
-    wait_top: RefCell<TopK>,
-    cas_top: RefCell<TopK>,
+    /// Per lock word (packed address): lock-wait ns, CAS retries.
+    words: RefCell<Tally<2>>,
     edges: RefCell<Vec<WaitEdge>>,
     edges_dropped: Cell<u64>,
     inval_broadcasts: Cell<u64>,
@@ -363,8 +360,7 @@ impl ContentionProbe {
     /// A fresh probe with the standard per-endpoint bounds.
     pub fn new() -> Self {
         Self {
-            wait_top: RefCell::new(TopK::new(ENDPOINT_TOP_K)),
-            cas_top: RefCell::new(TopK::new(ENDPOINT_TOP_K)),
+            words: RefCell::new(Tally::default()),
             edges: RefCell::new(Vec::new()),
             edges_dropped: Cell::new(0),
             inval_broadcasts: Cell::new(0),
@@ -377,14 +373,14 @@ impl ContentionProbe {
     /// Account `ns` of lock/latch waiting attributed to `addr`.
     #[inline]
     pub fn note_wait(&self, addr: u64, ns: u64) {
-        self.wait_top.borrow_mut().offer(addr, ns);
+        self.words.borrow_mut().at(addr)[0] += ns;
         self.wait_ns_total.set(self.wait_ns_total.get() + ns);
     }
 
     /// Account one failed CAS on `addr` (a contention retry).
     #[inline]
     pub fn note_cas_retry(&self, addr: u64) {
-        self.cas_top.borrow_mut().offer(addr, 1);
+        self.words.borrow_mut().at(addr)[1] += 1;
     }
 
     /// Record a wait-for edge observed by the lock layer.
@@ -417,8 +413,8 @@ impl ContentionProbe {
     /// Copy out a mergeable snapshot.
     pub fn snapshot(&self) -> ContentionSnapshot {
         ContentionSnapshot {
-            wait_top: self.wait_top.borrow().snapshot(),
-            cas_top: self.cas_top.borrow().snapshot(),
+            wait_top: self.words.borrow().hot_list(0),
+            cas_top: self.words.borrow().hot_list(1),
             edges: self.edges.borrow().clone(),
             inval_broadcasts: self.inval_broadcasts.get(),
             inval_msgs: self.inval_msgs.get(),
@@ -430,8 +426,7 @@ impl ContentionProbe {
 
     /// Zero everything (between experiment phases).
     pub fn reset(&self) {
-        self.wait_top.borrow_mut().reset();
-        self.cas_top.borrow_mut().reset();
+        self.words.borrow_mut().clear();
         self.edges.borrow_mut().clear();
         self.edges_dropped.set(0);
         self.inval_broadcasts.set(0);
@@ -444,6 +439,7 @@ impl ContentionProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::TopEntry;
 
     fn ev(ts: u64) -> Event {
         Event {
@@ -571,8 +567,8 @@ mod tests {
         p.note_inval_fanout(3);
         p.note_inval_fanout(0); // ignored
         let s = p.snapshot();
-        assert_eq!(s.wait_top[0].count, 150);
-        assert_eq!(s.cas_top[0].count, 1);
+        assert_eq!(s.wait_top.ranked(), [TopEntry { key: 7, count: 150 }]);
+        assert_eq!(s.cas_top.ranked(), [TopEntry { key: 7, count: 1 }]);
         assert_eq!(s.edges.len(), 1);
         assert_eq!(s.inval_broadcasts, 1);
         assert_eq!(s.inval_msgs, 3);

@@ -326,11 +326,9 @@ pub struct MoveRec {
     pub src_node: u64,
     /// Recommended destination (the coldest node at decision time).
     pub dst_node: u64,
-    /// Estimated remote bytes the range drew (space-saving estimate;
-    /// an over-count by at most `err`).
+    /// Remote bytes the range drew, which the plan estimates will
+    /// follow it to `dst_node`.
     pub est_bytes: u64,
-    /// Space-saving error bound on `est_bytes`.
-    pub err: u64,
 }
 
 /// A deterministic, typed placement recommendation: the ordered moves
@@ -386,7 +384,7 @@ pub fn placement_advisor(
     let total: u128 = loads.iter().map(|&x| x as u128).sum();
     let mean = total / node_bytes.len() as u128;
     let mut projected = loads;
-    for e in &snap.heat_bytes {
+    for e in snap.heat_bytes.ranked() {
         if plan.moves.len() >= max_moves {
             break;
         }
@@ -415,7 +413,6 @@ pub fn placement_advisor(
                 src_node: src,
                 dst_node: node_bytes[di].0,
                 est_bytes: e.count,
-                err: e.err,
             });
             projected = trial;
             plan.index_projected = trial_gini;
@@ -443,7 +440,6 @@ pub fn move_plan_json(plan: &MovePlan) -> Json {
                                 Json::U(crate::utilization::heat_key_base_offset(m.range_key)),
                             ),
                             ("est_bytes", Json::U(m.est_bytes)),
-                            ("err", Json::U(m.err)),
                         ])
                     })
                     .collect(),
@@ -463,7 +459,6 @@ pub fn move_plan_from_json(v: &Json) -> Option<MovePlan> {
             src_node: m.get("src_node")?.as_u64()?,
             dst_node: m.get("dst_node")?.as_u64()?,
             est_bytes: m.get("est_bytes")?.as_u64()?,
-            err: m.get("err")?.as_u64()?,
         });
     }
     Some(MovePlan {

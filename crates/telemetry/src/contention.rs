@@ -1,4 +1,4 @@
-//! Contention profiling: hot-key sketches, wait-for edges, coherence
+//! Contention profiling: exact hot lists, wait-for edges, coherence
 //! fan-out counters, and their deterministic JSON form.
 //!
 //! The paper's contention argument (§4 Challenges 4–6) is structural:
@@ -7,12 +7,12 @@
 //! cycle. Aggregate histograms cannot answer those questions, so this
 //! module supplies:
 //!
-//! * [`TopK`] — a space-saving (Metwally et al.) heavy-hitter sketch
-//!   over `u64` keys with `u64` weights. With capacity `m` over a
-//!   total offered weight `W` it guarantees, for every key:
-//!   `true ≤ estimate` and `estimate − err ≤ true`, with
-//!   `err ≤ W / m`. Any key whose true weight exceeds `W / m` is
-//!   guaranteed present — exactly the bound the property test checks.
+//! * [`Tally`] — exact per-key `u64` totals in a per-endpoint hash
+//!   table, and [`HotList`] — one column of them, the form snapshots
+//!   carry. Every key is kept: the key domains are small and bounded
+//!   (lock words and pages of a table, 64 KiB ranges of registered
+//!   memory), so nothing is estimated and a merge is plain addition.
+//!   A list is ranked, and cut to [`MERGED_TOP_K`], only when rendered.
 //! * [`WaitEdge`] snapshots — `(waiter, holder, addr)` triples taken by
 //!   the lock layer on failed acquires; [`wait_for_analysis`] folds a
 //!   bounded edge log into cycle count and longest-chain depth so
@@ -25,280 +25,144 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// One entry of a [`TopK`] sketch: an over-estimate and its error bound.
+/// How many entries of a hot list a report carries.
+pub const MERGED_TOP_K: usize = 16;
+
+/// Exact per-key totals, `N` of them per key: the recorder side of every
+/// hot list. A lookup hashes the key once and almost always probes one
+/// slot; a new key appends an entry, and the table doubles before it is
+/// half full.
+#[derive(Debug, Default)]
+pub struct Tally<const N: usize> {
+    /// Every key seen and its totals, in first-seen order.
+    entries: Vec<(u64, [u64; N])>,
+    /// Open-addressed index: an entry plus one per slot, 0 for none; a
+    /// power of two at least twice the entries.
+    slots: Vec<u32>,
+}
+
+impl<const N: usize> Tally<N> {
+    /// `key`'s totals, all zero the first time it is seen.
+    #[inline]
+    pub fn at(&mut self, key: u64) -> &mut [u64; N] {
+        if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = bucket(key, mask);
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.entries.push((key, [0; N]));
+                    self.slots[i] = self.entries.len() as u32;
+                    return &mut self.entries.last_mut().expect("just pushed").1;
+                }
+                e if self.entries[e as usize - 1].0 == key => return &mut self.entries[e as usize - 1].1,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Total `c` of every key, as a hot list.
+    pub fn hot_list(&self, c: usize) -> HotList {
+        let mut list = HotList::default();
+        for (key, totals) in &self.entries {
+            list.add(*key, totals[c]);
+        }
+        list
+    }
+
+    /// Forget every key.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.slots.fill(0);
+    }
+
+    /// Double the slots and re-index every entry.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (e, (key, _)) in self.entries.iter().enumerate() {
+            let mut i = bucket(*key, len - 1);
+            while self.slots[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = e as u32 + 1;
+        }
+    }
+}
+
+/// `key`'s home slot in a table of `mask + 1` slots.
+#[inline]
+fn bucket(key: u64, mask: usize) -> usize {
+    // Fibonacci hashing: heat keys differ only in their lowest (range)
+    // and highest (node) bits; the multiply spreads both over the upper
+    // half.
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// One entry of a ranked hot list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopEntry {
-    /// The tracked key (page address, lock word address, record key...).
+    /// The key (lock word address, heat range, session tag).
     pub key: u64,
-    /// Estimated total weight. Never less than the true weight.
-    /// `count - err` never exceeds the true weight.
+    /// Its exact total weight.
     pub count: u64,
-    /// Maximum over-count absorbed when this key evicted another.
-    pub err: u64,
 }
 
-/// Space-saving top-K heavy-hitter sketch over `u64` keys.
-///
-/// Deterministic: eviction picks the minimum `(count, key)` entry, so
-/// identical offer sequences produce identical snapshots.
-///
-/// An offer costs O(log `cap`), and O(1) when it hits a key that is not
-/// close to eviction. Entries never move: a key is found through a
-/// small chained hash index, and the next victim is the winner of a
-/// tournament over the entries, replayed only along the one path whose
-/// entry grew. Neither structure is observable — a snapshot depends
-/// only on the set of entries.
-#[derive(Debug, Clone)]
-pub struct TopK {
-    cap: usize,
-    /// `count << 64 | key` of each entry, so one integer comparison
-    /// orders two entries by `(count, key)`.
-    rank: Vec<u128>,
-    /// `err` of each entry.
-    err: Vec<u64>,
-    /// Key index: `heads[bucket]` starts a chain through `next` of the
-    /// entries whose keys hash to `bucket`. Both hold an entry plus one,
-    /// 0 ends a chain. A power-of-two number of buckets, at least four
-    /// per entry, keeps most chains at one entry or none.
-    heads: Vec<u32>,
-    next: Vec<u32>,
-    /// The tournament, built once the sketch is full (nothing is evicted
-    /// before): `2 * cap` nodes, entry `e` at the leaf `cap + e`, node
-    /// `i` above the nodes `2 * i` and `2 * i + 1`, node 1 the root. A
-    /// node holds the entry of smallest rank below it.
-    winner: Vec<u32>,
-}
+/// Exact totals of one weight per key. A merge adds, so a fold over
+/// many lists gives the same list in every order; the ranking is
+/// computed when the list is read.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HotList(BTreeMap<u64, u64>);
 
-impl TopK {
-    /// An empty sketch tracking at most `cap` keys. `cap == 0` disables
-    /// the sketch (every offer is dropped).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            rank: Vec::new(),
-            err: Vec::new(),
-            heads: Vec::new(),
-            next: Vec::new(),
-            winner: Vec::new(),
+impl HotList {
+    /// Add `count` to `key`'s total (a zero count adds no key).
+    pub fn add(&mut self, key: u64, count: u64) {
+        if count > 0 {
+            *self.0.entry(key).or_default() += count;
         }
     }
 
-    /// Add `weight` to `key`'s estimate.
-    pub fn offer(&mut self, key: u64, weight: u64) {
-        if self.cap == 0 || weight == 0 {
-            return;
+    /// Add every total of `other`.
+    pub fn merge(&mut self, other: &HotList) {
+        for (&key, &count) in &other.0 {
+            self.add(key, count);
         }
-        if let Some(e) = self.find(key) {
-            self.rank[e] += (weight as u128) << 64;
-            self.replay(e);
-            return;
-        }
-        let len = self.rank.len();
-        if len < self.cap {
-            if (len + 1) * 4 > self.heads.len() {
-                self.grow_index();
-            }
-            self.rank.push((weight as u128) << 64 | key as u128);
-            self.err.push(0);
-            self.next.push(0);
-            self.index_insert(key, len);
-            if len + 1 == self.cap {
-                self.build_tournament();
-            }
-            return;
-        }
-        // Evict the minimum-count entry (ties broken by key for
-        // determinism); the newcomer inherits its count as error.
-        let e = self.winner[1] as usize;
-        let (victim, floor) = (self.rank[e] as u64, (self.rank[e] >> 64) as u64);
-        self.index_remove(victim, e);
-        self.index_insert(key, e);
-        self.rank[e] = ((floor + weight) as u128) << 64 | key as u128;
-        self.err[e] = floor;
-        self.replay(e);
     }
 
-    /// Total weight offered so far (sum of estimates minus errors is a
-    /// lower bound; this is the exact bookkeeping sum of estimates).
-    pub fn estimate_sum(&self) -> u64 {
-        self.rank.iter().map(|r| (r >> 64) as u64).sum()
+    /// No key has a total.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
-    /// Entries sorted by `(count desc, key asc)` — the hot list.
-    pub fn snapshot(&self) -> Vec<TopEntry> {
-        let mut v: Vec<TopEntry> = (0..self.rank.len()).map(|e| self.entry(e)).collect();
+    /// Every key, heaviest first (count desc, key asc).
+    pub fn ranked(&self) -> Vec<TopEntry> {
+        let mut v: Vec<TopEntry> = self.0.iter().map(|(&key, &count)| TopEntry { key, count }).collect();
         v.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         v
     }
 
-    /// The estimate for `key`, if tracked.
-    pub fn get(&self, key: u64) -> Option<TopEntry> {
-        self.find(key).map(|e| self.entry(e))
+    /// The first [`MERGED_TOP_K`] ranked entries, each rendered by
+    /// `entry`.
+    pub(crate) fn to_json(&self, entry: impl Fn(&TopEntry) -> Json) -> Json {
+        Json::A(self.ranked().iter().take(MERGED_TOP_K).map(entry).collect())
     }
 
-    /// Drop all entries.
-    pub fn reset(&mut self) {
-        self.rank.clear();
-        self.err.clear();
-        self.heads.fill(0);
-        self.next.clear();
-        self.winner.clear();
-    }
-
-    fn entry(&self, e: usize) -> TopEntry {
-        TopEntry {
-            key: self.rank[e] as u64,
-            count: (self.rank[e] >> 64) as u64,
-            err: self.err[e],
+    /// Parse a rendered list whose entries name their key `key` and
+    /// their weight `count` (the heat lists say `key`/`count`, the
+    /// session split `session`/`bytes`). Rendering the result again
+    /// reproduces the input only if it was ranked, cut and free of
+    /// duplicate keys and zero weights.
+    pub(crate) fn from_json(list: &Json, key: &str, count: &str) -> Option<Self> {
+        let mut out = HotList::default();
+        for e in list.as_array()? {
+            out.add(e.get(key)?.as_u64()?, e.get(count)?.as_u64()?);
         }
+        Some(out)
     }
-
-    /// `key`'s bucket. There must be one.
-    #[inline]
-    fn bucket(&self, key: u64) -> usize {
-        // Fibonacci hashing: heat keys differ only in their lowest
-        // (range) and highest (node) bits; the multiply spreads both
-        // over the upper half.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.heads.len() - 1)
-    }
-
-    /// The entry tracking `key`.
-    #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
-        if self.heads.is_empty() {
-            return None;
-        }
-        let mut link = self.heads[self.bucket(key)];
-        while link != 0 {
-            let e = link as usize - 1;
-            if self.rank[e] as u64 == key {
-                return Some(e);
-            }
-            link = self.next[e];
-        }
-        None
-    }
-
-    /// Index entry `e`, which now tracks the so far untracked `key`.
-    #[inline]
-    fn index_insert(&mut self, key: u64, e: usize) {
-        let b = self.bucket(key);
-        self.next[e] = self.heads[b];
-        self.heads[b] = e as u32 + 1;
-    }
-
-    /// Unlink entry `e`, which tracks `key`.
-    #[inline]
-    fn index_remove(&mut self, key: u64, e: usize) {
-        let b = self.bucket(key);
-        let link = e as u32 + 1;
-        if self.heads[b] == link {
-            self.heads[b] = self.next[e];
-            return;
-        }
-        let mut before = self.heads[b] as usize - 1;
-        while self.next[before] != link {
-            before = self.next[before] as usize - 1;
-        }
-        self.next[before] = self.next[e];
-    }
-
-    /// Double the buckets and re-chain every entry.
-    #[cold]
-    fn grow_index(&mut self) {
-        let len = (self.heads.len() * 2).max(4);
-        self.heads.clear();
-        self.heads.resize(len, 0);
-        for e in 0..self.rank.len() {
-            self.index_insert(self.rank[e] as u64, e);
-        }
-    }
-
-    /// Play the whole tournament over the `cap` entries.
-    #[cold]
-    fn build_tournament(&mut self) {
-        let cap = self.cap;
-        self.winner.clear();
-        self.winner.resize(cap, 0);
-        self.winner.extend(0..cap as u32);
-        for i in (1..cap).rev() {
-            let (a, b) = (self.winner[2 * i], self.winner[2 * i + 1]);
-            self.winner[i] = if self.rank[b as usize] < self.rank[a as usize] { b } else { a };
-        }
-    }
-
-    /// Entry `e` grew: replay the matches it had won, from its leaf up.
-    /// It cannot win one it had lost, so the walk ends at the first node
-    /// it does not hold — at once, unless it is close to eviction, and
-    /// before the tournament exists.
-    #[inline]
-    fn replay(&mut self, e: usize) {
-        let (mut node, mut best, mut best_rank) = (self.cap + e, e as u32, self.rank[e]);
-        while node > 1 && self.winner.get(node / 2) == Some(&(e as u32)) {
-            let other = self.winner[node ^ 1];
-            let other_rank = self.rank[other as usize];
-            if other_rank < best_rank {
-                (best, best_rank) = (other, other_rank);
-            }
-            node /= 2;
-            self.winner[node] = best;
-        }
-    }
-}
-
-/// Merge top-K snapshots from many endpoints into one ranked list of at
-/// most `cap` entries. Order-independent: entries are folded through a
-/// `BTreeMap` (counts and errors sum per key) before re-ranking, so the
-/// merge result does not depend on thread completion order.
-pub fn merge_top(lists: &[Vec<TopEntry>], cap: usize) -> Vec<TopEntry> {
-    let mut by_key: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for list in lists {
-        for e in list {
-            let slot = by_key.entry(e.key).or_insert((0, 0));
-            slot.0 += e.count;
-            slot.1 += e.err;
-        }
-    }
-    let mut v: Vec<TopEntry> = by_key
-        .into_iter()
-        .map(|(key, (count, err))| TopEntry { key, count, err })
-        .collect();
-    v.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-    v.truncate(cap);
-    v
-}
-
-/// Parse a rendered ranked list whose entries name their key `key` and
-/// their weight `count` (the heat lists say `key`/`count`, the session
-/// split `session`/`bytes`).
-pub(crate) fn top_from_json(list: &Json, key: &str, count: &str) -> Option<Vec<TopEntry>> {
-    list.as_array()?
-        .iter()
-        .map(|e| {
-            Some(TopEntry {
-                key: e.get(key)?.as_u64()?,
-                count: e.get(count)?.as_u64()?,
-                err: e.get("err")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// A space-saving ranked list is sorted by weight, heaviest first, and
-/// no entry's overestimate bound exceeds its weight.
-pub(crate) fn top_violations(name: &str, list: &[TopEntry]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut prev = u64::MAX;
-    for (i, e) in list.iter().enumerate() {
-        if e.count > prev {
-            out.push(format!("{name}[{i}] not sorted by weight desc"));
-        }
-        if e.err > e.count {
-            out.push(format!("{name}[{i}]: err {} exceeds its weight {}", e.err, e.count));
-        }
-        prev = e.count;
-    }
-    out
 }
 
 /// One observed lock wait: `waiter` failed to acquire `addr` because
@@ -406,10 +270,11 @@ pub fn wait_for_analysis(raw: &[WaitEdge]) -> WaitForSummary {
 /// run's) contention observations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContentionSnapshot {
-    /// Hot keys ranked by accumulated lock-wait virtual nanoseconds.
-    pub wait_top: Vec<TopEntry>,
-    /// Hot lock words ranked by CAS retries (failed compare-and-swaps).
-    pub cas_top: Vec<TopEntry>,
+    /// Lock words (packed addresses) by accumulated lock-wait virtual
+    /// nanoseconds.
+    pub wait_top: HotList,
+    /// Lock words by CAS retries (failed compare-and-swaps).
+    pub cas_top: HotList,
     /// Raw wait-for edges (bounded, deduplicated at merge).
     pub edges: Vec<WaitEdge>,
     /// Coherence broadcasts issued (one per propagated write with >0
@@ -425,20 +290,11 @@ pub struct ContentionSnapshot {
     pub edges_dropped: u64,
 }
 
-/// How many ranked entries survive a merge (and reach the JSON report).
-pub const MERGED_TOP_K: usize = 16;
-
 impl ContentionSnapshot {
     /// Fold another snapshot in. Order-independent.
     pub fn merge(&mut self, other: &ContentionSnapshot) {
-        self.wait_top = merge_top(
-            &[std::mem::take(&mut self.wait_top), other.wait_top.clone()],
-            MERGED_TOP_K,
-        );
-        self.cas_top = merge_top(
-            &[std::mem::take(&mut self.cas_top), other.cas_top.clone()],
-            MERGED_TOP_K,
-        );
+        self.wait_top.merge(&other.wait_top);
+        self.cas_top.merge(&other.cas_top);
         self.edges.extend_from_slice(&other.edges);
         self.edges.sort();
         self.edges.dedup();
@@ -452,14 +308,6 @@ impl ContentionSnapshot {
     /// The wait-for fold of the collected edges.
     pub fn wait_for(&self) -> WaitForSummary {
         wait_for_analysis(&self.edges)
-    }
-
-    /// What a `contention` object that re-renders to itself can still
-    /// get wrong: the order and error bounds of its ranked lists.
-    pub fn violations(&self) -> Vec<String> {
-        let mut out = top_violations("top_wait_ns", &self.wait_top);
-        out.extend(top_violations("top_cas_retries", &self.cas_top));
-        out
     }
 
     /// Rebuild a snapshot from a parsed `contention` object — the read
@@ -478,8 +326,8 @@ impl ContentionSnapshot {
             });
         }
         Some(Self {
-            wait_top: top_from_json(v.get("top_wait_ns")?, "key", "count")?,
-            cas_top: top_from_json(v.get("top_cas_retries")?, "key", "count")?,
+            wait_top: HotList::from_json(v.get("top_wait_ns")?, "key", "count")?,
+            cas_top: HotList::from_json(v.get("top_cas_retries")?, "key", "count")?,
             edges,
             inval_broadcasts: co.get("broadcasts")?.as_u64()?,
             inval_msgs: co.get("messages")?.as_u64()?,
@@ -491,23 +339,11 @@ impl ContentionSnapshot {
 
     /// Deterministic JSON (insertion-ordered objects, sorted lists).
     pub fn to_json(&self) -> Json {
-        let top = |list: &[TopEntry]| {
-            Json::A(
-                list.iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("key", Json::U(e.key)),
-                            ("count", Json::U(e.count)),
-                            ("err", Json::U(e.err)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
+        let top = |e: &TopEntry| Json::obj(vec![("key", Json::U(e.key)), ("count", Json::U(e.count))]);
         let wf = self.wait_for();
         Json::obj(vec![
-            ("top_wait_ns", top(&self.wait_top)),
-            ("top_cas_retries", top(&self.cas_top)),
+            ("top_wait_ns", self.wait_top.to_json(top)),
+            ("top_cas_retries", self.cas_top.to_json(top)),
             (
                 "wait_for",
                 Json::obj(vec![
@@ -549,79 +385,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn topk_exact_when_under_capacity() {
-        let mut t = TopK::new(8);
-        for k in 0..5u64 {
-            t.offer(k, k + 1);
+    fn tally_counts_every_key_exactly_across_growth() {
+        // Far more keys than the first table holds, in both key shapes
+        // (low range bits, high node bits), key 0 included.
+        let mut t = Tally::<2>::default();
+        let mut truth: BTreeMap<u64, [u64; 2]> = BTreeMap::new();
+        for i in 0..5_000u64 {
+            let key = if i % 4 == 3 { (i % 97) << 48 } else { i % 211 };
+            let totals = t.at(key);
+            totals[0] += i % 3;
+            totals[1] += 1;
+            let want = truth.entry(key).or_default();
+            want[0] += i % 3;
+            want[1] += 1;
         }
-        for k in 0..5u64 {
-            let e = t.get(k).unwrap();
-            assert_eq!(e.count, k + 1);
-            assert_eq!(e.err, 0);
-        }
-    }
-
-    #[test]
-    fn topk_never_undercounts_heavy_hitter_beyond_error_bound() {
-        // Deterministic pseudo-random stream with a planted heavy
-        // hitter; space-saving guarantees true ≤ est and est−err ≤ true.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut t = TopK::new(16);
-        let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut total = 0u64;
-        for i in 0..20_000u64 {
-            let key = if i % 3 == 0 { 42 } else { next() % 512 };
-            t.offer(key, 1);
-            *truth.entry(key).or_default() += 1;
-            total += 1;
-        }
-        // Every surviving entry satisfies the sandwich bound.
-        for e in t.snapshot() {
-            let true_count = truth.get(&e.key).copied().unwrap_or(0);
-            assert!(e.count >= true_count, "estimate must not undercount");
-            assert!(
-                e.count - e.err <= true_count,
-                "estimate minus error must lower-bound the true count"
-            );
-            assert!(e.err <= total / 16, "error bounded by W/m");
-        }
-        // The planted heavy hitter (true weight ~6667 >> W/m = 1250)
-        // must be present and ranked first.
-        let snap = t.snapshot();
-        assert_eq!(snap[0].key, 42);
-        assert!(snap[0].count >= truth[&42]);
-    }
-
-    #[test]
-    fn topk_eviction_is_deterministic() {
-        let offers = [(7u64, 3u64), (9, 3), (11, 1), (13, 5), (11, 1), (15, 2)];
-        let run = || {
-            let mut t = TopK::new(3);
-            for (k, w) in offers {
-                t.offer(k, w);
+        for c in 0..2 {
+            let mut want = HotList::default();
+            for (&key, totals) in &truth {
+                want.add(key, totals[c]);
             }
-            t.snapshot()
-        };
-        assert_eq!(run(), run());
+            assert_eq!(t.hot_list(c), want, "total {c}");
+        }
+        t.clear();
+        assert!(t.hot_list(1).is_empty());
+        *t.at(7) = [0, 2];
+        assert_eq!(t.hot_list(1).ranked(), [TopEntry { key: 7, count: 2 }]);
+        assert!(t.hot_list(0).is_empty(), "a zero total adds no key");
     }
 
     #[test]
     fn merge_is_order_independent() {
-        let mut a = TopK::new(4);
-        let mut b = TopK::new(4);
+        let (mut a, mut b) = (HotList::default(), HotList::default());
         for i in 0..10u64 {
-            a.offer(i % 5, i);
-            b.offer(i % 3, 1);
+            a.add(i % 5, i);
+            b.add(i % 3, 1);
         }
-        let ab = merge_top(&[a.snapshot(), b.snapshot()], 4);
-        let ba = merge_top(&[b.snapshot(), a.snapshot()], 4);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
         assert_eq!(ab, ba);
+        assert_eq!(ab.ranked()[0], TopEntry { key: 4, count: 13 });
     }
 
     #[test]
@@ -665,11 +469,9 @@ mod tests {
     fn snapshot_merge_and_json_are_deterministic() {
         let mk = |seed: u64| {
             let mut s = ContentionSnapshot::default();
-            let mut t = TopK::new(4);
             for i in 0..8 {
-                t.offer((seed + i) % 6, i + 1);
+                s.wait_top.add((seed + i) % 6, i + 1);
             }
-            s.wait_top = t.snapshot();
             s.edges.push(WaitEdge { waiter: seed, holder: seed + 1, addr: 7 });
             s.inval_broadcasts = seed;
             s.inval_msgs = seed * 3;

@@ -36,8 +36,8 @@
 //!   blame attribution for every nanosecond of a slow transaction, and
 //!   a deterministic worst-K exemplar reservoir merged cross-session.
 //! * [`utilization`] — the capacity/placement plane: per-memory-node
-//!   ingress/egress/occupancy windows, space-saving heat top-K over
-//!   64 KiB page ranges split by session and txn phase, and the
+//!   ingress/egress/occupancy windows, exact heat lists over 64 KiB
+//!   page ranges split by session and txn phase, and the
 //!   [`analysis`] imbalance indices (Gini, max/mean) plus the
 //!   deterministic placement advisor that turns heat + cold nodes into
 //!   a typed move plan for the reshard layer.
@@ -70,7 +70,8 @@ pub use analysis::{
 };
 pub use live::{Gauge, GaugeRecorder, HealthSnapshot, GAUGES};
 pub use contention::{
-    merge_top, wait_for_analysis, ContentionSnapshot, TopEntry, TopK, WaitEdge, WaitForSummary,
+    wait_for_analysis, ContentionSnapshot, HotList, TopEntry, WaitEdge, WaitForSummary,
+    MERGED_TOP_K,
 };
 pub use forensics::{
     blame_name, blame_of, extract, forensics_from_json, forensics_json, Blame, ForensicsCollector,
@@ -85,6 +86,6 @@ pub use trace::ChromeTrace;
 pub use utilization::{
     heat_key, heat_key_base_offset, heat_key_node, utilization_from_json, utilization_json,
     NodeUtil, PhaseLoad, UtilRecorder, UtilSnapshot, UtilWindow, HEAT_RANGE_BYTES,
-    HEAT_RANGE_SHIFT, HEAT_TOP_K, UTIL_PHASES,
+    HEAT_RANGE_SHIFT, UTIL_PHASES,
 };
 pub use watchdog::{AlertEvent, AlertKind, AlertState, Watchdog, WatchdogConfig};

@@ -29,8 +29,9 @@ use crate::watchdog::{log_violations, AlertEvent, AlertKind, AlertState};
 
 /// Schema version stamped into every report, bumped on breaking changes.
 /// v2 added the `timeseries` section, v3 `health` and `alerts`, v4
-/// `forensics`, v5 `utilization` — see [`Section`].
-pub const SCHEMA_VERSION: u64 = 5;
+/// `forensics`, v5 `utilization` — see [`Section`]; v6 dropped `err` from
+/// every ranked list, whose counts became exact.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The plane sections every report carries between `rows` and
 /// `headline`, in document order. Each is rendered from one snapshot
@@ -46,7 +47,7 @@ pub enum Section {
     Alerts,
     /// [`forensics_json`]: blame histogram plus worst-K exemplars.
     Forensics,
-    /// [`utilization_json`]: per-memory-node load, heat top-K, splits
+    /// [`utilization_json`]: per-memory-node load, heat lists, splits
     /// and imbalance indices.
     Utilization,
 }
@@ -179,7 +180,7 @@ pub fn embedded_violations(ctx: &str, v: &Json, out: &mut Vec<String>) {
                         member,
                         ContentionSnapshot::from_json(member),
                         ContentionSnapshot::to_json,
-                        ContentionSnapshot::violations,
+                        |_| Vec::new(),
                     ),
                     _ => Vec::new(),
                 };

@@ -14,15 +14,15 @@
 //!   high-water mark (atomic-unit queueing observed at that node).
 //!   Occupancy (allocated vs capacity bytes) is stamped onto the
 //!   snapshot by the harness that owns the allocators.
-//! * **Per-key-range heat** — space-saving [`TopK`] sketches of 64 KiB
-//!   page ranges by remote bytes, verbs, and remote ns
-//!   ([`heat_key`] packs `(node, offset >> 16)` into one key), plus a
-//!   by-session sketch (weighted by remote bytes) and a fixed by-phase
-//!   table, so heat splits by *who* (session) and *when* (txn phase).
+//! * **Per-key-range heat** — one exact [`Tally`] entry per 64 KiB
+//!   page range holding its remote bytes, verbs and remote ns
+//!   ([`heat_key`] packs `(node, offset >> 16)` into one key), plus
+//!   remote bytes per session and a fixed by-phase table, so heat
+//!   splits by *who* (session) and *when* (txn phase).
 //! * **A mergeable snapshot** — [`UtilSnapshot`] merges across
 //!   endpoints like every other telemetry product: associative,
 //!   commutative window sums (high-water marks merge by max, which is
-//!   exact for maxima), heat lists through [`merge_top`].
+//!   exact for maxima), hot lists by addition.
 //!
 //! Like the series and gauge recorders, [`UtilRecorder`] reads the
 //! caller-supplied virtual timestamp but never advances any clock:
@@ -30,21 +30,17 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::contention::{merge_top, top_from_json, top_violations, TopEntry, TopK};
+use crate::contention::{HotList, Tally, TopEntry};
 use crate::json::Json;
 use crate::span::{bucket_name, OTHER_BUCKET};
 use crate::window::{self, Window, Windowed};
 
-/// Page-range granularity of the heat sketches: offsets are bucketed
+/// Page-range granularity of the heat lists: offsets are bucketed
 /// into `1 << HEAT_RANGE_SHIFT`-byte ranges (64 KiB).
 pub const HEAT_RANGE_SHIFT: u64 = 16;
 
 /// Bytes covered by one heat range.
 pub const HEAT_RANGE_BYTES: u64 = 1 << HEAT_RANGE_SHIFT;
-
-/// Per-endpoint capacity of each heat sketch. Merged lists are cut to
-/// [`crate::contention::MERGED_TOP_K`] by the report layer.
-pub const HEAT_TOP_K: usize = 32;
 
 /// Phase buckets tracked by the by-phase table (named phases + other).
 pub const UTIL_PHASES: usize = OTHER_BUCKET + 1;
@@ -142,16 +138,17 @@ impl PhaseLoad {
 pub struct UtilRecorder {
     /// Configured window width (0 = off); every node track starts at it.
     width_ns: Cell<u64>,
-    /// Session tag recorded into the by-session sketch (0 = untagged).
+    /// Session tag the by-session split charges (0 = untagged).
     session_tag: Cell<u64>,
+    /// Remote bytes moved under `session_tag` not yet in `by_session`.
+    session_bytes: Cell<u64>,
     /// Per-node window tracks, keyed by node id (small linear vec —
     /// clusters have a handful of memory nodes). A track doubles its
     /// width on its own; [`UtilRecorder::snapshot`] aligns them.
     nodes: RefCell<Vec<(u64, Windowed<UtilWindow>)>>,
-    heat_bytes: RefCell<TopK>,
-    heat_verbs: RefCell<TopK>,
-    heat_ns: RefCell<TopK>,
-    by_session: RefCell<TopK>,
+    /// Per heat range: remote bytes, verbs, remote ns.
+    heat: RefCell<Tally<3>>,
+    by_session: RefCell<HotList>,
     by_phase: RefCell<[PhaseLoad; UTIL_PHASES]>,
 }
 
@@ -167,11 +164,10 @@ impl UtilRecorder {
         Self {
             width_ns: Cell::new(0),
             session_tag: Cell::new(0),
+            session_bytes: Cell::new(0),
             nodes: RefCell::new(Vec::new()),
-            heat_bytes: RefCell::new(TopK::new(0)),
-            heat_verbs: RefCell::new(TopK::new(0)),
-            heat_ns: RefCell::new(TopK::new(0)),
-            by_session: RefCell::new(TopK::new(0)),
+            heat: RefCell::new(Tally::default()),
+            by_session: RefCell::new(HotList::default()),
             by_phase: RefCell::new([PhaseLoad::default(); UTIL_PHASES]),
         }
     }
@@ -180,12 +176,7 @@ impl UtilRecorder {
     /// Drops any previously recorded state.
     pub fn enable(&self, width_ns: u64) {
         self.width_ns.set(width_ns);
-        self.reset_state();
-        let cap = if width_ns == 0 { 0 } else { HEAT_TOP_K };
-        *self.heat_bytes.borrow_mut() = TopK::new(cap);
-        *self.heat_verbs.borrow_mut() = TopK::new(cap);
-        *self.heat_ns.borrow_mut() = TopK::new(cap);
-        *self.by_session.borrow_mut() = TopK::new(cap);
+        self.clear();
     }
 
     /// Whether capture is on.
@@ -196,7 +187,8 @@ impl UtilRecorder {
     /// Tag subsequent traffic with a session id for the by-session heat
     /// split (0 = untagged; untagged traffic is skipped there).
     pub fn set_session(&self, tag: u64) {
-        self.session_tag.set(tag);
+        let mut by_session = self.by_session.borrow_mut();
+        by_session.add(self.session_tag.replace(tag), self.session_bytes.take());
     }
 
     /// Record one verb's fabric load at virtual time `now_ns`:
@@ -240,13 +232,13 @@ impl UtilRecorder {
                 w.queue_hwm_ns = w.queue_hwm_ns.max(queue_ns);
             });
         }
-        let key = heat_key(node, offset);
-        self.heat_bytes.borrow_mut().offer(key, bytes);
-        self.heat_verbs.borrow_mut().offer(key, 1);
-        self.heat_ns.borrow_mut().offer(key, remote_ns);
-        let tag = self.session_tag.get();
-        if tag != 0 {
-            self.by_session.borrow_mut().offer(tag, bytes);
+        let mut heat = self.heat.borrow_mut();
+        let range = heat.at(heat_key(node, offset));
+        range[0] += bytes;
+        range[1] += 1;
+        range[2] += remote_ns;
+        if self.session_tag.get() != 0 {
+            self.session_bytes.set(self.session_bytes.get() + bytes);
         }
         let mut phases = self.by_phase.borrow_mut();
         let p = &mut phases[phase.min(OTHER_BUCKET)];
@@ -257,17 +249,12 @@ impl UtilRecorder {
 
     /// Drop all recorded state and restore the configured base width.
     pub fn clear(&self) {
-        self.reset_state();
-        self.heat_bytes.borrow_mut().reset();
-        self.heat_verbs.borrow_mut().reset();
-        self.heat_ns.borrow_mut().reset();
-        self.by_session.borrow_mut().reset();
-    }
-
-    fn reset_state(&self) {
         self.nodes.borrow_mut().clear();
+        self.heat.borrow_mut().clear();
+        *self.by_session.borrow_mut() = HotList::default();
         *self.by_phase.borrow_mut() = [PhaseLoad::default(); UTIL_PHASES];
         self.session_tag.set(0);
+        self.session_bytes.set(0);
     }
 
     /// Copy out the recorded utilization (empty when disabled). Node
@@ -295,13 +282,16 @@ impl UtilRecorder {
             n.windows.resize(max_len, UtilWindow::ZERO);
         }
         out.sort_by_key(|n| n.node);
+        let heat = self.heat.borrow();
+        let mut by_session = self.by_session.borrow().clone();
+        by_session.add(self.session_tag.get(), self.session_bytes.get());
         UtilSnapshot {
             window_ns,
             nodes: out,
-            heat_bytes: self.heat_bytes.borrow().snapshot(),
-            heat_verbs: self.heat_verbs.borrow().snapshot(),
-            heat_ns: self.heat_ns.borrow().snapshot(),
-            by_session: self.by_session.borrow().snapshot(),
+            heat_bytes: heat.hot_list(0),
+            heat_verbs: heat.hot_list(1),
+            heat_ns: heat.hot_list(2),
+            by_session,
             by_phase: trim_phases(self.by_phase.borrow().to_vec()),
         }
     }
@@ -349,21 +339,21 @@ impl NodeUtil {
 }
 
 /// The mergeable utilization product: per-node windowed load, heat
-/// top-K sketches, and the session/phase splits.
+/// lists, and the session/phase splits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilSnapshot {
     /// Window width, virtual ns (0 only for the empty snapshot).
     pub window_ns: u64,
     /// Per-node tracks, sorted by node id, padded to a common length.
     pub nodes: Vec<NodeUtil>,
-    /// Hottest page ranges by remote bytes (count desc, key asc).
-    pub heat_bytes: Vec<TopEntry>,
-    /// Hottest page ranges by verb count.
-    pub heat_verbs: Vec<TopEntry>,
-    /// Hottest page ranges by remote ns.
-    pub heat_ns: Vec<TopEntry>,
-    /// Heaviest sessions by remote bytes (key = session tag).
-    pub by_session: Vec<TopEntry>,
+    /// Remote bytes per page range.
+    pub heat_bytes: HotList,
+    /// Verbs per page range.
+    pub heat_verbs: HotList,
+    /// Remote ns per page range.
+    pub heat_ns: HotList,
+    /// Remote bytes per session (key = session tag).
+    pub by_session: HotList,
     /// Fabric load per phase bucket ([`UTIL_PHASES`] entries).
     pub by_phase: Vec<PhaseLoad>,
 }
@@ -419,8 +409,7 @@ impl UtilSnapshot {
     }
 
     /// What a `utilization` section that re-renders to itself can
-    /// still get wrong: an occupancy stamp above its capacity, and the
-    /// order and error bounds of the heat and session rankings.
+    /// still get wrong: an occupancy stamp above its capacity.
     pub fn violations(&self) -> Vec<String> {
         if self.window_ns == 0 && !self.is_empty() {
             return vec!["windows recorded with window_ns = 0".into()];
@@ -433,14 +422,6 @@ impl UtilSnapshot {
                     n.node, n.allocated_bytes, n.capacity_bytes
                 ));
             }
-        }
-        for (name, list) in [
-            ("heat.by_bytes", &self.heat_bytes),
-            ("heat.by_verbs", &self.heat_verbs),
-            ("heat.by_remote_ns", &self.heat_ns),
-            ("by_session", &self.by_session),
-        ] {
-            out.extend(top_violations(name, list));
         }
         out
     }
@@ -458,18 +439,9 @@ impl UtilSnapshot {
 
     /// Fold `other` into `self`. Window widths align to their least
     /// common multiple; per-node windows add (high-water marks max),
-    /// heat lists fold through [`merge_top`], phase loads add, and
-    /// occupancy stamps take the max (stamps are point-in-time
-    /// allocator readings, not flows). Associative and commutative,
-    /// like every other telemetry merge.
-    ///
-    /// The folded heat lists are deliberately *not* truncated here:
-    /// truncating mid-fold would make an iterative many-way merge
-    /// depend on fold order (a key evicted early cannot regain rank
-    /// later). The union stays bounded — each input carries at most
-    /// [`HEAT_TOP_K`] entries per list — and the JSON render trims to
-    /// [`crate::contention::MERGED_TOP_K`] deterministically after the
-    /// final sort.
+    /// hot lists and phase loads add, and occupancy stamps take the max
+    /// (stamps are point-in-time allocator readings, not flows).
+    /// Associative and commutative, like every other telemetry merge.
     pub fn merge(&mut self, other: &UtilSnapshot) {
         if other.is_empty() {
             return;
@@ -501,19 +473,10 @@ impl UtilSnapshot {
         for n in &mut self.nodes {
             n.windows.resize(len, UtilWindow::default());
         }
-        self.heat_bytes = merge_top(
-            &[std::mem::take(&mut self.heat_bytes), o.heat_bytes],
-            usize::MAX,
-        );
-        self.heat_verbs = merge_top(
-            &[std::mem::take(&mut self.heat_verbs), o.heat_verbs],
-            usize::MAX,
-        );
-        self.heat_ns = merge_top(&[std::mem::take(&mut self.heat_ns), o.heat_ns], usize::MAX);
-        self.by_session = merge_top(
-            &[std::mem::take(&mut self.by_session), o.by_session],
-            usize::MAX,
-        );
+        self.heat_bytes.merge(&o.heat_bytes);
+        self.heat_verbs.merge(&o.heat_verbs);
+        self.heat_ns.merge(&o.heat_ns);
+        self.by_session.merge(&o.by_session);
         if self.by_phase.len() < o.by_phase.len() {
             self.by_phase.resize(o.by_phase.len(), PhaseLoad::default());
         }
@@ -523,21 +486,15 @@ impl UtilSnapshot {
     }
 }
 
-fn heat_list_json(list: &[TopEntry]) -> Json {
-    Json::A(
-        list.iter()
-            .take(crate::contention::MERGED_TOP_K)
-            .map(|e| {
-                Json::obj(vec![
-                    ("key", Json::U(e.key)),
-                    ("node", Json::U(heat_key_node(e.key))),
-                    ("base_offset", Json::U(heat_key_base_offset(e.key))),
-                    ("count", Json::U(e.count)),
-                    ("err", Json::U(e.err)),
-                ])
-            })
-            .collect(),
-    )
+fn heat_list_json(list: &HotList) -> Json {
+    list.to_json(|e: &TopEntry| {
+        Json::obj(vec![
+            ("key", Json::U(e.key)),
+            ("node", Json::U(heat_key_node(e.key))),
+            ("base_offset", Json::U(heat_key_base_offset(e.key))),
+            ("count", Json::U(e.count)),
+        ])
+    })
 }
 
 /// Utilization snapshot → the report `utilization` section. Per-node
@@ -609,19 +566,7 @@ pub fn utilization_json(u: &UtilSnapshot) -> Json {
         ),
         (
             "by_session",
-            Json::A(
-                u.by_session
-                    .iter()
-                    .take(crate::contention::MERGED_TOP_K)
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("session", Json::U(e.key)),
-                            ("bytes", Json::U(e.count)),
-                            ("err", Json::U(e.err)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            u.by_session.to_json(|e| Json::obj(vec![("session", Json::U(e.key)), ("bytes", Json::U(e.count))])),
         ),
         ("by_phase", phases),
         (
@@ -676,7 +621,7 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
         });
     }
     let heat = section.get("heat")?;
-    let heat_list = |name: &str| top_from_json(heat.get(name)?, "key", "count");
+    let heat_list = |name: &str| HotList::from_json(heat.get(name)?, "key", "count");
     let mut by_phase = vec![PhaseLoad::default(); UTIL_PHASES];
     if let Some(Json::O(members)) = section.get("by_phase") {
         for (name, p) in members {
@@ -694,7 +639,7 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
         heat_bytes: heat_list("by_bytes")?,
         heat_verbs: heat_list("by_verbs")?,
         heat_ns: heat_list("by_remote_ns")?,
-        by_session: top_from_json(section.get("by_session")?, "session", "bytes")?,
+        by_session: HotList::from_json(section.get("by_session")?, "session", "bytes")?,
         by_phase: trim_phases(by_phase),
     })
 }
@@ -743,10 +688,9 @@ mod tests {
         assert_eq!(s.nodes[1].windows[1].ingress_bytes, 16);
         // Heat: node 1 offsets 0 and 8 share a 64 KiB range; 1<<20 is
         // a different range.
-        let hot = &s.heat_bytes[0];
-        assert_eq!(hot.key, heat_key(1, 0));
-        assert_eq!(hot.count, 96);
-        assert!(s.heat_bytes.iter().any(|e| e.key == heat_key(1, 1 << 20)));
+        let hot = s.heat_bytes.ranked();
+        assert_eq!(hot[0], TopEntry { key: heat_key(1, 0), count: 96 });
+        assert!(hot.iter().any(|e| e.key == heat_key(1, 1 << 20)));
         // Phase split: bucket 2 carried 96 bytes over 2 verbs.
         assert_eq!(s.by_phase[2].bytes, 96);
         assert_eq!(s.by_phase[2].verbs, 2);
@@ -764,11 +708,16 @@ mod tests {
         r.note(30, 0, 0, false, 36, 10, 0, 0);
         r.set_session(9);
         r.note(40, 0, 0, true, 10, 10, 0, 0);
-        let s = r.snapshot();
-        assert_eq!(s.by_session.len(), 2);
-        assert_eq!(s.by_session[0].key, 7);
-        assert_eq!(s.by_session[0].count, 100);
-        assert_eq!(s.by_session[1].key, 9);
+        r.set_session(7);
+        r.note(50, 0, 0, true, 1, 10, 0, 0);
+        // A snapshot includes the bytes of the session still tagged, and
+        // taking one changes nothing.
+        for _ in 0..2 {
+            assert_eq!(
+                r.snapshot().by_session.ranked(),
+                [TopEntry { key: 7, count: 101 }, TopEntry { key: 9, count: 10 }]
+            );
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl std::error::Error for LockError {}
 /// Exponential virtual-time backoff between lock attempts: 100 ns
 /// doubling up to ~25 µs, so contenders drain instead of hammering the
 /// remote atomic unit. The wait is attributed to `lock` in the
-/// endpoint's hot-key contention sketch, and — when the lock word named
+/// endpoint's hot-key contention tally, and — when the lock word named
 /// a holder (`holder_tag != 0`) — annotated with the holder's live
 /// trace id so forensics can follow the blocking edge (0 = unknown
 /// holder, e.g. a latch or an anonymous writer bit).
@@ -835,6 +835,7 @@ mod tests {
         assert!(merged.wait_ns_total > 0);
         assert!(merged
             .wait_top
+            .ranked()
             .iter()
             .any(|e| e.key == a.to_raw() || e.key == b.to_raw()));
     }

@@ -32,7 +32,7 @@ pub use tso::Tso;
 use dsm::{DsmError, DsmResult, GlobalAddr};
 use rdma_sim::{Endpoint, Phase};
 
-use crate::locks::{LockError, Rider};
+use crate::locks::{ExclusiveLock, LockError, Rider};
 use crate::table::RecordTable;
 
 /// One operation inside a transaction.
@@ -96,7 +96,8 @@ pub enum TxnError {
 
 /// Typed abort-cause taxonomy. One place owns the mapping from CC
 /// abort labels to causes, so the bench tally and the per-window
-/// abort metrics can never drift apart.
+/// abort metrics can never drift apart. `cause as usize` indexes
+/// [`AbortCause::NAMES`] and every per-cause tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {
     /// A no-wait lock was held by someone else for the whole retry
@@ -117,6 +118,19 @@ pub enum AbortCause {
     Transient,
     /// Anything else (unclassified CC labels, infrastructure errors).
     Other,
+}
+
+impl AbortCause {
+    /// Report name of every cause, in declaration order.
+    pub const NAMES: [&'static str; 7] = [
+        "lock_busy",
+        "lock_timeout",
+        "validation_fail",
+        "lease_stolen",
+        "node_unavailable",
+        "transient",
+        "other",
+    ];
 }
 
 impl TxnError {
@@ -417,6 +431,19 @@ pub(crate) fn apply_delta(payload: &mut [u8], delta: i64) {
     payload[0..8].copy_from_slice(&(cur + delta).to_le_bytes());
 }
 
+/// Release the exclusive lock of every key in `locked`, last taken
+/// first. Every release is attempted — one that fails must not leave the
+/// rest held, as there is no lease to expire them — and the first failure
+/// lands in `failed` unless it already holds one.
+pub(crate) fn release_all(ctx: &TxnCtx<'_>, locked: &[u64], failed: &mut Option<TxnError>) {
+    let _span = ctx.ep.span(Phase::LockAcquire);
+    for &key in locked.iter().rev() {
+        if let Err(e) = ExclusiveLock::release(ctx.table.layer(), ctx.ep, ctx.table.lock_addr(key)) {
+            failed.get_or_insert(e.into());
+        }
+    }
+}
+
 /// Sorted, deduplicated keys of `ops`.
 pub(crate) fn distinct_keys<'a>(ops: impl Iterator<Item = &'a Op>) -> Vec<u64> {
     let mut keys: Vec<u64> = ops.map(Op::key).collect();
@@ -437,7 +464,8 @@ pub(crate) fn key_sets(ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
 pub(crate) mod testutil {
     use super::*;
     use dsm::{DsmConfig, DsmLayer};
-    use rdma_sim::{Fabric, NetworkProfile};
+    use rdma_sim::{Fabric, Gauge, NetworkProfile, NodeId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// A small striped table on a zero-latency fabric (tests assert
@@ -455,6 +483,74 @@ pub(crate) mod testutil {
             },
         );
         Arc::new(RecordTable::create(&layer, n_records, payload, versions).unwrap())
+    }
+
+    /// Eight 16-byte records of `versions` versions striped over two
+    /// unreplicated groups (even keys on group 0) of a ConnectX-6 fabric,
+    /// so tests can place faults in virtual time.
+    pub fn timed_table(versions: usize) -> Arc<RecordTable> {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let layer = DsmLayer::build(
+            &fabric,
+            DsmConfig {
+                memory_nodes: 2,
+                capacity_per_node: 1 << 20,
+                replication: 1,
+                mem_cores: 1,
+                weak_cpu_factor: 4.0,
+            },
+        );
+        Arc::new(RecordTable::create(&layer, 8, 16, versions).unwrap())
+    }
+
+    /// [`DirectIo`] behind a cache's face, crashing `node` once `calls`
+    /// payload calls have been served.
+    pub struct CrashAfter {
+        pub node: NodeId,
+        pub calls: AtomicUsize,
+    }
+
+    impl CrashAfter {
+        fn served(&self, ep: &Endpoint) {
+            if self.calls.fetch_sub(1, Ordering::Relaxed) == 1 {
+                ep.fabric().crash(self.node).unwrap();
+            }
+        }
+    }
+
+    impl PayloadIo for CrashAfter {
+        fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
+            DirectIo.read_payload(ep, table, key, v, dst)?;
+            self.served(ep);
+            Ok(())
+        }
+
+        fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
+            DirectIo.write_payload(ep, table, key, v, src)?;
+            self.served(ep);
+            Ok(())
+        }
+    }
+
+    /// One Rmw on each of keys 0..4 of `t` (a [`timed_table`]) under
+    /// `cc`, with group 1 dying under the write phase, right after key 1's
+    /// payload landed: its unlocks fail, and group 0's must not be
+    /// skipped.
+    pub fn a_failed_unlock_leaves_no_reachable_lock_held<C: ConcurrencyControl>(cc: &C, t: &RecordTable) {
+        let dead = t.lock_addr(1).node();
+        let ep = t.layer().fabric().endpoint();
+        ep.enable_health(1_000);
+        let io = CrashAfter { node: dead, calls: AtomicUsize::new(2) };
+        let ctx = TxnCtx { ep: &ep, table: t, io: &io, worker_tag: 7 };
+        let ops: Vec<Op> = (0..4).map(|key| Op::Rmw { key, delta: 1 }).collect();
+        let err = cc.execute(&ctx, &ops).unwrap_err();
+        assert_eq!(err, TxnError::NodeUnavailable { node: dead }, "{}", cc.name());
+        for key in [0, 2] {
+            let lock = t.lock_addr(key);
+            let word = t.layer().fabric().region(lock.node()).unwrap().read_u64(lock.offset()).unwrap();
+            assert_eq!(word, 0, "{}: key {key} leaked", cc.name());
+        }
+        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2, "{}", cc.name());
     }
 
     /// Run `threads` workers, each executing `txns_per_worker` transfer

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{apply_delta, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use super::{apply_delta, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::locks::ExclusiveLock;
 use crate::oracle::TimestampOracle;
 
@@ -226,12 +226,7 @@ impl ConcurrencyControl for Mvcc {
             }
         }
 
-        let release_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in locked.iter().rev() {
-            ExclusiveLock::release(layer, ctx.ep, ctx.table.lock_addr(key))?;
-        }
-        drop(release_span);
-
+        release_all(ctx, &locked, &mut abort);
         match abort {
             None => Ok(out),
             Some(e) => Err(e),
@@ -243,7 +238,9 @@ impl ConcurrencyControl for Mvcc {
 mod tests {
     use super::*;
     use crate::oracle::FaaOracle;
-    use crate::protocols::testutil::{bank_invariant_holds, table};
+    use crate::protocols::testutil::{
+        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
+    };
     use crate::protocols::DirectIo;
     use crate::table::RecordTable;
     use rdma_sim::Endpoint;
@@ -262,6 +259,13 @@ mod tests {
         let t = table(16, 16, 4);
         let oracle = Arc::new(FaaOracle::new(t.layer()).unwrap());
         bank_invariant_holds(&Mvcc::new(oracle), &t, 4, 250);
+    }
+
+    #[test]
+    fn a_failed_unlock_does_not_leak_the_other_locks() {
+        let t = timed_table(2);
+        let oracle = Arc::new(FaaOracle::new(t.layer()).unwrap());
+        a_failed_unlock_leaves_no_reachable_lock_held(&Mvcc::new(oracle), &t);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use rdma_sim::Phase;
 
-use super::{apply_delta, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use super::{apply_delta, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::locks::ExclusiveLock;
 
 /// OCC with bounded-retry write-set locking.
@@ -176,11 +176,7 @@ impl ConcurrencyControl for Occ {
         }
 
         // Release locks regardless of outcome.
-        let _release_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in locked.iter().rev() {
-            ExclusiveLock::release(layer, ctx.ep, ctx.table.lock_addr(key))?;
-        }
-
+        release_all(ctx, &locked, &mut abort);
         match abort {
             None => Ok(out),
             Some(e) => Err(e),
@@ -191,7 +187,9 @@ impl ConcurrencyControl for Occ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, table};
+    use crate::protocols::testutil::{
+        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
+    };
     use crate::protocols::DirectIo;
 
     fn ctx_on<'a>(
@@ -211,6 +209,11 @@ mod tests {
     fn occ_preserves_bank_invariant() {
         let t = table(16, 16, 1);
         bank_invariant_holds(&Occ::new(), &t, 4, 300);
+    }
+
+    #[test]
+    fn a_failed_unlock_does_not_leak_the_other_locks() {
+        a_failed_unlock_leaves_no_reachable_lock_held(&Occ::new(), &timed_table(1));
     }
 
     #[test]

@@ -242,34 +242,14 @@ impl ConcurrencyControl for TwoPhaseLocking {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicUsize;
 
-    use dsm::{DsmConfig, DsmLayer, DsmResult};
-    use rdma_sim::{Endpoint, Fabric, FaultPlan, Gauge, NetworkProfile, NodeId};
+    use rdma_sim::{FaultPlan, Gauge};
 
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, table};
-    use crate::protocols::{DirectIo, PayloadIo};
+    use crate::protocols::testutil::{bank_invariant_holds, table, timed_table, CrashAfter};
+    use crate::protocols::DirectIo;
     use crate::table::RecordTable;
-
-    /// Eight 16-byte records striped over two unreplicated groups (even
-    /// keys on group 0) of a ConnectX-6 fabric, so tests can place faults
-    /// in virtual time.
-    fn timed_table() -> Arc<RecordTable> {
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let layer = DsmLayer::build(
-            &fabric,
-            DsmConfig {
-                memory_nodes: 2,
-                capacity_per_node: 1 << 20,
-                replication: 1,
-                mem_cores: 1,
-                weak_cpu_factor: 4.0,
-            },
-        );
-        Arc::new(RecordTable::create(&layer, 8, 16, 1).unwrap())
-    }
 
     fn rmw_each(keys: &[u64]) -> Vec<Op> {
         keys.iter().map(|&key| Op::Rmw { key, delta: 1 }).collect()
@@ -287,7 +267,7 @@ mod tests {
 
     #[test]
     fn a_busy_word_climbs_the_ladder_alone_then_one_doorbell_frees_the_rest() {
-        let t = timed_table();
+        let t = timed_table(1);
         let layer = t.layer();
         let holder = layer.fabric().endpoint();
         ExclusiveLock::acquire(layer, &holder, t.lock_addr(2), 42, 0).unwrap();
@@ -324,7 +304,7 @@ mod tests {
         let cc = TwoPhaseLocking::exclusive();
         // Acquire: group 1's primary refuses its first verb. Had the
         // first attempt taken word 0, the second would lose it to itself.
-        let t = timed_table();
+        let t = timed_table(1);
         let second = t.lock_addr(1).node();
         t.layer().fabric().install_fault_plan(FaultPlan::new(1).transient_first_n(second, 1));
         let ep = t.layer().fabric().endpoint();
@@ -336,7 +316,7 @@ mod tests {
 
         // Release: the acquire doorbell is pre-flighted at t = 0, the
         // release doorbell inside the partition, its retry after it.
-        let t = timed_table();
+        let t = timed_table(1);
         t.layer()
             .fabric()
             .install_fault_plan(FaultPlan::new(1).partition(second, 1, 12_000));
@@ -353,7 +333,7 @@ mod tests {
 
     #[test]
     fn a_crash_between_the_doorbells_leaves_no_word_held_on_a_reachable_node() {
-        let t = timed_table();
+        let t = timed_table(1);
         let dead = t.lock_addr(1).node();
         // Group 1 disappears right after the acquire doorbell left.
         t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
@@ -375,39 +355,10 @@ mod tests {
         assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2);
     }
 
-    /// [`DirectIo`] behind a cache's face, crashing `node` once `calls`
-    /// payload calls have been served.
-    struct CrashAfter {
-        node: NodeId,
-        calls: AtomicUsize,
-    }
-
-    impl CrashAfter {
-        fn served(&self, ep: &Endpoint) {
-            if self.calls.fetch_sub(1, Ordering::Relaxed) == 1 {
-                ep.fabric().crash(self.node).unwrap();
-            }
-        }
-    }
-
-    impl PayloadIo for CrashAfter {
-        fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
-            DirectIo.read_payload(ep, table, key, v, dst)?;
-            self.served(ep);
-            Ok(())
-        }
-
-        fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
-            DirectIo.write_payload(ep, table, key, v, src)?;
-            self.served(ep);
-            Ok(())
-        }
-    }
-
     #[test]
     fn a_failed_unlock_does_not_leak_the_other_locks() {
         for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
-            let t = timed_table();
+            let t = timed_table(1);
             let dead = t.lock_addr(1).node();
             let ep = t.layer().fabric().endpoint();
             ep.enable_health(1_000);

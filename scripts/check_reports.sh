@@ -4,7 +4,7 @@
 #
 #   scripts/check_reports.sh
 #
-# Exits non-zero and names the differing files on mismatch (~25 s). A
+# Exits non-zero and names the differing files on mismatch (~10 s). A
 # refactor of the verb path or a telemetry plane that leaves this green
 # has provably not moved a committed number in any of the `timeseries`,
 # `health`, `utilization` or `forensics` sections these reports carry.
@@ -13,8 +13,8 @@
 # exp_c3_cc_protocols, exp_c10_dsn_vs_dsm, exp_c11_commit,
 # exp_c12_hierarchy, exp_f2_scaling, exp_f3_architectures. Their sessions
 # run on free-running OS threads, so the interleaving — and with it the
-# report — differs run to run even on one host. ROADMAP direction A (a
-# deterministic session scheduler) is what moves them onto this list.
+# report — differs run to run even on one host. ROADMAP's deterministic
+# virtual-time scheduler is what moves them onto this list.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

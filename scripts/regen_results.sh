@@ -1,24 +1,19 @@
 #!/usr/bin/env bash
-# Regenerate every committed experiment artifact and both regression
-# baselines in one deterministic command:
+# Regenerate every committed experiment artifact in one command:
 #
 #   scripts/regen_results.sh
 #
-# Pass 1 runs all exp_* binaries at full scale into results/ (reports,
-# forensics exemplars, heat top-K, move plans), validates
-# the whole directory with check_telemetry, then promotes the fresh
-# BENCH_summary.json to results/BENCH_baseline.json.
+# Runs all exp_* binaries at full scale into results/ (reports,
+# forensics exemplars, heat lists, move plans) and validates the whole
+# directory with check_telemetry. The fresh results/BENCH_summary.json
+# is also the baseline `check_regression` compares later runs against.
 #
-# Pass 2 repeats the sweep at BENCH_SCALE=10 (the exact reduced scale
-# CI uses) into a scratch directory and promotes that summary to
-# results/BENCH_baseline_smoke.json, so the CI perf gate compares
-# smoke-scale runs against a smoke-scale baseline.
-#
-# Everything is virtual-time deterministic: same toolchain + same seed
-# (BENCH_SEED, default per-experiment) reproduces byte-identical JSON.
-# Run this after any intentional perf or schema change and commit the
-# refreshed results/ wholesale — see DESIGN.md (baseline-refresh
-# policy) for when that is legitimate.
+# The reports `scripts/check_reports.sh` lists are virtual-time
+# deterministic: same toolchain + same seed (BENCH_SEED, default
+# per-experiment) reproduces byte-identical JSON. Run this after any
+# intentional perf or schema change and commit the refreshed results/
+# wholesale — see DESIGN.md (baseline-refresh policy) for when that is
+# legitimate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,31 +47,10 @@ EXPERIMENTS=(
 echo "== build (release) =="
 cargo build --release
 
-run_sweep() {
-  local dir="$1" scale="${2-}"
-  mkdir -p "$dir"
-  for exp in "${EXPERIMENTS[@]}"; do
-    echo "== $exp (BENCH_SCALE=${scale:-1} -> $dir) =="
-    BENCH_RESULTS_DIR="$dir" BENCH_SCALE="${scale:-1}" "./target/release/$exp" >/dev/null
-  done
-  echo "== check_telemetry ($dir) =="
-  BENCH_RESULTS_DIR="$dir" ./target/release/check_telemetry
-}
-
-# Pass 1: full scale -> committed results/ + full-scale baseline.
-run_sweep results
-cp results/BENCH_summary.json results/BENCH_baseline.json
-echo "refreshed results/BENCH_baseline.json"
-
-# Pass 2: CI smoke scale -> smoke baseline only (scratch dir discarded).
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-run_sweep "$SMOKE_DIR" 10
-cp "$SMOKE_DIR/BENCH_summary.json" results/BENCH_baseline_smoke.json
-echo "refreshed results/BENCH_baseline_smoke.json"
-
-# Sanity: the fresh artifacts gate green against the baselines we just
-# promoted (tautological by construction, but catches tooling drift).
-./target/release/check_regression results/BENCH_baseline.json results/BENCH_summary.json
-./target/release/check_regression results/BENCH_baseline_smoke.json "$SMOKE_DIR/BENCH_summary.json"
-echo "regen complete: results/ + both baselines are fresh"
+for exp in "${EXPERIMENTS[@]}"; do
+  echo "== $exp =="
+  BENCH_RESULTS_DIR=results BENCH_SCALE=1 "./target/release/$exp" >/dev/null
+done
+echo "== check_telemetry =="
+BENCH_RESULTS_DIR=results ./target/release/check_telemetry
+echo "regen complete: results/ is fresh"
