@@ -170,10 +170,6 @@ fn ablation_fabric(rep: &mut Report, txns: usize) {
             format!("{:.0}x", profile.gap_vs_local()),
             table::n(r.tps() as u64),
         ]);
-        if profile.name == NetworkProfile::rdma_cx6().name {
-            // Flagship fabric: carry its windowed series in the report.
-            r.planes.live().attach(rep, r.makespan_ns, r.sessions);
-        }
         rep.row(
             &format!("fabric={}", profile.name),
             vec![

@@ -134,10 +134,6 @@ fn main() {
             rep.headline("dsn_tps_after_shift", Json::F(dsn_tps));
             rep.headline("dsm_tps_after_shift", Json::F(dsm_tps));
         }
-        if w == windows - 1 {
-            // Last DSM window doubles as the report's time-series sample.
-            r.planes.live().attach(&mut rep, r.makespan_ns, r.sessions);
-        }
     }
     let moved = dsn.stats().reshard_bytes;
     rep.headline("dsn_reshard_bytes", Json::U(moved));

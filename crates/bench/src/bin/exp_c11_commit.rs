@@ -96,8 +96,6 @@ fn main() {
         if cross == 50 {
             rep.headline("sharded_2pc_tps_50cross", Json::F(sharded.tps()));
             rep.headline("onesided_tps_50cross", Json::F(direct.tps()));
-            // Flagship point of the sweep carries the windowed series.
-            sharded.planes.live().attach(&mut rep, sharded.makespan_ns, sharded.sessions);
         }
     }
     report::emit(&rep);

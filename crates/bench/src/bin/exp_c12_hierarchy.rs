@@ -13,20 +13,15 @@
 //! concurrency control across compute nodes".
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table, Planes};
+use bench::{scale_down, table};
 use dsm::{DsmConfig, DsmLayer};
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 use txn::hierarchy::HierarchicalLocks;
 use txn::{ExclusiveLock, LockError};
 
 const HOT_RECORDS: usize = 4;
 
-fn run(
-    threads: usize,
-    sections: usize,
-    hierarchical: bool,
-    capture: bool,
-) -> (f64, u64, Option<(Planes, u64)>) {
+fn run(threads: usize, sections: usize, hierarchical: bool) -> (f64, u64) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -41,7 +36,6 @@ fn run(
     let mgr = HierarchicalLocks::new(1);
     let total_cas = std::sync::atomic::AtomicU64::new(0);
     let makespan = std::sync::atomic::AtomicU64::new(0);
-    let planes = std::sync::Mutex::new(Planes::default());
     let barrier = std::sync::Barrier::new(threads);
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -49,13 +43,9 @@ fn run(
                 (fabric.clone(), layer.clone(), mgr.clone(), locks.clone(), data.clone());
             let total_cas = &total_cas;
             let makespan = &makespan;
-            let planes = &planes;
             let barrier = &barrier;
             s.spawn(move || {
                 let ep = fabric.endpoint();
-                if capture {
-                    Planes::enable(&ep, DEFAULT_WINDOW_NS, None);
-                }
                 barrier.wait();
                 for i in 0..sections {
                     let idx = (t + i) % HOT_RECORDS;
@@ -92,9 +82,6 @@ fn run(
                 }
                 total_cas.fetch_add(ep.stats().cas, std::sync::atomic::Ordering::Relaxed);
                 makespan.fetch_max(ep.clock().now_ns(), std::sync::atomic::Ordering::Relaxed);
-                if capture {
-                    planes.lock().unwrap().collect(&ep);
-                }
             });
         }
     });
@@ -103,7 +90,6 @@ fn run(
     (
         total * 1e9 / ns.max(1) as f64,
         total_cas.load(std::sync::atomic::Ordering::Relaxed),
-        capture.then(|| (planes.into_inner().unwrap(), ns)),
     )
 }
 
@@ -124,10 +110,8 @@ fn main() {
         "hier CAS",
     ]);
     for &threads in &[1usize, 2, 4, 8] {
-        let (flat_tps, flat_cas, _) = run(threads, sections, false, false);
-        // The 8-thread hierarchical run is the flagship and carries the
-        // report's windowed series.
-        let (hier_tps, hier_cas, flagship) = run(threads, sections, true, threads == 8);
+        let (flat_tps, flat_cas) = run(threads, sections, false);
+        let (hier_tps, hier_cas) = run(threads, sections, true);
         table::row(&[
             threads.to_string(),
             table::n(flat_tps as u64),
@@ -148,9 +132,6 @@ fn main() {
         if threads == 8 {
             rep.headline("flat_cas_8t", Json::U(flat_cas));
             rep.headline("hier_cas_8t", Json::U(hier_cas));
-        }
-        if let Some((planes, makespan)) = flagship {
-            planes.attach(&mut rep, makespan, threads as u32);
         }
     }
     report::emit(&rep);

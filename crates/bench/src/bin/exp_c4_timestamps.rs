@@ -13,9 +13,9 @@
 //! CPU saturates.
 
 use bench::report::{self, Json, Report};
-use bench::{lockstep, scale_down, table, Planes};
+use bench::{lockstep, scale_down, table};
 use dsm::{DsmConfig, DsmLayer};
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 use txn::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 
 fn throughput(
@@ -75,16 +75,6 @@ fn main() {
             rep.headline("faa_ts_per_s_64c", Json::F(faa_tps));
             rep.headline("rpc_ts_per_s_64c", Json::F(rpc_tps));
             rep.headline("hybrid_ts_per_s_64c", Json::F(hybrid_tps));
-            // Flagship replay with the time-series recorder on: the FAA
-            // oracle at max clients, windowed per-verb.
-            let eps: Vec<_> = (0..clients).map(|_| fabric.endpoint()).collect();
-            for ep in &eps {
-                Planes::enable(ep, DEFAULT_WINDOW_NS, Some(0));
-            }
-            let makespan = lockstep(&eps, per_client, |_i, ep| {
-                faa.next_ts(ep).unwrap();
-            });
-            Planes::of_endpoints(&eps).attach(&mut rep, makespan, eps.len() as u32);
         }
     }
     report::emit(&rep);

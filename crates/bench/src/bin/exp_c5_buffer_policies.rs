@@ -13,12 +13,12 @@
 //! hit rates — software overhead becomes the bottleneck.
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table, Planes};
+use bench::{scale_down, table};
 use buffer::{all_policies, BufferPool, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 use workload::ZipfGenerator;
 
 const RECORDS: u64 = 8_192;
@@ -32,14 +32,10 @@ struct PolicyRun {
     total_ms: f64,
 }
 
-fn run_gap(
-    profile: NetworkProfile,
-    trace: &[u64],
-    mut flagship: Option<&mut Report>,
-) -> Vec<PolicyRun> {
+fn run_gap(profile: NetworkProfile, trace: &[u64]) -> Vec<PolicyRun> {
     let frames = (RECORDS as f64 * POOL_FRACTION) as usize;
     let mut out = Vec::new();
-    for (pi, policy) in all_policies(frames).into_iter().enumerate() {
+    for policy in all_policies(frames) {
         let fabric = Fabric::new(profile);
         let layer = DsmLayer::build(
             &fabric,
@@ -54,21 +50,10 @@ fn run_gap(
         let name = policy.name();
         let pool = BufferPool::new(layer.clone(), PAGE, frames, policy, WriteMode::WriteThrough);
         let ep = fabric.endpoint();
-        // The first policy of the flagship gap carries the report's
-        // windowed series (cache hits/misses per window over the replay).
-        let capture = pi == 0 && flagship.is_some();
-        if capture {
-            Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
-        }
         let mut buf = vec![0u8; PAGE];
         for &key in trace {
             let addr = GlobalAddr::new(base.node(), base.offset() + key * PAGE as u64);
             pool.read_page(&ep, addr, &mut buf).unwrap();
-        }
-        if capture {
-            if let Some(rep) = flagship.as_deref_mut() {
-                Planes::of_endpoints(std::slice::from_ref(&ep)).attach(rep, ep.clock().now_ns(), 1);
-            }
         }
         let s = pool.stats();
         out.push(PolicyRun {
@@ -133,10 +118,10 @@ fn main() {
     rep.meta("pool_fraction", Json::F(POOL_FRACTION));
     rep.meta("ops", Json::U(n_ops as u64));
     println!("-- NVMe-class miss penalty (~100 us): hit rate dominates --\n");
-    let nvme_runs = run_gap(NetworkProfile::nvme_ssd(), &trace, None);
+    let nvme_runs = run_gap(NetworkProfile::nvme_ssd(), &trace);
     print_runs(&mut rep, "nvme", nvme_runs);
     println!("\n-- ConnectX-6 miss penalty (~1.7 us): software overhead matters --\n");
-    let rdma_runs = run_gap(NetworkProfile::rdma_cx6(), &trace, Some(&mut rep));
+    let rdma_runs = run_gap(NetworkProfile::rdma_cx6(), &trace);
     print_runs(&mut rep, "rdma", rdma_runs);
     report::emit(&rep);
     println!(

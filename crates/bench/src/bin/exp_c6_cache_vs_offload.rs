@@ -17,11 +17,11 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table, Planes};
+use bench::{scale_down, table};
 use buffer::{BufferPool, ClockPolicy, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use memnode::OffloadOutput;
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 
 const RECORDS: u64 = 4_096;
 const PAGE: usize = 256;
@@ -171,27 +171,6 @@ fn main() {
             rep.headline("offload_ns_per_q_8conc", Json::U(o));
             rep.headline("fetch_ns_per_q_hot", Json::U(f));
         }
-    }
-    // Flagship series: one hot-cache fetch stream, windowed per-verb and
-    // per-cache-event.
-    {
-        let pool = BufferPool::new(
-            layer.clone(),
-            PAGE,
-            2_048,
-            Box::new(ClockPolicy::new(2_048)),
-            WriteMode::WriteThrough,
-        );
-        let ep = layer.fabric().endpoint();
-        Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
-        let mut buf = vec![0u8; PAGE];
-        for _ in 0..reps {
-            for k in 0..SEGMENT {
-                pool.read_page(&ep, base.offset_by(k * PAGE as u64), &mut buf)
-                    .unwrap();
-            }
-        }
-        Planes::of_endpoints(std::slice::from_ref(&ep)).attach(&mut rep, ep.clock().now_ns(), 1);
     }
     report::emit(&rep);
     println!(

@@ -14,10 +14,10 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::{lockstep, scale_down, table, Planes};
+use bench::{lockstep, scale_down, table};
 use cloudstore::LogStore;
 use dsm::{DsmConfig, DsmLayer, DurabilityMode, DurableLog};
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 
 const RECORD: usize = 256;
 
@@ -39,13 +39,6 @@ fn run(
     );
     let log = DurableLog::new(mode_of(&layer), &layer, 4 << 20).unwrap();
     let eps: Vec<_> = (0..8).map(|_| fabric.endpoint()).collect();
-    // The replicated-log flagship carries the report's windowed series.
-    let capture = mode_name == "repl k=3" && group == 1;
-    if capture {
-        for ep in &eps {
-            Planes::enable(ep, DEFAULT_WINDOW_NS, Some(0));
-        }
-    }
     let record = vec![0xCCu8; RECORD];
     let rounds = commits / 8;
     let makespan = if group <= 1 {
@@ -79,9 +72,8 @@ fn run(
             ("client_us_per_round", Json::F(lat_us)),
         ],
     );
-    if capture {
+    if mode_name == "repl k=3" && group == 1 {
         rep.headline("repl_k3_commits_per_s", Json::F(tps));
-        Planes::of_endpoints(&eps).attach(rep, makespan, eps.len() as u32);
     }
 }
 

@@ -14,18 +14,18 @@
 use std::sync::Arc;
 
 use bench::report::{self, Json, Report};
-use bench::{table, Planes};
+use bench::table;
 use cloudstore::ObjectStore;
 use dsm::{
     CheckpointManager, DsmConfig, DsmLayer, DurabilityMode, DurableLog, ErasureConfig,
     ErasureStore, GlobalAddr,
 };
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 
 const NODE_CAP: usize = 512 << 10; // small regions keep user data ~= region size
 const PAGE: usize = 4_096;
 
-fn mirror3(rep: &mut Report) -> (f64, u64, u64) {
+fn mirror3() -> (f64, u64, u64) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -37,21 +37,15 @@ fn mirror3(rep: &mut Report) -> (f64, u64, u64) {
         },
     );
     let ep = fabric.endpoint();
-    // Populate some pages. This flagship scheme also carries the report's
-    // windowed series: populate writes followed by the recovery copy.
-    Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
+    // Populate some pages.
     for _ in 0..64 {
         let a = layer.alloc(PAGE as u64).unwrap();
         layer.write(&ep, a, &vec![7u8; PAGE]).unwrap();
     }
     layer.crash_member(0, 1).unwrap();
     let rec_ep = fabric.endpoint();
-    Planes::enable(&rec_ep, DEFAULT_WINDOW_NS, Some(0));
     let bytes = layer.recover_member_from_mirror(&rec_ep, 0, 1).unwrap();
-    let eps = [ep, rec_ep];
-    let makespan = eps.iter().map(|e| e.clock().now_ns()).max().unwrap();
-    Planes::of_endpoints(&eps).attach(rep, makespan, eps.len() as u32);
-    (3.0, eps[1].clock().now_ns(), bytes)
+    (3.0, rec_ep.clock().now_ns(), bytes)
 }
 
 fn erasure42() -> (f64, u64, u64) {
@@ -135,9 +129,8 @@ fn main() {
     rep.meta("node_capacity", Json::U(NODE_CAP as u64));
     rep.meta("page_bytes", Json::U(PAGE as u64));
     table::header(&["scheme", "mem overhead", "recovery ms", "bytes moved"]);
-    let mirror = mirror3(&mut rep);
     for (scheme, (o, ns, b)) in [
-        ("mirror x3", mirror),
+        ("mirror x3", mirror3()),
         ("erasure 4+2", erasure42()),
         ("ckpt+log", checkpoint_log()),
     ] {

@@ -13,10 +13,10 @@
 //! trips: a doorbell's riders share their leader's.
 
 use bench::report::{self, Json, Report};
-use bench::{scale_down, table, Planes};
+use bench::{scale_down, table};
 use dsm::{DsmConfig, DsmLayer};
 use index::{RaceHash, RemoteBTree, RemoteLsm};
-use rdma_sim::{Fabric, NetworkProfile, DEFAULT_WINDOW_NS};
+use rdma_sim::{Fabric, NetworkProfile};
 use std::sync::Arc;
 
 fn layer() -> Arc<DsmLayer> {
@@ -46,9 +46,6 @@ fn main() {
     let lookups: u64 = scale_down(10_000) as u64;
     let keys: Vec<u64> = (0..n).map(|i| (i * 2_654_435_761) % (n * 8) + 1).collect();
     let mut rows = Vec::new();
-    // Flagship series + live plane (btree+cache lookups), attached once
-    // the report exists.
-    let mut flagship: Option<(Planes, u64)> = None;
 
     // --- B+tree, cached internals (Sherman) ----------------------------
     for (name, cached) in [("btree+cache", true), ("btree naive", false)] {
@@ -60,15 +57,9 @@ fn main() {
         }
         let load_ns = ep.clock().now_ns();
         let lep = l.fabric().endpoint();
-        if cached {
-            Planes::enable(&lep, DEFAULT_WINDOW_NS, None);
-        }
         for i in 0..lookups {
             let k = keys[(i * 7 % n) as usize];
             assert!(t.search(&lep, k).unwrap().is_some());
-        }
-        if cached {
-            flagship = Some((Planes::of_endpoints(std::slice::from_ref(&lep)), lep.clock().now_ns()));
         }
         rows.push(Row {
             name,
@@ -141,9 +132,6 @@ fn main() {
     );
     rep.meta("keys", Json::U(n));
     rep.meta("lookups", Json::U(lookups));
-    if let Some((planes, makespan)) = &flagship {
-        planes.attach(&mut rep, *makespan, 1);
-    }
     table::header(&[
         "index",
         "load us/op",

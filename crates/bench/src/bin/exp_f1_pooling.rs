@@ -16,8 +16,7 @@
 //! memory utilization … lower total cost of ownership").
 
 use bench::report::{self, Json, Report};
-use bench::{table, Planes};
-use rdma_sim::DEFAULT_WINDOW_NS;
+use bench::table;
 use memnode::ExtentAllocator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,20 +153,6 @@ fn main() {
         if mix == 50 {
             rep.headline("mono_util_pct_50mix", Json::F(mono_util));
             rep.headline("pool_util_pct_50mix", Json::F(pool_util));
-            // Flagship series: replay the pooled placement as shard-map
-            // writes over a real fabric endpoint — one 64 B record per
-            // 1 GiB chunk placed — so this report too carries a windowed
-            // time-series of its (metadata) fabric traffic.
-            let fabric = rdma_sim::Fabric::new(rdma_sim::NetworkProfile::rdma_cx6());
-            let node = fabric.register_node(1 << 20);
-            let ep = fabric.endpoint();
-            Planes::enable(&ep, DEFAULT_WINDOW_NS, Some(0));
-            let rec = [0u8; 64];
-            let chunks: u64 = ts.iter().map(|t| t.dram.div_ceil(1 << 30)).sum();
-            for c in 0..chunks {
-                ep.write(node, (c % 1024) * 64, &rec).unwrap();
-            }
-            Planes::of_endpoints(std::slice::from_ref(&ep)).attach(&mut rep, ep.clock().now_ns(), 1);
         }
     }
     report::emit(&rep);

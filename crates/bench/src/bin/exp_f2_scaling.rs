@@ -79,8 +79,6 @@ fn main() {
             rep.headline("dsm_speedup_8n", Json::F(dsm.tps() / base_dsm));
             rep.headline("dsm_tps_8n", Json::F(dsm.tps()));
             rep.headline("dss_tps_8n", Json::F(dss));
-            // The 8-node DSM run is the flagship: keep its series.
-            dsm.planes.live().attach(&mut rep, dsm.makespan_ns, dsm.sessions);
         }
         let _ = base_dss;
     }

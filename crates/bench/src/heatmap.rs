@@ -155,7 +155,7 @@ impl HeatBed {
 pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
     let eps: Vec<Endpoint> = (0..cfg.sessions).map(|_| bed.fabric.endpoint()).collect();
     for (t, ep) in eps.iter().enumerate() {
-        Planes::enable(ep, DEFAULT_WINDOW_NS, None);
+        Planes::enable(ep, DEFAULT_WINDOW_NS);
         ep.enable_utilization(cfg.window_ns);
         ep.set_util_session(t as u64 + 1);
     }

@@ -118,11 +118,8 @@ pub struct WorkloadResult {
     /// Round trips actually paid on the wire: verbs minus the ops that
     /// rode along in doorbell groups behind their leader.
     pub wire_round_trips: u64,
-    /// Concurrent sessions that fed the run (nodes x threads) — the
-    /// watchdog's lock-wait budget denominator.
-    pub sessions: u32,
-    /// Every telemetry plane, merged across every session; utilization
-    /// carries each memory group's occupancy stamp.
+    /// The latency, phase, contention, live and forensics planes,
+    /// merged across every session.
     pub planes: Planes,
 }
 
@@ -179,7 +176,6 @@ impl WorkloadResult {
         self.makespan_ns = self.makespan_ns.max(o.makespan_ns);
         self.round_trips += o.round_trips;
         self.wire_round_trips += o.wire_round_trips;
-        self.sessions += o.sessions;
         self.planes.merge(&o.planes);
     }
 }
@@ -237,12 +233,9 @@ where
                 sc.spawn(move || {
                     let working = Finished { count: finished, failure };
                     let mut s: Session = cluster.session(n, t);
-                    // Stable worker id (1-based; 0 = untagged) for the
-                    // by-session heat split.
-                    let id = (n * threads + t + 1) as u64;
-                    Planes::enable(s.endpoint(), DEFAULT_WINDOW_NS, Some(id));
+                    Planes::enable(s.endpoint(), DEFAULT_WINDOW_NS);
                     Planes::enable_forensics(&mut s, WORKLOAD_TRACE_RING);
-                    let mut mine = WorkloadResult { sessions: 1, ..Default::default() };
+                    let mut mine = WorkloadResult::default();
                     for i in 0..txns_per_session {
                         let ops = gen(n, t, i);
                         // Retry until it commits — or any session,
@@ -290,9 +283,7 @@ where
     if let Some(e) = failure.get() {
         panic!("{e}");
     }
-    let mut out = total.into_inner().expect("no worker panics while merging");
-    out.planes.stamp_occupancy(cluster.layer());
-    out
+    total.into_inner().expect("no worker panics while merging")
 }
 
 /// Machine-readable experiment output: every `exp_*` binary builds a
@@ -349,9 +340,8 @@ pub mod report {
 
     /// Install the standard headline block for the run the experiment
     /// considers its flagship configuration: tps, the latency ladder
-    /// through p999 and max (p99 alone hides the exemplars the
-    /// forensics section exists for), wire round trips per txn, and
-    /// phase shares — and attach the flagship run's planes.
+    /// through p999 and max (p99 alone hides the tail), wire round trips
+    /// per txn, and phase shares.
     pub fn standard_headline(rep: &mut Report, r: &WorkloadResult) {
         let (p50, _p95, p99, p999) = r.planes.latency.percentiles();
         rep.headline("tps", Json::F(r.tps()));
@@ -361,7 +351,6 @@ pub mod report {
         rep.headline("max_ns", Json::U(r.planes.latency.max()));
         rep.headline("wire_rts_per_txn", Json::F(r.wire_rts_per_txn()));
         rep.headline("phases", phases_json(&r.planes.phases));
-        r.planes.attach(rep, r.makespan_ns, r.sessions);
     }
 
     /// Why a parsed document is not a valid instance of one kind.
@@ -558,7 +547,6 @@ mod tests {
         assert!(!r.planes.tps_sparkline(24).is_empty());
         // The health plane rode along: sessions entered and left, and
         // the cluster-level gauges return to zero at the end.
-        assert_eq!(r.sessions, 2);
         let health = &r.planes.health;
         assert!(!health.is_empty());
         assert_eq!(health.final_level(Gauge::SessionsInFlight), 0);

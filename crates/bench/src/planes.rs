@@ -3,12 +3,11 @@
 //! Every harness records the same seven planes — transaction latency,
 //! phase attribution, contention, windowed series, gauge health, tail
 //! forensics, fabric utilization — on each session or bare endpoint it
-//! drives, merges them across the fleet, and hands the flagship run's
-//! merge to the report. [`Planes`] is that bundle: harnesses
-//! [`enable`](Planes::enable) what they record,
-//! [`collect`](Planes::collect) what was recorded, and
-//! [`attach`](Planes::attach) it; a plane nobody enabled stays empty
-//! and renders as the report's well-formed empty section.
+//! drives and merges them across the fleet. [`Planes`] is that bundle:
+//! harnesses [`enable`](Planes::enable) what they record and
+//! [`collect`](Planes::collect) what was recorded; an experiment whose
+//! claim is computed from the planes [`attach`](Planes::attach)es its
+//! flagship run's merge to the report, and the rest attach nothing.
 
 use dsm::DsmLayer;
 use dsmdb::Session;
@@ -52,18 +51,12 @@ pub struct Planes {
 }
 
 impl Planes {
-    /// Turn on `ep`'s windowed planes at `window_ns` (0 = off): series
-    /// and health, plus — when `util_session` is given — utilization,
-    /// tagged with that session id for the by-session heat split (0 =
-    /// untagged). Sampling reads the virtual clock but never advances
+    /// Turn on `ep`'s live planes, series and health, at `window_ns`
+    /// (0 = off). Sampling reads the virtual clock but never advances
     /// it, so enabling cannot perturb the run.
-    pub fn enable(ep: &Endpoint, window_ns: u64, util_session: Option<u64>) {
+    pub fn enable(ep: &Endpoint, window_ns: u64) {
         ep.enable_timeseries(window_ns);
         ep.enable_health(window_ns);
-        if let Some(tag) = util_session {
-            ep.enable_utilization(window_ns);
-            ep.set_util_session(tag);
-        }
     }
 
     /// Turn on tail forensics for `s`: a flight-recorder ring of `ring`

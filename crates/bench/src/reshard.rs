@@ -266,7 +266,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let mut joiners: Vec<Session> = Vec::new();
     let coord = fabric.endpoint();
     for s in &core {
-        Planes::enable(s.endpoint(), cfg.window_ns, None);
+        Planes::enable(s.endpoint(), cfg.window_ns);
     }
     // The coordinator carries the migration gauge (health plane) but NO
     // timeseries: its clock sits at the fleet edge while it drives the
@@ -327,7 +327,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             joiners = (0..cfg.sessions).map(|t| cluster.session(1, t)).collect();
             for s in &joiners {
                 s.endpoint().charge_local(t);
-                Planes::enable(s.endpoint(), cfg.window_ns, None);
+                Planes::enable(s.endpoint(), cfg.window_ns);
             }
             coord.charge_local(t.saturating_sub(coord.clock().now_ns()));
             for st in &streams {

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use bench::report::{dir_violations, series_from_json, violations};
+use bench::report::{dir_violations, series_from_json, violations, Section};
 use telemetry::{analysis, Json};
 
 const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -178,14 +178,16 @@ fn rekey(path: &'static str, key: &'static str, to: Option<&'static str>) -> Cor
 
 /// One row per check the validator makes: the text its violation must
 /// carry (the section's name and the rule that caught it), and the
-/// corruption of a committed report that must draw it.
-fn corruptions() -> Vec<(&'static str, Corrupt)> {
+/// corruption that must draw it — grouped by the committed report it
+/// corrupts, which carries the section (C13 the live and forensics
+/// planes, O5 utilization; F3, a paper-claim report, carries none).
+fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
     let span = |d: &mut Json, extra: i64| {
         (num(d, "timeseries.windows") + extra) * num(d, "timeseries.window_ns")
     };
     let ranked = |v: &Json| v.as_array().is_some_and(|a| a.len() >= 2);
     let busy = |v: &Json| v.get("execute").and_then(|e| e.get("ns")).and_then(Json::as_u64) > Some(0);
-    vec![
+    let c13 = vec![
         // timeseries
         ("timeseries: does not re-render to itself at .window_starts_ns[1]", bump("timeseries.window_starts_ns[1]", 1)),
         ("timeseries: does not parse back", pop("timeseries.metrics.commits")),
@@ -194,7 +196,6 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
         ("timeseries: does not parse back", rekey("timeseries", "makespan_ns", None)),
         ("do not cover makespan", Box::new(move |d| *at(d, "timeseries.makespan_ns") = int(span(d, 2)))),
         ("overshoot makespan", put("timeseries.makespan_ns", Json::U(0))),
-        ("timeseries: missing", rekey("", "timeseries", None)),
         // health
         ("health: does not re-render to itself at .levels.sessions_in_flight.max", bump("health.levels.sessions_in_flight.max", 1)),
         ("health: gauge sessions_in_flight dips to", put("health.deltas.sessions_in_flight[0]", Json::I(-1))),
@@ -206,7 +207,7 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
         ("alerts: events[1].at_ns = 0 goes backwards", put("alerts.events[1].at_ns", Json::U(0))),
         ("is not a window boundary", bump("alerts.events[0].at_ns", 1)),
         ("is not a window boundary within", Box::new(move |d| *at(d, "alerts.events[1].at_ns") = int(span(d, 4)))),
-        ("opened twice", put("alerts.events[1].state", Json::S("open".into()))),
+        ("opened twice", Box::new(|d| *at(d, "alerts.events[1].kind") = at(d, "alerts.events[0].kind").clone())),
         ("cleared while not open", put("alerts.events[0].state", Json::S("clear".into()))),
         // forensics
         ("forensics: does not re-render to itself at .total_ns", bump("forensics.total_ns", 1)),
@@ -216,7 +217,8 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
         ("exemplars exceed reservoir capacity 1", put("forensics.k", Json::U(1))),
         ("exemplars but only 1 transactions", put("forensics.txns", Json::U(1))),
         ("attributed_share = 1.5 outside [0, 1]", put("forensics.worst[0].attributed_share", Json::F(1.5))),
-        // utilization
+    ];
+    let o5 = vec![
         ("utilization: does not re-render to itself at .nodes[0].totals.bytes", bump("utilization.nodes[0].totals.bytes", 1)),
         ("utilization: does not parse back", pop("utilization.nodes[0].verbs")),
         ("exceeds capacity", above("utilization.nodes[0].allocated_bytes", "utilization.nodes[0].capacity_bytes")),
@@ -226,11 +228,13 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
             *at(d, "utilization.by_session[1].session") = int(num(d, "utilization.by_session[0].session"))
         })),
         ("utilization: does not re-render to itself at .imbalance.gini_bytes", put("utilization.imbalance.gini_bytes", Json::F(1.5))),
+    ];
+    let f3 = vec![
         // contention and phases objects embedded in rows
-        ("contention: does not re-render to itself at .top_wait_ns[0]", Box::new(move |d| {
+        ("contention: does not re-render to itself at .top_wait_ns[0]", Box::new(move |d: &mut Json| {
             let list = find(d, "top_wait_ns", &ranked).expect("a row with two ranked waits");
             above("[1].count", "[0].count")(list)
-        })),
+        }) as Corrupt),
         ("contention: does not re-render to itself at .wait_for.max_depth", Box::new(|d| {
             bump("wait_for.max_depth", 7)(find(d, "contention", &|_| true).expect("a contention object"))
         })),
@@ -245,7 +249,11 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
         ("headline has p99_ns but no max_ns", rekey("headline", "max_ns", None)),
         ("no rows", put("rows", Json::A(Vec::new()))),
         ("missing \"title\"", rekey("", "title", None)),
-        ("utilization: missing", rekey("", "utilization", None)),
+    ];
+    vec![
+        ("exp_c13_chaos.json", c13),
+        ("exp_o5_heatmap.json", o5),
+        ("exp_f3_architectures.json", f3),
     ]
 }
 
@@ -254,17 +262,31 @@ fn corruptions() -> Vec<(&'static str, Corrupt)> {
 /// section and the rule, and the untouched report yields none.
 #[test]
 fn every_corruption_of_a_committed_report_is_rejected() {
-    let clean = committed("exp_f3_architectures.json");
-    assert_eq!(violations(&clean), Vec::<String>::new(), "the untouched report must be valid");
-    for (needle, corrupt) in corruptions() {
-        let mut doc = clean.clone();
-        corrupt(&mut doc);
-        let found = violations(&doc);
-        assert!(
-            found.iter().any(|v| v.contains(needle)),
-            "corruption expecting `{needle}` yielded {found:?}"
-        );
+    for (report, rows) in corruptions() {
+        let clean = committed(report);
+        let found = violations(&clean);
+        assert_eq!(found, Vec::<String>::new(), "the untouched {report} must be valid");
+        for (needle, corrupt) in rows {
+            let mut doc = clean.clone();
+            corrupt(&mut doc);
+            let found = violations(&doc);
+            assert!(
+                found.iter().any(|v| v.contains(needle)),
+                "{report}: corruption expecting `{needle}` yielded {found:?}"
+            );
+        }
     }
+}
+
+/// Sections are optional (schema v7): a paper-claim report carries no
+/// plane section and is valid as it stands.
+#[test]
+fn a_paper_claim_report_without_plane_sections_is_valid() {
+    let f3 = committed("exp_f3_architectures.json");
+    for s in Section::ALL {
+        assert!(f3.get(s.key()).is_none(), "F3 carries a `{}` section", s.key());
+    }
+    assert_eq!(violations(&f3), Vec::<String>::new());
 }
 
 /// The checks that need the file system: a report named after another

@@ -34,8 +34,7 @@ use std::sync::Arc;
 
 use dsm::{DsmLayer, DsmResult, GlobalAddr};
 use parking_lot::{Condvar, Mutex};
-use rdma_sim::{Endpoint, Gauge, HistSnapshot, Metric, Phase};
-use telemetry::Histogram;
+use rdma_sim::{Endpoint, Gauge, Metric, Phase};
 
 use crate::cost::{copy_cost_ns, LOCK_NS, MAP_OP_NS};
 use crate::policy::{FrameId, ReplacementPolicy};
@@ -97,38 +96,6 @@ struct Frame {
     filling: bool,
 }
 
-/// Per-shard latency histograms (virtual ns). They live inside the shard
-/// latch, so the hot hit path records with zero extra synchronization;
-/// miss/write-back latencies are recorded at publish time when the latch
-/// is re-taken anyway.
-#[derive(Default)]
-struct ShardTelemetry {
-    /// Total virtual cost of serving a local hit (map + latch + policy +
-    /// copy).
-    hit_ns: Histogram,
-    /// Remote fetch latency a missing page waited for (its doorbell
-    /// group's wire time).
-    fetch_ns: Histogram,
-    /// Remote write-back latency per dirty page flushed.
-    writeback_ns: Histogram,
-    /// Bookkeeping overhead charged per latched operation (lock + map +
-    /// policy work) — the shard-lock cost distribution.
-    latch_ns: Histogram,
-}
-
-/// Pool-wide latency snapshot, merged across shards.
-#[derive(Debug, Clone)]
-pub struct PoolLatency {
-    /// Local hit service time.
-    pub hit_ns: HistSnapshot,
-    /// Remote fetch (miss) latency.
-    pub fetch_ns: HistSnapshot,
-    /// Dirty-page write-back latency.
-    pub writeback_ns: HistSnapshot,
-    /// Shard latch + bookkeeping overhead per access.
-    pub latch_ns: HistSnapshot,
-}
-
 struct ShardInner {
     policy: Box<dyn ReplacementPolicy>,
     frames: Vec<Frame>,
@@ -140,7 +107,6 @@ struct ShardInner {
     /// Number of frames currently `filling`.
     filling: usize,
     stats: PoolStats,
-    tele: ShardTelemetry,
 }
 
 struct Shard {
@@ -264,7 +230,6 @@ impl BufferPool {
                         writing_back: HashSet::new(),
                         filling: 0,
                         stats: PoolStats::default(),
-                        tele: ShardTelemetry::default(),
                     }),
                     cv: Condvar::new(),
                 }
@@ -319,11 +284,6 @@ impl BufferPool {
             .contains_key(&key)
     }
 
-    /// The replacement policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.shards[0].inner.lock().policy.name()
-    }
-
     /// Counter snapshot: all shard latches are held simultaneously, so
     /// `hit_rate()` can never observe a torn hits/misses pair.
     pub fn stats(&self) -> PoolStats {
@@ -341,32 +301,12 @@ impl BufferPool {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
         for g in guards.iter_mut() {
             g.stats = PoolStats::default();
-            g.tele = ShardTelemetry::default();
         }
-    }
-
-    /// Latency histograms merged across all shards.
-    pub fn latency(&self) -> PoolLatency {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        let mut out = PoolLatency {
-            hit_ns: HistSnapshot::empty(),
-            fetch_ns: HistSnapshot::empty(),
-            writeback_ns: HistSnapshot::empty(),
-            latch_ns: HistSnapshot::empty(),
-        };
-        for g in &guards {
-            out.hit_ns.merge(&g.tele.hit_ns.snapshot());
-            out.fetch_ns.merge(&g.tele.fetch_ns.snapshot());
-            out.writeback_ns.merge(&g.tele.writeback_ns.snapshot());
-            out.latch_ns.merge(&g.tele.latch_ns.snapshot());
-        }
-        out
     }
 
     fn charge(ep: &Endpoint, s: &mut ShardInner, ns: u64) {
         ep.charge_local(ns);
         s.stats.overhead_ns += ns;
-        s.tele.latch_ns.record(ns);
     }
 
     /// Read the page at `addr` into `dst` (must be `page_size` long).
@@ -411,9 +351,6 @@ impl BufferPool {
         dst.copy_from_slice(&s.frames[f].data);
         s.stats.hits += 1;
         ep.series_note(Metric::CacheHits, 1);
-        s.tele
-            .hit_ns
-            .record(MAP_OP_NS + latch + pol + copy_cost_ns(self.page_size));
     }
 
     /// Read every page in `reqs` (addresses must be distinct), resolving
@@ -550,38 +487,32 @@ impl BufferPool {
         if pending.is_empty() {
             return Ok(());
         }
-        let wb_ns = {
+        {
             let wb: Vec<(GlobalAddr, &[u8])> = pending
                 .iter()
                 .filter_map(|p| p.writeback.map(|raw| (GlobalAddr::from_raw(raw), &p.data[..])))
                 .collect();
             if !wb.is_empty() {
                 let _span = ep.span(Phase::Writeback);
-                let t0 = ep.clock().now_ns();
                 if let Err(e) = self.layer.write_batch(ep, &wb) {
                     drop(wb);
                     self.abort_fetches(ep, pending);
                     return Err(e);
                 }
-                ep.clock().now_ns() - t0
-            } else {
-                0
             }
-        };
-        let fetch_ns = {
+        }
+        {
             let mut fetch: Vec<(GlobalAddr, &mut [u8])> = pending
                 .iter_mut()
                 .map(|p| (GlobalAddr::from_raw(p.key), &mut p.data[..]))
                 .collect();
             let _span = ep.span(Phase::PageFetch);
-            let t0 = ep.clock().now_ns();
             if let Err(e) = self.layer.read_batch(ep, &mut fetch) {
                 drop(fetch);
                 self.abort_fetches(ep, pending);
                 return Err(e);
             }
-            ep.clock().now_ns() - t0
-        };
+        }
         for p in pending.drain(..) {
             ep.charge_local(copy_cost_ns(self.page_size));
             reqs[p.req_idx].1.copy_from_slice(&p.data);
@@ -594,13 +525,10 @@ impl BufferPool {
                 fr.dirty = false;
                 fr.filling = false;
                 s.filling -= 1;
-                // Every page in the group waited for the whole doorbell.
-                s.tele.fetch_ns.record(fetch_ns);
                 if let Some(raw) = p.writeback {
                     s.writing_back.remove(&raw);
                     s.stats.writebacks += 1;
                     ep.series_note(Metric::Writebacks, 1);
-                    s.tele.writeback_ns.record(wb_ns);
                 }
                 let pol = s.policy.on_insert(p.frame, p.key);
                 Self::charge(ep, s, pol);
@@ -715,9 +643,6 @@ impl BufferPool {
                 s.stats.hits += 1;
                 ep.series_note(Metric::CacheHits, 1);
                 ep.charge_local(copy_cost_ns(self.page_size));
-                s.tele
-                    .hit_ns
-                    .record(MAP_OP_NS + LOCK_NS + pol + copy_cost_ns(self.page_size));
                 s.frames[f].data.copy_from_slice(src);
                 let dirty = owes == Owes::Later;
                 let was_dirty = std::mem::replace(&mut s.frames[f].dirty, dirty);
@@ -807,7 +732,7 @@ impl BufferPool {
         if wbs.is_empty() && through.is_empty() {
             return Ok(());
         }
-        let (res, wb_ns) = {
+        let res = {
             let mut remote: Vec<(GlobalAddr, &[u8])> = Vec::with_capacity(wbs.len() + through.len());
             for w in wbs.iter() {
                 remote.push((GlobalAddr::from_raw(w.raw), &w.data[..]));
@@ -816,20 +741,12 @@ impl BufferPool {
                 remote.push((reqs[idx].0, reqs[idx].1));
             }
             let _span = ep.span(Phase::Writeback);
-            let t0 = ep.clock().now_ns();
-            let res = self.layer.write_batch(ep, &remote);
-            (res, ep.clock().now_ns() - t0)
+            self.layer.write_batch(ep, &remote)
         };
         through.clear();
         for w in wbs.drain(..) {
             let sh = &self.shards[w.shard];
-            {
-                let mut inner = sh.inner.lock();
-                inner.writing_back.remove(&w.raw);
-                if res.is_ok() {
-                    inner.tele.writeback_ns.record(wb_ns);
-                }
-            }
+            sh.inner.lock().writing_back.remove(&w.raw);
             sh.cv.notify_all();
         }
         res
@@ -954,22 +871,19 @@ impl BufferPool {
             if dirty.is_empty() {
                 continue;
             }
-            let wb_ns = {
+            {
                 let wb: Vec<(GlobalAddr, &[u8])> = dirty
                     .iter()
                     .map(|&f| (GlobalAddr::from_raw(s.frames[f].page), &s.frames[f].data[..]))
                     .collect();
                 let _span = ep.span(Phase::Writeback);
-                let t0 = ep.clock().now_ns();
                 self.layer.write_batch(ep, &wb)?;
-                ep.clock().now_ns() - t0
-            };
+            }
             for &f in &dirty {
                 s.frames[f].dirty = false;
                 ep.gauge_add(Gauge::PoolDirty, -1);
                 s.stats.writebacks += 1;
                 ep.series_note(Metric::Writebacks, 1);
-                s.tele.writeback_ns.record(wb_ns);
             }
         }
         Ok(())
@@ -1209,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_histograms_separate_hits_from_misses() {
+    fn hits_misses_and_writebacks_are_counted_and_attributed() {
         let (f, layer, pool) = setup(2, WriteMode::WriteBack);
         let ep = f.endpoint();
         let a = layer.alloc(64).unwrap();
@@ -1221,19 +1135,14 @@ mod tests {
         pool.write_page(&ep, a, &[1u8; 64]).unwrap(); // hit, dirties a
         pool.read_page(&ep, b, &mut buf).unwrap(); // miss
         pool.read_page(&ep, c, &mut buf).unwrap(); // miss, evicts dirty a
-        let lat = pool.latency();
-        assert_eq!(lat.hit_ns.count(), 2);
-        assert_eq!(lat.fetch_ns.count(), 3);
-        assert_eq!(lat.writeback_ns.count(), 1);
-        assert!(lat.latch_ns.count() >= 5);
-        // The RDMA gap shows up in the distributions themselves.
-        assert!(lat.fetch_ns.min() > lat.hit_ns.max());
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.writebacks), (2, 3, 1, 1));
         // Fetch/write-back traffic was attributed to phases.
         let phases = ep.phase_snapshot();
         assert!(phases.phase_verbs(rdma_sim::Phase::PageFetch) >= 3);
         assert!(phases.phase_verbs(rdma_sim::Phase::Writeback) >= 1);
         pool.reset_stats();
-        assert_eq!(pool.latency().hit_ns.count(), 0);
+        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]

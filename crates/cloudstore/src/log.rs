@@ -112,11 +112,6 @@ impl LogStore {
         let mut inner = self.inner.lock();
         inner.records.retain(|r| r.lsn >= lsn);
     }
-
-    /// Reset the device queue between experiment phases (contents kept).
-    pub fn reset_device(&self) {
-        self.device.reset();
-    }
 }
 
 #[cfg(test)]

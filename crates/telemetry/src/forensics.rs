@@ -254,8 +254,7 @@ pub struct ForensicsSnapshot {
 }
 
 impl ForensicsSnapshot {
-    /// The well-formed zero-transaction snapshot every schema-v4 report
-    /// can fall back to.
+    /// The identity for [`ForensicsSnapshot::merge`].
     pub fn empty() -> Self {
         Self::default()
     }
@@ -457,9 +456,9 @@ fn exemplar_json(t: &TxnForensics) -> Json {
     ])
 }
 
-/// Render the mandatory schema-v4 `forensics` report section: the
-/// blame-share histogram over all transactions plus the worst-K
-/// exemplars. Deterministic byte-for-byte for same-seed runs.
+/// Render the `forensics` report section: the blame-share histogram
+/// over all transactions plus the worst-K exemplars. Deterministic
+/// byte-for-byte for same-seed runs.
 pub fn forensics_json(s: &ForensicsSnapshot) -> Json {
     let blame = (0..BLAME_KINDS)
         .map(|i| {

@@ -18,7 +18,7 @@
 use std::path::Path;
 
 use crate::contention::ContentionSnapshot;
-use crate::forensics::{forensics_from_json, forensics_json, ForensicsSnapshot};
+use crate::forensics::forensics_from_json;
 use crate::hist::HistSnapshot;
 use crate::json::Json;
 use crate::live::{Gauge, HealthSnapshot};
@@ -30,13 +30,14 @@ use crate::watchdog::{log_violations, AlertEvent, AlertKind, AlertState};
 /// Schema version stamped into every report, bumped on breaking changes.
 /// v2 added the `timeseries` section, v3 `health` and `alerts`, v4
 /// `forensics`, v5 `utilization` — see [`Section`]; v6 dropped `err` from
-/// every ranked list, whose counts became exact.
-pub const SCHEMA_VERSION: u64 = 6;
+/// every ranked list, whose counts became exact; v7 made every section
+/// optional.
+pub const SCHEMA_VERSION: u64 = 7;
 
-/// The plane sections every report carries between `rows` and
-/// `headline`, in document order. Each is rendered from one snapshot
-/// type by one function and validated by one rule
-/// ([`Section::violations`]): the renderer is the schema.
+/// The plane sections a report may carry between `rows` and `headline`,
+/// in document order: exactly those its experiment attached. Each is
+/// rendered from one snapshot type by one function and validated by one
+/// rule ([`Section::violations`]): the renderer is the schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// [`series_json`]: per-window metric counts on the virtual clock.
@@ -45,7 +46,8 @@ pub enum Section {
     Health,
     /// [`alerts_json`]: the watchdog's typed open/clear log.
     Alerts,
-    /// [`forensics_json`]: blame histogram plus worst-K exemplars.
+    /// [`forensics_json`](crate::forensics::forensics_json): blame
+    /// histogram plus worst-K exemplars.
     Forensics,
     /// [`utilization_json`]: per-memory-node load, heat lists, splits
     /// and imbalance indices.
@@ -70,19 +72,6 @@ impl Section {
             Section::Alerts => "alerts",
             Section::Forensics => "forensics",
             Section::Utilization => "utilization",
-        }
-    }
-
-    /// The well-formed empty section a report carries when the
-    /// experiment attached none, so consumers can rely on the key.
-    /// `timeseries` has no empty form: a report without one is invalid.
-    fn empty(self) -> Option<Json> {
-        match self {
-            Section::Timeseries => None,
-            Section::Health => Some(health_json(&HealthSnapshot::empty())),
-            Section::Alerts => Some(alerts_json(&[])),
-            Section::Forensics => Some(forensics_json(&ForensicsSnapshot::empty())),
-            Section::Utilization => Some(utilization_json(&UtilSnapshot::empty())),
         }
     }
 
@@ -133,8 +122,8 @@ pub fn check<T>(
 }
 
 /// Why `report` is not a valid report document (empty when it is):
-/// the fixed members, non-empty `rows`, every [`Section`] valid, every
-/// embedded `phases` and `contention` object valid, and a headline
+/// the fixed members, non-empty `rows`, every [`Section`] it carries
+/// valid, every embedded `phases` and `contention` object valid, and a headline
 /// that carries `p99_ns` also carrying the `p999_ns` / `max_ns` rungs
 /// the forensics section explains. Each message names its section.
 pub fn violations(report: &Json) -> Vec<String> {
@@ -152,9 +141,9 @@ pub fn violations(report: &Json) -> Vec<String> {
         (field("window_ns"), field("windows") * field("window_ns"))
     });
     for s in Section::ALL {
-        match report.get(s.key()) {
-            Some(section) => out.extend(s.violations(section, span).into_iter().map(|v| format!("{}: {v}", s.key()))),
-            None => out.push(format!("{}: missing (every report must carry one)", s.key())),
+        if let Some(section) = report.get(s.key()) {
+            let found = s.violations(section, span);
+            out.extend(found.into_iter().map(|v| format!("{}: {v}", s.key())));
         }
     }
     embedded_violations("$", report, &mut out);
@@ -252,9 +241,8 @@ impl Report {
         self
     }
 
-    /// The full report document: fixed members, then every [`Section`]
-    /// in order (the attached one, else its well-formed empty form),
-    /// then the headline.
+    /// The full report document: fixed members, then every attached
+    /// [`Section`] in order, then the headline.
     pub fn to_json(&self) -> Json {
         let mut members = vec![
             ("schema_version".to_string(), Json::U(SCHEMA_VERSION)),
@@ -264,8 +252,8 @@ impl Report {
             ("rows".to_string(), Json::A(self.rows.clone())),
         ];
         for s in Section::ALL {
-            if let Some(section) = self.sections[s as usize].clone().or_else(|| s.empty()) {
-                members.push((s.key().to_string(), section));
+            if let Some(section) = &self.sections[s as usize] {
+                members.push((s.key().to_string(), section.clone()));
             }
         }
         members.push(("headline".to_string(), Json::O(self.headline.clone())));
@@ -387,8 +375,7 @@ pub fn series_from_json(section: &Json) -> Option<SeriesSnapshot> {
 /// geometry, per-window *net deltas* for every gauge that moved (the
 /// mergeable encoding), and a per-gauge level summary (final/min/max
 /// window-end levels) so readers get levels without redoing the prefix
-/// sums. An empty snapshot renders as the well-formed zero-window
-/// section a report with no health plane carries.
+/// sums.
 pub fn health_json(h: &HealthSnapshot) -> Json {
     let mut deltas = Vec::new();
     let mut levels = Vec::new();
@@ -619,24 +606,29 @@ mod tests {
     }
 
     #[test]
-    fn every_report_carries_wellformed_health_and_alerts() {
-        let r = Report::new("exp_plain", "no live plane wired");
+    fn a_report_carries_exactly_the_sections_attached() {
+        let mut r = Report::new("exp_plain", "no plane attached");
+        r.row("point0", vec![("tps", Json::F(1.0))]);
         let doc = r.to_json();
         assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(SCHEMA_VERSION));
-        let health = doc.get("health").expect("health is mandatory in v3");
-        assert_eq!(health.get("windows").unwrap().as_u64(), Some(0));
-        assert_eq!(health_from_json(health), Some(HealthSnapshot::empty()));
-        let alerts = doc.get("alerts").expect("alerts is mandatory in v3");
-        assert_eq!(alerts.get("count").unwrap().as_u64(), Some(0));
-        assert_eq!(alerts_from_json(alerts), Some(vec![]));
-        let forensics = doc.get("forensics").expect("forensics is mandatory in v4");
-        let sum = crate::forensics::forensics_from_json(forensics).expect("well-formed");
-        assert_eq!(sum.txns, 0);
-        assert!(sum.worst.is_empty());
-        let util = doc.get("utilization").expect("utilization is mandatory in v5");
-        let u = crate::utilization::utilization_from_json(util).expect("well-formed");
-        assert!(u.is_empty());
-        assert_eq!(util.get("windows").unwrap().as_u64(), Some(0));
+        for s in Section::ALL {
+            assert!(doc.get(s.key()).is_none(), "{} was never attached", s.key());
+        }
+        assert_eq!(violations(&doc), Vec::<String>::new());
+        // An attached section lands between `rows` and `headline`, and is
+        // validated like any other.
+        r.section(Section::Alerts, alerts_json(&[]));
+        let doc = r.to_json();
+        let Json::O(members) = &doc else { unreachable!() };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["schema_version", "experiment", "title", "meta", "rows", "alerts", "headline"]
+        );
+        assert_eq!(violations(&doc), Vec::<String>::new());
+        let miscounted = Json::obj(vec![("count", Json::U(1)), ("events", Json::A(vec![]))]);
+        r.section(Section::Alerts, miscounted);
+        assert!(violations(&r.to_json()).iter().any(|v| v.starts_with("alerts: ")));
     }
 
     #[test]

@@ -324,21 +324,24 @@ impl SharedExclusiveLock {
         Err(LockError::Busy)
     }
 
-    /// Round 2: write new metadata and release the latch (batched write).
+    /// Round 2: write new metadata and release the latch — one doorbell,
+    /// retried by the layer like every other lock verb, so a transient
+    /// fault cannot leave the latch set with nobody to clear it.
     fn exit(
-        _layer: &DsmLayer,
+        layer: &DsmLayer,
         ep: &Endpoint,
         addr: GlobalAddr,
         new_meta: u64,
     ) -> Result<(), LockError> {
-        // One doorbell: metadata update + latch release.
-        let meta_bytes = new_meta.to_le_bytes();
-        let zero = 0u64.to_le_bytes();
-        let ops = [
-            (Self::meta(addr).node(), Self::meta(addr).offset(), &meta_bytes[..]),
-            (Self::latch(addr).node(), Self::latch(addr).offset(), &zero[..]),
-        ];
-        ep.write_batch(&ops).map_err(DsmError::from)?;
+        let meta = new_meta.to_le_bytes();
+        let free = 0u64.to_le_bytes();
+        layer.doorbell(
+            ep,
+            &mut [
+                GlobalWr::Write { addr: Self::meta(addr), src: &meta },
+                GlobalWr::Write { addr: Self::latch(addr), src: &free },
+            ],
+        )?;
         Ok(())
     }
 
@@ -565,7 +568,7 @@ impl LeaseLock {
 mod tests {
     use super::*;
     use dsm::DsmConfig;
-    use rdma_sim::{Fabric, NetworkProfile};
+    use rdma_sim::{Fabric, FaultPlan, NetworkProfile};
     use std::sync::Arc;
 
     fn setup() -> (Arc<Fabric>, Arc<DsmLayer>, GlobalAddr) {
@@ -658,6 +661,29 @@ mod tests {
             ex_cost
         );
         let _ = a;
+    }
+
+    #[test]
+    fn a_partition_over_the_exit_doorbell_is_retried_not_left_latched() {
+        // When the exit doorbell of an uncontended shared acquire leaves,
+        // timed on a fault-free twin: the metadata write and the latch
+        // release, one doorbell.
+        let (f, l, a) = setup();
+        let ep = f.endpoint();
+        SharedExclusiveLock::enter(&l, &ep, a, 0).unwrap();
+        let exit_at = ep.clock().now_ns();
+        SharedExclusiveLock::exit(&l, &ep, a, 1).unwrap();
+        let s = ep.stats();
+        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (1, 1, 2, 3));
+
+        // The lock's node is cut off for exactly that doorbell.
+        let (f, l, a) = setup();
+        f.install_fault_plan(FaultPlan::new(1).partition(a.node(), exit_at, exit_at + 1));
+        let ep = f.endpoint();
+        SharedExclusiveLock::acquire_shared(&l, &ep, a, 0).unwrap();
+        let region = f.region(a.node()).unwrap();
+        assert_eq!(region.read_u64(a.offset()).unwrap(), 0, "the latch was released");
+        assert_eq!(region.read_u64(a.offset() + 8).unwrap(), 1, "one reader admitted");
     }
 
     #[test]

@@ -24,18 +24,22 @@
 //! must exceed the worst-case commit latency, which the engine's
 //! defaults guarantee by orders of magnitude.
 //!
-//! Releases tolerate [`LockError::Stolen`] and hard node-unreachability:
-//! in both cases the word is no longer ours to clear (stolen, or wiped
-//! by memory-node recovery — lock state is rebuilt, not replicated).
+//! Releases never decide the transaction's outcome. Every held lease is
+//! released, and one that cannot be — stolen, wiped by memory-node
+//! recovery (lock state is rebuilt, not replicated), or behind a
+//! partition that outlasts the retry budget — is left to expire: that
+//! is what the lease is for. A committed transaction whose unlock
+//! failed has still committed, and must not invite a retry that would
+//! apply its writes twice.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dsm::{DsmError, GlobalAddr};
-use rdma_sim::{Metric, Phase, RdmaError};
+use dsm::GlobalAddr;
+use rdma_sim::{Metric, Phase};
 
 use super::{apply_delta, key_sets, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{LeaseLock, LeaseToken, LockError};
+use crate::locks::{LeaseLock, LeaseToken};
 
 /// 2PL over [`LeaseLock`]s with buffered writes and commit-time fencing.
 pub struct LeasedTpl {
@@ -66,28 +70,14 @@ impl LeasedTpl {
         ((worker_tag >> 16) & 0xFFFF) as u16
     }
 
-    /// Release every held lease, tolerating the two losses that are not
-    /// ours to fix: the lease was stolen, or the lock's memory node is
-    /// gone (its word will be rebuilt as zero on recovery).
-    fn release_all(
-        &self,
-        ctx: &TxnCtx<'_>,
-        held: &[(u64, LeaseToken)],
-    ) -> Result<(), TxnError> {
+    /// Attempt the release of every held lease. A release that fails
+    /// leaves its word to expire with its lease; it neither skips the
+    /// others nor reaches the caller.
+    fn release_all(&self, ctx: &TxnCtx<'_>, held: &[(u64, LeaseToken)]) {
         let layer = ctx.table.layer();
         for (key, token) in held.iter().rev() {
-            match LeaseLock::release(layer, ctx.ep, ctx.table.lock_addr(*key), *token) {
-                Ok(()) | Err(LockError::Stolen) => {}
-                Err(LockError::Dsm(
-                    e @ (DsmError::Rdma(RdmaError::NodeUnreachable(_))
-                    | DsmError::GroupUnavailable { .. }),
-                )) => {
-                    let _ = e;
-                }
-                Err(e) => return Err(e.into()),
-            }
+            let _ = LeaseLock::release(layer, ctx.ep, ctx.table.lock_addr(*key), *token);
         }
-        Ok(())
     }
 }
 
@@ -222,7 +212,7 @@ impl ConcurrencyControl for LeasedTpl {
         // Shrinking phase.
         {
             let _shrink = ctx.ep.span(Phase::LockAcquire);
-            self.release_all(ctx, &held)?;
+            self.release_all(ctx, &held);
         }
 
         match failed {
@@ -235,10 +225,10 @@ impl ConcurrencyControl for LeasedTpl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, table};
+    use crate::protocols::testutil::{bank_invariant_holds, table, timed_table};
     use crate::protocols::{DirectIo, PayloadIo};
     use dsm::DsmResult;
-    use rdma_sim::Endpoint;
+    use rdma_sim::{Endpoint, EventKind, FaultPlan};
     use std::sync::atomic::AtomicBool;
 
     const LEASE: u64 = 500_000_000; // 500 virtual ms — never expires in tests
@@ -316,6 +306,47 @@ mod tests {
         assert_eq!(cc.steals(), 1, "the takeover must be counted");
         // And the lock is free again afterwards.
         assert_eq!(t.layer().read_u64(&ep, t.lock_addr(2)).unwrap(), 0);
+    }
+
+    /// Group 1 is partitioned for 10 ms, past the retry deadline, from
+    /// the moment the commit doorbell has landed, so key 1's release
+    /// fails. The transaction committed: it must say so (a retry would
+    /// apply its deltas twice), and key 0's release must still run.
+    #[test]
+    fn a_failed_release_after_commit_neither_aborts_nor_skips_the_rest() {
+        let ops = [Op::Rmw { key: 0, delta: 1 }, Op::Rmw { key: 1, delta: 1 }];
+        let run = |t: &crate::table::RecordTable, ep: &Endpoint| {
+            let ctx = TxnCtx { ep, table: t, io: &DirectIo, worker_tag: 7 };
+            LeasedTpl::new(LEASE).execute(&ctx, &ops)
+        };
+        // When the commit doorbell lands, timed on a fault-free twin.
+        let twin = timed_table(1);
+        let ep = twin.layer().fabric().endpoint();
+        ep.enable_flight_recorder(64);
+        run(&twin, &ep).unwrap();
+        let committed_at = ep
+            .flight_events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Verb(_)) && e.phase == Phase::Writeback as u8)
+            .map(|e| e.ts_ns + e.dur_ns)
+            .max()
+            .expect("the twin posted a commit doorbell");
+
+        let t = timed_table(1);
+        let cut = t.lock_addr(1).node();
+        let partition = FaultPlan::new(1).partition(cut, committed_at, committed_at + 10_000_000);
+        t.layer().fabric().install_fault_plan(partition);
+        let ep = t.layer().fabric().endpoint();
+        run(&t, &ep).expect("a committed transaction reports its commit");
+        let word = |addr: GlobalAddr| {
+            let region = t.layer().fabric().region(addr.node()).unwrap();
+            region.read_u64(addr.offset()).unwrap()
+        };
+        for key in [0, 1] {
+            assert_eq!(word(t.payload_addr(key, 0)), 1, "key {key} incremented once");
+        }
+        assert_eq!(word(t.lock_addr(0)), 0, "key 0's release was skipped");
+        assert_ne!(word(t.lock_addr(1)), 0, "key 1's lease is left to expire");
     }
 
     /// PayloadIo that simulates the owner stalling mid-execution while a

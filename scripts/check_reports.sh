@@ -6,8 +6,10 @@
 #
 # Exits non-zero and names the differing files on mismatch (~10 s). A
 # refactor of the verb path or a telemetry plane that leaves this green
-# has provably not moved a committed number in any of the `timeseries`,
-# `health`, `utilization` or `forensics` sections these reports carry.
+# has provably not moved a committed number: not in the rows and
+# headlines of any listed report, nor in the `timeseries`, `health`,
+# `alerts`, `forensics` and `utilization` sections that the observability
+# reports (exp_c13, exp_e1, exp_o1-o5) and the three artifacts carry.
 #
 # Excluded (8 of 23): exp_a1_ablations, exp_c2_locks,
 # exp_c3_cc_protocols, exp_c10_dsn_vs_dsm, exp_c11_commit,
