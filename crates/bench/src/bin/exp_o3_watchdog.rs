@@ -1,8 +1,8 @@
 //! Experiment O3: the online watchdog detects every injected fault —
 //! and nothing else.
 //!
-//! Four claims, each asserted (the binary fails loudly if the live
-//! plane regresses):
+//! Four claims, each asserted (the binary fails loudly if the
+//! watchdog regresses):
 //!
 //! 1. **Zero false alerts.** The C13 workload with `inject: false` (no
 //!    crash, no zombie, no fault plan) produces an EMPTY alert log,
@@ -27,7 +27,7 @@
 use bench::chaos::{run_chaos, watchdog_log, ChaosConfig, PARTITION_START_NS};
 use bench::observatory::{run_observatory, ObsConfig};
 use bench::report::{self, alerts_json, Json, Report, Section};
-use bench::{config, table, AlertEvent, AlertKind, AlertState, Gauge, WatchdogConfig};
+use bench::{config, table, AlertEvent, AlertKind, AlertState, WatchdogConfig};
 use telemetry::watchdog::{run_over, windowed_p99};
 
 /// First `Open` of `kind` in the log.
@@ -36,7 +36,7 @@ fn first_open(log: &[AlertEvent], kind: AlertKind) -> Option<&AlertEvent> {
 }
 
 fn main() {
-    println!("\nO3 — watchdog: online fault detection over the live plane\n");
+    println!("\nO3 — watchdog: online fault detection over the windowed series\n");
     let rounds = config::scale_down(900).max(9);
     let base_cfg = ChaosConfig {
         seed: config::seed(0xC13),
@@ -139,13 +139,11 @@ fn main() {
         ]);
     }
 
-    // The health plane agrees with the run's ground truth: the cluster
-    // gauges never go negative, every session leaves, and the epoch
-    // bump is on record at the recovery instant.
-    assert!(out.planes.health.min_level(Gauge::SessionsInFlight) >= 0);
-    assert!(out.planes.health.min_level(Gauge::LocksHeld) >= 0);
-    assert_eq!(out.planes.health.final_level(Gauge::SessionsInFlight), 0);
-    assert_eq!(out.planes.health.final_level(Gauge::MembershipEpoch), 1);
+    // The series agrees with the run's ground truth: every session
+    // left (each begin ended in a commit or an abort), and the
+    // membership table holds the recovery's one bump past epoch 1.
+    assert_eq!(out.planes.series.violations(out.post.end_ns), Vec::<String>::new());
+    assert_eq!(out.final_epoch, 2);
 
     // --- Claim 3: antagonist onset is localized ----------------------
     let obs_rounds = config::scale_down(600).max(8);
@@ -164,7 +162,7 @@ fn main() {
     // zero before its onset. Arm the rule at 0.1% of the session-time
     // budget so even short retry-then-abort waits trip it.
     wcfg.wait_frac = 0.001;
-    let obs_log = run_over(wcfg, &obs.planes.series, Some(&obs.planes.health), None);
+    let obs_log = run_over(wcfg, &obs.planes.series, None);
     let wait_open = first_open(&obs_log, AlertKind::LockWaitConcentration)
         .expect("antagonist squatting was never detected");
     println!(
@@ -192,7 +190,7 @@ fn main() {
         "live-plane sampling changed the makespan"
     );
     assert_eq!(off.pre.commits, out.pre.commits);
-    assert!(off.planes.series.is_empty() && off.planes.health.is_empty());
+    assert!(off.planes.series.is_empty());
     println!("\nsampling off vs on: identical makespan ({} ns) — 0% overhead", out.post.end_ns);
 
     // --- Claim 4b: same-seed alert logs are byte-identical -----------
@@ -247,7 +245,7 @@ fn main() {
             ("deterministic", Json::Bool(true)),
         ],
     );
-    // The live plane, with the SLO-armed log in place of the default one.
+    // The series, with the SLO-armed log in place of the default one.
     out.planes.live().attach(&mut rep, out.post.end_ns, fault_cfg.sessions as u32);
     rep.section(Section::Alerts, alerts_json(&log));
     let latency_of = |kind: AlertKind| {

@@ -17,7 +17,7 @@
 //!    stops (simulated compute crash); group 0's primary memory node is
 //!    hard-crashed; a latency spike slows the surviving group.
 //!    Transactions on dead-group keys abort with the typed
-//!    [`TxnError::NodeUnavailable`]; zombie-held keys time out until the
+//!    [`dsmdb::TxnError::NodeUnavailable`]; zombie-held keys time out until the
 //!    lease expires, then get stolen.
 //! 3. **post** — the fault plan is cleared, the dead member is rebuilt
 //!    from its mirror, the membership epoch is bumped (crash-recover
@@ -181,9 +181,8 @@ pub struct ChaosOutcome {
     pub recovery: RecoveryFacts,
     /// post tps / pre tps.
     pub recovered_tps_ratio: f64,
-    /// Telemetry merged across all sessions; the health plane also
-    /// folds in the zombie and the recovery endpoint. Series and
-    /// health are empty when [`ChaosConfig::window_ns`] is 0.
+    /// Telemetry merged across all sessions. The series is empty when
+    /// [`ChaosConfig::window_ns`] is 0.
     pub planes: Planes,
     /// Chrome `trace_event` timeline of the run (one thread track per
     /// session), built from each endpoint's flight-recorder ring.
@@ -233,9 +232,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 
     let mut sessions: Vec<Session> = (0..cfg.sessions).map(|t| cluster.session(0, t)).collect();
-    // Flight recording, series sampling, and gauge health sampling are
-    // free in virtual time, so enabling them cannot perturb the
-    // measured timeline.
+    // Flight recording and series sampling are free in virtual time,
+    // so enabling them cannot perturb the measured timeline.
     for s in &mut sessions {
         Planes::enable_forensics(s, TRACE_RING);
         Planes::enable(s.endpoint(), cfg.window_ns);
@@ -260,12 +258,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         if round == r_crash && cfg.inject {
             // A compute session crashes while holding lease locks on the
             // hot keys: a fresh endpoint (clock aligned with the fleet)
-            // acquires them and then goes silent. Its gauge movements
-            // join the cluster health plane: a steal *transfers* the
-            // zombie's hold, so only with the zombie on record does the
-            // cluster-level LocksHeld level stay exact.
+            // acquires them and then goes silent.
             let zep = fabric.endpoint();
-            zep.enable_health(cfg.window_ns);
             zep.charge_local(t_crash);
             let mut held = Vec::new();
             for &k in &[hot_g0, hot_g1] {
@@ -313,7 +307,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 
             fabric.clear_fault_plan();
             let rec_ep = fabric.endpoint();
-            rec_ep.enable_health(cfg.window_ns);
             rec_ep.charge_local(t);
             out.recovery_bytes = layer
                 .recover_member_from_mirror(&rec_ep, 0, 0)
@@ -339,9 +332,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                         Ok(()) => out.zombie_survived += 1,
                     }
                 }
-                out.planes.health.merge(&zep.health_snapshot());
             }
-            out.planes.health.merge(&rec_ep.health_snapshot());
         }
 
         let seg = if round < r_crash {
@@ -393,7 +384,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 }
 
 /// Replay a finished chaos run through the online watchdog — counter
-/// windows, gauge levels, and exact windowed p99s against the
+/// windows and exact windowed p99s against the
 /// (optional) `slo_p99_ns` objective, every other threshold at its
 /// [`WatchdogConfig::new`] default — and return the typed alert log.
 /// Deterministic bookkeeping over closed windows: two same-seed runs
@@ -403,15 +394,14 @@ pub fn watchdog_log(
     out: &ChaosOutcome,
     slo_p99_ns: Option<u64>,
 ) -> Vec<AlertEvent> {
-    let (series, health) = (&out.planes.series, &out.planes.health);
+    let series = &out.planes.series;
     if series.is_empty() {
         return Vec::new();
     }
     let p99s = windowed_p99(&out.latency_samples, series.window_ns, series.len());
-    let health = (!health.is_empty()).then_some(health);
     let mut wd = WatchdogConfig::new(cfg.window_ns, cfg.sessions as u32);
     wd.slo_p99_ns = slo_p99_ns;
-    run_over(wd, series, health, Some(&p99s))
+    run_over(wd, series, Some(&p99s))
 }
 
 /// Build the C13 report (shared by the binary and the determinism test

@@ -40,8 +40,8 @@ use txn::RecordTable;
 use crate::Planes;
 
 /// One heat run's knobs. `window_ns = 0` disables utilization capture
-/// entirely (the zero-cost control); series/health sampling stays on
-/// either way so the report always carries a timeseries section.
+/// entirely (the zero-cost control); series sampling stays on either
+/// way so the report always carries a timeseries section.
 #[derive(Debug, Clone, Copy)]
 pub struct HeatConfig {
     pub seed: u64,
@@ -96,7 +96,7 @@ pub struct HeatOutcome {
     pub ops: u64,
     pub reads: u64,
     pub writes: u64,
-    /// Series, health and (unless `window_ns` is 0) utilization with
+    /// Series and (unless `window_ns` is 0) utilization with
     /// every group's occupancy stamped, merged across the sessions.
     pub planes: Planes,
 }

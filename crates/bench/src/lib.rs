@@ -38,7 +38,7 @@ pub use config::scale_down;
 pub use fleet::Audit;
 pub use planes::{Planes, EXEMPLARS};
 pub use telemetry::{
-    sparkline, AlertEvent, AlertKind, AlertState, ForensicsSnapshot, Gauge, Metric, Watchdog,
+    sparkline, AlertEvent, AlertKind, AlertState, ForensicsSnapshot, Metric, Watchdog,
     WatchdogConfig,
 };
 
@@ -545,14 +545,10 @@ mod tests {
         assert_eq!(r.planes.series.total(Metric::Commits), r.commits);
         assert_eq!(r.planes.series.total(Metric::Aborts), r.aborts.total());
         assert!(!r.planes.tps_sparkline(24).is_empty());
-        // The health plane rode along: sessions entered and left, and
-        // the cluster-level gauges return to zero at the end.
-        let health = &r.planes.health;
-        assert!(!health.is_empty());
-        assert_eq!(health.final_level(Gauge::SessionsInFlight), 0);
-        assert_eq!(health.final_level(Gauge::LocksHeld), 0);
-        assert!(health.min_level(Gauge::SessionsInFlight) >= 0);
-        assert!(health.max_level(Gauge::SessionsInFlight) >= 1);
+        // Every txn that began ended in a commit or an abort, so no
+        // session is left in flight.
+        assert_eq!(r.planes.series.total(Metric::Begins), r.commits + r.aborts.total());
+        assert_eq!(r.planes.series.violations(r.makespan_ns), Vec::<String>::new());
     }
 
     /// Thread 0 only touches keys of memory group 0, which is down, so

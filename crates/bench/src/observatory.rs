@@ -95,8 +95,8 @@ pub struct ObsOutcome {
     pub aborts: AbortCauses,
     /// Max session virtual time, ns.
     pub makespan_ns: u64,
-    /// Telemetry merged across all sessions: series and health are
-    /// empty when `window_ns` is 0, forensics when `trace_ring` is 0.
+    /// Telemetry merged across all sessions: the series is empty when
+    /// `window_ns` is 0, forensics when `trace_ring` is 0.
     pub planes: Planes,
     /// Hot keys: `(record key, wait ns)` for the [`MERGED_TOP_K`] lock
     /// words that waited longest, resolved back from lock addresses to

@@ -1,9 +1,9 @@
 //! One telemetry bundle per run.
 //!
-//! Every harness records the same seven planes — transaction latency,
-//! phase attribution, contention, windowed series, gauge health, tail
-//! forensics, fabric utilization — on each session or bare endpoint it
-//! drives and merges them across the fleet. [`Planes`] is that bundle:
+//! Every harness records the same six planes — transaction latency,
+//! phase attribution, contention, windowed series, tail forensics,
+//! fabric utilization — on each session or bare endpoint it drives and
+//! merges them across the fleet. [`Planes`] is that bundle:
 //! harnesses [`enable`](Planes::enable) what they record and
 //! [`collect`](Planes::collect) what was recorded; an experiment whose
 //! claim is computed from the planes [`attach`](Planes::attach)es its
@@ -12,10 +12,9 @@
 use dsm::DsmLayer;
 use dsmdb::Session;
 use rdma_sim::{
-    ContentionSnapshot, Endpoint, HealthSnapshot, HistSnapshot, PhaseSnapshot, SeriesSnapshot,
-    UtilSnapshot,
+    ContentionSnapshot, Endpoint, HistSnapshot, PhaseSnapshot, SeriesSnapshot, UtilSnapshot,
 };
-use telemetry::report::{alerts_json, health_json, series_json, Report, Section};
+use telemetry::report::{alerts_json, series_json, Report, Section};
 use telemetry::watchdog::run_over;
 use telemetry::{
     forensics_json, sparkline, utilization_json, AlertEvent, ForensicsSnapshot, Metric,
@@ -37,11 +36,9 @@ pub struct Planes {
     pub phases: PhaseSnapshot,
     /// Hot-key, wait-for and coherence contention profile.
     pub contention: ContentionSnapshot,
-    /// Windowed counters (commits, aborts by cause, verbs, cache, locks).
+    /// Windowed counters (txn begins, commits, aborts by cause, verbs,
+    /// cache, locks, migrations).
     pub series: SeriesSnapshot,
-    /// Windowed gauge deltas (sessions in flight, locks held, pool
-    /// occupancy, outstanding verbs, membership epoch).
-    pub health: HealthSnapshot,
     /// Blame-share histogram over every transaction plus the worst-K
     /// exemplar reservoir.
     pub forensics: ForensicsSnapshot,
@@ -51,12 +48,11 @@ pub struct Planes {
 }
 
 impl Planes {
-    /// Turn on `ep`'s live planes, series and health, at `window_ns`
-    /// (0 = off). Sampling reads the virtual clock but never advances
-    /// it, so enabling cannot perturb the run.
+    /// Turn on `ep`'s windowed series at `window_ns` (0 = off).
+    /// Sampling reads the virtual clock but never advances it, so
+    /// enabling cannot perturb the run.
     pub fn enable(ep: &Endpoint, window_ns: u64) {
         ep.enable_timeseries(window_ns);
-        ep.enable_health(window_ns);
     }
 
     /// Turn on tail forensics for `s`: a flight-recorder ring of `ring`
@@ -73,7 +69,6 @@ impl Planes {
         self.phases.merge(&ep.phase_snapshot());
         self.contention.merge(&ep.contention_snapshot());
         self.series.merge(&ep.series_snapshot());
-        self.health.merge(&ep.health_snapshot());
         self.utilization.merge(&ep.utilization_snapshot());
     }
 
@@ -99,7 +94,6 @@ impl Planes {
         self.phases.merge(&o.phases);
         self.contention.merge(&o.contention);
         self.series.merge(&o.series);
-        self.health.merge(&o.health);
         self.forensics.merge(&o.forensics);
         self.utilization.merge(&o.utilization);
     }
@@ -117,37 +111,40 @@ impl Planes {
         }
     }
 
-    /// The bundle reduced to its live plane: series and health, which
-    /// is also everything the watchdog replays. For reports that carry
-    /// no forensics or utilization section.
+    /// The bundle reduced to its series, which is everything the
+    /// watchdog replays. For reports that carry no forensics or
+    /// utilization section.
     pub fn live(&self) -> Planes {
-        Planes { series: self.series.clone(), health: self.health.clone(), ..Planes::default() }
+        Planes { series: self.series.clone(), ..Planes::default() }
     }
 
-    /// The default-threshold watchdog log over the recorded series and
-    /// health (`sessions` is the lock-wait budget denominator). The
-    /// replay is deterministic bookkeeping over already-closed windows;
-    /// empty when the series was not recorded.
+    /// The default-threshold watchdog log over the recorded series
+    /// (`sessions` is the lock-wait budget denominator). The replay is
+    /// deterministic bookkeeping over already-closed windows; empty
+    /// when the series was not recorded.
     pub fn alerts(&self, sessions: u32) -> Vec<AlertEvent> {
         if self.series.is_empty() {
             return Vec::new();
         }
         let cfg = WatchdogConfig::new(self.series.window_ns, sessions);
-        run_over(cfg, &self.series, (!self.health.is_empty()).then_some(&self.health), None)
+        run_over(cfg, &self.series, None)
     }
 
     /// Attach the bundle as the report's plane sections — the flagship
     /// run only; per-row planes would multiply report size without
-    /// adding a claim. A run that sampled no series gets no
-    /// `timeseries` section.
+    /// adding a claim. A plane that recorded nothing gets no section;
+    /// the alert log always has one, empty or not.
     pub fn attach(&self, rep: &mut Report, makespan_ns: u64, sessions: u32) {
         if !self.series.is_empty() {
             rep.section(Section::Timeseries, series_json(&self.series, makespan_ns));
         }
-        rep.section(Section::Health, health_json(&self.health));
         rep.section(Section::Alerts, alerts_json(&self.alerts(sessions)));
-        rep.section(Section::Forensics, forensics_json(&self.forensics));
-        rep.section(Section::Utilization, utilization_json(&self.utilization));
+        if !self.forensics.is_empty() {
+            rep.section(Section::Forensics, forensics_json(&self.forensics));
+        }
+        if !self.utilization.is_empty() {
+            rep.section(Section::Utilization, utilization_json(&self.utilization));
+        }
     }
 
     /// Compact sparkline of the windowed commit rate (empty when the

@@ -190,8 +190,9 @@ pub struct ReshardOutcome {
     /// difference is copier traffic + dual writes + old-home routing —
     /// so this isolates the migration from the capacity the join added.
     pub migration_tax: f64,
-    /// Telemetry merged across all sessions; the health plane also
-    /// folds in the coordinator, recovery and leave endpoints.
+    /// Telemetry merged across all sessions. The migration counters
+    /// are noted on a session endpoint, so the coordinator, recovery
+    /// and leave endpoints record nothing.
     pub planes: Planes,
 }
 
@@ -268,12 +269,14 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     for s in &core {
         Planes::enable(s.endpoint(), cfg.window_ns);
     }
-    // The coordinator carries the migration gauge (health plane) but NO
-    // timeseries: its clock sits at the fleet edge while it drives the
-    // copier, and an extra series would stretch the merged window range
-    // without adding commit signal. Copier progress is instead noted on
-    // a session endpoint (below), which is fleet-timed by construction.
-    coord.enable_health(cfg.window_ns);
+    // The coordinator records NO series: its clock sits at the fleet
+    // edge while it drives the copier, and an extra series would stretch
+    // the merged window range without adding commit signal. Migration
+    // begins and ends, like copier progress, are noted on a session
+    // endpoint, which is fleet-timed by construction.
+    let note = |core: &[Session], metric: Metric, delta: u64| {
+        core[0].endpoint().series_note(metric, delta);
+    };
 
     // Copier streams: series-less endpoints that do the bulk copy in
     // parallel. Each round they advance until they catch the fleet
@@ -336,6 +339,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             migrator
                 .begin(&coord, dst_group, 0, cfg.records, epoch)
                 .expect("begin migration");
+            note(&core, Metric::MigrationsBegun, 1);
             out.t_begin_ns = max_clock(&core);
             drive = Drive::Copying { cap: chunk, throttle: true };
         }
@@ -363,6 +367,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     // Policy: never flip to an unreplicated home — roll
                     // the window back and retry after the rebuild.
                     migrator.abort(&coord, epoch).expect("abort after dest loss");
+                    note(&core, Metric::MigrationsEnded, 1);
                     drive = Drive::RolledBack;
                 }
                 Scenario::PartitionCoordinator => {
@@ -376,26 +381,23 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 Scenario::CrashSource => {
                     fabric.clear_fault_plan();
                     let rec = fabric.endpoint();
-                    rec.enable_health(cfg.window_ns);
                     rec.charge_local(fleet_clock(&core, &joiners));
                     layer
                         .recover_member_from_mirror(&rec, 0, 0)
                         .expect("rebuild source member");
-                    out.planes.health.merge(&rec.health_snapshot());
                 }
                 Scenario::CrashDest => {
                     let rec = fabric.endpoint();
-                    rec.enable_health(cfg.window_ns);
                     rec.charge_local(fleet_clock(&core, &joiners));
                     layer
                         .recover_member_from_mirror(&rec, dst_group, 0)
                         .expect("rebuild dest member");
-                    out.planes.health.merge(&rec.health_snapshot());
                     // Re-run the migration; the bigger unthrottled cap
                     // still lands the flip before the leave.
                     migrator
                         .begin(&coord, dst_group, 0, cfg.records, epoch)
                         .expect("re-begin after rebuild");
+                    note(&core, Metric::MigrationsBegun, 1);
                     drive = Drive::Copying { cap: chunk * 6, throttle: false };
                 }
                 _ => {}
@@ -406,7 +408,6 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             // the network, bump the epoch, resolve the descriptor.
             fabric.clear_fault_plan();
             let rec = fabric.endpoint();
-            rec.enable_health(cfg.window_ns);
             rec.charge_local(fleet_clock(&core, &joiners));
             let new_epoch = cluster
                 .membership()
@@ -419,6 +420,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 RecoveryOutcome::RolledBack(MigrationState::Copying),
                 "mid-handover window must roll back"
             );
+            note(&core, Metric::MigrationsEnded, 1);
             // The zombie coordinator comes back and tries to finish:
             // its CAS is signed with the stale epoch and must fail.
             match migrator.commit(&coord, epoch) {
@@ -430,19 +432,18 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 s.refresh_epoch().expect("epoch refresh");
             }
             epoch = new_epoch;
-            out.planes.health.merge(&rec.health_snapshot());
             migrator
                 .begin(&coord, dst_group, 0, cfg.records, epoch)
                 .expect("re-begin under new epoch");
+            note(&core, Metric::MigrationsBegun, 1);
             drive = Drive::Copying { cap: chunk * 6, throttle: false };
         }
 
         // --- Copier step ----------------------------------------------
         if let Drive::Copying { cap, throttle } = drive {
             let fleet_t = fleet_clock(&core, &joiners);
-            // Keep the coordinator on the fleet clock so its gauge
-            // moves (and the stall watchdog's windows) land in the
-            // same virtual present the sessions live in.
+            // Keep the coordinator on the fleet clock so its verbs land
+            // in the same virtual present the sessions live in.
             coord.charge_local(fleet_t.saturating_sub(coord.clock().now_ns()));
             let throttled = throttle && round < r_rush;
             let mut budget = cap;
@@ -457,7 +458,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     // Streams are series-less; account their progress
                     // on a fleet-timed session endpoint so the
                     // `migration_stalled` rule sees per-window bytes.
-                    core[0].endpoint().series_note(Metric::MigratedBytes, moved);
+                    note(&core, Metric::MigratedBytes, moved);
                     budget -= n;
                 }
             }
@@ -500,12 +501,13 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                         break 'drain;
                     }
                     out.migrated_bytes += d;
-                    core[0].endpoint().series_note(Metric::MigratedBytes, d);
+                    note(&core, Metric::MigratedBytes, d);
                     budget -= n;
                 }
             }
             if drained_all {
                 migrator.finish_handover(&coord, epoch).expect("handover");
+                note(&core, Metric::MigrationsEnded, 1);
                 out.t_flip_ns = fleet_clock(&core, &joiners).max(coord.clock().now_ns());
                 out.final_epoch = epoch;
                 // Cached frames were fetched from the old home.
@@ -528,7 +530,6 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             out.settle.end_ns = t;
             out.post.start_ns = t;
             let leave_ep = fabric.endpoint();
-            leave_ep.enable_health(cfg.window_ns);
             leave_ep.charge_local(t);
             cluster
                 .membership()
@@ -542,7 +543,6 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 out.steals += s.lock_steals();
                 out.planes.collect_session(&s);
             }
-            out.planes.health.merge(&leave_ep.health_snapshot());
         }
 
         // --- One workload round ---------------------------------------
@@ -604,7 +604,6 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         out.steals += s.lock_steals();
         out.planes.collect_session(s);
     }
-    out.planes.health.merge(&coord.health_snapshot());
     drop(core);
 
     // The disturbance the recovery story is measured around: the fault

@@ -179,8 +179,9 @@ fn rekey(path: &'static str, key: &'static str, to: Option<&'static str>) -> Cor
 /// One row per check the validator makes: the text its violation must
 /// carry (the section's name and the rule that caught it), and the
 /// corruption that must draw it — grouped by the committed report it
-/// corrupts, which carries the section (C13 the live and forensics
-/// planes, O5 utilization; F3, a paper-claim report, carries none).
+/// corrupts, which carries the section (C13 the series, alerts and
+/// forensics, E1 the migration counters, O5 utilization; F3, a
+/// paper-claim report, carries none).
 fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
     let span = |d: &mut Json, extra: i64| {
         (num(d, "timeseries.windows") + extra) * num(d, "timeseries.window_ns")
@@ -196,11 +197,7 @@ fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
         ("timeseries: does not parse back", rekey("timeseries", "makespan_ns", None)),
         ("do not cover makespan", Box::new(move |d| *at(d, "timeseries.makespan_ns") = int(span(d, 2)))),
         ("overshoot makespan", put("timeseries.makespan_ns", Json::U(0))),
-        // health
-        ("health: does not re-render to itself at .levels.sessions_in_flight.max", bump("health.levels.sessions_in_flight.max", 1)),
-        ("health: gauge sessions_in_flight dips to", put("health.deltas.sessions_in_flight[0]", Json::I(-1))),
-        ("health: sessions_in_flight ends at 1 ", bump("health.deltas.sessions_in_flight[1]", 1)),
-        ("health: does not parse back", rekey("health.deltas", "", Some("no_such_gauge"))),
+        ("timeseries: 7201 begins but 7200 commits + aborts", bump("timeseries.metrics.begins[1]", 1)),
         // alerts
         ("alerts: does not re-render to itself at .count", bump("alerts.count", 1)),
         ("alerts: events[1].seq = 7", put("alerts.events[1].seq", Json::U(7))),
@@ -250,8 +247,13 @@ fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
         ("no rows", put("rows", Json::A(Vec::new()))),
         ("missing \"title\"", rekey("", "title", None)),
     ];
+    // The migration begins a fifth into the run: nothing can end first.
+    let e1 = vec![
+        ("timeseries: migrations in flight dip to -1 in window 0", bump("timeseries.metrics.migrations_ended[0]", 1)),
+    ];
     vec![
         ("exp_c13_chaos.json", c13),
+        ("exp_e1_reshard.json", e1),
         ("exp_o5_heatmap.json", o5),
         ("exp_f3_architectures.json", f3),
     ]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use dsm::{DsmLayer, DsmResult, GlobalAddr};
 use parking_lot::{Condvar, Mutex};
-use rdma_sim::{Endpoint, Gauge, Metric, Phase};
+use rdma_sim::{Endpoint, Metric, Phase};
 
 use crate::cost::{copy_cost_ns, LOCK_NS, MAP_OP_NS};
 use crate::policy::{FrameId, ReplacementPolicy};
@@ -439,13 +439,11 @@ impl BufferPool {
                     overhead += pol;
                     s.stats.evictions += 1;
                     ep.series_note(Metric::Evictions, 1);
-                    ep.gauge_add(Gauge::PoolResident, -1);
                     let old = &mut s.frames[victim];
                     s.page_table.remove(&old.page);
                     let wb = if old.dirty {
                         s.writing_back.insert(old.page);
                         old.dirty = false;
-                        ep.gauge_add(Gauge::PoolDirty, -1);
                         Some(old.page)
                     } else {
                         None
@@ -459,8 +457,6 @@ impl BufferPool {
             s.filling += 1;
             let data = std::mem::take(&mut fr.data);
             s.page_table.insert(key, f);
-            // Resident from reservation on; abort_fetches un-counts it.
-            ep.gauge_add(Gauge::PoolResident, 1);
             overhead += MAP_OP_NS;
             Self::charge(ep, s, overhead);
             s.stats.misses += 1;
@@ -496,7 +492,7 @@ impl BufferPool {
                 let _span = ep.span(Phase::Writeback);
                 if let Err(e) = self.layer.write_batch(ep, &wb) {
                     drop(wb);
-                    self.abort_fetches(ep, pending);
+                    self.abort_fetches(pending);
                     return Err(e);
                 }
             }
@@ -509,7 +505,7 @@ impl BufferPool {
             let _span = ep.span(Phase::PageFetch);
             if let Err(e) = self.layer.read_batch(ep, &mut fetch) {
                 drop(fetch);
-                self.abort_fetches(ep, pending);
+                self.abort_fetches(pending);
                 return Err(e);
             }
         }
@@ -542,14 +538,13 @@ impl BufferPool {
     /// markers, wake waiters. (Dirty victim bytes may be lost, matching
     /// the pre-striping error behavior — layer errors only arise in
     /// failure-injection runs that bypass the pool.)
-    fn abort_fetches(&self, ep: &Endpoint, pending: &mut Vec<PendingFetch>) {
+    fn abort_fetches(&self, pending: &mut Vec<PendingFetch>) {
         for p in pending.drain(..) {
             let sh = &self.shards[p.shard];
             {
                 let mut inner = sh.inner.lock();
                 let s = &mut *inner;
                 s.page_table.remove(&p.key);
-                ep.gauge_add(Gauge::PoolResident, -1);
                 let fr = &mut s.frames[p.frame];
                 fr.page = u64::MAX;
                 fr.dirty = false;
@@ -644,11 +639,7 @@ impl BufferPool {
                 ep.series_note(Metric::CacheHits, 1);
                 ep.charge_local(copy_cost_ns(self.page_size));
                 s.frames[f].data.copy_from_slice(src);
-                let dirty = owes == Owes::Later;
-                let was_dirty = std::mem::replace(&mut s.frames[f].dirty, dirty);
-                if was_dirty != dirty {
-                    ep.gauge_add(Gauge::PoolDirty, if dirty { 1 } else { -1 });
-                }
+                s.frames[f].dirty = owes == Owes::Later;
                 if owes == Owes::Now {
                     through.push(i);
                 }
@@ -679,7 +670,6 @@ impl BufferPool {
                     overhead += pol;
                     s.stats.evictions += 1;
                     ep.series_note(Metric::Evictions, 1);
-                    ep.gauge_add(Gauge::PoolResident, -1);
                     let old = &mut s.frames[victim];
                     s.page_table.remove(&old.page);
                     if old.dirty {
@@ -692,7 +682,6 @@ impl BufferPool {
                             data: old.data.clone(),
                         });
                         old.dirty = false;
-                        ep.gauge_add(Gauge::PoolDirty, -1);
                         s.stats.writebacks += 1;
                         ep.series_note(Metric::Writebacks, 1);
                     }
@@ -704,14 +693,10 @@ impl BufferPool {
             ep.charge_local(copy_cost_ns(self.page_size));
             fr.data.copy_from_slice(src);
             fr.dirty = owes == Owes::Later;
-            if fr.dirty {
-                ep.gauge_add(Gauge::PoolDirty, 1);
-            }
             if owes == Owes::Now {
                 through.push(i);
             }
             s.page_table.insert(key, f);
-            ep.gauge_add(Gauge::PoolResident, 1);
             overhead += s.policy.on_insert(f, key) + MAP_OP_NS;
             Self::charge(ep, s, overhead);
             s.stats.misses += 1;
@@ -768,12 +753,8 @@ impl BufferPool {
                 }
                 Some(&f) => {
                     s.page_table.remove(&key);
-                    ep.gauge_add(Gauge::PoolResident, -1);
                     let pol = s.policy.on_remove(f);
                     s.frames[f].page = u64::MAX;
-                    if s.frames[f].dirty {
-                        ep.gauge_add(Gauge::PoolDirty, -1);
-                    }
                     s.frames[f].dirty = false;
                     s.free.push(f);
                     s.stats.invalidations += 1;
@@ -835,20 +816,14 @@ impl BufferPool {
             }
             let s = &mut *inner;
             let n = s.page_table.len();
-            let mut dirty_dropped = 0i64;
             for (_, f) in s.page_table.drain() {
                 s.policy.on_remove(f);
                 s.frames[f].page = u64::MAX;
-                if s.frames[f].dirty {
-                    dirty_dropped += 1;
-                }
                 s.frames[f].dirty = false;
                 s.free.push(f);
             }
             s.stats.invalidations += n as u64;
             ep.series_note(Metric::Invals, n as u64);
-            ep.gauge_add(Gauge::PoolResident, -(n as i64));
-            ep.gauge_add(Gauge::PoolDirty, -dirty_dropped);
             Self::charge(ep, s, LOCK_NS + n as u64 * 10);
             drop(inner);
             sh.cv.notify_all();
@@ -881,7 +856,6 @@ impl BufferPool {
             }
             for &f in &dirty {
                 s.frames[f].dirty = false;
-                ep.gauge_add(Gauge::PoolDirty, -1);
                 s.stats.writebacks += 1;
                 ep.series_note(Metric::Writebacks, 1);
             }
@@ -1034,7 +1008,6 @@ mod tests {
         for mode in [WriteMode::WriteThrough, WriteMode::WriteBack] {
             let (f, layer, pool) = setup(2, mode);
             let ep = f.endpoint();
-            ep.enable_health(1_000);
             let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
             // Absent: not served, not fetched, not charged.
             let mut buf = [0u8; 64];
@@ -1053,18 +1026,17 @@ mod tests {
             assert_eq!(ep.clock().now_ns() - miss_ns, 2 * hit_ns);
             assert_eq!((pool.stats().hits, pool.stats().misses), (2, 1));
             // Over a dirty frame (write-back mode) it leaves a clean one:
-            // the caller has said DSM gets these bytes from it.
+            // the caller has said DSM gets these bytes from it. Evicted
+            // by two more installs, it writes nothing back.
             pool.write_page(&ep, addrs[0], &[6u8; 64]).unwrap();
             pool.install_page(&ep, addrs[0], &[7u8; 64]).unwrap();
-            assert_eq!(ep.gauge_level(Gauge::PoolDirty), 0, "{mode:?}");
-            // Evicted by two more installs, it writes nothing back.
             let writes = ep.stats().writes;
             pool.install_page(&ep, addrs[1], &[1u8; 64]).unwrap();
             pool.install_page(&ep, addrs[2], &[2u8; 64]).unwrap();
             assert!(!pool.contains(addrs[0]));
             pool.flush_all(&ep).unwrap();
             assert_eq!(ep.stats().writes, writes, "{mode:?}");
-            assert_eq!(ep.gauge_level(Gauge::PoolResident), 2);
+            assert_eq!(pool.resident(), 2);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Retry policy for absorbing transient fabric faults.
 //!
 //! A [`RetryPolicy`] re-issues a DSM operation while the failure is
-//! *transient* ([`DsmError::is_transient`]): injected timeouts from
+//! *transient* ([`crate::DsmError::is_transient`]): injected timeouts from
 //! partitions and NIC/QP hiccups. Hard faults — crashed node, protection
 //! fault, exhausted group — surface immediately as typed errors.
 //!

@@ -19,9 +19,7 @@ use std::sync::Arc;
 use buffer::{BufferPool, ClockPolicy, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use parking_lot::Mutex;
-use rdma_sim::{
-    Endpoint, Fabric, Gauge, HistSnapshot, Mailbox, MailboxId, Metric, Phase, PhaseSnapshot,
-};
+use rdma_sim::{Endpoint, Fabric, HistSnapshot, Mailbox, MailboxId, Metric, Phase, PhaseSnapshot};
 use telemetry::Histogram;
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind, TwoPcMsg};
@@ -504,7 +502,7 @@ impl Session {
         }
         let pushed0 = self.forensics.as_ref().map(|_| self.ep.flight_pushed());
         let t0 = self.ep.clock().now_ns();
-        self.ep.gauge_add(Gauge::SessionsInFlight, 1);
+        self.ep.series_note(Metric::Begins, 1);
         self.ep.phase_enter(Phase::Execute);
         let result = match self.cluster.config.architecture {
             Architecture::NoCacheNoShard | Architecture::CacheNoShard(_) => {
@@ -541,7 +539,6 @@ impl Session {
             }
         }
         self.ep.clear_trace_id();
-        self.ep.gauge_add(Gauge::SessionsInFlight, -1);
         self.txn_lat.record(self.ep.clock().now_ns().saturating_sub(t0));
         match &result {
             Ok(_) => {

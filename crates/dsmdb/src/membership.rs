@@ -13,7 +13,7 @@
 //! Epochs start at 1 so an epoch of 0 always means "never initialized".
 
 use dsm::{DsmLayer, DsmResult, GlobalAddr, RetryPolicy};
-use rdma_sim::{Endpoint, Gauge, Metric};
+use rdma_sim::{Endpoint, Metric};
 
 /// Per-node liveness as recorded in the table (informational; the epoch
 /// is what fences).
@@ -88,7 +88,6 @@ impl Membership {
     pub fn bump_epoch(&self, layer: &DsmLayer, ep: &Endpoint, node: usize) -> DsmResult<u64> {
         let new = layer.faa(ep, Self::slot(self.base, node, EPOCH_OFF), 1)? + 1;
         ep.series_note(Metric::EpochBumps, 1);
-        ep.gauge_add(Gauge::MembershipEpoch, 1);
         Ok(new)
     }
 

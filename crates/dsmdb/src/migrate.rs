@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use dsm::{DsmError, DsmLayer, DsmResult, GlobalAddr};
-use rdma_sim::{Endpoint, Gauge, Metric};
+use rdma_sim::{Endpoint, Metric};
 use txn::table::RecordTable;
 
 /// Where a migration stands, as recorded in its DSM descriptor.
@@ -268,7 +268,6 @@ impl Migrator {
         self.layer
             .write_u64(ep, self.desc.offset_by(WATERMARK_OFF), low)?;
         self.transition(ep, MigrationState::Preparing, epoch, MigrationState::Copying, epoch)?;
-        ep.gauge_add(Gauge::MigrationInFlight, 1);
         Ok(())
     }
 
@@ -320,7 +319,6 @@ impl Migrator {
     pub fn finish_handover(&self, ep: &Endpoint, epoch: u64) -> MigrateResult<()> {
         self.table.commit_migration(ep)?;
         self.transition(ep, MigrationState::HandingOver, epoch, MigrationState::Done, epoch)?;
-        ep.gauge_add(Gauge::MigrationInFlight, -1);
         Ok(())
     }
 
@@ -346,7 +344,6 @@ impl Migrator {
         }
         self.transition(ep, state, prev_epoch, MigrationState::Aborted, epoch)?;
         self.table.abort_migration()?;
-        ep.gauge_add(Gauge::MigrationInFlight, -1);
         Ok(())
     }
 
@@ -373,7 +370,6 @@ impl Migrator {
             MigrationState::Preparing | MigrationState::Copying | MigrationState::HandingOver => {
                 self.transition(ep, state, prev_epoch, MigrationState::Aborted, new_epoch)?;
                 self.table.abort_migration()?;
-                ep.gauge_add(Gauge::MigrationInFlight, -1);
                 Ok(RecoveryOutcome::RolledBack(state))
             }
         }
@@ -499,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_frees_the_window_and_gauge_balances() {
+    fn abort_frees_the_window_for_a_fresh_begin() {
         let (_f, layer, table, ep) = setup();
         let dst = layer.join_group(4 << 20, 1, 4.0);
         let m = Migrator::create(&layer, &table, &ep, 0).unwrap();
@@ -508,6 +504,7 @@ mod tests {
         m.abort(&ep, 3).unwrap();
         assert_eq!(m.state(&ep).unwrap(), (MigrationState::Aborted, 3));
         assert!(table.migration_progress().is_none());
-        assert_eq!(ep.gauge_level(Gauge::MigrationInFlight), 0);
+        m.begin(&ep, dst, 8, 24, 3).unwrap();
+        assert_eq!(m.state(&ep).unwrap(), (MigrationState::Copying, 3));
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dsm::{DsmConfig, DsmLayer};
 use dsmdb::{MigrateError, Migrator, RecoveryOutcome};
 use proptest::prelude::*;
-use rdma_sim::{Fabric, Gauge, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile};
 use txn::RecordTable;
 
 const KEYS: u64 = 32;
@@ -243,6 +243,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(ep.gauge_level(Gauge::MigrationInFlight), 0);
+        prop_assert!(table.migration_progress().is_none(), "a window was left open");
     }
 }

@@ -215,7 +215,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Acceptable length specifications for [`vec`].
+    /// Acceptable length specifications for [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -244,7 +244,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         size: L,

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use telemetry::{
-    ChromeTrace, ContentionSnapshot, Gauge, GaugeRecorder, HealthSnapshot, HistSnapshot,
-    Histogram, Metric, Phase, PhaseSnapshot, PhaseTracker, Sample, SeriesRecorder, SeriesSnapshot,
-    UtilRecorder, UtilSnapshot,
+    ChromeTrace, ContentionSnapshot, HistSnapshot, Histogram, Metric, Phase, PhaseSnapshot,
+    PhaseTracker, Sample, SeriesRecorder, SeriesSnapshot, UtilRecorder, UtilSnapshot,
 };
 
 use crate::clock::{Clock, SharedTimeline};
@@ -227,7 +226,6 @@ impl Fabric {
             trace_id: Cell::new(0),
             series: SeriesRecorder::new(),
             series_wire_mark: Cell::new(0),
-            health: GaugeRecorder::new(),
             util: UtilRecorder::new(),
         }
     }
@@ -253,7 +251,7 @@ fn fix_node(e: RdmaError, node: NodeId) -> RdmaError {
 /// A per-thread handle for issuing verbs. Owns a virtual [`Clock`], op
 /// counters, per-verb latency histograms, the phase-span tracker and the
 /// telemetry planes, all fed from one place: every verb entry point
-/// builds one [`VerbEvent`] and hands it to `Endpoint::complete`. Not
+/// builds one `VerbEvent` and hands it to `Endpoint::complete`. Not
 /// `Sync`: create one per worker thread.
 pub struct Endpoint {
     fabric: Arc<Fabric>,
@@ -282,9 +280,6 @@ pub struct Endpoint {
     /// Last wire-RT total folded into the series: each verb adds the
     /// delta, so doorbell riders net out to one wire RT per group.
     series_wire_mark: Cell<u64>,
-    /// Streaming gauge plane (disabled by default; see
-    /// [`Endpoint::enable_health`]). Reads the clock, never advances it.
-    health: GaugeRecorder,
     /// Fabric-utilization plane: per-memory-node windowed load and
     /// page-range heat (disabled by default; see
     /// [`Endpoint::enable_utilization`]). Reads the clock, never
@@ -438,8 +433,7 @@ impl Endpoint {
     /// The single completion path: fold one finished verb into every
     /// view of the endpoint — op counters, the per-class latency
     /// histogram, the CAS-retry tally, the windowed series, the
-    /// outstanding-verbs gauge, the per-node utilization plane and the
-    /// flight-recorder ring. Reads the clock (already advanced past the
+    /// per-node utilization plane and the flight-recorder ring. Reads the clock (already advanced past the
     /// verb), never moves it; each plane that is off costs one branch.
     /// Always inlined so `ev` lives in registers, not in memory: measured
     /// 4-9 % per verb with the planes off against an out-of-line call.
@@ -476,9 +470,6 @@ impl Endpoint {
                 ],
             );
         }
-        // +1 at issue, -1 at completion: net deltas bracket the span the
-        // verb was in flight, so windowed levels show how many were.
-        self.health.pulse(now.saturating_sub(ev.cost_ns), now, Gauge::VerbsOutstanding);
         if let Some(node) = ev.peer {
             if self.util.enabled() {
                 // Heat goes to the innermost open phase and the session
@@ -519,7 +510,6 @@ impl Endpoint {
         self.contention.reset();
         self.series.clear();
         self.series_wire_mark.set(0);
-        self.health.clear();
         self.util.clear();
         self.trace_id.set(0);
     }
@@ -555,39 +545,18 @@ impl Endpoint {
         self.series.note(self.clock.now_ns(), metric, delta);
     }
 
-    /// Turn on streaming gauge sampling with `width_ns`-wide
-    /// virtual-time windows (0 turns it back off). Like the series,
-    /// gauges read the clock but never advance it: the virtual timeline
-    /// is identical with the health plane on or off.
-    pub fn enable_health(&self, width_ns: u64) {
-        self.health.enable(width_ns);
-    }
-
-    /// Copy out the gauge plane recorded so far (empty when off).
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.health.snapshot()
-    }
-
-    /// Move `gauge` by the signed `delta` at the current virtual time.
-    /// Upper layers (buffer pool, lock table, engine, membership) use
-    /// this to land their levels in the same health plane as the verb
-    /// gauges. No-op while sampling is off.
-    #[inline]
-    pub fn gauge_add(&self, gauge: Gauge, delta: i64) {
-        self.health.add(self.clock.now_ns(), gauge, delta);
-    }
-
-    /// Current level of `gauge` on this endpoint (0 while sampling is
-    /// off — levels only accumulate while the health plane records).
-    pub fn gauge_level(&self, gauge: Gauge) -> i64 {
-        self.health.level(gauge)
-    }
+    /// Does nothing. The gauge plane it used to turn on is gone: the
+    /// levels the watchdog reads are prefix sums of series counters
+    /// (see [`Endpoint::enable_timeseries`]). Its only caller is
+    /// `benchmark/src/driver.rs`, in the separate benchmark workspace;
+    /// delete this method once that call is gone.
+    pub fn enable_health(&self, _width_ns: u64) {}
 
     /// Turn on fabric-utilization capture with `width_ns`-wide
     /// virtual-time windows (0 turns it back off): per-memory-node
     /// ingress/egress bytes, verbs, remote ns, and atomic-queue
     /// high-water marks, plus page-range heat lists. Like the
-    /// series and gauges, capture reads the clock but never advances
+    /// series, capture reads the clock but never advances
     /// it — the virtual timeline is byte-identical with utilization on
     /// or off.
     pub fn enable_utilization(&self, width_ns: u64) {
@@ -1688,7 +1657,6 @@ mod tests {
             let ep = fabric.endpoint();
             if planes {
                 ep.enable_timeseries(1_000);
-                ep.enable_health(1_000);
                 ep.enable_utilization(1_000);
                 ep.enable_flight_recorder(256);
             }
@@ -1785,21 +1753,12 @@ mod tests {
         }
         assert_eq!(util.node_verbs(), [(0, 9), (1, 7)]);
 
-        // Every verb that went out came back.
-        let health = ep.health_snapshot();
-        assert_eq!(health.final_level(Gauge::VerbsOutstanding), 0);
-        assert!(health.min_level(Gauge::VerbsOutstanding) >= 0);
-        assert!(health.max_level(Gauge::VerbsOutstanding) >= 1);
-        assert_eq!(ep.gauge_level(Gauge::VerbsOutstanding), 0);
-
         // `complete` folds a verb into each plane with one window lookup.
         // Replaying the ring through fresh recorders one counter at a
         // time must land every verb in the same windows.
         let ref_series = SeriesRecorder::new();
-        let ref_health = GaugeRecorder::new();
         let ref_util = UtilRecorder::new();
         ref_series.enable(1_000);
-        ref_health.enable(1_000);
         ref_util.enable(1_000);
         for e in &events {
             let EventKind::Verb(kind) = e.kind else { continue };
@@ -1808,15 +1767,12 @@ mod tests {
             if kind != OpKind::Recv {
                 ref_series.note(end, Metric::BytesWire, bytes);
             }
-            ref_health.add(e.ts_ns, Gauge::VerbsOutstanding, 1);
-            ref_health.add(end, Gauge::VerbsOutstanding, -1);
             if e.peer != u16::MAX {
                 let offset = e.addr & ((1 << 48) - 1);
                 let ingress = kind != OpKind::Read;
                 ref_util.note(end, e.peer as u64, offset, ingress, bytes, e.dur_ns, 0, e.phase as usize);
             }
         }
-        assert_eq!(health, ref_health.snapshot());
         // Wire RTs follow the doorbell mark, which the ring does not
         // carry (their total is checked above); atomic-unit queueing
         // likewise.
@@ -1845,7 +1801,6 @@ mod tests {
             );
             let ep = fabric.endpoint();
             ep.enable_timeseries(1_000);
-            ep.enable_health(1_000);
             ep.enable_utilization(1_000);
             ep.enable_flight_recorder(64);
             let mut got = [0u8; 40];
@@ -1876,7 +1831,6 @@ mod tests {
                 ep.stats(),
                 ep.flight_events(),
                 ep.series_snapshot(),
-                ep.health_snapshot(),
                 ep.utilization_snapshot(),
             )
         };

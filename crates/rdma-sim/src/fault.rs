@@ -24,7 +24,8 @@
 //! that keeps writing to the surviving members must treat the node as
 //! stale when the window ends — rebuild it (replace + copy) before
 //! trusting its contents, exactly like a real power-blip revive. The DSM
-//! layer's recovery path ([`recover`]-style replace-and-copy) does this.
+//! layer's recovery path (`recover_member_from_mirror`: replace, then
+//! copy from a mirror) does this.
 
 use crate::error::{RdmaError, RdmaResult};
 use crate::fabric::NodeId;

@@ -61,8 +61,8 @@ pub use stats::{OpKind, OpStats, StatsSnapshot};
 // depend on rdma-sim can open spans without a direct telemetry dep.
 pub use telemetry::{
     gini, heat_key, heat_key_base_offset, heat_key_node, max_mean_ratio, placement_advisor,
-    sparkline, AlertEvent, AlertKind, AlertState, ChromeTrace, ContentionSnapshot, Gauge,
-    HealthSnapshot, HistSnapshot, Metric, MovePlan, MoveRec, NodeUtil, Phase, PhaseSnapshot,
-    Sample, SeriesSnapshot, TopEntry, UtilSnapshot, UtilWindow, WaitEdge, Watchdog,
-    WatchdogConfig, DEFAULT_WINDOW_NS, HEAT_RANGE_BYTES,
+    sparkline, AlertEvent, AlertKind, AlertState, ChromeTrace, ContentionSnapshot, HistSnapshot,
+    Metric, MovePlan, MoveRec, NodeUtil, Phase, PhaseSnapshot, Sample, SeriesSnapshot, TopEntry,
+    UtilSnapshot, UtilWindow, WaitEdge, Watchdog, WatchdogConfig, DEFAULT_WINDOW_NS,
+    HEAT_RANGE_BYTES,
 };

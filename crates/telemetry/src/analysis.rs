@@ -4,9 +4,9 @@
 //! being hand-derived from ad-hoc timestamps: given a
 //! [`SeriesSnapshot`] and the virtual instant a fault fired, this
 //! module *computes* the facts the paper's availability argument needs
-//! — steady-state baseline, dip depth, time-to-detection,
-//! time-to-recovery (first window back within a fraction of baseline),
-//! and burn rate against a configurable objective. Everything runs on
+//! — steady-state baseline, dip depth, time-to-detection and
+//! time-to-recovery (first window back within a fraction of baseline).
+//! Everything runs on
 //! per-window commit rates, so the answers are byte-reproducible
 //! whenever the series is.
 //!
@@ -36,16 +36,6 @@ pub struct RecoveryFacts {
     /// back within the threshold closed. `Some(0)` when throughput
     /// never dipped; `None` when it dipped and never came back.
     pub time_to_recovery_ns: Option<u64>,
-}
-
-/// A service-level objective for [`burn_rate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloObjective {
-    /// Windows below this commit rate consume error budget.
-    pub target_tps: f64,
-    /// Tolerated fraction of bad windows (e.g. 0.1 = 10% of the run
-    /// may be below target before the budget is spent).
-    pub error_budget: f64,
 }
 
 /// Mean commit rate over the complete windows that closed at or before
@@ -194,20 +184,6 @@ pub fn recovery_facts_between(
         time_to_detection_ns,
         time_to_recovery_ns,
     }
-}
-
-/// Error-budget burn rate: the fraction of windows below
-/// `obj.target_tps` divided by `obj.error_budget`. 1.0 means the run
-/// consumed exactly its budget; above 1.0 the objective was missed.
-/// The final (usually partial) window is excluded.
-pub fn burn_rate(s: &SeriesSnapshot, obj: &SloObjective) -> f64 {
-    let rates = s.rate_per_sec(Metric::Commits);
-    let n = rates.len().saturating_sub(1);
-    if n == 0 || obj.error_budget <= 0.0 {
-        return 0.0;
-    }
-    let bad = rates[..n].iter().filter(|&&r| r < obj.target_tps).count();
-    (bad as f64 / n as f64) / obj.error_budget
 }
 
 /// Incremental mean over observed per-window rates — the streaming
@@ -572,19 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn burn_rate_counts_bad_windows_against_the_budget() {
-        let s = dipped();
-        // 20 full windows scanned (partial 21st excluded), 3 below
-        // 90% of baseline → bad share 0.15; budget 0.15 → burn 1.0.
-        let obj = SloObjective { target_tps: 0.9e8, error_budget: 0.15 };
-        let burn = burn_rate(&s, &obj);
-        assert!((burn - 1.0).abs() < 1e-9, "burn {burn}");
-        // Half the budget → twice the burn.
-        let tight = SloObjective { target_tps: 0.9e8, error_budget: 0.075 };
-        assert!((burn_rate(&s, &tight) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn degenerate_empty_series_yields_zero_facts_without_panics() {
         let s = SeriesSnapshot::empty();
         assert_eq!(steady_baseline(&s, 1_000), 0.0);
@@ -595,8 +558,6 @@ mod tests {
         let f = recovery_facts(&s, 0, 0.9);
         assert_eq!(f.baseline_tps, 0.0);
         assert_eq!(f.dip_depth, 0.0);
-        let obj = SloObjective { target_tps: 1.0, error_budget: 0.1 };
-        assert_eq!(burn_rate(&s, &obj), 0.0);
     }
 
     #[test]
@@ -610,8 +571,6 @@ mod tests {
         let f = recovery_facts(&s, 0, 0.9);
         assert_eq!(f.dip_depth, 0.0);
         assert_eq!(f.time_to_recovery_ns, Some(0));
-        let obj = SloObjective { target_tps: 1e12, error_budget: 0.5 };
-        assert_eq!(burn_rate(&s, &obj), 0.0, "single window has no complete windows to burn");
     }
 
     #[test]

@@ -20,17 +20,17 @@
 //!   record.
 //! * [`timeseries::SeriesRecorder`] — named counters sampled into
 //!   fixed-width virtual-time windows (commits, aborts by cause, verbs,
-//!   wire RTs, cache hits, lock waits/steals, epoch bumps) with an
-//!   associative/commutative cross-session merge, and [`analysis`] —
-//!   SLO/recovery facts computed *from* the series: steady-state
-//!   baseline, dip depth, time-to-detection/recovery, burn rate.
-//! * [`live::GaugeRecorder`] + [`watchdog::Watchdog`] — the *live*
-//!   plane: streaming gauges (sessions in flight, locks held, pool
-//!   occupancy, verbs outstanding, membership epoch) sampled into
-//!   mergeable per-node [`live::HealthSnapshot`]s, and an online
-//!   monitor that evaluates a fixed rule set over the closing windows
-//!   and emits a deterministic, typed, virtual-timestamped alert log
-//!   with open/clear semantics and debounce.
+//!   wire RTs, cache hits, lock waits/steals, epoch bumps, txn and
+//!   migration begins) with an associative/commutative cross-session
+//!   merge, and [`analysis`] — recovery facts computed *from* the
+//!   series: steady-state baseline, dip depth, time-to-detection and
+//!   time-to-recovery.
+//! * [`watchdog::Watchdog`] — an online monitor that evaluates a fixed
+//!   rule set over the closing series windows and emits a
+//!   deterministic, typed, virtual-timestamped alert log with
+//!   open/clear semantics and debounce. The two levels its rules read
+//!   (sessions and migrations in flight) are prefix sums of series
+//!   counters, so it needs no second recorder.
 //! * [`forensics`] — tail-latency forensics: per-transaction critical
 //!   paths reconstructed from the flight-recorder event ring, typed
 //!   blame attribution for every nanosecond of a slow transaction, and
@@ -55,7 +55,6 @@ pub mod contention;
 pub mod forensics;
 pub mod hist;
 pub mod json;
-pub mod live;
 pub mod report;
 pub mod span;
 pub mod timeseries;
@@ -66,9 +65,8 @@ mod window;
 
 pub use analysis::{
     gini, max_mean_ratio, move_plan_from_json, move_plan_json, placement_advisor, sparkline,
-    MovePlan, MoveRec, RecoveryFacts, RollingBaseline, SloObjective,
+    MovePlan, MoveRec, RecoveryFacts, RollingBaseline,
 };
-pub use live::{Gauge, GaugeRecorder, HealthSnapshot, GAUGES};
 pub use contention::{
     wait_for_analysis, ContentionSnapshot, HotList, TopEntry, WaitEdge, WaitForSummary,
     MERGED_TOP_K,

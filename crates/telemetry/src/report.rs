@@ -21,7 +21,6 @@ use crate::contention::ContentionSnapshot;
 use crate::forensics::forensics_from_json;
 use crate::hist::HistSnapshot;
 use crate::json::Json;
-use crate::live::{Gauge, HealthSnapshot};
 use crate::span::{bucket_name, PhaseSnapshot, OTHER_BUCKET};
 use crate::timeseries::{Metric, SeriesSnapshot};
 use crate::utilization::{utilization_from_json, utilization_json, UtilSnapshot};
@@ -31,8 +30,10 @@ use crate::watchdog::{log_violations, AlertEvent, AlertKind, AlertState};
 /// v2 added the `timeseries` section, v3 `health` and `alerts`, v4
 /// `forensics`, v5 `utilization` — see [`Section`]; v6 dropped `err` from
 /// every ranked list, whose counts became exact; v7 made every section
-/// optional.
-pub const SCHEMA_VERSION: u64 = 7;
+/// optional; v8 dropped `health`, whose two levels the watchdog reads
+/// became the `begins` / `migrations_begun` / `migrations_ended`
+/// counters of `timeseries`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The plane sections a report may carry between `rows` and `headline`,
 /// in document order: exactly those its experiment attached. Each is
@@ -42,8 +43,6 @@ pub const SCHEMA_VERSION: u64 = 7;
 pub enum Section {
     /// [`series_json`]: per-window metric counts on the virtual clock.
     Timeseries,
-    /// [`health_json`]: windowed gauge deltas and their levels.
-    Health,
     /// [`alerts_json`]: the watchdog's typed open/clear log.
     Alerts,
     /// [`forensics_json`](crate::forensics::forensics_json): blame
@@ -56,9 +55,8 @@ pub enum Section {
 
 impl Section {
     /// Every section, in document order.
-    pub const ALL: [Section; 5] = [
+    pub const ALL: [Section; 4] = [
         Section::Timeseries,
-        Section::Health,
         Section::Alerts,
         Section::Forensics,
         Section::Utilization,
@@ -68,7 +66,6 @@ impl Section {
     pub fn key(self) -> &'static str {
         match self {
             Section::Timeseries => "timeseries",
-            Section::Health => "health",
             Section::Alerts => "alerts",
             Section::Forensics => "forensics",
             Section::Utilization => "utilization",
@@ -86,7 +83,6 @@ impl Section {
                 let makespan = makespan.unwrap_or(0);
                 check(section, parsed, |s| series_json(s, makespan), |s| s.violations(makespan))
             }
-            Section::Health => check(section, health_from_json(section), health_json, HealthSnapshot::violations),
             Section::Alerts => {
                 check(section, alerts_from_json(section), |e| alerts_json(e), |e| log_violations(e, span))
             }
@@ -371,60 +367,6 @@ pub fn series_from_json(section: &Json) -> Option<SeriesSnapshot> {
     Some(SeriesSnapshot { window_ns, windows })
 }
 
-/// Merged gauge plane → the report `health` section. Emits the window
-/// geometry, per-window *net deltas* for every gauge that moved (the
-/// mergeable encoding), and a per-gauge level summary (final/min/max
-/// window-end levels) so readers get levels without redoing the prefix
-/// sums.
-pub fn health_json(h: &HealthSnapshot) -> Json {
-    let mut deltas = Vec::new();
-    let mut levels = Vec::new();
-    for g in Gauge::ALL {
-        if h.deltas(g).iter().all(|&d| d == 0) {
-            continue;
-        }
-        deltas.push((
-            g.name().to_string(),
-            Json::A(h.deltas(g).into_iter().map(Json::I).collect()),
-        ));
-        levels.push((
-            g.name().to_string(),
-            Json::obj(vec![
-                ("final", Json::I(h.final_level(g))),
-                ("min", Json::I(h.min_level(g))),
-                ("max", Json::I(h.max_level(g))),
-            ]),
-        ));
-    }
-    Json::obj(vec![
-        ("window_ns", Json::U(h.window_ns)),
-        ("windows", Json::U(h.len() as u64)),
-        ("deltas", Json::O(deltas)),
-        ("levels", Json::O(levels)),
-    ])
-}
-
-/// Rebuild a [`HealthSnapshot`] from a parsed `health` section — the
-/// read side of [`health_json`], used by validators.
-pub fn health_from_json(section: &Json) -> Option<HealthSnapshot> {
-    let window_ns = section.get("window_ns")?.as_u64()?;
-    let n = section.get("windows")?.as_u64()? as usize;
-    let mut windows = vec![[0i64; crate::live::GAUGES]; n];
-    if let Some(Json::O(members)) = section.get("deltas") {
-        for (name, arr) in members {
-            let g = Gauge::from_name(name)?;
-            let deltas = arr.as_array()?;
-            if deltas.len() != n {
-                return None;
-            }
-            for (i, d) in deltas.iter().enumerate() {
-                windows[i][g as usize] = d.as_i64()?;
-            }
-        }
-    }
-    Some(HealthSnapshot { window_ns, windows })
-}
-
 /// Watchdog log → the report `alerts` section: the event count and the
 /// full typed log in sequence order. Deterministic rendering — same
 /// run, byte-identical section.
@@ -629,25 +571,6 @@ mod tests {
         let miscounted = Json::obj(vec![("count", Json::U(1)), ("events", Json::A(vec![]))]);
         r.section(Section::Alerts, miscounted);
         assert!(violations(&r.to_json()).iter().any(|v| v.starts_with("alerts: ")));
-    }
-
-    #[test]
-    fn health_json_round_trips_and_skips_idle_gauges() {
-        use crate::live::GaugeRecorder;
-        let g = GaugeRecorder::new();
-        g.enable(100);
-        g.add(10, Gauge::LocksHeld, 1);
-        g.add(150, Gauge::LocksHeld, 1);
-        g.add(260, Gauge::LocksHeld, -2);
-        let snap = g.snapshot();
-        let j = health_json(&snap);
-        assert_eq!(j.get("window_ns").unwrap().as_u64(), Some(100));
-        assert!(j.get("deltas").unwrap().get("pool_resident").is_none());
-        let lh = j.get("levels").unwrap().get("locks_held").unwrap();
-        assert_eq!(lh.get("final").unwrap().as_i64(), Some(0));
-        assert_eq!(lh.get("max").unwrap().as_i64(), Some(2));
-        let parsed = Json::parse(&j.render_pretty(2)).unwrap();
-        assert_eq!(health_from_json(&parsed), Some(snap));
     }
 
     #[test]

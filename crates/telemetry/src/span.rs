@@ -150,7 +150,7 @@ impl PhaseTracker {
         self.mark.set(now);
     }
 
-    /// Open a span. Deeper-than-[`MAX_DEPTH`] nesting saturates: the
+    /// Open a span. Deeper-than-`MAX_DEPTH` nesting saturates: the
     /// extra levels are attributed to the deepest stored phase.
     #[inline]
     pub fn enter(&self, phase: Phase, now: Sample) {

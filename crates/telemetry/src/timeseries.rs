@@ -6,10 +6,14 @@
 //! the missing primitive — a registry of named counters sampled into
 //! fixed-width *virtual-time* windows:
 //!
-//! * [`Metric`] — the closed set of tracked counters (commits, aborts
-//!   by cause, per-verb counts, wire RTs, bytes, cache hits/misses,
-//!   lock waits/steals, epoch bumps). A closed enum keeps every window
-//!   a flat `[u64; METRICS]` — no hashing, no allocation per record.
+//! * [`Metric`] — the closed set of tracked counters (txn begins,
+//!   commits, aborts by cause, per-verb counts, wire RTs, bytes, cache
+//!   hits/misses, lock waits/steals, epoch bumps, migration begins and
+//!   ends). A closed enum keeps every window a flat `[u64; METRICS]` —
+//!   no hashing, no allocation per record.
+//! * Levels — how many sessions or migrations are in flight — are not
+//!   recorded separately: each is a counter of starts minus a counter
+//!   of ends, summed over the windows up to the instant asked about.
 //! * [`SeriesRecorder`] — the `Cell`-based per-thread collector.
 //!   Recording reads the caller-supplied virtual timestamp but never
 //!   advances any clock, so sampling is free in virtual time: a run
@@ -20,13 +24,13 @@
 //!   series in any order equals recording everything single-threaded.
 //!
 //! **Window widths.** Bucketing, width doubling past [`MAX_WINDOWS`]
-//! and the width-aligning merge are [`crate::window`]'s; a window here
-//! is a flat vector of counts and folds by addition.
+//! and the width-aligning merge are the private `window` module's; a
+//! window here is a flat vector of counts and folds by addition.
 
 use crate::window::{self, Windowed};
 
 /// Number of tracked metrics (length of a window vector).
-pub const METRICS: usize = 27;
+pub const METRICS: usize = 30;
 
 /// Hard cap on windows held by one recorder; crossing it doubles the
 /// window width (pairwise coalesce), keeping memory bounded at
@@ -94,6 +98,16 @@ pub enum Metric {
     Evictions = 25,
     /// Bytes copied to a new home by the live-migration copier.
     MigratedBytes = 26,
+    /// Transactions begun. Every begin ends in exactly one commit or
+    /// abort, noted at the instant the attempt ends, so sessions in
+    /// flight at a window's end are Σbegins − Σcommits − Σaborts up to
+    /// it.
+    Begins = 27,
+    /// Dual-ownership migration windows opened.
+    MigrationsBegun = 28,
+    /// Dual-ownership migration windows closed (flipped, aborted or
+    /// rolled back); migrations in flight are Σbegun − Σended.
+    MigrationsEnded = 29,
 }
 
 impl Metric {
@@ -126,6 +140,9 @@ impl Metric {
         Metric::Invals,
         Metric::Evictions,
         Metric::MigratedBytes,
+        Metric::Begins,
+        Metric::MigrationsBegun,
+        Metric::MigrationsEnded,
     ];
 
     /// Stable JSON/registry name.
@@ -158,6 +175,9 @@ impl Metric {
             Metric::Invals => "invals",
             Metric::Evictions => "evictions",
             Metric::MigratedBytes => "migrated_bytes",
+            Metric::Begins => "begins",
+            Metric::MigrationsBegun => "migrations_begun",
+            Metric::MigrationsEnded => "migrations_ended",
         }
     }
 
@@ -310,9 +330,11 @@ impl SeriesSnapshot {
     }
 
     /// What a `timeseries` section that re-renders to itself can still
-    /// get wrong: a zero width, or windows that fall short of / run
-    /// past the run's makespan by more than one window (the last
-    /// sample can land just before a boundary).
+    /// get wrong: a zero width; windows that fall short of / run past
+    /// the run's makespan by more than one window (the last sample can
+    /// land just before a boundary); a session that never drained
+    /// (every begin ends in a commit or an abort before the report is
+    /// written); or a migration that ended before it began.
     pub fn violations(&self, makespan_ns: u64) -> Vec<String> {
         let (n, w) = (self.len() as u64, self.window_ns);
         if w == 0 {
@@ -324,6 +346,20 @@ impl SeriesSnapshot {
         }
         if makespan_ns + w < n * w {
             out.push(format!("{n} windows x {w} ns overshoot makespan {makespan_ns} ns"));
+        }
+        let begins = self.total(Metric::Begins);
+        let ended = self.total(Metric::Commits) + self.total(Metric::Aborts);
+        if begins != ended {
+            out.push(format!("{begins} begins but {ended} commits + aborts (all sessions must drain)"));
+        }
+        let mut migrating = 0i64;
+        for (i, win) in self.windows.iter().enumerate() {
+            migrating += win[Metric::MigrationsBegun as usize] as i64;
+            migrating -= win[Metric::MigrationsEnded as usize] as i64;
+            if migrating < 0 {
+                out.push(format!("migrations in flight dip to {migrating} in window {i} (must stay >= 0)"));
+                break;
+            }
         }
         out
     }

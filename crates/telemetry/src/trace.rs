@@ -1,10 +1,10 @@
 //! Deterministic Chrome `trace_event` JSON writer.
 //!
 //! The flight-recorder's event rings render into the Trace Event
-//! Format understood by `chrome://tracing` and [Perfetto]
-//! (https://ui.perfetto.dev): an object with a `traceEvents` array of
-//! `"X"` (complete), `"B"`/`"E"` (duration) and `"i"` (instant)
-//! events. Timestamps are virtual-clock microseconds, so a same-seed
+//! Format understood by `chrome://tracing` and
+//! [Perfetto](https://ui.perfetto.dev): an object with a
+//! `traceEvents` array of `"X"` (complete), `"B"`/`"E"` (duration)
+//! and `"i"` (instant) events. Timestamps are virtual-clock microseconds, so a same-seed
 //! rerun produces a byte-identical file — the determinism tests diff
 //! the rendered bytes directly.
 //!

@@ -2,7 +2,7 @@
 //! disaggregated memory pool.
 //!
 //! Every observability layer so far (histograms, phase spans, windowed
-//! series, gauges, forensics) answers *latency* questions. The paper's
+//! series, forensics) answers *latency* questions. The paper's
 //! pooling argument is a *capacity and placement* claim: disaggregation
 //! wins because memory utilization rises when DRAM is pooled, and
 //! because skewed key ranges can be re-placed onto cold nodes. This
@@ -10,8 +10,8 @@
 //!
 //! * **Per-memory-node accounting** — ingress/egress bytes, verbs, and
 //!   remote nanoseconds per fixed-width virtual-time window (one
-//!   [`crate::window`] track per node), plus a per-window queue-delay
-//!   high-water mark (atomic-unit queueing observed at that node).
+//!   track per node, in the series' window geometry), plus a
+//!   per-window queue-delay high-water mark (atomic-unit queueing observed at that node).
 //!   Occupancy (allocated vs capacity bytes) is stamped onto the
 //!   snapshot by the harness that owns the allocators.
 //! * **Per-key-range heat** — one exact [`Tally`] entry per 64 KiB
@@ -24,7 +24,7 @@
 //!   commutative window sums (high-water marks merge by max, which is
 //!   exact for maxima), hot lists by addition.
 //!
-//! Like the series and gauge recorders, [`UtilRecorder`] reads the
+//! Like the series recorder, [`UtilRecorder`] reads the
 //! caller-supplied virtual timestamp but never advances any clock:
 //! capture on vs off produces the byte-identical virtual timeline.
 

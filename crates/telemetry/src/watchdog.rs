@@ -2,11 +2,12 @@
 //!
 //! The post-hoc [`crate::analysis`] functions answer "what happened"
 //! after a run ends; the watchdog answers "is something wrong *now*".
-//! It consumes the live plane — one closed counter window
-//! ([`crate::timeseries`]) plus the gauge levels at its end
-//! ([`crate::live`]) and an optional per-window p99 — and evaluates a
-//! fixed rule set, emitting typed, virtual-timestamped [`AlertEvent`]s
-//! with open/clear semantics.
+//! It consumes one closed counter window ([`crate::timeseries`]) at a
+//! time, plus an optional per-window p99, and evaluates a fixed rule
+//! set, emitting typed, virtual-timestamped [`AlertEvent`]s with
+//! open/clear semantics. The two levels its rules need — sessions and
+//! migrations in flight — it keeps itself, as running sums of the
+//! windows' begin and end counters.
 //!
 //! **Rules.** One per [`AlertKind`]: p99 SLO breach, throughput dip
 //! (the incremental form of `analysis` dip detection, via
@@ -27,7 +28,6 @@
 //! already-recorded windows, so monitoring is free in virtual time.
 
 use crate::analysis::RollingBaseline;
-use crate::live::{Gauge, HealthSnapshot, GAUGES};
 use crate::timeseries::{Metric, SeriesSnapshot, METRICS};
 
 /// Number of watchdog rules (one per [`AlertKind`]).
@@ -230,6 +230,10 @@ pub struct Watchdog {
     rules: [RuleState; RULES],
     log: Vec<AlertEvent>,
     seq: u64,
+    /// Sessions in flight at the end of the last window observed.
+    in_flight: i64,
+    /// Migration windows open at the end of the last window observed.
+    migrating: i64,
 }
 
 impl Watchdog {
@@ -241,6 +245,8 @@ impl Watchdog {
             rules: [RuleState::default(); RULES],
             log: Vec::new(),
             seq: 0,
+            in_flight: 0,
+            migrating: 0,
         }
     }
 
@@ -265,22 +271,18 @@ impl Watchdog {
     }
 
     /// Evaluate every rule against one *closed* window. `end_ns` is the
-    /// window's virtual end; `counters` is its counter vector; `levels`
-    /// the gauge levels at its end (when a health plane is wired);
-    /// `p99_ns` the windowed p99 (when the harness tracks latencies).
-    pub fn observe_window(
-        &mut self,
-        end_ns: u64,
-        counters: &[u64; METRICS],
-        levels: Option<&[i64; GAUGES]>,
-        p99_ns: Option<u64>,
-    ) {
+    /// window's virtual end; `counters` is its counter vector; `p99_ns`
+    /// the windowed p99 (when the harness tracks latencies).
+    pub fn observe_window(&mut self, end_ns: u64, counters: &[u64; METRICS], p99_ns: Option<u64>) {
         let width = self.cfg.window_ns;
         if width == 0 {
             return;
         }
-        let commits = counters[Metric::Commits as usize];
-        let aborts = counters[Metric::Aborts as usize];
+        let count = |m: Metric| counters[m as usize];
+        let commits = count(Metric::Commits);
+        let aborts = count(Metric::Aborts);
+        self.in_flight += count(Metric::Begins) as i64 - (commits + aborts) as i64;
+        self.migrating += count(Metric::MigrationsBegun) as i64 - count(Metric::MigrationsEnded) as i64;
         let rate = commits as f64 * 1e9 / width as f64;
 
         // P99 SLO: only when both an objective and a measurement exist.
@@ -328,17 +330,16 @@ impl Watchdog {
         self.step(AlertKind::CacheThrash, db, breach, end_ns, hit_rate, self.cfg.thrash_hit_rate);
 
         // Stuck session: sessions in flight, but the window retired
-        // nothing at all. Needs the gauge plane.
-        let in_flight = levels.map_or(0, |l| l[Gauge::SessionsInFlight as usize]);
+        // nothing at all.
+        let in_flight = self.in_flight;
         let stuck = in_flight > 0 && commits + aborts == 0;
         let db = Debounce::new(self.cfg.stuck_windows, 1);
         self.step(AlertKind::StuckSession, db, stuck, end_ns, in_flight as f64, 0.0);
 
         // Migration stalled: a dual-ownership window is open but the
-        // copier moved nothing this window. Needs the gauge plane.
-        let migrating = levels.map_or(0, |l| l[Gauge::MigrationInFlight as usize]);
-        let moved = counters[Metric::MigratedBytes as usize];
-        let stalled = migrating > 0 && moved == 0;
+        // copier moved nothing this window.
+        let migrating = self.migrating;
+        let stalled = migrating > 0 && count(Metric::MigratedBytes) == 0;
         let db = Debounce::new(self.cfg.migration_stall_windows, 1);
         self.step(AlertKind::MigrationStalled, db, stalled, end_ns, migrating as f64, 0.0);
     }
@@ -376,52 +377,22 @@ impl Watchdog {
     }
 }
 
-/// Replay a finished run's merged series (plus optional health plane
-/// and per-window p99s, indexed by series window) through a fresh
-/// watchdog, window by window in virtual-time order — exactly what an
-/// online monitor would have seen. The final window is skipped: it is
-/// usually partial and would fake a terminal dip (same convention as
+/// Replay a finished run's merged series (plus optional per-window
+/// p99s, indexed by series window) through a fresh watchdog, window by
+/// window in virtual-time order — exactly what an online monitor would
+/// have seen. The final window is skipped: it is usually partial and
+/// would fake a terminal dip (same convention as
 /// `analysis::recovery_facts`). Returns the alert log.
 pub fn run_over(
     mut cfg: WatchdogConfig,
     series: &SeriesSnapshot,
-    health: Option<&HealthSnapshot>,
     p99s: Option<&[Option<u64>]>,
 ) -> Vec<AlertEvent> {
     cfg.window_ns = series.window_ns;
     let mut wd = Watchdog::new(cfg);
-    // Align the health plane to the counter stream's width. Both start
-    // from the same base width and only double, so one divides the
-    // other; the gauge plane (rarer events) is never the coarser one.
-    let aligned;
-    let health = match health {
-        Some(h) if !h.is_empty() => {
-            assert!(
-                series.window_ns.is_multiple_of(h.window_ns),
-                "health width {} does not divide series width {}",
-                h.window_ns,
-                series.window_ns
-            );
-            let mut h2 = h.clone();
-            h2.coarsen_to(series.window_ns);
-            aligned = h2;
-            Some(&aligned)
-        }
-        _ => None,
-    };
-    let mut levels = [0i64; GAUGES];
-    let n = series.len().saturating_sub(1);
-    for i in 0..n {
-        if let Some(h) = health {
-            if let Some(w) = h.windows.get(i) {
-                for (lvl, d) in levels.iter_mut().zip(w.iter()) {
-                    *lvl += d;
-                }
-            }
-        }
-        let end_ns = series.window_start_ns(i + 1);
+    for i in 0..series.len().saturating_sub(1) {
         let p99 = p99s.and_then(|p| p.get(i).copied().flatten());
-        wd.observe_window(end_ns, &series.windows[i], health.map(|_| &levels), p99);
+        wd.observe_window(series.window_start_ns(i + 1), &series.windows[i], p99);
     }
     wd.into_log()
 }
@@ -507,7 +478,7 @@ mod tests {
 
     fn feed(wd: &mut Watchdog, windows: &[[u64; METRICS]]) {
         for (i, w) in windows.iter().enumerate() {
-            wd.observe_window((i as u64 + 1) * W, w, None, None);
+            wd.observe_window((i as u64 + 1) * W, w, None);
         }
     }
 
@@ -567,9 +538,9 @@ mod tests {
         let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         let mut w = window(5);
         w[Metric::LockSteals as usize] = 2;
-        wd.observe_window(W, &window(5), None, None);
-        wd.observe_window(2 * W, &w, None, None);
-        wd.observe_window(3 * W, &window(5), None, None);
+        wd.observe_window(W, &window(5), None);
+        wd.observe_window(2 * W, &w, None);
+        wd.observe_window(3 * W, &window(5), None);
         let log = wd.log();
         assert_eq!(log.len(), 1, "open but not yet cleared: {log:?}");
         assert_eq!(log[0].kind, AlertKind::LeaseStealStorm);
@@ -581,14 +552,14 @@ mod tests {
     fn p99_rule_needs_both_objective_and_measurement() {
         // No objective → never fires even with huge p99s.
         let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
-        wd.observe_window(W, &window(5), None, Some(u64::MAX));
+        wd.observe_window(W, &window(5), Some(u64::MAX));
         assert!(wd.log().is_empty());
         // Objective set → fires after debounce.
         let mut cfg = WatchdogConfig::new(W, 1);
         cfg.slo_p99_ns = Some(1_000);
         let mut wd = Watchdog::new(cfg);
-        wd.observe_window(W, &window(5), None, Some(5_000));
-        wd.observe_window(2 * W, &window(5), None, Some(5_000));
+        wd.observe_window(W, &window(5), Some(5_000));
+        wd.observe_window(2 * W, &window(5), Some(5_000));
         let log = wd.log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, AlertKind::P99SloBreach);
@@ -604,8 +575,8 @@ mod tests {
         let mut w = window(5);
         // 4 sessions * 100ns budget = 400ns; 250ns waiting = 62.5%.
         w[Metric::LockWaitNs as usize] = 250;
-        wd.observe_window(W, &w, None, None);
-        wd.observe_window(2 * W, &w, None, None);
+        wd.observe_window(W, &w, None);
+        wd.observe_window(2 * W, &w, None);
         let log = wd.log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, AlertKind::LockWaitConcentration);
@@ -622,34 +593,37 @@ mod tests {
         w[Metric::Invals as usize] = 50;
         w[Metric::CacheHits as usize] = 2;
         w[Metric::CacheMisses as usize] = 18;
-        wd.observe_window(W, &w, None, None);
-        wd.observe_window(2 * W, &w, None, None);
+        wd.observe_window(W, &w, None);
+        wd.observe_window(2 * W, &w, None);
         let kinds: Vec<AlertKind> = wd.log().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![AlertKind::InvalidationStorm, AlertKind::CacheThrash]);
     }
 
     #[test]
-    fn stuck_session_needs_gauges_and_a_long_silence() {
+    fn stuck_session_needs_sessions_in_flight_and_a_long_silence() {
         let mut cfg = WatchdogConfig::new(W, 1);
         cfg.stuck_windows = 3;
         let mut wd = Watchdog::new(cfg);
-        let mut levels = [0i64; GAUGES];
-        levels[Gauge::SessionsInFlight as usize] = 2;
-        // Without gauges the rule is inert.
-        wd.observe_window(W, &window(0), None, None);
-        // With gauges: three silent windows open the alert.
-        for i in 2..=4u64 {
-            wd.observe_window(i * W, &window(0), Some(&levels), None);
+        // Silence with nobody in flight is not stuck.
+        wd.observe_window(W, &window(0), None);
+        // Two sessions begin and never retire: three silent windows
+        // (the one they began in included) open the alert.
+        let mut entered = window(0);
+        entered[Metric::Begins as usize] = 2;
+        wd.observe_window(2 * W, &entered, None);
+        for i in 3..=4u64 {
+            wd.observe_window(i * W, &window(0), None);
         }
         let log = wd.log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, AlertKind::StuckSession);
         assert_eq!(log[0].at_ns, 4 * W);
         assert_eq!(log[0].value, 2.0);
-        // One retired txn clears it (clear_after = 1).
-        wd.observe_window(5 * W, &window(1), Some(&levels), None);
+        // One retired txn clears it (clear_after = 1) and lowers the level.
+        wd.observe_window(5 * W, &window(1), None);
         assert_eq!(wd.log().len(), 2);
         assert_eq!(wd.log()[1].state, AlertState::Clear);
+        assert_eq!(wd.log()[1].value, 1.0);
     }
 
     #[test]
@@ -657,18 +631,19 @@ mod tests {
         let mut cfg = WatchdogConfig::new(W, 1);
         cfg.migration_stall_windows = 3;
         let mut wd = Watchdog::new(cfg);
-        let mut levels = [0i64; GAUGES];
-        levels[Gauge::MigrationInFlight as usize] = 1;
         let mut moving = window(5);
         moving[Metric::MigratedBytes as usize] = 4_096;
-        // Progressing windows never breach.
-        for i in 1..=4u64 {
-            wd.observe_window(i * W, &moving, Some(&levels), None);
+        // A migration opens; progressing windows never breach.
+        let mut begun = moving;
+        begun[Metric::MigrationsBegun as usize] = 1;
+        wd.observe_window(W, &begun, None);
+        for i in 2..=4u64 {
+            wd.observe_window(i * W, &moving, None);
         }
         assert!(wd.log().is_empty(), "{:?}", wd.log());
         // Flat progress with the window still open: opens after 3.
         for i in 5..=7u64 {
-            wd.observe_window(i * W, &window(5), Some(&levels), None);
+            wd.observe_window(i * W, &window(5), None);
         }
         let log = wd.log();
         assert_eq!(log.len(), 1, "{log:?}");
@@ -676,17 +651,17 @@ mod tests {
         assert_eq!(log[0].at_ns, 7 * W);
         assert_eq!(log[0].value, 1.0);
         // Progress resumes: clears immediately (clear_after = 1).
-        wd.observe_window(8 * W, &moving, Some(&levels), None);
+        wd.observe_window(8 * W, &moving, None);
         assert_eq!(wd.log().len(), 2);
         assert_eq!(wd.log()[1].state, AlertState::Clear);
         // Once the dual window closes, flat progress is not a stall.
-        let mut wd2 = Watchdog::new({
-            let mut c = WatchdogConfig::new(W, 1);
-            c.migration_stall_windows = 1;
-            c
-        });
-        wd2.observe_window(W, &window(5), Some(&[0i64; GAUGES]), None);
-        assert!(wd2.log().is_empty());
+        let mut ended = window(5);
+        ended[Metric::MigrationsEnded as usize] = 1;
+        wd.observe_window(9 * W, &ended, None);
+        for i in 10..=13u64 {
+            wd.observe_window(i * W, &window(5), None);
+        }
+        assert_eq!(wd.log().len(), 2, "{:?}", wd.log());
     }
 
     #[test]
@@ -700,10 +675,10 @@ mod tests {
         let s = r.snapshot();
         let mut cfg = WatchdogConfig::new(W, 1);
         cfg.warmup_windows = 4;
-        let log = run_over(cfg.clone(), &s, None, None);
+        let log = run_over(cfg.clone(), &s, None);
         let mut wd = Watchdog::new(cfg);
         for i in 0..s.len() - 1 {
-            wd.observe_window(s.window_start_ns(i + 1), &s.windows[i], None, None);
+            wd.observe_window(s.window_start_ns(i + 1), &s.windows[i], None);
         }
         assert_eq!(log, wd.into_log());
         assert_eq!(log.len(), 2, "{log:?}");
@@ -713,20 +688,19 @@ mod tests {
 
     #[test]
     fn run_over_threads_gauge_levels_through() {
-        use crate::live::GaugeRecorder;
         let r = SeriesRecorder::new();
         r.enable(W);
-        r.note(50, Metric::Commits, 1);
+        // Two txns begin, one commits; the other never leaves.
+        r.note_all(50, [(Metric::Begins, 2), (Metric::Commits, 1)]);
         r.note(10 * W, Metric::Commits, 1); // extend span, silent middle
-        let g = GaugeRecorder::new();
-        g.enable(W);
-        g.add(50, Gauge::SessionsInFlight, 1); // enters, never leaves
         let mut cfg = WatchdogConfig::new(W, 1);
         cfg.stuck_windows = 3;
         cfg.warmup_windows = 100; // keep the dip rule out of this test
-        let log = run_over(cfg, &r.snapshot(), Some(&g.snapshot()), None);
+        let log = run_over(cfg, &r.snapshot(), None);
         assert_eq!(log.len(), 1, "{log:?}");
         assert_eq!(log[0].kind, AlertKind::StuckSession);
+        // Window 0 retired a txn; windows 1..=3 are the silent three.
+        assert_eq!((log[0].at_ns, log[0].value), (4 * W, 1.0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Fixed-width virtual-time windows: the one geometry behind the
-//! counter series ([`crate::timeseries`]), the gauge plane
-//! ([`crate::live`]) and the per-node utilization tracks
-//! ([`crate::utilization`]).
+//! counter series ([`crate::timeseries`]) and the per-node utilization
+//! tracks ([`crate::utilization`]).
 //!
 //! A sample at virtual time `t` lands in window `t / width`. Widths only
 //! ever grow by integer factors — a recorder doubles its width when a run
@@ -12,10 +11,10 @@
 //! independent of when each session doubled.
 //!
 //! The element type supplies only how two windows fold ([`Window`]);
-//! what a window *means* (counts, net gauge deltas, load with a
-//! high-water mark) stays with the plane that owns it.
+//! what a window *means* (counts, or load with a high-water mark) stays
+//! with the plane that owns it.
 
-use std::cell::{Cell, RefCell, RefMut};
+use std::cell::{Cell, RefCell};
 
 use crate::timeseries::MAX_WINDOWS;
 
@@ -30,16 +29,6 @@ pub(crate) trait Window: Copy {
 }
 
 impl<const N: usize> Window for [u64; N] {
-    const ZERO: Self = [0; N];
-
-    fn absorb(&mut self, other: &Self) {
-        for (d, s) in self.iter_mut().zip(other) {
-            *d += s;
-        }
-    }
-}
-
-impl<const N: usize> Window for [i64; N] {
     const ZERO: Self = [0; N];
 
     fn absorb(&mut self, other: &Self) {
@@ -98,46 +87,14 @@ impl<W: Window> Windowed<W> {
         self.width_ns.get()
     }
 
-    /// Apply `f` to the window covering `now_ns`.
+    /// Apply `f` to the window covering `now_ns`, growing the windows to
+    /// cover it (and widening them first if that would take more than
+    /// [`MAX_WINDOWS`]). Leaves that window in `last`.
     #[inline]
     pub fn update(&self, now_ns: u64, f: impl FnOnce(&mut W)) {
-        if let Some((mut windows, idx)) = self.locate(now_ns) {
-            f(&mut windows[idx]);
-        }
-    }
-
-    /// Apply `then_f` to the window covering `then_ns` and `now_f` to the
-    /// one covering the later `now_ns`: the same as two [`Windowed::update`]s
-    /// in that order, with one lookup when both fall in one window.
-    #[inline]
-    pub fn update_pair(
-        &self,
-        then_ns: u64,
-        now_ns: u64,
-        then_f: impl FnOnce(&mut W),
-        now_f: impl FnOnce(&mut W),
-    ) {
-        debug_assert!(then_ns <= now_ns);
-        if let Some((mut windows, idx)) = self.locate(now_ns) {
-            let then_idx = if then_ns >= self.last.get().0 {
-                idx
-            } else {
-                (then_ns / self.width_ns.get()) as usize
-            };
-            then_f(&mut windows[then_idx]);
-            now_f(&mut windows[idx]);
-        }
-    }
-
-    /// The windows, grown to cover `now_ns` (and widened first if that
-    /// would take more than [`MAX_WINDOWS`]), with the index of the one
-    /// that does; `None` while recording is off. Leaves that window in
-    /// `last`.
-    #[inline]
-    fn locate(&self, now_ns: u64) -> Option<(RefMut<'_, Vec<W>>, usize)> {
         let width = self.width_ns.get();
         if width == 0 {
-            return None;
+            return;
         }
         let (start, mut idx) = self.last.get();
         // Also false for a `now_ns` before `start`: the difference wraps.
@@ -152,7 +109,7 @@ impl<W: Window> Windowed<W> {
         if windows.len() <= idx {
             windows.resize(idx + 1, W::ZERO);
         }
-        Some((windows, idx))
+        f(&mut windows[idx]);
     }
 
     /// Double the width, folding windows pairwise, until `now_ns` falls
@@ -259,13 +216,12 @@ pub(crate) fn merge<W: Window>(
 #[cfg(test)]
 mod tests {
     //! One set of geometry tests, run over the element type of every
-    //! plane: counter vectors, signed gauge deltas, and utilization
-    //! windows (whose `queue_hwm_ns` folds by max, not by addition).
+    //! plane: counter vectors and utilization windows (whose
+    //! `queue_hwm_ns` folds by max, not by addition).
 
     use std::fmt::Debug;
 
     use super::*;
-    use crate::live::GAUGES;
     use crate::timeseries::METRICS;
     use crate::utilization::UtilWindow;
 
@@ -279,16 +235,6 @@ mod tests {
             let mut w = [0; METRICS];
             w[0] = 1;
             w[(i % 5) as usize + 1] = i + 1;
-            w
-        }
-    }
-
-    impl Sample for [i64; GAUGES] {
-        fn sample(i: u64) -> Self {
-            let mut w = [0; GAUGES];
-            w[0] = 1;
-            // Signed: releases as well as acquires.
-            w[(i % 3) as usize + 1] = 2 - (i % 5) as i64;
             w
         }
     }
@@ -337,11 +283,6 @@ mod tests {
                 #[test]
                 fn counters() {
                     super::$check::<[u64; METRICS]>();
-                }
-
-                #[test]
-                fn gauge_deltas() {
-                    super::$check::<[i64; GAUGES]>();
                 }
 
                 #[test]

@@ -1,10 +1,14 @@
 //! Property tests for the windowed time-series: merging per-session
 //! snapshots is associative, commutative, and lossless against a
 //! single-threaded reference recorder — including when sessions double
-//! their window width at different points (long-running clocks).
+//! their window width at different points (long-running clocks) — and
+//! the watchdog's alert log over the merged series, whose levels are
+//! prefix sums of begin and end counters, is the log over the reference:
+//! the determinism the alert plane's byte-identical-logs claim rests on.
 
 use proptest::prelude::*;
-use telemetry::{Metric, SeriesRecorder, SeriesSnapshot};
+use telemetry::watchdog::{run_over, WatchdogConfig};
+use telemetry::{AlertEvent, AlertKind, Metric, SeriesRecorder, SeriesSnapshot};
 
 const SESSIONS: usize = 4;
 /// Small base width so events up to 2^22 ns force several rounds of
@@ -80,6 +84,80 @@ fn check(mut events: Vec<(u64, usize, u64, usize)>) -> Result<(), String> {
     Ok(())
 }
 
+/// One generated transaction attempt: (earliest begin, duration,
+/// session, whether it commits, shuffle key).
+type Txn = (u64, u64, usize, bool, u64);
+
+/// `sess`'s attempts as `(instant, metric)` notes. A session runs one
+/// attempt at a time: each begins at its generated instant or when the
+/// previous one ended, whichever is later, and ends in a commit or an
+/// abort.
+fn session_notes(txns: &[Txn], sess: usize) -> Vec<(u64, Metric)> {
+    let mut mine: Vec<Txn> = txns.iter().copied().filter(|t| t.2 == sess).collect();
+    mine.sort_by_key(|t| t.0);
+    let mut clock = 0;
+    let mut out = Vec::new();
+    for (begin, dur, _, commits, _) in mine {
+        clock = clock.max(begin);
+        out.push((clock, Metric::Begins));
+        clock += dur;
+        out.push((clock, if commits { Metric::Commits } else { Metric::Aborts }));
+    }
+    out
+}
+
+fn record_notes(notes: &[(u64, Metric)]) -> SeriesSnapshot {
+    record(&notes.iter().map(|&(t, m)| (t, m as usize, 1)).collect::<Vec<_>>())
+}
+
+/// Per-session series merged in a generated order and in its reverse
+/// give the single recorder's series, which passes the drain rule, and
+/// the watchdog (stuck-session threshold 2 windows, so silences inside
+/// long attempts open it) logs the same events over either. Returns the
+/// log.
+fn check_watchdog(txns: &[Txn]) -> Result<Vec<AlertEvent>, String> {
+    let per: Vec<Vec<(u64, Metric)>> = (0..SESSIONS).map(|s| session_notes(txns, s)).collect();
+    let mut all = per.concat();
+    all.sort_by_key(|&(t, _)| t);
+    let reference = record_notes(&all);
+
+    let key = |sess: usize| txns.get(sess).map_or(0, |t| t.4);
+    let mut pieces: Vec<(u64, SeriesSnapshot)> =
+        per.iter().enumerate().map(|(s, notes)| (key(s), record_notes(notes))).collect();
+    pieces.sort_by_key(|p| p.0);
+    let mut shuffled = SeriesSnapshot::empty();
+    for (_, p) in &pieces {
+        shuffled.merge(p);
+    }
+    let mut reversed = SeriesSnapshot::empty();
+    for (_, p) in pieces.iter().rev() {
+        reversed.merge(p);
+    }
+    prop_assert_eq!(&shuffled, &reversed);
+    prop_assert_eq!(&shuffled, &reference);
+    let makespan = all.last().map_or(0, |&(t, _)| t);
+    prop_assert_eq!(reference.violations(makespan), Vec::<String>::new());
+
+    let mut cfg = WatchdogConfig::new(BASE_WIDTH_NS, SESSIONS as u32);
+    cfg.stuck_windows = 2;
+    let log = run_over(cfg.clone(), &shuffled, None);
+    prop_assert_eq!(&log, &run_over(cfg, &reference, None));
+    for pair in log.windows(2) {
+        prop_assert!(pair[0].seq < pair[1].seq, "log must be seq-ordered");
+        prop_assert!(pair[0].at_ns <= pair[1].at_ns, "log must be time-ordered");
+    }
+    Ok(log)
+}
+
+/// The property is not vacuous: one attempt outlasting several windows
+/// while every other session is idle opens `stuck_session`.
+#[test]
+fn a_long_attempt_opens_stuck_session_in_the_merged_log() {
+    let txns = [(0, 4_000, 0, true, 3), (100, 20, 1, false, 1), (9_000, 5, 1, true, 2)];
+    let log = check_watchdog(&txns).unwrap();
+    assert!(log.iter().any(|e| e.kind == AlertKind::StuckSession), "{log:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -91,5 +169,15 @@ proptest! {
         ),
     ) {
         check(events)?;
+    }
+
+    #[test]
+    fn watchdog_log_over_merged_sessions_matches_one_recorder(
+        txns in proptest::collection::vec(
+            (0u64..1 << 22, 0u64..1 << 16, 0usize..SESSIONS, any::<bool>(), any::<u64>()),
+            1..100,
+        ),
+    ) {
+        check_watchdog(&txns)?;
     }
 }

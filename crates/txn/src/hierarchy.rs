@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dsm::{DsmLayer, GlobalAddr};
 use parking_lot::Mutex;
-use rdma_sim::{Endpoint, Gauge};
+use rdma_sim::Endpoint;
 
 use crate::locks::{ExclusiveLock, LockError};
 
@@ -105,11 +105,6 @@ impl HierarchicalLocks {
                     let e = m.get_mut(&key).expect("lease exists while refs > 0");
                     if !e.busy {
                         e.busy = true;
-                        // The hold passes between local threads whose
-                        // virtual clocks are mutually unordered, so each
-                        // holder books its own episode on its own
-                        // endpoint — ±1 pairs then stay clock-ordered.
-                        ep.gauge_add(Gauge::LocksHeld, 1);
                         return Ok(HierGuard { key, addr });
                     }
                 }
@@ -152,12 +147,7 @@ impl HierarchicalLocks {
         };
         ep.charge_local(LOCAL_SPIN_NS);
         if release_global {
-            // The global unlock's own gauge decrement closes this
-            // holder's episode (whether it was the +1 from the global
-            // CAS or from a local handoff).
             ExclusiveLock::release(layer, ep, guard.addr)?;
-        } else {
-            ep.gauge_add(Gauge::LocksHeld, -1);
         }
         Ok(())
     }

@@ -29,7 +29,7 @@
 //! discovers the theft on release/validation and must abort.
 
 use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
-use rdma_sim::{Endpoint, Gauge};
+use rdma_sim::Endpoint;
 
 /// Lock acquisition failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +156,6 @@ impl ExclusiveLock {
     /// Release: one write. Only the owner may call this.
     pub fn release(layer: &DsmLayer, ep: &Endpoint, lock: GlobalAddr) -> Result<(), LockError> {
         layer.write_u64(ep, lock, 0)?;
-        ep.gauge_add(Gauge::LocksHeld, -1);
         Ok(())
     }
 
@@ -208,8 +207,8 @@ impl ExclusiveLock {
 
     /// One doorbell: CAS free → `owner_tag` on every word of `words`
     /// (none held yet; `words[0]` is word `first` of the set), each
-    /// followed by its riders. Words won are counted into the `LocksHeld`
-    /// gauge even when a later member failed.
+    /// followed by its riders. Words won stay won even when a later
+    /// member failed.
     fn post_cas(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -218,7 +217,7 @@ impl ExclusiveLock {
         riders: &mut [Rider<'_>],
         owner_tag: u64,
     ) -> Result<(), DsmError> {
-        let posted = match (&mut *words, riders) {
+        match (words, riders) {
             // The ladder's usual shapes never leave the stack.
             ([word], []) => layer.doorbell(ep, &mut [word.cas(owner_tag)]),
             ([word], [rider]) => layer.doorbell(ep, &mut [word.cas(owner_tag), rider.read()]),
@@ -233,12 +232,7 @@ impl ExclusiveLock {
                 }
                 layer.doorbell(ep, &mut wrs)
             }
-        };
-        let won = words.iter().filter(|w| w.held()).count();
-        if won > 0 {
-            ep.gauge_add(Gauge::LocksHeld, won as i64);
         }
-        posted
     }
 
     /// The release doorbell of a lock set: every write of `writes` (the
@@ -274,7 +268,6 @@ impl ExclusiveLock {
         for word in words.iter_mut().filter(|w| w.held()) {
             if posted.is_ok() || layer.cas(ep, word.addr, owner_tag, 0).is_ok() {
                 *word = LockWord::new(word.addr);
-                ep.gauge_add(Gauge::LocksHeld, -1);
             }
         }
         Ok(posted?)
@@ -369,7 +362,6 @@ impl SharedExclusiveLock {
                 continue;
             }
             Self::exit(layer, ep, addr, meta + 1)?;
-            ep.gauge_add(Gauge::LocksHeld, 1);
             return Ok(());
         }
         Err(LockError::Timeout)
@@ -390,7 +382,6 @@ impl SharedExclusiveLock {
             return Err(LockError::ReleaseViolation("release_shared with no readers"));
         }
         Self::exit(layer, ep, addr, meta - 1)?;
-        ep.gauge_add(Gauge::LocksHeld, -1);
         Ok(())
     }
 
@@ -413,7 +404,6 @@ impl SharedExclusiveLock {
                 continue;
             }
             Self::exit(layer, ep, addr, WRITER_BIT)?;
-            ep.gauge_add(Gauge::LocksHeld, 1);
             return Ok(());
         }
         Err(LockError::Timeout)
@@ -433,7 +423,6 @@ impl SharedExclusiveLock {
             return Err(LockError::ReleaseViolation("release_exclusive without writer"));
         }
         Self::exit(layer, ep, addr, meta & !WRITER_BIT)?;
-        ep.gauge_add(Gauge::LocksHeld, -1);
         Ok(())
     }
 }
@@ -490,7 +479,8 @@ impl LeaseLock {
     /// Acquire (or steal) the lease at `lock`. `lease_ns` is the validity
     /// horizon granted to this holder, charged from the acquirer's
     /// virtual clock at CAS time. Bounded by `max_retries` with
-    /// [`backoff`]; a live unexpired holder yields [`LockError::Timeout`].
+    /// exponential backoff; a live unexpired holder yields
+    /// [`LockError::Timeout`].
     #[allow(clippy::too_many_arguments)]
     pub fn acquire(
         layer: &DsmLayer,
@@ -507,7 +497,6 @@ impl LeaseLock {
             let word = Self::encode(owner, epoch, now_us.wrapping_add(lease_us));
             let prev = layer.cas(ep, lock, 0, word)?;
             if prev == 0 {
-                ep.gauge_add(Gauge::LocksHeld, 1);
                 return Ok(LeaseToken { word, stole: false });
             }
             let (prev_owner, _, prev_expiry) = Self::decode(prev);
@@ -516,10 +505,6 @@ impl LeaseLock {
                 // steal by CASing the exact expired word we observed.
                 let raced = layer.cas(ep, lock, prev, word)?;
                 if raced == prev {
-                    // A steal transfers ownership from the zombie rather
-                    // than creating a new hold: no LocksHeld bump, so the
-                    // cluster-level gauge stays exact (the zombie's
-                    // fenced release deliberately does not decrement).
                     return Ok(LeaseToken { word, stole: true });
                 }
             }
@@ -552,13 +537,9 @@ impl LeaseLock {
         lock: GlobalAddr,
         token: LeaseToken,
     ) -> Result<(), LockError> {
-        let prev = layer.cas(ep, lock, token.word, 0)?;
-        if prev == token.word {
-            ep.gauge_add(Gauge::LocksHeld, -1);
+        if layer.cas(ep, lock, token.word, 0)? == token.word {
             Ok(())
         } else {
-            // Stolen: the thief inherited this hold's +1, so the fenced
-            // ex-owner must not decrement.
             Err(LockError::Stolen)
         }
     }
@@ -867,46 +848,44 @@ mod tests {
     }
 
     #[test]
-    fn locks_held_gauge_tracks_holds_and_steals_transfer_ownership() {
-        use rdma_sim::Gauge;
+    fn lock_words_track_holds_and_steals_transfer_ownership() {
         let (f, l, a) = setup();
         let owner = f.endpoint();
         let thief = f.endpoint();
-        owner.enable_health(1 << 12);
-        thief.enable_health(1 << 12);
+        let region = f.region(a.node()).unwrap();
+        let word = |at: u64| region.read_u64(a.offset() + at).unwrap();
 
-        // Plain exclusive: +1 on acquire, -1 on release.
+        // Plain exclusive: the holder's tag, then free.
         ExclusiveLock::acquire(&l, &owner, a, 1, 0).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 1);
+        assert_eq!(word(0), 1);
         ExclusiveLock::release(&l, &owner, a).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 0);
+        assert_eq!(word(0), 0);
 
-        // Shared-exclusive: both modes move the gauge symmetrically.
+        // Shared-exclusive: the metadata word counts the reader, then
+        // carries the writer bit; the latch is free between calls.
         SharedExclusiveLock::acquire_shared(&l, &owner, a, 4).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 1);
+        assert_eq!((word(0), word(8)), (0, 1));
         SharedExclusiveLock::release_shared(&l, &owner, a, 4).unwrap();
         SharedExclusiveLock::acquire_exclusive(&l, &owner, a, 4).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 1);
+        assert_eq!((word(0), word(8)), (0, WRITER_BIT));
         SharedExclusiveLock::release_exclusive(&l, &owner, a, 4).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 0);
+        assert_eq!(word(8), 0);
 
-        // Lease steal: ownership transfers — the thief does not bump and
-        // the fenced zombie does not decrement, so the *cluster sum*
-        // stays exact (1 while the thief holds, 0 after it releases).
+        // Lease steal: the word moves from the zombie to the thief, the
+        // zombie's fenced release leaves it alone, the thief's frees it.
         let t = LeaseLock::acquire(&l, &owner, a, 1, 1, 50_000, 0).unwrap();
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 1);
+        assert_eq!(word(0), t.word);
         thief.charge_local(200_000);
         let s = LeaseLock::acquire(&l, &thief, a, 2, 1, 1_000_000, 0).unwrap();
         assert!(s.stole);
-        assert_eq!(thief.gauge_level(Gauge::LocksHeld), 0, "steal is a transfer");
+        assert_eq!(word(0), s.word, "steal is a transfer");
         assert_eq!(
             LeaseLock::release(&l, &owner, a, t).unwrap_err(),
             LockError::Stolen
         );
-        assert_eq!(owner.gauge_level(Gauge::LocksHeld), 1, "fenced release is a no-op");
+        assert_eq!(word(0), s.word, "fenced release is a no-op");
         LeaseLock::release(&l, &thief, a, s).unwrap();
-        let cluster = owner.gauge_level(Gauge::LocksHeld) + thief.gauge_level(Gauge::LocksHeld);
-        assert_eq!(cluster, 0, "cluster-level holds return to zero");
+        assert_eq!(word(0), 0);
     }
 
     #[test]

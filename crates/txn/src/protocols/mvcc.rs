@@ -15,8 +15,9 @@ use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{apply_delta, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::ExclusiveLock;
+use super::{
+    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+};
 use crate::oracle::TimestampOracle;
 
 /// MVCC over a table created with `versions >= 2`.
@@ -136,25 +137,8 @@ impl ConcurrencyControl for Mvcc {
         let mut write_keys: Vec<u64> = staged.iter().map(|(k, _)| *k).collect();
         write_keys.sort_unstable();
         write_keys.dedup();
-        let mut locked: Vec<u64> = Vec::new();
-        let mut abort = None;
-
         let lock_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in &write_keys {
-            match ExclusiveLock::acquire(
-                layer,
-                ctx.ep,
-                ctx.table.lock_addr(key),
-                ctx.worker_tag,
-                self.max_retries,
-            ) {
-                Ok(()) => locked.push(key),
-                Err(e) => {
-                    abort = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
 
         // Validate every write key under its lock BEFORE installing
         // anything — interleaving validation with installs would leave a
@@ -226,7 +210,7 @@ impl ConcurrencyControl for Mvcc {
             }
         }
 
-        release_all(ctx, &locked, &mut abort);
+        release_all(ctx, &write_keys[..held], &mut abort);
         match abort {
             None => Ok(out),
             Some(e) => Err(e),

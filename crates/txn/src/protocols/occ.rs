@@ -10,8 +10,9 @@
 
 use rdma_sim::Phase;
 
-use super::{apply_delta, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::ExclusiveLock;
+use super::{
+    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+};
 
 /// OCC with bounded-retry write-set locking.
 pub struct Occ {
@@ -103,23 +104,7 @@ impl ConcurrencyControl for Occ {
         // --- Validation phase -------------------------------------------
         // Lock the write set in sorted order.
         let validate_span = ctx.ep.span(Phase::LockAcquire);
-        let mut locked: Vec<u64> = Vec::with_capacity(write_keys.len());
-        let mut abort: Option<TxnError> = None;
-        for &key in &write_keys {
-            match ExclusiveLock::acquire(
-                layer,
-                ctx.ep,
-                ctx.table.lock_addr(key),
-                ctx.worker_tag,
-                self.max_retries,
-            ) {
-                Ok(()) => locked.push(key),
-                Err(e) => {
-                    abort = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
 
         // Validate the read set: lock word free (or ours) and version
         // unchanged. One READ covers [lock | rts | wts].
@@ -176,7 +161,7 @@ impl ConcurrencyControl for Occ {
         }
 
         // Release locks regardless of outcome.
-        release_all(ctx, &locked, &mut abort);
+        release_all(ctx, &write_keys[..held], &mut abort);
         match abort {
             None => Ok(out),
             Some(e) => Err(e),

@@ -244,7 +244,7 @@ impl ConcurrencyControl for TwoPhaseLocking {
 mod tests {
     use std::sync::atomic::AtomicUsize;
 
-    use rdma_sim::{FaultPlan, Gauge};
+    use rdma_sim::FaultPlan;
 
     use super::*;
     use crate::protocols::testutil::{bank_invariant_holds, table, timed_table, CrashAfter};
@@ -272,7 +272,6 @@ mod tests {
         let holder = layer.fabric().endpoint();
         ExclusiveLock::acquire(layer, &holder, t.lock_addr(2), 42, 0).unwrap();
         let ep = layer.fabric().endpoint();
-        ep.enable_health(1_000);
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         let cc = TwoPhaseLocking::exclusive();
         let err = cc.execute(&ctx, &rmw_each(&[0, 1, 2, 3])).unwrap_err();
@@ -290,7 +289,6 @@ mod tests {
             let held_by = if key == 2 { 42 } else { 0 };
             assert_eq!(word_and_counter(&t, key), (held_by, 0), "key {key}");
         }
-        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
         // Today's ladder, unchanged: 100 + 200 + 400 ns of backoff, every
         // wait-for edge naming the holder.
         let seen = ep.contention_snapshot();
@@ -321,14 +319,12 @@ mod tests {
             .fabric()
             .install_fault_plan(FaultPlan::new(1).partition(second, 1, 12_000));
         let ep = t.layer().fabric().endpoint();
-        ep.enable_health(1_000);
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
         assert!(ep.clock().now_ns() > 12_000, "the release waited the partition out");
         let s = ep.stats();
         assert_eq!((s.cas, s.writes), (2, 4), "nothing was written or unlocked twice");
         assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
-        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
     }
 
     #[test]
@@ -338,7 +334,6 @@ mod tests {
         // Group 1 disappears right after the acquire doorbell left.
         t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
         let ep = t.layer().fabric().endpoint();
-        ep.enable_health(1_000);
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         let err = TwoPhaseLocking::exclusive()
             .execute(&ctx, &rmw_each(&[0, 1, 2, 3]))
@@ -352,7 +347,6 @@ mod tests {
         for key in [1, 3] {
             assert_eq!(word_and_counter(&t, key).0, 7, "key {key} is beyond reach");
         }
-        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2);
     }
 
     #[test]
@@ -361,8 +355,7 @@ mod tests {
             let t = timed_table(1);
             let dead = t.lock_addr(1).node();
             let ep = t.layer().fabric().endpoint();
-            ep.enable_health(1_000);
-            // Group 1 dies under the last payload call, with every lock
+                // Group 1 dies under the last payload call, with every lock
             // held: its unlocks fail, group 0's must not be skipped.
             let io = CrashAfter { node: dead, calls: AtomicUsize::new(4) };
             let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: 7 };
@@ -377,7 +370,6 @@ mod tests {
                 let words = [0, 8].map(|off| region.read_u64(slot.offset() + off).unwrap());
                 assert_eq!(words, [0, 0], "{}: key {key} leaked", cc.name());
             }
-            assert_eq!(ep.gauge_level(Gauge::LocksHeld), 2, "{}", cc.name());
         }
     }
 

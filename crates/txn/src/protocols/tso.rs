@@ -12,8 +12,9 @@ use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{apply_delta, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::ExclusiveLock;
+use super::{
+    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+};
 use crate::oracle::TimestampOracle;
 
 /// TSO with a pluggable timestamp oracle.
@@ -107,25 +108,8 @@ impl ConcurrencyControl for Tso {
         let mut write_keys: Vec<u64> = staged.iter().map(|(k, _)| *k).collect();
         write_keys.sort_unstable();
         write_keys.dedup();
-        let mut locked: Vec<u64> = Vec::new();
-        let mut abort = None;
-
         let lock_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in &write_keys {
-            match ExclusiveLock::acquire(
-                layer,
-                ctx.ep,
-                ctx.table.lock_addr(key),
-                ctx.worker_tag,
-                self.max_retries,
-            ) {
-                Ok(()) => locked.push(key),
-                Err(e) => {
-                    abort = Some(e.into());
-                    break;
-                }
-            }
-        }
+        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
 
         if abort.is_none() {
             // Write rule check under locks: one READ of [rts|wts] per key.
@@ -183,7 +167,7 @@ impl ConcurrencyControl for Tso {
             }
         }
 
-        release_all(ctx, &locked, &mut abort);
+        release_all(ctx, &write_keys[..held], &mut abort);
         match abort {
             None => Ok(out),
             Some(e) => Err(e),

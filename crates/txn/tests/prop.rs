@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dsm::{DsmConfig, DsmLayer};
 use proptest::prelude::*;
-use rdma_sim::{Fabric, Gauge, NetworkProfile};
+use rdma_sim::{Fabric, NetworkProfile};
 use txn::{
     ConcurrencyControl, DirectIo, FaaOracle, Mvcc, Occ, Op, RecordTable, TwoPhaseLocking, Tso,
     TxnCtx, TxnError,
@@ -153,8 +153,8 @@ fn op_lists() -> impl Strategy<Value = Vec<Vec<Op>>> {
 
 /// Run `txns` through exclusive 2PL over `DirectIo` on `groups` mirror
 /// groups of `replication` members and through a plain array; reads,
-/// the bytes on every replica, every lock word and the `LocksHeld` gauge
-/// must agree with the array afterwards.
+/// the bytes on every replica and every lock word must agree with the
+/// array afterwards.
 fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<Op>]) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
@@ -169,7 +169,6 @@ fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<
     );
     let t = RecordTable::create(&layer, KEYS, PAYLOAD, 1).unwrap();
     let ep = fabric.endpoint();
-    ep.enable_health(10_000);
     let ctx = TxnCtx {
         ep: &ep,
         table: &t,
@@ -197,7 +196,6 @@ fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<
         assert_eq!(out.reads, expected, "{ops:?}");
         let after = ep.stats();
         assert_eq!(after.wire_round_trips() - before.wire_round_trips(), 2, "{ops:?}");
-        assert_eq!(ep.gauge_level(Gauge::LocksHeld), 0);
     }
     for key in 0..KEYS {
         let (lock, payload) = (t.lock_addr(key), t.payload_addr(key, 0));

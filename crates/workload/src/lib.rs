@@ -6,25 +6,18 @@
 //!
 //! * [`zipf::ZipfGenerator`] — the skewed key chooser (Gray et al.'s
 //!   method) every cache/contention sweep is parameterised by;
-//! * [`ycsb`] — YCSB core workloads A–F over a single table;
 //! * [`smallbank`] — the SmallBank transaction mix (multi-record
 //!   read-write transactions with natural conflicts);
 //! * [`tpcc_lite`] — NewOrder/Payment with a warehouse partitioning
-//!   dimension, used to control the *cross-shard fraction* in the
-//!   distributed-commit experiment (C11);
-//! * [`skew::ShiftingHotspot`] — a hotspot that migrates over time, the
-//!   driver of the resharding experiment (C10).
+//!   dimension that sets the *cross-shard fraction*; only the engine's
+//!   property tests (`dsmdb/tests/engine_prop.rs`) drive it today.
 //!
 //! Everything is deterministic given a seed.
 
-pub mod skew;
 pub mod smallbank;
 pub mod tpcc_lite;
-pub mod ycsb;
 pub mod zipf;
 
-pub use skew::ShiftingHotspot;
 pub use smallbank::{SmallBankOp, SmallBankWorkload};
 pub use tpcc_lite::{TpccLiteWorkload, TpccTxn};
-pub use ycsb::{KeyDist, YcsbOp, YcsbSpec, YcsbWorkload};
 pub use zipf::ZipfGenerator;

@@ -5,7 +5,7 @@
 # replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
 # which the planes weigh most):
 #
-# 1. The observed-path overhead: what the five telemetry planes cost in
+# 1. The observed-path overhead: what the four telemetry planes cost in
 #    wall clock, as the benchmark's own same-process ratio
 #
 #      telemetry.host_overhead_ratio

@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, CoherenceMode, Op, TxnError};
 use rdma_sim::NetworkProfile;
-use workload::{SmallBankOp, SmallBankWorkload, YcsbOp, YcsbSpec, YcsbWorkload};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use workload::{SmallBankOp, SmallBankWorkload, ZipfGenerator};
 
 fn small_config(arch: Architecture, cc: CcProtocol) -> ClusterConfig {
     ClusterConfig {
@@ -148,12 +150,15 @@ fn smallbank_conserves_money_on_every_architecture() {
 fn ycsb_a_runs_through_the_engine() {
     let cluster = Cluster::build(small_config(Architecture::NoCacheNoShard, CcProtocol::Occ))
         .unwrap();
+    // YCSB workload A: half reads, half updates, Zipf-0.99 keys.
+    let zipf = ZipfGenerator::new(256, 0.99);
     let (commits, _) = run_two_nodes(&cluster, 300, |n, i| {
-        let mut wl = YcsbWorkload::new(YcsbSpec::a(), 256, (n * 10_000 + i) as u64);
-        match wl.next_op() {
-            YcsbOp::Read(k) => vec![Op::Read(k % 256)],
-            YcsbOp::Update(k) => vec![Op::Rmw { key: k % 256, delta: 1 }],
-            other => vec![Op::Read(other.key() % 256)],
+        let mut rng = StdRng::seed_from_u64((n * 10_000 + i) as u64);
+        let key = zipf.next(&mut rng);
+        if rng.gen_bool(0.5) {
+            vec![Op::Read(key)]
+        } else {
+            vec![Op::Rmw { key, delta: 1 }]
         }
     });
     assert_eq!(commits, 600);
