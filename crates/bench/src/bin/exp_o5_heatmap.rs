@@ -24,7 +24,7 @@
 //! placement regression in the gate ships with the evidence attached.
 
 use bench::heatmap::{drive, measured_gini, replay_move_plan, HeatBed, HeatConfig, HeatOutcome};
-use bench::report::{self, move_plan_json, utilization_json, Json, Report};
+use bench::report::{self, move_plan_json, utilization_json, Json, Report, Section};
 use bench::{config, scale_down, table};
 use telemetry::{heat_key_base_offset, heat_key_node, placement_advisor};
 
@@ -68,8 +68,8 @@ fn main() {
         for theta in THETAS {
             let cfg = HeatConfig { theta, ..base };
             let (bed, out) = run_striped(&cfg, nodes);
-            let g = measured_gini(&out.planes.utilization);
-            let loads = out.planes.utilization.node_bytes();
+            let g = measured_gini(&out.utilization);
+            let loads = out.utilization.node_bytes();
             let total: u64 = loads.iter().map(|&(_, b)| b).sum();
             let (hot_node, hot_bytes) =
                 loads.iter().copied().max_by_key(|&(n, b)| (b, n)).unwrap_or((0, 0));
@@ -110,7 +110,7 @@ fn main() {
                 let a = bed.table.slot_addr(bed.key_of(0));
                 let expect = telemetry::heat_key(a.node() as u64, a.offset());
                 assert_eq!(
-                    out.planes.utilization.heat_bytes.ranked()[0].key, expect,
+                    out.utilization.heat_bytes.ranked()[0].key, expect,
                     "nodes={nodes} theta={theta}: hottest range must be node 0's base"
                 );
             }
@@ -120,7 +120,7 @@ fn main() {
         }
     }
     let (_flag_bed, flagship) = flagship.expect("flagship ran");
-    let hot = flagship.planes.utilization.heat_bytes.ranked()[0];
+    let hot = flagship.utilization.heat_bytes.ranked()[0];
     println!(
         "\nflagship (nodes={FLAGSHIP_NODES}, theta={FLAGSHIP_THETA}): hottest range node {} offset {:#x} — {} remote bytes",
         heat_key_node(hot.key),
@@ -132,8 +132,8 @@ fn main() {
     let bcfg = HeatConfig { theta: FLAGSHIP_THETA, ..base };
     let bed = HeatBed::contiguous(&bcfg, 3);
     let before = drive(&bed, &bcfg);
-    let gini_before = measured_gini(&before.planes.utilization);
-    let plan = placement_advisor(&before.planes.utilization, 8);
+    let gini_before = measured_gini(&before.utilization);
+    let plan = placement_advisor(&before.utilization, 8);
     assert!(
         !plan.moves.is_empty() && plan.index_projected < plan.index_before,
         "the skewed contiguous bed must yield a gini-shrinking plan"
@@ -141,7 +141,7 @@ fn main() {
     let (applied, bytes_moved) = replay_move_plan(&bed, &plan);
     assert!(applied > 0, "replay must execute at least one move");
     let after = drive(&bed, &bcfg);
-    let gini_after = measured_gini(&after.planes.utilization);
+    let gini_after = measured_gini(&after.utilization);
     println!(
         "\nadvisor: {} moves ({} payload bytes via the migrator) — measured gini {:.3} -> {:.3} (projected {:.3})",
         applied, bytes_moved, gini_before, gini_after, plan.index_projected
@@ -173,8 +173,8 @@ fn main() {
     assert_eq!(off.ops, flagship.ops);
     let (_, rerun) = run_striped(&fcfg, FLAGSHIP_NODES);
     assert_eq!(
-        utilization_json(&flagship.planes.utilization).render(),
-        utilization_json(&rerun.planes.utilization).render(),
+        utilization_json(&flagship.utilization).render(),
+        utilization_json(&rerun.utilization).render(),
         "same-seed utilization JSON must be byte-identical"
     );
     println!(
@@ -183,7 +183,8 @@ fn main() {
     );
 
     flagship.planes.attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
-    rep.headline("imbalance_gini_flagship", Json::F(measured_gini(&flagship.planes.utilization)));
+    rep.section(Section::Utilization, utilization_json(&flagship.utilization));
+    rep.headline("imbalance_gini_flagship", Json::F(measured_gini(&flagship.utilization)));
     rep.headline("advisor_gini_before", Json::F(gini_before));
     rep.headline("advisor_gini_after", Json::F(gini_after));
     rep.headline("advisor_moves_applied", Json::U(applied));
@@ -191,7 +192,7 @@ fn main() {
 
     // Artifacts: the flagship heat snapshot and the executed move plan.
     let heat_path = report::results_dir().join("exp_o5_heatmap_heat.json");
-    match std::fs::write(&heat_path, utilization_json(&flagship.planes.utilization).render_pretty(2)) {
+    match std::fs::write(&heat_path, utilization_json(&flagship.utilization).render_pretty(2)) {
         Ok(()) => println!("\nwrote {} (flagship utilization + heat top-K)", heat_path.display()),
         Err(e) => eprintln!("warning: could not write heat artifact: {e}"),
     }

@@ -236,7 +236,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     // so enabling them cannot perturb the measured timeline.
     for s in &mut sessions {
         Planes::enable_forensics(s, TRACE_RING);
-        Planes::enable(s.endpoint(), cfg.window_ns);
+        s.endpoint().enable_timeseries(cfg.window_ns);
     }
     let mut fleet = Fleet::new(cfg.seed, cfg.records);
     let mut out = ChaosOutcome {

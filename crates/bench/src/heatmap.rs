@@ -23,9 +23,12 @@
 //!   and a re-run of the same workload must land on a smaller measured
 //!   Gini index.
 //!
-//! Utilization capture is free: [`drive`] with `window_ns = 0` charges
-//! the identical virtual makespan, because the recorder only *reads*
-//! the per-thread clock.
+//! Utilization is folded, not recorded: each session's endpoint keeps
+//! every event of the run in its flight-recorder ring, and [`drive`]
+//! folds the rings' node-addressed verbs into one
+//! [`UtilSnapshot`] afterwards. Capture is free: with `window_ns = 0`
+//! (no ring) the run charges the identical virtual makespan, because
+//! the ring only *reads* the per-thread clock.
 
 use std::sync::Arc;
 
@@ -33,11 +36,18 @@ use dsm::{DsmConfig, DsmLayer};
 use dsmdb::Migrator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rdma_sim::recorder::to_verb_load;
 use rdma_sim::{Endpoint, Fabric, NetworkProfile, Phase, UtilSnapshot, DEFAULT_WINDOW_NS};
+use telemetry::utilization::fold;
 use telemetry::{heat_key_base_offset, heat_key_node, MovePlan, HEAT_RANGE_BYTES};
 use txn::RecordTable;
 
 use crate::Planes;
+
+/// Flight-recorder events one operation pushes: its phase span's begin
+/// and end around its one verb. A session's ring holds
+/// `EVENTS_PER_OP * ops_per_session` events, the whole run.
+const EVENTS_PER_OP: usize = 3;
 
 /// One heat run's knobs. `window_ns = 0` disables utilization capture
 /// entirely (the zero-cost control); series sampling stays on either
@@ -59,7 +69,8 @@ pub struct HeatConfig {
     pub theta: f64,
     /// Percentage of operations that are reads (rest are writes).
     pub read_pct: u32,
-    /// Utilization window width; 0 turns the utilization plane off.
+    /// Base width of the utilization windows; 0 turns the utilization
+    /// plane off.
     pub window_ns: u64,
 }
 
@@ -96,9 +107,11 @@ pub struct HeatOutcome {
     pub ops: u64,
     pub reads: u64,
     pub writes: u64,
-    /// Series and (unless `window_ns` is 0) utilization with
-    /// every group's occupancy stamped, merged across the sessions.
+    /// The series, merged across the sessions.
     pub planes: Planes,
+    /// The sessions' verbs folded into per-node load and heat (empty
+    /// when `window_ns` is 0), with every group's occupancy stamped.
+    pub utilization: UtilSnapshot,
 }
 
 impl HeatBed {
@@ -154,10 +167,10 @@ impl HeatBed {
 /// are directly comparable.
 pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
     let eps: Vec<Endpoint> = (0..cfg.sessions).map(|_| bed.fabric.endpoint()).collect();
-    for (t, ep) in eps.iter().enumerate() {
-        Planes::enable(ep, DEFAULT_WINDOW_NS);
-        ep.enable_utilization(cfg.window_ns);
-        ep.set_util_session(t as u64 + 1);
+    let ring = if cfg.window_ns == 0 { 0 } else { EVENTS_PER_OP * cfg.ops_per_session };
+    for ep in &eps {
+        ep.enable_timeseries(DEFAULT_WINDOW_NS);
+        ep.enable_flight_recorder(ring);
     }
     let mut rngs: Vec<StdRng> = (0..cfg.sessions)
         .map(|t| StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1))))
@@ -189,9 +202,39 @@ pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
         }
     }
     let makespan_ns = eps.iter().map(|e| e.clock().now_ns()).max().unwrap_or(0);
-    let mut planes = Planes::of_endpoints(&eps);
-    planes.stamp_occupancy(&bed.layer);
-    HeatOutcome { makespan_ns, ops, reads, writes, planes }
+    let mut utilization = fold_rings(&eps, cfg.window_ns);
+    // Occupancy is allocator state, not fabric flow: stamp it from the
+    // layer that owns the memory nodes. Cold groups get idle tracks,
+    // which is what the placement advisor needs to see.
+    for g in 0..bed.layer.group_count() {
+        let primary = bed.layer.group_primary(g);
+        let stats = primary.alloc_stats();
+        utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
+    }
+    HeatOutcome { makespan_ns, ops, reads, writes, planes: Planes::of_endpoints(&eps), utilization }
+}
+
+/// Fold the node-addressed verbs in the rings of `eps` (session `t` is
+/// tagged `t + 1`) at base width `window_ns`.
+///
+/// # Panics
+///
+/// If a ring wrapped: its oldest verbs are gone, and a fold over the
+/// rest would under-count.
+fn fold_rings(eps: &[Endpoint], window_ns: u64) -> UtilSnapshot {
+    let sessions: Vec<_> = eps
+        .iter()
+        .enumerate()
+        .map(|(t, ep)| {
+            let (pushed, capacity) = (ep.flight_pushed(), ep.flight_capacity());
+            assert!(
+                pushed <= capacity as u64,
+                "session {t}'s flight ring wrapped ({pushed} events into {capacity}): utilization would under-count"
+            );
+            (t as u64 + 1, ep.flight_events().iter().filter_map(to_verb_load).collect())
+        })
+        .collect();
+    fold(window_ns, &sessions)
 }
 
 /// Gini index over a snapshot's per-node remote bytes — the imbalance
@@ -283,10 +326,10 @@ mod tests {
         let uni = drive(&HeatBed::striped(&cfg_uni, 4), &cfg_uni);
         let hot = drive(&HeatBed::striped(&cfg_hot, 4), &cfg_hot);
         assert!(
-            measured_gini(&hot.planes.utilization) > measured_gini(&uni.planes.utilization) + 0.1,
+            measured_gini(&hot.utilization) > measured_gini(&uni.utilization) + 0.1,
             "theta 1.2 gini {} must clearly exceed uniform gini {}",
-            measured_gini(&hot.planes.utilization),
-            measured_gini(&uni.planes.utilization)
+            measured_gini(&hot.utilization),
+            measured_gini(&uni.utilization)
         );
         // The hottest heat range is the base of node 0's extent — where
         // rank 0 lives under the range-partitioned key map.
@@ -294,7 +337,21 @@ mod tests {
         let out = drive(&bed, &cfg_hot);
         let a = bed.table.slot_addr(bed.key_of(0));
         let expect = telemetry::heat_key(a.node() as u64, a.offset());
-        assert_eq!(out.planes.utilization.heat_bytes.ranked()[0].key, expect);
+        assert_eq!(out.utilization.heat_bytes.ranked()[0].key, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "flight ring wrapped")]
+    fn a_wrapped_ring_is_refused() {
+        let bed = HeatBed::striped(&small(0.9, DEFAULT_WINDOW_NS), 2);
+        let ep = bed.fabric.endpoint();
+        // Three READs, one event each, into a ring of two.
+        ep.enable_flight_recorder(2);
+        let mut buf = [0u8; 8];
+        for key in 0..3 {
+            bed.layer.read(&ep, bed.table.payload_read_addr(key, 0), &mut buf).unwrap();
+        }
+        fold_rings(&[ep], DEFAULT_WINDOW_NS);
     }
 
     #[test]
@@ -305,7 +362,7 @@ mod tests {
         let off = drive(&HeatBed::striped(&off_cfg, 2), &off_cfg);
         assert_eq!(on.makespan_ns, off.makespan_ns, "utilization capture must be free");
         assert_eq!(on.ops, off.ops);
-        assert!(off.planes.utilization.node_bytes().iter().all(|&(_, b)| b == 0));
+        assert!(off.utilization.node_bytes().iter().all(|&(_, b)| b == 0));
     }
 
     #[test]
@@ -313,14 +370,14 @@ mod tests {
         let cfg = small(1.2, DEFAULT_WINDOW_NS);
         let bed = HeatBed::contiguous(&cfg, 3);
         let before = drive(&bed, &cfg);
-        let g_before = measured_gini(&before.planes.utilization);
-        let plan = placement_advisor(&before.planes.utilization, 8);
+        let g_before = measured_gini(&before.utilization);
+        let plan = placement_advisor(&before.utilization, 8);
         assert!(!plan.moves.is_empty(), "skewed contiguous bed must yield moves");
         assert!(plan.index_projected < plan.index_before);
         let (applied, bytes) = replay_move_plan(&bed, &plan);
         assert!(applied > 0 && bytes > 0);
         let after = drive(&bed, &cfg);
-        let g_after = measured_gini(&after.planes.utilization);
+        let g_after = measured_gini(&after.utilization);
         assert!(
             g_after < g_before,
             "replaying the move plan must shrink gini: before {g_before} after {g_after}"

@@ -118,7 +118,7 @@ pub struct WorkloadResult {
     /// Round trips actually paid on the wire: verbs minus the ops that
     /// rode along in doorbell groups behind their leader.
     pub wire_round_trips: u64,
-    /// The latency, phase, contention, live and forensics planes,
+    /// The latency, phase, contention, series and forensics planes,
     /// merged across every session.
     pub planes: Planes,
 }
@@ -233,7 +233,7 @@ where
                 sc.spawn(move || {
                     let working = Finished { count: finished, failure };
                     let mut s: Session = cluster.session(n, t);
-                    Planes::enable(s.endpoint(), DEFAULT_WINDOW_NS);
+                    s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
                     Planes::enable_forensics(&mut s, WORKLOAD_TRACE_RING);
                     let mut mine = WorkloadResult::default();
                     for i in 0..txns_per_session {

@@ -147,7 +147,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         if cfg.trace_ring > 0 {
             Planes::enable_forensics(s, cfg.trace_ring);
         }
-        Planes::enable(s.endpoint(), cfg.window_ns);
+        s.endpoint().enable_timeseries(cfg.window_ns);
     }
 
     let mut out = ObsOutcome::default();

@@ -1,25 +1,21 @@
 //! One telemetry bundle per run.
 //!
-//! Every harness records the same six planes — transaction latency,
-//! phase attribution, contention, windowed series, tail forensics,
-//! fabric utilization — on each session or bare endpoint it drives and
-//! merges them across the fleet. [`Planes`] is that bundle:
-//! harnesses [`enable`](Planes::enable) what they record and
-//! [`collect`](Planes::collect) what was recorded; an experiment whose
-//! claim is computed from the planes [`attach`](Planes::attach)es its
-//! flagship run's merge to the report, and the rest attach nothing.
+//! Every harness records the same five planes — transaction latency,
+//! phase attribution, contention, windowed series, tail forensics — on
+//! each session or bare endpoint it drives and merges them across the
+//! fleet. [`Planes`] is that bundle: harnesses turn on what they record
+//! on the endpoint or session and [`collect`](Planes::collect) what was
+//! recorded; an experiment whose claim is computed from the planes
+//! [`attach`](Planes::attach)es its flagship run's merge to the report,
+//! and the rest attach nothing. Fabric utilization is not among them: it
+//! is folded from the flight-recorder ring by the one experiment that
+//! reads it ([`crate::heatmap`]).
 
-use dsm::DsmLayer;
 use dsmdb::Session;
-use rdma_sim::{
-    ContentionSnapshot, Endpoint, HistSnapshot, PhaseSnapshot, SeriesSnapshot, UtilSnapshot,
-};
+use rdma_sim::{ContentionSnapshot, Endpoint, HistSnapshot, PhaseSnapshot, SeriesSnapshot};
 use telemetry::report::{alerts_json, series_json, Report, Section};
 use telemetry::watchdog::run_over;
-use telemetry::{
-    forensics_json, sparkline, utilization_json, AlertEvent, ForensicsSnapshot, Metric,
-    WatchdogConfig,
-};
+use telemetry::{forensics_json, sparkline, AlertEvent, ForensicsSnapshot, Metric, WatchdogConfig};
 
 /// Worst-K forensics exemplar reservoir depth of every harness.
 pub const EXEMPLARS: usize = 8;
@@ -42,19 +38,9 @@ pub struct Planes {
     /// Blame-share histogram over every transaction plus the worst-K
     /// exemplar reservoir.
     pub forensics: ForensicsSnapshot,
-    /// Per-memory-node windowed load, page-range heat lists and the
-    /// session / phase splits.
-    pub utilization: UtilSnapshot,
 }
 
 impl Planes {
-    /// Turn on `ep`'s windowed series at `window_ns` (0 = off).
-    /// Sampling reads the virtual clock but never advances it, so
-    /// enabling cannot perturb the run.
-    pub fn enable(ep: &Endpoint, window_ns: u64) {
-        ep.enable_timeseries(window_ns);
-    }
-
     /// Turn on tail forensics for `s`: a flight-recorder ring of `ring`
     /// events (deep enough for one transaction's chain — forensics only
     /// reads back the current one) feeding a worst-[`EXEMPLARS`]
@@ -69,7 +55,6 @@ impl Planes {
         self.phases.merge(&ep.phase_snapshot());
         self.contention.merge(&ep.contention_snapshot());
         self.series.merge(&ep.series_snapshot());
-        self.utilization.merge(&ep.utilization_snapshot());
     }
 
     /// Fold in everything `s` and its endpoint recorded.
@@ -95,25 +80,10 @@ impl Planes {
         self.contention.merge(&o.contention);
         self.series.merge(&o.series);
         self.forensics.merge(&o.forensics);
-        self.utilization.merge(&o.utilization);
-    }
-
-    /// Stamp every memory group's occupancy onto the utilization
-    /// plane. Occupancy is allocator state, not fabric flow, so it
-    /// comes from the layer that owns the memory nodes; cold groups
-    /// get idle tracks, which is what imbalance-over-occupancy and the
-    /// placement advisor need to see. Call after merging.
-    pub fn stamp_occupancy(&mut self, layer: &DsmLayer) {
-        for g in 0..layer.group_count() {
-            let primary = layer.group_primary(g);
-            let stats = primary.alloc_stats();
-            self.utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
-        }
     }
 
     /// The bundle reduced to its series, which is everything the
-    /// watchdog replays. For reports that carry no forensics or
-    /// utilization section.
+    /// watchdog replays. For reports that carry no forensics section.
     pub fn live(&self) -> Planes {
         Planes { series: self.series.clone(), ..Planes::default() }
     }
@@ -141,9 +111,6 @@ impl Planes {
         rep.section(Section::Alerts, alerts_json(&self.alerts(sessions)));
         if !self.forensics.is_empty() {
             rep.section(Section::Forensics, forensics_json(&self.forensics));
-        }
-        if !self.utilization.is_empty() {
-            rep.section(Section::Utilization, utilization_json(&self.utilization));
         }
     }
 

@@ -267,7 +267,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let mut joiners: Vec<Session> = Vec::new();
     let coord = fabric.endpoint();
     for s in &core {
-        Planes::enable(s.endpoint(), cfg.window_ns);
+        s.endpoint().enable_timeseries(cfg.window_ns);
     }
     // The coordinator records NO series: its clock sits at the fleet
     // edge while it drives the copier, and an extra series would stretch
@@ -330,7 +330,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             joiners = (0..cfg.sessions).map(|t| cluster.session(1, t)).collect();
             for s in &joiners {
                 s.endpoint().charge_local(t);
-                Planes::enable(s.endpoint(), cfg.window_ns);
+                s.endpoint().enable_timeseries(cfg.window_ns);
             }
             coord.charge_local(t.saturating_sub(coord.clock().now_ns()));
             for st in &streams {

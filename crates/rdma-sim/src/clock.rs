@@ -68,7 +68,10 @@ impl Clock {
 struct TimelineState {
     /// The device finishes its last accepted request at this instant.
     tail_ns: u64,
-    /// Start of the utilization-accounting window.
+    /// Start of the window the device's busy fraction is measured over
+    /// (the saturation test of [`SharedTimeline::reserve`]; the
+    /// fabric-utilization plane is a separate, offline fold over the
+    /// endpoints' flight-recorder rings).
     anchor_ns: u64,
     /// Service time accumulated inside the window.
     busy_ns: u64,
@@ -97,7 +100,7 @@ impl SharedTimeline {
     /// * arrival **near the tail** (within `10 x service`): normal FIFO
     ///   queueing behind the tail;
     /// * arrival far behind a tail built by a **saturated** device
-    ///   (window utilization ≳ 90%): still queue — the device has had no
+    ///   (busy ≳ 90% of the window): still queue — the device has had no
     ///   idle gaps, so the backlog is real;
     /// * arrival far behind an **underutilized** tail: served at arrival
     ///   — the device had idle gaps then, and charging tail-wait would
@@ -117,7 +120,7 @@ impl SharedTimeline {
         let done = start.saturating_add(service_ns);
         s.tail_ns = s.tail_ns.max(done);
         s.busy_ns = s.busy_ns.saturating_add(service_ns);
-        // Decay the utilization window so ancient idle periods do not
+        // Decay the busy-fraction window so ancient idle periods do not
         // mask current saturation (and vice versa).
         let span = s.tail_ns - s.anchor_ns.min(s.tail_ns);
         if span > near_window.saturating_mul(100).max(1_000) {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use telemetry::{
     ChromeTrace, ContentionSnapshot, HistSnapshot, Histogram, Metric, Phase, PhaseSnapshot,
-    PhaseTracker, Sample, SeriesRecorder, SeriesSnapshot, UtilRecorder, UtilSnapshot,
+    PhaseTracker, Sample, SeriesRecorder, SeriesSnapshot,
 };
 
 use crate::clock::{Clock, SharedTimeline};
@@ -226,7 +226,6 @@ impl Fabric {
             trace_id: Cell::new(0),
             series: SeriesRecorder::new(),
             series_wire_mark: Cell::new(0),
-            util: UtilRecorder::new(),
         }
     }
 }
@@ -280,11 +279,6 @@ pub struct Endpoint {
     /// Last wire-RT total folded into the series: each verb adds the
     /// delta, so doorbell riders net out to one wire RT per group.
     series_wire_mark: Cell<u64>,
-    /// Fabric-utilization plane: per-memory-node windowed load and
-    /// page-range heat (disabled by default; see
-    /// [`Endpoint::enable_utilization`]). Reads the clock, never
-    /// advances it.
-    util: UtilRecorder,
 }
 
 /// The series counter of each verb class, indexed by `OpKind as usize`.
@@ -311,7 +305,8 @@ struct VerbEvent {
     /// Virtual latency: the verb was outstanding over `[now - cost_ns,
     /// now]` on the endpoint's clock.
     cost_ns: u64,
-    /// The part of `cost_ns` spent queued at the target's atomic unit.
+    /// The part of `cost_ns` spent queued at the target's atomic unit
+    /// (the ring keeps it in [`Event::aux`]).
     queue_ns: u64,
     /// One of the [`outcome`] codes.
     outcome: u8,
@@ -432,8 +427,9 @@ impl Endpoint {
 
     /// The single completion path: fold one finished verb into every
     /// view of the endpoint — op counters, the per-class latency
-    /// histogram, the CAS-retry tally, the windowed series, the
-    /// per-node utilization plane and the flight-recorder ring. Reads the clock (already advanced past the
+    /// histogram, the CAS-retry tally, the windowed series and the
+    /// flight-recorder ring (which the utilization plane is folded from
+    /// after the run). Reads the clock (already advanced past the
     /// verb), never moves it; each plane that is off costs one branch.
     /// Always inlined so `ev` lives in registers, not in memory: measured
     /// 4-9 % per verb with the planes off against an out-of-line call.
@@ -470,27 +466,10 @@ impl Endpoint {
                 ],
             );
         }
-        if let Some(node) = ev.peer {
-            if self.util.enabled() {
-                // Heat goes to the innermost open phase and the session
-                // tag installed by [`Endpoint::set_util_session`]; READs
-                // are the only verbs whose payload leaves the node.
-                self.util.note(
-                    now,
-                    node as u64,
-                    ev.addr,
-                    ev.kind != OpKind::Read,
-                    ev.bytes as u64,
-                    ev.cost_ns,
-                    ev.queue_ns,
-                    self.tracker.innermost(),
-                );
-            }
-        }
         // Checked here too so a recorder that is off costs a branch, not
         // an out-of-line call.
         if self.recorder.enabled() {
-            self.record_event(EventKind::Verb(ev.kind), ev.peer, addr, ev.bytes, ev.outcome, ev.cost_ns, 0);
+            self.record_event(EventKind::Verb(ev.kind), ev.peer, addr, ev.bytes, ev.outcome, ev.cost_ns, ev.queue_ns);
         }
     }
 
@@ -510,7 +489,6 @@ impl Endpoint {
         self.contention.reset();
         self.series.clear();
         self.series_wire_mark.set(0);
-        self.util.clear();
         self.trace_id.set(0);
     }
 
@@ -552,32 +530,17 @@ impl Endpoint {
     /// delete this method once that call is gone.
     pub fn enable_health(&self, _width_ns: u64) {}
 
-    /// Turn on fabric-utilization capture with `width_ns`-wide
-    /// virtual-time windows (0 turns it back off): per-memory-node
-    /// ingress/egress bytes, verbs, remote ns, and atomic-queue
-    /// high-water marks, plus page-range heat lists. Like the
-    /// series, capture reads the clock but never advances
-    /// it — the virtual timeline is byte-identical with utilization on
-    /// or off.
-    pub fn enable_utilization(&self, width_ns: u64) {
-        self.util.enable(width_ns);
-    }
+    /// Does nothing. The utilization plane is no longer recorded: it is
+    /// folded after the run from the flight-recorder ring
+    /// ([`crate::recorder::to_verb_load`], `telemetry::utilization::fold`).
+    /// Kept, like [`Endpoint::enable_health`], only for
+    /// `benchmark/src/driver.rs`; delete it once that call is gone.
+    pub fn enable_utilization(&self, _width_ns: u64) {}
 
-    /// Copy out the utilization plane recorded so far (empty when off).
-    /// Occupancy is not stamped here — the layer that owns the
-    /// allocators stamps it onto the merged snapshot.
-    pub fn utilization_snapshot(&self) -> UtilSnapshot {
-        self.util.snapshot()
-    }
-
-    /// Install the session tag attributed to subsequent traffic in the
-    /// utilization by-session heat split (0 = untagged). The session
-    /// layer sets a stable worker id here — unlike the per-transaction
-    /// trace id, the tag survives for the whole run, so the split
-    /// answers "which session burned the fabric", not "which txn".
-    pub fn set_util_session(&self, tag: u64) {
-        self.util.set_session(tag);
-    }
+    /// Does nothing. The fold takes each ring's session tag beside its
+    /// events; kept for the same caller as
+    /// [`Endpoint::enable_utilization`].
+    pub fn set_util_session(&self, _tag: u64) {}
 
     /// Recorded flight events, oldest first.
     pub fn flight_events(&self) -> Vec<Event> {
@@ -1093,6 +1056,18 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::to_verb_load;
+    use telemetry::UtilSnapshot;
+
+    /// The utilization plane folded from the rings of `eps`, each paired
+    /// with its session tag.
+    fn fold_rings(width_ns: u64, eps: &[(u64, &Endpoint)]) -> UtilSnapshot {
+        let sessions: Vec<_> = eps
+            .iter()
+            .map(|&(tag, ep)| (tag, ep.flight_events().iter().filter_map(to_verb_load).collect()))
+            .collect();
+        telemetry::utilization::fold(width_ns, &sessions)
+    }
 
     #[test]
     fn read_write_roundtrip_charges_time() {
@@ -1562,8 +1537,7 @@ mod tests {
             let n1 = fabric.register_node(1 << 20);
             let ep = fabric.endpoint();
             if capture {
-                ep.enable_utilization(10_000);
-                ep.set_util_session(9);
+                ep.enable_flight_recorder(64);
             }
             {
                 let _g = ep.span(Phase::PageFetch);
@@ -1576,7 +1550,7 @@ mod tests {
                 ep.write(n1, 1 << 17, &[7u8; 32]).unwrap();
             }
             ep.cas(n0, 0, 0, 1).unwrap();
-            (ep.clock().now_ns(), ep.utilization_snapshot())
+            (ep.clock().now_ns(), fold_rings(10_000, &[(9, &ep)]))
         };
         let (t_off, u_off) = run(false);
         let (t_on, u_on) = run(true);
@@ -1601,40 +1575,32 @@ mod tests {
         assert_eq!(u_on.by_session.ranked()[0].key, 9);
         assert_eq!(u_on.by_phase[Phase::PageFetch as usize].bytes, 128);
         assert_eq!(u_on.by_phase[Phase::Writeback as usize].bytes, 96);
-        // reset() drops the windows but keeps capture on.
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let node = fabric.register_node(64);
-        let ep = fabric.endpoint();
-        ep.enable_utilization(10_000);
-        ep.read_u64(node, 0).unwrap();
-        ep.reset();
-        assert!(ep.utilization_snapshot().is_empty());
-        assert!(ep.util.enabled());
     }
 
     #[test]
     fn cas_queueing_surfaces_in_the_utilization_hwm() {
         // Two endpoints hammer one atomic unit; the loser's queue delay
-        // must appear as a non-zero high-water mark.
-        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        // must appear in the high-water mark, above the unit's own
+        // service time.
+        let p = NetworkProfile::rdma_cx6();
+        let fabric = Fabric::new(p);
         let node = fabric.register_node(64);
         let a = fabric.endpoint();
         let b = fabric.endpoint();
-        a.enable_utilization(10_000);
-        b.enable_utilization(10_000);
+        a.enable_flight_recorder(64);
+        b.enable_flight_recorder(64);
         for _ in 0..32 {
             let _ = a.cas(node, 0, 0, 1);
             let _ = b.cas(node, 0, 1, 0);
         }
-        let mut merged = a.utilization_snapshot();
-        merged.merge(&b.utilization_snapshot());
-        let hwm = merged.nodes[0]
+        let util = fold_rings(10_000, &[(1, &a), (2, &b)]);
+        let hwm = util.nodes[0]
             .windows
             .iter()
             .map(|w| w.queue_hwm_ns)
             .max()
             .unwrap();
-        assert!(hwm > 0, "atomic-unit queueing must surface in the hwm");
+        assert!(hwm > p.atomic_unit_ns, "atomic-unit queueing must surface in the hwm");
     }
 
     #[test]
@@ -1657,7 +1623,6 @@ mod tests {
             let ep = fabric.endpoint();
             if planes {
                 ep.enable_timeseries(1_000);
-                ep.enable_utilization(1_000);
                 ep.enable_flight_recorder(256);
             }
             // The SEND batch goes first: its doorbell rings after its
@@ -1737,7 +1702,7 @@ mod tests {
         assert_eq!(stats.bytes_recvd, stats.bytes_sent);
 
         // Utilization sees exactly the node-addressed verbs, per node.
-        let util = ep.utilization_snapshot();
+        let util = fold_rings(1_000, &[(0, &ep)]);
         for (track, node) in util.nodes.iter().zip([0u16, 1]) {
             assert_eq!(track.node, node as u64);
             let to_node: Vec<&Event> = events
@@ -1752,40 +1717,53 @@ mod tests {
             assert_eq!(t.remote_ns, ns, "node {node}: remote ns");
         }
         assert_eq!(util.node_verbs(), [(0, 9), (1, 7)]);
+        // Both planes window the one-sided verbs alike.
+        assert_eq!((series.window_ns, util.window_ns), (1_000, 1_000));
+        for i in 0..series.len() {
+            let one_sided: u64 = [Metric::Reads, Metric::Writes, Metric::Cas, Metric::Faa]
+                .into_iter()
+                .map(|m| series.get(i, m))
+                .sum();
+            let to_nodes: u64 = util.nodes.iter().filter_map(|n| n.windows.get(i)).map(|w| w.verbs).sum();
+            assert_eq!(to_nodes, one_sided, "window {i}");
+        }
+        // The ring carries each atomic's turn at its node's atomic unit.
+        // With one endpoint nothing queues ahead of it, so every CAS and
+        // FAA, the two lost ones included, waited exactly the unit's
+        // service time.
+        let unit = NetworkProfile::rdma_cx6().atomic_unit_ns;
+        assert!(lost.iter().all(|e| e.aux == unit));
+        for (track, node) in util.nodes.iter().zip([0u16, 1]) {
+            for (i, w) in track.windows.iter().enumerate() {
+                let atomic_ends_here = events.iter().any(|e| {
+                    matches!(e.kind, EventKind::Verb(OpKind::Cas | OpKind::Faa))
+                        && e.peer == node
+                        && (e.ts_ns + e.dur_ns) / 1_000 == i as u64
+                });
+                assert_eq!(w.queue_hwm_ns, if atomic_ends_here { unit } else { 0 }, "node {node} window {i}");
+            }
+        }
 
-        // `complete` folds a verb into each plane with one window lookup.
-        // Replaying the ring through fresh recorders one counter at a
-        // time must land every verb in the same windows.
+        // `complete` folds a verb into the series with one window
+        // lookup. Replaying the ring through a fresh recorder one
+        // counter at a time must land every verb in the same windows.
         let ref_series = SeriesRecorder::new();
-        let ref_util = UtilRecorder::new();
         ref_series.enable(1_000);
-        ref_util.enable(1_000);
         for e in &events {
             let EventKind::Verb(kind) = e.kind else { continue };
-            let (end, bytes) = (e.ts_ns + e.dur_ns, e.bytes as u64);
+            let end = e.ts_ns + e.dur_ns;
             ref_series.note(end, VERB_METRIC[kind as usize], 1);
             if kind != OpKind::Recv {
-                ref_series.note(end, Metric::BytesWire, bytes);
-            }
-            if e.peer != u16::MAX {
-                let offset = e.addr & ((1 << 48) - 1);
-                let ingress = kind != OpKind::Read;
-                ref_util.note(end, e.peer as u64, offset, ingress, bytes, e.dur_ns, 0, e.phase as usize);
+                ref_series.note(end, Metric::BytesWire, e.bytes as u64);
             }
         }
         // Wire RTs follow the doorbell mark, which the ring does not
-        // carry (their total is checked above); atomic-unit queueing
-        // likewise.
+        // carry (their total is checked above).
         let mut series = series;
         for w in &mut series.windows {
             w[Metric::WireRts as usize] = 0;
         }
         assert_eq!(series, ref_series.snapshot());
-        let mut util = util;
-        for w in util.nodes.iter_mut().flat_map(|n| &mut n.windows) {
-            w.queue_hwm_ns = 0;
-        }
-        assert_eq!(util, ref_util.snapshot());
 
         // A doorbell of one member is the scalar verb: same clock, same
         // counters, same events in every plane — also when the fault plan
@@ -1801,7 +1779,6 @@ mod tests {
             );
             let ep = fabric.endpoint();
             ep.enable_timeseries(1_000);
-            ep.enable_utilization(1_000);
             ep.enable_flight_recorder(64);
             let mut got = [0u8; 40];
             let mut prevs = [u64::MAX; 3];
@@ -1831,7 +1808,7 @@ mod tests {
                 ep.stats(),
                 ep.flight_events(),
                 ep.series_snapshot(),
-                ep.utilization_snapshot(),
+                fold_rings(1_000, &[(0, &ep)]),
             )
         };
         assert_eq!(one(true), one(false));

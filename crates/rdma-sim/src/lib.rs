@@ -24,6 +24,14 @@
 //! [`Endpoint`] (a per-thread queue-pair handle that issues verbs and owns a
 //! virtual clock).
 //!
+//! Every verb completes through one path on [`Endpoint`], which folds it
+//! into the op counters, the per-verb latency histograms, the windowed
+//! series and, when it is on, the [`FlightRecorder`] ring. Views that
+//! need each verb's detail are folds over that ring rather than
+//! recorders of their own: tail forensics per transaction
+//! ([`recorder::to_path_event`]) and fabric utilization per run
+//! ([`recorder::to_verb_load`] into `telemetry::utilization::fold`).
+//!
 //! ```
 //! use rdma_sim::{Fabric, NetworkProfile};
 //!

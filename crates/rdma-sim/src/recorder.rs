@@ -12,7 +12,9 @@
 //!   only read, never advanced — so same-seed runs with the recorder on
 //!   and off produce identical timings and identical results, which is
 //!   how the <2% (actually 0%) virtual-time overhead criterion is met
-//!   and *measured* rather than assumed.
+//!   and *measured* rather than assumed. Tail forensics reads a
+//!   transaction's events back ([`to_path_event`]); the utilization
+//!   plane is a fold over a whole run's ([`to_verb_load`]).
 //! * [`ContentionProbe`] — always-on, cheap contention accounting: one
 //!   exact tally of lock-wait ns and CAS retries per lock word, a
 //!   bounded wait-for edge log fed by the lock layer,
@@ -104,8 +106,10 @@ pub struct Event {
     /// Innermost phase bucket at record time (`telemetry::OTHER_BUCKET`
     /// when unspanned).
     pub phase: u8,
-    /// Kind-specific extra: for [`EventKind::Wait`], the *holder's*
-    /// trace id at block time (0 = unknown holder); 0 otherwise.
+    /// Kind-specific extra: for a verb, the part of `dur_ns` it spent
+    /// queued at the target's atomic unit (nonzero only for CAS and FAA);
+    /// for [`EventKind::Wait`], the *holder's* trace id at block time
+    /// (0 = unknown holder); 0 otherwise.
     pub aux: u64,
 }
 
@@ -269,6 +273,31 @@ pub fn to_path_event(e: &Event) -> Option<telemetry::PathEvent> {
         peer: if e.peer == u16::MAX { 0 } else { e.peer },
         phase: e.phase,
         addr: e.addr,
+    })
+}
+
+/// Translate one recorder event into the utilization domain: a verb
+/// addressed to a memory node becomes the load the utilization fold
+/// ([`telemetry::utilization::fold`]) reads; messaging verbs, faults,
+/// waits and phase boundaries return `None`.
+pub fn to_verb_load(e: &Event) -> Option<telemetry::VerbLoad> {
+    let EventKind::Verb(kind) = e.kind else {
+        return None;
+    };
+    if e.peer == u16::MAX {
+        return None;
+    }
+    Some(telemetry::VerbLoad {
+        end_ns: e.ts_ns + e.dur_ns,
+        node: e.peer as u64,
+        // The offset below the node id `pack_addr` put on top.
+        offset: e.addr & ((1 << 48) - 1),
+        // READs are the only verbs whose payload leaves the node.
+        ingress: kind != OpKind::Read,
+        bytes: e.bytes as u64,
+        remote_ns: e.dur_ns,
+        queue_ns: e.aux,
+        phase: e.phase as usize,
     })
 }
 
@@ -534,6 +563,19 @@ mod tests {
         // Non-node-addressed verbs normalize peer u16::MAX to 0.
         let m = to_path_event(&Event { peer: u16::MAX, ..ev(9) }).unwrap();
         assert_eq!(m.peer, 0);
+    }
+
+    #[test]
+    fn verb_loads_are_the_node_addressed_verbs() {
+        let cas = Event { kind: EventKind::Verb(OpKind::Cas), addr: pack_addr(3, 64), peer: 3, aux: 80, ..ev(100) };
+        let l = to_verb_load(&cas).unwrap();
+        assert_eq!((l.end_ns, l.node, l.offset, l.ingress), (101, 3, 64, true));
+        assert_eq!((l.bytes, l.remote_ns, l.queue_ns, l.phase), (8, 1, 80, telemetry::OTHER_BUCKET));
+        assert!(!to_verb_load(&ev(5)).unwrap().ingress, "a READ's payload leaves the node");
+        let send = Event { kind: EventKind::Verb(OpKind::Send), peer: u16::MAX, ..ev(6) };
+        assert!(to_verb_load(&send).is_none());
+        assert!(to_verb_load(&Event { kind: EventKind::Fault, ..ev(7) }).is_none());
+        assert!(to_verb_load(&Event { kind: EventKind::Wait, ..ev(8) }).is_none());
     }
 
     #[test]

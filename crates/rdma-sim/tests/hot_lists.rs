@@ -1,6 +1,7 @@
 //! Every ranked list is an exact count. The six lists of a recorded
-//! stream — contention's lock-wait and CAS-retry lists, utilization's
-//! three heat lists and its session split — render as a `BTreeMap`
+//! stream — contention's lock-wait and CAS-retry lists, and the three
+//! heat lists and the session split that utilization folds out of it —
+//! render as a `BTreeMap`
 //! reference count, ranked (count desc, key asc) and cut at
 //! `MERGED_TOP_K`. And contention snapshots holding more keys than a
 //! report carries fold into the same bytes in every order.
@@ -11,7 +12,8 @@ use proptest::prelude::*;
 use rdma_sim::pack_addr;
 use rdma_sim::recorder::ContentionProbe;
 use telemetry::contention::MERGED_TOP_K;
-use telemetry::{heat_key, utilization_json, ContentionSnapshot, Json, UtilRecorder};
+use telemetry::utilization::fold;
+use telemetry::{heat_key, utilization_json, ContentionSnapshot, Json, VerbLoad};
 
 /// The `(key, weight)` pairs of a rendered list.
 fn pairs(list: Option<&Json>, key: &str, weight: &str) -> Vec<(u64, u64)> {
@@ -58,8 +60,8 @@ fn record(probe: &ContentionProbe, waits: &[Wait]) {
 }
 
 /// One verb on one of 3 memory nodes, 24 heat ranges each, and the
-/// session tag it runs under from then on, if it installs one (0 =
-/// untagged): `(node, offset, bytes, remote ns, tag)`.
+/// session tag it and the verbs after it run under, if it starts a new
+/// session (0 = untagged): `(node, offset, bytes, remote ns, tag)`.
 type Verb = (u8, u32, u16, u16, u8);
 
 fn verbs() -> impl Strategy<Value = Vec<Verb>> {
@@ -81,17 +83,18 @@ proptest! {
         prop_assert_eq!(pairs(c.get("top_wait_ns"), "key", "count"), reference(&wait_ns));
         prop_assert_eq!(pairs(c.get("top_cas_retries"), "key", "count"), reference(&cas));
 
-        let util = UtilRecorder::new();
-        util.enable(1_000);
+        let mut sessions: Vec<(u64, Vec<VerbLoad>)> = vec![(0, Vec::new())];
         let mut heat: [BTreeMap<u64, u64>; 3] = Default::default();
         let (mut by_session, mut tag) = (BTreeMap::new(), 0);
         for (t, &(node, offset, bytes, ns, switch)) in verbs.iter().enumerate() {
             let (node, offset, bytes, ns) = (node as u64, offset as u64, bytes as u64, ns as u64);
             if switch < 4 {
                 tag = switch as u64;
-                util.set_session(tag);
+                sessions.push((tag, Vec::new()));
             }
-            util.note(t as u64 * 10, node, offset, t % 2 == 0, bytes, ns, 0, 0);
+            let ingress = t % 2 == 0;
+            let load = VerbLoad { end_ns: t as u64 * 10, node, offset, ingress, bytes, remote_ns: ns, queue_ns: 0, phase: 0 };
+            sessions.last_mut().expect("an open session").1.push(load);
             let key = heat_key(node, offset);
             for (list, w) in heat.iter_mut().zip([bytes, 1, ns]) {
                 *list.entry(key).or_default() += w;
@@ -100,7 +103,7 @@ proptest! {
                 *by_session.entry(tag).or_default() += bytes;
             }
         }
-        let u = utilization_json(&util.snapshot());
+        let u = utilization_json(&fold(1_000, &sessions));
         for (name, want) in ["by_bytes", "by_verbs", "by_remote_ns"].into_iter().zip(&heat) {
             let list = u.get("heat").and_then(|h| h.get(name));
             prop_assert_eq!(pairs(list, "key", "count"), reference(want), "heat.{}", name);

@@ -448,6 +448,7 @@ pub fn move_plan_from_json(v: &Json) -> Option<MovePlan> {
 mod tests {
     use super::*;
     use crate::timeseries::SeriesRecorder;
+    use crate::utilization::{fold, heat_key, UtilSnapshot, VerbLoad};
 
     /// 100ns windows: 10 commits/window for 10 windows, a 3-window dip
     /// at 2/window, then back to 10/window, ending with a partial tail.
@@ -678,19 +679,21 @@ mod tests {
         assert!((max_mean_ratio(&[0, 0, 30]) - 3.0).abs() < 1e-12);
     }
 
+    /// A READ of `bytes` from `(node, offset)` completing at `end_ns`,
+    /// charged `remote_ns`.
+    fn read(end_ns: u64, node: u64, offset: u64, bytes: u64, remote_ns: u64) -> VerbLoad {
+        VerbLoad { end_ns, node, offset, ingress: false, bytes, remote_ns, queue_ns: 0, phase: 1 }
+    }
+
     #[test]
     fn advisor_moves_heat_off_the_hot_node_and_shrinks_gini() {
-        use crate::utilization::{heat_key, UtilRecorder};
-        let r = UtilRecorder::new();
-        r.enable(1_000);
         // Node 0 serves two hot 64 KiB ranges; nodes 1 and 2 are cool.
+        let mut loads = vec![read(5, 1, 0, 64, 100), read(6, 2, 0, 64, 100)];
         for i in 0..100u64 {
-            r.note(i * 10, 0, 0, false, 64, 100, 0, 1);
-            r.note(i * 10 + 1, 0, 1 << 16, false, 32, 80, 0, 1);
+            loads.push(read(i * 10, 0, 0, 64, 100));
+            loads.push(read(i * 10 + 1, 0, 1 << 16, 32, 80));
         }
-        r.note(5, 1, 0, false, 64, 100, 0, 1);
-        r.note(6, 2, 0, false, 64, 100, 0, 1);
-        let plan = placement_advisor(&r.snapshot(), 4);
+        let plan = placement_advisor(&fold(1_000, &[(0, loads)]), 4);
         assert!(!plan.moves.is_empty());
         assert!(plan.index_projected < plan.index_before);
         let m = &plan.moves[0];
@@ -705,15 +708,13 @@ mod tests {
 
     #[test]
     fn advisor_leaves_uniform_load_alone() {
-        use crate::utilization::UtilRecorder;
-        let r = UtilRecorder::new();
-        r.enable(1_000);
+        let mut loads = Vec::new();
         for node in 0..4u64 {
             for i in 0..50u64 {
-                r.note(i * 10 + node, node, i * 8, false, 64, 100, 0, 1);
+                loads.push(read(i * 10 + node, node, i * 8, 64, 100));
             }
         }
-        let plan = placement_advisor(&r.snapshot(), 4);
+        let plan = placement_advisor(&fold(1_000, &[(0, loads)]), 4);
         assert!(plan.moves.is_empty(), "plan: {plan:?}");
         assert_eq!(plan.index_before, plan.index_projected);
         assert!(plan.index_before < 1e-9);
@@ -721,21 +722,15 @@ mod tests {
 
     #[test]
     fn advisor_degenerate_inputs() {
-        use crate::utilization::{UtilRecorder, UtilSnapshot};
         // Empty snapshot.
-        let plan = placement_advisor(&UtilSnapshot::empty(), 4);
+        let plan = placement_advisor(&UtilSnapshot::default(), 4);
         assert!(plan.moves.is_empty());
         assert_eq!(plan.index_before, 0.0);
         // Single node: nowhere to move to.
-        let r = UtilRecorder::new();
-        r.enable(1_000);
-        r.note(1, 0, 0, false, 64, 100, 0, 1);
-        assert!(placement_advisor(&r.snapshot(), 4).moves.is_empty());
+        let one = fold(1_000, &[(0, vec![read(1, 0, 0, 64, 100)])]);
+        assert!(placement_advisor(&one, 4).moves.is_empty());
         // max_moves = 0 recommends nothing.
-        let r2 = UtilRecorder::new();
-        r2.enable(1_000);
-        r2.note(1, 0, 0, false, 640, 100, 0, 1);
-        r2.note(2, 1, 0, false, 64, 100, 0, 1);
-        assert!(placement_advisor(&r2.snapshot(), 0).moves.is_empty());
+        let two = fold(1_000, &[(0, vec![read(1, 0, 0, 640, 100), read(2, 1, 0, 64, 100)])]);
+        assert!(placement_advisor(&two, 0).moves.is_empty());
     }
 }

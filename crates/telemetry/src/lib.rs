@@ -35,7 +35,8 @@
 //!   paths reconstructed from the flight-recorder event ring, typed
 //!   blame attribution for every nanosecond of a slow transaction, and
 //!   a deterministic worst-K exemplar reservoir merged cross-session.
-//! * [`utilization`] — the capacity/placement plane: per-memory-node
+//! * [`utilization`] — the capacity/placement plane, folded after a run
+//!   from the flight-recorder ring's verbs: per-memory-node
 //!   ingress/egress/occupancy windows, exact heat lists over 64 KiB
 //!   page ranges split by session and txn phase, and the
 //!   [`analysis`] imbalance indices (Gini, max/mean) plus the
@@ -83,7 +84,7 @@ pub use timeseries::{Metric, SeriesRecorder, SeriesSnapshot, DEFAULT_WINDOW_NS, 
 pub use trace::ChromeTrace;
 pub use utilization::{
     heat_key, heat_key_base_offset, heat_key_node, utilization_from_json, utilization_json,
-    NodeUtil, PhaseLoad, UtilRecorder, UtilSnapshot, UtilWindow, HEAT_RANGE_BYTES,
+    NodeUtil, PhaseLoad, UtilSnapshot, UtilWindow, VerbLoad, HEAT_RANGE_BYTES,
     HEAT_RANGE_SHIFT, UTIL_PHASES,
 };
 pub use watchdog::{AlertEvent, AlertKind, AlertState, Watchdog, WatchdogConfig};

@@ -192,7 +192,7 @@ impl Metric {
 /// instrumented layers can call unconditionally.
 #[derive(Debug, Default)]
 pub struct SeriesRecorder {
-    windows: Windowed<[u64; METRICS]>,
+    windows: Windowed,
 }
 
 impl SeriesRecorder {

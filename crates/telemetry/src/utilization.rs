@@ -14,26 +14,23 @@
 //!   per-window queue-delay high-water mark (atomic-unit queueing observed at that node).
 //!   Occupancy (allocated vs capacity bytes) is stamped onto the
 //!   snapshot by the harness that owns the allocators.
-//! * **Per-key-range heat** — one exact [`Tally`] entry per 64 KiB
-//!   page range holding its remote bytes, verbs and remote ns
-//!   ([`heat_key`] packs `(node, offset >> 16)` into one key), plus
-//!   remote bytes per session and a fixed by-phase table, so heat
-//!   splits by *who* (session) and *when* (txn phase).
-//! * **A mergeable snapshot** — [`UtilSnapshot`] merges across
-//!   endpoints like every other telemetry product: associative,
-//!   commutative window sums (high-water marks merge by max, which is
-//!   exact for maxima), hot lists by addition.
+//! * **Per-key-range heat** — exact totals per 64 KiB page range of
+//!   remote bytes, verbs and remote ns ([`heat_key`] packs
+//!   `(node, offset >> 16)` into one key), plus remote bytes per session
+//!   and a fixed by-phase table, so heat splits by *who* (session) and
+//!   *when* (txn phase).
 //!
-//! Like the series recorder, [`UtilRecorder`] reads the
-//! caller-supplied virtual timestamp but never advances any clock:
-//! capture on vs off produces the byte-identical virtual timeline.
+//! Nothing records online. Every fact above is a fact about one verb,
+//! and the flight-recorder ring already holds every verb: [`fold`] turns
+//! each session's node-addressed verbs ([`VerbLoad`]) into one
+//! [`UtilSnapshot`], after the run. It is a sum over the verbs (a max for
+//! the high-water mark), so the snapshot does not depend on the order of
+//! the sessions or of their verbs, and capture costs no virtual time.
 
-use std::cell::{Cell, RefCell};
-
-use crate::contention::{HotList, Tally, TopEntry};
+use crate::contention::{HotList, TopEntry};
 use crate::json::Json;
 use crate::span::{bucket_name, OTHER_BUCKET};
-use crate::window::{self, Window, Windowed};
+use crate::window;
 
 /// Page-range granularity of the heat lists: offsets are bucketed
 /// into `1 << HEAT_RANGE_SHIFT`-byte ranges (64 KiB).
@@ -65,9 +62,30 @@ pub fn heat_key_base_offset(key: u64) -> u64 {
     (key & ((1 << 48) - 1)) << HEAT_RANGE_SHIFT
 }
 
+/// One node-addressed verb, everything [`fold`] reads of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerbLoad {
+    /// Virtual time the verb completed.
+    pub end_ns: u64,
+    /// Target memory node.
+    pub node: u64,
+    /// Byte offset on `node`.
+    pub offset: u64,
+    /// The payload went to the node (WRITE/CAS/FAA), not from it (READ).
+    pub ingress: bool,
+    /// Payload bytes.
+    pub bytes: u64,
+    /// Virtual latency charged to the verb.
+    pub remote_ns: u64,
+    /// The part of `remote_ns` spent at the node's atomic unit.
+    pub queue_ns: u64,
+    /// Innermost phase bucket when the verb completed.
+    pub phase: usize,
+}
+
 /// One window of per-node fabric load. All fields are sums over the
 /// window except `queue_hwm_ns`, which is the worst atomic-unit queue
-/// delay observed in the window (merges by max).
+/// delay observed in the window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UtilWindow {
     /// Bytes written *to* the node (WRITE/CAS/FAA payloads).
@@ -82,15 +100,7 @@ pub struct UtilWindow {
     pub queue_hwm_ns: u64,
 }
 
-impl Window for UtilWindow {
-    const ZERO: Self = UtilWindow {
-        ingress_bytes: 0,
-        egress_bytes: 0,
-        verbs: 0,
-        remote_ns: 0,
-        queue_hwm_ns: 0,
-    };
-
+impl UtilWindow {
     /// Sums add; the high-water mark maxes, which is exact for maxima.
     fn absorb(&mut self, other: &UtilWindow) {
         self.ingress_bytes += other.ingress_bytes;
@@ -101,14 +111,7 @@ impl Window for UtilWindow {
     }
 }
 
-impl UtilWindow {
-    /// All-zero window.
-    pub fn is_zero(&self) -> bool {
-        *self == UtilWindow::default()
-    }
-}
-
-/// Per-phase fabric load (sums; merges by addition).
+/// Per-phase fabric load (sums).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseLoad {
     /// Remote bytes moved while the phase was innermost.
@@ -131,174 +134,57 @@ impl PhaseLoad {
     }
 }
 
-/// Per-thread utilization collector. Disabled (width 0) until
-/// [`UtilRecorder::enable`]; recording while disabled is a no-op, so
-/// the fabric can call unconditionally.
-#[derive(Debug)]
-pub struct UtilRecorder {
-    /// Configured window width (0 = off); every node track starts at it.
-    width_ns: Cell<u64>,
-    /// Session tag the by-session split charges (0 = untagged).
-    session_tag: Cell<u64>,
-    /// Remote bytes moved under `session_tag` not yet in `by_session`.
-    session_bytes: Cell<u64>,
-    /// Per-node window tracks, keyed by node id (small linear vec —
-    /// clusters have a handful of memory nodes). A track doubles its
-    /// width on its own; [`UtilRecorder::snapshot`] aligns them.
-    nodes: RefCell<Vec<(u64, Windowed<UtilWindow>)>>,
-    /// Per heat range: remote bytes, verbs, remote ns.
-    heat: RefCell<Tally<3>>,
-    by_session: RefCell<HotList>,
-    by_phase: RefCell<[PhaseLoad; UTIL_PHASES]>,
-}
-
-impl Default for UtilRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl UtilRecorder {
-    /// A recorder that ignores everything until enabled.
-    pub fn new() -> Self {
-        Self {
-            width_ns: Cell::new(0),
-            session_tag: Cell::new(0),
-            session_bytes: Cell::new(0),
-            nodes: RefCell::new(Vec::new()),
-            heat: RefCell::new(Tally::default()),
-            by_session: RefCell::new(HotList::default()),
-            by_phase: RefCell::new([PhaseLoad::default(); UTIL_PHASES]),
+/// Fold every session's verbs into one snapshot. `sessions` pairs a
+/// session tag (0 = untagged, left out of the by-session split) with the
+/// verbs it issued; neither the sessions nor their verbs need be in any
+/// order. The window width is picked once: `base_window_ns` doubled
+/// until the last completion falls inside [`crate::MAX_WINDOWS`] windows,
+/// the width a recorder that started at the base would have doubled to.
+/// Every node track spans that last window. A base of 0 turns the plane
+/// off, and folding no verbs gives the empty snapshot.
+pub fn fold(base_window_ns: u64, sessions: &[(u64, Vec<VerbLoad>)]) -> UtilSnapshot {
+    let last = sessions.iter().flat_map(|(_, loads)| loads).map(|l| l.end_ns).max();
+    let Some(last) = last.filter(|_| base_window_ns > 0) else {
+        return UtilSnapshot::default();
+    };
+    let window_ns = window::width_covering(base_window_ns, last);
+    let len = (last / window_ns) as usize + 1;
+    let mut out = UtilSnapshot { window_ns, ..UtilSnapshot::default() };
+    let mut by_phase = [PhaseLoad::default(); UTIL_PHASES];
+    for (tag, loads) in sessions {
+        if *tag != 0 {
+            out.by_session.add(*tag, loads.iter().map(|l| l.bytes).sum());
         }
-    }
-
-    /// Turn capture on with `width_ns`-wide windows (0 turns it off).
-    /// Drops any previously recorded state.
-    pub fn enable(&self, width_ns: u64) {
-        self.width_ns.set(width_ns);
-        self.clear();
-    }
-
-    /// Whether capture is on.
-    pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
-    }
-
-    /// Tag subsequent traffic with a session id for the by-session heat
-    /// split (0 = untagged; untagged traffic is skipped there).
-    pub fn set_session(&self, tag: u64) {
-        let mut by_session = self.by_session.borrow_mut();
-        by_session.add(self.session_tag.replace(tag), self.session_bytes.take());
-    }
-
-    /// Record one verb's fabric load at virtual time `now_ns`:
-    /// `bytes` moved to (`ingress`) or from (`!ingress`) `node` at
-    /// byte `offset`, costing `remote_ns` of which `queue_ns` was
-    /// atomic-unit queueing, attributed to phase bucket `phase`.
-    /// Never advances any clock.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note(
-        &self,
-        now_ns: u64,
-        node: u64,
-        offset: u64,
-        ingress: bool,
-        bytes: u64,
-        remote_ns: u64,
-        queue_ns: u64,
-        phase: usize,
-    ) {
-        let width = self.width_ns.get();
-        if width == 0 {
-            return;
-        }
-        {
-            let mut nodes = self.nodes.borrow_mut();
-            let pos = match nodes.iter().position(|(n, _)| *n == node) {
-                Some(p) => p,
-                None => {
-                    nodes.push((node, Windowed::new(width)));
-                    nodes.len() - 1
+        for l in loads {
+            let at = match out.nodes.binary_search_by_key(&l.node, |n| n.node) {
+                Ok(at) => at,
+                Err(at) => {
+                    let windows = vec![UtilWindow::default(); len];
+                    out.nodes.insert(at, NodeUtil { node: l.node, windows, ..NodeUtil::default() });
+                    at
                 }
             };
-            nodes[pos].1.update(now_ns, |w| {
-                if ingress {
-                    w.ingress_bytes += bytes;
-                } else {
-                    w.egress_bytes += bytes;
-                }
-                w.verbs += 1;
-                w.remote_ns += remote_ns;
-                w.queue_hwm_ns = w.queue_hwm_ns.max(queue_ns);
+            let (to, from) = if l.ingress { (l.bytes, 0) } else { (0, l.bytes) };
+            out.nodes[at].windows[(l.end_ns / window_ns) as usize].absorb(&UtilWindow {
+                ingress_bytes: to,
+                egress_bytes: from,
+                verbs: 1,
+                remote_ns: l.remote_ns,
+                queue_hwm_ns: l.queue_ns,
             });
-        }
-        let mut heat = self.heat.borrow_mut();
-        let range = heat.at(heat_key(node, offset));
-        range[0] += bytes;
-        range[1] += 1;
-        range[2] += remote_ns;
-        if self.session_tag.get() != 0 {
-            self.session_bytes.set(self.session_bytes.get() + bytes);
-        }
-        let mut phases = self.by_phase.borrow_mut();
-        let p = &mut phases[phase.min(OTHER_BUCKET)];
-        p.bytes += bytes;
-        p.verbs += 1;
-        p.remote_ns += remote_ns;
-    }
-
-    /// Drop all recorded state and restore the configured base width.
-    pub fn clear(&self) {
-        self.nodes.borrow_mut().clear();
-        self.heat.borrow_mut().clear();
-        *self.by_session.borrow_mut() = HotList::default();
-        *self.by_phase.borrow_mut() = [PhaseLoad::default(); UTIL_PHASES];
-        self.session_tag.set(0);
-        self.session_bytes.set(0);
-    }
-
-    /// Copy out the recorded utilization (empty when disabled). Node
-    /// tracks are coarsened to the widest track's width, sorted by node
-    /// id and padded to a common window count, so the snapshot is
-    /// independent of traffic order.
-    pub fn snapshot(&self) -> UtilSnapshot {
-        let nodes = self.nodes.borrow();
-        let window_ns = nodes.iter().map(|(_, t)| t.width_ns()).max().unwrap_or(0);
-        let mut out: Vec<NodeUtil> = nodes
-            .iter()
-            .map(|(n, t)| {
-                let (mut width, mut windows) = (t.width_ns(), t.windows());
-                window::coarsen_to(&mut width, &mut windows, window_ns);
-                NodeUtil {
-                    node: *n,
-                    capacity_bytes: 0,
-                    allocated_bytes: 0,
-                    windows,
-                }
-            })
-            .collect();
-        let max_len = out.iter().map(|n| n.windows.len()).max().unwrap_or(0);
-        for n in &mut out {
-            n.windows.resize(max_len, UtilWindow::ZERO);
-        }
-        out.sort_by_key(|n| n.node);
-        let heat = self.heat.borrow();
-        let mut by_session = self.by_session.borrow().clone();
-        by_session.add(self.session_tag.get(), self.session_bytes.get());
-        UtilSnapshot {
-            window_ns,
-            nodes: out,
-            heat_bytes: heat.hot_list(0),
-            heat_verbs: heat.hot_list(1),
-            heat_ns: heat.hot_list(2),
-            by_session,
-            by_phase: trim_phases(self.by_phase.borrow().to_vec()),
+            let range = heat_key(l.node, l.offset);
+            out.heat_bytes.add(range, l.bytes);
+            out.heat_verbs.add(range, 1);
+            out.heat_ns.add(range, l.remote_ns);
+            by_phase[l.phase.min(OTHER_BUCKET)].absorb(&PhaseLoad { bytes: l.bytes, verbs: 1, remote_ns: l.remote_ns });
         }
     }
+    out.by_phase = trim_phases(by_phase.to_vec());
+    out
 }
 
 /// Canonical phase-vector form: drop the all-zero suffix, so snapshots
-/// built by the recorder, by `empty()`, and by the JSON parse side
+/// built by [`fold`], by `default()`, and by the JSON parse side
 /// compare equal whenever they describe the same loads.
 fn trim_phases(mut v: Vec<PhaseLoad>) -> Vec<PhaseLoad> {
     while v.last().is_some_and(|p| p.is_zero()) {
@@ -338,8 +224,8 @@ impl NodeUtil {
     }
 }
 
-/// The mergeable utilization product: per-node windowed load, heat
-/// lists, and the session/phase splits.
+/// The utilization product: per-node windowed load, heat lists, and the
+/// session/phase splits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilSnapshot {
     /// Window width, virtual ns (0 only for the empty snapshot).
@@ -359,11 +245,6 @@ pub struct UtilSnapshot {
 }
 
 impl UtilSnapshot {
-    /// The identity for [`UtilSnapshot::merge`].
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Nothing recorded and nothing stamped.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -379,7 +260,7 @@ impl UtilSnapshot {
 
     /// Stamp occupancy onto `node`'s track (creating an idle track if
     /// the node saw no traffic — a cold node is exactly the signal the
-    /// placement advisor needs to see). Call after merging, with
+    /// placement advisor needs to see). Call after folding, with
     /// allocator stats read by whoever owns the memory nodes.
     pub fn stamp_occupancy(&mut self, node: u64, capacity_bytes: u64, allocated_bytes: u64) {
         let len = self.len();
@@ -424,65 +305,6 @@ impl UtilSnapshot {
             }
         }
         out
-    }
-
-    /// Re-bucket every node track to `new_width` (must be a multiple of
-    /// the current width). Sums stay exact; high-water marks take the
-    /// max of the folded windows, which is exact for maxima.
-    pub fn coarsen_to(&mut self, new_width: u64) {
-        for n in &mut self.nodes {
-            let mut width = self.window_ns;
-            window::coarsen_to(&mut width, &mut n.windows, new_width);
-        }
-        self.window_ns = new_width.max(self.window_ns);
-    }
-
-    /// Fold `other` into `self`. Window widths align to their least
-    /// common multiple; per-node windows add (high-water marks max),
-    /// hot lists and phase loads add, and occupancy stamps take the max
-    /// (stamps are point-in-time allocator readings, not flows).
-    /// Associative and commutative, like every other telemetry merge.
-    pub fn merge(&mut self, other: &UtilSnapshot) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let mut o = other.clone();
-        if self.nodes.is_empty() || o.nodes.is_empty() {
-            // At most one side carries windows; adopt its geometry.
-            self.window_ns = self.window_ns.max(o.window_ns);
-        } else {
-            let target = window::lcm(self.window_ns, o.window_ns);
-            self.coarsen_to(target);
-            o.coarsen_to(target);
-        }
-        for on in &o.nodes {
-            if let Some(n) = self.nodes.iter_mut().find(|n| n.node == on.node) {
-                window::absorb_aligned(&mut n.windows, &on.windows);
-                n.capacity_bytes = n.capacity_bytes.max(on.capacity_bytes);
-                n.allocated_bytes = n.allocated_bytes.max(on.allocated_bytes);
-            } else {
-                self.nodes.push(on.clone());
-            }
-        }
-        self.nodes.sort_by_key(|n| n.node);
-        let len = self.nodes.iter().map(|n| n.windows.len()).max().unwrap_or(0);
-        for n in &mut self.nodes {
-            n.windows.resize(len, UtilWindow::default());
-        }
-        self.heat_bytes.merge(&o.heat_bytes);
-        self.heat_verbs.merge(&o.heat_verbs);
-        self.heat_ns.merge(&o.heat_ns);
-        self.by_session.merge(&o.by_session);
-        if self.by_phase.len() < o.by_phase.len() {
-            self.by_phase.resize(o.by_phase.len(), PhaseLoad::default());
-        }
-        for (dst, src) in self.by_phase.iter_mut().zip(o.by_phase.iter()) {
-            dst.absorb(src);
-        }
     }
 }
 
@@ -649,27 +471,37 @@ mod tests {
     use super::*;
     use crate::timeseries::MAX_WINDOWS;
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let r = UtilRecorder::new();
-        r.note(100, 0, 0, true, 64, 10, 0, 0);
-        assert!(!r.enabled());
-        assert!(r.snapshot().is_empty());
-        // Unlike the counter series, an enabled recorder that saw no
-        // node reports width 0: there is no track to be that wide.
-        r.enable(100);
-        assert_eq!(r.snapshot().window_ns, 0);
+    /// A verb completing at `end_ns`: `bytes` to (`ingress`) or from
+    /// `node` at `offset`, costing `remote_ns` of which `queue_ns`
+    /// queued, in phase bucket `phase`.
+    #[allow(clippy::too_many_arguments)]
+    fn verb(
+        end_ns: u64,
+        node: u64,
+        offset: u64,
+        ingress: bool,
+        bytes: u64,
+        remote_ns: u64,
+        queue_ns: u64,
+        phase: usize,
+    ) -> VerbLoad {
+        VerbLoad { end_ns, node, offset, ingress, bytes, remote_ns, queue_ns, phase }
     }
 
     #[test]
     fn windows_split_ingress_egress_and_track_hwm() {
-        let r = UtilRecorder::new();
-        r.enable(100);
-        r.note(10, 1, 0, true, 64, 500, 0, 2);
-        r.note(20, 1, 8, false, 32, 400, 90, 2);
-        r.note(150, 1, 1 << 20, false, 8, 100, 40, 1);
-        r.note(150, 2, 0, true, 16, 200, 0, 0);
-        let s = r.snapshot();
+        let s = fold(
+            100,
+            &[(
+                0,
+                vec![
+                    verb(10, 1, 0, true, 64, 500, 0, 2),
+                    verb(20, 1, 8, false, 32, 400, 90, 2),
+                    verb(150, 1, 1 << 20, false, 8, 100, 40, 1),
+                    verb(150, 2, 0, true, 16, 200, 0, 0),
+                ],
+            )],
+        );
         assert_eq!(s.window_ns, 100);
         assert_eq!(s.len(), 2);
         assert_eq!(s.nodes.len(), 2);
@@ -681,8 +513,8 @@ mod tests {
         assert_eq!(n1.windows[0].remote_ns, 900);
         assert_eq!(n1.windows[0].queue_hwm_ns, 90);
         assert_eq!(n1.windows[1].egress_bytes, 8);
-        // Node 2's track is padded to the common length; its only note
-        // (t=150) lands in window 1.
+        // Node 2's track spans the same windows; its only verb (t=150)
+        // lands in window 1.
         assert_eq!(s.nodes[1].windows.len(), 2);
         assert_eq!(s.nodes[1].windows[0], UtilWindow::default());
         assert_eq!(s.nodes[1].windows[1].ingress_bytes, 16);
@@ -700,37 +532,29 @@ mod tests {
 
     #[test]
     fn session_tag_feeds_the_by_session_sketch() {
-        let r = UtilRecorder::new();
-        r.enable(100);
-        r.note(10, 0, 0, true, 100, 10, 0, 0); // untagged: skipped
-        r.set_session(7);
-        r.note(20, 0, 0, true, 64, 10, 0, 0);
-        r.note(30, 0, 0, false, 36, 10, 0, 0);
-        r.set_session(9);
-        r.note(40, 0, 0, true, 10, 10, 0, 0);
-        r.set_session(7);
-        r.note(50, 0, 0, true, 1, 10, 0, 0);
-        // A snapshot includes the bytes of the session still tagged, and
-        // taking one changes nothing.
-        for _ in 0..2 {
-            assert_eq!(
-                r.snapshot().by_session.ranked(),
-                [TopEntry { key: 7, count: 101 }, TopEntry { key: 9, count: 10 }]
-            );
-        }
+        let sessions = [
+            (0, vec![verb(10, 0, 0, true, 100, 10, 0, 0)]), // untagged: skipped
+            (7, vec![verb(20, 0, 0, true, 64, 10, 0, 0), verb(30, 0, 0, false, 36, 10, 0, 0)]),
+            (9, vec![verb(40, 0, 0, true, 10, 10, 0, 0)]),
+            (7, vec![verb(50, 0, 0, true, 1, 10, 0, 0)]),
+        ];
+        let want = [TopEntry { key: 7, count: 101 }, TopEntry { key: 9, count: 10 }];
+        assert_eq!(fold(100, &sessions).by_session.ranked(), want);
+        // The sessions' order does not matter.
+        let mut reversed = sessions.to_vec();
+        reversed.reverse();
+        assert_eq!(fold(100, &reversed), fold(100, &sessions));
     }
 
     #[test]
-    fn node_tracks_that_doubled_apart_align_in_the_snapshot() {
-        let r = UtilRecorder::new();
-        r.enable(10);
-        // Node 1 is only touched early; node 0's traffic outgrows the
-        // window cap and doubles its own track.
-        r.note(15, 1, 0, false, 3, 1, 70, 0);
+    fn a_run_past_max_windows_folds_at_the_doubled_width() {
+        // Node 1 is only touched early; node 0's traffic runs to twice
+        // the window cap, so the base width doubles once.
+        let mut loads = vec![verb(15, 1, 0, false, 3, 1, 70, 0)];
         for i in 0..(MAX_WINDOWS as u64 * 2) {
-            r.note(i * 10, 0, i * 8, true, 8, 5, (i % 7) * 10, 0);
+            loads.push(verb(i * 10, 0, i * 8, true, 8, 5, (i % 7) * 10, 0));
         }
-        let s = r.snapshot();
+        let s = fold(10, &[(0, loads)]);
         assert_eq!(s.window_ns, 20);
         assert_eq!(s.len(), MAX_WINDOWS);
         assert!(s.nodes.iter().all(|n| n.windows.len() == MAX_WINDOWS));
@@ -738,66 +562,14 @@ mod tests {
         assert_eq!(t.ingress_bytes, MAX_WINDOWS as u64 * 2 * 8);
         assert_eq!(t.verbs, MAX_WINDOWS as u64 * 2);
         assert_eq!(t.queue_hwm_ns, 60);
-        // Node 1's t=15 sample sits in window 0 of the aligned width.
+        // Node 1's t=15 verb sits in window 0 of the doubled width.
         assert_eq!(s.nodes[1].windows[0].egress_bytes, 3);
         assert_eq!(s.nodes[1].totals().queue_hwm_ns, 70);
     }
 
     #[test]
-    fn merge_aligns_widths_and_is_commutative() {
-        let a = UtilRecorder::new();
-        a.enable(100);
-        a.note(50, 0, 0, true, 10, 5, 30, 0);
-        a.note(250, 1, 0, false, 20, 5, 0, 1);
-        let b = UtilRecorder::new();
-        b.enable(300);
-        b.note(10, 0, 0, false, 7, 3, 50, 2);
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.window_ns, 300);
-        let n0 = &ab.nodes[0];
-        assert_eq!(n0.windows[0].ingress_bytes, 10);
-        assert_eq!(n0.windows[0].egress_bytes, 7);
-        assert_eq!(n0.windows[0].queue_hwm_ns, 50);
-        assert_eq!(ab.nodes[1].windows[0].egress_bytes, 20);
-    }
-
-    #[test]
-    fn merge_identity_and_empty() {
-        let r = UtilRecorder::new();
-        r.enable(100);
-        r.note(10, 3, 0, true, 8, 2, 0, 0);
-        let s = r.snapshot();
-        let mut m = UtilSnapshot::empty();
-        m.merge(&s);
-        assert_eq!(m, s);
-        let mut m2 = s.clone();
-        m2.merge(&UtilSnapshot::empty());
-        assert_eq!(m2, s);
-        // A side with loads but no node track (nothing to align) takes
-        // the other side's geometry as is.
-        let trackless = UtilSnapshot {
-            by_phase: vec![PhaseLoad { bytes: 1, verbs: 1, remote_ns: 1 }],
-            ..UtilSnapshot::empty()
-        };
-        let mut m3 = trackless.clone();
-        m3.merge(&s);
-        assert_eq!((m3.window_ns, &m3.nodes), (100, &s.nodes));
-        let mut m4 = s.clone();
-        m4.merge(&trackless);
-        assert_eq!(m4, m3);
-    }
-
-    #[test]
     fn stamp_occupancy_creates_idle_tracks_for_cold_nodes() {
-        let r = UtilRecorder::new();
-        r.enable(100);
-        r.note(10, 0, 0, true, 8, 2, 0, 0);
-        let mut s = r.snapshot();
+        let mut s = fold(100, &[(0, vec![verb(10, 0, 0, true, 8, 2, 0, 0)])]);
         s.stamp_occupancy(0, 1 << 20, 4096);
         s.stamp_occupancy(5, 1 << 20, 0); // never saw traffic
         assert_eq!(s.nodes.len(), 2);
@@ -819,12 +591,10 @@ mod tests {
 
     #[test]
     fn json_round_trips_byte_identically() {
-        let r = UtilRecorder::new();
-        r.enable(100);
-        r.set_session(3);
-        r.note(10, 0, 0, true, 64, 500, 25, 2);
-        r.note(150, 1, 1 << 17, false, 32, 300, 0, 4);
-        let mut s = r.snapshot();
+        let mut s = fold(
+            100,
+            &[(3, vec![verb(10, 0, 0, true, 64, 500, 25, 2), verb(150, 1, 1 << 17, false, 32, 300, 0, 4)])],
+        );
         s.stamp_occupancy(0, 1 << 20, 2048);
         s.stamp_occupancy(1, 1 << 20, 1024);
         let j = utilization_json(&s);
@@ -838,24 +608,14 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_wellformed_and_parses_back() {
-        let s = UtilSnapshot::empty();
+        // Folding no verbs, or folding with the plane off, is the
+        // empty snapshot.
+        let s = fold(100, &[(1, Vec::new())]);
+        assert_eq!(s, UtilSnapshot::default());
+        assert_eq!(fold(0, &[(1, vec![verb(10, 0, 0, true, 8, 2, 0, 0)])]), s);
         let j = utilization_json(&s);
         assert_eq!(j.get("windows").unwrap().as_u64(), Some(0));
         let parsed = Json::parse(&j.render_pretty(2)).unwrap();
         assert_eq!(utilization_from_json(&parsed), Some(s));
-    }
-
-    #[test]
-    fn clear_restores_base_width_and_drops_state() {
-        let r = UtilRecorder::new();
-        r.enable(10);
-        for i in 0..(MAX_WINDOWS as u64 + 5) {
-            r.note(i * 10, 0, 0, true, 1, 1, 0, 0);
-        }
-        assert!(r.snapshot().window_ns > 10);
-        r.clear();
-        assert!(r.snapshot().is_empty());
-        r.note(5, 0, 0, true, 1, 1, 0, 0);
-        assert_eq!(r.snapshot().window_ns, 10);
     }
 }

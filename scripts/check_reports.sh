@@ -7,9 +7,10 @@
 # Exits non-zero and names the differing files on mismatch (~10 s). A
 # refactor of the verb path or a telemetry plane that leaves this green
 # has provably not moved a committed number: not in the rows and
-# headlines of any listed report, nor in the `timeseries`, `alerts`,
-# `forensics` and `utilization` sections that the observability reports
-# (exp_c13, exp_e1, exp_o1-o5) and the three artifacts carry.
+# headlines of any listed report, nor in the `timeseries`, `alerts` and
+# `forensics` sections that the observability reports (exp_c13,
+# exp_e1, exp_o1-o5) carry, nor in O5's `utilization` section and the
+# three artifacts.
 #
 # Excluded (8 of 23): exp_a1_ablations, exp_c2_locks,
 # exp_c3_cc_protocols, exp_c10_dsn_vs_dsm, exp_c11_commit,
