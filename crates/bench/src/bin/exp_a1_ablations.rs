@@ -10,7 +10,9 @@
 //!     even when remote rereads are common, because it *clears* the
 //!     sharer bits — after one invalidation round the writer goes quiet
 //!     until the peer rereads — while update mode pays a synchronous
-//!     update+ack round on *every* write forever.
+//!     update+ack round on *every* write forever; and because a resident
+//!     page is a read permission only in invalidate mode, whose reads of
+//!     it take no lock, while update mode locks every read.
 //! C — **fabric sensitivity**: the C1 cache-fraction knee at ConnectX-6
 //!     vs an older 56 Gb/s fabric vs datacenter TCP — the gap-ratio
 //!     argument of §5 in one table.

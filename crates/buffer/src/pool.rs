@@ -94,6 +94,9 @@ struct Frame {
     /// Pinned for an in-flight remote fetch; `data` is taken out and the
     /// frame must not be read, evicted, or invalidated until published.
     filling: bool,
+    /// Nonzero: the tag of the caller that installed the page and has not
+    /// settled it yet ([`BufferPool::install_page`]).
+    held_by: u64,
 }
 
 struct ShardInner {
@@ -147,8 +150,9 @@ struct PendingWriteback {
 /// What a frame that just took a written page owes DSM for it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Owes {
-    /// Nothing: the caller moves the page itself ([`BufferPool::install_page`]).
-    Nothing,
+    /// Nothing: the caller moves the page itself, and holds the frame
+    /// under this tag until it settles ([`BufferPool::install_page`]).
+    Nothing(u64),
     /// The bytes, in this call's doorbell (write-through).
     Now,
     /// The bytes, when the frame is evicted or flushed (write-back).
@@ -219,6 +223,7 @@ impl BufferPool {
                         page: u64::MAX,
                         dirty: false,
                         filling: false,
+                        held_by: 0,
                     })
                     .collect();
                 Shard {
@@ -319,7 +324,8 @@ impl BufferPool {
     /// Read the page at `addr` into `dst` if it is resident — a hit in
     /// every respect — and return whether it was. A page that is not is
     /// neither fetched nor charged for: the caller brings it from DSM
-    /// itself and hands it over with [`BufferPool::install_page`].
+    /// itself and hands it over with [`BufferPool::install_page`]. A held
+    /// page is served too: the caller is the one who may see it.
     pub fn read_resident(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> bool {
         assert_eq!(dst.len(), self.page_size);
         let key = addr.to_raw();
@@ -339,6 +345,37 @@ impl BufferPool {
                 None => return false,
             }
         }
+    }
+
+    /// Read every page of `reqs` (addresses distinct) out of the pool at
+    /// one instant, or none of them: with the latches of every shard the
+    /// set touches held at once, taken in ascending order as
+    /// [`BufferPool::stats`] takes them, each page must be resident,
+    /// settled and not mid-fetch. Then every page is a hit, charged as
+    /// [`BufferPool::read_resident`] charges it, and the call returns
+    /// true; otherwise it returns false, having copied and charged nothing.
+    /// It never waits.
+    pub fn read_resident_set(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> bool {
+        let mut shards: Vec<usize> = reqs.iter().map(|(a, _)| self.shard_of(a.to_raw())).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        let mut guards: Vec<_> = shards.iter().map(|&i| self.shards[i].inner.lock()).collect();
+        let at = |key: u64| shards.binary_search(&self.shard_of(key)).expect("shard latched");
+        let mut frames = Vec::with_capacity(reqs.len());
+        for (addr, dst) in reqs.iter() {
+            assert_eq!(dst.len(), self.page_size);
+            let key = addr.to_raw();
+            let s = &guards[at(key)];
+            match s.page_table.get(&key) {
+                Some(&f) if !s.frames[f].filling && s.frames[f].held_by == 0 => frames.push(f),
+                _ => return false,
+            }
+        }
+        for ((addr, dst), f) in reqs.iter_mut().zip(frames) {
+            let key = addr.to_raw();
+            self.serve_hit(ep, &mut guards[at(key)], f, key, dst);
+        }
+        true
     }
 
     /// Copy resident frame `f` (page `key`) out to `dst`: the read hit.
@@ -454,6 +491,7 @@ impl BufferPool {
             let fr = &mut s.frames[f];
             fr.page = key;
             fr.filling = true;
+            fr.held_by = 0;
             s.filling += 1;
             let data = std::mem::take(&mut fr.data);
             s.page_table.insert(key, f);
@@ -569,9 +607,27 @@ impl BufferPool {
     /// DSM alone: the write path minus the propagation. For a caller that
     /// moves the page to or from DSM in a doorbell of its own — `src` is
     /// what it just read there, or what it is about to write there — so
-    /// the frame is clean afterwards in either write mode.
-    pub fn install_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        self.put_pages(ep, &[(addr, src)], Owes::Nothing)
+    /// the frame is clean afterwards in either write mode. The frame is
+    /// held under `holder` (nonzero) until [`BufferPool::settle`]: until
+    /// the caller knows the bytes are committed,
+    /// [`BufferPool::read_resident_set`] does not serve them.
+    pub fn install_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8], holder: u64) -> DsmResult<()> {
+        assert_ne!(holder, 0, "a hold needs a nonzero tag");
+        self.put_pages(ep, &[(addr, src)], Owes::Nothing(holder))
+    }
+
+    /// End `holder`'s hold on `addr`'s frame. A frame since taken over by
+    /// another holder, evicted or invalidated is left alone. Charges
+    /// nothing: a tag compare under a latch the install already paid for.
+    pub fn settle(&self, addr: GlobalAddr, holder: u64) {
+        let key = addr.to_raw();
+        let mut inner = self.shards[self.shard_of(key)].inner.lock();
+        let s = &mut *inner;
+        if let Some(&f) = s.page_table.get(&key) {
+            if s.frames[f].held_by == holder {
+                s.frames[f].held_by = 0;
+            }
+        }
     }
 
     /// Write every full page in `reqs` through the cache. All remote
@@ -621,6 +677,10 @@ impl BufferPool {
         let key = addr.to_raw();
         let shard_idx = self.shard_of(key);
         let sh = &self.shards[shard_idx];
+        let held_by = match owes {
+            Owes::Nothing(holder) => holder,
+            Owes::Now | Owes::Later => 0,
+        };
         let mut inner = sh.inner.lock();
         loop {
             let s = &mut *inner;
@@ -640,6 +700,7 @@ impl BufferPool {
                 ep.charge_local(copy_cost_ns(self.page_size));
                 s.frames[f].data.copy_from_slice(src);
                 s.frames[f].dirty = owes == Owes::Later;
+                s.frames[f].held_by = held_by;
                 if owes == Owes::Now {
                     through.push(i);
                 }
@@ -693,6 +754,7 @@ impl BufferPool {
             ep.charge_local(copy_cost_ns(self.page_size));
             fr.data.copy_from_slice(src);
             fr.dirty = owes == Owes::Later;
+            fr.held_by = held_by;
             if owes == Owes::Now {
                 through.push(i);
             }
@@ -1014,7 +1076,7 @@ mod tests {
             assert!(!pool.read_resident(&ep, addrs[0], &mut buf));
             assert_eq!((ep.clock().now_ns(), pool.stats(), pool.resident()), (0, PoolStats::default(), 0));
             // Installed: a miss of the write path, and no verb.
-            pool.install_page(&ep, addrs[0], &[5u8; 64]).unwrap();
+            pool.install_page(&ep, addrs[0], &[5u8; 64], 1).unwrap();
             let miss_ns = ep.clock().now_ns();
             assert_eq!(miss_ns, MAP_OP_NS + LOCK_NS + MAP_OP_NS + 2 * LIST_OP_NS);
             assert_eq!(ep.stats().round_trips(), 0);
@@ -1029,15 +1091,56 @@ mod tests {
             // the caller has said DSM gets these bytes from it. Evicted
             // by two more installs, it writes nothing back.
             pool.write_page(&ep, addrs[0], &[6u8; 64]).unwrap();
-            pool.install_page(&ep, addrs[0], &[7u8; 64]).unwrap();
+            pool.install_page(&ep, addrs[0], &[7u8; 64], 1).unwrap();
             let writes = ep.stats().writes;
-            pool.install_page(&ep, addrs[1], &[1u8; 64]).unwrap();
-            pool.install_page(&ep, addrs[2], &[2u8; 64]).unwrap();
+            pool.install_page(&ep, addrs[1], &[1u8; 64], 1).unwrap();
+            pool.install_page(&ep, addrs[2], &[2u8; 64], 1).unwrap();
             assert!(!pool.contains(addrs[0]));
             pool.flush_all(&ep).unwrap();
             assert_eq!(ep.stats().writes, writes, "{mode:?}");
             assert_eq!(pool.resident(), 2);
         }
+    }
+
+    #[test]
+    fn a_resident_set_is_read_whole_or_not_at_all() {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let layer = DsmLayer::build(
+            &fabric,
+            DsmConfig { memory_nodes: 1, capacity_per_node: 1 << 20, replication: 1, mem_cores: 1, weak_cpu_factor: 4.0 },
+        );
+        let pool = BufferPool::new_striped(layer.clone(), 64, 16, 4, |cap| Box::new(LruPolicy::new(cap)), WriteMode::WriteThrough);
+        let ep = fabric.endpoint();
+        let addrs: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
+        for (i, &a) in addrs[..3].iter().enumerate() {
+            pool.install_page(&ep, a, &[i as u8 + 1; 64], 7).unwrap();
+        }
+        // `(served, ns, hits, first page)` of reading pages `a` and `b`.
+        let read = |a: usize, b: usize| {
+            let (mut x, mut y) = ([0u8; 64], [0u8; 64]);
+            let mut reqs = [(addrs[a], &mut x[..]), (addrs[b], &mut y[..])];
+            let (t0, hits) = (ep.clock().now_ns(), pool.stats().hits);
+            let served = pool.read_resident_set(&ep, &mut reqs);
+            (served, ep.clock().now_ns() - t0, pool.stats().hits - hits, x[0])
+        };
+        // Held, then settled by a holder other than the installer: refused,
+        // and nothing is copied or charged.
+        assert_eq!(read(0, 1), (false, 0, 0, 0));
+        pool.settle(addrs[0], 7);
+        pool.settle(addrs[1], 8);
+        assert_eq!(read(0, 1), (false, 0, 0, 0));
+        // Settled by its holder: two hits, each what `read_resident` costs.
+        pool.settle(addrs[1], 7);
+        let probe = fabric.endpoint();
+        assert!(pool.read_resident(&probe, addrs[2], &mut [0u8; 64]), "a held page is the holder's to read");
+        assert_eq!(read(0, 1), (true, 2 * probe.clock().now_ns(), 2, 1));
+        // One page not resident, or held again by a new installer: nothing.
+        assert_eq!(read(0, 3), (false, 0, 0, 0));
+        pool.install_page(&ep, addrs[0], &[9u8; 64], 9).unwrap();
+        pool.settle(addrs[0], 7);
+        assert!(!read(0, 1).0);
+        pool.settle(addrs[0], 9);
+        assert_eq!(read(0, 1).3, 9);
     }
 
     #[test]

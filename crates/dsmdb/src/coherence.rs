@@ -14,7 +14,9 @@
 //! * two-sided **coherence messages** between compute nodes; writers
 //!   block (in virtual time) until every sharer acknowledges, which keeps
 //!   the protocol sequentially consistent under the record locks the
-//!   lock-based CC already holds.
+//!   lock-based CC already holds. A transaction's invalidations (or
+//!   updates) for all its written keys go out as one message per sharer
+//!   node in one doorbell, and it waits for the acks once.
 //!
 //! A node sets its bit in the release doorbell of the transaction that
 //! filled its cache, and holds the record's lock from the fetch until
@@ -22,12 +24,30 @@
 //! the sharer word is a superset of the nodes holding a copy. Evictions do
 //! not clear bits — a later invalidation of a non-resident page is simply
 //! acked, trading a rare spurious message for a cheaper eviction path.
+//!
+//! In invalidate mode a resident page is therefore a **read permission**
+//! the node already holds, lazily: no writer commits over it before this
+//! node has dropped it. A read-only transaction whose pages are all
+//! resident reads them out of the pool with no lock and no verb
+//! ([`CoherentIo::read_unlocked`](txn::PayloadIo::read_unlocked)), and
+//! the permission is revoked only by the invalidation a writer sends
+//! anyway. The pool does not serve a page that way while the transaction
+//! that installed it has not settled, since its bytes may not be committed
+//! yet. Update mode keeps the lock for every read: it pushes a writer's
+//! value into the remote copies before that writer commits.
+//!
+//! Each node answers coherence requests from a **handler** endpoint of its
+//! own ([`NodeCache::serve_one`]), whichever session happens to run it: its
+//! clock moves to each request's delivery time and takes requests in the
+//! order they arrive, so what an ack costs a writer does not depend on how
+//! far ahead the serving session's own clock is.
 
 use std::sync::Arc;
 
 use buffer::BufferPool;
 use dsm::{DsmResult, GlobalAddr};
-use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase};
+use parking_lot::Mutex;
+use rdma_sim::{Endpoint, Fabric, Mailbox, MailboxId, Phase};
 use txn::table::RecordTable;
 use txn::{KeyUse, PayloadIo, Rider};
 
@@ -43,49 +63,69 @@ pub fn session_inbox_id(node: usize, thread: usize) -> MailboxId {
     0x3000_0000 + (node as u64) * 1024 + thread as u64
 }
 
-// Message kinds on coherence inboxes.
+// Message kinds on coherence inboxes. A request is `[kind | reply-to |
+// page…]`, each page its 8-byte address followed, in an update, by the
+// new payload; an ack is `[MSG_ACK]` + the request's next 16 bytes.
 const MSG_INVALIDATE: u8 = 1;
 const MSG_UPDATE: u8 = 2;
 const MSG_ACK: u8 = 3;
 
-/// Shared per-compute-node cache state: the buffer pool plus the node's
-/// coherence inbox (served by any of the node's sessions).
+/// Shared per-compute-node cache state: the buffer pool, the node's
+/// coherence inbox, and the endpoint that answers it.
 pub struct NodeCache {
     /// This compute node's id.
     pub node: usize,
     /// Record cache (page = one record payload, write-through).
     pub pool: BufferPool,
     /// Coherence inbox (multi-consumer).
-    pub inbox: Mailbox,
+    inbox: Mailbox,
+    /// The coherence handler's endpoint: any session of the node may take
+    /// it to serve, none lends it its own clock.
+    handler: Mutex<Endpoint>,
 }
 
 impl NodeCache {
-    /// Serve one pending coherence request, if any. Returns whether a
-    /// message was processed. Safe to call from any session of the node.
-    pub fn serve_one(&self, ep: &Endpoint) -> bool {
+    /// Compute node `node`'s cache over `pool`, with its coherence inbox
+    /// registered on `fabric`.
+    pub fn new(fabric: &Arc<Fabric>, node: usize, pool: BufferPool) -> Self {
+        Self {
+            node,
+            pool,
+            inbox: fabric.mailboxes().register(node_inbox_id(node)),
+            handler: Mutex::new(fabric.endpoint()),
+        }
+    }
+
+    /// Serve one pending coherence request, if any, on the node's handler
+    /// endpoint. Returns whether a message was processed: false as well
+    /// when another session is serving right now. Safe to call from any
+    /// session of the node; it never touches the caller's clock.
+    pub fn serve_one(&self) -> bool {
+        let Some(ep) = self.handler.try_lock() else {
+            return false;
+        };
         let Ok(msg) = self.inbox.try_recv() else {
             return false;
         };
-        let _span = ep.span(Phase::CoherenceInval);
         ep.observe_delivery(&msg);
         let kind = msg.payload[0];
-        let key_addr = GlobalAddr::from_raw(u64::from_le_bytes(
-            msg.payload[1..9].try_into().unwrap(),
-        ));
-        let reply_to = u64::from_le_bytes(msg.payload[9..17].try_into().unwrap());
-        match kind {
-            MSG_INVALIDATE => {
-                self.pool.invalidate(ep, key_addr);
-            }
-            MSG_UPDATE => {
-                self.pool
-                    .update_if_resident(ep, key_addr, &msg.payload[17..]);
-            }
+        let entry = match kind {
+            MSG_INVALIDATE => 8,
+            MSG_UPDATE => 8 + self.pool.page_size(),
             _ => return true, // stray ack for a dead session: drop
+        };
+        for page in msg.payload[9..].chunks_exact(entry) {
+            let (addr, data) = page.split_at(8);
+            let addr = GlobalAddr::from_raw(u64::from_le_bytes(addr.try_into().unwrap()));
+            if kind == MSG_INVALIDATE {
+                self.pool.invalidate(&ep, addr);
+            } else {
+                self.pool.update_if_resident(&ep, addr, data);
+            }
         }
+        let reply_to = u64::from_le_bytes(msg.payload[1..9].try_into().unwrap());
         let mut ack = vec![MSG_ACK];
-        ack.extend_from_slice(&key_addr.to_raw().to_le_bytes());
-        ack.extend_from_slice(&0u64.to_le_bytes());
+        ack.extend_from_slice(&msg.payload[1..17]);
         // Receiver may be gone (session ended): ignore.
         let _ = ep.send(reply_to, node_inbox_id(self.node), ack);
         true
@@ -108,7 +148,8 @@ pub struct CoherentIo {
     pub mode: CoherenceMode,
     /// Session-private reply inbox (the session keeps a handle too).
     pub reply: Arc<Mailbox>,
-    /// Its id (put into messages as reply-to).
+    /// Its id (put into messages as reply-to, and the tag this session
+    /// holds the pool frames it installs under).
     pub reply_id: MailboxId,
     /// Total compute nodes (bitmap width sanity).
     pub compute_nodes: usize,
@@ -140,31 +181,33 @@ impl CoherentIo {
         }
     }
 
-    /// The writer side of the protocol for one page: tell every node of
-    /// `others` to drop (or take `new_data` as) its copy and wait for
-    /// their acks.
-    fn propagate(&self, ep: &Endpoint, page: GlobalAddr, others: u64, new_data: &[u8]) -> DsmResult<()> {
+    /// The writer side of the protocol for a transaction's written pages,
+    /// each `(page, other sharers, new value)`: tell every node that holds
+    /// one of them to drop (or take the new value of) its copies, one
+    /// message per node in one doorbell, and wait for their acks.
+    fn propagate(&self, ep: &Endpoint, pages: &[(GlobalAddr, u64, &[u8])]) -> DsmResult<()> {
         let _span = ep.span(Phase::CoherenceInval);
-        ep.note_inval_fanout(others.count_ones() as u64);
-        // The broadcast to all M sharers is ONE doorbell group: the first
-        // message pays the full send latency, the rest ride along. Nodes
-        // that never started (or already stopped) cannot hold a stale
-        // copy, so `send_batch` skipping them is correct.
-        let msgs = (0..self.compute_nodes)
-            .filter(|node| others & (1 << node) != 0)
-            .map(|node| {
-                let mut payload = vec![if self.mode == CoherenceMode::Invalidate {
-                    MSG_INVALIDATE
-                } else {
-                    MSG_UPDATE
-                }];
+        for &(_, others, _) in pages {
+            ep.note_inval_fanout(others.count_ones() as u64);
+        }
+        let kind = match self.mode {
+            CoherenceMode::Invalidate => MSG_INVALIDATE,
+            CoherenceMode::Update => MSG_UPDATE,
+        };
+        // The first message pays the full send latency, the rest ride
+        // along. Nodes that never started (or already stopped) cannot hold
+        // a stale copy, so `send_batch` skipping them is correct.
+        let msgs = (0..self.compute_nodes).filter_map(|node| {
+            let mut payload = vec![kind];
+            payload.extend_from_slice(&self.reply_id.to_le_bytes());
+            for &(page, _, data) in pages.iter().filter(|(_, others, _)| others & (1 << node) != 0) {
                 payload.extend_from_slice(&page.to_raw().to_le_bytes());
-                payload.extend_from_slice(&self.reply_id.to_le_bytes());
-                if self.mode == CoherenceMode::Update {
-                    payload.extend_from_slice(new_data);
+                if kind == MSG_UPDATE {
+                    payload.extend_from_slice(data);
                 }
-                (node_inbox_id(node), self.reply_id, payload)
-            });
+            }
+            (payload.len() > 9).then(|| (node_inbox_id(node), self.reply_id, payload))
+        });
         let mut pending = ep.send_batch(msgs)?;
         // Wait for acks; serve our own inbox meanwhile so two writers on
         // different nodes cannot deadlock waiting on each other.
@@ -173,7 +216,7 @@ impl CoherentIo {
                 Ok(msg) if msg.payload.first() == Some(&MSG_ACK) => pending -= 1,
                 Ok(_) => {}
                 Err(_) => {
-                    if !self.cache.serve_one(ep) {
+                    if !self.cache.serve_one() {
                         std::thread::yield_now();
                     }
                 }
@@ -209,9 +252,7 @@ impl CoherentIo {
             let _span = ep.span(Phase::Writeback);
             layer.write_batch(ep, &writes)
         });
-        if done.is_err() {
-            self.abandon(ep, table, &uses);
-        }
+        self.settle(ep, table, &uses, done.is_ok());
         done
     }
 }
@@ -234,6 +275,26 @@ impl PayloadIo for CoherentIo {
 
     fn header_len(&self) -> usize {
         HDR
+    }
+
+    /// In invalidate mode, every page resident and settled: copy them all
+    /// out of the pool at one instant ([`BufferPool::read_resident_set`]).
+    /// Each is the latest committed value then — a writer commits over a
+    /// page only after this node's handler has dropped it — so the set is
+    /// read as of that instant, with no lock and no verb. Update mode
+    /// always answers false: a remote copy there may hold a value its
+    /// writer has not committed.
+    fn read_unlocked(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse], buf: &mut [u8]) -> bool {
+        if self.mode != CoherenceMode::Invalidate {
+            return false;
+        }
+        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        let mut reqs: Vec<_> = uses
+            .iter()
+            .zip(chunks)
+            .map(|(u, chunk)| (Self::page_addr(table, u.key), &mut chunk[HDR..]))
+            .collect();
+        self.cache.pool.read_resident_set(ep, &mut reqs)
     }
 
     /// Behind the lock CAS of a key whose old value is observed and whose
@@ -271,10 +332,11 @@ impl PayloadIo for CoherentIo {
         Ok(())
     }
 
-    /// For a written key: every other sharer drops or refreshes its copy,
-    /// the payload goes through to DSM. For a written or fetched key: the
-    /// pool takes the page, and the sharer word — only if its value
-    /// changes — goes to DSM as a plain WRITE.
+    /// Every other sharer of a written key drops or refreshes its copy —
+    /// one message round for the whole set — and the payload goes through
+    /// to DSM. For a written or fetched key: the pool takes the page, held
+    /// until [`settle`](PayloadIo::settle), and the sharer word — only if
+    /// its value changes — goes to DSM as a plain WRITE.
     fn retire<'a>(
         &self,
         ep: &Endpoint,
@@ -284,16 +346,23 @@ impl PayloadIo for CoherentIo {
         writes: &mut Vec<(GlobalAddr, &'a [u8])>,
     ) -> DsmResult<()> {
         let me = 1u64 << self.cache.node;
-        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        let size = HDR + table.payload_size();
+        let sharers_in = |chunk: &[u8]| u64::from_le_bytes(chunk[..8].try_into().expect("8-byte sharer word"));
+        let shared: Vec<(GlobalAddr, u64, &[u8])> = uses
+            .iter()
+            .zip(buf.chunks_exact(size))
+            .filter(|(u, _)| u.written)
+            .map(|(u, chunk)| (Self::page_addr(table, u.key), sharers_in(chunk) & !me, &chunk[HDR..]))
+            .filter(|&(_, others, _)| others != 0)
+            .collect();
+        if !shared.is_empty() {
+            self.propagate(ep, &shared)?;
+        }
+        let chunks = buf.chunks_exact_mut(size);
         for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written || u.fetched) {
-            let page = Self::page_addr(table, u.key);
+            let sharers = sharers_in(chunk);
             let (hdr, copy) = chunk.split_at_mut(HDR);
-            let sharers = u64::from_le_bytes(hdr[..8].try_into().expect("8-byte sharer word"));
-            let others = sharers & !me;
-            if u.written && others != 0 {
-                self.propagate(ep, page, others, copy)?;
-            }
-            self.cache.pool.install_page(ep, page, copy)?;
+            self.cache.pool.install_page(ep, Self::page_addr(table, u.key), copy, self.reply_id)?;
             let keep = match self.mode {
                 CoherenceMode::Invalidate if u.written => me,
                 _ => sharers | me,
@@ -312,11 +381,18 @@ impl PayloadIo for CoherentIo {
         Ok(())
     }
 
-    /// Drop every frame the transaction may have installed: its sharer
-    /// bits may never have reached DSM, and its values never committed.
-    fn abandon(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse]) {
+    /// Committed: the frames the transaction installed are the latest
+    /// committed values now, free to be read without a lock. Failed: drop
+    /// them all — their sharer bits may never have reached DSM, and their
+    /// values never committed.
+    fn settle(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse], committed: bool) {
         for u in uses.iter().filter(|u| u.written || u.fetched) {
-            self.cache.pool.invalidate(ep, Self::page_addr(table, u.key));
+            let page = Self::page_addr(table, u.key);
+            if committed {
+                self.cache.pool.settle(page, self.reply_id);
+            } else {
+                self.cache.pool.invalidate(ep, page);
+            }
         }
     }
 }
@@ -326,13 +402,26 @@ mod tests {
     use super::*;
     use buffer::{LruPolicy, WriteMode};
     use dsm::{DsmConfig, DsmLayer};
-    use rdma_sim::{Fabric, NetworkProfile};
+    use rdma_sim::NetworkProfile;
+    use txn::{ExclusiveLock, LockWord};
 
     struct Setup {
         layer: Arc<DsmLayer>,
         table: Arc<RecordTable>,
         caches: Vec<Arc<NodeCache>>,
         ios: Vec<CoherentIo>,
+    }
+
+    /// A session's io on `cache`, replying to `session_inbox_id(node, thread)`.
+    fn io_on(fabric: &Arc<Fabric>, cache: &Arc<NodeCache>, mode: CoherenceMode, thread: usize) -> CoherentIo {
+        let reply_id = session_inbox_id(cache.node, thread);
+        CoherentIo {
+            cache: cache.clone(),
+            mode,
+            reply: Arc::new(fabric.mailboxes().register(reply_id)),
+            reply_id,
+            compute_nodes: 2,
+        }
     }
 
     fn setup(mode: CoherenceMode) -> Setup {
@@ -348,30 +437,13 @@ mod tests {
             },
         );
         let table = Arc::new(RecordTable::create(&layer, 64, 16, 1).unwrap());
-        let mut caches = Vec::new();
-        let mut ios = Vec::new();
-        for n in 0..2 {
-            let cache = Arc::new(NodeCache {
-                node: n,
-                pool: BufferPool::new(
-                    layer.clone(),
-                    16,
-                    32,
-                    Box::new(LruPolicy::new(32)),
-                    WriteMode::WriteThrough,
-                ),
-                inbox: fabric.mailboxes().register(node_inbox_id(n)),
-            });
-            caches.push(cache.clone());
-            let reply_id = session_inbox_id(n, 0);
-            ios.push(CoherentIo {
-                cache,
-                mode,
-                reply: Arc::new(fabric.mailboxes().register(reply_id)),
-                reply_id,
-                compute_nodes: 2,
-            });
-        }
+        let caches: Vec<_> = (0..2)
+            .map(|n| {
+                let pool = BufferPool::new(layer.clone(), 16, 32, Box::new(LruPolicy::new(32)), WriteMode::WriteThrough);
+                Arc::new(NodeCache::new(&fabric, n, pool))
+            })
+            .collect();
+        let ios = caches.iter().map(|cache| io_on(&fabric, cache, mode, 0)).collect();
         Setup {
             layer,
             table,
@@ -388,11 +460,11 @@ mod tests {
     }
 
     /// `write` on its own thread while node 1 answers its inbox.
-    fn while_node_1_serves(caches: &[Arc<NodeCache>], ep1: &Endpoint, write: impl FnOnce() + Send) {
+    fn while_node_1_serves(caches: &[Arc<NodeCache>], write: impl FnOnce() + Send) {
         std::thread::scope(|s| {
             let writer = s.spawn(write);
             while !writer.is_finished() {
-                caches[1].serve_one(ep1);
+                caches[1].serve_one();
                 std::thread::yield_now();
             }
         });
@@ -426,7 +498,7 @@ mod tests {
         assert_eq!(caches[1].pool.resident(), 1);
         // Node 0 writes key 3: the ack wait needs node 1 to serve.
         let (io0, t) = (&ios[0], &table);
-        while_node_1_serves(&caches, &ep1, move || {
+        while_node_1_serves(&caches, move || {
             io0.write_payload(&ep0, t, 3, 0, &[9u8; 16]).unwrap();
         });
         assert_eq!(caches[1].pool.resident(), 0, "copy invalidated");
@@ -445,7 +517,7 @@ mod tests {
         let mut buf = [0u8; 16];
         ios[1].read_payload(&ep1, &table, 7, 0, &mut buf).unwrap();
         let (io0, t) = (&ios[0], &table);
-        while_node_1_serves(&caches, &ep1, move || {
+        while_node_1_serves(&caches, move || {
             io0.write_payload(&ep0, t, 7, 0, &[4u8; 16]).unwrap();
         });
         assert_eq!(sharers(&table, 7), 0b11, "both still hold a copy");
@@ -504,6 +576,42 @@ mod tests {
         });
         assert_eq!((seen.fetched, &buf[HDR..], ep.stats().reads), (true, &[8u8; 16][..], before + 1));
         assert_eq!(buf[..8], 0b01u64.to_le_bytes(), "sharers | wts | payload in one READ");
+    }
+
+    #[test]
+    fn a_written_frame_is_not_read_without_the_lock_until_its_release_returned() {
+        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let ep = layer.fabric().endpoint();
+        ios[0].write_payload(&ep, &table, 4, 0, &[1u8; 16]).unwrap();
+        // A sibling session of node 0, reading key 4 with no lock.
+        let sibling = io_on(layer.fabric(), &caches[0], CoherenceMode::Invalidate, 1);
+        let read = [KeyUse { key: 4, written: false, reads_old: true, fetched: false }];
+        let unlocked = || {
+            let mut buf = vec![0u8; HDR + 16];
+            sibling.read_unlocked(&ep, &table, &read, &mut buf).then(|| buf[HDR])
+        };
+        assert_eq!(unlocked(), Some(1));
+        // ios[0] rewrites key 4 by hand: ride, acquire, admit, retire.
+        let mut uses = [KeyUse { key: 4, written: true, reads_old: true, fetched: false }];
+        let mut words = [LockWord::new(table.lock_addr(4))];
+        let mut buf = vec![0u8; HDR + 16];
+        let mut riders = Vec::new();
+        ios[0].ride(&table, &mut uses, &mut buf, &mut riders);
+        ExclusiveLock::acquire_set(&layer, &ep, &mut words, &mut riders, 7, 0).unwrap();
+        ios[0].admit(&ep, &table, &mut uses, &mut buf).unwrap();
+        // Locked, not yet written: the committed value is still served.
+        assert_eq!(unlocked(), Some(1));
+        buf[HDR..].fill(2);
+        let mut writes = Vec::new();
+        ios[0].retire(&ep, &table, &uses, &mut buf, &mut writes).unwrap();
+        // The pool holds the new value, which may still be rolled back.
+        assert_eq!(unlocked(), None);
+        ExclusiveLock::release_set(&layer, &ep, &writes, &mut words, 7).unwrap();
+        ios[0].settle(&ep, &table, &uses, true);
+        assert_eq!(unlocked(), Some(2));
+        // Update mode never serves without the lock.
+        let update = io_on(layer.fabric(), &caches[0], CoherenceMode::Update, 2);
+        assert!(!update.read_unlocked(&ep, &table, &read, &mut [0u8; HDR + 16]));
     }
 
     #[test]

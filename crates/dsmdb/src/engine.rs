@@ -159,11 +159,7 @@ impl Cluster {
             let (cache, shard_pool, shard_inbox) = match config.architecture {
                 Architecture::NoCacheNoShard => (None, None, None),
                 Architecture::CacheNoShard(_) => (
-                    Some(Arc::new(NodeCache {
-                        node: n,
-                        pool: striped_pool(),
-                        inbox: fabric.mailboxes().register(node_inbox_id(n)),
-                    })),
+                    Some(Arc::new(NodeCache::new(&fabric, n, striped_pool()))),
                     None,
                     None,
                 ),
@@ -857,16 +853,17 @@ impl Session {
     }
 
     /// Serve up to `budget` pending cluster messages addressed to this
-    /// node (coherence requests in 3b, 2PC participant work in 3c).
-    /// Returns whether anything was served. Workers call this between
-    /// transactions; waiters call it in their poll loops.
+    /// node (coherence requests in 3b, on the node's handler endpoint;
+    /// 2PC participant work in 3c, on this session's). Returns whether
+    /// anything was served. Workers call this between transactions;
+    /// waiters call it in their poll loops.
     pub fn serve_pending(&mut self, budget: usize) -> bool {
         let mut any = false;
         match self.cluster.config.architecture {
             Architecture::CacheNoShard(_) => {
                 if let Some(cache) = &self.cluster.nodes[self.node].cache {
                     for _ in 0..budget {
-                        if !cache.serve_one(&self.ep) {
+                        if !cache.serve_one() {
                             break;
                         }
                         any = true;
@@ -1236,13 +1233,14 @@ mod tests {
         bank_run(Architecture::NoCacheNoShard, CcProtocol::TplLeased, 2, 2);
     }
 
+    /// Two sessions per node, sharing the node's pool and its handler.
     #[test]
     fn multi_master_bank_invariant_3b() {
         bank_run(
             Architecture::CacheNoShard(CoherenceMode::Invalidate),
             CcProtocol::TplExclusive,
             2,
-            1,
+            2,
         );
     }
 
@@ -1252,7 +1250,7 @@ mod tests {
             Architecture::CacheNoShard(CoherenceMode::Update),
             CcProtocol::TplExclusive,
             2,
-            1,
+            2,
         );
     }
 

@@ -1,11 +1,12 @@
 //! The Figure 3b coherence protocol, checked from outside it: what each
-//! class of access costs on the wire and on the clock, what a crash
-//! between a transaction's two doorbells leaves behind, and random
-//! transactions from two nodes against an in-memory model. Lock words and
-//! sharer words are read straight off the memory nodes' regions, never
-//! through the engine.
+//! class of access costs on the wire and on the clock, what a write to
+//! shared records costs whatever the serving session's clock reads, what
+//! a crash between a transaction's two doorbells leaves behind, lock-free
+//! reads racing transfers, and random transactions from two nodes against
+//! an in-memory model. Lock words and sharer words are read straight off
+//! the memory nodes' regions, never through the engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use buffer::cost::{ATOMIC_NS, LOCK_NS, MAP_OP_NS};
@@ -21,7 +22,7 @@ const PAYLOAD: usize = 64;
 fn cluster(mode: CoherenceMode, profile: NetworkProfile, n_records: u64, frames: usize) -> Arc<Cluster> {
     Cluster::build(ClusterConfig {
         compute_nodes: 2,
-        threads_per_node: 1,
+        threads_per_node: 2,
         memory_nodes: 2,
         n_records,
         payload_size: PAYLOAD,
@@ -65,9 +66,8 @@ fn with_peer<R>(cluster: &Arc<Cluster>, body: impl FnOnce() -> R) -> R {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
-            let ep = cluster.fabric().endpoint();
             while !stop.load(Ordering::Acquire) {
-                let served = (0..2).filter(|&n| cluster.node_cache(n).unwrap().serve_one(&ep)).count();
+                let served = (0..2).filter(|&n| cluster.node_cache(n).unwrap().serve_one()).count();
                 if served == 0 {
                     std::thread::yield_now();
                 }
@@ -107,7 +107,7 @@ fn cost_of(s: &mut Session, ops: &[Op]) -> Cost {
 }
 
 #[test]
-fn every_access_class_is_two_round_trips_at_the_cost_the_model_gives() {
+fn every_access_class_costs_what_the_model_gives() {
     let p = NetworkProfile::rdma_cx6();
     // The acquire doorbell's leader is the lock CAS, with its turn at the
     // atomic unit; every READ behind it pays the marginal batched cost.
@@ -137,11 +137,10 @@ fn every_access_class_is_two_round_trips_at_the_cost_the_model_gives() {
     assert_eq!(fill.ns, 3_835);
     assert_eq!((sharer_word(&c, 1), resident(&c, 0, 1)), (0b01, true));
 
-    // Resident, read: the lock and nothing else — the parent's hit, to the ns.
+    // Resident, read: the pool hit and nothing else — no lock, no verb.
     let hit = cost_of(&mut s0, &[Op::Read(1)]);
-    let want = Cost { ns: cas + pool_hit + p.rw_cost_ns(8), verbs: 2, wire_rts: 2, riders: 0, sends: 0 };
-    assert_eq!(hit, want);
-    assert_eq!(hit.ns, 3_487);
+    assert_eq!(hit, Cost { ns: pool_hit, verbs: 0, wire_rts: 0, riders: 0, sends: 0 });
+    assert_eq!(hit.ns, 37);
 
     // Resident, written, no other sharer: the sharer word rides the CAS
     // and, unchanged, stays home; the payload leads the release.
@@ -176,6 +175,18 @@ fn every_access_class_is_two_round_trips_at_the_cost_the_model_gives() {
     assert_eq!(blind.ns, cas + word8 + install_miss + p.rw_cost_ns(PAYLOAD) + 2 * word8);
     assert_eq!((blind.verbs, blind.wire_rts), (5, 2));
     assert_eq!(s0.execute(&[Op::Read(3)]).unwrap().reads[0].1, payload(9));
+
+    // Several resident keys, only read: one pool hit each, still no verb.
+    let read_set = [Op::Read(1), Op::Read(2), Op::Read(3)];
+    let resident_set = cost_of(&mut s0, &read_set);
+    assert_eq!(resident_set, Cost { ns: 3 * pool_hit, verbs: 0, wire_rts: 0, riders: 0, sends: 0 });
+    // One key of the set not resident: the whole set takes the locks —
+    // two CAS, key 5's slot and sharer bit, two unlocks — and key 1 comes
+    // out of the pool under its lock.
+    let one_missing = cost_of(&mut s0, &[Op::Read(1), Op::Read(5)]);
+    assert_eq!((one_missing.verbs, one_missing.wire_rts, one_missing.sends), (6, 2, 0));
+    assert!(resident(&c, 0, 5));
+    assert_eq!(cost_of(&mut s0, &[Op::Read(1), Op::Read(5)]).verbs, 0);
 
     // Several keys of several classes are still two doorbells.
     let mixed = cost_of(&mut s0, &[Op::Read(1), Op::Rmw { key: 4, delta: 1 }, Op::Read(6), Op::Rmw { key: 2, delta: 1 }]);
@@ -216,6 +227,156 @@ fn a_write_finds_its_remote_sharer_in_the_word_that_came_with_the_lock() {
         assert_eq!(sharer_word(&c, 5), 0b11);
         assert_eq!(lock_word(&c, 5), 0);
     }
+}
+
+/// `ops` on `s0` while `s1`, a session of the other node, answers its
+/// node's inbox.
+fn cost_served_by(s0: &mut Session, s1: &mut Session, ops: &[Op]) -> Cost {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if !s1.serve_pending(1) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let cost = cost_of(s0, ops);
+        done.store(true, Ordering::Release);
+        cost
+    })
+}
+
+#[test]
+fn an_ack_costs_the_same_whatever_the_serving_sessions_clock_reads() {
+    let p = NetworkProfile::rdma_cx6();
+    let c = cluster(CoherenceMode::Invalidate, p, 64, 64);
+    let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
+    s0.endpoint().charge_local(1_000_000);
+    s0.execute(&[Op::Read(5)]).unwrap();
+    let mut costs = Vec::new();
+    for peer_ahead in [false, true] {
+        s1.execute(&[Op::Read(5)]).unwrap();
+        assert_eq!(sharer_word(&c, 5), 0b11);
+        let (now0, now1) = (s0.endpoint().clock().now_ns(), s1.endpoint().clock().now_ns());
+        if peer_ahead {
+            s1.endpoint().charge_local(now0 + 1_000_000 - now1);
+        } else {
+            assert!(now1 < now0);
+        }
+        costs.push(cost_served_by(&mut s0, &mut s1, &[Op::Rmw { key: 5, delta: 1 }]));
+    }
+    assert_eq!(costs[0], costs[1]);
+    // Resident, written, one remote sharer: the sharer word rides the
+    // CAS; the invalidation out, the handler's drop and the ack back; the
+    // install; payload, sharer word and unlock.
+    let (cas, word8) = (p.atomic_cost_ns() + p.atomic_unit_ns, p.batched_cost_ns(8));
+    let round = p.send_cost_ns(17) + (MAP_OP_NS + LOCK_NS + ATOMIC_NS) + p.send_cost_ns(17);
+    let install_hit = MAP_OP_NS + LOCK_NS + ATOMIC_NS;
+    let want = cas + word8 + (MAP_OP_NS + ATOMIC_NS) + round + install_hit + p.rw_cost_ns(PAYLOAD) + 2 * word8;
+    assert_eq!((costs[0].ns, costs[0].wire_rts, costs[0].sends), (want, 2, 1));
+    assert_eq!(want, 8_853);
+}
+
+#[test]
+fn a_write_to_several_shared_records_is_one_message_round() {
+    let p = NetworkProfile::rdma_cx6();
+    let c = cluster(CoherenceMode::Invalidate, p, 64, 64);
+    let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
+    s0.endpoint().charge_local(1_000_000);
+    // Keys 5 and 6 live on different memory nodes; both nodes cache both.
+    let (five, six) = (Op::Rmw { key: 5, delta: 1 }, Op::Rmw { key: 6, delta: 1 });
+    s0.execute(&[Op::Read(5), Op::Read(6)]).unwrap();
+    s1.execute(&[Op::Read(5), Op::Read(6)]).unwrap();
+    let write = cost_served_by(&mut s0, &mut s1, &[five, six]);
+    // One message to node 1 naming both pages, one ack.
+    assert_eq!((write.wire_rts, write.sends, s0.endpoint().stats().recvs), (2, 1, 1));
+    let (cas, word8) = (p.atomic_cost_ns() + p.atomic_unit_ns, p.batched_cost_ns(8));
+    let acquire = cas + word8 + (word8 + p.atomic_unit_ns) + word8;
+    let round = p.send_cost_ns(1 + 8 + 2 * 8) + 2 * (MAP_OP_NS + LOCK_NS + ATOMIC_NS) + p.send_cost_ns(17);
+    let pool = 2 * (MAP_OP_NS + ATOMIC_NS) + 2 * (MAP_OP_NS + LOCK_NS + ATOMIC_NS);
+    let release = p.rw_cost_ns(PAYLOAD) + p.batched_cost_ns(PAYLOAD) + 4 * word8;
+    assert_eq!(write.ns, acquire + pool + round + release);
+    for key in [5, 6] {
+        assert!(!resident(&c, 1, key), "key {key}");
+        assert_eq!(sharer_word(&c, key), 0b01, "key {key}");
+    }
+}
+
+/// Commit `ops` on `s`, retrying aborts.
+fn commit(s: &mut Session, ops: &[Op]) -> Vec<(u64, Vec<u8>)> {
+    loop {
+        match s.execute(ops) {
+            Ok(out) => return out.reads,
+            Err(TxnError::Aborted(_)) => {
+                s.serve_pending(8);
+            }
+            Err(e) => panic!("{e}"),
+        }
+    }
+}
+
+#[test]
+fn a_lock_free_read_sees_a_transfer_whole_or_not_at_all() {
+    const A: u64 = 2;
+    const B: u64 = 3;
+    const ROUNDS: usize = 300;
+    let c = cluster(CoherenceMode::Invalidate, NetworkProfile::rdma_cx6(), 64, 64);
+    let finished = AtomicUsize::new(0);
+    let lock_free = AtomicUsize::new(0);
+    let transfer = |i: usize| {
+        let delta = if i.is_multiple_of(2) { 1 } else { -1 };
+        [Op::Rmw { key: A, delta: -delta }, Op::Rmw { key: B, delta }]
+    };
+    // Session `(node, thread)` runs `txn` ROUNDS times, then answers its
+    // node's inbox until all three sessions are done.
+    let run = |node: usize, thread: usize, txn: &(dyn Fn(&mut Session, usize) + Sync)| {
+        let mut s = c.session(node, thread);
+        for i in 0..ROUNDS {
+            txn(&mut s, i);
+        }
+        finished.fetch_add(1, Ordering::AcqRel);
+        while finished.load(Ordering::Acquire) < 3 {
+            if !s.serve_pending(8) {
+                std::thread::yield_now();
+            }
+        }
+    };
+    std::thread::scope(|sc| {
+        // Node 0 moves money between A and B.
+        sc.spawn(|| {
+            run(0, 0, &|s, i| {
+                commit(s, &transfer(i));
+            })
+        });
+        // Node 1's reader: {A, B} sums to zero, with or without the locks.
+        sc.spawn(|| {
+            run(1, 0, &|s, _| {
+                let rts = s.endpoint().stats().round_trips();
+                let reads = commit(s, &[Op::Read(A), Op::Read(B)]);
+                let sum: i64 = reads.iter().map(|(_, v)| i64::from_le_bytes(v[..8].try_into().unwrap())).sum();
+                assert_eq!(sum, 0, "{reads:?}");
+                if s.endpoint().stats().round_trips() == rts {
+                    lock_free.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        });
+        // Its sibling refills B, and moves money the other way in between.
+        sc.spawn(|| {
+            run(1, 1, &|s, i| {
+                if i.is_multiple_of(2) {
+                    c.node_cache(1).unwrap().pool.invalidate(s.endpoint(), c.table().payload_addr(B, 0));
+                    commit(s, &[Op::Read(B)]);
+                } else {
+                    commit(s, &transfer(i));
+                }
+            })
+        });
+    });
+    assert!(lock_free.load(Ordering::Relaxed) > 0, "no read went without the locks");
+    let balance = |key| word(&c, c.table().payload_addr(key, 0)) as i64;
+    assert_eq!(balance(A) + balance(B), 0);
+    assert_eq!((lock_word(&c, A), lock_word(&c, B)), (0, 0));
 }
 
 #[test]

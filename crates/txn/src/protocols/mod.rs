@@ -244,7 +244,9 @@ pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
 /// whole exclusive lock set ([`TwoPhaseLocking`]) moves the payloads
 /// inside its own two doorbells instead and asks the io three things, in
 /// order, about the set's [`KeyUse`]s; the provided answers fall back on
-/// the two calls above. All three see one buffer, one chunk of
+/// the two calls above. A read-only set is first offered to
+/// [`read_unlocked`](PayloadIo::read_unlocked), which may serve it with no
+/// lock at all. All of them see one buffer, one chunk of
 /// [`header_len`](PayloadIo::header_len)` + payload_size` bytes per key in
 /// key order: the io's header bytes, then the transaction's copy of the
 /// payload.
@@ -272,6 +274,15 @@ pub trait PayloadIo: Send + Sync {
     /// Bytes the io keeps for itself in front of each key's payload copy.
     fn header_len(&self) -> usize {
         0
+    }
+
+    /// Step 0, for a set no op writes, before any lock is taken: copy
+    /// every key's committed payload into its chunk of `buf` without a
+    /// lock or a verb, as of one instant, and return true — or copy
+    /// nothing and return false, and the set takes the lock path. The
+    /// provided answer is false.
+    fn read_unlocked(&self, _ep: &Endpoint, _table: &RecordTable, _uses: &[KeyUse], _buf: &mut [u8]) -> bool {
+        false
     }
 
     /// Step 1, before any lock is taken: the READs that ride the acquire
@@ -324,9 +335,11 @@ pub trait PayloadIo: Send + Sync {
         Ok(())
     }
 
-    /// [`retire`](PayloadIo::retire) or the release doorbell failed: nothing
-    /// the transaction left on this node may outlive it.
-    fn abandon(&self, _ep: &Endpoint, _table: &RecordTable, _uses: &[KeyUse]) {}
+    /// Step 4, once [`retire`](PayloadIo::retire) ran: the release doorbell
+    /// returned and what the transaction wrote is committed, or one of the
+    /// two failed and nothing the transaction left on this node may
+    /// outlive it.
+    fn settle(&self, _ep: &Endpoint, _table: &RecordTable, _uses: &[KeyUse], _committed: bool) {}
 }
 
 /// Payload access via plain one-sided verbs (Figure 3a: no cache).

@@ -13,7 +13,9 @@
 //!   beside the lock word, with the payload if the key is not resident).
 //!   **Execute** on transaction-local copies, ops in program order.
 //!   **Release:** every write the io hands back — payloads, a changed
-//!   sharer word — then every unlock.
+//!   sharer word — then every unlock. A set no op writes is first
+//!   offered to the io's lock-free read (a coherent cache in invalidate
+//!   mode serves it from resident pages: no lock, no verb).
 //! * `shared_locks = true` — the 2-RT shared-exclusive lock: readers
 //!   admit concurrently, writers drain. More round trips per lock, more
 //!   concurrency, taken and released key by key in sorted order. ("It
@@ -33,7 +35,7 @@ use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
 use super::{
-    apply_delta, key_sets, key_uses, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+    apply_delta, key_sets, key_uses, ConcurrencyControl, KeyUse, Op, TxnCtx, TxnError, TxnOutput,
 };
 use crate::locks::{ExclusiveLock, LockWord, SharedExclusiveLock};
 
@@ -64,7 +66,8 @@ impl TwoPhaseLocking {
 
     /// A transaction under exclusive locks: acquire doorbell, execute on
     /// the transaction's own copies, release doorbell. What rides the two
-    /// doorbells beside the lock words is the [`PayloadIo`]'s to say.
+    /// doorbells beside the lock words is the [`PayloadIo`]'s to say, and
+    /// whether a read-only set needs them at all.
     fn execute_exclusive(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
         let (ep, table, io) = (ctx.ep, ctx.table, ctx.io);
         let layer = table.layer();
@@ -75,6 +78,9 @@ impl TwoPhaseLocking {
         // transaction's own copy of the payload.
         let (hdr, psize) = (io.header_len(), table.payload_size());
         let mut buf = vec![0u8; uses.len() * (hdr + psize)];
+        if uses.iter().all(|u| !u.written) && io.read_unlocked(ep, table, &uses, &mut buf) {
+            return Ok(run_on_copies(ops, &uses, &mut buf, hdr, psize));
+        }
 
         let grown = {
             let mut riders = Vec::new();
@@ -83,27 +89,14 @@ impl TwoPhaseLocking {
             ExclusiveLock::acquire_set(layer, ep, &mut words, &mut riders, ctx.worker_tag, self.max_retries)
         };
 
-        // Execute (only if fully locked), ops in program order.
+        // Execute (only if fully locked).
         let mut out = TxnOutput::default();
         let mut failed = grown.err().map(TxnError::from);
         if failed.is_none() {
             failed = io.admit(ep, table, &mut uses, &mut buf).err().map(TxnError::from);
         }
         if failed.is_none() {
-            for op in ops {
-                let slot = uses
-                    .binary_search_by_key(&op.key(), |u| u.key)
-                    .expect("every op's key is in `uses`");
-                let copy = &mut buf[slot * (hdr + psize) + hdr..][..psize];
-                match op {
-                    Op::Read(key) => out.reads.push((*key, copy.to_vec())),
-                    Op::Update { value, .. } => copy[..value.len()].copy_from_slice(value),
-                    Op::Rmw { key, delta } => {
-                        out.reads.push((*key, copy.to_vec()));
-                        apply_delta(copy, *delta);
-                    }
-                }
-            }
+            out = run_on_copies(ops, &uses, &mut buf, hdr, psize);
         }
 
         // Release: always unlock what we hold; write back only a txn
@@ -127,8 +120,8 @@ impl TwoPhaseLocking {
             let _span = ep.span(phase);
             ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag)
         };
-        if ran && (failed.is_some() || released.is_err()) {
-            io.abandon(ep, table, &uses);
+        if ran {
+            io.settle(ep, table, &uses, failed.is_none() && released.is_ok());
         }
         match failed {
             Some(e) => Err(e),
@@ -191,6 +184,27 @@ impl TwoPhaseLocking {
             Some(e) => Err(e),
         }
     }
+}
+
+/// Run `ops` in program order on the transaction's copies in `buf`, one
+/// chunk of `hdr` io bytes and `psize` payload bytes per key of `uses`.
+fn run_on_copies(ops: &[Op], uses: &[KeyUse], buf: &mut [u8], hdr: usize, psize: usize) -> TxnOutput {
+    let mut out = TxnOutput::default();
+    for op in ops {
+        let slot = uses
+            .binary_search_by_key(&op.key(), |u| u.key)
+            .expect("every op's key is in `uses`");
+        let copy = &mut buf[slot * (hdr + psize) + hdr..][..psize];
+        match op {
+            Op::Read(key) => out.reads.push((*key, copy.to_vec())),
+            Op::Update { value, .. } => copy[..value.len()].copy_from_slice(value),
+            Op::Rmw { key, delta } => {
+                out.reads.push((*key, copy.to_vec()));
+                apply_delta(copy, *delta);
+            }
+        }
+    }
+    out
 }
 
 /// Run `ops` in program order, each payload access through `ctx.io`.
