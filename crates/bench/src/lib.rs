@@ -113,7 +113,7 @@ pub struct WorkloadResult {
     pub aborts: AbortCauses,
     /// Makespan: max session virtual time, ns.
     pub makespan_ns: u64,
-    /// Sum of round trips (verbs) across sessions.
+    /// Sum of round trips (verbs) across sessions and node handlers.
     pub round_trips: u64,
     /// Round trips actually paid on the wire: verbs minus the ops that
     /// rode along in doorbell groups behind their leader.
@@ -225,6 +225,18 @@ where
     let finished = AtomicUsize::new(0);
     let failure: OnceLock<String> = OnceLock::new();
     let total = Mutex::new(WorkloadResult::default());
+    // Each node's handler answers its peers for all of the node's
+    // sessions. Its clock restarts with this run's sessions, which start
+    // at 0, and its verbs count once per cluster, as what this run added.
+    let handlers: Vec<_> = (0..nodes).filter_map(|n| cluster.handler(n)).collect();
+    let handler_rts = || {
+        handlers.iter().fold((0, 0), |(verbs, wire), h| {
+            let s = h.stats();
+            (verbs + s.round_trips(), wire + s.wire_round_trips())
+        })
+    };
+    handlers.iter().for_each(|h| h.restart_clock());
+    let before = handler_rts();
     std::thread::scope(|sc| {
         for n in 0..nodes {
             for t in 0..threads {
@@ -283,7 +295,11 @@ where
     if let Some(e) = failure.get() {
         panic!("{e}");
     }
-    total.into_inner().expect("no worker panics while merging")
+    let mut total = total.into_inner().expect("no worker panics while merging");
+    let after = handler_rts();
+    total.round_trips += after.0 - before.0;
+    total.wire_round_trips += after.1 - before.1;
+    total
 }
 
 /// Machine-readable experiment output: every `exp_*` binary builds a

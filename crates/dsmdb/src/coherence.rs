@@ -36,24 +36,23 @@
 //! yet. Update mode keeps the lock for every read: it pushes a writer's
 //! value into the remote copies before that writer commits.
 //!
-//! Each node answers coherence requests from a **handler** endpoint of its
-//! own ([`NodeCache::serve_one`]), whichever session happens to run it: its
-//! clock moves to each request's delivery time and takes requests in the
-//! order they arrive, so what an ack costs a writer does not depend on how
-//! far ahead the serving session's own clock is.
+//! Each node answers coherence requests on its message handler
+//! ([`NodeHandler`], which serves 3c's commit messages the same way), not
+//! on the endpoint of whichever session happens to run it: what an ack
+//! costs a writer does not depend on how far ahead that session's clock is.
 
 use std::sync::Arc;
 
 use buffer::BufferPool;
 use dsm::{DsmResult, GlobalAddr};
-use parking_lot::Mutex;
-use rdma_sim::{Endpoint, Fabric, Mailbox, MailboxId, Phase};
+use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase};
 use txn::table::RecordTable;
 use txn::{KeyUse, PayloadIo, Rider};
 
 use crate::config::CoherenceMode;
+use crate::node::NodeHandler;
 
-/// Mailbox-id convention: compute node `n`'s coherence inbox.
+/// Mailbox-id convention: compute node `n`'s inbox.
 pub fn node_inbox_id(node: usize) -> MailboxId {
     0x2000_0000 + node as u64
 }
@@ -63,73 +62,34 @@ pub fn session_inbox_id(node: usize, thread: usize) -> MailboxId {
     0x3000_0000 + (node as u64) * 1024 + thread as u64
 }
 
-// Message kinds on coherence inboxes. A request is `[kind | reply-to |
-// page…]`, each page its 8-byte address followed, in an update, by the
-// new payload; an ack is `[MSG_ACK]` + the request's next 16 bytes.
-const MSG_INVALIDATE: u8 = 1;
-const MSG_UPDATE: u8 = 2;
-const MSG_ACK: u8 = 3;
+// Message kinds of coherence requests, apart from `txn::twopc`'s 1..=7 on
+// the same inboxes. A request is `[kind | reply-to | page…]`, each page its
+// 8-byte address followed, in an update, by the new payload; an ack is
+// `[MSG_ACK]` + the request's next 16 bytes.
+const MSG_INVALIDATE: u8 = 0x11;
+const MSG_UPDATE: u8 = 0x12;
+const MSG_ACK: u8 = 0x13;
 
-/// Shared per-compute-node cache state: the buffer pool, the node's
-/// coherence inbox, and the endpoint that answers it.
-pub struct NodeCache {
-    /// This compute node's id.
-    pub node: usize,
-    /// Record cache (page = one record payload, write-through).
-    pub pool: BufferPool,
-    /// Coherence inbox (multi-consumer).
-    inbox: Mailbox,
-    /// The coherence handler's endpoint: any session of the node may take
-    /// it to serve, none lends it its own clock.
-    handler: Mutex<Endpoint>,
-}
-
-impl NodeCache {
-    /// Compute node `node`'s cache over `pool`, with its coherence inbox
-    /// registered on `fabric`.
-    pub fn new(fabric: &Arc<Fabric>, node: usize, pool: BufferPool) -> Self {
-        Self {
-            node,
-            pool,
-            inbox: fabric.mailboxes().register(node_inbox_id(node)),
-            handler: Mutex::new(fabric.endpoint()),
+/// A node handler's answer to a coherence request: drop (or refresh) in
+/// `pool` every page it names, then the ack. `None` for any other message.
+pub(crate) fn answer(pool: &BufferPool, ep: &Endpoint, payload: &[u8]) -> Option<Vec<u8>> {
+    let entry = match payload.first() {
+        Some(&MSG_INVALIDATE) => 8,
+        Some(&MSG_UPDATE) => 8 + pool.page_size(),
+        _ => return None,
+    };
+    for page in payload[9..].chunks_exact(entry) {
+        let (addr, data) = page.split_at(8);
+        let addr = GlobalAddr::from_raw(u64::from_le_bytes(addr.try_into().unwrap()));
+        if payload[0] == MSG_INVALIDATE {
+            pool.invalidate(ep, addr);
+        } else {
+            pool.update_if_resident(ep, addr, data);
         }
     }
-
-    /// Serve one pending coherence request, if any, on the node's handler
-    /// endpoint. Returns whether a message was processed: false as well
-    /// when another session is serving right now. Safe to call from any
-    /// session of the node; it never touches the caller's clock.
-    pub fn serve_one(&self) -> bool {
-        let Some(ep) = self.handler.try_lock() else {
-            return false;
-        };
-        let Ok(msg) = self.inbox.try_recv() else {
-            return false;
-        };
-        ep.observe_delivery(&msg);
-        let kind = msg.payload[0];
-        let entry = match kind {
-            MSG_INVALIDATE => 8,
-            MSG_UPDATE => 8 + self.pool.page_size(),
-            _ => return true, // stray ack for a dead session: drop
-        };
-        for page in msg.payload[9..].chunks_exact(entry) {
-            let (addr, data) = page.split_at(8);
-            let addr = GlobalAddr::from_raw(u64::from_le_bytes(addr.try_into().unwrap()));
-            if kind == MSG_INVALIDATE {
-                self.pool.invalidate(&ep, addr);
-            } else {
-                self.pool.update_if_resident(&ep, addr, data);
-            }
-        }
-        let reply_to = u64::from_le_bytes(msg.payload[1..9].try_into().unwrap());
-        let mut ack = vec![MSG_ACK];
-        ack.extend_from_slice(&msg.payload[1..17]);
-        // Receiver may be gone (session ended): ignore.
-        let _ = ep.send(reply_to, node_inbox_id(self.node), ack);
-        true
-    }
+    let mut ack = vec![MSG_ACK];
+    ack.extend_from_slice(&payload[1..17]);
+    Some(ack)
 }
 
 /// Bytes of slot header in front of each key's payload copy in the
@@ -142,8 +102,8 @@ const HDR: usize = 16;
 /// the lock CAS; what it writes goes through to DSM with the unlock, after
 /// every other sharer has dropped or refreshed its copy.
 pub struct CoherentIo {
-    /// This node's shared cache.
-    pub cache: Arc<NodeCache>,
+    /// This node's handler, which owns its pool.
+    pub handler: Arc<NodeHandler>,
     /// Invalidate vs update.
     pub mode: CoherenceMode,
     /// Session-private reply inbox (the session keeps a handle too).
@@ -216,7 +176,7 @@ impl CoherentIo {
                 Ok(msg) if msg.payload.first() == Some(&MSG_ACK) => pending -= 1,
                 Ok(_) => {}
                 Err(_) => {
-                    if !self.cache.serve_one() {
+                    if !self.handler.serve_one() {
                         std::thread::yield_now();
                     }
                 }
@@ -294,7 +254,7 @@ impl PayloadIo for CoherentIo {
             .zip(chunks)
             .map(|(u, chunk)| (Self::page_addr(table, u.key), &mut chunk[HDR..]))
             .collect();
-        self.cache.pool.read_resident_set(ep, &mut reqs)
+        self.handler.pool.read_resident_set(ep, &mut reqs)
     }
 
     /// Behind the lock CAS of a key whose old value is observed and whose
@@ -304,7 +264,7 @@ impl PayloadIo for CoherentIo {
     fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>) {
         let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
         for (word, (u, chunk)) in uses.iter_mut().zip(chunks).enumerate() {
-            u.fetched = u.reads_old && !self.cache.pool.contains(Self::page_addr(table, u.key));
+            u.fetched = u.reads_old && !self.handler.pool.contains(Self::page_addr(table, u.key));
             if u.fetched {
                 Self::slot_reads(table, u.key, chunk, |addr, dst| riders.push(Rider { word, addr, dst }));
             } else if u.written {
@@ -318,7 +278,7 @@ impl PayloadIo for CoherentIo {
         let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
         for (u, chunk) in uses.iter_mut().zip(chunks) {
             let from_pool = u.reads_old && !u.fetched;
-            if !from_pool || self.cache.pool.read_resident(ep, Self::page_addr(table, u.key), &mut chunk[HDR..]) {
+            if !from_pool || self.handler.pool.read_resident(ep, Self::page_addr(table, u.key), &mut chunk[HDR..]) {
                 continue;
             }
             // A sibling thread's fill took the frame since `ride`: the
@@ -345,7 +305,7 @@ impl PayloadIo for CoherentIo {
         buf: &'a mut [u8],
         writes: &mut Vec<(GlobalAddr, &'a [u8])>,
     ) -> DsmResult<()> {
-        let me = 1u64 << self.cache.node;
+        let me = 1u64 << self.handler.node;
         let size = HDR + table.payload_size();
         let sharers_in = |chunk: &[u8]| u64::from_le_bytes(chunk[..8].try_into().expect("8-byte sharer word"));
         let shared: Vec<(GlobalAddr, u64, &[u8])> = uses
@@ -362,7 +322,7 @@ impl PayloadIo for CoherentIo {
         for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written || u.fetched) {
             let sharers = sharers_in(chunk);
             let (hdr, copy) = chunk.split_at_mut(HDR);
-            self.cache.pool.install_page(ep, Self::page_addr(table, u.key), copy, self.reply_id)?;
+            self.handler.pool.install_page(ep, Self::page_addr(table, u.key), copy, self.reply_id)?;
             let keep = match self.mode {
                 CoherenceMode::Invalidate if u.written => me,
                 _ => sharers | me,
@@ -389,9 +349,9 @@ impl PayloadIo for CoherentIo {
         for u in uses.iter().filter(|u| u.written || u.fetched) {
             let page = Self::page_addr(table, u.key);
             if committed {
-                self.cache.pool.settle(page, self.reply_id);
+                self.handler.pool.settle(page, self.reply_id);
             } else {
-                self.cache.pool.invalidate(ep, page);
+                self.handler.pool.invalidate(ep, page);
             }
         }
     }
@@ -402,21 +362,23 @@ mod tests {
     use super::*;
     use buffer::{LruPolicy, WriteMode};
     use dsm::{DsmConfig, DsmLayer};
-    use rdma_sim::NetworkProfile;
+    use rdma_sim::{Fabric, NetworkProfile};
     use txn::{ExclusiveLock, LockWord};
+
+    use crate::membership::Membership;
 
     struct Setup {
         layer: Arc<DsmLayer>,
         table: Arc<RecordTable>,
-        caches: Vec<Arc<NodeCache>>,
+        caches: Vec<Arc<NodeHandler>>,
         ios: Vec<CoherentIo>,
     }
 
     /// A session's io on `cache`, replying to `session_inbox_id(node, thread)`.
-    fn io_on(fabric: &Arc<Fabric>, cache: &Arc<NodeCache>, mode: CoherenceMode, thread: usize) -> CoherentIo {
+    fn io_on(fabric: &Arc<Fabric>, cache: &Arc<NodeHandler>, mode: CoherenceMode, thread: usize) -> CoherentIo {
         let reply_id = session_inbox_id(cache.node, thread);
         CoherentIo {
-            cache: cache.clone(),
+            handler: cache.clone(),
             mode,
             reply: Arc::new(fabric.mailboxes().register(reply_id)),
             reply_id,
@@ -437,10 +399,11 @@ mod tests {
             },
         );
         let table = Arc::new(RecordTable::create(&layer, 64, 16, 1).unwrap());
+        let membership = Arc::new(Membership::create(&layer, &fabric.endpoint(), 2).unwrap());
         let caches: Vec<_> = (0..2)
             .map(|n| {
                 let pool = BufferPool::new(layer.clone(), 16, 32, Box::new(LruPolicy::new(32)), WriteMode::WriteThrough);
-                Arc::new(NodeCache::new(&fabric, n, pool))
+                Arc::new(NodeHandler::new(&fabric, n, pool, table.clone(), membership.clone()))
             })
             .collect();
         let ios = caches.iter().map(|cache| io_on(&fabric, cache, mode, 0)).collect();
@@ -460,7 +423,7 @@ mod tests {
     }
 
     /// `write` on its own thread while node 1 answers its inbox.
-    fn while_node_1_serves(caches: &[Arc<NodeCache>], write: impl FnOnce() + Send) {
+    fn while_node_1_serves(caches: &[Arc<NodeHandler>], write: impl FnOnce() + Send) {
         std::thread::scope(|s| {
             let writer = s.spawn(write);
             while !writer.is_finished() {

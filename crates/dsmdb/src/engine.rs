@@ -11,14 +11,17 @@
 //! that supports multi-masters"), with conflicts handled by the
 //! configured CC protocol (3a/3b) or by owner-local locking + function
 //! shipping under last-agent commit (3c).
+//!
+//! What a node receives from its peers — coherence requests in 3b, a
+//! coordinator's prepares and decisions in 3c — its [`NodeHandler`]
+//! answers on an endpoint of its own; a session only lends it its thread
+//! ([`Session::serve_pending`]), never its clock.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use buffer::{BufferPool, ClockPolicy, WriteMode};
-use dsm::{DsmConfig, DsmLayer, GlobalAddr};
-use parking_lot::Mutex;
+use dsm::{DsmConfig, DsmLayer};
 use rdma_sim::{Endpoint, Fabric, HistSnapshot, Mailbox, MailboxId, Metric, Phase, PhaseSnapshot};
 use telemetry::Histogram;
 use txn::table::RecordTable;
@@ -28,10 +31,11 @@ use txn::{
     TwoPhaseLocking, Tso, TxnError, TxnOutput,
 };
 
-use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo, NodeCache};
+use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo};
 use crate::config::{Architecture, CcProtocol, ClusterConfig};
 use crate::membership::Membership;
-use crate::shard::{LockTable, ShardMap};
+use crate::node::{decode_reads, encode_prepare, key_set, NodeHandler, PageArena};
+use crate::shard::ShardMap;
 
 /// Engine-level failures (everything else surfaces as [`TxnError`]).
 #[derive(Debug)]
@@ -59,35 +63,6 @@ pub struct SessionStats {
     pub aborts: u64,
     /// Cross-shard transactions coordinated (3c only).
     pub cross_shard: u64,
-    /// Sub-transactions served for other nodes (3c only).
-    pub served_subtxns: u64,
-    /// Decided-commit write-backs that failed (3c owner side): the commit
-    /// decision was final but the staged writes could not reach DSM —
-    /// the record is left to mirror rebuild instead of silently dropped.
-    pub apply_failures: u64,
-}
-
-/// Buffered writes of a (sub-)transaction: `(key, new payload)`.
-type StagedWrites = Vec<(u64, Vec<u8>)>;
-
-/// A transaction prepared on this node awaiting the coordinator's decision.
-struct Prepared {
-    keys: Vec<u64>,
-    staged: StagedWrites,
-}
-
-/// Per-compute-node runtime shared by its sessions.
-struct NodeRuntime {
-    /// Figure 3b coherent cache (None for 3a/3c).
-    cache: Option<Arc<NodeCache>>,
-    /// Figure 3c owner cache (uncoherent by construction).
-    shard_pool: Option<BufferPool>,
-    /// Figure 3c message inbox (commit traffic).
-    shard_inbox: Option<Mailbox>,
-    /// Figure 3c local lock table.
-    locks: LockTable,
-    /// Figure 3c prepared-transaction registry.
-    prepared: Mutex<HashMap<u64, Prepared>>,
 }
 
 /// The cluster: build once, then open one [`Session`] per worker thread.
@@ -97,9 +72,10 @@ pub struct Cluster {
     layer: Arc<DsmLayer>,
     table: Arc<RecordTable>,
     oracle: Option<Arc<FaaOracle>>,
-    nodes: Vec<Arc<NodeRuntime>>,
+    /// Each compute node's handler (none in 3a: nothing lives on the node).
+    nodes: Vec<Option<Arc<NodeHandler>>>,
     shard_map: Arc<ShardMap>,
-    membership: Membership,
+    membership: Arc<Membership>,
     txn_ids: AtomicU64,
 }
 
@@ -125,8 +101,10 @@ impl Cluster {
         );
         let membership = {
             let ep = fabric.endpoint();
-            Membership::create(&layer, &ep, config.compute_nodes)
-                .map_err(|e| EngineError::Setup(e.to_string()))?
+            Arc::new(
+                Membership::create(&layer, &ep, config.compute_nodes)
+                    .map_err(|e| EngineError::Setup(e.to_string()))?,
+            )
         };
         let oracle = match config.cc {
             CcProtocol::Tso | CcProtocol::Mvcc => Some(Arc::new(
@@ -154,29 +132,15 @@ impl Cluster {
                 WriteMode::WriteThrough,
             )
         };
-        let mut nodes = Vec::with_capacity(config.compute_nodes);
-        for n in 0..config.compute_nodes {
-            let (cache, shard_pool, shard_inbox) = match config.architecture {
-                Architecture::NoCacheNoShard => (None, None, None),
-                Architecture::CacheNoShard(_) => (
-                    Some(Arc::new(NodeCache::new(&fabric, n, striped_pool()))),
-                    None,
-                    None,
-                ),
-                Architecture::CacheShard => (
-                    None,
-                    Some(striped_pool()),
-                    Some(fabric.mailboxes().register(node_inbox_id(n))),
-                ),
-            };
-            nodes.push(Arc::new(NodeRuntime {
-                cache,
-                shard_pool,
-                shard_inbox,
-                locks: LockTable::new(),
-                prepared: Mutex::new(HashMap::new()),
-            }));
-        }
+        let cached = config.architecture != Architecture::NoCacheNoShard;
+        let nodes = (0..config.compute_nodes)
+            .map(|n| {
+                cached.then(|| {
+                    let pool = striped_pool();
+                    Arc::new(NodeHandler::new(&fabric, n, pool, table.clone(), membership.clone()))
+                })
+            })
+            .collect();
         Ok(Arc::new(Self {
             config,
             fabric: fabric.clone(),
@@ -220,17 +184,26 @@ impl Cluster {
         &self.membership
     }
 
-    /// Compute node `node`'s coherent cache (3b only).
-    pub fn node_cache(&self, node: usize) -> Option<&Arc<NodeCache>> {
-        self.nodes[node].cache.as_ref()
+    /// Compute node `node`'s message handler, which owns its pool (3b and
+    /// 3c only).
+    pub fn handler(&self, node: usize) -> Option<&Arc<NodeHandler>> {
+        self.nodes[node].as_ref()
     }
 
     /// What compute node `node`'s 3c commit state still holds: keys locked
     /// in its lock table and transactions prepared on it awaiting a
     /// decision. Both are 0 whenever no transaction is in flight.
     pub fn shard_residue(&self, node: usize) -> (usize, usize) {
-        let n = &self.nodes[node];
-        (n.locks.held(), n.prepared.lock().len())
+        self.handler(node).map_or((0, 0), |h| (h.locks.held(), h.prepared.lock().len()))
+    }
+
+    /// What compute node `node`'s handler did as a 3c shard owner:
+    /// sub-transactions it prepared for a coordinator, and decided commits
+    /// whose write-back failed (the record is left to mirror rebuild).
+    pub fn owner_work(&self, node: usize) -> (u64, u64) {
+        self.handler(node).map_or((0, 0), |h| {
+            (h.served_subtxns.load(Ordering::Relaxed), h.apply_failures.load(Ordering::Relaxed))
+        })
     }
 
     /// Open the session for `(node, thread)`. Each worker thread gets
@@ -261,10 +234,11 @@ impl Cluster {
                 self.oracle.as_ref().expect("oracle built").clone(),
             ))),
         };
+        let handler = self.nodes[node].clone();
         let io: Box<dyn PayloadIo> = match self.config.architecture {
             Architecture::NoCacheNoShard | Architecture::CacheShard => Box::new(DirectIo),
             Architecture::CacheNoShard(mode) => Box::new(CoherentIo {
-                cache: self.nodes[node].cache.as_ref().expect("3b cache").clone(),
+                handler: handler.clone().expect("3b handler"),
                 mode,
                 reply: reply.clone(),
                 reply_id,
@@ -274,6 +248,7 @@ impl Cluster {
         Session {
             cluster: self.clone(),
             node,
+            handler,
             ep,
             reply,
             reply_id,
@@ -297,14 +272,7 @@ impl Cluster {
     /// physically copies records.
     pub fn reshard(&self, ep: &Endpoint, low: u64, high: u64, new_owner: usize) -> u64 {
         let v = self.shard_map.reshard(low, high, new_owner);
-        for node in &self.nodes {
-            if let Some(pool) = &node.shard_pool {
-                // Drop cached pages wholesale — write-through pools hold
-                // no dirty state, so losing clean copies costs only
-                // refetches.
-                pool.drop_all(ep);
-            }
-        }
+        self.drop_compute_caches(ep);
         v
     }
 
@@ -314,13 +282,8 @@ impl Cluster {
     /// must be refetched, not trusted. Write-through pools hold no
     /// dirty state, so this costs only refetches.
     pub fn drop_compute_caches(&self, ep: &Endpoint) {
-        for node in &self.nodes {
-            if let Some(cache) = &node.cache {
-                cache.pool.drop_all(ep);
-            }
-            if let Some(pool) = &node.shard_pool {
-                pool.drop_all(ep);
-            }
+        for handler in self.nodes.iter().flatten() {
+            handler.pool.drop_all(ep);
         }
     }
 }
@@ -343,46 +306,12 @@ fn compose_worker_tag(cc: CcProtocol, owner: u64, epoch: u64) -> u64 {
     }
 }
 
-/// Reusable per-session scratch for the batched page path: one contiguous
-/// buffer sliced into page slots, plus the txn's unique-page plan. Lives
-/// across transactions so the hot path allocates nothing per operation.
-#[derive(Default)]
-struct PageArena {
-    buf: Vec<u8>,
-    /// Unique page keys in first-touch order (slot i holds keys[i]).
-    keys: Vec<u64>,
-    /// Whether slot i must be fetched (first op reads the old value).
-    fetch: Vec<bool>,
-    /// Whether slot i was modified and must be written at commit.
-    dirty: Vec<bool>,
-}
-
-impl PageArena {
-    /// Plan `ops`: record unique pages in first-touch order. A page whose
-    /// first op fully overwrites it (Update) is never fetched — matching
-    /// the unbatched engine, which wrote such pages without reading.
-    fn plan(&mut self, ops: &[Op], psize: usize) {
-        self.keys.clear();
-        self.fetch.clear();
-        self.dirty.clear();
-        for op in ops {
-            let k = op.key();
-            if !self.keys.contains(&k) {
-                self.keys.push(k);
-                self.fetch.push(!matches!(op, Op::Update { .. }));
-                self.dirty.push(false);
-            }
-        }
-        // Every slot is either fetched or first overwritten, so stale
-        // bytes from the previous transaction are never observed.
-        self.buf.resize(self.keys.len() * psize, 0);
-    }
-}
-
 /// A per-worker-thread handle for executing transactions.
 pub struct Session {
     cluster: Arc<Cluster>,
     node: usize,
+    /// This node's handler (none in 3a).
+    handler: Option<Arc<NodeHandler>>,
     ep: Endpoint,
     reply: Arc<Mailbox>,
     reply_id: MailboxId,
@@ -392,6 +321,7 @@ pub struct Session {
     epoch: u64,
     worker_tag: u64,
     stats: SessionStats,
+    /// 3c: the page arena this session's transactions run on.
     arena: PageArena,
     /// End-to-end virtual-time latency of every [`Session::execute`].
     txn_lat: Histogram,
@@ -600,84 +530,14 @@ impl Session {
     /// node operates on these records (cross-shard writers come through
     /// 2PC to *this* node too).
     fn execute_local_shard(&mut self, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let node = self.cluster.nodes[self.node].clone();
-        let mut keys: Vec<u64> = ops.iter().map(|o| o.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        self.ep.charge_local(50 * keys.len() as u64); // local lock table
-        if let Err(holder) = node.locks.try_lock_all(&keys, self.ep.trace_id()) {
-            self.ep.note_local_lock_wait(
-                keys.first().copied().unwrap_or(0),
-                50 * keys.len() as u64,
-                holder,
-            );
-            return Err(TxnError::Aborted("local-lock-busy"));
-        }
-        let result = self.run_ops_on_pool(ops);
+        let node = self.handler.as_ref().expect("3c handler");
+        let keys = key_set(ops);
+        node.lock(&self.ep, &keys, self.ep.trace_id())?;
+        let result = node
+            .exec(&self.ep, &mut self.arena, ops)
+            .and_then(|out| node.write_back(&self.ep, &self.arena).map(|()| out));
         node.locks.unlock_all(&keys);
         result
-    }
-
-    /// Batched transaction body: plan the txn's unique pages, fetch every
-    /// page it must observe in ONE doorbell group, then apply all ops on
-    /// the session arena (no per-op allocation, no per-op pool lookup).
-    /// Dirty slots are left in the arena for the caller to commit.
-    fn exec_on_arena(&mut self, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let node = self.cluster.nodes[self.node].clone();
-        let pool = node.shard_pool.as_ref().expect("3c pool");
-        let table = &self.cluster.table;
-        let psize = self.cluster.config.payload_size;
-        self.arena.plan(ops, psize);
-        let PageArena { buf, keys, fetch, dirty } = &mut self.arena;
-        {
-            let mut reqs: Vec<(GlobalAddr, &mut [u8])> = buf
-                .chunks_exact_mut(psize)
-                .enumerate()
-                .filter(|(i, _)| fetch[*i])
-                .map(|(i, slot)| (table.payload_addr(keys[i], 0), slot))
-                .collect();
-            pool.read_pages(&self.ep, &mut reqs)?;
-        }
-        let mut out = TxnOutput::default();
-        for op in ops {
-            let i = keys.iter().position(|&k| k == op.key()).expect("planned");
-            let slot = &mut buf[i * psize..(i + 1) * psize];
-            match op {
-                Op::Read(k) => out.reads.push((*k, slot.to_vec())),
-                Op::Update { value, .. } => {
-                    slot.copy_from_slice(value);
-                    dirty[i] = true;
-                }
-                Op::Rmw { key, delta } => {
-                    out.reads.push((*key, slot.to_vec()));
-                    let cur = i64::from_le_bytes(slot[0..8].try_into().unwrap());
-                    slot[0..8].copy_from_slice(&(cur + delta).to_le_bytes());
-                    dirty[i] = true;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn run_ops_on_pool(&mut self, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let out = self.exec_on_arena(ops)?;
-        let node = self.cluster.nodes[self.node].clone();
-        let pool = node.shard_pool.as_ref().expect("3c pool");
-        let table = &self.cluster.table;
-        let psize = self.cluster.config.payload_size;
-        let PageArena { buf, keys, dirty, .. } = &self.arena;
-        // Commit: every dirty page rides one doorbell group (the
-        // write-through pool folds victim write-backs into it too).
-        let writes: Vec<(GlobalAddr, &[u8])> = keys
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| dirty[*i])
-            .map(|(i, &k)| (table.payload_addr(k, 0), &buf[i * psize..(i + 1) * psize]))
-            .collect();
-        if !writes.is_empty() {
-            pool.write_pages(&self.ep, &writes)?;
-        }
-        Ok(out)
     }
 
     /// Last-agent commit across shard owners (Samaras et al., ICDE 1993).
@@ -692,31 +552,15 @@ impl Session {
         local_ops: &[Op],
         mut remote: Vec<(usize, Vec<Op>)>,
     ) -> Result<TxnOutput, TxnError> {
-        let node = self.cluster.nodes[self.node].clone();
+        let node = self.handler.clone().expect("3c handler");
         let txn_id = self.cluster.txn_ids.fetch_add(1, Ordering::Relaxed);
 
-        // Step 1: prepare the local part.
-        let mut local_keys: Vec<u64> = local_ops.iter().map(|o| o.key()).collect();
-        local_keys.sort_unstable();
-        local_keys.dedup();
-        self.ep.charge_local(50 * local_keys.len() as u64);
-        if !local_keys.is_empty() {
-            if let Err(holder) = node.locks.try_lock_all(&local_keys, self.ep.trace_id()) {
-                self.ep.note_local_lock_wait(
-                    local_keys[0],
-                    50 * local_keys.len() as u64,
-                    holder,
-                );
-                return Err(TxnError::Aborted("local-lock-busy"));
-            }
-        }
-        let local_exec = if local_ops.is_empty() {
-            Ok((TxnOutput::default(), Vec::new()))
-        } else {
-            self.prepare_ops(local_ops)
-        };
-        let (mut out, local_staged) = match local_exec {
-            Ok(v) => v,
+        // Step 1: prepare the local part; the session's arena holds its
+        // staged writes until the decision.
+        let local_keys = key_set(local_ops);
+        node.lock(&self.ep, &local_keys, self.ep.trace_id())?;
+        let mut out = match node.exec(&self.ep, &mut self.arena, local_ops) {
+            Ok(out) => out,
             Err(e) => {
                 node.locks.unlock_all(&local_keys);
                 return Err(e);
@@ -724,10 +568,8 @@ impl Session {
         };
 
         // Step 2: every owner but the last prepares, one doorbell for all.
-        // An owner the doorbell did not reach counts as a No vote. Manual
-        // phase brackets: waiting for replies needs `&mut self`
-        // (serve_pending), which a SpanGuard's borrow would block.
-        self.ep.phase_enter(Phase::TwoPcPrepare);
+        // An owner the doorbell did not reach counts as a No vote.
+        let prepare = self.ep.span(Phase::TwoPcPrepare);
         let (last, last_ops) = remote.pop().expect("a cross-shard txn has a remote owner");
         let delivered = self
             .ep
@@ -761,12 +603,12 @@ impl Session {
                 }
             }
         }
-        self.ep.phase_exit();
+        drop(prepare);
 
         // Step 5: apply the decision here, then tell the owners of step 2.
-        self.ep.phase_enter(Phase::TwoPcDecide);
+        let _decide = self.ep.span(Phase::TwoPcDecide);
         let (decision, applied) = match refused {
-            None => (MsgKind::Commit, self.apply_staged(&local_staged)),
+            None => (MsgKind::Commit, node.write_back(&self.ep, &self.arena)),
             Some(_) => (MsgKind::Abort, Ok(())),
         };
         node.locks.unlock_all(&local_keys);
@@ -783,7 +625,6 @@ impl Session {
         for _ in 0..decided {
             self.wait_reply(txn_id);
         }
-        self.ep.phase_exit();
         applied?;
         match refused {
             None => Ok(out),
@@ -801,7 +642,7 @@ impl Session {
     /// The next reply for `txn_id` on this session's box: a vote or an
     /// ack. While there is none, serve this node's inbox — the owner
     /// being waited for may be waiting for this node too.
-    fn wait_reply(&mut self, txn_id: u64) -> TwoPcMsg {
+    fn wait_reply(&self, txn_id: u64) -> TwoPcMsg {
         loop {
             match self.ep.try_recv(&self.reply) {
                 Ok(msg) => match decode_2pc(&msg.payload) {
@@ -817,288 +658,20 @@ impl Session {
         }
     }
 
-    /// Execute reads and stage writes (no pool mutation yet) for a
-    /// prepared (sub-)transaction. Arena slots double as the staging
-    /// area: reads observe the txn's own earlier writes, and each dirty
-    /// page yields exactly one staged value.
-    fn prepare_ops(&mut self, ops: &[Op]) -> Result<(TxnOutput, StagedWrites), TxnError> {
-        let out = self.exec_on_arena(ops)?;
-        let psize = self.cluster.config.payload_size;
-        let PageArena { buf, keys, dirty, .. } = &self.arena;
-        let staged: StagedWrites = keys
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| dirty[*i])
-            .map(|(i, &k)| (k, buf[i * psize..(i + 1) * psize].to_vec()))
-            .collect();
-        Ok((out, staged))
+    /// Serve up to `budget` pending messages addressed to this node —
+    /// coherence requests in 3b, 2PC participant work in 3c — on the
+    /// node's handler. Returns whether anything was served. Workers call
+    /// this between transactions; waiters call it in their poll loops.
+    pub fn serve_pending(&self, budget: usize) -> bool {
+        self.handler.as_ref().is_some_and(|h| h.serve(budget))
     }
-
-    fn apply_staged(&self, staged: &[(u64, Vec<u8>)]) -> Result<(), TxnError> {
-        if staged.is_empty() {
-            return Ok(());
-        }
-        let pool = self.cluster.nodes[self.node]
-            .shard_pool
-            .as_ref()
-            .expect("3c pool");
-        let table = &self.cluster.table;
-        // All of the decided txn's writes go out as one doorbell group.
-        let reqs: Vec<(GlobalAddr, &[u8])> = staged
-            .iter()
-            .map(|(key, value)| (table.payload_addr(*key, 0), &value[..]))
-            .collect();
-        pool.write_pages(&self.ep, &reqs)?;
-        Ok(())
-    }
-
-    /// Serve up to `budget` pending cluster messages addressed to this
-    /// node (coherence requests in 3b, on the node's handler endpoint;
-    /// 2PC participant work in 3c, on this session's). Returns whether
-    /// anything was served. Workers call this between transactions;
-    /// waiters call it in their poll loops.
-    pub fn serve_pending(&mut self, budget: usize) -> bool {
-        let mut any = false;
-        match self.cluster.config.architecture {
-            Architecture::CacheNoShard(_) => {
-                if let Some(cache) = &self.cluster.nodes[self.node].cache {
-                    for _ in 0..budget {
-                        if !cache.serve_one() {
-                            break;
-                        }
-                        any = true;
-                    }
-                }
-            }
-            Architecture::CacheShard => {
-                for _ in 0..budget {
-                    if !self.serve_one_shard_msg() {
-                        break;
-                    }
-                    any = true;
-                }
-            }
-            Architecture::NoCacheNoShard => {}
-        }
-        any
-    }
-
-    fn serve_one_shard_msg(&mut self) -> bool {
-        let node = self.cluster.nodes[self.node].clone();
-        let Some(inbox) = &node.shard_inbox else {
-            return false;
-        };
-        let Ok(msg) = inbox.try_recv() else {
-            return false;
-        };
-        self.ep.observe_delivery(&msg);
-        let Some(m) = decode_2pc(&msg.payload) else {
-            return true;
-        };
-        let reply = match m.kind {
-            MsgKind::Prepare | MsgKind::PrepareCommit => {
-                self.ep.phase_enter(Phase::TwoPcPrepare);
-                match self.prepare_for_coordinator(&node, &m.body) {
-                    Some((p, out)) => {
-                        self.stats.served_subtxns += 1;
-                        if m.kind == MsgKind::Prepare {
-                            node.prepared.lock().insert(m.txn_id, p);
-                        } else {
-                            // The last agent: its yes is the commit.
-                            self.finish(&node, p, true);
-                        }
-                        encode_2pc(MsgKind::VoteYes, m.txn_id, &encode_reads(&out.reads))
-                    }
-                    None => encode_2pc(MsgKind::VoteNo, m.txn_id, &[]),
-                }
-            }
-            MsgKind::Commit | MsgKind::Abort => {
-                self.ep.phase_enter(Phase::TwoPcDecide);
-                let prepared = node.prepared.lock().remove(&m.txn_id);
-                if let Some(p) = prepared {
-                    self.finish(&node, p, m.kind == MsgKind::Commit);
-                }
-                encode_2pc(MsgKind::Ack, m.txn_id, &[])
-            }
-            _ => return true,
-        };
-        let _ = self.ep.send(msg.from, node_inbox_id(self.node), reply);
-        self.ep.phase_exit();
-        true
-    }
-
-    /// The owner's half of a prepare: refuse a fenced coordinator, lock
-    /// the keys in the coordinator's name, read and stage. `None` is a No
-    /// vote, with nothing held.
-    fn prepare_for_coordinator(
-        &mut self,
-        node: &NodeRuntime,
-        body: &[u8],
-    ) -> Option<(Prepared, TxnOutput)> {
-        let (coord_epoch, coord_node, coord_trace, ops) = decode_prepare(body);
-        // Epoch fence: once the cluster bumps a node's epoch (declaring it
-        // crashed and its locks stealable), prepares signed with the older
-        // epoch are refused — a zombie coordinator that was merely
-        // partitioned cannot come back and drive a commit with pre-crash
-        // state. A last agent runs it too, before it decides.
-        let fenced = match self.cluster.membership.epoch(
-            &self.cluster.layer,
-            &self.ep,
-            coord_node,
-        ) {
-            Ok(current) => coord_epoch < current,
-            Err(_) => true, // membership unreadable: refuse, don't guess
-        };
-        if fenced {
-            return None;
-        }
-        let mut keys: Vec<u64> = ops.iter().map(|o| o.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        self.ep.charge_local(50 * keys.len() as u64);
-        // Owner locks are held on behalf of the *coordinator's*
-        // transaction: later conflicters blame the coordinator's trace,
-        // not the serving session's.
-        if let Err(holder) = node.locks.try_lock_all(&keys, coord_trace) {
-            self.ep.note_local_lock_wait(keys[0], 50 * keys.len() as u64, holder);
-            return None;
-        }
-        match self.prepare_ops(&ops) {
-            Ok((out, staged)) => Some((Prepared { keys, staged }, out)),
-            Err(_) => {
-                node.locks.unlock_all(&keys);
-                None
-            }
-        }
-    }
-
-    /// Carry out the decision on a prepared sub-transaction and release
-    /// its keys. A commit is final: if the write-back cannot reach DSM
-    /// (memory node crashed mid-commit) the failure is counted, not
-    /// swallowed — the record's surviving mirrors hold the pre-txn value
-    /// until rebuild, and the operator sees the count.
-    fn finish(&mut self, node: &NodeRuntime, p: Prepared, commit: bool) {
-        if commit && self.apply_staged(&p.staged).is_err() {
-            self.stats.apply_failures += 1;
-        }
-        node.locks.unlock_all(&p.keys);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sub-transaction wire codec
-// ---------------------------------------------------------------------------
-
-const OP_READ: u8 = 0;
-const OP_UPDATE: u8 = 1;
-const OP_RMW: u8 = 2;
-
-/// Prepare body: `[epoch u64 | coordinator node u64 | coordinator trace
-/// u64 | subtxn]`. The (node, epoch) pair is the coordinator's signature
-/// for epoch fencing; the trace id lets the participant hold locks in
-/// the coordinator's name so conflicters blame the right transaction.
-fn encode_prepare(epoch: u64, node: usize, trace: u64, ops: &[Op]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + 2 + ops.len() * 12);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(node as u64).to_le_bytes());
-    out.extend_from_slice(&trace.to_le_bytes());
-    out.extend_from_slice(&encode_subtxn(ops));
-    out
-}
-
-fn decode_prepare(body: &[u8]) -> (u64, usize, u64, Vec<Op>) {
-    let epoch = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let node = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-    let trace = u64::from_le_bytes(body[16..24].try_into().unwrap());
-    (epoch, node, trace, decode_subtxn(&body[24..]))
-}
-
-fn encode_subtxn(ops: &[Op]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + ops.len() * 12);
-    out.extend_from_slice(&(ops.len() as u16).to_le_bytes());
-    for op in ops {
-        match op {
-            Op::Read(k) => {
-                out.push(OP_READ);
-                out.extend_from_slice(&k.to_le_bytes());
-            }
-            Op::Update { key, value } => {
-                out.push(OP_UPDATE);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u16).to_le_bytes());
-                out.extend_from_slice(value);
-            }
-            Op::Rmw { key, delta } => {
-                out.push(OP_RMW);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&delta.to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-fn decode_subtxn(body: &[u8]) -> Vec<Op> {
-    let n = u16::from_le_bytes(body[0..2].try_into().unwrap()) as usize;
-    let mut ops = Vec::with_capacity(n);
-    let mut pos = 2;
-    for _ in 0..n {
-        let kind = body[pos];
-        let key = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().unwrap());
-        pos += 9;
-        match kind {
-            OP_READ => ops.push(Op::Read(key)),
-            OP_UPDATE => {
-                let len = u16::from_le_bytes(body[pos..pos + 2].try_into().unwrap()) as usize;
-                pos += 2;
-                ops.push(Op::Update {
-                    key,
-                    value: body[pos..pos + len].to_vec(),
-                });
-                pos += len;
-            }
-            _ => {
-                let delta = i64::from_le_bytes(body[pos..pos + 8].try_into().unwrap());
-                pos += 8;
-                ops.push(Op::Rmw { key, delta });
-            }
-        }
-    }
-    ops
-}
-
-fn encode_reads(reads: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(reads.len() as u16).to_le_bytes());
-    for (k, v) in reads {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&(v.len() as u16).to_le_bytes());
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-fn decode_reads(body: &[u8]) -> Vec<(u64, Vec<u8>)> {
-    if body.len() < 2 {
-        return Vec::new();
-    }
-    let n = u16::from_le_bytes(body[0..2].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 2;
-    for _ in 0..n {
-        let k = u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap());
-        let len = u16::from_le_bytes(body[pos + 8..pos + 10].try_into().unwrap()) as usize;
-        pos += 10;
-        out.push((k, body[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CoherenceMode;
+    use crate::node::{decode_prepare, decode_subtxn, encode_reads, encode_subtxn};
     use rdma_sim::{NetworkProfile, StatsSnapshot};
 
     fn config(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) -> ClusterConfig {
@@ -1203,7 +776,7 @@ mod tests {
         let mut s = cluster.session(0, 0);
         s.execute(&[Op::Read(7)]).unwrap();
         s.execute(&[Op::Read(7)]).unwrap();
-        let pool = &cluster.nodes[0].cache.as_ref().unwrap().pool;
+        let pool = &cluster.handler(0).unwrap().pool;
         assert!(pool.stats().hits >= 1);
     }
 
@@ -1453,15 +1026,15 @@ mod tests {
     }
 
     /// `xshard_2pc` in one thread: while session B coordinates a
-    /// cross-shard transaction it serves, between handing its last agent
-    /// the decision and hearing back, a peer's prepare for B's shard. The
-    /// served work is tagged with B's trace and lies inside B's window, so
-    /// it belongs to B's critical path whichever way the ring is read. The
-    /// peer is scripted: its `PrepareCommit` is already queued, addressed
-    /// so that the vote B sends while serving it is the very reply B is
-    /// waiting for (node 0 itself never runs).
+    /// cross-shard transaction, its reply wait serves a peer's prepare for
+    /// B's shard — on node 1's handler, not on B's endpoint. B's ring holds
+    /// its own prepare and nothing of the served one, and what it folds is
+    /// still what a filter over the whole ring gives. The peer is scripted:
+    /// its `PrepareCommit` is already queued, addressed so that the vote
+    /// the handler sends is the very reply B is waiting for (node 0 itself
+    /// never runs).
     #[test]
-    fn forensic_tail_includes_a_prepare_served_inside_the_coordinators_window() {
+    fn forensic_tail_leaves_a_prepare_served_by_the_nodes_handler_out() {
         let cluster = Cluster::build(ClusterConfig {
             profile: NetworkProfile::rdma_cx6(),
             ..config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1)
@@ -1489,11 +1062,16 @@ mod tests {
         script(encode_2pc(MsgKind::PrepareCommit, txn_id, &prepare));
         script(vec![0xFF]);
 
+        let (handler, before) = (cluster.handler(1).unwrap(), b.ep.stats());
         let ops = [Op::Rmw { key: 33, delta: -5 }, Op::Rmw { key: 1, delta: 5 }];
         let trace = execute_and_refold(&mut b, &mut reference, &ops, false);
         assert_eq!(b.stats().cross_shard, 1);
-        assert_eq!(b.stats().served_subtxns, 1);
-        // Its own prepare phase and the served one, under one trace.
+        // B sent its `PrepareCommit` and took the vote; the handler took
+        // the six scripted messages and sent the vote.
+        let (mine, served_by) = (b.ep.stats(), handler.stats());
+        assert_eq!((mine.sends - before.sends, mine.recvs - before.recvs), (1, 1));
+        assert_eq!((served_by.recvs, served_by.sends, cluster.owner_work(1).0), (6, 1, 1));
+        // B's own prepare phase, and no other, under its trace.
         let prepares = b
             .ep
             .flight_events()
@@ -1504,7 +1082,7 @@ mod tests {
                     && e.addr == Phase::TwoPcPrepare as u64
             })
             .count();
-        assert_eq!(prepares, 2);
+        assert_eq!(prepares, 1);
         assert_eq!(b.forensics_snapshot(), reference.snapshot());
         // The served sub-transaction committed where it was decided.
         assert_eq!(cluster.shard_residue(1), (0, 0));
@@ -1578,25 +1156,26 @@ mod tests {
 
     /// Run `body` on node 0's session while every other node's session
     /// serves its inbox on a thread of its own and drains it before it
-    /// stops. Returns what each of those did, node 1 first.
+    /// stops. Returns what each of those nodes' handlers did so far, node 1
+    /// first: its verbs and the sub-transactions it served.
     fn with_owners<R>(
         cluster: &Arc<Cluster>,
         body: impl FnOnce(&mut Session) -> R,
-    ) -> (R, Vec<(StatsSnapshot, SessionStats)>) {
+    ) -> (R, Vec<(StatsSnapshot, u64)>) {
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|sc| {
             let owners: Vec<_> = (1..cluster.config.compute_nodes)
                 .map(|n| {
                     let stop = &stop;
                     sc.spawn(move || {
-                        let mut s = cluster.session(n, 0);
+                        let s = cluster.session(n, 0);
                         while !stop.load(Ordering::Acquire) {
                             if !s.serve_pending(16) {
                                 std::thread::yield_now();
                             }
                         }
                         s.serve_pending(usize::MAX >> 1);
-                        (s.ep.stats(), s.stats())
+                        (cluster.handler(n).unwrap().stats(), cluster.owner_work(n).0)
                     })
                 })
                 .collect();
@@ -1659,9 +1238,46 @@ mod tests {
         assert_eq!(costs, [(miss_miss, 1), (hit_hit, 1), (shipped, 1)]);
         assert_eq!(costs.map(|c| c.0), [13_191, 9_897, 9_798]);
         let (net, served) = owners[0];
-        assert_eq!((net.recvs, net.sends, served.served_subtxns), (3, 3, 3));
+        assert_eq!((net.recvs, net.sends, served), (3, 3, 3));
         assert_eq!(cluster.shard_residue(1), (0, 0));
         assert_eq!([1, 40, 41].map(|k| stored(&cluster, k)), [-20, 20, 7]);
+    }
+
+    /// The vote is stamped by node 1's handler, at the prepare's delivery
+    /// plus the owner's work: a one-remote-owner transfer costs its
+    /// coordinator the model's sum to the ns whether the owner's session
+    /// runs 1 ms behind the coordinator or 1 ms ahead.
+    #[test]
+    fn a_vote_costs_the_same_whatever_the_owners_session_clock_reads() {
+        let cluster = shard_cluster(2);
+        let (mut s0, mut s1) = (cluster.session(0, 0), cluster.session(1, 0));
+        s0.ep.charge_local(1_000_000);
+        let mut costs = Vec::new();
+        // Fresh keys each round, so both pages miss on both sides.
+        for (local, remote, owner_ahead) in [(1, 40, false), (2, 41, true)] {
+            let (now0, now1) = (s0.ep.clock().now_ns(), s1.ep.clock().now_ns());
+            if owner_ahead {
+                s1.ep.charge_local(now0 + 1_000_000 - now1);
+            } else {
+                assert!(now1 + 1_000_000 <= now0);
+            }
+            let transfer = [Op::Rmw { key: local, delta: -1 }, Op::Rmw { key: remote, delta: 1 }];
+            let done = std::sync::atomic::AtomicBool::new(false);
+            costs.push(std::thread::scope(|sc| {
+                let (owner, done) = (&mut s1, &done);
+                sc.spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        if !owner.serve_pending(1) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                let cost = cost_of(&mut s0, &transfer);
+                done.store(true, Ordering::Release);
+                cost
+            }));
+        }
+        assert_eq!(costs, [(13_191, 1); 2]);
     }
 
     /// Node 1, prepared in step 2, votes no: node 2 — the last agent — is
@@ -1670,7 +1286,7 @@ mod tests {
     fn a_no_from_a_step_two_owner_sends_no_prepare_commit() {
         let cluster = shard_cluster(3);
         let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
-        cluster.nodes[1].locks.try_lock_all(&[40], 0xDEAD).unwrap();
+        cluster.handler(1).unwrap().locks.try_lock_all(&[40], 0xDEAD).unwrap();
         let ((err, sends), owners) =
             with_owners(&cluster, |s0| (s0.execute(&txn).unwrap_err(), s0.ep.stats().sends));
         assert!(matches!(err, TxnError::Aborted("remote-vote-no")), "{err}");
@@ -1678,7 +1294,7 @@ mod tests {
         assert_eq!(sends, 2);
         assert_eq!((owners[0].0.recvs, owners[0].0.sends), (2, 2));
         assert_eq!((owners[1].0.recvs, owners[1].0.sends), (0, 0));
-        cluster.nodes[1].locks.unlock_all(&[40]);
+        cluster.handler(1).unwrap().locks.unlock_all(&[40]);
         for n in 0..3 {
             assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
         }
@@ -1692,18 +1308,18 @@ mod tests {
     fn a_busy_last_agent_aborts_the_prepared_owners() {
         let cluster = shard_cluster(3);
         let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
-        cluster.nodes[2].locks.try_lock_all(&[70], 0xDEAD).unwrap();
+        cluster.handler(2).unwrap().locks.try_lock_all(&[70], 0xDEAD).unwrap();
         let ((err, sends), owners) =
             with_owners(&cluster, |s0| (s0.execute(&txn).unwrap_err(), s0.ep.stats().sends));
         assert!(matches!(err, TxnError::Aborted("remote-vote-no")), "{err}");
         // Prepare, PrepareCommit, Abort.
         assert_eq!(sends, 3);
-        assert_eq!((owners[0].0.recvs, owners[0].0.sends, owners[0].1.served_subtxns), (2, 2, 1));
-        assert_eq!((owners[1].0.recvs, owners[1].0.sends, owners[1].1.served_subtxns), (1, 1, 0));
+        assert_eq!((owners[0].0.recvs, owners[0].0.sends, owners[0].1), (2, 2, 1));
+        assert_eq!((owners[1].0.recvs, owners[1].0.sends, owners[1].1), (1, 1, 0));
         assert_eq!([0, 1, 2].map(|n| cluster.shard_residue(n)), [(0, 0), (0, 0), (1, 0)]);
         assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [0; 3]);
 
-        cluster.nodes[2].locks.unlock_all(&[70]);
+        cluster.handler(2).unwrap().locks.unlock_all(&[70]);
         with_owners(&cluster, |s0| s0.execute(&txn)).0.unwrap();
         assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [1; 3]);
         assert_eq!([0, 1, 2].map(|n| cluster.shard_residue(n)), [(0, 0); 3]);

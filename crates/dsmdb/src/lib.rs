@@ -29,6 +29,7 @@ pub mod config;
 pub mod engine;
 pub mod membership;
 pub mod migrate;
+pub mod node;
 pub mod shard;
 
 pub use config::{Architecture, CcProtocol, ClusterConfig, CoherenceMode};

@@ -50,7 +50,7 @@ fn sharer_word(cluster: &Cluster, key: u64) -> u64 {
 }
 
 fn resident(cluster: &Cluster, node: usize, key: u64) -> bool {
-    let pool = &cluster.node_cache(node).expect("3b cache").pool;
+    let pool = &cluster.handler(node).expect("3b handler").pool;
     pool.contains(cluster.table().payload_addr(key, 0))
 }
 
@@ -67,7 +67,7 @@ fn with_peer<R>(cluster: &Arc<Cluster>, body: impl FnOnce() -> R) -> R {
     std::thread::scope(|s| {
         s.spawn(|| {
             while !stop.load(Ordering::Acquire) {
-                let served = (0..2).filter(|&n| cluster.node_cache(n).unwrap().serve_one()).count();
+                let served = (0..2).filter(|&n| cluster.handler(n).unwrap().serve_one()).count();
                 if served == 0 {
                     std::thread::yield_now();
                 }
@@ -210,7 +210,7 @@ fn a_write_finds_its_remote_sharer_in_the_word_that_came_with_the_lock() {
         // CAS on a directory in between.
         let write = with_peer(&c, || cost_of(&mut s0, &[Op::Rmw { key: 5, delta: 7 }]));
         assert_eq!((write.wire_rts, write.sends), (2, 1), "{mode:?}");
-        let hits = c.node_cache(1).unwrap().pool.stats().hits;
+        let hits = c.handler(1).unwrap().pool.stats().hits;
         match mode {
             CoherenceMode::Invalidate => {
                 assert!(!resident(&c, 1, 5), "the remote copy is gone");
@@ -222,7 +222,7 @@ fn a_write_finds_its_remote_sharer_in_the_word_that_came_with_the_lock() {
             }
         }
         assert_eq!(s1.execute(&[Op::Read(5)]).unwrap().reads[0].1, payload(7), "{mode:?}");
-        let served_locally = c.node_cache(1).unwrap().pool.stats().hits == hits + 1;
+        let served_locally = c.handler(1).unwrap().pool.stats().hits == hits + 1;
         assert_eq!(served_locally, mode == CoherenceMode::Update);
         assert_eq!(sharer_word(&c, 5), 0b11);
         assert_eq!(lock_word(&c, 5), 0);
@@ -234,7 +234,8 @@ fn a_write_finds_its_remote_sharer_in_the_word_that_came_with_the_lock() {
 fn cost_served_by(s0: &mut Session, s1: &mut Session, ops: &[Op]) -> Cost {
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
-        s.spawn(|| {
+        let done = &done;
+        s.spawn(move || {
             while !done.load(Ordering::Acquire) {
                 if !s1.serve_pending(1) {
                     std::thread::yield_now();
@@ -365,7 +366,7 @@ fn a_lock_free_read_sees_a_transfer_whole_or_not_at_all() {
         sc.spawn(|| {
             run(1, 1, &|s, i| {
                 if i.is_multiple_of(2) {
-                    c.node_cache(1).unwrap().pool.invalidate(s.endpoint(), c.table().payload_addr(B, 0));
+                    c.handler(1).unwrap().pool.invalidate(s.endpoint(), c.table().payload_addr(B, 0));
                     commit(s, &[Op::Read(B)]);
                 } else {
                     commit(s, &transfer(i));
