@@ -31,7 +31,7 @@ pub use arc::ArcPolicy;
 pub use policy::{
     ClockPolicy, FifoPolicy, FrameId, LruKPolicy, LruPolicy, ReplacementPolicy, SampledLruPolicy,
 };
-pub use pool::{BufferPool, PoolStats, WriteMode};
+pub use pool::{BufferPool, Fetch, PoolStats, WriteMode};
 pub use twoq::TwoQPolicy;
 
 /// Construct every policy at the given frame capacity — the experiment

@@ -26,13 +26,18 @@
 //! [`BufferPool::write_pages`]) coalesce all remote traffic of a call into
 //! one doorbell per direction: one `write_batch` for every dirty victim
 //! (plus write-through propagation) and one `read_batch` for every fetch.
+//! A read can also be taken in its two halves — [`BufferPool::resolve_reads`]
+//! serves the hits and reserves the misses, [`Fetch::complete`] posts and
+//! publishes — and between them the caller hands the fetch riders: work
+//! requests posted behind the fetch READs in the same doorbell, a
+//! write-through among them ([`Fetch::complete_writing`]).
 //! To stay deadlock-free a thread never sleeps on a condvar while it holds
 //! unfetched reservations — it flushes its batch first, then waits.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use dsm::{DsmLayer, DsmResult, GlobalAddr};
+use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
 use parking_lot::{Condvar, Mutex};
 use rdma_sim::{Endpoint, Metric, Phase};
 
@@ -166,6 +171,76 @@ enum Step {
     Reserved(PendingFetch),
     /// Would need to sleep while holding batched state: flush first.
     MustFlush,
+}
+
+/// The misses of one [`BufferPool::resolve_reads`] call: frames reserved
+/// and pinned in flight, their pages not fetched yet. Dropped without
+/// being completed, it frees the frames.
+pub struct Fetch<'p> {
+    pool: &'p BufferPool,
+    pending: Vec<PendingFetch>,
+}
+
+impl Fetch<'_> {
+    /// Whether no page is left to fetch.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Whether request `i` of the resolved list is left to fetch.
+    pub fn reserved(&self, i: usize) -> bool {
+        self.pending.iter().any(|p| p.req_idx == i)
+    }
+
+    /// Post the fetch READs with `riders` behind them as one
+    /// [`DsmLayer::doorbell`] (with none, as [`DsmLayer::read_batch`],
+    /// whose READs alone fall back on per-address fail-over when a member
+    /// dies mid-group), then publish every page and copy it out to `dsts`:
+    /// one per page left to fetch, in request order. On an error the
+    /// frames are freed and nothing is copied.
+    pub fn complete<'d, 'r>(
+        mut self,
+        ep: &Endpoint,
+        dsts: impl IntoIterator<Item = &'d mut [u8]>,
+        riders: impl IntoIterator<Item = GlobalWr<'r>>,
+    ) -> DsmResult<()> {
+        let mut dsts = dsts.into_iter();
+        self.pool.complete_fetches(ep, &mut self.pending, riders, |_, page| {
+            dsts.next().expect("one destination per reserved page").copy_from_slice(page)
+        })
+    }
+
+    /// [`Fetch::complete`] with `writes` — full pages, none of them left
+    /// to fetch here — written through the cache behind the READs: each is
+    /// resolved into its frame as [`BufferPool::write_pages`] resolves it,
+    /// and all of them ride the fetch's doorbell. If that doorbell fails,
+    /// the written frames are dropped, so the cache never holds bytes DSM
+    /// may not. Returns false when nothing rode — the pool writes back, or
+    /// a page could be taken only by waiting, which a holder of
+    /// reservations must not — having completed the fetch alone and left
+    /// the writes to the caller.
+    pub fn complete_writing<'d>(
+        self,
+        ep: &Endpoint,
+        dsts: impl IntoIterator<Item = &'d mut [u8]>,
+        writes: &[(GlobalAddr, &[u8])],
+    ) -> DsmResult<bool> {
+        let pool = self.pool;
+        if pool.mode != WriteMode::WriteThrough || !pool.stage_through(ep, writes) {
+            self.complete(ep, dsts, None)?;
+            return Ok(false);
+        }
+        let riders = writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
+        self.complete(ep, dsts, riders)
+            .inspect_err(|_| pool.drop_written(ep, writes.iter().map(|w| w.0)))?;
+        Ok(true)
+    }
+}
+
+impl Drop for Fetch<'_> {
+    fn drop(&mut self) {
+        self.pool.abort_fetches(&mut self.pending);
+    }
 }
 
 impl BufferPool {
@@ -395,24 +470,36 @@ impl BufferPool {
     /// one group for any dirty victim write-backs). Returns the number of
     /// local hits.
     pub fn read_pages(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<usize> {
+        let (hits, mut fetch) = self.resolve_reads(ep, reqs)?;
+        self.complete_fetches(ep, &mut fetch.pending, None, |i, page| reqs[i].1.copy_from_slice(page))?;
+        Ok(hits)
+    }
+
+    /// The first half of [`BufferPool::read_pages`]: serve every hit of
+    /// `reqs` (addresses distinct) and reserve a frame for every miss,
+    /// fetching nothing. Returns the hits and the misses left to fetch; a
+    /// miss that could be reserved only by waiting makes the call fetch
+    /// the ones reserved before it first, so those are no longer left.
+    pub fn resolve_reads(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<(usize, Fetch<'_>)> {
         let mut hits = 0usize;
-        let mut pending: Vec<PendingFetch> = Vec::new();
+        let mut fetch = Fetch { pool: self, pending: Vec::new() };
         let mut i = 0;
         while i < reqs.len() {
-            match self.resolve_read(ep, i, reqs, pending.is_empty())? {
+            match self.resolve_read(ep, i, reqs, fetch.is_empty())? {
                 Step::Done => {
                     hits += 1;
                     i += 1;
                 }
                 Step::Reserved(p) => {
-                    pending.push(p);
+                    fetch.pending.push(p);
                     i += 1;
                 }
-                Step::MustFlush => self.complete_fetches(ep, reqs, &mut pending)?,
+                Step::MustFlush => self.complete_fetches(ep, &mut fetch.pending, None, |idx, page| {
+                    reqs[idx].1.copy_from_slice(page)
+                })?,
             }
         }
-        self.complete_fetches(ep, reqs, &mut pending)?;
-        Ok(hits)
+        Ok((hits, fetch))
     }
 
     /// One read request: hit (copy out), or reserve a frame for the batch.
@@ -511,12 +598,14 @@ impl BufferPool {
     }
 
     /// Flush a read batch: one doorbell of dirty victim write-backs, one
-    /// doorbell of fetches, then publish every frame and copy out.
-    fn complete_fetches(
+    /// doorbell of fetches with `riders` behind them, then publish every
+    /// frame and hand `publish` each page with its request index.
+    fn complete_fetches<'r>(
         &self,
         ep: &Endpoint,
-        reqs: &mut [(GlobalAddr, &mut [u8])],
         pending: &mut Vec<PendingFetch>,
+        riders: impl IntoIterator<Item = GlobalWr<'r>>,
+        mut publish: impl FnMut(usize, &[u8]),
     ) -> DsmResult<()> {
         if pending.is_empty() {
             return Ok(());
@@ -536,20 +625,32 @@ impl BufferPool {
             }
         }
         {
-            let mut fetch: Vec<(GlobalAddr, &mut [u8])> = pending
-                .iter_mut()
-                .map(|p| (GlobalAddr::from_raw(p.key), &mut p.data[..]))
-                .collect();
+            let mut riders = riders.into_iter().peekable();
             let _span = ep.span(Phase::PageFetch);
-            if let Err(e) = self.layer.read_batch(ep, &mut fetch) {
-                drop(fetch);
+            let fetched = if riders.peek().is_none() {
+                let mut fetch: Vec<(GlobalAddr, &mut [u8])> = pending
+                    .iter_mut()
+                    .map(|p| (GlobalAddr::from_raw(p.key), &mut p.data[..]))
+                    .collect();
+                self.layer.read_batch(ep, &mut fetch)
+            } else {
+                let mut wrs: Vec<GlobalWr<'_>> = pending
+                    .iter_mut()
+                    .map(|p| GlobalWr::Read { addr: GlobalAddr::from_raw(p.key), dst: &mut p.data[..] })
+                    .collect();
+                for wr in riders {
+                    wrs.push(wr);
+                }
+                self.layer.doorbell(ep, &mut wrs)
+            };
+            if let Err(e) = fetched {
                 self.abort_fetches(pending);
                 return Err(e);
             }
         }
         for p in pending.drain(..) {
             ep.charge_local(copy_cost_ns(self.page_size));
-            reqs[p.req_idx].1.copy_from_slice(&p.data);
+            publish(p.req_idx, &p.data);
             let sh = &self.shards[p.shard];
             {
                 let mut inner = sh.inner.lock();
@@ -649,7 +750,9 @@ impl BufferPool {
         let mut through: Vec<usize> = Vec::new();
         let mut i = 0;
         while i < reqs.len() {
-            match self.resolve_write(ep, i, reqs, owes, &mut wbs, &mut through)? {
+            // Never sleep while holding batched state: flush first.
+            let can_wait = wbs.is_empty() && through.is_empty();
+            match self.resolve_write(ep, i, reqs, owes, can_wait, &mut wbs, &mut through)? {
                 Step::Done => i += 1,
                 Step::Reserved(_) => unreachable!("write path fills frames locally"),
                 Step::MustFlush => self.complete_writes(ep, reqs, &mut wbs, &mut through)?,
@@ -658,20 +761,37 @@ impl BufferPool {
         self.complete_writes(ep, reqs, &mut wbs, &mut through)
     }
 
+    /// The write-through path's frame half for a caller that holds
+    /// reservations and posts the writes itself: `writes` go into their
+    /// frames, and no page is waited for. Returns false, with the frames
+    /// written so far dropped, when one would have to be.
+    fn stage_through(&self, ep: &Endpoint, writes: &[(GlobalAddr, &[u8])]) -> bool {
+        let (mut wbs, mut through) = (Vec::new(), Vec::new());
+        for i in 0..writes.len() {
+            if !matches!(self.resolve_write(ep, i, writes, Owes::Now, false, &mut wbs, &mut through), Ok(Step::Done)) {
+                self.drop_written(ep, writes[..i].iter().map(|w| w.0));
+                return false;
+            }
+        }
+        debug_assert!(wbs.is_empty(), "a write-through pool holds no dirty frame");
+        true
+    }
+
     /// One write request: apply `src` to a (possibly newly allocated)
     /// frame under the shard latch. Remote work is only *recorded* (victim
-    /// snapshot / write-through index) for the batched doorbell.
+    /// snapshot / write-through index) for the batched doorbell. With
+    /// `can_wait` false a page that would need waiting for is `MustFlush`.
+    #[allow(clippy::too_many_arguments)]
     fn resolve_write(
         &self,
         ep: &Endpoint,
         i: usize,
         reqs: &[(GlobalAddr, &[u8])],
         owes: Owes,
+        can_wait: bool,
         wbs: &mut Vec<PendingWriteback>,
         through: &mut Vec<usize>,
     ) -> DsmResult<Step> {
-        // Never sleep while holding batched state: flush first.
-        let can_wait = wbs.is_empty() && through.is_empty();
         let (addr, src) = &reqs[i];
         assert_eq!(src.len(), self.page_size);
         let key = addr.to_raw();
@@ -768,7 +888,9 @@ impl BufferPool {
     }
 
     /// Flush a write batch: victim write-backs first, then write-through
-    /// propagation (newer bytes), all in one doorbell group.
+    /// propagation (newer bytes), all in one doorbell group. If it fails,
+    /// the frames written through are dropped: a retry must not find the
+    /// bytes DSM never took.
     fn complete_writes(
         &self,
         ep: &Endpoint,
@@ -790,6 +912,9 @@ impl BufferPool {
             let _span = ep.span(Phase::Writeback);
             self.layer.write_batch(ep, &remote)
         };
+        if res.is_err() {
+            self.drop_written(ep, through.iter().map(|&idx| reqs[idx].0));
+        }
         through.clear();
         for w in wbs.drain(..) {
             let sh = &self.shards[w.shard];
@@ -814,14 +939,7 @@ impl BufferPool {
                     sh.cv.wait(&mut inner);
                 }
                 Some(&f) => {
-                    s.page_table.remove(&key);
-                    let pol = s.policy.on_remove(f);
-                    s.frames[f].page = u64::MAX;
-                    s.frames[f].dirty = false;
-                    s.free.push(f);
-                    s.stats.invalidations += 1;
-                    ep.series_note(Metric::Invals, 1);
-                    Self::charge(ep, s, MAP_OP_NS + LOCK_NS + pol);
+                    Self::forget(ep, s, key, f);
                     drop(inner);
                     sh.cv.notify_all();
                     return true;
@@ -832,6 +950,39 @@ impl BufferPool {
                 None => {
                     Self::charge(ep, s, MAP_OP_NS + LOCK_NS);
                     return false;
+                }
+            }
+        }
+    }
+
+    /// Take settled frame `f`, holding page `key`, out of the pool without
+    /// write-back.
+    fn forget(ep: &Endpoint, s: &mut ShardInner, key: u64, f: FrameId) {
+        s.page_table.remove(&key);
+        let pol = s.policy.on_remove(f);
+        s.frames[f].page = u64::MAX;
+        s.frames[f].dirty = false;
+        s.free.push(f);
+        s.stats.invalidations += 1;
+        ep.series_note(Metric::Invals, 1);
+        Self::charge(ep, s, MAP_OP_NS + LOCK_NS + pol);
+    }
+
+    /// Drop the frames of `pages`, whose write-through did not reach DSM:
+    /// [`BufferPool::invalidate`] without its wait, so a holder of
+    /// reservations may call it. A page in flight is another thread's
+    /// fetch, which brings it from DSM and is left alone.
+    fn drop_written(&self, ep: &Endpoint, pages: impl IntoIterator<Item = GlobalAddr>) {
+        for addr in pages {
+            let key = addr.to_raw();
+            let sh = &self.shards[self.shard_of(key)];
+            let mut inner = sh.inner.lock();
+            let s = &mut *inner;
+            if let Some(&f) = s.page_table.get(&key) {
+                if !s.frames[f].filling {
+                    Self::forget(ep, s, key, f);
+                    drop(inner);
+                    sh.cv.notify_all();
                 }
             }
         }
@@ -1253,6 +1404,57 @@ mod tests {
         let snap = ep.stats();
         assert_eq!(snap.reads, 4);
         assert_eq!(snap.wire_round_trips(), 1);
+    }
+
+    #[test]
+    fn a_fetch_carries_its_riders_in_one_doorbell() {
+        let (f, layer, pool) = setup(8, WriteMode::WriteThrough);
+        let ep = f.endpoint();
+        let addrs: Vec<_> = (0..5).map(|_| layer.alloc(64).unwrap()).collect();
+        for (i, a) in addrs.iter().enumerate() {
+            layer.write(&ep, *a, &[i as u8 + 1; 64]).unwrap();
+        }
+        let word = layer.alloc(8).unwrap();
+        layer.write_u64(&ep, word, 42).unwrap();
+        pool.read_page(&ep, addrs[0], &mut [0u8; 64]).unwrap();
+        ep.reset();
+
+        // Page 0 hits, 1 and 2 are reserved, and a word READ rides their
+        // fetch: three READs, one wire round trip.
+        let mut bufs = [[0u8; 64]; 3];
+        let mut reqs: Vec<(GlobalAddr, &mut [u8])> = addrs.iter().zip(bufs.iter_mut()).map(|(a, b)| (*a, &mut b[..])).collect();
+        let (hits, fetch) = pool.resolve_reads(&ep, &mut reqs).unwrap();
+        assert_eq!((hits, [0, 1, 2].map(|i| fetch.reserved(i))), (1, [false, true, true]));
+        let mut got = [0u8; 8];
+        let dsts = bufs[1..].iter_mut().map(|b| &mut b[..]);
+        fetch.complete(&ep, dsts, [GlobalWr::Read { addr: word, dst: &mut got }]).unwrap();
+        assert_eq!((bufs, u64::from_le_bytes(got)), ([[1; 64], [2; 64], [3; 64]], 42));
+        assert_eq!((ep.stats().reads, ep.stats().wire_round_trips()), (3, 1));
+
+        // A write-through of resident page 0 rides page 3's fetch: the
+        // frame and DSM both take it, in one more round trip.
+        let mut buf = [0u8; 64];
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[3], &mut buf[..])]).unwrap();
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[9u8; 64][..])]).unwrap());
+        assert_eq!((buf, ep.stats().writes, ep.stats().wire_round_trips()), ([4; 64], 1, 2));
+        let mut direct = [0u8; 64];
+        layer.read(&ep, addrs[0], &mut direct).unwrap();
+        assert_eq!(direct, [9; 64]);
+        assert!(pool.read_page(&ep, addrs[0], &mut buf).unwrap());
+        assert_eq!(buf, [9; 64]);
+
+        // If that doorbell fails, neither the written frame nor the
+        // reserved one is left; a fetch dropped uncompleted frees its frame.
+        layer.set_retry_policy(dsm::RetryPolicy::none());
+        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[4], &mut buf[..])]).unwrap();
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[7u8; 64][..])]).is_err());
+        assert!(!pool.contains(addrs[0]) && !pool.contains(addrs[4]));
+        layer.read(&ep, addrs[0], &mut direct).unwrap();
+        assert_eq!(direct, [9; 64]);
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[4], &mut buf[..])]).unwrap();
+        drop(fetch);
+        assert_eq!((pool.contains(addrs[4]), pool.resident()), (false, 3));
     }
 
     #[test]

@@ -533,9 +533,7 @@ impl Session {
         let node = self.handler.as_ref().expect("3c handler");
         let keys = key_set(ops);
         node.lock(&self.ep, &keys, self.ep.trace_id())?;
-        let result = node
-            .exec(&self.ep, &mut self.arena, ops)
-            .and_then(|out| node.write_back(&self.ep, &self.arena).map(|()| out));
+        let result = node.exec_write(&self.ep, &mut self.arena, ops);
         node.locks.unlock_all(&keys);
         result
     }
@@ -839,10 +837,27 @@ mod tests {
         bank_run(Architecture::CacheShard, CcProtocol::TplExclusive, 3, 1);
     }
 
-    /// The cross-architecture serializability smoke test: concurrent
-    /// transfers must conserve total balance.
+    /// Two sessions per node share an 8-frame owner pool, so a transfer
+    /// whose pages are resident rides its read's fetch while a sibling's
+    /// misses evict beneath it.
+    #[test]
+    fn multi_master_bank_invariant_3c_two_sessions_small_cache() {
+        bank_run_on(ClusterConfig {
+            cache_frames: 8,
+            ..config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 2)
+        });
+    }
+
     fn bank_run(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) {
-        let cluster = Cluster::build(config(arch, cc, nodes, threads)).unwrap();
+        bank_run_on(config(arch, cc, nodes, threads));
+    }
+
+    /// The cross-architecture serializability smoke test: concurrent
+    /// transfers, each reading a third key, must conserve total balance.
+    fn bank_run_on(config: ClusterConfig) {
+        let (arch, cc) = (config.architecture, config.cc);
+        let (nodes, threads) = (config.compute_nodes, config.threads_per_node);
+        let cluster = Cluster::build(config).unwrap();
         let total_workers = nodes * threads;
         let finished = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|sc| {
@@ -868,6 +883,7 @@ mod tests {
                             let ops = [
                                 Op::Rmw { key: a, delta: -3 },
                                 Op::Rmw { key: b, delta: 3 },
+                                Op::Read(rand() % 64),
                             ];
                             loop {
                                 match s.execute(&ops) {
@@ -1114,6 +1130,10 @@ mod tests {
                 matches!(err, TxnError::Aborted("remote-vote-no")),
                 "stale coordinator must be fenced, got {err}"
             );
+            // The owner read the fence behind its page fetch, then alone
+            // once the page was resident, and refused both times holding
+            // nothing.
+            assert_eq!(cluster.shard_residue(1), (0, 0));
             // After re-reading the membership table it commits.
             s0.refresh_epoch().unwrap();
             assert_eq!(s0.epoch(), 2);
@@ -1215,8 +1235,12 @@ mod tests {
         // 9 B header; 24 B signature + one Rmw out, one 64 B read back.
         let prepare_commit = p.send_cost_ns(9 + 24 + 2 + 17);
         let vote = p.send_cost_ns(9 + 2 + 10 + 64);
-        // Epoch fence READ, lock, page, write-through, all before the vote.
-        let owner = |page| p.rw_cost_ns(8) + lock + page + write_through;
+        // Lock, page, epoch fence, write-through, all before the vote. The
+        // fence READ rides a missed page's fetch as a batched member
+        // (150 ns where alone it paid 1 600: 1 450 less); beside a hit it
+        // goes alone.
+        let owner_missed = lock + miss + p.batched_cost_ns(8) + write_through;
+        let owner_hit = lock + hit + p.rw_cost_ns(8) + write_through;
 
         let cluster = shard_cluster(2);
         let transfer = [Op::Rmw { key: 1, delta: -10 }, Op::Rmw { key: 40, delta: 10 }];
@@ -1232,11 +1256,12 @@ mod tests {
             assert_eq!(s0.stats().cross_shard, 3);
             costs
         });
-        let miss_miss = lock + miss + prepare_commit + owner(miss) + vote + write_through;
-        let hit_hit = lock + hit + prepare_commit + owner(hit) + vote + write_through;
-        let shipped = prepare_commit + owner(miss) + vote;
+        let miss_miss = lock + miss + prepare_commit + owner_missed + vote + write_through;
+        let hit_hit = lock + hit + prepare_commit + owner_hit + vote + write_through;
+        let shipped = prepare_commit + owner_missed + vote;
         assert_eq!(costs, [(miss_miss, 1), (hit_hit, 1), (shipped, 1)]);
-        assert_eq!(costs.map(|c| c.0), [13_191, 9_897, 9_798]);
+        // 13 191, 9 897 and 9 798 while the fence was always read alone.
+        assert_eq!(costs.map(|c| c.0), [11_741, 9_897, 8_348]);
         let (net, served) = owners[0];
         assert_eq!((net.recvs, net.sends, served), (3, 3, 3));
         assert_eq!(cluster.shard_residue(1), (0, 0));
@@ -1277,7 +1302,7 @@ mod tests {
                 cost
             }));
         }
-        assert_eq!(costs, [(13_191, 1); 2]);
+        assert_eq!(costs, [(11_741, 1); 2]);
     }
 
     /// Node 1, prepared in step 2, votes no: node 2 — the last agent — is
@@ -1343,5 +1368,97 @@ mod tests {
             assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
         }
         assert_eq!([1, 40, 70, 100].map(|k| stored(&cluster, k)), [0, 1, 0, 1]);
+    }
+
+    // A single-shard 3c transaction on `rdma_cx6`: node 0 owns every key.
+
+    /// Execute `ops` on `s`: (virtual ns, wire round trips).
+    fn round_trips_of(s: &mut Session, ops: &[Op]) -> (u64, u64) {
+        let rts = s.ep.stats().wire_round_trips();
+        let (ns, _) = cost_of(s, ops);
+        (ns, s.ep.stats().wire_round_trips() - rts)
+    }
+
+    /// `[Rmw(a), Read(b)]`, `a` resident and `b` not: the write-through
+    /// needs no fetched byte, so it rides `b`'s fetch — one wire round trip
+    /// where there were two, and 1 450 ns less, since the WRITE pays
+    /// `batched_cost_ns` as a member instead of `rw_cost_ns` as a leader.
+    /// A write to a page that missed needs that page: `[Rmw(c)]` is still
+    /// two doorbells at the cost it had.
+    #[test]
+    fn a_write_that_needs_no_fetched_byte_rides_the_fetch() {
+        use buffer::cost::{ATOMIC_NS, LOCK_NS, MAP_OP_NS};
+        let p = NetworkProfile::rdma_cx6();
+        let hit = MAP_OP_NS + ATOMIC_NS; // CLOCK: latch-free
+        let reserve = MAP_OP_NS + LOCK_NS + MAP_OP_NS;
+        let publish = ATOMIC_NS;
+        let stage = MAP_OP_NS + LOCK_NS + ATOMIC_NS; // the write path's hit
+        let cluster = shard_cluster(1);
+        let mut s = cluster.session(0, 0);
+        s.execute(&[Op::Read(1)]).unwrap();
+
+        let two_doorbells = 2 * 50 + hit + reserve + p.rw_cost_ns(64) + publish + stage + p.rw_cost_ns(64);
+        let riding = 2 * 50 + hit + reserve + p.rw_cost_ns(64) + p.batched_cost_ns(64) + publish + stage;
+        assert_eq!(two_doorbells - riding, 1_450);
+        let txn = [Op::Rmw { key: 1, delta: 5 }, Op::Read(2)];
+        assert_eq!(round_trips_of(&mut s, &txn), (riding, 1));
+        let missed = 50 + reserve + p.rw_cost_ns(64) + publish + stage + p.rw_cost_ns(64);
+        assert_eq!(round_trips_of(&mut s, &[Op::Rmw { key: 3, delta: 5 }]), (missed, 2));
+        assert_eq!([1, 3].map(|k| stored(&cluster, k)), [5, 5]);
+    }
+
+    /// A riding transaction runs its ops before the fetch lands, yet its
+    /// reads come back in op order: the missed page's from the fetch, the
+    /// written page's before and after its delta.
+    #[test]
+    fn a_riding_write_returns_the_reads_in_op_order() {
+        let cluster = shard_cluster(1);
+        let mut s = cluster.session(0, 0);
+        s.execute(&[Op::Rmw { key: 1, delta: 5 }]).unwrap();
+        let ep = cluster.fabric().endpoint();
+        cluster.layer().write(&ep, cluster.table().payload_addr(2, 0), &7i64.to_le_bytes()).unwrap();
+        let txn = [Op::Read(2), Op::Rmw { key: 1, delta: 3 }, Op::Read(1)];
+        let rts = s.ep.stats().wire_round_trips();
+        let out = s.execute(&txn).unwrap();
+        assert_eq!(s.ep.stats().wire_round_trips() - rts, 1);
+        assert_eq!(out.reads.iter().map(|r| r.0).collect::<Vec<_>>(), [2, 1, 1]);
+        assert_eq!([0, 1, 2].map(|i| counter(&out, i)), [7, 5, 8]);
+        assert_eq!(stored(&cluster, 1), 8);
+    }
+
+    /// A write-through that fails — alone, or riding a fetch — leaves no
+    /// frame holding its bytes and no frame reserved, so the retry starts
+    /// from DSM and applies its delta once: DSM and the cache both hold
+    /// old + δ, where a kept frame made it old + 2δ.
+    #[test]
+    fn a_failed_write_through_is_retried_from_dsm() {
+        use dsm::RetryPolicy;
+        use rdma_sim::FaultPlan;
+        let cluster = shard_cluster(1);
+        let pool = &cluster.handler(0).unwrap().pool;
+        let addr = |key| cluster.table().payload_addr(key, 0);
+        let cached = |key| {
+            let mut buf = [0u8; 64];
+            assert!(pool.read_resident(&cluster.fabric().endpoint(), addr(key), &mut buf));
+            i64::from_le_bytes(buf[0..8].try_into().unwrap())
+        };
+        let mut s = cluster.session(0, 0);
+        s.execute(&[Op::Rmw { key: 1, delta: 5 }]).unwrap();
+        cluster.layer().set_retry_policy(RetryPolicy::none());
+        let alone = vec![Op::Rmw { key: 1, delta: 10 }];
+        let riding = vec![Op::Rmw { key: 1, delta: 10 }, Op::Read(2)];
+        for txn in [alone, riding] {
+            let (old, resident) = (stored(&cluster, 1), pool.resident());
+            assert_eq!(cached(1), old);
+            cluster.fabric().install_fault_plan(FaultPlan::new(7).transient_first_n(addr(1).node(), 1));
+            let err = s.execute(&txn).unwrap_err();
+            assert!(matches!(err, TxnError::Aborted("transient-fault")), "{err}");
+            assert!(!pool.contains(addr(1)) && !pool.contains(addr(2)));
+            assert_eq!(pool.resident(), resident - 1);
+            cluster.fabric().clear_fault_plan();
+            assert_eq!(stored(&cluster, 1), old);
+            s.execute(&txn).unwrap();
+            assert_eq!((stored(&cluster, 1), cached(1)), (old + 10, old + 10));
+        }
     }
 }

@@ -79,8 +79,13 @@ impl Membership {
 
     /// Current epoch of `node` (one 8-byte read, control-plane retried).
     pub fn epoch(&self, layer: &DsmLayer, ep: &Endpoint, node: usize) -> DsmResult<u64> {
-        self.retry
-            .run(ep, || layer.read_u64(ep, Self::slot(self.base, node, EPOCH_OFF)))
+        self.retry.run(ep, || layer.read_u64(ep, self.epoch_addr(node)))
+    }
+
+    /// Where `node`'s epoch word lives, for a caller that reads it in a
+    /// doorbell of its own (little-endian, like every word).
+    pub(crate) fn epoch_addr(&self, node: usize) -> GlobalAddr {
+        Self::slot(self.base, node, EPOCH_OFF)
     }
 
     /// Advance `node`'s epoch (one FAA), invalidating everything signed

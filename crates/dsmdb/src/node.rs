@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use buffer::BufferPool;
-use dsm::GlobalAddr;
+use dsm::{GlobalAddr, GlobalWr};
 use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Fabric, Mailbox, StatsSnapshot};
 use txn::table::RecordTable;
@@ -41,7 +41,8 @@ pub(crate) struct PageArena {
     buf: Vec<u8>,
     /// Unique page keys in first-touch order (slot i holds keys[i]).
     keys: Vec<u64>,
-    /// Whether slot i must be fetched (first op reads the old value).
+    /// Whether slot i must be fetched (first op reads the old value);
+    /// once the pool has served the hits, whether it is still in flight.
     fetch: Vec<bool>,
     /// Whether slot i was modified and must be written at commit.
     dirty: Vec<bool>,
@@ -67,6 +68,18 @@ impl PageArena {
         // bytes from the previous transaction are never observed.
         self.buf.resize(self.keys.len() * psize, 0);
     }
+}
+
+/// What a transaction body's page fetch carries behind its READs.
+enum Ride<'w> {
+    /// Nothing: the writes stay staged in the arena.
+    Nothing,
+    /// The shard owner's epoch-fence READ of the word at `addr`: `epoch`
+    /// takes it if a page was fetched, and stays `None` if none was.
+    Fence { addr: GlobalAddr, epoch: &'w mut Option<u64> },
+    /// The write-through, all of it, when no write needs a fetched byte;
+    /// otherwise it follows the fetch in a doorbell of its own.
+    WriteThrough,
 }
 
 /// The distinct keys of `ops`, ascending (the lock table's order).
@@ -185,24 +198,67 @@ impl NodeHandler {
     /// ops on the arena (no per-op allocation, no per-op pool lookup).
     /// Dirty slots stay in the arena for [`NodeHandler::write_back`].
     pub(crate) fn exec(&self, ep: &Endpoint, arena: &mut PageArena, ops: &[Op]) -> Result<TxnOutput, TxnError> {
+        self.run(ep, arena, ops, Ride::Nothing)
+    }
+
+    /// A single-shard transaction: [`NodeHandler::exec`], then its
+    /// write-through. If every page it writes was a hit or is overwritten
+    /// whole, the ops run before the fetch lands and the whole
+    /// write-through rides the fetch's doorbell — one wire round trip
+    /// where there were two; otherwise none of it does, since a write
+    /// split across two doorbells could land half.
+    pub(crate) fn exec_write(&self, ep: &Endpoint, arena: &mut PageArena, ops: &[Op]) -> Result<TxnOutput, TxnError> {
+        self.run(ep, arena, ops, Ride::WriteThrough)
+    }
+
+    /// The body of [`NodeHandler::exec`], with `ride` behind the fetch.
+    fn run(&self, ep: &Endpoint, arena: &mut PageArena, ops: &[Op], ride: Ride<'_>) -> Result<TxnOutput, TxnError> {
         let psize = self.pool.page_size();
         arena.plan(ops, psize);
         let PageArena { buf, keys, fetch, dirty } = arena;
-        {
+        let (_, pending) = {
             let mut reqs: Vec<(GlobalAddr, &mut [u8])> = buf
                 .chunks_exact_mut(psize)
                 .enumerate()
                 .filter(|(i, _)| fetch[*i])
                 .map(|(i, slot)| (self.table.payload_addr(keys[i], 0), slot))
                 .collect();
-            self.pool.read_pages(ep, &mut reqs)?;
+            self.pool.resolve_reads(ep, &mut reqs)?
+        };
+        for (j, in_flight) in fetch.iter_mut().filter(|f| **f).enumerate() {
+            *in_flight = pending.reserved(j);
         }
+        let slot_of = |key: u64| keys.iter().position(|&k| k == key).expect("planned");
+        let write_through = matches!(ride, Ride::WriteThrough);
+        let reads_only = |op: &Op| matches!(op, Op::Read(_));
+        let writes_ride = write_through
+            && !pending.is_empty()
+            && !ops.iter().all(reads_only)
+            && ops.iter().all(|op| reads_only(op) || !fetch[slot_of(op.key())]);
+        // The fetch the writes ride, still to be completed.
+        let pending = if writes_ride {
+            Some(pending)
+        } else {
+            let dsts = buf.chunks_exact_mut(psize).zip(fetch.iter()).filter(|(_, f)| **f);
+            let dsts = dsts.map(|(slot, _)| slot);
+            match ride {
+                Ride::Fence { addr, epoch } if !pending.is_empty() => {
+                    let mut word = [0u8; 8];
+                    pending.complete(ep, dsts, [GlobalWr::Read { addr, dst: &mut word }])?;
+                    *epoch = Some(u64::from_le_bytes(word));
+                }
+                _ => pending.complete(ep, dsts, None)?,
+            }
+            fetch.fill(false);
+            None
+        };
         let mut out = TxnOutput::default();
         for op in ops {
-            let i = keys.iter().position(|&k| k == op.key()).expect("planned");
+            let i = slot_of(op.key());
             let slot = &mut buf[i * psize..(i + 1) * psize];
             match op {
-                Op::Read(k) => out.reads.push((*k, slot.to_vec())),
+                // A slot still in flight is read once it has landed.
+                Op::Read(k) => out.reads.push((*k, if fetch[i] { Vec::new() } else { slot.to_vec() })),
                 Op::Update { value, .. } => {
                     slot.copy_from_slice(value);
                     dirty[i] = true;
@@ -214,6 +270,29 @@ impl NodeHandler {
                     dirty[i] = true;
                 }
             }
+        }
+        if let Some(pending) = pending {
+            let (mut dsts, mut writes) = (Vec::new(), Vec::new());
+            for (i, slot) in buf.chunks_exact_mut(psize).enumerate() {
+                if fetch[i] {
+                    dsts.push(slot);
+                } else if dirty[i] {
+                    writes.push((self.table.payload_addr(keys[i], 0), slot as &[u8]));
+                }
+            }
+            if !pending.complete_writing(ep, dsts, &writes)? {
+                self.pool.write_pages(ep, &writes)?;
+            }
+            // The fetched slots finish the reads.
+            let reading = ops.iter().filter(|op| !matches!(op, Op::Update { .. }));
+            for (read, op) in out.reads.iter_mut().zip(reading) {
+                let i = slot_of(op.key());
+                if fetch[i] {
+                    read.1 = buf[i * psize..(i + 1) * psize].to_vec();
+                }
+            }
+        } else if write_through {
+            self.write_back(ep, arena)?;
         }
         Ok(out)
     }
@@ -266,32 +345,33 @@ impl NodeHandler {
         Some(reply)
     }
 
-    /// The owner's half of a prepare: refuse a fenced coordinator, lock
-    /// the keys in the coordinator's name, read and stage on `arena`.
+    /// The owner's half of a prepare: lock the keys in the coordinator's
+    /// name, read and stage on `arena`, refuse a fenced coordinator.
     /// `None` is a No vote, with nothing held.
     fn prepare(&self, ep: &Endpoint, arena: &mut PageArena, body: &[u8]) -> Option<(Vec<u64>, TxnOutput)> {
         let (coord_epoch, coord_node, coord_trace, ops) = decode_prepare(body);
-        // Epoch fence: once the cluster bumps a node's epoch (declaring it
-        // crashed and its locks stealable), prepares signed with the older
-        // epoch are refused — a zombie coordinator that was merely
-        // partitioned cannot come back and drive a commit with pre-crash
-        // state. A last agent runs it too, before it decides. Membership
-        // unreadable: refuse, don't guess.
-        let current = self.membership.epoch(self.table.layer(), ep, coord_node);
-        if !current.is_ok_and(|epoch| coord_epoch >= epoch) {
-            return None;
-        }
         let keys = key_set(&ops);
         // Owner locks are held on behalf of the *coordinator's*
         // transaction: later conflicters blame the coordinator's trace.
         self.lock(ep, &keys, coord_trace).ok()?;
-        match self.exec(ep, arena, &ops) {
-            Ok(out) => Some((keys, out)),
-            Err(_) => {
-                self.locks.unlock_all(&keys);
-                None
-            }
+        // Epoch fence: once the cluster bumps a node's epoch (declaring it
+        // crashed and its locks stealable), prepares signed with the older
+        // epoch are refused — a zombie coordinator that was merely
+        // partitioned cannot come back and drive a commit with pre-crash
+        // state. A last agent runs it too, before it decides. Its READ
+        // rides the page fetch; with no page to fetch it goes alone, under
+        // the membership's own retries. Membership unreadable: refuse,
+        // don't guess.
+        let mut epoch = None;
+        let fence = Ride::Fence { addr: self.membership.epoch_addr(coord_node), epoch: &mut epoch };
+        let admitted = self.run(ep, arena, &ops, fence).ok().filter(|_| {
+            let current = epoch.map_or_else(|| self.membership.epoch(self.table.layer(), ep, coord_node), Ok);
+            current.is_ok_and(|epoch| coord_epoch >= epoch)
+        });
+        if admitted.is_none() {
+            self.locks.unlock_all(&keys);
         }
+        Some((keys, admitted?))
     }
 
     /// Carry out the decision on a prepared sub-transaction and release

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Five gates read off four runs of the benchmark, one verdict each.
+# Six gates read off five runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
@@ -62,6 +62,16 @@
 #    or serves the vote on a session again (0.2008 too) fails above
 #    MSG_LIMIT.
 #
+# From one `fit_read` run (3c, 1 session, half the records cached, 95/5
+# zipf-0.99 16-op txns):
+#
+# 6. A single-shard transaction whose writes need no fetched byte is one
+#    doorbell: `rdma-sim.wire_rts_per_txn`, exact on the sim clock
+#    (1.0735 at this seed: the write-through rides the page fetch when
+#    every page written was a hit). A change that gives the write-through
+#    a round trip of its own again (1.461 when it had one) fails above
+#    CACHED_WIRE_RT_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per 1 s run, ~5 s for the
@@ -76,6 +86,7 @@ WIRE_RT_LIMIT=4
 COHERENT_WIRE_RT_LIMIT=1.2
 INDEX_RT_LIMIT=1.1
 MSG_LIMIT=0.15
+CACHED_WIRE_RT_LIMIT=1.2
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
 # metric <name>: its value in the benchmark's last-line JSON.
@@ -115,9 +126,12 @@ btree_rts="$(metric index.btree_sim_rts_per_search)"
 race_rts="$(metric index.race_sim_rts_per_get)"
 last_line="$(run xshard_2pc)"
 msgs="$(metric rdma-sim.msgs_per_txn)"
+last_line="$(run fit_read)"
+cached_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
 gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
 gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT_LIMIT"
 gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
 gate "messages per txn on xshard_2pc" "$msgs" "$MSG_LIMIT"
+gate "wire round trips per txn on fit_read" "$cached_wire_rts" "$CACHED_WIRE_RT_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
