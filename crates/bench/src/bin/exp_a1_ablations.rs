@@ -3,16 +3,18 @@
 //! A — **doorbell batching** (§6 factor 1: "which RDMA primitive to
 //!     use"): replicating a log record to k memory nodes with one doorbell
 //!     vs k independent round trips.
-//! B — **invalidation vs update coherence** (§4 Approach #2: "many
-//!     implementation details can affect performance, e.g., invalidation-
-//!     vs. update-based"): the 3b engine under a shared-hot read-mostly
-//!     workload and a private-write control. Finding: invalidation wins
-//!     even when remote rereads are common, because it *clears* the
-//!     sharer bits — after one invalidation round the writer goes quiet
-//!     until the peer rereads — while update mode pays a synchronous
-//!     update+ack round on *every* write forever; and because a resident
-//!     page is a read permission only in invalidate mode, whose reads of
-//!     it take no lock, while update mode locks every read.
+//! B — **coherence** (§4 Approach #2: "many implementation details can
+//!     affect performance, e.g., invalidation- vs. update-based"): the 3b
+//!     engine under a shared-hot read-mostly workload. Only invalidation
+//!     is built. The last committed report that had both read 3.68 M
+//!     txn/s for invalidate against 498 k for update on this mix, and
+//!     309 k vs 309 k on a private-writes control (EXPERIMENTS.md,
+//!     "Update mode deleted"). Invalidation wins even when remote rereads
+//!     are common because it *clears* the sharer bits — after one
+//!     invalidation round the writer goes quiet until the peer rereads —
+//!     and because a resident page is a read permission whose reads take
+//!     no lock; update mode paid an update+ack round on every write and
+//!     had to lock every read.
 //! C — **fabric sensitivity**: the C1 cache-fraction knee at ConnectX-6
 //!     vs an older 56 Gb/s fabric vs datacenter TCP — the gap-ratio
 //!     argument of §5 in one table.
@@ -72,58 +74,42 @@ fn ablation_doorbell(rep: &mut Report) {
 }
 
 fn ablation_coherence(rep: &mut Report, txns: usize) {
-    println!("B — coherence protocol: invalidate vs update (2 nodes x 1 thread)\n");
+    println!("B — coherence protocol: invalidate (2 nodes x 1 thread)\n");
     table::header(&["workload", "mode", "txn/s"]);
     // Shared-hot: both nodes reread a hot set that both occasionally
-    // update — update-mode keeps remote copies warm, invalidation forces
-    // refetches. Private: each node only touches its own keys (control:
-    // coherence traffic should be ~zero and the modes should tie).
-    for workload in ["shared-hot 90/10", "private-writes"] {
-        for mode in [CoherenceMode::Invalidate, CoherenceMode::Update] {
-            let cluster = Cluster::build(ClusterConfig {
-                compute_nodes: 2,
-                threads_per_node: 1,
-                memory_nodes: 1,
-                n_records: 128,
-                payload_size: 64,
-                cache_frames: 128,
-                profile: NetworkProfile::rdma_cx6(),
-                architecture: Architecture::CacheNoShard(mode),
-                cc: CcProtocol::TplExclusive,
-                ..Default::default()
-            })
-            .unwrap();
-            let shared = workload.starts_with("shared");
-            let r = run_cluster_workload(&cluster, txns, move |n, _t, i| {
-                if shared {
-                    let key = (i % 32) as u64;
-                    if i % 10 == n {
-                        vec![Op::Rmw { key, delta: 1 }]
-                    } else {
-                        vec![Op::Read(key)]
-                    }
-                } else {
-                    let key = (n as u64) * 64 + (i % 64) as u64;
-                    vec![Op::Rmw { key, delta: 1 }]
-                }
-            });
-            let name = if mode == CoherenceMode::Invalidate {
-                "invalidate"
-            } else {
-                "update"
-            };
-            table::row(&[workload.into(), name.into(), table::n(r.tps() as u64)]);
-            rep.row(
-                &format!("coherence {workload} mode={name}"),
-                vec![
-                    ("workload_name", Json::S(workload.to_string())),
-                    ("mode", Json::S(name.to_string())),
-                    ("workload", report::workload_json(&r)),
-                ],
-            );
+    // update, so invalidations force refetches.
+    let workload = "shared-hot 90/10";
+    let cluster = Cluster::build(ClusterConfig {
+        compute_nodes: 2,
+        threads_per_node: 1,
+        memory_nodes: 1,
+        n_records: 128,
+        payload_size: 64,
+        cache_frames: 128,
+        profile: NetworkProfile::rdma_cx6(),
+        architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
+        cc: CcProtocol::TplExclusive,
+        ..Default::default()
+    })
+    .unwrap();
+    let r = run_cluster_workload(&cluster, txns, move |n, _t, i| {
+        let key = (i % 32) as u64;
+        if i % 10 == n {
+            vec![Op::Rmw { key, delta: 1 }]
+        } else {
+            vec![Op::Read(key)]
         }
-        println!();
-    }
+    });
+    table::row(&[workload.into(), "invalidate".into(), table::n(r.tps() as u64)]);
+    rep.row(
+        &format!("coherence {workload} mode=invalidate"),
+        vec![
+            ("workload_name", Json::S(workload.to_string())),
+            ("mode", Json::S("invalidate".to_string())),
+            ("workload", report::workload_json(&r)),
+        ],
+    );
+    println!();
 }
 
 fn ablation_fabric(rep: &mut Report, txns: usize) {

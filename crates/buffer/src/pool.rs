@@ -988,36 +988,6 @@ impl BufferPool {
         }
     }
 
-    /// Overwrite the cached copy of `addr` in place if resident (coherence
-    /// *update* protocol). Returns whether a copy was resident.
-    pub fn update_if_resident(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> bool {
-        assert_eq!(src.len(), self.page_size);
-        let key = addr.to_raw();
-        let sh = &self.shards[self.shard_of(key)];
-        let mut inner = sh.inner.lock();
-        loop {
-            let s = &mut *inner;
-            match s.page_table.get(&key) {
-                Some(&f) if s.frames[f].filling => {
-                    sh.cv.wait(&mut inner);
-                }
-                Some(&f) => {
-                    ep.charge_local(copy_cost_ns(self.page_size));
-                    s.frames[f].data.copy_from_slice(src);
-                    Self::charge(ep, s, MAP_OP_NS + LOCK_NS);
-                    return true;
-                }
-                None if s.writing_back.contains(&key) => {
-                    sh.cv.wait(&mut inner);
-                }
-                None => {
-                    Self::charge(ep, s, MAP_OP_NS + LOCK_NS);
-                    return false;
-                }
-            }
-        }
-    }
-
     /// Drop every resident page without writeback (bulk invalidation
     /// after a metadata-only reshard; write-through pools hold no dirty
     /// state). Charged as one latched sweep per shard.
@@ -1200,20 +1170,6 @@ mod tests {
         let mut buf = [0u8; 64];
         assert!(!pool.read_page(&ep, addr, &mut buf).unwrap());
         assert_eq!(buf, [7u8; 64]);
-    }
-
-    #[test]
-    fn update_if_resident_refreshes_copy() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
-        let ep = f.endpoint();
-        let addr = layer.alloc(64).unwrap();
-        let mut buf = [0u8; 64];
-        pool.read_page(&ep, addr, &mut buf).unwrap();
-        assert!(pool.update_if_resident(&ep, addr, &[3u8; 64]));
-        pool.read_page(&ep, addr, &mut buf).unwrap();
-        assert_eq!(buf, [3u8; 64]);
-        let other = layer.alloc(64).unwrap();
-        assert!(!pool.update_if_resident(&ep, other, &[4u8; 64]));
     }
 
     #[test]

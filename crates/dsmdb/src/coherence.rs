@@ -3,7 +3,7 @@
 //! §4 Challenge 4, Approach #2: "a software-level cache coherence
 //! protocol is needed to broadcast changes made by a compute node …
 //! many implementation details can affect performance, e.g., invalidation-
-//! vs. update-based". Both flavours are here, built on:
+//! vs. update-based". This is the invalidation-based one, built on:
 //!
 //! * a **sharer word** per record — the bitmap of compute nodes that may
 //!   cache it (64-node limit = 64 bits), kept in the record header right
@@ -14,9 +14,9 @@
 //! * two-sided **coherence messages** between compute nodes; writers
 //!   block (in virtual time) until every sharer acknowledges, which keeps
 //!   the protocol sequentially consistent under the record locks the
-//!   lock-based CC already holds. A transaction's invalidations (or
-//!   updates) for all its written keys go out as one message per sharer
-//!   node in one doorbell, and it waits for the acks once.
+//!   lock-based CC already holds. A transaction's invalidations for all
+//!   its written keys go out as one message per sharer node in one
+//!   doorbell, and it waits for the acks once.
 //!
 //! A node sets its bit in the release doorbell of the transaction that
 //! filled its cache, and holds the record's lock from the fetch until
@@ -25,16 +25,15 @@
 //! not clear bits — a later invalidation of a non-resident page is simply
 //! acked, trading a rare spurious message for a cheaper eviction path.
 //!
-//! In invalidate mode a resident page is therefore a **read permission**
-//! the node already holds, lazily: no writer commits over it before this
-//! node has dropped it. A read-only transaction whose pages are all
-//! resident reads them out of the pool with no lock and no verb
+//! A resident page is therefore a **read permission** the node already
+//! holds, lazily: no writer commits over it before this node has dropped
+//! it. A read-only transaction whose pages are all resident reads them
+//! out of the pool with no lock and no verb
 //! ([`CoherentIo::read_unlocked`](txn::PayloadIo::read_unlocked)), and
 //! the permission is revoked only by the invalidation a writer sends
 //! anyway. The pool does not serve a page that way while the transaction
 //! that installed it has not settled, since its bytes may not be committed
-//! yet. Update mode keeps the lock for every read: it pushes a writer's
-//! value into the remote copies before that writer commits.
+//! yet.
 //!
 //! Each node answers coherence requests on its message handler
 //! ([`NodeHandler`], which serves 3c's commit messages the same way), not
@@ -49,7 +48,6 @@ use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase};
 use txn::table::RecordTable;
 use txn::{KeyUse, PayloadIo, Rider};
 
-use crate::config::CoherenceMode;
 use crate::node::NodeHandler;
 
 /// Mailbox-id convention: compute node `n`'s inbox.
@@ -64,28 +62,18 @@ pub fn session_inbox_id(node: usize, thread: usize) -> MailboxId {
 
 // Message kinds of coherence requests, apart from `txn::twopc`'s 1..=7 on
 // the same inboxes. A request is `[kind | reply-to | page…]`, each page its
-// 8-byte address followed, in an update, by the new payload; an ack is
-// `[MSG_ACK]` + the request's next 16 bytes.
+// 8-byte address; an ack is `[MSG_ACK]` + the request's next 16 bytes.
 const MSG_INVALIDATE: u8 = 0x11;
-const MSG_UPDATE: u8 = 0x12;
 const MSG_ACK: u8 = 0x13;
 
-/// A node handler's answer to a coherence request: drop (or refresh) in
-/// `pool` every page it names, then the ack. `None` for any other message.
+/// A node handler's answer to a coherence request: drop from `pool` every
+/// page it names, then the ack. `None` for any other message.
 pub(crate) fn answer(pool: &BufferPool, ep: &Endpoint, payload: &[u8]) -> Option<Vec<u8>> {
-    let entry = match payload.first() {
-        Some(&MSG_INVALIDATE) => 8,
-        Some(&MSG_UPDATE) => 8 + pool.page_size(),
-        _ => return None,
-    };
-    for page in payload[9..].chunks_exact(entry) {
-        let (addr, data) = page.split_at(8);
-        let addr = GlobalAddr::from_raw(u64::from_le_bytes(addr.try_into().unwrap()));
-        if payload[0] == MSG_INVALIDATE {
-            pool.invalidate(ep, addr);
-        } else {
-            pool.update_if_resident(ep, addr, data);
-        }
+    if payload.first() != Some(&MSG_INVALIDATE) {
+        return None;
+    }
+    for addr in payload[9..].chunks_exact(8) {
+        pool.invalidate(ep, GlobalAddr::from_raw(u64::from_le_bytes(addr.try_into().unwrap())));
     }
     let mut ack = vec![MSG_ACK];
     ack.extend_from_slice(&payload[1..17]);
@@ -100,12 +88,10 @@ const HDR: usize = 16;
 /// The Figure 3b payload path, one per session: what a transaction reads
 /// comes from the node's pool or, for a page that is not resident, with
 /// the lock CAS; what it writes goes through to DSM with the unlock, after
-/// every other sharer has dropped or refreshed its copy.
+/// every other sharer has dropped its copy.
 pub struct CoherentIo {
     /// This node's handler, which owns its pool.
     pub handler: Arc<NodeHandler>,
-    /// Invalidate vs update.
-    pub mode: CoherenceMode,
     /// Session-private reply inbox (the session keeps a handle too).
     pub reply: Arc<Mailbox>,
     /// Its id (put into messages as reply-to, and the tag this session
@@ -142,29 +128,22 @@ impl CoherentIo {
     }
 
     /// The writer side of the protocol for a transaction's written pages,
-    /// each `(page, other sharers, new value)`: tell every node that holds
-    /// one of them to drop (or take the new value of) its copies, one
-    /// message per node in one doorbell, and wait for their acks.
-    fn propagate(&self, ep: &Endpoint, pages: &[(GlobalAddr, u64, &[u8])]) -> DsmResult<()> {
+    /// each `(page, other sharers)`: tell every node that holds one of them
+    /// to drop its copies, one message per node in one doorbell, and wait
+    /// for their acks.
+    fn propagate(&self, ep: &Endpoint, pages: &[(GlobalAddr, u64)]) -> DsmResult<()> {
         let _span = ep.span(Phase::CoherenceInval);
-        for &(_, others, _) in pages {
+        for &(_, others) in pages {
             ep.note_inval_fanout(others.count_ones() as u64);
         }
-        let kind = match self.mode {
-            CoherenceMode::Invalidate => MSG_INVALIDATE,
-            CoherenceMode::Update => MSG_UPDATE,
-        };
         // The first message pays the full send latency, the rest ride
         // along. Nodes that never started (or already stopped) cannot hold
         // a stale copy, so `send_batch` skipping them is correct.
         let msgs = (0..self.compute_nodes).filter_map(|node| {
-            let mut payload = vec![kind];
+            let mut payload = vec![MSG_INVALIDATE];
             payload.extend_from_slice(&self.reply_id.to_le_bytes());
-            for &(page, _, data) in pages.iter().filter(|(_, others, _)| others & (1 << node) != 0) {
+            for &(page, _) in pages.iter().filter(|(_, others)| others & (1 << node) != 0) {
                 payload.extend_from_slice(&page.to_raw().to_le_bytes());
-                if kind == MSG_UPDATE {
-                    payload.extend_from_slice(data);
-                }
             }
             (payload.len() > 9).then(|| (node_inbox_id(node), self.reply_id, payload))
         });
@@ -237,17 +216,12 @@ impl PayloadIo for CoherentIo {
         HDR
     }
 
-    /// In invalidate mode, every page resident and settled: copy them all
-    /// out of the pool at one instant ([`BufferPool::read_resident_set`]).
-    /// Each is the latest committed value then — a writer commits over a
-    /// page only after this node's handler has dropped it — so the set is
-    /// read as of that instant, with no lock and no verb. Update mode
-    /// always answers false: a remote copy there may hold a value its
-    /// writer has not committed.
+    /// Every page resident and settled: copy them all out of the pool at
+    /// one instant ([`BufferPool::read_resident_set`]). Each is the latest
+    /// committed value then — a writer commits over a page only after this
+    /// node's handler has dropped it — so the set is read as of that
+    /// instant, with no lock and no verb.
     fn read_unlocked(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse], buf: &mut [u8]) -> bool {
-        if self.mode != CoherenceMode::Invalidate {
-            return false;
-        }
         let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
         let mut reqs: Vec<_> = uses
             .iter()
@@ -292,7 +266,7 @@ impl PayloadIo for CoherentIo {
         Ok(())
     }
 
-    /// Every other sharer of a written key drops or refreshes its copy —
+    /// Every other sharer of a written key drops its copy —
     /// one message round for the whole set — and the payload goes through
     /// to DSM. For a written or fetched key: the pool takes the page, held
     /// until [`settle`](PayloadIo::settle), and the sharer word — only if
@@ -308,12 +282,12 @@ impl PayloadIo for CoherentIo {
         let me = 1u64 << self.handler.node;
         let size = HDR + table.payload_size();
         let sharers_in = |chunk: &[u8]| u64::from_le_bytes(chunk[..8].try_into().expect("8-byte sharer word"));
-        let shared: Vec<(GlobalAddr, u64, &[u8])> = uses
+        let shared: Vec<(GlobalAddr, u64)> = uses
             .iter()
             .zip(buf.chunks_exact(size))
             .filter(|(u, _)| u.written)
-            .map(|(u, chunk)| (Self::page_addr(table, u.key), sharers_in(chunk) & !me, &chunk[HDR..]))
-            .filter(|&(_, others, _)| others != 0)
+            .map(|(u, chunk)| (Self::page_addr(table, u.key), sharers_in(chunk) & !me))
+            .filter(|&(_, others)| others != 0)
             .collect();
         if !shared.is_empty() {
             self.propagate(ep, &shared)?;
@@ -323,10 +297,7 @@ impl PayloadIo for CoherentIo {
             let sharers = sharers_in(chunk);
             let (hdr, copy) = chunk.split_at_mut(HDR);
             self.handler.pool.install_page(ep, Self::page_addr(table, u.key), copy, self.reply_id)?;
-            let keep = match self.mode {
-                CoherenceMode::Invalidate if u.written => me,
-                _ => sharers | me,
-            };
+            let keep = if u.written { me } else { sharers | me };
             hdr[..8].copy_from_slice(&keep.to_le_bytes());
             let (hdr, copy): (&'a [u8], &'a [u8]) = (hdr, copy);
             if u.written {
@@ -375,18 +346,17 @@ mod tests {
     }
 
     /// A session's io on `cache`, replying to `session_inbox_id(node, thread)`.
-    fn io_on(fabric: &Arc<Fabric>, cache: &Arc<NodeHandler>, mode: CoherenceMode, thread: usize) -> CoherentIo {
+    fn io_on(fabric: &Arc<Fabric>, cache: &Arc<NodeHandler>, thread: usize) -> CoherentIo {
         let reply_id = session_inbox_id(cache.node, thread);
         CoherentIo {
             handler: cache.clone(),
-            mode,
             reply: Arc::new(fabric.mailboxes().register(reply_id)),
             reply_id,
             compute_nodes: 2,
         }
     }
 
-    fn setup(mode: CoherenceMode) -> Setup {
+    fn setup() -> Setup {
         let fabric = Fabric::new(NetworkProfile::zero());
         let layer = DsmLayer::build(
             &fabric,
@@ -406,7 +376,7 @@ mod tests {
                 Arc::new(NodeHandler::new(&fabric, n, pool, table.clone(), membership.clone()))
             })
             .collect();
-        let ios = caches.iter().map(|cache| io_on(&fabric, cache, mode, 0)).collect();
+        let ios = caches.iter().map(|cache| io_on(&fabric, cache, 0)).collect();
         Setup {
             layer,
             table,
@@ -436,7 +406,7 @@ mod tests {
     #[test]
     fn read_sets_directory_bit() {
         // The directory entry is the sharer word beside the lock word.
-        let Setup { layer, table, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         let mut buf = [0u8; 16];
         ios[0].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
@@ -452,7 +422,7 @@ mod tests {
 
     #[test]
     fn invalidation_drops_remote_copy() {
-        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, caches, ios, .. } = setup();
         let ep0 = layer.fabric().endpoint();
         let ep1 = layer.fabric().endpoint();
         let mut buf = [0u8; 16];
@@ -473,28 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn update_mode_refreshes_remote_copy_in_place() {
-        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Update);
-        let ep0 = layer.fabric().endpoint();
-        let ep1 = layer.fabric().endpoint();
-        let mut buf = [0u8; 16];
-        ios[1].read_payload(&ep1, &table, 7, 0, &mut buf).unwrap();
-        let (io0, t) = (&ios[0], &table);
-        while_node_1_serves(&caches, move || {
-            io0.write_payload(&ep0, t, 7, 0, &[4u8; 16]).unwrap();
-        });
-        assert_eq!(sharers(&table, 7), 0b11, "both still hold a copy");
-        // Still resident AND fresh — and the reread is a pure hit.
-        assert_eq!(caches[1].pool.resident(), 1);
-        let before = caches[1].pool.stats().hits;
-        ios[1].read_payload(&ep1, &table, 7, 0, &mut buf).unwrap();
-        assert_eq!(buf, [4u8; 16]);
-        assert_eq!(caches[1].pool.stats().hits, before + 1);
-    }
-
-    #[test]
     fn write_with_no_sharers_sends_nothing() {
-        let Setup { layer, table, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         ios[0].write_payload(&ep, &table, 9, 0, &[1u8; 16]).unwrap();
         assert_eq!(ep.stats().sends, 0);
@@ -525,7 +475,7 @@ mod tests {
 
     #[test]
     fn a_page_evicted_between_ride_and_admit_is_fetched_under_the_lock() {
-        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         ios[0].write_payload(&ep, &table, 4, 0, &[8u8; 16]).unwrap();
         // Resident at `ride`: nothing rides, the pool serves `admit`.
@@ -543,11 +493,11 @@ mod tests {
 
     #[test]
     fn a_written_frame_is_not_read_without_the_lock_until_its_release_returned() {
-        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         ios[0].write_payload(&ep, &table, 4, 0, &[1u8; 16]).unwrap();
         // A sibling session of node 0, reading key 4 with no lock.
-        let sibling = io_on(layer.fabric(), &caches[0], CoherenceMode::Invalidate, 1);
+        let sibling = io_on(layer.fabric(), &caches[0], 1);
         let read = [KeyUse { key: 4, written: false, reads_old: true, fetched: false }];
         let unlocked = || {
             let mut buf = vec![0u8; HDR + 16];
@@ -572,14 +522,11 @@ mod tests {
         ExclusiveLock::release_set(&layer, &ep, &writes, &mut words, 7).unwrap();
         ios[0].settle(&ep, &table, &uses, true);
         assert_eq!(unlocked(), Some(2));
-        // Update mode never serves without the lock.
-        let update = io_on(layer.fabric(), &caches[0], CoherenceMode::Update, 2);
-        assert!(!update.read_unlocked(&ep, &table, &read, &mut [0u8; HDR + 16]));
     }
 
     #[test]
     fn a_payload_read_from_a_migrations_new_home_rides_apart_from_the_sharer_word() {
-        let Setup { layer, table, caches, ios, .. } = setup(CoherenceMode::Invalidate);
+        let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         ios[0].write_payload(&ep, &table, 2, 0, &[3u8; 16]).unwrap();
         let dst = layer.join_group(4 << 20, 1, 4.0);

@@ -15,13 +15,15 @@ pub enum Architecture {
 }
 
 /// Software cache-coherence flavour for [`Architecture::CacheNoShard`]
-/// (§4 Approach #2: "invalidation- vs. update-based").
+/// (§4 Approach #2: "invalidation- vs. update-based"). Only invalidation
+/// is built: the update-based flavour lost or tied on every measured mix
+/// and could leave a remote copy holding a value that never committed
+/// (EXPERIMENTS.md, "Update mode deleted"). The one variant stays because
+/// the standalone benchmark workspace names it; nothing here matches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceMode {
     /// Writers invalidate remote cached copies (copies refetch on demand).
     Invalidate,
-    /// Writers push the new value into remote cached copies.
-    Update,
 }
 
 /// Concurrency-control protocol selection (§4 Challenge 6).
@@ -166,7 +168,7 @@ mod tests {
         // Shared-exclusive 2PL keeps its holder count in the very word the
         // coherent cache keeps its sharers in.
         ClusterConfig {
-            architecture: Architecture::CacheNoShard(CoherenceMode::Update),
+            architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
             cc: CcProtocol::TplSharedExclusive,
             ..Default::default()
         }

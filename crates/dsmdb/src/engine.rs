@@ -237,9 +237,8 @@ impl Cluster {
         let handler = self.nodes[node].clone();
         let io: Box<dyn PayloadIo> = match self.config.architecture {
             Architecture::NoCacheNoShard | Architecture::CacheShard => Box::new(DirectIo),
-            Architecture::CacheNoShard(mode) => Box::new(CoherentIo {
+            Architecture::CacheNoShard(_) => Box::new(CoherentIo {
                 handler: handler.clone().expect("3b handler"),
-                mode,
                 reply: reply.clone(),
                 reply_id,
                 compute_nodes: self.config.compute_nodes,
@@ -809,16 +808,6 @@ mod tests {
     fn multi_master_bank_invariant_3b() {
         bank_run(
             Architecture::CacheNoShard(CoherenceMode::Invalidate),
-            CcProtocol::TplExclusive,
-            2,
-            2,
-        );
-    }
-
-    #[test]
-    fn multi_master_bank_invariant_3b_update_mode() {
-        bank_run(
-            Architecture::CacheNoShard(CoherenceMode::Update),
             CcProtocol::TplExclusive,
             2,
             2,

@@ -9,10 +9,10 @@
 //!   one-sided verb; no local state, no coherence problem; any CC
 //!   protocol from the `txn` crate.
 //! * [`Architecture::CacheNoShard`] (Fig. 3b) — every compute node caches
-//!   hot records in a buffer pool; a software coherence protocol
-//!   (invalidation- or update-based, §4 Approach #2) whose directory is
-//!   one sharer word beside each record's lock word keeps the caches
-//!   consistent; exclusive 2PL, whose two doorbells carry that word.
+//!   hot records in a buffer pool; an invalidation-based software
+//!   coherence protocol (§4 Approach #2) whose directory is one sharer
+//!   word beside each record's lock word keeps the caches consistent;
+//!   exclusive 2PL, whose two doorbells carry that word.
 //! * [`Architecture::CacheShard`] (Fig. 3c) — logical range sharding:
 //!   the owner runs its shard with *local* latches and its cache needs no
 //!   coherence; cross-shard transactions are function-shipped to owners

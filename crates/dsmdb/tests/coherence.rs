@@ -19,7 +19,7 @@ use rdma_sim::{FaultPlan, NetworkProfile};
 
 const PAYLOAD: usize = 64;
 
-fn cluster(mode: CoherenceMode, profile: NetworkProfile, n_records: u64, frames: usize) -> Arc<Cluster> {
+fn cluster(profile: NetworkProfile, n_records: u64, frames: usize) -> Arc<Cluster> {
     Cluster::build(ClusterConfig {
         compute_nodes: 2,
         threads_per_node: 2,
@@ -28,7 +28,7 @@ fn cluster(mode: CoherenceMode, profile: NetworkProfile, n_records: u64, frames:
         payload_size: PAYLOAD,
         cache_frames: frames,
         profile,
-        architecture: Architecture::CacheNoShard(mode),
+        architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
         cc: CcProtocol::TplExclusive,
         ..Default::default()
     })
@@ -119,7 +119,7 @@ fn every_access_class_costs_what_the_model_gives() {
     let install_hit = MAP_OP_NS + LOCK_NS + ATOMIC_NS;
     let install_miss = MAP_OP_NS + LOCK_NS + MAP_OP_NS + ATOMIC_NS;
 
-    let c = cluster(CoherenceMode::Invalidate, p, 64, 64);
+    let c = cluster(p, 64, 64);
     let mut s0 = c.session(0, 0);
     // Past anything cluster bring-up reserved on the atomic units.
     s0.endpoint().charge_local(1_000_000);
@@ -201,32 +201,22 @@ fn every_access_class_costs_what_the_model_gives() {
 
 #[test]
 fn a_write_finds_its_remote_sharer_in_the_word_that_came_with_the_lock() {
-    for mode in [CoherenceMode::Invalidate, CoherenceMode::Update] {
-        let c = cluster(mode, NetworkProfile::rdma_cx6(), 64, 64);
-        let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
-        s1.execute(&[Op::Read(5)]).unwrap();
-        assert_eq!((sharer_word(&c, 5), resident(&c, 1, 5)), (0b10, true));
-        // Node 0 writes: two doorbells and one message round, no READ or
-        // CAS on a directory in between.
-        let write = with_peer(&c, || cost_of(&mut s0, &[Op::Rmw { key: 5, delta: 7 }]));
-        assert_eq!((write.wire_rts, write.sends), (2, 1), "{mode:?}");
-        let hits = c.handler(1).unwrap().pool.stats().hits;
-        match mode {
-            CoherenceMode::Invalidate => {
-                assert!(!resident(&c, 1, 5), "the remote copy is gone");
-                assert_eq!(sharer_word(&c, 5), 0b01);
-            }
-            CoherenceMode::Update => {
-                assert!(resident(&c, 1, 5), "the remote copy was refreshed in place");
-                assert_eq!(sharer_word(&c, 5), 0b11);
-            }
-        }
-        assert_eq!(s1.execute(&[Op::Read(5)]).unwrap().reads[0].1, payload(7), "{mode:?}");
-        let served_locally = c.handler(1).unwrap().pool.stats().hits == hits + 1;
-        assert_eq!(served_locally, mode == CoherenceMode::Update);
-        assert_eq!(sharer_word(&c, 5), 0b11);
-        assert_eq!(lock_word(&c, 5), 0);
-    }
+    let c = cluster(NetworkProfile::rdma_cx6(), 64, 64);
+    let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
+    s1.execute(&[Op::Read(5)]).unwrap();
+    assert_eq!((sharer_word(&c, 5), resident(&c, 1, 5)), (0b10, true));
+    // Node 0 writes: two doorbells and one message round, no READ or
+    // CAS on a directory in between.
+    let write = with_peer(&c, || cost_of(&mut s0, &[Op::Rmw { key: 5, delta: 7 }]));
+    assert_eq!((write.wire_rts, write.sends), (2, 1));
+    assert!(!resident(&c, 1, 5), "the remote copy is gone");
+    assert_eq!(sharer_word(&c, 5), 0b01);
+    // Node 1 rereads from DSM, not from its pool.
+    let hits = c.handler(1).unwrap().pool.stats().hits;
+    assert_eq!(s1.execute(&[Op::Read(5)]).unwrap().reads[0].1, payload(7));
+    assert_eq!(c.handler(1).unwrap().pool.stats().hits, hits);
+    assert_eq!(sharer_word(&c, 5), 0b11);
+    assert_eq!(lock_word(&c, 5), 0);
 }
 
 /// `ops` on `s0` while `s1`, a session of the other node, answers its
@@ -251,7 +241,7 @@ fn cost_served_by(s0: &mut Session, s1: &mut Session, ops: &[Op]) -> Cost {
 #[test]
 fn an_ack_costs_the_same_whatever_the_serving_sessions_clock_reads() {
     let p = NetworkProfile::rdma_cx6();
-    let c = cluster(CoherenceMode::Invalidate, p, 64, 64);
+    let c = cluster(p, 64, 64);
     let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
     s0.endpoint().charge_local(1_000_000);
     s0.execute(&[Op::Read(5)]).unwrap();
@@ -282,7 +272,7 @@ fn an_ack_costs_the_same_whatever_the_serving_sessions_clock_reads() {
 #[test]
 fn a_write_to_several_shared_records_is_one_message_round() {
     let p = NetworkProfile::rdma_cx6();
-    let c = cluster(CoherenceMode::Invalidate, p, 64, 64);
+    let c = cluster(p, 64, 64);
     let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
     s0.endpoint().charge_local(1_000_000);
     // Keys 5 and 6 live on different memory nodes; both nodes cache both.
@@ -322,7 +312,7 @@ fn a_lock_free_read_sees_a_transfer_whole_or_not_at_all() {
     const A: u64 = 2;
     const B: u64 = 3;
     const ROUNDS: usize = 300;
-    let c = cluster(CoherenceMode::Invalidate, NetworkProfile::rdma_cx6(), 64, 64);
+    let c = cluster(NetworkProfile::rdma_cx6(), 64, 64);
     let finished = AtomicUsize::new(0);
     let lock_free = AtomicUsize::new(0);
     let transfer = |i: usize| {
@@ -382,7 +372,7 @@ fn a_lock_free_read_sees_a_transfer_whole_or_not_at_all() {
 
 #[test]
 fn a_failed_release_leaves_no_page_it_filled_and_no_bit_it_meant_to_set() {
-    let c = cluster(CoherenceMode::Invalidate, NetworkProfile::rdma_cx6(), 64, 64);
+    let c = cluster(NetworkProfile::rdma_cx6(), 64, 64);
     let mut s0 = c.session(0, 0);
     s0.execute(&[Op::Rmw { key: 2, delta: 1 }]).unwrap();
     // Odd keys live on the second memory node, which disappears right
@@ -408,6 +398,31 @@ fn a_failed_release_leaves_no_page_it_filled_and_no_bit_it_meant_to_set() {
     assert_eq!(out.reads[1].1, payload(1));
 }
 
+#[test]
+fn a_failed_release_leaves_no_remote_copy_holding_a_value_that_never_committed() {
+    let c = cluster(NetworkProfile::rdma_cx6(), 64, 64);
+    let (mut s0, mut s1) = (c.session(0, 0), c.session(1, 0));
+    s0.execute(&[Op::Rmw { key: 2, delta: 1 }]).unwrap();
+    s1.execute(&[Op::Read(2)]).unwrap();
+    assert!(resident(&c, 1, 2));
+    // Key 3's memory node disappears right after the acquire doorbell of
+    // a transaction that writes both keys left: its release fails after
+    // node 1 was told about key 2.
+    let dead = c.table().lock_addr(3).node();
+    assert_ne!(dead, c.table().lock_addr(2).node());
+    let now = s0.endpoint().clock().now_ns();
+    c.fabric().install_fault_plan(FaultPlan::new(1).crash(dead, now + 1, u64::MAX));
+    let ops = [Op::Rmw { key: 2, delta: 1 }, Op::Rmw { key: 3, delta: 1 }];
+    let err = with_peer(&c, || s0.execute(&ops)).unwrap_err();
+    assert_eq!(err, TxnError::NodeUnavailable { node: dead });
+    assert_eq!(word(&c, c.table().payload_addr(2, 0)), 1);
+    // Node 1 holds no copy of key 2, so its reread sees the committed 1.
+    let held = resident(&c, 1, 2);
+    let reread = s1.execute(&[Op::Read(2)]).unwrap().reads[0].1.clone();
+    let counter = i64::from_le_bytes(reread[..8].try_into().unwrap());
+    assert_eq!((held, counter), (false, 1));
+}
+
 /// One generated op: `(kind, which of the txn's keys, value)`.
 type OpSeed = (u8, usize, i64);
 
@@ -430,7 +445,6 @@ proptest! {
     /// node whose pool holds the page.
     #[test]
     fn two_nodes_match_a_model_and_the_sharer_word_covers_every_copy(
-        update_mode in any::<bool>(),
         txns in proptest::collection::vec(
             (
                 any::<bool>(),
@@ -441,8 +455,7 @@ proptest! {
         ),
     ) {
         const RECORDS: u64 = 12;
-        let mode = if update_mode { CoherenceMode::Update } else { CoherenceMode::Invalidate };
-        let c = cluster(mode, NetworkProfile::zero(), RECORDS, 8);
+        let c = cluster(NetworkProfile::zero(), RECORDS, 8);
         let mut sessions = [c.session(0, 0), c.session(1, 0)];
         let mut model = vec![payload(0); RECORDS as usize];
         with_peer(&c, || {
@@ -462,7 +475,7 @@ proptest! {
                     }
                 }
                 let out = sessions[usize::from(*on_node_1)].execute(&ops).unwrap();
-                prop_assert_eq!(&out.reads, &want, "{:?} {:?}", mode, ops);
+                prop_assert_eq!(&out.reads, &want, "{:?}", ops);
                 for key in 0..RECORDS {
                     prop_assert_eq!(lock_word(&c, key), 0, "key {} after {:?}", key, ops);
                     let holders = (0..2).filter(|&n| resident(&c, n, key)).fold(0u64, |bits, n| bits | 1 << n);
