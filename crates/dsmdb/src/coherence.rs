@@ -163,55 +163,9 @@ impl CoherentIo {
         }
         Ok(())
     }
-
-    /// One key's three steps on their own, `body` in place of the ops: for
-    /// a caller that already holds the key's exclusive lock.
-    fn under_lock(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        mut uses: [KeyUse; 1],
-        body: impl FnOnce(&mut [u8]),
-    ) -> DsmResult<()> {
-        let layer = table.layer();
-        let mut buf = vec![0u8; HDR + table.payload_size()];
-        {
-            let mut riders = Vec::new();
-            self.ride(table, &mut uses, &mut buf, &mut riders);
-            let mut reads: Vec<_> = riders.into_iter().map(|r| (r.addr, r.dst)).collect();
-            if !reads.is_empty() {
-                let _span = ep.span(Phase::PageFetch);
-                layer.read_batch(ep, &mut reads)?;
-            }
-        }
-        self.admit(ep, table, &mut uses, &mut buf)?;
-        body(&mut buf[HDR..]);
-        let mut writes = Vec::new();
-        let done = self.retire(ep, table, &uses, &mut buf, &mut writes).and_then(|()| {
-            let _span = ep.span(Phase::Writeback);
-            layer.write_batch(ep, &writes)
-        });
-        self.settle(ep, table, &uses, done.is_ok());
-        done
-    }
 }
 
 impl PayloadIo for CoherentIo {
-    /// Valid under the key's exclusive lock only. The engine never comes
-    /// this way: 3b runs exclusive 2PL, whose lock set drives the steps.
-    fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
-        assert_eq!(v, 0, "a coherent cache holds single-version records");
-        let read = KeyUse { key, written: false, reads_old: true, fetched: false };
-        self.under_lock(ep, table, [read], |copy| dst.copy_from_slice(copy))
-    }
-
-    /// As [`CoherentIo::read_payload`]: under the key's exclusive lock.
-    fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
-        assert_eq!(v, 0, "a coherent cache holds single-version records");
-        let overwrite = KeyUse { key, written: true, reads_old: false, fetched: false };
-        self.under_lock(ep, table, [overwrite], |copy| copy.copy_from_slice(src))
-    }
-
     fn header_len(&self) -> usize {
         HDR
     }
@@ -301,9 +255,7 @@ impl PayloadIo for CoherentIo {
             hdr[..8].copy_from_slice(&keep.to_le_bytes());
             let (hdr, copy): (&'a [u8], &'a [u8]) = (hdr, copy);
             if u.written {
-                let (old, dual) = table.payload_write_targets(u.key, 0);
-                writes.push((old, copy));
-                writes.extend(dual.map(|new| (new, copy)));
+                writes.extend(table.payload_writes(u.key, 0, copy));
             }
             if keep != sharers {
                 writes.push((table.sharers_addr(u.key), &hdr[..8]));
@@ -334,7 +286,7 @@ mod tests {
     use buffer::{LruPolicy, WriteMode};
     use dsm::{DsmConfig, DsmLayer};
     use rdma_sim::{Fabric, NetworkProfile};
-    use txn::{ExclusiveLock, LockWord};
+    use txn::{ConcurrencyControl, ExclusiveLock, LockWord, Op, TwoPhaseLocking, TxnCtx};
 
     use crate::membership::Membership;
 
@@ -385,6 +337,22 @@ mod tests {
         }
     }
 
+    /// Run `ops` as one transaction under exclusive 2PL over `io`, the
+    /// engine's only path through a coherent cache; the reads.
+    fn run(io: &CoherentIo, table: &RecordTable, ep: &Endpoint, ops: &[Op]) -> Vec<Vec<u8>> {
+        let ctx = TxnCtx { ep, table, io, worker_tag: io.reply_id };
+        let out = TwoPhaseLocking::exclusive().execute(&ctx, ops).unwrap();
+        out.reads.into_iter().map(|(_, value)| value).collect()
+    }
+
+    fn read(io: &CoherentIo, table: &RecordTable, ep: &Endpoint, key: u64) -> Vec<u8> {
+        run(io, table, ep, &[Op::Read(key)]).remove(0)
+    }
+
+    fn write(io: &CoherentIo, table: &RecordTable, ep: &Endpoint, key: u64, fill: u8) {
+        run(io, table, ep, &[Op::Update { key, value: vec![fill; 16] }]);
+    }
+
     /// `key`'s sharer word, read off the memory node (no verb).
     fn sharers(table: &RecordTable, key: u64) -> u64 {
         let addr = table.sharers_addr(key);
@@ -408,15 +376,14 @@ mod tests {
         // The directory entry is the sharer word beside the lock word.
         let Setup { layer, table, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
-        let mut buf = [0u8; 16];
-        ios[0].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
+        read(&ios[0], &table, &ep, 5);
         assert_eq!(sharers(&table, 5), 0b01);
-        ios[1].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
+        read(&ios[1], &table, &ep, 5);
         assert_eq!(sharers(&table, 5), 0b11);
         assert_eq!(table.sharers_addr(5), table.lock_addr(5).offset_by(8));
         // Resident now: a reread touches neither the word nor the wire.
         let verbs = ep.stats().round_trips();
-        ios[1].read_payload(&ep, &table, 5, 0, &mut buf).unwrap();
+        read(&ios[1], &table, &ep, 5);
         assert_eq!(ep.stats().round_trips(), verbs);
     }
 
@@ -425,20 +392,18 @@ mod tests {
         let Setup { layer, table, caches, ios, .. } = setup();
         let ep0 = layer.fabric().endpoint();
         let ep1 = layer.fabric().endpoint();
-        let mut buf = [0u8; 16];
         // Node 1 caches key 3.
-        ios[1].read_payload(&ep1, &table, 3, 0, &mut buf).unwrap();
+        read(&ios[1], &table, &ep1, 3);
         assert_eq!(caches[1].pool.resident(), 1);
         // Node 0 writes key 3: the ack wait needs node 1 to serve.
         let (io0, t) = (&ios[0], &table);
         while_node_1_serves(&caches, move || {
-            io0.write_payload(&ep0, t, 3, 0, &[9u8; 16]).unwrap();
+            write(io0, t, &ep0, 3, 9);
         });
         assert_eq!(caches[1].pool.resident(), 0, "copy invalidated");
         assert_eq!(sharers(&table, 3), 0b01, "only the writer holds a copy");
         // Node 1 rereads: sees the new value.
-        ios[1].read_payload(&ep1, &table, 3, 0, &mut buf).unwrap();
-        assert_eq!(buf, [9u8; 16]);
+        assert_eq!(read(&ios[1], &table, &ep1, 3), [9u8; 16]);
         assert_eq!(sharers(&table, 3), 0b11);
     }
 
@@ -446,16 +411,18 @@ mod tests {
     fn write_with_no_sharers_sends_nothing() {
         let Setup { layer, table, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
-        ios[0].write_payload(&ep, &table, 9, 0, &[1u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 9, 1);
         assert_eq!(ep.stats().sends, 0);
         assert_eq!(sharers(&table, 9), 0b01);
-        // A blind write needs the sharer word, not the old payload; the
-        // sharer word did not change the second time, so it stays home.
+        // A blind write needs the sharer word beside the lock, not the old
+        // payload; the sharer word did not change the second time, so it
+        // stays home: the release doorbell is the payload and the unlock.
         let before = ep.stats();
-        ios[0].write_payload(&ep, &table, 9, 0, &[2u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 9, 2);
         let s = ep.stats();
         assert_eq!((s.reads - before.reads, s.bytes_read - before.bytes_read), (1, 8));
-        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written), (1, 16));
+        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written), (2, 16 + 8));
+        assert_eq!(s.wire_round_trips() - before.wire_round_trips(), 2);
     }
 
     /// One key through `ride` and `admit` by hand, `between` them.
@@ -477,7 +444,7 @@ mod tests {
     fn a_page_evicted_between_ride_and_admit_is_fetched_under_the_lock() {
         let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
-        ios[0].write_payload(&ep, &table, 4, 0, &[8u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 4, 8);
         // Resident at `ride`: nothing rides, the pool serves `admit`.
         let before = ep.stats().reads;
         let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 4, || {});
@@ -495,7 +462,7 @@ mod tests {
     fn a_written_frame_is_not_read_without_the_lock_until_its_release_returned() {
         let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
-        ios[0].write_payload(&ep, &table, 4, 0, &[1u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 4, 1);
         // A sibling session of node 0, reading key 4 with no lock.
         let sibling = io_on(layer.fabric(), &caches[0], 1);
         let read = [KeyUse { key: 4, written: false, reads_old: true, fetched: false }];
@@ -528,7 +495,7 @@ mod tests {
     fn a_payload_read_from_a_migrations_new_home_rides_apart_from_the_sharer_word() {
         let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
-        ios[0].write_payload(&ep, &table, 2, 0, &[3u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 2, 3);
         let dst = layer.join_group(4 << 20, 1, 4.0);
         table.begin_migration(dst, 0, 8).unwrap();
         while table.migrate_chunk(&ep, 8).unwrap() > 0 {}
@@ -543,7 +510,7 @@ mod tests {
         assert_eq!((seen.fetched, &buf[HDR..]), (true, &[3u8; 16][..]));
         assert_eq!(buf[..8], 0b01u64.to_le_bytes());
         // A write in the window goes through to both homes.
-        ios[0].write_payload(&ep, &table, 2, 0, &[6u8; 16]).unwrap();
+        write(&ios[0], &table, &ep, 2, 6);
         let (old, new) = table.dual_payload_addrs(2, 0).unwrap();
         for home in [old, new] {
             let mut at_home = [0u8; 16];

@@ -27,14 +27,14 @@ use telemetry::Histogram;
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind, TwoPcMsg};
 use txn::{
-    AbortCause, ConcurrencyControl, DirectIo, FaaOracle, LeasedTpl, Mvcc, Occ, Op, PayloadIo,
-    TwoPhaseLocking, Tso, TxnError, TxnOutput,
+    distinct_keys, AbortCause, ConcurrencyControl, DirectIo, FaaOracle, LeasedTpl, Mvcc, Occ, Op,
+    PayloadIo, TwoPhaseLocking, Tso, TxnError, TxnOutput,
 };
 
 use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo};
 use crate::config::{Architecture, CcProtocol, ClusterConfig};
 use crate::membership::Membership;
-use crate::node::{decode_reads, encode_prepare, key_set, NodeHandler, PageArena};
+use crate::node::{decode_reads, encode_prepare, NodeHandler, PageArena};
 use crate::shard::ShardMap;
 
 /// Engine-level failures (everything else surfaces as [`TxnError`]).
@@ -222,17 +222,13 @@ impl Cluster {
         // signed with the old epoch is fenced.
         let epoch = self.membership.epoch(&self.layer, &ep, node).unwrap_or(1);
         let worker_tag = compose_worker_tag(self.config.cc, owner_tag, epoch);
-        let cc: Option<Box<dyn ConcurrencyControl>> = match self.config.cc {
-            CcProtocol::TplExclusive => Some(Box::new(TwoPhaseLocking::exclusive())),
-            CcProtocol::TplSharedExclusive => Some(Box::new(TwoPhaseLocking::shared_exclusive())),
-            CcProtocol::TplLeased => Some(Box::new(LeasedTpl::new(self.config.lease_ns))),
-            CcProtocol::Occ => Some(Box::new(Occ::new())),
-            CcProtocol::Tso => Some(Box::new(Tso::new(
-                self.oracle.as_ref().expect("oracle built").clone(),
-            ))),
-            CcProtocol::Mvcc => Some(Box::new(Mvcc::new(
-                self.oracle.as_ref().expect("oracle built").clone(),
-            ))),
+        let cc: Box<dyn ConcurrencyControl> = match self.config.cc {
+            CcProtocol::TplExclusive => Box::new(TwoPhaseLocking::exclusive()),
+            CcProtocol::TplSharedExclusive => Box::new(TwoPhaseLocking::shared_exclusive()),
+            CcProtocol::TplLeased => Box::new(LeasedTpl::new(self.config.lease_ns)),
+            CcProtocol::Occ => Box::new(Occ::new()),
+            CcProtocol::Tso => Box::new(Tso::new(self.oracle.clone().expect("oracle built"))),
+            CcProtocol::Mvcc => Box::new(Mvcc::new(self.oracle.clone().expect("oracle built"))),
         };
         let handler = self.nodes[node].clone();
         let io: Box<dyn PayloadIo> = match self.config.architecture {
@@ -314,7 +310,7 @@ pub struct Session {
     ep: Endpoint,
     reply: Arc<Mailbox>,
     reply_id: MailboxId,
-    cc: Option<Box<dyn ConcurrencyControl>>,
+    cc: Box<dyn ConcurrencyControl>,
     io: Box<dyn PayloadIo>,
     owner_tag: u64,
     epoch: u64,
@@ -376,7 +372,7 @@ impl Session {
     /// Expired-lease locks this session stole from crashed/stalled owners
     /// (nonzero only under [`CcProtocol::TplLeased`]).
     pub fn lock_steals(&self) -> u64 {
-        self.cc.as_ref().map_or(0, |cc| cc.steals())
+        self.cc.steals()
     }
 
     /// End-to-end transaction latency distribution (virtual ns, every
@@ -437,7 +433,7 @@ impl Session {
                     io: self.io.as_ref(),
                     worker_tag: self.worker_tag,
                 };
-                self.cc.as_ref().expect("cc configured").execute(&ctx, ops)
+                self.cc.execute(&ctx, ops)
             }
             Architecture::CacheShard => self.execute_sharded(ops),
         };
@@ -530,7 +526,7 @@ impl Session {
     /// 2PC to *this* node too).
     fn execute_local_shard(&mut self, ops: &[Op]) -> Result<TxnOutput, TxnError> {
         let node = self.handler.as_ref().expect("3c handler");
-        let keys = key_set(ops);
+        let keys = distinct_keys(ops);
         node.lock(&self.ep, &keys, self.ep.trace_id())?;
         let result = node.exec_write(&self.ep, &mut self.arena, ops);
         node.locks.unlock_all(&keys);
@@ -554,7 +550,7 @@ impl Session {
 
         // Step 1: prepare the local part; the session's arena holds its
         // staged writes until the decision.
-        let local_keys = key_set(local_ops);
+        let local_keys = distinct_keys(local_ops);
         node.lock(&self.ep, &local_keys, self.ep.trace_id())?;
         let mut out = match node.exec(&self.ep, &mut self.arena, local_ops) {
             Ok(out) => out,

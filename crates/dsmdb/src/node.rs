@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Fabric, Mailbox, StatsSnapshot};
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind};
-use txn::{Op, TxnError, TxnOutput};
+use txn::{distinct_keys, Op, TxnError, TxnOutput};
 
 use crate::coherence::{self, node_inbox_id};
 use crate::membership::Membership;
@@ -80,14 +80,6 @@ enum Ride<'w> {
     /// The write-through, all of it, when no write needs a fetched byte;
     /// otherwise it follows the fetch in a doorbell of its own.
     WriteThrough,
-}
-
-/// The distinct keys of `ops`, ascending (the lock table's order).
-pub(crate) fn key_set(ops: &[Op]) -> Vec<u64> {
-    let mut keys: Vec<u64> = ops.iter().map(|o| o.key()).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
 }
 
 /// A compute node's message handler and the state it serves from.
@@ -350,7 +342,7 @@ impl NodeHandler {
     /// `None` is a No vote, with nothing held.
     fn prepare(&self, ep: &Endpoint, arena: &mut PageArena, body: &[u8]) -> Option<(Vec<u64>, TxnOutput)> {
         let (coord_epoch, coord_node, coord_trace, ops) = decode_prepare(body);
-        let keys = key_set(&ops);
+        let keys = distinct_keys(&ops);
         // Owner locks are held on behalf of the *coordinator's*
         // transaction: later conflicters blame the coordinator's trace.
         self.lock(ep, &keys, coord_trace).ok()?;

@@ -274,11 +274,10 @@ impl ExclusiveLock {
     }
 }
 
-/// Metadata encoding for the shared-exclusive lock: bit 63 = writer held,
-/// low 32 bits = reader count. The latch serializing metadata updates is
-/// the *same* 8-byte word's bits 32..63? No — footnote 2 uses a separate
-/// latch; we pack both into two adjacent words: `lock` = latch,
-/// `lock + 8` = metadata. Callers must reserve 16 bytes.
+/// The shared-exclusive lock is two adjacent words, as footnote 2 builds
+/// it: `lock` is the latch that serializes metadata updates, `lock + 8`
+/// the metadata — bit 63 set while a writer holds the lock, the low 32
+/// bits the reader count. Callers must reserve 16 bytes.
 const WRITER_BIT: u64 = 1 << 63;
 const READER_MASK: u64 = 0xFFFF_FFFF;
 

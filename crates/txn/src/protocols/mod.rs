@@ -29,6 +29,8 @@ pub use tpl::TwoPhaseLocking;
 pub use tpl_leased::LeasedTpl;
 pub use tso::Tso;
 
+use std::collections::BTreeMap;
+
 use dsm::{DsmError, DsmResult, GlobalAddr};
 use rdma_sim::{Endpoint, Phase};
 
@@ -233,44 +235,23 @@ pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
     uses
 }
 
-/// How protocols reach record payloads. Lock words always go straight to
-/// DSM — synchronization state cannot be cached — but payload bytes may be
-/// served by a compute-node cache (Figure 3b/c). The engine crate supplies
-/// cached implementations; [`DirectIo`] is the no-cache Figure 3a path.
+/// How exclusive 2PL reaches record payloads. Lock words always go
+/// straight to DSM — synchronization state cannot be cached — but payload
+/// bytes may be served by a compute-node cache (Figure 3b). [`DirectIo`]
+/// is the no-cache Figure 3a path; the engine crate supplies the coherent
+/// one. Every other protocol runs in 3a only and goes to the
+/// [`RecordTable`] for its payloads.
 ///
-/// There are two ways in. A protocol that works key by key calls
-/// [`read_payload`](PayloadIo::read_payload) and
-/// [`write_payload`](PayloadIo::write_payload). A protocol that holds a
-/// whole exclusive lock set ([`TwoPhaseLocking`]) moves the payloads
-/// inside its own two doorbells instead and asks the io three things, in
-/// order, about the set's [`KeyUse`]s; the provided answers fall back on
-/// the two calls above. A read-only set is first offered to
+/// [`TwoPhaseLocking::exclusive`] holds a whole lock set and moves the
+/// payloads inside its own two doorbells: it asks the io three things, in
+/// order, about the set's [`KeyUse`]s, and tells it the outcome. A
+/// read-only set is first offered to
 /// [`read_unlocked`](PayloadIo::read_unlocked), which may serve it with no
-/// lock at all. All of them see one buffer, one chunk of
+/// lock at all. Every step sees one buffer, one chunk of
 /// [`header_len`](PayloadIo::header_len)` + payload_size` bytes per key in
 /// key order: the io's header bytes, then the transaction's copy of the
-/// payload.
+/// payload. No provided step posts a verb.
 pub trait PayloadIo: Send + Sync {
-    /// Read version `v`'s payload of `key` into `dst`.
-    fn read_payload(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        key: u64,
-        v: usize,
-        dst: &mut [u8],
-    ) -> DsmResult<()>;
-
-    /// Write version `v`'s payload of `key`.
-    fn write_payload(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        key: u64,
-        v: usize,
-        src: &[u8],
-    ) -> DsmResult<()>;
-
     /// Bytes the io keeps for itself in front of each key's payload copy.
     fn header_len(&self) -> usize {
         0
@@ -288,32 +269,11 @@ pub trait PayloadIo: Send + Sync {
     /// Step 1, before any lock is taken: the READs that ride the acquire
     /// doorbell behind each key's lock CAS, fetching into the key's chunk
     /// of `buf`.
-    fn ride<'a>(
-        &self,
-        _table: &RecordTable,
-        _uses: &mut [KeyUse],
-        _buf: &'a mut [u8],
-        _riders: &mut Vec<Rider<'a>>,
-    ) {
-    }
+    fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>);
 
     /// Step 2, once every lock is won: see that each key whose old value
     /// is observed has it in its payload copy.
-    fn admit(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        uses: &mut [KeyUse],
-        buf: &mut [u8],
-    ) -> DsmResult<()> {
-        let hdr = self.header_len();
-        let chunks = buf.chunks_exact_mut(hdr + table.payload_size());
-        for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.reads_old) {
-            let _span = ep.span(Phase::PageFetch);
-            self.read_payload(ep, table, u.key, 0, &mut chunk[hdr..])?;
-        }
-        Ok(())
-    }
+    fn admit(&self, ep: &Endpoint, table: &RecordTable, uses: &mut [KeyUse], buf: &mut [u8]) -> DsmResult<()>;
 
     /// Step 3, after the ops ran on the copies and before the release
     /// doorbell: do what a committed transaction owes beyond that doorbell
@@ -324,16 +284,8 @@ pub trait PayloadIo: Send + Sync {
         table: &RecordTable,
         uses: &[KeyUse],
         buf: &'a mut [u8],
-        _writes: &mut Vec<(GlobalAddr, &'a [u8])>,
-    ) -> DsmResult<()> {
-        let hdr = self.header_len();
-        let chunks = buf.chunks_exact(hdr + table.payload_size());
-        for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written) {
-            let _span = ep.span(Phase::Writeback);
-            self.write_payload(ep, table, u.key, 0, &chunk[hdr..])?;
-        }
-        Ok(())
-    }
+        writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+    ) -> DsmResult<()>;
 
     /// Step 4, once [`retire`](PayloadIo::retire) ran: the release doorbell
     /// returned and what the transaction wrote is committed, or one of the
@@ -346,33 +298,6 @@ pub trait PayloadIo: Send + Sync {
 pub struct DirectIo;
 
 impl PayloadIo for DirectIo {
-    fn read_payload(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        key: u64,
-        v: usize,
-        dst: &mut [u8],
-    ) -> DsmResult<()> {
-        table.layer().read(ep, table.payload_read_addr(key, v), dst)
-    }
-
-    fn write_payload(
-        &self,
-        ep: &Endpoint,
-        table: &RecordTable,
-        key: u64,
-        v: usize,
-        src: &[u8],
-    ) -> DsmResult<()> {
-        let (old, dual) = table.payload_write_targets(key, v);
-        table.layer().write(ep, old, src)?;
-        if let Some(new) = dual {
-            table.layer().write(ep, new, src)?;
-        }
-        Ok(())
-    }
-
     /// Every key's payload READ rides its lock CAS.
     fn ride<'a>(
         &self,
@@ -405,9 +330,7 @@ impl PayloadIo for DirectIo {
         let buf: &'a [u8] = buf;
         let copies = buf.chunks_exact(table.payload_size());
         for (u, copy) in uses.iter().zip(copies).filter(|(u, _)| u.written) {
-            let (old, dual) = table.payload_write_targets(u.key, 0);
-            writes.push((old, copy));
-            writes.extend(dual.map(|new| (new, copy)));
+            writes.extend(table.payload_writes(u.key, 0, copy));
         }
         Ok(())
     }
@@ -419,7 +342,8 @@ pub struct TxnCtx<'a> {
     pub ep: &'a Endpoint,
     /// The table the transaction operates on.
     pub table: &'a RecordTable,
-    /// Payload access path (direct or cached).
+    /// The payload path exclusive 2PL drives: [`DirectIo`] in 3a, the
+    /// node's coherent cache in 3b. The other protocols ignore it.
     pub io: &'a dyn PayloadIo,
     /// Nonzero unique tag for lock ownership.
     pub worker_tag: u64,
@@ -473,8 +397,8 @@ pub(crate) fn release_all(ctx: &TxnCtx<'_>, locked: &[u64], failed: &mut Option<
 }
 
 /// Sorted, deduplicated keys of `ops`.
-pub(crate) fn distinct_keys<'a>(ops: impl Iterator<Item = &'a Op>) -> Vec<u64> {
-    let mut keys: Vec<u64> = ops.map(Op::key).collect();
+pub fn distinct_keys<'a>(ops: impl IntoIterator<Item = &'a Op>) -> Vec<u64> {
+    let mut keys: Vec<u64> = ops.into_iter().map(Op::key).collect();
     keys.sort_unstable();
     keys.dedup();
     keys
@@ -482,18 +406,79 @@ pub(crate) fn distinct_keys<'a>(ops: impl Iterator<Item = &'a Op>) -> Vec<u64> {
 
 /// Sorted, deduplicated keys of the full set and of the write set.
 pub(crate) fn key_sets(ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
-    (
-        distinct_keys(ops.iter()),
-        distinct_keys(ops.iter().filter(|o| o.is_write())),
-    )
+    (distinct_keys(ops), distinct_keys(ops.iter().filter(|o| o.is_write())))
+}
+
+/// A timestamp protocol's write to one key, staged until it installs
+/// under the record's lock.
+pub(crate) enum Staged {
+    /// The value to install.
+    Abs(Vec<u8>),
+    /// A read-modify-write's delta, re-applied to the value read under the
+    /// lock: installing the optimistically read value would lose a
+    /// concurrent update.
+    Delta(i64),
+}
+
+impl Staged {
+    /// The value to install; `latest` reads the committed one under the
+    /// lock, and only a delta asks for it.
+    pub(crate) fn value(&self, latest: impl FnOnce() -> Result<Vec<u8>, TxnError>) -> Result<Vec<u8>, TxnError> {
+        match self {
+            Staged::Abs(v) => Ok(v.clone()),
+            Staged::Delta(d) => latest().map(|mut v| {
+                apply_delta(&mut v, *d);
+                v
+            }),
+        }
+    }
+}
+
+/// Run `ops` in program order for a timestamp protocol, staging one write
+/// per key, sorted by key. Every [`Op::Read`] and [`Op::Rmw`] posts `read`,
+/// the protocol's read of the committed value under its read rule, and
+/// sees the key's staged write over it. An overwrite stages its value, and
+/// so does a read-modify-write of a key already overwritten; any other
+/// read-modify-write adds its delta.
+pub(crate) fn stage(
+    ops: &[Op],
+    mut read: impl FnMut(u64) -> Result<Vec<u8>, TxnError>,
+) -> Result<(TxnOutput, BTreeMap<u64, Staged>), TxnError> {
+    let mut out = TxnOutput::default();
+    let mut staged = BTreeMap::new();
+    for op in ops {
+        let key = op.key();
+        if let Op::Update { value, .. } = op {
+            staged.insert(key, Staged::Abs(value.clone()));
+            continue;
+        }
+        let mut seen = read(key)?;
+        match staged.get(&key) {
+            Some(Staged::Abs(v)) => seen.clone_from(v),
+            Some(Staged::Delta(d)) => apply_delta(&mut seen, *d),
+            None => {}
+        }
+        out.reads.push((key, seen.clone()));
+        if let Op::Rmw { delta, .. } = *op {
+            let next = match staged.remove(&key) {
+                Some(Staged::Abs(_)) => {
+                    apply_delta(&mut seen, delta);
+                    Staged::Abs(seen)
+                }
+                Some(Staged::Delta(d)) => Staged::Delta(d + delta),
+                None => Staged::Delta(delta),
+            };
+            staged.insert(key, next);
+        }
+    }
+    Ok((out, staged))
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
     use dsm::{DsmConfig, DsmLayer};
-    use rdma_sim::{Fabric, NetworkProfile, NodeId};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use rdma_sim::{EventKind, Fabric, FaultPlan, NetworkProfile};
     use std::sync::Arc;
 
     /// A small striped table on a zero-latency fabric (tests assert
@@ -531,53 +516,52 @@ pub(crate) mod testutil {
         Arc::new(RecordTable::create(&layer, 8, 16, versions).unwrap())
     }
 
-    /// [`DirectIo`] behind a cache's face, crashing `node` once `calls`
-    /// payload calls have been served.
-    pub struct CrashAfter {
-        pub node: NodeId,
-        pub calls: AtomicUsize,
-    }
-
-    impl CrashAfter {
-        fn served(&self, ep: &Endpoint) {
-            if self.calls.fetch_sub(1, Ordering::Relaxed) == 1 {
-                ep.fabric().crash(self.node).unwrap();
-            }
-        }
-    }
-
-    impl PayloadIo for CrashAfter {
-        fn read_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
-            DirectIo.read_payload(ep, table, key, v, dst)?;
-            self.served(ep);
-            Ok(())
-        }
-
-        fn write_payload(&self, ep: &Endpoint, table: &RecordTable, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
-            DirectIo.write_payload(ep, table, key, v, src)?;
-            self.served(ep);
-            Ok(())
-        }
-    }
-
-    /// One Rmw on each of keys 0..4 of `t` (a [`timed_table`]) under
-    /// `cc`, with group 1 dying under the write phase, right after key 1's
-    /// payload landed: its unlocks fail, and group 0's must not be
-    /// skipped.
-    pub fn a_failed_unlock_leaves_no_reachable_lock_held<C: ConcurrencyControl>(cc: &C, t: &RecordTable) {
+    /// Run `run` on a [`timed_table`] of `versions` whose group 1 crashes
+    /// the moment the last verb on key 1's payload returns, timed on a
+    /// fault-free twin, and see it fail with that group unavailable.
+    /// Returns the table.
+    pub fn crash_group_1_after_key_1s_payload(
+        versions: usize,
+        run: impl Fn(&RecordTable, &Endpoint) -> Result<TxnOutput, TxnError>,
+    ) -> Arc<RecordTable> {
+        let twin = timed_table(versions);
+        let ep = twin.layer().fabric().endpoint();
+        ep.enable_flight_recorder(256);
+        run(&twin, &ep).expect("the twin commits");
+        let payload = twin.payload_addr(1, 0).to_raw();
+        let crash_at = ep
+            .flight_events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Verb(_)) && e.addr == payload)
+            .map(|e| e.ts_ns + e.dur_ns)
+            .max()
+            .expect("the twin reached key 1's payload");
+        let t = timed_table(versions);
         let dead = t.lock_addr(1).node();
+        t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, crash_at, u64::MAX));
         let ep = t.layer().fabric().endpoint();
-        let io = CrashAfter { node: dead, calls: AtomicUsize::new(2) };
-        let ctx = TxnCtx { ep: &ep, table: t, io: &io, worker_tag: 7 };
+        assert_eq!(run(&t, &ep).unwrap_err(), TxnError::NodeUnavailable { node: dead });
+        t
+    }
+
+    /// One Rmw on each of keys 0..4 of a [`timed_table`] of `versions`
+    /// under the protocol `make` builds, with group 1 dying under the
+    /// write phase, right after key 1's payload landed: its unlocks fail,
+    /// and group 0's must not be skipped.
+    pub fn a_failed_unlock_leaves_no_reachable_lock_held<C: ConcurrencyControl>(
+        versions: usize,
+        make: impl Fn(&RecordTable) -> C,
+    ) {
         let ops: Vec<Op> = (0..4).map(|key| Op::Rmw { key, delta: 1 }).collect();
-        let err = cc.execute(&ctx, &ops).unwrap_err();
-        assert_eq!(err, TxnError::NodeUnavailable { node: dead }, "{}", cc.name());
+        let t = crash_group_1_after_key_1s_payload(versions, |t, ep| {
+            make(t).execute(&TxnCtx { ep, table: t, io: &DirectIo, worker_tag: 7 }, &ops)
+        });
         // The dead node's words stay held (their unlocks failed); the
         // reachable node's were all freed.
         for (key, left) in [(0, 0), (1, 7), (2, 0), (3, 7)] {
             let lock = t.lock_addr(key);
             let word = t.layer().fabric().region(lock.node()).unwrap().read_u64(lock.offset()).unwrap();
-            assert_eq!(word, left, "{}: key {key}", cc.name());
+            assert_eq!(word, left, "key {key}");
         }
     }
 
@@ -651,5 +635,97 @@ pub(crate) mod testutil {
             total += i64::from_le_bytes(out.reads[0].1[0..8].try_into().unwrap());
         }
         assert_eq!(total, 0, "{}: money leaked", cc.name());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::testutil::timed_table;
+    use super::*;
+    use crate::oracle::FaaOracle;
+
+    /// Builds a protocol on its table.
+    type Make = fn(&RecordTable) -> Box<dyn ConcurrencyControl>;
+
+    /// Every protocol config, with the versions its table needs.
+    fn protocols() -> [(usize, Make); 6] {
+        [
+            (1, |_| Box::new(TwoPhaseLocking::exclusive())),
+            (1, |_| Box::new(TwoPhaseLocking::shared_exclusive())),
+            (1, |_| Box::new(LeasedTpl::new(500_000_000))),
+            (1, |_| Box::new(Occ::new())),
+            (1, |t| Box::new(Tso::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
+            (2, |t| Box::new(Mvcc::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
+        ]
+    }
+
+    /// Run `script` on a fresh [`timed_table`] under each protocol, one
+    /// session, every transaction committing; `then` sees the endpoint.
+    fn each_protocol<R>(script: &[Vec<Op>], then: impl Fn(&str, &Endpoint, Vec<TxnOutput>) -> R) -> Vec<R> {
+        let run = |(versions, make): (usize, Make)| {
+            let t = timed_table(versions);
+            let cc = make(&t);
+            let ep = t.layer().fabric().endpoint();
+            let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+            let outs = script
+                .iter()
+                .map(|ops| cc.execute(&ctx, ops).unwrap_or_else(|e| panic!("{}: {ops:?}: {e}", cc.name())))
+                .collect();
+            then(cc.name(), &ep, outs)
+        };
+        protocols().into_iter().map(run).collect()
+    }
+
+    fn counter(n: i64) -> Vec<u8> {
+        let mut v = vec![0u8; 16];
+        v[..8].copy_from_slice(&n.to_le_bytes());
+        v
+    }
+
+    #[test]
+    fn every_protocol_shows_a_transaction_its_own_writes() {
+        let script = [
+            vec![Op::Update { key: 2, value: counter(7) }, Op::Read(2), Op::Rmw { key: 2, delta: 3 }],
+            vec![Op::Read(2)],
+        ];
+        let seen = each_protocol(&script, |name, _, outs| {
+            let reads: Vec<_> = outs.into_iter().flat_map(|o| o.reads).map(|(_, v)| v).collect();
+            (name.to_string(), reads)
+        });
+        for (name, reads) in seen {
+            assert_eq!(reads, [counter(7), counter(7), counter(10)], "{name}");
+        }
+    }
+
+    /// Each protocol's single-session cost on the ConnectX-6 profile for a
+    /// fixed script whose transactions touch each key at most once: verbs
+    /// by kind (READ, WRITE, CAS, FAA), wire round trips, bytes read and
+    /// written, and the clock at the end in virtual ns. A change to how a
+    /// protocol reaches the table shows here first; one that means to move
+    /// a protocol's doorbells restates its row.
+    #[test]
+    fn every_protocol_pays_its_pinned_cost_for_one_script() {
+        let script = [
+            vec![Op::Rmw { key: 0, delta: 5 }, Op::Rmw { key: 1, delta: -5 }],
+            vec![Op::Read(2), Op::Read(3)],
+            vec![Op::Update { key: 4, value: counter(9) }, Op::Read(5), Op::Rmw { key: 6, delta: 1 }],
+            vec![Op::Read(0), Op::Rmw { key: 4, delta: 2 }, Op::Read(7)],
+        ];
+        let runs = each_protocol(&script, |name, ep, _| {
+            let s = ep.stats();
+            let cost = [s.reads, s.writes, s.cas, s.faa, s.wire_round_trips(), s.bytes_read, s.bytes_written];
+            (name.to_string(), cost, ep.clock().now_ns())
+        });
+        let pinned = [
+            ("2pl-excl", [10, 15, 10, 0, 8, 160, 160], 18_150),
+            ("2pl-shared", [29, 45, 20, 0, 74, 304, 400], 126_400),
+            ("2pl-leased", [19, 5, 20, 0, 36, 224, 80], 63_800),
+            ("occ", [20, 15, 5, 0, 40, 480, 160], 65_250),
+            ("tso", [18, 15, 14, 4, 51, 504, 160], 86_109),
+            ("mvcc", [23, 15, 14, 4, 56, 968, 160], 94_128),
+        ];
+        assert_eq!(runs, pinned.map(|(name, cost, ns)| (name.to_string(), cost, ns)));
     }
 }

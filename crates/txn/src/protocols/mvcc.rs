@@ -15,9 +15,7 @@ use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{
-    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
-};
+use super::{lock_all, release_all, stage, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::oracle::TimestampOracle;
 
 /// MVCC over a table created with `versions >= 2`.
@@ -67,14 +65,7 @@ impl ConcurrencyControl for Mvcc {
         let nv = ctx.table.versions();
         assert!(nv >= 2, "Mvcc requires a table with >= 2 versions");
         let ts = self.oracle.next_ts(ctx.ep)?;
-        let mut out = TxnOutput::default();
         let slot_len = ctx.table.slot_size() as usize;
-
-        enum Staged {
-            Abs(Vec<u8>),
-            Delta(i64),
-        }
-        let mut staged: Vec<(u64, Staged)> = Vec::new();
 
         // Snapshot read: whole slot in one READ, pick newest wts <= ts,
         // then validate that version's wts did not change underneath us.
@@ -113,37 +104,17 @@ impl ConcurrencyControl for Mvcc {
             Err(TxnError::Aborted("mvcc-read-unstable"))
         };
 
-        for op in ops {
-            match op {
-                Op::Read(key) => {
-                    let v = read_snapshot(*key)?;
-                    out.reads.push((*key, v));
-                }
-                Op::Update { key, value } => {
-                    staged.push((*key, Staged::Abs(value.clone())));
-                }
-                Op::Rmw { key, delta } => {
-                    let v = read_snapshot(*key)?;
-                    out.reads.push((*key, v));
-                    match staged.iter_mut().rev().find(|(k, _)| *k == *key) {
-                        Some((_, Staged::Delta(d))) => *d += delta,
-                        _ => staged.push((*key, Staged::Delta(*delta))),
-                    }
-                }
-            }
-        }
+        let (out, staged) = stage(ops, read_snapshot)?;
 
         // Install writes under per-record locks, sorted.
-        let mut write_keys: Vec<u64> = staged.iter().map(|(k, _)| *k).collect();
-        write_keys.sort_unstable();
-        write_keys.dedup();
+        let write_keys: Vec<u64> = staged.keys().copied().collect();
         let lock_span = ctx.ep.span(Phase::LockAcquire);
         let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
 
         // Validate every write key under its lock BEFORE installing
         // anything — interleaving validation with installs would leave a
         // partial commit behind on a late abort.
-        let mut views: Vec<(u64, SlotView)> = Vec::with_capacity(write_keys.len());
+        let mut views: Vec<SlotView> = Vec::with_capacity(write_keys.len());
         if abort.is_none() {
             for &key in &write_keys {
                 let mut buf = vec![0u8; slot_len];
@@ -161,51 +132,29 @@ impl ConcurrencyControl for Mvcc {
                     abort = Some(TxnError::Aborted("mvcc-write-too-old"));
                     break;
                 }
-                views.push((key, view));
+                views.push(view);
             }
         }
         drop(lock_span);
 
         if abort.is_none() {
             let _span = ctx.ep.span(Phase::Writeback);
-            'install: for (key, view) in &views {
-                let key = *key;
-                let value = match staged
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| v)
-                    .expect("staged")
-                {
-                    Staged::Abs(v) => v.clone(),
-                    Staged::Delta(d) => {
-                        // Latest version under the lock.
-                        let latest = view
-                            .versions
-                            .iter()
-                            .max_by_key(|(w, _)| *w)
-                            .map(|(_, p)| p.clone())
-                            .unwrap_or_else(|| vec![0u8; psize]);
-                        let mut v = latest;
-                        apply_delta(&mut v, *d);
-                        v
-                    }
-                };
-                // Victim = oldest version slot; payload then wts.
-                let (victim, _) = view
-                    .versions
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, (w, _))| *w)
-                    .expect("versions >= 2");
+            for ((&key, write), view) in staged.iter().zip(&views) {
+                // Victim = oldest version slot; a delta applies to the
+                // newest, read under the lock.
+                let by_wts = |(_, (w, _)): &(usize, &(u64, Vec<u8>))| *w;
+                let (victim, _) = view.versions.iter().enumerate().min_by_key(by_wts).expect("versions >= 2");
+                let (_, (_, latest)) = view.versions.iter().enumerate().max_by_key(by_wts).expect("versions >= 2");
                 let r: Result<(), TxnError> = (|| {
-                    ctx.io.write_payload(ctx.ep, ctx.table, key, victim, &value)?;
+                    let value = write.value(|| Ok(latest.clone()))?;
+                    // Payload then wts.
+                    ctx.table.write_payload(ctx.ep, key, victim, &value)?;
                     layer.write_u64(ctx.ep, ctx.table.wts_addr(key, victim), ts)?;
                     Ok(())
                 })();
                 if let Err(e) = r {
                     abort = Some(e);
-                    break 'install;
+                    break;
                 }
             }
         }
@@ -222,9 +171,7 @@ impl ConcurrencyControl for Mvcc {
 mod tests {
     use super::*;
     use crate::oracle::FaaOracle;
-    use crate::protocols::testutil::{
-        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
-    };
+    use crate::protocols::testutil::{a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table};
     use crate::protocols::DirectIo;
     use crate::table::RecordTable;
     use rdma_sim::Endpoint;
@@ -247,9 +194,7 @@ mod tests {
 
     #[test]
     fn a_failed_unlock_does_not_leak_the_other_locks() {
-        let t = timed_table(2);
-        let oracle = Arc::new(FaaOracle::new(t.layer()).unwrap());
-        a_failed_unlock_leaves_no_reachable_lock_held(&Mvcc::new(oracle), &t);
+        a_failed_unlock_leaves_no_reachable_lock_held(2, |t| Mvcc::new(Arc::new(FaaOracle::new(t.layer()).unwrap())));
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl ConcurrencyControl for Occ {
                 let r: Result<(), TxnError> = (|| {
                     // payload, then wts bump, then lock release — one
                     // doorbell, ordered.
-                    ctx.io.write_payload(ctx.ep, ctx.table, key, 0, &value)?;
+                    ctx.table.write_payload(ctx.ep, key, 0, &value)?;
                     layer.write_u64(ctx.ep, ctx.table.wts_addr(key, 0), seen + 1)?;
                     Ok(())
                 })();
@@ -172,9 +172,7 @@ impl ConcurrencyControl for Occ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::testutil::{
-        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
-    };
+    use crate::protocols::testutil::{a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table};
     use crate::protocols::DirectIo;
 
     fn ctx_on<'a>(
@@ -198,7 +196,7 @@ mod tests {
 
     #[test]
     fn a_failed_unlock_does_not_leak_the_other_locks() {
-        a_failed_unlock_leaves_no_reachable_lock_held(&Occ::new(), &timed_table(1));
+        a_failed_unlock_leaves_no_reachable_lock_held(1, |_| Occ::new());
     }
 
     #[test]

@@ -207,29 +207,30 @@ fn run_on_copies(ops: &[Op], uses: &[KeyUse], buf: &mut [u8], hdr: usize, psize:
     out
 }
 
-/// Run `ops` in program order, each payload access through `ctx.io`.
+/// Run `ops` in program order, each payload access a verb of its own on
+/// the table.
 fn run_ops(ctx: &TxnCtx<'_>, ops: &[Op], out: &mut TxnOutput) -> Result<(), TxnError> {
     let mut buf = vec![0u8; ctx.table.payload_size()];
     for op in ops {
         match op {
             Op::Read(key) => {
                 let _span = ctx.ep.span(Phase::PageFetch);
-                ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
+                ctx.table.read_payload(ctx.ep, *key, 0, &mut buf)?;
                 out.reads.push((*key, buf.clone()));
             }
             Op::Update { key, value } => {
                 let _span = ctx.ep.span(Phase::Writeback);
-                ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, value)?;
+                ctx.table.write_payload(ctx.ep, *key, 0, value)?;
             }
             Op::Rmw { key, delta } => {
                 {
                     let _span = ctx.ep.span(Phase::PageFetch);
-                    ctx.io.read_payload(ctx.ep, ctx.table, *key, 0, &mut buf)?;
+                    ctx.table.read_payload(ctx.ep, *key, 0, &mut buf)?;
                 }
                 out.reads.push((*key, buf.clone()));
                 apply_delta(&mut buf, *delta);
                 let _span = ctx.ep.span(Phase::Writeback);
-                ctx.io.write_payload(ctx.ep, ctx.table, *key, 0, &buf)?;
+                ctx.table.write_payload(ctx.ep, *key, 0, &buf)?;
             }
         }
     }
@@ -256,12 +257,10 @@ impl ConcurrencyControl for TwoPhaseLocking {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
-
     use rdma_sim::FaultPlan;
 
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, table, timed_table, CrashAfter};
+    use crate::protocols::testutil::{bank_invariant_holds, crash_group_1_after_key_1s_payload, table, timed_table};
     use crate::protocols::DirectIo;
     use crate::table::RecordTable;
 
@@ -366,16 +365,12 @@ mod tests {
     #[test]
     fn a_failed_unlock_does_not_leak_the_other_locks() {
         for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
-            let t = timed_table(1);
-            let dead = t.lock_addr(1).node();
-            let ep = t.layer().fabric().endpoint();
-                // Group 1 dies under the last payload call, with every lock
+            // Group 1 dies as key 1's payload READ returns, with every lock
             // held: its unlocks fail, group 0's must not be skipped.
-            let io = CrashAfter { node: dead, calls: AtomicUsize::new(4) };
-            let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: 7 };
             let ops = [Op::Read(0), Op::Read(1), Op::Read(2), Op::Read(3)];
-            let err = cc.execute(&ctx, &ops).unwrap_err();
-            assert_eq!(err, TxnError::NodeUnavailable { node: dead }, "{}", cc.name());
+            let t = crash_group_1_after_key_1s_payload(1, |t, ep| {
+                cc.execute(&TxnCtx { ep, table: t, io: &DirectIo, worker_tag: 7 }, &ops)
+            });
             for key in [0, 2] {
                 // Lock word (exclusive) or latch and holder metadata
                 // (shared-exclusive): all clear.

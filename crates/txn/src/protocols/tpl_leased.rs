@@ -32,13 +32,13 @@
 //! failed has still committed, and must not invite a retry that would
 //! apply its writes twice.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsm::GlobalAddr;
 use rdma_sim::{Metric, Phase};
 
-use super::{apply_delta, key_sets, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use super::{apply_delta, distinct_keys, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::locks::{LeaseLock, LeaseToken};
 
 /// 2PL over [`LeaseLock`]s with buffered writes and commit-time fencing.
@@ -70,10 +70,101 @@ impl LeasedTpl {
         ((worker_tag >> 16) & 0xFFFF) as u16
     }
 
+    /// Growing phase: a leased exclusive lock on every key of `ops`, in
+    /// sorted order, up to the first that fails. Returns what is held —
+    /// give it back with [`LeasedTpl::release_all`] whatever happens — and
+    /// the failure.
+    fn grow(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> (Vec<(u64, LeaseToken)>, Option<TxnError>) {
+        let (owner, epoch) = (Self::owner_of(ctx.worker_tag), Self::epoch_of(ctx.worker_tag));
+        debug_assert!(owner != 0, "worker tag low 16 bits must be nonzero");
+        let keys = distinct_keys(ops);
+        let mut held = Vec::with_capacity(keys.len());
+        let _grow = ctx.ep.span(Phase::LockAcquire);
+        for key in keys {
+            let lock = ctx.table.lock_addr(key);
+            match LeaseLock::acquire(ctx.table.layer(), ctx.ep, lock, owner, epoch, self.lease_ns, self.max_retries) {
+                Ok(token) => {
+                    if token.stole {
+                        self.steals.fetch_add(1, Ordering::Relaxed);
+                        ctx.ep.series_note(Metric::LockSteals, 1);
+                    }
+                    held.push((key, token));
+                }
+                Err(e) => return (held, Some(e.into())),
+            }
+        }
+        (held, None)
+    }
+
+    /// Execute with locally buffered writes, sorted by key: reads see the
+    /// transaction's own pending writes; shared memory stays clean until
+    /// commit.
+    fn run(ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<(TxnOutput, BTreeMap<u64, Vec<u8>>), TxnError> {
+        let mut out = TxnOutput::default();
+        let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut buf = vec![0u8; ctx.table.payload_size()];
+        for op in ops {
+            let key = op.key();
+            if let Some(v) = pending.get(&key) {
+                buf.copy_from_slice(v);
+            } else if !matches!(op, Op::Update { .. }) {
+                let _span = ctx.ep.span(Phase::PageFetch);
+                ctx.table.read_payload(ctx.ep, key, 0, &mut buf)?;
+            }
+            match op {
+                Op::Read(_) => out.reads.push((key, buf.clone())),
+                Op::Update { value, .. } => {
+                    pending.insert(key, value.clone());
+                }
+                Op::Rmw { delta, .. } => {
+                    out.reads.push((key, buf.clone()));
+                    apply_delta(&mut buf, *delta);
+                    pending.insert(key, buf.clone());
+                }
+            }
+        }
+        Ok((out, pending))
+    }
+
+    /// Commit: revalidate every lock word in one batched read, then apply
+    /// all buffered writes in one doorbell. A changed word means the lease
+    /// was stolen while we executed — the thief may already be working on
+    /// those records; abort writing nothing.
+    fn commit(ctx: &TxnCtx<'_>, held: &[(u64, LeaseToken)], pending: &BTreeMap<u64, Vec<u8>>) -> Result<(), TxnError> {
+        let layer = ctx.table.layer();
+        if !held.is_empty() {
+            let mut wordbuf = vec![0u8; 8 * held.len()];
+            let mut reqs: Vec<(GlobalAddr, &mut [u8])> = wordbuf
+                .chunks_mut(8)
+                .zip(held)
+                .map(|(chunk, (key, _))| (ctx.table.lock_addr(*key), chunk))
+                .collect();
+            layer.read_batch(ctx.ep, &mut reqs)?;
+            drop(reqs);
+            let intact = wordbuf
+                .chunks_exact(8)
+                .zip(held)
+                .all(|(word, (_, token))| u64::from_le_bytes(word.try_into().unwrap()) == token.word);
+            if !intact {
+                return Err(TxnError::Aborted("lease-stolen"));
+            }
+        }
+        if !pending.is_empty() {
+            let _span = ctx.ep.span(Phase::Writeback);
+            // A dual-homed key's write lands on both homes, in the same
+            // doorbell.
+            let reqs: Vec<(GlobalAddr, &[u8])> =
+                pending.iter().flat_map(|(&key, v)| ctx.table.payload_writes(key, 0, v)).collect();
+            layer.write_batch(ctx.ep, &reqs)?;
+        }
+        Ok(())
+    }
+
     /// Attempt the release of every held lease. A release that fails
     /// leaves its word to expire with its lease; it neither skips the
     /// others nor reaches the caller.
     fn release_all(&self, ctx: &TxnCtx<'_>, held: &[(u64, LeaseToken)]) {
+        let _shrink = ctx.ep.span(Phase::LockAcquire);
         let layer = ctx.table.layer();
         for (key, token) in held.iter().rev() {
             let _ = LeaseLock::release(layer, ctx.ep, ctx.table.lock_addr(*key), *token);
@@ -91,134 +182,13 @@ impl ConcurrencyControl for LeasedTpl {
     }
 
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let (all_keys, _) = key_sets(ops);
-        let layer = ctx.table.layer();
-        let owner = Self::owner_of(ctx.worker_tag);
-        let epoch = Self::epoch_of(ctx.worker_tag);
-        debug_assert!(owner != 0, "worker tag low 16 bits must be nonzero");
-
-        // Growing phase: leased exclusive locks in sorted key order.
-        let mut held: Vec<(u64, LeaseToken)> = Vec::with_capacity(all_keys.len());
-        let mut failed: Option<TxnError> = None;
-        {
-            let _grow = ctx.ep.span(Phase::LockAcquire);
-            for &key in &all_keys {
-                match LeaseLock::acquire(
-                    layer,
-                    ctx.ep,
-                    ctx.table.lock_addr(key),
-                    owner,
-                    epoch,
-                    self.lease_ns,
-                    self.max_retries,
-                ) {
-                    Ok(token) => {
-                        if token.stole {
-                            self.steals.fetch_add(1, Ordering::Relaxed);
-                            ctx.ep.series_note(Metric::LockSteals, 1);
-                        }
-                        held.push((key, token));
-                    }
-                    Err(e) => {
-                        failed = Some(e.into());
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Execute with locally buffered writes: reads see our own
-        // pending writes; shared memory stays clean until commit.
-        let mut out = TxnOutput::default();
-        let mut pending: HashMap<u64, Vec<u8>> = HashMap::new();
-        if failed.is_none() {
-            let psize = ctx.table.payload_size();
-            let mut buf = vec![0u8; psize];
-            for op in ops {
-                let r: Result<(), TxnError> = (|| {
-                    let key = op.key();
-                    if let Some(v) = pending.get(&key) {
-                        buf.copy_from_slice(v);
-                    } else if !matches!(op, Op::Update { .. }) {
-                        let _span = ctx.ep.span(Phase::PageFetch);
-                        ctx.io.read_payload(ctx.ep, ctx.table, key, 0, &mut buf)?;
-                    }
-                    match op {
-                        Op::Read(_) => out.reads.push((key, buf.clone())),
-                        Op::Update { value, .. } => {
-                            pending.insert(key, value.clone());
-                        }
-                        Op::Rmw { delta, .. } => {
-                            out.reads.push((key, buf.clone()));
-                            apply_delta(&mut buf, *delta);
-                            pending.insert(key, buf.clone());
-                        }
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = r {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Commit: revalidate every lock word in one batched read, then
-        // apply all buffered writes in one doorbell. A changed word
-        // means the lease was stolen while we executed — the thief may
-        // already be working on those records; abort writing nothing.
-        if failed.is_none() && !held.is_empty() {
-            let mut wordbuf = vec![0u8; 8 * held.len()];
-            let mut reqs: Vec<(GlobalAddr, &mut [u8])> = wordbuf
-                .chunks_mut(8)
-                .zip(held.iter())
-                .map(|(chunk, (key, _))| (ctx.table.lock_addr(*key), chunk))
-                .collect();
-            let revalidation = layer.read_batch(ctx.ep, &mut reqs).map_err(TxnError::from);
-            drop(reqs);
-            match revalidation {
-                Err(e) => failed = Some(e),
-                Ok(()) => {
-                    let intact = held.iter().enumerate().all(|(i, (_, token))| {
-                        u64::from_le_bytes(wordbuf[i * 8..i * 8 + 8].try_into().unwrap())
-                            == token.word
-                    });
-                    if !intact {
-                        failed = Some(TxnError::Aborted("lease-stolen"));
-                    }
-                }
-            }
-        }
-        if failed.is_none() && !pending.is_empty() {
-            let _span = ctx.ep.span(Phase::Writeback);
-            let mut writes: Vec<(u64, &Vec<u8>)> = pending.iter().map(|(k, v)| (*k, v)).collect();
-            writes.sort_unstable_by_key(|(k, _)| *k);
-            // While a key sits in an open dual-ownership window the
-            // write must land on both homes; the batch carries both
-            // targets in one doorbell.
-            let mut reqs: Vec<(GlobalAddr, &[u8])> = Vec::with_capacity(writes.len());
-            for (k, v) in &writes {
-                let (old, dual) = ctx.table.payload_write_targets(*k, 0);
-                reqs.push((old, v.as_slice()));
-                if let Some(new) = dual {
-                    reqs.push((new, v.as_slice()));
-                }
-            }
-            if let Err(e) = layer.write_batch(ctx.ep, &reqs) {
-                failed = Some(e.into());
-            }
-        }
-
-        // Shrinking phase.
-        {
-            let _shrink = ctx.ep.span(Phase::LockAcquire);
-            self.release_all(ctx, &held);
-        }
-
-        match failed {
-            None => Ok(out),
+        let (held, grown) = self.grow(ctx, ops);
+        let done = match grown {
             Some(e) => Err(e),
-        }
+            None => Self::run(ctx, ops).and_then(|(out, pending)| Self::commit(ctx, &held, &pending).map(|()| out)),
+        };
+        self.release_all(ctx, &held);
+        done
     }
 }
 
@@ -226,10 +196,8 @@ impl ConcurrencyControl for LeasedTpl {
 mod tests {
     use super::*;
     use crate::protocols::testutil::{bank_invariant_holds, table, timed_table};
-    use crate::protocols::{DirectIo, PayloadIo};
-    use dsm::DsmResult;
+    use crate::protocols::DirectIo;
     use rdma_sim::{Endpoint, EventKind, FaultPlan};
-    use std::sync::atomic::AtomicBool;
 
     const LEASE: u64 = 500_000_000; // 500 virtual ms — never expires in tests
 
@@ -349,58 +317,32 @@ mod tests {
         assert_ne!(word(t.lock_addr(1)), 0, "key 1's lease is left to expire");
     }
 
-    /// PayloadIo that simulates the owner stalling mid-execution while a
-    /// thief steals its (expired) lease: on the first read, a separate
-    /// session fast-forwards past the lease and takes the lock.
-    struct StealDuringRead(AtomicBool);
-
-    impl PayloadIo for StealDuringRead {
-        fn read_payload(
-            &self,
-            ep: &Endpoint,
-            table: &crate::table::RecordTable,
-            key: u64,
-            v: usize,
-            dst: &mut [u8],
-        ) -> DsmResult<()> {
-            if !self.0.swap(true, Ordering::SeqCst) {
-                let thief = table.layer().fabric().endpoint();
-                thief.charge_local(60_000_000_000); // minutes later
-                LeaseLock::acquire(table.layer(), &thief, table.lock_addr(key), 999, 1, LEASE, 0)
-                    .expect("steal must succeed: lease long expired");
-            }
-            DirectIo.read_payload(ep, table, key, v, dst)
-        }
-
-        fn write_payload(
-            &self,
-            ep: &Endpoint,
-            table: &crate::table::RecordTable,
-            key: u64,
-            v: usize,
-            src: &[u8],
-        ) -> DsmResult<()> {
-            DirectIo.write_payload(ep, table, key, v, src)
-        }
-    }
-
+    /// The owner stalls between its execute and commit steps, long enough
+    /// for a thief to steal its expired lease: the commit step must see the
+    /// changed word and write nothing.
     #[test]
     fn zombie_owner_is_fenced_at_commit_and_writes_nothing() {
         let t = table(4, 16, 1);
         let ep = t.layer().fabric().endpoint();
-        let io = StealDuringRead(AtomicBool::new(false));
         let ctx = TxnCtx {
             ep: &ep,
             table: &t,
-            io: &io,
+            io: &DirectIo,
             worker_tag: 7,
         };
         // Short lease so the thief's takeover is legitimate.
         let cc = LeasedTpl::new(10_000);
-        let err = cc
-            .execute(&ctx, &[Op::Rmw { key: 2, delta: 100 }])
-            .unwrap_err();
+        let ops = [Op::Rmw { key: 2, delta: 100 }];
+        let (held, failed) = cc.grow(&ctx, &ops);
+        assert_eq!(failed, None);
+        let (_, pending) = LeasedTpl::run(&ctx, &ops).unwrap();
+        let thief = t.layer().fabric().endpoint();
+        thief.charge_local(60_000_000_000); // minutes later
+        LeaseLock::acquire(t.layer(), &thief, t.lock_addr(2), 999, 1, LEASE, 0)
+            .expect("steal must succeed: lease long expired");
+        let err = LeasedTpl::commit(&ctx, &held, &pending).unwrap_err();
         assert_eq!(err, TxnError::Aborted("lease-stolen"));
+        cc.release_all(&ctx, &held);
         // The zombie wrote nothing: payload still zero.
         let check = t.layer().fabric().endpoint();
         let mut buf = [0u8; 16];

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{
-    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
-};
+use super::{lock_all, release_all, stage, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::oracle::TimestampOracle;
 
 /// TSO with a pluggable timestamp oracle.
@@ -43,17 +41,6 @@ impl ConcurrencyControl for Tso {
         let layer = ctx.table.layer();
         let psize = ctx.table.payload_size();
         let ts = self.oracle.next_ts(ctx.ep)?;
-        let mut out = TxnOutput::default();
-
-        // Staged writes install at the end, under the record lock.
-        // Updates are blind absolute values; Rmw deltas are *re-applied
-        // against a fresh read under the lock* — installing the
-        // optimistically read value would lose concurrent updates.
-        enum Staged {
-            Abs(Vec<u8>),
-            Delta(i64),
-        }
-        let mut staged: Vec<(u64, Staged)> = Vec::new();
 
         let read_value = |key: u64| -> Result<Vec<u8>, TxnError> {
             // Read header+payload in one READ: [lock|rts|wts|payload].
@@ -81,33 +68,10 @@ impl ConcurrencyControl for Tso {
             }
             Ok(buf[24..].to_vec())
         };
-
-        for op in ops {
-            match op {
-                Op::Read(key) => {
-                    let v = read_value(*key)?;
-                    out.reads.push((*key, v));
-                }
-                Op::Update { key, value } => {
-                    staged.push((*key, Staged::Abs(value.clone())));
-                }
-                Op::Rmw { key, delta } => {
-                    // The returned pre-image is the optimistic read; the
-                    // installed value is recomputed under the lock below.
-                    let v = read_value(*key)?;
-                    out.reads.push((*key, v));
-                    match staged.iter_mut().rev().find(|(k, _)| *k == *key) {
-                        Some((_, Staged::Delta(d))) => *d += delta,
-                        _ => staged.push((*key, Staged::Delta(*delta))),
-                    }
-                }
-            }
-        }
+        let (out, staged) = stage(ops, read_value)?;
 
         // Install writes, sorted by key, each under the record lock.
-        let mut write_keys: Vec<u64> = staged.iter().map(|(k, _)| *k).collect();
-        write_keys.sort_unstable();
-        write_keys.dedup();
+        let write_keys: Vec<u64> = staged.keys().copied().collect();
         let lock_span = ctx.ep.span(Phase::LockAcquire);
         let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
 
@@ -137,26 +101,16 @@ impl ConcurrencyControl for Tso {
 
         if abort.is_none() {
             let _span = ctx.ep.span(Phase::Writeback);
-            for &key in &write_keys {
+            for (&key, write) in &staged {
                 let r: Result<(), TxnError> = (|| {
-                    let value = match staged
-                        .iter()
-                        .rev()
-                        .find(|(k, _)| *k == key)
-                        .map(|(_, v)| v)
-                        .expect("staged")
-                    {
-                        Staged::Abs(v) => v.clone(),
-                        Staged::Delta(d) => {
-                            // Fresh read under the lock: serializes the
-                            // read-modify-write against all other writers.
-                            let mut v = vec![0u8; psize];
-                            layer.read(ctx.ep, ctx.table.payload_addr(key, 0), &mut v)?;
-                            apply_delta(&mut v, *d);
-                            v
-                        }
-                    };
-                    ctx.io.write_payload(ctx.ep, ctx.table, key, 0, &value)?;
+                    // Fresh read under the lock: serializes the
+                    // read-modify-write against all other writers.
+                    let value = write.value(|| {
+                        let mut v = vec![0u8; psize];
+                        layer.read(ctx.ep, ctx.table.payload_addr(key, 0), &mut v)?;
+                        Ok(v)
+                    })?;
+                    ctx.table.write_payload(ctx.ep, key, 0, &value)?;
                     layer.write_u64(ctx.ep, ctx.table.wts_addr(key, 0), ts)?;
                     Ok(())
                 })();
@@ -179,9 +133,7 @@ impl ConcurrencyControl for Tso {
 mod tests {
     use super::*;
     use crate::oracle::FaaOracle;
-    use crate::protocols::testutil::{
-        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
-    };
+    use crate::protocols::testutil::{a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table};
     use crate::protocols::DirectIo;
 
     #[test]
@@ -193,9 +145,7 @@ mod tests {
 
     #[test]
     fn a_failed_unlock_does_not_leak_the_other_locks() {
-        let t = timed_table(1);
-        let oracle = Arc::new(FaaOracle::new(t.layer()).unwrap());
-        a_failed_unlock_leaves_no_reachable_lock_held(&Tso::new(oracle), &t);
+        a_failed_unlock_leaves_no_reachable_lock_held(1, |t| Tso::new(Arc::new(FaaOracle::new(t.layer()).unwrap())));
     }
 
     #[test]

@@ -32,6 +32,8 @@ enum TxnKind {
     Transfer(u64, u64, i64),
     Readonly(u64, u64),
     Blind(u64, i64),
+    /// An overwrite, then a read-modify-write of the same key.
+    OverwriteThenRmw(u64, i64, i64),
 }
 
 fn txns() -> impl Strategy<Value = Vec<TxnKind>> {
@@ -40,9 +42,16 @@ fn txns() -> impl Strategy<Value = Vec<TxnKind>> {
             ((0u64..32), (0u64..32), (-50i64..50)).prop_map(|(a, b, d)| TxnKind::Transfer(a, b, d)),
             ((0u64..32), (0u64..32)).prop_map(|(a, b)| TxnKind::Readonly(a, b)),
             ((0u64..32), (-50i64..50)).prop_map(|(k, d)| TxnKind::Blind(k, d)),
+            ((0u64..32), (-50i64..50), (-50i64..50)).prop_map(|(k, v, d)| TxnKind::OverwriteThenRmw(k, v, d)),
         ],
         1..60,
     )
+}
+
+fn overwrite(key: u64, counter: i64) -> Op {
+    let mut value = vec![0u8; 16];
+    value[0..8].copy_from_slice(&counter.to_le_bytes());
+    Op::Update { key, value }
 }
 
 fn as_ops(t: &TxnKind) -> Vec<Op> {
@@ -52,11 +61,8 @@ fn as_ops(t: &TxnKind) -> Vec<Op> {
             Op::Rmw { key: b, delta: d },
         ],
         TxnKind::Readonly(a, b) => vec![Op::Read(a), Op::Read(b)],
-        TxnKind::Blind(k, d) => {
-            let mut v = vec![0u8; 16];
-            v[0..8].copy_from_slice(&d.to_le_bytes());
-            vec![Op::Update { key: k, value: v }]
-        }
+        TxnKind::Blind(k, d) => vec![overwrite(k, d)],
+        TxnKind::OverwriteThenRmw(k, v, d) => vec![overwrite(k, v), Op::Rmw { key: k, delta: d }],
     }
 }
 
@@ -108,6 +114,15 @@ fn serial_equivalence(
                     }
                     TxnKind::Blind(kk, d) => {
                         model[kk as usize] = d;
+                    }
+                    TxnKind::OverwriteThenRmw(kk, v, d) => {
+                        assert_eq!(
+                            i64::from_le_bytes(out.reads[0].1[0..8].try_into().unwrap()),
+                            v,
+                            "{}: the rmw of {kk} sees the overwrite",
+                            cc.name()
+                        );
+                        model[kk as usize] = v + d;
                     }
                 }
             }
