@@ -7,9 +7,11 @@
 //! on the endpoint or session and [`collect`](Planes::collect) what was
 //! recorded; an experiment whose claim is computed from the planes
 //! [`attach`](Planes::attach)es its flagship run's merge to the report,
-//! and the rest attach nothing. Fabric utilization is not among them: it
-//! is folded from the flight-recorder ring by the one experiment that
-//! reads it ([`crate::heatmap`]).
+//! and the rest attach nothing. Contention, series and forensics are
+//! folds over each endpoint's flight recorder, so an endpoint records
+//! contention only while its ring or its series is on. Fabric
+//! utilization is not among them: it is folded from the ring by the one
+//! experiment that reads it ([`crate::heatmap`]).
 
 use dsmdb::Session;
 use rdma_sim::{ContentionSnapshot, Endpoint, HistSnapshot, PhaseSnapshot, SeriesSnapshot};

@@ -413,7 +413,7 @@ impl Session {
         // Publish this txn's trace under the tags it writes into lock
         // words, so blocked waiters can resolve us as their holder. The
         // lease protocol's words carry only the low-16 owner id.
-        let announce = self.ep.flight_recorder_enabled();
+        let announce = self.ep.flight_capacity() > 0;
         if announce {
             let fabric = self.ep.fabric();
             fabric.announce_trace(self.worker_tag, trace);
@@ -438,6 +438,20 @@ impl Session {
             Architecture::CacheShard => self.execute_sharded(ops),
         };
         self.ep.phase_exit();
+        // The outcome notes land in the ring inside the transaction's
+        // window, so the ring the forensics fold reads below is the ring
+        // the caller sees once `execute` returns.
+        match &result {
+            Ok(_) => {
+                self.stats.commits += 1;
+                self.ep.series_note(Metric::Commits, 1);
+            }
+            Err(e) => {
+                self.stats.aborts += 1;
+                self.ep.series_note(Metric::Aborts, 1);
+                self.ep.series_note(abort_metric(e.cause()), 1);
+            }
+        }
         if let (Some(collector), Some(pushed0)) = (&mut self.forensics, pushed0) {
             let end = self.ep.clock().now_ns();
             // This txn's own coverage is provably lost exactly when it
@@ -461,17 +475,6 @@ impl Session {
         }
         self.ep.clear_trace_id();
         self.txn_lat.record(self.ep.clock().now_ns().saturating_sub(t0));
-        match &result {
-            Ok(_) => {
-                self.stats.commits += 1;
-                self.ep.series_note(Metric::Commits, 1);
-            }
-            Err(e) => {
-                self.stats.aborts += 1;
-                self.ep.series_note(Metric::Aborts, 1);
-                self.ep.series_note(abort_metric(e.cause()), 1);
-            }
-        }
         result
     }
 

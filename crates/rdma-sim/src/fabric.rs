@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use telemetry::{
     ChromeTrace, ContentionSnapshot, HistSnapshot, Histogram, Metric, Phase, PhaseSnapshot,
-    PhaseTracker, Sample, SeriesRecorder, SeriesSnapshot,
+    PhaseTracker, Sample, SeriesSnapshot,
 };
 
 use crate::clock::{Clock, SharedTimeline};
@@ -15,7 +15,7 @@ use crate::error::{RdmaError, RdmaResult};
 use crate::fault::{FaultPlan, FaultView};
 use crate::mailbox::{Mailbox, MailboxId, MailboxRegistry, Message};
 use crate::profile::NetworkProfile;
-use crate::recorder::{outcome, pack_addr, ContentionProbe, Event, EventKind, FlightRecorder};
+use crate::recorder::{outcome, pack_addr, Event, EventKind, FlightRecorder};
 use crate::region::Region;
 use crate::stats::{OpKind, OpStats, StatsSnapshot};
 
@@ -222,10 +222,7 @@ impl Fabric {
             verb_lat: std::array::from_fn(|_| Histogram::new()),
             faults: RefCell::new(FaultView::default()),
             recorder: FlightRecorder::default(),
-            contention: ContentionProbe::new(),
             trace_id: Cell::new(0),
-            series: SeriesRecorder::new(),
-            series_wire_mark: Cell::new(0),
         }
     }
 }
@@ -249,9 +246,13 @@ fn fix_node(e: RdmaError, node: NodeId) -> RdmaError {
 
 /// A per-thread handle for issuing verbs. Owns a virtual [`Clock`], op
 /// counters, per-verb latency histograms, the phase-span tracker and the
-/// telemetry planes, all fed from one place: every verb entry point
-/// builds one `VerbEvent` and hands it to `Endpoint::complete`. Not
-/// `Sync`: create one per worker thread.
+/// [`FlightRecorder`]: every verb entry point builds one `VerbEvent` and
+/// hands it to `Endpoint::complete`, and everything the telemetry views
+/// see — verbs, faults, phase boundaries, lock waits, wait-for edges,
+/// fan-outs, upper layers' series notes — is one event pushed into the
+/// recorder, from which the series, the contention profile, forensics
+/// and utilization are all folded. Not `Sync`: create one per worker
+/// thread.
 pub struct Endpoint {
     fabric: Arc<Fabric>,
     profile: NetworkProfile,
@@ -263,50 +264,28 @@ pub struct Endpoint {
     /// This endpoint's view of the installed fault plan (deterministic
     /// per-peer counters live here).
     faults: RefCell<FaultView>,
-    /// Causal flight recorder (ring of verb/fault/phase events).
-    /// Disabled by default; see [`Endpoint::enable_flight_recorder`].
+    /// The one sink of observations: a ring of events plus the series
+    /// and contention accumulators folded from it. Off by default; see
+    /// [`Endpoint::enable_flight_recorder`] and
+    /// [`Endpoint::enable_timeseries`].
     recorder: FlightRecorder,
-    /// Always-on contention accounting (hot keys, CAS retries,
-    /// wait-for edges, coherence fan-out).
-    contention: ContentionProbe,
     /// The transaction trace id recorded into every event (0 = none),
     /// threaded in by the session layer around each transaction.
     trace_id: Cell<u64>,
-    /// Windowed time-series sampler (disabled by default; see
-    /// [`Endpoint::enable_timeseries`]). Reads the clock, never
-    /// advances it.
-    series: SeriesRecorder,
-    /// Last wire-RT total folded into the series: each verb adds the
-    /// delta, so doorbell riders net out to one wire RT per group.
-    series_wire_mark: Cell<u64>,
 }
 
-/// The series counter of each verb class, indexed by `OpKind as usize`.
-const VERB_METRIC: [Metric; 6] = [
-    Metric::Reads,
-    Metric::Writes,
-    Metric::Cas,
-    Metric::Faa,
-    Metric::Sends,
-    Metric::Recvs,
-];
-
-/// One completed verb: everything any instrument needs to know about
-/// it, built on the stack by the entry point that ran it and consumed
-/// once by `Endpoint::complete`.
+/// One completed verb, built on the stack by the entry point that ran it
+/// and consumed once by `Endpoint::complete`.
 struct VerbEvent {
     kind: OpKind,
     /// Target memory node; `None` for two-sided verbs.
     peer: Option<NodeId>,
-    /// Byte offset on `peer` for memory verbs, the peer mailbox id for
-    /// messaging verbs.
+    /// Byte offset on `peer`, or the peer mailbox id.
     addr: u64,
     bytes: usize,
-    /// Virtual latency: the verb was outstanding over `[now - cost_ns,
-    /// now]` on the endpoint's clock.
+    /// Virtual latency, ending now.
     cost_ns: u64,
-    /// The part of `cost_ns` spent queued at the target's atomic unit
-    /// (the ring keeps it in [`Event::aux`]).
+    /// The part of `cost_ns` queued at the target's atomic unit.
     queue_ns: u64,
     /// One of the [`outcome`] codes.
     outcome: u8,
@@ -405,13 +384,13 @@ impl Endpoint {
     /// on every path.
     pub fn phase_enter(&self, phase: Phase) {
         self.tracker.enter(phase, self.sample());
-        self.record_event(EventKind::PhaseBegin, None, phase as u64, 0, outcome::OK, 0, 0);
+        self.record(EventKind::PhaseBegin, 0, |e| Event { addr: phase as u64, ..e });
     }
 
     /// Close the innermost phase opened by [`Endpoint::phase_enter`].
     pub fn phase_exit(&self) {
         self.tracker.exit(self.sample());
-        self.record_event(EventKind::PhaseEnd, None, 0, 0, outcome::OK, 0, 0);
+        self.record(EventKind::PhaseEnd, 0, |e| e);
     }
 
     /// Per-phase attribution so far (flushes the open interval first).
@@ -425,52 +404,28 @@ impl Endpoint {
         self.verb_lat[kind as usize].snapshot()
     }
 
-    /// The single completion path: fold one finished verb into every
-    /// view of the endpoint — op counters, the per-class latency
-    /// histogram, the CAS-retry tally, the windowed series and the
-    /// flight-recorder ring (which the utilization plane is folded from
-    /// after the run). Reads the clock (already advanced past the
-    /// verb), never moves it; each plane that is off costs one branch.
-    /// Always inlined so `ev` lives in registers, not in memory: measured
-    /// 4-9 % per verb with the planes off against an out-of-line call.
+    /// The single completion path: count one finished verb in the op
+    /// counters and its class's latency histogram, and push it, with the
+    /// wire RTs it paid, into the flight recorder (one branch while that
+    /// is off). Always inlined so `ev` lives in registers, not in memory:
+    /// measured 4-9 % per verb with the planes off against an out-of-line
+    /// call.
     #[inline(always)]
     fn complete(&self, ev: VerbEvent) {
-        let now = self.clock.now_ns();
         self.stats.record(ev.kind, ev.bytes);
         self.verb_lat[ev.kind as usize].record(ev.cost_ns);
-        let addr = ev.peer.map_or(ev.addr, |node| pack_addr(node, ev.addr));
         if ev.outcome == outcome::CAS_LOST {
-            // A lost CAS is the contention signal: feed the hot-word
-            // retry tally with the packed lock-word address.
             self.stats.record_cas_failure();
-            self.contention.note_cas_retry(addr);
         }
-        if self.series.enabled() {
-            // RECVs observe bytes the sender already put on the wire.
-            let wire_bytes = if ev.kind != OpKind::Recv { ev.bytes as u64 } else { 0 };
-            // Doorbell accounting runs ahead of its member verbs, so the
-            // wire-RT total can transiently sit below the mark; taking
-            // only positive deltas nets each group out to exactly its
-            // paid wire RTs, attributed to the window of the last verb.
-            let wire = self.stats.wire_rts_now();
-            let paid = wire.saturating_sub(self.series_wire_mark.get());
-            if paid > 0 {
-                self.series_wire_mark.set(wire);
-            }
-            self.series.note_all(
-                now,
-                [
-                    (VERB_METRIC[ev.kind as usize], 1),
-                    (Metric::BytesWire, wire_bytes),
-                    (Metric::WireRts, paid),
-                ],
-            );
-        }
-        // Checked here too so a recorder that is off costs a branch, not
-        // an out-of-line call.
-        if self.recorder.enabled() {
-            self.record_event(EventKind::Verb(ev.kind), ev.peer, addr, ev.bytes, ev.outcome, ev.cost_ns, ev.queue_ns);
-        }
+        self.record(EventKind::Verb(ev.kind), ev.cost_ns, |e| Event {
+            peer: ev.peer.unwrap_or(u16::MAX),
+            addr: ev.peer.map_or(ev.addr, |node| pack_addr(node, ev.addr)),
+            bytes: ev.bytes as u32,
+            outcome: ev.outcome,
+            wire_rts: self.recorder.pay(self.stats.wire_rts_now()),
+            aux: ev.queue_ns,
+            ..e
+        });
     }
 
     /// Reset clock, counters, and telemetry (between experiment phases).
@@ -485,61 +440,52 @@ impl Endpoint {
         }
         let gen = self.fabric.fault_generation();
         self.faults.borrow_mut().rebind(gen, self.fabric.fault_plan_arc());
-        self.recorder.clear();
-        self.contention.reset();
-        self.series.clear();
-        self.series_wire_mark.set(0);
+        self.recorder.reset();
         self.trace_id.set(0);
     }
 
     /// Turn on the flight recorder with a ring of `cap` events (0 turns
-    /// it back off). Recording never advances the virtual clock, so
-    /// virtual-time throughput is identical with the recorder on or off.
+    /// it back off), folding the events it held. Recording never
+    /// advances the virtual clock.
     pub fn enable_flight_recorder(&self, cap: usize) {
+        if !self.recorder.on() {
+            self.recorder.mark_wire(self.stats.wire_rts_now());
+        }
         self.recorder.set_capacity(cap);
     }
 
     /// Turn on windowed time-series sampling with `width_ns`-wide
-    /// virtual-time windows (0 turns it back off). Like the flight
-    /// recorder, sampling reads the clock but never advances it, so
-    /// virtual-time throughput is identical with the series on or off.
+    /// virtual-time windows (0 turns it back off), over the events
+    /// recorded from this call on. Sampling never advances the clock.
     pub fn enable_timeseries(&self, width_ns: u64) {
-        self.series.enable(width_ns);
-        self.series_wire_mark.set(self.stats.wire_rts_now());
+        self.recorder.enable_series(width_ns, self.stats.wire_rts_now());
     }
 
-    /// Copy out the windowed series recorded so far (empty when
-    /// sampling is off).
+    /// The windowed series so far (empty while sampling is off).
     pub fn series_snapshot(&self) -> SeriesSnapshot {
-        self.series.snapshot()
+        self.recorder.series_snapshot()
     }
 
-    /// Bump `metric` by `delta` in the window covering *now*. Upper
-    /// layers (buffer pool, lock table, engine) use this to land their
-    /// own counters in the same series as the verb stream. No-op while
-    /// sampling is off.
+    /// Bump `metric` by `delta` in the window covering *now*: upper layers
+    /// (buffer pool, lock table, engine) land their own counters in the
+    /// verb stream's series as one [`EventKind::Note`] (none for 0).
     #[inline]
     pub fn series_note(&self, metric: Metric, delta: u64) {
-        self.series.note(self.clock.now_ns(), metric, delta);
+        if delta != 0 {
+            self.record(EventKind::Note(metric), 0, |e| Event { aux: delta, ..e });
+        }
     }
 
-    /// Does nothing. The gauge plane it used to turn on is gone: the
-    /// levels the watchdog reads are prefix sums of series counters
-    /// (see [`Endpoint::enable_timeseries`]). Its only caller is
-    /// `benchmark/src/driver.rs`, in the separate benchmark workspace;
-    /// delete this method once that call is gone.
+    /// Does nothing: the watchdog's levels are prefix sums of series
+    /// counters. Kept, like the next two, only for the separate benchmark
+    /// workspace's `benchmark/src/driver.rs`; delete once that call goes.
     pub fn enable_health(&self, _width_ns: u64) {}
 
-    /// Does nothing. The utilization plane is no longer recorded: it is
-    /// folded after the run from the flight-recorder ring
-    /// ([`crate::recorder::to_verb_load`], `telemetry::utilization::fold`).
-    /// Kept, like [`Endpoint::enable_health`], only for
-    /// `benchmark/src/driver.rs`; delete it once that call is gone.
+    /// Does nothing: utilization is folded from the flight-recorder ring
+    /// ([`crate::recorder::to_verb_load`]).
     pub fn enable_utilization(&self, _width_ns: u64) {}
 
-    /// Does nothing. The fold takes each ring's session tag beside its
-    /// events; kept for the same caller as
-    /// [`Endpoint::enable_utilization`].
+    /// Does nothing: the utilization fold takes each ring's session tag.
     pub fn set_util_session(&self, _tag: u64) {}
 
     /// Recorded flight events, oldest first.
@@ -586,52 +532,35 @@ impl Endpoint {
         self.trace_id.set(0);
     }
 
-    /// Account `ns` of lock/latch waiting attributed to the packed
-    /// address `addr` (feeds the hot-key wait tally). Holder unknown —
-    /// equivalent to [`Endpoint::note_lock_wait_traced`] with tag 0.
+    /// [`Endpoint::note_lock_wait_traced`] with the holder unknown.
     #[inline]
     pub fn note_lock_wait(&self, addr: u64, ns: u64) {
         self.note_lock_wait_traced(addr, ns, 0);
     }
 
-    /// Account `ns` of lock waiting on `addr` where the lock word named
-    /// `holder_tag` as the current owner. Feeds the hot-key wait tally
-    /// and series like [`Endpoint::note_lock_wait`]; additionally, when
-    /// the flight recorder is on, records a [`EventKind::Wait`] event
-    /// whose `aux` is the holder's trace id resolved through the
-    /// fabric's trace registry at block time — the blocking edge
-    /// critical-path extraction follows.
+    /// Account `ns` of lock waiting on the packed address `addr` whose
+    /// word named `holder_tag` as owner: a [`EventKind::Wait`] whose `aux`
+    /// is the holder's trace id resolved at block time — the blocking
+    /// edge critical-path extraction follows.
     pub fn note_lock_wait_traced(&self, addr: u64, ns: u64, holder_tag: u64) {
-        self.contention.note_wait(addr, ns);
-        self.record_wait(addr, ns, || self.fabric.trace_of(holder_tag));
+        self.record_wait(addr, ns, false, || self.fabric.trace_of(holder_tag));
     }
 
     /// Account `ns` of waiting on a *local* (in-process) lock whose
-    /// holder's trace id is already known. Local keys are not packed
-    /// global addresses, so this skips the hot-key wait tally (where
-    /// they would alias fabric addresses) but still lands in the series
-    /// and, when the recorder is on, the event ring.
+    /// holder's trace id is known. The key is no packed global address,
+    /// so the wait stays out of the hot-key wait tally.
     pub fn note_local_lock_wait(&self, addr: u64, ns: u64, holder_trace: u64) {
-        self.record_wait(addr, ns, || holder_trace);
+        self.record_wait(addr, ns, true, || holder_trace);
     }
 
-    /// The part every lock wait shares: the series counters and, when
-    /// the recorder is on, a backdated [`EventKind::Wait`] naming the
-    /// holder (resolved only then — the registry lookup takes a lock).
-    fn record_wait(&self, addr: u64, ns: u64, holder_trace: impl FnOnce() -> u64) {
-        if self.series.enabled() {
-            let now = self.clock.now_ns();
-            self.series.note_all(now, [(Metric::LockWaits, 1), (Metric::LockWaitNs, ns)]);
-        }
-        if self.recorder.enabled() {
-            self.record_event(EventKind::Wait, None, addr, 0, outcome::OK, ns, holder_trace());
-        }
-    }
-
-    /// Whether the flight recorder is on.
-    #[inline]
-    pub fn flight_recorder_enabled(&self) -> bool {
-        self.recorder.enabled()
+    /// Push a backdated [`EventKind::Wait`], resolving the holder only
+    /// while the ring, its only reader, is on (the lookup takes a lock).
+    fn record_wait(&self, addr: u64, ns: u64, local: bool, holder_trace: impl FnOnce() -> u64) {
+        self.record(EventKind::Wait { local }, ns, |e| Event {
+            addr,
+            aux: if self.recorder.capacity() > 0 { holder_trace() } else { 0 },
+            ..e
+        });
     }
 
     /// The forensic critical-path steps (phase boundaries elided) that
@@ -654,51 +583,43 @@ impl Endpoint {
     /// `holder` held (holder 0 = unknown).
     #[inline]
     pub fn note_wait_edge(&self, waiter: u64, holder: u64, addr: u64) {
-        self.contention.note_wait_edge(waiter, holder, addr);
+        self.record(EventKind::Edge, waiter, |e| Event { addr, aux: holder, ..e });
     }
 
-    /// Account one coherence broadcast fanning out to `n` sharers.
+    /// Account one coherence broadcast fanning out to `n > 0` sharers.
     #[inline]
     pub fn note_inval_fanout(&self, n: u64) {
-        self.contention.note_inval_fanout(n);
-        self.series_note(Metric::Invals, n);
+        if n != 0 {
+            self.record(EventKind::Fanout, 0, |e| Event { aux: n, ..e });
+        }
     }
 
-    /// Copy out this endpoint's contention observations.
+    /// This endpoint's contention profile, folded from its events.
     pub fn contention_snapshot(&self) -> ContentionSnapshot {
-        self.contention.snapshot()
+        self.recorder.contention_snapshot()
     }
 
-    /// Push one event into the flight recorder (no-op when disabled,
-    /// never advances the clock). `dur_ns` is subtracted from the
-    /// current clock to recover the event's start time.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn record_event(
-        &self,
-        kind: EventKind,
-        peer: Option<NodeId>,
-        addr: u64,
-        bytes: usize,
-        outcome_code: u8,
-        dur_ns: u64,
-        aux: u64,
-    ) {
-        if !self.recorder.enabled() {
+    /// Push an event of `kind` ending now and lasting `dur_ns`, tagged with
+    /// the trace id and innermost phase; `fill` sets the kind's own fields
+    /// (see [`EventKind`]). Nothing while the recorder is off.
+    #[inline(always)]
+    fn record(&self, kind: EventKind, dur_ns: u64, fill: impl FnOnce(Event) -> Event) {
+        if !self.recorder.on() {
             return;
         }
-        self.recorder.push(Event {
-            ts_ns: self.clock.now_ns().saturating_sub(dur_ns),
+        self.recorder.push(fill(Event {
+            end_ns: self.clock.now_ns(),
             dur_ns,
             kind,
-            peer: peer.unwrap_or(u16::MAX),
-            addr,
-            bytes: bytes as u32,
-            outcome: outcome_code,
+            peer: u16::MAX,
+            addr: 0,
+            bytes: 0,
+            outcome: outcome::OK,
+            wire_rts: 0,
             txn: self.trace_id.get(),
             phase: self.tracker.innermost() as u8,
-            aux,
-        });
+            aux: 0,
+        }));
     }
 
     /// Charge local CPU/DRAM work that is not a verb (buffer-pool
@@ -739,7 +660,7 @@ impl Endpoint {
             RdmaError::Transient(_) => outcome::TRANSIENT,
             _ => outcome::UNREACHABLE,
         };
-        self.record_event(EventKind::Fault, Some(node), 0, 0, code, detect, 0);
+        self.record(EventKind::Fault, detect, |e| Event { peer: node, outcome: code, ..e });
         e
     }
 
@@ -1434,6 +1355,7 @@ mod tests {
             let fabric = Fabric::new(NetworkProfile::rdma_cx6());
             let node = fabric.register_node(1024);
             let ep = fabric.endpoint();
+            ep.enable_flight_recorder(16);
             ep.cas(node, 16, 0, 1).unwrap();
             ep.cas(node, 16, 0, 2).unwrap();
             let hot = ep.contention_snapshot().cas_top.ranked();
@@ -1461,11 +1383,11 @@ mod tests {
         waiter.note_local_lock_wait(7, 100, 0x9_0003);
         let evs: Vec<Event> = waiter.recorder.tail(3).collect();
         assert!(evs.iter().all(|e| e.txn == 0x7_0001));
-        assert_eq!(evs[0].kind, EventKind::Wait);
+        assert_eq!(evs[0].kind, EventKind::Wait { local: false });
         assert_eq!(evs[0].aux, 0x42_0001);
-        assert_eq!(evs[0].ts_ns, 0, "wait charge is backdated");
+        assert_eq!(evs[0].ts_ns(), 0, "wait charge is backdated");
         assert_eq!(evs[1].aux, 0);
-        assert_eq!(evs[2].aux, 0x9_0003);
+        assert_eq!((evs[2].kind, evs[2].aux), (EventKind::Wait { local: true }, 0x9_0003));
         // Retired traces stop resolving.
         fabric.retire_trace(42);
         assert_eq!(fabric.trace_of(42), 0);
@@ -1478,6 +1400,10 @@ mod tests {
         assert_eq!(path[0].step, telemetry::StepKind::Wait { holder: 0x42_0001 });
         // Local waits stay out of the hot-key tally; fabric waits feed it.
         assert_eq!(waiter.contention_snapshot().wait_ns_total, 700);
+        // A fan-out to no sharer and a zero note record nothing.
+        waiter.note_inval_fanout(0);
+        waiter.series_note(Metric::Commits, 0);
+        assert_eq!(waiter.flight_pushed(), 3);
     }
 
     #[test]
@@ -1526,7 +1452,7 @@ mod tests {
         ep.read_u64(node, 0).unwrap();
         ep.reset();
         assert!(ep.series_snapshot().is_empty());
-        assert!(ep.series.enabled());
+        assert!(ep.recorder.on());
     }
 
     #[test]
@@ -1614,16 +1540,17 @@ mod tests {
             (OpKind::Recv, Metric::Recvs),
         ];
         // A script through all 12 entry points. Windows are narrower
-        // than a verb, so batches straddle them.
-        let run = |planes: bool| {
+        // than a verb, so batches straddle them. `ring` is the flight
+        // recorder's capacity, with the series on; `None` turns both off.
+        let run = |ring: Option<usize>| {
             let fabric = Fabric::new(NetworkProfile::rdma_cx6());
             let n0 = fabric.register_node(1 << 20);
             let n1 = fabric.register_node(1 << 20);
             let inbox = fabric.mailboxes().register(5);
             let ep = fabric.endpoint();
-            if planes {
+            if let Some(cap) = ring {
                 ep.enable_timeseries(1_000);
-                ep.enable_flight_recorder(256);
+                ep.enable_flight_recorder(cap);
             }
             // The SEND batch goes first: its doorbell rings after its
             // members, so the series' wire-RT count only catches up
@@ -1670,8 +1597,17 @@ mod tests {
             }
             ep
         };
-        let ep = run(true);
-        assert_eq!(run(false).clock().now_ns(), ep.clock().now_ns(), "planes are free");
+        let ep = run(Some(256));
+        assert_eq!(run(None).clock().now_ns(), ep.clock().now_ns(), "planes are free");
+        // The series and the contention profile are folds over the ring
+        // that do not depend on its capacity: a ring of 0 with the series
+        // on, one that wraps many times over and one that holds it all
+        // agree.
+        for cap in [0, 4] {
+            let small = run(Some(cap));
+            assert_eq!(small.series_snapshot(), ep.series_snapshot(), "ring of {cap}: series");
+            assert_eq!(small.contention_snapshot(), ep.contention_snapshot(), "ring of {cap}: contention");
+        }
 
         let stats = ep.stats();
         let series = ep.series_snapshot();
@@ -1693,9 +1629,12 @@ mod tests {
         assert_eq!((hot_word.key, hot_word.count), (pack_addr(0, 512), 2));
 
         // 19 verbs pay 19 - 7 riders (1 SEND, 2 READ, 1 WRITE, and the
-        // mixed doorbell's READ, CAS and WRITE) wire RTs.
+        // mixed doorbell's READ, CAS and WRITE) wire RTs, and the ring
+        // carries each where the series counts it.
         assert_eq!(stats.wire_round_trips(), 12);
         assert_eq!(series.total(Metric::WireRts), stats.wire_round_trips());
+        assert_eq!(events.iter().map(|e| e.wire_rts as u64).sum::<u64>(), 12);
+        assert!(events.iter().all(|e| e.wire_rts <= 1));
         // RECVs re-observe the senders' bytes; they are not wire bytes.
         let sent = stats.bytes_read + stats.bytes_written + stats.bytes_sent + 5 * 8;
         assert_eq!(series.total(Metric::BytesWire), sent);
@@ -1738,32 +1677,11 @@ mod tests {
                 let atomic_ends_here = events.iter().any(|e| {
                     matches!(e.kind, EventKind::Verb(OpKind::Cas | OpKind::Faa))
                         && e.peer == node
-                        && (e.ts_ns + e.dur_ns) / 1_000 == i as u64
+                        && e.end_ns / 1_000 == i as u64
                 });
                 assert_eq!(w.queue_hwm_ns, if atomic_ends_here { unit } else { 0 }, "node {node} window {i}");
             }
         }
-
-        // `complete` folds a verb into the series with one window
-        // lookup. Replaying the ring through a fresh recorder one
-        // counter at a time must land every verb in the same windows.
-        let ref_series = SeriesRecorder::new();
-        ref_series.enable(1_000);
-        for e in &events {
-            let EventKind::Verb(kind) = e.kind else { continue };
-            let end = e.ts_ns + e.dur_ns;
-            ref_series.note(end, VERB_METRIC[kind as usize], 1);
-            if kind != OpKind::Recv {
-                ref_series.note(end, Metric::BytesWire, e.bytes as u64);
-            }
-        }
-        // Wire RTs follow the doorbell mark, which the ring does not
-        // carry (their total is checked above).
-        let mut series = series;
-        for w in &mut series.windows {
-            w[Metric::WireRts as usize] = 0;
-        }
-        assert_eq!(series, ref_series.snapshot());
 
         // A doorbell of one member is the scalar verb: same clock, same
         // counters, same events in every plane — also when the fault plan

@@ -10,8 +10,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rdma_sim::pack_addr;
-use rdma_sim::recorder::ContentionProbe;
-use telemetry::contention::MERGED_TOP_K;
+use telemetry::contention::{self, Contended, ContentionTally, MERGED_TOP_K};
 use telemetry::utilization::fold;
 use telemetry::{heat_key, utilization_json, ContentionSnapshot, Json, VerbLoad};
 
@@ -50,13 +49,21 @@ fn word_addr(word: u8) -> u64 {
     pack_addr(word as u16 % 3, word as u64 * 64)
 }
 
-fn record(probe: &ContentionProbe, waits: &[Wait]) {
+/// The contention facts of `waits`, in order.
+fn facts(waits: &[Wait]) -> Vec<Contended> {
+    let mut out = Vec::new();
     for &(word, ns, lost) in waits {
-        probe.note_wait(word_addr(word), ns as u64);
+        out.push(Contended::Wait { addr: word_addr(word), ns: ns as u64 });
         if lost {
-            probe.note_cas_retry(word_addr(word));
+            out.push(Contended::CasRetry { addr: word_addr(word) });
         }
     }
+    out
+}
+
+/// The contention fold of `waits` from nothing.
+fn record(waits: &[Wait]) -> ContentionSnapshot {
+    contention::fold(&ContentionTally::default(), facts(waits))
 }
 
 /// One verb on one of 3 memory nodes, 24 heat ranges each, and the
@@ -72,14 +79,12 @@ proptest! {
     /// Every ranked list of a random stream is its reference count.
     #[test]
     fn every_ranked_list_is_the_reference_count_cut_at_merged_top_k(waits in waits(0..300), verbs in verbs()) {
-        let probe = ContentionProbe::new();
-        record(&probe, &waits);
         let (mut wait_ns, mut cas) = (BTreeMap::new(), BTreeMap::new());
         for &(word, ns, lost) in &waits {
             *wait_ns.entry(word_addr(word)).or_default() += ns as u64;
             *cas.entry(word_addr(word)).or_default() += lost as u64;
         }
-        let c = probe.snapshot().to_json();
+        let c = record(&waits).to_json();
         prop_assert_eq!(pairs(c.get("top_wait_ns"), "key", "count"), reference(&wait_ns));
         prop_assert_eq!(pairs(c.get("top_cas_retries"), "key", "count"), reference(&cas));
 
@@ -121,13 +126,10 @@ proptest! {
         let snaps: Vec<ContentionSnapshot> = streams
             .iter()
             .map(|waits| {
-                let probe = ContentionProbe::new();
                 // Seventeen distinct keys in both lists, whatever the
                 // stream adds.
                 let seed: Vec<Wait> = (0..MERGED_TOP_K as u8 + 1).map(|word| (word, 1, true)).collect();
-                record(&probe, &seed);
-                record(&probe, waits);
-                probe.snapshot()
+                record(&[seed, waits.clone()].concat())
             })
             .collect();
         let fold = |order: &[usize]| {
@@ -172,11 +174,8 @@ fn orders(n: usize) -> Vec<Vec<usize>> {
 #[test]
 fn a_key_split_over_snapshots_ranks_by_its_sum_in_every_grouping() {
     let snapshot = |waits: &[(u64, u64)]| {
-        let probe = ContentionProbe::new();
-        for &(addr, ns) in waits {
-            probe.note_wait(addr, ns);
-        }
-        probe.snapshot()
+        let facts = waits.iter().map(|&(addr, ns)| Contended::Wait { addr, ns });
+        contention::fold(&ContentionTally::default(), facts)
     };
     let a = snapshot(&(0..16).map(|addr| (addr, 10)).collect::<Vec<_>>());
     let (b, c) = (snapshot(&[(100, 6)]), snapshot(&[(100, 6)]));

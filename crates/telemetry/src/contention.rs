@@ -20,6 +20,9 @@
 //! * [`ContentionSnapshot`] — the mergeable, order-independent sum of
 //!   the above plus coherence invalidation fan-out counters, rendered
 //!   to insertion-ordered [`Json`] (deterministic byte-for-byte).
+//! * [`fold`] — a [`ContentionTally`] plus the [`Contended`] facts it has
+//!   not absorbed: how an endpoint's profile comes out of its flight
+//!   recorder.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +35,7 @@ pub const MERGED_TOP_K: usize = 16;
 /// hot list. A lookup hashes the key once and almost always probes one
 /// slot; a new key appends an entry, and the table doubles before it is
 /// half full.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Tally<const N: usize> {
     /// Every key seen and its totals, in first-seen order.
     entries: Vec<(u64, [u64; N])>,
@@ -70,12 +73,6 @@ impl<const N: usize> Tally<N> {
             list.add(*key, totals[c]);
         }
         list
-    }
-
-    /// Forget every key.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.slots.fill(0);
     }
 
     /// Double the slots and re-index every entry.
@@ -266,6 +263,72 @@ pub fn wait_for_analysis(raw: &[WaitEdge]) -> WaitForSummary {
     WaitForSummary { edges, cycles, max_depth }
 }
 
+/// Wait-for edges one session's log holds; see [`fold`] for which.
+pub const EDGE_LOG_CAP: usize = 256;
+
+/// One contention fact of a recorded event: everything [`fold`] reads.
+/// Addresses are packed global addresses of lock words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contended {
+    /// `ns` of lock waiting on `addr`.
+    Wait { addr: u64, ns: u64 },
+    /// A CAS on `addr` that lost its race.
+    CasRetry { addr: u64 },
+    /// A wait-for edge the lock layer observed.
+    Edge(WaitEdge),
+    /// One coherence broadcast fanning out to this many sharers.
+    Fanout(u64),
+}
+
+/// The accumulator [`fold`] fills: exact lock-wait ns and CAS retries per
+/// word, plus the edge log and counters as the snapshot carries them.
+#[derive(Debug, Clone, Default)]
+pub struct ContentionTally {
+    /// Per lock word: lock-wait ns, CAS retries.
+    words: Tally<2>,
+    /// Everything but the two hot lists.
+    rest: ContentionSnapshot,
+}
+
+impl ContentionTally {
+    /// Absorb one fact (the edge-log rule is [`fold`]'s).
+    #[inline]
+    pub fn add(&mut self, fact: Contended) {
+        let r = &mut self.rest;
+        match fact {
+            Contended::Wait { addr, ns } => {
+                self.words.at(addr)[0] += ns;
+                r.wait_ns_total += ns;
+            }
+            Contended::CasRetry { addr } => self.words.at(addr)[1] += 1,
+            Contended::Edge(e) if r.edges.len() < EDGE_LOG_CAP => r.edges.push(e),
+            Contended::Edge(e) if !r.edges.contains(&e) => r.edges_dropped += 1,
+            Contended::Edge(_) => {}
+            Contended::Fanout(n) => {
+                r.inval_broadcasts += 1;
+                r.inval_msgs += n;
+                r.inval_max_fanout = r.inval_max_fanout.max(n);
+            }
+        }
+    }
+}
+
+/// The snapshot of `acc` plus `facts`, absorbed after it in order; `acc`
+/// itself is left as it is.
+///
+/// Only the edge log depends on the order (every other total is a sum or
+/// a max). It keeps the first [`EDGE_LOG_CAP`] edges, duplicates
+/// included; past that, an edge it holds is dropped unnoticed and any
+/// other is dropped and counted in [`ContentionSnapshot::edges_dropped`].
+/// So 256 copies of one edge leave no room for a second, distinct one.
+pub fn fold(acc: &ContentionTally, facts: impl IntoIterator<Item = Contended>) -> ContentionSnapshot {
+    let mut acc = acc.clone();
+    for fact in facts {
+        acc.add(fact);
+    }
+    ContentionSnapshot { wait_top: acc.words.hot_list(0), cas_top: acc.words.hot_list(1), ..acc.rest }
+}
+
 /// A mergeable, serialisable summary of one endpoint's (or a whole
 /// run's) contention observations.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -406,11 +469,43 @@ mod tests {
             }
             assert_eq!(t.hot_list(c), want, "total {c}");
         }
-        t.clear();
+        let mut t = Tally::<2>::default();
         assert!(t.hot_list(1).is_empty());
         *t.at(7) = [0, 2];
         assert_eq!(t.hot_list(1).ranked(), [TopEntry { key: 7, count: 2 }]);
         assert!(t.hot_list(0).is_empty(), "a zero total adds no key");
+    }
+
+    #[test]
+    fn a_tally_counts_every_fact_and_a_fold_leaves_it_as_it_is() {
+        let mut t = ContentionTally::default();
+        t.add(Contended::Wait { addr: 7, ns: 100 });
+        t.add(Contended::Wait { addr: 7, ns: 50 });
+        t.add(Contended::CasRetry { addr: 7 });
+        t.add(Contended::Edge(WaitEdge { waiter: 1, holder: 2, addr: 7 }));
+        t.add(Contended::Fanout(3));
+        let s = fold(&t, [Contended::Fanout(5)]);
+        assert_eq!(s.wait_top.ranked(), [TopEntry { key: 7, count: 150 }]);
+        assert_eq!(s.cas_top.ranked(), [TopEntry { key: 7, count: 1 }]);
+        assert_eq!(s.edges.len(), 1);
+        assert_eq!((s.inval_broadcasts, s.inval_msgs, s.inval_max_fanout), (2, 8, 5));
+        assert_eq!(s.wait_ns_total, 150);
+        // The fold read a copy: the tally holds only what it absorbed.
+        assert_eq!(fold(&t, []).inval_broadcasts, 1);
+    }
+
+    #[test]
+    fn a_full_edge_log_drops_new_edges_and_duplicates_fill_it() {
+        let edge = |waiter| Contended::Edge(WaitEdge { waiter, holder: 9, addr: 64 });
+        // 256 copies of one edge fill the log; the one new edge after
+        // them is dropped and counted, a further copy is dropped unnoticed.
+        let s = fold(&ContentionTally::default(), std::iter::repeat_n(edge(1), EDGE_LOG_CAP).chain([edge(2), edge(1)]));
+        assert_eq!(s.edges_dropped, 1);
+        assert_eq!(s.edges.len(), EDGE_LOG_CAP);
+        assert!(s.edges.iter().all(|e| e.waiter == 1), "the new edge is not kept");
+        // Distinct edges past the cap are each counted.
+        let s = fold(&ContentionTally::default(), (0..EDGE_LOG_CAP as u64 + 10).map(edge));
+        assert_eq!((s.edges.len(), s.edges_dropped), (EDGE_LOG_CAP, 10));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! * Levels — how many sessions or migrations are in flight — are not
 //!   recorded separately: each is a counter of starts minus a counter
 //!   of ends, summed over the windows up to the instant asked about.
-//! * [`SeriesRecorder`] — the `Cell`-based per-thread collector.
-//!   Recording reads the caller-supplied virtual timestamp but never
-//!   advances any clock, so sampling is free in virtual time: a run
-//!   with the recorder on and off produces the identical timeline.
+//! * [`SeriesRecorder`] — the `Cell`-based accumulator, and [`fold`]:
+//!   an accumulator plus the [`SeriesNote`]s of the events it has not
+//!   absorbed, which is how an endpoint's series comes out of its flight
+//!   recorder. Recording never advances any clock.
 //! * [`SeriesSnapshot`] — the mergeable result. Merging is per-window
 //!   vector addition after width alignment, which makes it
 //!   associative, commutative, and lossless: merging per-session
@@ -187,10 +187,30 @@ impl Metric {
     }
 }
 
+/// What one recorded event adds to the series: up to three counter
+/// deltas (unused slots add 0) at one virtual instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesNote {
+    /// Virtual time the event was recorded.
+    pub at_ns: u64,
+    /// The counters it bumps and by how much.
+    pub deltas: [(Metric, u64); 3],
+}
+
+/// The series `acc` holds plus `notes`, noted after it in order; `acc`
+/// itself is left as it is.
+pub fn fold(acc: &SeriesRecorder, notes: impl IntoIterator<Item = SeriesNote>) -> SeriesSnapshot {
+    let acc = acc.clone();
+    for n in notes {
+        acc.note_all(n.at_ns, n.deltas);
+    }
+    acc.snapshot()
+}
+
 /// Per-thread windowed counter collector. Disabled (width 0) until
 /// [`SeriesRecorder::enable`]; recording while disabled is a no-op, so
 /// instrumented layers can call unconditionally.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SeriesRecorder {
     windows: Windowed,
 }

@@ -41,7 +41,7 @@ pub(crate) fn width_covering(mut width_ns: u64, t_ns: u64) -> u64 {
 /// The recording side: contiguous windows from virtual time 0, grown on
 /// demand. Width 0 means off — [`Windowed::update`] is then a no-op, so
 /// instrumented layers can call unconditionally.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Windowed {
     /// Configured width; restored by [`Windowed::clear`].
     base_width_ns: Cell<u64>,

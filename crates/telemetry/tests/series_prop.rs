@@ -5,10 +5,15 @@
 //! the watchdog's alert log over the merged series, whose levels are
 //! prefix sums of begin and end counters, is the log over the reference:
 //! the determinism the alert plane's byte-identical-logs claim rests on.
+//! The series and contention folds over per-session event streams do not
+//! depend on how much of a stream an accumulator already absorbed (how
+//! much a flight-recorder ring overwrote), nor on the session order.
 
 use proptest::prelude::*;
+use telemetry::contention::{self, Contended, ContentionTally};
+use telemetry::timeseries::{self, SeriesNote};
 use telemetry::watchdog::{run_over, WatchdogConfig};
-use telemetry::{AlertEvent, AlertKind, Metric, SeriesRecorder, SeriesSnapshot};
+use telemetry::{AlertEvent, AlertKind, ContentionSnapshot, Metric, SeriesRecorder, SeriesSnapshot, WaitEdge};
 
 const SESSIONS: usize = 4;
 /// Small base width so events up to 2^22 ns force several rounds of
@@ -158,8 +163,99 @@ fn a_long_attempt_opens_stuck_session_in_the_merged_log() {
     assert!(log.iter().any(|e| e.kind == AlertKind::StuckSession), "{log:?}");
 }
 
+/// One generated event of a session: `(time, kind, a, b)`. Kind 0 is a
+/// verb, 1 a lost CAS, 2 a wait on a word in memory, 3 a local wait, 4-6
+/// a wait-for edge (half the stream, so long streams overflow the edge
+/// log), 7 a fan-out and 8 an upper layer's note.
+type GenEvent = (u64, u8, u16, u16);
+
+/// What a flight recorder would make of `ev`: its series note and its
+/// contention fact.
+fn translate(&(t, kind, a, b): &GenEvent) -> (Option<SeriesNote>, Option<Contended>) {
+    let (a, b) = (a as u64, b as u64);
+    let note = |deltas| Some(SeriesNote { at_ns: t, deltas });
+    let wait = note([(Metric::LockWaits, 1), (Metric::LockWaitNs, b), (Metric::LockWaitNs, 0)]);
+    match kind {
+        0 => (note([(Metric::Reads, 1), (Metric::BytesWire, b), (Metric::WireRts, b % 2)]), None),
+        1 => (note([(Metric::Cas, 1), (Metric::BytesWire, 8), (Metric::WireRts, 1)]), Some(Contended::CasRetry { addr: a })),
+        2 => (wait, Some(Contended::Wait { addr: a, ns: b })),
+        3 => (wait, None),
+        4..=6 => (None, Some(Contended::Edge(WaitEdge { waiter: a % 5, holder: b % 5, addr: a % 3 }))),
+        7 => (note([(Metric::Invals, b + 1), (Metric::Invals, 0), (Metric::Invals, 0)]), Some(Contended::Fanout(b + 1))),
+        _ => (note([(Metric::Commits, 1), (Metric::Commits, 0), (Metric::Commits, 0)]), None),
+    }
+}
+
+/// Both folds of `events` (in clock order) after accumulators absorbed
+/// the first `absorbed` of them.
+fn fold_split(events: &[GenEvent], absorbed: usize) -> (SeriesSnapshot, ContentionSnapshot) {
+    let (series, tally) = (SeriesRecorder::new(), &mut ContentionTally::default());
+    series.enable(BASE_WIDTH_NS);
+    let (old, held) = events.split_at(absorbed);
+    for (note, fact) in old.iter().map(translate) {
+        note.into_iter().for_each(|n| series.note_all(n.at_ns, n.deltas));
+        fact.into_iter().for_each(|f| tally.add(f));
+    }
+    let (notes, facts): (Vec<_>, Vec<_>) = held.iter().map(translate).unzip();
+    (timeseries::fold(&series, notes.into_iter().flatten()), contention::fold(tally, facts.into_iter().flatten()))
+}
+
+fn check_folds(mut sessions: Vec<Vec<GenEvent>>, split: u64) -> Result<(), String> {
+    let mut per = Vec::new();
+    for events in &mut sessions {
+        events.sort_by_key(|e| e.0);
+        let whole = fold_split(events, 0);
+        let absorbed = (split % (events.len() as u64 + 1)) as usize;
+        prop_assert_eq!(&fold_split(events, absorbed), &whole, "absorbed {}", absorbed);
+        prop_assert_eq!(&fold_split(events, events.len()), &whole);
+        per.push(whole);
+    }
+    let mut all: Vec<GenEvent> = sessions.concat();
+    all.sort_by_key(|e| e.0);
+    let reference = fold_split(&all, 0).0;
+    let mut contention_bytes = None;
+    for order in orders(per.len()) {
+        let (mut series, mut contention) = (SeriesSnapshot::empty(), ContentionSnapshot::default());
+        for &i in &order {
+            series.merge(&per[i].0);
+            contention.merge(&per[i].1);
+        }
+        prop_assert_eq!(&series, &reference, "order {:?}", order);
+        let bytes = contention.to_json().render();
+        prop_assert_eq!(contention_bytes.get_or_insert_with(|| bytes.clone()), &bytes, "order {:?}", order);
+    }
+    Ok(())
+}
+
+/// Every order of `0..n`.
+fn orders(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for rest in orders(n - 1) {
+        for at in 0..=rest.len() {
+            let mut order = rest.clone();
+            order.insert(at, n - 1);
+            out.push(order);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn series_and_contention_folds_agree_at_every_split_and_session_order(
+        sessions in proptest::collection::vec(
+            proptest::collection::vec((0u64..1 << 22, 0u8..9, 0u16..64, 0u16..500), 0..1000),
+            SESSIONS..SESSIONS + 1,
+        ),
+        split in any::<u64>(),
+    ) {
+        check_folds(sessions, split)?;
+    }
 
     #[test]
     fn per_session_merge_is_lossless_and_order_free(

@@ -812,6 +812,9 @@ mod tests {
         let b = l.alloc(16).unwrap();
         let ep1 = f.endpoint();
         let ep2 = f.endpoint();
+        // The contention profile is a fold over the flight recorder.
+        ep1.enable_flight_recorder(64);
+        ep2.enable_flight_recorder(64);
         ExclusiveLock::acquire(&l, &ep1, a, 1, 0).unwrap();
         ExclusiveLock::acquire(&l, &ep2, b, 2, 0).unwrap();
         assert_eq!(

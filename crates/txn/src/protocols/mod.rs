@@ -533,7 +533,7 @@ pub(crate) mod testutil {
             .flight_events()
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Verb(_)) && e.addr == payload)
-            .map(|e| e.ts_ns + e.dur_ns)
+            .map(|e| e.end_ns)
             .max()
             .expect("the twin reached key 1's payload");
         let t = timed_table(versions);

@@ -285,6 +285,8 @@ mod tests {
         let holder = layer.fabric().endpoint();
         ExclusiveLock::acquire(layer, &holder, t.lock_addr(2), 42, 0).unwrap();
         let ep = layer.fabric().endpoint();
+        // The contention profile is a fold over the flight recorder.
+        ep.enable_flight_recorder(64);
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         let cc = TwoPhaseLocking::exclusive();
         let err = cc.execute(&ctx, &rmw_each(&[0, 1, 2, 3])).unwrap_err();

@@ -296,7 +296,7 @@ mod tests {
             .flight_events()
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Verb(_)) && e.phase == Phase::Writeback as u8)
-            .map(|e| e.ts_ns + e.dur_ns)
+            .map(|e| e.end_ns)
             .max()
             .expect("the twin posted a commit doorbell");
 

@@ -15,11 +15,14 @@
 #    Both sides run in one process on one runner, so runner speed
 #    cancels. Every `exp_*` binary runs with the planes on: this ratio,
 #    not the verb path, bounds regen_results.sh and check_reports.sh.
-#    Fails above LIMIT: one run, one verdict. Once utilization stopped
-#    being recorded per verb and became a fold over the ring, twenty
-#    consecutive runs on a 2-thread VM read 0.98-1.86 (median 1.41; the
-#    first ten 1.33-1.54), against 1.46-1.63 while it was recorded. The
-#    1.86 is why LIMIT stays 2.5 rather than ROADMAP E's 1.8.
+#    Fails above LIMIT: one run, one verdict. Since the series and the
+#    contention profile became folds over the flight-recorder ring (the
+#    ring is the only recorder on the verb path), twelve runs on a
+#    2-thread VM read 1.03 / 1.42 / 1.49 (min / median / max), against
+#    1.30 / 1.37 / 1.51 for the parent binary in runs alternated with
+#    them. Twenty runs with utilization folded and the series recorded
+#    beside the ring once read up to 1.86, which is why LIMIT stays 2.5
+#    rather than ROADMAP E's 1.8.
 # 2. The two-doorbell transaction: `rdma-sim.wire_rts_per_txn`, exact on
 #    the sim clock (2.10 at this seed: acquire + release, plus the lock
 #    ladder of the 1-in-50 ghosted txns). A change that un-batches the
