@@ -30,7 +30,8 @@
 //! serves the hits and reserves the misses, [`Fetch::complete`] posts and
 //! publishes — and between them the caller hands the fetch riders: work
 //! requests posted behind the fetch READs in the same doorbell, a
-//! write-through among them ([`Fetch::complete_writing`]).
+//! write-through among them, and fetch-and-adds on pages being fetched
+//! ([`Fetch::complete_writing`]).
 //! To stay deadlock-free a thread never sleeps on a condvar while it holds
 //! unfetched reservations — it flushes its batch first, then waits.
 
@@ -143,6 +144,9 @@ struct PendingFetch {
     /// Raw address of a dirty victim whose bytes currently sit in `data`
     /// and must reach DSM before the fetch reuses the buffer.
     writeback: Option<u64>,
+    /// A fetch-and-add riding the fetch on the page's first word: the
+    /// addend and, once posted, the word's pre-add value.
+    add: Option<(u64, u64)>,
 }
 
 /// A dirty victim snapshotted by the write path for the batched doorbell.
@@ -211,24 +215,34 @@ impl Fetch<'_> {
     }
 
     /// [`Fetch::complete`] with `writes` — full pages, none of them left
-    /// to fetch here — written through the cache behind the READs: each is
-    /// resolved into its frame as [`BufferPool::write_pages`] resolves it,
-    /// and all of them ride the fetch's doorbell. If that doorbell fails,
-    /// the written frames are dropped, so the cache never holds bytes DSM
-    /// may not. Returns false when nothing rode — the pool writes back, or
-    /// a page could be taken only by waiting, which a holder of
-    /// reservations must not — having completed the fetch alone and left
-    /// the writes to the caller.
+    /// to fetch here — written through the cache behind the READs, and
+    /// `adds` — pages left to fetch, each with a wrapping add to its first
+    /// word — added to in DSM by a fetch-and-add behind its READ. Each
+    /// write is resolved into its frame as [`BufferPool::write_pages`]
+    /// resolves it; each added-to page's destination takes the page as it
+    /// was, its first word the add's pre-add value, and its frame is
+    /// published with the add applied, as DSM holds it. All of them ride
+    /// the fetch's doorbell. If that doorbell fails, the reserved frames
+    /// are freed and the written ones dropped, so the cache never holds
+    /// bytes DSM may not. Returns false when nothing rode — the pool
+    /// writes back, or a page could be taken only by waiting, which a
+    /// holder of reservations must not — having completed the fetch alone
+    /// and left the writes and the adds to the caller.
     pub fn complete_writing<'d>(
-        self,
+        mut self,
         ep: &Endpoint,
         dsts: impl IntoIterator<Item = &'d mut [u8]>,
         writes: &[(GlobalAddr, &[u8])],
+        adds: &[(GlobalAddr, i64)],
     ) -> DsmResult<bool> {
         let pool = self.pool;
         if pool.mode != WriteMode::WriteThrough || !pool.stage_through(ep, writes) {
             self.complete(ep, dsts, None)?;
             return Ok(false);
+        }
+        for &(addr, add) in adds {
+            let p = self.pending.iter_mut().find(|p| p.key == addr.to_raw());
+            p.expect("an added-to page is left to fetch").add = Some((add as u64, 0));
         }
         let riders = writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
         self.complete(ep, dsts, riders)
@@ -593,13 +607,17 @@ impl BufferPool {
                 key,
                 data,
                 writeback,
+                add: None,
             }));
         }
     }
 
     /// Flush a read batch: one doorbell of dirty victim write-backs, one
-    /// doorbell of fetches with `riders` behind them, then publish every
-    /// frame and hand `publish` each page with its request index.
+    /// doorbell of fetches — each READ followed by its page's
+    /// fetch-and-add, if it has one — with `riders` behind them, then
+    /// publish every frame and hand `publish` each page with its request
+    /// index. An added-to page is handed over with its first word the
+    /// add's pre-add value, and published with the add applied.
     fn complete_fetches<'r>(
         &self,
         ep: &Endpoint,
@@ -627,17 +645,21 @@ impl BufferPool {
         {
             let mut riders = riders.into_iter().peekable();
             let _span = ep.span(Phase::PageFetch);
-            let fetched = if riders.peek().is_none() {
+            let fetched = if riders.peek().is_none() && pending.iter().all(|p| p.add.is_none()) {
                 let mut fetch: Vec<(GlobalAddr, &mut [u8])> = pending
                     .iter_mut()
                     .map(|p| (GlobalAddr::from_raw(p.key), &mut p.data[..]))
                     .collect();
                 self.layer.read_batch(ep, &mut fetch)
             } else {
-                let mut wrs: Vec<GlobalWr<'_>> = pending
-                    .iter_mut()
-                    .map(|p| GlobalWr::Read { addr: GlobalAddr::from_raw(p.key), dst: &mut p.data[..] })
-                    .collect();
+                let mut wrs: Vec<GlobalWr<'_>> = Vec::with_capacity(2 * pending.len());
+                for p in pending.iter_mut() {
+                    let addr = GlobalAddr::from_raw(p.key);
+                    wrs.push(GlobalWr::Read { addr, dst: &mut p.data[..] });
+                    if let Some((add, prev)) = &mut p.add {
+                        wrs.push(GlobalWr::Faa { addr, add: *add, prev });
+                    }
+                }
                 for wr in riders {
                     wrs.push(wr);
                 }
@@ -648,9 +670,16 @@ impl BufferPool {
                 return Err(e);
             }
         }
-        for p in pending.drain(..) {
+        for mut p in pending.drain(..) {
             ep.charge_local(copy_cost_ns(self.page_size));
+            let added = p.add.map(|(add, prev)| {
+                p.data[..8].copy_from_slice(&prev.to_le_bytes());
+                prev.wrapping_add(add)
+            });
             publish(p.req_idx, &p.data);
+            if let Some(word) = added {
+                p.data[..8].copy_from_slice(&word.to_le_bytes());
+            }
             let sh = &self.shards[p.shard];
             {
                 let mut inner = sh.inner.lock();
@@ -1391,7 +1420,7 @@ mod tests {
         // frame and DSM both take it, in one more round trip.
         let mut buf = [0u8; 64];
         let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[3], &mut buf[..])]).unwrap();
-        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[9u8; 64][..])]).unwrap());
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[9u8; 64][..])], &[]).unwrap());
         assert_eq!((buf, ep.stats().writes, ep.stats().wire_round_trips()), ([4; 64], 1, 2));
         let mut direct = [0u8; 64];
         layer.read(&ep, addrs[0], &mut direct).unwrap();
@@ -1404,13 +1433,63 @@ mod tests {
         layer.set_retry_policy(dsm::RetryPolicy::none());
         f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
         let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[4], &mut buf[..])]).unwrap();
-        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[7u8; 64][..])]).is_err());
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[7u8; 64][..])], &[]).is_err());
         assert!(!pool.contains(addrs[0]) && !pool.contains(addrs[4]));
         layer.read(&ep, addrs[0], &mut direct).unwrap();
         assert_eq!(direct, [9; 64]);
         let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[4], &mut buf[..])]).unwrap();
         drop(fetch);
         assert_eq!((pool.contains(addrs[4]), pool.resident()), (false, 3));
+    }
+
+    #[test]
+    fn a_fetch_adds_to_a_page_it_fetches_in_the_same_doorbell() {
+        let (f, layer, pool) = setup(8, WriteMode::WriteThrough);
+        let ep = f.endpoint();
+        let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
+        for (i, a) in addrs.iter().enumerate() {
+            layer.write(&ep, *a, &[i as u8 + 1; 64]).unwrap();
+        }
+        layer.write_u64(&ep, addrs[1], 40).unwrap();
+        pool.read_page(&ep, addrs[0], &mut [0u8; 64]).unwrap();
+        let word = |buf: &[u8]| i64::from_le_bytes(buf[..8].try_into().unwrap());
+        let stored = |addr| layer.read_u64(&f.endpoint(), addr).unwrap() as i64;
+        ep.reset();
+
+        // Pages 1 and 2 are fetched; page 1 takes -3 by a fetch-and-add
+        // behind its READ, and page 0's write-through rides too: four
+        // members, one wire round trip. Page 1's destination holds the
+        // page as it was, its frame the page as DSM now holds it.
+        let mut bufs = [[0u8; 64]; 2];
+        let [b1, b2] = &mut bufs;
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[1], &mut b1[..]), (addrs[2], &mut b2[..])]).unwrap();
+        let dsts = bufs.iter_mut().map(|b| &mut b[..]);
+        assert!(fetch.complete_writing(&ep, dsts, &[(addrs[0], &[9u8; 64][..])], &[(addrs[1], -3)]).unwrap());
+        assert_eq!((word(&bufs[0]), &bufs[0][8..], bufs[1]), (40, &[2u8; 56][..], [3u8; 64]));
+        let s = ep.stats();
+        assert_eq!((s.reads, s.faa, s.writes, s.wire_round_trips()), (2, 1, 1, 1));
+        let mut buf = [0u8; 64];
+        assert!(pool.read_page(&ep, addrs[1], &mut buf).unwrap());
+        assert_eq!((word(&buf), &buf[8..], stored(addrs[1])), (37, &[2u8; 56][..], 37));
+        assert_eq!(stored(addrs[0]), i64::from_le_bytes([9; 8]));
+
+        // The add wraps, as the verb does.
+        layer.write_u64(&ep, addrs[2], i64::MAX as u64).unwrap();
+        pool.invalidate(&ep, addrs[2]);
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[2], &mut buf[..])]).unwrap();
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[], &[(addrs[2], 1)]).unwrap());
+        assert_eq!((word(&buf), stored(addrs[2])), (i64::MAX, i64::MIN));
+
+        // If the doorbell fails, no word is added to and the reserved
+        // frame is freed.
+        pool.invalidate(&ep, addrs[1]);
+        let resident = pool.resident();
+        layer.set_retry_policy(dsm::RetryPolicy::none());
+        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[1], &mut buf[..])]).unwrap();
+        assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[], &[(addrs[1], 5)]).is_err());
+        f.clear_fault_plan();
+        assert_eq!((pool.contains(addrs[1]), pool.resident(), stored(addrs[1])), (false, resident, 37));
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Default for DsmConfig {
 /// One work request of a [`DsmLayer::doorbell`] group: [`rdma_sim::Wr`]
 /// over logical addresses. The layer resolves each to fabric members —
 /// CAS on the group primary, READ from the first reachable member, WRITE
-/// to every reachable member.
+/// and FAA to every reachable member.
 #[derive(Debug)]
 pub enum GlobalWr<'a> {
     /// Read `dst.len()` bytes at `addr`.
@@ -122,6 +122,15 @@ pub enum GlobalWr<'a> {
         addr: GlobalAddr,
         expected: u64,
         new: u64,
+        prev: &'a mut u64,
+    },
+    /// Fetch-and-add `add` (wrapping) to the word at `addr` on every
+    /// reachable mirror member; `prev` receives the pre-add value of the
+    /// first of them — the primary while it is up — and is left untouched
+    /// if that member was never executed.
+    Faa {
+        addr: GlobalAddr,
+        add: u64,
         prev: &'a mut u64,
     },
 }
@@ -139,6 +148,7 @@ impl GlobalWr<'_> {
                 new: *new,
                 prev,
             },
+            GlobalWr::Faa { addr, add, prev } => GlobalWr::Faa { addr: *addr, add: *add, prev },
         }
     }
 }
@@ -463,14 +473,14 @@ impl DsmLayer {
 
     /// One doorbell over a mixed group of work requests on logical
     /// addresses: each CAS goes to its group's primary, each READ to the
-    /// first reachable member of its group, each WRITE to every reachable
-    /// member, and the members are posted in that order as one
+    /// first reachable member of its group, each WRITE and FAA to every
+    /// reachable member, and the members are posted in that order as one
     /// [`Endpoint::doorbell`] — one wire round trip for the whole group.
     /// The fabric pre-flights every target before any word is touched, so
     /// a transient fault leaves nothing half-done and the layer's
     /// [`RetryPolicy`] posts the whole group again. A hard fault past the
     /// pre-flight (a member died after it was chosen) ends the group
-    /// there: the `prev` of a CAS tells whether it was executed.
+    /// there: the `prev` of a CAS or FAA tells whether it was executed.
     pub fn doorbell(&self, ep: &Endpoint, wrs: &mut [GlobalWr<'_>]) -> DsmResult<()> {
         self.retry_policy()
             .run(ep, || self.post(ep, wrs.iter_mut().map(GlobalWr::reborrow)))
@@ -532,6 +542,17 @@ impl DsmLayer {
                             }
                         }
                         if !reachable {
+                            return Err(unavailable(addr));
+                        }
+                    }
+                    GlobalWr::Faa { addr, add, prev } => {
+                        let mut prev = Some(prev);
+                        for m in &group_of(addr)?.members {
+                            if ep.node_reachable(m.id()) {
+                                members.push(Wr::Faa { node: m.id(), offset: addr.offset(), add, prev: prev.take() });
+                            }
+                        }
+                        if prev.is_some() {
                             return Err(unavailable(addr));
                         }
                     }
@@ -925,6 +946,49 @@ mod tests {
         );
         assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
         assert_eq!(word(ids(0)[0], a), 0, "still the value the last CAS left");
+    }
+
+    #[test]
+    fn a_fetch_and_add_adds_on_every_mirror_and_returns_the_primarys_word() {
+        use rdma_sim::FaultPlan;
+        let (f, l) = layer(2, 4);
+        let ep = f.endpoint();
+        let a = l.alloc_on(0, 64).unwrap();
+        let ids: Vec<NodeId> = l.group_members(0).iter().map(|m| m.id()).collect();
+        let words = || ids.iter().map(|&n| f.region(n).unwrap().read_u64(a.offset()).unwrap()).collect::<Vec<_>>();
+        l.write(&ep, a, &40u64.to_le_bytes()).unwrap();
+        // Behind the page's READ: one FAA member per mirror member, all in
+        // one wire round trip.
+        let (mut page, mut prev) = ([0u8; 64], u64::MAX);
+        let before = ep.stats();
+        l.doorbell(
+            &ep,
+            &mut [GlobalWr::Read { addr: a, dst: &mut page }, GlobalWr::Faa { addr: a, add: 2, prev: &mut prev }],
+        )
+        .unwrap();
+        assert_eq!((prev, words()), (40, vec![42, 42]));
+        let s = ep.stats();
+        let posted = (s.reads - before.reads, s.faa - before.faa);
+        assert_eq!((posted, s.wire_round_trips() - before.wire_round_trips()), ((1, 2), 1));
+        // Members that disagree: `prev` is the primary's word.
+        f.region(ids[1]).unwrap().write_u64(a.offset(), 100).unwrap();
+        l.doorbell(&ep, &mut [GlobalWr::Faa { addr: a, add: 3, prev: &mut prev }]).unwrap();
+        assert_eq!((prev, words()), (42, vec![45, 103]));
+        f.region(ids[1]).unwrap().write_u64(a.offset(), 45).unwrap();
+
+        // A transient fault at the pre-flight adds nothing; the layer's
+        // retry posts the doorbell again and adds once.
+        let add_one = |prev: &mut u64| {
+            l.doorbell(&ep, &mut [GlobalWr::Read { addr: a, dst: &mut [0u8; 8] }, GlobalWr::Faa { addr: a, add: 1, prev }])
+        };
+        l.set_retry_policy(RetryPolicy::none());
+        f.install_fault_plan(FaultPlan::new(3).transient_first_n(ids[1], 1));
+        assert_eq!(add_one(&mut prev), Err(DsmError::Rdma(RdmaError::Transient(ids[1]))));
+        assert_eq!((prev, words()), (42, vec![45, 45]));
+        l.set_retry_policy(RetryPolicy::default());
+        f.install_fault_plan(FaultPlan::new(3).transient_first_n(ids[1], 1));
+        add_one(&mut prev).unwrap();
+        assert_eq!((prev, words()), (45, vec![46, 46]));
     }
 
     #[test]

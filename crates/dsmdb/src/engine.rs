@@ -760,6 +760,32 @@ mod tests {
         }
     }
 
+    /// A counter at `i64::MAX` wraps to `i64::MIN` on `+1`, as a
+    /// fetch-and-add on its word does, under every 3a protocol — also
+    /// when two deltas of one key are summed before they apply.
+    #[test]
+    fn an_rmw_wraps_at_the_end_of_i64_on_3a() {
+        let max = |key| Op::Update { key, value: [i64::MAX.to_le_bytes(), [0; 8]].concat() };
+        for cc in [
+            CcProtocol::TplExclusive,
+            CcProtocol::TplSharedExclusive,
+            CcProtocol::TplLeased,
+            CcProtocol::Occ,
+            CcProtocol::Tso,
+            CcProtocol::Mvcc,
+        ] {
+            let cluster =
+                Cluster::build(config(Architecture::NoCacheNoShard, cc, 1, 1)).unwrap();
+            let mut s = cluster.session(0, 0);
+            s.execute_retrying(&[max(1)], 10).unwrap();
+            s.execute_retrying(&[Op::Rmw { key: 1, delta: 1 }], 10).unwrap();
+            let summed = [Op::Rmw { key: 2, delta: i64::MAX }, Op::Rmw { key: 2, delta: 1 }];
+            s.execute_retrying(&summed, 10).unwrap();
+            let out = s.execute_retrying(&[Op::Read(1), Op::Read(2)], 10).unwrap();
+            assert_eq!([0, 1].map(|i| counter(&out, i)), [i64::MIN; 2], "{cc:?}");
+        }
+    }
+
     #[test]
     fn coherent_cache_hits_after_warm() {
         let cluster = Cluster::build(config(
@@ -1371,8 +1397,8 @@ mod tests {
     /// needs no fetched byte, so it rides `b`'s fetch — one wire round trip
     /// where there were two, and 1 450 ns less, since the WRITE pays
     /// `batched_cost_ns` as a member instead of `rw_cost_ns` as a leader.
-    /// A write to a page that missed needs that page: `[Rmw(c)]` is still
-    /// two doorbells at the cost it had.
+    /// An `Rmw` of a page that missed rides too, as a fetch-and-add of its
+    /// delta: `[Rmw(c)]` is one doorbell where it was two.
     #[test]
     fn a_write_that_needs_no_fetched_byte_rides_the_fetch() {
         use buffer::cost::{ATOMIC_NS, LOCK_NS, MAP_OP_NS};
@@ -1390,9 +1416,63 @@ mod tests {
         assert_eq!(two_doorbells - riding, 1_450);
         let txn = [Op::Rmw { key: 1, delta: 5 }, Op::Read(2)];
         assert_eq!(round_trips_of(&mut s, &txn), (riding, 1));
-        let missed = 50 + reserve + p.rw_cost_ns(64) + publish + stage + p.rw_cost_ns(64);
-        assert_eq!(round_trips_of(&mut s, &[Op::Rmw { key: 3, delta: 5 }]), (missed, 2));
+        // The leader READ, the FAA riding behind it with its turn at the
+        // memory node's atomic unit, and the publish; no `stage`, since the
+        // written page's frame is the fetched one.
+        let missed = 50 + reserve + p.rw_cost_ns(64) + p.batched_cost_ns(8) + p.atomic_unit_ns + publish;
+        assert_eq!(round_trips_of(&mut s, &[Op::Rmw { key: 3, delta: 5 }]), (missed, 1));
         assert_eq!([1, 3].map(|k| stored(&cluster, k)), [5, 5]);
+    }
+
+    /// The `Rmw`s of one page that missed are one fetch-and-add of their
+    /// summed deltas, and its reads come back in op order, each before
+    /// or after the deltas ahead of it: DSM and the frame end at old + 5.
+    #[test]
+    fn the_rmws_of_a_fetched_page_ride_as_one_fetch_and_add() {
+        let cluster = shard_cluster(1);
+        let pool = &cluster.handler(0).unwrap().pool;
+        let addr = cluster.table().payload_addr(3, 0);
+        let ep = cluster.fabric().endpoint();
+        cluster.layer().write(&ep, addr, &7i64.to_le_bytes()).unwrap();
+        let mut s = cluster.session(0, 0);
+        let before = s.ep.stats();
+        let txn = [Op::Read(3), Op::Rmw { key: 3, delta: 2 }, Op::Read(3), Op::Rmw { key: 3, delta: 3 }];
+        let out = s.execute(&txn).unwrap();
+        let after = s.ep.stats();
+        let posted = (after.reads - before.reads, after.faa - before.faa, after.writes - before.writes);
+        assert_eq!((posted, after.wire_round_trips() - before.wire_round_trips()), ((1, 1, 0), 1));
+        assert_eq!([0, 1, 2, 3].map(|i| counter(&out, i)), [7, 7, 9, 9]);
+        let mut buf = [0u8; 64];
+        assert!(pool.read_resident(&ep, addr, &mut buf));
+        assert_eq!((i64::from_le_bytes(buf[0..8].try_into().unwrap()), stored(&cluster, 3)), (12, 12));
+    }
+
+    /// A counter at `i64::MAX` wraps on `+1` in 3c too: by the
+    /// fetch-and-add on a page that missed, and back by `-1` on the frame
+    /// that fetch left.
+    #[test]
+    fn an_rmw_wraps_at_the_end_of_i64_on_3c() {
+        let cluster = shard_cluster(1);
+        let addr = cluster.table().payload_addr(3, 0);
+        cluster.layer().write(&cluster.fabric().endpoint(), addr, &i64::MAX.to_le_bytes()).unwrap();
+        let mut s = cluster.session(0, 0);
+        let out = s.execute(&[Op::Rmw { key: 3, delta: 1 }, Op::Read(3)]).unwrap();
+        assert_eq!([0, 1].map(|i| counter(&out, i)), [i64::MAX, i64::MIN]);
+        assert_eq!(stored(&cluster, 3), i64::MIN);
+        let out = s.execute(&[Op::Rmw { key: 3, delta: -1 }, Op::Read(3)]).unwrap();
+        assert_eq!([0, 1].map(|i| counter(&out, i)), [i64::MIN, i64::MAX]);
+        assert_eq!(stored(&cluster, 3), i64::MAX);
+    }
+
+    /// A page that missed and is overwritten needs the fetch to land
+    /// before the write can leave: two doorbells.
+    #[test]
+    fn an_update_of_a_fetched_page_waits_for_the_fetch() {
+        let cluster = shard_cluster(1);
+        let mut s = cluster.session(0, 0);
+        let txn = [Op::Read(3), Op::Update { key: 3, value: 9i64.to_le_bytes().repeat(8) }];
+        assert_eq!(round_trips_of(&mut s, &txn).1, 2);
+        assert_eq!(stored(&cluster, 3), 9);
     }
 
     /// A riding transaction runs its ops before the fetch lands, yet its
@@ -1414,10 +1494,11 @@ mod tests {
         assert_eq!(stored(&cluster, 1), 8);
     }
 
-    /// A write-through that fails — alone, or riding a fetch — leaves no
-    /// frame holding its bytes and no frame reserved, so the retry starts
-    /// from DSM and applies its delta once: DSM and the cache both hold
-    /// old + δ, where a kept frame made it old + 2δ.
+    /// A write-through that fails — alone, riding a fetch, or as a
+    /// fetch-and-add on the page being fetched — leaves no frame holding
+    /// its bytes and no frame reserved, so the retry starts from DSM and
+    /// applies its delta once: DSM and the cache both hold old + δ, where
+    /// a kept frame made it old + 2δ.
     #[test]
     fn a_failed_write_through_is_retried_from_dsm() {
         use dsm::RetryPolicy;
@@ -1433,20 +1514,25 @@ mod tests {
         let mut s = cluster.session(0, 0);
         s.execute(&[Op::Rmw { key: 1, delta: 5 }]).unwrap();
         cluster.layer().set_retry_policy(RetryPolicy::none());
+        cluster.layer().write(&cluster.fabric().endpoint(), addr(3), &7i64.to_le_bytes()).unwrap();
         let alone = vec![Op::Rmw { key: 1, delta: 10 }];
         let riding = vec![Op::Rmw { key: 1, delta: 10 }, Op::Read(2)];
-        for txn in [alone, riding] {
-            let (old, resident) = (stored(&cluster, 1), pool.resident());
-            assert_eq!(cached(1), old);
-            cluster.fabric().install_fault_plan(FaultPlan::new(7).transient_first_n(addr(1).node(), 1));
+        let adding = vec![Op::Rmw { key: 3, delta: 10 }];
+        for txn in [alone, riding, adding] {
+            let key = txn[0].key();
+            let (old, resident, was_cached) = (stored(&cluster, key), pool.resident(), pool.contains(addr(key)));
+            if was_cached {
+                assert_eq!(cached(key), old);
+            }
+            cluster.fabric().install_fault_plan(FaultPlan::new(7).transient_first_n(addr(key).node(), 1));
             let err = s.execute(&txn).unwrap_err();
             assert!(matches!(err, TxnError::Aborted("transient-fault")), "{err}");
-            assert!(!pool.contains(addr(1)) && !pool.contains(addr(2)));
-            assert_eq!(pool.resident(), resident - 1);
+            assert!(txn.iter().all(|op| !pool.contains(addr(op.key()))));
+            assert_eq!(pool.resident(), resident - usize::from(was_cached));
             cluster.fabric().clear_fault_plan();
-            assert_eq!(stored(&cluster, 1), old);
+            assert_eq!(stored(&cluster, key), old);
             s.execute(&txn).unwrap();
-            assert_eq!((stored(&cluster, 1), cached(1)), (old + 10, old + 10));
+            assert_eq!((stored(&cluster, key), cached(key)), (old + 10, old + 10));
         }
     }
 }

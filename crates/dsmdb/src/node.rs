@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Fabric, Mailbox, StatsSnapshot};
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind};
-use txn::{distinct_keys, Op, TxnError, TxnOutput};
+use txn::{apply_delta, distinct_keys, Op, TxnError, TxnOutput};
 
 use crate::coherence::{self, node_inbox_id};
 use crate::membership::Membership;
@@ -77,8 +77,9 @@ enum Ride<'w> {
     /// The shard owner's epoch-fence READ of the word at `addr`: `epoch`
     /// takes it if a page was fetched, and stays `None` if none was.
     Fence { addr: GlobalAddr, epoch: &'w mut Option<u64> },
-    /// The write-through, all of it, when no write needs a fetched byte;
-    /// otherwise it follows the fetch in a doorbell of its own.
+    /// The write-through, all of it, when no page being fetched is
+    /// overwritten: an `Rmw` of such a page rides as one fetch-and-add of
+    /// its deltas. Otherwise it follows the fetch in a doorbell of its own.
     WriteThrough,
 }
 
@@ -194,11 +195,14 @@ impl NodeHandler {
     }
 
     /// A single-shard transaction: [`NodeHandler::exec`], then its
-    /// write-through. If every page it writes was a hit or is overwritten
-    /// whole, the ops run before the fetch lands and the whole
+    /// write-through. Unless it overwrites a page that missed, the whole
     /// write-through rides the fetch's doorbell — one wire round trip
-    /// where there were two; otherwise none of it does, since a write
-    /// split across two doorbells could land half.
+    /// where there were two: the ops on pages at hand run before the fetch
+    /// lands and their pages ride whole, the `Rmw`s of a page that missed
+    /// ride as one fetch-and-add of their deltas on its first word, and
+    /// the ops on fetched pages are replayed in op order once it has
+    /// landed. Otherwise none of it rides, since a write split across two
+    /// doorbells could land half.
     pub(crate) fn exec_write(&self, ep: &Endpoint, arena: &mut PageArena, ops: &[Op]) -> Result<TxnOutput, TxnError> {
         self.run(ep, arena, ops, Ride::WriteThrough)
     }
@@ -222,11 +226,10 @@ impl NodeHandler {
         }
         let slot_of = |key: u64| keys.iter().position(|&k| k == key).expect("planned");
         let write_through = matches!(ride, Ride::WriteThrough);
-        let reads_only = |op: &Op| matches!(op, Op::Read(_));
         let writes_ride = write_through
             && !pending.is_empty()
-            && !ops.iter().all(reads_only)
-            && ops.iter().all(|op| reads_only(op) || !fetch[slot_of(op.key())]);
+            && !ops.iter().all(|op| matches!(op, Op::Read(_)))
+            && !ops.iter().any(|op| matches!(op, Op::Update { .. }) && fetch[slot_of(op.key())]);
         // The fetch the writes ride, still to be completed.
         let pending = if writes_ride {
             Some(pending)
@@ -245,6 +248,8 @@ impl NodeHandler {
             None
         };
         let mut out = TxnOutput::default();
+        // The deltas of the `Rmw`s on each page still in flight.
+        let mut adds: Vec<(GlobalAddr, i64)> = Vec::new();
         for op in ops {
             let i = slot_of(op.key());
             let slot = &mut buf[i * psize..(i + 1) * psize];
@@ -255,10 +260,18 @@ impl NodeHandler {
                     slot.copy_from_slice(value);
                     dirty[i] = true;
                 }
+                Op::Rmw { key, delta } if fetch[i] => {
+                    out.reads.push((*key, Vec::new()));
+                    let addr = self.table.payload_addr(*key, 0);
+                    match adds.iter_mut().find(|a| a.0 == addr) {
+                        Some(a) => a.1 = a.1.wrapping_add(*delta),
+                        None => adds.push((addr, *delta)),
+                    }
+                    dirty[i] = true;
+                }
                 Op::Rmw { key, delta } => {
                     out.reads.push((*key, slot.to_vec()));
-                    let cur = i64::from_le_bytes(slot[0..8].try_into().unwrap());
-                    slot[0..8].copy_from_slice(&(cur + delta).to_le_bytes());
+                    apply_delta(slot, *delta);
                     dirty[i] = true;
                 }
             }
@@ -272,16 +285,22 @@ impl NodeHandler {
                     writes.push((self.table.payload_addr(keys[i], 0), slot as &[u8]));
                 }
             }
-            if !pending.complete_writing(ep, dsts, &writes)? {
-                self.pool.write_pages(ep, &writes)?;
-            }
-            // The fetched slots finish the reads.
+            let rode = pending.complete_writing(ep, dsts, &writes, &adds)?;
+            // The fetched slots finish the reads, and take their deltas, in
+            // op order: no op overwrites one.
             let reading = ops.iter().filter(|op| !matches!(op, Op::Update { .. }));
             for (read, op) in out.reads.iter_mut().zip(reading) {
                 let i = slot_of(op.key());
                 if fetch[i] {
-                    read.1 = buf[i * psize..(i + 1) * psize].to_vec();
+                    let slot = &mut buf[i * psize..(i + 1) * psize];
+                    read.1 = slot.to_vec();
+                    if let Op::Rmw { delta, .. } = op {
+                        apply_delta(slot, *delta);
+                    }
                 }
+            }
+            if !rode {
+                self.write_back(ep, arena)?;
             }
         } else if write_through {
             self.write_back(ep, arena)?;

@@ -319,13 +319,21 @@ pub enum Wr<'a> {
         new: u64,
         prev: &'a mut u64,
     },
+    /// 8-byte fetch-and-add of `add` (wrapping) on `(node, offset)`. The
+    /// pre-add value lands in `prev`, if one is given, as for a CAS.
+    Faa {
+        node: NodeId,
+        offset: u64,
+        add: u64,
+        prev: Option<&'a mut u64>,
+    },
 }
 
 impl Wr<'_> {
     /// The member's target node.
     fn node(&self) -> NodeId {
         match *self {
-            Wr::Read { node, .. } | Wr::Write { node, .. } | Wr::Cas { node, .. } => node,
+            Wr::Read { node, .. } | Wr::Write { node, .. } | Wr::Cas { node, .. } | Wr::Faa { node, .. } => node,
         }
     }
 }
@@ -782,13 +790,21 @@ impl Endpoint {
                 })?;
                 Ok(())
             }
+            Wr::Faa { node, offset, add, prev } => {
+                let (offset, add) = (*offset, *add);
+                let was = self.atomic(OpKind::Faa, *node, offset, None, batch_pos, |r| r.faa_u64(offset, add))?;
+                if let Some(prev) = prev {
+                    **prev = was;
+                }
+                Ok(())
+            }
         }
     }
 
     /// One doorbell over a mixed group of work requests: the members are
     /// executed in posting order, the first pays its verb's full round
-    /// trip and every later one the marginal batched cost (a CAS, leader
-    /// or rider, also takes its turn at the target's atomic unit), and
+    /// trip and every later one the marginal batched cost (a CAS or FAA,
+    /// leader or rider, also takes its turn at the target's atomic unit), and
     /// the whole group is one wire round trip. Targets may span nodes.
     /// A group of one is the scalar verb. A member that fails after the
     /// pre-flight (dead node, bad range) ends the group there; earlier
@@ -816,7 +832,7 @@ impl Endpoint {
         })
     }
 
-    /// The atomic path shared by CAS, FAA and every CAS member of a
+    /// The atomic path shared by CAS, FAA and every CAS or FAA member of a
     /// doorbell group (`batch_pos` as in [`Endpoint::one_sided`]): run
     /// `op` on the target word, then serialize behind the target NIC's
     /// atomic unit — a rider pays the marginal batched cost on the wire
@@ -1265,6 +1281,40 @@ mod tests {
     }
 
     #[test]
+    fn a_faa_member_pays_the_rider_cost_and_its_turn_at_the_atomic_unit() {
+        let p = NetworkProfile::rdma_cx6();
+        let fabric = Fabric::new(p);
+        let n0 = fabric.register_node(1 << 12);
+        let region = fabric.region(n0).unwrap();
+        region.write_u64(128, 40).unwrap();
+        let ep = fabric.endpoint();
+        let (mut page, mut prev) = ([0u8; 128], u64::MAX);
+        ep.doorbell(&mut [
+            Wr::Read { node: n0, offset: 0, dst: &mut page },
+            Wr::Faa { node: n0, offset: 128, add: 2, prev: Some(&mut prev) },
+            Wr::Faa { node: n0, offset: 128, add: -5i64 as u64, prev: None },
+        ])
+        .unwrap();
+        assert_eq!((prev, region.read_u64(128).unwrap()), (40, 37));
+        // The leader READ's round trip, then per FAA rider the marginal
+        // cost of an 8-byte member and its turn at the atomic unit.
+        let rider = p.batched_cost_ns(8) + p.atomic_unit_ns;
+        assert_eq!(ep.clock().now_ns(), p.rw_cost_ns(128) + 2 * rider);
+        let s = ep.stats();
+        assert_eq!((s.reads, s.faa, s.coalesced, s.wire_round_trips()), (1, 2, 2, 1));
+        assert_eq!(ep.verb_latency(OpKind::Faa).count(), 2);
+        // A FAA leading a doorbell pays the atomic round trip, as a CAS does.
+        let t0 = ep.clock().now_ns();
+        ep.doorbell(&mut [
+            Wr::Faa { node: n0, offset: 128, add: 3, prev: Some(&mut prev) },
+            Wr::Read { node: n0, offset: 0, dst: &mut page },
+        ])
+        .unwrap();
+        assert_eq!((prev, region.read_u64(128).unwrap()), (37, 40));
+        assert_eq!(ep.clock().now_ns() - t0, p.atomic_cost_ns() + p.atomic_unit_ns + p.batched_cost_ns(128));
+    }
+
+    #[test]
     fn batch_faults_are_all_or_nothing() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let a = fabric.register_node(64);
@@ -1579,17 +1629,18 @@ mod tests {
             assert_eq!(ep.faa(n1, 256, 5).unwrap(), 0);
             // The mixed doorbell: a leader CAS that wins, a READ riding
             // behind it, a rider CAS that loses (word 512 of node 0 is
-            // taken above) and a WRITE, across both nodes.
-            let (mut won, mut lost) = (u64::MAX, u64::MAX);
+            // taken above), a WRITE and a FAA, across both nodes.
+            let (mut won, mut lost, mut added) = (u64::MAX, u64::MAX, u64::MAX);
             let mut d = [0u8; 24];
             ep.doorbell(&mut [
                 Wr::Cas { node: n1, offset: 512, expected: 0, new: 7, prev: &mut won },
                 Wr::Read { node: n1, offset: 64, dst: &mut d },
                 Wr::Cas { node: n0, offset: 512, expected: 0, new: 3, prev: &mut lost },
                 Wr::Write { node: n0, offset: 1 << 19, src: &[5u8; 16] },
+                Wr::Faa { node: n1, offset: 256, add: 2, prev: Some(&mut added) },
             ])
             .unwrap();
-            assert_eq!((won, lost), (0, 1));
+            assert_eq!((won, lost, added), (0, 1, 5));
             ep.recv(&inbox).unwrap();
             ep.try_recv(&inbox).unwrap();
             for msg in inbox.drain() {
@@ -1613,7 +1664,7 @@ mod tests {
         let series = ep.series_snapshot();
         let events = ep.flight_events();
         let counted = [stats.reads, stats.writes, stats.cas, stats.faa, stats.sends, stats.recvs];
-        assert_eq!(counted, [6, 5, 4, 1, 3, 3]);
+        assert_eq!(counted, [6, 5, 4, 2, 3, 3]);
         for ((kind, metric), n) in KINDS.into_iter().zip(counted) {
             assert_eq!(series.total(metric), n, "{kind:?}: series");
             assert_eq!(ep.verb_latency(kind).count(), n, "{kind:?}: latency histogram");
@@ -1628,15 +1679,16 @@ mod tests {
         let hot_word = ep.contention_snapshot().cas_top.ranked()[0];
         assert_eq!((hot_word.key, hot_word.count), (pack_addr(0, 512), 2));
 
-        // 19 verbs pay 19 - 7 riders (1 SEND, 2 READ, 1 WRITE, and the
-        // mixed doorbell's READ, CAS and WRITE) wire RTs, and the ring
+        // 20 verbs pay 20 - 8 riders (1 SEND, 2 READ, 1 WRITE, and the
+        // mixed doorbell's READ, CAS, WRITE and FAA) wire RTs, and the ring
         // carries each where the series counts it.
         assert_eq!(stats.wire_round_trips(), 12);
         assert_eq!(series.total(Metric::WireRts), stats.wire_round_trips());
         assert_eq!(events.iter().map(|e| e.wire_rts as u64).sum::<u64>(), 12);
         assert!(events.iter().all(|e| e.wire_rts <= 1));
         // RECVs re-observe the senders' bytes; they are not wire bytes.
-        let sent = stats.bytes_read + stats.bytes_written + stats.bytes_sent + 5 * 8;
+        // The six atomics carry 8 bytes each.
+        let sent = stats.bytes_read + stats.bytes_written + stats.bytes_sent + 6 * 8;
         assert_eq!(series.total(Metric::BytesWire), sent);
         assert_eq!(stats.bytes_recvd, stats.bytes_sent);
 
@@ -1655,7 +1707,7 @@ mod tests {
             let ns: u64 = to_node.iter().map(|e| e.dur_ns).sum();
             assert_eq!(t.remote_ns, ns, "node {node}: remote ns");
         }
-        assert_eq!(util.node_verbs(), [(0, 9), (1, 7)]);
+        assert_eq!(util.node_verbs(), [(0, 9), (1, 8)]);
         // Both planes window the one-sided verbs alike.
         assert_eq!((series.window_ns, util.window_ns), (1_000, 1_000));
         for i in 0..series.len() {

@@ -38,7 +38,7 @@ pub use locks::{
 };
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
-    distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, LeasedTpl, Mvcc, Occ, Op,
-    PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,
+    apply_delta, distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, LeasedTpl, Mvcc,
+    Occ, Op, PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,
 };
 pub use table::RecordTable;

@@ -362,10 +362,11 @@ pub trait ConcurrencyControl: Send + Sync {
     }
 }
 
-/// Apply an [`Op::Rmw`] delta to a payload buffer in place.
-pub(crate) fn apply_delta(payload: &mut [u8], delta: i64) {
+/// Apply an [`Op::Rmw`] delta to a payload buffer in place. The counter
+/// wraps at the ends of `i64`, as a fetch-and-add on its word does.
+pub fn apply_delta(payload: &mut [u8], delta: i64) {
     let cur = i64::from_le_bytes(payload[0..8].try_into().expect("payload >= 8 bytes"));
-    payload[0..8].copy_from_slice(&(cur + delta).to_le_bytes());
+    payload[0..8].copy_from_slice(&cur.wrapping_add(delta).to_le_bytes());
 }
 
 /// Take the exclusive lock of every key in `keys`, in order, each on its
@@ -465,7 +466,7 @@ pub(crate) fn stage(
                     apply_delta(&mut seen, delta);
                     Staged::Abs(seen)
                 }
-                Some(Staged::Delta(d)) => Staged::Delta(d + delta),
+                Some(Staged::Delta(d)) => Staged::Delta(d.wrapping_add(delta)),
                 None => Staged::Delta(delta),
             };
             staged.insert(key, next);
