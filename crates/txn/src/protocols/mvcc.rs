@@ -7,15 +7,27 @@
 //! when the ring has already overwritten the version their snapshot needs
 //! (the classic "version too old" of bounded version stores).
 //!
+//! Besides the oracle's FAA, four doorbells at most, whatever the key
+//! count: one READ of the whole slot per key read; one `rts` CAS per key
+//! read (a lost CAS re-posts alone), each with a READ of the picked
+//! version's `wts` behind it; one lock set over the write set, each CAS
+//! with a READ of the slot behind it; and one install of payload, then
+//! `wts`, into each key's oldest version, then every unlock. A read-only
+//! transaction posts the first two.
+//!
 //! §4 Challenge 6 places MVCC among the protocols whose RDMA cost is the
 //! occasional latch plus timestamp traffic; experiment C3 shows its
 //! read-heavy advantage.
 
 use std::sync::Arc;
 
+use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
-use super::{lock_all, release_all, stage, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use super::{
+    advance_rts, commit_set, key_uses, read_chunks, slot_of, stage, ConcurrencyControl, Install, Op, TxnCtx,
+    TxnError, TxnOutput,
+};
 use crate::oracle::TimestampOracle;
 
 /// MVCC over a table created with `versions >= 2`.
@@ -60,110 +72,55 @@ impl ConcurrencyControl for Mvcc {
     }
 
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let layer = ctx.table.layer();
-        let psize = ctx.table.payload_size();
-        let nv = ctx.table.versions();
+        let (table, psize, nv) = (ctx.table, ctx.table.payload_size(), ctx.table.versions());
         assert!(nv >= 2, "Mvcc requires a table with >= 2 versions");
         let ts = self.oracle.next_ts(ctx.ep)?;
-        let slot_len = ctx.table.slot_size() as usize;
-
-        // Snapshot read: whole slot in one READ, pick newest wts <= ts,
-        // then validate that version's wts did not change underneath us.
-        let read_snapshot = |key: u64| -> Result<Vec<u8>, TxnError> {
+        let slot_len = table.slot_size() as usize;
+        let uses = key_uses(ops);
+        // The payload of the version each key read picked.
+        let mut snapshot = vec![Vec::new(); uses.len()];
+        {
             let _span = ctx.ep.span(Phase::PageFetch);
-            for _attempt in 0..3 {
-                let mut buf = vec![0u8; slot_len];
-                layer.read(ctx.ep, ctx.table.slot_addr(key), &mut buf)?;
-                let view = parse_slot(&buf, psize, nv);
-                let best = view
-                    .versions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (wts, _))| *wts <= ts)
-                    .max_by_key(|(_, (wts, _))| *wts);
-                let Some((vi, (wts, payload))) = best.map(|(i, v)| (i, v.clone())) else {
-                    return Err(TxnError::Aborted("mvcc-version-gone"));
-                };
-                // Validate: the chosen slot's wts unchanged (guards the
-                // torn-read window against a ring overwrite).
-                let check = layer.read_u64(ctx.ep, ctx.table.wts_addr(key, vi))?;
-                if check != wts {
-                    continue; // raced a writer into this slot; retry
-                }
-                // Advance rts for writer validation.
-                let mut cur = view.rts;
-                while cur < ts {
-                    let prev = layer.cas(ctx.ep, ctx.table.rts_addr(key), cur, ts)?;
-                    if prev == cur {
-                        break;
-                    }
-                    cur = prev;
-                }
-                return Ok(payload);
+            let mut slots = vec![0u8; uses.len() * slot_len];
+            read_chunks(ctx, &uses, &mut slots, |u| u.reads_old.then(|| table.slot_addr(u.key)))?;
+            let (mut rts, mut picked) = (Vec::with_capacity(uses.len()), Vec::with_capacity(uses.len()));
+            for (i, (u, slot)) in uses.iter().zip(slots.chunks_exact(slot_len)).enumerate().filter(|(_, (u, _))| u.reads_old) {
+                let mut view = parse_slot(slot, psize, nv);
+                let newest_at_ts = (0..nv).filter(|&v| view.versions[v].0 <= ts).max_by_key(|&v| view.versions[v].0);
+                let v = newest_at_ts.ok_or(TxnError::Aborted("mvcc-version-gone"))?;
+                rts.push((u.key, view.rts));
+                picked.push((table.wts_addr(u.key, v), view.versions[v].0));
+                snapshot[i] = std::mem::take(&mut view.versions[v].1);
             }
-            Err(TxnError::Aborted("mvcc-read-unstable"))
-        };
-
-        let (out, staged) = stage(ops, read_snapshot)?;
-
-        // Install writes under per-record locks, sorted.
-        let write_keys: Vec<u64> = staged.keys().copied().collect();
-        let lock_span = ctx.ep.span(Phase::LockAcquire);
-        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
-
-        // Validate every write key under its lock BEFORE installing
-        // anything — interleaving validation with installs would leave a
-        // partial commit behind on a late abort.
-        let mut views: Vec<SlotView> = Vec::with_capacity(write_keys.len());
-        if abort.is_none() {
-            for &key in &write_keys {
-                let mut buf = vec![0u8; slot_len];
-                if let Err(e) = layer.read(ctx.ep, ctx.table.slot_addr(key), &mut buf) {
-                    abort = Some(e.into());
-                    break;
-                }
-                let view = parse_slot(&buf, psize, nv);
-                let max_wts = view.versions.iter().map(|(w, _)| *w).max().unwrap_or(0);
-                if ts < view.rts {
-                    abort = Some(TxnError::Aborted("mvcc-write-after-read"));
-                    break;
-                }
-                if ts <= max_wts {
-                    abort = Some(TxnError::Aborted("mvcc-write-too-old"));
-                    break;
-                }
-                views.push(view);
+            // The picked version's wts, re-read behind the rts advances,
+            // guards the torn-read window: if it changed, the ring
+            // overwrote that version under the read, and the transaction
+            // aborts rather than read the slot again.
+            let mut now = vec![[0u8; 8]; picked.len()];
+            let mut reads: Vec<(GlobalAddr, &mut [u8])> =
+                picked.iter().zip(&mut now).map(|(&(addr, _), dst)| (addr, &mut dst[..])).collect();
+            advance_rts(ctx, ts, &rts, &mut reads)?;
+            if picked.iter().zip(&now).any(|(&(_, wts), now)| u64::from_le_bytes(*now) != wts) {
+                return Err(TxnError::Aborted("mvcc-version-gone"));
             }
         }
-        drop(lock_span);
+        let (out, staged) = stage(ops, |key| snapshot[slot_of(&uses, key)].clone());
 
-        if abort.is_none() {
-            let _span = ctx.ep.span(Phase::Writeback);
-            for ((&key, write), view) in staged.iter().zip(&views) {
-                // Victim = oldest version slot; a delta applies to the
-                // newest, read under the lock.
-                let by_wts = |(_, (w, _)): &(usize, &(u64, Vec<u8>))| *w;
-                let (victim, _) = view.versions.iter().enumerate().min_by_key(by_wts).expect("versions >= 2");
-                let (_, (_, latest)) = view.versions.iter().enumerate().max_by_key(by_wts).expect("versions >= 2");
-                let r: Result<(), TxnError> = (|| {
-                    let value = write.value(|| Ok(latest.clone()))?;
-                    // Payload then wts.
-                    ctx.table.write_payload(ctx.ep, key, victim, &value)?;
-                    layer.write_u64(ctx.ep, ctx.table.wts_addr(key, victim), ts)?;
-                    Ok(())
-                })();
-                if let Err(e) = r {
-                    abort = Some(e);
-                    break;
-                }
+        let keys: Vec<u64> = staged.iter().map(|(key, _)| *key).collect();
+        commit_set(ctx, &keys, self.max_retries, |_| slot_len, || Ok(()), |i, slot| {
+            let view = parse_slot(slot, psize, nv);
+            let by_wts = |v: &usize| view.versions[*v].0;
+            let (oldest, newest) = ((0..nv).min_by_key(by_wts), (0..nv).max_by_key(by_wts));
+            let (oldest, newest) = (oldest.expect("versions >= 2"), newest.expect("versions >= 2"));
+            if ts < view.rts {
+                return Err(TxnError::Aborted("mvcc-write-after-read"));
             }
-        }
-
-        release_all(ctx, &write_keys[..held], &mut abort);
-        match abort {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+            if ts <= view.versions[newest].0 {
+                return Err(TxnError::Aborted("mvcc-write-too-old"));
+            }
+            Ok(Install { version: oldest, value: staged[i].1.value(&view.versions[newest].1), wts: ts })
+        })?;
+        Ok(out)
     }
 }
 

@@ -2,16 +2,34 @@
 //!
 //! The RDMA-native protocol (Sherman \[62\] uses the same ingredients for
 //! its index): read without locks, remember versions; at commit, lock the
-//! write set (1-RT CAS each, sorted), re-read the read set's lock+version
-//! words, and install writes with a version bump. Write order within a
-//! record — payload first, then version, then lock release — guarantees a
-//! reader that raced a partial write always sees a version mismatch at
-//! validation.
+//! write set, re-read the read set's lock and version words, and install
+//! writes with a version bump. Four doorbells at most, whatever the key
+//! count:
+//!
+//! 1. **Read:** one READ of `[wts | payload]` per key whose old value the
+//!    transaction observes; the ops then run on per-key copies.
+//! 2. **Lock:** one [`ExclusiveLock`](crate::locks::ExclusiveLock) set over
+//!    the write set, each CAS with a READ of its key's `[lock | rts | wts]`
+//!    behind it: a written key that was read must still carry the version
+//!    seen.
+//! 3. **Validate:** one READ of `[lock | rts | wts]` per key read but not
+//!    written — lock free, version unchanged. It is posted only once the
+//!    lock doorbell has returned: a validation READ may ride only behind
+//!    the CAS of its own key, or two transactions that each read what the
+//!    other writes could both pass (write skew).
+//! 4. **Install:** payload, then version bump, per key, then every unlock
+//!    — one doorbell, ordered, so a reader that raced a partial write
+//!    always sees a version mismatch at validation.
+//!
+//! A read-only transaction posts 1 and 3; one that writes every key it
+//! reads posts 1, 2 and 4. A blind write is not read: its new version is
+//! the one found under the lock, plus one.
 
 use rdma_sim::Phase;
 
 use super::{
-    apply_delta, lock_all, release_all, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput,
+    commit_set, key_uses, read_chunks, run_on_copies, word, ConcurrencyControl, Install, Op, TxnCtx, TxnError,
+    TxnOutput, HEADER,
 };
 
 /// OCC with bounded-retry write-set locking.
@@ -39,140 +57,55 @@ impl ConcurrencyControl for Occ {
     }
 
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let layer = ctx.table.layer();
-        let psize = ctx.table.payload_size();
-        let mut out = TxnOutput::default();
-
-        // --- Read phase ------------------------------------------------
-        // Per accessed key: (version_seen, latest_local_value). Writes are
-        // buffered; reads of keys written earlier in the txn see the
-        // buffered value (read-your-writes).
-        let mut versions: Vec<(u64, u64)> = Vec::new(); // (key, wts seen)
-        let mut local: Vec<(u64, Vec<u8>)> = Vec::new(); // write buffer
-        let mut write_keys: Vec<u64> = Vec::new();
-
-        let fetch = |key: u64,
-                     versions: &mut Vec<(u64, u64)>|
-         -> Result<Vec<u8>, TxnError> {
-            // One READ covering [wts | payload] (contiguous in the slot).
+        let (table, psize) = (ctx.table, ctx.table.payload_size());
+        let uses = key_uses(ops);
+        // One chunk per key, in key order: the version read, then the
+        // transaction's copy of the payload.
+        let mut buf = vec![0u8; uses.len() * (8 + psize)];
+        {
             let _span = ctx.ep.span(Phase::PageFetch);
-            let mut buf = vec![0u8; 8 + psize];
-            layer.read(ctx.ep, ctx.table.wts_addr(key, 0), &mut buf)?;
-            let wts = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            if !versions.iter().any(|&(k, _)| k == key) {
-                versions.push((key, wts));
+            read_chunks(ctx, &uses, &mut buf, |u| u.reads_old.then(|| table.wts_addr(u.key, 0)))?;
+        }
+        let out = run_on_copies(ops, &uses, &mut buf, 8, psize);
+        let (written, read): (Vec<_>, Vec<_>) =
+            uses.iter().zip(buf.chunks_exact(8 + psize)).partition(|(u, _)| u.written);
+        let keys: Vec<u64> = written.iter().map(|(u, _)| u.key).collect();
+
+        let validate = || {
+            let mut hdrs = vec![0u8; uses.len() * HEADER];
+            read_chunks(ctx, &uses, &mut hdrs, |u| (!u.written).then(|| table.lock_addr(u.key)))?;
+            let hdrs = uses.iter().zip(hdrs.chunks_exact(HEADER)).filter(|(u, _)| !u.written);
+            for ((_, hdr), (_, copy)) in hdrs.zip(&read) {
+                if word(hdr, 0) != 0 {
+                    return Err(TxnError::Aborted("validate-locked"));
+                }
+                if word(hdr, 2) != word(copy, 0) {
+                    return Err(TxnError::Aborted("validate-version"));
+                }
             }
-            Ok(buf[8..].to_vec())
+            Ok(())
         };
-
-        for op in ops {
-            let key = op.key();
-            let cached = local.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
-            match op {
-                Op::Read(_) => {
-                    let val = match cached {
-                        Some(v) => v,
-                        None => fetch(key, &mut versions)?,
-                    };
-                    out.reads.push((key, val));
-                }
-                Op::Update { value, .. } => {
-                    if cached.is_none() {
-                        // Still record the version for write-write
-                        // validation via locking (no read needed for a
-                        // blind write, but version tracking is free here).
-                        let _ = fetch(key, &mut versions)?;
-                    }
-                    local.push((key, value.clone()));
-                    write_keys.push(key);
-                }
-                Op::Rmw { delta, .. } => {
-                    let mut val = match cached {
-                        Some(v) => v,
-                        None => fetch(key, &mut versions)?,
-                    };
-                    out.reads.push((key, val.clone()));
-                    apply_delta(&mut val, *delta);
-                    local.push((key, val));
-                    write_keys.push(key);
-                }
+        commit_set(ctx, &keys, self.max_retries, |_| HEADER, validate, |i, hdr| {
+            let (u, copy) = written[i];
+            let wts = word(hdr, 2);
+            if u.reads_old && wts != word(copy, 0) {
+                return Err(TxnError::Aborted("validate-version"));
             }
-        }
-        write_keys.sort_unstable();
-        write_keys.dedup();
-
-        // --- Validation phase -------------------------------------------
-        // Lock the write set in sorted order.
-        let validate_span = ctx.ep.span(Phase::LockAcquire);
-        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
-
-        // Validate the read set: lock word free (or ours) and version
-        // unchanged. One READ covers [lock | rts | wts].
-        if abort.is_none() {
-            for &(key, seen_wts) in &versions {
-                let mut hdr = [0u8; 24];
-                if let Err(e) = layer.read(ctx.ep, ctx.table.lock_addr(key), &mut hdr) {
-                    abort = Some(e.into());
-                    break;
-                }
-                let lock = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
-                let wts = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
-                let lock_ok = lock == 0 || lock == ctx.worker_tag;
-                if !lock_ok {
-                    abort = Some(TxnError::Aborted("validate-locked"));
-                    break;
-                }
-                if wts != seen_wts {
-                    abort = Some(TxnError::Aborted("validate-version"));
-                    break;
-                }
-            }
-        }
-
-        drop(validate_span);
-
-        // --- Write phase -------------------------------------------------
-        if abort.is_none() {
-            let _span = ctx.ep.span(Phase::Writeback);
-            for &key in &write_keys {
-                let value = local
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| v.clone())
-                    .expect("buffered write");
-                let seen = versions
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0);
-                let r: Result<(), TxnError> = (|| {
-                    // payload, then wts bump, then lock release — one
-                    // doorbell, ordered.
-                    ctx.table.write_payload(ctx.ep, key, 0, &value)?;
-                    layer.write_u64(ctx.ep, ctx.table.wts_addr(key, 0), seen + 1)?;
-                    Ok(())
-                })();
-                if let Err(e) = r {
-                    abort = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Release locks regardless of outcome.
-        release_all(ctx, &write_keys[..held], &mut abort);
-        match abort {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+            Ok(Install { version: 0, value: copy[8..].to_vec(), wts: wts + 1 })
+        })?;
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rdma_sim::{EventKind, OpKind};
+
     use super::*;
-    use crate::protocols::testutil::{a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table};
+    use crate::locks::ExclusiveLock;
+    use crate::protocols::testutil::{
+        a_failed_unlock_leaves_no_reachable_lock_held, bank_invariant_holds, table, timed_table,
+    };
     use crate::protocols::DirectIo;
 
     fn ctx_on<'a>(
@@ -256,6 +189,41 @@ mod tests {
             .execute(&ctx, &[Op::Rmw { key: 1, delta: 1 }])
             .unwrap_err();
         assert_eq!(err, TxnError::Aborted("lock-busy"));
+    }
+
+    /// Key 0 is read, key 1 (the other group) written.
+    fn read_0_write_1() -> [Op; 2] {
+        [Op::Read(0), Op::Rmw { key: 1, delta: 1 }]
+    }
+
+    #[test]
+    fn a_read_only_key_is_validated_only_once_the_write_set_is_locked() {
+        let t = timed_table(1);
+        let ep = t.layer().fabric().endpoint();
+        ep.enable_flight_recorder(256);
+        Occ::new().execute(&ctx_on(&t, &ep, 1), &read_0_write_1()).unwrap();
+        let events = ep.flight_events();
+        let at = |kind: OpKind, key: u64| {
+            let addr = t.lock_addr(key).to_raw();
+            events.iter().filter(move |e| e.kind == EventKind::Verb(kind) && e.addr == addr)
+        };
+        let locked_at = at(OpKind::Cas, 1).map(|e| e.end_ns).max().expect("key 1 was locked");
+        let validations: Vec<u64> = at(OpKind::Read, 0).map(|e| e.ts_ns()).collect();
+        assert!(!validations.is_empty(), "key 0 was validated");
+        assert!(validations.iter().all(|&start| start >= locked_at), "{validations:?} vs {locked_at}");
+    }
+
+    #[test]
+    fn a_locked_read_only_key_fails_validation() {
+        let t = table(4, 16, 1);
+        let layer = t.layer();
+        let holder = layer.fabric().endpoint();
+        ExclusiveLock::acquire(layer, &holder, t.lock_addr(0), 99, 0).unwrap();
+        let ep = layer.fabric().endpoint();
+        let err = Occ::new().execute(&ctx_on(&t, &ep, 1), &read_0_write_1()).unwrap_err();
+        assert_eq!(err, TxnError::Aborted("validate-locked"));
+        assert_eq!(layer.read_u64(&ep, t.lock_addr(1)).unwrap(), 0, "the write set was released");
+        assert_eq!(layer.read_u64(&ep, t.payload_addr(1, 0)).unwrap(), 0, "nothing was installed");
     }
 
     #[test]

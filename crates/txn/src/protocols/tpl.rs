@@ -34,9 +34,7 @@
 use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
-use super::{
-    apply_delta, key_sets, key_uses, ConcurrencyControl, KeyUse, Op, TxnCtx, TxnError, TxnOutput,
-};
+use super::{apply_delta, key_sets, key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
 use crate::locks::{ExclusiveLock, LockWord, SharedExclusiveLock};
 
 /// 2PL with no-wait bounded-retry acquisition.
@@ -186,27 +184,6 @@ impl TwoPhaseLocking {
     }
 }
 
-/// Run `ops` in program order on the transaction's copies in `buf`, one
-/// chunk of `hdr` io bytes and `psize` payload bytes per key of `uses`.
-fn run_on_copies(ops: &[Op], uses: &[KeyUse], buf: &mut [u8], hdr: usize, psize: usize) -> TxnOutput {
-    let mut out = TxnOutput::default();
-    for op in ops {
-        let slot = uses
-            .binary_search_by_key(&op.key(), |u| u.key)
-            .expect("every op's key is in `uses`");
-        let copy = &mut buf[slot * (hdr + psize) + hdr..][..psize];
-        match op {
-            Op::Read(key) => out.reads.push((*key, copy.to_vec())),
-            Op::Update { value, .. } => copy[..value.len()].copy_from_slice(value),
-            Op::Rmw { key, delta } => {
-                out.reads.push((*key, copy.to_vec()));
-                apply_delta(copy, *delta);
-            }
-        }
-    }
-    out
-}
-
 /// Run `ops` in program order, each payload access a verb of its own on
 /// the table.
 fn run_ops(ctx: &TxnCtx<'_>, ops: &[Op], out: &mut TxnOutput) -> Result<(), TxnError> {
@@ -260,7 +237,7 @@ mod tests {
     use rdma_sim::FaultPlan;
 
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, crash_group_1_after_key_1s_payload, table, timed_table};
+    use crate::protocols::testutil::{bank_invariant_holds, crash_group_1_after, table, timed_table};
     use crate::protocols::DirectIo;
     use crate::table::RecordTable;
 
@@ -370,7 +347,8 @@ mod tests {
             // Group 1 dies as key 1's payload READ returns, with every lock
             // held: its unlocks fail, group 0's must not be skipped.
             let ops = [Op::Read(0), Op::Read(1), Op::Read(2), Op::Read(3)];
-            let t = crash_group_1_after_key_1s_payload(1, |t, ep| {
+            let key_1s_payload = |t: &RecordTable, e: &rdma_sim::Event| e.addr == t.payload_addr(1, 0).to_raw();
+            let t = crash_group_1_after(1, key_1s_payload, |t, ep| {
                 cc.execute(&TxnCtx { ep, table: t, io: &DirectIo, worker_tag: 7 }, &ops)
             });
             for key in [0, 2] {

@@ -4,21 +4,33 @@
 //! `rts` (largest reader) and `wts` (largest writer). Reads of the future
 //! are impossible (single-version), so `ts < wts` aborts a read; writes
 //! abort when a later reader or writer already passed (`ts < rts` or
-//! `ts < wts`). The `rts` advance uses an RDMA CAS-max loop — the "latch
-//! over shared state" cost §4 Challenge 6 attributes to non-lock-based
+//! `ts < wts`). The `rts` advance is an RDMA CAS-max — the "latch over
+//! shared state" cost §4 Challenge 6 attributes to non-lock-based
 //! protocols.
+//!
+//! Besides the oracle's FAA, four doorbells at most, whatever the key
+//! count: one READ of `[lock | rts | wts | payload]` per key read; one
+//! `rts` CAS per key read (a lost CAS re-posts alone); one lock set over
+//! the write set, each CAS with a READ of `[lock | rts | wts]` behind it —
+//! the payload too for a read-modify-write, whose delta is re-applied to
+//! the value read under the lock; and one install of payload, then `wts`,
+//! per key, then every unlock. A read-only transaction posts the first
+//! two.
 
 use std::sync::Arc;
 
 use rdma_sim::Phase;
 
-use super::{lock_all, release_all, stage, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use super::{
+    advance_rts, commit_set, key_uses, read_chunks, slot_of, stage, word, ConcurrencyControl, Install, Op, Staged,
+    TxnCtx, TxnError, TxnOutput, HEADER,
+};
 use crate::oracle::TimestampOracle;
 
 /// TSO with a pluggable timestamp oracle.
 pub struct Tso {
     oracle: Arc<dyn TimestampOracle>,
-    /// CAS retries for the short write lock / rts advance.
+    /// CAS retries for the short write lock.
     pub max_retries: u32,
 }
 
@@ -38,94 +50,49 @@ impl ConcurrencyControl for Tso {
     }
 
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let layer = ctx.table.layer();
-        let psize = ctx.table.payload_size();
+        let (table, psize) = (ctx.table, ctx.table.payload_size());
         let ts = self.oracle.next_ts(ctx.ep)?;
-
-        let read_value = |key: u64| -> Result<Vec<u8>, TxnError> {
-            // Read header+payload in one READ: [lock|rts|wts|payload].
+        let uses = key_uses(ops);
+        // One chunk per key, in key order: [lock | rts | wts | payload].
+        let chunk = HEADER + psize;
+        let mut buf = vec![0u8; uses.len() * chunk];
+        {
             let _span = ctx.ep.span(Phase::PageFetch);
-            let mut buf = vec![0u8; 24 + psize];
-            layer.read(ctx.ep, ctx.table.lock_addr(key), &mut buf)?;
-            let lock = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            if lock != 0 && lock != ctx.worker_tag {
-                // A writer is mid-install: its payload/wts pair is not yet
-                // consistent, so reading now is unsafe.
-                return Err(TxnError::Aborted("tso-read-locked"));
-            }
-            let wts = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-            if ts < wts {
-                return Err(TxnError::Aborted("tso-read-too-old"));
-            }
-            // Advance rts to max(rts, ts) with a CAS loop.
-            let mut cur = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            while cur < ts {
-                let prev = layer.cas(ctx.ep, ctx.table.rts_addr(key), cur, ts)?;
-                if prev == cur {
-                    break;
+            read_chunks(ctx, &uses, &mut buf, |u| u.reads_old.then(|| table.lock_addr(u.key)))?;
+            let mut rts = Vec::with_capacity(uses.len());
+            for (u, seen) in uses.iter().zip(buf.chunks_exact(chunk)).filter(|(u, _)| u.reads_old) {
+                let lock = word(seen, 0);
+                if lock != 0 && lock != ctx.worker_tag {
+                    // A writer is mid-install: its payload/wts pair is not
+                    // yet consistent, so reading now is unsafe.
+                    return Err(TxnError::Aborted("tso-read-locked"));
                 }
-                cur = prev;
+                if ts < word(seen, 2) {
+                    return Err(TxnError::Aborted("tso-read-too-old"));
+                }
+                rts.push((u.key, word(seen, 1)));
             }
-            Ok(buf[24..].to_vec())
+            advance_rts(ctx, ts, &rts, &mut [])?;
+        }
+        let (out, staged) = stage(ops, |key| buf[slot_of(&uses, key) * chunk + HEADER..][..psize].to_vec());
+
+        let keys: Vec<u64> = staged.iter().map(|(key, _)| *key).collect();
+        let view_len = |i: usize| match staged[i].1 {
+            Staged::Abs(_) => HEADER,
+            Staged::Delta(_) => HEADER + psize,
         };
-        let (out, staged) = stage(ops, read_value)?;
-
-        // Install writes, sorted by key, each under the record lock.
-        let write_keys: Vec<u64> = staged.keys().copied().collect();
-        let lock_span = ctx.ep.span(Phase::LockAcquire);
-        let (held, mut abort) = lock_all(ctx, &write_keys, self.max_retries);
-
-        if abort.is_none() {
-            // Write rule check under locks: one READ of [rts|wts] per key.
-            for &key in &write_keys {
-                let mut hdr = [0u8; 16];
-                if let Err(e) = layer.read(ctx.ep, ctx.table.rts_addr(key), &mut hdr) {
-                    abort = Some(e.into());
-                    break;
-                }
-                let rts = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
-                let wts = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
-                if ts < rts {
-                    abort = Some(TxnError::Aborted("tso-write-after-read"));
-                    break;
-                }
-                if ts < wts {
-                    // Thomas write rule would skip; we abort for strict
-                    // serializability of multi-key transactions.
-                    abort = Some(TxnError::Aborted("tso-write-too-old"));
-                    break;
-                }
+        commit_set(ctx, &keys, self.max_retries, view_len, || Ok(()), |i, view| {
+            if ts < word(view, 1) {
+                return Err(TxnError::Aborted("tso-write-after-read"));
             }
-        }
-        drop(lock_span);
-
-        if abort.is_none() {
-            let _span = ctx.ep.span(Phase::Writeback);
-            for (&key, write) in &staged {
-                let r: Result<(), TxnError> = (|| {
-                    // Fresh read under the lock: serializes the
-                    // read-modify-write against all other writers.
-                    let value = write.value(|| {
-                        let mut v = vec![0u8; psize];
-                        layer.read(ctx.ep, ctx.table.payload_addr(key, 0), &mut v)?;
-                        Ok(v)
-                    })?;
-                    ctx.table.write_payload(ctx.ep, key, 0, &value)?;
-                    layer.write_u64(ctx.ep, ctx.table.wts_addr(key, 0), ts)?;
-                    Ok(())
-                })();
-                if let Err(e) = r {
-                    abort = Some(e);
-                    break;
-                }
+            if ts < word(view, 2) {
+                // Thomas write rule would skip; we abort for strict
+                // serializability of multi-key transactions.
+                return Err(TxnError::Aborted("tso-write-too-old"));
             }
-        }
-
-        release_all(ctx, &write_keys[..held], &mut abort);
-        match abort {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+            Ok(Install { version: 0, value: staged[i].1.value(&view[HEADER..]), wts: ts })
+        })?;
+        Ok(out)
     }
 }
 
@@ -181,7 +148,7 @@ mod tests {
             worker_tag: 1,
         };
         // Force rts of key 1 into the future.
-        t.layer().write_u64(&ep, t.rts_addr(1), 1_000_000).unwrap();
+        t.layer().write(&ep, t.rts_addr(1), &1_000_000u64.to_le_bytes()).unwrap();
         let err = cc
             .execute(&ctx, &[Op::Update { key: 1, value: vec![0; 16] }])
             .unwrap_err();
@@ -200,9 +167,7 @@ mod tests {
             io: &DirectIo,
             worker_tag: 1,
         };
-        t.layer()
-            .write_u64(&ep, t.wts_addr(1, 0), 1_000_000)
-            .unwrap();
+        t.layer().write(&ep, t.wts_addr(1, 0), &1_000_000u64.to_le_bytes()).unwrap();
         let err = cc.execute(&ctx, &[Op::Read(1)]).unwrap_err();
         assert_eq!(err, TxnError::Aborted("tso-read-too-old"));
     }

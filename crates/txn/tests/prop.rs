@@ -1,6 +1,7 @@
 //! Property tests for the CC layer: serial equivalence against a
-//! reference interpreter, for every protocol, and the two-doorbell 2PL
-//! transaction against a sequential in-memory model on every layout.
+//! reference interpreter, for every protocol, and every lock-set protocol
+//! (exclusive 2PL, OCC, TSO, MVCC) against a sequential in-memory model
+//! and its doorbell plan on every layout.
 
 use std::sync::Arc;
 
@@ -166,11 +167,19 @@ fn op_lists() -> impl Strategy<Value = Vec<Vec<Op>>> {
     proptest::collection::vec(proptest::collection::vec(op, 1..=8), 1..24)
 }
 
-/// Run `txns` through exclusive 2PL over `DirectIo` on `groups` mirror
-/// groups of `replication` members and through a plain array; reads,
-/// the bytes on every replica and every lock word must agree with the
-/// array afterwards.
-fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<Op>]) {
+/// Run `txns` through the protocol `make` builds over `DirectIo`, on
+/// `groups` mirror groups of `replication` members and a table of
+/// `versions`, and through a plain array; reads, the newest version's
+/// bytes on every replica and every lock word must agree with the array
+/// afterwards, and each transaction must pay the wire round trips `rts`
+/// plans for it.
+fn doorbells_match_the_model(
+    make: impl FnOnce(&Arc<DsmLayer>) -> Box<dyn ConcurrencyControl>,
+    versions: usize,
+    rts: fn(&[Op]) -> u64,
+    (groups, replication): (usize, usize),
+    txns: &[Vec<Op>],
+) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -182,7 +191,8 @@ fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<
             weak_cpu_factor: 4.0,
         },
     );
-    let t = RecordTable::create(&layer, KEYS, PAYLOAD, 1).unwrap();
+    let t = RecordTable::create(&layer, KEYS, PAYLOAD, versions).unwrap();
+    let cc = make(&layer);
     let ep = fabric.endpoint();
     let ctx = TxnCtx {
         ep: &ep,
@@ -190,7 +200,6 @@ fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<
         io: &DirectIo,
         worker_tag: 1,
     };
-    let cc = TwoPhaseLocking::exclusive();
     let mut model = vec![[0u8; PAYLOAD]; KEYS as usize];
     for ops in txns {
         let before = ep.stats();
@@ -208,21 +217,60 @@ fn two_doorbells_match_the_model(groups: usize, replication: usize, txns: &[Vec<
                 }
             }
         }
-        assert_eq!(out.reads, expected, "{ops:?}");
+        assert_eq!(out.reads, expected, "{}: {ops:?}", cc.name());
         let after = ep.stats();
-        assert_eq!(after.wire_round_trips() - before.wire_round_trips(), 2, "{ops:?}");
+        assert_eq!(after.wire_round_trips() - before.wire_round_trips(), rts(ops), "{}: {ops:?}", cc.name());
     }
     for key in 0..KEYS {
-        let (lock, payload) = (t.lock_addr(key), t.payload_addr(key, 0));
+        let lock = t.lock_addr(key);
         let group = layer.group_index_of(lock.node()).expect("table group");
         for member in layer.group_members(group) {
+            let region = member.region();
+            let wts = |v: &usize| region.read_u64(t.wts_addr(key, *v).offset()).unwrap();
+            let newest = (0..versions).max_by_key(wts).unwrap();
             let mut bytes = [0u8; PAYLOAD];
-            member.region().read(payload.offset(), &mut bytes).unwrap();
-            assert_eq!(bytes, model[key as usize], "key {key} on node {}", member.id());
-            let word = member.region().read_u64(lock.offset()).unwrap();
-            assert_eq!(word, 0, "lock of key {key} on node {}", member.id());
+            region.read(t.payload_addr(key, newest).offset(), &mut bytes).unwrap();
+            assert_eq!(bytes, model[key as usize], "{}: key {key} on node {}", cc.name(), member.id());
+            let word = region.read_u64(lock.offset()).unwrap();
+            assert_eq!(word, 0, "{}: lock of key {key} on node {}", cc.name(), member.id());
         }
     }
+}
+
+/// Whether some key's first op observes its old value, some key is
+/// written, and some key is read but never written.
+fn shape(ops: &[Op]) -> [bool; 3] {
+    let keys = txn::distinct_keys(ops);
+    let first = |key: u64| ops.iter().find(|op| op.key() == key).unwrap();
+    let written = |key: u64| ops.iter().any(|op| op.key() == key && op.is_write());
+    [
+        keys.iter().any(|&k| !matches!(first(k), Op::Update { .. })),
+        keys.iter().any(|&k| written(k)),
+        keys.iter().any(|&k| !written(k)),
+    ]
+}
+
+/// Exclusive 2PL: acquire and release, whatever the transaction.
+fn tpl_rts(_: &[Op]) -> u64 {
+    2
+}
+
+/// OCC: read, lock, validate what is only read, install — each when
+/// some key needs it.
+fn occ_rts(ops: &[Op]) -> u64 {
+    let [reads, writes, only_read] = shape(ops);
+    reads as u64 + 2 * writes as u64 + only_read as u64
+}
+
+/// TSO and MVCC: the oracle's FAA; read and advance `rts`; lock and
+/// install.
+fn timestamp_rts(ops: &[Op]) -> u64 {
+    let [reads, writes, _] = shape(ops);
+    1 + 2 * reads as u64 + 2 * writes as u64
+}
+
+fn faa_oracle(layer: &Arc<DsmLayer>) -> Arc<FaaOracle> {
+    Arc::new(FaaOracle::new(layer).unwrap())
 }
 
 proptest! {
@@ -234,7 +282,36 @@ proptest! {
         replication in 1usize..=2,
         txns in op_lists(),
     ) {
-        two_doorbells_match_the_model(groups, replication, &txns);
+        doorbells_match_the_model(|_| Box::new(TwoPhaseLocking::exclusive()), 1, tpl_rts, (groups, replication), &txns);
+    }
+
+    #[test]
+    fn occ_doorbells_match_a_sequential_model(
+        groups in 1usize..=4,
+        replication in 1usize..=2,
+        txns in op_lists(),
+    ) {
+        doorbells_match_the_model(|_| Box::new(Occ::new()), 1, occ_rts, (groups, replication), &txns);
+    }
+
+    #[test]
+    fn tso_doorbells_match_a_sequential_model(
+        groups in 1usize..=4,
+        replication in 1usize..=2,
+        txns in op_lists(),
+    ) {
+        let tso = |layer: &Arc<DsmLayer>| Box::new(Tso::new(faa_oracle(layer))) as Box<dyn ConcurrencyControl>;
+        doorbells_match_the_model(tso, 1, timestamp_rts, (groups, replication), &txns);
+    }
+
+    #[test]
+    fn mvcc_doorbells_match_a_sequential_model(
+        groups in 1usize..=4,
+        replication in 1usize..=2,
+        txns in op_lists(),
+    ) {
+        let mvcc = |layer: &Arc<DsmLayer>| Box::new(Mvcc::new(faa_oracle(layer))) as Box<dyn ConcurrencyControl>;
+        doorbells_match_the_model(mvcc, 2, timestamp_rts, (groups, replication), &txns);
     }
 
     #[test]
