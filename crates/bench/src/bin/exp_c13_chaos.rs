@@ -3,7 +3,7 @@
 //!
 //! Mid-workload, a memory node is hard-crashed (its mirror keeps
 //! serving degraded reads) and a lock-holding compute session goes
-//! silent (its lease locks time out, expire, and get stolen). The
+//! silent (its leased lock words stay busy, expire, and get stolen). The
 //! throughput dip and time-to-recovery are *computed* from the windowed
 //! time-series by `telemetry::analysis` (not hand-derived timestamps),
 //! and the run audits the two safety invariants: no committed write
@@ -86,6 +86,6 @@ fn main() {
     assert_eq!(out.audit.lost_writes, 0, "committed writes were lost");
     assert_eq!(out.audit.stuck_locks, 0, "a lock stayed held forever");
     println!("\nShape check: the fault window dips (dead group aborts with the \
-              typed error, zombie leases time out), then steals + mirror \
+              typed error, zombie leases keep their words busy), then steals + mirror \
               rebuild bring throughput back.");
 }

@@ -22,7 +22,7 @@ fn main() {
     println!("\nE1 — online reshard: live page migration under fire\n");
     let cfg = ReshardConfig {
         seed: config::seed(0xE1),
-        rounds: scale_down(1_200).max(50),
+        rounds: scale_down(2_200).max(50),
         records: scale_down(16_384).max(512) as u64,
         ..ReshardConfig::default()
     };

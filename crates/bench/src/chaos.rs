@@ -13,12 +13,12 @@
 //! 1. **pre** — healthy baseline. A seeded fault plan injects first-N
 //!    transient failures and a short partition of a group-1 node; the
 //!    DSM retry policy absorbs both (they never surface as aborts).
-//! 2. **fault** — a "zombie" session grabs lease locks on hot keys and
+//! 2. **fault** — a "zombie" session takes leased locks on hot keys and
 //!    stops (simulated compute crash); group 0's primary memory node is
 //!    hard-crashed; a latency spike slows the surviving group.
 //!    Transactions on dead-group keys abort with the typed
-//!    [`dsmdb::TxnError::NodeUnavailable`]; zombie-held keys time out until the
-//!    lease expires, then get stolen.
+//!    [`dsmdb::TxnError::NodeUnavailable`]; zombie-held keys are busy until
+//!    the lease expires, then get stolen.
 //! 3. **post** — the fault plan is cleared, the dead member is rebuilt
 //!    from its mirror, the membership epoch is bumped (crash-recover
 //!    cycle on record), and the zombie wakes to find every lock fenced.
@@ -32,7 +32,7 @@ use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
 use telemetry::watchdog::{run_over, windowed_p99};
 use telemetry::RecoveryFacts;
-use txn::locks::LeaseLock;
+use txn::{ExclusiveLock, LeaseLock, LockWord};
 
 use crate::fleet::{max_clock, Audit, Fleet};
 use crate::report::{abort_causes_json, phases_json, Json, Report};
@@ -94,7 +94,7 @@ pub struct ChaosConfig {
     pub records: u64,
     /// Payload bytes per record.
     pub payload: usize,
-    /// Lease horizon for the leased 2PL protocol, virtual ns.
+    /// Lease horizon of every lock word, virtual ns.
     pub lease_ns: u64,
     /// Time-series window width, virtual ns (0 disables sampling; the
     /// recovery facts then stay at their zero defaults).
@@ -208,8 +208,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         payload_size: cfg.payload,
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
-        cc: CcProtocol::TplLeased,
-        lease_ns: cfg.lease_ns,
+        cc: CcProtocol::TplExclusive,
+        lease_ns: Some(cfg.lease_ns),
         ..Default::default()
     })
     .expect("chaos cluster");
@@ -246,7 +246,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 
     let r_crash = cfg.rounds / 3;
     let r_recover = 2 * cfg.rounds / 3;
-    let mut zombie: Option<(rdma_sim::Endpoint, Vec<(dsm::GlobalAddr, txn::LeaseToken)>)> = None;
+    let mut zombie: Option<(rdma_sim::Endpoint, Vec<LockWord>)> = None;
     let mut t_crash = 0u64;
 
     for round in 0..cfg.rounds {
@@ -261,21 +261,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             // acquires them and then goes silent.
             let zep = fabric.endpoint();
             zep.charge_local(t_crash);
-            let mut held = Vec::new();
-            for &k in &[hot_g0, hot_g1] {
-                let token = LeaseLock::acquire(
-                    &layer,
-                    &zep,
-                    table.lock_addr(k),
-                    999,
-                    1,
-                    cfg.lease_ns,
-                    4,
-                )
+            let mut held = [hot_g0, hot_g1].map(|k| LockWord::new(table.lock_addr(k)));
+            ExclusiveLock::acquire_set(&layer, &zep, &mut held, &mut [], LeaseLock::tag(999, 1, cfg.lease_ns), 4)
                 .expect("locks are free between rounds");
-                held.push((table.lock_addr(k), token));
-            }
-            zombie = Some((zep, held));
+            zombie = Some((zep, held.to_vec()));
 
             // Group 0's primary memory node dies for real.
             layer.crash_member(0, 0).expect("crash member");
@@ -325,9 +314,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             // The zombie wakes up and tries to release: every contested
             // lock must refuse it (stolen by a worker, or wiped by the
             // mirror rebuild).
-            if let Some((zep, held)) = zombie.take() {
-                for (addr, token) in held {
-                    match LeaseLock::release(&layer, &zep, addr, token) {
+            if let Some((zep, mut held)) = zombie.take() {
+                for word in held.chunks_mut(1) {
+                    match ExclusiveLock::release_set(&layer, &zep, &[], word) {
                         Err(_) => out.zombie_fenced += 1,
                         Ok(()) => out.zombie_survived += 1,
                     }

@@ -7,7 +7,7 @@
 //! amount are splitmix64 of `(seed, fleet member, round)`.
 
 use dsmdb::{Cluster, Op, Session, TxnError};
-use txn::locks::LeaseLock;
+use txn::{ExclusiveLock, LeaseLock, LockError, LockWord};
 
 use crate::chaos::WindowStats;
 use crate::AbortCauses;
@@ -105,7 +105,8 @@ impl Fleet {
     /// be stealable, and the janitor steals and clears each.
     pub fn audit(&self, cluster: &Cluster, t_end: u64) -> Audit {
         let (layer, table) = (cluster.layer(), cluster.table());
-        let lease_ns = cluster.config().lease_ns;
+        let lease_ns = cluster.config().lease_ns.expect("a transfer fleet runs leased");
+        let janitor = LeaseLock::tag(998, 1, lease_ns);
         let ep = cluster.fabric().endpoint();
         let mut out = Audit::default();
         let mut buf = vec![0u8; cluster.config().payload_size];
@@ -124,17 +125,17 @@ impl Fleet {
             if word == 0 {
                 continue;
             }
-            let (_, _, expiry_us) = LeaseLock::decode(word);
-            let now_us = (ep.clock().now_ns() / 1_000) as u32;
-            // Wrap-aware "deadline passed" on the lease word's u32 µs.
-            if now_us.wrapping_sub(expiry_us) >= (1 << 31) {
-                out.stuck_locks += 1;
-                continue;
+            // No retry: an expired lease is stolen at once, anything else
+            // is still held.
+            let mut lock = [LockWord::new(addr)];
+            match ExclusiveLock::acquire_set(layer, &ep, &mut lock, &mut [], janitor, 0) {
+                Ok(()) => {
+                    ExclusiveLock::release_set(layer, &ep, &[], &mut lock).expect("janitor owns the word it installed");
+                    out.janitor_reclaims += 1;
+                }
+                Err(LockError::Busy) => out.stuck_locks += 1,
+                Err(e) => panic!("lock audit: {e}"),
             }
-            let token = LeaseLock::acquire(layer, &ep, addr, 998, 1, lease_ns, 4)
-                .expect("expired lease must be stealable");
-            LeaseLock::release(layer, &ep, addr, token).expect("janitor owns the word it installed");
-            out.janitor_reclaims += 1;
         }
         out
     }

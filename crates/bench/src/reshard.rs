@@ -105,7 +105,7 @@ pub struct ReshardConfig {
     pub records: u64,
     /// Payload bytes per record.
     pub payload: usize,
-    /// Lease horizon for the leased 2PL protocol, virtual ns.
+    /// Lease horizon of every lock word, virtual ns.
     pub lease_ns: u64,
     /// Time-series window width, virtual ns (0 disables sampling).
     pub window_ns: u64,
@@ -118,7 +118,7 @@ impl Default for ReshardConfig {
         Self {
             seed: 0xE1,
             sessions: 8,
-            rounds: 1_200,
+            rounds: 2_200,
             records: 16_384,
             payload: 8_192,
             lease_ns: 300_000,
@@ -240,8 +240,8 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         payload_size: cfg.payload,
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
-        cc: CcProtocol::TplLeased,
-        lease_ns: cfg.lease_ns,
+        cc: CcProtocol::TplExclusive,
+        lease_ns: Some(cfg.lease_ns),
         ..Default::default()
     })
     .expect("reshard cluster");

@@ -32,10 +32,14 @@ fn assert_invariants(out: &ChaosOutcome) {
         out.fault.tps(),
         out.pre.tps()
     );
-    // The zombie's locks were contested: timeouts while the lease was
-    // live, at least one steal after expiry, and the woken zombie found
-    // every lock fenced.
-    assert!(out.aborts[AbortCause::LockTimeout] > 0, "zombie locks never blocked anyone");
+    // The zombie's locks were contested: busy while the lease was live
+    // (a waiter's edge names the zombie, owner 999), at least one steal
+    // after expiry, and the woken zombie found every lock fenced.
+    assert!(out.aborts[AbortCause::LockBusy] > 0, "no lock was ever busy");
+    assert!(
+        out.planes.contention.edges.iter().any(|e| e.holder == 999),
+        "zombie locks never blocked anyone"
+    );
     assert!(out.steals > 0, "no expired lease was stolen");
     assert_eq!(out.zombie_survived, 0, "zombie released a contested lock");
     assert_eq!(out.zombie_fenced, 2, "both zombie locks must be fenced");

@@ -486,7 +486,7 @@ mod tests {
         ios[0].retire(&ep, &table, &uses, &mut buf, &mut writes).unwrap();
         // The pool holds the new value, which may still be rolled back.
         assert_eq!(unlocked(), None);
-        ExclusiveLock::release_set(&layer, &ep, &writes, &mut words, 7).unwrap();
+        ExclusiveLock::release_set(&layer, &ep, &writes, &mut words).unwrap();
         ios[0].settle(&ep, &table, &uses, true);
         assert_eq!(unlocked(), Some(2));
     }

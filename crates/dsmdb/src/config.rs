@@ -33,9 +33,6 @@ pub enum CcProtocol {
     TplExclusive,
     /// 2PL with 2-RT shared-exclusive locks (readers share).
     TplSharedExclusive,
-    /// 2PL over lease locks: buffered writes, commit-time revalidation,
-    /// crashed owners' locks stealable after lease expiry.
-    TplLeased,
     /// Optimistic CC with version validation.
     Occ,
     /// Timestamp ordering (FAA oracle).
@@ -71,10 +68,13 @@ pub struct ClusterConfig {
     pub architecture: Architecture,
     /// CC protocol.
     pub cc: CcProtocol,
-    /// Lease horizon for [`CcProtocol::TplLeased`] locks, virtual ns.
-    /// Must exceed the worst-case lock-hold time of a healthy
-    /// transaction; only crashed/stalled holders lose their leases.
-    pub lease_ns: u64,
+    /// Lease horizon of every lock word a session takes, virtual ns, or
+    /// `None` for plain (unleased) words. Leased, a crashed owner's words
+    /// are stolen once its lease runs out, and a writing transaction
+    /// re-reads its words before it writes (3a exclusive 2PL only). Must
+    /// exceed the worst-case lock-hold time of a healthy transaction;
+    /// only crashed/stalled holders lose their leases.
+    pub lease_ns: Option<u64>,
 }
 
 impl Default for ClusterConfig {
@@ -92,7 +92,7 @@ impl Default for ClusterConfig {
             profile: NetworkProfile::rdma_cx6(),
             architecture: Architecture::NoCacheNoShard,
             cc: CcProtocol::TplExclusive,
-            lease_ns: 2_000_000,
+            lease_ns: None,
         }
     }
 }
@@ -107,13 +107,14 @@ impl ClusterConfig {
         if self.cc == CcProtocol::Mvcc {
             assert!(self.versions >= 2, "MVCC needs >= 2 versions");
         }
-        if self.cc == CcProtocol::TplLeased {
-            assert!(self.lease_ns > 0, "lease horizon must be positive");
+        if let Some(lease_ns) = self.lease_ns {
+            assert!(lease_ns > 0, "lease horizon must be positive");
             assert!(
                 matches!(self.architecture, Architecture::NoCacheNoShard),
-                "leased locking commits via one direct doorbell write and \
-                 requires the no-cache architecture"
+                "leased locking fences its writes with a re-read of its lock words \
+                 and requires the no-cache architecture"
             );
+            assert!(self.cc == CcProtocol::TplExclusive, "leases are taken by exclusive 2PL only");
         }
         if matches!(self.architecture, Architecture::CacheNoShard(_)) {
             assert!(
@@ -180,7 +181,18 @@ mod tests {
     fn leased_locking_rejects_cached_architectures() {
         ClusterConfig {
             architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
-            cc: CcProtocol::TplLeased,
+            lease_ns: Some(2_000_000),
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exclusive 2PL only")]
+    fn leased_locking_rejects_other_protocols() {
+        ClusterConfig {
+            cc: CcProtocol::Occ,
+            lease_ns: Some(2_000_000),
             ..Default::default()
         }
         .validate();
@@ -189,7 +201,7 @@ mod tests {
     #[test]
     fn leased_locking_valid_on_no_cache() {
         ClusterConfig {
-            cc: CcProtocol::TplLeased,
+            lease_ns: Some(2_000_000),
             ..Default::default()
         }
         .validate();

@@ -27,7 +27,7 @@ use telemetry::Histogram;
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind, TwoPcMsg};
 use txn::{
-    distinct_keys, AbortCause, ConcurrencyControl, DirectIo, FaaOracle, LeasedTpl, Mvcc, Occ, Op,
+    distinct_keys, AbortCause, ConcurrencyControl, DirectIo, FaaOracle, LeaseLock, Mvcc, Occ, Op,
     PayloadIo, TwoPhaseLocking, Tso, TxnError, TxnOutput,
 };
 
@@ -221,11 +221,10 @@ impl Cluster {
         // current epoch; after a crash-recover cycle bumps it, anything
         // signed with the old epoch is fenced.
         let epoch = self.membership.epoch(&self.layer, &ep, node).unwrap_or(1);
-        let worker_tag = compose_worker_tag(self.config.cc, owner_tag, epoch);
+        let worker_tag = compose_worker_tag(self.config.lease_ns, owner_tag, epoch);
         let cc: Box<dyn ConcurrencyControl> = match self.config.cc {
             CcProtocol::TplExclusive => Box::new(TwoPhaseLocking::exclusive()),
             CcProtocol::TplSharedExclusive => Box::new(TwoPhaseLocking::shared_exclusive()),
-            CcProtocol::TplLeased => Box::new(LeasedTpl::new(self.config.lease_ns)),
             CcProtocol::Occ => Box::new(Occ::new()),
             CcProtocol::Tso => Box::new(Tso::new(self.oracle.clone().expect("oracle built"))),
             CcProtocol::Mvcc => Box::new(Mvcc::new(self.oracle.clone().expect("oracle built"))),
@@ -289,15 +288,14 @@ fn abort_metric(cause: AbortCause) -> Metric {
     Metric::ALL[Metric::AbortsLockBusy as usize + cause as usize]
 }
 
-/// Lock-ownership tag for `(owner, epoch)`. Lease-based locking packs the
-/// epoch into bits 16..32 of the tag (the lease word's epoch field) so a
-/// recovered node's new sessions never collide with pre-crash lock words;
-/// the other protocols use the plain owner id, whose uniqueness is all
-/// they need.
-fn compose_worker_tag(cc: CcProtocol, owner: u64, epoch: u64) -> u64 {
-    match cc {
-        CcProtocol::TplLeased => ((epoch & 0xFFFF) << 16) | (owner & 0xFFFF),
-        _ => owner,
+/// Lock-ownership tag for `(owner, epoch)`. A leased cluster's tag is a
+/// [`LeaseLock::tag`]: the epoch rides in every word the session takes,
+/// so a recovered node's new sessions never collide with pre-crash lock
+/// words. Unleased, the plain owner id is unique, which is all it needs.
+fn compose_worker_tag(lease_ns: Option<u64>, owner: u64, epoch: u64) -> u64 {
+    match lease_ns {
+        Some(lease_ns) => LeaseLock::tag(owner as u16, epoch as u16, lease_ns),
+        None => owner,
     }
 }
 
@@ -365,14 +363,16 @@ impl Session {
             .membership
             .epoch(&self.cluster.layer, &self.ep, self.node)?;
         self.epoch = e;
-        self.worker_tag = compose_worker_tag(self.cluster.config.cc, self.owner_tag, e);
+        self.worker_tag = compose_worker_tag(self.cluster.config.lease_ns, self.owner_tag, e);
         Ok(e)
     }
 
     /// Expired-lease locks this session stole from crashed/stalled owners
-    /// (nonzero only under [`CcProtocol::TplLeased`]).
+    /// (nonzero only with [`ClusterConfig::lease_ns`] set): the
+    /// [`Metric::LockSteals`] notes of its series, so counted while
+    /// [`Endpoint::enable_timeseries`] is on.
     pub fn lock_steals(&self) -> u64 {
-        self.cc.steals()
+        self.ep.series_snapshot().total(Metric::LockSteals)
     }
 
     /// End-to-end transaction latency distribution (virtual ns, every
@@ -410,16 +410,11 @@ impl Session {
         self.txn_seq += 1;
         let trace = (self.owner_tag << 32) | self.txn_seq;
         self.ep.set_trace_id(trace);
-        // Publish this txn's trace under the tags it writes into lock
-        // words, so blocked waiters can resolve us as their holder. The
-        // lease protocol's words carry only the low-16 owner id.
+        // Publish this txn's trace under the holder its lock words name
+        // (a lease names its owner id), so blocked waiters can resolve us.
         let announce = self.ep.flight_capacity() > 0;
         if announce {
-            let fabric = self.ep.fabric();
-            fabric.announce_trace(self.worker_tag, trace);
-            if self.worker_tag & 0xFFFF != self.worker_tag {
-                fabric.announce_trace(self.worker_tag & 0xFFFF, trace);
-            }
+            self.ep.fabric().announce_trace(LeaseLock::holder(self.worker_tag), trace);
         }
         let pushed0 = self.forensics.as_ref().map(|_| self.ep.flight_pushed());
         let t0 = self.ep.clock().now_ns();
@@ -467,11 +462,7 @@ impl Session {
             });
         }
         if announce {
-            let fabric = self.ep.fabric();
-            fabric.retire_trace(self.worker_tag);
-            if self.worker_tag & 0xFFFF != self.worker_tag {
-                fabric.retire_trace(self.worker_tag & 0xFFFF);
-            }
+            self.ep.fabric().retire_trace(LeaseLock::holder(self.worker_tag));
         }
         self.ep.clear_trace_id();
         self.txn_lat.record(self.ep.clock().now_ns().saturating_sub(t0));
@@ -741,22 +732,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_cc_protocols_run_on_3a() {
-        for cc in [
+    /// A 3a config of `nodes` x `threads` whose exclusive 2PL takes leases.
+    fn leased(nodes: usize, threads: usize) -> ClusterConfig {
+        ClusterConfig {
+            lease_ns: Some(2_000_000),
+            ..config(Architecture::NoCacheNoShard, CcProtocol::TplExclusive, nodes, threads)
+        }
+    }
+
+    /// Every 3a protocol on one session, leased exclusive 2PL included.
+    fn every_3a_config() -> Vec<ClusterConfig> {
+        let plain = [
             CcProtocol::TplExclusive,
             CcProtocol::TplSharedExclusive,
-            CcProtocol::TplLeased,
             CcProtocol::Occ,
             CcProtocol::Tso,
             CcProtocol::Mvcc,
-        ] {
-            let cluster =
-                Cluster::build(config(Architecture::NoCacheNoShard, cc, 1, 1)).unwrap();
+        ];
+        let plain = plain.map(|cc| config(Architecture::NoCacheNoShard, cc, 1, 1));
+        plain.into_iter().chain([leased(1, 1)]).collect()
+    }
+
+    #[test]
+    fn all_cc_protocols_run_on_3a() {
+        for config in every_3a_config() {
+            let cluster = Cluster::build(config).unwrap();
             let mut s = cluster.session(0, 0);
             s.execute_retrying(&[Op::Rmw { key: 2, delta: 3 }], 10).unwrap();
             let out = s.execute_retrying(&[Op::Read(2)], 10).unwrap();
-            assert_eq!(counter(&out, 0), 3, "{cc:?}");
+            assert_eq!(counter(&out, 0), 3, "{:?} lease {:?}", config.cc, config.lease_ns);
         }
     }
 
@@ -766,23 +770,15 @@ mod tests {
     #[test]
     fn an_rmw_wraps_at_the_end_of_i64_on_3a() {
         let max = |key| Op::Update { key, value: [i64::MAX.to_le_bytes(), [0; 8]].concat() };
-        for cc in [
-            CcProtocol::TplExclusive,
-            CcProtocol::TplSharedExclusive,
-            CcProtocol::TplLeased,
-            CcProtocol::Occ,
-            CcProtocol::Tso,
-            CcProtocol::Mvcc,
-        ] {
-            let cluster =
-                Cluster::build(config(Architecture::NoCacheNoShard, cc, 1, 1)).unwrap();
+        for config in every_3a_config() {
+            let cluster = Cluster::build(config).unwrap();
             let mut s = cluster.session(0, 0);
             s.execute_retrying(&[max(1)], 10).unwrap();
             s.execute_retrying(&[Op::Rmw { key: 1, delta: 1 }], 10).unwrap();
             let summed = [Op::Rmw { key: 2, delta: i64::MAX }, Op::Rmw { key: 2, delta: 1 }];
             s.execute_retrying(&summed, 10).unwrap();
             let out = s.execute_retrying(&[Op::Read(1), Op::Read(2)], 10).unwrap();
-            assert_eq!([0, 1].map(|i| counter(&out, i)), [i64::MIN; 2], "{cc:?}");
+            assert_eq!([0, 1].map(|i| counter(&out, i)), [i64::MIN; 2], "{:?} lease {:?}", config.cc, config.lease_ns);
         }
     }
 
@@ -825,7 +821,7 @@ mod tests {
 
     #[test]
     fn multi_master_bank_invariant_3a_leased() {
-        bank_run(Architecture::NoCacheNoShard, CcProtocol::TplLeased, 2, 2);
+        bank_run_on(leased(2, 2));
     }
 
     /// Two sessions per node, sharing the node's pool and its handler.

@@ -119,7 +119,13 @@ impl SharedTimeline {
         };
         let done = start.saturating_add(service_ns);
         s.tail_ns = s.tail_ns.max(done);
-        s.busy_ns = s.busy_ns.saturating_add(service_ns);
+        // Service that starts before the window is none of its busy time:
+        // counted, a stream of requests far behind a tail that one early
+        // request set would read as a saturated window and queue behind
+        // that tail.
+        if start >= s.anchor_ns {
+            s.busy_ns = s.busy_ns.saturating_add(service_ns);
+        }
         // Decay the busy-fraction window so ancient idle periods do not
         // mask current saturation (and vice versa).
         let span = s.tail_ns - s.anchor_ns.min(s.tail_ns);
@@ -184,6 +190,18 @@ mod tests {
         // A request arriving after the queue drained starts immediately.
         let d3 = t.reserve(500, 100);
         assert_eq!(d3, 600);
+    }
+
+    #[test]
+    fn arrivals_behind_the_window_never_saturate_it() {
+        // One request far ahead of everyone else sets the tail; a long
+        // stream far behind it had an idle device and is served at once.
+        let t = SharedTimeline::new();
+        let ahead = 1_000_000;
+        assert_eq!(t.reserve(ahead, 50), ahead + 50);
+        for arrival in (0..500_000).step_by(100) {
+            assert_eq!(t.reserve(arrival, 50), arrival + 50, "arrival {arrival}");
+        }
     }
 
     #[test]

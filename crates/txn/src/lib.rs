@@ -33,12 +33,9 @@ pub mod protocols;
 pub mod table;
 pub mod twopc;
 
-pub use locks::{
-    ExclusiveLock, LeaseLock, LeaseToken, LockError, LockWord, Rider, SharedExclusiveLock,
-};
+pub use locks::{ExclusiveLock, LeaseLock, LockError, LockWord, Rider, SharedExclusiveLock};
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
-    apply_delta, distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, LeasedTpl, Mvcc,
-    Occ, Op, PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,
+    apply_delta, distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, Mvcc, Occ, Op, PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,
 };
 pub use table::RecordTable;

@@ -17,32 +17,32 @@
 //!
 //! Both are *no-wait with bounded retries and backoff*: after
 //! `max_retries` failed attempts the caller gets [`LockError::Busy`]
-//! (latch contention) or [`LockError::Timeout`] (holder never released
+//! (latch contention, an exclusive word still held) or
+//! [`LockError::Timeout`] (shared-exclusive holders that never drained
 //! within the budget) and — in the protocols — aborts. Blocking remotely
 //! is expensive, and an unbounded spin under a holder that crashed would
 //! wedge the acquirer forever.
 //!
-//! [`LeaseLock`] is the recoverable variant: the lock word encodes
-//! `owner | epoch | lease-expiry`, so when the owner crashes the lease
-//! runs out on the virtual clock and the next acquirer CAS-*steals* the
-//! word (Lotus-style recoverable disaggregated locks). The old owner
-//! discovers the theft on release/validation and must abort.
+//! An exclusive word may carry a lease, in the format of [`LeaseLock`]:
+//! `owner | epoch | lease-expiry`. When its owner crashes the lease runs
+//! out on the virtual clock and the next acquirer CAS-*steals* the word
+//! (Lotus-style recoverable disaggregated locks). Before it writes, the
+//! owner seals its words ([`ExclusiveLock::fence`]): that finds a theft
+//! and bars any later one.
 
 use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
-use rdma_sim::Endpoint;
+use rdma_sim::{Endpoint, Metric};
 
 /// Lock acquisition failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockError {
     /// Lock still held after the retry budget.
     Busy,
-    /// The holder never released within the bounded-retry budget (likely
-    /// crashed or stalled; for [`LeaseLock`]s the lease has not expired
-    /// yet).
+    /// A shared-exclusive lock's holders never drained within the
+    /// bounded-retry budget (likely crashed or stalled).
     Timeout,
-    /// A lease release/validation found the word changed: the lease
-    /// expired and another worker stole the lock. The ex-owner must not
-    /// commit.
+    /// A leased word changed under its holder: the lease expired and
+    /// another worker stole the lock. The ex-owner must not commit.
     Stolen,
     /// A release was issued in a state that cannot be released (e.g.
     /// shared release with zero readers) — a protocol bug surfaced as a
@@ -86,37 +86,49 @@ fn backoff(ep: &Endpoint, attempt: u32, lock: GlobalAddr, holder_tag: u64) {
     ep.note_lock_wait_traced(lock.to_raw(), ns, holder_tag);
 }
 
+/// The endpoint's virtual clock in the lease format's wrapping µs.
+fn now_us(ep: &Endpoint) -> u32 {
+    (ep.clock().now_ns() / 1_000) as u32
+}
+
 /// The 1-round-trip exclusive CAS spinlock.
 ///
-/// Lock word semantics: 0 = free, `owner_tag` = held. The owner tag should
-/// be nonzero and unique per worker (e.g. `worker_id + 1`).
+/// Lock word semantics: 0 = free, otherwise the holder's word. An owner
+/// tag is nonzero and unique per worker (e.g. `worker_id + 1`); a plain
+/// tag is the word itself, a leased one ([`LeaseLock`]) is stamped with
+/// its expiry at each CAS.
 pub struct ExclusiveLock;
 
 /// One word of an [`ExclusiveLock`] set and what became of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockWord {
     addr: GlobalAddr,
-    /// What the latest CAS on the word found there: 0 means that CAS
-    /// installed the owner's tag. [`LockWord::UNTRIED`] until one ran.
+    /// What the latest CAS expected there: 0, or the lease it stole.
+    expected: u64,
+    /// What the latest CAS found there: `expected` means it installed
+    /// `mine`. [`LockWord::UNTRIED`] until one ran.
     prev: u64,
+    /// The word the latest CAS installed.
+    mine: u64,
 }
 
 impl LockWord {
-    /// No owner tag: tags are small worker ids.
+    /// No owner tag, and read as a sealed lease: neither free nor stolen.
     const UNTRIED: u64 = u64::MAX;
 
     /// The word at `addr`, not yet tried.
     pub fn new(addr: GlobalAddr) -> Self {
-        Self { addr, prev: Self::UNTRIED }
+        Self { addr, expected: 0, prev: Self::UNTRIED, mine: 0 }
     }
 
     /// Whether the set's owner holds the word.
     pub fn held(&self) -> bool {
-        self.prev == 0
+        self.prev == self.expected
     }
 
-    fn cas(&mut self, owner_tag: u64) -> GlobalWr<'_> {
-        GlobalWr::Cas { addr: self.addr, expected: 0, new: owner_tag, prev: &mut self.prev }
+    fn cas(&mut self, owner_tag: u64, now_us: u32) -> GlobalWr<'_> {
+        self.mine = LeaseLock::stamp(owner_tag, now_us);
+        GlobalWr::Cas { addr: self.addr, expected: self.expected, new: self.mine, prev: &mut self.prev }
     }
 }
 
@@ -168,8 +180,12 @@ impl ExclusiveLock {
     /// own — backoff, CAS (and its riders) again, up to `max_retries`
     /// more attempts — while the words already won stay held; the first
     /// word to exhaust its ladder ends the call with [`LockError::Busy`].
-    /// However the call ends, [`LockWord::held`] tells which words the
-    /// caller now owns and must pass to [`ExclusiveLock::release_set`].
+    /// A word found free, or holding a lease that expired on `ep`'s
+    /// clock, is re-posted at once as a CAS from exactly what was found:
+    /// that is a steal (noted as [`Metric::LockSteals`]), and it costs no
+    /// attempt. A plain owner tag is never stolen. However the call ends,
+    /// [`LockWord::held`] tells which words the caller now owns and must
+    /// pass to [`ExclusiveLock::release_set`].
     pub fn acquire_set(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -184,31 +200,39 @@ impl ExclusiveLock {
         if words.len() > 1 {
             Self::post_cas(layer, ep, words, 0, riders, owner_tag)?;
         }
+        let waiter = LeaseLock::holder(owner_tag);
         for i in 0..words.len() {
             let mut attempt = 0;
             while !words[i].held() {
-                let LockWord { addr, prev } = words[i];
-                if prev != LockWord::UNTRIED {
-                    // The failed CAS's `prev` *is* the holder's tag: a
-                    // free wait-for edge for the contention observatory.
-                    ep.note_wait_edge(owner_tag, prev, addr.to_raw());
+                let LockWord { addr, prev, .. } = words[i];
+                if prev == 0 || LeaseLock::expired(prev, now_us(ep)) {
+                    words[i].expected = prev;
+                } else if prev != LockWord::UNTRIED {
+                    // The failed CAS's `prev` names the holder: a free
+                    // wait-for edge for the contention observatory.
+                    let holder = LeaseLock::holder(prev);
+                    ep.note_wait_edge(waiter, holder, addr.to_raw());
                     if attempt == max_retries {
                         return Err(LockError::Busy);
                     }
-                    backoff(ep, attempt, addr, prev);
+                    backoff(ep, attempt, addr, holder);
                     attempt += 1;
+                    words[i].expected = 0;
                 }
                 let own = riders.partition_point(|r| r.word < i)..riders.partition_point(|r| r.word <= i);
                 Self::post_cas(layer, ep, &mut words[i..=i], i, &mut riders[own], owner_tag)?;
+                if words[i].held() && words[i].expected != 0 {
+                    ep.series_note(Metric::LockSteals, 1);
+                }
             }
         }
         Ok(())
     }
 
-    /// One doorbell: CAS free → `owner_tag` on every word of `words`
-    /// (none held yet; `words[0]` is word `first` of the set), each
-    /// followed by its riders. Words won stay won even when a later
-    /// member failed.
+    /// One doorbell: CAS from what each word of `words` is expected to
+    /// hold to the owner's word (none held yet; `words[0]` is word
+    /// `first` of the set), each followed by its riders. Words won stay
+    /// won even when a later member failed.
     fn post_cas(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -217,15 +241,16 @@ impl ExclusiveLock {
         riders: &mut [Rider<'_>],
         owner_tag: u64,
     ) -> Result<(), DsmError> {
+        let now = now_us(ep);
         match (words, riders) {
             // The ladder's usual shapes never leave the stack.
-            ([word], []) => layer.doorbell(ep, &mut [word.cas(owner_tag)]),
-            ([word], [rider]) => layer.doorbell(ep, &mut [word.cas(owner_tag), rider.read()]),
+            ([word], []) => layer.doorbell(ep, &mut [word.cas(owner_tag, now)]),
+            ([word], [rider]) => layer.doorbell(ep, &mut [word.cas(owner_tag, now), rider.read()]),
             (words, riders) => {
                 let mut riders = riders.iter_mut().peekable();
                 let mut wrs = Vec::with_capacity(words.len() + riders.len());
                 for (i, word) in words.iter_mut().enumerate() {
-                    wrs.push(word.cas(owner_tag));
+                    wrs.push(word.cas(owner_tag, now));
                     while let Some(rider) = riders.next_if(|r| r.word == first + i) {
                         wrs.push(rider.read());
                     }
@@ -235,21 +260,52 @@ impl ExclusiveLock {
         }
     }
 
+    /// The fence of a leased set, after its holder executed and before it
+    /// writes: one doorbell of CASes seals every held lease word
+    /// ([`LeaseLock::SEALED`]), so no steal can land between the fence and
+    /// the writes, and any word that is no longer the one installed — its
+    /// lease ran out and another worker took it — fails the call with
+    /// [`LockError::Stolen`]. A set that holds no lease posts nothing.
+    pub fn fence(layer: &DsmLayer, ep: &Endpoint, words: &mut [LockWord]) -> Result<(), LockError> {
+        let mut leases: Vec<&mut LockWord> =
+            words.iter_mut().filter(|w| w.held() && LeaseLock::leased(w.mine)).collect();
+        if leases.is_empty() {
+            return Ok(());
+        }
+        let mut found = vec![0u64; leases.len()];
+        let mut seals: Vec<GlobalWr<'_>> = (leases.iter().zip(&mut found))
+            .map(|(w, prev)| GlobalWr::Cas { addr: w.addr, expected: w.mine, new: w.mine | LeaseLock::SEALED, prev })
+            .collect();
+        let posted = layer.doorbell(ep, &mut seals);
+        drop(seals);
+        // A cut-short doorbell may have sealed some: each word keeps what it holds.
+        let mut intact = true;
+        for (w, found) in leases.iter_mut().zip(found) {
+            let sealed = found == w.mine;
+            w.mine |= if sealed { LeaseLock::SEALED } else { 0 };
+            intact &= sealed;
+        }
+        posted?;
+        intact.then_some(()).ok_or(LockError::Stolen)
+    }
+
     /// The release doorbell of a lock set: every write of `writes` (the
     /// holder's write-back), then the unlock of every held word of
-    /// `words` — one round trip, all writes ahead of all unlocks.
+    /// `words` — one round trip, all writes ahead of all unlocks. A plain
+    /// word unlocks by a WRITE of 0, a lease by a CAS from the word it
+    /// holds, so a thief's word stays: such an unlock is not retried, and
+    /// the call ends in [`LockError::Stolen`] (never once sealed).
     ///
     /// If the doorbell fails, no word may stay locked because another
     /// one's target is down: each held word is then unlocked on its own
     /// and the doorbell's error returned. Those unlocks are CASes from
-    /// `owner_tag`, which cannot free a word that the cut-short doorbell
-    /// already freed and someone else has taken since.
+    /// the word installed, which cannot free a word that the cut-short
+    /// doorbell already freed and someone else has taken since.
     pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
         writes: &[(GlobalAddr, &[u8])],
         words: &mut [LockWord],
-        owner_tag: u64,
     ) -> Result<(), LockError> {
         const FREE: [u8; 8] = 0u64.to_le_bytes();
         let held = words.iter().filter(|w| w.held()).count();
@@ -258,19 +314,29 @@ impl ExclusiveLock {
         }
         let mut wrs = Vec::with_capacity(writes.len() + held);
         wrs.extend(writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src }));
-        wrs.extend(
-            words
-                .iter()
-                .filter(|w| w.held())
-                .map(|w| GlobalWr::Write { addr: w.addr, src: &FREE }),
-        );
-        let posted = layer.doorbell(ep, &mut wrs);
-        for word in words.iter_mut().filter(|w| w.held()) {
-            if posted.is_ok() || layer.cas(ep, word.addr, owner_tag, 0).is_ok() {
-                *word = LockWord::new(word.addr);
-            }
+        for w in words.iter_mut().filter(|w| w.held()) {
+            // Still held, the word keeps what it installed in `expected`;
+            // a lease's unlock leaves in `mine` what it found.
+            (w.expected, w.prev) = (w.mine, w.mine);
+            wrs.push(if LeaseLock::leased(w.mine) {
+                GlobalWr::Cas { addr: w.addr, expected: w.expected, new: 0, prev: &mut w.mine }
+            } else {
+                GlobalWr::Write { addr: w.addr, src: &FREE }
+            });
         }
-        Ok(posted?)
+        let posted = layer.doorbell(ep, &mut wrs);
+        drop(wrs);
+        let mut stolen = false;
+        for w in words.iter_mut().filter(|w| w.held()) {
+            if posted.is_ok() {
+                stolen |= w.mine != w.expected;
+            } else if layer.cas(ep, w.addr, w.expected, 0).is_err() {
+                continue;
+            }
+            *w = LockWord::new(w.addr);
+        }
+        posted?;
+        (!stolen).then_some(()).ok_or(LockError::Stolen)
     }
 }
 
@@ -285,32 +351,20 @@ const READER_MASK: u64 = 0xFFFF_FFFF;
 pub struct SharedExclusiveLock;
 
 impl SharedExclusiveLock {
-    fn latch(addr: GlobalAddr) -> GlobalAddr {
-        addr
-    }
-    fn meta(addr: GlobalAddr) -> GlobalAddr {
-        addr.offset_by(8)
-    }
-
-    /// Round 1: CAS latch + read metadata. Returns the metadata or Busy.
-    fn enter(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        addr: GlobalAddr,
-        max_retries: u32,
-    ) -> Result<u64, LockError> {
+    /// Round 1: CAS the latch + read the metadata. Returns the metadata
+    /// or Busy.
+    fn enter(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<u64, LockError> {
         for attempt in 0..=max_retries {
             if attempt > 0 {
                 // The latch word carries no holder identity.
                 backoff(ep, attempt - 1, addr, 0);
             }
-            if layer.cas(ep, Self::latch(addr), 0, 1)? == 0 {
+            if layer.cas(ep, addr, 0, 1)? == 0 {
                 // Same round trip in spirit (doorbell-batched with the
                 // CAS on real hardware); the read is charged separately
                 // but that is exactly the paper's "at least 2 round
                 // trips" accounting.
-                let meta = layer.read_u64(ep, Self::meta(addr))?;
-                return Ok(meta);
+                return Ok(layer.read_u64(ep, addr.offset_by(8))?);
             }
         }
         Err(LockError::Busy)
@@ -319,146 +373,114 @@ impl SharedExclusiveLock {
     /// Round 2: write new metadata and release the latch — one doorbell,
     /// retried by the layer like every other lock verb, so a transient
     /// fault cannot leave the latch set with nobody to clear it.
-    fn exit(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        addr: GlobalAddr,
-        new_meta: u64,
-    ) -> Result<(), LockError> {
-        let meta = new_meta.to_le_bytes();
-        let free = 0u64.to_le_bytes();
-        layer.doorbell(
-            ep,
-            &mut [
-                GlobalWr::Write { addr: Self::meta(addr), src: &meta },
-                GlobalWr::Write { addr: Self::latch(addr), src: &free },
-            ],
-        )?;
-        Ok(())
+    fn exit(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, new_meta: u64) -> Result<(), LockError> {
+        let (meta, free) = (new_meta.to_le_bytes(), 0u64.to_le_bytes());
+        let mut wrs = [GlobalWr::Write { addr: addr.offset_by(8), src: &meta }, GlobalWr::Write { addr, src: &free }];
+        Ok(layer.doorbell(ep, &mut wrs)?)
     }
 
-    /// Acquire in shared mode (2 round trips when uncontended). Bounded:
-    /// if a writer holds the lock for the whole budget the caller gets
-    /// [`LockError::Timeout`] instead of spinning forever under a holder
-    /// that may never release (crash).
-    pub fn acquire_shared(
+    /// Take a hold once the metadata no longer `blocks`, installing
+    /// `admit(meta)`. Bounded: if the lock blocks for the whole budget
+    /// the caller gets [`LockError::Timeout`] instead of spinning forever
+    /// under a holder that may never release (crash).
+    fn acquire(
         layer: &DsmLayer,
         ep: &Endpoint,
         addr: GlobalAddr,
         max_retries: u32,
+        blocks: impl Fn(u64) -> bool,
+        admit: impl Fn(u64) -> u64,
     ) -> Result<(), LockError> {
         for attempt in 0..=max_retries {
             let meta = Self::enter(layer, ep, addr, max_retries)?;
-            if meta & WRITER_BIT != 0 {
-                // Writer holds it: release latch, back off, retry. The
-                // meta word stores no holder identity, so the wait-for
-                // edge uses holder 0 ("unknown writer").
-                ep.note_wait_edge(0, 0, addr.to_raw());
-                Self::exit(layer, ep, addr, meta)?;
-                if attempt < max_retries {
-                    backoff(ep, attempt, addr, 0);
-                }
-                continue;
+            if !blocks(meta) {
+                return Self::exit(layer, ep, addr, admit(meta));
             }
-            Self::exit(layer, ep, addr, meta + 1)?;
-            return Ok(());
+            // Release the latch, back off, retry. The meta word stores no
+            // holder identity, so the wait-for edge uses holder 0
+            // ("unknown holder").
+            ep.note_wait_edge(0, 0, addr.to_raw());
+            Self::exit(layer, ep, addr, meta)?;
+            if attempt < max_retries {
+                backoff(ep, attempt, addr, 0);
+            }
         }
         Err(LockError::Timeout)
     }
 
-    /// Release shared mode. Releasing with zero readers is a protocol
-    /// bug: surfaced as [`LockError::ReleaseViolation`] (checked in
-    /// release builds too), with the latch restored.
-    pub fn release_shared(
+    /// Give back a hold the metadata shows, installing `next(meta)`.
+    /// Releasing one it does not show is a protocol bug: surfaced as
+    /// [`LockError::ReleaseViolation`] (checked in release builds too),
+    /// with the latch restored.
+    fn release(
         layer: &DsmLayer,
         ep: &Endpoint,
         addr: GlobalAddr,
         max_retries: u32,
+        shows: impl Fn(u64) -> bool,
+        next: impl Fn(u64) -> u64,
+        violation: &'static str,
     ) -> Result<(), LockError> {
         let meta = Self::enter(layer, ep, addr, max_retries)?;
-        if meta & READER_MASK == 0 {
+        if !shows(meta) {
             Self::exit(layer, ep, addr, meta)?;
-            return Err(LockError::ReleaseViolation("release_shared with no readers"));
+            return Err(LockError::ReleaseViolation(violation));
         }
-        Self::exit(layer, ep, addr, meta - 1)?;
-        Ok(())
+        Self::exit(layer, ep, addr, next(meta))
     }
 
-    /// Acquire in exclusive mode: waits for readers to drain (within the
-    /// retry budget); [`LockError::Timeout`] if they never do.
-    pub fn acquire_exclusive(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        addr: GlobalAddr,
-        max_retries: u32,
-    ) -> Result<(), LockError> {
-        for attempt in 0..=max_retries {
-            let meta = Self::enter(layer, ep, addr, max_retries)?;
-            if meta != 0 {
-                ep.note_wait_edge(0, 0, addr.to_raw());
-                Self::exit(layer, ep, addr, meta)?;
-                if attempt < max_retries {
-                    backoff(ep, attempt, addr, 0);
-                }
-                continue;
-            }
-            Self::exit(layer, ep, addr, WRITER_BIT)?;
-            return Ok(());
-        }
-        Err(LockError::Timeout)
+    /// Acquire in shared mode (2 round trips when uncontended), once no
+    /// writer holds the lock.
+    pub fn acquire_shared(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
+        Self::acquire(layer, ep, addr, max_retries, |meta| meta & WRITER_BIT != 0, |meta| meta + 1)
     }
 
-    /// Release exclusive mode. Releasing without the writer bit set is a
-    /// protocol bug: surfaced as [`LockError::ReleaseViolation`].
-    pub fn release_exclusive(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        addr: GlobalAddr,
-        max_retries: u32,
-    ) -> Result<(), LockError> {
-        let meta = Self::enter(layer, ep, addr, max_retries)?;
-        if meta & WRITER_BIT == 0 {
-            Self::exit(layer, ep, addr, meta)?;
-            return Err(LockError::ReleaseViolation("release_exclusive without writer"));
-        }
-        Self::exit(layer, ep, addr, meta & !WRITER_BIT)?;
-        Ok(())
+    /// Release shared mode.
+    pub fn release_shared(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
+        let (shows, next) = (|meta| meta & READER_MASK != 0, |meta| meta - 1);
+        Self::release(layer, ep, addr, max_retries, shows, next, "release_shared with no readers")
+    }
+
+    /// Acquire in exclusive mode, once the readers drained.
+    pub fn acquire_exclusive(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
+        Self::acquire(layer, ep, addr, max_retries, |meta| meta != 0, |_| WRITER_BIT)
+    }
+
+    /// Release exclusive mode.
+    pub fn release_exclusive(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
+        let (shows, next) = (|meta| meta & WRITER_BIT != 0, |meta| meta & !WRITER_BIT);
+        Self::release(layer, ep, addr, max_retries, shows, next, "release_exclusive without writer")
     }
 }
 
-/// A recoverable exclusive lock whose word encodes the holder and a
-/// lease deadline:
+/// The format of a leased [`ExclusiveLock`] word: the holder and a lease
+/// deadline.
 ///
 /// ```text
-/// bits 48..64   owner    (worker tag, nonzero)
+/// bits 48..64   owner    (worker id, nonzero)
 /// bits 32..48   epoch    (owner's membership epoch — fences zombies)
 /// bits  0..32   expiry   (virtual microseconds, wrapping)
 /// ```
 ///
-/// Acquisition is one CAS when free. When the word is occupied but the
-/// lease has *expired* on the acquirer's virtual clock, the acquirer
-/// CAS-steals the exact observed word — so two racers can't both steal,
-/// and a live holder that refreshed its lease wins the race. Release is
-/// a CAS back to zero that fails with [`LockError::Stolen`] if the word
-/// changed, which is the ex-owner's only-and-sufficient signal that it
-/// lost ownership and must abort.
+/// A leased *owner tag* ([`LeaseLock::tag`]) is the same word with the
+/// lease's length where the expiry goes: each CAS of
+/// [`ExclusiveLock::acquire_set`] installs it with `now + length` from
+/// the acquirer's clock. Plain owner tags are small ids that never set
+/// the owner bits, so a word says by itself whether it is a lease. An
+/// expired lease is stolen by a CAS of the exact word seen, so two racers
+/// cannot both steal it. A word sealed at its holder's fence
+/// ([`LeaseLock::SEALED`], the epoch's top bit) is never stolen: only a
+/// clock, the acquirer's own, could tell its writing holder from a dead one.
 ///
 /// Expiry wraps every ~71 virtual minutes (u32 µs); comparisons are
 /// wrap-aware over a half-range window, which is sound while leases are
 /// far shorter than the wrap period.
 pub struct LeaseLock;
 
-/// Proof of (possibly stolen-from-someone) lease ownership: the exact
-/// word installed. Needed to release and to validate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseToken {
-    /// The installed lock word.
-    pub word: u64,
-    /// Whether acquisition stole an expired lease (telemetry).
-    pub stole: bool,
-}
-
 impl LeaseLock {
+    /// The bit [`ExclusiveLock::fence`] sets in a lease word it seals.
+    pub const SEALED: u64 = 1 << 47;
+
     /// Pack owner/epoch/expiry into a lock word.
     pub fn encode(owner: u16, epoch: u16, expiry_us: u32) -> u64 {
         debug_assert!(owner != 0, "owner tag must be nonzero");
@@ -470,76 +492,39 @@ impl LeaseLock {
         ((word >> 48) as u16, (word >> 32) as u16, word as u32)
     }
 
-    /// Wrap-aware "deadline passed" on u32 microseconds.
-    fn expired(now_us: u32, expiry_us: u32) -> bool {
-        now_us.wrapping_sub(expiry_us) < (1 << 31)
+    /// The leased owner tag of `owner` in `epoch`, whose words last
+    /// `lease_ns` (in whole µs, at least one).
+    pub fn tag(owner: u16, epoch: u16, lease_ns: u64) -> u64 {
+        debug_assert!(epoch < 1 << 15, "the epoch's top bit is the seal");
+        Self::encode(owner, epoch, (lease_ns / 1_000).max(1) as u32)
     }
 
-    /// Acquire (or steal) the lease at `lock`. `lease_ns` is the validity
-    /// horizon granted to this holder, charged from the acquirer's
-    /// virtual clock at CAS time. Bounded by `max_retries` with
-    /// exponential backoff; a live unexpired holder yields
-    /// [`LockError::Timeout`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn acquire(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        lock: GlobalAddr,
-        owner: u16,
-        epoch: u16,
-        lease_ns: u64,
-        max_retries: u32,
-    ) -> Result<LeaseToken, LockError> {
-        let lease_us = (lease_ns / 1_000).max(1) as u32;
-        for attempt in 0..=max_retries {
-            let now_us = (ep.clock().now_ns() / 1_000) as u32;
-            let word = Self::encode(owner, epoch, now_us.wrapping_add(lease_us));
-            let prev = layer.cas(ep, lock, 0, word)?;
-            if prev == 0 {
-                return Ok(LeaseToken { word, stole: false });
-            }
-            let (prev_owner, _, prev_expiry) = Self::decode(prev);
-            if Self::expired(now_us, prev_expiry) {
-                // The holder's lease ran out (it crashed or stalled):
-                // steal by CASing the exact expired word we observed.
-                let raced = layer.cas(ep, lock, prev, word)?;
-                if raced == prev {
-                    return Ok(LeaseToken { word, stole: true });
-                }
-            }
-            ep.note_wait_edge(owner as u64, prev_owner as u64, lock.to_raw());
-            if attempt < max_retries {
-                backoff(ep, attempt, lock, prev_owner as u64);
-            }
-        }
-        Err(LockError::Timeout)
+    /// Whether `word` is in the lease format: its owner bits are set.
+    pub fn leased(word: u64) -> bool {
+        word >> 48 != 0
     }
 
-    /// Whether this token still owns the lock (one read). A `false`
-    /// means the lease expired and someone stole it.
-    pub fn validate(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        lock: GlobalAddr,
-        token: LeaseToken,
-    ) -> Result<bool, LockError> {
-        Ok(layer.read_u64(ep, lock)? == token.word)
-    }
-
-    /// Release via CAS of the exact installed word. [`LockError::Stolen`]
-    /// if the word changed — the caller lost the lease (or the word was
-    /// wiped by memory-node recovery, which loses unreplicated lock
-    /// state by design) and must treat its critical section as fenced.
-    pub fn release(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        lock: GlobalAddr,
-        token: LeaseToken,
-    ) -> Result<(), LockError> {
-        if layer.cas(ep, lock, token.word, 0)? == token.word {
-            Ok(())
+    /// Who holds `word`: a lease's owner, or the plain tag itself.
+    pub fn holder(word: u64) -> u64 {
+        if Self::leased(word) {
+            word >> 48
         } else {
-            Err(LockError::Stolen)
+            word
+        }
+    }
+
+    /// Whether `word` is an unsealed lease whose deadline passed by
+    /// `now_us`.
+    fn expired(word: u64, now_us: u32) -> bool {
+        Self::leased(word) && word & Self::SEALED == 0 && now_us.wrapping_sub(word as u32) < (1 << 31)
+    }
+
+    /// The word `owner_tag` installs at `now_us`.
+    fn stamp(owner_tag: u64, now_us: u32) -> u64 {
+        if Self::leased(owner_tag) {
+            (owner_tag & !0xFFFF_FFFF) | (owner_tag as u32).wrapping_add(now_us) as u64
+        } else {
+            owner_tag
         }
     }
 }
@@ -619,7 +604,7 @@ mod tests {
         assert_eq!((s.cas, s.cas_failures, s.reads), (3 + 2, 3, 3 + 2 * 2));
         assert_eq!(s.wire_round_trips(), 1 + 2);
         assert_eq!(fetched.concat(), (0..24).collect::<Vec<u8>>());
-        ExclusiveLock::release_set(&l, &ep, &[], &mut words, 7).unwrap();
+        ExclusiveLock::release_set(&l, &ep, &[], &mut words).unwrap();
         let left: Vec<u64> = locks.iter().map(|&addr| l.read_u64(&ep, addr).unwrap()).collect();
         assert_eq!(left, [0, 42, 0]);
     }
@@ -732,27 +717,43 @@ mod tests {
         assert_eq!(LeaseLock::decode(w), (u16::MAX, u16::MAX, u32::MAX));
     }
 
+    /// `owner` takes the one word at `a` under a leased tag of `lease_ns`
+    /// and gets the word back.
+    fn lease(l: &DsmLayer, ep: &Endpoint, a: GlobalAddr, owner: u16, lease_ns: u64) -> LockWord {
+        let mut word = [LockWord::new(a)];
+        ExclusiveLock::acquire_set(l, ep, &mut word, &mut [], LeaseLock::tag(owner, 1, lease_ns), 0).unwrap();
+        word[0]
+    }
+
     #[test]
     fn lease_acquire_release_roundtrip() {
         let (f, l, a) = setup();
         let ep = f.endpoint();
-        let t = LeaseLock::acquire(&l, &ep, a, 1, 1, 1_000_000, 3).unwrap();
-        assert!(!t.stole);
-        assert!(LeaseLock::validate(&l, &ep, a, t).unwrap());
-        LeaseLock::release(&l, &ep, a, t).unwrap();
+        ep.charge_local(5_000);
+        let mut word = [lease(&l, &ep, a, 1, 1_000_000)];
+        // Stamped from the acquirer's clock: 5 µs + the lease's 1 000 µs.
+        let installed = l.read_u64(&ep, a).unwrap();
+        assert_eq!(LeaseLock::decode(installed), (1, 1, 1_005));
+        ExclusiveLock::fence(&l, &ep, &mut word).unwrap();
+        assert_eq!(l.read_u64(&ep, a).unwrap(), installed | LeaseLock::SEALED);
+        ExclusiveLock::release_set(&l, &ep, &[], &mut word).unwrap();
         assert_eq!(l.read_u64(&ep, a).unwrap(), 0);
+        // The seal and the unlock are CASes from the word held, not WRITEs.
+        let s = ep.stats();
+        assert_eq!((s.cas, s.cas_failures, s.writes, s.reads), (3, 0, 0, 3));
     }
 
+    /// Their bounded retries run out on a live lease: the word stays busy.
     #[test]
     fn unexpired_lease_times_out_other_acquirers() {
         let (f, l, a) = setup();
         let owner = f.endpoint();
         let other = f.endpoint();
-        let _t = LeaseLock::acquire(&l, &owner, a, 1, 1, 10_000_000, 0).unwrap();
-        assert_eq!(
-            LeaseLock::acquire(&l, &other, a, 2, 1, 10_000_000, 3).unwrap_err(),
-            LockError::Timeout
-        );
+        lease(&l, &owner, a, 1, 10_000_000);
+        let tag = LeaseLock::tag(2, 1, 10_000_000);
+        let err = ExclusiveLock::acquire_set(&l, &other, &mut [LockWord::new(a)], &mut [], tag, 3).unwrap_err();
+        assert_eq!(err, LockError::Busy);
+        assert_eq!(other.stats().cas, 4, "no steal was tried");
     }
 
     #[test]
@@ -761,45 +762,94 @@ mod tests {
         let owner = f.endpoint();
         let thief = f.endpoint();
         // Short lease: 50 µs.
-        let t = LeaseLock::acquire(&l, &owner, a, 1, 1, 50_000, 0).unwrap();
+        let mut stale = [lease(&l, &owner, a, 1, 50_000)];
         // The thief's clock sails past the expiry (owner "crashed").
         thief.charge_local(200_000);
-        let s = LeaseLock::acquire(&l, &thief, a, 2, 1, 1_000_000, 0).unwrap();
-        assert!(s.stole, "expired lease must be stealable");
-        // The zombie owner wakes up: validation and release both fence.
-        assert!(!LeaseLock::validate(&l, &owner, a, t).unwrap());
-        assert_eq!(
-            LeaseLock::release(&l, &owner, a, t).unwrap_err(),
-            LockError::Stolen
-        );
+        thief.enable_timeseries(1_000_000);
+        let mut stolen = [lease(&l, &thief, a, 2, 1_000_000)];
+        assert_eq!(thief.series_snapshot().total(Metric::LockSteals), 1, "the steal is noted");
+        // The zombie owner wakes up: its fence and its unlock both fail.
+        assert_eq!(ExclusiveLock::fence(&l, &owner, &mut stale).unwrap_err(), LockError::Stolen);
+        assert_eq!(ExclusiveLock::release_set(&l, &owner, &[], &mut stale).unwrap_err(), LockError::Stolen);
+        assert!(!stale[0].held(), "a failed unlock is not retried");
         // The thief's lease is intact and releasable.
-        LeaseLock::release(&l, &thief, a, s).unwrap();
+        ExclusiveLock::fence(&l, &thief, &mut stolen).unwrap();
+        ExclusiveLock::release_set(&l, &thief, &[], &mut stolen).unwrap();
         assert_eq!(l.read_u64(&thief, a).unwrap(), 0);
+    }
+
+    /// Once its holder passed the fence, an expired lease is not stolen
+    /// however far ahead the acquirer's clock runs: the write-back that
+    /// follows the fence cannot land under a thief's lock.
+    #[test]
+    fn a_sealed_lease_is_never_stolen() {
+        let (f, l, a) = setup();
+        let owner = f.endpoint();
+        let mut held = [lease(&l, &owner, a, 1, 50_000)];
+        ExclusiveLock::fence(&l, &owner, &mut held).unwrap();
+        let thief = f.endpoint();
+        thief.charge_local(1_000_000_000);
+        let tag = LeaseLock::tag(2, 1, 1_000_000);
+        let err = ExclusiveLock::acquire_set(&l, &thief, &mut [LockWord::new(a)], &mut [], tag, 2).unwrap_err();
+        assert_eq!(err, LockError::Busy);
+        ExclusiveLock::release_set(&l, &owner, &[], &mut held).unwrap();
+        ExclusiveLock::acquire_set(&l, &thief, &mut [LockWord::new(a)], &mut [], tag, 0).unwrap();
+    }
+
+    /// A plain tag carries no expiry: whatever its low bits read as a
+    /// deadline, a clock 10⁹ µs past it does not steal the word.
+    #[test]
+    fn a_plain_tag_is_never_stolen() {
+        let (f, l, a) = setup();
+        let holder = f.endpoint();
+        ExclusiveLock::acquire(&l, &holder, a, 7, 0).unwrap();
+        let thief = f.endpoint();
+        thief.charge_local(1_000_000_000 * 1_000);
+        let tag = LeaseLock::tag(2, 1, 1_000_000);
+        let err = ExclusiveLock::acquire_set(&l, &thief, &mut [LockWord::new(a)], &mut [], tag, 2).unwrap_err();
+        assert_eq!(err, LockError::Busy);
+        assert_eq!(l.read_u64(&thief, a).unwrap(), 7);
+    }
+
+    /// The steal is a rung like any other: its riders follow its CAS, so
+    /// the thief reads the payload as it is under its own lock.
+    #[test]
+    fn a_steal_re_posts_the_words_riders() {
+        let (f, l, a) = setup();
+        let data = l.alloc(8).unwrap();
+        let crashed = f.endpoint();
+        lease(&l, &crashed, a, 1, 50_000);
+        l.write(&crashed, data, &42u64.to_le_bytes()).unwrap();
+        let thief = f.endpoint();
+        thief.charge_local(200_000);
+        let mut fetched = [0u8; 8];
+        let mut riders = [Rider { word: 0, addr: data, dst: &mut fetched }];
+        let mut word = [LockWord::new(a)];
+        let tag = LeaseLock::tag(2, 1, 1_000_000);
+        ExclusiveLock::acquire_set(&l, &thief, &mut word, &mut riders, tag, 0).unwrap();
+        assert_eq!(u64::from_le_bytes(fetched), 42);
+        // The CAS that found the lease, then the steal: each with its READ.
+        let s = thief.stats();
+        assert_eq!((s.cas, s.cas_failures, s.reads, s.wire_round_trips()), (2, 1, 2, 2));
     }
 
     #[test]
     fn steal_race_has_exactly_one_winner() {
-        // Two thieves race a CAS-steal of the same expired word: the CAS
-        // on the observed word guarantees a single winner.
+        // Two thieves both found the same expired word and race to steal
+        // it: the CAS from that exact word has a single winner, and the
+        // loser finds the winner's live lease.
         let (f, l, a) = setup();
         let owner = f.endpoint();
-        let _t = LeaseLock::acquire(&l, &owner, a, 1, 1, 1_000, 0).unwrap();
-        let wins = std::sync::atomic::AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for tid in 2..=5u16 {
-                let (f, l) = (f.clone(), l.clone());
-                let wins = &wins;
-                s.spawn(move || {
-                    let ep = f.endpoint();
-                    ep.charge_local(10_000_000); // lease long dead
-                    if let Ok(tok) = LeaseLock::acquire(&l, &ep, a, tid, 1, 1_000_000, 0) {
-                        assert!(tok.stole);
-                        wins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(std::sync::atomic::Ordering::Relaxed), 1);
+        lease(&l, &owner, a, 1, 1_000);
+        let expired = l.read_u64(&owner, a).unwrap();
+        let race = |tid: u16| {
+            let ep = f.endpoint();
+            ep.charge_local(10_000_000); // lease long dead
+            let mut seen = [LockWord { prev: expired, ..LockWord::new(a) }];
+            ExclusiveLock::acquire_set(&l, &ep, &mut seen, &mut [], LeaseLock::tag(tid, 1, 1_000_000), 0)
+        };
+        assert_eq!([race(2), race(3)], [Ok(()), Err(LockError::Busy)]);
+        assert_eq!(LeaseLock::decode(l.read_u64(&owner, a).unwrap()).0, 2);
     }
 
     #[test]
@@ -875,18 +925,14 @@ mod tests {
 
         // Lease steal: the word moves from the zombie to the thief, the
         // zombie's fenced release leaves it alone, the thief's frees it.
-        let t = LeaseLock::acquire(&l, &owner, a, 1, 1, 50_000, 0).unwrap();
-        assert_eq!(word(0), t.word);
+        let mut stale = [lease(&l, &owner, a, 1, 50_000)];
+        assert!(matches!(LeaseLock::decode(word(0)), (1, 1, _)));
         thief.charge_local(200_000);
-        let s = LeaseLock::acquire(&l, &thief, a, 2, 1, 1_000_000, 0).unwrap();
-        assert!(s.stole);
-        assert_eq!(word(0), s.word, "steal is a transfer");
-        assert_eq!(
-            LeaseLock::release(&l, &owner, a, t).unwrap_err(),
-            LockError::Stolen
-        );
-        assert_eq!(word(0), s.word, "fenced release is a no-op");
-        LeaseLock::release(&l, &thief, a, s).unwrap();
+        let mut stolen = [lease(&l, &thief, a, 2, 1_000_000)];
+        assert!(matches!(LeaseLock::decode(word(0)), (2, 1, _)), "steal is a transfer");
+        assert_eq!(ExclusiveLock::release_set(&l, &owner, &[], &mut stale).unwrap_err(), LockError::Stolen);
+        assert_eq!(LeaseLock::decode(word(0)).0, 2, "fenced release is a no-op");
+        ExclusiveLock::release_set(&l, &thief, &[], &mut stolen).unwrap();
         assert_eq!(word(0), 0);
     }
 

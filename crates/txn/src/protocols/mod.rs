@@ -5,7 +5,8 @@
 //! are implemented against the same [`RecordTable`]:
 //!
 //! * [`TwoPhaseLocking`] — lock-based, with either the 1-RT exclusive
-//!   spinlock everywhere or shared-exclusive (2-RT) locks for reads;
+//!   spinlock everywhere (leased, when the worker tag is a lease) or
+//!   shared-exclusive (2-RT) locks for reads;
 //! * [`Occ`] — optimistic with version validation (the Sherman-style
 //!   choice for RDMA);
 //! * [`Tso`] — timestamp ordering with rts/wts words;
@@ -24,7 +25,7 @@
 //!
 //! | protocol | doorbells |
 //! |---|---|
-//! | 2PL | {CAS + payload READ per key}, {payloads, unlocks} |
+//! | 2PL | {CAS + payload READ per key}, {payloads, unlocks} — leased and writing: {seal CAS per key} between the two |
 //! | OCC | {`[wts\|payload]` per key read}, {CAS + `[lock\|rts\|wts]` per key written}, {`[lock\|rts\|wts]` per key only read}, {payload, `wts`, per key written, then unlocks} |
 //! | TSO | oracle FAA, {`[lock\|rts\|wts\|payload]` per key read}, {`rts` CAS per key read}, {CAS + `[lock\|rts\|wts]` — the payload too for a delta — per key written}, {payload, `wts`, unlocks} |
 //! | MVCC | oracle FAA, {slot per key read}, {`rts` CAS + picked version's `wts` per key read}, {CAS + slot per key written}, {payload, `wts` into the oldest version, unlocks} |
@@ -41,13 +42,11 @@
 mod mvcc;
 mod occ;
 mod tpl;
-mod tpl_leased;
 mod tso;
 
 pub use mvcc::Mvcc;
 pub use occ::Occ;
 pub use tpl::TwoPhaseLocking;
-pub use tpl_leased::LeasedTpl;
 pub use tso::Tso;
 
 use std::collections::BTreeMap;
@@ -263,8 +262,7 @@ pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
 /// one. OCC, TSO and MVCC run in 3a only: they share the lock-set path
 /// with exclusive 2PL, but move their payloads with the table's own
 /// addresses (the riders and write-back of `commit_set`), not through an
-/// io. Shared-exclusive and leased 2PL go to the [`RecordTable`] key by
-/// key.
+/// io. Shared-exclusive 2PL goes to the [`RecordTable`] key by key.
 ///
 /// [`TwoPhaseLocking::exclusive`] holds a whole lock set and moves the
 /// payloads inside its own two doorbells: it asks the io three things, in
@@ -369,7 +367,7 @@ pub struct TxnCtx<'a> {
     /// The payload path exclusive 2PL drives: [`DirectIo`] in 3a, the
     /// node's coherent cache in 3b. The 3a-only protocols ignore it.
     pub io: &'a dyn PayloadIo,
-    /// Nonzero unique tag for lock ownership.
+    /// Nonzero unique tag for lock ownership ([`crate::LeaseLock::tag`]: leased).
     pub worker_tag: u64,
 }
 
@@ -379,11 +377,6 @@ pub trait ConcurrencyControl: Send + Sync {
     fn name(&self) -> &'static str;
     /// Execute one transaction; `Err(Aborted)` means retry-able conflict.
     fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError>;
-    /// Expired-lease locks stolen from crashed/stalled owners so far
-    /// (only nonzero for lease-based protocols).
-    fn steals(&self) -> u64 {
-        0
-    }
 }
 
 /// Apply an [`Op::Rmw`] delta to a payload buffer in place. The counter
@@ -553,7 +546,7 @@ pub(crate) fn commit_set(
     }
     let released = {
         let _span = ep.span(if writes.is_empty() { Phase::LockAcquire } else { Phase::Writeback });
-        ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag)
+        ExclusiveLock::release_set(layer, ep, &writes, &mut words)
     };
     planned?;
     Ok(released?)
@@ -727,6 +720,18 @@ pub(crate) mod testutil {
         threads: u64,
         txns_per_worker: u64,
     ) {
+        bank_invariant_holds_as(cc, table, threads, txns_per_worker, |id| id);
+    }
+
+    /// [`bank_invariant_holds`] with worker `id`'s lock words signed
+    /// `tag(id)`.
+    pub fn bank_invariant_holds_as<C: ConcurrencyControl>(
+        cc: &C,
+        table: &Arc<RecordTable>,
+        threads: u64,
+        txns_per_worker: u64,
+        tag: fn(u64) -> u64,
+    ) {
         let n = table.n_records();
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -737,7 +742,7 @@ pub(crate) mod testutil {
                         ep: &ep,
                         table: &table,
                         io: &DirectIo,
-                        worker_tag: t + 1,
+                        worker_tag: tag(t + 1),
                     };
                     let mut rng_state = 0x1234_5678u64.wrapping_add(t);
                     let mut rand = move || {
@@ -777,7 +782,7 @@ pub(crate) mod testutil {
             ep: &ep,
             table,
             io: &DirectIo,
-            worker_tag: 999,
+            worker_tag: tag(999),
         };
         let mut total: i64 = 0;
         for k in 0..n {
@@ -796,36 +801,41 @@ mod tests {
 
     use super::testutil::timed_table;
     use super::*;
+    use crate::locks::LeaseLock;
     use crate::oracle::FaaOracle;
 
     /// Builds a protocol on its table.
     type Make = fn(&RecordTable) -> Box<dyn ConcurrencyControl>;
 
-    /// Every protocol config, with the versions its table needs.
-    fn protocols() -> [(usize, Make); 6] {
+    /// A lease no test outlives: 500 virtual ms.
+    const LEASE_NS: u64 = 500_000_000;
+
+    /// Every protocol config — its name, the versions its table needs, the
+    /// worker tag it runs under — with its maker.
+    fn protocols() -> [(&'static str, usize, u64, Make); 6] {
         [
-            (1, |_| Box::new(TwoPhaseLocking::exclusive())),
-            (1, |_| Box::new(TwoPhaseLocking::shared_exclusive())),
-            (1, |_| Box::new(LeasedTpl::new(500_000_000))),
-            (1, |_| Box::new(Occ::new())),
-            (1, |t| Box::new(Tso::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
-            (2, |t| Box::new(Mvcc::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
+            ("2pl-excl", 1, 7, |_| Box::new(TwoPhaseLocking::exclusive())),
+            ("2pl-shared", 1, 7, |_| Box::new(TwoPhaseLocking::shared_exclusive())),
+            ("2pl-leased", 1, LeaseLock::tag(7, 1, LEASE_NS), |_| Box::new(TwoPhaseLocking::exclusive())),
+            ("occ", 1, 7, |_| Box::new(Occ::new())),
+            ("tso", 1, 7, |t| Box::new(Tso::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
+            ("mvcc", 2, 7, |t| Box::new(Mvcc::new(Arc::new(FaaOracle::new(t.layer()).unwrap())))),
         ]
     }
 
     /// Run `script` on a fresh [`timed_table`] under each protocol, one
     /// session, every transaction committing; `then` sees the endpoint.
     fn each_protocol<R>(script: &[Vec<Op>], then: impl Fn(&str, &Endpoint, Vec<TxnOutput>) -> R) -> Vec<R> {
-        let run = |(versions, make): (usize, Make)| {
+        let run = |(name, versions, worker_tag, make): (&str, usize, u64, Make)| {
             let t = timed_table(versions);
             let cc = make(&t);
             let ep = t.layer().fabric().endpoint();
-            let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+            let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag };
             let outs = script
                 .iter()
-                .map(|ops| cc.execute(&ctx, ops).unwrap_or_else(|e| panic!("{}: {ops:?}: {e}", cc.name())))
+                .map(|ops| cc.execute(&ctx, ops).unwrap_or_else(|e| panic!("{name}: {ops:?}: {e}")))
                 .collect();
-            then(cc.name(), &ep, outs)
+            then(name, &ep, outs)
         };
         protocols().into_iter().map(run).collect()
     }
@@ -860,12 +870,12 @@ mod tests {
         let read: fn(u64) -> Vec<Op> = |keys| (0..keys).map(Op::Read).collect();
         let runs: Vec<(&str, [u64; 2])> = protocols()
             .into_iter()
-            .filter_map(|(versions, make)| {
-                let name = make(&timed_table(versions)).name();
+            .filter(|&(name, ..)| name != "2pl-shared")
+            .map(|(name, versions, worker_tag, make)| {
                 let rts = |ops: Vec<Op>| {
                     let t = timed_table(versions);
                     let ep = t.layer().fabric().endpoint();
-                    make(&t).execute(&TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 }, &ops).unwrap();
+                    make(&t).execute(&TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag }, &ops).unwrap();
                     ep.stats().wire_round_trips()
                 };
                 let per_size = |txn: fn(u64) -> Vec<Op>| {
@@ -873,10 +883,13 @@ mod tests {
                     assert_eq!(at, [at[0]; 3], "{name}: 2, 4 and 8 keys");
                     at[0]
                 };
-                matches!(name, "2pl-excl" | "occ" | "tso" | "mvcc").then(|| (name, [rmw, read].map(per_size)))
+                (name, [rmw, read].map(per_size))
             })
             .collect();
-        assert_eq!(runs, [("2pl-excl", [2, 2]), ("occ", [3, 2]), ("tso", [5, 3]), ("mvcc", [5, 3])]);
+        assert_eq!(
+            runs,
+            [("2pl-excl", [2, 2]), ("2pl-leased", [3, 2]), ("occ", [3, 2]), ("tso", [5, 3]), ("mvcc", [5, 3])]
+        );
     }
 
     /// Each protocol's single-session cost on the ConnectX-6 profile for a
@@ -901,7 +914,7 @@ mod tests {
         let pinned = [
             ("2pl-excl", [10, 15, 10, 0, 8, 160, 160], 18_150),
             ("2pl-shared", [29, 45, 20, 0, 74, 304, 400], 126_400),
-            ("2pl-leased", [19, 5, 20, 0, 36, 224, 80], 63_800),
+            ("2pl-leased", [10, 5, 28, 0, 11, 160, 80], 25_400),
             ("occ", [19, 15, 5, 0, 13, 456, 160], 25_550),
             ("tso", [14, 15, 14, 4, 18, 544, 160], 36_263),
             ("mvcc", [23, 15, 14, 4, 18, 968, 160], 37_628),

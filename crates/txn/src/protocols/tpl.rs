@@ -16,6 +16,13 @@
 //!   sharer word — then every unlock. A set no op writes is first
 //!   offered to the io's lock-free read (a coherent cache in invalidate
 //!   mode serves it from resident pages: no lock, no verb).
+//!
+//!   **Leased**, when the worker tag is a [`LeaseLock::tag`]: a crashed
+//!   owner's words are stolen once its lease runs out. A transaction that
+//!   writes seals its words in one doorbell of CASes after it ran (the
+//!   fence), which no steal gets past: a word already stolen aborts it
+//!   with `lease-stolen`, having written nothing. An unlock that finds a
+//!   thief's word aborts a read-only set the same way.
 //! * `shared_locks = true` — the 2-RT shared-exclusive lock: readers
 //!   admit concurrently, writers drain. More round trips per lock, more
 //!   concurrency, taken and released key by key in sorted order. ("It
@@ -35,7 +42,7 @@ use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
 use super::{apply_delta, key_sets, key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{ExclusiveLock, LockWord, SharedExclusiveLock};
+use crate::locks::{ExclusiveLock, LeaseLock, LockWord, SharedExclusiveLock};
 
 /// 2PL with no-wait bounded-retry acquisition.
 pub struct TwoPhaseLocking {
@@ -95,6 +102,10 @@ impl TwoPhaseLocking {
         }
         if failed.is_none() {
             out = run_on_copies(ops, &uses, &mut buf, hdr, psize);
+            if LeaseLock::leased(ctx.worker_tag) && uses.iter().any(|u| u.written) {
+                let _span = ep.span(Phase::LockAcquire);
+                failed = ExclusiveLock::fence(layer, ep, &mut words).err().map(TxnError::from);
+            }
         }
 
         // Release: always unlock what we hold; write back only a txn
@@ -116,7 +127,7 @@ impl TwoPhaseLocking {
         };
         let released = {
             let _span = ep.span(phase);
-            ExclusiveLock::release_set(layer, ep, &writes, &mut words, ctx.worker_tag)
+            ExclusiveLock::release_set(layer, ep, &writes, &mut words)
         };
         if ran {
             io.settle(ep, table, &uses, failed.is_none() && released.is_ok());
@@ -234,12 +245,19 @@ impl ConcurrencyControl for TwoPhaseLocking {
 
 #[cfg(test)]
 mod tests {
-    use rdma_sim::FaultPlan;
+    use dsm::DsmResult;
+    use rdma_sim::{Endpoint, FaultPlan, Metric};
 
     use super::*;
-    use crate::protocols::testutil::{bank_invariant_holds, crash_group_1_after, table, timed_table};
-    use crate::protocols::DirectIo;
+    use crate::locks::{LockError, Rider};
+    use crate::protocols::testutil::{
+        bank_invariant_holds, bank_invariant_holds_as, crash_group_1_after, table, timed_table,
+    };
+    use crate::protocols::{DirectIo, KeyUse, PayloadIo};
     use crate::table::RecordTable;
+
+    /// A lease no test outlives: 500 virtual ms.
+    const LEASE: u64 = 500_000_000;
 
     fn rmw_each(keys: &[u64]) -> Vec<Op> {
         keys.iter().map(|&key| Op::Rmw { key, delta: 1 }).collect()
@@ -319,25 +337,32 @@ mod tests {
         assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
     }
 
+    /// Also guards `release_set`'s fallback: when the release doorbell
+    /// cannot be posted, every word it would have freed on a reachable
+    /// node is freed on its own — by a CAS from the word installed, a
+    /// lease's included.
     #[test]
     fn a_crash_between_the_doorbells_leaves_no_word_held_on_a_reachable_node() {
-        let t = timed_table(1);
-        let dead = t.lock_addr(1).node();
-        // Group 1 disappears right after the acquire doorbell left.
-        t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
-        let ep = t.layer().fabric().endpoint();
-        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
-        let err = TwoPhaseLocking::exclusive()
-            .execute(&ctx, &rmw_each(&[0, 1, 2, 3]))
-            .unwrap_err();
-        assert_eq!(err, TxnError::NodeUnavailable { node: dead });
-        // The write-back could not be posted, so nothing of it landed; the
-        // words on the live group came free one by one.
-        for key in [0, 2] {
-            assert_eq!(word_and_counter(&t, key), (0, 0), "key {key}");
-        }
-        for key in [1, 3] {
-            assert_eq!(word_and_counter(&t, key).0, 7, "key {key} is beyond reach");
+        for worker_tag in [7, LeaseLock::tag(7, 1, LEASE)] {
+            let t = timed_table(1);
+            let dead = t.lock_addr(1).node();
+            // Group 1 disappears right after the acquire doorbell left; a
+            // leased set finds out at its fence.
+            t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
+            let ep = t.layer().fabric().endpoint();
+            let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag };
+            let err = TwoPhaseLocking::exclusive()
+                .execute(&ctx, &rmw_each(&[0, 1, 2, 3]))
+                .unwrap_err();
+            assert_eq!(err, TxnError::NodeUnavailable { node: dead });
+            // The write-back could not be posted, so nothing of it landed;
+            // the words on the live group came free one by one.
+            for key in [0, 2] {
+                assert_eq!(word_and_counter(&t, key), (0, 0), "key {key}");
+            }
+            for key in [1, 3] {
+                assert_eq!(LeaseLock::holder(word_and_counter(&t, key).0), 7, "key {key} is beyond reach");
+            }
         }
     }
 
@@ -366,6 +391,122 @@ mod tests {
     fn exclusive_2pl_preserves_bank_invariant() {
         let t = table(16, 16, 1);
         bank_invariant_holds(&TwoPhaseLocking::exclusive(), &t, 4, 300);
+    }
+
+    #[test]
+    fn leased_2pl_preserves_bank_invariant() {
+        let t = table(16, 16, 1);
+        bank_invariant_holds_as(&TwoPhaseLocking::exclusive(), &t, 4, 300, |id| LeaseLock::tag(id as u16, 1, LEASE));
+    }
+
+    #[test]
+    fn held_unexpired_lock_aborts_with_timeout() {
+        let t = table(4, 16, 1);
+        let owner = t.layer().fabric().endpoint();
+        ExclusiveLock::acquire(t.layer(), &owner, t.lock_addr(2), LeaseLock::tag(42, 1, LEASE), 0).unwrap();
+        let ep = t.layer().fabric().endpoint();
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: LeaseLock::tag(7, 1, LEASE) };
+        let err = TwoPhaseLocking::exclusive().execute(&ctx, &[Op::Rmw { key: 2, delta: 1 }]).unwrap_err();
+        assert_eq!(err, TxnError::Aborted("lock-busy"));
+    }
+
+    #[test]
+    fn expired_lock_is_stolen_and_counted() {
+        let t = table(4, 16, 1);
+        let crashed = t.layer().fabric().endpoint();
+        // A "crashed" session holding key 2 with a 50 µs lease.
+        ExclusiveLock::acquire(t.layer(), &crashed, t.lock_addr(2), LeaseLock::tag(42, 1, 50_000), 0).unwrap();
+        let ep = t.layer().fabric().endpoint();
+        ep.charge_local(10_000_000); // sail past the lease
+        ep.enable_timeseries(1_000_000);
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: LeaseLock::tag(7, 1, LEASE) };
+        TwoPhaseLocking::exclusive().execute(&ctx, &[Op::Rmw { key: 2, delta: 5 }]).unwrap();
+        assert_eq!(ep.series_snapshot().total(Metric::LockSteals), 1, "the takeover must be counted");
+        // And the lock is free again afterwards.
+        assert_eq!(t.layer().read_u64(&ep, t.lock_addr(2)).unwrap(), 0);
+    }
+
+    /// [`DirectIo`], except that the owner stalls at one step — once every
+    /// lock is won (`admit`), or once its fence passed (`retire`) — and
+    /// the closure runs meanwhile.
+    struct Stall<F>(&'static str, F);
+
+    impl<F: Fn() + Send + Sync> PayloadIo for Stall<F> {
+        fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>) {
+            DirectIo.ride(table, uses, buf, riders);
+        }
+
+        fn admit(&self, _: &Endpoint, _: &RecordTable, _: &mut [KeyUse], _: &mut [u8]) -> DsmResult<()> {
+            if self.0 == "admit" {
+                (self.1)();
+            }
+            Ok(())
+        }
+
+        fn retire<'a>(
+            &self,
+            ep: &Endpoint,
+            table: &RecordTable,
+            uses: &[KeyUse],
+            buf: &'a mut [u8],
+            writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+        ) -> DsmResult<()> {
+            if self.0 == "retire" {
+                (self.1)();
+            }
+            DirectIo.retire(ep, table, uses, buf, writes)
+        }
+    }
+
+    /// A thief whose clock runs far ahead of a live owner's takes `key`
+    /// of `t`, or fails to.
+    fn steal(t: &RecordTable, key: u64) -> Result<(), LockError> {
+        let thief = t.layer().fabric().endpoint();
+        thief.charge_local(60_000_000_000); // minutes later
+        ExclusiveLock::acquire(t.layer(), &thief, t.lock_addr(key), LeaseLock::tag(999, 1, LEASE), 0)
+    }
+
+    /// The owner stalls between taking its locks and running its ops, long
+    /// enough for a thief to steal its expired lease of key 2: a
+    /// transaction that writes must find the stolen word at its fence and
+    /// write nothing; one that only read finds it at its unlock, and
+    /// aborts too.
+    #[test]
+    fn zombie_owner_is_fenced_at_commit_and_writes_nothing() {
+        let cc = TwoPhaseLocking::exclusive();
+        let t = table(4, 16, 1);
+        let ep = t.layer().fabric().endpoint();
+        let io = Stall("admit", || steal(&t, 2).expect("steal must succeed: lease long expired"));
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: LeaseLock::tag(7, 1, 10_000) };
+        let err = cc.execute(&ctx, &[Op::Rmw { key: 2, delta: 100 }, Op::Rmw { key: 3, delta: 1 }]).unwrap_err();
+        assert_eq!(err, TxnError::Aborted("lease-stolen"));
+        for key in [2, 3] {
+            assert_eq!(word_and_counter(&t, key).1, 0, "fenced transaction must not write key {key}");
+        }
+        // The thief still owns the word (we did not clear it); key 3 is free.
+        assert_eq!(LeaseLock::decode(word_and_counter(&t, 2).0).0, 999);
+        assert_eq!(word_and_counter(&t, 3).0, 0);
+
+        let t = table(4, 16, 1);
+        let ep = t.layer().fabric().endpoint();
+        let io = Stall("admit", || steal(&t, 2).unwrap());
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: LeaseLock::tag(7, 1, 10_000) };
+        assert_eq!(cc.execute(&ctx, &[Op::Read(2)]).unwrap_err(), TxnError::Aborted("lease-stolen"));
+        assert_eq!(LeaseLock::decode(word_and_counter(&t, 2).0).0, 999);
+    }
+
+    /// The lost update leased 2PL let through: an owner passed its fence
+    /// and, before its write-back landed, a thief whose clock ran far ahead
+    /// took the lease and read the old value. A sealed word turns the
+    /// thief away, and the owner's write-back stands.
+    #[test]
+    fn a_thief_after_the_fence_cannot_take_the_word_before_the_write_back() {
+        let t = table(4, 16, 1);
+        let ep = t.layer().fabric().endpoint();
+        let io = Stall("retire", || assert_eq!(steal(&t, 2), Err(LockError::Busy)));
+        let ctx = TxnCtx { ep: &ep, table: &t, io: &io, worker_tag: LeaseLock::tag(7, 1, 10_000) };
+        TwoPhaseLocking::exclusive().execute(&ctx, &[Op::Rmw { key: 2, delta: 100 }]).unwrap();
+        assert_eq!(word_and_counter(&t, 2), (0, 100));
     }
 
     #[test]
