@@ -8,13 +8,14 @@
 //! * writes go to every live member (doorbell-batched — one round trip
 //!   plus marginal per-replica cost, like RDMA multi-QP doorbells);
 //! * reads are served by the primary, failing over to any live replica;
-//! * atomic verbs (lock words, counters) execute on the primary only —
+//! * CAS and unlock on the primary; a rebuilt member's lock words are
+//!   free ([`GlobalWr::Unlock`], [`DsmLayer::register_lock_words`]) —
 //!   transient synchronization state is rebuilt, not replicated, exactly
 //!   as in the paper's recovery discussion.
 //!
-//! [`DsmLayer::doorbell`] applies the three rules to a mixed group of
-//! work requests and posts the result as one fabric doorbell; the batched
-//! and replicated entry points are that path with a fixed verb.
+//! [`DsmLayer::doorbell`] applies these rules to a mixed group of work
+//! requests and posts the result as one fabric doorbell; the batched and
+//! replicated entry points are that path with a fixed verb.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -108,8 +109,9 @@ impl Default for DsmConfig {
 
 /// One work request of a [`DsmLayer::doorbell`] group: [`rdma_sim::Wr`]
 /// over logical addresses. The layer resolves each to fabric members —
-/// CAS on the group primary, READ from the first reachable member, WRITE
-/// and FAA to every reachable member.
+/// CAS and unlock on the group primary, READ from the first reachable
+/// member, WRITE and FAA to every reachable member. A rebuilt member's
+/// lock words are free ([`DsmLayer::recover_member_from_mirror`]).
 #[derive(Debug)]
 pub enum GlobalWr<'a> {
     /// Read `dst.len()` bytes at `addr`.
@@ -133,6 +135,12 @@ pub enum GlobalWr<'a> {
         add: u64,
         prev: &'a mut u64,
     },
+    /// Free the lock word at `addr`: a WRITE of 0 on the group primary
+    /// only. With the primary unreachable nothing is posted — the word
+    /// died with its node, and the rebuild frees it
+    /// ([`DsmLayer::register_lock_words`]) — so the rest of the doorbell
+    /// still lands; only a group with no reachable member fails.
+    Unlock { addr: GlobalAddr },
 }
 
 impl GlobalWr<'_> {
@@ -149,14 +157,15 @@ impl GlobalWr<'_> {
                 prev,
             },
             GlobalWr::Faa { addr, add, prev } => GlobalWr::Faa { addr: *addr, add: *add, prev },
+            GlobalWr::Unlock { addr } => GlobalWr::Unlock { addr: *addr },
         }
     }
 }
 
 /// Members a doorbell of many requests may resolve to before the list
 /// leaves the stack: a 16-page multi-get, or the release doorbell of an
-/// 8-key transaction over 2-way mirrors (8 x 2 write-backs + 8 x 2
-/// unlocks).
+/// 8-key transaction over 2-way mirrors (8 x 2 write-backs + 8 unlocks on
+/// the primaries = 24).
 const INLINE_MEMBERS: usize = 32;
 
 /// The same for a doorbell of at most [`FEW_REQUESTS`] requests — one
@@ -222,6 +231,31 @@ impl MirrorGroup {
     }
 }
 
+/// `count` lock words at `first`, `first + stride`, ...: state of their
+/// group's primary alone, which a rebuilt member comes up without.
+#[derive(Clone, Copy)]
+struct LockStripe {
+    first: GlobalAddr,
+    stride: u64,
+    count: u64,
+}
+
+impl LockStripe {
+    /// Zero every word of the stripe that lies in `chunk`, the bytes at
+    /// `off` of the stripe's group.
+    fn free_within(&self, off: u64, chunk: &mut [u8]) {
+        let (first, len) = (self.first.offset(), chunk.len());
+        let skip = off.saturating_sub(first).div_ceil(self.stride);
+        for i in skip..self.count {
+            let from = (first + i * self.stride - off) as usize;
+            if from >= len {
+                break;
+            }
+            chunk[from..(from + 8).min(len)].fill(0);
+        }
+    }
+}
+
 /// The distributed shared-memory layer: pooled, replicated, logically
 /// addressed memory with database-facing APIs (§3).
 pub struct DsmLayer {
@@ -237,6 +271,8 @@ pub struct DsmLayer {
     /// Retry policy applied to every data-path verb (transient faults
     /// absorbed with virtual-time backoff).
     retry: parking_lot::RwLock<RetryPolicy>,
+    /// The lock words [`DsmLayer::recover_member_from_mirror`] frees.
+    lock_stripes: parking_lot::Mutex<Vec<LockStripe>>,
 }
 
 impl DsmLayer {
@@ -276,6 +312,7 @@ impl DsmLayer {
             next_group: AtomicUsize::new(0),
             replication: config.replication,
             retry: parking_lot::RwLock::new(RetryPolicy::default()),
+            lock_stripes: parking_lot::Mutex::new(Vec::new()),
         })
     }
 
@@ -409,11 +446,27 @@ impl DsmLayer {
         Ok(GlobalAddr::new(g.primary().id(), off))
     }
 
-    /// Free an allocation.
+    /// Free an allocation, and forget the lock words registered in it.
     pub fn free(&self, addr: GlobalAddr) -> DsmResult<()> {
         let g = self.group_of(addr)?;
+        let len = g.primary().size_of(addr.offset()).unwrap_or(0);
         g.primary().free(addr.offset())?;
+        let extent = addr.offset()..addr.offset() + len;
+        self.lock_stripes
+            .lock()
+            .retain(|s| s.first.node() != addr.node() || !extent.contains(&s.first.offset()));
         Ok(())
+    }
+
+    /// Register `count` 8-byte lock words at `first`, `first + stride`,
+    /// ...: words a [`GlobalWr::Cas`] takes and a [`GlobalWr::Unlock`]
+    /// frees, on the group primary alone, so
+    /// [`DsmLayer::recover_member_from_mirror`] brings a member up with
+    /// every one of them free. Forgotten when the extent holding `first`
+    /// is freed.
+    pub fn register_lock_words(&self, first: GlobalAddr, stride: u64, count: u64) {
+        assert!(first.offset().is_multiple_of(8) && stride >= 8, "lock words are aligned and disjoint");
+        self.lock_stripes.lock().push(LockStripe { first, stride, count });
     }
 
     /// Reallocate, copying the payload if the extent moves. Charged to
@@ -542,6 +595,15 @@ impl DsmLayer {
                             }
                         }
                         if !reachable {
+                            return Err(unavailable(addr));
+                        }
+                    }
+                    GlobalWr::Unlock { addr } => {
+                        let g = group_of(addr)?;
+                        let primary = g.primary().id();
+                        if ep.node_reachable(primary) {
+                            members.push(Wr::Write { node: primary, offset: addr.offset(), src: &[0; 8] });
+                        } else if !g.members.iter().any(|m| ep.node_reachable(m.id())) {
                             return Err(unavailable(addr));
                         }
                     }
@@ -694,6 +756,12 @@ impl DsmLayer {
     /// mirror sibling over the fabric (charged to `ep`). Returns bytes
     /// copied. This is the fast-path recovery of §3 Challenge 3 (replica
     /// copy); checkpoint+log recovery lives in [`crate::checkpoint`].
+    ///
+    /// Lock state is rebuilt, not copied: every registered lock word
+    /// ([`DsmLayer::register_lock_words`]) of the group is zeroed in each
+    /// chunk on its way through, so the member, backup or primary, comes
+    /// up with every lock free — whatever the sibling's copy of the word
+    /// held, since unlocks write the primary alone.
     pub fn recover_member_from_mirror(
         &self,
         ep: &Endpoint,
@@ -714,6 +782,9 @@ impl DsmLayer {
             .ok_or(DsmError::GroupUnavailable {
                 primary: g.primary().id(),
             })?;
+        let primary = g.primary().id();
+        let stripes: Vec<LockStripe> =
+            self.lock_stripes.lock().iter().filter(|s| s.first.node() == primary).copied().collect();
         // Stream the whole region in 64 KiB chunks.
         const CHUNK: usize = 64 << 10;
         let mut buf = vec![0u8; CHUNK];
@@ -722,6 +793,9 @@ impl DsmLayer {
         while (off as usize) < capacity {
             let take = CHUNK.min(capacity - off as usize);
             ep.read(source.id(), off, &mut buf[..take])?;
+            for stripe in &stripes {
+                stripe.free_within(off, &mut buf[..take]);
+            }
             ep.write(failed.id(), off, &buf[..take])?;
             copied += take as u64;
             off += take as u64;
@@ -845,6 +919,48 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuilt_member_comes_up_with_its_registered_lock_words_free() {
+        let (f, l) = layer(2, 2);
+        let ep = f.endpoint();
+        // 2 000 words 88 bytes apart: the stripe crosses two chunk
+        // boundaries of the rebuild's 64 KiB copy.
+        let (stride, count) = (88u64, 2_000u64);
+        let base = l.alloc_on(0, stride * count).unwrap();
+        l.register_lock_words(base, stride, count);
+        let filled = vec![0xA5u8; (stride * count) as usize];
+        l.write(&ep, base, &filled).unwrap();
+        let ids: Vec<NodeId> = l.group_members(0).iter().map(|m| m.id()).collect();
+        let extent = |node: NodeId| {
+            let mut got = vec![0u8; filled.len()];
+            f.region(node).unwrap().read(base.offset(), &mut got).unwrap();
+            got
+        };
+        let rebuild = |member: usize| {
+            l.crash_member(0, member).unwrap();
+            let before = (ep.stats().round_trips(), ep.clock().now_ns());
+            l.recover_member_from_mirror(&ep, 0, member).unwrap();
+            (ep.stats().round_trips() - before.0, ep.clock().now_ns() - before.1)
+        };
+        // Rebuilt from the primary, the backup's words are free; every
+        // other byte is copied, at the cost of a plain copy.
+        let cost = rebuild(1);
+        let mut want = filled.clone();
+        for i in 0..count as usize {
+            want[i * stride as usize..][..8].fill(0);
+        }
+        assert_eq!(extent(ids[1]), want);
+        assert_eq!(extent(ids[0]), filled, "the source keeps its words");
+        // Freed, the extent carries no lock words: a fresh allocation over
+        // it keeps every byte through a rebuild, which costs the same.
+        l.free(base).unwrap();
+        let fresh = l.alloc_on(0, stride * count).unwrap();
+        assert_eq!(fresh, base);
+        l.write(&ep, fresh, &filled).unwrap();
+        assert_eq!(rebuild(1), cost);
+        assert_eq!(extent(ids[1]), filled);
+    }
+
+    #[test]
     fn cas_and_faa_operate_on_primary() {
         let (f, l) = layer(2, 2);
         let ep = f.endpoint();
@@ -911,20 +1027,29 @@ mod tests {
         assert_eq!((word(ids(1)[0], b), word(ids(1)[1], b)), (9, 9));
         let s = ep.stats();
         assert_eq!((s.cas, s.writes, s.reads, s.wire_round_trips()), (1, 2, 1, 1));
+        // UNLOCK: a WRITE of 0 on the primary only, the mirror's word left
+        // as it was.
+        l.doorbell(&ep, &mut [GlobalWr::Unlock { addr: b }]).unwrap();
+        assert_eq!((word(ids(1)[0], b), word(ids(1)[1], b)), (0, 9));
+        let t = ep.stats();
+        let unlock = (t.writes - s.writes, t.bytes_written - s.bytes_written, t.wire_round_trips() - s.wire_round_trips());
+        assert_eq!(unlock, (1, 8, 1));
 
-        // With group 1's primary down, its WRITE and READ use the mirror;
+        // With group 1's primary down, its WRITE and READ use the mirror,
+        // and its UNLOCK posts nothing (the word died with the primary);
         // a CAS there has no primary to run on, and the group stops at it.
         l.crash_member(1, 0).unwrap();
         let (mut on_a, mut on_b) = (u64::MAX, u64::MAX);
         l.doorbell(
             &ep,
             &mut [
+                GlobalWr::Unlock { addr: b },
                 GlobalWr::Write { addr: b, src: &5u64.to_le_bytes() },
                 GlobalWr::Read { addr: b, dst: &mut got },
             ],
         )
         .unwrap();
-        assert_eq!((u64::from_le_bytes(got), word(ids(1)[0], b), word(ids(1)[1], b)), (5, 9, 5));
+        assert_eq!((u64::from_le_bytes(got), word(ids(1)[0], b), word(ids(1)[1], b)), (5, 0, 5));
         let cut = l.doorbell(
             &ep,
             &mut [
@@ -934,17 +1059,13 @@ mod tests {
         );
         assert_eq!(cut, Err(DsmError::Rdma(RdmaError::NodeUnreachable(ids(1)[0]))));
         assert_eq!((on_a, on_b), (7, u64::MAX), "`prev` tells which CAS ran");
-        // A group with no member left cannot take a WRITE: nothing of the
-        // doorbell is posted.
+        // A group with no member left cannot take a WRITE or an UNLOCK:
+        // nothing of the doorbell is posted.
         l.crash_member(1, 1).unwrap();
-        let none = l.doorbell(
-            &ep,
-            &mut [
-                GlobalWr::Write { addr: a, src: &[1u8; 8] },
-                GlobalWr::Write { addr: b, src: &[1u8; 8] },
-            ],
-        );
-        assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
+        for last in [GlobalWr::Write { addr: b, src: &[1u8; 8] }, GlobalWr::Unlock { addr: b }] {
+            let none = l.doorbell(&ep, &mut [GlobalWr::Write { addr: a, src: &[1u8; 8] }, last]);
+            assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
+        }
         assert_eq!(word(ids(0)[0], a), 0, "still the value the last CAS left");
     }
 

@@ -5,7 +5,9 @@
 //! require more RDMA round trips, e.g., an RDMA shared-exclusive lock
 //! needs at least 2 round trips."
 //!
-//! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one write to release.
+//! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one WRITE on the
+//!   primary to release ([`GlobalWr::Unlock`]: lock words are not
+//!   mirrored, and a rebuilt memory node comes up with them free).
 //!   A whole *set* of words is still one round trip each way: the CASes
 //!   (each with whatever READs its holder wants right behind it — the
 //!   payload, a coherent cache's sharer word, nothing) leave in one
@@ -165,10 +167,10 @@ impl ExclusiveLock {
         Self::acquire_set(layer, ep, &mut [LockWord::new(lock)], &mut [], owner_tag, max_retries)
     }
 
-    /// Release: one write. Only the owner may call this.
+    /// Release: one WRITE on the group primary. Only the owner may call
+    /// this.
     pub fn release(layer: &DsmLayer, ep: &Endpoint, lock: GlobalAddr) -> Result<(), LockError> {
-        layer.write_u64(ep, lock, 0)?;
-        Ok(())
+        Ok(layer.doorbell(ep, &mut [GlobalWr::Unlock { addr: lock }])?)
     }
 
     /// Acquire a whole lock set in one round trip: the CAS of every word
@@ -292,7 +294,8 @@ impl ExclusiveLock {
     /// The release doorbell of a lock set: every write of `writes` (the
     /// holder's write-back), then the unlock of every held word of
     /// `words` — one round trip, all writes ahead of all unlocks. A plain
-    /// word unlocks by a WRITE of 0, a lease by a CAS from the word it
+    /// word unlocks by a WRITE of 0 on its primary ([`GlobalWr::Unlock`];
+    /// none if the primary is down), a lease by a CAS from the word it
     /// holds, so a thief's word stays: such an unlock is not retried, and
     /// the call ends in [`LockError::Stolen`] (never once sealed).
     ///
@@ -307,7 +310,6 @@ impl ExclusiveLock {
         writes: &[(GlobalAddr, &[u8])],
         words: &mut [LockWord],
     ) -> Result<(), LockError> {
-        const FREE: [u8; 8] = 0u64.to_le_bytes();
         let held = words.iter().filter(|w| w.held()).count();
         if held == 0 && writes.is_empty() {
             return Ok(());
@@ -321,7 +323,7 @@ impl ExclusiveLock {
             wrs.push(if LeaseLock::leased(w.mine) {
                 GlobalWr::Cas { addr: w.addr, expected: w.expected, new: 0, prev: &mut w.mine }
             } else {
-                GlobalWr::Write { addr: w.addr, src: &FREE }
+                GlobalWr::Unlock { addr: w.addr }
             });
         }
         let posted = layer.doorbell(ep, &mut wrs);
@@ -370,12 +372,13 @@ impl SharedExclusiveLock {
         Err(LockError::Busy)
     }
 
-    /// Round 2: write new metadata and release the latch — one doorbell,
-    /// retried by the layer like every other lock verb, so a transient
-    /// fault cannot leave the latch set with nobody to clear it.
+    /// Round 2: write new metadata (replicated: it is the lock's state)
+    /// and release the latch (on the primary, like any lock word) — one
+    /// doorbell, retried by the layer like every other lock verb, so a
+    /// transient fault cannot leave the latch set with nobody to clear it.
     fn exit(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, new_meta: u64) -> Result<(), LockError> {
-        let (meta, free) = (new_meta.to_le_bytes(), 0u64.to_le_bytes());
-        let mut wrs = [GlobalWr::Write { addr: addr.offset_by(8), src: &meta }, GlobalWr::Write { addr, src: &free }];
+        let meta = new_meta.to_le_bytes();
+        let mut wrs = [GlobalWr::Write { addr: addr.offset_by(8), src: &meta }, GlobalWr::Unlock { addr }];
         Ok(layer.doorbell(ep, &mut wrs)?)
     }
 
@@ -550,6 +553,67 @@ mod tests {
         );
         let addr = layer.alloc(16).unwrap();
         (fabric, layer, addr)
+    }
+
+    /// Two groups of 2-way mirrors.
+    fn mirrored() -> (Arc<Fabric>, Arc<DsmLayer>) {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let layer = DsmLayer::build(
+            &fabric,
+            DsmConfig {
+                memory_nodes: 4,
+                capacity_per_node: 1 << 20,
+                replication: 2,
+                mem_cores: 1,
+                weak_cpu_factor: 4.0,
+            },
+        );
+        (fabric, layer)
+    }
+
+    /// On 2-way mirrors a write-back lands on both members of its group,
+    /// an unlock on the primary alone: 4 of each are 12 WRITEs, in one
+    /// wire round trip.
+    #[test]
+    fn a_mirrored_release_set_is_one_round_trip_of_twelve_writes() {
+        let (f, l) = mirrored();
+        let ep = f.endpoint();
+        let locks: Vec<GlobalAddr> = (0..4).map(|i| l.alloc_on(i % 2, 8).unwrap()).collect();
+        let data: Vec<GlobalAddr> = (0..4).map(|i| l.alloc_on(i % 2, 64).unwrap()).collect();
+        let mut words: Vec<LockWord> = locks.iter().map(|&addr| LockWord::new(addr)).collect();
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
+        let page = [0xC3u8; 64];
+        let writes: Vec<(GlobalAddr, &[u8])> = data.iter().map(|&addr| (addr, &page[..])).collect();
+        let before = ep.stats();
+        ExclusiveLock::release_set(&l, &ep, &writes, &mut words).unwrap();
+        let s = ep.stats();
+        let posted = (s.writes - before.writes, s.bytes_written - before.bytes_written);
+        assert_eq!(posted, (4 * 2 + 4, 4 * 2 * 64 + 4 * 8));
+        assert_eq!(s.wire_round_trips() - before.wire_round_trips(), 1);
+        assert!(words.iter().all(|w| !w.held()));
+        for &lock in &locks {
+            assert_eq!(l.read_u64(&ep, lock).unwrap(), 0);
+        }
+    }
+
+    /// A primary lost while its word is held costs the release nothing:
+    /// the unlock is dropped with the word, the write-back lands on the
+    /// backup, and the rebuilt primary comes up with the word free.
+    #[test]
+    fn a_primary_lost_between_acquire_and_release_leaves_the_word_free() {
+        let (f, l) = mirrored();
+        let ep = f.endpoint();
+        let (lock, data) = (l.alloc_on(0, 8).unwrap(), l.alloc_on(0, 8).unwrap());
+        let mut words = [LockWord::new(lock)];
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
+        l.crash_member(0, 0).unwrap();
+        ExclusiveLock::release_set(&l, &ep, &[(data, &42u64.to_le_bytes())], &mut words).unwrap();
+        assert!(!words[0].held());
+        let backup = l.group_members(0)[1].id();
+        assert_eq!(f.region(backup).unwrap().read_u64(data.offset()).unwrap(), 42);
+        l.recover_member_from_mirror(&ep, 0, 0).unwrap();
+        ExclusiveLock::acquire(&l, &ep, lock, 8, 0).unwrap();
+        assert_eq!(l.read_u64(&ep, data).unwrap(), 42);
     }
 
     #[test]

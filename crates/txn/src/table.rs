@@ -7,7 +7,10 @@
 //! [ lock word (8) ][ rts (8) ][ wts_0 (8) | payload_0 ] ... [ wts_{V-1} | payload_{V-1} ]
 //! ```
 //!
-//! * `lock` — the word the RDMA lock primitives CAS on;
+//! * `lock` — the word the RDMA lock primitives CAS on: state of its
+//!   group's primary alone, registered with the layer
+//!   ([`DsmLayer::register_lock_words`]) so a rebuilt memory node comes up
+//!   with every lock free;
 //! * `rts`  — read timestamp (TSO/MVCC), holder count (shared-exclusive
 //!   2PL) or, under exclusive 2PL with a coherent cache, the record's
 //!   sharer bitmap ([`RecordTable::sharers_addr`]); unused by OCC;
@@ -108,7 +111,9 @@ impl RecordTable {
             // Records are striped: group g holds ceil((n - g)/groups) slots.
             let per_group = (n_records + groups as u64 - 1 - g as u64) / groups as u64;
             let bytes = (per_group.max(1)) * slot;
-            bases.push(layer.alloc_on(g, bytes)?);
+            let base = layer.alloc_on(g, bytes)?;
+            layer.register_lock_words(base.offset_by(LOCK_OFF), slot, per_group);
+            bases.push(base);
         }
         Ok(Self {
             layer: layer.clone(),
@@ -311,6 +316,7 @@ impl RecordTable {
         assert!(low < high && high <= self.n_records, "bad range {low}..{high}");
         let bytes = (high - low) * self.slot_size();
         let base = self.layer.alloc_on(dst_group, bytes)?;
+        self.layer.register_lock_words(base.offset_by(LOCK_OFF), self.slot_size(), high - low);
         let mut st = self.reloc.write();
         assert!(st.active.is_none(), "one migration at a time");
         st.active = Some(ActiveMigration { low, high, base, watermark: low, drained: low });
@@ -450,6 +456,7 @@ impl RecordTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locks::ExclusiveLock;
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
 
@@ -465,6 +472,85 @@ mod tests {
                 weak_cpu_factor: 4.0,
             },
         )
+    }
+
+    /// One group of two mirrored memory nodes.
+    fn mirrored() -> Arc<DsmLayer> {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        DsmLayer::build(
+            &fabric,
+            DsmConfig {
+                memory_nodes: 2,
+                capacity_per_node: 1 << 20,
+                replication: 2,
+                mem_cores: 1,
+                weak_cpu_factor: 4.0,
+            },
+        )
+    }
+
+    /// Crash member `member` of `group` and rebuild it from its sibling.
+    fn rebuild(l: &DsmLayer, ep: &Endpoint, group: usize, member: usize) {
+        l.crash_member(group, member).unwrap();
+        l.recover_member_from_mirror(ep, group, member).unwrap();
+    }
+
+    /// The backup is rebuilt while the word is held and the primary once
+    /// it is free: whichever copy a rebuild starts from, the word comes
+    /// up free.
+    #[test]
+    fn a_released_lock_stays_free_across_two_rebuilds() {
+        let l = mirrored();
+        let t = RecordTable::create(&l, 16, 24, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let lock = t.lock_addr(5);
+        ExclusiveLock::acquire(&l, &ep, lock, 1, 0).unwrap();
+        rebuild(&l, &ep, 0, 1);
+        ExclusiveLock::release(&l, &ep, lock).unwrap();
+        rebuild(&l, &ep, 0, 0);
+        assert_eq!(ExclusiveLock::acquire(&l, &ep, lock, 2, 0), Ok(()));
+    }
+
+    /// A word the header drain carried, held, to both members of its new
+    /// home is released there on the primary alone; the destination
+    /// extent's words are lock words too, so a rebuild of that primary
+    /// from its backup frees it.
+    #[test]
+    fn a_lock_drained_to_a_new_home_and_released_there_survives_its_rebuild_free() {
+        let l = mirrored();
+        let t = RecordTable::create(&l, 16, 24, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let dst = l.join_group(1 << 20, 1, 4.0);
+        t.begin_migration(dst, 0, 16).unwrap();
+        while t.migrate_chunk(&ep, 8).unwrap() > 0 {}
+        ExclusiveLock::acquire(&l, &ep, t.lock_addr(5), 1, 0).unwrap();
+        t.commit_migration(&ep).unwrap();
+        let lock = t.lock_addr(5);
+        assert_eq!(l.group_index_of(lock.node()), Some(dst));
+        assert_eq!(l.read_u64(&ep, lock).unwrap(), 1, "the drain carried the holder");
+        ExclusiveLock::release(&l, &ep, lock).unwrap();
+        rebuild(&l, &ep, dst, 0);
+        assert_eq!(ExclusiveLock::acquire(&l, &ep, lock, 2, 0), Ok(()));
+    }
+
+    /// An aborted migration's destination extent holds no lock words any
+    /// more: what is allocated over it keeps its bytes through a rebuild.
+    #[test]
+    fn an_aborted_migration_leaves_no_lock_words_in_the_freed_extent() {
+        let l = mirrored();
+        let t = RecordTable::create(&l, 16, 24, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let dst = l.join_group(1 << 20, 1, 4.0);
+        let base = t.begin_migration(dst, 0, 16).unwrap();
+        t.abort_migration().unwrap();
+        let filled = vec![0x5Au8; (16 * t.slot_size()) as usize];
+        let fresh = l.alloc_on(dst, filled.len() as u64).unwrap();
+        assert_eq!(fresh, base);
+        l.write(&ep, fresh, &filled).unwrap();
+        rebuild(&l, &ep, dst, 0);
+        let mut got = vec![0u8; filled.len()];
+        l.read(&ep, fresh, &mut got).unwrap();
+        assert_eq!(got, filled);
     }
 
     #[test]

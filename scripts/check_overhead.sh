@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Six gates read off five runs of the benchmark, one verdict each.
+# Seven gates read off five runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
-# replicas, no cache: two doorbells of ~24 verbs per txn, the workload on
+# replicas, no cache: two doorbells of ~20 verbs per txn, the workload on
 # which the planes weigh most):
 #
 # 1. The observed-path overhead: what the telemetry planes (windowed
@@ -76,6 +76,15 @@
 #    above CACHED_WIRE_RT_LIMIT. On `fit_read`, which this gate read
 #    before, the same 1 s run went 1.0735 -> 0.9570.
 #
+# From the same `direct_rmw` run as gates 1 and 2:
+#
+# 7. A lock word lives on its group primary: `rdma-sim.verbs_per_txn`,
+#    exact on the sim clock (20.29 at this seed: per key a CAS and its
+#    payload READ, the write-back on both replicas and one unlock WRITE
+#    on the primary alone, plus the ghosted txns' ladders). A change that
+#    mirrors the unlocks again (24.34 when each went to both replicas)
+#    fails above VERB_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per 1 s run, ~5 s for the
@@ -87,6 +96,7 @@ cd "$(dirname "$0")/.."
 
 LIMIT=2.5
 WIRE_RT_LIMIT=4
+VERB_LIMIT=21
 COHERENT_WIRE_RT_LIMIT=1.2
 INDEX_RT_LIMIT=1.1
 MSG_LIMIT=0.15
@@ -123,6 +133,7 @@ run() {
 last_line="$(run direct_rmw)"
 ratio="$(metric telemetry.host_overhead_ratio)"
 wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
+verbs="$(metric rdma-sim.verbs_per_txn)"
 last_line="$(run coherent_rw 6)"
 coherent_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run index_probe)"
@@ -133,6 +144,7 @@ msgs="$(metric rdma-sim.msgs_per_txn)"
 last_line="$(run thrash_mix)"
 cached_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
+gate "verbs per txn on direct_rmw" "$verbs" "$VERB_LIMIT"
 gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
 gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT_LIMIT"
 gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
