@@ -9,42 +9,62 @@
 //!   *level* (leaf = 0), so a cached level-1 node hands out a leaf address
 //!   without reading it and a warm search is exactly the leaf READ. Fence
 //!   keys are the only staleness check: a node that does not cover the
-//!   key means some ancestor that routed us there is stale, so the handle
-//!   drops the cached path *and* the root address and restarts. A
-//!   handle's own structure modification installs the images it just
-//!   wrote into its cache, so it never refills what it wrote itself. With
-//!   the cache off every level is read from the root pointer down — the
-//!   naive baseline of experiment C9.
+//!   key means some ancestor that routed us there is stale, or a split
+//!   has not named (or, having failed, never will name) its right half in
+//!   the level above. The handle drops the cached path *and* the root
+//!   address, and moves right along `next` when the key lies past the
+//!   node (Lehman–Yao), else restarts. A handle's own structure
+//!   modification installs the images it just wrote into its cache, so it
+//!   never refills what it wrote itself. With the cache off every level
+//!   is read from the root pointer down — the naive baseline of
+//!   experiment C9.
 //! * **An insert is two doorbells** (Sherman's "command combination":
 //!   members of one doorbell on one queue pair execute in order). Acquire
 //!   = {CAS lock word, READ image}; release = {WRITE image, WRITE unlock}.
 //!   The image keeps the writer's lock tag embedded — a node write lands
 //!   word by word from offset 0, so an embedded 0 would free the lock
 //!   before the keys arrived — and the unlock behind it is what frees it.
-//!   `remove` and the leaf half of a split are the same pair.
-//! * **Readers take no lock.** The version is stored in the node's second
-//!   word and again in its last; reads and writes both run low to high,
-//!   so a READ that raced a WRITE sees the two copies differ and is
-//!   posted again. Internal nodes, which are rewritten without a lock
-//!   word, are read the same way.
-//! * **Coarse SMO lock** — splits take a tree-wide structure-modification
-//!   lock in DSM. Simpler than Sherman's fine-grained scheme and rare
-//!   enough under point workloads; the experiments measure the fast path.
-//!   Internal nodes change only under it, so the path a split READs while
-//!   holding it is exact and is not read twice.
+//!   `remove` is the same pair.
+//! * **Readers take no lock.** A node's last word is a check word, a
+//!   hash of every word between the lock word and it. A READ and a WRITE
+//!   of one node both run word by word from low to high, and either may
+//!   overtake the other, so a READ that raced a WRITE can mix the two
+//!   images; the mix fails the check and is posted again. (A copy of the
+//!   version in the last word does not catch a WRITE that passed the READ
+//!   and stalled before the end.) Internal nodes, which are rewritten
+//!   without a lock word, are read the same way.
+//! * **A leaf split is the insert that found the leaf full, in six round
+//!   trips.** Splits take a tree-wide structure-modification (SMO) lock
+//!   in DSM — simpler than Sherman's fine-grained scheme and rare enough
+//!   under point workloads. The splitter keeps its leaf lock, with the
+//!   new key already in the half that covers it: acquire; {CAS SMO, READ
+//!   root pointer, WRITE right half}; READ the level-1 parent; {WRITE left
+//!   half, WRITE unlock}; WRITE parent; WRITE SMO unlock. Internal nodes
+//!   change only under SMO, so the parent READ there is exact: at the
+//!   address the handle's cache routed through, if it is still level 1,
+//!   covers the key, routes it to the leaf and has room; else the path is
+//!   read from the root pointer, and full ancestors split on the way up
+//!   (eleven round trips when the parent splits too). Nobody takes a leaf
+//!   lock while holding SMO, so the lock order is leaf → SMO everywhere
+//!   and a splitter waits for SMO without risk of deadlock. A split that
+//!   fails after the left half landed leaves the right half reachable
+//!   only through `next`; the next split of it names it in the level
+//!   above first.
 //!
 //! **What shares a doorbell and what does not.** Members whose order
 //! matters address the same memory node (a node's lock word and its
-//! image), where one queue pair keeps them in order. Publication steps
-//! that cross nodes — the new right sibling before the left's `next`, a
-//! node before the parent entry or root pointer that names it — stay
-//! separate round trips.
+//! image), where one queue pair keeps them in order. A new node that
+//! nothing names yet may ride any doorbell before the one that names it
+//! (the right half rides the SMO lock's CAS). Publication steps that
+//! cross nodes — the right half before the left's `next`, a node before
+//! the parent entry or root pointer that names it — stay separate round
+//! trips.
 //!
 //! Node layout (fixed `NODE_SIZE` bytes in DSM):
 //!
 //! ```text
 //! [lock][version][meta: level|nkeys][fence_low][fence_high][next]
-//! [keys; FANOUT][vals_or_children; FANOUT][version]
+//! [keys; FANOUT][vals_or_children; FANOUT][check]
 //! ```
 
 use std::collections::HashMap;
@@ -67,7 +87,20 @@ const OFF_FENCE_HIGH: usize = 32;
 const OFF_NEXT: usize = 40;
 const OFF_KEYS: usize = 48;
 const OFF_VALS: usize = 48 + FANOUT * 8;
-const OFF_VERSION_REAR: usize = 48 + FANOUT * 16;
+const OFF_CHECK: usize = 48 + FANOUT * 16;
+
+/// The check word of an encoded node: a hash of every word from the
+/// version up to the check word itself, each word weighted by an odd
+/// factor of its own so that moving a word to another slot changes it.
+/// The products are independent, so the sum costs about one multiply
+/// per word, not a chain of them.
+fn check_word(buf: &[u8; NODE_SIZE]) -> u64 {
+    let sum = buf[OFF_VERSION..OFF_CHECK].chunks_exact(8).zip(1u64..).fold(0u64, |sum, (w, i)| {
+        let factor = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        sum.wrapping_add(u64::from_le_bytes(w.try_into().unwrap()).wrapping_mul(factor))
+    });
+    sum ^ (sum >> 29)
+}
 
 /// Local decoded image of a remote node.
 #[derive(Debug, Clone, Copy)]
@@ -100,11 +133,11 @@ impl Node {
         }
     }
 
-    /// `None` for a torn image: one whose two version copies differ
-    /// because a WRITE of the node was landing while it was read.
+    /// `None` for a torn image: one that fails its check word because a
+    /// WRITE of the node was landing while it was read.
     fn decode(buf: &[u8; NODE_SIZE]) -> Option<Node> {
         let u = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        if u(OFF_VERSION) != u(OFF_VERSION_REAR) {
+        if u(OFF_CHECK) != check_word(buf) {
             return None;
         }
         let meta = u(OFF_META);
@@ -134,12 +167,20 @@ impl Node {
             put(OFF_KEYS + i * 8, self.keys[i]);
             put(OFF_VALS + i * 8, self.vals[i]);
         }
-        put(OFF_VERSION_REAR, self.version);
+        let check = check_word(&buf);
+        buf[OFF_CHECK..].copy_from_slice(&check.to_le_bytes());
         buf
     }
 
     fn covers(&self, key: u64) -> bool {
         key >= self.fence_low && key < self.fence_high
+    }
+
+    /// Where to move right for a `key` at or past this node's upper fence
+    /// (Lehman–Yao): the right half of a split whose separator has not
+    /// reached the level above, or never will because the split failed.
+    fn right_of(&self, key: u64) -> Option<GlobalAddr> {
+        (key >= self.fence_high && self.next != 0).then(|| GlobalAddr::from_raw(self.next))
     }
 
     /// Child to follow for `key` (internal nodes). `keys[i]` is the lower
@@ -172,7 +213,8 @@ impl Node {
     }
 
     /// Move the upper half into a new right sibling and shrink this node
-    /// to the lower half; the sibling's `fence_low` is the separator.
+    /// to the lower half; the sibling's `fence_low` is the separator. The
+    /// caller points `next` at the sibling once it has an address.
     fn split_off(&mut self) -> Node {
         let mid = self.nkeys / 2;
         let mut right = Node::empty(self.level, self.keys[mid], self.fence_high);
@@ -318,8 +360,15 @@ impl RemoteBTree {
     /// missing; with the cache off, level by level from the root pointer.
     /// The leaf itself is not read — a level-1 node says its children are
     /// leaves — unless it is the root, whose level only its image tells;
-    /// that image is handed back.
-    fn descend(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Option<Node>)> {
+    /// that image is handed back. So is the level-1 node's address, on a
+    /// caching handle, for a split to start from.
+    ///
+    /// An internal node that does not cover `key` means a cached ancestor
+    /// is stale, or a split has not yet named (or never will name) its
+    /// right half in the level above: the cache is dropped, and the
+    /// descent moves right along `next` when `key` lies past the node,
+    /// else restarts from the root pointer.
+    fn descend(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Option<GlobalAddr>, Option<Node>)> {
         'restart: loop {
             let mut local = self.local.lock();
             let mut addr = match local.root {
@@ -333,8 +382,8 @@ impl RemoteBTree {
                 }
             };
             loop {
-                let route = |n: &Node| (n.covers(key), n.level, n.child_for(key));
-                let (covers, level, child) = match local.nodes.get(&addr.to_raw()) {
+                let route = |n: &Node| (n.covers(key), n.right_of(key), n.level, n.child_for(key));
+                let (covers, right, level, child) = match local.nodes.get(&addr.to_raw()) {
                     Some(node) => {
                         ep.charge_local(60); // local map probe + node touch
                         route(node)
@@ -342,7 +391,7 @@ impl RemoteBTree {
                     None => {
                         let node = self.read_node(ep, addr)?;
                         if node.level == 0 {
-                            return Ok((addr, Some(node)));
+                            return Ok((addr, None, Some(node)));
                         }
                         if self.cache_internal {
                             local.nodes.insert(addr.to_raw(), node);
@@ -351,12 +400,18 @@ impl RemoteBTree {
                     }
                 };
                 if !covers {
-                    drop(local);
-                    self.forget();
-                    continue 'restart;
+                    *local = Local::default();
+                    self.stats.lock().stale_retries += 1;
+                    match right {
+                        Some(right) => {
+                            addr = right;
+                            continue;
+                        }
+                        None => continue 'restart,
+                    }
                 }
                 if level == 1 {
-                    return Ok((child, None));
+                    return Ok((child, self.cache_internal.then_some(addr), None));
                 }
                 addr = child;
             }
@@ -366,18 +421,25 @@ impl RemoteBTree {
     /// Point lookup. One round trip on a warm cached path.
     pub fn search(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
         let _span = ep.span(Phase::IndexLookup);
+        let (mut addr, _, mut image) = self.descend(ep, key)?;
         loop {
-            let (addr, image) = self.descend(ep, key)?;
-            let leaf = match image {
+            let leaf = match image.take() {
                 Some(leaf) => leaf,
                 None => self.read_node(ep, addr)?,
             };
-            if leaf.level != 0 || !leaf.covers(key) {
-                self.forget();
-                continue;
+            if leaf.level == 0 && leaf.covers(key) {
+                self.stats.lock().searches += 1;
+                return Ok(leaf.slot_of(key).ok().map(|i| leaf.vals[i]));
             }
-            self.stats.lock().searches += 1;
-            return Ok(leaf.slot_of(key).ok().map(|i| leaf.vals[i]));
+            self.forget();
+            addr = match leaf.right_of(key).filter(|_| leaf.level == 0) {
+                Some(right) => right,
+                None => {
+                    let (addr, _, root_leaf) = self.descend(ep, key)?;
+                    image = root_leaf;
+                    addr
+                }
+            };
         }
     }
 
@@ -388,7 +450,7 @@ impl RemoteBTree {
         let mut out = Vec::with_capacity(limit);
         // A stale path ends at or left of the covering leaf, and the
         // chain only runs right, so no fence check is needed here.
-        let (mut addr, mut image) = self.descend(ep, low)?;
+        let (mut addr, _, mut image) = self.descend(ep, low)?;
         loop {
             let leaf = match image.take() {
                 Some(leaf) => leaf,
@@ -409,8 +471,9 @@ impl RemoteBTree {
     /// The acquire doorbell: CAS the node's lock word with the READ of
     /// its image riding behind it. `None` if another writer holds it.
     fn acquire(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<Option<Node>> {
+        let _span = ep.span(Phase::LockAcquire);
         let mut buf = [0u8; NODE_SIZE];
-        let won = crate::lock_and_read(&self.layer, ep, addr, self.worker_tag, addr, &mut buf)?;
+        let won = crate::lock_and_read(&self.layer, ep, addr, self.worker_tag, addr, &mut buf, None)?;
         Ok(won.then(|| Node::decode(&buf).expect("image read under the node's lock is whole")))
     }
 
@@ -435,52 +498,65 @@ impl RemoteBTree {
     /// Give the lock (the node's first word) back leaving the node as it
     /// was.
     fn unlock(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<()> {
+        let _span = ep.span(Phase::LockAcquire);
         self.layer.write_u64(ep, addr, 0)
     }
 
-    /// Lock the leaf covering `key`; returns its address and the image
-    /// read under the lock. Every exit of the caller must `release` or
-    /// `unlock` it.
-    fn lock_leaf(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Node)> {
+    /// Lock the leaf covering `key`; returns its address, the level-1
+    /// node [`Self::descend`] came through, and the image read under the
+    /// lock. Every exit of the caller must `release` or `unlock` it.
+    fn lock_leaf(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Option<GlobalAddr>, Node)> {
+        let descend = || {
+            let _span = ep.span(Phase::IndexLookup);
+            self.descend(ep, key)
+        };
+        let (mut addr, mut parent, _) = descend()?;
         loop {
-            let (addr, _) = self.descend(ep, key)?;
             let Some(leaf) = self.acquire(ep, addr)? else {
                 std::hint::spin_loop();
                 continue;
             };
             if leaf.level == 0 && leaf.covers(key) {
-                return Ok((addr, leaf));
+                return Ok((addr, parent, leaf));
             }
-            // Raced a split, or the cached path is stale.
+            // Raced a split, or the cached path is stale: move right, or
+            // descend again.
             self.unlock(ep, addr)?;
             self.forget();
+            addr = match leaf.right_of(key).filter(|_| leaf.level == 0) {
+                Some(right) => right,
+                None => {
+                    let (addr, at, _) = descend()?;
+                    parent = at;
+                    addr
+                }
+            };
         }
     }
 
     /// Insert or update `key -> value`.
     pub fn insert(&self, ep: &Endpoint, key: u64, value: u64) -> DsmResult<()> {
-        loop {
-            let (addr, mut leaf) = self.lock_leaf(ep, key)?;
-            match leaf.slot_of(key) {
-                Ok(i) => leaf.vals[i] = value,
-                Err(pos) if leaf.nkeys < FANOUT => leaf.insert_at(pos, key, value),
-                Err(_) => {
-                    // Full: split under the SMO lock, then try again.
-                    self.unlock(ep, addr)?;
-                    self.split(ep, key)?;
-                    continue;
-                }
+        let _span = ep.span(Phase::Writeback);
+        let (addr, parent, mut leaf) = self.lock_leaf(ep, key)?;
+        match leaf.slot_of(key) {
+            Ok(i) => leaf.vals[i] = value,
+            Err(pos) if leaf.nkeys < FANOUT => leaf.insert_at(pos, key, value),
+            Err(_) => {
+                self.split(ep, addr, parent, leaf, key, value)?;
+                self.stats.lock().inserts += 1;
+                return Ok(());
             }
-            leaf.version += 1;
-            self.release(ep, addr, &leaf)?;
-            self.stats.lock().inserts += 1;
-            return Ok(());
         }
+        leaf.version += 1;
+        self.release(ep, addr, &leaf)?;
+        self.stats.lock().inserts += 1;
+        Ok(())
     }
 
     /// Remove `key`; returns whether it existed.
     pub fn remove(&self, ep: &Endpoint, key: u64) -> DsmResult<bool> {
-        let (addr, mut leaf) = self.lock_leaf(ep, key)?;
+        let _span = ep.span(Phase::Writeback);
+        let (addr, _, mut leaf) = self.lock_leaf(ep, key)?;
         let Ok(i) = leaf.slot_of(key) else {
             self.unlock(ep, addr)?;
             return Ok(false);
@@ -493,18 +569,64 @@ impl RemoteBTree {
         Ok(true)
     }
 
-    /// Split the leaf covering `key` (and its ancestors as needed),
-    /// serialized by the tree-wide SMO lock.
-    fn split(&self, ep: &Endpoint, key: u64) -> DsmResult<()> {
-        // The lock's CAS brings the root pointer beside it back with it.
+    /// Split the full leaf `left` at `leaf_addr`, which we hold locked,
+    /// with `key -> value` added to the half that covers it, and name the
+    /// new right half upward under the tree-wide SMO lock. The leaf lock
+    /// is kept throughout — nobody takes a leaf lock while holding SMO,
+    /// so waiting for SMO here cannot deadlock — and given back on every
+    /// way out. `parent` is the level-1 node the leaf was reached through.
+    fn split(
+        &self,
+        ep: &Endpoint,
+        leaf_addr: GlobalAddr,
+        parent: Option<GlobalAddr>,
+        mut left: Node,
+        key: u64,
+        value: u64,
+    ) -> DsmResult<()> {
+        let mut right = left.split_off();
+        let half = if key < right.fence_low { &mut left } else { &mut right };
+        let pos = half.slot_of(key).expect_err("a split key is new");
+        half.insert_at(pos, key, value);
+        let give_back = |e| {
+            let _ = self.unlock(ep, leaf_addr);
+            e
+        };
+        let right_addr = self.layer.alloc(NODE_SIZE as u64).map_err(give_back)?;
+        left.next = right_addr.to_raw();
+
+        // 1. One doorbell: the SMO lock's CAS, the root pointer beside it,
+        //    and the right half, which nothing names yet (a lost CAS is
+        //    posted again without it).
         let smo = self.meta.offset_by(8);
         let mut cell = [0u8; 16];
-        while !crate::lock_and_read(&self.layer, ep, smo, self.worker_tag, self.meta, &mut cell)? {
-            std::hint::spin_loop();
+        let right_image = right.encode();
+        let mut sibling = Some((right_addr, &right_image[..]));
+        {
+            let _span = ep.span(Phase::LockAcquire);
+            while !crate::lock_and_read(&self.layer, ep, smo, self.worker_tag, self.meta, &mut cell, sibling.take())
+                .map_err(give_back)?
+            {
+                std::hint::spin_loop();
+            }
         }
         let root = GlobalAddr::from_raw(u64::from_le_bytes(cell[..8].try_into().unwrap()));
-        let result = self.split_locked(ep, key, root);
-        let unlocked = self.layer.write_u64(ep, smo, 0);
+        let result = (|| {
+            // 2. The path to the leaf; 3. the left half, naming the right
+            //    one, with the unlock behind it. If a later step fails,
+            //    readers and writers move right to the right half, and
+            //    its next split names it in the level above.
+            let mut path = self.path_to(ep, key, root, parent, leaf_addr, left.fence_low).map_err(give_back)?;
+            self.release(ep, leaf_addr, &left)?;
+            self.stats.lock().splits += 1;
+            // 4. The separator upward.
+            self.install(ep, &mut path, leaf_addr, 0, right.fence_low, right_addr).map(drop)
+        })();
+        // 5. The SMO unlock.
+        let unlocked = {
+            let _span = ep.span(Phase::LockAcquire);
+            self.layer.write_u64(ep, smo, 0)
+        };
         if result.is_err() {
             // Some of what we kept along the way may never have landed.
             *self.local.lock() = Local::default();
@@ -512,90 +634,124 @@ impl RemoteBTree {
         result.and(unlocked)
     }
 
-    fn split_locked(&self, ep: &Endpoint, key: u64, root: GlobalAddr) -> DsmResult<()> {
-        // READ the internal path from the root down. Internal nodes
-        // change only under the SMO lock we hold, so these images stay
-        // exact until we rewrite them, and are worth keeping.
-        let mut path: Vec<(GlobalAddr, Node)> = Vec::new();
-        let mut addr = root;
-        loop {
+    /// The internal path a split of the leaf at `leaf_addr` (lower fence
+    /// `low`, covering `key`) installs its separator along, READ under
+    /// the SMO lock. Internal nodes change only under it, so what is
+    /// read is exact. Just the level-1 `parent` when it is still level 1,
+    /// covers `key`, routes it to the leaf and has room; else the path
+    /// from `root`. If no parent names the leaf — it is the right half
+    /// of a split that failed before naming it — it is named first.
+    fn path_to(
+        &self,
+        ep: &Endpoint,
+        key: u64,
+        mut root: GlobalAddr,
+        parent: Option<GlobalAddr>,
+        leaf_addr: GlobalAddr,
+        low: u64,
+    ) -> DsmResult<Vec<(GlobalAddr, Node)>> {
+        let _span = ep.span(Phase::IndexLookup);
+        if let Some(addr) = parent {
             let node = self.read_node(ep, addr)?;
-            if node.level == 0 {
-                break; // the root is the leaf
-            }
-            self.remember(addr, &node);
-            path.push((addr, node));
-            addr = node.child_for(key);
-            if node.level == 1 {
-                break;
+            if node.level == 1 && node.covers(key) && node.child_for(key) == leaf_addr && node.nkeys < FANOUT {
+                return Ok(vec![(addr, node)]);
             }
         }
-        self.remember_root(root);
-
-        // Exclude concurrent leaf writers for the duration of the split.
-        let leaf_addr = addr;
-        let mut left = loop {
-            if let Some(leaf) = self.acquire(ep, leaf_addr)? {
-                break leaf;
+        loop {
+            let mut path = self.read_path(ep, &mut root, key)?;
+            let routed = path.last().map_or(root, |(_, node)| node.child_for(key));
+            if routed == leaf_addr {
+                return Ok(path);
             }
-            std::hint::spin_loop();
-        };
-        if left.nkeys < FANOUT {
-            return self.unlock(ep, leaf_addr); // someone else already split
+            if let Some(new_root) = self.install(ep, &mut path, routed, 0, low, leaf_addr)? {
+                root = new_root;
+            }
         }
-        // The right sibling first, and only then the left image that
-        // names it. The leaf lock is given back on every way out.
-        let right = left.split_off();
-        let mut right_addr = match self.publish(ep, &right) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = self.unlock(ep, leaf_addr);
-                return Err(e);
-            }
-        };
-        left.next = right_addr.to_raw();
-        self.release(ep, leaf_addr, &left)?;
-        self.stats.lock().splits += 1;
+    }
 
-        // Install the separator upward, splitting full ancestors.
-        let (mut left_addr, mut low, mut sep) = (leaf_addr, left.fence_low, right.fence_low);
-        let mut level = 0;
+    /// READ the internal path for `key` from `*root` down to level 1
+    /// (empty if the root is a leaf), keeping what it reads. A node that
+    /// does not cover `key` is the left half of a split that failed
+    /// before naming its right half in the level above: that is done
+    /// first, and the path read again.
+    fn read_path(&self, ep: &Endpoint, root: &mut GlobalAddr, key: u64) -> DsmResult<Vec<(GlobalAddr, Node)>> {
+        'read: loop {
+            let mut path = Vec::new();
+            let mut addr = *root;
+            loop {
+                let node = self.read_node(ep, addr)?;
+                if !node.covers(key) {
+                    let right = node.right_of(key).expect("an exact path moves only right");
+                    if let Some(new_root) = self.install(ep, &mut path, addr, node.level, node.fence_high, right)? {
+                        *root = new_root;
+                    }
+                    continue 'read;
+                }
+                if node.level == 0 {
+                    break; // the root is a leaf
+                }
+                self.remember(addr, &node);
+                path.push((addr, node));
+                addr = node.child_for(key);
+                if node.level == 1 {
+                    break;
+                }
+            }
+            self.remember_root(*root);
+            return Ok(path);
+        }
+    }
+
+    /// Name `right` (lower fence `sep`), the new right half of `left` at
+    /// `level`, in `path` — the exact internal path from the root down
+    /// to the level above — splitting full ancestors on the way up. If
+    /// the root split, or `left` was the root, a fresh root goes above
+    /// it; its address is returned.
+    fn install(
+        &self,
+        ep: &Endpoint,
+        path: &mut [(GlobalAddr, Node)],
+        mut left: GlobalAddr,
+        mut level: u32,
+        mut sep: u64,
+        mut right: GlobalAddr,
+    ) -> DsmResult<Option<GlobalAddr>> {
         for (parent_addr, parent) in path.iter_mut().rev() {
-            level = parent.level;
             if parent.nkeys < FANOUT {
-                parent.insert_child(sep, right_addr);
+                parent.insert_child(sep, right);
                 parent.version += 1;
                 self.layer.write(ep, *parent_addr, &parent.encode())?;
                 self.remember(*parent_addr, parent);
-                return Ok(());
+                return Ok(None);
             }
-            // Full too: split it, then add the separator to the half
-            // that now covers it.
+            // Full too: split it, add the separator to the half that now
+            // covers it, and carry the parent's own separator up.
             let mut right_parent = parent.split_off();
             let up_sep = right_parent.fence_low;
             if sep < up_sep {
-                parent.insert_child(sep, right_addr);
+                parent.insert_child(sep, right);
             } else {
-                right_parent.insert_child(sep, right_addr);
+                right_parent.insert_child(sep, right);
             }
-            right_addr = self.publish(ep, &right_parent)?;
+            let right_parent_addr = self.publish(ep, &right_parent)?;
+            parent.next = right_parent_addr.to_raw();
             self.layer.write(ep, *parent_addr, &parent.encode())?;
-            self.remember(right_addr, &right_parent);
+            self.remember(right_parent_addr, &right_parent);
             self.remember(*parent_addr, parent);
             self.stats.lock().splits += 1;
-            (left_addr, low, sep) = (*parent_addr, parent.fence_low, up_sep);
+            (left, level, sep, right) = (*parent_addr, parent.level, up_sep, right_parent_addr);
         }
 
-        // The root itself split: a fresh root above the two halves, then
-        // the root pointer.
-        let mut new_root = Node::empty(level + 1, low, u64::MAX);
-        new_root.insert_at(0, low, left_addr.to_raw());
-        new_root.insert_at(1, sep, right_addr.to_raw());
+        // `left` is the root: a fresh root above the two halves, then the
+        // root pointer. The root covers every key.
+        let mut new_root = Node::empty(level + 1, 0, u64::MAX);
+        new_root.insert_at(0, 0, left.to_raw());
+        new_root.insert_at(1, sep, right.to_raw());
         let new_root_addr = self.publish(ep, &new_root)?;
         self.layer.write_u64(ep, self.meta, new_root_addr.to_raw())?;
         self.remember(new_root_addr, &new_root);
         self.remember_root(new_root_addr);
-        Ok(())
+        Ok(Some(new_root_addr))
     }
 }
 
@@ -963,5 +1119,218 @@ mod tests {
         t.insert(&ep, leaf.fence_low + 9, 9).unwrap();
         assert_eq!(t.search(&ep, leaf.fence_low + 9).unwrap(), Some(9));
         assert_eq!(t.stats().splits, splits + 1);
+    }
+
+    /// A tree of `8 * k -> k` for k in 0..2 000, loaded in ascending
+    /// order: every leaf but the last is half full, with room for seven
+    /// keys after each of its own.
+    fn spaced_tree(profile: NetworkProfile) -> (Arc<DsmLayer>, RemoteBTree, GlobalAddr, Endpoint) {
+        let l = layer(profile);
+        let (t, meta) = RemoteBTree::create(&l, true, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 0..2_000u64 {
+            t.insert(&ep, 8 * k, k).unwrap();
+        }
+        (l, t, meta, ep)
+    }
+
+    /// Fill the half-full leaf `leaf` to the brim, one key after each of
+    /// its own.
+    fn fill(t: &RemoteBTree, ep: &Endpoint, leaf: &Node) {
+        assert_eq!(leaf.nkeys, FANOUT / 2);
+        for &k in &leaf.keys[..leaf.nkeys] {
+            t.insert(ep, k + 1, 0).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_cached_leaf_split_is_six_round_trips() {
+        let p = NetworkProfile::rdma_cx6();
+        let (l, t, meta, ep) = spaced_tree(p);
+        for k in 0..2_000u64 {
+            t.search(&ep, 8 * k).unwrap();
+        }
+        let local = 60 * root_of(&t, &ep).1.level as u64;
+        // {CAS leaf, READ leaf}; {CAS SMO, READ root pointer, WRITE right
+        // half}; READ parent; {WRITE left half, WRITE unlock}; WRITE
+        // parent; WRITE SMO unlock.
+        let split = p.atomic_cost_ns()
+            + p.atomic_unit_ns
+            + p.batched_cost_ns(NODE_SIZE)
+            + p.atomic_cost_ns()
+            + p.atomic_unit_ns
+            + p.batched_cost_ns(16)
+            + p.batched_cost_ns(NODE_SIZE)
+            + p.rw_cost_ns(NODE_SIZE)
+            + p.rw_cost_ns(NODE_SIZE)
+            + p.batched_cost_ns(8)
+            + p.rw_cost_ns(NODE_SIZE)
+            + p.rw_cost_ns(8);
+        assert_eq!(split, 10_760);
+        let leaves = leaves_of(&t, &ep);
+        // The new key falls in the left half, then in the right one.
+        for (at, slot) in [(leaves.len() / 3, 2), (2 * leaves.len() / 3, 6)] {
+            let (leaf_addr, leaf) = leaves[at];
+            fill(&t, &ep, &leaf);
+            let parent = t.descend(&ep, leaf.keys[0]).unwrap().1.unwrap();
+            assert!(t.read_node(&ep, parent).unwrap().nkeys < FANOUT, "the parent has room");
+            let key = leaf.keys[slot] + 2;
+            let before = t.stats();
+            assert_eq!(cost(&ep, || t.insert(&ep, key, 7).unwrap()), (6, 10, split + local));
+            assert_eq!((t.stats().splits, t.stats().inserts), (before.splits + 1, before.inserts + 1));
+            // The key is one READ away, and no lock outlives the split.
+            assert_eq!(cost(&ep, || t.search(&ep, key).unwrap()), (1, 1, p.rw_cost_ns(NODE_SIZE) + local));
+            assert_eq!(t.search(&ep, key).unwrap(), Some(7));
+            assert_eq!(t.read_node(&ep, leaf_addr).unwrap().lock, 0);
+            assert_eq!(l.read_u64(&ep, meta.offset_by(8)).unwrap(), 0);
+        }
+        assert_eq!(t.stats().stale_retries, 0);
+    }
+
+    #[test]
+    fn a_split_waits_for_smo_holding_only_its_leaf() {
+        let (l, t, meta, ep) = spaced_tree(NetworkProfile::zero());
+        let leaves = leaves_of(&t, &ep);
+        let (full_addr, full) = leaves[leaves.len() / 2];
+        let other = leaves[leaves.len() / 4].1;
+        fill(&t, &ep, &full);
+        let key = full.keys[3] + 2;
+        // Hold the SMO lock by hand.
+        let smo = meta.offset_by(8);
+        l.write_u64(&ep, smo, 99).unwrap();
+        std::thread::scope(|s| {
+            let splitter = s.spawn(|| {
+                let t = RemoteBTree::open(&l, meta, true, 2);
+                t.insert(&l.fabric().endpoint(), key, 5).unwrap();
+            });
+            // The splitter takes its leaf, then waits for SMO.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while t.read_node(&ep, full_addr).unwrap().lock != 2 {
+                assert!(std::time::Instant::now() < deadline, "the splitter never took its leaf");
+                std::thread::yield_now();
+            }
+            for (addr, leaf) in leaves_of(&t, &ep) {
+                assert!(addr == full_addr || leaf.lock == 0, "leaf {addr} locked while SMO is held");
+            }
+            // Writers of every other leaf go on meanwhile.
+            t.insert(&ep, other.keys[0] + 1, 1).unwrap();
+            assert_eq!(t.search(&ep, other.keys[0] + 1).unwrap(), Some(1));
+            assert!(!splitter.is_finished());
+            l.write_u64(&ep, smo, 0).unwrap();
+            splitter.join().unwrap();
+        });
+        assert_eq!(t.search(&ep, key).unwrap(), Some(5));
+        assert_eq!(l.read_u64(&ep, smo).unwrap(), 0);
+        for (addr, leaf) in leaves_of(&t, &ep) {
+            assert_eq!(leaf.lock, 0, "leaf {addr} still locked");
+        }
+    }
+
+    /// Run `op` on a thread of its own; fail if it has not returned
+    /// within `secs` seconds (the thread is left spinning).
+    fn within(secs: u64, op: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            op();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("did not return within {secs} s"),
+            outcome => outcome.expect("the operation panicked"),
+        }
+    }
+
+    #[test]
+    fn a_split_stopped_before_its_parent_write_leaves_a_tree_that_moves_right() {
+        let (l, t, meta, ep) = spaced_tree(NetworkProfile::zero());
+        // By hand, what a split that failed after releasing the left half
+        // leaves: the right half published and named by the left one's
+        // `next` and lower fence, and no entry in the parent.
+        let leaves = leaves_of(&t, &ep);
+        let (left_addr, mut left) = leaves[leaves.len() / 2];
+        let right = left.split_off();
+        left.next = t.publish(&ep, &right).unwrap().to_raw();
+        l.write(&ep, left_addr, &left.encode()).unwrap();
+        let moved = right.keys[..right.nkeys].to_vec();
+        let low = right.fence_low;
+        let splits = t.stats().splits;
+
+        // Readers and writers of the right half finish, on handles whose
+        // cached path routes to the left half and on fresh ones alike.
+        let l2 = l.clone();
+        within(3, move || {
+            let t = RemoteBTree::open(&l2, meta, true, 2);
+            let ep = l2.fabric().endpoint();
+            for &k in &moved {
+                assert_eq!(t.search(&ep, k).unwrap(), Some(k / 8));
+            }
+            // Fill the right half until it splits: that split names it in
+            // the level above first.
+            for (i, &k) in moved.iter().enumerate() {
+                for d in 1..8 {
+                    t.insert(&ep, k + d, i as u64).unwrap();
+                }
+            }
+            assert!(t.stats().splits > 0);
+        });
+        assert!(t.search(&ep, low).unwrap() == Some(low / 8));
+        assert!(t.stats().splits == splits);
+
+        // Named now: a fresh handle finds every key with no fence miss.
+        let fresh = RemoteBTree::open(&l, meta, true, 3);
+        for k in 0..2_000u64 {
+            assert_eq!(fresh.search(&ep, 8 * k).unwrap(), Some(k), "key {}", 8 * k);
+        }
+        assert_eq!(fresh.stats().stale_retries, 0);
+        let routes_to_right = leaves_of(&t, &ep).iter().any(|(_, leaf)| leaf.fence_low == low);
+        assert!(routes_to_right);
+        let (_, parent, _) = fresh.descend(&ep, low).unwrap();
+        let parent = fresh.read_node(&ep, parent.unwrap()).unwrap();
+        assert!(parent.keys[..parent.nkeys].contains(&low), "the parent names the right half");
+    }
+
+    #[test]
+    fn a_read_that_a_write_overtook_is_posted_again() {
+        // One leaf, one writer shifting its keys and values back and
+        // forth, two readers for one second. A READ and a WRITE of the
+        // leaf run word by word; with a version copy in place of the
+        // check word, ~100 of 2.9 M reads here returned a key paired with
+        // its neighbour's value, or no key at all.
+        let l = layer(NetworkProfile::zero());
+        let (t, meta) = RemoteBTree::create(&l, true, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 1..=8u64 {
+            t.insert(&ep, 10 * k, k).unwrap();
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let wrong = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for r in 0..2u64 {
+                let (l, stop, wrong) = (l.clone(), &stop, &wrong);
+                s.spawn(move || {
+                    let t = RemoteBTree::open(&l, meta, true, 20 + r);
+                    let ep = l.fabric().endpoint();
+                    while !stop.load(Ordering::Relaxed) {
+                        for k in 2..=8u64 {
+                            if t.search(&ep, 10 * k).unwrap() != Some(k) {
+                                wrong.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+            let (l, stop) = (l.clone(), &stop);
+            s.spawn(move || {
+                let t = RemoteBTree::open(&l, meta, true, 10);
+                let ep = l.fabric().endpoint();
+                while !stop.load(Ordering::Relaxed) {
+                    t.insert(&ep, 15, 0).unwrap();
+                    assert!(t.remove(&ep, 15).unwrap());
+                }
+            });
+            std::thread::sleep(std::time::Duration::from_secs(1));
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(wrong.load(Ordering::Relaxed), 0);
     }
 }

@@ -26,13 +26,22 @@
 //!   its version is the one read under the lock, writes the entries that
 //!   now name the sibling with the version behind them, and writes a
 //!   whole directory only when doubling.
+//! * **A split finishes the put that found the bucket full** — the key
+//!   goes into the rewritten half that covers it (over its own slot if a
+//!   racing put landed it first), so a split that does not double is six
+//!   round trips: READ bucket; {CAS directory lock, READ meta}; {CAS
+//!   header, READ bucket}; {WRITE sibling, WRITE bucket, WRITE header};
+//!   {WRITE entries, WRITE directory version}; {WRITE meta version, WRITE
+//!   unlock}. If the key's half is full, or the snapshot holds a free or
+//!   reserved slot, the put retries.
 //!
 //! **What shares a doorbell and what does not.** Members whose order
 //! matters address the same memory node: a bucket and its header, the
-//! words of one slot, the directory lock and the meta cell, directory
-//! entries and the directory version. Publication steps that cross nodes
-//! — sibling bucket before the directory entry that names it, directory
-//! before `meta` — stay separate round trips.
+//! words of one slot, the directory lock and the meta cell (the meta
+//! version before the directory lock's release), directory entries and
+//! the directory version. Publication steps that cross nodes — sibling
+//! bucket before the directory entry that names it, directory before
+//! `meta` — stay separate round trips.
 //!
 //! Limitations mirroring RACE's scope: keys are nonzero `u64` (0 marks an
 //! empty slot), values are `u64`, and deletes tombstone the slot. A slot
@@ -331,13 +340,26 @@ impl RaceHash {
         Ok(bucket.find(key).map(|s| bucket.value(s)))
     }
 
+    /// [`Self::locate`] for a writer, charged to the index lookup.
+    fn locate_for_write(&self, ep: &Endpoint, key: u64) -> DsmResult<(GlobalAddr, Bucket)> {
+        let _span = ep.span(Phase::IndexLookup);
+        self.locate(ep, key, false)
+    }
+
+    /// Refresh the directory after a write raced a split.
+    fn refetch_dir(&self, ep: &Endpoint) -> DsmResult<()> {
+        let _span = ep.span(Phase::IndexLookup);
+        self.fetch_dir(ep).map(drop)
+    }
+
     /// Insert (or update) `key -> value`.
     pub fn put(&self, ep: &Endpoint, key: u64, value: u64) -> DsmResult<()> {
+        let _span = ep.span(Phase::Writeback);
+        let bytes = value.to_le_bytes();
         loop {
-            let (bucket_addr, bucket) = self.locate(ep, key, false)?;
+            let (bucket_addr, bucket) = self.locate_for_write(ep, key)?;
             let header = bucket.header();
             let slot_addr = |s: usize| bucket_addr.offset_by((SLOT0 + s * 16) as u64);
-            let value = value.to_le_bytes();
             let mut after = [0u8; 8];
             if let Some(s) = bucket.find(key) {
                 // Update in place. A concurrent split may have copied the
@@ -345,20 +367,23 @@ impl RaceHash {
                 self.layer.doorbell(
                     ep,
                     &mut [
-                        GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &value },
+                        GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes },
                         GlobalWr::Read { addr: bucket_addr, dst: &mut after },
                     ],
                 )?;
                 if word(&after, 0) == header {
                     return Ok(());
                 }
-                self.fetch_dir(ep)?;
+                self.refetch_dir(ep)?;
                 continue;
             }
             let free = (0..BUCKET_SLOTS).find(|&s| matches!(bucket.key(s), 0 | TOMBSTONE));
             let Some(s) = free else {
-                // Bucket full: split it, then retry.
-                self.split_bucket(ep, key, bucket_addr, header)?;
+                // Bucket full: split it with the key in the half that
+                // covers it; retry only if the split could not place it.
+                if self.split_bucket(ep, key, value, bucket_addr, header)? {
+                    return Ok(());
+                }
                 continue;
             };
             // Reserve the key word by CAS, write the value under the
@@ -367,7 +392,11 @@ impl RaceHash {
             // loser's CAS fails before it ever touches the value
             // word, and readers match neither RESERVED nor 0.
             let old_k = bucket.key(s);
-            if self.layer.cas(ep, slot_addr(s), old_k, RESERVED)? != old_k {
+            let claimed = {
+                let _span = ep.span(Phase::LockAcquire);
+                self.layer.cas(ep, slot_addr(s), old_k, RESERVED)? == old_k
+            };
+            if !claimed {
                 continue; // lost the slot race; retry from the bucket read
             }
             // Validate against a concurrent split. The splitter
@@ -380,7 +409,7 @@ impl RaceHash {
             self.layer.doorbell(
                 ep,
                 &mut [
-                    GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &value },
+                    GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes },
                     GlobalWr::Write { addr: slot_addr(s), src: &key.to_le_bytes() },
                     GlobalWr::Read { addr: bucket_addr, dst: &mut after },
                 ],
@@ -388,15 +417,19 @@ impl RaceHash {
             if word(&after, 0) == header {
                 return Ok(());
             }
-            let _ = self.layer.cas(ep, slot_addr(s), key, 0)?;
-            self.fetch_dir(ep)?;
+            {
+                let _span = ep.span(Phase::LockAcquire);
+                self.layer.cas(ep, slot_addr(s), key, 0)?;
+            }
+            self.refetch_dir(ep)?;
         }
     }
 
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, ep: &Endpoint, key: u64) -> DsmResult<bool> {
+        let _span = ep.span(Phase::Writeback);
         loop {
-            let (bucket_addr, bucket) = self.locate(ep, key, false)?;
+            let (bucket_addr, bucket) = self.locate_for_write(ep, key)?;
             let Some(s) = bucket.find(key) else {
                 return Ok(false);
             };
@@ -420,33 +453,49 @@ impl RaceHash {
             }
             // Raced a split: the rewritten image may have resurrected the
             // key; retry the delete against the fresh layout.
-            self.fetch_dir(ep)?;
+            self.refetch_dir(ep)?;
         }
     }
 
     /// Split `bucket`, which the caller found full of live keys under the
     /// stable `header` and which `key` hashes to, doubling the directory
-    /// if its local depth equals the global depth. Serialized by the
+    /// if its local depth equals the global depth, and place `key ->
+    /// value` in the rewritten half that covers it. Serialized by the
     /// directory lock in DSM, whose CAS brings the meta cell back with it.
-    fn split_bucket(&self, ep: &Endpoint, key: u64, bucket: GlobalAddr, header: u64) -> DsmResult<()> {
+    /// Returns whether the key was placed: not if the split found the
+    /// bucket changed, or the key's half full.
+    fn split_bucket(&self, ep: &Endpoint, key: u64, value: u64, bucket: GlobalAddr, header: u64) -> DsmResult<bool> {
         let lock = self.meta.offset_by(META_LOCK);
         let mut meta = [0u8; META_SIZE];
-        while !crate::lock_and_read(&self.layer, ep, lock, self.worker_tag, self.meta, &mut meta)? {
-            std::hint::spin_loop();
+        {
+            let _span = ep.span(Phase::LockAcquire);
+            while !crate::lock_and_read(&self.layer, ep, lock, self.worker_tag, self.meta, &mut meta, None)? {
+                std::hint::spin_loop();
+            }
         }
-        let result = self.split_bucket_locked(ep, key, bucket, header, &meta);
-        let unlocked = self.layer.write_u64(ep, lock, 0);
-        result.and(unlocked)
+        let split = self.split_bucket_locked(ep, key, value, bucket, header, &meta);
+        if let Ok(Some(placed)) = split {
+            return Ok(placed); // the unlock rode the publication
+        }
+        let unlocked = {
+            let _span = ep.span(Phase::LockAcquire);
+            self.layer.write_u64(ep, lock, 0)
+        };
+        split.and(unlocked).map(|()| false)
     }
 
+    /// The split itself, under the directory lock. `Some(placed)` once
+    /// it is published, which also gave the lock back; `None` if it
+    /// changed nothing and the lock is still held.
     fn split_bucket_locked(
         &self,
         ep: &Endpoint,
         key: u64,
+        value: u64,
         bucket: GlobalAddr,
         header: u64,
         meta: &[u8; META_SIZE],
-    ) -> DsmResult<()> {
+    ) -> DsmResult<Option<bool>> {
         // The authoritative directory: ours, if its version is the one
         // `meta` showed under the lock; else the one `meta` points at.
         let dir_addr = GlobalAddr::from_raw(word(meta, META_DIR as usize));
@@ -454,13 +503,14 @@ impl RaceHash {
         let dir = match cached {
             Some(dir) if dir.version == word(meta, 0) => dir,
             _ => {
+                let _span = ep.span(Phase::IndexLookup);
                 let depth = word(meta, META_DIR as usize + 8) as u32;
                 let dir = self.read_dir(ep, dir_addr, depth)?;
                 self.install(dir.expect("meta cell read under the directory lock is whole"))
             }
         };
         if dir.bucket_for(key) != bucket {
-            return Ok(()); // split since the caller looked
+            return Ok(None); // split since the caller looked
         }
         let local_depth = header_depth(header);
         let doubling = local_depth == dir.depth;
@@ -473,25 +523,30 @@ impl RaceHash {
         // snapshot is included in the images we write.
         let mut old = Bucket::zeroed();
         let mut prev = !header;
-        let announced = self.layer.doorbell(
-            ep,
-            &mut [
-                GlobalWr::Cas { addr: bucket, expected: header, new: header + 1, prev: &mut prev },
-                GlobalWr::Read { addr: bucket, dst: &mut old.0 },
-            ],
-        );
+        let announced = {
+            let _span = ep.span(Phase::LockAcquire);
+            self.layer.doorbell(
+                ep,
+                &mut [
+                    GlobalWr::Cas { addr: bucket, expected: header, new: header + 1, prev: &mut prev },
+                    GlobalWr::Read { addr: bucket, dst: &mut old.0 },
+                ],
+            )
+        };
         // Put the stable header back on the ways out that change nothing.
         let restore = |e| {
+            let _span = ep.span(Phase::LockAcquire);
             let _ = self.layer.write_u64(ep, bucket, header);
             e
         };
         if prev != header {
-            return announced; // split since the caller looked
+            return announced.map(|()| None); // split since the caller looked
         }
         announced.map_err(restore)?;
         // Re-check fullness (writers may have undone entries).
         if (0..BUCKET_SLOTS).any(|s| is_reserved_key(old.key(s))) {
-            return self.layer.write_u64(ep, bucket, header);
+            let _span = ep.span(Phase::LockAcquire);
+            return self.layer.write_u64(ep, bucket, header).map(|()| None);
         }
 
         // New sibling bucket at local_depth + 1.
@@ -515,6 +570,13 @@ impl RaceHash {
                 old.set_slot(s, 0, 0);
             }
         }
+        // The caller's key goes where a racing put already landed it, or
+        // in the first free slot of its half.
+        let half = if hash(key) & split_bit != 0 { &mut new } else { &mut old };
+        let slot = half.find(key).or_else(|| half.find(0));
+        if let Some(s) = slot {
+            half.set_slot(s, key, value);
+        }
         self.layer.doorbell(
             ep,
             &mut [
@@ -526,8 +588,9 @@ impl RaceHash {
 
         // Point the directory entries that named the old bucket and map
         // hashes with the split bit set at the sibling, and publish:
-        // directory, then `meta`. Readers stay safe in between: they
-        // re-check local depth and pattern against the bucket they reach.
+        // directory, then `meta` with the directory lock's release behind
+        // it. Readers stay safe in between: they re-check local depth and
+        // pattern against the bucket they reach.
         let mut next = Dir {
             version: dir.version + 1,
             depth: dir.depth + doubling as u32,
@@ -543,6 +606,7 @@ impl RaceHash {
             next.entries[i] = sibling.to_raw();
         }
         let version = next.version.to_le_bytes();
+        let unlock = GlobalWr::Write { addr: self.meta.offset_by(META_LOCK), src: &[0u8; 8] };
         match new_dir_addr {
             Some(new_dir_addr) => {
                 self.layer.write(ep, new_dir_addr, &next.encode())?;
@@ -552,6 +616,7 @@ impl RaceHash {
                     &mut [
                         GlobalWr::Write { addr: self.meta.offset_by(META_DIR), src: &at },
                         GlobalWr::Write { addr: self.meta, src: &version },
+                        unlock,
                     ],
                 )?;
             }
@@ -566,12 +631,12 @@ impl RaceHash {
                     .collect();
                 wrs.push(GlobalWr::Write { addr: dir_addr, src: &version });
                 self.layer.doorbell(ep, &mut wrs)?;
-                self.layer.write(ep, self.meta, &version)?;
+                self.layer.doorbell(ep, &mut [GlobalWr::Write { addr: self.meta, src: &version }, unlock])?;
             }
         }
         // Our cache is what we published.
         self.install(next);
-        Ok(())
+        Ok(Some(slot.is_some()))
     }
 
     /// Force a directory staleness check against DSM (handles that go
@@ -826,5 +891,74 @@ mod tests {
         });
         h0.refresh_if_stale(&ep).unwrap();
         assert!(h0.cache_bytes() >= 4 * depth_before, "the writers split and doubled under the readers");
+    }
+
+    #[test]
+    fn a_split_places_its_key_in_six_round_trips() {
+        let p = NetworkProfile::rdma_cx6();
+        let l = layer_on(p);
+        let (h, _) = RaceHash::create(&l, 2, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let keys = |pattern: u64, mask: u64| (1u64..).filter(move |&k| hash(k) & mask == pattern);
+        // Nine keys of bucket 0 split it and double the directory to depth
+        // 3; bucket 1 stays at local depth 2.
+        for k in keys(0, 3).take(BUCKET_SLOTS + 1) {
+            h.put(&ep, k, k).unwrap();
+        }
+        assert_eq!(h.cache_bytes(), dir_bytes(3) as usize);
+        // Fill bucket 1 half and half across the bit its split moves on.
+        for k in keys(1, 7).take(BUCKET_SLOTS / 2).chain(keys(5, 7).take(BUCKET_SLOTS / 2)) {
+            h.put(&ep, k, k).unwrap();
+        }
+        // READ bucket; {CAS directory lock, READ meta}; {CAS header, READ
+        // bucket}; {WRITE sibling, WRITE bucket, WRITE header}; {WRITE
+        // entry, WRITE directory version}; {WRITE meta version, WRITE
+        // unlock}.
+        let cas = p.atomic_cost_ns() + p.atomic_unit_ns;
+        let (word_rw, rider) = (p.rw_cost_ns(8), p.batched_cost_ns(8));
+        let split = 40
+            + p.rw_cost_ns(BUCKET_SIZE)
+            + cas
+            + p.batched_cost_ns(META_SIZE)
+            + cas
+            + p.batched_cost_ns(BUCKET_SIZE)
+            + p.rw_cost_ns(BUCKET_SIZE)
+            + p.batched_cost_ns(BUCKET_SIZE)
+            + rider
+            + 2 * (word_rw + rider);
+        assert_eq!(split, 11_061);
+        let key = keys(1, 7).nth(BUCKET_SLOTS / 2).unwrap();
+        assert_eq!(cost(&ep, || h.put(&ep, key, 77).unwrap()), (6, 12, split));
+        assert_eq!(h.cache_bytes(), dir_bytes(3) as usize, "the directory did not double");
+        assert!(!h.refresh_if_stale(&ep).unwrap(), "the cache is what the split published");
+        assert_eq!(h.get(&ep, key).unwrap(), Some(77));
+        for k in keys(1, 7).take(BUCKET_SLOTS / 2).chain(keys(5, 7).take(BUCKET_SLOTS / 2)) {
+            assert_eq!(h.get(&ep, k).unwrap(), Some(k), "key {k}");
+        }
+        let unlocked = l.read_u64(&ep, h.meta.offset_by(META_LOCK)).unwrap();
+        assert_eq!(unlocked, 0, "the directory lock rode the publication back");
+    }
+
+    #[test]
+    fn a_split_updates_a_key_a_racing_put_landed() {
+        let l = layer();
+        let (h, _) = RaceHash::create(&l, 2, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let full: Vec<u64> = (1u64..).filter(|&k| hash(k) & 3 == 1).take(BUCKET_SLOTS).collect();
+        for &k in &full {
+            h.put(&ep, k, k).unwrap();
+        }
+        // A put that found the bucket full of other keys, splitting it after
+        // a racing put landed its own key: the split writes the value over
+        // that slot rather than a second copy.
+        let (bucket, image) = h.locate(&ep, full[3], false).unwrap();
+        assert!(h.split_bucket(&ep, full[3], 99, bucket, image.header()).unwrap());
+        assert_eq!(h.get(&ep, full[3]).unwrap(), Some(99));
+        let (_, b) = h.locate(&ep, full[3], false).unwrap();
+        let copies = (0..BUCKET_SLOTS).filter(|&s| b.key(s) == full[3]).count();
+        assert_eq!(copies, 1);
+        for &k in full.iter().filter(|&&k| k != full[3]) {
+            assert_eq!(h.get(&ep, k).unwrap(), Some(k), "key {k}");
+        }
     }
 }

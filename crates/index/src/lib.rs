@@ -13,13 +13,16 @@
 //!   caches all internal nodes into local memory, which consumes more
 //!   memory"). A warm search is one round trip — the leaf READ, reached
 //!   through the cached root address and a level word that tells a cached
-//!   node its children are leaves — and an insert is two doorbells. With
-//!   the cache off it doubles as the naive remote B+tree baseline of
-//!   experiment **C9**.
+//!   node its children are leaves — and an insert is two doorbells. A
+//!   leaf split is part of the insert that found the leaf full: six round
+//!   trips in all, the leaf lock kept throughout. With the cache off it
+//!   doubles as the naive remote B+tree baseline of experiment **C9**.
 //! * [`hash::RaceHash`] — a RACE-style \[76\] extendible hash: a lookup
 //!   is one round trip (bucket READ and seqlock re-read in one doorbell),
 //!   inserts with slot-CAS, lock-free on the fast path, directory cached
-//!   locally as one shared image and refreshed by version.
+//!   locally as one shared image and refreshed by version. A bucket split
+//!   places the key of the put that found the bucket full: six round
+//!   trips in all when the directory does not double.
 //! * [`lsm::RemoteLsm`] — an LSM over the local/remote hierarchy (§6:
 //!   "LSM-trees can hold filters and fence pointers in compute nodes as
 //!   they help protect from unnecessary round trips"), with compaction
@@ -33,7 +36,8 @@
 //! queue pair, so members whose order matters address the same memory
 //! node — a lock word and the image it guards, a bucket and its header,
 //! the words of one slot. A publication step that crosses nodes (a new
-//! node before the pointer that names it) stays a round trip of its own.
+//! node before the pointer that names it) stays a round trip of its own;
+//! a new node that nothing names yet may ride an earlier doorbell.
 
 pub mod bloom;
 pub mod btree;
@@ -51,9 +55,11 @@ use rdma_sim::Endpoint;
 /// The acquire doorbell both structures lock with: CAS the word at `lock`
 /// from 0 to `tag`, with the READ of `dst.len()` bytes at `image` — on
 /// the same memory node, so it executes after the CAS — riding behind
-/// it. Returns whether the lock was won; `dst` was then read under it. If
-/// the doorbell fails after the CAS won, the lock is given back before
-/// the error is returned.
+/// it, and then the WRITE `rider`, if any: a new node that nothing names
+/// yet, so it may land whether or not the CAS wins. Returns whether the
+/// lock was won; `dst` was then read under it. If the doorbell fails
+/// after the CAS won, the lock is given back before the error is
+/// returned.
 pub(crate) fn lock_and_read(
     layer: &DsmLayer,
     ep: &Endpoint,
@@ -61,16 +67,16 @@ pub(crate) fn lock_and_read(
     tag: u64,
     image: GlobalAddr,
     dst: &mut [u8],
+    rider: Option<(GlobalAddr, &[u8])>,
 ) -> DsmResult<bool> {
     // Any value but 0: a CAS that never ran leaves it in place.
     let mut prev = u64::MAX;
-    let posted = layer.doorbell(
-        ep,
-        &mut [
-            GlobalWr::Cas { addr: lock, expected: 0, new: tag, prev: &mut prev },
-            GlobalWr::Read { addr: image, dst },
-        ],
-    );
+    let cas = GlobalWr::Cas { addr: lock, expected: 0, new: tag, prev: &mut prev };
+    let read = GlobalWr::Read { addr: image, dst };
+    let posted = match rider {
+        None => layer.doorbell(ep, &mut [cas, read]),
+        Some((addr, src)) => layer.doorbell(ep, &mut [cas, read, GlobalWr::Write { addr, src }]),
+    };
     if posted.is_err() && prev == 0 {
         let _ = layer.write_u64(ep, lock, 0);
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Seven gates read off five runs of the benchmark, one verdict each.
+# Eight gates read off five runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~20 verbs per txn, the workload on
@@ -85,6 +85,16 @@
 #    mirrors the unlocks again (24.34 when each went to both replicas)
 #    fails above VERB_LIMIT.
 #
+# From the same `index_probe` run as gate 4:
+#
+# 8. An index split finishes the insert that triggered it:
+#    `rdma-sim.wire_rts_per_txn`, exact on the sim clock (1.2934 at this
+#    seed: a lookup is one round trip, an insert two, a B+tree leaf split
+#    six and a RACE split that places its key six). A change that unlocks
+#    the full leaf and starts the insert over after the split (1.4733
+#    when a B+tree split cost 13 round trips and a RACE split 10) fails
+#    above INDEX_WIRE_RT_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per 1 s run, ~5 s for the
@@ -99,6 +109,7 @@ WIRE_RT_LIMIT=4
 VERB_LIMIT=21
 COHERENT_WIRE_RT_LIMIT=1.2
 INDEX_RT_LIMIT=1.1
+INDEX_WIRE_RT_LIMIT=1.35
 MSG_LIMIT=0.15
 CACHED_WIRE_RT_LIMIT=1.0
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
@@ -139,6 +150,7 @@ coherent_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run index_probe)"
 btree_rts="$(metric index.btree_sim_rts_per_search)"
 race_rts="$(metric index.race_sim_rts_per_get)"
+index_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run xshard_2pc)"
 msgs="$(metric rdma-sim.msgs_per_txn)"
 last_line="$(run thrash_mix)"
@@ -148,6 +160,7 @@ gate "verbs per txn on direct_rmw" "$verbs" "$VERB_LIMIT"
 gate "wire round trips per txn on coherent_rw" "$coherent_wire_rts" "$COHERENT_WIRE_RT_LIMIT"
 gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT_LIMIT"
 gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
+gate "wire round trips per txn on index_probe" "$index_wire_rts" "$INDEX_WIRE_RT_LIMIT"
 gate "messages per txn on xshard_2pc" "$msgs" "$MSG_LIMIT"
 gate "wire round trips per txn on thrash_mix" "$cached_wire_rts" "$CACHED_WIRE_RT_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
