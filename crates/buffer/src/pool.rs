@@ -25,7 +25,8 @@
 //! Multi-page entry points ([`BufferPool::read_pages`],
 //! [`BufferPool::write_pages`]) coalesce all remote traffic of a call into
 //! one doorbell per direction: one `write_batch` for every dirty victim
-//! (plus write-through propagation) and one `read_batch` for every fetch.
+//! (plus write-through propagation, and any WRITE of a page the caller
+//! posts without caching it) and one `read_batch` for every fetch.
 //! A read can also be taken in its two halves — [`BufferPool::resolve_reads`]
 //! serves the hits and reserves the misses, [`Fetch::complete`] posts and
 //! publishes — and between them the caller hands the fetch riders: work
@@ -199,9 +200,10 @@ impl Fetch<'_> {
     /// Post the fetch READs with `riders` behind them as one
     /// [`DsmLayer::doorbell`] (with none, as [`DsmLayer::read_batch`],
     /// whose READs alone fall back on per-address fail-over when a member
-    /// dies mid-group), then publish every page and copy it out to `dsts`:
-    /// one per page left to fetch, in request order. On an error the
-    /// frames are freed and nothing is copied.
+    /// dies mid-group; with no page left to fetch, the riders alone), then
+    /// publish every page and copy it out to `dsts`: one per page left to
+    /// fetch, in request order. On an error the frames are freed and
+    /// nothing is copied.
     pub fn complete<'d, 'r>(
         mut self,
         ep: &Endpoint,
@@ -625,7 +627,8 @@ impl BufferPool {
         riders: impl IntoIterator<Item = GlobalWr<'r>>,
         mut publish: impl FnMut(usize, &[u8]),
     ) -> DsmResult<()> {
-        if pending.is_empty() {
+        let mut riders = riders.into_iter().peekable();
+        if pending.is_empty() && riders.peek().is_none() {
             return Ok(());
         }
         {
@@ -643,7 +646,6 @@ impl BufferPool {
             }
         }
         {
-            let mut riders = riders.into_iter().peekable();
             let _span = ep.span(Phase::PageFetch);
             let fetched = if riders.peek().is_none() && pending.iter().all(|p| p.add.is_none()) {
                 let mut fetch: Vec<(GlobalAddr, &mut [u8])> = pending
@@ -730,7 +732,7 @@ impl BufferPool {
 
     /// Write `src` (a full page) to `addr` through the cache.
     pub fn write_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        self.write_pages(ep, &[(addr, src)])
+        self.write_pages(ep, &[(addr, src)], &[])
     }
 
     /// Make the cached copy of `addr` equal `src` (a full page) and leave
@@ -743,7 +745,7 @@ impl BufferPool {
     /// [`BufferPool::read_resident_set`] does not serve them.
     pub fn install_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8], holder: u64) -> DsmResult<()> {
         assert_ne!(holder, 0, "a hold needs a nonzero tag");
-        self.put_pages(ep, &[(addr, src)], Owes::Nothing(holder))
+        self.put_pages(ep, &[(addr, src)], Owes::Nothing(holder), &[])
     }
 
     /// End `holder`'s hold on `addr`'s frame. A frame since taken over by
@@ -760,21 +762,33 @@ impl BufferPool {
         }
     }
 
-    /// Write every full page in `reqs` through the cache. All remote
-    /// traffic of the call — dirty victim write-backs plus (in
-    /// write-through mode) the propagation of every page — goes out as one
-    /// doorbell group.
-    pub fn write_pages(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
+    /// Write every full page in `reqs` through the cache, and post
+    /// `uncached` — WRITEs of pages this pool does not cache, which no
+    /// frame takes — beside them. All remote traffic of the call — dirty
+    /// victim write-backs, (in write-through mode) the propagation of
+    /// every page, and `uncached` — goes out as one doorbell group.
+    pub fn write_pages(
+        &self,
+        ep: &Endpoint,
+        reqs: &[(GlobalAddr, &[u8])],
+        uncached: &[(GlobalAddr, &[u8])],
+    ) -> DsmResult<()> {
         let owes = match self.mode {
             WriteMode::WriteThrough => Owes::Now,
             WriteMode::WriteBack => Owes::Later,
         };
-        self.put_pages(ep, reqs, owes)
+        self.put_pages(ep, reqs, owes, uncached)
     }
 
     /// The write path: the frames take the pages of `reqs` and owe DSM
-    /// `owes` for them.
-    fn put_pages(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])], owes: Owes) -> DsmResult<()> {
+    /// `owes` for them; `uncached` rides the last doorbell.
+    fn put_pages(
+        &self,
+        ep: &Endpoint,
+        reqs: &[(GlobalAddr, &[u8])],
+        owes: Owes,
+        uncached: &[(GlobalAddr, &[u8])],
+    ) -> DsmResult<()> {
         let mut wbs: Vec<PendingWriteback> = Vec::new();
         let mut through: Vec<usize> = Vec::new();
         let mut i = 0;
@@ -784,10 +798,10 @@ impl BufferPool {
             match self.resolve_write(ep, i, reqs, owes, can_wait, &mut wbs, &mut through)? {
                 Step::Done => i += 1,
                 Step::Reserved(_) => unreachable!("write path fills frames locally"),
-                Step::MustFlush => self.complete_writes(ep, reqs, &mut wbs, &mut through)?,
+                Step::MustFlush => self.complete_writes(ep, reqs, &mut wbs, &mut through, &[])?,
             }
         }
-        self.complete_writes(ep, reqs, &mut wbs, &mut through)
+        self.complete_writes(ep, reqs, &mut wbs, &mut through, uncached)
     }
 
     /// The write-through path's frame half for a caller that holds
@@ -917,27 +931,29 @@ impl BufferPool {
     }
 
     /// Flush a write batch: victim write-backs first, then write-through
-    /// propagation (newer bytes), all in one doorbell group. If it fails,
-    /// the frames written through are dropped: a retry must not find the
-    /// bytes DSM never took.
+    /// propagation (newer bytes), then `uncached`, all in one doorbell
+    /// group. If it fails, the frames written through are dropped: a retry
+    /// must not find the bytes DSM never took.
     fn complete_writes(
         &self,
         ep: &Endpoint,
         reqs: &[(GlobalAddr, &[u8])],
         wbs: &mut Vec<PendingWriteback>,
         through: &mut Vec<usize>,
+        uncached: &[(GlobalAddr, &[u8])],
     ) -> DsmResult<()> {
-        if wbs.is_empty() && through.is_empty() {
+        if wbs.is_empty() && through.is_empty() && uncached.is_empty() {
             return Ok(());
         }
         let res = {
-            let mut remote: Vec<(GlobalAddr, &[u8])> = Vec::with_capacity(wbs.len() + through.len());
+            let mut remote: Vec<(GlobalAddr, &[u8])> = Vec::with_capacity(wbs.len() + through.len() + uncached.len());
             for w in wbs.iter() {
                 remote.push((GlobalAddr::from_raw(w.raw), &w.data[..]));
             }
             for &idx in through.iter() {
                 remote.push((reqs[idx].0, reqs[idx].1));
             }
+            remote.extend_from_slice(uncached);
             let _span = ep.span(Phase::Writeback);
             self.layer.write_batch(ep, &remote)
         };
@@ -1143,6 +1159,35 @@ mod tests {
         let mut direct = [0u8; 64];
         layer.read(&ep, addr, &mut direct).unwrap();
         assert_eq!(direct, [5u8; 64]);
+    }
+
+    /// A page the pool does not cache rides the write-through's doorbell
+    /// and takes no frame; if that doorbell fails, neither page lands and
+    /// the written frame is dropped.
+    #[test]
+    fn uncached_writes_ride_the_write_through_and_take_no_frame() {
+        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
+        let ep = f.endpoint();
+        let (cached, other) = (layer.alloc(64).unwrap(), layer.alloc(64).unwrap());
+        let direct = |addr| {
+            let mut page = [0u8; 64];
+            layer.read(&f.endpoint(), addr, &mut page).unwrap();
+            page[0]
+        };
+        pool.write_pages(&ep, &[(cached, &[5u8; 64])], &[(other, &[6u8; 64])]).unwrap();
+        let snap = ep.stats();
+        assert_eq!((snap.writes, snap.wire_round_trips()), (2, 1));
+        assert_eq!((direct(cached), direct(other)), (5, 6));
+        assert_eq!((pool.contains(cached), pool.contains(other)), (true, false));
+        // Alone, they still go out.
+        pool.write_pages(&ep, &[], &[(other, &[7u8; 64])]).unwrap();
+        assert_eq!((direct(other), pool.resident()), (7, 1));
+
+        layer.set_retry_policy(dsm::RetryPolicy::none());
+        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        assert!(pool.write_pages(&ep, &[(cached, &[8u8; 64])], &[(other, &[8u8; 64])]).is_err());
+        f.clear_fault_plan();
+        assert_eq!((direct(cached), direct(other), pool.contains(cached)), (5, 7, false));
     }
 
     #[test]
@@ -1499,13 +1544,13 @@ mod tests {
         let first: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
         let second: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
         let fill: Vec<(GlobalAddr, &[u8])> = first.iter().map(|a| (*a, &[7u8; 64][..])).collect();
-        pool.write_pages(&ep, &fill).unwrap();
+        pool.write_pages(&ep, &fill, &[]).unwrap();
         ep.reset();
         // Overwriting with 4 new pages evicts all 4 dirty pages; the
         // write-backs ride one doorbell (write-back mode: no other
         // remote traffic at all).
         let over: Vec<(GlobalAddr, &[u8])> = second.iter().map(|a| (*a, &[8u8; 64][..])).collect();
-        pool.write_pages(&ep, &over).unwrap();
+        pool.write_pages(&ep, &over, &[]).unwrap();
         let snap = ep.stats();
         assert_eq!(snap.writes, 4);
         assert_eq!(snap.wire_round_trips(), 1);

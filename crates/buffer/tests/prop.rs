@@ -181,7 +181,7 @@ proptest! {
                     .zip(pages.chunks_exact(PAGE))
                     .map(|(&(k, _), b)| (addr(k), b))
                     .collect();
-                pool.write_pages(&ep, &reqs).unwrap();
+                pool.write_pages(&ep, &reqs, &[]).unwrap();
                 for &(k, v) in &writes {
                     model.insert(k, v);
                 }

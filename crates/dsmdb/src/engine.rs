@@ -16,6 +16,12 @@
 //! coordinator's prepares and decisions in 3c — its [`NodeHandler`]
 //! answers on an endpoint of its own; a session only lends it its thread
 //! ([`Session::serve_pending`]), never its clock.
+//!
+//! A 3c session that coordinates a cross-shard transaction posts no verb
+//! of its own: it locks and stages its local part from its cache, ships
+//! the ops on the pages it does not have, and its last agent's one commit
+//! doorbell writes them all. The coordinator pays the message round and
+//! puts the committed pages in its cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,7 +40,7 @@ use txn::{
 use crate::coherence::{node_inbox_id, session_inbox_id, CoherentIo};
 use crate::config::{Architecture, CcProtocol, ClusterConfig};
 use crate::membership::Membership;
-use crate::node::{decode_reads, encode_prepare, NodeHandler, PageArena};
+use crate::node::{decode_reads, encode_prepare, encode_shipment, NodeHandler, PageArena};
 use crate::shard::ShardMap;
 
 /// Engine-level failures (everything else surfaces as [`TxnError`]).
@@ -528,12 +534,16 @@ impl Session {
     }
 
     /// Last-agent commit across shard owners (Samaras et al., ICDE 1993).
-    /// This session prepares its own part first, then every remote owner
-    /// but the last (one doorbell), and only if all of them voted yes hands
-    /// the last owner a `PrepareCommit`: that owner prepares and, if it
-    /// can, commits in the same message round, so its vote is the
-    /// decision. With one remote owner a transaction is two messages.
-    /// `remote` is sorted by owner and not empty.
+    /// This session stages its own part first, then prepares every remote
+    /// owner but the last (one doorbell), and only if all of them voted yes
+    /// hands the last owner a `PrepareCommit`: that owner prepares and, if
+    /// it can, commits in the same message round, so its vote is the
+    /// decision. The last owner also does this session's DSM work: it reads
+    /// the local pages that missed behind its own fetch and writes every
+    /// local page in its one commit doorbell, so this session posts no verb
+    /// and only puts the results in its pool. With one remote owner a
+    /// transaction is two messages. `remote` is sorted by owner and not
+    /// empty.
     fn coordinate_cross_shard(
         &mut self,
         local_ops: &[Op],
@@ -542,17 +552,12 @@ impl Session {
         let node = self.handler.clone().expect("3c handler");
         let txn_id = self.cluster.txn_ids.fetch_add(1, Ordering::Relaxed);
 
-        // Step 1: prepare the local part; the session's arena holds its
-        // staged writes until the decision.
+        // Step 1: lock and stage the local part; the session's arena holds
+        // its staged writes until the decision, and the ops on pages that
+        // missed are shipped to the last owner instead of fetched.
         let local_keys = distinct_keys(local_ops);
         node.lock(&self.ep, &local_keys, self.ep.trace_id())?;
-        let mut out = match node.exec(&self.ep, &mut self.arena, local_ops) {
-            Ok(out) => out,
-            Err(e) => {
-                node.locks.unlock_all(&local_keys);
-                return Err(e);
-            }
-        };
+        let (mut out, shipped) = node.stage(&self.ep, &mut self.arena, local_ops);
 
         // Step 2: every owner but the last prepares, one doorbell for all.
         // An owner the doorbell did not reach counts as a No vote.
@@ -564,41 +569,44 @@ impl Session {
                 (
                     node_inbox_id(*owner),
                     self.reply_id,
-                    self.prepare_msg(MsgKind::Prepare, txn_id, ops),
+                    self.prepare_msg(MsgKind::Prepare, txn_id, ops, &[], &[]),
                 )
             }))
             .unwrap_or(0);
-        let mut refused = ((delivered as usize) < remote.len()).then_some("owner-unreachable");
+        let unreachable = || TxnError::Aborted("owner-unreachable");
+        let mut failed = ((delivered as usize) < remote.len()).then(unreachable);
         for _ in 0..delivered {
             let vote = self.wait_reply(txn_id);
             if vote.kind != MsgKind::VoteYes {
-                refused.get_or_insert("remote-vote-no");
+                failed.get_or_insert(TxnError::Aborted("remote-vote-no"));
             }
             out.reads.extend(decode_reads(&vote.body));
         }
-        // Step 3: the last owner prepares and decides.
-        if refused.is_none() {
-            let msg = self.prepare_msg(MsgKind::PrepareCommit, txn_id, &last_ops);
+        // Step 3: the last owner prepares and decides, with this session's
+        // staged pages and shipped ops beside its own.
+        if failed.is_none() {
+            let msg = self.prepare_msg(MsgKind::PrepareCommit, txn_id, &last_ops, &node.staged(&self.arena), &shipped);
             match self.ep.send(node_inbox_id(last), self.reply_id, msg) {
-                Err(_) => refused = Some("owner-unreachable"),
+                Err(_) => failed = Some(unreachable()),
                 Ok(()) => {
                     let vote = self.wait_reply(txn_id);
                     if vote.kind != MsgKind::VoteYes {
-                        refused = Some("remote-vote-no");
+                        failed = Some(TxnError::Aborted("remote-vote-no"));
+                    } else {
+                        let holder = self.ep.trace_id();
+                        let taken = node.take_vote(&self.ep, &mut self.arena, &shipped, &vote.body, &mut out, holder);
+                        failed = taken.err();
                     }
-                    out.reads.extend(decode_reads(&vote.body));
                 }
             }
         }
         drop(prepare);
 
-        // Step 5: apply the decision here, then tell the owners of step 2.
+        // Step 5: tell the owners of step 2. A commit doorbell that did
+        // not land aborts them too, so nothing of the transaction applies.
         let _decide = self.ep.span(Phase::TwoPcDecide);
-        let (decision, applied) = match refused {
-            None => (MsgKind::Commit, node.write_back(&self.ep, &self.arena)),
-            Some(_) => (MsgKind::Abort, Ok(())),
-        };
         node.locks.unlock_all(&local_keys);
+        let decision = if failed.is_none() { MsgKind::Commit } else { MsgKind::Abort };
         let decided = self
             .ep
             .send_batch(remote.iter().map(|(owner, _)| {
@@ -612,17 +620,25 @@ impl Session {
         for _ in 0..decided {
             self.wait_reply(txn_id);
         }
-        applied?;
-        match refused {
+        match failed {
             None => Ok(out),
-            Some(why) => Err(TxnError::Aborted(why)),
+            Some(e) => Err(e),
         }
     }
 
     /// A prepare for `ops`, signed with this session's (node, epoch) —
-    /// owners fence stale epochs — and trace.
-    fn prepare_msg(&self, kind: MsgKind, txn_id: u64, ops: &[Op]) -> Vec<u8> {
-        let body = encode_prepare(self.epoch, self.node, self.ep.trace_id(), ops);
+    /// owners fence stale epochs — and trace, with the pages `images` this
+    /// session staged and the ops `shipped` on pages it did not have.
+    fn prepare_msg(
+        &self,
+        kind: MsgKind,
+        txn_id: u64,
+        ops: &[Op],
+        images: &[(dsm::GlobalAddr, &[u8])],
+        shipped: &[Op],
+    ) -> Vec<u8> {
+        let mut body = encode_prepare(self.epoch, self.node, self.ep.trace_id(), ops);
+        encode_shipment(&mut body, images, shipped);
         encode_2pc(kind, txn_id, &body)
     }
 
@@ -658,7 +674,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::CoherenceMode;
-    use crate::node::{decode_prepare, decode_subtxn, encode_reads, encode_subtxn};
+    use crate::node::{decode_prepare, decode_subtxn, decode_vote, encode_reads, encode_subtxn, encode_vote, PrepareBody};
     use rdma_sim::{NetworkProfile, StatsSnapshot};
 
     fn config(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) -> ClusterConfig {
@@ -711,10 +727,24 @@ mod tests {
             },
             Op::Rmw { key: 5, delta: -7 },
         ];
-        assert_eq!(decode_subtxn(&encode_subtxn(&ops)), ops);
+        let encoded = encode_subtxn(&ops);
+        assert_eq!(decode_subtxn(&encoded, 0), (ops.clone(), encoded.len()));
         let reads = vec![(1u64, vec![9u8; 16]), (2, vec![])];
         assert_eq!(decode_reads(&encode_reads(&reads)), reads);
-        assert_eq!(decode_prepare(&encode_prepare(7, 3, 99, &ops)), (7, 3, 99, ops));
+        let alone = PrepareBody { epoch: 7, node: 3, trace: 99, ops: ops.clone(), images: vec![], shipped: vec![] };
+        assert_eq!(decode_prepare(&encode_prepare(7, 3, 99, &ops)), alone);
+        // A last agent's prepare: the coordinator's staged page and
+        // shipped ops behind its own.
+        let page = dsm::GlobalAddr::new(1, 4096);
+        let mut body = encode_prepare(7, 3, 99, &ops[..1]);
+        encode_shipment(&mut body, &[(page, &[5u8; 16])], &ops[1..]);
+        let shipping = PrepareBody { ops: ops[..1].to_vec(), images: vec![(page, vec![5; 16])], shipped: ops[1..].to_vec(), ..alone };
+        assert_eq!(decode_prepare(&body), shipping);
+        let failed = Err(TxnError::NodeUnavailable { node: 9 });
+        for applied in [Ok(()), failed, Err(TxnError::Aborted("transient-fault"))] {
+            let (got, back) = decode_vote(&encode_vote(&applied, &reads));
+            assert_eq!((format!("{got:?}"), back), (format!("{applied:?}"), reads.clone()));
+        }
     }
 
     #[test]
@@ -1232,8 +1262,10 @@ mod tests {
 
     /// One remote owner: `PrepareCommit` out, the last agent's vote back,
     /// no decision and no ack, and the coordinator's clock is the cost
-    /// model's sum to the ns — owner page missed or hit, with or without a
-    /// local part.
+    /// model's sum to the ns — pages missed or hit, with or without a local
+    /// part. The coordinator posts no verb: the last agent reads its page
+    /// that missed behind its own fetch and writes it in its own commit
+    /// doorbell.
     #[test]
     fn one_remote_owner_is_two_messages_at_the_cost_the_model_gives() {
         use buffer::cost::{ATOMIC_NS, LOCK_NS, MAP_OP_NS};
@@ -1241,16 +1273,24 @@ mod tests {
         let lock = 50; // one key, local lock table
         let miss = MAP_OP_NS + LOCK_NS + MAP_OP_NS + p.rw_cost_ns(64) + ATOMIC_NS;
         let hit = MAP_OP_NS + ATOMIC_NS; // CLOCK: latch-free
-        let write_through = MAP_OP_NS + LOCK_NS + ATOMIC_NS + p.rw_cost_ns(64);
-        // 9 B header; 24 B signature + one Rmw out, one 64 B read back.
+        let stage = MAP_OP_NS + LOCK_NS + ATOMIC_NS; // a resident frame takes a page
+        let write_through = stage + p.rw_cost_ns(64);
+        let install_missed = miss - p.rw_cost_ns(64); // a frame taken, nothing fetched
+        // 9 B header; 24 B signature + one Rmw out (2 + 17 B); a shipment
+        // adds its staged pages (2 + 74 B each) and its shipped ops (2 +
+        // 17 B each). Back: 3 B outcome and the reads (2 + 74 B each).
         let prepare_commit = p.send_cost_ns(9 + 24 + 2 + 17);
-        let vote = p.send_cost_ns(9 + 2 + 10 + 64);
+        let shipping = p.send_cost_ns(9 + 24 + 2 + 17 + 2 + 2 + 17);
+        let staging = p.send_cost_ns(9 + 24 + 2 + 17 + 2 + 74 + 2);
+        let vote = |reads: usize| p.send_cost_ns(9 + 3 + 2 + 74 * reads);
         // Lock, page, epoch fence, write-through, all before the vote. The
-        // fence READ rides a missed page's fetch as a batched member
-        // (150 ns where alone it paid 1 600: 1 450 less); beside a hit it
-        // goes alone.
+        // fence READ rides a missed page's fetch as a batched member, and
+        // so does the READ of the coordinator's page that missed; beside a
+        // hit the fence goes alone. The coordinator's page rides the
+        // owner's write-through as a batched member.
         let owner_missed = lock + miss + p.batched_cost_ns(8) + write_through;
-        let owner_hit = lock + hit + p.rw_cost_ns(8) + write_through;
+        let owner_shipped = owner_missed + 2 * p.batched_cost_ns(64);
+        let owner_hit = lock + hit + p.rw_cost_ns(8) + write_through + p.batched_cost_ns(64);
 
         let cluster = shard_cluster(2);
         let transfer = [Op::Rmw { key: 1, delta: -10 }, Op::Rmw { key: 40, delta: 10 }];
@@ -1266,16 +1306,137 @@ mod tests {
             assert_eq!(s0.stats().cross_shard, 3);
             costs
         });
-        let miss_miss = lock + miss + prepare_commit + owner_missed + vote + write_through;
-        let hit_hit = lock + hit + prepare_commit + owner_hit + vote + write_through;
-        let shipped = prepare_commit + owner_missed + vote;
-        assert_eq!(costs, [(miss_miss, 1), (hit_hit, 1), (shipped, 1)]);
-        // 13 191, 9 897 and 9 798 while the fence was always read alone.
-        assert_eq!(costs.map(|c| c.0), [11_741, 9_897, 8_348]);
+        let miss_miss = lock + shipping + owner_shipped + vote(2) + install_missed;
+        let hit_hit = lock + hit + staging + owner_hit + vote(1) + stage;
+        let remote_only = prepare_commit + owner_missed + vote(1);
+        assert_eq!(costs, [(miss_miss, 1), (hit_hit, 1), (remote_only, 1)]);
+        // 11 741 and 9 897 while the coordinator fetched its page before
+        // the prepare and wrote it in a doorbell of its own after the vote.
+        assert_eq!(costs.map(|c| c.0), [8_787, 8_450, 8_348]);
         let (net, served) = owners[0];
         assert_eq!((net.recvs, net.sends, served), (3, 3, 3));
         assert_eq!(cluster.shard_residue(1), (0, 0));
         assert_eq!([1, 40, 41].map(|k| stored(&cluster, k)), [-20, 20, 7]);
+    }
+
+    /// The memory verbs `ep`'s flight ring holds, one doorbell per entry:
+    /// (kind, packed address) of each member, the leader first. On
+    /// `rdma_cx6` only a leader pays a full round trip.
+    fn doorbells(ep: &Endpoint) -> Vec<Vec<(rdma_sim::OpKind, u64)>> {
+        use rdma_sim::OpKind;
+        let round_trip = NetworkProfile::rdma_cx6().rt_latency_ns;
+        let mut out: Vec<Vec<(OpKind, u64)>> = Vec::new();
+        for e in ep.flight_events() {
+            if let rdma_sim::EventKind::Verb(kind @ (OpKind::Read | OpKind::Write | OpKind::Cas | OpKind::Faa)) = e.kind {
+                if e.dur_ns >= round_trip {
+                    out.push(Vec::new());
+                }
+                out.last_mut().expect("a doorbell starts with its leader").push((kind, e.addr));
+            }
+        }
+        out
+    }
+
+    /// `addr` packed as the flight recorder packs it.
+    fn packed(addr: dsm::GlobalAddr) -> u64 {
+        rdma_sim::recorder::pack_addr(addr.node(), addr.offset())
+    }
+
+    /// A transfer whose pages both miss: the coordinator sends its
+    /// `PrepareCommit` and posts nothing else. The last agent reads its own
+    /// page, the coordinator's epoch and the coordinator's page in one
+    /// doorbell, then writes both pages in one more; the coordinator's page
+    /// never enters its pool, and the coordinator's pool holds it after.
+    #[test]
+    fn a_coordinator_whose_pages_missed_posts_one_send_and_no_verb() {
+        use rdma_sim::OpKind::{Read, Write};
+        let cluster = shard_cluster(2);
+        let addr = |key| cluster.table().payload_addr(key, 0);
+        let handler = cluster.handler(1).unwrap();
+        handler.with_endpoint(|ep| ep.enable_flight_recorder(64));
+        let transfer = [Op::Rmw { key: 1, delta: -10 }, Op::Rmw { key: 40, delta: 10 }];
+        let ((before, after, out), _) = with_owners(&cluster, |s0| {
+            let before = s0.ep.stats();
+            let out = s0.execute(&transfer).unwrap();
+            (before, s0.ep.stats(), out)
+        });
+        let posted = [after.sends, after.reads, after.writes, after.cas, after.faa];
+        let posted_before = [before.sends, before.reads, before.writes, before.cas, before.faa];
+        assert_eq!(std::array::from_fn::<u64, 5, _>(|i| posted[i] - posted_before[i]), [1, 0, 0, 0, 0]);
+        let fence = cluster.membership().epoch_addr(0);
+        let expect = vec![
+            vec![(Read, packed(addr(40))), (Read, packed(fence)), (Read, packed(addr(1)))],
+            vec![(Write, packed(addr(40))), (Write, packed(addr(1)))],
+        ];
+        assert_eq!(handler.with_endpoint(doorbells), expect);
+        assert!(!handler.pool.contains(addr(1)));
+        let mut page = [0u8; 64];
+        assert!(cluster.handler(0).unwrap().pool.read_resident(&cluster.fabric().endpoint(), addr(1), &mut page));
+        assert_eq!(i64::from_le_bytes(page[0..8].try_into().unwrap()), -10);
+        assert_eq!([1, 40].map(|k| stored(&cluster, k)), [-10, 10]);
+        assert_eq!([0, 1].map(|i| counter(&out, i)), [0, 0]);
+    }
+
+    /// Three owners: node 1 is prepared in step 2 and commits on its
+    /// decision, node 2 is the last agent and writes node 0's page in its
+    /// own commit doorbell.
+    #[test]
+    fn a_three_owner_commit_writes_the_coordinators_page_in_the_last_agents_doorbell() {
+        use rdma_sim::OpKind::Write;
+        let cluster = shard_cluster(3);
+        let addr = |key| cluster.table().payload_addr(key, 0);
+        let last = cluster.handler(2).unwrap();
+        last.with_endpoint(|ep| ep.enable_flight_recorder(64));
+        let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
+        let ((out, sends), owners) = with_owners(&cluster, |s0| (s0.execute(&txn).unwrap(), s0.ep.stats().sends));
+        // Prepare and Commit to node 1, PrepareCommit to node 2.
+        assert_eq!(sends, 3);
+        assert_eq!([owners[0].1, owners[1].1], [1, 1]);
+        let commit = last.with_endpoint(doorbells).pop().unwrap();
+        assert_eq!(commit, [(Write, packed(addr(70))), (Write, packed(addr(1)))]);
+        assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [1; 3]);
+        assert_eq!(out.reads.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 40, 70]);
+        for n in 0..3 {
+            assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
+        }
+    }
+
+    /// The last agent's commit doorbell does not land: its memory node is
+    /// down from just after its fetch on. Neither its key nor the
+    /// coordinator's changes, the coordinator keeps no frame of its page,
+    /// and the transfer commits once the node is back. (While the
+    /// coordinator wrote its part in a doorbell of its own after a yes, its
+    /// key changed alone.)
+    #[test]
+    fn a_commit_doorbell_that_did_not_land_changes_neither_key() {
+        use rdma_sim::FaultPlan;
+        let cluster = shard_cluster(2);
+        let addr = |key| cluster.table().payload_addr(key, 0);
+        let local = 1;
+        let remote = (32..64).find(|&k| addr(k).node() != addr(local).node()).unwrap();
+        let down = addr(remote).node();
+        let transfer = [Op::Rmw { key: local, delta: -1 }, Op::Rmw { key: remote, delta: 1 }];
+        let pool = &cluster.handler(0).unwrap().pool;
+        let (result, _) = with_owners(&cluster, |s0| {
+            // The coordinator's page is resident, the last agent's not.
+            s0.execute(&[Op::Read(local)]).unwrap();
+            s0.ep.charge_local(1_000_000);
+            // The prepare lands ~2.5 us on; the last agent's fetch leaves
+            // ~0.1 us later and its commit doorbell ~1.9 us after that.
+            let from = s0.ep.clock().now_ns() + 3_500;
+            cluster.fabric().install_fault_plan(FaultPlan::new(1).crash(down, from, u64::MAX));
+            let result = s0.execute(&transfer);
+            cluster.fabric().clear_fault_plan();
+            result
+        });
+        assert_eq!([local, remote].map(|k| stored(&cluster, k)), [0, 0]);
+        let err = result.unwrap_err();
+        assert!(matches!(err, TxnError::NodeUnavailable { node } if node == down), "{err}");
+        assert!(!pool.contains(addr(local)));
+        assert_eq!(cluster.owner_work(1), (1, 1));
+        assert_eq!([0, 1].map(|n| cluster.shard_residue(n)), [(0, 0); 2]);
+        with_owners(&cluster, |s0| s0.execute(&transfer)).0.unwrap();
+        assert_eq!([local, remote].map(|k| stored(&cluster, k)), [-1, 1]);
     }
 
     /// The vote is stamped by node 1's handler, at the prepare's delivery
@@ -1312,15 +1473,18 @@ mod tests {
                 cost
             }));
         }
-        assert_eq!(costs, [(11_741, 1); 2]);
+        assert_eq!(costs, [(8_787, 1); 2]);
     }
 
     /// Node 1, prepared in step 2, votes no: node 2 — the last agent — is
-    /// never asked, nothing is applied anywhere, every lock is free.
+    /// never asked, nothing is applied anywhere, every lock is free, and
+    /// the coordinator's pool holds none of the bytes it staged.
     #[test]
     fn a_no_from_a_step_two_owner_sends_no_prepare_commit() {
         let cluster = shard_cluster(3);
         let txn = [1, 40, 70].map(|key| Op::Rmw { key, delta: 1 });
+        // Key 1 is resident at the coordinator, so its write is staged.
+        cluster.session(0, 0).execute(&[Op::Read(1)]).unwrap();
         cluster.handler(1).unwrap().locks.try_lock_all(&[40], 0xDEAD).unwrap();
         let ((err, sends), owners) =
             with_owners(&cluster, |s0| (s0.execute(&txn).unwrap_err(), s0.ep.stats().sends));
@@ -1334,6 +1498,10 @@ mod tests {
             assert_eq!(cluster.shard_residue(n), (0, 0), "node {n}");
         }
         assert_eq!([1, 40, 70].map(|k| stored(&cluster, k)), [0; 3]);
+        let mut page = [0u8; 64];
+        let pool = &cluster.handler(0).unwrap().pool;
+        assert!(pool.read_resident(&cluster.fabric().endpoint(), cluster.table().payload_addr(1, 0), &mut page));
+        assert_eq!(page, [0; 64]);
     }
 
     /// The last agent is busy and votes no: node 1, prepared in step 2,

@@ -8,11 +8,16 @@
 //! last and collects their votes, and only if all said yes sends the last
 //! owner (the highest owner id) a `PrepareCommit`. That owner prepares
 //! and, if it can, commits at once: its `VoteYes` is the decision, so no
-//! decision or ack for it crosses the wire. The coordinator then applies
-//! its own part and sends `Commit` / `Abort` to the owners it prepared
-//! (each answers `Ack`). With one remote owner a cross-shard transaction
-//! is two messages — the classic 2PC round trip of prepare and vote, with
-//! the decision round folded into it.
+//! decision or ack for it crosses the wire. It also commits the
+//! coordinator's own part: the `PrepareCommit` carries the pages the
+//! coordinator staged from its cache and its ops on the pages it did not
+//! have, which the last agent reads behind its own fetch and writes in its
+//! own commit doorbell, so the coordinator posts no verb at all. The
+//! coordinator then puts the committed pages in its cache and sends
+//! `Commit` / `Abort` to the owners it prepared (each answers `Ack`). With
+//! one remote owner a cross-shard transaction is two messages — the
+//! classic 2PC round trip of prepare and vote, with the decision round
+//! folded into it — and one doorbell more than the last agent's own part.
 //!
 //! This module is the wire format; the coordinator and the owners' message
 //! loop live in `dsmdb`'s engine.
@@ -29,8 +34,10 @@
 pub enum MsgKind {
     /// Coordinator -> owner: prepare, body = sub-transaction.
     Prepare = 1,
-    /// Owner -> coordinator: prepared (committed, after `PrepareCommit`);
-    /// body = the sub-transaction's reads.
+    /// Owner -> coordinator: prepared; body = the sub-transaction's reads.
+    /// After `PrepareCommit`: committed, and the body is first the outcome
+    /// of the last agent's commit doorbell — whether it landed, or why not
+    /// — then its own reads and the shipped ops' reads.
     VoteYes = 2,
     /// Owner -> coordinator: must abort; nothing is held or applied.
     VoteNo = 3,
@@ -41,7 +48,11 @@ pub enum MsgKind {
     /// Owner -> coordinator: commit/abort applied.
     Ack = 6,
     /// Coordinator -> last agent: prepare and, if that succeeds, commit;
-    /// body = sub-transaction.
+    /// body = sub-transaction, then the coordinator's shipment: the full
+    /// page images it staged from its cache, and its ops on the pages it
+    /// did not have (the last agent reads those pages behind its own
+    /// fetch). The last agent's one commit doorbell writes its own pages,
+    /// the staged images and the shipped pages' new images.
     PrepareCommit = 7,
 }
 

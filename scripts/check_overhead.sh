@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Eight gates read off five runs of the benchmark, one verdict each.
+# Nine gates read off five runs of the benchmark, one verdict each.
 #
 # From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~20 verbs per txn, the workload on
@@ -95,6 +95,17 @@
 #    when a B+tree split cost 13 round trips and a RACE split 10) fails
 #    above INDEX_WIRE_RT_LIMIT.
 #
+# From the same `xshard_2pc` run as gate 5:
+#
+# 9. A cross-shard coordinator posts no verb of its own:
+#    `rdma-sim.wire_rts_per_txn`, exact on the sim clock (1.0000 at this
+#    seed: a single-shard txn is one doorbell, and a cross-shard one's
+#    coordinator ships its pages that missed and its writes to the last
+#    agent, whose doorbells are its node handler's). A change that has
+#    the coordinator fetch its pages that missed before the prepare or
+#    write its part after the vote again (1.1835 when it did both) fails
+#    above XSHARD_WIRE_RT_LIMIT.
+#
 #   scripts/check_overhead.sh
 #
 # Runs the already-built benchmark binary (~3 s per 1 s run, ~5 s for the
@@ -111,6 +122,7 @@ COHERENT_WIRE_RT_LIMIT=1.2
 INDEX_RT_LIMIT=1.1
 INDEX_WIRE_RT_LIMIT=1.35
 MSG_LIMIT=0.15
+XSHARD_WIRE_RT_LIMIT=1.05
 CACHED_WIRE_RT_LIMIT=1.0
 BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
 
@@ -153,6 +165,7 @@ race_rts="$(metric index.race_sim_rts_per_get)"
 index_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run xshard_2pc)"
 msgs="$(metric rdma-sim.msgs_per_txn)"
+xshard_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 last_line="$(run thrash_mix)"
 cached_wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 gate "wire round trips per txn on direct_rmw" "$wire_rts" "$WIRE_RT_LIMIT"
@@ -162,5 +175,6 @@ gate "wire round trips per B+tree search on index_probe" "$btree_rts" "$INDEX_RT
 gate "wire round trips per RACE get on index_probe" "$race_rts" "$INDEX_RT_LIMIT"
 gate "wire round trips per txn on index_probe" "$index_wire_rts" "$INDEX_WIRE_RT_LIMIT"
 gate "messages per txn on xshard_2pc" "$msgs" "$MSG_LIMIT"
+gate "wire round trips per txn on xshard_2pc" "$xshard_wire_rts" "$XSHARD_WIRE_RT_LIMIT"
 gate "wire round trips per txn on thrash_mix" "$cached_wire_rts" "$CACHED_WIRE_RT_LIMIT"
 gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
