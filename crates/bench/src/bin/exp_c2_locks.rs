@@ -3,7 +3,7 @@
 //!
 //! Part 1 — primitive cost: the exclusive CAS spinlock completes in one
 //! round trip; the shared-exclusive lock (latch + metadata, footnote 2)
-//! needs at least two.
+//! needs two, and two more to give back.
 //!
 //! Part 2 — "It remains open if the allowed extra concurrency can offset
 //! the performance overhead of the advanced locks": 2PL with exclusive
@@ -42,43 +42,36 @@ fn primitive_costs(rep: &mut Report) {
     ExclusiveLock::release(&layer, &ep, addr).unwrap();
     let excl_total = ep.clock().now_ns();
 
-    let addr2 = layer.alloc(16).unwrap();
+    // One shared hold of one lock: the latch, then the metadata.
+    let shared = [(layer.alloc(16).unwrap(), false)];
     let ep2 = fabric.endpoint();
-    SharedExclusiveLock::acquire_shared(&layer, &ep2, addr2, 0).unwrap();
+    SharedExclusiveLock::acquire_set(&layer, &ep2, &shared, &mut [], 1, 0).unwrap();
     let sh_acquire = ep2.clock().now_ns();
-    SharedExclusiveLock::release_shared(&layer, &ep2, addr2, 0).unwrap();
+    SharedExclusiveLock::release_set(&layer, &ep2, &[], &shared, 1).unwrap();
     let sh_total = ep2.clock().now_ns();
 
     println!("Part 1 — uncontended lock primitive cost (ConnectX-6 profile)\n");
-    table::header(&["lock", "acquire ns", "acq+rel ns", "verbs"]);
-    table::row(&[
-        "exclusive".into(),
-        table::n(excl_acquire),
-        table::n(excl_total),
-        format!("{}", ep.stats().round_trips()),
-    ]);
-    table::row(&[
-        "shared-excl".into(),
-        table::n(sh_acquire),
-        table::n(sh_total),
-        format!("{}", ep2.stats().round_trips()),
-    ]);
-    rep.row(
-        "primitive=exclusive",
-        vec![
-            ("acquire_ns", Json::U(excl_acquire)),
-            ("acquire_release_ns", Json::U(excl_total)),
-            ("verbs", Json::U(ep.stats().round_trips())),
-        ],
-    );
-    rep.row(
-        "primitive=shared-excl",
-        vec![
-            ("acquire_ns", Json::U(sh_acquire)),
-            ("acquire_release_ns", Json::U(sh_total)),
-            ("verbs", Json::U(ep2.stats().round_trips())),
-        ],
-    );
+    table::header(&["lock", "acquire ns", "acq+rel ns", "verbs", "wire RTs"]);
+    let rows = [("exclusive", excl_acquire, excl_total, &ep), ("shared-excl", sh_acquire, sh_total, &ep2)];
+    for (name, acquire, total, ep) in rows {
+        let s = ep.stats();
+        table::row(&[
+            name.into(),
+            table::n(acquire),
+            table::n(total),
+            s.round_trips().to_string(),
+            s.wire_round_trips().to_string(),
+        ]);
+        rep.row(
+            &format!("primitive={name}"),
+            vec![
+                ("acquire_ns", Json::U(acquire)),
+                ("acquire_release_ns", Json::U(total)),
+                ("verbs", Json::U(s.round_trips())),
+                ("wire_rts", Json::U(s.wire_round_trips())),
+            ],
+        );
+    }
     println!(
         "\n(paper: the shared-exclusive lock \"needs at least 2 round trips\")\n"
     );

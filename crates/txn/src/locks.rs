@@ -12,9 +12,11 @@
 //!   (each with whatever READs its holder wants right behind it — the
 //!   payload, a coherent cache's sharer word, nothing) leave in one
 //!   doorbell, and so do the unlocks, behind the holder's write-back.
-//! * [`SharedExclusiveLock`]: footnote 2's construction — a spinlock latch
-//!   guarding holder metadata. Round 1: CAS the latch; round 2 (doorbell-
-//!   batched): update the metadata and release the latch. Readers admit
+//! * [`SharedExclusiveLock`]: footnote 2's construction — an exclusive
+//!   latch guarding holder metadata, taken as an [`ExclusiveLock`] set.
+//!   Round 1: CAS every latch, the metadata READ riding each; round 2:
+//!   write the new metadata, then free the latches. Two round trips to
+//!   acquire a whole set and two to release it. Readers admit
 //!   concurrently; writers drain readers.
 //!
 //! Both are *no-wait with bounded retries and backoff*: after
@@ -33,7 +35,7 @@
 //! and bars any later one.
 
 use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
-use rdma_sim::{Endpoint, Metric};
+use rdma_sim::{Endpoint, Metric, Phase};
 
 /// Lock acquisition failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,116 +345,177 @@ impl ExclusiveLock {
 }
 
 /// The shared-exclusive lock is two adjacent words, as footnote 2 builds
-/// it: `lock` is the latch that serializes metadata updates, `lock + 8`
+/// it: `lock` is the latch that serializes metadata updates, an
+/// [`ExclusiveLock`] word holding its taker's owner tag, and `lock + 8`
 /// the metadata — bit 63 set while a writer holds the lock, the low 32
 /// bits the reader count. Callers must reserve 16 bytes.
 const WRITER_BIT: u64 = 1 << 63;
 const READER_MASK: u64 = 0xFFFF_FFFF;
 
-/// The ≥2-round-trip shared-exclusive lock (footnote 2).
+/// Latch rounds a release makes: a hold must eventually be given back.
+const RELEASE_RETRIES: u32 = 10_000;
+
+/// The ≥2-round-trip shared-exclusive lock (footnote 2), taken and given
+/// back a whole set at a time: a set is `(latch, exclusive)` per lock.
 pub struct SharedExclusiveLock;
 
+/// The metadata with a hold in mode `exclusive` admitted, or — while
+/// `meta` blocks it: a reader waits out a writer, a writer every holder —
+/// the error the wait ends in.
+fn admit(exclusive: bool, meta: u64) -> Result<u64, LockError> {
+    match exclusive {
+        true if meta == 0 => Ok(WRITER_BIT),
+        false if meta & WRITER_BIT == 0 => Ok(meta + 1),
+        _ => Err(LockError::Timeout),
+    }
+}
+
+/// The metadata with a hold in mode `exclusive` given back, or the
+/// violation when `meta` does not show it.
+fn give_back(exclusive: bool, meta: u64) -> Result<u64, LockError> {
+    match exclusive {
+        true if meta & WRITER_BIT != 0 => Ok(meta & !WRITER_BIT),
+        true => Err(LockError::ReleaseViolation("exclusive release without writer")),
+        false if meta & READER_MASK != 0 => Ok(meta - 1),
+        false => Err(LockError::ReleaseViolation("shared release with no readers")),
+    }
+}
+
 impl SharedExclusiveLock {
-    /// Round 1: CAS the latch + read the metadata. Returns the metadata
-    /// or Busy.
-    fn enter(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<u64, LockError> {
-        for attempt in 0..=max_retries {
-            if attempt > 0 {
-                // The latch word carries no holder identity.
-                backoff(ep, attempt - 1, addr, 0);
-            }
-            if layer.cas(ep, addr, 0, 1)? == 0 {
-                // Same round trip in spirit (doorbell-batched with the
-                // CAS on real hardware); the read is charged separately
-                // but that is exactly the paper's "at least 2 round
-                // trips" accounting.
-                return Ok(layer.read_u64(ep, addr.offset_by(8))?);
-            }
-        }
-        Err(LockError::Busy)
-    }
-
-    /// Round 2: write new metadata (replicated: it is the lock's state)
-    /// and release the latch (on the primary, like any lock word) — one
-    /// doorbell, retried by the layer like every other lock verb, so a
-    /// transient fault cannot leave the latch set with nobody to clear it.
-    fn exit(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, new_meta: u64) -> Result<(), LockError> {
-        let meta = new_meta.to_le_bytes();
-        let mut wrs = [GlobalWr::Write { addr: addr.offset_by(8), src: &meta }, GlobalWr::Unlock { addr }];
-        Ok(layer.doorbell(ep, &mut wrs)?)
-    }
-
-    /// Take a hold once the metadata no longer `blocks`, installing
-    /// `admit(meta)`. Bounded: if the lock blocks for the whole budget
-    /// the caller gets [`LockError::Timeout`] instead of spinning forever
-    /// under a holder that may never release (crash).
-    fn acquire(
+    /// Take every lock of `set` in its mode, each latch's [`Rider`]s
+    /// (`riders`, sorted by lock) behind its metadata READ: two round
+    /// trips for the whole set when nothing blocks it. A busy latch climbs
+    /// [`ExclusiveLock::acquire_set`]'s ladder, whose exhaustion is
+    /// [`LockError::Busy`]. A lock whose metadata blocks then retries
+    /// alone after a backoff, both rounds with its riders read again, up
+    /// to `max_retries` times, and then the call ends in
+    /// [`LockError::Timeout`]. A call that fails gives back what it took
+    /// first; one that succeeds holds every lock, and its riders' bytes
+    /// are valid.
+    pub fn acquire_set(
         layer: &DsmLayer,
         ep: &Endpoint,
-        addr: GlobalAddr,
+        set: &[(GlobalAddr, bool)],
+        riders: &mut [Rider<'_>],
+        owner_tag: u64,
         max_retries: u32,
-        blocks: impl Fn(u64) -> bool,
-        admit: impl Fn(u64) -> u64,
     ) -> Result<(), LockError> {
-        for attempt in 0..=max_retries {
-            let meta = Self::enter(layer, ep, addr, max_retries)?;
-            if !blocks(meta) {
-                return Self::exit(layer, ep, addr, admit(meta));
+        debug_assert!(!LeaseLock::leased(owner_tag), "a latch is never leased");
+        let mut held = vec![false; set.len()];
+        let ladder = (max_retries, 0);
+        let grown = (|| {
+            let admitted = Self::rounds(layer, ep, set, 0, riders, &[], owner_tag, ladder, admit)?;
+            for (held, admitted) in held.iter_mut().zip(admitted) {
+                *held = admitted.is_ok();
             }
-            // Release the latch, back off, retry. The meta word stores no
-            // holder identity, so the wait-for edge uses holder 0
-            // ("unknown holder").
-            ep.note_wait_edge(0, 0, addr.to_raw());
-            Self::exit(layer, ep, addr, meta)?;
-            if attempt < max_retries {
-                backoff(ep, attempt, addr, 0);
+            for (i, &(latch, _)) in set.iter().enumerate() {
+                let mut attempt = 0;
+                while !held[i] {
+                    // The metadata names no holder.
+                    ep.note_wait_edge(owner_tag, 0, latch.to_raw());
+                    if attempt == max_retries {
+                        return Err(LockError::Timeout);
+                    }
+                    backoff(ep, attempt, latch, 0);
+                    attempt += 1;
+                    let own = riders.partition_point(|r| r.word < i)..riders.partition_point(|r| r.word <= i);
+                    let alone = &set[i..=i];
+                    held[i] = Self::rounds(layer, ep, alone, i, &mut riders[own], &[], owner_tag, ladder, admit)?[0].is_ok();
+                }
             }
+            Ok(())
+        })();
+        if let Err(e) = grown {
+            let taken: Vec<(GlobalAddr, bool)> =
+                set.iter().zip(&held).filter_map(|(&lock, &held)| held.then_some(lock)).collect();
+            Self::release_set(layer, ep, &[], &taken, owner_tag)?;
+            return Err(e);
         }
-        Err(LockError::Timeout)
+        Ok(())
     }
 
-    /// Give back a hold the metadata shows, installing `next(meta)`.
-    /// Releasing one it does not show is a protocol bug: surfaced as
-    /// [`LockError::ReleaseViolation`] (checked in release builds too),
-    /// with the latch restored.
-    fn release(
+    /// Give back every lock of `set`, which the caller holds, `writes` (its
+    /// write-back) landing first: two round trips for the whole set. A
+    /// hold the metadata does not show is a protocol bug, surfaced as
+    /// [`LockError::ReleaseViolation`] (in release builds too): its latch
+    /// is freed without a metadata write, and `writes` are dropped.
+    pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
-        addr: GlobalAddr,
-        max_retries: u32,
-        shows: impl Fn(u64) -> bool,
-        next: impl Fn(u64) -> u64,
-        violation: &'static str,
+        writes: &[(GlobalAddr, &[u8])],
+        set: &[(GlobalAddr, bool)],
+        owner_tag: u64,
     ) -> Result<(), LockError> {
-        let meta = Self::enter(layer, ep, addr, max_retries)?;
-        if !shows(meta) {
-            Self::exit(layer, ep, addr, meta)?;
-            return Err(LockError::ReleaseViolation(violation));
+        if set.is_empty() {
+            return Ok(());
         }
-        Self::exit(layer, ep, addr, next(meta))
+        let given = Self::rounds(layer, ep, set, 0, &mut [], writes, owner_tag, (0, RELEASE_RETRIES), give_back)?;
+        given.into_iter().try_for_each(|given| given.map(drop))
     }
 
-    /// Acquire in shared mode (2 round trips when uncontended), once no
-    /// writer holds the lock.
-    pub fn acquire_shared(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
-        Self::acquire(layer, ep, addr, max_retries, |meta| meta & WRITER_BIT != 0, |meta| meta + 1)
-    }
-
-    /// Release shared mode.
-    pub fn release_shared(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
-        let (shows, next) = (|meta| meta & READER_MASK != 0, |meta| meta - 1);
-        Self::release(layer, ep, addr, max_retries, shows, next, "release_shared with no readers")
-    }
-
-    /// Acquire in exclusive mode, once the readers drained.
-    pub fn acquire_exclusive(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
-        Self::acquire(layer, ep, addr, max_retries, |meta| meta != 0, |_| WRITER_BIT)
-    }
-
-    /// Release exclusive mode.
-    pub fn release_exclusive(layer: &DsmLayer, ep: &Endpoint, addr: GlobalAddr, max_retries: u32) -> Result<(), LockError> {
-        let (shows, next) = (|meta| meta & WRITER_BIT != 0, |meta| meta & !WRITER_BIT);
-        Self::release(layer, ep, addr, max_retries, shows, next, "release_exclusive without writer")
+    /// Rounds 1 and 2 over `set`, whose first lock is lock `first` of the
+    /// caller's set; returns what `next` made of each lock's metadata.
+    ///
+    /// Round 1 is one [`ExclusiveLock::acquire_set`] over the latches, each
+    /// CAS with the metadata READ and then its `riders` behind it, a busy
+    /// latch climbing `ladder` rungs. If one stays busy, the latches won
+    /// are freed and, after a backoff, the round starts again, up to
+    /// `again` times: a round that kept some latches while it waited for
+    /// another could wait out a round that holds that one and waits for
+    /// them. Round 2 is one [`ExclusiveLock::release_set`]: `writes` if
+    /// `next` took every lock's metadata (a [`Phase::Writeback`] span),
+    /// then each new metadata, then every latch unlock.
+    #[allow(clippy::too_many_arguments)]
+    fn rounds(
+        layer: &DsmLayer,
+        ep: &Endpoint,
+        set: &[(GlobalAddr, bool)],
+        first: usize,
+        riders: &mut [Rider<'_>],
+        writes: &[(GlobalAddr, &[u8])],
+        owner_tag: u64,
+        (ladder, again): (u32, u32),
+        next: fn(bool, u64) -> Result<u64, LockError>,
+    ) -> Result<Vec<Result<u64, LockError>>, LockError> {
+        let mut metas = vec![[0u8; 8]; set.len()];
+        let mut attempt = 0;
+        let mut latches = loop {
+            let mut latches: Vec<LockWord> = set.iter().map(|&(latch, _)| LockWord::new(latch)).collect();
+            let latched = {
+                let mut riders = riders.iter_mut().peekable();
+                let mut all = Vec::with_capacity(set.len() + riders.len());
+                for (word, (&(latch, _), dst)) in set.iter().zip(&mut metas).enumerate() {
+                    all.push(Rider { word, addr: latch.offset_by(8), dst });
+                    while let Some(r) = riders.next_if(|r| r.word == first + word) {
+                        all.push(Rider { word, addr: r.addr, dst: &mut *r.dst });
+                    }
+                }
+                ExclusiveLock::acquire_set(layer, ep, &mut latches, &mut all, owner_tag, ladder)
+            };
+            let Err(e) = latched else { break latches };
+            let busy = latches.iter().find(|w| !w.held()).map(|w| w.addr);
+            let freed = ExclusiveLock::release_set(layer, ep, &[], &mut latches);
+            let Some(busy) = busy.filter(|_| e == LockError::Busy && attempt < again) else {
+                return Err(e);
+            };
+            freed?;
+            backoff(ep, attempt, busy, 0);
+            // The backoff is virtual time only: let a latch holder that
+            // waits for a core run, or the attempts run out in moments.
+            std::thread::yield_now();
+            attempt += 1;
+        };
+        let next: Vec<Result<u64, LockError>> =
+            set.iter().zip(&metas).map(|(&(_, exclusive), meta)| next(exclusive, u64::from_le_bytes(*meta))).collect();
+        let stamps: Vec<(GlobalAddr, [u8; 8])> = (set.iter().zip(&next))
+            .filter_map(|(&(latch, _), next)| Some((latch.offset_by(8), next.as_ref().ok()?.to_le_bytes())))
+            .collect();
+        let writes = if next.iter().all(Result::is_ok) { writes } else { &[] };
+        let mut all = writes.to_vec();
+        all.extend(stamps.iter().map(|(addr, meta)| (*addr, &meta[..])));
+        let _span = (!writes.is_empty()).then(|| ep.span(Phase::Writeback));
+        ExclusiveLock::release_set(layer, ep, &all, &mut latches)?;
+        Ok(next)
     }
 }
 
@@ -673,43 +736,64 @@ mod tests {
         assert_eq!(left, [0, 42, 0]);
     }
 
+    /// `tag` takes the lock at `a`, `exclusive` or shared, within
+    /// `max_retries`.
+    fn take(
+        l: &DsmLayer,
+        ep: &Endpoint,
+        a: GlobalAddr,
+        exclusive: bool,
+        tag: u64,
+        max_retries: u32,
+    ) -> Result<(), LockError> {
+        SharedExclusiveLock::acquire_set(l, ep, &[(a, exclusive)], &mut [], tag, max_retries)
+    }
+
+    /// `tag` gives back the lock at `a`, held `exclusive` or shared.
+    fn give(l: &DsmLayer, ep: &Endpoint, a: GlobalAddr, exclusive: bool, tag: u64) -> Result<(), LockError> {
+        SharedExclusiveLock::release_set(l, ep, &[], &[(a, exclusive)], tag)
+    }
+
+    /// §4 Challenge 6: the exclusive lock is one round trip, the
+    /// shared-exclusive lock "needs at least 2" — exactly 2 here, and as
+    /// many again to give it back (experiment C2's primitive rows).
     #[test]
-    fn shared_exclusive_costs_at_least_twice_the_exclusive() {
-        // §4 Challenge 6: the shared-exclusive lock needs >= 2 RTs.
+    fn shared_exclusive_is_two_round_trips_each_way_and_exclusive_one() {
         let (f, l, a) = setup();
         let ex = f.endpoint();
         ExclusiveLock::acquire(&l, &ex, a, 1, 0).unwrap();
-        let ex_cost = ex.clock().now_ns();
-        let (f2, l2, a2) = setup();
-        let sh = f2.endpoint();
-        SharedExclusiveLock::acquire_shared(&l2, &sh, a2, 0).unwrap();
-        assert!(
-            sh.clock().now_ns() >= 2 * ex_cost,
-            "shared {} vs exclusive {}",
-            sh.clock().now_ns(),
-            ex_cost
-        );
-        let _ = a;
+        assert_eq!((ex.stats().wire_round_trips(), ex.clock().now_ns()), (1, 1_850));
+
+        let b = l.alloc(16).unwrap();
+        let sh = f.endpoint();
+        take(&l, &sh, b, false, 2, 0).unwrap();
+        assert_eq!((sh.stats().wire_round_trips(), sh.clock().now_ns()), (2, 3_800));
+        give(&l, &sh, b, false, 2).unwrap();
+        let s = sh.stats();
+        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (2, 2, 4, 4));
+        assert_eq!(sh.clock().now_ns(), 7_550);
     }
 
     #[test]
     fn a_partition_over_the_exit_doorbell_is_retried_not_left_latched() {
-        // When the exit doorbell of an uncontended shared acquire leaves,
-        // timed on a fault-free twin: the metadata write and the latch
-        // release, one doorbell.
+        // When the metadata doorbell of an uncontended shared acquire
+        // leaves, timed on a fault-free twin: the metadata write and the
+        // latch release, one doorbell, once the latch doorbell's metadata
+        // READ returned.
         let (f, l, a) = setup();
         let ep = f.endpoint();
-        SharedExclusiveLock::enter(&l, &ep, a, 0).unwrap();
-        let exit_at = ep.clock().now_ns();
-        SharedExclusiveLock::exit(&l, &ep, a, 1).unwrap();
+        ep.enable_flight_recorder(16);
+        take(&l, &ep, a, false, 1, 0).unwrap();
         let s = ep.stats();
-        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (1, 1, 2, 3));
+        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (1, 1, 2, 2));
+        let read = rdma_sim::EventKind::Verb(rdma_sim::OpKind::Read);
+        let exit_at = ep.flight_events().iter().find(|e| e.kind == read).expect("the metadata READ").end_ns;
 
         // The lock's node is cut off for exactly that doorbell.
         let (f, l, a) = setup();
         f.install_fault_plan(FaultPlan::new(1).partition(a.node(), exit_at, exit_at + 1));
         let ep = f.endpoint();
-        SharedExclusiveLock::acquire_shared(&l, &ep, a, 0).unwrap();
+        take(&l, &ep, a, false, 1, 0).unwrap();
         let region = f.region(a.node()).unwrap();
         assert_eq!(region.read_u64(a.offset()).unwrap(), 0, "the latch was released");
         assert_eq!(region.read_u64(a.offset() + 8).unwrap(), 1, "one reader admitted");
@@ -721,22 +805,80 @@ mod tests {
         let r1 = f.endpoint();
         let r2 = f.endpoint();
         let w = f.endpoint();
-        SharedExclusiveLock::acquire_shared(&l, &r1, a, 4).unwrap();
-        SharedExclusiveLock::acquire_shared(&l, &r2, a, 4).unwrap();
-        assert_eq!(
-            SharedExclusiveLock::acquire_exclusive(&l, &w, a, 2).unwrap_err(),
-            LockError::Timeout
-        );
-        SharedExclusiveLock::release_shared(&l, &r1, a, 4).unwrap();
-        SharedExclusiveLock::release_shared(&l, &r2, a, 4).unwrap();
-        SharedExclusiveLock::acquire_exclusive(&l, &w, a, 4).unwrap();
+        take(&l, &r1, a, false, 1, 4).unwrap();
+        take(&l, &r2, a, false, 2, 4).unwrap();
+        assert_eq!(take(&l, &w, a, true, 3, 2).unwrap_err(), LockError::Timeout);
+        give(&l, &r1, a, false, 1).unwrap();
+        give(&l, &r2, a, false, 2).unwrap();
+        take(&l, &w, a, true, 3, 4).unwrap();
         // Now readers bounce — with a bounded Timeout, not a livelock.
-        assert_eq!(
-            SharedExclusiveLock::acquire_shared(&l, &r1, a, 2).unwrap_err(),
-            LockError::Timeout
-        );
-        SharedExclusiveLock::release_exclusive(&l, &w, a, 4).unwrap();
-        SharedExclusiveLock::acquire_shared(&l, &r1, a, 4).unwrap();
+        assert_eq!(take(&l, &r1, a, false, 1, 2).unwrap_err(), LockError::Timeout);
+        give(&l, &w, a, true, 3).unwrap();
+        take(&l, &r1, a, false, 1, 4).unwrap();
+    }
+
+    /// Three locks, two of them already read by another set: the free
+    /// one and the shared one admit in the set's two doorbells; the
+    /// writer, blocked, retries alone, its payload READ riding each rung;
+    /// and the call that times out gives back the two it took.
+    #[test]
+    fn a_blocked_lock_retries_alone_with_its_riders() {
+        let (f, l, _) = setup();
+        let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(16).unwrap()).collect();
+        let data = l.alloc(24).unwrap();
+        let other = f.endpoint();
+        let theirs = [(locks[1], false), (locks[2], false)];
+        SharedExclusiveLock::acquire_set(&l, &other, &theirs, &mut [], 9, 0).unwrap();
+
+        let ep = f.endpoint();
+        let mut fetched = [[0u8; 8]; 3];
+        let [first, second, third] = &mut fetched;
+        let mut riders = [
+            Rider { word: 0, addr: data, dst: first },
+            Rider { word: 1, addr: data.offset_by(8), dst: second },
+            Rider { word: 2, addr: data.offset_by(16), dst: third },
+        ];
+        let set = [(locks[0], false), (locks[1], false), (locks[2], true)];
+        let err = SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, 7, 2).unwrap_err();
+        assert_eq!(err, LockError::Timeout);
+        // Latch doorbell: 3 CAS, each with its metadata and payload READs;
+        // metadata doorbell: 2 metadata WRITEs, 3 unlocks; two rungs of the
+        // writer alone, each a CAS, two READs and an unlock; then the
+        // release of the two held: 2 CAS and READs, 2 WRITEs and unlocks.
+        let s = ep.stats();
+        let cost = (s.cas, s.reads, s.writes, s.wire_round_trips());
+        assert_eq!(cost, (3 + 2 + 2, 6 + 2 * 2 + 2, 5 + 2 + 4, 2 + 2 * 2 + 2));
+        let region = f.region(locks[0].node()).unwrap();
+        let metas: Vec<u64> = locks.iter().map(|a| region.read_u64(a.offset() + 8).unwrap()).collect();
+        assert_eq!(metas, [0, 1, 1], "only the other set's readers are left");
+    }
+
+    /// A reader blocked by a writer reads the payload the writer's
+    /// release carried: a rider that came back while the lock blocked is
+    /// read again under the reader's own hold.
+    #[test]
+    fn a_reader_blocked_by_a_writer_reads_what_the_writer_wrote() {
+        let (f, l, a) = setup();
+        let data = l.alloc(8).unwrap();
+        l.write_u64(&f.endpoint(), data, 7).unwrap();
+        let taken = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let writer = f.endpoint();
+                take(&l, &writer, a, true, 1, 0).unwrap();
+                taken.wait();
+                // Only makes the reader's blocked rungs likely: the
+                // assertion holds however the two threads interleave.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                SharedExclusiveLock::release_set(&l, &writer, &[(data, &8u64.to_le_bytes())], &[(a, true)], 1).unwrap();
+            });
+            taken.wait();
+            let reader = f.endpoint();
+            let mut fetched = [0u8; 8];
+            let mut riders = [Rider { word: 0, addr: data, dst: &mut fetched }];
+            SharedExclusiveLock::acquire_set(&l, &reader, &[(a, false)], &mut riders, 2, u32::MAX).unwrap();
+            assert_eq!(u64::from_le_bytes(fetched), 8);
+        });
     }
 
     #[test]
@@ -746,12 +888,9 @@ mod tests {
         let (f, l, a) = setup();
         let w = f.endpoint();
         let r = f.endpoint();
-        SharedExclusiveLock::acquire_exclusive(&l, &w, a, 0).unwrap();
+        take(&l, &w, a, true, 1, 0).unwrap();
         let before = r.clock().now_ns();
-        assert_eq!(
-            SharedExclusiveLock::acquire_shared(&l, &r, a, 5).unwrap_err(),
-            LockError::Timeout
-        );
+        assert_eq!(take(&l, &r, a, false, 2, 5).unwrap_err(), LockError::Timeout);
         // 5 backoffs of 100<<attempt ns = 3100 ns on top of the verbs.
         assert!(r.clock().now_ns() >= before + 3_100);
     }
@@ -761,16 +900,19 @@ mod tests {
         let (f, l, a) = setup();
         let ep = f.endpoint();
         assert_eq!(
-            SharedExclusiveLock::release_shared(&l, &ep, a, 4).unwrap_err(),
-            LockError::ReleaseViolation("release_shared with no readers")
+            give(&l, &ep, a, false, 1).unwrap_err(),
+            LockError::ReleaseViolation("shared release with no readers")
         );
         assert_eq!(
-            SharedExclusiveLock::release_exclusive(&l, &ep, a, 4).unwrap_err(),
-            LockError::ReleaseViolation("release_exclusive without writer")
+            give(&l, &ep, a, true, 1).unwrap_err(),
+            LockError::ReleaseViolation("exclusive release without writer")
         );
-        // The failed releases restored the latch: the lock still works.
-        SharedExclusiveLock::acquire_shared(&l, &ep, a, 4).unwrap();
-        SharedExclusiveLock::release_shared(&l, &ep, a, 4).unwrap();
+        // The failed releases freed the latch and wrote no metadata: the
+        // lock still works.
+        let region = f.region(a.node()).unwrap();
+        assert_eq!([0, 8].map(|off| region.read_u64(a.offset() + off).unwrap()), [0, 0]);
+        take(&l, &ep, a, false, 1, 4).unwrap();
+        give(&l, &ep, a, false, 1).unwrap();
     }
 
     #[test]
@@ -979,12 +1121,12 @@ mod tests {
 
         // Shared-exclusive: the metadata word counts the reader, then
         // carries the writer bit; the latch is free between calls.
-        SharedExclusiveLock::acquire_shared(&l, &owner, a, 4).unwrap();
+        take(&l, &owner, a, false, 1, 4).unwrap();
         assert_eq!((word(0), word(8)), (0, 1));
-        SharedExclusiveLock::release_shared(&l, &owner, a, 4).unwrap();
-        SharedExclusiveLock::acquire_exclusive(&l, &owner, a, 4).unwrap();
+        give(&l, &owner, a, false, 1).unwrap();
+        take(&l, &owner, a, true, 1, 4).unwrap();
         assert_eq!((word(0), word(8)), (0, WRITER_BIT));
-        SharedExclusiveLock::release_exclusive(&l, &owner, a, 4).unwrap();
+        give(&l, &owner, a, true, 1).unwrap();
         assert_eq!(word(8), 0);
 
         // Lease steal: the word moves from the zombie to the thief, the
@@ -1034,9 +1176,9 @@ mod tests {
         // sections.
         //
         // Backoff only advances *virtual* time, so a call's retry budget
-        // is real CPU burnt (up to (budget + 1)^2 CAS/READ/WRITE rounds)
-        // while a descheduled latch holder waits for a core. Keep the
-        // budget small and let the loop around the call yield the core.
+        // is real CPU burnt while a descheduled latch holder waits for a
+        // core. Keep the budget small and let the loop around the call
+        // yield the core.
         const BUDGET: u32 = 4;
         fn until_done(mut op: impl FnMut() -> Result<(), LockError>) {
             loop {
@@ -1056,18 +1198,18 @@ mod tests {
                 let writes_done = &writes_done;
                 s.spawn(move || {
                     let ep = f.endpoint();
+                    let tag = t as u64 + 1;
                     for i in 0..200 {
-                        if (t + i) % 4 == 0 {
-                            until_done(|| SharedExclusiveLock::acquire_exclusive(&l, &ep, a, BUDGET));
-                            let v = l.read_u64(&ep, data).unwrap();
-                            l.write_u64(&ep, data, v + 1).unwrap();
-                            writes_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            until_done(|| SharedExclusiveLock::release_exclusive(&l, &ep, a, BUDGET));
-                        } else {
-                            until_done(|| SharedExclusiveLock::acquire_shared(&l, &ep, a, BUDGET));
-                            let _ = l.read_u64(&ep, data).unwrap();
-                            until_done(|| SharedExclusiveLock::release_shared(&l, &ep, a, BUDGET));
-                        }
+                        let set = [(a, (t + i) % 4 == 0)];
+                        let mut seen = [0u8; 8];
+                        until_done(|| {
+                            let mut riders = [Rider { word: 0, addr: data, dst: &mut seen }];
+                            SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, tag, BUDGET)
+                        });
+                        let next = (u64::from_le_bytes(seen) + set[0].1 as u64).to_le_bytes();
+                        let writes: &[(GlobalAddr, &[u8])] = if set[0].1 { &[(data, &next)] } else { &[] };
+                        writes_done.fetch_add(set[0].1 as u64, std::sync::atomic::Ordering::Relaxed);
+                        SharedExclusiveLock::release_set(&l, &ep, writes, &set, tag).unwrap();
                     }
                 });
             }

@@ -18,14 +18,17 @@
 //! wastes round trips, so an abort-and-retry at the workload layer is the
 //! standard RDMA choice.
 //!
-//! Exclusive 2PL, OCC, TSO and MVCC hold their locks as one set
-//! ([`ExclusiveLock::acquire_set`] / [`ExclusiveLock::release_set`]) and
-//! post a fixed number of doorbells whatever their key count; only a word
-//! that lost its CAS climbs its ladder alone:
+//! Every protocol holds its locks as one set
+//! ([`ExclusiveLock::acquire_set`] / [`ExclusiveLock::release_set`];
+//! shared-exclusive 2PL over its latches, through
+//! [`SharedExclusiveLock`](crate::SharedExclusiveLock)) and posts a fixed
+//! number of doorbells whatever its key count; only a word that lost its
+//! CAS, or a shared-exclusive lock its metadata blocks, retries alone:
 //!
 //! | protocol | doorbells |
 //! |---|---|
 //! | 2PL | {CAS + payload READ per key}, {payloads, unlocks} — leased and writing: {seal CAS per key} between the two |
+//! | 2PL shared | {latch CAS + metadata READ + payload READ per key}, {metadata, latch unlocks}, {latch CAS + metadata READ per key}, {payloads, metadata, latch unlocks} |
 //! | OCC | {`[wts\|payload]` per key read}, {CAS + `[lock\|rts\|wts]` per key written}, {`[lock\|rts\|wts]` per key only read}, {payload, `wts`, per key written, then unlocks} |
 //! | TSO | oracle FAA, {`[lock\|rts\|wts\|payload]` per key read}, {`rts` CAS per key read}, {CAS + `[lock\|rts\|wts]` — the payload too for a delta — per key written}, {payload, `wts`, unlocks} |
 //! | MVCC | oracle FAA, {slot per key read}, {`rts` CAS + picked version's `wts` per key read}, {CAS + slot per key written}, {payload, `wts` into the oldest version, unlocks} |
@@ -262,7 +265,7 @@ pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
 /// one. OCC, TSO and MVCC run in 3a only: they share the lock-set path
 /// with exclusive 2PL, but move their payloads with the table's own
 /// addresses (the riders and write-back of `commit_set`), not through an
-/// io. Shared-exclusive 2PL goes to the [`RecordTable`] key by key.
+/// io. So does shared-exclusive 2PL, around its latches.
 ///
 /// [`TwoPhaseLocking::exclusive`] holds a whole lock set and moves the
 /// payloads inside its own two doorbells: it asks the io three things, in
@@ -392,11 +395,6 @@ pub fn distinct_keys<'a>(ops: impl IntoIterator<Item = &'a Op>) -> Vec<u64> {
     keys.sort_unstable();
     keys.dedup();
     keys
-}
-
-/// Sorted, deduplicated keys of the full set and of the write set.
-pub(crate) fn key_sets(ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
-    (distinct_keys(ops), distinct_keys(ops.iter().filter(|o| o.is_write())))
 }
 
 /// Bytes of a slot's `[lock | rts | wts_0]` header.
@@ -870,7 +868,6 @@ mod tests {
         let read: fn(u64) -> Vec<Op> = |keys| (0..keys).map(Op::Read).collect();
         let runs: Vec<(&str, [u64; 2])> = protocols()
             .into_iter()
-            .filter(|&(name, ..)| name != "2pl-shared")
             .map(|(name, versions, worker_tag, make)| {
                 let rts = |ops: Vec<Op>| {
                     let t = timed_table(versions);
@@ -888,7 +885,14 @@ mod tests {
             .collect();
         assert_eq!(
             runs,
-            [("2pl-excl", [2, 2]), ("2pl-leased", [3, 2]), ("occ", [3, 2]), ("tso", [5, 3]), ("mvcc", [5, 3])]
+            [
+                ("2pl-excl", [2, 2]),
+                ("2pl-shared", [4, 4]),
+                ("2pl-leased", [3, 2]),
+                ("occ", [3, 2]),
+                ("tso", [5, 3]),
+                ("mvcc", [5, 3])
+            ]
         );
     }
 
@@ -913,7 +917,7 @@ mod tests {
         });
         let pinned = [
             ("2pl-excl", [10, 15, 10, 0, 8, 160, 160], 18_150),
-            ("2pl-shared", [29, 45, 20, 0, 74, 304, 400], 126_400),
+            ("2pl-shared", [29, 45, 20, 0, 16, 304, 400], 39_900),
             ("2pl-leased", [10, 5, 28, 0, 11, 160, 80], 25_400),
             ("occ", [19, 15, 5, 0, 13, 456, 160], 25_550),
             ("tso", [14, 15, 14, 4, 18, 544, 160], 36_263),

@@ -23,12 +23,16 @@
 //!   fence), which no steal gets past: a word already stolen aborts it
 //!   with `lease-stolen`, having written nothing. An unlock that finds a
 //!   thief's word aborts a read-only set the same way.
-//! * `shared_locks = true` — the 2-RT shared-exclusive lock: readers
-//!   admit concurrently, writers drain. More round trips per lock, more
-//!   concurrency, taken and released key by key in sorted order. ("It
-//!   remains open if the allowed extra concurrency can offset the
-//!   performance overhead of the advanced locks" — experiment C2 answers
-//!   this for our fabric.)
+//! * `shared_locks = true` — the 2-RT shared-exclusive lock, exclusive
+//!   for a key some op writes and shared otherwise: readers admit
+//!   concurrently, writers drain. Four doorbells, whatever the key count:
+//!   **grow** is the latch CASes, each with its metadata READ and payload
+//!   READ (none when a blind overwrite comes first), then the new metadata
+//!   and the latch unlocks; **shrink** is the latch CASes again, then
+//!   the payloads, the released metadata and the unlocks. More round
+//!   trips per lock, more concurrency. ("It remains open if the allowed
+//!   extra concurrency can offset the performance overhead of the
+//!   advanced locks" — experiment C2 answers this for our fabric.)
 //!
 //! Neither waits: a lock still busy after its bounded retries aborts the
 //! transaction, so holding part of a set while retrying the rest cannot
@@ -41,8 +45,8 @@
 use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
-use super::{apply_delta, key_sets, key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{ExclusiveLock, LeaseLock, LockWord, SharedExclusiveLock};
+use super::{key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
+use crate::locks::{ExclusiveLock, LeaseLock, LockWord, Rider, SharedExclusiveLock};
 
 /// 2PL with no-wait bounded-retry acquisition.
 pub struct TwoPhaseLocking {
@@ -138,91 +142,31 @@ impl TwoPhaseLocking {
         }
     }
 
-    /// A transaction under shared-exclusive locks, key by key.
+    /// A transaction under shared-exclusive locks: grow, execute on the
+    /// transaction's own copies, shrink with the payloads riding.
     fn execute_shared(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let (all_keys, write_keys) = key_sets(ops);
-        let layer = ctx.table.layer();
-        // `(key, taken for writing)` of every lock held.
-        let mut held: Vec<(u64, bool)> = Vec::with_capacity(all_keys.len());
-
-        // Growing phase, sorted order.
-        let mut failed = None;
-        let grow_span = ctx.ep.span(Phase::LockAcquire);
-        for &key in &all_keys {
-            let lock = ctx.table.lock_addr(key);
-            let is_write = write_keys.binary_search(&key).is_ok();
-            let result = if is_write {
-                SharedExclusiveLock::acquire_exclusive(layer, ctx.ep, lock, self.max_retries)
-            } else {
-                SharedExclusiveLock::acquire_shared(layer, ctx.ep, lock, self.max_retries)
-            };
-            match result {
-                Ok(()) => held.push((key, is_write)),
-                Err(e) => {
-                    failed = Some(TxnError::from(e));
-                    break;
-                }
-            }
+        let (ep, table) = (ctx.ep, ctx.table);
+        let (layer, psize) = (table.layer(), table.payload_size());
+        let uses = key_uses(ops);
+        let set: Vec<(GlobalAddr, bool)> = uses.iter().map(|u| (table.lock_addr(u.key), u.written)).collect();
+        let mut buf = vec![0u8; uses.len() * psize];
+        {
+            let mut riders: Vec<Rider<'_>> = (uses.iter().zip(buf.chunks_exact_mut(psize)).enumerate())
+                .filter(|(_, (u, _))| u.reads_old)
+                .map(|(word, (u, dst))| Rider { word, addr: table.payload_read_addr(u.key, 0), dst })
+                .collect();
+            let _span = ep.span(Phase::LockAcquire);
+            SharedExclusiveLock::acquire_set(layer, ep, &set, &mut riders, ctx.worker_tag, self.max_retries)?;
         }
-        drop(grow_span);
-
-        // Execute (only if fully locked).
-        let mut out = TxnOutput::default();
-        if failed.is_none() {
-            failed = run_ops(ctx, ops, &mut out).err();
+        let out = run_on_copies(ops, &uses, &mut buf, 0, psize);
+        let mut writes: Vec<(GlobalAddr, &[u8])> = Vec::new();
+        for (u, copy) in uses.iter().zip(buf.chunks_exact(psize)).filter(|(u, _)| u.written) {
+            writes.extend(table.payload_writes(u.key, 0, copy));
         }
-
-        // Shrinking phase: attempt every release — one that fails must
-        // not leave the rest held — and report the first failure.
-        let _shrink_span = ctx.ep.span(Phase::LockAcquire);
-        for (key, is_write) in held.into_iter().rev() {
-            let lock = ctx.table.lock_addr(key);
-            // Releases must eventually succeed: retry hard.
-            let released = if is_write {
-                SharedExclusiveLock::release_exclusive(layer, ctx.ep, lock, 10_000)
-            } else {
-                SharedExclusiveLock::release_shared(layer, ctx.ep, lock, 10_000)
-            };
-            if let Err(e) = released {
-                failed.get_or_insert(e.into());
-            }
-        }
-
-        match failed {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+        let _span = ep.span(Phase::LockAcquire);
+        SharedExclusiveLock::release_set(layer, ep, &writes, &set, ctx.worker_tag)?;
+        Ok(out)
     }
-}
-
-/// Run `ops` in program order, each payload access a verb of its own on
-/// the table.
-fn run_ops(ctx: &TxnCtx<'_>, ops: &[Op], out: &mut TxnOutput) -> Result<(), TxnError> {
-    let mut buf = vec![0u8; ctx.table.payload_size()];
-    for op in ops {
-        match op {
-            Op::Read(key) => {
-                let _span = ctx.ep.span(Phase::PageFetch);
-                ctx.table.read_payload(ctx.ep, *key, 0, &mut buf)?;
-                out.reads.push((*key, buf.clone()));
-            }
-            Op::Update { key, value } => {
-                let _span = ctx.ep.span(Phase::Writeback);
-                ctx.table.write_payload(ctx.ep, *key, 0, value)?;
-            }
-            Op::Rmw { key, delta } => {
-                {
-                    let _span = ctx.ep.span(Phase::PageFetch);
-                    ctx.table.read_payload(ctx.ep, *key, 0, &mut buf)?;
-                }
-                out.reads.push((*key, buf.clone()));
-                apply_delta(&mut buf, *delta);
-                let _span = ctx.ep.span(Phase::Writeback);
-                ctx.table.write_payload(ctx.ep, *key, 0, &buf)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 impl ConcurrencyControl for TwoPhaseLocking {
@@ -513,6 +457,24 @@ mod tests {
     fn shared_exclusive_2pl_preserves_bank_invariant() {
         let t = table(16, 16, 1);
         bank_invariant_holds(&TwoPhaseLocking::shared_exclusive(), &t, 4, 200);
+    }
+
+    /// A key in a migration's dual window takes a committed write on both
+    /// homes: each protocol's write-back goes through `payload_writes`.
+    #[test]
+    fn a_write_lands_on_both_homes_of_a_dual_homed_key() {
+        for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
+            let t = table(4, 16, 1);
+            let ep = t.layer().fabric().endpoint();
+            t.begin_migration(t.layer().join_group(1 << 20, 1, 4.0), 0, 4).unwrap();
+            while t.migrate_chunk(&ep, 4).unwrap() > 0 {}
+            let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+            cc.execute(&ctx, &[Op::Rmw { key: 2, delta: 5 }]).unwrap();
+            let (old, new) = t.dual_payload_addrs(2, 0).expect("dual-homed");
+            for home in [old, new] {
+                assert_eq!(t.layer().read_u64(&ep, home).unwrap(), 5, "{}", cc.name());
+            }
+        }
     }
 
     #[test]

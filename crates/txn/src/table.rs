@@ -279,18 +279,6 @@ impl RecordTable {
         std::iter::once(old).chain(dual).map(move |addr| (addr, src))
     }
 
-    /// Read version `v`'s payload of `key` into `dst`: one READ.
-    pub fn read_payload(&self, ep: &Endpoint, key: u64, v: usize, dst: &mut [u8]) -> DsmResult<()> {
-        self.layer.read(ep, self.payload_read_addr(key, v), dst)
-    }
-
-    /// Write version `v`'s payload of `key`: one WRITE per home of
-    /// [`RecordTable::payload_writes`], each on its own.
-    pub fn write_payload(&self, ep: &Endpoint, key: u64, v: usize, src: &[u8]) -> DsmResult<()> {
-        self.payload_writes(key, v, src)
-            .try_for_each(|(addr, src)| self.layer.write(ep, addr, src))
-    }
-
     /// Both live payload homes of a dual-homed key (old, new), or
     /// `None` when the key is not currently dual-homed. The divergence
     /// audit reads both and insists on byte equality.

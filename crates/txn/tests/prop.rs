@@ -1,7 +1,7 @@
 //! Property tests for the CC layer: serial equivalence against a
 //! reference interpreter, for every protocol, and every lock-set protocol
-//! (exclusive 2PL, OCC, TSO, MVCC) against a sequential in-memory model
-//! and its doorbell plan on every layout.
+//! (exclusive and shared-exclusive 2PL, OCC, TSO, MVCC) against a
+//! sequential in-memory model and its doorbell plan on every layout.
 
 use std::sync::Arc;
 
@@ -172,14 +172,14 @@ fn op_lists() -> impl Strategy<Value = Vec<Vec<Op>>> {
 /// `versions`, and through a plain array; reads, the newest version's
 /// bytes on every replica and every lock word must agree with the array
 /// afterwards, and each transaction must pay the wire round trips `rts`
-/// plans for it.
+/// plans for it. Returns the table.
 fn doorbells_match_the_model(
     make: impl FnOnce(&Arc<DsmLayer>) -> Box<dyn ConcurrencyControl>,
     versions: usize,
     rts: fn(&[Op]) -> u64,
     (groups, replication): (usize, usize),
     txns: &[Vec<Op>],
-) {
+) -> RecordTable {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -235,6 +235,7 @@ fn doorbells_match_the_model(
             assert_eq!(word, 0, "{}: lock of key {key} on node {}", cc.name(), member.id());
         }
     }
+    t
 }
 
 /// Whether some key's first op observes its old value, some key is
@@ -283,6 +284,26 @@ proptest! {
         txns in op_lists(),
     ) {
         doorbells_match_the_model(|_| Box::new(TwoPhaseLocking::exclusive()), 1, tpl_rts, (groups, replication), &txns);
+    }
+
+    /// Shared-exclusive 2PL: two doorbells to grow, two to shrink; every
+    /// holder count is back to 0 on every member of its group.
+    #[test]
+    fn tpl_shared_doorbells_match_a_sequential_model(
+        groups in 1usize..=4,
+        replication in 1usize..=2,
+        txns in op_lists(),
+    ) {
+        let make = |_: &Arc<DsmLayer>| Box::new(TwoPhaseLocking::shared_exclusive()) as Box<dyn ConcurrencyControl>;
+        let t = doorbells_match_the_model(make, 1, |_| 4, (groups, replication), &txns);
+        for key in 0..KEYS {
+            let meta = t.lock_addr(key).offset_by(8);
+            let group = t.layer().group_index_of(meta.node()).expect("table group");
+            for member in t.layer().group_members(group) {
+                let holders = member.region().read_u64(meta.offset()).unwrap();
+                prop_assert_eq!(holders, 0, "key {} on node {}", key, member.id());
+            }
+        }
     }
 
     #[test]
