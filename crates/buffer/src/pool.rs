@@ -3,7 +3,7 @@
 //! §5: "all the data is stored in remote memory with hot data being cached
 //! in local memory" — a two-level hierarchy with no disk underneath. The
 //! pool fetches whole pages from the [`dsm::DsmLayer`] on a miss, serves
-//! hits from local frames, and writes back (or through) on updates.
+//! hits from local frames, and writes every update through to DSM.
 //! Every software action is priced by [`crate::cost`] and charged to the
 //! calling endpoint, so experiments see lookup + maintenance +
 //! synchronization overhead exactly as §5 Challenge 8 demands.
@@ -17,16 +17,13 @@
 //! in-flight (`filling`), its data box is taken out, the latch drops, the
 //! fetch happens on the wire, and the frame is published on return.
 //! Concurrent requesters of the same page wait on the shard's condvar for
-//! that frame — not on the pool lock — and count as hits. Dirty evictions
-//! likewise write back outside the latch; the evicted address sits in a
-//! `writing_back` set so nobody re-fetches a page whose newest bytes are
-//! still in flight toward DSM.
+//! that frame — not on the pool lock — and count as hits.
 //!
 //! Multi-page entry points ([`BufferPool::read_pages`],
 //! [`BufferPool::write_pages`]) coalesce all remote traffic of a call into
-//! one doorbell per direction: one `write_batch` for every dirty victim
-//! (plus write-through propagation, and any WRITE of a page the caller
-//! posts without caching it) and one `read_batch` for every fetch.
+//! one doorbell per direction: one `write_batch` for the write-through of
+//! every written page (and any WRITE of a page the caller posts without
+//! caching it) and one `read_batch` for every fetch.
 //! A read can also be taken in its two halves — [`BufferPool::resolve_reads`]
 //! serves the hits and reserves the misses, [`Fetch::complete`] posts and
 //! publishes — and between them the caller hands the fetch riders: work
@@ -36,7 +33,7 @@
 //! To stay deadlock-free a thread never sleeps on a condvar while it holds
 //! unfetched reservations — it flushes its batch first, then waits.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
@@ -46,13 +43,14 @@ use rdma_sim::{Endpoint, Metric, Phase};
 use crate::cost::{copy_cost_ns, LOCK_NS, MAP_OP_NS};
 use crate::policy::{FrameId, ReplacementPolicy};
 
-/// When modified pages reach remote memory.
+/// When modified pages reach remote memory: at once, always. The pool
+/// has no other mode; this one-variant enum and [`BufferPool::new`]'s
+/// argument of it are kept only because `benchmark/src/ladder.rs`
+/// passes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteMode {
-    /// Every write is immediately propagated to DSM (simple coherence).
+    /// Every write is immediately propagated to DSM.
     WriteThrough,
-    /// Writes dirty the frame; DSM is updated on eviction/flush.
-    WriteBack,
 }
 
 /// Aggregate pool counters.
@@ -64,8 +62,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Victim evictions performed.
     pub evictions: u64,
-    /// Dirty evictions that wrote back to DSM.
-    pub writebacks: u64,
     /// Pages dropped by [`BufferPool::invalidate`].
     pub invalidations: u64,
     /// Total software overhead charged, ns (policy + lookup + latch).
@@ -87,7 +83,6 @@ impl PoolStats {
         self.hits += o.hits;
         self.misses += o.misses;
         self.evictions += o.evictions;
-        self.writebacks += o.writebacks;
         self.invalidations += o.invalidations;
         self.overhead_ns += o.overhead_ns;
     }
@@ -97,12 +92,12 @@ struct Frame {
     data: Box<[u8]>,
     /// Raw [`GlobalAddr`] of the resident page; `u64::MAX` when empty.
     page: u64,
-    dirty: bool,
     /// Pinned for an in-flight remote fetch; `data` is taken out and the
     /// frame must not be read, evicted, or invalidated until published.
     filling: bool,
     /// Nonzero: the tag of the caller that installed the page and has not
-    /// settled it yet ([`BufferPool::install_page`]).
+    /// settled it yet ([`BufferPool::install_page`]). 0: the page was
+    /// fetched, or written through.
     held_by: u64,
 }
 
@@ -111,9 +106,6 @@ struct ShardInner {
     frames: Vec<Frame>,
     page_table: HashMap<u64, FrameId>,
     free: Vec<FrameId>,
-    /// Pages evicted dirty whose write-back to DSM is still in flight; a
-    /// miss on one of these must wait or it would fetch stale bytes.
-    writing_back: HashSet<u64>,
     /// Number of frames currently `filling`.
     filling: usize,
     stats: PoolStats,
@@ -129,7 +121,6 @@ struct Shard {
 pub struct BufferPool {
     layer: Arc<DsmLayer>,
     page_size: usize,
-    mode: WriteMode,
     shards: Vec<Shard>,
     /// `64 - log2(shards)`: fibonacci-hash shift for shard selection.
     shard_shift: u32,
@@ -142,31 +133,9 @@ struct PendingFetch {
     frame: FrameId,
     key: u64,
     data: Box<[u8]>,
-    /// Raw address of a dirty victim whose bytes currently sit in `data`
-    /// and must reach DSM before the fetch reuses the buffer.
-    writeback: Option<u64>,
     /// A fetch-and-add riding the fetch on the page's first word: the
     /// addend and, once posted, the word's pre-add value.
     add: Option<(u64, u64)>,
-}
-
-/// A dirty victim snapshotted by the write path for the batched doorbell.
-struct PendingWriteback {
-    shard: usize,
-    raw: u64,
-    data: Box<[u8]>,
-}
-
-/// What a frame that just took a written page owes DSM for it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Owes {
-    /// Nothing: the caller moves the page itself, and holds the frame
-    /// under this tag until it settles ([`BufferPool::install_page`]).
-    Nothing(u64),
-    /// The bytes, in this call's doorbell (write-through).
-    Now,
-    /// The bytes, when the frame is evicted or flushed (write-back).
-    Later,
 }
 
 enum Step {
@@ -226,10 +195,10 @@ impl Fetch<'_> {
     /// published with the add applied, as DSM holds it. All of them ride
     /// the fetch's doorbell. If that doorbell fails, the reserved frames
     /// are freed and the written ones dropped, so the cache never holds
-    /// bytes DSM may not. Returns false when nothing rode — the pool
-    /// writes back, or a page could be taken only by waiting, which a
-    /// holder of reservations must not — having completed the fetch alone
-    /// and left the writes and the adds to the caller.
+    /// bytes DSM may not. Returns false when nothing rode — a page could
+    /// be taken only by waiting, which a holder of reservations must not —
+    /// having completed the fetch alone and left the writes and the adds
+    /// to the caller.
     pub fn complete_writing<'d>(
         mut self,
         ep: &Endpoint,
@@ -238,7 +207,7 @@ impl Fetch<'_> {
         adds: &[(GlobalAddr, i64)],
     ) -> DsmResult<bool> {
         let pool = self.pool;
-        if pool.mode != WriteMode::WriteThrough || !pool.stage_through(ep, writes) {
+        if !pool.stage_through(ep, writes) {
             self.complete(ep, dsts, None)?;
             return Ok(false);
         }
@@ -261,15 +230,16 @@ impl Drop for Fetch<'_> {
 
 impl BufferPool {
     /// A single-shard pool of `capacity_pages` frames of `page_size`
-    /// bytes, managed by `policy`, fronting `layer`.
+    /// bytes, managed by `policy`, fronting `layer`. The [`WriteMode`] is
+    /// ignored: the pool writes through.
     pub fn new(
         layer: Arc<DsmLayer>,
         page_size: usize,
         capacity_pages: usize,
         policy: Box<dyn ReplacementPolicy>,
-        mode: WriteMode,
+        _: WriteMode,
     ) -> Self {
-        Self::build(layer, page_size, mode, vec![(capacity_pages, policy)])
+        Self::build(layer, page_size, vec![(capacity_pages, policy)])
     }
 
     /// A pool striped into `shards` (power of two) independent lock
@@ -281,7 +251,6 @@ impl BufferPool {
         capacity_pages: usize,
         shards: usize,
         policy: impl Fn(usize) -> Box<dyn ReplacementPolicy>,
-        mode: WriteMode,
     ) -> Self {
         assert!(shards >= 1 && shards.is_power_of_two(), "shards must be a power of two");
         assert!(capacity_pages >= shards, "need at least one frame per shard");
@@ -293,15 +262,10 @@ impl BufferPool {
                 (cap, policy(cap))
             })
             .collect();
-        Self::build(layer, page_size, mode, per_shard)
+        Self::build(layer, page_size, per_shard)
     }
 
-    fn build(
-        layer: Arc<DsmLayer>,
-        page_size: usize,
-        mode: WriteMode,
-        per_shard: Vec<(usize, Box<dyn ReplacementPolicy>)>,
-    ) -> Self {
+    fn build(layer: Arc<DsmLayer>, page_size: usize, per_shard: Vec<(usize, Box<dyn ReplacementPolicy>)>) -> Self {
         let nshards = per_shard.len();
         assert!(nshards.is_power_of_two());
         let shards = per_shard
@@ -312,7 +276,6 @@ impl BufferPool {
                     .map(|_| Frame {
                         data: vec![0u8; page_size].into_boxed_slice(),
                         page: u64::MAX,
-                        dirty: false,
                         filling: false,
                         held_by: 0,
                     })
@@ -323,7 +286,6 @@ impl BufferPool {
                         frames,
                         page_table: HashMap::with_capacity(cap * 2),
                         free: (0..cap).rev().collect(),
-                        writing_back: HashSet::new(),
                         filling: 0,
                         stats: PoolStats::default(),
                     }),
@@ -334,7 +296,6 @@ impl BufferPool {
         Self {
             layer,
             page_size,
-            mode,
             shards,
             shard_shift: 64 - nshards.trailing_zeros(),
         }
@@ -482,9 +443,8 @@ impl BufferPool {
     }
 
     /// Read every page in `reqs` (addresses must be distinct), resolving
-    /// hits locally and fetching all misses in one doorbell group (plus
-    /// one group for any dirty victim write-backs). Returns the number of
-    /// local hits.
+    /// hits locally and fetching all misses in one doorbell group. Returns
+    /// the number of local hits.
     pub fn read_pages(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<usize> {
         let (hits, mut fetch) = self.resolve_reads(ep, reqs)?;
         self.complete_fetches(ep, &mut fetch.pending, None, |i, page| reqs[i].1.copy_from_slice(page))?;
@@ -501,7 +461,7 @@ impl BufferPool {
         let mut fetch = Fetch { pool: self, pending: Vec::new() };
         let mut i = 0;
         while i < reqs.len() {
-            match self.resolve_read(ep, i, reqs, fetch.is_empty())? {
+            match self.resolve_read(ep, i, reqs, fetch.is_empty()) {
                 Step::Done => {
                     hits += 1;
                     i += 1;
@@ -522,13 +482,7 @@ impl BufferPool {
     /// With `can_wait` false the caller holds unfetched reservations, so
     /// instead of sleeping we ask it to flush (deadlock freedom: a thread
     /// only ever blocks while holding nothing in flight).
-    fn resolve_read(
-        &self,
-        ep: &Endpoint,
-        i: usize,
-        reqs: &mut [(GlobalAddr, &mut [u8])],
-        can_wait: bool,
-    ) -> DsmResult<Step> {
+    fn resolve_read(&self, ep: &Endpoint, i: usize, reqs: &mut [(GlobalAddr, &mut [u8])], can_wait: bool) -> Step {
         let (addr, dst) = &mut reqs[i];
         assert_eq!(dst.len(), self.page_size);
         let key = addr.to_raw();
@@ -544,53 +498,25 @@ impl BufferPool {
                     // page-level contention: attribute it to the page in
                     // the endpoint's hot-key tally.
                     if !can_wait {
-                        return Ok(Step::MustFlush);
+                        return Step::MustFlush;
                     }
                     ep.note_lock_wait(key, LOCK_NS);
                     sh.cv.wait(&mut inner);
                     continue;
                 }
                 self.serve_hit(ep, s, f, key, dst);
-                return Ok(Step::Done);
-            }
-            if s.writing_back.contains(&key) {
-                if !can_wait {
-                    return Ok(Step::MustFlush);
-                }
-                ep.note_lock_wait(key, LOCK_NS);
-                sh.cv.wait(&mut inner);
-                continue;
+                return Step::Done;
             }
             // Miss: reserve a frame, pin it in-flight, and take its data
             // box so the fetch can run outside the latch.
-            let mut overhead = MAP_OP_NS + LOCK_NS;
-            let (f, writeback) = match s.free.pop() {
-                Some(f) => (f, None),
-                None => {
-                    if s.page_table.len() - s.filling == 0 {
-                        // Every frame is mid-fetch; wait for one to settle.
-                        if !can_wait {
-                            return Ok(Step::MustFlush);
-                        }
-                        sh.cv.wait(&mut inner);
-                        continue;
-                    }
-                    let (victim, pol) = s.policy.victim();
-                    overhead += pol;
-                    s.stats.evictions += 1;
-                    ep.series_note(Metric::Evictions, 1);
-                    let old = &mut s.frames[victim];
-                    s.page_table.remove(&old.page);
-                    let wb = if old.dirty {
-                        s.writing_back.insert(old.page);
-                        old.dirty = false;
-                        Some(old.page)
-                    } else {
-                        None
-                    };
-                    (victim, wb)
+            let Some((f, pol)) = Self::take_frame(ep, s) else {
+                if !can_wait {
+                    return Step::MustFlush;
                 }
+                sh.cv.wait(&mut inner);
+                continue;
             };
+            let mut overhead = MAP_OP_NS + LOCK_NS + pol;
             let fr = &mut s.frames[f];
             fr.page = key;
             fr.filling = true;
@@ -602,24 +528,32 @@ impl BufferPool {
             Self::charge(ep, s, overhead);
             s.stats.misses += 1;
             ep.series_note(Metric::CacheMisses, 1);
-            return Ok(Step::Reserved(PendingFetch {
-                req_idx: i,
-                shard: shard_idx,
-                frame: f,
-                key,
-                data,
-                writeback,
-                add: None,
-            }));
+            return Step::Reserved(PendingFetch { req_idx: i, shard: shard_idx, frame: f, key, data, add: None });
         }
     }
 
-    /// Flush a read batch: one doorbell of dirty victim write-backs, one
-    /// doorbell of fetches — each READ followed by its page's
-    /// fetch-and-add, if it has one — with `riders` behind them, then
-    /// publish every frame and hand `publish` each page with its request
-    /// index. An added-to page is handed over with its first word the
-    /// add's pre-add value, and published with the add applied.
+    /// A frame for a missed page: a free one, or the policy's victim,
+    /// evicted, with the policy's cost. `None` when every frame is
+    /// mid-fetch: the caller waits for one to settle.
+    fn take_frame(ep: &Endpoint, s: &mut ShardInner) -> Option<(FrameId, u64)> {
+        if let Some(f) = s.free.pop() {
+            return Some((f, 0));
+        }
+        if s.page_table.len() == s.filling {
+            return None;
+        }
+        let (victim, pol) = s.policy.victim();
+        s.stats.evictions += 1;
+        ep.series_note(Metric::Evictions, 1);
+        s.page_table.remove(&s.frames[victim].page);
+        Some((victim, pol))
+    }
+
+    /// Flush a read batch: one doorbell of fetches — each READ followed by
+    /// its page's fetch-and-add, if it has one — with `riders` behind
+    /// them, then publish every frame and hand `publish` each page with its
+    /// request index. An added-to page is handed over with its first word
+    /// the add's pre-add value, and published with the add applied.
     fn complete_fetches<'r>(
         &self,
         ep: &Endpoint,
@@ -630,20 +564,6 @@ impl BufferPool {
         let mut riders = riders.into_iter().peekable();
         if pending.is_empty() && riders.peek().is_none() {
             return Ok(());
-        }
-        {
-            let wb: Vec<(GlobalAddr, &[u8])> = pending
-                .iter()
-                .filter_map(|p| p.writeback.map(|raw| (GlobalAddr::from_raw(raw), &p.data[..])))
-                .collect();
-            if !wb.is_empty() {
-                let _span = ep.span(Phase::Writeback);
-                if let Err(e) = self.layer.write_batch(ep, &wb) {
-                    drop(wb);
-                    self.abort_fetches(pending);
-                    return Err(e);
-                }
-            }
         }
         {
             let _span = ep.span(Phase::PageFetch);
@@ -688,14 +608,8 @@ impl BufferPool {
                 let s = &mut *inner;
                 let fr = &mut s.frames[p.frame];
                 fr.data = p.data;
-                fr.dirty = false;
                 fr.filling = false;
                 s.filling -= 1;
-                if let Some(raw) = p.writeback {
-                    s.writing_back.remove(&raw);
-                    s.stats.writebacks += 1;
-                    ep.series_note(Metric::Writebacks, 1);
-                }
                 let pol = s.policy.on_insert(p.frame, p.key);
                 Self::charge(ep, s, pol);
             }
@@ -705,9 +619,7 @@ impl BufferPool {
     }
 
     /// Undo reservations after a failed batch: free the frames, clear the
-    /// markers, wake waiters. (Dirty victim bytes may be lost, matching
-    /// the pre-striping error behavior — layer errors only arise in
-    /// failure-injection runs that bypass the pool.)
+    /// markers, wake waiters.
     fn abort_fetches(&self, pending: &mut Vec<PendingFetch>) {
         for p in pending.drain(..) {
             let sh = &self.shards[p.shard];
@@ -717,14 +629,10 @@ impl BufferPool {
                 s.page_table.remove(&p.key);
                 let fr = &mut s.frames[p.frame];
                 fr.page = u64::MAX;
-                fr.dirty = false;
                 fr.filling = false;
                 fr.data = p.data;
                 s.filling -= 1;
                 s.free.push(p.frame);
-                if let Some(raw) = p.writeback {
-                    s.writing_back.remove(&raw);
-                }
             }
             sh.cv.notify_all();
         }
@@ -738,14 +646,13 @@ impl BufferPool {
     /// Make the cached copy of `addr` equal `src` (a full page) and leave
     /// DSM alone: the write path minus the propagation. For a caller that
     /// moves the page to or from DSM in a doorbell of its own — `src` is
-    /// what it just read there, or what it is about to write there — so
-    /// the frame is clean afterwards in either write mode. The frame is
-    /// held under `holder` (nonzero) until [`BufferPool::settle`]: until
-    /// the caller knows the bytes are committed,
+    /// what it just read there, or what it is about to write there. The
+    /// frame is held under `holder` (nonzero) until [`BufferPool::settle`]:
+    /// until the caller knows the bytes are committed,
     /// [`BufferPool::read_resident_set`] does not serve them.
     pub fn install_page(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8], holder: u64) -> DsmResult<()> {
         assert_ne!(holder, 0, "a hold needs a nonzero tag");
-        self.put_pages(ep, &[(addr, src)], Owes::Nothing(holder), &[])
+        self.put_pages(ep, &[(addr, src)], holder, &[])
     }
 
     /// End `holder`'s hold on `addr`'s frame. A frame since taken over by
@@ -764,44 +671,39 @@ impl BufferPool {
 
     /// Write every full page in `reqs` through the cache, and post
     /// `uncached` — WRITEs of pages this pool does not cache, which no
-    /// frame takes — beside them. All remote traffic of the call — dirty
-    /// victim write-backs, (in write-through mode) the propagation of
-    /// every page, and `uncached` — goes out as one doorbell group.
+    /// frame takes — beside them. All remote traffic of the call — the
+    /// write-through of every page, and `uncached` — goes out as one
+    /// doorbell group.
     pub fn write_pages(
         &self,
         ep: &Endpoint,
         reqs: &[(GlobalAddr, &[u8])],
         uncached: &[(GlobalAddr, &[u8])],
     ) -> DsmResult<()> {
-        let owes = match self.mode {
-            WriteMode::WriteThrough => Owes::Now,
-            WriteMode::WriteBack => Owes::Later,
-        };
-        self.put_pages(ep, reqs, owes, uncached)
+        self.put_pages(ep, reqs, 0, uncached)
     }
 
-    /// The write path: the frames take the pages of `reqs` and owe DSM
-    /// `owes` for them; `uncached` rides the last doorbell.
+    /// The write path: the frames take the pages of `reqs` under
+    /// `held_by` — 0 writes them through, a holder's tag leaves DSM to the
+    /// holder — and `uncached` rides the last doorbell.
     fn put_pages(
         &self,
         ep: &Endpoint,
         reqs: &[(GlobalAddr, &[u8])],
-        owes: Owes,
+        held_by: u64,
         uncached: &[(GlobalAddr, &[u8])],
     ) -> DsmResult<()> {
-        let mut wbs: Vec<PendingWriteback> = Vec::new();
         let mut through: Vec<usize> = Vec::new();
         let mut i = 0;
         while i < reqs.len() {
             // Never sleep while holding batched state: flush first.
-            let can_wait = wbs.is_empty() && through.is_empty();
-            match self.resolve_write(ep, i, reqs, owes, can_wait, &mut wbs, &mut through)? {
+            match self.resolve_write(ep, i, reqs, held_by, through.is_empty(), &mut through) {
                 Step::Done => i += 1,
                 Step::Reserved(_) => unreachable!("write path fills frames locally"),
-                Step::MustFlush => self.complete_writes(ep, reqs, &mut wbs, &mut through, &[])?,
+                Step::MustFlush => self.complete_writes(ep, reqs, &mut through, &[])?,
             }
         }
-        self.complete_writes(ep, reqs, &mut wbs, &mut through, uncached)
+        self.complete_writes(ep, reqs, &mut through, uncached)
     }
 
     /// The write-through path's frame half for a caller that holds
@@ -809,48 +711,41 @@ impl BufferPool {
     /// frames, and no page is waited for. Returns false, with the frames
     /// written so far dropped, when one would have to be.
     fn stage_through(&self, ep: &Endpoint, writes: &[(GlobalAddr, &[u8])]) -> bool {
-        let (mut wbs, mut through) = (Vec::new(), Vec::new());
+        let mut through = Vec::new();
         for i in 0..writes.len() {
-            if !matches!(self.resolve_write(ep, i, writes, Owes::Now, false, &mut wbs, &mut through), Ok(Step::Done)) {
+            if !matches!(self.resolve_write(ep, i, writes, 0, false, &mut through), Step::Done) {
                 self.drop_written(ep, writes[..i].iter().map(|w| w.0));
                 return false;
             }
         }
-        debug_assert!(wbs.is_empty(), "a write-through pool holds no dirty frame");
         true
     }
 
     /// One write request: apply `src` to a (possibly newly allocated)
-    /// frame under the shard latch. Remote work is only *recorded* (victim
-    /// snapshot / write-through index) for the batched doorbell. With
-    /// `can_wait` false a page that would need waiting for is `MustFlush`.
-    #[allow(clippy::too_many_arguments)]
+    /// frame under the shard latch, held under `held_by`. A page to write
+    /// through (`held_by` 0) is only *recorded* in `through` for the
+    /// batched doorbell. With `can_wait` false a page that would need
+    /// waiting for is `MustFlush`.
     fn resolve_write(
         &self,
         ep: &Endpoint,
         i: usize,
         reqs: &[(GlobalAddr, &[u8])],
-        owes: Owes,
+        held_by: u64,
         can_wait: bool,
-        wbs: &mut Vec<PendingWriteback>,
         through: &mut Vec<usize>,
-    ) -> DsmResult<Step> {
+    ) -> Step {
         let (addr, src) = &reqs[i];
         assert_eq!(src.len(), self.page_size);
         let key = addr.to_raw();
-        let shard_idx = self.shard_of(key);
-        let sh = &self.shards[shard_idx];
-        let held_by = match owes {
-            Owes::Nothing(holder) => holder,
-            Owes::Now | Owes::Later => 0,
-        };
+        let sh = &self.shards[self.shard_of(key)];
         let mut inner = sh.inner.lock();
         loop {
             let s = &mut *inner;
             if let Some(&f) = s.page_table.get(&key) {
                 if s.frames[f].filling {
                     if !can_wait {
-                        return Ok(Step::MustFlush);
+                        return Step::MustFlush;
                     }
                     ep.note_lock_wait(key, LOCK_NS);
                     sh.cv.wait(&mut inner);
@@ -862,98 +757,55 @@ impl BufferPool {
                 ep.series_note(Metric::CacheHits, 1);
                 ep.charge_local(copy_cost_ns(self.page_size));
                 s.frames[f].data.copy_from_slice(src);
-                s.frames[f].dirty = owes == Owes::Later;
                 s.frames[f].held_by = held_by;
-                if owes == Owes::Now {
+                if held_by == 0 {
                     through.push(i);
                 }
-                return Ok(Step::Done);
-            }
-            if s.writing_back.contains(&key) {
-                if !can_wait {
-                    return Ok(Step::MustFlush);
-                }
-                ep.note_lock_wait(key, LOCK_NS);
-                sh.cv.wait(&mut inner);
-                continue;
+                return Step::Done;
             }
             // Miss: the whole page is overwritten, so no fetch — allocate
             // a frame and fill it from `src` under the latch.
-            let mut overhead = MAP_OP_NS + LOCK_NS;
-            let f = match s.free.pop() {
-                Some(f) => f,
-                None => {
-                    if s.page_table.len() - s.filling == 0 {
-                        if !can_wait {
-                            return Ok(Step::MustFlush);
-                        }
-                        sh.cv.wait(&mut inner);
-                        continue;
-                    }
-                    let (victim, pol) = s.policy.victim();
-                    overhead += pol;
-                    s.stats.evictions += 1;
-                    ep.series_note(Metric::Evictions, 1);
-                    let old = &mut s.frames[victim];
-                    s.page_table.remove(&old.page);
-                    if old.dirty {
-                        // Snapshot the dirty bytes for the batched
-                        // doorbell; mark the page write-back-in-flight.
-                        s.writing_back.insert(old.page);
-                        wbs.push(PendingWriteback {
-                            shard: shard_idx,
-                            raw: old.page,
-                            data: old.data.clone(),
-                        });
-                        old.dirty = false;
-                        s.stats.writebacks += 1;
-                        ep.series_note(Metric::Writebacks, 1);
-                    }
-                    victim
+            let Some((f, pol)) = Self::take_frame(ep, s) else {
+                if !can_wait {
+                    return Step::MustFlush;
                 }
+                sh.cv.wait(&mut inner);
+                continue;
             };
             let fr = &mut s.frames[f];
             fr.page = key;
             ep.charge_local(copy_cost_ns(self.page_size));
             fr.data.copy_from_slice(src);
-            fr.dirty = owes == Owes::Later;
             fr.held_by = held_by;
-            if owes == Owes::Now {
+            if held_by == 0 {
                 through.push(i);
             }
             s.page_table.insert(key, f);
-            overhead += s.policy.on_insert(f, key) + MAP_OP_NS;
+            let overhead = MAP_OP_NS + LOCK_NS + pol + s.policy.on_insert(f, key) + MAP_OP_NS;
             Self::charge(ep, s, overhead);
             s.stats.misses += 1;
             ep.series_note(Metric::CacheMisses, 1);
-            return Ok(Step::Done);
+            return Step::Done;
         }
     }
 
-    /// Flush a write batch: victim write-backs first, then write-through
-    /// propagation (newer bytes), then `uncached`, all in one doorbell
-    /// group. If it fails, the frames written through are dropped: a retry
-    /// must not find the bytes DSM never took.
+    /// Flush a write batch: the write-through of every page of `through`,
+    /// then `uncached`, in one doorbell group. If it fails, the frames
+    /// written through are dropped: a retry must not find the bytes DSM
+    /// never took.
     fn complete_writes(
         &self,
         ep: &Endpoint,
         reqs: &[(GlobalAddr, &[u8])],
-        wbs: &mut Vec<PendingWriteback>,
         through: &mut Vec<usize>,
         uncached: &[(GlobalAddr, &[u8])],
     ) -> DsmResult<()> {
-        if wbs.is_empty() && through.is_empty() && uncached.is_empty() {
+        if through.is_empty() && uncached.is_empty() {
             return Ok(());
         }
+        let remote: Vec<(GlobalAddr, &[u8])> =
+            through.iter().map(|&idx| reqs[idx]).chain(uncached.iter().copied()).collect();
         let res = {
-            let mut remote: Vec<(GlobalAddr, &[u8])> = Vec::with_capacity(wbs.len() + through.len() + uncached.len());
-            for w in wbs.iter() {
-                remote.push((GlobalAddr::from_raw(w.raw), &w.data[..]));
-            }
-            for &idx in through.iter() {
-                remote.push((reqs[idx].0, reqs[idx].1));
-            }
-            remote.extend_from_slice(uncached);
             let _span = ep.span(Phase::Writeback);
             self.layer.write_batch(ep, &remote)
         };
@@ -961,18 +813,13 @@ impl BufferPool {
             self.drop_written(ep, through.iter().map(|&idx| reqs[idx].0));
         }
         through.clear();
-        for w in wbs.drain(..) {
-            let sh = &self.shards[w.shard];
-            sh.inner.lock().writing_back.remove(&w.raw);
-            sh.cv.notify_all();
-        }
         res
     }
 
-    /// Drop the cached copy of `addr` *without* writeback (coherence
-    /// invalidation: the writer holds the newer version). Returns whether
-    /// a copy was resident. Waits out an in-flight fetch or write-back of
-    /// the page so the caller observes a settled state.
+    /// Drop the cached copy of `addr` (coherence invalidation: the writer
+    /// holds the newer version). Returns whether a copy was resident.
+    /// Waits out an in-flight fetch of the page so the caller observes a
+    /// settled state.
     pub fn invalidate(&self, ep: &Endpoint, addr: GlobalAddr) -> bool {
         let key = addr.to_raw();
         let sh = &self.shards[self.shard_of(key)];
@@ -980,17 +827,12 @@ impl BufferPool {
         loop {
             let s = &mut *inner;
             match s.page_table.get(&key) {
-                Some(&f) if s.frames[f].filling => {
-                    sh.cv.wait(&mut inner);
-                }
+                Some(&f) if s.frames[f].filling => sh.cv.wait(&mut inner),
                 Some(&f) => {
                     Self::forget(ep, s, key, f);
                     drop(inner);
                     sh.cv.notify_all();
                     return true;
-                }
-                None if s.writing_back.contains(&key) => {
-                    sh.cv.wait(&mut inner);
                 }
                 None => {
                     Self::charge(ep, s, MAP_OP_NS + LOCK_NS);
@@ -1000,13 +842,11 @@ impl BufferPool {
         }
     }
 
-    /// Take settled frame `f`, holding page `key`, out of the pool without
-    /// write-back.
+    /// Take settled frame `f`, holding page `key`, out of the pool.
     fn forget(ep: &Endpoint, s: &mut ShardInner, key: u64, f: FrameId) {
         s.page_table.remove(&key);
         let pol = s.policy.on_remove(f);
         s.frames[f].page = u64::MAX;
-        s.frames[f].dirty = false;
         s.free.push(f);
         s.stats.invalidations += 1;
         ep.series_note(Metric::Invals, 1);
@@ -1033,9 +873,8 @@ impl BufferPool {
         }
     }
 
-    /// Drop every resident page without writeback (bulk invalidation
-    /// after a metadata-only reshard; write-through pools hold no dirty
-    /// state). Charged as one latched sweep per shard.
+    /// Drop every resident page (bulk invalidation after a metadata-only
+    /// reshard). Charged as one latched sweep per shard.
     pub fn drop_all(&self, ep: &Endpoint) {
         for sh in &self.shards {
             let mut inner = sh.inner.lock();
@@ -1047,7 +886,6 @@ impl BufferPool {
             for (_, f) in s.page_table.drain() {
                 s.policy.on_remove(f);
                 s.frames[f].page = u64::MAX;
-                s.frames[f].dirty = false;
                 s.free.push(f);
             }
             s.stats.invalidations += n as u64;
@@ -1056,39 +894,6 @@ impl BufferPool {
             drop(inner);
             sh.cv.notify_all();
         }
-    }
-
-    /// Write back every dirty page (shutdown, checkpoint, or a coherence
-    /// downgrade). Waits out in-flight fetches per shard so every dirty
-    /// frame is observed; each shard's write-backs form one doorbell.
-    pub fn flush_all(&self, ep: &Endpoint) -> DsmResult<()> {
-        for sh in &self.shards {
-            let mut inner = sh.inner.lock();
-            while inner.filling > 0 {
-                sh.cv.wait(&mut inner);
-            }
-            let s = &mut *inner;
-            let dirty: Vec<FrameId> = (0..s.frames.len())
-                .filter(|&f| s.frames[f].page != u64::MAX && s.frames[f].dirty)
-                .collect();
-            if dirty.is_empty() {
-                continue;
-            }
-            {
-                let wb: Vec<(GlobalAddr, &[u8])> = dirty
-                    .iter()
-                    .map(|&f| (GlobalAddr::from_raw(s.frames[f].page), &s.frames[f].data[..]))
-                    .collect();
-                let _span = ep.span(Phase::Writeback);
-                self.layer.write_batch(ep, &wb)?;
-            }
-            for &f in &dirty {
-                s.frames[f].dirty = false;
-                s.stats.writebacks += 1;
-                ep.series_note(Metric::Writebacks, 1);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1100,7 +905,7 @@ mod tests {
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
 
-    fn setup(frames: usize, mode: WriteMode) -> (Arc<Fabric>, Arc<DsmLayer>, BufferPool) {
+    fn setup(frames: usize) -> (Arc<Fabric>, Arc<DsmLayer>, BufferPool) {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let layer = DsmLayer::build(
             &fabric,
@@ -1117,14 +922,14 @@ mod tests {
             64,
             frames,
             Box::new(LruPolicy::new(frames)),
-            mode,
+            WriteMode::WriteThrough,
         );
         (fabric, layer, pool)
     }
 
     #[test]
     fn miss_then_hit() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(4);
         let ep = f.endpoint();
         let addr = layer.alloc(64).unwrap();
         layer.write(&ep, addr, &[9u8; 64]).unwrap();
@@ -1140,7 +945,7 @@ mod tests {
 
     #[test]
     fn hit_is_much_cheaper_than_miss_at_rdma_gap() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(4);
         let addr = layer.alloc(64).unwrap();
         let miss_ep = f.endpoint();
         let mut buf = [0u8; 64];
@@ -1150,15 +955,32 @@ mod tests {
         assert!(hit_ep.clock().now_ns() * 4 < miss_ep.clock().now_ns());
     }
 
+    /// Every write reaches DSM within its call, a batch of them in one
+    /// doorbell, and an evicted page leaves nothing behind to write.
     #[test]
     fn write_through_updates_dsm_immediately() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(4);
         let ep = f.endpoint();
-        let addr = layer.alloc(64).unwrap();
-        pool.write_page(&ep, addr, &[5u8; 64]).unwrap();
-        let mut direct = [0u8; 64];
-        layer.read(&ep, addr, &mut direct).unwrap();
-        assert_eq!(direct, [5u8; 64]);
+        let direct = |addr| {
+            let mut page = [0u8; 64];
+            layer.read(&f.endpoint(), addr, &mut page).unwrap();
+            page[0]
+        };
+        let addrs: Vec<_> = (0..8).map(|_| layer.alloc(64).unwrap()).collect();
+        let pages: Vec<_> = (1..=8u8).map(|v| [v; 64]).collect();
+        // Four pages fill the pool, four more evict them all.
+        for half in [0..4, 4..8] {
+            ep.reset();
+            let reqs: Vec<(GlobalAddr, &[u8])> = half.map(|i| (addrs[i], &pages[i][..])).collect();
+            pool.write_pages(&ep, &reqs, &[]).unwrap();
+            assert_eq!((ep.stats().writes, ep.stats().wire_round_trips()), (4, 1));
+        }
+        assert_eq!(pool.stats().evictions, 4);
+        assert_eq!(addrs.iter().map(|&a| direct(a)).collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+        // An evicted page misses onto what DSM took.
+        let mut buf = [0u8; 64];
+        assert!(!pool.read_page(&ep, addrs[0], &mut buf).unwrap());
+        assert_eq!(buf, [1u8; 64]);
     }
 
     /// A page the pool does not cache rides the write-through's doorbell
@@ -1166,7 +988,7 @@ mod tests {
     /// the written frame is dropped.
     #[test]
     fn uncached_writes_ride_the_write_through_and_take_no_frame() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(4);
         let ep = f.endpoint();
         let (cached, other) = (layer.alloc(64).unwrap(), layer.alloc(64).unwrap());
         let direct = |addr| {
@@ -1191,96 +1013,56 @@ mod tests {
     }
 
     #[test]
-    fn write_back_defers_until_eviction() {
-        let (f, layer, pool) = setup(2, WriteMode::WriteBack);
-        let ep = f.endpoint();
-        let a = layer.alloc(64).unwrap();
-        let b = layer.alloc(64).unwrap();
-        let c = layer.alloc(64).unwrap();
-        pool.write_page(&ep, a, &[1u8; 64]).unwrap();
-        let mut direct = [0u8; 64];
-        layer.read(&ep, a, &mut direct).unwrap();
-        assert_eq!(direct, [0u8; 64], "not yet written back");
-        // Evict `a` by filling the 2-frame pool.
-        let mut buf = [0u8; 64];
-        pool.read_page(&ep, b, &mut buf).unwrap();
-        pool.read_page(&ep, c, &mut buf).unwrap();
-        layer.read(&ep, a, &mut direct).unwrap();
-        assert_eq!(direct, [1u8; 64], "written back on eviction");
-        assert_eq!(pool.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn flush_all_writes_every_dirty_page() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteBack);
-        let ep = f.endpoint();
-        let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
-        for (i, a) in addrs.iter().enumerate() {
-            pool.write_page(&ep, *a, &[i as u8 + 1; 64]).unwrap();
-        }
-        pool.flush_all(&ep).unwrap();
-        for (i, a) in addrs.iter().enumerate() {
-            let mut direct = [0u8; 64];
-            layer.read(&ep, *a, &mut direct).unwrap();
-            assert_eq!(direct, [i as u8 + 1; 64]);
-        }
-        assert_eq!(pool.stats().writebacks, 3);
-    }
-
-    #[test]
     fn invalidate_drops_without_writeback() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteBack);
+        let (f, layer, pool) = setup(4);
         let ep = f.endpoint();
         let addr = layer.alloc(64).unwrap();
         layer.write(&ep, addr, &[7u8; 64]).unwrap();
         pool.write_page(&ep, addr, &[8u8; 64]).unwrap();
+        let verbs = ep.stats().round_trips();
         assert!(pool.invalidate(&ep, addr));
         assert!(!pool.invalidate(&ep, addr), "already gone");
-        // DSM still has the pre-write value: the dirty copy was dropped.
+        assert_eq!(ep.stats().round_trips(), verbs, "an invalidation posts nothing");
+        // DSM took the write when it was made, and a fresh read
+        // repopulates from it.
         let mut direct = [0u8; 64];
         layer.read(&ep, addr, &mut direct).unwrap();
-        assert_eq!(direct, [7u8; 64]);
-        // And a fresh read repopulates from DSM.
+        assert_eq!(direct, [8u8; 64]);
         let mut buf = [0u8; 64];
         assert!(!pool.read_page(&ep, addr, &mut buf).unwrap());
-        assert_eq!(buf, [7u8; 64]);
+        assert_eq!(buf, [8u8; 64]);
     }
 
     #[test]
     fn install_is_the_write_path_without_the_write() {
-        for mode in [WriteMode::WriteThrough, WriteMode::WriteBack] {
-            let (f, layer, pool) = setup(2, mode);
-            let ep = f.endpoint();
-            let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
-            // Absent: not served, not fetched, not charged.
-            let mut buf = [0u8; 64];
-            assert!(!pool.read_resident(&ep, addrs[0], &mut buf));
-            assert_eq!((ep.clock().now_ns(), pool.stats(), pool.resident()), (0, PoolStats::default(), 0));
-            // Installed: a miss of the write path, and no verb.
-            pool.install_page(&ep, addrs[0], &[5u8; 64], 1).unwrap();
-            let miss_ns = ep.clock().now_ns();
-            assert_eq!(miss_ns, MAP_OP_NS + LOCK_NS + MAP_OP_NS + 2 * LIST_OP_NS);
-            assert_eq!(ep.stats().round_trips(), 0);
-            // Resident: `read_resident` is `read_page`'s hit to the ns.
-            assert!(pool.read_resident(&ep, addrs[0], &mut buf));
-            assert_eq!(buf, [5u8; 64]);
-            let hit_ns = ep.clock().now_ns() - miss_ns;
-            assert!(pool.read_page(&ep, addrs[0], &mut buf).unwrap());
-            assert_eq!(ep.clock().now_ns() - miss_ns, 2 * hit_ns);
-            assert_eq!((pool.stats().hits, pool.stats().misses), (2, 1));
-            // Over a dirty frame (write-back mode) it leaves a clean one:
-            // the caller has said DSM gets these bytes from it. Evicted
-            // by two more installs, it writes nothing back.
-            pool.write_page(&ep, addrs[0], &[6u8; 64]).unwrap();
-            pool.install_page(&ep, addrs[0], &[7u8; 64], 1).unwrap();
-            let writes = ep.stats().writes;
-            pool.install_page(&ep, addrs[1], &[1u8; 64], 1).unwrap();
-            pool.install_page(&ep, addrs[2], &[2u8; 64], 1).unwrap();
-            assert!(!pool.contains(addrs[0]));
-            pool.flush_all(&ep).unwrap();
-            assert_eq!(ep.stats().writes, writes, "{mode:?}");
-            assert_eq!(pool.resident(), 2);
-        }
+        let (f, layer, pool) = setup(2);
+        let ep = f.endpoint();
+        let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
+        // Absent: not served, not fetched, not charged.
+        let mut buf = [0u8; 64];
+        assert!(!pool.read_resident(&ep, addrs[0], &mut buf));
+        assert_eq!((ep.clock().now_ns(), pool.stats(), pool.resident()), (0, PoolStats::default(), 0));
+        // Installed: a miss of the write path, and no verb.
+        pool.install_page(&ep, addrs[0], &[5u8; 64], 1).unwrap();
+        let miss_ns = ep.clock().now_ns();
+        assert_eq!(miss_ns, MAP_OP_NS + LOCK_NS + MAP_OP_NS + 2 * LIST_OP_NS);
+        assert_eq!(ep.stats().round_trips(), 0);
+        // Resident: `read_resident` is `read_page`'s hit to the ns.
+        assert!(pool.read_resident(&ep, addrs[0], &mut buf));
+        assert_eq!(buf, [5u8; 64]);
+        let hit_ns = ep.clock().now_ns() - miss_ns;
+        assert!(pool.read_page(&ep, addrs[0], &mut buf).unwrap());
+        assert_eq!(ep.clock().now_ns() - miss_ns, 2 * hit_ns);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (2, 1));
+        // Over a written frame, and evicted by two more installs, it
+        // writes nothing: the caller has said DSM gets these bytes from it.
+        pool.write_page(&ep, addrs[0], &[6u8; 64]).unwrap();
+        let writes = ep.stats().writes;
+        pool.install_page(&ep, addrs[0], &[7u8; 64], 1).unwrap();
+        pool.install_page(&ep, addrs[1], &[1u8; 64], 1).unwrap();
+        pool.install_page(&ep, addrs[2], &[2u8; 64], 1).unwrap();
+        assert!(!pool.contains(addrs[0]));
+        assert_eq!((ep.stats().writes, pool.resident()), (writes, 2));
     }
 
     #[test]
@@ -1290,7 +1072,7 @@ mod tests {
             &fabric,
             DsmConfig { memory_nodes: 1, capacity_per_node: 1 << 20, replication: 1, mem_cores: 1, weak_cpu_factor: 4.0 },
         );
-        let pool = BufferPool::new_striped(layer.clone(), 64, 16, 4, |cap| Box::new(LruPolicy::new(cap)), WriteMode::WriteThrough);
+        let pool = BufferPool::new_striped(layer.clone(), 64, 16, 4, |cap| Box::new(LruPolicy::new(cap)));
         let ep = fabric.endpoint();
         let addrs: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
         for (i, &a) in addrs[..3].iter().enumerate() {
@@ -1326,7 +1108,7 @@ mod tests {
 
     #[test]
     fn capacity_is_respected_under_many_pages() {
-        let (f, layer, pool) = setup(8, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(8);
         let ep = f.endpoint();
         let addrs: Vec<_> = (0..64).map(|_| layer.alloc(64).unwrap()).collect();
         let mut buf = [0u8; 64];
@@ -1352,7 +1134,7 @@ mod tests {
                 },
             );
             let name = policy.name();
-            let pool = BufferPool::new(layer.clone(), 64, 8, policy, WriteMode::WriteBack);
+            let pool = BufferPool::new(layer.clone(), 64, 8, policy, WriteMode::WriteThrough);
             let ep = fabric.endpoint();
             let addrs: Vec<_> = (0..32).map(|_| layer.alloc(64).unwrap()).collect();
             let mut buf = [0u8; 64];
@@ -1366,7 +1148,6 @@ mod tests {
                     }
                 }
             }
-            pool.flush_all(&ep).unwrap();
             // Verify final contents are coherent with DSM.
             for (i, a) in addrs.iter().enumerate() {
                 let mut cached = [0u8; 64];
@@ -1380,7 +1161,7 @@ mod tests {
 
     #[test]
     fn hits_misses_and_writebacks_are_counted_and_attributed() {
-        let (f, layer, pool) = setup(2, WriteMode::WriteBack);
+        let (f, layer, pool) = setup(2);
         let ep = f.endpoint();
         let a = layer.alloc(64).unwrap();
         let b = layer.alloc(64).unwrap();
@@ -1388,22 +1169,22 @@ mod tests {
         let mut buf = [0u8; 64];
         pool.read_page(&ep, a, &mut buf).unwrap(); // miss
         pool.read_page(&ep, a, &mut buf).unwrap(); // hit
-        pool.write_page(&ep, a, &[1u8; 64]).unwrap(); // hit, dirties a
+        pool.write_page(&ep, a, &[1u8; 64]).unwrap(); // hit, written through
         pool.read_page(&ep, b, &mut buf).unwrap(); // miss
-        pool.read_page(&ep, c, &mut buf).unwrap(); // miss, evicts dirty a
+        pool.read_page(&ep, c, &mut buf).unwrap(); // miss, evicts a
         let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.writebacks), (2, 3, 1, 1));
-        // Fetch/write-back traffic was attributed to phases.
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 3, 1));
+        // Fetches and the write-through were attributed to phases.
         let phases = ep.phase_snapshot();
-        assert!(phases.phase_verbs(rdma_sim::Phase::PageFetch) >= 3);
-        assert!(phases.phase_verbs(rdma_sim::Phase::Writeback) >= 1);
+        assert_eq!(phases.phase_verbs(rdma_sim::Phase::PageFetch), 3);
+        assert_eq!(phases.phase_verbs(rdma_sim::Phase::Writeback), 1);
         pool.reset_stats();
         assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]
     fn batched_read_pages_mixes_hits_and_misses() {
-        let (f, layer, pool) = setup(8, WriteMode::WriteBack);
+        let (f, layer, pool) = setup(8);
         let ep = f.endpoint();
         let addrs: Vec<_> = (0..6).map(|_| layer.alloc(64).unwrap()).collect();
         for (i, a) in addrs.iter().enumerate() {
@@ -1438,7 +1219,7 @@ mod tests {
 
     #[test]
     fn a_fetch_carries_its_riders_in_one_doorbell() {
-        let (f, layer, pool) = setup(8, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(8);
         let ep = f.endpoint();
         let addrs: Vec<_> = (0..5).map(|_| layer.alloc(64).unwrap()).collect();
         for (i, a) in addrs.iter().enumerate() {
@@ -1489,7 +1270,7 @@ mod tests {
 
     #[test]
     fn a_fetch_adds_to_a_page_it_fetches_in_the_same_doorbell() {
-        let (f, layer, pool) = setup(8, WriteMode::WriteThrough);
+        let (f, layer, pool) = setup(8);
         let ep = f.endpoint();
         let addrs: Vec<_> = (0..3).map(|_| layer.alloc(64).unwrap()).collect();
         for (i, a) in addrs.iter().enumerate() {
@@ -1538,30 +1319,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_write_pages_coalesces_victim_writebacks() {
-        let (f, layer, pool) = setup(4, WriteMode::WriteBack);
-        let ep = f.endpoint();
-        let first: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
-        let second: Vec<_> = (0..4).map(|_| layer.alloc(64).unwrap()).collect();
-        let fill: Vec<(GlobalAddr, &[u8])> = first.iter().map(|a| (*a, &[7u8; 64][..])).collect();
-        pool.write_pages(&ep, &fill, &[]).unwrap();
-        ep.reset();
-        // Overwriting with 4 new pages evicts all 4 dirty pages; the
-        // write-backs ride one doorbell (write-back mode: no other
-        // remote traffic at all).
-        let over: Vec<(GlobalAddr, &[u8])> = second.iter().map(|a| (*a, &[8u8; 64][..])).collect();
-        pool.write_pages(&ep, &over, &[]).unwrap();
-        let snap = ep.stats();
-        assert_eq!(snap.writes, 4);
-        assert_eq!(snap.wire_round_trips(), 1);
-        assert_eq!(pool.stats().writebacks, 4);
-        // And the evicted bytes landed in DSM.
-        let mut direct = [0u8; 64];
-        layer.read(&ep, first[0], &mut direct).unwrap();
-        assert_eq!(direct, [7u8; 64]);
-    }
-
-    #[test]
     fn striped_pool_keeps_lru_semantics_per_shard() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let layer = DsmLayer::build(
@@ -1580,7 +1337,6 @@ mod tests {
             16,
             4,
             |cap| Box::new(LruPolicy::new(cap)),
-            WriteMode::WriteBack,
         );
         assert_eq!(pool.shard_count(), 4);
         assert_eq!(pool.capacity(), 16);

@@ -7,10 +7,27 @@ use std::sync::Arc;
 use buffer::{all_policies, BufferPool, ClockPolicy, WriteMode};
 use dsm::{DsmConfig, DsmLayer, GlobalAddr};
 use proptest::prelude::*;
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Endpoint, Fabric, NetworkProfile};
 
 const PAGE: usize = 32;
 const PAGES: u64 = 64;
+
+/// The first byte of the page at `addr`, read straight from DSM.
+fn dsm_first(l: &DsmLayer, ep: &Endpoint, addr: GlobalAddr) -> u8 {
+    let mut direct = [0u8; PAGE];
+    l.read(ep, addr, &mut direct).unwrap();
+    direct[0]
+}
+
+/// [`dsm_first`] of each of the `PAGES` pages.
+fn dsm_firsts(l: &DsmLayer, ep: &Endpoint, addr: impl Fn(u64) -> GlobalAddr) -> Vec<u8> {
+    (0..PAGES).map(|k| dsm_first(l, ep, addr(k))).collect()
+}
+
+/// The model's first byte of each of the `PAGES` pages: 0 if unwritten.
+fn firsts(model: &HashMap<u64, u8>) -> Vec<u8> {
+    (0..PAGES).map(|k| model.get(&k).copied().unwrap_or(0)).collect()
+}
 
 fn layer() -> Arc<DsmLayer> {
     let fabric = Fabric::new(NetworkProfile::zero());
@@ -46,20 +63,18 @@ proptest! {
 
     /// For every policy, under arbitrary op interleavings on a tiny pool,
     /// reads always return the most recently written value (the pool is
-    /// a *cache*, never a source of staleness) in both write modes.
+    /// a *cache*, never a source of staleness), and after every op DSM
+    /// holds it too: a write goes through within its call, and an
+    /// invalidation loses nothing.
     #[test]
-    fn pool_is_transparent_for_every_policy(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
-        write_back in any::<bool>(),
-    ) {
+    fn pool_is_transparent_for_every_policy(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         for policy in all_policies(8) {
             let name = policy.name();
             let l = layer();
             let base = l.alloc(PAGES * PAGE as u64).unwrap();
             let addr = |k: u64| GlobalAddr::new(base.node(), base.offset() + k * PAGE as u64);
-            let mode = if write_back { WriteMode::WriteBack } else { WriteMode::WriteThrough };
-            let pool = BufferPool::new(l.clone(), PAGE, 8, policy, mode);
-            let ep = l.fabric().endpoint();
+            let pool = BufferPool::new(l.clone(), PAGE, 8, policy, WriteMode::WriteThrough);
+            let (ep, probe) = (l.fabric().endpoint(), l.fabric().endpoint());
             let mut model: HashMap<u64, u8> = HashMap::new();
             let mut buf = vec![0u8; PAGE];
             for op in &ops {
@@ -76,22 +91,11 @@ proptest! {
                         model.insert(k, v);
                     }
                     PoolOp::Invalidate(k) => {
-                        // Coherence-style invalidation discards the local
-                        // copy; in write-back mode unwritten dirt is lost,
-                        // so the model must fall back to the DSM state.
                         pool.invalidate(&ep, addr(k));
-                        let mut direct = vec![0u8; PAGE];
-                        l.read(&ep, addr(k), &mut direct).unwrap();
-                        model.insert(k, direct[0]);
                     }
                 }
-            }
-            // After a flush, DSM agrees with the model everywhere.
-            pool.flush_all(&ep).unwrap();
-            for (k, v) in &model {
-                let mut direct = vec![0u8; PAGE];
-                l.read(&ep, addr(*k), &mut direct).unwrap();
-                prop_assert_eq!(direct[0], *v, "{}: dsm divergence at {}", name, k);
+                let dsm = dsm_firsts(&l, &probe, addr);
+                prop_assert_eq!(dsm, firsts(&model), "{}: dsm divergence after {:?}", name, op);
             }
         }
     }
@@ -132,7 +136,7 @@ proptest! {
 
     /// The striped pool with batched reads/writes (including duplicate
     /// keys inside one batch) is as transparent as the single-lock pool:
-    /// reads see the latest write, and a final flush converges the DSM.
+    /// reads see the latest write, and after every batch DSM holds it.
     #[test]
     fn striped_batched_pool_matches_model(
         batches in proptest::collection::vec(
@@ -149,9 +153,8 @@ proptest! {
             8,
             4,
             |cap| Box::new(ClockPolicy::new(cap)),
-            WriteMode::WriteBack,
         );
-        let ep = l.fabric().endpoint();
+        let (ep, probe) = (l.fabric().endpoint(), l.fabric().endpoint());
         let mut model: HashMap<u64, u8> = HashMap::new();
         for batch in &batches {
             let reads: Vec<u64> =
@@ -187,19 +190,14 @@ proptest! {
                 }
             }
             prop_assert!(pool.resident() <= 8);
-        }
-        pool.flush_all(&ep).unwrap();
-        for (k, v) in &model {
-            let mut direct = vec![0u8; PAGE];
-            l.read(&ep, addr(*k), &mut direct).unwrap();
-            prop_assert_eq!(direct[0], *v, "dsm divergence at {} after flush", k);
+            prop_assert_eq!(dsm_firsts(&l, &probe, addr), firsts(&model), "dsm divergence after {:?}", batch);
         }
     }
 
     /// Concurrent access across shards: real threads hammer a striped
     /// pool (each key owned by exactly one writer thread). Afterwards no
     /// page is lost or duplicated, the hit/miss/eviction counters sum
-    /// consistently, and `flush_all` observes every dirty frame.
+    /// consistently, and DSM holds every key's last write.
     #[test]
     fn concurrent_striped_pool_is_coherent(
         seeds in proptest::collection::vec(any::<u64>(), 4..=4),
@@ -217,10 +215,9 @@ proptest! {
             CAP,
             4,
             |cap| Box::new(ClockPolicy::new(cap)),
-            WriteMode::WriteBack,
         ));
-        // last_write[k] = final value each owner thread wrote to its key.
-        let mut last_write: Vec<Vec<(u64, u8)>> = Vec::new();
+        // Each owner thread's final value of every key it wrote.
+        let mut last_write: HashMap<u64, u8> = HashMap::new();
         let mut accesses = [0u64; THREADS];
         std::thread::scope(|sc| {
             let mut handles = Vec::new();
@@ -288,10 +285,9 @@ proptest! {
             for h in handles {
                 let (t, n, last) = h.join().unwrap();
                 accesses[t] = n;
-                last_write.push(last);
+                last_write.extend(last);
             }
         });
-        let ep = l.fabric().endpoint();
         let s = pool.stats();
         let total: u64 = accesses.iter().sum();
         // Counters sum consistently: every access is a hit or a miss, and
@@ -305,15 +301,12 @@ proptest! {
             .filter(|&k| pool.contains(addr(k)))
             .count();
         prop_assert_eq!(held, pool.resident());
-        // flush_all observes every dirty frame: afterwards the DSM holds
-        // each key's final owner-written value.
-        pool.flush_all(&ep).unwrap();
-        for per_thread in &last_write {
-            for &(k, v) in per_thread {
-                let mut direct = vec![0u8; PAGE];
-                l.read(&ep, addr(k), &mut direct).unwrap();
-                prop_assert_eq!(direct[0], v, "flush_all lost dirty page {}", k);
-            }
-        }
+        // Every write went through: DSM holds each key's final
+        // owner-written value, and 0 where no owner wrote.
+        let ep = l.fabric().endpoint();
+        let keys = THREADS as u64 * KEYS_PER_THREAD;
+        let dsm: Vec<u8> = (0..keys).map(|k| dsm_first(&l, &ep, addr(k))).collect();
+        let want: Vec<u8> = (0..keys).map(|k| last_write.get(&k).copied().unwrap_or(0)).collect();
+        prop_assert_eq!(dsm, want);
     }
 }

@@ -496,18 +496,21 @@ impl DsmLayer {
     /// One-sided READ from `addr`, failing over across mirror members.
     /// Transient faults are absorbed by the layer's [`RetryPolicy`].
     pub fn read(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || self.read_once(ep, addr, &mut *dst))
+        self.retry_policy()
+            .run(ep, || self.sweep(addr, |node| ep.read(node, addr.offset(), dst)))
     }
 
-    fn read_once(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> DsmResult<()> {
+    /// Post `verb` to each member of `addr`'s group in turn, until one
+    /// answers: the fail-over of one READ-like verb.
+    fn sweep<T>(&self, addr: GlobalAddr, mut verb: impl FnMut(NodeId) -> Result<T, RdmaError>) -> DsmResult<T> {
         let g = self.group_of(addr)?;
         // Track transient failures across the member sweep: if no member
         // answered but one failed transiently, report *that* so the retry
         // policy re-sweeps, instead of declaring the group dead.
         let mut transient: Option<RdmaError> = None;
         for member in &g.members {
-            match ep.read(member.id(), addr.offset(), dst) {
-                Ok(()) => return Ok(()),
+            match verb(member.id()) {
+                Ok(v) => return Ok(v),
                 Err(RdmaError::NodeUnreachable(_)) => continue,
                 Err(e) if e.is_transient() => {
                     transient = Some(e);
@@ -635,7 +638,7 @@ impl DsmLayer {
             match self.post(ep, reads) {
                 Err(DsmError::Rdma(RdmaError::NodeUnreachable(_))) => reqs
                     .iter_mut()
-                    .try_for_each(|(addr, dst)| self.read_once(ep, *addr, dst)),
+                    .try_for_each(|(addr, dst)| self.sweep(*addr, |node| ep.read(node, addr.offset(), dst))),
                 posted => posted,
             }
         })
@@ -677,29 +680,8 @@ impl DsmLayer {
 
     /// Aligned 8-byte read (primary, with mirror failover).
     pub fn read_u64(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<u64> {
-        self.retry_policy().run(ep, || self.read_u64_once(ep, addr))
-    }
-
-    fn read_u64_once(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<u64> {
-        let g = self.group_of(addr)?;
-        let mut transient: Option<RdmaError> = None;
-        for member in &g.members {
-            match ep.read_u64(member.id(), addr.offset()) {
-                Ok(v) => return Ok(v),
-                Err(RdmaError::NodeUnreachable(_)) => continue,
-                Err(e) if e.is_transient() => {
-                    transient = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        match transient {
-            Some(e) => Err(e.into()),
-            None => Err(DsmError::GroupUnavailable {
-                primary: addr.node(),
-            }),
-        }
+        self.retry_policy()
+            .run(ep, || self.sweep(addr, |node| ep.read_u64(node, addr.offset())))
     }
 
     /// Aligned 8-byte write to every live mirror member.

@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use buffer::{BufferPool, ClockPolicy, WriteMode};
+use buffer::{BufferPool, ClockPolicy};
 use dsm::{DsmConfig, DsmLayer};
 use rdma_sim::{Endpoint, Fabric, HistSnapshot, Mailbox, MailboxId, Metric, Phase, PhaseSnapshot};
 use telemetry::Histogram;
@@ -135,7 +135,6 @@ impl Cluster {
                 config.cache_frames,
                 pool_shards,
                 |cap| Box::new(ClockPolicy::new(cap)),
-                WriteMode::WriteThrough,
             )
         };
         let cached = config.architecture != Architecture::NoCacheNoShard;

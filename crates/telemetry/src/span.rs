@@ -41,7 +41,8 @@ pub enum Phase {
     TwoPcDecide = 6,
     /// Coherence traffic: invalidation/update broadcast and acks.
     CoherenceInval = 7,
-    /// Propagating dirty pages back to DSM (write-through or eviction).
+    /// Propagating written pages to DSM (a write-through, or a release
+    /// doorbell that carries payloads home).
     Writeback = 8,
 }
 

@@ -82,7 +82,9 @@ pub enum Metric {
     CacheHits = 17,
     /// Buffer-pool misses.
     CacheMisses = 18,
-    /// Dirty-frame write-backs.
+    /// Dirty-frame write-backs. The buffer pool writes through, so
+    /// nothing notes it and it reads 0; it stays because
+    /// `benchmark/src/driver.rs` reads it and the reports carry its column.
     Writebacks = 19,
     /// Virtual ns spent waiting on lock/latch words.
     LockWaitNs = 20,

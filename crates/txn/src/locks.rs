@@ -104,6 +104,14 @@ fn now_us(ep: &Endpoint) -> u32 {
 pub struct ExclusiveLock;
 
 /// One word of an [`ExclusiveLock`] set and what became of it.
+///
+/// A word enters [`ExclusiveLock::acquire_set`]'s ladder from the `prev`
+/// it carries: what its last CAS found there, or a mark that no CAS ran
+/// yet. So each new call takes words built with [`LockWord::new`]. A word
+/// passed in again after a failed call is judged busy from a stale `prev`
+/// before any CAS, and one still held would be re-CASed from its
+/// `expected`, fail against its own tag, read as not held, and never be
+/// released.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockWord {
     addr: GlobalAddr,
@@ -190,6 +198,10 @@ impl ExclusiveLock {
     /// attempt. A plain owner tag is never stolen. However the call ends,
     /// [`LockWord::held`] tells which words the caller now owns and must
     /// pass to [`ExclusiveLock::release_set`].
+    ///
+    /// Each word enters the ladder from the `prev` it carries, so each
+    /// call takes words built with [`LockWord::new`], none of them held
+    /// (debug builds assert it).
     pub fn acquire_set(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -199,6 +211,7 @@ impl ExclusiveLock {
         max_retries: u32,
     ) -> Result<(), LockError> {
         debug_assert!(owner_tag != 0 && owner_tag != LockWord::UNTRIED);
+        debug_assert!(words.iter().all(|w| !w.held()), "a word enters the ladder held: build it with LockWord::new");
         debug_assert!(riders.windows(2).all(|w| w[0].word <= w[1].word));
         debug_assert!(riders.last().is_none_or(|r| r.word < words.len()));
         if words.len() > 1 {
@@ -701,6 +714,21 @@ mod tests {
         );
         ExclusiveLock::release(&l, &ep1, a).unwrap();
         ExclusiveLock::acquire(&l, &ep2, a, 2, 0).unwrap();
+    }
+
+    /// A word still held from an earlier call would be re-CASed from its
+    /// `expected` value, fail against its own tag, read as not held, and
+    /// never be released.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a word enters the ladder held")]
+    fn a_held_word_passed_in_again_is_refused() {
+        let (f, l, a) = setup();
+        let b = l.alloc(8).unwrap();
+        let ep = f.endpoint();
+        let mut words = [LockWord::new(a), LockWord::new(b)];
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
+        let _ = ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0);
     }
 
     #[test]
