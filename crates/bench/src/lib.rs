@@ -11,7 +11,8 @@
 //!   (sequential per-client loops would serialize behind device tails);
 //! * [`run_cluster_workload`] — the real-thread driver for
 //!   message-passing architectures (3b coherence, 3c 2PC): every session
-//!   runs its share and keeps serving peers until the fleet is done;
+//!   runs its share, one transaction at a time in virtual-time order,
+//!   and keeps serving peers until the fleet is done;
 //! * [`Planes`] — the one telemetry bundle every run records, merges and
 //!   attaches to its report;
 //! * [`report`] — report emission, and the validator of everything the
@@ -25,10 +26,9 @@ mod fleet;
 pub mod heatmap;
 pub mod observatory;
 mod planes;
-pub mod regression;
 pub mod reshard;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use dsmdb::{AbortCause, Cluster, Op, Session, TxnError};
@@ -183,11 +183,13 @@ impl WorkloadResult {
 /// Counts its worker as finished when dropped — on the normal path
 /// before the worker starts draining, and during unwinding if the
 /// worker panics (which also fails the run, so the peers stop issuing
-/// transactions it would have to answer) — so no exit path leaves the
-/// peers waiting for it.
+/// transactions it would have to answer) — and takes it out of the
+/// transaction gate, so no exit path leaves the peers waiting for it.
 struct Finished<'a> {
     count: &'a AtomicUsize,
     failure: &'a OnceLock<String>,
+    gate: &'a Gate,
+    me: usize,
 }
 
 impl Drop for Finished<'_> {
@@ -195,9 +197,65 @@ impl Drop for Finished<'_> {
         if std::thread::panicking() {
             let _ = self.failure.set("a workload session panicked".into());
         }
+        self.gate.publish(self.me, u64::MAX);
         self.count.fetch_add(1, Ordering::Release);
     }
 }
+
+/// How long a session waiting at the [`Gate`] sleeps between polls of
+/// its node's inbox: a peer's request does not wake it, only a turn
+/// does.
+const GATE_POLL: std::time::Duration = std::time::Duration::from_micros(20);
+
+/// The transaction gate of [`run_cluster_workload`]: every session's
+/// published virtual clock (`u64::MAX` once it has finished), and its
+/// thread, to wake when its turn comes. Waiters sleep rather than spin,
+/// so a loaded host still runs the one session whose turn it is.
+struct Gate {
+    clocks: Vec<AtomicU64>,
+    threads: Vec<OnceLock<std::thread::Thread>>,
+}
+
+impl Gate {
+    fn new(sessions: usize) -> Self {
+        Gate {
+            clocks: (0..sessions).map(|_| AtomicU64::new(0)).collect(),
+            threads: (0..sessions).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The unfinished session with the lowest `(clock, index)`.
+    fn first(&self) -> Option<usize> {
+        let clocks = self.clocks.iter().map(|c| c.load(Ordering::Acquire));
+        clocks.zip(0..).filter(|&(c, _)| c != u64::MAX).min().map(|(_, j)| j)
+    }
+
+    /// Publish session `me`'s clock and wake the session whose turn it
+    /// now is.
+    fn publish(&self, me: usize, clock: u64) {
+        self.clocks[me].store(clock, Ordering::Release);
+        if let Some(next) = self.first().filter(|&j| j != me).and_then(|j| self.threads[j].get()) {
+            next.unpark();
+        }
+    }
+
+    /// Return once it is session `me`'s turn, serving `s`'s node while
+    /// it waits.
+    fn wait_turn(&self, me: usize, s: &Session) {
+        while self.first() != Some(me) {
+            if !s.serve_pending(8) {
+                std::thread::park_timeout(GATE_POLL);
+            }
+        }
+    }
+}
+
+/// Aborts in a row after which [`run_cluster_workload`] gives a
+/// transaction up and fails the run: a lock word nobody gives back
+/// aborts its takers forever, and that must end the run, not hang it.
+/// Transactions start one at a time, so a committed report's retries
+/// stay orders of magnitude below this.
+pub const MAX_ABORTS_IN_A_ROW: u64 = 10_000;
 
 /// Run `txns_per_session` transactions on every session of `cluster`
 /// using real worker threads (needed whenever sessions must answer each
@@ -205,12 +263,20 @@ impl Drop for Finished<'_> {
 /// `(node, thread)`'s `i`-th transaction; aborted transactions retry
 /// until they commit (counted).
 ///
+/// Attempts start in virtual-time order: each session publishes its
+/// clock before an attempt and starts it only once no unfinished
+/// session has a lower `(clock, session index)`, serving its node's
+/// inbox while it waits. So one attempt runs at a time, in the same
+/// order on any host and core count, and the result is reproducible to
+/// the byte.
+///
 /// # Panics
 ///
-/// With the first non-abort error any session hit. That session and
-/// its peers stop issuing transactions but keep answering each other
-/// until all have stopped, so the run ends instead of waiting on a
-/// worker that is gone.
+/// With the first non-abort error any session hit, or when one
+/// transaction aborts [`MAX_ABORTS_IN_A_ROW`] times in a row. That
+/// session and its peers stop issuing transactions but keep answering
+/// each other until all have stopped, so the run ends instead of
+/// waiting on a worker that is gone.
 pub fn run_cluster_workload<G>(
     cluster: &std::sync::Arc<Cluster>,
     txns_per_session: usize,
@@ -224,6 +290,7 @@ where
     let total_workers = nodes * threads;
     let finished = AtomicUsize::new(0);
     let failure: OnceLock<String> = OnceLock::new();
+    let gate = Gate::new(total_workers);
     let total = Mutex::new(WorkloadResult::default());
     // Each node's handler answers its peers for all of the node's
     // sessions. Its clock restarts with this run's sessions, which start
@@ -240,40 +307,45 @@ where
     std::thread::scope(|sc| {
         for n in 0..nodes {
             for t in 0..threads {
-                let (cluster, gen, finished, failure, total) =
-                    (cluster.clone(), &gen, &finished, &failure, &total);
+                let (cluster, gen, finished, failure, total, gate) =
+                    (cluster.clone(), &gen, &finished, &failure, &total, &gate);
+                let me = n * threads + t;
                 sc.spawn(move || {
-                    let working = Finished { count: finished, failure };
+                    let _ = gate.threads[me].set(std::thread::current());
+                    let working = Finished { count: finished, failure, gate, me };
                     let mut s: Session = cluster.session(n, t);
                     s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
                     Planes::enable_forensics(&mut s, WORKLOAD_TRACE_RING);
                     let mut mine = WorkloadResult::default();
-                    for i in 0..txns_per_session {
+                    'txns: for i in 0..txns_per_session {
                         let ops = gen(n, t, i);
+                        let mut aborts_in_a_row = 0;
                         // Retry until it commits — or any session,
                         // this one included, has failed for good.
                         while failure.get().is_none() {
+                            gate.publish(me, s.endpoint().clock().now_ns());
+                            gate.wait_turn(me, &s);
                             match s.execute(&ops) {
                                 Ok(_) => {
                                     mine.commits += 1;
-                                    break;
+                                    continue 'txns;
                                 }
                                 Err(e @ TxnError::Aborted(_)) => {
                                     mine.aborts.classify(&e);
-                                    s.serve_pending(8);
-                                    // Real-thread fairness: give the lock
-                                    // holder a chance instead of spinning
-                                    // it off the CPU.
-                                    std::thread::yield_now();
+                                    aborts_in_a_row += 1;
+                                    if aborts_in_a_row == MAX_ABORTS_IN_A_ROW {
+                                        let _ = failure.set(format!(
+                                            "workload failed: session ({n}, {t}) aborted transaction {i} \
+                                             {aborts_in_a_row} times in a row, last: {e}"
+                                        ));
+                                    }
                                 }
                                 Err(e) => {
                                     let _ = failure.set(format!("workload failed: {e}"));
                                 }
                             }
                         }
-                        if failure.get().is_some() {
-                            break;
-                        }
+                        break;
                     }
                     drop(working);
                     while finished.load(Ordering::Acquire) < total_workers {
@@ -591,24 +663,63 @@ mod tests {
             in_group.collect::<Vec<_>>()
         });
         cluster.layer().crash_member(0, 0).unwrap();
+        let outcome = run_within(60, move || {
+            run_cluster_workload(&cluster, 200, |_n, t, i| {
+                vec![Op::Rmw { key: keys[t][i % keys[t].len()], delta: 1 }]
+            })
+        });
+        let msg = outcome.expect_err("a run with a dead memory group must not succeed");
+        assert!(msg.starts_with("workload failed: "), "{msg}");
+    }
+
+    /// A lock word that is never given back: a ghost tag holds key 0's
+    /// exclusive lock, unleased, for the whole run. Session (0, 0)'s
+    /// first transaction takes key 0, so it can only abort; the run must
+    /// end in the abort cap's failure, naming the session, the
+    /// transaction and the cause, instead of retrying forever.
+    #[test]
+    fn a_lock_never_given_back_fails_the_run_instead_of_hanging_it() {
+        let cluster = Cluster::build(ClusterConfig {
+            compute_nodes: 2,
+            threads_per_node: 1,
+            n_records: 64,
+            payload_size: 16,
+            profile: NetworkProfile::rdma_cx6(),
+            architecture: Architecture::NoCacheNoShard,
+            cc: CcProtocol::TplExclusive,
+            ..Default::default()
+        })
+        .unwrap();
+        let ghost = cluster.fabric().endpoint();
+        let lock = cluster.table().lock_addr(0);
+        txn::ExclusiveLock::acquire(cluster.layer(), &ghost, lock, 0xFFFF, 0).unwrap();
+        let outcome = run_within(30, move || {
+            run_cluster_workload(&cluster, 20, |n, _t, i| {
+                vec![Op::Rmw { key: (n * 20 + i) as u64, delta: 1 }]
+            })
+        });
+        let msg = outcome.expect_err("a run whose lock is never given back must not succeed");
+        let expected = format!(
+            "workload failed: session (0, 0) aborted transaction 0 {MAX_ABORTS_IN_A_ROW} times in a row, \
+             last: transaction aborted: lock-busy"
+        );
+        assert_eq!(msg, expected);
+    }
+
+    /// Run a workload on a thread of its own and catch its panic: its
+    /// commits, or its panic message. Fails if it has not returned within
+    /// `secs` seconds (the thread is left running).
+    fn run_within(secs: u64, run: impl FnOnce() -> WorkloadResult + Send + 'static) -> Result<u64, String> {
         let (tx, rx) = std::sync::mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_cluster_workload(&cluster, 200, |_n, t, i| {
-                    vec![Op::Rmw { key: keys[t][i % keys[t].len()], delta: 1 }]
-                })
-            }));
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
             let _ = tx.send(run.map(|r| r.commits).map_err(|p| match p.downcast::<String>() {
                 Ok(msg) => *msg,
                 Err(_) => "a panic without a message".to_string(),
             }));
         });
-        let outcome = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("run_cluster_workload hung on a failed worker");
-        runner.join().unwrap();
-        let msg = outcome.expect_err("a run with a dead memory group must not succeed");
-        assert!(msg.starts_with("workload failed: "), "{msg}");
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("run_cluster_workload did not return within {secs} s"))
     }
 
     #[test]

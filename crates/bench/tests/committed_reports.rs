@@ -70,7 +70,7 @@ fn c13_recovery_numbers_come_from_its_committed_series() {
         "recomputed dip_depth {} vs committed {committed_depth}",
         facts.dip_depth
     );
-    // And the headline the regression gate reads is that same value.
+    // And the headline is that same value.
     let headline_ttr = rep
         .get("headline")
         .and_then(|h| h.get("time_to_recovery_ns"))
@@ -226,15 +226,19 @@ fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
         })),
         ("utilization: does not re-render to itself at .imbalance.gini_bytes", put("utilization.imbalance.gini_bytes", Json::F(1.5))),
     ];
-    let f3 = vec![
-        // contention and phases objects embedded in rows
+    // A ranked list embedded in a row: O1 is the report whose rows wait
+    // on locks (transactions in F3 start one at a time and never do).
+    let o1 = vec![
         ("contention: does not re-render to itself at .top_wait_ns[0]", Box::new(move |d: &mut Json| {
             let list = find(d, "top_wait_ns", &ranked).expect("a row with two ranked waits");
             above("[1].count", "[0].count")(list)
         }) as Corrupt),
-        ("contention: does not re-render to itself at .wait_for.max_depth", Box::new(|d| {
+    ];
+    let f3 = vec![
+        // contention and phases objects embedded in rows
+        ("contention: does not re-render to itself at .wait_for.max_depth", Box::new(|d: &mut Json| {
             bump("wait_for.max_depth", 7)(find(d, "contention", &|_| true).expect("a contention object"))
-        })),
+        }) as Corrupt),
         ("phases: does not re-render to itself at .execute.share", Box::new(move |d| {
             // Nine tenths of one share: the shares no longer sum to 1.
             let phases = find(d, "phases", &busy).expect("a phases object with time in it");
@@ -255,6 +259,7 @@ fn corruptions() -> Vec<(&'static str, Vec<(&'static str, Corrupt)>)> {
         ("exp_c13_chaos.json", c13),
         ("exp_e1_reshard.json", e1),
         ("exp_o5_heatmap.json", o5),
+        ("exp_o1_contention.json", o1),
         ("exp_f3_architectures.json", f3),
     ]
 }

@@ -1,11 +1,13 @@
-//! Reproducibility: the virtual clock makes single-threaded experiment
-//! runs exactly repeatable, so two identical runs must render
-//! byte-identical report JSON — the property the machine-readable
-//! experiment output relies on for diffing results across commits.
+//! Reproducibility: the virtual clock makes experiment runs exactly
+//! repeatable, so two identical runs must render byte-identical report
+//! JSON — the property the machine-readable experiment output relies on
+//! for diffing results across commits. This holds for thread-driven runs
+//! too: `run_cluster_workload` starts each attempt in virtual-time order,
+//! whatever the OS scheduler does with its worker threads.
 
 use bench::report::{self, Json, Report};
 use bench::{run_cluster_workload, WorkloadResult};
-use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op};
+use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, CoherenceMode, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::NetworkProfile;
@@ -13,6 +15,7 @@ use workload::ZipfGenerator;
 
 const RECORDS: u64 = 512;
 
+/// One session, 80/20 single-op read/rmw at zipf 0.9 on 3c 2PL.
 fn run_once() -> WorkloadResult {
     let cluster = Cluster::build(ClusterConfig {
         compute_nodes: 1,
@@ -39,8 +42,38 @@ fn run_once() -> WorkloadResult {
     })
 }
 
+/// 2 nodes x 2 threads contending on `architecture` under `cc`: three
+/// ops per transaction over the whole key space at zipf `theta`, half of
+/// them read-modify-writes, so 3b invalidates, 3c runs cross-shard 2PC
+/// and a hot key is shared by all four sessions.
+fn run_threaded(architecture: Architecture, cc: CcProtocol, theta: f64) -> WorkloadResult {
+    let cluster = Cluster::build(ClusterConfig {
+        compute_nodes: 2,
+        threads_per_node: 2,
+        memory_nodes: 2,
+        n_records: RECORDS,
+        payload_size: 64,
+        cache_frames: 64,
+        profile: NetworkProfile::rdma_cx6(),
+        architecture,
+        cc,
+        ..Default::default()
+    })
+    .unwrap();
+    let zipf = ZipfGenerator::new(RECORDS, theta);
+    run_cluster_workload(&cluster, 200, move |n, t, i| {
+        let mut rng = StdRng::seed_from_u64((n * 1_000_000 + t * 1_000 + i) as u64);
+        let mut keys: Vec<u64> = (0..3).map(|_| zipf.next(&mut rng)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
+            .map(|key| if rng.gen_bool(0.5) { Op::Read(key) } else { Op::Rmw { key, delta: 1 } })
+            .collect()
+    })
+}
+
 fn render(r: &WorkloadResult) -> String {
-    let mut rep = Report::new("determinism_probe", "single-threaded repeatability probe");
+    let mut rep = Report::new("determinism_probe", "repeatability probe");
     rep.meta("records", Json::U(RECORDS));
     rep.row("all", vec![("workload", report::workload_json(r))]);
     report::standard_headline(&mut rep, r);
@@ -54,7 +87,7 @@ fn identical_runs_render_identical_json() {
     assert!(ra.planes.latency.count() > 0, "probe committed no transactions");
     let a = render(&ra);
     let b = render(&run_once());
-    assert_eq!(a, b, "two identical single-threaded runs diverged");
+    assert_eq!(a, b, "two identical single-session runs diverged");
     assert!(a.contains("\"tps\""));
     // The tail rungs ride along with p99.
     assert!(a.contains("\"p99_ns\""));
@@ -99,4 +132,28 @@ fn phase_shares_cover_the_txn_timeline() {
         total >= latency_total / 2,
         "phase time {total} implausibly small vs txn time {latency_total}"
     );
+}
+
+/// Run a threaded probe twice and require the same report to the byte.
+fn threaded_runs_are_identical(architecture: Architecture, cc: CcProtocol, theta: f64) {
+    let ra = run_threaded(architecture, cc, theta);
+    assert_eq!(ra.commits, 4 * 200, "probe lost transactions");
+    let a = render(&ra);
+    let b = render(&run_threaded(architecture, cc, theta));
+    assert_eq!(a, b, "two identical {architecture:?} {cc:?} runs on 2 x 2 threads diverged");
+}
+
+#[test]
+fn coherent_cache_runs_on_four_threads_are_byte_identical() {
+    threaded_runs_are_identical(Architecture::CacheNoShard(CoherenceMode::Invalidate), CcProtocol::TplExclusive, 0.9);
+}
+
+#[test]
+fn sharded_2pc_runs_on_four_threads_are_byte_identical() {
+    threaded_runs_are_identical(Architecture::CacheShard, CcProtocol::TplExclusive, 0.9);
+}
+
+#[test]
+fn contended_occ_runs_on_four_threads_are_byte_identical() {
+    threaded_runs_are_identical(Architecture::NoCacheNoShard, CcProtocol::Occ, 1.2);
 }

@@ -280,9 +280,8 @@ impl ForensicsSnapshot {
     }
 
     /// Share of all transaction time spent on the wire for data access:
-    /// remote fetches, coherence, and 2PC fan-out. The regression gate
-    /// watches this — it is the number the lock-table and caching PRs
-    /// promise to move.
+    /// remote fetches, coherence, and 2PC fan-out — the number the
+    /// lock-table and caching changes promise to move.
     pub fn wire_share(&self) -> f64 {
         self.share(Blame::RemoteFetch as usize)
             + self.share(Blame::Coherence as usize)
