@@ -17,7 +17,6 @@
 //! requests and posts the result as one fabric doorbell; the batched and
 //! replicated entry points are that path with a fixed verb.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -256,248 +255,41 @@ impl LockStripe {
     }
 }
 
-/// The distributed shared-memory layer: pooled, replicated, logically
-/// addressed memory with database-facing APIs (§3).
-pub struct DsmLayer {
-    fabric: Arc<Fabric>,
-    /// Mirror groups: shared-read on the data path, write-locked only
-    /// by the rare membership changes (join/retire append or flag —
-    /// existing indices never move or disappear).
-    groups: parking_lot::RwLock<Vec<Arc<MirrorGroup>>>,
-    /// fabric NodeId of a group primary -> group index.
-    by_primary: parking_lot::RwLock<HashMap<NodeId, usize>>,
-    next_group: AtomicUsize,
-    replication: usize,
+/// Everything a data-path call resolves its addresses against, read
+/// under one lock acquisition per call.
+struct GroupTable {
+    /// Mirror groups. Membership changes append (join) or flag (retire):
+    /// existing indices never move or disappear.
+    groups: Vec<Arc<MirrorGroup>>,
+    /// Group index of each group primary, indexed by fabric `NodeId`
+    /// (`None` for a backup member or a node of no group).
+    by_primary: Vec<Option<usize>>,
     /// Retry policy applied to every data-path verb (transient faults
     /// absorbed with virtual-time backoff).
-    retry: parking_lot::RwLock<RetryPolicy>,
-    /// The lock words [`DsmLayer::recover_member_from_mirror`] frees.
-    lock_stripes: parking_lot::Mutex<Vec<LockStripe>>,
+    retry: RetryPolicy,
 }
 
-impl DsmLayer {
-    /// Build the layer: creates the memory nodes on `fabric` per `config`.
-    pub fn build(fabric: &Arc<Fabric>, config: DsmConfig) -> Arc<Self> {
-        assert!(config.replication >= 1);
-        assert!(
-            config.memory_nodes.is_multiple_of(config.replication),
-            "memory_nodes must be a multiple of the replication factor"
-        );
-        let mut groups = Vec::new();
-        let mut by_primary = HashMap::new();
-        for _ in 0..(config.memory_nodes / config.replication) {
-            let members: Vec<Arc<MemoryNode>> = (0..config.replication)
-                .map(|_| {
-                    Arc::new(MemoryNode::new(
-                        fabric,
-                        config.capacity_per_node,
-                        config.mem_cores,
-                        config.weak_cpu_factor,
-                    ))
-                })
-                .collect();
-            // Burn the first 8 bytes of each group so offset 0 is never
-            // handed out and GlobalAddr::NULL stays unambiguous.
-            members[0].alloc(8).expect("fresh node");
-            by_primary.insert(members[0].id(), groups.len());
-            groups.push(Arc::new(MirrorGroup {
-                members,
-                retired: AtomicBool::new(false),
-            }));
+impl GroupTable {
+    /// Append `group` and index its primary; returns the group's index.
+    fn push(&mut self, group: Arc<MirrorGroup>) -> usize {
+        let idx = self.groups.len();
+        let primary = group.primary().id() as usize;
+        if self.by_primary.len() <= primary {
+            self.by_primary.resize(primary + 1, None);
         }
-        Arc::new(Self {
-            fabric: fabric.clone(),
-            groups: parking_lot::RwLock::new(groups),
-            by_primary: parking_lot::RwLock::new(by_primary),
-            next_group: AtomicUsize::new(0),
-            replication: config.replication,
-            retry: parking_lot::RwLock::new(RetryPolicy::default()),
-            lock_stripes: parking_lot::Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Add a fresh mirror group mid-run (memory-node join): spins up
-    /// `replication` new memory nodes, wires them as one group, and
-    /// makes them immediately eligible for round-robin allocation.
-    /// Returns the new group's index.
-    pub fn join_group(
-        &self,
-        capacity_per_node: usize,
-        mem_cores: usize,
-        weak_cpu_factor: f64,
-    ) -> usize {
-        let members: Vec<Arc<MemoryNode>> = (0..self.replication)
-            .map(|_| {
-                Arc::new(MemoryNode::new(
-                    &self.fabric,
-                    capacity_per_node,
-                    mem_cores,
-                    weak_cpu_factor,
-                ))
-            })
-            .collect();
-        members[0].alloc(8).expect("fresh node");
-        let group = Arc::new(MirrorGroup {
-            members,
-            retired: AtomicBool::new(false),
-        });
-        let mut groups = self.groups.write();
-        let idx = groups.len();
-        self.by_primary.write().insert(group.primary().id(), idx);
-        groups.push(group);
+        self.by_primary[primary] = Some(idx);
+        self.groups.push(group);
         idx
     }
 
-    /// Mark a group non-allocatable (memory-node leave). Its extents
-    /// stay readable and writable until the caller drains them (live
-    /// migration); only fresh allocations skip the group.
-    pub fn retire_group(&self, idx: usize) {
-        self.groups.read()[idx].retired.store(true, Ordering::Relaxed);
+    fn group_index_of(&self, node: NodeId) -> Option<usize> {
+        self.by_primary.get(node as usize).copied().flatten()
     }
 
-    /// Whether group `idx` has been retired.
-    pub fn group_retired(&self, idx: usize) -> bool {
-        self.groups.read()[idx].retired.load(Ordering::Relaxed)
-    }
-
-    /// Group index owned by the primary with fabric id `node`, if any.
-    pub fn group_index_of(&self, node: NodeId) -> Option<usize> {
-        self.by_primary.read().get(&node).copied()
-    }
-
-    /// Replace the data-path retry policy (e.g. [`RetryPolicy::none`] to
-    /// surface every fault to the caller).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.write() = policy;
-    }
-
-    /// The retry policy currently in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.read()
-    }
-
-    /// The fabric this layer lives on.
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
-    }
-
-    /// The active network cost model.
-    pub fn profile(&self) -> NetworkProfile {
-        self.fabric.profile()
-    }
-
-    /// Number of mirror groups (= allocation domains).
-    pub fn group_count(&self) -> usize {
-        self.groups.read().len()
-    }
-
-    /// Replication factor `k`.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// The primary memory node of group `idx` (experiments poke at
-    /// allocators and offload executors through this).
-    pub fn group_primary(&self, idx: usize) -> Arc<MemoryNode> {
-        self.groups.read()[idx].primary().clone()
-    }
-
-    /// All members of group `idx`.
-    pub fn group_members(&self, idx: usize) -> Vec<Arc<MemoryNode>> {
-        self.groups.read()[idx].members.clone()
-    }
-
-    fn group_of(&self, addr: GlobalAddr) -> DsmResult<Arc<MirrorGroup>> {
-        let idx = self
-            .by_primary
-            .read()
-            .get(&addr.node())
-            .copied()
-            .ok_or(DsmError::UnknownAddress(addr))?;
-        Ok(self.groups.read()[idx].clone())
-    }
-
-    /// Allocate `size` bytes somewhere in the pool (round-robin across
-    /// non-retired groups, falling back to any group with room).
-    pub fn alloc(&self, size: u64) -> DsmResult<GlobalAddr> {
-        let groups = self.groups.read().clone();
-        let n = groups.len();
-        let start = self.next_group.fetch_add(1, Ordering::Relaxed) % n;
-        let mut last_err = AllocError::ZeroSize;
-        for i in 0..n {
-            let g = &groups[(start + i) % n];
-            if g.retired.load(Ordering::Relaxed) {
-                continue;
-            }
-            match g.primary().alloc(size) {
-                Ok(off) => return Ok(GlobalAddr::new(g.primary().id(), off)),
-                Err(e) => last_err = e,
-            }
-        }
-        Err(DsmError::Alloc(last_err))
-    }
-
-    /// Allocate on a specific group (tables place their pages
-    /// deterministically with this; explicit placement may target a
-    /// retired group, e.g. to rebuild it).
-    pub fn alloc_on(&self, group: usize, size: u64) -> DsmResult<GlobalAddr> {
-        let g = self.groups.read()[group].clone();
-        let off = g.primary().alloc(size)?;
-        Ok(GlobalAddr::new(g.primary().id(), off))
-    }
-
-    /// Free an allocation, and forget the lock words registered in it.
-    pub fn free(&self, addr: GlobalAddr) -> DsmResult<()> {
-        let g = self.group_of(addr)?;
-        let len = g.primary().size_of(addr.offset()).unwrap_or(0);
-        g.primary().free(addr.offset())?;
-        let extent = addr.offset()..addr.offset() + len;
-        self.lock_stripes
-            .lock()
-            .retain(|s| s.first.node() != addr.node() || !extent.contains(&s.first.offset()));
-        Ok(())
-    }
-
-    /// Register `count` 8-byte lock words at `first`, `first + stride`,
-    /// ...: words a [`GlobalWr::Cas`] takes and a [`GlobalWr::Unlock`]
-    /// frees, on the group primary alone, so
-    /// [`DsmLayer::recover_member_from_mirror`] brings a member up with
-    /// every one of them free. Forgotten when the extent holding `first`
-    /// is freed.
-    pub fn register_lock_words(&self, first: GlobalAddr, stride: u64, count: u64) {
-        assert!(first.offset().is_multiple_of(8) && stride >= 8, "lock words are aligned and disjoint");
-        self.lock_stripes.lock().push(LockStripe { first, stride, count });
-    }
-
-    /// Reallocate, copying the payload if the extent moves. Charged to
-    /// `ep` as a read + write of the payload when a move happens.
-    pub fn realloc(&self, ep: &Endpoint, addr: GlobalAddr, new_size: u64) -> DsmResult<GlobalAddr> {
-        let g = self.group_of(addr)?;
-        let old_len = g
-            .primary()
-            .size_of(addr.offset())
-            .ok_or(DsmError::Alloc(AllocError::InvalidFree {
-                offset: addr.offset(),
-            }))?;
-        let new_off = g.primary().realloc(addr.offset(), new_size)?;
-        if new_off != addr.offset() {
-            // The extent moved: copy old payload to the new location on
-            // every member.
-            let copy = old_len.min(new_size) as usize;
-            let mut buf = vec![0u8; copy];
-            self.read(ep, addr, &mut buf)?;
-            let new_addr = GlobalAddr::new(g.primary().id(), new_off);
-            self.write(ep, new_addr, &buf)?;
-            return Ok(new_addr);
-        }
-        Ok(addr)
-    }
-
-    /// One-sided READ from `addr`, failing over across mirror members.
-    /// Transient faults are absorbed by the layer's [`RetryPolicy`].
-    pub fn read(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> DsmResult<()> {
-        self.retry_policy()
-            .run(ep, || self.sweep(addr, |node| ep.read(node, addr.offset(), dst)))
+    fn group_of(&self, addr: GlobalAddr) -> DsmResult<&MirrorGroup> {
+        self.group_index_of(addr.node())
+            .map(|idx| &*self.groups[idx])
+            .ok_or(DsmError::UnknownAddress(addr))
     }
 
     /// Post `verb` to each member of `addr`'s group in turn, until one
@@ -527,6 +319,314 @@ impl DsmLayer {
         }
     }
 
+    /// Resolve `wrs` against the table and ring the doorbell.
+    fn post<'a>(&self, ep: &Endpoint, wrs: impl ExactSizeIterator<Item = GlobalWr<'a>>) -> DsmResult<()> {
+        if wrs.len() <= FEW_REQUESTS {
+            self.post_within::<INLINE_MEMBERS_FEW>(ep, wrs)
+        } else {
+            self.post_within::<INLINE_MEMBERS>(ep, wrs)
+        }
+    }
+
+    /// [`GroupTable::post`] with a member list of `N` inline slots.
+    fn post_within<'a, const N: usize>(
+        &self,
+        ep: &Endpoint,
+        wrs: impl Iterator<Item = GlobalWr<'a>>,
+    ) -> DsmResult<()> {
+        let mut members = Members::<N>::new();
+        let unavailable = |addr: GlobalAddr| DsmError::GroupUnavailable {
+            primary: addr.node(),
+        };
+        for wr in wrs {
+            match wr {
+                GlobalWr::Cas { addr, expected, new, prev } => members.push(Wr::Cas {
+                    node: self.group_of(addr)?.primary().id(),
+                    offset: addr.offset(),
+                    expected,
+                    new,
+                    prev,
+                }),
+                GlobalWr::Read { addr, dst } => {
+                    let node = self
+                        .group_of(addr)?
+                        .members
+                        .iter()
+                        .map(|m| m.id())
+                        .find(|&id| ep.node_reachable(id))
+                        .ok_or_else(|| unavailable(addr))?;
+                    members.push(Wr::Read { node, offset: addr.offset(), dst });
+                }
+                GlobalWr::Write { addr, src } => {
+                    let mut reachable = false;
+                    for m in &self.group_of(addr)?.members {
+                        if ep.node_reachable(m.id()) {
+                            members.push(Wr::Write { node: m.id(), offset: addr.offset(), src });
+                            reachable = true;
+                        }
+                    }
+                    if !reachable {
+                        return Err(unavailable(addr));
+                    }
+                }
+                GlobalWr::Unlock { addr } => {
+                    let g = self.group_of(addr)?;
+                    let primary = g.primary().id();
+                    if ep.node_reachable(primary) {
+                        members.push(Wr::Write { node: primary, offset: addr.offset(), src: &[0; 8] });
+                    } else if !g.members.iter().any(|m| ep.node_reachable(m.id())) {
+                        return Err(unavailable(addr));
+                    }
+                }
+                GlobalWr::Faa { addr, add, prev } => {
+                    let mut prev = Some(prev);
+                    for m in &self.group_of(addr)?.members {
+                        if ep.node_reachable(m.id()) {
+                            members.push(Wr::Faa { node: m.id(), offset: addr.offset(), add, prev: prev.take() });
+                        }
+                    }
+                    if prev.is_some() {
+                        return Err(unavailable(addr));
+                    }
+                }
+            }
+        }
+        Ok(ep.doorbell(members.as_mut_slice())?)
+    }
+}
+
+/// The distributed shared-memory layer: pooled, replicated, logically
+/// addressed memory with database-facing APIs (§3).
+pub struct DsmLayer {
+    fabric: Arc<Fabric>,
+    /// Groups, the primary → group index and the retry policy: one read
+    /// per data-path call (a doorbell reads it once for every attempt),
+    /// write-locked only by membership changes and a policy swap. A
+    /// reader never takes it again while holding it.
+    table: parking_lot::RwLock<GroupTable>,
+    next_group: AtomicUsize,
+    replication: usize,
+    /// The lock words [`DsmLayer::recover_member_from_mirror`] frees.
+    lock_stripes: parking_lot::Mutex<Vec<LockStripe>>,
+}
+
+impl DsmLayer {
+    /// Build the layer: creates the memory nodes on `fabric` per `config`.
+    pub fn build(fabric: &Arc<Fabric>, config: DsmConfig) -> Arc<Self> {
+        assert!(config.replication >= 1);
+        assert!(
+            config.memory_nodes.is_multiple_of(config.replication),
+            "memory_nodes must be a multiple of the replication factor"
+        );
+        let mut table = GroupTable {
+            groups: Vec::new(),
+            by_primary: Vec::new(),
+            retry: RetryPolicy::default(),
+        };
+        for _ in 0..(config.memory_nodes / config.replication) {
+            let members: Vec<Arc<MemoryNode>> = (0..config.replication)
+                .map(|_| {
+                    Arc::new(MemoryNode::new(
+                        fabric,
+                        config.capacity_per_node,
+                        config.mem_cores,
+                        config.weak_cpu_factor,
+                    ))
+                })
+                .collect();
+            // Burn the first 8 bytes of each group so offset 0 is never
+            // handed out and GlobalAddr::NULL stays unambiguous.
+            members[0].alloc(8).expect("fresh node");
+            table.push(Arc::new(MirrorGroup {
+                members,
+                retired: AtomicBool::new(false),
+            }));
+        }
+        Arc::new(Self {
+            fabric: fabric.clone(),
+            table: parking_lot::RwLock::new(table),
+            next_group: AtomicUsize::new(0),
+            replication: config.replication,
+            lock_stripes: parking_lot::Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Add a fresh mirror group mid-run (memory-node join): spins up
+    /// `replication` new memory nodes, wires them as one group, and
+    /// makes them immediately eligible for round-robin allocation.
+    /// Returns the new group's index.
+    pub fn join_group(
+        &self,
+        capacity_per_node: usize,
+        mem_cores: usize,
+        weak_cpu_factor: f64,
+    ) -> usize {
+        let members: Vec<Arc<MemoryNode>> = (0..self.replication)
+            .map(|_| {
+                Arc::new(MemoryNode::new(
+                    &self.fabric,
+                    capacity_per_node,
+                    mem_cores,
+                    weak_cpu_factor,
+                ))
+            })
+            .collect();
+        members[0].alloc(8).expect("fresh node");
+        let group = Arc::new(MirrorGroup {
+            members,
+            retired: AtomicBool::new(false),
+        });
+        self.table.write().push(group)
+    }
+
+    /// Mark a group non-allocatable (memory-node leave). Its extents
+    /// stay readable and writable until the caller drains them (live
+    /// migration); only fresh allocations skip the group.
+    pub fn retire_group(&self, idx: usize) {
+        self.table.read().groups[idx].retired.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether group `idx` has been retired.
+    pub fn group_retired(&self, idx: usize) -> bool {
+        self.table.read().groups[idx].retired.load(Ordering::Relaxed)
+    }
+
+    /// Group index owned by the primary with fabric id `node`, if any.
+    pub fn group_index_of(&self, node: NodeId) -> Option<usize> {
+        self.table.read().group_index_of(node)
+    }
+
+    /// Replace the data-path retry policy (e.g. [`RetryPolicy::none`] to
+    /// surface every fault to the caller).
+    pub fn set_retry_policy(&self, policy: RetryPolicy) {
+        self.table.write().retry = policy;
+    }
+
+    /// The retry policy currently in force.
+    pub fn retry_policy(&self) -> RetryPolicy {
+        self.table.read().retry
+    }
+
+    /// The fabric this layer lives on.
+    pub fn fabric(&self) -> &Arc<Fabric> {
+        &self.fabric
+    }
+
+    /// The active network cost model.
+    pub fn profile(&self) -> NetworkProfile {
+        self.fabric.profile()
+    }
+
+    /// Number of mirror groups (= allocation domains).
+    pub fn group_count(&self) -> usize {
+        self.table.read().groups.len()
+    }
+
+    /// Replication factor `k`.
+    pub fn replication(&self) -> usize {
+        self.replication
+    }
+
+    /// The primary memory node of group `idx` (experiments poke at
+    /// allocators and offload executors through this).
+    pub fn group_primary(&self, idx: usize) -> Arc<MemoryNode> {
+        self.table.read().groups[idx].primary().clone()
+    }
+
+    /// All members of group `idx`.
+    pub fn group_members(&self, idx: usize) -> Vec<Arc<MemoryNode>> {
+        self.table.read().groups[idx].members.clone()
+    }
+
+    /// The primary of `addr`'s group, for the calls that must not hold
+    /// the table while they run (they may re-enter the layer).
+    fn primary_of(&self, addr: GlobalAddr) -> DsmResult<Arc<MemoryNode>> {
+        Ok(self.table.read().group_of(addr)?.primary().clone())
+    }
+
+    /// Allocate `size` bytes somewhere in the pool (round-robin across
+    /// non-retired groups, falling back to any group with room).
+    pub fn alloc(&self, size: u64) -> DsmResult<GlobalAddr> {
+        let table = self.table.read();
+        let groups = &table.groups;
+        let n = groups.len();
+        let start = self.next_group.fetch_add(1, Ordering::Relaxed) % n;
+        let mut last_err = AllocError::ZeroSize;
+        for i in 0..n {
+            let g = &groups[(start + i) % n];
+            if g.retired.load(Ordering::Relaxed) {
+                continue;
+            }
+            match g.primary().alloc(size) {
+                Ok(off) => return Ok(GlobalAddr::new(g.primary().id(), off)),
+                Err(e) => last_err = e,
+            }
+        }
+        Err(DsmError::Alloc(last_err))
+    }
+
+    /// Allocate on a specific group (tables place their pages
+    /// deterministically with this; explicit placement may target a
+    /// retired group, e.g. to rebuild it).
+    pub fn alloc_on(&self, group: usize, size: u64) -> DsmResult<GlobalAddr> {
+        let primary = self.group_primary(group);
+        let off = primary.alloc(size)?;
+        Ok(GlobalAddr::new(primary.id(), off))
+    }
+
+    /// Free an allocation, and forget the lock words registered in it.
+    pub fn free(&self, addr: GlobalAddr) -> DsmResult<()> {
+        let primary = self.primary_of(addr)?;
+        let len = primary.size_of(addr.offset()).unwrap_or(0);
+        primary.free(addr.offset())?;
+        let extent = addr.offset()..addr.offset() + len;
+        self.lock_stripes
+            .lock()
+            .retain(|s| s.first.node() != addr.node() || !extent.contains(&s.first.offset()));
+        Ok(())
+    }
+
+    /// Register `count` 8-byte lock words at `first`, `first + stride`,
+    /// ...: words a [`GlobalWr::Cas`] takes and a [`GlobalWr::Unlock`]
+    /// frees, on the group primary alone, so
+    /// [`DsmLayer::recover_member_from_mirror`] brings a member up with
+    /// every one of them free. Forgotten when the extent holding `first`
+    /// is freed.
+    pub fn register_lock_words(&self, first: GlobalAddr, stride: u64, count: u64) {
+        assert!(first.offset().is_multiple_of(8) && stride >= 8, "lock words are aligned and disjoint");
+        self.lock_stripes.lock().push(LockStripe { first, stride, count });
+    }
+
+    /// Reallocate, copying the payload if the extent moves. Charged to
+    /// `ep` as a read + write of the payload when a move happens.
+    pub fn realloc(&self, ep: &Endpoint, addr: GlobalAddr, new_size: u64) -> DsmResult<GlobalAddr> {
+        let primary = self.primary_of(addr)?;
+        let old_len = primary
+            .size_of(addr.offset())
+            .ok_or(DsmError::Alloc(AllocError::InvalidFree {
+                offset: addr.offset(),
+            }))?;
+        let new_off = primary.realloc(addr.offset(), new_size)?;
+        if new_off != addr.offset() {
+            // The extent moved: copy old payload to the new location on
+            // every member.
+            let copy = old_len.min(new_size) as usize;
+            let mut buf = vec![0u8; copy];
+            self.read(ep, addr, &mut buf)?;
+            let new_addr = GlobalAddr::new(primary.id(), new_off);
+            self.write(ep, new_addr, &buf)?;
+            return Ok(new_addr);
+        }
+        Ok(addr)
+    }
+
+    /// One-sided READ from `addr`, failing over across mirror members.
+    /// Transient faults are absorbed by the layer's [`RetryPolicy`].
+    pub fn read(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> DsmResult<()> {
+        let t = self.table.read();
+        t.retry.run(ep, || t.sweep(addr, |node| ep.read(node, addr.offset(), dst)))
+    }
+
     /// One doorbell over a mixed group of work requests on logical
     /// addresses: each CAS goes to its group's primary, each READ to the
     /// first reachable member of its group, each WRITE and FAA to every
@@ -538,107 +638,23 @@ impl DsmLayer {
     /// pre-flight (a member died after it was chosen) ends the group
     /// there: the `prev` of a CAS or FAA tells whether it was executed.
     pub fn doorbell(&self, ep: &Endpoint, wrs: &mut [GlobalWr<'_>]) -> DsmResult<()> {
-        self.retry_policy()
-            .run(ep, || self.post(ep, wrs.iter_mut().map(GlobalWr::reborrow)))
-    }
-
-    /// Resolve `wrs` against the group table (taken once for the whole
-    /// group) and ring the doorbell.
-    fn post<'a>(&self, ep: &Endpoint, wrs: impl ExactSizeIterator<Item = GlobalWr<'a>>) -> DsmResult<()> {
-        if wrs.len() <= FEW_REQUESTS {
-            self.post_within::<INLINE_MEMBERS_FEW>(ep, wrs)
-        } else {
-            self.post_within::<INLINE_MEMBERS>(ep, wrs)
-        }
-    }
-
-    /// [`DsmLayer::post`] with a member list of `N` inline slots.
-    fn post_within<'a, const N: usize>(
-        &self,
-        ep: &Endpoint,
-        wrs: impl Iterator<Item = GlobalWr<'a>>,
-    ) -> DsmResult<()> {
-        let mut members = Members::<N>::new();
-        {
-            let groups = self.groups.read();
-            let by_primary = self.by_primary.read();
-            let group_of = |addr: GlobalAddr| {
-                by_primary
-                    .get(&addr.node())
-                    .map(|&idx| &groups[idx])
-                    .ok_or(DsmError::UnknownAddress(addr))
-            };
-            let unavailable = |addr: GlobalAddr| DsmError::GroupUnavailable {
-                primary: addr.node(),
-            };
-            for wr in wrs {
-                match wr {
-                    GlobalWr::Cas { addr, expected, new, prev } => members.push(Wr::Cas {
-                        node: group_of(addr)?.primary().id(),
-                        offset: addr.offset(),
-                        expected,
-                        new,
-                        prev,
-                    }),
-                    GlobalWr::Read { addr, dst } => {
-                        let node = group_of(addr)?
-                            .members
-                            .iter()
-                            .map(|m| m.id())
-                            .find(|&id| ep.node_reachable(id))
-                            .ok_or_else(|| unavailable(addr))?;
-                        members.push(Wr::Read { node, offset: addr.offset(), dst });
-                    }
-                    GlobalWr::Write { addr, src } => {
-                        let mut reachable = false;
-                        for m in &group_of(addr)?.members {
-                            if ep.node_reachable(m.id()) {
-                                members.push(Wr::Write { node: m.id(), offset: addr.offset(), src });
-                                reachable = true;
-                            }
-                        }
-                        if !reachable {
-                            return Err(unavailable(addr));
-                        }
-                    }
-                    GlobalWr::Unlock { addr } => {
-                        let g = group_of(addr)?;
-                        let primary = g.primary().id();
-                        if ep.node_reachable(primary) {
-                            members.push(Wr::Write { node: primary, offset: addr.offset(), src: &[0; 8] });
-                        } else if !g.members.iter().any(|m| ep.node_reachable(m.id())) {
-                            return Err(unavailable(addr));
-                        }
-                    }
-                    GlobalWr::Faa { addr, add, prev } => {
-                        let mut prev = Some(prev);
-                        for m in &group_of(addr)?.members {
-                            if ep.node_reachable(m.id()) {
-                                members.push(Wr::Faa { node: m.id(), offset: addr.offset(), add, prev: prev.take() });
-                            }
-                        }
-                        if prev.is_some() {
-                            return Err(unavailable(addr));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(ep.doorbell(members.as_mut_slice())?)
+        let t = self.table.read();
+        t.retry.run(ep, || t.post(ep, wrs.iter_mut().map(GlobalWr::reborrow)))
     }
 
     /// Doorbell-batched multi-get: every address in `reqs` is read in one
     /// [`DsmLayer::doorbell`]. If a member dies mid-group the whole set
     /// falls back to per-address fail-over [`DsmLayer::read`]s.
     pub fn read_batch(&self, ep: &Endpoint, reqs: &mut [(GlobalAddr, &mut [u8])]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || {
+        let t = self.table.read();
+        t.retry.run(ep, || {
             let reads = reqs
                 .iter_mut()
                 .map(|(addr, dst)| GlobalWr::Read { addr: *addr, dst });
-            match self.post(ep, reads) {
+            match t.post(ep, reads) {
                 Err(DsmError::Rdma(RdmaError::NodeUnreachable(_))) => reqs
                     .iter_mut()
-                    .try_for_each(|(addr, dst)| self.sweep(*addr, |node| ep.read(node, addr.offset(), dst))),
+                    .try_for_each(|(addr, dst)| t.sweep(*addr, |node| ep.read(node, addr.offset(), dst))),
                 posted => posted,
             }
         })
@@ -648,9 +664,10 @@ impl DsmLayer {
     /// (k-way replication of m pages = one wire round trip plus
     /// `k*m - 1` coalesced ops).
     pub fn write_batch(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || {
+        let t = self.table.read();
+        t.retry.run(ep, || {
             let writes = reqs.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
-            self.post(ep, writes)
+            t.post(ep, writes)
         })
     }
 
@@ -664,24 +681,22 @@ impl DsmLayer {
     /// primary only). Safe to retry: an injected fault fires before the
     /// NIC's atomic unit executes, so a failed attempt never swapped.
     pub fn cas(&self, ep: &Endpoint, addr: GlobalAddr, expected: u64, new: u64) -> DsmResult<u64> {
-        let g = self.group_of(addr)?;
-        let node = g.primary().id();
-        self.retry_policy()
-            .run(ep, || Ok(ep.cas(node, addr.offset(), expected, new)?))
+        let t = self.table.read();
+        let node = t.group_of(addr)?.primary().id();
+        t.retry.run(ep, || Ok(ep.cas(node, addr.offset(), expected, new)?))
     }
 
     /// 8-byte FAA on the group primary.
     pub fn faa(&self, ep: &Endpoint, addr: GlobalAddr, add: u64) -> DsmResult<u64> {
-        let g = self.group_of(addr)?;
-        let node = g.primary().id();
-        self.retry_policy()
-            .run(ep, || Ok(ep.faa(node, addr.offset(), add)?))
+        let t = self.table.read();
+        let node = t.group_of(addr)?.primary().id();
+        t.retry.run(ep, || Ok(ep.faa(node, addr.offset(), add)?))
     }
 
     /// Aligned 8-byte read (primary, with mirror failover).
     pub fn read_u64(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<u64> {
-        self.retry_policy()
-            .run(ep, || self.sweep(addr, |node| ep.read_u64(node, addr.offset())))
+        let t = self.table.read();
+        t.retry.run(ep, || t.sweep(addr, |node| ep.read_u64(node, addr.offset())))
     }
 
     /// Aligned 8-byte write to every live mirror member.
@@ -692,7 +707,7 @@ impl DsmLayer {
     /// Register an offload handler on *every* node (so any group can serve
     /// it).
     pub fn register_offload(&self, fn_id: u32, f: OffloadFn) {
-        for g in self.groups.read().iter() {
+        for g in &self.table.read().groups {
             for m in &g.members {
                 m.register_offload(fn_id, f.clone());
             }
@@ -701,8 +716,7 @@ impl DsmLayer {
 
     /// Invoke an offloaded function on the group owning `addr`.
     pub fn offload(&self, ep: &Endpoint, addr: GlobalAddr, fn_id: u32, arg: &[u8]) -> DsmResult<Vec<u8>> {
-        let g = self.group_of(addr)?;
-        Ok(g.primary().offload(ep, fn_id, arg)?)
+        Ok(self.primary_of(addr)?.offload(ep, fn_id, arg)?)
     }
 
     /// Pool-wide allocation statistics (sums group primaries — replicas
@@ -716,7 +730,7 @@ impl DsmLayer {
             free_extents: 0,
             live_allocations: 0,
         };
-        for g in self.groups.read().iter() {
+        for g in &self.table.read().groups {
             let s = g.primary().alloc_stats();
             total.capacity += s.capacity;
             total.allocated += s.allocated;
@@ -730,7 +744,7 @@ impl DsmLayer {
 
     /// Crash a specific member of a group (failure injection).
     pub fn crash_member(&self, group: usize, member: usize) -> DsmResult<()> {
-        let id = self.groups.read()[group].members[member].id();
+        let id = self.table.read().groups[group].members[member].id();
         Ok(self.fabric.crash(id)?)
     }
 
@@ -750,7 +764,7 @@ impl DsmLayer {
         group: usize,
         member: usize,
     ) -> DsmResult<u64> {
-        let g = self.groups.read()[group].clone();
+        let g = self.table.read().groups[group].clone();
         let failed = &g.members[member];
         let capacity = failed.capacity() as usize;
         // Fresh hardware under the same logical id.
@@ -789,7 +803,7 @@ impl DsmLayer {
 impl std::fmt::Debug for DsmLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsmLayer")
-            .field("groups", &self.groups.read().len())
+            .field("groups", &self.group_count())
             .field("replication", &self.replication)
             .finish()
     }

@@ -1,6 +1,6 @@
 //! The fabric: registered nodes, endpoints, and verb execution.
 
-use std::cell::{Cell, RefCell, RefMut};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,6 +26,10 @@ use crate::stats::{OpKind, OpStats, StatsSnapshot};
 /// changes and the old address cannot refer to the new memory").
 pub type NodeId = u16;
 
+/// One registered node as verbs see it. The fabric's node table and every
+/// endpoint's copy of it share the slot, so a crash or revive (a store on
+/// `alive`) reaches every endpoint at its next verb; a replacement
+/// installs a fresh slot and bumps the topology generation.
 struct NodeSlot {
     region: Arc<Region>,
     alive: AtomicBool,
@@ -33,12 +37,26 @@ struct NodeSlot {
     atomic_unit: Arc<SharedTimeline>,
 }
 
+/// A copy of the fabric's node table, indexed by `NodeId`, with the
+/// topology generation it was read at.
+struct NodeTable {
+    generation: u64,
+    slots: Vec<Arc<NodeSlot>>,
+}
+
 /// The cluster interconnect plus every registered memory region.
 ///
 /// Cheap to share (`Arc<Fabric>`); create one per simulated cluster.
 pub struct Fabric {
     profile: NetworkProfile,
-    nodes: RwLock<Vec<NodeSlot>>,
+    /// The node table, indexed by `NodeId`. Only registration and
+    /// replacement write it, each bumping `node_gen` after; verbs run on
+    /// each endpoint's own copy, re-read when `node_gen` moved, and only
+    /// the admin accessors ([`Fabric::region`], [`Fabric::is_alive`],
+    /// [`Fabric::crash`], ...) take this lock.
+    nodes: RwLock<Vec<Arc<NodeSlot>>>,
+    /// Topology generation: moves on every change to `nodes`.
+    node_gen: AtomicU64,
     mailboxes: MailboxRegistry,
     /// Installed fault schedule (None = fault-free). Endpoints cache it
     /// and re-read when `fault_gen` moves.
@@ -58,6 +76,7 @@ impl Fabric {
         Arc::new(Self {
             profile,
             nodes: RwLock::new(Vec::new()),
+            node_gen: AtomicU64::new(0),
             mailboxes: MailboxRegistry::new(),
             fault_plan: RwLock::new(None),
             fault_gen: AtomicU64::new(0),
@@ -128,12 +147,21 @@ impl Fabric {
     pub fn register_region(&self, region: Arc<Region>) -> NodeId {
         let mut nodes = self.nodes.write();
         let id = nodes.len() as NodeId;
-        nodes.push(NodeSlot {
+        nodes.push(Arc::new(NodeSlot {
             region,
             alive: AtomicBool::new(true),
             atomic_unit: SharedTimeline::new(),
-        });
+        }));
+        self.node_gen.fetch_add(1, Ordering::Release);
         id
+    }
+
+    /// The node table as of now, for an endpoint's copy. The generation
+    /// is read first: a table newer than it is read again at the next
+    /// verb, never an older one kept.
+    fn node_table(&self) -> NodeTable {
+        let generation = self.node_gen.load(Ordering::Acquire);
+        NodeTable { generation, slots: self.nodes.read().clone() }
     }
 
     /// Number of registered nodes (alive or not).
@@ -146,19 +174,8 @@ impl Fabric {
         let nodes = self.nodes.read();
         nodes
             .get(node as usize)
-            .map(f)
+            .map(|slot| f(slot))
             .ok_or(RdmaError::UnknownNode(node))
-    }
-
-    /// Run `f` on `node`'s slot if the node currently accepts verbs.
-    fn with_live_slot<T>(&self, node: NodeId, f: impl FnOnce(&NodeSlot) -> T) -> RdmaResult<T> {
-        self.with_slot(node, |slot| {
-            if slot.alive.load(Ordering::Acquire) {
-                Ok(f(slot))
-            } else {
-                Err(RdmaError::NodeUnreachable(node))
-            }
-        })?
     }
 
     /// Direct handle to a node's region *without* network charging — for
@@ -166,14 +183,6 @@ impl Fabric {
     /// recovery) and for test assertions.
     pub fn region(&self, node: NodeId) -> RdmaResult<Arc<Region>> {
         self.with_slot(node, |slot| slot.region.clone())
-    }
-
-    fn live_region(&self, node: NodeId) -> RdmaResult<Arc<Region>> {
-        self.with_live_slot(node, |slot| slot.region.clone())
-    }
-
-    fn live_region_atomic(&self, node: NodeId) -> RdmaResult<(Arc<Region>, Arc<SharedTimeline>)> {
-        self.with_live_slot(node, |slot| (slot.region.clone(), slot.atomic_unit.clone()))
     }
 
     /// Simulate a crash: verbs to `node` fail until revive/replace.
@@ -188,15 +197,20 @@ impl Fabric {
 
     /// Replace a node with fresh hardware: the logical id survives, the
     /// memory does not. Returns the new (zeroed) region for the recovery
-    /// machinery to repopulate.
+    /// machinery to repopulate. The new node keeps the old one's atomic
+    /// unit: a CAS queues behind whatever the unit had reserved.
     pub fn replace(&self, node: NodeId, len_bytes: usize) -> RdmaResult<Arc<Region>> {
         let mut nodes = self.nodes.write();
         let slot = nodes
             .get_mut(node as usize)
             .ok_or(RdmaError::UnknownNode(node))?;
         let fresh = Arc::new(Region::new(len_bytes));
-        slot.region = fresh.clone();
-        slot.alive.store(true, Ordering::Release);
+        *slot = Arc::new(NodeSlot {
+            region: fresh.clone(),
+            alive: AtomicBool::new(true),
+            atomic_unit: slot.atomic_unit.clone(),
+        });
+        self.node_gen.fetch_add(1, Ordering::Release);
         Ok(fresh)
     }
 
@@ -215,6 +229,7 @@ impl Fabric {
     pub fn endpoint(self: &Arc<Self>) -> Endpoint {
         Endpoint {
             fabric: self.clone(),
+            nodes: RefCell::new(self.node_table()),
             profile: self.profile,
             clock: Clock::new(),
             stats: OpStats::new(),
@@ -244,9 +259,13 @@ fn fix_node(e: RdmaError, node: NodeId) -> RdmaError {
     }
 }
 
-/// A per-thread handle for issuing verbs. Owns a virtual [`Clock`], op
-/// counters, per-verb latency histograms, the phase-span tracker and the
-/// [`FlightRecorder`]: every verb entry point builds one `VerbEvent` and
+/// A per-thread handle for issuing verbs. Owns its copy of the fabric's
+/// node table, a virtual [`Clock`], op counters, per-verb latency
+/// histograms, the phase-span tracker, its view of the fault plan and the
+/// [`FlightRecorder`]. A verb takes no lock and clones no `Arc`: it
+/// checks the fabric's topology generation, reads its target's slot out
+/// of the copy and its `alive` flag, and runs on the slot's region and
+/// atomic unit. Every verb entry point builds one `VerbEvent` and
 /// hands it to `Endpoint::complete`, and everything the telemetry views
 /// see — verbs, faults, phase boundaries, lock waits, wait-for edges,
 /// fan-outs, upper layers' series notes — is one event pushed into the
@@ -255,6 +274,11 @@ fn fix_node(e: RdmaError, node: NodeId) -> RdmaError {
 /// thread.
 pub struct Endpoint {
     fabric: Arc<Fabric>,
+    /// This endpoint's copy of the fabric's node table, read again when
+    /// the fabric's topology generation moves (node registered or
+    /// replaced). Crash and revive need no re-read: they flip the shared
+    /// slot's `alive` flag.
+    nodes: RefCell<NodeTable>,
     profile: NetworkProfile,
     clock: Clock,
     stats: OpStats,
@@ -672,12 +696,30 @@ impl Endpoint {
         e
     }
 
+    /// `node`'s slot in this endpoint's copy of the node table, copied
+    /// again first if the fabric's topology moved since; fails on a node
+    /// that does not accept verbs.
+    #[inline]
+    fn live_slot(&self, node: NodeId) -> RdmaResult<Ref<'_, NodeSlot>> {
+        let generation = self.fabric.node_gen.load(Ordering::Acquire);
+        if self.nodes.borrow().generation != generation {
+            *self.nodes.borrow_mut() = self.fabric.node_table();
+        }
+        let slot = Ref::filter_map(self.nodes.borrow(), |t| t.slots.get(node as usize).map(|s| &**s))
+            .map_err(|_| RdmaError::UnknownNode(node))?;
+        if slot.alive.load(Ordering::Acquire) {
+            Ok(slot)
+        } else {
+            Err(RdmaError::NodeUnreachable(node))
+        }
+    }
+
     /// Whether `node` looks reachable from this endpoint *right now*:
     /// registered, not crashed on the fabric, and not inside an injected
     /// crash window at this endpoint's virtual time. This is the health
     /// check replication layers should use when choosing write targets.
     pub fn node_reachable(&self, node: NodeId) -> bool {
-        if !self.fabric.is_alive(node) {
+        if self.live_slot(node).is_err() {
             return false;
         }
         match self.fault_view().plan() {
@@ -707,8 +749,7 @@ impl Endpoint {
             None => self.inject(node)?,
             Some(_) => 0,
         };
-        let region = self.fabric.live_region(node)?;
-        let out = op(&region).map_err(|e| fix_node(e, node))?;
+        let out = op(&self.live_slot(node)?.region).map_err(|e| fix_node(e, node))?;
         let cost_ns = match batch_pos {
             Some(pos) if pos > 0 => self.profile.batched_cost_ns(bytes),
             _ => self.profile.rw_cost_ns(bytes) + extra,
@@ -853,8 +894,8 @@ impl Endpoint {
             None => self.inject(node)?,
             Some(_) => 0,
         };
-        let (region, unit) = self.fabric.live_region_atomic(node)?;
-        let prev = op(&region).map_err(|e| fix_node(e, node))?;
+        let slot = self.live_slot(node)?;
+        let prev = op(&slot.region).map_err(|e| fix_node(e, node))?;
         let start = self.clock.now_ns();
         let wire_ns = match batch_pos {
             Some(pos) if pos > 0 => self.profile.batched_cost_ns(8),
@@ -862,7 +903,7 @@ impl Endpoint {
         };
         self.clock.advance(wire_ns);
         if self.profile.atomic_unit_ns > 0 {
-            let done = unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
+            let done = slot.atomic_unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
             self.clock.advance_to(done);
         }
         let cost_ns = self.clock.now_ns() - start;
@@ -1045,6 +1086,146 @@ mod tests {
         fabric.crash(node).unwrap();
         fabric.replace(node, 64).unwrap();
         assert_eq!(ep.read_u64(node, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn verbs_take_no_fabric_lock() {
+        // A warm endpoint posts a mixed doorbell and scalar verbs while
+        // this thread holds the node table's write lock: all complete.
+        // With a lock per verb they block until the timeout fails the test.
+        use std::sync::mpsc::channel;
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let node = fabric.register_node(256);
+        let (warm_tx, warm_rx) = channel();
+        let (go_tx, go_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        let f = fabric.clone();
+        let poster = std::thread::spawn(move || {
+            let ep = f.endpoint();
+            ep.write_u64(node, 0, 1).unwrap();
+            warm_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            let (mut dst, mut prev, mut faa_prev) = ([0u8; 8], 0, 0);
+            ep.doorbell(&mut [
+                Wr::Read { node, offset: 0, dst: &mut dst },
+                Wr::Write { node, offset: 8, src: &[7; 8] },
+                Wr::Cas { node, offset: 16, expected: 0, new: 5, prev: &mut prev },
+                Wr::Faa { node, offset: 24, add: 3, prev: Some(&mut faa_prev) },
+            ])
+            .unwrap();
+            let mut word = [0u8; 8];
+            ep.read(node, 8, &mut word).unwrap();
+            let cas = ep.cas(node, 16, 5, 6).unwrap();
+            done_tx.send((u64::from_le_bytes(dst), prev, faa_prev, word, cas)).unwrap();
+        });
+        warm_rx.recv().unwrap();
+        let held = fabric.nodes.write();
+        go_tx.send(()).unwrap();
+        let done = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        poster.join().unwrap();
+        let done = done.expect("verbs blocked while the node table was write-locked");
+        assert_eq!(done, (1, 0, 0, [7; 8], 5));
+        assert_eq!(fabric.region(node).unwrap().read_u64(24).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_warm_endpoint_follows_registration_and_replacement() {
+        let p = NetworkProfile::rdma_cx6();
+        assert!(p.atomic_unit_ns > 0);
+        let fabric = Fabric::new(p);
+        let node = fabric.register_node(64);
+        let (a, b) = (fabric.endpoint(), fabric.endpoint());
+        b.write_u64(node, 0, 7).unwrap();
+        // A node registered after the endpoint's first verb is addressable.
+        let later = fabric.register_node(64);
+        b.write_u64(later, 8, 9).unwrap();
+        assert_eq!(b.read_u64(later, 8).unwrap(), 9);
+        // `a` takes the atomic unit at a time `b` will post its CAS at.
+        a.charge_local(b.clock().now_ns() + 10_000);
+        let posted_at = a.clock().now_ns();
+        a.cas(node, 8, 0, 1).unwrap();
+        // The fresh node's memory is zeroed, but its atomic unit is the
+        // old one: `b`'s first CAS queues behind `a`'s.
+        fabric.replace(node, 64).unwrap();
+        assert_eq!(b.read_u64(node, 0).unwrap(), 0);
+        b.charge_local(posted_at - b.clock().now_ns());
+        assert_eq!(b.cas(node, 8, 0, 1).unwrap(), 0);
+        assert_eq!(b.clock().now_ns(), a.clock().now_ns() + p.atomic_unit_ns);
+    }
+
+    #[test]
+    fn verbs_survive_crash_revive_and_replace_churn() {
+        // Two threads post verbs to their own node while a third crashes,
+        // revives and replaces both, each step once the node's poster has
+        // made progress: every verb lands or finds the node unreachable,
+        // and once the churn stops each thread's last write is in the
+        // node's current region.
+        use std::sync::atomic::AtomicBool;
+        const LEN: usize = 64;
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let nodes = [fabric.register_node(LEN), fabric.register_node(LEN)];
+        let rounds = [AtomicU64::new(0), AtomicU64::new(0)];
+        let stop = AtomicBool::new(false);
+        let last = std::thread::scope(|s| {
+            let posters: Vec<_> = nodes
+                .iter()
+                .zip(&rounds)
+                .map(|(&node, rounds)| {
+                    let (fabric, stop) = (&fabric, &stop);
+                    s.spawn(move || {
+                        let ep = fabric.endpoint();
+                        let ok = |r: RdmaResult<()>| match r {
+                            Ok(()) | Err(RdmaError::NodeUnreachable(_)) => {}
+                            Err(e) => panic!("verb to node {node} failed: {e:?}"),
+                        };
+                        let mut value = 0u64;
+                        while !stop.load(Ordering::Acquire) {
+                            value += 1;
+                            ok(ep.write_u64(node, 0, value));
+                            ok(ep.read_u64(node, 0).map(drop));
+                            ok(ep.cas(node, 8, 0, value).map(drop));
+                            let (mut dst, mut prev) = ([0u8; 16], 0);
+                            ok(ep.doorbell(&mut [
+                                Wr::Write { node, offset: 16, src: &value.to_le_bytes() },
+                                Wr::Read { node, offset: 16, dst: &mut dst },
+                                Wr::Faa { node, offset: 32, add: 1, prev: Some(&mut prev) },
+                            ]));
+                            rounds.fetch_add(1, Ordering::Release);
+                        }
+                        value += 1;
+                        ep.write(node, 40, &value.to_le_bytes()).unwrap();
+                        assert_eq!(ep.read_u64(node, 40).unwrap(), value);
+                        value
+                    })
+                })
+                .collect();
+            let progress = |i: usize| {
+                let seen = rounds[i].load(Ordering::Acquire);
+                while rounds[i].load(Ordering::Acquire) < seen + 2 {
+                    std::thread::yield_now();
+                }
+            };
+            for round in 0..120 {
+                let i = round % 2;
+                progress(i);
+                fabric.crash(nodes[i]).unwrap();
+                progress(i);
+                if round % 3 == 0 {
+                    fabric.replace(nodes[i], LEN).unwrap();
+                } else {
+                    fabric.revive(nodes[i]).unwrap();
+                }
+            }
+            for &node in &nodes {
+                fabric.replace(node, LEN).unwrap();
+            }
+            stop.store(true, Ordering::Release);
+            posters.into_iter().map(|t| t.join().unwrap()).collect::<Vec<_>>()
+        });
+        for (&node, &value) in nodes.iter().zip(&last) {
+            assert_eq!(fabric.region(node).unwrap().read_u64(40).unwrap(), value);
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! * 8-byte atomic verbs (CAS, FAA) are genuinely atomic, exactly like the
 //!   NIC's atomic unit;
-//! * plain READ/WRITE of arbitrary byte ranges are implemented with per-word
-//!   relaxed loads/stores — concurrent overlapping READ/WRITE may observe
-//!   mixed data, which is faithful to RDMA DMA semantics (the HCA gives no
+//! * plain READ/WRITE of arbitrary byte ranges are implemented with one
+//!   acquire load / release store per word (a CAS loop on a partial
+//!   boundary word) — concurrent overlapping READ/WRITE may observe
+//!   mixed words, which is faithful to RDMA DMA semantics (the HCA gives no
 //!   atomicity guarantee for regular verbs either); crucially this is *not*
 //!   undefined behaviour, unlike racing on `&mut [u8]`.
 
@@ -68,19 +69,37 @@ impl Region {
         }
     }
 
-    /// Copy `dst.len()` bytes starting at `offset` into `dst`.
+    /// Split a range of `len` bytes at `offset` (already checked) into
+    /// the bytes before its first word boundary and the index of the word
+    /// the rest starts at: the rest is whole words, then a partial tail.
+    #[inline]
+    fn split(offset: u64, len: usize) -> (usize, usize) {
+        let start = offset as usize;
+        let head = len.min(start.next_multiple_of(8) - start);
+        (head, (start + head) / 8)
+    }
+
+    /// Copy `dst.len()` bytes starting at `offset` into `dst`: one
+    /// `Acquire` load per word touched, so a READ racing a WRITE may see
+    /// some words old and some new, never a torn word.
     pub fn read(&self, offset: u64, dst: &mut [u8]) -> RdmaResult<()> {
         self.check(offset, dst.len())?;
-        let mut pos = offset as usize;
-        let mut out = 0usize;
-        while out < dst.len() {
-            let word_idx = pos / 8;
-            let in_word = pos % 8;
-            let take = (8 - in_word).min(dst.len() - out);
-            let w = self.words[word_idx].load(Ordering::Acquire).to_le_bytes();
-            dst[out..out + take].copy_from_slice(&w[in_word..in_word + take]);
-            pos += take;
-            out += take;
+        let (head_len, first) = Self::split(offset, dst.len());
+        let (head, rest) = dst.split_at_mut(head_len);
+        if !head.is_empty() {
+            let in_word = offset as usize % 8;
+            let w = self.words[offset as usize / 8].load(Ordering::Acquire).to_le_bytes();
+            head.copy_from_slice(&w[in_word..in_word + head.len()]);
+        }
+        let mut middle = rest.chunks_exact_mut(8);
+        let whole = middle.len();
+        for (chunk, w) in (&mut middle).zip(&self.words[first..first + whole]) {
+            chunk.copy_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
+        }
+        let tail = middle.into_remainder();
+        if !tail.is_empty() {
+            let w = self.words[first + whole].load(Ordering::Acquire).to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
         }
         Ok(())
     }
@@ -90,42 +109,41 @@ impl Region {
     /// Partial-word writes use a CAS loop on the boundary words so that a
     /// concurrent atomic verb on an *adjacent, non-overlapping* 8-byte slot
     /// sharing the word is never clobbered. Full-word writes are plain
-    /// stores (racing full-word writers last-write-wins, as on hardware).
+    /// `Release` stores, one per word (racing full-word writers
+    /// last-write-wins, as on hardware).
     pub fn write(&self, offset: u64, src: &[u8]) -> RdmaResult<()> {
         self.check(offset, src.len())?;
-        let mut pos = offset as usize;
-        let mut inn = 0usize;
-        while inn < src.len() {
-            let word_idx = pos / 8;
-            let in_word = pos % 8;
-            let take = (8 - in_word).min(src.len() - inn);
-            if take == 8 {
-                let w = u64::from_le_bytes(src[inn..inn + 8].try_into().unwrap());
-                self.words[word_idx].store(w, Ordering::Release);
-            } else {
-                // Read-modify-write of a partial word, preserving the other
-                // bytes against concurrent atomics on them.
-                let cell = &self.words[word_idx];
-                let mut cur = cell.load(Ordering::Acquire);
-                loop {
-                    let mut bytes = cur.to_le_bytes();
-                    bytes[in_word..in_word + take].copy_from_slice(&src[inn..inn + take]);
-                    let new = u64::from_le_bytes(bytes);
-                    match cell.compare_exchange_weak(
-                        cur,
-                        new,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            pos += take;
-            inn += take;
+        let (head_len, first) = Self::split(offset, src.len());
+        let (head, rest) = src.split_at(head_len);
+        if !head.is_empty() {
+            self.write_partial(offset as usize / 8, offset as usize % 8, head);
+        }
+        let middle = rest.chunks_exact(8);
+        let (whole, tail) = (middle.len(), middle.remainder());
+        for (chunk, w) in middle.zip(&self.words[first..first + whole]) {
+            w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Release);
+        }
+        if !tail.is_empty() {
+            self.write_partial(first + whole, 0, tail);
         }
         Ok(())
+    }
+
+    /// Read-modify-write `bytes` into word `idx` at byte `in_word`,
+    /// preserving the word's other bytes against concurrent atomics on
+    /// them.
+    fn write_partial(&self, idx: usize, in_word: usize, bytes: &[u8]) {
+        let cell = &self.words[idx];
+        let mut cur = cell.load(Ordering::Acquire);
+        loop {
+            let mut word = cur.to_le_bytes();
+            word[in_word..in_word + bytes.len()].copy_from_slice(bytes);
+            let new = u64::from_le_bytes(word);
+            match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => break,
+                Err(actual) => cur = actual,
+            }
+        }
     }
 
     #[inline]
@@ -235,6 +253,33 @@ mod tests {
         r.write_u64(0, 0x1122_3344_5566_7788).unwrap();
         r.write(2, &[0xAA]).unwrap();
         assert_eq!(r.read_u64(0).unwrap(), 0x1122_3344_55AA_7788);
+    }
+
+    #[test]
+    fn every_range_copies_like_a_byte_vector() {
+        // Head partial word, whole-word middle and tail partial word in
+        // every combination: the region must behave as a plain byte array,
+        // and bytes outside the range must keep their value.
+        const LEN: usize = 128;
+        let before: Vec<u8> = (0..LEN).map(|i| (i * 7 + 1) as u8).collect();
+        for off in 0..24 {
+            for len in 0..80 {
+                let r = Region::new(LEN);
+                r.write(0, &before).unwrap();
+                let mut model = before.clone();
+                let mut got = vec![0u8; len];
+                r.read(off as u64, &mut got).unwrap();
+                assert_eq!(got, model[off..off + len], "read {len} at {off}");
+                let src: Vec<u8> = (0..len).map(|i| 0x80 | i as u8).collect();
+                r.write(off as u64, &src).unwrap();
+                model[off..off + len].copy_from_slice(&src);
+                let mut all = vec![0u8; LEN];
+                r.read(0, &mut all).unwrap();
+                assert_eq!(all, model, "write {len} at {off}");
+                r.read(off as u64, &mut got).unwrap();
+                assert_eq!(got, src, "read back {len} at {off}");
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,13 @@
 #    Both sides run in one process on one runner, so runner speed
 #    cancels. Every `exp_*` binary runs with the planes on: this ratio,
 #    not the verb path, bounds regen_results.sh and check_reports.sh.
-#    Fails above LIMIT: one run, one verdict. Since the series and the
-#    contention profile became folds over the flight-recorder ring (the
-#    ring is the only recorder on the verb path), twelve runs on a
-#    2-thread VM read 1.03 / 1.42 / 1.49 (min / median / max), against
-#    1.30 / 1.37 / 1.51 for the parent binary in runs alternated with
-#    them. Twenty runs with utilization folded and the series recorded
+#    Fails above LIMIT: one run, one verdict. Since a verb takes no lock
+#    (each endpoint posts from its own copy of the node table, the DSM
+#    layer reads its group table once per doorbell), twelve runs on a
+#    2-thread VM read 1.54 / 1.58 / 1.70 (min / median / max), against
+#    1.38 / 1.44 / 1.48 for the lock-per-verb binary in runs alternated
+#    with them: the bare path got faster and the flight-recorder ring
+#    did not, so the ratio rose. Twenty runs with utilization folded and the series recorded
 #    beside the ring once read up to 1.86, which is why LIMIT stays 2.5
 #    rather than ROADMAP E's 1.8.
 # 2. The two-doorbell transaction: `rdma-sim.wire_rts_per_txn`, exact on
