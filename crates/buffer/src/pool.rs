@@ -33,10 +33,9 @@
 //! To stay deadlock-free a thread never sleeps on a condvar while it holds
 //! unfetched reservations — it flushes its batch first, then waits.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
+use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr, U64Map};
 use parking_lot::{Condvar, Mutex};
 use rdma_sim::{Endpoint, Metric, Phase};
 
@@ -104,7 +103,7 @@ struct Frame {
 struct ShardInner {
     policy: Box<dyn ReplacementPolicy>,
     frames: Vec<Frame>,
-    page_table: HashMap<u64, FrameId>,
+    page_table: U64Map<FrameId>,
     free: Vec<FrameId>,
     /// Number of frames currently `filling`.
     filling: usize,
@@ -284,7 +283,7 @@ impl BufferPool {
                     inner: Mutex::new(ShardInner {
                         policy,
                         frames,
-                        page_table: HashMap::with_capacity(cap * 2),
+                        page_table: U64Map::with_capacity_and_hasher(cap * 2, Default::default()),
                         free: (0..cap).rev().collect(),
                         filling: 0,
                         stats: PoolStats::default(),
@@ -874,7 +873,9 @@ impl BufferPool {
     }
 
     /// Drop every resident page (bulk invalidation after a metadata-only
-    /// reshard). Charged as one latched sweep per shard.
+    /// reshard). Charged as one latched sweep per shard. Frames are freed
+    /// in [`FrameId`] order, so the free list and every later victim are
+    /// the same in every process, whatever the page table's layout.
     pub fn drop_all(&self, ep: &Endpoint) {
         for sh in &self.shards {
             let mut inner = sh.inner.lock();
@@ -883,10 +884,13 @@ impl BufferPool {
             }
             let s = &mut *inner;
             let n = s.page_table.len();
-            for (_, f) in s.page_table.drain() {
-                s.policy.on_remove(f);
-                s.frames[f].page = u64::MAX;
-                s.free.push(f);
+            s.page_table.clear();
+            for f in 0..s.frames.len() {
+                if s.frames[f].page != u64::MAX {
+                    s.policy.on_remove(f);
+                    s.frames[f].page = u64::MAX;
+                    s.free.push(f);
+                }
             }
             s.stats.invalidations += n as u64;
             ep.series_note(Metric::Invals, n as u64);
@@ -901,7 +905,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::cost::LIST_OP_NS;
-    use crate::policy::LruPolicy;
+    use crate::policy::{ClockPolicy, LruPolicy};
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
 
@@ -1316,6 +1320,101 @@ mod tests {
         assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[], &[(addrs[1], 5)]).is_err());
         f.clear_fault_plan();
         assert_eq!((pool.contains(addrs[1]), pool.resident(), stored(addrs[1])), (false, resident, 37));
+    }
+
+    /// Thread A reserves `addr` and holds the fetch; thread B's read of
+    /// it blocks on the shard's condvar until A completes the fetch, or
+    /// drops it (`complete` false). Returns whether B hit, and the stats.
+    fn read_behind_a_held_fetch(complete: bool) -> (bool, PoolStats) {
+        let (f, layer, pool) = setup(4);
+        let ep = f.endpoint();
+        let addr = layer.alloc(64).unwrap();
+        layer.write(&ep, addr, &[5u8; 64]).unwrap();
+        let mut buf = [0u8; 64];
+        let (hits, fetch) = pool.resolve_reads(&ep, &mut [(addr, &mut buf[..])]).unwrap();
+        assert!(hits == 0 && fetch.reserved(0));
+        let hit = std::thread::scope(|sc| {
+            let reader = sc.spawn(|| {
+                let mut got = [0u8; 64];
+                let hit = pool.read_page(&f.endpoint(), addr, &mut got).unwrap();
+                assert_eq!(got, [5u8; 64]);
+                hit
+            });
+            // A notify reports the waiters it woke; B, woken early, finds
+            // the frame still in flight and waits again.
+            while pool.shards[0].cv.notify_all() == 0 {
+                assert!(!reader.is_finished(), "the read did not wait for the fetch");
+                std::thread::yield_now();
+            }
+            if complete {
+                fetch.complete(&ep, [&mut buf[..]], None).unwrap();
+                assert_eq!(buf, [5u8; 64]);
+            } else {
+                drop(fetch);
+            }
+            reader.join().unwrap()
+        });
+        (hit, pool.stats())
+    }
+
+    #[test]
+    fn a_reader_waits_out_a_fetch_and_hits() {
+        let (hit, s) = read_behind_a_held_fetch(true);
+        assert!(hit);
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_reader_waits_out_a_dropped_fetch_and_fetches_itself() {
+        let (hit, s) = read_behind_a_held_fetch(false);
+        assert!(!hit);
+        assert_eq!((s.hits, s.misses), (0, 2));
+    }
+
+    /// `drop_all` frees frames in frame order: two pools that see the same
+    /// ops before and after it end with the same counters and residents.
+    #[test]
+    fn drop_all_leaves_the_same_pool_in_every_run() {
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let layer = DsmLayer::build(
+            &fabric,
+            DsmConfig {
+                memory_nodes: 1,
+                capacity_per_node: 1 << 20,
+                replication: 1,
+                mem_cores: 1,
+                weak_cpu_factor: 4.0,
+            },
+        );
+        let ep = fabric.endpoint();
+        let addrs: Vec<_> = (0..96).map(|_| layer.alloc(64).unwrap()).collect();
+        let ops = |pool: &BufferPool, salt: u64| {
+            let mut buf = [0u8; 64];
+            let mut x = salt | 1;
+            for _ in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let a = addrs[(x % addrs.len() as u64) as usize];
+                if x % 3 == 1 {
+                    pool.write_page(&ep, a, &[x as u8; 64]).unwrap();
+                } else {
+                    pool.read_page(&ep, a, &mut buf).unwrap();
+                }
+            }
+        };
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = BufferPool::new_striped(layer.clone(), 64, 32, 2, |cap| Box::new(ClockPolicy::new(cap)));
+                ops(&pool, 7);
+                pool.drop_all(&ep);
+                assert_eq!(pool.resident(), 0);
+                ops(&pool, 11);
+                let resident: Vec<bool> = addrs.iter().map(|&a| pool.contains(a)).collect();
+                (pool.stats(), resident)
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! (std's mpsc receiver is neither `Sync` nor cloneable, so a
 //! `Mutex<VecDeque>` + `Condvar` queue stands in). See the
 //! `parking_lot` shim for why external deps are vendored.
+//!
+//! A send is free of system calls when no receiver is blocked in
+//! [`channel::Receiver::recv`]: the channel counts the threads blocked
+//! there and a send that finds none wakes nobody. A mailbox that is only
+//! polled with `try_recv` never pays for a wake.
 
 pub mod channel {
     //! Unbounded multi-producer multi-consumer FIFO channel.
@@ -16,6 +21,9 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
         ready: Condvar,
+        /// Receivers blocked in [`Receiver::recv`]; changed only under
+        /// `queue`'s mutex.
+        waiting: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
@@ -25,6 +33,7 @@ pub mod channel {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
+            waiting: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
@@ -86,8 +95,24 @@ pub mod channel {
         }
     }
 
+    impl<T> Shared<T> {
+        /// Wake blocked receivers, if any: one, or all. Called after the
+        /// state they wait on changed under `queue`'s mutex, so a
+        /// receiver that checked it before the change is counted.
+        fn wake(&self, all: bool) {
+            if self.waiting.load(Ordering::Relaxed) == 0 {
+                return;
+            }
+            if all {
+                self.ready.notify_all();
+            } else {
+                self.ready.notify_one();
+            }
+        }
+    }
+
     impl<T> Sender<T> {
-        /// Enqueue a message, waking one waiting receiver.
+        /// Enqueue a message, waking one blocked receiver if there is one.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(msg));
@@ -97,7 +122,7 @@ pub mod channel {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push_back(msg);
-            self.shared.ready.notify_one();
+            self.shared.wake(false);
             Ok(())
         }
     }
@@ -115,8 +140,10 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe
-                // the disconnect.
-                self.shared.ready.notify_all();
+                // the disconnect. Passing through the mutex orders the
+                // count after any receiver that saw a live sender.
+                drop(self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner));
+                self.shared.wake(true);
             }
         }
     }
@@ -152,11 +179,13 @@ pub mod channel {
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
+                self.shared.waiting.fetch_add(1, Ordering::Relaxed);
                 q = self
                     .shared
                     .ready
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
+                self.shared.waiting.fetch_sub(1, Ordering::Relaxed);
             }
         }
 
@@ -211,6 +240,28 @@ pub mod channel {
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
             assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        /// A receiver blocked in `recv` is woken by a send, and by the
+        /// last sender going.
+        #[test]
+        fn a_blocked_recv_is_woken_by_a_send_or_the_disconnect() {
+            for send in [true, false] {
+                let (tx, rx) = unbounded::<u32>();
+                let shared = rx.shared.clone();
+                let receiver = std::thread::spawn(move || rx.recv());
+                while shared.waiting.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                if send {
+                    tx.send(7).unwrap();
+                } else {
+                    drop(tx);
+                }
+                let want = if send { Ok(7) } else { Err(RecvError) };
+                assert_eq!(receiver.join().unwrap(), want);
+                assert_eq!(shared.waiting.load(Ordering::Relaxed), 0);
+            }
         }
 
         #[test]

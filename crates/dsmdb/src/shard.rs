@@ -11,9 +11,9 @@
 //! instead of remote RDMA locks for owned keys — the "best leverage local
 //! memory" property of the sharded design.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dsm::U64Map;
 use parking_lot::{Mutex, RwLock};
 
 /// Versioned range-to-owner map. Cheap to clone (metadata-only
@@ -127,7 +127,7 @@ impl ShardMap {
 /// tail-latency forensics follows.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    locked: Mutex<HashMap<u64, u64>>,
+    locked: Mutex<U64Map<u64>>,
 }
 
 impl LockTable {

@@ -6,8 +6,13 @@
 //! with parking_lot's signatures (no poisoning in the lock/read/write
 //! return types), backed by `std::sync`. Poisoned locks are recovered
 //! transparently, matching parking_lot's behavior of not poisoning.
+//!
+//! As upstream, a notify is free when no thread waits: [`Condvar`]
+//! counts the threads inside [`Condvar::wait`] and a notify that finds
+//! none returns without a system call.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 
 /// Mutual exclusion primitive; `lock()` returns the guard directly.
@@ -68,33 +73,56 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 }
 
 /// Condition variable compatible with [`MutexGuard`].
+///
+/// It counts its waiters: a thread adds itself while it holds the mutex,
+/// before it sleeps, and removes itself once it holds the mutex again.
+/// So a notifier that changed the state it signals under the same mutex
+/// sees every thread that checked that state before the change, and a
+/// notify that finds no waiter returns at once, without the `futex` wake
+/// std's condvar makes whether or not anyone sleeps.
 #[derive(Default, Debug)]
-pub struct Condvar(sync::Condvar);
+pub struct Condvar {
+    cv: sync::Condvar,
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// Create a new condition variable.
     pub const fn new() -> Self {
-        Self(sync::Condvar::new())
+        Self {
+            cv: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     /// Block until notified; the guard is released while waiting and
     /// re-acquired before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard taken");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        // Both updates happen under the mutex, so a notifier that took it
+        // after this waiter checked its condition reads at least 1.
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.0 = Some(inner);
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter; returns whether there was one to wake.
     pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        self.cv.notify_one();
         true
     }
 
-    /// Wake every waiter.
+    /// Wake every waiter; returns how many there were.
     pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
+        let n = self.waiters.load(Ordering::Relaxed);
+        if n > 0 {
+            self.cv.notify_all();
+        }
+        n
     }
 }
 
@@ -191,5 +219,47 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn notify_without_a_waiter_wakes_nobody() {
+        let cv = Condvar::new();
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    /// Two threads hand a turn back and forth, each waiting on the one
+    /// condvar until the turn is its own and notifying after it lets the
+    /// mutex go, as the buffer pool does: a notify that skipped a thread
+    /// already counted as waiting would hang it.
+    #[test]
+    fn condvar_ping_pong_never_hangs() {
+        const HANDOFFS: usize = 4_000;
+        let pair = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let players: Vec<_> = (0..2)
+            .map(|me| {
+                let pair = pair.clone();
+                std::thread::spawn(move || {
+                    let (m, cv) = &*pair;
+                    loop {
+                        let mut turn = m.lock();
+                        while *turn < HANDOFFS && *turn % 2 != me {
+                            cv.wait(&mut turn);
+                        }
+                        if *turn == HANDOFFS {
+                            return;
+                        }
+                        *turn += 1;
+                        drop(turn);
+                        cv.notify_one();
+                    }
+                })
+            })
+            .collect();
+        for p in players {
+            p.join().unwrap();
+        }
+        assert_eq!(*pair.0.lock(), HANDOFFS);
+        assert_eq!(pair.1.notify_all(), 0);
     }
 }

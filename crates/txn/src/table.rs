@@ -462,6 +462,37 @@ mod tests {
         )
     }
 
+    /// The buffer pool keys its page table by payload address: 4 096
+    /// consecutive 256-B pages on node 1 must spread over a 4 096-bucket
+    /// table (hashbrown buckets by the low bits) about as well as a
+    /// uniform hash would, which fills 1 - 1/e (63.2 %) of the buckets.
+    /// A bare multiply keeps the addresses' eight low zero bits and
+    /// fills at most 16.
+    #[test]
+    fn page_addresses_spread_over_the_low_bits_of_the_u64_hash() {
+        use std::hash::BuildHasher;
+        const BUCKETS: usize = 4096;
+        let t = RecordTable::create(&layer(2), 2 * BUCKETS as u64, 232, 1).unwrap();
+        assert_eq!(t.slot_size(), 256);
+        let pages: Vec<u64> = (0..BUCKETS as u64).map(|i| t.payload_addr(2 * i + 1, 0).to_raw()).collect();
+        assert!(pages.windows(2).all(|w| w[1] - w[0] == 256));
+        assert_eq!(GlobalAddr::from_raw(pages[0]).node(), 1);
+        let spread = |hash: &dyn Fn(u64) -> u64| {
+            let mut load = vec![0u32; BUCKETS];
+            for &p in &pages {
+                load[hash(p) as usize % BUCKETS] += 1;
+            }
+            (load.iter().filter(|&&n| n > 0).count(), *load.iter().max().unwrap())
+        };
+        let build = dsm::BuildU64Hasher::default();
+        let (filled, max_load) = spread(&|p| build.hash_one(p));
+        let uniform = BUCKETS as f64 * (1.0 - (1.0 - 1.0 / BUCKETS as f64).powi(BUCKETS as i32));
+        assert!(filled as f64 >= 0.9 * uniform, "{filled} buckets filled, uniform fills {uniform:.0}");
+        assert!(max_load <= 8, "a bucket holds {max_load} pages");
+        let (bare, _) = spread(&|p| p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert!(bare <= 16);
+    }
+
     /// One group of two mirrored memory nodes.
     fn mirrored() -> Arc<DsmLayer> {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
