@@ -1,11 +1,11 @@
 //! Validate the machine-readable experiment output in `results/` (or
-//! `$BENCH_RESULTS_DIR`). CI runs it on the committed reports and on a
-//! reduced-scale regeneration of all of them.
+//! `$BENCH_RESULTS_DIR`). CI runs it on the committed reports and on
+//! reduced-scale smoke runs of some of them.
 //!
 //! The rules live beside what they describe, not here:
 //! [`bench::report::dir_violations`] walks the directory — every
-//! `exp_*.json` report, the `_trace` / `_alerts` / `_exemplars` /
-//! `_heat` / `_moveplan` artifacts, and `BENCH_summary.json` — and a
+//! `exp_*.json` report, the `_trace` and `_moveplan` artifacts, and
+//! `BENCH_summary.json` — and a
 //! section is valid iff it parses back into its snapshot type, the
 //! snapshot renders to the bytes it was read from, and the snapshot's
 //! own `violations()` is empty (`telemetry::report`).

@@ -9,11 +9,23 @@
 //! and the run audits the two safety invariants: no committed write
 //! lost, no lock held forever.
 //!
-//! `BENCH_SCALE=10` shrinks the run for CI smoke; the full-scale
-//! invariants are also asserted by `crates/bench/tests/chaos.rs`.
+//! The watchdog replays the series with its p99 objective armed from a
+//! fault-free twin of the run (`inject: false`): the twin must raise no
+//! alert, no alert of the faulted run may open before the first
+//! injected fault, and every fault must open the rule that signals it —
+//! one `detect=<fault>/<rule>` row per detection. The crash also flips
+//! the tail's blame: the worst-K exemplars must be dominated by
+//! `backoff_retry` and each at least 90% attributed (the `tail` row).
+//!
+//! `BENCH_SCALE=10` shrinks the run for CI smoke; the invariants and the
+//! watchdog's silence on the twin are also asserted by
+//! `crates/bench/tests/chaos.rs`.
 
-use bench::chaos::{report_for, run_chaos, ChaosConfig};
-use bench::{config, report, scale_down, table};
+use bench::chaos::{report_for, ChaosConfig, C13, PARTITION_START_NS};
+use bench::{
+    assert_attributed, config, report, scale_down, table, tail_blame, tail_majority, AlertKind,
+};
+use telemetry::{blame_name, Blame, BLAME_KINDS};
 
 fn main() {
     println!("\nC13 — chaos: memory-node crash + zombie lock holder mid-workload\n");
@@ -22,7 +34,8 @@ fn main() {
         rounds: scale_down(900).max(9),
         ..ChaosConfig::default()
     };
-    let out = run_chaos(&cfg);
+    let c13 = C13::run(&cfg);
+    let out = &c13.out;
 
     table::header(&["window", "commits", "aborts", "tps"]);
     for (name, w) in [("pre", &out.pre), ("fault", &out.fault), ("post", &out.post)] {
@@ -72,7 +85,50 @@ fn main() {
     println!("commit rate  {}  ({} windows of {} ns)",
         out.planes.tps_sparkline(48), out.planes.series.len(), out.planes.series.window_ns);
 
-    report::emit(&report_for(&cfg, &out));
+    // The watchdog: silent on the twin, never ahead of the faults.
+    println!(
+        "\ntwin: {} commits, SLO armed at {} ns, {} alert(s)",
+        c13.twin.pre.commits + c13.twin.fault.commits + c13.twin.post.commits,
+        c13.slo_p99_ns.unwrap_or(0),
+        c13.twin_log.len(),
+    );
+    assert!(c13.twin_log.is_empty(), "false alerts on the fault-free twin: {:?}", c13.twin_log);
+    for e in &c13.log {
+        assert!(e.at_ns >= PARTITION_START_NS, "alert before any fault was injected: {e:?}");
+    }
+    let detections = c13.detections();
+    table::header(&["fault", "detected_by", "t_fault_ns", "detection_latency_ns"]);
+    for d in &detections {
+        table::row(&[d.fault.into(), d.rule.name().into(), table::n(d.t_fault_ns), table::n(d.latency_ns)]);
+    }
+    assert!(
+        detections.iter().any(|d| d.fault == "crash" && d.rule == AlertKind::ThroughputDip),
+        "the crash never opened throughput_dip"
+    );
+    // At small scales the ~30 µs partition spans too few latency windows
+    // to pass the p99 debounce, and the fault window ends before a
+    // zombie lease expires: only full scale must catch everything.
+    assert!(
+        detections.len() == 4 || config::scale() > 1,
+        "full scale must catch the partition and open all three crash rules: {detections:?}"
+    );
+
+    // The crash's tail: fault retries, fully attributed.
+    let f = &out.planes.forensics;
+    let tail = tail_blame(f);
+    println!(
+        "\ncrash tail: {} txns, worst-K blame {:?}",
+        f.txns,
+        (0..BLAME_KINDS).map(|i| (blame_name(i), tail[i])).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        tail_majority(f),
+        Blame::BackoffRetry as usize,
+        "crash worst-K must be backoff/retry dominated, got {tail:?}"
+    );
+    assert_attributed("tail", f);
+
+    report::emit(&report_for(&cfg, &c13));
     if config::trace_enabled() {
         let trace_path = report::results_dir().join("exp_c13_chaos_trace.json");
         match out.trace.write(&trace_path) {
@@ -87,5 +143,6 @@ fn main() {
     assert_eq!(out.audit.stuck_locks, 0, "a lock stayed held forever");
     println!("\nShape check: the fault window dips (dead group aborts with the \
               typed error, zombie leases keep their words busy), then steals + mirror \
-              rebuild bring throughput back.");
+              rebuild bring throughput back; the watchdog is silent on the twin and \
+              opens each fault's rule after the fault; the crash tail is retries.");
 }

@@ -8,10 +8,10 @@
 //! 2PL aborts turn into `lock_busy`, OCC aborts into
 //! `validation_fail`.
 //!
-//! The run also measures the flight recorder's own cost by repeating
-//! the flagship configuration with the recorder off: recording never
-//! advances the virtual clock, so the overhead must come out at 0% —
-//! well under the <2% budget.
+//! One more 2PL run at theta 1.2, write-only, has the antagonist start
+//! squatting only at the midpoint: the watchdog's
+//! `lock_wait_concentration` rule must open after that onset and no
+//! alert before it (the `onset=lock_wait_concentration` row).
 //!
 //! With `BENCH_TRACE=1` the most-skewed 2PL run's timeline is exported
 //! to `results/exp_o1_contention_trace.json`; open it at
@@ -21,8 +21,9 @@
 
 use bench::observatory::{run_observatory, ObsConfig, ObsOutcome};
 use bench::report::{self, abort_causes_json, Json, Report};
-use bench::{scale_down, table};
+use bench::{scale_down, table, AlertKind, AlertState, WatchdogConfig};
 use dsmdb::CcProtocol;
+use telemetry::watchdog::run_over;
 
 const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
 
@@ -104,29 +105,40 @@ fn main() {
     }
     let flagship = flagship.expect("flagship theta ran");
 
-    // Recorder overhead: same flagship config, recorder and series
-    // sampler off. Virtual time must be unaffected by observation.
-    let off = run_observatory(&ObsConfig {
-        cc: CcProtocol::TplExclusive,
+    // Onset localization: the antagonist squats only from the midpoint.
+    let onset = run_observatory(&ObsConfig {
         theta: 1.2,
-        trace_ring: 0,
-        window_ns: 0,
+        read_pct: 0,
+        antagonist_from_round: rounds / 2,
         ..base
     });
-    let overhead_pct = if off.tps() > 0.0 {
-        (off.tps() - flagship.tps()) / off.tps() * 100.0
-    } else {
-        0.0
-    };
-    println!();
+    let mut wcfg = WatchdogConfig::new(onset.planes.series.window_ns, base.sessions as u32);
+    // Round-robin sessions never block each other — every lock wait in
+    // this harness is the antagonist's doing, and the share is exactly
+    // zero before its onset. Arm the rule at 0.1% of the session-time
+    // budget so even short retry-then-abort waits trip it.
+    wcfg.wait_frac = 0.001;
+    let log = run_over(wcfg, &onset.planes.series, None);
+    assert!(onset.t_antagonist_ns > 0, "onset must be mid-run");
+    for e in &log {
+        assert!(e.at_ns >= onset.t_antagonist_ns, "alert before the antagonist existed: {e:?}");
+    }
+    let wait_open = log
+        .iter()
+        .find(|e| e.kind == AlertKind::LockWaitConcentration && e.state == AlertState::Open)
+        .expect("antagonist squatting was never detected");
+    let onset_latency_ns = wait_open.at_ns - onset.t_antagonist_ns;
     println!(
-        "recorder overhead at theta=1.2: {overhead_pct:.3}% tps ({:.1} on vs {:.1} off)",
-        flagship.tps(),
-        off.tps()
+        "\nantagonist onset at {} ns: lock_wait_concentration opened at {} ns (+{onset_latency_ns} ns)",
+        onset.t_antagonist_ns, wait_open.at_ns,
     );
-    assert!(
-        overhead_pct.abs() < 2.0,
-        "flight recorder cost {overhead_pct:.3}% tps, budget is <2%"
+    rep.row(
+        "onset=lock_wait_concentration",
+        vec![
+            ("alert", Json::S(AlertKind::LockWaitConcentration.name().into())),
+            ("t_onset_ns", Json::U(onset.t_antagonist_ns)),
+            ("detection_latency_ns", Json::U(onset_latency_ns)),
+        ],
     );
 
     let wf = flagship.planes.contention.wait_for();
@@ -148,10 +160,10 @@ fn main() {
 
     flagship.planes.live().attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
     rep.headline("tps", Json::F(flagship.tps()));
-    rep.headline("recorder_overhead_pct", Json::F(overhead_pct));
     rep.headline("wait_ns_total", Json::U(flagship.planes.contention.wait_ns_total));
     rep.headline("wait_for_edges", Json::U(wf.edges.len() as u64));
     rep.headline("wait_for_max_depth", Json::U(wf.max_depth));
+    rep.headline("onset_detection_latency_ns", Json::U(onset_latency_ns));
     report::emit(&rep);
 
     if bench::config::trace_enabled() {
@@ -170,7 +182,8 @@ fn main() {
 
     println!(
         "\nShape check: skew concentrates waits onto few hot keys, the wait-for \
-         graph names the antagonist, and the abort mix moves from (nearly) \
-         nothing to lock_busy under 2PL / validation_fail under OCC."
+         graph names the antagonist, the abort mix moves from (nearly) \
+         nothing to lock_busy under 2PL / validation_fail under OCC, and a \
+         late antagonist opens lock_wait_concentration only after its onset."
     );
 }

@@ -13,15 +13,9 @@
 //! epoch-fenced [`dsmdb::Migrator`] exp_e1 drives, and a re-run of the
 //! identical workload must land on a smaller *measured* Gini index.
 //!
-//! Part C proves the plane is free and deterministic: the flagship
-//! repeated with utilization capture off charges the byte-identical
-//! virtual makespan, and a same-seed rerun renders byte-identical
-//! utilization JSON.
-//!
-//! The flagship heat top-K and the advisor's move plan are written to
-//! `results/exp_o5_heatmap_heat.json` and
-//! `results/exp_o5_heatmap_moveplan.json` (CI uploads both) so a
-//! placement regression in the gate ships with the evidence attached.
+//! The advisor's move plan is also written to
+//! `results/exp_o5_heatmap_moveplan.json` (CI uploads it) so a placement
+//! regression ships with the plan that caused it.
 
 use bench::heatmap::{drive, measured_gini, replay_move_plan, HeatBed, HeatConfig, HeatOutcome};
 use bench::report::{self, move_plan_json, utilization_json, Json, Report, Section};
@@ -162,26 +156,6 @@ fn main() {
         ],
     );
 
-    // Part C: zero cost + determinism. Capture off = identical virtual
-    // makespan; same seed = byte-identical utilization JSON.
-    let fcfg = HeatConfig { theta: FLAGSHIP_THETA, ..base };
-    let (_, off) = run_striped(&HeatConfig { window_ns: 0, ..fcfg }, FLAGSHIP_NODES);
-    assert_eq!(
-        off.makespan_ns, flagship.makespan_ns,
-        "utilization capture must cost 0 virtual ns"
-    );
-    assert_eq!(off.ops, flagship.ops);
-    let (_, rerun) = run_striped(&fcfg, FLAGSHIP_NODES);
-    assert_eq!(
-        utilization_json(&flagship.utilization).render(),
-        utilization_json(&rerun.utilization).render(),
-        "same-seed utilization JSON must be byte-identical"
-    );
-    println!(
-        "zero-cost: makespan {} ns with capture on == {} ns off; same-seed JSON byte-identical",
-        flagship.makespan_ns, off.makespan_ns
-    );
-
     flagship.planes.attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
     rep.section(Section::Utilization, utilization_json(&flagship.utilization));
     rep.headline("imbalance_gini_flagship", Json::F(measured_gini(&flagship.utilization)));
@@ -190,22 +164,16 @@ fn main() {
     rep.headline("advisor_moves_applied", Json::U(applied));
     report::emit(&rep);
 
-    // Artifacts: the flagship heat snapshot and the executed move plan.
-    let heat_path = report::results_dir().join("exp_o5_heatmap_heat.json");
-    match std::fs::write(&heat_path, utilization_json(&flagship.utilization).render_pretty(2)) {
-        Ok(()) => println!("\nwrote {} (flagship utilization + heat top-K)", heat_path.display()),
-        Err(e) => eprintln!("warning: could not write heat artifact: {e}"),
-    }
+    // The executed move plan: its content is in no report section.
     let plan_path = report::results_dir().join("exp_o5_heatmap_moveplan.json");
     match std::fs::write(&plan_path, move_plan_json(&plan).render_pretty(2)) {
-        Ok(()) => println!("wrote {} (advisor move plan)", plan_path.display()),
+        Ok(()) => println!("\nwrote {} (advisor move plan)", plan_path.display()),
         Err(e) => eprintln!("warning: could not write move-plan artifact: {e}"),
     }
 
     println!(
         "\nShape check: the heat top-K names the Zipf-hot ranges, the Gini index \
-         tracks theta at every node count, replaying the advisor's plan through \
-         the migrator shrinks the measured index, and capture is free and \
-         byte-deterministic."
+         tracks theta at every node count, and replaying the advisor's plan through \
+         the migrator shrinks the measured index."
     );
 }

@@ -26,17 +26,24 @@
 //! The audit then replays the committed-transfer model against DSM
 //! (zero lost writes) and runs a janitor over every lock word (zero
 //! permanently-held locks).
+//!
+//! [`C13`] is the experiment whole: a fault-free twin of the run
+//! (`inject: false`) arms the watchdog's p99 objective, and the
+//! watchdog replays both runs' series after the fact.
 
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, NodeStatus, Session};
 use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
 use telemetry::watchdog::{run_over, windowed_p99};
-use telemetry::RecoveryFacts;
+use telemetry::{blame_name, Blame, RecoveryFacts};
 use txn::{ExclusiveLock, LeaseLock, LockWord};
 
 use crate::fleet::{max_clock, Audit, Fleet};
-use crate::report::{abort_causes_json, phases_json, Json, Report};
-use crate::{AbortCauses, AlertEvent, Planes, WatchdogConfig};
+use crate::report::{abort_causes_json, alerts_json, phases_json, Json, Report, Section};
+use crate::{
+    blame_share, share_cells, tail_blame, tail_majority, AbortCauses, AlertEvent, AlertKind,
+    AlertState, Planes, WatchdogConfig,
+};
 
 /// Flight-recorder ring capacity per session: deep enough to keep the
 /// interesting tail (fault window + recovery) of a smoke-scale run.
@@ -50,7 +57,7 @@ pub const PARTITION_START_NS: u64 = 40_000;
 pub const PARTITION_END_NS: u64 = 70_000;
 
 /// Named fault scenarios shared by every chaos-family experiment
-/// (C13, O3 via [`run_chaos`], E1) so the plans cannot drift apart.
+/// (C13 via [`run_chaos`], E1) so the plans cannot drift apart.
 pub mod scenarios {
     use rdma_sim::{FaultPlan, NodeId};
 
@@ -100,8 +107,8 @@ pub struct ChaosConfig {
     /// recovery facts then stay at their zero defaults).
     pub window_ns: u64,
     /// Whether to inject the faults at all. `false` runs the identical
-    /// workload with no crash, no zombie, and no fault plan — the
-    /// fault-free baseline the watchdog must stay silent on.
+    /// workload with no crash, no zombie, and no fault plan: C13's
+    /// fault-free twin, on which the watchdog must stay silent.
     pub inject: bool,
 }
 
@@ -190,9 +197,6 @@ pub struct ChaosOutcome {
     /// Per-transaction `(virtual completion ns, latency ns)` samples in
     /// round-robin order — the raw feed for windowed p99s.
     pub latency_samples: Vec<(u64, u64)>,
-    /// Virtual instant the recovery actions ran (mirror rebuild + epoch
-    /// bump + zombie fencing), ns; 0 when faults were not injected.
-    pub t_recover_ns: u64,
 }
 
 /// Run the chaos experiment. Deterministic in `cfg` (and nothing else).
@@ -292,8 +296,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         }
         if round == r_recover && cfg.inject {
             let t = max_clock(&sessions);
-            out.t_recover_ns = t;
-
             fabric.clear_fault_plan();
             let rec_ep = fabric.endpoint();
             rec_ep.charge_local(t);
@@ -378,7 +380,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 /// [`WatchdogConfig::new`] default — and return the typed alert log.
 /// Deterministic bookkeeping over closed windows: two same-seed runs
 /// produce byte-identical logs.
-pub fn watchdog_log(
+fn watchdog_log(
     cfg: &ChaosConfig,
     out: &ChaosOutcome,
     slo_p99_ns: Option<u64>,
@@ -393,9 +395,90 @@ pub fn watchdog_log(
     run_over(wd, series, Some(&p99s))
 }
 
+/// Experiment C13 whole: the fault-free twin, the faulted run, and the
+/// watchdog replayed over both with its p99 objective armed from the
+/// twin.
+#[derive(Debug, Clone)]
+pub struct C13 {
+    /// The faulted run.
+    pub out: ChaosOutcome,
+    /// The same workload with [`ChaosConfig::inject`] off.
+    pub twin: ChaosOutcome,
+    /// The p99 objective: twice the twin's worst windowed p99 (`None`
+    /// when the twin sampled no series).
+    pub slo_p99_ns: Option<u64>,
+    /// The twin's alert log; any event in it is a false alert.
+    pub twin_log: Vec<AlertEvent>,
+    /// The faulted run's alert log.
+    pub log: Vec<AlertEvent>,
+}
+
+impl C13 {
+    /// Run the twin of `cfg`, arm the p99 objective from it, then run
+    /// `cfg` itself.
+    pub fn run(cfg: &ChaosConfig) -> Self {
+        let twin = run_chaos(&ChaosConfig { inject: false, ..*cfg });
+        let series = &twin.planes.series;
+        let worst_p99 = if series.is_empty() {
+            0
+        } else {
+            windowed_p99(&twin.latency_samples, series.window_ns, series.len())
+                .into_iter()
+                .flatten()
+                .max()
+                .unwrap_or(0)
+        };
+        let slo_p99_ns = (worst_p99 > 0).then_some(worst_p99 * 2);
+        let out = run_chaos(cfg);
+        Self {
+            twin_log: watchdog_log(cfg, &twin, slo_p99_ns),
+            log: watchdog_log(cfg, &out, slo_p99_ns),
+            out,
+            twin,
+            slo_p99_ns,
+        }
+    }
+
+    /// The detections in the faulted log of the plan's two faults: the
+    /// background partition by `p99_slo_breach` (only if that opens
+    /// before the crash: at small scales the partition is shorter than
+    /// the rule's debounce), and the crash by `throughput_dip`,
+    /// `lease_steal_storm` and `p99_slo_breach`.
+    pub fn detections(&self) -> Vec<Detection> {
+        let caught = |fault, t_fault_ns, rule, before| {
+            self.log
+                .iter()
+                .find(|e| e.kind == rule && e.state == AlertState::Open && e.at_ns >= t_fault_ns)
+                .filter(|e| e.at_ns < before)
+                .map(|e| Detection { fault, rule, t_fault_ns, latency_ns: e.at_ns - t_fault_ns })
+        };
+        let t_crash = self.out.t_crash_ns;
+        let crash = [AlertKind::ThroughputDip, AlertKind::LeaseStealStorm, AlertKind::P99SloBreach];
+        std::iter::once(caught("partition", PARTITION_START_NS, AlertKind::P99SloBreach, t_crash))
+            .chain(crash.map(|rule| caught("crash", t_crash, rule, u64::MAX)))
+            .flatten()
+            .collect()
+    }
+}
+
+/// One injected fault caught by one watchdog rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    /// `partition` or `crash`.
+    pub fault: &'static str,
+    /// The rule that caught it.
+    pub rule: AlertKind,
+    /// Ground-truth instant of the fault, virtual ns.
+    pub t_fault_ns: u64,
+    /// First `open` of `rule` at or after `t_fault_ns`, minus
+    /// `t_fault_ns`.
+    pub latency_ns: u64,
+}
+
 /// Build the C13 report (shared by the binary and the determinism test
 /// so both render the exact same JSON).
-pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
+pub fn report_for(cfg: &ChaosConfig, c13: &C13) -> Report {
+    let out = &c13.out;
     let mut rep = Report::new(
         "exp_c13_chaos",
         "C13: chaos — node crash, lease steal, graceful degradation",
@@ -407,6 +490,7 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
     rep.meta("lease_ns", Json::U(cfg.lease_ns));
     rep.meta("window_ns", Json::U(cfg.window_ns));
     rep.meta("inject", Json::Bool(cfg.inject));
+    rep.meta("slo_p99_ns", c13.slo_p99_ns.map_or(Json::Null, Json::U));
     for (name, w) in [("pre", &out.pre), ("fault", &out.fault), ("post", &out.post)] {
         rep.row(
             &format!("window={name}"),
@@ -454,7 +538,38 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
             ("phases", phases_json(&out.planes.phases)),
         ],
     );
+    let twin = &c13.twin;
+    rep.row(
+        "twin",
+        vec![
+            ("commits", Json::U(twin.pre.commits + twin.fault.commits + twin.post.commits)),
+            ("baseline_alerts", Json::U(c13.twin_log.len() as u64)),
+        ],
+    );
+    let detections = c13.detections();
+    for d in &detections {
+        rep.row(
+            &format!("detect={}/{}", d.fault, d.rule.name()),
+            vec![
+                ("fault", Json::S(d.fault.into())),
+                ("alert", Json::S(d.rule.name().into())),
+                ("t_fault_ns", Json::U(d.t_fault_ns)),
+                ("detection_latency_ns", Json::U(d.latency_ns)),
+            ],
+        );
+    }
+    // The crash's tail: the worst-K exemplars' pooled blame.
+    let f = &out.planes.forensics;
+    let tail = tail_blame(f);
+    let mut cells = vec![
+        ("txns", Json::U(f.txns)),
+        ("critical_path_wire_share", Json::F(f.wire_share())),
+        ("tail_dominant", Json::S(blame_name(tail_majority(f)).into())),
+    ];
+    cells.extend(share_cells(&tail));
+    rep.row("tail", cells);
     out.planes.attach(&mut rep, out.post.end_ns, cfg.sessions as u32);
+    rep.section(Section::Alerts, alerts_json(&c13.log));
     rep.headline("pre_tps", Json::F(out.pre.tps()));
     rep.headline("fault_tps", Json::F(out.fault.tps()));
     rep.headline("post_tps", Json::F(out.post.tps()));
@@ -464,6 +579,14 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
         "time_to_recovery_ns",
         out.recovery.time_to_recovery_ns.map_or(Json::Null, Json::U),
     );
+    rep.headline(
+        "dip_detection_latency_ns",
+        detections
+            .iter()
+            .find(|d| d.fault == "crash" && d.rule == AlertKind::ThroughputDip)
+            .map_or(Json::Null, |d| Json::U(d.latency_ns)),
+    );
+    rep.headline("crash_tail_backoff_share", Json::F(blame_share(&tail, Blame::BackoffRetry as usize)));
     rep.headline("steals", Json::U(out.steals));
     rep.headline("lost_writes", Json::U(out.audit.lost_writes));
     rep.headline("stuck_locks", Json::U(out.audit.stuck_locks));

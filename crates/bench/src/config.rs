@@ -5,8 +5,6 @@
 //!   [`scale_down`]);
 //! * `BENCH_TRACE` — export Chrome `trace_event` timelines
 //!   ([`trace_enabled`]);
-//! * `BENCH_ALERT_LOG` — write the watchdog's typed alert log next to
-//!   the report ([`alert_log_enabled`]);
 //! * `BENCH_SEED` — override a harness's master seed ([`seed`]);
 //! * `BENCH_RESULTS_DIR` — where reports land ([`results_dir`]).
 //!
@@ -33,12 +31,6 @@ pub fn scale_down(n: usize) -> usize {
 /// Whether `BENCH_TRACE` asks for Chrome-trace export (any value).
 pub fn trace_enabled() -> bool {
     std::env::var_os("BENCH_TRACE").is_some()
-}
-
-/// Whether `BENCH_ALERT_LOG=1` asks the watchdog experiments to write
-/// their alert logs as standalone JSON artifacts.
-pub fn alert_log_enabled() -> bool {
-    std::env::var("BENCH_ALERT_LOG").is_ok_and(|v| v == "1")
 }
 
 /// A harness master seed: `BENCH_SEED` when set and parseable
@@ -68,13 +60,12 @@ mod tests {
     // test (Rust runs #[test] fns concurrently by default).
     #[test]
     fn knobs_parse_and_default() {
-        for k in ["BENCH_SCALE", "BENCH_TRACE", "BENCH_ALERT_LOG", "BENCH_SEED"] {
+        for k in ["BENCH_SCALE", "BENCH_TRACE", "BENCH_SEED"] {
             std::env::remove_var(k);
         }
         assert_eq!(super::scale(), 1);
         assert_eq!(super::scale_down(100), 100);
         assert!(!super::trace_enabled());
-        assert!(!super::alert_log_enabled());
         assert_eq!(super::seed(7), 7);
 
         std::env::set_var("BENCH_SCALE", "10");
@@ -89,12 +80,6 @@ mod tests {
         std::env::set_var("BENCH_TRACE", "1");
         assert!(super::trace_enabled());
         std::env::remove_var("BENCH_TRACE");
-
-        std::env::set_var("BENCH_ALERT_LOG", "0");
-        assert!(!super::alert_log_enabled(), "only =1 enables the artifact");
-        std::env::set_var("BENCH_ALERT_LOG", "1");
-        assert!(super::alert_log_enabled());
-        std::env::remove_var("BENCH_ALERT_LOG");
 
         std::env::set_var("BENCH_SEED", "42");
         assert_eq!(super::seed(7), 42);

@@ -36,7 +36,9 @@ use rdma_sim::{Endpoint, DEFAULT_WINDOW_NS};
 
 pub use config::scale_down;
 pub use fleet::Audit;
-pub use planes::{Planes, EXEMPLARS};
+pub use planes::{
+    assert_attributed, blame_share, share_cells, tail_blame, tail_majority, Planes, EXEMPLARS,
+};
 pub use telemetry::{
     sparkline, AlertEvent, AlertKind, AlertState, ForensicsSnapshot, Metric, Watchdog,
     WatchdogConfig,
@@ -383,7 +385,7 @@ pub mod report {
     use std::path::{Path, PathBuf};
 
     pub use telemetry::report::{
-        alerts_json, hist_json, phases_json, series_from_json, series_json, violations, Section,
+        alerts_json, hist_json, phases_json, series_from_json, violations, Section,
     };
     pub use telemetry::{forensics_json, move_plan_json, utilization_json, Json, Report};
 
@@ -446,7 +448,7 @@ pub mod report {
 
     /// What a file in the results directory holds, by the suffix of
     /// its stem; anything else named `exp_*.json` is a report.
-    const ARTIFACTS: [(&str, Rule); 5] = [
+    const ARTIFACTS: [(&str, Rule); 2] = [
         // A Chrome `trace_event` export: a non-empty `traceEvents`
         // array whose entries carry a `ph` tag.
         ("_trace", |doc| match doc.get("traceEvents").and_then(Json::as_array) {
@@ -458,21 +460,6 @@ pub mod report {
                 .collect(),
             _ => vec!["no traceEvents".into()],
         }),
-        // The watchdog's log, exactly an `alerts` section.
-        ("_alerts", |doc| Section::Alerts.violations(doc, None)),
-        // Worst-K chains: part name -> `forensics` section.
-        ("_exemplars", |doc| match doc {
-            Json::O(parts) if !parts.is_empty() => parts
-                .iter()
-                .flat_map(|(name, part)| {
-                    let found = Section::Forensics.violations(part, None);
-                    found.into_iter().map(move |v| format!("part \"{name}\": forensics: {v}"))
-                })
-                .collect(),
-            _ => vec!["not a non-empty object of forensics sections".into()],
-        }),
-        // The flagship heat snapshot, exactly a `utilization` section.
-        ("_heat", |doc| Section::Utilization.violations(doc, None)),
         // The placement advisor's typed plan.
         ("_moveplan", |doc| {
             check(doc, move_plan_from_json(doc), move_plan_json, MovePlan::violations)
@@ -637,6 +624,31 @@ mod tests {
         // session is left in flight.
         assert_eq!(r.planes.series.total(Metric::Begins), r.commits + r.aborts.total());
         assert_eq!(r.planes.series.violations(r.makespan_ns), Vec::<String>::new());
+    }
+
+    /// The series localizes a cold pool's warm-up in time: reading a
+    /// 128-record working set that fits the pool, the first window's
+    /// hit rate is below the last window's.
+    #[test]
+    fn a_cold_pool_warms_up_window_by_window() {
+        let cluster = Cluster::build(ClusterConfig {
+            compute_nodes: 1,
+            threads_per_node: 1,
+            memory_nodes: 2,
+            n_records: 1_024,
+            payload_size: 64,
+            cache_frames: 256,
+            profile: NetworkProfile::rdma_cx6(),
+            architecture: Architecture::CacheShard,
+            cc: CcProtocol::TplExclusive,
+            ..Default::default()
+        })
+        .unwrap();
+        let r = run_cluster_workload(&cluster, 2_000, |_n, _t, i| vec![Op::Read((i as u64 * 13) % 128)]);
+        let ramp = r.planes.series.share_per_window(Metric::CacheHits, Metric::CacheMisses);
+        assert!(ramp.len() >= 2, "the run spans {} window(s)", ramp.len());
+        let (first, last) = (ramp[0], ramp[ramp.len() - 1]);
+        assert!(first < last, "hit rate must ramp as the pool warms ({first:.2} -> {last:.2})");
     }
 
     /// Thread 0 only touches keys of memory group 0, which is down, so

@@ -12,12 +12,19 @@
 //! contention only while its ring or its series is on. Fabric
 //! utilization is not among them: it is folded from the ring by the one
 //! experiment that reads it ([`crate::heatmap`]).
+//!
+//! The tail-blame reductions of a forensics plane ([`tail_blame`],
+//! [`tail_majority`], [`share_cells`]) live here too, shared by the two
+//! reports that read a tail: C13's crash and O4's skew sweep.
 
 use dsmdb::Session;
 use rdma_sim::{ContentionSnapshot, Endpoint, HistSnapshot, PhaseSnapshot, SeriesSnapshot};
 use telemetry::report::{alerts_json, series_json, Report, Section};
 use telemetry::watchdog::run_over;
-use telemetry::{forensics_json, sparkline, AlertEvent, ForensicsSnapshot, Metric, WatchdogConfig};
+use telemetry::{
+    blame_name, forensics_json, sparkline, AlertEvent, Blame, ForensicsSnapshot, Json, Metric,
+    WatchdogConfig, BLAME_KINDS,
+};
 
 /// Worst-K forensics exemplar reservoir depth of every harness.
 pub const EXEMPLARS: usize = 8;
@@ -120,5 +127,66 @@ impl Planes {
     /// series was not recorded).
     pub fn tps_sparkline(&self, max_chars: usize) -> String {
         sparkline(&self.series.rate_per_sec(Metric::Commits), max_chars)
+    }
+}
+
+/// The worst-K exemplars' blame pooled: the *tail's* mix, as opposed to
+/// the all-transactions histogram.
+pub fn tail_blame(s: &ForensicsSnapshot) -> [u64; BLAME_KINDS] {
+    let mut b = [0u64; BLAME_KINDS];
+    for t in &s.worst {
+        for (acc, ns) in b.iter_mut().zip(t.blame_ns.iter()) {
+            *acc += ns;
+        }
+    }
+    b
+}
+
+/// The blame bucket that dominates the most worst-K exemplars (ties to
+/// the lower index). Per-exemplar majority, not the pooled sum: one
+/// freak outlier (say, a single lock CAS queued behind a mirror
+/// rebuild's device time) must not get to speak for the whole tail.
+pub fn tail_majority(s: &ForensicsSnapshot) -> usize {
+    let mut votes = [0u32; BLAME_KINDS];
+    for t in &s.worst {
+        votes[t.dominant()] += 1;
+    }
+    let mut best = 0;
+    for i in 1..BLAME_KINDS {
+        if votes[i] > votes[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Bucket `i`'s share of `blame` (0 when nothing was blamed).
+pub fn blame_share(blame: &[u64; BLAME_KINDS], i: usize) -> f64 {
+    let total: u64 = blame.iter().sum();
+    if total == 0 {
+        0.0
+    } else {
+        blame[i] as f64 / total as f64
+    }
+}
+
+/// Every bucket's share of `blame` as report cells, keyed by bucket name.
+pub fn share_cells(blame: &[u64; BLAME_KINDS]) -> Vec<(&'static str, Json)> {
+    (0..BLAME_KINDS).map(|i| (blame_name(i), Json::F(blame_share(blame, i)))).collect()
+}
+
+/// Panic naming `name` unless every worst-K exemplar of `s` attributes
+/// at least 90% of its virtual time to typed blame.
+pub fn assert_attributed(name: &str, s: &ForensicsSnapshot) {
+    for t in &s.worst {
+        assert!(
+            t.attributed_share() >= 0.90,
+            "{name}: exemplar trace {} attributes only {:.1}% of its {} ns \
+             (unattributed {} ns) — the >=90% floor is the whole point",
+            t.trace,
+            t.attributed_share() * 100.0,
+            t.total_ns,
+            t.blame_ns[Blame::Unattributed as usize],
+        );
     }
 }
