@@ -27,7 +27,6 @@ pub mod addr;
 pub mod checkpoint;
 pub mod durability;
 pub mod erasure;
-pub mod hash;
 pub mod layer;
 pub mod retry;
 
@@ -35,6 +34,6 @@ pub use addr::GlobalAddr;
 pub use checkpoint::{CheckpointManager, RecoveryStats};
 pub use durability::{DurabilityMode, DurableLog};
 pub use erasure::{ErasureConfig, ErasureStore, StripedPage};
-pub use hash::{BuildU64Hasher, U64Map};
 pub use layer::{DsmConfig, DsmError, DsmLayer, DsmResult, GlobalWr};
+pub use rdma_sim::{BuildU64Hasher, U64Hasher, U64Map};
 pub use retry::RetryPolicy;

@@ -67,10 +67,9 @@
 //! [keys; FANOUT][vals_or_children; FANOUT][check]
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr};
+use dsm::{DsmLayer, DsmResult, GlobalAddr, GlobalWr, U64Map};
 use parking_lot::Mutex;
 use rdma_sim::{Endpoint, Phase};
 
@@ -248,7 +247,7 @@ struct Local {
     /// The root address, as last read from `meta` or published by us.
     root: Option<GlobalAddr>,
     /// Internal nodes (level >= 1) by raw address.
-    nodes: HashMap<u64, Node>,
+    nodes: U64Map<Node>,
 }
 
 /// A compute-node handle to a DSM-resident B+tree.

@@ -1,4 +1,5 @@
-//! A cheap hasher for maps keyed by `u64`: page addresses, record keys.
+//! A cheap hasher for maps keyed by `u64`: page addresses, record keys,
+//! mailbox ids.
 //!
 //! std's default `RandomState` runs SipHash-1-3 over every key, which
 //! costs more than the map operation around it. [`U64Hasher`] is two

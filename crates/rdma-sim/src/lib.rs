@@ -48,6 +48,7 @@ pub mod clock;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod hash;
 pub mod mailbox;
 pub mod profile;
 pub mod recorder;
@@ -58,6 +59,7 @@ pub use clock::Clock;
 pub use error::{RdmaError, RdmaResult};
 pub use fault::FaultPlan;
 pub use fabric::{Endpoint, Fabric, NodeId, SpanGuard, Wr};
+pub use hash::{BuildU64Hasher, U64Hasher, U64Map};
 pub use mailbox::{Mailbox, MailboxId, Message};
 pub use profile::NetworkProfile;
 pub use recorder::{pack_addr, Event, EventKind, FlightRecorder};

@@ -10,13 +10,13 @@
 //! advanced to at least that instant, so causality is respected across
 //! per-thread clocks.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::RwLock;
 
 use crate::error::{RdmaError, RdmaResult};
+use crate::hash::U64Map;
 
 /// Address of a mailbox. Participants pick their own ids; the convention in
 /// this workspace is `compute node id` for compute nodes and
@@ -37,7 +37,7 @@ pub struct Message {
 /// The cluster-wide mailbox registry. One per [`crate::Fabric`].
 #[derive(Default)]
 pub struct MailboxRegistry {
-    inner: RwLock<HashMap<MailboxId, Sender<Message>>>,
+    inner: RwLock<U64Map<Sender<Message>>>,
 }
 
 impl MailboxRegistry {

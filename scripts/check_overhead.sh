@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Nine gates read off five runs of the benchmark, one verdict each.
+# Nine gates read off seven runs of the benchmark, one verdict each.
 #
-# From one `direct_rmw` run (3-5 rmw per txn on 4 memory nodes x 2
+# From three `direct_rmw` runs (3-5 rmw per txn on 4 memory nodes x 2
 # replicas, no cache: two doorbells of ~20 verbs per txn, the workload on
 # which the planes weigh most):
 #
@@ -15,15 +15,16 @@
 #    Both sides run in one process on one runner, so runner speed
 #    cancels. Every `exp_*` binary runs with the planes on: this ratio,
 #    not the verb path, bounds regen_results.sh and check_reports.sh.
-#    Fails above LIMIT: one run, one verdict. Since a verb takes no lock
-#    (each endpoint posts from its own copy of the node table, the DSM
-#    layer reads its group table once per doorbell), twelve runs on a
-#    2-thread VM read 1.54 / 1.58 / 1.70 (min / median / max), against
-#    1.38 / 1.44 / 1.48 for the lock-per-verb binary in runs alternated
-#    with them: the bare path got faster and the flight-recorder ring
-#    did not, so the ratio rose. Twenty runs with utilization folded and the series recorded
-#    beside the ring once read up to 1.86, which is why LIMIT stays 2.5
-#    rather than ROADMAP E's 1.8.
+#    Fails when the median of three runs is above LIMIT. One run's
+#    ratio swings too far for a verdict of its own: four runs in a row
+#    once read 2.72, 1.98, 2.33 and 1.65, so a one-run gate failed about
+#    one run in four with no code change. Thirty runs on a 2-thread VM
+#    (ten calls of this script) read 1.08 / 1.53 / 2.44 (min / median /
+#    max), none above 2.5, and the ten medians of three 1.46 / 1.52 /
+#    2.37. Once a verb took no lock the bare path got faster and the
+#    flight-recorder ring did not, so the ratio rose; LIMIT stays 2.5
+#    rather than ROADMAP E's 1.8 until the ratio is read from
+#    alternated slices of one process.
 # 2. The two-doorbell transaction: `rdma-sim.wire_rts_per_txn`, exact on
 #    the sim clock (2.10 at this seed: acquire + release, plus the lock
 #    ladder of the 1-in-50 ghosted txns). A change that un-batches the
@@ -77,7 +78,8 @@
 #    above CACHED_WIRE_RT_LIMIT. On `fit_read`, which this gate read
 #    before, the same 1 s run went 1.0735 -> 0.9570.
 #
-# From the same `direct_rmw` run as gates 1 and 2:
+# From the same `direct_rmw` runs as gates 1 and 2 (exact on the sim
+# clock, so every run reads the same; the last is read):
 #
 # 7. A lock word lives on its group primary: `rdma-sim.verbs_per_txn`,
 #    exact on the sim clock (20.29 at this seed: per key a CAS and its
@@ -154,8 +156,12 @@ run() {
   "$BIN" --workload "$1" --seconds "${2:-1}" --trace 1 --seed 42 | tail -n 1
 }
 
-last_line="$(run direct_rmw)"
-ratio="$(metric telemetry.host_overhead_ratio)"
+ratios=()
+for _ in 1 2 3; do
+  last_line="$(run direct_rmw)"
+  ratios+=("$(metric telemetry.host_overhead_ratio)")
+done
+ratio="$(printf '%s\n' "${ratios[@]}" | sort -g | sed -n 2p)"
 wire_rts="$(metric rdma-sim.wire_rts_per_txn)"
 verbs="$(metric rdma-sim.verbs_per_txn)"
 last_line="$(run coherent_rw 6)"
@@ -178,4 +184,4 @@ gate "wire round trips per txn on index_probe" "$index_wire_rts" "$INDEX_WIRE_RT
 gate "messages per txn on xshard_2pc" "$msgs" "$MSG_LIMIT"
 gate "wire round trips per txn on xshard_2pc" "$xshard_wire_rts" "$XSHARD_WIRE_RT_LIMIT"
 gate "wire round trips per txn on thrash_mix" "$cached_wire_rts" "$CACHED_WIRE_RT_LIMIT"
-gate "observed/bare host time per txn on direct_rmw" "$ratio" "$LIMIT"
+gate "observed/bare host time per txn on direct_rmw (median of ${ratios[*]})" "$ratio" "$LIMIT"

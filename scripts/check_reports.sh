@@ -8,7 +8,7 @@
 # Runs every crates/bench/src/bin/exp_*.rs but the one exclusion below,
 # then `cmp`s every exp_*.json the runs wrote (20 reports and the O5
 # move plan) against results/. Exits non-zero and names the differing
-# files on mismatch (~15 s). A refactor of the verb path or a telemetry
+# files on mismatch (~10 s after the build on a 2-thread VM). A refactor of the verb path or a telemetry
 # plane that leaves this green has provably not moved a committed
 # number: not in the rows and headlines of any report, nor in the
 # `timeseries`, `alerts` and `forensics` sections that the
