@@ -17,7 +17,8 @@
 //! the tail's blame: the worst-K exemplars must be dominated by
 //! `backoff_retry` and each at least 90% attributed (the `tail` row).
 //!
-//! `BENCH_SCALE=10` shrinks the run for CI smoke; the invariants and the
+//! `BENCH_SCALE=10` shrinks the run for CI smoke, rounds and lease alike,
+//! so the smoke still sees the lease steal; the invariants and the
 //! watchdog's silence on the twin are also asserted by
 //! `crates/bench/tests/chaos.rs`.
 
@@ -29,10 +30,14 @@ use telemetry::{blame_name, Blame, BLAME_KINDS};
 
 fn main() {
     println!("\nC13 — chaos: memory-node crash + zombie lock holder mid-workload\n");
+    // The lease shrinks with the rounds, so that a zombie's lease runs out
+    // inside the fault window at every scale.
+    let full = ChaosConfig::default();
     let cfg = ChaosConfig {
         seed: config::seed(0xC13),
-        rounds: scale_down(900).max(9),
-        ..ChaosConfig::default()
+        rounds: scale_down(full.rounds).max(9),
+        lease_ns: scale_down(full.lease_ns as usize) as u64,
+        ..full
     };
     let c13 = C13::run(&cfg);
     let out = &c13.out;
@@ -101,13 +106,16 @@ fn main() {
     for d in &detections {
         table::row(&[d.fault.into(), d.rule.name().into(), table::n(d.t_fault_ns), table::n(d.latency_ns)]);
     }
-    assert!(
-        detections.iter().any(|d| d.fault == "crash" && d.rule == AlertKind::ThroughputDip),
-        "the crash never opened throughput_dip"
-    );
+    for rule in [AlertKind::ThroughputDip, AlertKind::LeaseStealStorm] {
+        assert!(
+            detections.iter().any(|d| d.fault == "crash" && d.rule == rule),
+            "the crash never opened {}",
+            rule.name()
+        );
+    }
+    assert!(out.steals >= 1, "no zombie lease was stolen");
     // At small scales the ~30 µs partition spans too few latency windows
-    // to pass the p99 debounce, and the fault window ends before a
-    // zombie lease expires: only full scale must catch everything.
+    // to pass the p99 debounce: only full scale must catch everything.
     assert!(
         detections.len() == 4 || config::scale() > 1,
         "full scale must catch the partition and open all three crash rules: {detections:?}"

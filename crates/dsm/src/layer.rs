@@ -134,12 +134,15 @@ pub enum GlobalWr<'a> {
         add: u64,
         prev: &'a mut u64,
     },
-    /// Free the lock word at `addr`: a WRITE of 0 on the group primary
-    /// only. With the primary unreachable nothing is posted — the word
-    /// died with its node, and the rebuild frees it
-    /// ([`DsmLayer::register_lock_words`]) — so the rest of the doorbell
-    /// still lands; only a group with no reachable member fails.
-    Unlock { addr: GlobalAddr },
+    /// Give back a hold on the lock word at `addr`, on the group primary
+    /// only: a WRITE of 0, or with `faa` set — one of several holders
+    /// leaving — a fetch-and-add of its `u64`, whose pre-add value lands
+    /// in its `&mut u64` (left untouched if never executed). With the
+    /// primary unreachable nothing is posted — the word died with its
+    /// node, and the rebuild frees it ([`DsmLayer::register_lock_words`])
+    /// — so the rest of the doorbell still lands; only a group with no
+    /// reachable member fails.
+    Unlock { addr: GlobalAddr, faa: Option<(u64, &'a mut u64)> },
 }
 
 impl GlobalWr<'_> {
@@ -156,7 +159,10 @@ impl GlobalWr<'_> {
                 prev,
             },
             GlobalWr::Faa { addr, add, prev } => GlobalWr::Faa { addr: *addr, add: *add, prev },
-            GlobalWr::Unlock { addr } => GlobalWr::Unlock { addr: *addr },
+            GlobalWr::Unlock { addr, faa } => GlobalWr::Unlock {
+                addr: *addr,
+                faa: faa.as_mut().map(|(add, prev)| (*add, &mut **prev)),
+            },
         }
     }
 }
@@ -369,11 +375,14 @@ impl GroupTable {
                         return Err(unavailable(addr));
                     }
                 }
-                GlobalWr::Unlock { addr } => {
+                GlobalWr::Unlock { addr, faa } => {
                     let g = self.group_of(addr)?;
-                    let primary = g.primary().id();
-                    if ep.node_reachable(primary) {
-                        members.push(Wr::Write { node: primary, offset: addr.offset(), src: &[0; 8] });
+                    let (node, offset) = (g.primary().id(), addr.offset());
+                    if ep.node_reachable(node) {
+                        members.push(match faa {
+                            None => Wr::Write { node, offset, src: &[0; 8] },
+                            Some((add, prev)) => Wr::Faa { node, offset, add, prev: Some(prev) },
+                        });
                     } else if !g.members.iter().any(|m| ep.node_reachable(m.id())) {
                         return Err(unavailable(addr));
                     }
@@ -1025,7 +1034,7 @@ mod tests {
         assert_eq!((s.cas, s.writes, s.reads, s.wire_round_trips()), (1, 2, 1, 1));
         // UNLOCK: a WRITE of 0 on the primary only, the mirror's word left
         // as it was.
-        l.doorbell(&ep, &mut [GlobalWr::Unlock { addr: b }]).unwrap();
+        l.doorbell(&ep, &mut [GlobalWr::Unlock { addr: b, faa: None }]).unwrap();
         assert_eq!((word(ids(1)[0], b), word(ids(1)[1], b)), (0, 9));
         let t = ep.stats();
         let unlock = (t.writes - s.writes, t.bytes_written - s.bytes_written, t.wire_round_trips() - s.wire_round_trips());
@@ -1039,7 +1048,7 @@ mod tests {
         l.doorbell(
             &ep,
             &mut [
-                GlobalWr::Unlock { addr: b },
+                GlobalWr::Unlock { addr: b, faa: None },
                 GlobalWr::Write { addr: b, src: &5u64.to_le_bytes() },
                 GlobalWr::Read { addr: b, dst: &mut got },
             ],
@@ -1058,11 +1067,18 @@ mod tests {
         // A group with no member left cannot take a WRITE or an UNLOCK:
         // nothing of the doorbell is posted.
         l.crash_member(1, 1).unwrap();
-        for last in [GlobalWr::Write { addr: b, src: &[1u8; 8] }, GlobalWr::Unlock { addr: b }] {
+        for last in [GlobalWr::Write { addr: b, src: &[1u8; 8] }, GlobalWr::Unlock { addr: b, faa: None }] {
             let none = l.doorbell(&ep, &mut [GlobalWr::Write { addr: a, src: &[1u8; 8] }, last]);
             assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
         }
         assert_eq!(word(ids(0)[0], a), 0, "still the value the last CAS left");
+        // An UNLOCK that gives back one share of a word: an FAA on the
+        // primary only, its pre-add value returned.
+        l.doorbell(&ep, &mut [GlobalWr::Cas { addr: a, expected: 0, new: 7, prev: &mut on_a }]).unwrap();
+        let (mut left, faa) = (u64::MAX, ep.stats().faa);
+        l.doorbell(&ep, &mut [GlobalWr::Unlock { addr: a, faa: Some((3u64.wrapping_neg(), &mut left)) }]).unwrap();
+        assert_eq!((left, word(ids(0)[0], a), word(ids(0)[1], a)), (7, 4, 0));
+        assert_eq!(ep.stats().faa - faa, 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum CoherenceMode {
 pub enum CcProtocol {
     /// 2PL with 1-RT exclusive locks for all accesses.
     TplExclusive,
-    /// 2PL with 2-RT shared-exclusive locks (readers share).
+    /// 2PL with one-word shared-exclusive locks (readers share).
     TplSharedExclusive,
     /// Optimistic CC with version validation.
     Occ,
@@ -166,8 +166,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exclusive lock-based CC")]
     fn coherent_cache_rejects_shared_exclusive_locks() {
-        // Shared-exclusive 2PL keeps its holder count in the very word the
-        // coherent cache keeps its sharers in.
+        // Only the holder of a record's exclusive lock may write its
+        // sharer word, and a shared-exclusive lock's readers hold none.
         ClusterConfig {
             architecture: Architecture::CacheNoShard(CoherenceMode::Invalidate),
             cc: CcProtocol::TplSharedExclusive,

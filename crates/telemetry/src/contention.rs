@@ -163,8 +163,8 @@ impl HotList {
 }
 
 /// One observed lock wait: `waiter` failed to acquire `addr` because
-/// `holder` held it. Holder `0` means "unknown holder" (e.g. a shared
-/// latch whose word only stores a reader count).
+/// `holder` held it. Holder `0` means "unknown holder" (e.g. a
+/// shared-exclusive lock word that only stores a reader count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WaitEdge {
     /// Owner tag of the session that wanted the lock.

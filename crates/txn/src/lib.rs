@@ -5,10 +5,11 @@
 //! protocol zoo needs re-evaluation. This crate implements that zoo over
 //! the simulated fabric:
 //!
-//! * [`locks`] — the paper's lock primitives: the 1-round-trip exclusive
-//!   CAS spinlock and the ≥2-round-trip shared-exclusive lock built from a
-//!   latch + holder metadata (§4 Challenge 6, footnote 2). Experiment
-//!   **C2** measures exactly this trade.
+//! * [`locks`] — the lock primitives of §4 Challenge 6: the 1-round-trip
+//!   exclusive CAS spinlock and a shared-exclusive lock in one word, one
+//!   round trip each way with CAS and fetch-and-add. Experiment **C2**
+//!   measures it beside footnote 2's ≥2-round-trip latch + holder
+//!   metadata, and the trade in transactions.
 //! * [`oracle`] — global timestamp generation: one-sided FAA on a DSM
 //!   counter vs a two-sided RPC sequencer vs a coordination-free hybrid
 //!   clock (§4 Challenge 6, "how to generate timestamps"). Experiment

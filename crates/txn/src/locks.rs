@@ -3,7 +3,10 @@
 //! "RDMA can only implement a simple exclusive spinlock within a single
 //! round trip through the CAS atomic primitive. Advanced lock types
 //! require more RDMA round trips, e.g., an RDMA shared-exclusive lock
-//! needs at least 2 round trips."
+//! needs at least 2 round trips." That holds for footnote 2's lock, an
+//! exclusive latch guarding holder metadata; with fetch-and-add as well
+//! as CAS, one word and one round trip each way suffice (experiment C2
+//! measures both).
 //!
 //! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one WRITE on the
 //!   primary to release ([`GlobalWr::Unlock`]: lock words are not
@@ -12,27 +15,27 @@
 //!   (each with whatever READs its holder wants right behind it — the
 //!   payload, a coherent cache's sharer word, nothing) leave in one
 //!   doorbell, and so do the unlocks, behind the holder's write-back.
-//! * [`SharedExclusiveLock`]: footnote 2's construction — an exclusive
-//!   latch guarding holder metadata, taken as an [`ExclusiveLock`] set.
-//!   Round 1: CAS every latch, the metadata READ riding each; round 2:
-//!   write the new metadata, then free the latches. Two round trips to
-//!   acquire a whole set and two to release it. Readers admit
-//!   concurrently; writers drain readers.
+//! * [`SharedExclusiveLock`]: the same set over one word per lock, held
+//!   by its writer's plain owner tag, or by `n` readers as `n << 32`. A
+//!   reader CASes 0 or the reader word it found to one more reader; a
+//!   reader's release is one fetch-and-add of `-(1 << 32)` on the primary,
+//!   which no contention can refuse. One round trip to acquire a whole
+//!   set, one to release it.
 //!
 //! Both are *no-wait with bounded retries and backoff*: after
-//! `max_retries` failed attempts the caller gets [`LockError::Busy`]
-//! (latch contention, an exclusive word still held) or
-//! [`LockError::Timeout`] (shared-exclusive holders that never drained
-//! within the budget) and — in the protocols — aborts. Blocking remotely
-//! is expensive, and an unbounded spin under a holder that crashed would
-//! wedge the acquirer forever.
+//! `max_retries` failed attempts the caller gets [`LockError::Busy`] and
+//! — in the protocols — aborts. Blocking remotely is expensive, and an
+//! unbounded spin under a holder that crashed would wedge the acquirer
+//! forever. So a stream of readers holds a writer off only until the
+//! writer's retries run out: the no-wait rule, not starvation.
 //!
 //! An exclusive word may carry a lease, in the format of [`LeaseLock`]:
 //! `owner | epoch | lease-expiry`. When its owner crashes the lease runs
 //! out on the virtual clock and the next acquirer CAS-*steals* the word
 //! (Lotus-style recoverable disaggregated locks). Before it writes, the
 //! owner seals its words ([`ExclusiveLock::fence`]): that finds a theft
-//! and bars any later one.
+//! and bars any later one. A reader word never sets the owner bits, so it
+//! is never read as a lease.
 
 use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
 use rdma_sim::{Endpoint, Metric, Phase};
@@ -42,9 +45,6 @@ use rdma_sim::{Endpoint, Metric, Phase};
 pub enum LockError {
     /// Lock still held after the retry budget.
     Busy,
-    /// A shared-exclusive lock's holders never drained within the
-    /// bounded-retry budget (likely crashed or stalled).
-    Timeout,
     /// A leased word changed under its holder: the lease expired and
     /// another worker stole the lock. The ex-owner must not commit.
     Stolen,
@@ -66,7 +66,6 @@ impl std::fmt::Display for LockError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LockError::Busy => write!(f, "lock busy"),
-            LockError::Timeout => write!(f, "lock acquisition timed out"),
             LockError::Stolen => write!(f, "lock lease expired and was stolen"),
             LockError::ReleaseViolation(what) => write!(f, "lock release violation: {what}"),
             LockError::Dsm(e) => write!(f, "lock dsm error: {e}"),
@@ -82,7 +81,7 @@ impl std::error::Error for LockError {}
 /// endpoint's hot-key contention tally, and — when the lock word named
 /// a holder (`holder_tag != 0`) — annotated with the holder's live
 /// trace id so forensics can follow the blocking edge (0 = unknown
-/// holder, e.g. a latch or an anonymous writer bit).
+/// holder, e.g. a word held by readers).
 #[inline]
 fn backoff(ep: &Endpoint, attempt: u32, lock: GlobalAddr, holder_tag: u64) {
     let ns = 100u64 << attempt.min(8);
@@ -103,6 +102,16 @@ fn now_us(ep: &Endpoint) -> u32 {
 /// its expiry at each CAS.
 pub struct ExclusiveLock;
 
+/// One reader's share of a [`SharedExclusiveLock`] word: `n` readers
+/// hold it as `n * READER` (`n < 1 << 16`, so the owner bits of
+/// [`LeaseLock`] stay clear), a writer as its plain tag, below `READER`.
+const READER: u64 = 1 << 32;
+
+/// Whether a reader may join `word`: it is free or held by readers alone.
+fn shareable(word: u64) -> bool {
+    word.is_multiple_of(READER) && !LeaseLock::leased(word)
+}
+
 /// One word of an [`ExclusiveLock`] set and what became of it.
 ///
 /// A word enters [`ExclusiveLock::acquire_set`]'s ladder from the `prev`
@@ -115,12 +124,14 @@ pub struct ExclusiveLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockWord {
     addr: GlobalAddr,
-    /// What the latest CAS expected there: 0, or the lease it stole.
+    /// What the latest CAS expected there: 0, the lease it stole, or the
+    /// readers it joined.
     expected: u64,
     /// What the latest CAS found there: `expected` means it installed
     /// `mine`. [`LockWord::UNTRIED`] until one ran.
     prev: u64,
-    /// The word the latest CAS installed.
+    /// The word the latest CAS installed. A reader's is a reader word
+    /// from the start ([`LockWord::of_set`]), so it tells the mode.
     mine: u64,
 }
 
@@ -133,13 +144,25 @@ impl LockWord {
         Self { addr, expected: 0, prev: Self::UNTRIED, mine: 0 }
     }
 
+    /// The word of a [`SharedExclusiveLock`] set, to be held `exclusive`
+    /// or as one of its readers, not yet tried.
+    fn of_set(&(addr, exclusive): &(GlobalAddr, bool)) -> Self {
+        Self { mine: if exclusive { 0 } else { READER }, ..Self::new(addr) }
+    }
+
+    /// Whether the word is taken as one of its readers, not by the owner
+    /// alone: it installs a reader word, never a tag or a lease.
+    fn shared(&self) -> bool {
+        self.mine != 0 && shareable(self.mine)
+    }
+
     /// Whether the set's owner holds the word.
     pub fn held(&self) -> bool {
         self.prev == self.expected
     }
 
     fn cas(&mut self, owner_tag: u64, now_us: u32) -> GlobalWr<'_> {
-        self.mine = LeaseLock::stamp(owner_tag, now_us);
+        self.mine = if self.shared() { self.expected + READER } else { LeaseLock::stamp(owner_tag, now_us) };
         GlobalWr::Cas { addr: self.addr, expected: self.expected, new: self.mine, prev: &mut self.prev }
     }
 }
@@ -180,7 +203,7 @@ impl ExclusiveLock {
     /// Release: one WRITE on the group primary. Only the owner may call
     /// this.
     pub fn release(layer: &DsmLayer, ep: &Endpoint, lock: GlobalAddr) -> Result<(), LockError> {
-        Ok(layer.doorbell(ep, &mut [GlobalWr::Unlock { addr: lock }])?)
+        Ok(layer.doorbell(ep, &mut [GlobalWr::Unlock { addr: lock, faa: None }])?)
     }
 
     /// Acquire a whole lock set in one round trip: the CAS of every word
@@ -194,8 +217,10 @@ impl ExclusiveLock {
     /// word to exhaust its ladder ends the call with [`LockError::Busy`].
     /// A word found free, or holding a lease that expired on `ep`'s
     /// clock, is re-posted at once as a CAS from exactly what was found:
-    /// that is a steal (noted as [`Metric::LockSteals`]), and it costs no
-    /// attempt. A plain owner tag is never stolen. However the call ends,
+    /// the latter is a steal (noted as [`Metric::LockSteals`]), and
+    /// neither costs an attempt. A plain owner tag is never stolen. A
+    /// reader's word found held by readers alone is re-posted at once
+    /// too, and joins them. However the call ends,
     /// [`LockWord::held`] tells which words the caller now owns and must
     /// pass to [`ExclusiveLock::release_set`].
     ///
@@ -222,12 +247,13 @@ impl ExclusiveLock {
             let mut attempt = 0;
             while !words[i].held() {
                 let LockWord { addr, prev, .. } = words[i];
-                if prev == 0 || LeaseLock::expired(prev, now_us(ep)) {
+                if prev == 0 || LeaseLock::expired(prev, now_us(ep)) || (words[i].shared() && shareable(prev)) {
                     words[i].expected = prev;
                 } else if prev != LockWord::UNTRIED {
-                    // The failed CAS's `prev` names the holder: a free
-                    // wait-for edge for the contention observatory.
-                    let holder = LeaseLock::holder(prev);
+                    // The failed CAS's `prev` names the holder (none for
+                    // readers): a free wait-for edge for the contention
+                    // observatory.
+                    let holder = if shareable(prev) { 0 } else { LeaseLock::holder(prev) };
                     ep.note_wait_edge(waiter, holder, addr.to_raw());
                     if attempt == max_retries {
                         return Err(LockError::Busy);
@@ -238,7 +264,7 @@ impl ExclusiveLock {
                 }
                 let own = riders.partition_point(|r| r.word < i)..riders.partition_point(|r| r.word <= i);
                 Self::post_cas(layer, ep, &mut words[i..=i], i, &mut riders[own], owner_tag)?;
-                if words[i].held() && words[i].expected != 0 {
+                if words[i].held() && LeaseLock::leased(words[i].expected) {
                     ep.series_note(Metric::LockSteals, 1);
                 }
             }
@@ -310,15 +336,20 @@ impl ExclusiveLock {
     /// holder's write-back), then the unlock of every held word of
     /// `words` — one round trip, all writes ahead of all unlocks. A plain
     /// word unlocks by a WRITE of 0 on its primary ([`GlobalWr::Unlock`];
-    /// none if the primary is down), a lease by a CAS from the word it
-    /// holds, so a thief's word stays: such an unlock is not retried, and
-    /// the call ends in [`LockError::Stolen`] (never once sealed).
+    /// none if the primary is down), a reader by a fetch-and-add of
+    /// `-READER` there, a lease by a CAS from the word it holds, so a
+    /// thief's word stays: such an unlock is not retried, and the call
+    /// ends in [`LockError::Stolen`] (never once sealed). A reader whose
+    /// fetch-and-add found no reader is a protocol bug: the add is undone
+    /// and the call ends in [`LockError::ReleaseViolation`].
     ///
     /// If the doorbell fails, no word may stay locked because another
     /// one's target is down: each held word is then unlocked on its own
-    /// and the doorbell's error returned. Those unlocks are CASes from
-    /// the word installed, which cannot free a word that the cut-short
-    /// doorbell already freed and someone else has taken since.
+    /// and the doorbell's error returned. A word unlocks alone by a CAS
+    /// from the word installed, which cannot free a word that the
+    /// cut-short doorbell already freed and someone else has taken since,
+    /// and a reader by its fetch-and-add again, only if the doorbell never
+    /// ran it.
     pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -329,23 +360,42 @@ impl ExclusiveLock {
         if held == 0 && writes.is_empty() {
             return Ok(());
         }
+        // What each reader's fetch-and-add finds, untouched if it never ran.
+        let mut found = vec![LockWord::UNTRIED; words.iter().filter(|w| w.held() && w.shared()).count()];
+        let mut slots = found.iter_mut();
         let mut wrs = Vec::with_capacity(writes.len() + held);
         wrs.extend(writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src }));
         for w in words.iter_mut().filter(|w| w.held()) {
             // Still held, the word keeps what it installed in `expected`;
             // a lease's unlock leaves in `mine` what it found.
             (w.expected, w.prev) = (w.mine, w.mine);
-            wrs.push(if LeaseLock::leased(w.mine) {
+            wrs.push(if w.shared() {
+                let found = slots.next().expect("a slot per reader");
+                GlobalWr::Unlock { addr: w.addr, faa: Some((READER.wrapping_neg(), found)) }
+            } else if LeaseLock::leased(w.mine) {
                 GlobalWr::Cas { addr: w.addr, expected: w.expected, new: 0, prev: &mut w.mine }
             } else {
-                GlobalWr::Unlock { addr: w.addr }
+                GlobalWr::Unlock { addr: w.addr, faa: None }
             });
         }
         let posted = layer.doorbell(ep, &mut wrs);
         drop(wrs);
-        let mut stolen = false;
+        let (mut stolen, mut readerless) = (false, false);
+        let mut found = found.into_iter();
         for w in words.iter_mut().filter(|w| w.held()) {
-            if posted.is_ok() {
+            if w.shared() {
+                let mut prev = found.next().expect("a slot per reader");
+                if posted.is_err() && prev == LockWord::UNTRIED {
+                    match layer.faa(ep, w.addr, READER.wrapping_neg()) {
+                        Ok(was) => prev = was,
+                        Err(_) => continue,
+                    }
+                }
+                if prev < READER {
+                    layer.faa(ep, w.addr, READER)?;
+                    readerless = true;
+                }
+            } else if posted.is_ok() {
                 stolen |= w.mine != w.expected;
             } else if layer.cas(ep, w.addr, w.expected, 0).is_err() {
                 continue;
@@ -353,56 +403,29 @@ impl ExclusiveLock {
             *w = LockWord::new(w.addr);
         }
         posted?;
+        if readerless {
+            return Err(LockError::ReleaseViolation("shared release with no readers"));
+        }
         (!stolen).then_some(()).ok_or(LockError::Stolen)
     }
 }
 
-/// The shared-exclusive lock is two adjacent words, as footnote 2 builds
-/// it: `lock` is the latch that serializes metadata updates, an
-/// [`ExclusiveLock`] word holding its taker's owner tag, and `lock + 8`
-/// the metadata — bit 63 set while a writer holds the lock, the low 32
-/// bits the reader count. Callers must reserve 16 bytes.
-const WRITER_BIT: u64 = 1 << 63;
-const READER_MASK: u64 = 0xFFFF_FFFF;
-
-/// Latch rounds a release makes: a hold must eventually be given back.
-const RELEASE_RETRIES: u32 = 10_000;
-
-/// The ≥2-round-trip shared-exclusive lock (footnote 2), taken and given
-/// back a whole set at a time: a set is `(latch, exclusive)` per lock.
+/// The shared-exclusive lock over one word per lock, taken and given back
+/// a whole set at a time: a set is `(lock word, exclusive)` per lock, and
+/// its owner tag is plain (below `1 << 32`). Its words are those of
+/// [`ExclusiveLock`]: a writer installs its tag, and readers the word
+/// described by the module doc, so its acquire is
+/// [`ExclusiveLock::acquire_set`] and its release
+/// [`ExclusiveLock::release_set`].
 pub struct SharedExclusiveLock;
 
-/// The metadata with a hold in mode `exclusive` admitted, or — while
-/// `meta` blocks it: a reader waits out a writer, a writer every holder —
-/// the error the wait ends in.
-fn admit(exclusive: bool, meta: u64) -> Result<u64, LockError> {
-    match exclusive {
-        true if meta == 0 => Ok(WRITER_BIT),
-        false if meta & WRITER_BIT == 0 => Ok(meta + 1),
-        _ => Err(LockError::Timeout),
-    }
-}
-
-/// The metadata with a hold in mode `exclusive` given back, or the
-/// violation when `meta` does not show it.
-fn give_back(exclusive: bool, meta: u64) -> Result<u64, LockError> {
-    match exclusive {
-        true if meta & WRITER_BIT != 0 => Ok(meta & !WRITER_BIT),
-        true => Err(LockError::ReleaseViolation("exclusive release without writer")),
-        false if meta & READER_MASK != 0 => Ok(meta - 1),
-        false => Err(LockError::ReleaseViolation("shared release with no readers")),
-    }
-}
-
 impl SharedExclusiveLock {
-    /// Take every lock of `set` in its mode, each latch's [`Rider`]s
-    /// (`riders`, sorted by lock) behind its metadata READ: two round
-    /// trips for the whole set when nothing blocks it. A busy latch climbs
-    /// [`ExclusiveLock::acquire_set`]'s ladder, whose exhaustion is
-    /// [`LockError::Busy`]. A lock whose metadata blocks then retries
-    /// alone after a backoff, both rounds with its riders read again, up
-    /// to `max_retries` times, and then the call ends in
-    /// [`LockError::Timeout`]. A call that fails gives back what it took
+    /// Take every lock of `set` in its mode, each word's [`Rider`]s
+    /// (`riders`, sorted by lock) behind its CAS: one round trip for the
+    /// whole set when nothing blocks it. A reader that finds readers
+    /// joins them at once, its riders read again; any other busy word
+    /// climbs [`ExclusiveLock::acquire_set`]'s ladder, whose exhaustion is
+    /// [`LockError::Busy`]. A call that fails gives back what it took
     /// first; one that succeeds holds every lock, and its riders' bytes
     /// are valid.
     pub fn acquire_set(
@@ -413,45 +436,21 @@ impl SharedExclusiveLock {
         owner_tag: u64,
         max_retries: u32,
     ) -> Result<(), LockError> {
-        debug_assert!(!LeaseLock::leased(owner_tag), "a latch is never leased");
-        let mut held = vec![false; set.len()];
-        let ladder = (max_retries, 0);
-        let grown = (|| {
-            let admitted = Self::rounds(layer, ep, set, 0, riders, &[], owner_tag, ladder, admit)?;
-            for (held, admitted) in held.iter_mut().zip(admitted) {
-                *held = admitted.is_ok();
-            }
-            for (i, &(latch, _)) in set.iter().enumerate() {
-                let mut attempt = 0;
-                while !held[i] {
-                    // The metadata names no holder.
-                    ep.note_wait_edge(owner_tag, 0, latch.to_raw());
-                    if attempt == max_retries {
-                        return Err(LockError::Timeout);
-                    }
-                    backoff(ep, attempt, latch, 0);
-                    attempt += 1;
-                    let own = riders.partition_point(|r| r.word < i)..riders.partition_point(|r| r.word <= i);
-                    let alone = &set[i..=i];
-                    held[i] = Self::rounds(layer, ep, alone, i, &mut riders[own], &[], owner_tag, ladder, admit)?[0].is_ok();
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = grown {
-            let taken: Vec<(GlobalAddr, bool)> =
-                set.iter().zip(&held).filter_map(|(&lock, &held)| held.then_some(lock)).collect();
-            Self::release_set(layer, ep, &[], &taken, owner_tag)?;
-            return Err(e);
+        debug_assert!(owner_tag < READER, "a writer's word is its plain tag");
+        let mut words: Vec<LockWord> = set.iter().map(LockWord::of_set).collect();
+        let taken = ExclusiveLock::acquire_set(layer, ep, &mut words, riders, owner_tag, max_retries);
+        if taken.is_err() {
+            ExclusiveLock::release_set(layer, ep, &[], &mut words)?;
         }
-        Ok(())
+        taken
     }
 
     /// Give back every lock of `set`, which the caller holds, `writes` (its
-    /// write-back) landing first: two round trips for the whole set. A
-    /// hold the metadata does not show is a protocol bug, surfaced as
-    /// [`LockError::ReleaseViolation`] (in release builds too): its latch
-    /// is freed without a metadata write, and `writes` are dropped.
+    /// write-back, a [`Phase::Writeback`] span) landing first: one round
+    /// trip for the whole set, the writers' unlocks ahead of the readers'.
+    /// A reader's hold that its word does not show is a protocol bug,
+    /// surfaced as [`LockError::ReleaseViolation`] (in release builds
+    /// too).
     pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -459,76 +458,15 @@ impl SharedExclusiveLock {
         set: &[(GlobalAddr, bool)],
         owner_tag: u64,
     ) -> Result<(), LockError> {
-        if set.is_empty() {
-            return Ok(());
-        }
-        let given = Self::rounds(layer, ep, set, 0, &mut [], writes, owner_tag, (0, RELEASE_RETRIES), give_back)?;
-        given.into_iter().try_for_each(|given| given.map(drop))
-    }
-
-    /// Rounds 1 and 2 over `set`, whose first lock is lock `first` of the
-    /// caller's set; returns what `next` made of each lock's metadata.
-    ///
-    /// Round 1 is one [`ExclusiveLock::acquire_set`] over the latches, each
-    /// CAS with the metadata READ and then its `riders` behind it, a busy
-    /// latch climbing `ladder` rungs. If one stays busy, the latches won
-    /// are freed and, after a backoff, the round starts again, up to
-    /// `again` times: a round that kept some latches while it waited for
-    /// another could wait out a round that holds that one and waits for
-    /// them. Round 2 is one [`ExclusiveLock::release_set`]: `writes` if
-    /// `next` took every lock's metadata (a [`Phase::Writeback`] span),
-    /// then each new metadata, then every latch unlock.
-    #[allow(clippy::too_many_arguments)]
-    fn rounds(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        set: &[(GlobalAddr, bool)],
-        first: usize,
-        riders: &mut [Rider<'_>],
-        writes: &[(GlobalAddr, &[u8])],
-        owner_tag: u64,
-        (ladder, again): (u32, u32),
-        next: fn(bool, u64) -> Result<u64, LockError>,
-    ) -> Result<Vec<Result<u64, LockError>>, LockError> {
-        let mut metas = vec![[0u8; 8]; set.len()];
-        let mut attempt = 0;
-        let mut latches = loop {
-            let mut latches: Vec<LockWord> = set.iter().map(|&(latch, _)| LockWord::new(latch)).collect();
-            let latched = {
-                let mut riders = riders.iter_mut().peekable();
-                let mut all = Vec::with_capacity(set.len() + riders.len());
-                for (word, (&(latch, _), dst)) in set.iter().zip(&mut metas).enumerate() {
-                    all.push(Rider { word, addr: latch.offset_by(8), dst });
-                    while let Some(r) = riders.next_if(|r| r.word == first + word) {
-                        all.push(Rider { word, addr: r.addr, dst: &mut *r.dst });
-                    }
-                }
-                ExclusiveLock::acquire_set(layer, ep, &mut latches, &mut all, owner_tag, ladder)
-            };
-            let Err(e) = latched else { break latches };
-            let busy = latches.iter().find(|w| !w.held()).map(|w| w.addr);
-            let freed = ExclusiveLock::release_set(layer, ep, &[], &mut latches);
-            let Some(busy) = busy.filter(|_| e == LockError::Busy && attempt < again) else {
-                return Err(e);
-            };
-            freed?;
-            backoff(ep, attempt, busy, 0);
-            // The backoff is virtual time only: let a latch holder that
-            // waits for a core run, or the attempts run out in moments.
-            std::thread::yield_now();
-            attempt += 1;
-        };
-        let next: Vec<Result<u64, LockError>> =
-            set.iter().zip(&metas).map(|(&(_, exclusive), meta)| next(exclusive, u64::from_le_bytes(*meta))).collect();
-        let stamps: Vec<(GlobalAddr, [u8; 8])> = (set.iter().zip(&next))
-            .filter_map(|(&(latch, _), next)| Some((latch.offset_by(8), next.as_ref().ok()?.to_le_bytes())))
+        let mut words: Vec<LockWord> = (set.iter())
+            .map(|&(addr, exclusive)| {
+                let mine = if exclusive { owner_tag } else { READER };
+                LockWord { addr, expected: mine, prev: mine, mine }
+            })
             .collect();
-        let writes = if next.iter().all(Result::is_ok) { writes } else { &[] };
-        let mut all = writes.to_vec();
-        all.extend(stamps.iter().map(|(addr, meta)| (*addr, &meta[..])));
+        words.sort_by_key(LockWord::shared);
         let _span = (!writes.is_empty()).then(|| ep.span(Phase::Writeback));
-        ExclusiveLock::release_set(layer, ep, &all, &mut latches)?;
-        Ok(next)
+        ExclusiveLock::release_set(layer, ep, writes, &mut words)
     }
 }
 
@@ -782,49 +720,31 @@ mod tests {
         SharedExclusiveLock::release_set(l, ep, &[], &[(a, exclusive)], tag)
     }
 
-    /// §4 Challenge 6: the exclusive lock is one round trip, the
-    /// shared-exclusive lock "needs at least 2" — exactly 2 here, and as
-    /// many again to give it back (experiment C2's primitive rows).
+    /// The word at `a`, read off its node (no verb, no fault plan).
+    fn word_at(f: &Fabric, a: GlobalAddr) -> u64 {
+        f.region(a.node()).unwrap().read_u64(a.offset()).unwrap()
+    }
+
+    /// With fetch-and-add beside CAS, a shared hold is one CAS and one
+    /// fetch-and-add, a round trip each way, as an exclusive hold is one
+    /// CAS and one WRITE (experiment C2's primitive rows, beside footnote
+    /// 2's latch and metadata at two each way).
     #[test]
-    fn shared_exclusive_is_two_round_trips_each_way_and_exclusive_one() {
+    fn shared_exclusive_is_one_round_trip_each_way_like_exclusive() {
         let (f, l, a) = setup();
         let ex = f.endpoint();
         ExclusiveLock::acquire(&l, &ex, a, 1, 0).unwrap();
         assert_eq!((ex.stats().wire_round_trips(), ex.clock().now_ns()), (1, 1_850));
 
-        let b = l.alloc(16).unwrap();
+        let (f, l, b) = setup();
         let sh = f.endpoint();
         take(&l, &sh, b, false, 2, 0).unwrap();
-        assert_eq!((sh.stats().wire_round_trips(), sh.clock().now_ns()), (2, 3_800));
+        assert_eq!((sh.stats().wire_round_trips(), sh.clock().now_ns()), (1, 1_850));
         give(&l, &sh, b, false, 2).unwrap();
         let s = sh.stats();
-        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (2, 2, 4, 4));
-        assert_eq!(sh.clock().now_ns(), 7_550);
-    }
-
-    #[test]
-    fn a_partition_over_the_exit_doorbell_is_retried_not_left_latched() {
-        // When the metadata doorbell of an uncontended shared acquire
-        // leaves, timed on a fault-free twin: the metadata write and the
-        // latch release, one doorbell, once the latch doorbell's metadata
-        // READ returned.
-        let (f, l, a) = setup();
-        let ep = f.endpoint();
-        ep.enable_flight_recorder(16);
-        take(&l, &ep, a, false, 1, 0).unwrap();
-        let s = ep.stats();
-        assert_eq!((s.cas, s.reads, s.writes, s.wire_round_trips()), (1, 1, 2, 2));
-        let read = rdma_sim::EventKind::Verb(rdma_sim::OpKind::Read);
-        let exit_at = ep.flight_events().iter().find(|e| e.kind == read).expect("the metadata READ").end_ns;
-
-        // The lock's node is cut off for exactly that doorbell.
-        let (f, l, a) = setup();
-        f.install_fault_plan(FaultPlan::new(1).partition(a.node(), exit_at, exit_at + 1));
-        let ep = f.endpoint();
-        take(&l, &ep, a, false, 1, 0).unwrap();
-        let region = f.region(a.node()).unwrap();
-        assert_eq!(region.read_u64(a.offset()).unwrap(), 0, "the latch was released");
-        assert_eq!(region.read_u64(a.offset() + 8).unwrap(), 1, "one reader admitted");
+        assert_eq!((s.cas, s.faa, s.reads, s.writes, s.wire_round_trips()), (1, 1, 0, 0, 2));
+        assert_eq!(sh.clock().now_ns(), 3_700, "an atomic each way");
+        assert_eq!(word_at(&f, b), 0);
     }
 
     #[test]
@@ -835,24 +755,46 @@ mod tests {
         let w = f.endpoint();
         take(&l, &r1, a, false, 1, 4).unwrap();
         take(&l, &r2, a, false, 2, 4).unwrap();
-        assert_eq!(take(&l, &w, a, true, 3, 2).unwrap_err(), LockError::Timeout);
+        assert_eq!(word_at(&f, a), 2 * READER);
+        assert_eq!(take(&l, &w, a, true, 3, 2).unwrap_err(), LockError::Busy);
         give(&l, &r1, a, false, 1).unwrap();
         give(&l, &r2, a, false, 2).unwrap();
         take(&l, &w, a, true, 3, 4).unwrap();
-        // Now readers bounce — with a bounded Timeout, not a livelock.
-        assert_eq!(take(&l, &r1, a, false, 1, 2).unwrap_err(), LockError::Timeout);
+        assert_eq!(word_at(&f, a), 3);
+        // Now readers bounce — with a bounded Busy, not a livelock.
+        assert_eq!(take(&l, &r1, a, false, 1, 2).unwrap_err(), LockError::Busy);
         give(&l, &w, a, true, 3).unwrap();
         take(&l, &r1, a, false, 1, 4).unwrap();
     }
 
+    /// A reader that finds readers joins them at once: its CAS is posted
+    /// again from the word found, its rider behind it, at no attempt and
+    /// no backoff.
+    #[test]
+    fn a_reader_joins_readers_at_once_with_its_riders() {
+        let (f, l, a) = setup();
+        let data = l.alloc(8).unwrap();
+        l.write_u64(&f.endpoint(), data, 5).unwrap();
+        take(&l, &f.endpoint(), a, false, 1, 0).unwrap();
+        let ep = f.endpoint();
+        let mut fetched = [0u8; 8];
+        let mut riders = [Rider { word: 0, addr: data, dst: &mut fetched }];
+        SharedExclusiveLock::acquire_set(&l, &ep, &[(a, false)], &mut riders, 2, 0).unwrap();
+        assert_eq!((u64::from_le_bytes(fetched), word_at(&f, a)), (5, 2 * READER));
+        let s = ep.stats();
+        assert_eq!((s.cas, s.cas_failures, s.reads, s.wire_round_trips()), (2, 1, 2, 2));
+        assert_eq!(ep.clock().now_ns(), 4_050, "two round trips, no backoff");
+    }
+
     /// Three locks, two of them already read by another set: the free
-    /// one and the shared one admit in the set's two doorbells; the
-    /// writer, blocked, retries alone, its payload READ riding each rung;
-    /// and the call that times out gives back the two it took.
+    /// one admits in the set's doorbell, the shared one joins its reader
+    /// at once; the writer, blocked, retries alone, its payload READ
+    /// riding each rung; and the call that ends busy gives back the two
+    /// it took in one doorbell.
     #[test]
     fn a_blocked_lock_retries_alone_with_its_riders() {
         let (f, l, _) = setup();
-        let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(16).unwrap()).collect();
+        let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(8).unwrap()).collect();
         let data = l.alloc(24).unwrap();
         let other = f.endpoint();
         let theirs = [(locks[1], false), (locks[2], false)];
@@ -868,17 +810,16 @@ mod tests {
         ];
         let set = [(locks[0], false), (locks[1], false), (locks[2], true)];
         let err = SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, 7, 2).unwrap_err();
-        assert_eq!(err, LockError::Timeout);
-        // Latch doorbell: 3 CAS, each with its metadata and payload READs;
-        // metadata doorbell: 2 metadata WRITEs, 3 unlocks; two rungs of the
-        // writer alone, each a CAS, two READs and an unlock; then the
-        // release of the two held: 2 CAS and READs, 2 WRITEs and unlocks.
+        assert_eq!(err, LockError::Busy);
+        // The set's doorbell: 3 CAS, each with its payload READ; the
+        // reader of lock 1 joins at once with its READ; two rungs of the
+        // writer alone, each a CAS and a READ; then the release of the two
+        // held: 2 fetch-and-adds.
         let s = ep.stats();
-        let cost = (s.cas, s.reads, s.writes, s.wire_round_trips());
-        assert_eq!(cost, (3 + 2 + 2, 6 + 2 * 2 + 2, 5 + 2 + 4, 2 + 2 * 2 + 2));
-        let region = f.region(locks[0].node()).unwrap();
-        let metas: Vec<u64> = locks.iter().map(|a| region.read_u64(a.offset() + 8).unwrap()).collect();
-        assert_eq!(metas, [0, 1, 1], "only the other set's readers are left");
+        let cost = (s.cas, s.reads, s.faa, s.writes, s.wire_round_trips());
+        assert_eq!(cost, (3 + 1 + 2, 3 + 1 + 2, 2, 0, 1 + 1 + 2 + 1));
+        let words: Vec<u64> = locks.iter().map(|&a| word_at(&f, a)).collect();
+        assert_eq!(words, [0, READER, READER], "only the other set's readers are left");
     }
 
     /// A reader blocked by a writer reads the payload the writer's
@@ -912,35 +853,74 @@ mod tests {
     #[test]
     fn bounded_shared_acquire_under_stuck_writer_costs_backoff() {
         // A writer that never releases (crashed owner) must not livelock
-        // the reader: bounded attempts, virtual-time backoff, Timeout.
+        // the reader: bounded attempts, virtual-time backoff, Busy.
         let (f, l, a) = setup();
         let w = f.endpoint();
         let r = f.endpoint();
         take(&l, &w, a, true, 1, 0).unwrap();
         let before = r.clock().now_ns();
-        assert_eq!(take(&l, &r, a, false, 2, 5).unwrap_err(), LockError::Timeout);
+        assert_eq!(take(&l, &r, a, false, 2, 5).unwrap_err(), LockError::Busy);
         // 5 backoffs of 100<<attempt ns = 3100 ns on top of the verbs.
         assert!(r.clock().now_ns() >= before + 3_100);
     }
 
+    /// A release doorbell that a fault plan cuts short — a burst of
+    /// transient faults that outlasts the layer's retry budget — leaves
+    /// no hold: each word of the set, reader or writer, is given back on
+    /// its own, and a writer takes every one at once afterwards.
+    #[test]
+    fn a_release_doorbell_cut_short_leaves_no_hold() {
+        let (f, l, _) = setup();
+        let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(8).unwrap()).collect();
+        let data = l.alloc(8).unwrap();
+        let set = [(locks[0], false), (locks[1], true), (locks[2], false)];
+        let ep = f.endpoint();
+        SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut [], 7, 0).unwrap();
+        let attempts = dsm::RetryPolicy::default().max_attempts;
+        f.install_fault_plan(FaultPlan::new(1).transient_first_n(data.node(), attempts));
+        let err = SharedExclusiveLock::release_set(&l, &ep, &[(data, &[1; 8])], &set, 7).unwrap_err();
+        assert!(matches!(err, LockError::Dsm(e) if e.is_transient()), "{err:?}");
+        assert_eq!(l.read_u64(&ep, data).unwrap(), 0, "the write-back did not land");
+        f.clear_fault_plan();
+        for &lock in &locks {
+            assert_eq!(word_at(&f, lock), 0);
+            ExclusiveLock::acquire(&l, &f.endpoint(), lock, 9, 0).unwrap();
+        }
+    }
+
+    /// A reader's fetch-and-add that landed before its doorbell was cut
+    /// short is not posted again: the doorbell ends at a member that fails
+    /// after the pre-flight, as at a node that died mid-doorbell (here a
+    /// word past the end of its region), and the count is taken once.
+    #[test]
+    fn a_reader_release_that_landed_is_not_posted_again() {
+        let (f, l, a) = setup();
+        let ep = f.endpoint();
+        take(&l, &f.endpoint(), a, false, 1, 0).unwrap();
+        take(&l, &ep, a, false, 2, 0).unwrap();
+        let beyond = GlobalAddr::new(a.node(), 1 << 20);
+        let err = SharedExclusiveLock::release_set(&l, &ep, &[], &[(a, false), (beyond, false)], 2).unwrap_err();
+        assert!(matches!(err, LockError::Dsm(DsmError::Rdma(rdma_sim::RdmaError::OutOfBounds { .. }))), "{err:?}");
+        assert_eq!(word_at(&f, a), READER, "the other reader's share is left");
+    }
+
+    /// A reader's release that finds no reader — on a free word, or on a
+    /// writer's — is undone and returned as a checked error; the word
+    /// and the lock stay as they were.
     #[test]
     fn release_violations_are_checked_errors_not_debug_asserts() {
         let (f, l, a) = setup();
         let ep = f.endpoint();
-        assert_eq!(
-            give(&l, &ep, a, false, 1).unwrap_err(),
-            LockError::ReleaseViolation("shared release with no readers")
-        );
-        assert_eq!(
-            give(&l, &ep, a, true, 1).unwrap_err(),
-            LockError::ReleaseViolation("exclusive release without writer")
-        );
-        // The failed releases freed the latch and wrote no metadata: the
-        // lock still works.
-        let region = f.region(a.node()).unwrap();
-        assert_eq!([0, 8].map(|off| region.read_u64(a.offset() + off).unwrap()), [0, 0]);
-        take(&l, &ep, a, false, 1, 4).unwrap();
+        let violation = LockError::ReleaseViolation("shared release with no readers");
+        assert_eq!(give(&l, &ep, a, false, 1).unwrap_err(), violation);
+        assert_eq!(word_at(&f, a), 0);
+        take(&l, &ep, a, true, 1, 0).unwrap();
+        assert_eq!(give(&l, &ep, a, false, 2).unwrap_err(), violation);
+        assert_eq!(word_at(&f, a), 1, "the writer still holds the word");
+        give(&l, &ep, a, true, 1).unwrap();
+        take(&l, &ep, a, false, 1, 0).unwrap();
         give(&l, &ep, a, false, 1).unwrap();
+        assert_eq!(word_at(&f, a), 0);
     }
 
     #[test]
@@ -1147,15 +1127,15 @@ mod tests {
         ExclusiveLock::release(&l, &owner, a).unwrap();
         assert_eq!(word(0), 0);
 
-        // Shared-exclusive: the metadata word counts the reader, then
-        // carries the writer bit; the latch is free between calls.
+        // Shared-exclusive: a reader's share of the word, then the
+        // writer's tag, then free.
         take(&l, &owner, a, false, 1, 4).unwrap();
-        assert_eq!((word(0), word(8)), (0, 1));
+        assert_eq!(word(0), READER);
         give(&l, &owner, a, false, 1).unwrap();
         take(&l, &owner, a, true, 1, 4).unwrap();
-        assert_eq!((word(0), word(8)), (0, WRITER_BIT));
+        assert_eq!(word(0), 1);
         give(&l, &owner, a, true, 1).unwrap();
-        assert_eq!(word(8), 0);
+        assert_eq!(word(0), 0);
 
         // Lease steal: the word moves from the zombie to the thief, the
         // zombie's fenced release leaves it alone, the thief's frees it.
@@ -1199,20 +1179,20 @@ mod tests {
 
     #[test]
     fn shared_exclusive_counts_are_exact_under_threads() {
-        // Readers and writers hammering the same lock: meta must end at 0
-        // and a protected counter must equal the number of writer
+        // Readers and writers hammering the same lock: the word must end
+        // at 0 and a protected counter must equal the number of writer
         // sections.
         //
         // Backoff only advances *virtual* time, so a call's retry budget
-        // is real CPU burnt while a descheduled latch holder waits for a
-        // core. Keep the budget small and let the loop around the call
-        // yield the core.
+        // is real CPU burnt while a descheduled holder waits for a core.
+        // Keep the budget small and let the loop around the call yield
+        // the core.
         const BUDGET: u32 = 4;
         fn until_done(mut op: impl FnMut() -> Result<(), LockError>) {
             loop {
                 match op() {
                     Ok(()) => return,
-                    Err(LockError::Busy | LockError::Timeout) => std::thread::yield_now(),
+                    Err(LockError::Busy) => std::thread::yield_now(),
                     Err(e) => panic!("lock protocol error: {e}"),
                 }
             }
@@ -1243,8 +1223,7 @@ mod tests {
             }
         });
         let ep = f.endpoint();
-        let final_meta = l.read_u64(&ep, a.offset_by(8)).unwrap();
-        assert_eq!(final_meta, 0, "all holders released");
+        assert_eq!(l.read_u64(&ep, a).unwrap(), 0, "all holders released");
         assert_eq!(
             l.read_u64(&ep, data).unwrap(),
             writes_done.load(std::sync::atomic::Ordering::Relaxed)

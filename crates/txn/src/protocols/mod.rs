@@ -6,7 +6,7 @@
 //!
 //! * [`TwoPhaseLocking`] — lock-based, with either the 1-RT exclusive
 //!   spinlock everywhere (leased, when the worker tag is a lease) or
-//!   shared-exclusive (2-RT) locks for reads;
+//!   one-word shared-exclusive locks that readers share;
 //! * [`Occ`] — optimistic with version validation (the Sherman-style
 //!   choice for RDMA);
 //! * [`Tso`] — timestamp ordering with rts/wts words;
@@ -20,15 +20,15 @@
 //!
 //! Every protocol holds its locks as one set
 //! ([`ExclusiveLock::acquire_set`] / [`ExclusiveLock::release_set`];
-//! shared-exclusive 2PL over its latches, through
+//! shared-exclusive 2PL through
 //! [`SharedExclusiveLock`](crate::SharedExclusiveLock)) and posts a fixed
 //! number of doorbells whatever its key count; only a word that lost its
-//! CAS, or a shared-exclusive lock its metadata blocks, retries alone:
+//! CAS retries alone:
 //!
 //! | protocol | doorbells |
 //! |---|---|
 //! | 2PL | {CAS + payload READ per key}, {payloads, unlocks} — leased and writing: {seal CAS per key} between the two |
-//! | 2PL shared | {latch CAS + metadata READ + payload READ per key}, {metadata, latch unlocks}, {latch CAS + metadata READ per key}, {payloads, metadata, latch unlocks} |
+//! | 2PL shared | {CAS + payload READ per key}, {payloads, writers' unlocks, readers' FAAs} |
 //! | OCC | {`[wts\|payload]` per key read}, {CAS + `[lock\|rts\|wts]` per key written}, {`[lock\|rts\|wts]` per key only read}, {payload, `wts`, per key written, then unlocks} |
 //! | TSO | oracle FAA, {`[lock\|rts\|wts\|payload]` per key read}, {`rts` CAS per key read}, {CAS + `[lock\|rts\|wts]` — the payload too for a delta — per key written}, {payload, `wts`, unlocks} |
 //! | MVCC | oracle FAA, {slot per key read}, {`rts` CAS + picked version's `wts` per key read}, {CAS + slot per key written}, {payload, `wts` into the oldest version, unlocks} |
@@ -128,8 +128,9 @@ pub enum AbortCause {
     /// A no-wait lock was held by someone else for the whole retry
     /// budget (`lock-busy`, and the sharded engine's local lock table).
     LockBusy,
-    /// The lock holder never released within the bounded-retry budget
-    /// (likely crashed or stalled).
+    /// `lock-timeout`: a lock's holders never drained within the retry
+    /// budget. No lock returns it now (a busy lock is `lock-busy`); the
+    /// cause stays so that every report keeps its `lock_timeout` tally.
     LockTimeout,
     /// Commit-time validation failed: OCC read-set drift, TSO/MVCC
     /// version conflicts.
@@ -217,7 +218,6 @@ impl From<LockError> for TxnError {
     fn from(e: LockError) -> Self {
         match e {
             LockError::Busy => TxnError::Aborted("lock-busy"),
-            LockError::Timeout => TxnError::Aborted("lock-timeout"),
             LockError::Stolen => TxnError::Aborted("lease-stolen"),
             LockError::ReleaseViolation(_) => TxnError::Aborted("lock-release-violation"),
             LockError::Dsm(e) => e.into(),
@@ -887,7 +887,7 @@ mod tests {
             runs,
             [
                 ("2pl-excl", [2, 2]),
-                ("2pl-shared", [4, 4]),
+                ("2pl-shared", [2, 2]),
                 ("2pl-leased", [3, 2]),
                 ("occ", [3, 2]),
                 ("tso", [5, 3]),
@@ -917,7 +917,7 @@ mod tests {
         });
         let pinned = [
             ("2pl-excl", [10, 15, 10, 0, 8, 160, 160], 18_150),
-            ("2pl-shared", [29, 45, 20, 0, 16, 304, 400], 39_900),
+            ("2pl-shared", [9, 10, 10, 5, 8, 144, 120], 18_450),
             ("2pl-leased", [10, 5, 28, 0, 11, 160, 80], 25_400),
             ("occ", [19, 15, 5, 0, 13, 456, 160], 25_550),
             ("tso", [14, 15, 14, 4, 18, 544, 160], 36_263),

@@ -23,24 +23,19 @@
 //!   fence), which no steal gets past: a word already stolen aborts it
 //!   with `lease-stolen`, having written nothing. An unlock that finds a
 //!   thief's word aborts a read-only set the same way.
-//! * `shared_locks = true` — the 2-RT shared-exclusive lock, exclusive
-//!   for a key some op writes and shared otherwise: readers admit
-//!   concurrently, writers drain. Four doorbells, whatever the key count:
-//!   **grow** is the latch CASes, each with its metadata READ and payload
-//!   READ (none when a blind overwrite comes first), then the new metadata
-//!   and the latch unlocks; **shrink** is the latch CASes again, then
-//!   the payloads, the released metadata and the unlocks. More round
-//!   trips per lock, more concurrency. ("It remains open if the allowed
-//!   extra concurrency can offset the performance overhead of the
-//!   advanced locks" — experiment C2 answers this for our fabric.)
+//! * `shared_locks = true` — the one-word shared-exclusive lock on the
+//!   same lock word, exclusive for a key some op writes and shared
+//!   otherwise: readers admit concurrently, writers wait them out. Two
+//!   doorbells too, whatever the key count: **grow** is one CAS per key,
+//!   each with its payload READ (none when a blind overwrite comes
+//!   first); **shrink** is the payloads, the writers' unlocks and one
+//!   fetch-and-add per reader. ("It remains open if the allowed extra
+//!   concurrency can offset the performance overhead of the advanced
+//!   locks" — experiment C2 measures it for our fabric.)
 //!
 //! Neither waits: a lock still busy after its bounded retries aborts the
 //! transaction, so holding part of a set while retrying the rest cannot
 //! deadlock.
-//!
-//! Note: the shared-exclusive lock stores holder metadata in the record's
-//! `rts` word, so this configuration must not be mixed with TSO/MVCC on
-//! the same table.
 
 use dsm::GlobalAddr;
 use rdma_sim::Phase;
@@ -321,12 +316,7 @@ mod tests {
                 cc.execute(&TxnCtx { ep, table: t, io: &DirectIo, worker_tag: 7 }, &ops)
             });
             for key in [0, 2] {
-                // Lock word (exclusive) or latch and holder metadata
-                // (shared-exclusive): all clear.
-                let slot = t.slot_addr(key);
-                let region = t.layer().fabric().region(slot.node()).unwrap();
-                let words = [0, 8].map(|off| region.read_u64(slot.offset() + off).unwrap());
-                assert_eq!(words, [0, 0], "{}: key {key} leaked", cc.name());
+                assert_eq!(word_and_counter(&t, key).0, 0, "{}: key {key} leaked", cc.name());
             }
         }
     }

@@ -11,9 +11,9 @@
 //!   group's primary alone, registered with the layer
 //!   ([`DsmLayer::register_lock_words`]) so a rebuilt memory node comes up
 //!   with every lock free;
-//! * `rts`  — read timestamp (TSO/MVCC), holder count (shared-exclusive
-//!   2PL) or, under exclusive 2PL with a coherent cache, the record's
-//!   sharer bitmap ([`RecordTable::sharers_addr`]); unused by OCC;
+//! * `rts`  — read timestamp (TSO/MVCC) or, under exclusive 2PL with a
+//!   coherent cache, the record's sharer bitmap
+//!   ([`RecordTable::sharers_addr`]); unused by OCC and by 2PL otherwise;
 //! * each version slot holds a write timestamp and the payload. With
 //!   `versions = 1` this degenerates to the single-version layout 2PL and
 //!   OCC use, where `wts_0` doubles as the OCC version counter.
