@@ -20,7 +20,7 @@ use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{Endpoint, Fabric, NetworkProfile};
-use txn::{ExclusiveLock, LockWord, Rider, SharedExclusiveLock};
+use txn::{ExclusiveLock, LockWord, Rider, SharedExclusiveLock, WriteBack};
 use workload::ZipfGenerator;
 
 /// One reader's step on footnote 2's lock: take the latch at `latch`
@@ -33,7 +33,7 @@ fn footnote_2_step(layer: &DsmLayer, ep: &Endpoint, latch: GlobalAddr, add: u64)
     let mut riders = [Rider { word: 0, addr: meta, dst: &mut count }];
     ExclusiveLock::acquire_set(layer, ep, &mut word, &mut riders, 1, 0).unwrap();
     let next = u64::from_le_bytes(count).wrapping_add(add).to_le_bytes();
-    ExclusiveLock::release_set(layer, ep, &[(meta, &next)], &mut word).unwrap();
+    ExclusiveLock::release_set(layer, ep, &[WriteBack::new(meta, &next)], &mut word).unwrap();
 }
 
 fn primitive_costs(rep: &mut Report) {

@@ -31,7 +31,18 @@
 //! write-through among them, and fetch-and-adds on pages being fetched
 //! ([`Fetch::complete_writing`]).
 //! To stay deadlock-free a thread never sleeps on a condvar while it holds
-//! unfetched reservations — it flushes its batch first, then waits.
+//! unfetched reservations or a write-through not yet posted — it flushes
+//! its batch first, then waits.
+//!
+//! # A page on its way to DSM is not fetched
+//!
+//! A write-through puts the page's bytes in its frame under the shard
+//! latch, and the doorbell that carries them to DSM leaves after the latch
+//! dropped. Until that doorbell has returned the page is *on the wire*:
+//! the shard lists it (`writing`), and a miss on it waits for the list to
+//! drop it before it fetches. So the frame may be evicted meanwhile, but
+//! no fetch brings back the bytes DSM held before the write, to be cached
+//! over a write that lands behind them.
 
 use std::sync::Arc;
 
@@ -107,6 +118,9 @@ struct ShardInner {
     free: Vec<FrameId>,
     /// Number of frames currently `filling`.
     filling: usize,
+    /// Pages whose write-through is on the wire, once per writer: a miss
+    /// on one of them waits.
+    writing: Vec<u64>,
     stats: PoolStats,
 }
 
@@ -123,6 +137,8 @@ pub struct BufferPool {
     shards: Vec<Shard>,
     /// `64 - log2(shards)`: fibonacci-hash shift for shard selection.
     shard_shift: u32,
+    #[cfg(test)]
+    hooks: tests::Hooks,
 }
 
 /// A frame reserved for an in-flight fetch, tracked outside the latch.
@@ -214,10 +230,12 @@ impl Fetch<'_> {
             let p = self.pending.iter_mut().find(|p| p.key == addr.to_raw());
             p.expect("an added-to page is left to fetch").add = Some((add as u64, 0));
         }
-        let riders = writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
-        self.complete(ep, dsts, riders)
-            .inspect_err(|_| pool.drop_written(ep, writes.iter().map(|w| w.0)))?;
-        Ok(true)
+        #[cfg(test)]
+        pool.before_write_through();
+        let riders = writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src, unlock: false });
+        let posted = self.complete(ep, dsts, riders);
+        pool.wrote(ep, writes.iter().map(|w| w.0), posted.is_ok());
+        posted.map(|()| true)
     }
 }
 
@@ -286,6 +304,7 @@ impl BufferPool {
                         page_table: U64Map::with_capacity_and_hasher(cap * 2, Default::default()),
                         free: (0..cap).rev().collect(),
                         filling: 0,
+                        writing: Vec::new(),
                         stats: PoolStats::default(),
                     }),
                     cv: Condvar::new(),
@@ -297,6 +316,8 @@ impl BufferPool {
             page_size,
             shards,
             shard_shift: 64 - nshards.trailing_zeros(),
+            #[cfg(test)]
+            hooks: tests::Hooks::default(),
         }
     }
 
@@ -506,6 +527,18 @@ impl BufferPool {
                 self.serve_hit(ep, s, f, key, dst);
                 return Step::Done;
             }
+            if s.writing.contains(&key) {
+                // The page is on its way to DSM: fetched now, it would
+                // come back as it was before the write.
+                if !can_wait {
+                    return Step::MustFlush;
+                }
+                ep.note_lock_wait(key, LOCK_NS);
+                #[cfg(test)]
+                self.hooks.waits_on_write.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                sh.cv.wait(&mut inner);
+                continue;
+            }
             // Miss: reserve a frame, pin it in-flight, and take its data
             // box so the fetch can run outside the latch.
             let Some((f, pol)) = Self::take_frame(ep, s) else {
@@ -707,13 +740,14 @@ impl BufferPool {
 
     /// The write-through path's frame half for a caller that holds
     /// reservations and posts the writes itself: `writes` go into their
-    /// frames, and no page is waited for. Returns false, with the frames
-    /// written so far dropped, when one would have to be.
+    /// frames, on the wire until the caller hands them to
+    /// [`BufferPool::wrote`], and no page is waited for. Returns false,
+    /// with the frames written so far dropped, when one would have to be.
     fn stage_through(&self, ep: &Endpoint, writes: &[(GlobalAddr, &[u8])]) -> bool {
         let mut through = Vec::new();
         for i in 0..writes.len() {
             if !matches!(self.resolve_write(ep, i, writes, 0, false, &mut through), Step::Done) {
-                self.drop_written(ep, writes[..i].iter().map(|w| w.0));
+                self.wrote(ep, writes[..i].iter().map(|w| w.0), false);
                 return false;
             }
         }
@@ -723,8 +757,8 @@ impl BufferPool {
     /// One write request: apply `src` to a (possibly newly allocated)
     /// frame under the shard latch, held under `held_by`. A page to write
     /// through (`held_by` 0) is only *recorded* in `through` for the
-    /// batched doorbell. With `can_wait` false a page that would need
-    /// waiting for is `MustFlush`.
+    /// batched doorbell, and put on the wire. With `can_wait` false a page
+    /// that would need waiting for is `MustFlush`.
     fn resolve_write(
         &self,
         ep: &Endpoint,
@@ -759,6 +793,7 @@ impl BufferPool {
                 s.frames[f].held_by = held_by;
                 if held_by == 0 {
                     through.push(i);
+                    s.writing.push(key);
                 }
                 return Step::Done;
             }
@@ -778,6 +813,7 @@ impl BufferPool {
             fr.held_by = held_by;
             if held_by == 0 {
                 through.push(i);
+                s.writing.push(key);
             }
             s.page_table.insert(key, f);
             let overhead = MAP_OP_NS + LOCK_NS + pol + s.policy.on_insert(f, key) + MAP_OP_NS;
@@ -804,15 +840,49 @@ impl BufferPool {
         }
         let remote: Vec<(GlobalAddr, &[u8])> =
             through.iter().map(|&idx| reqs[idx]).chain(uncached.iter().copied()).collect();
+        #[cfg(test)]
+        self.before_write_through();
         let res = {
             let _span = ep.span(Phase::Writeback);
             self.layer.write_batch(ep, &remote)
         };
-        if res.is_err() {
-            self.drop_written(ep, through.iter().map(|&idx| reqs[idx].0));
-        }
+        self.wrote(ep, through.iter().map(|&idx| reqs[idx].0), res.is_ok());
         through.clear();
         res
+    }
+
+    /// Run the closure a test left to run before the next write-through
+    /// doorbell, if any.
+    #[cfg(test)]
+    fn before_write_through(&self) {
+        let hook = self.hooks.before_write_through.lock().take();
+        if let Some(hook) = hook {
+            hook(self);
+        }
+    }
+
+    /// Take `pages` off the wire — their write-through doorbell returned,
+    /// or will never be posted — and wake the misses waiting for them. If
+    /// the bytes did not reach DSM (`landed` false), drop the pages' frames
+    /// too, so a retry does not find bytes DSM never took:
+    /// [`BufferPool::invalidate`] without its wait, so a holder of
+    /// reservations may call it. A page in flight is another thread's
+    /// fetch, which brings it from DSM, and is left alone.
+    fn wrote(&self, ep: &Endpoint, pages: impl IntoIterator<Item = GlobalAddr>, landed: bool) {
+        for addr in pages {
+            let key = addr.to_raw();
+            let sh = &self.shards[self.shard_of(key)];
+            let mut inner = sh.inner.lock();
+            let s = &mut *inner;
+            let at = s.writing.iter().position(|&k| k == key).expect("a page on the wire");
+            s.writing.swap_remove(at);
+            match s.page_table.get(&key) {
+                Some(&f) if !landed && !s.frames[f].filling => Self::forget(ep, s, key, f),
+                _ => {}
+            }
+            drop(inner);
+            sh.cv.notify_all();
+        }
     }
 
     /// Drop the cached copy of `addr` (coherence invalidation: the writer
@@ -852,26 +922,6 @@ impl BufferPool {
         Self::charge(ep, s, MAP_OP_NS + LOCK_NS + pol);
     }
 
-    /// Drop the frames of `pages`, whose write-through did not reach DSM:
-    /// [`BufferPool::invalidate`] without its wait, so a holder of
-    /// reservations may call it. A page in flight is another thread's
-    /// fetch, which brings it from DSM and is left alone.
-    fn drop_written(&self, ep: &Endpoint, pages: impl IntoIterator<Item = GlobalAddr>) {
-        for addr in pages {
-            let key = addr.to_raw();
-            let sh = &self.shards[self.shard_of(key)];
-            let mut inner = sh.inner.lock();
-            let s = &mut *inner;
-            if let Some(&f) = s.page_table.get(&key) {
-                if !s.frames[f].filling {
-                    Self::forget(ep, s, key, f);
-                    drop(inner);
-                    sh.cv.notify_all();
-                }
-            }
-        }
-    }
-
     /// Drop every resident page (bulk invalidation after a metadata-only
     /// reshard). Charged as one latched sweep per shard. Frames are freed
     /// in [`FrameId`] order, so the free list and every later victim are
@@ -908,6 +958,96 @@ mod tests {
     use crate::policy::{ClockPolicy, LruPolicy};
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// A closure a test runs inside a pool call.
+    type Hook = Box<dyn FnOnce(&BufferPool) + Send>;
+
+    /// What a test can hook into a pool.
+    #[derive(Default)]
+    pub(super) struct Hooks {
+        /// Run once, just before the next write-through doorbell leaves.
+        pub before_write_through: Mutex<Option<Hook>>,
+        /// Misses that waited for a page on the wire.
+        pub waits_on_write: AtomicUsize,
+    }
+
+    /// A page written through, `through_fetch` riding a fetch of another
+    /// page (else on its own), while — just before its doorbell leaves —
+    /// a second thread evicts its frame and a third reads it. The third
+    /// must read, and leave cached, what was written. Returns the first
+    /// byte of what it read, of what the pool serves afterwards and of
+    /// what DSM holds.
+    fn read_while_on_the_wire(through_fetch: bool) -> [u8; 3] {
+        let (f, layer, pool) = setup(2);
+        let ep = f.endpoint();
+        let pages: Vec<GlobalAddr> = (0..8).map(|_| layer.alloc(64).unwrap()).collect();
+        let (written, fetched) = (pages[0], pages[1]);
+        layer.write(&ep, written, &[1; 64]).unwrap();
+        let third_read = Arc::new(Mutex::new(None));
+        std::thread::scope(|s| {
+            let (go, start) = std::sync::mpsc::channel::<()>();
+            let done = Arc::new(AtomicBool::new(false));
+            let third = {
+                let (f, pool, done, third_read) = (f.clone(), &pool, done.clone(), third_read.clone());
+                s.spawn(move || {
+                    start.recv().unwrap();
+                    let mut page = [0u8; 64];
+                    pool.read_page(&f.endpoint(), written, &mut page).unwrap();
+                    *third_read.lock() = Some(page);
+                    done.store(true, Ordering::Release);
+                })
+            };
+            let (fabric, others) = (f.clone(), pages[2..].to_vec());
+            let hook = move |pool: &BufferPool| {
+                // The second thread reads other pages until the written
+                // one's frame is evicted.
+                std::thread::scope(|t| {
+                    t.spawn(|| {
+                        let ep = fabric.endpoint();
+                        let mut page = [0u8; 64];
+                        for &other in others.iter().cycle() {
+                            if !pool.contains(written) {
+                                break;
+                            }
+                            pool.read_page(&ep, other, &mut page).unwrap();
+                        }
+                    });
+                });
+                // The third reads the page; go on once it has, or once it
+                // waits for this doorbell.
+                go.send(()).unwrap();
+                while !done.load(Ordering::Acquire) && pool.hooks.waits_on_write.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+            };
+            *pool.hooks.before_write_through.lock() = Some(Box::new(hook));
+            if through_fetch {
+                let mut page = [0u8; 64];
+                let (_, fetch) = pool.resolve_reads(&ep, &mut [(fetched, &mut page[..])]).unwrap();
+                assert!(fetch.complete_writing(&ep, [&mut page[..]], &[(written, &[2; 64])], &[]).unwrap());
+            } else {
+                pool.write_page(&ep, written, &[2; 64]).unwrap();
+            }
+            third.join().unwrap();
+        });
+        let mut cached = [0u8; 64];
+        pool.read_page(&ep, written, &mut cached).unwrap();
+        let mut stored = [0u8; 64];
+        layer.read(&ep, written, &mut stored).unwrap();
+        let read = third_read.lock().take().expect("the third thread read");
+        [read[0], cached[0], stored[0]]
+    }
+
+    /// A miss on a page whose write-through is still on the wire waits for
+    /// it, then fetches what was written: neither the reader nor the cache
+    /// is left with the bytes from before the write.
+    #[test]
+    fn a_page_evicted_on_its_way_to_dsm_is_not_fetched_stale() {
+        for through_fetch in [false, true] {
+            assert_eq!(read_while_on_the_wire(through_fetch), [2, 2, 2], "riding a fetch: {through_fetch}");
+        }
+    }
 
     fn setup(frames: usize) -> (Arc<Fabric>, Arc<DsmLayer>, BufferPool) {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());

@@ -11,7 +11,9 @@
 //! * CAS and unlock on the primary; a rebuilt member's lock words are
 //!   free ([`GlobalWr::Unlock`], [`DsmLayer::register_lock_words`]) —
 //!   transient synchronization state is rebuilt, not replicated, exactly
-//!   as in the paper's recovery discussion.
+//!   as in the paper's recovery discussion. A WRITE may end with a lock
+//!   word it frees ([`GlobalWr::Write`] with `unlock`): the backups take
+//!   it without the word, then the primary all of it.
 //!
 //! [`DsmLayer::doorbell`] applies these rules to a mixed group of work
 //! requests and posts the result as one fabric doorbell; the batched and
@@ -109,14 +111,21 @@ impl Default for DsmConfig {
 /// One work request of a [`DsmLayer::doorbell`] group: [`rdma_sim::Wr`]
 /// over logical addresses. The layer resolves each to fabric members —
 /// CAS and unlock on the group primary, READ from the first reachable
-/// member, WRITE and FAA to every reachable member. A rebuilt member's
-/// lock words are free ([`DsmLayer::recover_member_from_mirror`]).
+/// member, WRITE and FAA to every reachable member (a WRITE's lock word,
+/// if it ends with one, on the primary alone). A rebuilt member's lock
+/// words are free ([`DsmLayer::recover_member_from_mirror`]).
 #[derive(Debug)]
 pub enum GlobalWr<'a> {
     /// Read `dst.len()` bytes at `addr`.
     Read { addr: GlobalAddr, dst: &'a mut [u8] },
-    /// Write `src` at `addr` on every reachable mirror member.
-    Write { addr: GlobalAddr, src: &'a [u8] },
+    /// Write `src` at `addr` on every reachable mirror member. With
+    /// `unlock`, the last 8 bytes of `src` are a lock word, which is state
+    /// of the group primary alone (as in [`GlobalWr::Unlock`]): each backup
+    /// takes `src` without them, and the primary takes the whole of `src`
+    /// after every backup, so the word, landing last, comes free only once
+    /// every copy of the rest has landed. With the primary unreachable the
+    /// word is dropped with it, as an `Unlock` is.
+    Write { addr: GlobalAddr, src: &'a [u8], unlock: bool },
     /// Compare-and-swap the word at `addr`; `prev` receives the pre-op
     /// value and is left untouched if the member was never executed.
     Cas {
@@ -151,7 +160,7 @@ impl GlobalWr<'_> {
     fn reborrow(&mut self) -> GlobalWr<'_> {
         match self {
             GlobalWr::Read { addr, dst } => GlobalWr::Read { addr: *addr, dst },
-            GlobalWr::Write { addr, src } => GlobalWr::Write { addr: *addr, src },
+            GlobalWr::Write { addr, src, unlock } => GlobalWr::Write { addr: *addr, src, unlock: *unlock },
             GlobalWr::Cas { addr, expected, new, prev } => GlobalWr::Cas {
                 addr: *addr,
                 expected: *expected,
@@ -169,8 +178,8 @@ impl GlobalWr<'_> {
 
 /// Members a doorbell of many requests may resolve to before the list
 /// leaves the stack: a 16-page multi-get, or the release doorbell of an
-/// 8-key transaction over 2-way mirrors (8 x 2 write-backs + 8 unlocks on
-/// the primaries = 24).
+/// 8-key transaction over 2-way mirrors (8 x 2 write-backs, each
+/// primary's carrying its unlock = 16, or 24 with 8 more keys only read).
 const INLINE_MEMBERS: usize = 32;
 
 /// The same for a doorbell of at most [`FEW_REQUESTS`] requests — one
@@ -363,7 +372,7 @@ impl GroupTable {
                         .ok_or_else(|| unavailable(addr))?;
                     members.push(Wr::Read { node, offset: addr.offset(), dst });
                 }
-                GlobalWr::Write { addr, src } => {
+                GlobalWr::Write { addr, src, unlock: false } => {
                     let mut reachable = false;
                     for m in &self.group_of(addr)?.members {
                         if ep.node_reachable(m.id()) {
@@ -372,6 +381,23 @@ impl GroupTable {
                         }
                     }
                     if !reachable {
+                        return Err(unavailable(addr));
+                    }
+                }
+                GlobalWr::Write { addr, src, unlock: true } => {
+                    let g = self.group_of(addr)?;
+                    let body = &src[..src.len() - 8];
+                    let mut reachable = false;
+                    for m in &g.members[1..] {
+                        if ep.node_reachable(m.id()) {
+                            members.push(Wr::Write { node: m.id(), offset: addr.offset(), src: body });
+                            reachable = true;
+                        }
+                    }
+                    let primary = g.primary().id();
+                    if ep.node_reachable(primary) {
+                        members.push(Wr::Write { node: primary, offset: addr.offset(), src });
+                    } else if !reachable {
                         return Err(unavailable(addr));
                     }
                 }
@@ -639,7 +665,9 @@ impl DsmLayer {
     /// One doorbell over a mixed group of work requests on logical
     /// addresses: each CAS goes to its group's primary, each READ to the
     /// first reachable member of its group, each WRITE and FAA to every
-    /// reachable member, and the members are posted in that order as one
+    /// reachable member (a WRITE that frees a lock word to the backups
+    /// first, then whole to the primary), and the members are posted in
+    /// that order as one
     /// [`Endpoint::doorbell`] — one wire round trip for the whole group.
     /// The fabric pre-flights every target before any word is touched, so
     /// a transient fault leaves nothing half-done and the layer's
@@ -675,7 +703,7 @@ impl DsmLayer {
     pub fn write_batch(&self, ep: &Endpoint, reqs: &[(GlobalAddr, &[u8])]) -> DsmResult<()> {
         let t = self.table.read();
         t.retry.run(ep, || {
-            let writes = reqs.iter().map(|&(addr, src)| GlobalWr::Write { addr, src });
+            let writes = reqs.iter().map(|&(addr, src)| GlobalWr::Write { addr, src, unlock: false });
             t.post(ep, writes)
         })
     }
@@ -683,7 +711,7 @@ impl DsmLayer {
     /// One-sided WRITE of `src` to `addr` on every live mirror member
     /// (a [`DsmLayer::doorbell`] of one request).
     pub fn write(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        self.doorbell(ep, &mut [GlobalWr::Write { addr, src }])
+        self.doorbell(ep, &mut [GlobalWr::Write { addr, src, unlock: false }])
     }
 
     /// 8-byte CAS on the group primary (synchronization state lives on the
@@ -767,6 +795,12 @@ impl DsmLayer {
     /// chunk on its way through, so the member, backup or primary, comes
     /// up with every lock free — whatever the sibling's copy of the word
     /// held, since unlocks write the primary alone.
+    ///
+    /// The fresh member reads zero before the copy, so each chunk's WRITE
+    /// stores only its pages that are not zero
+    /// ([`Endpoint::write_onto_zeros`]): the rebuilt member's resident
+    /// memory is its data, as the original's was, and every chunk is still
+    /// posted and priced.
     pub fn recover_member_from_mirror(
         &self,
         ep: &Endpoint,
@@ -801,7 +835,7 @@ impl DsmLayer {
             for stripe in &stripes {
                 stripe.free_within(off, &mut buf[..take]);
             }
-            ep.write(failed.id(), off, &buf[..take])?;
+            ep.write_onto_zeros(failed.id(), off, &buf[..take])?;
             copied += take as u64;
             off += take as u64;
         }
@@ -989,7 +1023,7 @@ mod tests {
         let mut wrs: Vec<GlobalWr<'_>> = values
             .iter()
             .enumerate()
-            .map(|(i, src)| GlobalWr::Write { addr: base.offset_by(8 * i as u64), src })
+            .map(|(i, src)| GlobalWr::Write { addr: base.offset_by(8 * i as u64), src, unlock: false })
             .collect();
         wrs.push(GlobalWr::Read { addr: base.offset_by(8 * 19), dst: &mut got });
         assert!(wrs.len() * 2 - 1 > INLINE_MEMBERS);
@@ -1020,7 +1054,7 @@ mod tests {
             &ep,
             &mut [
                 GlobalWr::Cas { addr: a, expected: 0, new: 7, prev: &mut prev },
-                GlobalWr::Write { addr: b, src: &9u64.to_le_bytes() },
+                GlobalWr::Write { addr: b, src: &9u64.to_le_bytes(), unlock: false },
                 GlobalWr::Read { addr: b, dst: &mut got },
             ],
         )
@@ -1049,7 +1083,7 @@ mod tests {
             &ep,
             &mut [
                 GlobalWr::Unlock { addr: b, faa: None },
-                GlobalWr::Write { addr: b, src: &5u64.to_le_bytes() },
+                GlobalWr::Write { addr: b, src: &5u64.to_le_bytes(), unlock: false },
                 GlobalWr::Read { addr: b, dst: &mut got },
             ],
         )
@@ -1067,8 +1101,8 @@ mod tests {
         // A group with no member left cannot take a WRITE or an UNLOCK:
         // nothing of the doorbell is posted.
         l.crash_member(1, 1).unwrap();
-        for last in [GlobalWr::Write { addr: b, src: &[1u8; 8] }, GlobalWr::Unlock { addr: b, faa: None }] {
-            let none = l.doorbell(&ep, &mut [GlobalWr::Write { addr: a, src: &[1u8; 8] }, last]);
+        for last in [GlobalWr::Write { addr: b, src: &[1u8; 8], unlock: false }, GlobalWr::Unlock { addr: b, faa: None }] {
+            let none = l.doorbell(&ep, &mut [GlobalWr::Write { addr: a, src: &[1u8; 8], unlock: false }, last]);
             assert_eq!(none, Err(DsmError::GroupUnavailable { primary: b.node() }));
         }
         assert_eq!(word(ids(0)[0], a), 0, "still the value the last CAS left");
@@ -1154,7 +1188,7 @@ mod tests {
         let refused = l.doorbell(
             &ep,
             &mut [
-                GlobalWr::Write { addr: c, src: &[1u8; 8] },
+                GlobalWr::Write { addr: c, src: &[1u8; 8], unlock: false },
                 GlobalWr::Cas { addr: d, expected: 0, new: 3, prev: &mut on_b },
             ],
         );

@@ -78,10 +78,10 @@ fn steady_state_doorbells_allocate_nothing_at_either_layer() {
             .doorbell(
                 &ep,
                 &mut [
-                    GlobalWr::Write { addr: a, src: &page_a },
-                    GlobalWr::Write { addr: b, src: &page_b },
-                    GlobalWr::Write { addr: lock_a, src: &[0u8; 8] },
-                    GlobalWr::Write { addr: lock_b, src: &[0u8; 8] },
+                    GlobalWr::Write { addr: a, src: &page_a, unlock: false },
+                    GlobalWr::Write { addr: b, src: &page_b, unlock: false },
+                    GlobalWr::Write { addr: lock_a, src: &[0u8; 8], unlock: false },
+                    GlobalWr::Write { addr: lock_b, src: &[0u8; 8], unlock: false },
                 ],
             )
             .unwrap();

@@ -6,8 +6,8 @@
 //! vs. update-based". This is the invalidation-based one, built on:
 //!
 //! * a **sharer word** per record — the bitmap of compute nodes that may
-//!   cache it (64-node limit = 64 bits), kept in the record header right
-//!   beside the lock word ([`RecordTable::sharers_addr`]). 3b runs under
+//!   cache it (64-node limit = 64 bits), kept in the slot's first word,
+//!   in front of the payload ([`RecordTable::sharers_addr`]). 3b runs under
 //!   exclusive 2PL only, so the word is read and written by the holder of
 //!   the record's lock and by nobody else: it needs no atomics and no
 //!   round trips of its own, it rides the lock's two doorbells;
@@ -46,7 +46,7 @@ use buffer::BufferPool;
 use dsm::{DsmResult, GlobalAddr};
 use rdma_sim::{Endpoint, Mailbox, MailboxId, Phase};
 use txn::table::RecordTable;
-use txn::{KeyUse, PayloadIo, Rider};
+use txn::{KeyUse, PayloadIo, Rider, WriteBack};
 
 use crate::node::NodeHandler;
 
@@ -81,7 +81,7 @@ pub(crate) fn answer(pool: &BufferPool, ep: &Endpoint, payload: &[u8]) -> Option
 }
 
 /// Bytes of slot header in front of each key's payload copy in the
-/// transaction's buffer: `slot[8 .. 24]`, the sharer word and `wts_0`. The
+/// transaction's buffer: `slot[0 .. 16]`, the sharer word and `wts_0`. The
 /// payload follows them in the slot too, so one READ brings all three.
 const HDR: usize = 16;
 
@@ -107,9 +107,11 @@ impl CoherentIo {
         table.payload_addr(key, 0)
     }
 
-    /// Hand `post` the READs that fill `chunk` = `slot[8 .. 24 + payload]`
-    /// of `key`: one — or two, the sharer word and the payload apart,
-    /// while a migration has the payload read from its new home.
+    /// Hand `post` the READs that fill `slot[0 .. 16 + payload]` of `key`
+    /// into the front of `chunk`: one — or two, the sharer word and the
+    /// payload apart, while a migration has the payload read from its new
+    /// home. The rest of the chunk, the zeros behind the payload copy, is
+    /// left as it is.
     fn slot_reads<'a>(
         table: &RecordTable,
         key: u64,
@@ -118,6 +120,7 @@ impl CoherentIo {
     ) {
         let sharers = table.sharers_addr(key);
         let payload = table.payload_read_addr(key, 0);
+        let chunk = &mut chunk[..HDR + table.payload_size()];
         if payload == sharers.offset_by(HDR as u64) {
             post(sharers, chunk);
         } else {
@@ -176,21 +179,21 @@ impl PayloadIo for CoherentIo {
     /// node's handler has dropped it — so the set is read as of that
     /// instant, with no lock and no verb.
     fn read_unlocked(&self, ep: &Endpoint, table: &RecordTable, uses: &[KeyUse], buf: &mut [u8]) -> bool {
-        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        let chunks = buf.chunks_exact_mut(HDR + table.copy_len());
         let mut reqs: Vec<_> = uses
             .iter()
             .zip(chunks)
-            .map(|(u, chunk)| (Self::page_addr(table, u.key), &mut chunk[HDR..]))
+            .map(|(u, chunk)| (Self::page_addr(table, u.key), &mut chunk[HDR..][..table.payload_size()]))
             .collect();
         self.handler.pool.read_resident_set(ep, &mut reqs)
     }
 
     /// Behind the lock CAS of a key whose old value is observed and whose
-    /// page is not resident: `slot[8 .. 24 + payload]`. Of any other key
+    /// page is not resident: `slot[0 .. 16 + payload]`. Of any other key
     /// that is written: the sharer word. Of a resident key that is only
     /// read: nothing — it is a sharer already and nobody has to know.
     fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>) {
-        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        let chunks = buf.chunks_exact_mut(HDR + table.copy_len());
         for (word, (u, chunk)) in uses.iter_mut().zip(chunks).enumerate() {
             u.fetched = u.reads_old && !self.handler.pool.contains(Self::page_addr(table, u.key));
             if u.fetched {
@@ -203,10 +206,11 @@ impl PayloadIo for CoherentIo {
 
     /// Copy out of the pool what did not come with the lock.
     fn admit(&self, ep: &Endpoint, table: &RecordTable, uses: &mut [KeyUse], buf: &mut [u8]) -> DsmResult<()> {
-        let chunks = buf.chunks_exact_mut(HDR + table.payload_size());
+        let chunks = buf.chunks_exact_mut(HDR + table.copy_len());
         for (u, chunk) in uses.iter_mut().zip(chunks) {
             let from_pool = u.reads_old && !u.fetched;
-            if !from_pool || self.handler.pool.read_resident(ep, Self::page_addr(table, u.key), &mut chunk[HDR..]) {
+            let copy = &mut chunk[HDR..][..table.payload_size()];
+            if !from_pool || self.handler.pool.read_resident(ep, Self::page_addr(table, u.key), copy) {
                 continue;
             }
             // A sibling thread's fill took the frame since `ride`: the
@@ -222,19 +226,20 @@ impl PayloadIo for CoherentIo {
 
     /// Every other sharer of a written key drops its copy —
     /// one message round for the whole set — and the payload goes through
-    /// to DSM. For a written or fetched key: the pool takes the page, held
-    /// until [`settle`](PayloadIo::settle), and the sharer word — only if
-    /// its value changes — goes to DSM as a plain WRITE.
+    /// to DSM, freeing the key's lock as it lands. For a written or fetched
+    /// key: the pool takes the page, held until
+    /// [`settle`](PayloadIo::settle), and the sharer word — only if its
+    /// value changes — goes to DSM as a plain WRITE, ahead of the payload.
     fn retire<'a>(
         &self,
         ep: &Endpoint,
         table: &RecordTable,
         uses: &[KeyUse],
         buf: &'a mut [u8],
-        writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+        writes: &mut Vec<WriteBack<'a>>,
     ) -> DsmResult<()> {
         let me = 1u64 << self.handler.node;
-        let size = HDR + table.payload_size();
+        let size = HDR + table.copy_len();
         let sharers_in = |chunk: &[u8]| u64::from_le_bytes(chunk[..8].try_into().expect("8-byte sharer word"));
         let shared: Vec<(GlobalAddr, u64)> = uses
             .iter()
@@ -250,15 +255,16 @@ impl PayloadIo for CoherentIo {
         for (u, chunk) in uses.iter().zip(chunks).filter(|(u, _)| u.written || u.fetched) {
             let sharers = sharers_in(chunk);
             let (hdr, copy) = chunk.split_at_mut(HDR);
-            self.handler.pool.install_page(ep, Self::page_addr(table, u.key), copy, self.reply_id)?;
+            let page = &copy[..table.payload_size()];
+            self.handler.pool.install_page(ep, Self::page_addr(table, u.key), page, self.reply_id)?;
             let keep = if u.written { me } else { sharers | me };
             hdr[..8].copy_from_slice(&keep.to_le_bytes());
             let (hdr, copy): (&'a [u8], &'a [u8]) = (hdr, copy);
-            if u.written {
-                writes.extend(table.payload_writes(u.key, 0, copy));
-            }
             if keep != sharers {
-                writes.push((table.sharers_addr(u.key), &hdr[..8]));
+                writes.push(WriteBack::new(table.sharers_addr(u.key), &hdr[..8]));
+            }
+            if u.written {
+                writes.extend(table.write_back(u.key, copy));
             }
         }
         Ok(())
@@ -373,14 +379,14 @@ mod tests {
 
     #[test]
     fn read_sets_directory_bit() {
-        // The directory entry is the sharer word beside the lock word.
+        // The directory entry is the slot's first word, in front of the payload.
         let Setup { layer, table, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         read(&ios[0], &table, &ep, 5);
         assert_eq!(sharers(&table, 5), 0b01);
         read(&ios[1], &table, &ep, 5);
         assert_eq!(sharers(&table, 5), 0b11);
-        assert_eq!(table.sharers_addr(5), table.lock_addr(5).offset_by(8));
+        assert_eq!(table.sharers_addr(5).offset_by(HDR as u64), table.payload_addr(5, 0));
         // Resident now: a reread touches neither the word nor the wire.
         let verbs = ep.stats().round_trips();
         read(&ios[1], &table, &ep, 5);
@@ -414,21 +420,22 @@ mod tests {
         write(&ios[0], &table, &ep, 9, 1);
         assert_eq!(ep.stats().sends, 0);
         assert_eq!(sharers(&table, 9), 0b01);
-        // A blind write needs the sharer word beside the lock, not the old
-        // payload; the sharer word did not change the second time, so it
-        // stays home: the release doorbell is the payload and the unlock.
+        // A blind write needs the sharer word, not the old payload; the
+        // sharer word did not change the second time, so it stays home:
+        // the release doorbell is one WRITE, the payload running on into
+        // the lock word.
         let before = ep.stats();
         write(&ios[0], &table, &ep, 9, 2);
         let s = ep.stats();
         assert_eq!((s.reads - before.reads, s.bytes_read - before.bytes_read), (1, 8));
-        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written), (2, 16 + 8));
+        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written), (1, 16 + 8));
         assert_eq!(s.wire_round_trips() - before.wire_round_trips(), 2);
     }
 
     /// One key through `ride` and `admit` by hand, `between` them.
     fn ride_then_admit(io: &CoherentIo, table: &RecordTable, ep: &Endpoint, key: u64, between: impl FnOnce()) -> (KeyUse, Vec<u8>) {
         let mut uses = [KeyUse { key, written: false, reads_old: true, fetched: false }];
-        let mut buf = vec![0u8; HDR + table.payload_size()];
+        let mut buf = vec![0u8; HDR + table.copy_len()];
         let mut riders = Vec::new();
         io.ride(table, &mut uses, &mut buf, &mut riders);
         let mut reads: Vec<_> = riders.into_iter().map(|r| (r.addr, r.dst)).collect();
@@ -448,13 +455,13 @@ mod tests {
         // Resident at `ride`: nothing rides, the pool serves `admit`.
         let before = ep.stats().reads;
         let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 4, || {});
-        assert_eq!((seen.fetched, &buf[HDR..], ep.stats().reads), (false, &[8u8; 16][..], before));
+        assert_eq!((seen.fetched, &buf[HDR..][..16], ep.stats().reads), (false, &[8u8; 16][..], before));
         // Gone by `admit` (a sibling thread's fill took the frame): one
         // READ of the slot on its own, and the key counts as a fill.
         let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 4, || {
             caches[0].pool.invalidate(&ep, table.payload_addr(4, 0));
         });
-        assert_eq!((seen.fetched, &buf[HDR..], ep.stats().reads), (true, &[8u8; 16][..], before + 1));
+        assert_eq!((seen.fetched, &buf[HDR..][..16], ep.stats().reads), (true, &[8u8; 16][..], before + 1));
         assert_eq!(buf[..8], 0b01u64.to_le_bytes(), "sharers | wts | payload in one READ");
     }
 
@@ -467,21 +474,21 @@ mod tests {
         let sibling = io_on(layer.fabric(), &caches[0], 1);
         let read = [KeyUse { key: 4, written: false, reads_old: true, fetched: false }];
         let unlocked = || {
-            let mut buf = vec![0u8; HDR + 16];
+            let mut buf = vec![0u8; HDR + table.copy_len()];
             sibling.read_unlocked(&ep, &table, &read, &mut buf).then(|| buf[HDR])
         };
         assert_eq!(unlocked(), Some(1));
         // ios[0] rewrites key 4 by hand: ride, acquire, admit, retire.
         let mut uses = [KeyUse { key: 4, written: true, reads_old: true, fetched: false }];
         let mut words = [LockWord::new(table.lock_addr(4))];
-        let mut buf = vec![0u8; HDR + 16];
+        let mut buf = vec![0u8; HDR + table.copy_len()];
         let mut riders = Vec::new();
         ios[0].ride(&table, &mut uses, &mut buf, &mut riders);
         ExclusiveLock::acquire_set(&layer, &ep, &mut words, &mut riders, 7, 0).unwrap();
         ios[0].admit(&ep, &table, &mut uses, &mut buf).unwrap();
         // Locked, not yet written: the committed value is still served.
         assert_eq!(unlocked(), Some(1));
-        buf[HDR..].fill(2);
+        buf[HDR..][..16].fill(2);
         let mut writes = Vec::new();
         ios[0].retire(&ep, &table, &uses, &mut buf, &mut writes).unwrap();
         // The pool holds the new value, which may still be rolled back.
@@ -507,7 +514,7 @@ mod tests {
         let (seen, buf) = ride_then_admit(&ios[0], &table, &ep, 2, || {});
         let s = ep.stats();
         assert_eq!((s.reads - before.reads, s.bytes_read - before.bytes_read), (2, 8 + 16));
-        assert_eq!((seen.fetched, &buf[HDR..]), (true, &[3u8; 16][..]));
+        assert_eq!((seen.fetched, &buf[HDR..][..16]), (true, &[3u8; 16][..]));
         assert_eq!(buf[..8], 0b01u64.to_le_bytes());
         // A write in the window goes through to both homes.
         write(&ios[0], &table, &ep, 2, 6);

@@ -143,37 +143,34 @@ fn every_access_class_costs_what_the_model_gives() {
     assert_eq!(hit.ns, 37);
 
     // Resident, written, no other sharer: the sharer word rides the CAS
-    // and, unchanged, stays home; the payload leads the release.
+    // and, unchanged, stays home; the release is one WRITE, the payload
+    // running on into the lock word.
     let write = cost_of(&mut s0, &[Op::Rmw { key: 1, delta: 5 }]);
     let want = Cost {
-        ns: cas + word8 + pool_hit + install_hit + p.rw_cost_ns(PAYLOAD) + word8,
-        verbs: 4,
+        ns: cas + word8 + pool_hit + install_hit + p.rw_cost_ns(PAYLOAD + 8),
+        verbs: 3,
         wire_rts: 2,
-        riders: 2,
+        riders: 1,
         sends: 0,
     };
     assert_eq!(write, want);
-    assert_eq!(write.ns, 3_846);
+    assert_eq!(write.ns, 3_696);
     assert_eq!(sharer_word(&c, 1), 0b01);
 
-    // Not resident, written: slot in, payload and sharer bit out.
+    // Not resident, written: slot in; sharer bit, then the payload with
+    // the unlock, out.
     let write_fill = cost_of(&mut s0, &[Op::Rmw { key: 2, delta: 5 }]);
-    let want = Cost {
-        ns: cas + slot + install_miss + p.rw_cost_ns(PAYLOAD) + 2 * word8,
-        verbs: 5,
-        wire_rts: 2,
-        riders: 3,
-        sends: 0,
-    };
+    let release = p.rw_cost_ns(8) + p.batched_cost_ns(PAYLOAD + 8);
+    let want = Cost { ns: cas + slot + install_miss + release, verbs: 4, wire_rts: 2, riders: 2, sends: 0 };
     assert_eq!(write_fill, want);
-    assert_eq!(write_fill.ns, 3_987);
+    assert_eq!(write_fill.ns, 3_837);
     assert_eq!((sharer_word(&c, 2), resident(&c, 0, 2)), (0b01, true));
 
     // Not resident, overwritten blind: no op sees the old payload, so
     // only the sharer word comes in.
     let blind = cost_of(&mut s0, &[Op::Update { key: 3, value: payload(9) }]);
-    assert_eq!(blind.ns, cas + word8 + install_miss + p.rw_cost_ns(PAYLOAD) + 2 * word8);
-    assert_eq!((blind.verbs, blind.wire_rts), (5, 2));
+    assert_eq!(blind.ns, cas + word8 + install_miss + release);
+    assert_eq!((blind.verbs, blind.wire_rts), (4, 2));
     assert_eq!(s0.execute(&[Op::Read(3)]).unwrap().reads[0].1, payload(9));
 
     // Several resident keys, only read: one pool hit each, still no verb.
@@ -191,9 +188,10 @@ fn every_access_class_costs_what_the_model_gives() {
     // Several keys of several classes are still two doorbells.
     let mixed = cost_of(&mut s0, &[Op::Read(1), Op::Rmw { key: 4, delta: 1 }, Op::Read(6), Op::Rmw { key: 2, delta: 1 }]);
     assert_eq!((mixed.wire_rts, mixed.sends), (2, 0));
-    // 4 CAS + slot(4) + slot(6) + sharers(2) | payload(4) + sharers(4) +
-    // sharers(6) + payload(2) + 4 unlocks.
-    assert_eq!(mixed.verbs, 7 + 8);
+    // 4 CAS + slot(4) + slot(6) + sharers(2) | sharers(4) + payload(4) +
+    // sharers(6) + payload(2), each payload freeing its lock, + the
+    // unlocks of keys 1 and 6.
+    assert_eq!(mixed.verbs, 7 + 6);
     for key in 0..8 {
         assert_eq!(lock_word(&c, key), 0, "key {key}");
     }
@@ -260,13 +258,14 @@ fn an_ack_costs_the_same_whatever_the_serving_sessions_clock_reads() {
     assert_eq!(costs[0], costs[1]);
     // Resident, written, one remote sharer: the sharer word rides the
     // CAS; the invalidation out, the handler's drop and the ack back; the
-    // install; payload, sharer word and unlock.
+    // install; the sharer word, then the payload with the unlock.
     let (cas, word8) = (p.atomic_cost_ns() + p.atomic_unit_ns, p.batched_cost_ns(8));
     let round = p.send_cost_ns(17) + (MAP_OP_NS + LOCK_NS + ATOMIC_NS) + p.send_cost_ns(17);
     let install_hit = MAP_OP_NS + LOCK_NS + ATOMIC_NS;
-    let want = cas + word8 + (MAP_OP_NS + ATOMIC_NS) + round + install_hit + p.rw_cost_ns(PAYLOAD) + 2 * word8;
+    let release = p.rw_cost_ns(8) + p.batched_cost_ns(PAYLOAD + 8);
+    let want = cas + word8 + (MAP_OP_NS + ATOMIC_NS) + round + install_hit + release;
     assert_eq!((costs[0].ns, costs[0].wire_rts, costs[0].sends), (want, 2, 1));
-    assert_eq!(want, 8_853);
+    assert_eq!(want, 8_703);
 }
 
 #[test]
@@ -286,7 +285,8 @@ fn a_write_to_several_shared_records_is_one_message_round() {
     let acquire = cas + word8 + (word8 + p.atomic_unit_ns) + word8;
     let round = p.send_cost_ns(1 + 8 + 2 * 8) + 2 * (MAP_OP_NS + LOCK_NS + ATOMIC_NS) + p.send_cost_ns(17);
     let pool = 2 * (MAP_OP_NS + ATOMIC_NS) + 2 * (MAP_OP_NS + LOCK_NS + ATOMIC_NS);
-    let release = p.rw_cost_ns(PAYLOAD) + p.batched_cost_ns(PAYLOAD) + 4 * word8;
+    // Per key its sharer word, then its payload with the unlock.
+    let release = p.rw_cost_ns(8) + word8 + 2 * p.batched_cost_ns(PAYLOAD + 8);
     assert_eq!(write.ns, acquire + pool + round + release);
     for key in [5, 6] {
         assert!(!resident(&c, 1, key), "key {key}");

@@ -21,10 +21,13 @@
 //! * **An insert is two doorbells** (Sherman's "command combination":
 //!   members of one doorbell on one queue pair execute in order). Acquire
 //!   = {CAS lock word, READ image}; release = {WRITE image, WRITE unlock}.
-//!   The image keeps the writer's lock tag embedded — a node write lands
-//!   word by word from offset 0, so an embedded 0 would free the lock
-//!   before the keys arrived — and the unlock behind it is what frees it.
-//!   `remove` is the same pair.
+//!   A WRITE lands word by word, from its lowest address to its highest
+//!   (the record table's lock holders rely on the same rule: their slot's
+//!   lock word comes last, so the write-back that carries its 0 frees it
+//!   after the payload, `txn::table`). A node's lock word comes first, so
+//!   an embedded 0 would free the lock before the keys arrived: the image
+//!   keeps the writer's lock tag, and the unlock behind it is what frees
+//!   it. `remove` is the same pair.
 //! * **Readers take no lock.** A node's last word is a check word, a
 //!   hash of every word between the lock word and it. A READ and a WRITE
 //!   of one node both run word by word from low to high, and either may
@@ -484,8 +487,8 @@ impl RemoteBTree {
         let posted = self.layer.doorbell(
             ep,
             &mut [
-                GlobalWr::Write { addr, src: &node.encode() },
-                GlobalWr::Write { addr, src: &[0u8; 8] },
+                GlobalWr::Write { addr, src: &node.encode(), unlock: false },
+                GlobalWr::Write { addr, src: &[0u8; 8], unlock: false },
             ],
         );
         if posted.is_err() {

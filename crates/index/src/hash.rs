@@ -367,7 +367,7 @@ impl RaceHash {
                 self.layer.doorbell(
                     ep,
                     &mut [
-                        GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes },
+                        GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes, unlock: false },
                         GlobalWr::Read { addr: bucket_addr, dst: &mut after },
                     ],
                 )?;
@@ -409,8 +409,8 @@ impl RaceHash {
             self.layer.doorbell(
                 ep,
                 &mut [
-                    GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes },
-                    GlobalWr::Write { addr: slot_addr(s), src: &key.to_le_bytes() },
+                    GlobalWr::Write { addr: slot_addr(s).offset_by(8), src: &bytes, unlock: false },
+                    GlobalWr::Write { addr: slot_addr(s), src: &key.to_le_bytes(), unlock: false },
                     GlobalWr::Read { addr: bucket_addr, dst: &mut after },
                 ],
             )?;
@@ -580,9 +580,9 @@ impl RaceHash {
         self.layer.doorbell(
             ep,
             &mut [
-                GlobalWr::Write { addr: sibling, src: &new.0 },
-                GlobalWr::Write { addr: bucket, src: &old.0 },
-                GlobalWr::Write { addr: bucket, src: &stable.to_le_bytes() },
+                GlobalWr::Write { addr: sibling, src: &new.0, unlock: false },
+                GlobalWr::Write { addr: bucket, src: &old.0, unlock: false },
+                GlobalWr::Write { addr: bucket, src: &stable.to_le_bytes(), unlock: false },
             ],
         )?;
 
@@ -606,7 +606,7 @@ impl RaceHash {
             next.entries[i] = sibling.to_raw();
         }
         let version = next.version.to_le_bytes();
-        let unlock = GlobalWr::Write { addr: self.meta.offset_by(META_LOCK), src: &[0u8; 8] };
+        let unlock = GlobalWr::Write { addr: self.meta.offset_by(META_LOCK), src: &[0u8; 8], unlock: false };
         match new_dir_addr {
             Some(new_dir_addr) => {
                 self.layer.write(ep, new_dir_addr, &next.encode())?;
@@ -614,8 +614,8 @@ impl RaceHash {
                 self.layer.doorbell(
                     ep,
                     &mut [
-                        GlobalWr::Write { addr: self.meta.offset_by(META_DIR), src: &at },
-                        GlobalWr::Write { addr: self.meta, src: &version },
+                        GlobalWr::Write { addr: self.meta.offset_by(META_DIR), src: &at, unlock: false },
+                        GlobalWr::Write { addr: self.meta, src: &version, unlock: false },
                         unlock,
                     ],
                 )?;
@@ -627,11 +627,12 @@ impl RaceHash {
                     .map(|i| GlobalWr::Write {
                         addr: dir_addr.offset_by(DIR_ENTRIES + 8 * i as u64),
                         src: &raw,
+                        unlock: false,
                     })
                     .collect();
-                wrs.push(GlobalWr::Write { addr: dir_addr, src: &version });
+                wrs.push(GlobalWr::Write { addr: dir_addr, src: &version, unlock: false });
                 self.layer.doorbell(ep, &mut wrs)?;
-                self.layer.doorbell(ep, &mut [GlobalWr::Write { addr: self.meta, src: &version }, unlock])?;
+                self.layer.doorbell(ep, &mut [GlobalWr::Write { addr: self.meta, src: &version, unlock: false }, unlock])?;
             }
         }
         // Our cache is what we published.

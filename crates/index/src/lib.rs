@@ -75,7 +75,7 @@ pub(crate) fn lock_and_read(
     let read = GlobalWr::Read { addr: image, dst };
     let posted = match rider {
         None => layer.doorbell(ep, &mut [cas, read]),
-        Some((addr, src)) => layer.doorbell(ep, &mut [cas, read, GlobalWr::Write { addr, src }]),
+        Some((addr, src)) => layer.doorbell(ep, &mut [cas, read, GlobalWr::Write { addr, src, unlock: false }]),
     };
     if posted.is_err() && prev == 0 {
         let _ = layer.write_u64(ep, lock, 0);

@@ -777,6 +777,14 @@ impl Endpoint {
         self.one_sided(OpKind::Write, node, offset, src.len(), None, |r| r.write(offset, src))
     }
 
+    /// [`Endpoint::write`] onto bytes of `node` that read zero, as a node
+    /// rebuilt on fresh hardware has them: posted and priced the same, but
+    /// a page `src` would only zero is not touched
+    /// ([`Region::write_onto_zeros`]).
+    pub fn write_onto_zeros(&self, node: NodeId, offset: u64, src: &[u8]) -> RdmaResult<()> {
+        self.one_sided(OpKind::Write, node, offset, src.len(), None, |r| r.write_onto_zeros(offset, src))
+    }
+
     /// Aligned 8-byte read priced as a small one-sided READ.
     pub fn read_u64(&self, node: NodeId, offset: u64) -> RdmaResult<u64> {
         self.one_sided(OpKind::Read, node, offset, 8, None, |r| r.read_u64(offset))

@@ -141,6 +141,21 @@ impl Region {
         Ok(())
     }
 
+    /// [`Region::write`] of `src` onto bytes that read zero: only the
+    /// 4 KiB pieces of `src` (counted from `offset`) that hold a nonzero
+    /// byte are stored, so a page the write would only zero stays
+    /// untouched.
+    pub fn write_onto_zeros(&self, offset: u64, src: &[u8]) -> RdmaResult<()> {
+        const PIECE: usize = 4096;
+        self.check(offset, src.len())?;
+        for (i, piece) in src.chunks(PIECE).enumerate() {
+            if piece.iter().any(|&b| b != 0) {
+                self.write(offset + (i * PIECE) as u64, piece)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Read-modify-write `bytes` into word `idx` at byte `in_word`,
     /// preserving the word's other bytes against concurrent atomics on
     /// them.

@@ -15,8 +15,9 @@
 //!   clock (§4 Challenge 6, "how to generate timestamps"). Experiment
 //!   **C4**.
 //! * [`table`] — the record layout CC protocols operate on: a fixed-slot
-//!   table in DSM with per-record lock word, read-timestamp word, and a
-//!   small in-record version array (1 version = single-version layouts).
+//!   table in DSM with per-record read-timestamp word, a small in-record
+//!   version array (1 version = single-version layouts) and, last, the
+//!   lock word, which a lock holder's write-back frees as it lands.
 //! * [`protocols`] — 2PL (exclusive or shared-exclusive, no-wait),
 //!   OCC with version validation, timestamp ordering (TSO), and MVCC.
 //!   Experiment **C3** sweeps them against contention.
@@ -34,7 +35,7 @@ pub mod protocols;
 pub mod table;
 pub mod twopc;
 
-pub use locks::{ExclusiveLock, LeaseLock, LockError, LockWord, Rider, SharedExclusiveLock};
+pub use locks::{ExclusiveLock, LeaseLock, LockError, LockWord, Rider, SharedExclusiveLock, WriteBack};
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
     apply_delta, distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, Mvcc, Occ, Op, PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,

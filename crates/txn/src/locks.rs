@@ -10,11 +10,13 @@
 //!
 //! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one WRITE on the
 //!   primary to release ([`GlobalWr::Unlock`]: lock words are not
-//!   mirrored, and a rebuilt memory node comes up with them free).
+//!   mirrored, and a rebuilt memory node comes up with them free) — or
+//!   none of its own: a holder's write-back that runs on into the word
+//!   frees it, in the WRITE that lands the payload on the primary.
 //!   A whole *set* of words is still one round trip each way: the CASes
 //!   (each with whatever READs its holder wants right behind it — the
 //!   payload, a coherent cache's sharer word, nothing) leave in one
-//!   doorbell, and so do the unlocks, behind the holder's write-back.
+//!   doorbell, and so do the write-backs and the unlocks.
 //! * [`SharedExclusiveLock`]: the same set over one word per lock, held
 //!   by its writer's plain owner tag, or by `n` readers as `n << 32`. A
 //!   reader CASes 0 or the reader word it found to one more reader; a
@@ -181,6 +183,32 @@ pub struct Rider<'a> {
     pub dst: &'a mut [u8],
 }
 
+/// A WRITE of a release doorbell ([`ExclusiveLock::release_set`]), which
+/// lands ahead of every unlock of the doorbell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteBack<'a> {
+    /// Where to write.
+    pub addr: GlobalAddr,
+    /// The bytes.
+    pub src: &'a [u8],
+    /// Whether `src` runs on into the lock word of its key, its last 8
+    /// bytes 0 there: a lock holder's write-back, which frees the word as
+    /// it lands ([`RecordTable::write_back`](crate::table::RecordTable::write_back)).
+    pub frees: bool,
+}
+
+impl<'a> WriteBack<'a> {
+    /// `src` at `addr`, no lock word in it.
+    pub fn new(addr: GlobalAddr, src: &'a [u8]) -> Self {
+        Self { addr, src, frees: false }
+    }
+
+    /// The lock word the write frees, if it runs on into one.
+    fn frees_at(&self) -> Option<GlobalAddr> {
+        self.frees.then(|| self.addr.offset_by(self.src.len() as u64 - 8))
+    }
+}
+
 impl Rider<'_> {
     fn read(&mut self) -> GlobalWr<'_> {
         GlobalWr::Read { addr: self.addr, dst: &mut *self.dst }
@@ -333,42 +361,63 @@ impl ExclusiveLock {
     }
 
     /// The release doorbell of a lock set: every write of `writes` (the
-    /// holder's write-back), then the unlock of every held word of
-    /// `words` — one round trip, all writes ahead of all unlocks. A plain
-    /// word unlocks by a WRITE of 0 on its primary ([`GlobalWr::Unlock`];
-    /// none if the primary is down), a reader by a fetch-and-add of
-    /// `-READER` there, a lease by a CAS from the word it holds, so a
-    /// thief's word stays: such an unlock is not retried, and the call
-    /// ends in [`LockError::Stolen`] (never once sealed). A reader whose
-    /// fetch-and-add found no reader is a protocol bug: the add is undone
-    /// and the call ends in [`LockError::ReleaseViolation`].
+    /// holder's write-back), then the unlock of every held word of `words`
+    /// that no write freed — one round trip. A write that
+    /// [`frees`](WriteBack::frees) a word of `words` held by a plain tag
+    /// is the word's unlock: a [`GlobalWr::Write`] with `unlock`, which
+    /// lands on every backup without the word, then on the primary with it.
+    /// A write lands word by word, low to high, so the word comes free only
+    /// after the bytes in front of it. A reader's or a lease's word is not
+    /// a write's to free: that write is posted without its last 8 bytes.
+    /// A plain word that no write frees unlocks by a WRITE of 0 on its
+    /// primary ([`GlobalWr::Unlock`]; none if the primary is down), a
+    /// reader by a fetch-and-add of `-READER` there, a lease by a CAS from
+    /// the word it holds, so a thief's word stays: such an unlock is not
+    /// retried, and the call ends in [`LockError::Stolen`] (never once
+    /// sealed). A reader whose fetch-and-add found no reader is a protocol
+    /// bug: the add is undone and the call ends in
+    /// [`LockError::ReleaseViolation`].
     ///
     /// If the doorbell fails, no word may stay locked because another
     /// one's target is down: each held word is then unlocked on its own
     /// and the doorbell's error returned. A word unlocks alone by a CAS
-    /// from the word installed, which cannot free a word that the
-    /// cut-short doorbell already freed and someone else has taken since,
-    /// and a reader by its fetch-and-add again, only if the doorbell never
-    /// ran it.
+    /// from the word installed — whether a write was to free it or an
+    /// unlock — which cannot free a word that the cut-short doorbell
+    /// already freed and someone else has taken since, and a reader by its
+    /// fetch-and-add again, only if the doorbell never ran it.
     pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
-        writes: &[(GlobalAddr, &[u8])],
+        writes: &[WriteBack<'_>],
         words: &mut [LockWord],
     ) -> Result<(), LockError> {
         let held = words.iter().filter(|w| w.held()).count();
         if held == 0 && writes.is_empty() {
             return Ok(());
         }
+        debug_assert!(
+            writes.iter().filter(|wb| wb.frees).all(|wb| wb.src.ends_with(&[0; 8])
+                && words.iter().any(|w| w.held() && Some(w.addr) == wb.frees_at())),
+            "a write frees a held word of the set, by 8 zero bytes"
+        );
         // What each reader's fetch-and-add finds, untouched if it never ran.
         let mut found = vec![LockWord::UNTRIED; words.iter().filter(|w| w.held() && w.shared()).count()];
         let mut slots = found.iter_mut();
         let mut wrs = Vec::with_capacity(writes.len() + held);
-        wrs.extend(writes.iter().map(|&(addr, src)| GlobalWr::Write { addr, src }));
+        wrs.extend(writes.iter().map(|wb| GlobalWr::Write { addr: wb.addr, src: wb.src, unlock: wb.frees }));
         for w in words.iter_mut().filter(|w| w.held()) {
             // Still held, the word keeps what it installed in `expected`;
             // a lease's unlock leaves in `mine` what it found.
             (w.expected, w.prev) = (w.mine, w.mine);
+            if let Some(i) = writes.iter().position(|wb| wb.frees_at() == Some(w.addr)) {
+                if !w.shared() && !LeaseLock::leased(w.mine) {
+                    continue;
+                }
+                if let GlobalWr::Write { src, unlock, .. } = &mut wrs[i] {
+                    let body = *src;
+                    (*src, *unlock) = (&body[..body.len() - 8], false);
+                }
+            }
             wrs.push(if w.shared() {
                 let found = slots.next().expect("a slot per reader");
                 GlobalWr::Unlock { addr: w.addr, faa: Some((READER.wrapping_neg(), found)) }
@@ -447,14 +496,15 @@ impl SharedExclusiveLock {
 
     /// Give back every lock of `set`, which the caller holds, `writes` (its
     /// write-back, a [`Phase::Writeback`] span) landing first: one round
-    /// trip for the whole set, the writers' unlocks ahead of the readers'.
+    /// trip for the whole set, the writers' unlocks — each the last word
+    /// of its write-back, or a WRITE of its own — ahead of the readers'.
     /// A reader's hold that its word does not show is a protocol bug,
     /// surfaced as [`LockError::ReleaseViolation`] (in release builds
     /// too).
     pub fn release_set(
         layer: &DsmLayer,
         ep: &Endpoint,
-        writes: &[(GlobalAddr, &[u8])],
+        writes: &[WriteBack<'_>],
         set: &[(GlobalAddr, bool)],
         owner_tag: u64,
     ) -> Result<(), LockError> {
@@ -549,6 +599,7 @@ impl LeaseLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::RecordTable;
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, FaultPlan, NetworkProfile};
     use std::sync::Arc;
@@ -597,7 +648,7 @@ mod tests {
         let mut words: Vec<LockWord> = locks.iter().map(|&addr| LockWord::new(addr)).collect();
         ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
         let page = [0xC3u8; 64];
-        let writes: Vec<(GlobalAddr, &[u8])> = data.iter().map(|&addr| (addr, &page[..])).collect();
+        let writes: Vec<WriteBack<'_>> = data.iter().map(|&addr| WriteBack::new(addr, &page)).collect();
         let before = ep.stats();
         ExclusiveLock::release_set(&l, &ep, &writes, &mut words).unwrap();
         let s = ep.stats();
@@ -608,6 +659,120 @@ mod tests {
         for &lock in &locks {
             assert_eq!(l.read_u64(&ep, lock).unwrap(), 0);
         }
+    }
+
+    /// A write-back that runs on into its key's lock word frees it: on
+    /// 2-way mirrors each backup takes the payload, the primary the payload
+    /// and the word's 0 last, in one WRITE — 4 keys are 8 WRITEs and the
+    /// bytes of a write-back and an unlock, in one wire round trip.
+    #[test]
+    fn a_write_back_that_ends_at_its_lock_word_frees_it() {
+        let (f, l) = mirrored();
+        let ep = f.endpoint();
+        let t = RecordTable::create(&l, 4, 64, 1).unwrap();
+        let mut words: Vec<LockWord> = (0..4).map(|key| LockWord::new(t.lock_addr(key))).collect();
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
+        let mut copy = vec![0xC3u8; t.copy_len()];
+        copy[64..].fill(0);
+        let writes: Vec<WriteBack<'_>> = (0..4).flat_map(|key| t.write_back(key, &copy)).collect();
+        let before = ep.stats();
+        ExclusiveLock::release_set(&l, &ep, &writes, &mut words).unwrap();
+        let s = ep.stats();
+        let posted = (s.writes - before.writes, s.bytes_written - before.bytes_written);
+        assert_eq!(posted, (4 * 2, 4 * 2 * 64 + 4 * 8));
+        assert_eq!(s.wire_round_trips() - before.wire_round_trips(), 1);
+        assert!(words.iter().all(|w| !w.held()));
+        for key in 0..4 {
+            let (lock, payload) = (t.lock_addr(key), t.payload_addr(key, 0));
+            assert_eq!(lock, payload.offset_by(64));
+            assert_eq!(word_at(&f, lock), 0);
+            for m in l.group_members(l.group_index_of(lock.node()).unwrap()) {
+                let mut got = [0u8; 64];
+                m.region().read(payload.offset(), &mut got).unwrap();
+                assert_eq!(got, [0xC3; 64], "member {}", m.id());
+            }
+        }
+        // Under a lease the same write-back lands without the word, which
+        // a CAS frees.
+        let lease = LeaseLock::tag(3, 1, 1_000_000_000);
+        let mut words = [LockWord::new(t.lock_addr(0))];
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], lease, 0).unwrap();
+        let before = ep.stats();
+        ExclusiveLock::release_set(&l, &ep, &t.write_back(0, &copy).collect::<Vec<_>>(), &mut words).unwrap();
+        let s = ep.stats();
+        assert_eq!((s.writes - before.writes, s.bytes_written - before.bytes_written, s.cas - before.cas), (2, 128, 1));
+        assert_eq!(word_at(&f, t.lock_addr(0)), 0);
+    }
+
+    /// The order a fused release lands in: a holder's payload, every word
+    /// equal to a counter, is all there by the time the next holder's CAS
+    /// finds the word free. Threads take one key's lock on a 2-replica
+    /// layer, its payload READ riding the CAS, and check that the payload's
+    /// words agree and never go back past what a release that returned had
+    /// written; each then writes the next count through
+    /// [`ExclusiveLock::release_set`]. No update is lost. The first thread
+    /// to see a violation stops them all.
+    #[test]
+    fn a_fused_release_lands_the_payload_before_the_word_comes_free() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        // One thread per core of a 2-core host, spinning on the word; a
+        // long payload widens the window a bad order would open.
+        const THREADS: u64 = 2;
+        const ROUNDS: u64 = 2_000;
+        const PAYLOAD: usize = 4_096;
+        let (f, l) = mirrored();
+        let t = RecordTable::create(&l, 1, PAYLOAD, 1).unwrap();
+        let (lock, at) = (t.lock_addr(0), t.payload_read_addr(0, 0));
+        let (released, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        let violation = parking_lot::Mutex::new(None);
+        std::thread::scope(|s| {
+            for tag in 1..=THREADS {
+                let (f, l, t, released, stop, violation) = (&f, &l, &t, &released, &stop, &violation);
+                s.spawn(move || {
+                    let ep = f.endpoint();
+                    let mut copy = vec![0u8; t.copy_len()];
+                    for _ in 0..ROUNDS {
+                        let floor = released.load(Ordering::Acquire);
+                        let mut words = [LockWord::new(lock)];
+                        while !stop.load(Ordering::Relaxed) {
+                            let mut riders = [Rider { word: 0, addr: at, dst: &mut copy[..PAYLOAD] }];
+                            match ExclusiveLock::acquire_set(l, &ep, &mut words, &mut riders, tag, 2) {
+                                Ok(()) => break,
+                                Err(LockError::Busy) => std::thread::yield_now(),
+                                Err(e) => panic!("{e}"),
+                            }
+                            words = [LockWord::new(lock)];
+                        }
+                        if !words[0].held() {
+                            return;
+                        }
+                        let count = u64::from_le_bytes(copy[..8].try_into().unwrap());
+                        let torn = copy[..PAYLOAD].chunks_exact(8).any(|w| u64::from_le_bytes(w.try_into().unwrap()) != count);
+                        let seen = if torn {
+                            Some(format!("the payload under the lock is torn around {count}"))
+                        } else {
+                            (count < floor).then(|| format!("read {count} after a release of {floor} returned"))
+                        };
+                        if let Some(seen) = seen {
+                            violation.lock().get_or_insert(seen);
+                            stop.store(true, Ordering::Relaxed);
+                            ExclusiveLock::release_set(l, &ep, &[], &mut words).unwrap();
+                            return;
+                        }
+                        for w in copy[..PAYLOAD].chunks_exact_mut(8) {
+                            w.copy_from_slice(&(count + 1).to_le_bytes());
+                        }
+                        let writes: Vec<WriteBack<'_>> = t.write_back(0, &copy).collect();
+                        ExclusiveLock::release_set(l, &ep, &writes, &mut words).unwrap();
+                        released.fetch_max(count + 1, Ordering::Release);
+                    }
+                });
+            }
+        });
+        assert_eq!(violation.into_inner(), None);
+        let ep = f.endpoint();
+        assert_eq!(l.read_u64(&ep, at).unwrap(), THREADS * ROUNDS, "no update is lost");
+        assert_eq!(l.read_u64(&ep, lock).unwrap(), 0);
     }
 
     /// A primary lost while its word is held costs the release nothing:
@@ -621,7 +786,7 @@ mod tests {
         let mut words = [LockWord::new(lock)];
         ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
         l.crash_member(0, 0).unwrap();
-        ExclusiveLock::release_set(&l, &ep, &[(data, &42u64.to_le_bytes())], &mut words).unwrap();
+        ExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &42u64.to_le_bytes())], &mut words).unwrap();
         assert!(!words[0].held());
         let backup = l.group_members(0)[1].id();
         assert_eq!(f.region(backup).unwrap().read_u64(data.offset()).unwrap(), 42);
@@ -839,7 +1004,9 @@ mod tests {
                 // Only makes the reader's blocked rungs likely: the
                 // assertion holds however the two threads interleave.
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                SharedExclusiveLock::release_set(&l, &writer, &[(data, &8u64.to_le_bytes())], &[(a, true)], 1).unwrap();
+                let eight = 8u64.to_le_bytes();
+                let writes = [WriteBack::new(data, &eight)];
+                SharedExclusiveLock::release_set(&l, &writer, &writes, &[(a, true)], 1).unwrap();
             });
             taken.wait();
             let reader = f.endpoint();
@@ -878,7 +1045,7 @@ mod tests {
         SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut [], 7, 0).unwrap();
         let attempts = dsm::RetryPolicy::default().max_attempts;
         f.install_fault_plan(FaultPlan::new(1).transient_first_n(data.node(), attempts));
-        let err = SharedExclusiveLock::release_set(&l, &ep, &[(data, &[1; 8])], &set, 7).unwrap_err();
+        let err = SharedExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &[1; 8])], &set, 7).unwrap_err();
         assert!(matches!(err, LockError::Dsm(e) if e.is_transient()), "{err:?}");
         assert_eq!(l.read_u64(&ep, data).unwrap(), 0, "the write-back did not land");
         f.clear_fault_plan();
@@ -1215,7 +1382,7 @@ mod tests {
                             SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, tag, BUDGET)
                         });
                         let next = (u64::from_le_bytes(seen) + set[0].1 as u64).to_le_bytes();
-                        let writes: &[(GlobalAddr, &[u8])] = if set[0].1 { &[(data, &next)] } else { &[] };
+                        let writes: &[WriteBack<'_>] = if set[0].1 { &[WriteBack::new(data, &next)] } else { &[] };
                         writes_done.fetch_add(set[0].1 as u64, std::sync::atomic::Ordering::Relaxed);
                         SharedExclusiveLock::release_set(&l, &ep, writes, &set, tag).unwrap();
                     }

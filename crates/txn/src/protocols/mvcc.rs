@@ -29,6 +29,7 @@ use super::{
     TxnError, TxnOutput,
 };
 use crate::oracle::TimestampOracle;
+use crate::table::{RTS_OFF, VER0_OFF};
 
 /// MVCC over a table created with `versions >= 2`.
 pub struct Mvcc {
@@ -55,10 +56,10 @@ struct SlotView {
 
 fn parse_slot(buf: &[u8], psize: usize, v: usize) -> SlotView {
     let stride = 8 + ((psize + 7) & !7);
-    let rts = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+    let rts = u64::from_le_bytes(buf[RTS_OFF as usize..][..8].try_into().unwrap());
     let versions = (0..v)
         .map(|i| {
-            let base = 16 + i * stride;
+            let base = VER0_OFF as usize + i * stride;
             let wts = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
             (wts, buf[base + 8..base + 8 + psize].to_vec())
         })

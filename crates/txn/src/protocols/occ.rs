@@ -9,11 +9,16 @@
 //! 1. **Read:** one READ of `[wts | payload]` per key whose old value the
 //!    transaction observes; the ops then run on per-key copies.
 //! 2. **Lock:** one [`ExclusiveLock`](crate::locks::ExclusiveLock) set over
-//!    the write set, each CAS with a READ of its key's `[lock | rts | wts]`
+//!    the write set, each CAS with a READ of its key's `[rts | wts]`
 //!    behind it: a written key that was read must still carry the version
 //!    seen.
-//! 3. **Validate:** one READ of `[lock | rts | wts]` per key read but not
-//!    written — lock free, version unchanged. It is posted only once the
+//! 3. **Validate:** per key read but not written, a READ of its lock word
+//!    and then one of its `wts` — lock free, version unchanged. The lock
+//!    word is read first: a writer frees it only after its `wts` landed,
+//!    so a word seen free with the version unchanged means no writer
+//!    installed the key in between (read the other way round, a writer
+//!    could land `wts` and free the word between the two loads, and both
+//!    it and this transaction pass). It is posted only once the
 //!    lock doorbell has returned: a validation READ may ride only behind
 //!    the CAS of its own key, or two transactions that each read what the
 //!    other writes could both pass (write skew).
@@ -28,8 +33,8 @@
 use rdma_sim::Phase;
 
 use super::{
-    commit_set, key_uses, read_chunks, run_on_copies, word, ConcurrencyControl, Install, Op, TxnCtx, TxnError,
-    TxnOutput, HEADER,
+    commit_set, key_uses, read_chunks, read_lock_first, run_on_copies, word, ConcurrencyControl, Install, Op, TxnCtx,
+    TxnError, TxnOutput, HEADER,
 };
 
 /// OCC with bounded-retry write-set locking.
@@ -72,14 +77,15 @@ impl ConcurrencyControl for Occ {
         let keys: Vec<u64> = written.iter().map(|(u, _)| u.key).collect();
 
         let validate = || {
-            let mut hdrs = vec![0u8; uses.len() * HEADER];
-            read_chunks(ctx, &uses, &mut hdrs, |u| (!u.written).then(|| table.lock_addr(u.key)))?;
-            let hdrs = uses.iter().zip(hdrs.chunks_exact(HEADER)).filter(|(u, _)| !u.written);
-            for ((_, hdr), (_, copy)) in hdrs.zip(&read) {
-                if word(hdr, 0) != 0 {
+            // `[wts | lock]` per key only read, the lock word READ first.
+            let mut seen = vec![0u8; uses.len() * 16];
+            read_lock_first(ctx, &uses, &mut seen, |u| (!u.written).then(|| table.wts_addr(u.key, 0)))?;
+            let seen = uses.iter().zip(seen.chunks_exact(16)).filter(|(u, _)| !u.written);
+            for ((_, seen), (_, copy)) in seen.zip(&read) {
+                if word(seen, 1) != 0 {
                     return Err(TxnError::Aborted("validate-locked"));
                 }
-                if word(hdr, 2) != word(copy, 0) {
+                if word(seen, 0) != word(copy, 0) {
                     return Err(TxnError::Aborted("validate-version"));
                 }
             }
@@ -87,7 +93,7 @@ impl ConcurrencyControl for Occ {
         };
         commit_set(ctx, &keys, self.max_retries, |_| HEADER, validate, |i, hdr| {
             let (u, copy) = written[i];
-            let wts = word(hdr, 2);
+            let wts = word(hdr, 1);
             if u.reads_old && wts != word(copy, 0) {
                 return Err(TxnError::Aborted("validate-version"));
             }
@@ -196,6 +202,11 @@ mod tests {
         [Op::Read(0), Op::Rmw { key: 1, delta: 1 }]
     }
 
+    /// Key 0's validation — its lock word, then its version (the READ of
+    /// `wts` alone; the read phase's from there runs on into the payload)
+    /// — leaves only once key 1 is locked, and the lock word is read
+    /// first: a writer that lands `wts` and frees the word between the two
+    /// loads must not pass unseen.
     #[test]
     fn a_read_only_key_is_validated_only_once_the_write_set_is_locked() {
         let t = timed_table(1);
@@ -203,14 +214,17 @@ mod tests {
         ep.enable_flight_recorder(256);
         Occ::new().execute(&ctx_on(&t, &ep, 1), &read_0_write_1()).unwrap();
         let events = ep.flight_events();
-        let at = |kind: OpKind, key: u64| {
-            let addr = t.lock_addr(key).to_raw();
-            events.iter().filter(move |e| e.kind == EventKind::Verb(kind) && e.addr == addr)
+        let at = |kind: OpKind, addr: dsm::GlobalAddr| {
+            events.iter().filter(move |e| e.kind == EventKind::Verb(kind) && e.addr == addr.to_raw())
         };
-        let locked_at = at(OpKind::Cas, 1).map(|e| e.end_ns).max().expect("key 1 was locked");
-        let validations: Vec<u64> = at(OpKind::Read, 0).map(|e| e.ts_ns()).collect();
-        assert!(!validations.is_empty(), "key 0 was validated");
-        assert!(validations.iter().all(|&start| start >= locked_at), "{validations:?} vs {locked_at}");
+        let locked_at = at(OpKind::Cas, t.lock_addr(1)).map(|e| e.end_ns).max().expect("key 1 was locked");
+        let lock: Vec<_> = at(OpKind::Read, t.lock_addr(0)).collect();
+        let version: Vec<_> = at(OpKind::Read, t.wts_addr(0, 0)).filter(|e| e.bytes == 8).collect();
+        let ([lock], [version]) = (&lock[..], &version[..]) else {
+            panic!("key 0 was validated by one READ of each word: {lock:?} {version:?}");
+        };
+        assert!(lock.ts_ns() >= locked_at, "{lock:?} vs {locked_at}");
+        assert!(lock.end_ns < version.end_ns, "the lock word is read first: {lock:?} {version:?}");
     }
 
     #[test]

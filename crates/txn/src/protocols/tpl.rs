@@ -10,10 +10,12 @@
 //!   of the payloads. **Acquire:** one CAS per distinct key, each with
 //!   the READs the [`PayloadIo`](super::PayloadIo) wants right behind it
 //!   (no cache: the key's payload; a coherent cache: the sharer word
-//!   beside the lock word, with the payload if the key is not resident).
+//!   in front of the payload, with the payload if the key is not resident).
 //!   **Execute** on transaction-local copies, ops in program order.
-//!   **Release:** every write the io hands back — payloads, a changed
-//!   sharer word — then every unlock. A set no op writes is first
+//!   **Release:** every write the io hands back — a changed sharer word,
+//!   then each written key's payload, which runs on into the key's lock
+//!   word and frees it — then the unlocks of the keys only read. A set no
+//!   op writes is first
 //!   offered to the io's lock-free read (a coherent cache in invalidate
 //!   mode serves it from resident pages: no lock, no verb).
 //!
@@ -28,8 +30,8 @@
 //!   otherwise: readers admit concurrently, writers wait them out. Two
 //!   doorbells too, whatever the key count: **grow** is one CAS per key,
 //!   each with its payload READ (none when a blind overwrite comes
-//!   first); **shrink** is the payloads, the writers' unlocks and one
-//!   fetch-and-add per reader. ("It remains open if the allowed extra
+//!   first); **shrink** is the payloads, each freeing its writer's lock,
+//!   and one fetch-and-add per reader. ("It remains open if the allowed extra
 //!   concurrency can offset the performance overhead of the advanced
 //!   locks" — experiment C2 measures it for our fabric.)
 //!
@@ -41,7 +43,7 @@ use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
 use super::{key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{ExclusiveLock, LeaseLock, LockWord, Rider, SharedExclusiveLock};
+use crate::locks::{ExclusiveLock, LeaseLock, LockWord, Rider, SharedExclusiveLock, WriteBack};
 
 /// 2PL with no-wait bounded-retry acquisition.
 pub struct TwoPhaseLocking {
@@ -81,7 +83,7 @@ impl TwoPhaseLocking {
         // One chunk per key, in key order: the io's header bytes, then the
         // transaction's own copy of the payload.
         let (hdr, psize) = (io.header_len(), table.payload_size());
-        let mut buf = vec![0u8; uses.len() * (hdr + psize)];
+        let mut buf = vec![0u8; uses.len() * (hdr + table.copy_len())];
         if uses.iter().all(|u| !u.written) && io.read_unlocked(ep, table, &uses, &mut buf) {
             return Ok(run_on_copies(ops, &uses, &mut buf, hdr, psize));
         }
@@ -109,7 +111,7 @@ impl TwoPhaseLocking {
 
         // Release: always unlock what we hold; write back only a txn
         // that ran to its end.
-        let mut writes: Vec<(GlobalAddr, &[u8])> = Vec::new();
+        let mut writes: Vec<WriteBack<'_>> = Vec::new();
         let ran = failed.is_none();
         if ran {
             failed = io.retire(ep, table, &uses, &mut buf, &mut writes).err().map(TxnError::from);
@@ -144,19 +146,19 @@ impl TwoPhaseLocking {
         let (layer, psize) = (table.layer(), table.payload_size());
         let uses = key_uses(ops);
         let set: Vec<(GlobalAddr, bool)> = uses.iter().map(|u| (table.lock_addr(u.key), u.written)).collect();
-        let mut buf = vec![0u8; uses.len() * psize];
+        let mut buf = vec![0u8; uses.len() * table.copy_len()];
         {
-            let mut riders: Vec<Rider<'_>> = (uses.iter().zip(buf.chunks_exact_mut(psize)).enumerate())
+            let mut riders: Vec<Rider<'_>> = (uses.iter().zip(buf.chunks_exact_mut(table.copy_len())).enumerate())
                 .filter(|(_, (u, _))| u.reads_old)
-                .map(|(word, (u, dst))| Rider { word, addr: table.payload_read_addr(u.key, 0), dst })
+                .map(|(word, (u, copy))| Rider { word, addr: table.payload_read_addr(u.key, 0), dst: &mut copy[..psize] })
                 .collect();
             let _span = ep.span(Phase::LockAcquire);
             SharedExclusiveLock::acquire_set(layer, ep, &set, &mut riders, ctx.worker_tag, self.max_retries)?;
         }
         let out = run_on_copies(ops, &uses, &mut buf, 0, psize);
-        let mut writes: Vec<(GlobalAddr, &[u8])> = Vec::new();
-        for (u, copy) in uses.iter().zip(buf.chunks_exact(psize)).filter(|(u, _)| u.written) {
-            writes.extend(table.payload_writes(u.key, 0, copy));
+        let mut writes: Vec<WriteBack<'_>> = Vec::new();
+        for (u, copy) in uses.iter().zip(buf.chunks_exact(table.copy_len())).filter(|(u, _)| u.written) {
+            writes.extend(table.write_back(u.key, copy));
         }
         let _span = ep.span(Phase::LockAcquire);
         SharedExclusiveLock::release_set(layer, ep, &writes, &set, ctx.worker_tag)?;
@@ -258,7 +260,7 @@ mod tests {
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
         let s = ep.stats();
-        assert_eq!((s.cas, s.cas_failures, s.writes), (2, 0, 4));
+        assert_eq!((s.cas, s.cas_failures, s.writes), (2, 0, 2), "each write-back freed its lock");
         assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
 
         // Release: the acquire doorbell is pre-flighted at t = 0, the
@@ -272,7 +274,7 @@ mod tests {
         cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
         assert!(ep.clock().now_ns() > 12_000, "the release waited the partition out");
         let s = ep.stats();
-        assert_eq!((s.cas, s.writes), (2, 4), "nothing was written or unlocked twice");
+        assert_eq!((s.cas, s.writes), (2, 2), "nothing was written or unlocked twice");
         assert_eq!((word_and_counter(&t, 0), word_and_counter(&t, 1)), ((0, 1), (0, 1)));
     }
 
@@ -383,7 +385,7 @@ mod tests {
             table: &RecordTable,
             uses: &[KeyUse],
             buf: &'a mut [u8],
-            writes: &mut Vec<(GlobalAddr, &'a [u8])>,
+            writes: &mut Vec<WriteBack<'a>>,
         ) -> DsmResult<()> {
             if self.0 == "retire" {
                 (self.1)();
@@ -450,7 +452,8 @@ mod tests {
     }
 
     /// A key in a migration's dual window takes a committed write on both
-    /// homes: each protocol's write-back goes through `payload_writes`.
+    /// homes, the new one first: the committed home's WRITE, which frees
+    /// the lock, is the last of the release doorbell.
     #[test]
     fn a_write_lands_on_both_homes_of_a_dual_homed_key() {
         for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
@@ -459,11 +462,51 @@ mod tests {
             t.begin_migration(t.layer().join_group(1 << 20, 1, 4.0), 0, 4).unwrap();
             while t.migrate_chunk(&ep, 4).unwrap() > 0 {}
             let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
+            ep.enable_flight_recorder(64);
             cc.execute(&ctx, &[Op::Rmw { key: 2, delta: 5 }]).unwrap();
             let (old, new) = t.dual_payload_addrs(2, 0).expect("dual-homed");
             for home in [old, new] {
                 assert_eq!(t.layer().read_u64(&ep, home).unwrap(), 5, "{}", cc.name());
             }
+            let writes: Vec<u64> = (ep.flight_events().iter())
+                .filter(|e| e.kind == rdma_sim::EventKind::Verb(rdma_sim::OpKind::Write))
+                .map(|e| e.addr)
+                .collect();
+            assert_eq!(writes, [new.to_raw(), old.to_raw()], "{}", cc.name());
+        }
+    }
+
+    /// Two sessions take turns with read-modify-writes of one dual-homed
+    /// key, each reading the new home behind its CAS: the lock comes free
+    /// only once both homes hold the last write, so no update is lost.
+    #[test]
+    fn dual_homed_read_modify_writes_lose_no_update() {
+        const ROUNDS: i64 = 2_000;
+        let t = table(4, 16, 1);
+        let ep = t.layer().fabric().endpoint();
+        t.begin_migration(t.layer().join_group(1 << 20, 1, 4.0), 0, 4).unwrap();
+        while t.migrate_chunk(&ep, 4).unwrap() > 0 {}
+        let cc = TwoPhaseLocking::exclusive();
+        std::thread::scope(|s| {
+            for tag in 1..=2 {
+                let (t, cc) = (&t, &cc);
+                s.spawn(move || {
+                    let ep = t.layer().fabric().endpoint();
+                    let ctx = TxnCtx { ep: &ep, table: t, io: &DirectIo, worker_tag: tag };
+                    let mut done = 0;
+                    while done < ROUNDS {
+                        match cc.execute(&ctx, &[Op::Rmw { key: 2, delta: 1 }]) {
+                            Ok(_) => done += 1,
+                            Err(TxnError::Aborted(_)) => std::thread::yield_now(),
+                            Err(e) => panic!("{e}"),
+                        }
+                    }
+                });
+            }
+        });
+        let (old, new) = t.dual_payload_addrs(2, 0).expect("dual-homed");
+        for home in [old, new] {
+            assert_eq!(t.layer().read_u64(&ep, home).unwrap() as i64, 2 * ROUNDS);
         }
     }
 

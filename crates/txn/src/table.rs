@@ -4,19 +4,32 @@
 //! with the layout
 //!
 //! ```text
-//! [ lock word (8) ][ rts (8) ][ wts_0 (8) | payload_0 ] ... [ wts_{V-1} | payload_{V-1} ]
+//! [ rts (8) ][ wts_0 (8) | payload_0 ] ... [ wts_{V-1} (8) | payload_{V-1} ][ lock word (8) ]
 //! ```
 //!
-//! * `lock` — the word the RDMA lock primitives CAS on: state of its
-//!   group's primary alone, registered with the layer
-//!   ([`DsmLayer::register_lock_words`]) so a rebuilt memory node comes up
-//!   with every lock free;
 //! * `rts`  — read timestamp (TSO/MVCC) or, under exclusive 2PL with a
 //!   coherent cache, the record's sharer bitmap
 //!   ([`RecordTable::sharers_addr`]); unused by OCC and by 2PL otherwise;
-//! * each version slot holds a write timestamp and the payload. With
-//!   `versions = 1` this degenerates to the single-version layout 2PL and
-//!   OCC use, where `wts_0` doubles as the OCC version counter.
+//! * each version slot holds a write timestamp and the payload, padded to
+//!   a word. With `versions = 1` this degenerates to the single-version
+//!   layout 2PL and OCC use, where `wts_0` doubles as the OCC version
+//!   counter and sits in front of the payload, so one READ brings the
+//!   version and then the payload;
+//! * `lock` — the word the RDMA lock primitives CAS on, right behind the
+//!   last version's payload: state of its group's primary alone,
+//!   registered with the layer ([`DsmLayer::register_lock_words`]) so a
+//!   rebuilt memory node comes up with every lock free.
+//!
+//! A WRITE lands word by word from low to high addresses (the rule the
+//! B+tree's check word is built on), so a write-back of the last version
+//! that runs on into the lock word with 0 there frees the lock only once
+//! the payload has landed: a lock holder's write-back and its release are
+//! one WRITE on the primary ([`RecordTable::write_back`],
+//! [`ExclusiveLock::release_set`](crate::ExclusiveLock::release_set)).
+//! The same rule puts the word last in a READ of the slot, so a reader
+//! that holds no lock (OCC's validation, TSO's read) READs the word on
+//! its own, ahead of the version: a word seen free then means that every
+//! install before it has landed.
 //!
 //! Slots are striped round-robin across mirror groups so every memory
 //! node carries an even share (the pooled-memory premise of Figure 2).
@@ -26,9 +39,10 @@
 //! (`begin_migration` / `migrate_chunk` / `commit_migration`). During
 //! the *dual-ownership window*, the old home stays authoritative:
 //! lock, rts, and wts words keep resolving to it, payload writes go to
-//! **both** homes once a key is below the copied watermark, and
-//! payload reads prefer the new home for copied keys. Committing the
-//! migration re-copies the (possibly changed) header words under the
+//! **both** homes once a key is below the copied watermark — a lock
+//! holder's to the new home first, since the committed home's WRITE frees
+//! the lock — and payload reads prefer the new home for copied keys.
+//! Committing the migration re-copies the (possibly changed) header words under the
 //! relocation latch and flips the range permanently; live lease words
 //! are carried across, so leases survive the home change. The copier
 //! and the flip run under the relocation write latch, so foreground
@@ -41,12 +55,12 @@ use std::sync::Arc;
 use dsm::{DsmLayer, DsmResult, GlobalAddr};
 use rdma_sim::Endpoint;
 
-/// Byte offset of the lock word within a slot.
-pub const LOCK_OFF: u64 = 0;
-/// Byte offset of the read-timestamp word.
-pub const RTS_OFF: u64 = 8;
+use crate::locks::WriteBack;
+
+/// Byte offset of the read-timestamp word: the slot's first.
+pub const RTS_OFF: u64 = 0;
 /// Byte offset of version slot 0 (its wts word).
-pub const VER0_OFF: u64 = 16;
+pub const VER0_OFF: u64 = 8;
 
 /// An in-flight range migration: keys `[low, high)` are moving to a
 /// contiguous extent at `base`; keys below `watermark` are copied and
@@ -110,9 +124,8 @@ impl RecordTable {
         for g in 0..groups {
             // Records are striped: group g holds ceil((n - g)/groups) slots.
             let per_group = (n_records + groups as u64 - 1 - g as u64) / groups as u64;
-            let bytes = (per_group.max(1)) * slot;
-            let base = layer.alloc_on(g, bytes)?;
-            layer.register_lock_words(base.offset_by(LOCK_OFF), slot, per_group);
+            let base = layer.alloc_on(g, per_group.max(1) * slot)?;
+            layer.register_lock_words(base.offset_by(slot - 8), slot, per_group);
             bases.push(base);
         }
         Ok(Self {
@@ -151,7 +164,7 @@ impl RecordTable {
         self.versions
     }
 
-    /// Total slot bytes (header + all version slots).
+    /// Total slot bytes (rts, all version slots, lock word).
     pub fn slot_size(&self) -> u64 {
         Self::slot_size_for(self.payload_size, self.versions)
     }
@@ -159,6 +172,19 @@ impl RecordTable {
     /// Payload rounded up to 8 bytes (version-slot stride minus the wts).
     fn payload_stride(&self) -> u64 {
         (self.payload_size as u64 + 7) & !7
+    }
+
+    /// Byte offset of the lock word: the slot's last.
+    fn lock_off(&self) -> u64 {
+        self.slot_size() - 8
+    }
+
+    /// Bytes of a transaction's copy of a payload that
+    /// [`RecordTable::write_back`] lands: the payload, padded to a word,
+    /// then 8 bytes that stay 0 — the lock word's value once the copy has
+    /// landed.
+    pub fn copy_len(&self) -> usize {
+        self.payload_stride() as usize + 8
     }
 
     /// The slot address the original striping assigns to `key`.
@@ -199,7 +225,7 @@ impl RecordTable {
 
     /// Address of the record's lock word.
     pub fn lock_addr(&self, key: u64) -> GlobalAddr {
-        self.slot_addr(key).offset_by(LOCK_OFF)
+        self.slot_addr(key).offset_by(self.lock_off())
     }
 
     /// Address of the record's read-timestamp word.
@@ -211,8 +237,9 @@ impl RecordTable {
     /// has no use for a read timestamp, a coherent cache keeps in the
     /// `rts` word the bitmap of compute nodes that may hold a copy. Only
     /// the holder of the record's lock reads or writes it, so it needs no
-    /// atomics, and it sits 8 bytes past the lock word and 16 before the
-    /// payload, so it travels in their doorbells.
+    /// atomics, and it is the slot's first word, 16 bytes before the
+    /// payload, so one READ brings it with the payload behind the lock's
+    /// CAS.
     pub fn sharers_addr(&self, key: u64) -> GlobalAddr {
         self.rts_addr(key)
     }
@@ -274,9 +301,29 @@ impl RecordTable {
     /// Every WRITE that lands `src` as version `v`'s payload of `key`, in
     /// posting order: the committed home, then the new home while the key
     /// is dual-homed ([`RecordTable::payload_write_targets`]).
-    pub fn payload_writes<'a>(&self, key: u64, v: usize, src: &'a [u8]) -> impl Iterator<Item = (GlobalAddr, &'a [u8])> {
+    pub fn payload_writes<'a>(&self, key: u64, v: usize, src: &'a [u8]) -> impl Iterator<Item = WriteBack<'a>> {
         let (old, dual) = self.payload_write_targets(key, v);
-        std::iter::once(old).chain(dual).map(move |addr| (addr, src))
+        std::iter::once(old).chain(dual).map(move |addr| WriteBack::new(addr, src))
+    }
+
+    /// The write-back of `copy` ([`RecordTable::copy_len`] bytes, zeros
+    /// past the payload) as version 0's payload of `key` by the holder of
+    /// its lock, in posting order: the new home while the key is
+    /// dual-homed, then the committed home. With one version the committed
+    /// home takes the whole copy, which runs on into the lock word and,
+    /// landing last, frees the lock ([`WriteBack::frees`]): a payload READ
+    /// behind the next holder's CAS finds the copy on either home. With
+    /// several versions it takes the payload alone.
+    pub fn write_back<'a>(&self, key: u64, copy: &'a [u8]) -> impl Iterator<Item = WriteBack<'a>> {
+        debug_assert_eq!(copy.len(), self.copy_len());
+        let (old, dual) = self.payload_write_targets(key, 0);
+        let payload = &copy[..self.payload_size];
+        let home = if self.versions == 1 {
+            WriteBack { addr: old, src: copy, frees: true }
+        } else {
+            WriteBack::new(old, payload)
+        };
+        dual.map(|new| WriteBack::new(new, payload)).into_iter().chain(std::iter::once(home))
     }
 
     /// Both live payload homes of a dual-homed key (old, new), or
@@ -302,9 +349,9 @@ impl RecordTable {
     /// be active per table.
     pub fn begin_migration(&self, dst_group: usize, low: u64, high: u64) -> DsmResult<GlobalAddr> {
         assert!(low < high && high <= self.n_records, "bad range {low}..{high}");
-        let bytes = (high - low) * self.slot_size();
-        let base = self.layer.alloc_on(dst_group, bytes)?;
-        self.layer.register_lock_words(base.offset_by(LOCK_OFF), self.slot_size(), high - low);
+        let slot = self.slot_size();
+        let base = self.layer.alloc_on(dst_group, (high - low) * slot)?;
+        self.layer.register_lock_words(base.offset_by(self.lock_off()), slot, high - low);
         let mut st = self.reloc.write();
         assert!(st.active.is_none(), "one migration at a time");
         st.active = Some(ActiveMigration { low, high, base, watermark: low, drained: low });
@@ -349,12 +396,12 @@ impl RecordTable {
         st.active.map(|a| (a.low, a.high, a.watermark))
     }
 
-    /// Re-copy the header words (lock, rts, wts — they may have changed
-    /// since the slot body was copied; live lease words survive the
-    /// home change this way) for up to `max_keys` keys above the drain
-    /// cursor, as doorbell-batched reads and writes. Only legal once
-    /// the body copy finished. Returns header bytes drained; 0 means
-    /// the whole range is drained (or no migration is active).
+    /// Re-copy the synchronization words (rts, every wts, lock — they may
+    /// have changed since the slot body was copied; live lease words
+    /// survive the home change this way) for up to `max_keys` keys above
+    /// the drain cursor, as doorbell-batched reads and writes. Only legal
+    /// once the body copy finished. Returns bytes drained; 0 means the
+    /// whole range is drained (or no migration is active).
     ///
     /// Drain granularity caveat: a key's synchronization words must be
     /// quiescent between its drain and the flip. Lease words are (a
@@ -371,19 +418,17 @@ impl RecordTable {
         if k0 >= k1 {
             return Ok(0);
         }
-        // Header prefix = lock + rts + wts_0 (contiguous 24 bytes);
-        // later versions' wts words ride the same doorbell batch.
+        // Per key: `[rts | wts_0]` (contiguous 16 bytes), each later
+        // version's wts word, then the lock word, in one doorbell batch.
         const HDR: usize = (VER0_OFF + 8) as usize;
-        let per_key = self.versions; // one HDR block + (versions-1) wts words
+        let per_key = self.versions + 1;
         let mut srcs: Vec<GlobalAddr> = Vec::with_capacity((k1 - k0) as usize * per_key);
         let mut dsts: Vec<GlobalAddr> = Vec::with_capacity(srcs.capacity());
         for key in k0..k1 {
             let src = self.committed_slot_addr(&st, key);
             let dst = self.dst_slot_addr(&act, key);
-            srcs.push(src);
-            dsts.push(dst);
-            for v in 1..self.versions {
-                let off = VER0_OFF + v as u64 * (8 + self.payload_stride());
+            let offs = (1..self.versions).map(|v| VER0_OFF + v as u64 * (8 + self.payload_stride()));
+            for off in std::iter::once(RTS_OFF).chain(offs).chain([self.lock_off()]) {
                 srcs.push(src.offset_by(off));
                 dsts.push(dst.offset_by(off));
             }
