@@ -3,9 +3,10 @@
 //!
 //! Part 1 — primitive cost: the exclusive CAS spinlock completes in one
 //! round trip. Footnote 2's shared-exclusive lock, a latch guarding holder
-//! metadata (built here from `ExclusiveLock` calls), needs two, and two
-//! more to give back; the one-word shared-exclusive lock of
-//! `SharedExclusiveLock` needs one each way (a CAS, then a fetch-and-add).
+//! metadata, needs two, and two more to give back; the one-word
+//! shared-exclusive lock, a word taken as one of its readers
+//! (`LockWord::reader`), needs one each way (a CAS, then a fetch-and-add).
+//! All three are `ExclusiveLock` calls.
 //!
 //! Part 2 — "It remains open if the allowed extra concurrency can offset
 //! the performance overhead of the advanced locks": 2PL with exclusive
@@ -20,7 +21,7 @@ use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{Endpoint, Fabric, NetworkProfile};
-use txn::{ExclusiveLock, LockWord, Rider, SharedExclusiveLock, WriteBack};
+use txn::{ExclusiveLock, LockWord, Rider, WriteBack};
 use workload::ZipfGenerator;
 
 /// One reader's step on footnote 2's lock: take the latch at `latch`
@@ -63,11 +64,11 @@ fn primitive_costs(rep: &mut Report) {
     let sh_total = ep2.clock().now_ns();
 
     // One shared hold of the one-word lock: a CAS, then a fetch-and-add.
-    let word = [(layer.alloc(8).unwrap(), false)];
+    let mut word = [LockWord::reader(layer.alloc(8).unwrap())];
     let ep3 = fabric.endpoint();
-    SharedExclusiveLock::acquire_set(&layer, &ep3, &word, &mut [], 1, 0).unwrap();
+    ExclusiveLock::acquire_set(&layer, &ep3, &mut word, &mut [], 1, 0).unwrap();
     let word_acquire = ep3.clock().now_ns();
-    SharedExclusiveLock::release_set(&layer, &ep3, &[], &word, 1).unwrap();
+    ExclusiveLock::release_set(&layer, &ep3, &[], &mut word).unwrap();
     let word_total = ep3.clock().now_ns();
 
     println!("Part 1 — uncontended lock primitive cost (ConnectX-6 profile)\n");

@@ -192,7 +192,8 @@ pub struct ChaosOutcome {
     /// [`ChaosConfig::window_ns`] is 0.
     pub planes: Planes,
     /// Chrome `trace_event` timeline of the run (one thread track per
-    /// session), built from each endpoint's flight-recorder ring.
+    /// session), built from each endpoint's flight-recorder ring; empty
+    /// for [`C13`]'s fault-free twin, which nothing reads it from.
     pub trace: ChromeTrace,
     /// Per-transaction `(virtual completion ns, latency ns)` samples in
     /// round-robin order — the raw feed for windowed p99s.
@@ -201,6 +202,11 @@ pub struct ChaosOutcome {
 
 /// Run the chaos experiment. Deterministic in `cfg` (and nothing else).
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
+    run(cfg, true)
+}
+
+/// [`run_chaos`], its Chrome trace built only if `trace`.
+fn run(cfg: &ChaosConfig, trace: bool) -> ChaosOutcome {
     assert!(cfg.rounds >= 9, "need at least 3 rounds per segment");
     let cluster = Cluster::build(ClusterConfig {
         compute_nodes: 1,
@@ -355,11 +361,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         0.0
     };
     out.steals = sessions.iter().map(|s| s.lock_steals()).sum();
-    out.trace.name_process(0, "compute0");
+    if trace {
+        out.trace.name_process(0, "compute0");
+    }
     for (t, s) in sessions.iter().enumerate() {
         out.planes.collect_session(s);
-        out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
-        s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
+        if trace {
+            out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
+            s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
+        }
     }
     drop(sessions);
     out.t_crash_ns = t_crash;
@@ -417,7 +427,7 @@ impl C13 {
     /// Run the twin of `cfg`, arm the p99 objective from it, then run
     /// `cfg` itself.
     pub fn run(cfg: &ChaosConfig) -> Self {
-        let twin = run_chaos(&ChaosConfig { inject: false, ..*cfg });
+        let twin = run(&ChaosConfig { inject: false, ..*cfg }, false);
         let series = &twin.planes.series;
         let worst_p99 = if series.is_empty() {
             0

@@ -1,6 +1,7 @@
 //! Heap allocations per transaction in steady state, pinned as ceilings:
-//! exclusive 2PL on one warmed session of each Figure 3 architecture, two
-//! read-modify-writes and a read per transaction. Counted, not argued —
+//! exclusive 2PL on one warmed session of each Figure 3 architecture, and
+//! every other protocol on 3a, two read-modify-writes and a read per
+//! transaction. Counted, not argued —
 //! this binary's allocator counts the calls made on the test's own
 //! thread. A change may lower a ceiling, and then restates it; one more
 //! `Vec` per transaction breaks it.
@@ -47,14 +48,13 @@ fn txn(i: u64) -> [Op; 3] {
     [Op::Rmw { key: key(0), delta: 1 }, Op::Rmw { key: key(1), delta: -1 }, Op::Read(key(2))]
 }
 
-/// Allocations per transaction on one session of a cluster of
-/// `architecture`, after a warm-up.
+/// Allocations per transaction on one session of a cluster of `config`,
+/// after a warm-up.
 fn allocs_per_txn(config: ClusterConfig) -> f64 {
     let cluster = Cluster::build(ClusterConfig {
         n_records: RECORDS,
         payload_size: 64,
         profile: NetworkProfile::rdma_cx6(),
-        cc: CcProtocol::TplExclusive,
         compute_nodes: 1,
         threads_per_node: 1,
         ..config
@@ -99,10 +99,37 @@ fn exclusive_2pl_allocates_no_more_per_transaction_than_its_ceiling() {
             10.0,
         ),
     ];
+    assert_under_ceilings(runs);
+}
+
+/// The same transactions on 3a under every other protocol: MVCC with four
+/// versions per record.
+#[test]
+fn every_3a_protocol_allocates_no_more_per_transaction_than_its_ceiling() {
+    let on_3a = |cc, versions| ClusterConfig {
+        memory_nodes: 4,
+        replication: 2,
+        architecture: Architecture::NoCacheNoShard,
+        cc,
+        versions,
+        ..Default::default()
+    };
+    assert_under_ceilings([
+        ("2pl-shared", on_3a(CcProtocol::TplSharedExclusive, 1), 11.0),
+        ("occ", on_3a(CcProtocol::Occ, 1), 24.0),
+        ("tso", on_3a(CcProtocol::Tso, 1), 29.0),
+        ("mvcc", on_3a(CcProtocol::Mvcc, 4), 59.0),
+    ]);
+}
+
+/// Every run of `runs` — a name, its config, its ceiling — allocates no
+/// more per transaction than its ceiling.
+fn assert_under_ceilings<const N: usize>(runs: [(&str, ClusterConfig, f64); N]) {
     let over: Vec<String> = (runs.into_iter())
-        .map(|(arch, config, ceiling)| (arch, allocs_per_txn(config), ceiling))
+        .map(|(name, config, ceiling)| (name, allocs_per_txn(config), ceiling))
+        .inspect(|(name, per_txn, _)| eprintln!("{name}: {per_txn} allocations per transaction"))
         .filter(|&(_, per_txn, ceiling)| per_txn > ceiling + 1e-9)
-        .map(|(arch, per_txn, ceiling)| format!("{arch}: {per_txn} allocations per transaction, ceiling {ceiling}"))
+        .map(|(name, per_txn, ceiling)| format!("{name}: {per_txn} allocations per transaction, ceiling {ceiling}"))
         .collect();
     assert!(over.is_empty(), "{over:?}");
 }

@@ -38,89 +38,15 @@ pub struct RecoveryFacts {
     pub time_to_recovery_ns: Option<u64>,
 }
 
-/// Mean commit rate over the complete windows that closed at or before
-/// `until_ns` — the steady-state baseline for recovery comparisons.
-pub fn steady_baseline(s: &SeriesSnapshot, until_ns: u64) -> f64 {
-    if s.window_ns == 0 {
-        return 0.0;
-    }
-    let full = ((until_ns / s.window_ns) as usize).min(s.len());
-    if full == 0 {
-        return 0.0;
-    }
-    let commits: u64 = (0..full).map(|i| s.get(i, Metric::Commits)).sum();
-    commits as f64 * 1e9 / (full as u64 * s.window_ns) as f64
-}
-
-/// Index of the first window touching `[fault_ns, ..)` whose commit
-/// rate is below `frac * baseline`.
-fn detection_window(s: &SeriesSnapshot, fault_ns: u64, baseline: f64, frac: f64) -> Option<usize> {
-    if s.window_ns == 0 || baseline <= 0.0 {
-        return None;
-    }
-    let rates = s.rate_per_sec(Metric::Commits);
-    let first = (fault_ns / s.window_ns) as usize;
-    (first..s.len()).find(|&i| rates[i] < frac * baseline)
-}
-
-/// Virtual ns from `fault_ns` until the first sub-threshold window
-/// closed (`None`: the series never dipped below `frac * baseline`).
-pub fn time_to_detection(
-    s: &SeriesSnapshot,
-    fault_ns: u64,
-    baseline: f64,
-    frac: f64,
-) -> Option<u64> {
-    detection_window(s, fault_ns, baseline, frac)
-        .map(|i| s.window_start_ns(i + 1).saturating_sub(fault_ns))
-}
-
-/// Virtual ns from `fault_ns` until the first window after detection
-/// whose commit rate is back at `>= frac * baseline` closed. `Some(0)`
-/// when throughput never dipped; `None` when it never recovered.
-pub fn time_to_recovery(
-    s: &SeriesSnapshot,
-    fault_ns: u64,
-    baseline: f64,
-    frac: f64,
-) -> Option<u64> {
-    let Some(detect) = detection_window(s, fault_ns, baseline, frac) else {
-        return Some(0);
-    };
-    let rates = s.rate_per_sec(Metric::Commits);
-    ((detect + 1)..s.len())
-        .find(|&i| rates[i] >= frac * baseline)
-        .map(|i| s.window_start_ns(i + 1).saturating_sub(fault_ns))
-}
-
-/// Compute the full recovery story around one fault instant.
-/// `frac` is the SLO fraction of baseline (0.9 = "within 10%").
+/// Compute the full recovery story around one fault instant: the
+/// whole-run case of [`recovery_facts_between`]. `frac` is the SLO
+/// fraction of baseline (0.9 = "within 10%").
 ///
-/// The final window is excluded from the dip search: it is usually
-/// partial (the run rarely ends on a window boundary), and a truncated
-/// window would fake a terminal dip.
+/// The final window is excluded from the dip, detection and recovery
+/// scans: it is usually partial (the run rarely ends on a window
+/// boundary), and a truncated window would fake a terminal dip.
 pub fn recovery_facts(s: &SeriesSnapshot, fault_ns: u64, frac: f64) -> RecoveryFacts {
-    let baseline = steady_baseline(s, fault_ns);
-    let rates = s.rate_per_sec(Metric::Commits);
-    let first = fault_ns.checked_div(s.window_ns).unwrap_or(0) as usize;
-    let scan_end = rates.len().saturating_sub(1);
-    let dip_tps = if first < scan_end {
-        rates[first..scan_end].iter().copied().fold(f64::INFINITY, f64::min)
-    } else {
-        baseline
-    };
-    let dip_depth = if baseline > 0.0 {
-        (1.0 - dip_tps / baseline).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    RecoveryFacts {
-        baseline_tps: baseline,
-        dip_tps,
-        dip_depth,
-        time_to_detection_ns: time_to_detection(s, fault_ns, baseline, frac),
-        time_to_recovery_ns: time_to_recovery(s, fault_ns, baseline, frac),
-    }
+    recovery_facts_between(s, fault_ns, frac, 0, u64::MAX)
 }
 
 /// [`recovery_facts`] for a series whose traffic regime changes over
@@ -129,7 +55,8 @@ pub fn recovery_facts(s: &SeriesSnapshot, fault_ns: u64, frac: f64) -> RecoveryF
 /// `[regime_start_ns, fault_ns)` — not the whole prefix — and the
 /// dip/detection/recovery scan stops at `regime_end_ns`, so windows
 /// from a different session count can neither dilute the baseline nor
-/// register as a fake dip or a fake failure to recover.
+/// register as a fake dip or a fake failure to recover. A series with
+/// no windows never dipped.
 pub fn recovery_facts_between(
     s: &SeriesSnapshot,
     fault_ns: u64,
@@ -138,7 +65,7 @@ pub fn recovery_facts_between(
     regime_end_ns: u64,
 ) -> RecoveryFacts {
     if s.window_ns == 0 {
-        return recovery_facts(s, fault_ns, frac);
+        return RecoveryFacts { time_to_recovery_ns: Some(0), ..RecoveryFacts::default() };
     }
     let w = s.window_ns;
     let rates = s.rate_per_sec(Metric::Commits);
@@ -187,10 +114,10 @@ pub fn recovery_facts_between(
 }
 
 /// Incremental mean over observed per-window rates — the streaming
-/// form of [`steady_baseline`] for monitors that see windows one at a
-/// time. The caller decides *which* windows feed the baseline (the
-/// watchdog skips windows it judged to be in breach, so a long dip
-/// cannot drag the reference down and mask itself).
+/// form of [`RecoveryFacts::baseline_tps`] for monitors that see
+/// windows one at a time. The caller decides *which* windows feed the
+/// baseline (the watchdog skips windows it judged to be in breach, so a
+/// long dip cannot drag the reference down and mask itself).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RollingBaseline {
     sum: f64,
@@ -466,26 +393,23 @@ mod tests {
     #[test]
     fn baseline_ignores_the_dip_and_partial_windows() {
         let s = dipped();
-        let base = steady_baseline(&s, 1_000);
+        let base = recovery_facts(&s, 1_000, 0.9).baseline_tps;
         // 10 commits per 100ns window = 1e8 commits/s.
         assert!((base - 1e8).abs() < 1.0, "baseline {base}");
-        assert_eq!(steady_baseline(&s, 0), 0.0);
+        assert_eq!(recovery_facts(&s, 0, 0.9).baseline_tps, 0.0);
     }
 
     #[test]
     fn detection_and_recovery_find_the_documented_windows() {
-        let s = dipped();
-        let base = steady_baseline(&s, 1_000);
+        let f = recovery_facts(&dipped(), 1_000, 0.9);
         // Fault at 1000ns; window 10 (1000..1100) is the first bad one,
         // known at its close: detection = 1100 - 1000.
-        assert_eq!(time_to_detection(&s, 1_000, base, 0.9), Some(100));
+        assert_eq!(f.time_to_detection_ns, Some(100));
         // Window 13 (1300..1400) is the first good one again.
-        assert_eq!(time_to_recovery(&s, 1_000, base, 0.9), Some(400));
-        let f = recovery_facts(&s, 1_000, 0.9);
+        assert_eq!(f.time_to_recovery_ns, Some(400));
         assert!((f.baseline_tps - 1e8).abs() < 1.0);
         assert!((f.dip_tps - 2e7).abs() < 1.0);
         assert!((f.dip_depth - 0.8).abs() < 1e-9);
-        assert_eq!(f.time_to_recovery_ns, Some(400));
     }
 
     #[test]
@@ -495,11 +419,25 @@ mod tests {
         for w in 0..10u64 {
             r.note(w * 100, Metric::Commits, 5);
         }
-        let s = r.snapshot();
-        let base = steady_baseline(&s, 500);
-        assert_eq!(time_to_detection(&s, 500, base, 0.9), None);
-        assert_eq!(time_to_recovery(&s, 500, base, 0.9), Some(0));
-        let f = recovery_facts(&s, 500, 0.9);
+        let f = recovery_facts(&r.snapshot(), 500, 0.9);
+        assert_eq!(f.time_to_detection_ns, None);
+        assert_eq!(f.time_to_recovery_ns, Some(0));
+        assert_eq!(f.dip_depth, 0.0);
+    }
+
+    /// A healthy run that ends mid-window: its truncated final window is
+    /// below the threshold, and is no detection.
+    #[test]
+    fn a_partial_final_window_is_no_detection() {
+        let r = SeriesRecorder::new();
+        r.enable(100);
+        for w in 0..10u64 {
+            r.note(w * 100 + 50, Metric::Commits, 10);
+        }
+        r.note(1_000, Metric::Commits, 1);
+        let f = recovery_facts(&r.snapshot(), 500, 0.9);
+        assert_eq!(f.time_to_detection_ns, None);
+        assert_eq!(f.time_to_recovery_ns, Some(0));
         assert_eq!(f.dip_depth, 0.0);
     }
 
@@ -551,12 +489,12 @@ mod tests {
     #[test]
     fn degenerate_empty_series_yields_zero_facts_without_panics() {
         let s = SeriesSnapshot::empty();
-        assert_eq!(steady_baseline(&s, 1_000), 0.0);
-        assert_eq!(time_to_detection(&s, 0, 1.0, 0.9), None);
+        assert_eq!(recovery_facts(&s, 1_000, 0.9).baseline_tps, 0.0);
+        let f = recovery_facts(&s, 0, 0.9);
+        assert_eq!(f.time_to_detection_ns, None);
         // "Never dipped" is the defined answer for a series with no
         // windows — there is nothing below threshold to detect.
-        assert_eq!(time_to_recovery(&s, 0, 1.0, 0.9), Some(0));
-        let f = recovery_facts(&s, 0, 0.9);
+        assert_eq!(f.time_to_recovery_ns, Some(0));
         assert_eq!(f.baseline_tps, 0.0);
         assert_eq!(f.dip_depth, 0.0);
     }
@@ -581,10 +519,8 @@ mod tests {
         for w in 0..8u64 {
             r.note(w * 100, Metric::Commits, 7);
         }
-        let s = r.snapshot();
-        let base = steady_baseline(&s, 400);
-        assert_eq!(time_to_detection(&s, 400, base, 0.9), None);
-        let f = recovery_facts(&s, 400, 0.9);
+        let f = recovery_facts(&r.snapshot(), 400, 0.9);
+        assert_eq!(f.time_to_detection_ns, None);
         assert_eq!(f.dip_depth, 0.0);
         assert!((f.dip_tps - f.baseline_tps).abs() < 1e-9);
     }
@@ -594,11 +530,10 @@ mod tests {
         let r = SeriesRecorder::new();
         r.enable(100);
         r.note(950, Metric::Commits, 1); // nothing before the fault
-        let s = r.snapshot();
-        let base = steady_baseline(&s, 500);
-        assert_eq!(base, 0.0);
-        assert_eq!(time_to_detection(&s, 500, base, 0.9), None);
-        assert_eq!(time_to_recovery(&s, 500, base, 0.9), Some(0));
+        let f = recovery_facts(&r.snapshot(), 500, 0.9);
+        assert_eq!(f.baseline_tps, 0.0);
+        assert_eq!(f.time_to_detection_ns, None);
+        assert_eq!(f.time_to_recovery_ns, Some(0));
     }
 
     #[test]
@@ -626,7 +561,7 @@ mod tests {
         for &r in &rates[..10] {
             roll.observe(r);
         }
-        assert!((roll.mean() - steady_baseline(&s, 1_000)).abs() < 1e-6);
+        assert!((roll.mean() - recovery_facts(&s, 1_000, 0.9).baseline_tps).abs() < 1e-6);
     }
 
     #[test]

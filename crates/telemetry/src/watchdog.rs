@@ -19,7 +19,7 @@
 //! consecutive windows before the matching `Clear` — single-window
 //! noise never pages. Events carry the window-end virtual timestamp
 //! (a window's behaviour is only knowable once it closes — the same
-//! convention as `analysis::time_to_detection`), a sequence number,
+//! convention as `analysis::RecoveryFacts::time_to_detection_ns`), a sequence number,
 //! the observed value, and the threshold it crossed, so the log is a
 //! deterministic function of the window stream: same seed, same run,
 //! byte-identical alerts.

@@ -6,8 +6,9 @@
 //! the simulated fabric:
 //!
 //! * [`locks`] — the lock primitives of §4 Challenge 6: the 1-round-trip
-//!   exclusive CAS spinlock and a shared-exclusive lock in one word, one
-//!   round trip each way with CAS and fetch-and-add. Experiment **C2**
+//!   exclusive CAS spinlock, whose lock sets may take a word as one of its
+//!   readers — a shared-exclusive lock in one word, one round trip each
+//!   way with CAS and fetch-and-add. Experiment **C2**
 //!   measures it beside footnote 2's ≥2-round-trip latch + holder
 //!   metadata, and the trade in transactions.
 //! * [`oracle`] — global timestamp generation: one-sided FAA on a DSM
@@ -35,7 +36,7 @@ pub mod protocols;
 pub mod table;
 pub mod twopc;
 
-pub use locks::{ExclusiveLock, LeaseLock, LockError, LockWord, Rider, SharedExclusiveLock, WriteBack};
+pub use locks::{ExclusiveLock, LeaseLock, LockError, LockWord, Rider, WriteBack};
 pub use oracle::{FaaOracle, HybridClockOracle, RpcOracle, TimestampOracle};
 pub use protocols::{
     apply_delta, distinct_keys, AbortCause, ConcurrencyControl, DirectIo, KeyUse, Mvcc, Occ, Op, PayloadIo, TwoPhaseLocking, Tso, TxnCtx, TxnError, TxnOutput,

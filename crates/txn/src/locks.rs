@@ -8,21 +8,23 @@
 //! as CAS, one word and one round trip each way suffice (experiment C2
 //! measures both).
 //!
-//! * [`ExclusiveLock`]: one CAS to acquire (1 RT), one WRITE on the
+//! [`ExclusiveLock`] takes and gives back a *set* of words, one round trip
+//! each way, each word of the set in one of two modes:
+//!
+//! * exclusive ([`LockWord::new`]): one CAS to acquire, one WRITE on the
 //!   primary to release ([`GlobalWr::Unlock`]: lock words are not
 //!   mirrored, and a rebuilt memory node comes up with them free) — or
 //!   none of its own: a holder's write-back that runs on into the word
 //!   frees it, in the WRITE that lands the payload on the primary.
-//!   A whole *set* of words is still one round trip each way: the CASes
-//!   (each with whatever READs its holder wants right behind it — the
-//!   payload, a coherent cache's sharer word, nothing) leave in one
-//!   doorbell, and so do the write-backs and the unlocks.
-//! * [`SharedExclusiveLock`]: the same set over one word per lock, held
-//!   by its writer's plain owner tag, or by `n` readers as `n << 32`. A
-//!   reader CASes 0 or the reader word it found to one more reader; a
-//!   reader's release is one fetch-and-add of `-(1 << 32)` on the primary,
-//!   which no contention can refuse. One round trip to acquire a whole
-//!   set, one to release it.
+//! * as one of its readers ([`LockWord::reader`]): the shared-exclusive
+//!   lock in one word, held by its writer's plain owner tag, or by `n`
+//!   readers as `n << 32`. A reader CASes 0 or the reader word it found to
+//!   one more reader; a reader's release is one fetch-and-add of
+//!   `-(1 << 32)` on the primary, which no contention can refuse.
+//!
+//! The CASes of a set (each with whatever READs its holder wants right
+//! behind it — the payload, a coherent cache's sharer word, nothing) leave
+//! in one doorbell, and so do the write-backs and the unlocks.
 //!
 //! Both are *no-wait with bounded retries and backoff*: after
 //! `max_retries` failed attempts the caller gets [`LockError::Busy`] and
@@ -40,7 +42,7 @@
 //! is never read as a lease.
 
 use dsm::{DsmError, DsmLayer, GlobalAddr, GlobalWr};
-use rdma_sim::{Endpoint, Metric, Phase};
+use rdma_sim::{Endpoint, Metric};
 
 /// Lock acquisition failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,16 +98,19 @@ fn now_us(ep: &Endpoint) -> u32 {
     (ep.clock().now_ns() / 1_000) as u32
 }
 
-/// The 1-round-trip exclusive CAS spinlock.
+/// The 1-round-trip exclusive CAS spinlock, taken and given back a set of
+/// words at a time; a set may take some of its words as one of their
+/// readers.
 ///
 /// Lock word semantics: 0 = free, otherwise the holder's word. An owner
 /// tag is nonzero and unique per worker (e.g. `worker_id + 1`); a plain
 /// tag is the word itself, a leased one ([`LeaseLock`]) is stamped with
-/// its expiry at each CAS.
+/// its expiry at each CAS. Readers hold a word as their count
+/// ([`LockWord::reader`]).
 pub struct ExclusiveLock;
 
-/// One reader's share of a [`SharedExclusiveLock`] word: `n` readers
-/// hold it as `n * READER` (`n < 1 << 16`, so the owner bits of
+/// One reader's share of a word taken by [`LockWord::reader`]: `n`
+/// readers hold it as `n * READER` (`n < 1 << 16`, so the owner bits of
 /// [`LeaseLock`] stay clear), a writer as its plain tag, below `READER`.
 const READER: u64 = 1 << 32;
 
@@ -118,11 +123,12 @@ fn shareable(word: u64) -> bool {
 ///
 /// A word enters [`ExclusiveLock::acquire_set`]'s ladder from the `prev`
 /// it carries: what its last CAS found there, or a mark that no CAS ran
-/// yet. So each new call takes words built with [`LockWord::new`]. A word
-/// passed in again after a failed call is judged busy from a stale `prev`
-/// before any CAS, and one still held would be re-CASed from its
-/// `expected`, fail against its own tag, read as not held, and never be
-/// released.
+/// yet. So each new call takes words built with [`LockWord::new`] or
+/// [`LockWord::reader`]. A word passed in again after a failed call is
+/// judged busy from a stale `prev` before any CAS, and one still held would
+/// be re-CASed from its `expected`, fail against its own tag, read as not
+/// held, and never be released. A held word is what
+/// [`ExclusiveLock::release_set`] gives back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockWord {
     addr: GlobalAddr,
@@ -133,7 +139,7 @@ pub struct LockWord {
     /// `mine`. [`LockWord::UNTRIED`] until one ran.
     prev: u64,
     /// The word the latest CAS installed. A reader's is a reader word
-    /// from the start ([`LockWord::of_set`]), so it tells the mode.
+    /// from the start ([`LockWord::reader`]), so it tells the mode.
     mine: u64,
 }
 
@@ -141,15 +147,17 @@ impl LockWord {
     /// No owner tag, and read as a sealed lease: neither free nor stolen.
     const UNTRIED: u64 = u64::MAX;
 
-    /// The word at `addr`, not yet tried.
+    /// The word at `addr`, to be held by the set's owner alone, not yet
+    /// tried.
     pub fn new(addr: GlobalAddr) -> Self {
         Self { addr, expected: 0, prev: Self::UNTRIED, mine: 0 }
     }
 
-    /// The word of a [`SharedExclusiveLock`] set, to be held `exclusive`
-    /// or as one of its readers, not yet tried.
-    fn of_set(&(addr, exclusive): &(GlobalAddr, bool)) -> Self {
-        Self { mine: if exclusive { 0 } else { READER }, ..Self::new(addr) }
+    /// The word at `addr`, to be held as one of its readers, not yet
+    /// tried: it joins readers at once and waits out a writer, and its
+    /// release is a fetch-and-add.
+    pub fn reader(addr: GlobalAddr) -> Self {
+        Self { mine: READER, ..Self::new(addr) }
     }
 
     /// Whether the word is taken as one of its readers, not by the owner
@@ -247,14 +255,15 @@ impl ExclusiveLock {
     /// clock, is re-posted at once as a CAS from exactly what was found:
     /// the latter is a steal (noted as [`Metric::LockSteals`]), and
     /// neither costs an attempt. A plain owner tag is never stolen. A
-    /// reader's word found held by readers alone is re-posted at once
-    /// too, and joins them. However the call ends,
-    /// [`LockWord::held`] tells which words the caller now owns and must
-    /// pass to [`ExclusiveLock::release_set`].
+    /// reader's word ([`LockWord::reader`]) found held by readers alone is
+    /// re-posted at once too, and joins them; a set with a reader's word
+    /// is taken under a plain owner tag (debug builds assert it). However
+    /// the call ends, [`LockWord::held`] tells which words the caller now
+    /// owns and must pass to [`ExclusiveLock::release_set`].
     ///
     /// Each word enters the ladder from the `prev` it carries, so each
-    /// call takes words built with [`LockWord::new`], none of them held
-    /// (debug builds assert it).
+    /// call takes words built with [`LockWord::new`] or
+    /// [`LockWord::reader`], none of them held (debug builds assert it).
     pub fn acquire_set(
         layer: &DsmLayer,
         ep: &Endpoint,
@@ -264,6 +273,7 @@ impl ExclusiveLock {
         max_retries: u32,
     ) -> Result<(), LockError> {
         debug_assert!(owner_tag != 0 && owner_tag != LockWord::UNTRIED);
+        debug_assert!(owner_tag < READER || !words.iter().any(LockWord::shared), "a writer's word is its plain tag");
         debug_assert!(words.iter().all(|w| !w.held()), "a word enters the ladder held: build it with LockWord::new");
         debug_assert!(riders.windows(2).all(|w| w[0].word <= w[1].word));
         debug_assert!(riders.last().is_none_or(|r| r.word < words.len()));
@@ -400,14 +410,13 @@ impl ExclusiveLock {
                 && words.iter().any(|w| w.held() && Some(w.addr) == wb.frees_at())),
             "a write frees a held word of the set, by 8 zero bytes"
         );
-        // What each reader's fetch-and-add finds, untouched if it never ran.
-        let mut found = vec![LockWord::UNTRIED; words.iter().filter(|w| w.held() && w.shared()).count()];
-        let mut slots = found.iter_mut();
         let mut wrs = Vec::with_capacity(writes.len() + held);
         wrs.extend(writes.iter().map(|wb| GlobalWr::Write { addr: wb.addr, src: wb.src, unlock: wb.frees }));
         for w in words.iter_mut().filter(|w| w.held()) {
             // Still held, the word keeps what it installed in `expected`;
-            // a lease's unlock leaves in `mine` what it found.
+            // a lease's unlock or a reader's fetch-and-add leaves in `mine`
+            // what it found (a reader's stays `UNTRIED` if its add never
+            // ran).
             (w.expected, w.prev) = (w.mine, w.mine);
             if let Some(i) = writes.iter().position(|wb| wb.frees_at() == Some(w.addr)) {
                 if !w.shared() && !LeaseLock::leased(w.mine) {
@@ -419,8 +428,8 @@ impl ExclusiveLock {
                 }
             }
             wrs.push(if w.shared() {
-                let found = slots.next().expect("a slot per reader");
-                GlobalWr::Unlock { addr: w.addr, faa: Some((READER.wrapping_neg(), found)) }
+                w.mine = LockWord::UNTRIED;
+                GlobalWr::Unlock { addr: w.addr, faa: Some((READER.wrapping_neg(), &mut w.mine)) }
             } else if LeaseLock::leased(w.mine) {
                 GlobalWr::Cas { addr: w.addr, expected: w.expected, new: 0, prev: &mut w.mine }
             } else {
@@ -430,10 +439,10 @@ impl ExclusiveLock {
         let posted = layer.doorbell(ep, &mut wrs);
         drop(wrs);
         let (mut stolen, mut readerless) = (false, false);
-        let mut found = found.into_iter();
         for w in words.iter_mut().filter(|w| w.held()) {
-            if w.shared() {
-                let mut prev = found.next().expect("a slot per reader");
+            if shareable(w.expected) {
+                // A reader's word: what its add found, and `mine` back.
+                let mut prev = std::mem::replace(&mut w.mine, w.expected);
                 if posted.is_err() && prev == LockWord::UNTRIED {
                     match layer.faa(ep, w.addr, READER.wrapping_neg()) {
                         Ok(was) => prev = was,
@@ -456,67 +465,6 @@ impl ExclusiveLock {
             return Err(LockError::ReleaseViolation("shared release with no readers"));
         }
         (!stolen).then_some(()).ok_or(LockError::Stolen)
-    }
-}
-
-/// The shared-exclusive lock over one word per lock, taken and given back
-/// a whole set at a time: a set is `(lock word, exclusive)` per lock, and
-/// its owner tag is plain (below `1 << 32`). Its words are those of
-/// [`ExclusiveLock`]: a writer installs its tag, and readers the word
-/// described by the module doc, so its acquire is
-/// [`ExclusiveLock::acquire_set`] and its release
-/// [`ExclusiveLock::release_set`].
-pub struct SharedExclusiveLock;
-
-impl SharedExclusiveLock {
-    /// Take every lock of `set` in its mode, each word's [`Rider`]s
-    /// (`riders`, sorted by lock) behind its CAS: one round trip for the
-    /// whole set when nothing blocks it. A reader that finds readers
-    /// joins them at once, its riders read again; any other busy word
-    /// climbs [`ExclusiveLock::acquire_set`]'s ladder, whose exhaustion is
-    /// [`LockError::Busy`]. A call that fails gives back what it took
-    /// first; one that succeeds holds every lock, and its riders' bytes
-    /// are valid.
-    pub fn acquire_set(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        set: &[(GlobalAddr, bool)],
-        riders: &mut [Rider<'_>],
-        owner_tag: u64,
-        max_retries: u32,
-    ) -> Result<(), LockError> {
-        debug_assert!(owner_tag < READER, "a writer's word is its plain tag");
-        let mut words: Vec<LockWord> = set.iter().map(LockWord::of_set).collect();
-        let taken = ExclusiveLock::acquire_set(layer, ep, &mut words, riders, owner_tag, max_retries);
-        if taken.is_err() {
-            ExclusiveLock::release_set(layer, ep, &[], &mut words)?;
-        }
-        taken
-    }
-
-    /// Give back every lock of `set`, which the caller holds, `writes` (its
-    /// write-back, a [`Phase::Writeback`] span) landing first: one round
-    /// trip for the whole set, the writers' unlocks — each the last word
-    /// of its write-back, or a WRITE of its own — ahead of the readers'.
-    /// A reader's hold that its word does not show is a protocol bug,
-    /// surfaced as [`LockError::ReleaseViolation`] (in release builds
-    /// too).
-    pub fn release_set(
-        layer: &DsmLayer,
-        ep: &Endpoint,
-        writes: &[WriteBack<'_>],
-        set: &[(GlobalAddr, bool)],
-        owner_tag: u64,
-    ) -> Result<(), LockError> {
-        let mut words: Vec<LockWord> = (set.iter())
-            .map(|&(addr, exclusive)| {
-                let mine = if exclusive { owner_tag } else { READER };
-                LockWord { addr, expected: mine, prev: mine, mine }
-            })
-            .collect();
-        words.sort_by_key(LockWord::shared);
-        let _span = (!writes.is_empty()).then(|| ep.span(Phase::Writeback));
-        ExclusiveLock::release_set(layer, ep, writes, &mut words)
     }
 }
 
@@ -867,8 +815,17 @@ mod tests {
         assert_eq!(left, [0, 42, 0]);
     }
 
+    /// The word at `a`, to be held `exclusive` or as one of its readers.
+    fn word(a: GlobalAddr, exclusive: bool) -> LockWord {
+        if exclusive {
+            LockWord::new(a)
+        } else {
+            LockWord::reader(a)
+        }
+    }
+
     /// `tag` takes the lock at `a`, `exclusive` or shared, within
-    /// `max_retries`.
+    /// `max_retries`, and gets the word back.
     fn take(
         l: &DsmLayer,
         ep: &Endpoint,
@@ -876,13 +833,14 @@ mod tests {
         exclusive: bool,
         tag: u64,
         max_retries: u32,
-    ) -> Result<(), LockError> {
-        SharedExclusiveLock::acquire_set(l, ep, &[(a, exclusive)], &mut [], tag, max_retries)
+    ) -> Result<LockWord, LockError> {
+        let mut words = [word(a, exclusive)];
+        ExclusiveLock::acquire_set(l, ep, &mut words, &mut [], tag, max_retries).map(|()| words[0])
     }
 
-    /// `tag` gives back the lock at `a`, held `exclusive` or shared.
-    fn give(l: &DsmLayer, ep: &Endpoint, a: GlobalAddr, exclusive: bool, tag: u64) -> Result<(), LockError> {
-        SharedExclusiveLock::release_set(l, ep, &[], &[(a, exclusive)], tag)
+    /// Give back the word `take` got.
+    fn give(l: &DsmLayer, ep: &Endpoint, held: LockWord) -> Result<(), LockError> {
+        ExclusiveLock::release_set(l, ep, &[], &mut [held])
     }
 
     /// The word at `a`, read off its node (no verb, no fault plan).
@@ -903,9 +861,9 @@ mod tests {
 
         let (f, l, b) = setup();
         let sh = f.endpoint();
-        take(&l, &sh, b, false, 2, 0).unwrap();
+        let held = take(&l, &sh, b, false, 2, 0).unwrap();
         assert_eq!((sh.stats().wire_round_trips(), sh.clock().now_ns()), (1, 1_850));
-        give(&l, &sh, b, false, 2).unwrap();
+        give(&l, &sh, held).unwrap();
         let s = sh.stats();
         assert_eq!((s.cas, s.faa, s.reads, s.writes, s.wire_round_trips()), (1, 1, 0, 0, 2));
         assert_eq!(sh.clock().now_ns(), 3_700, "an atomic each way");
@@ -918,17 +876,17 @@ mod tests {
         let r1 = f.endpoint();
         let r2 = f.endpoint();
         let w = f.endpoint();
-        take(&l, &r1, a, false, 1, 4).unwrap();
-        take(&l, &r2, a, false, 2, 4).unwrap();
+        let first = take(&l, &r1, a, false, 1, 4).unwrap();
+        let second = take(&l, &r2, a, false, 2, 4).unwrap();
         assert_eq!(word_at(&f, a), 2 * READER);
         assert_eq!(take(&l, &w, a, true, 3, 2).unwrap_err(), LockError::Busy);
-        give(&l, &r1, a, false, 1).unwrap();
-        give(&l, &r2, a, false, 2).unwrap();
-        take(&l, &w, a, true, 3, 4).unwrap();
+        give(&l, &r1, first).unwrap();
+        give(&l, &r2, second).unwrap();
+        let writer = take(&l, &w, a, true, 3, 4).unwrap();
         assert_eq!(word_at(&f, a), 3);
         // Now readers bounce — with a bounded Busy, not a livelock.
         assert_eq!(take(&l, &r1, a, false, 1, 2).unwrap_err(), LockError::Busy);
-        give(&l, &w, a, true, 3).unwrap();
+        give(&l, &w, writer).unwrap();
         take(&l, &r1, a, false, 1, 4).unwrap();
     }
 
@@ -944,7 +902,7 @@ mod tests {
         let ep = f.endpoint();
         let mut fetched = [0u8; 8];
         let mut riders = [Rider { word: 0, addr: data, dst: &mut fetched }];
-        SharedExclusiveLock::acquire_set(&l, &ep, &[(a, false)], &mut riders, 2, 0).unwrap();
+        ExclusiveLock::acquire_set(&l, &ep, &mut [LockWord::reader(a)], &mut riders, 2, 0).unwrap();
         assert_eq!((u64::from_le_bytes(fetched), word_at(&f, a)), (5, 2 * READER));
         let s = ep.stats();
         assert_eq!((s.cas, s.cas_failures, s.reads, s.wire_round_trips()), (2, 1, 2, 2));
@@ -954,16 +912,15 @@ mod tests {
     /// Three locks, two of them already read by another set: the free
     /// one admits in the set's doorbell, the shared one joins its reader
     /// at once; the writer, blocked, retries alone, its payload READ
-    /// riding each rung; and the call that ends busy gives back the two
-    /// it took in one doorbell.
+    /// riding each rung; and the two it took go back in one doorbell.
     #[test]
     fn a_blocked_lock_retries_alone_with_its_riders() {
         let (f, l, _) = setup();
         let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(8).unwrap()).collect();
         let data = l.alloc(24).unwrap();
         let other = f.endpoint();
-        let theirs = [(locks[1], false), (locks[2], false)];
-        SharedExclusiveLock::acquire_set(&l, &other, &theirs, &mut [], 9, 0).unwrap();
+        let mut theirs = [LockWord::reader(locks[1]), LockWord::reader(locks[2])];
+        ExclusiveLock::acquire_set(&l, &other, &mut theirs, &mut [], 9, 0).unwrap();
 
         let ep = f.endpoint();
         let mut fetched = [[0u8; 8]; 3];
@@ -973,9 +930,10 @@ mod tests {
             Rider { word: 1, addr: data.offset_by(8), dst: second },
             Rider { word: 2, addr: data.offset_by(16), dst: third },
         ];
-        let set = [(locks[0], false), (locks[1], false), (locks[2], true)];
-        let err = SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, 7, 2).unwrap_err();
+        let mut words = [LockWord::reader(locks[0]), LockWord::reader(locks[1]), LockWord::new(locks[2])];
+        let err = ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut riders, 7, 2).unwrap_err();
         assert_eq!(err, LockError::Busy);
+        ExclusiveLock::release_set(&l, &ep, &[], &mut words).unwrap();
         // The set's doorbell: 3 CAS, each with its payload READ; the
         // reader of lock 1 joins at once with its READ; two rungs of the
         // writer alone, each a CAS and a READ; then the release of the two
@@ -999,20 +957,20 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let writer = f.endpoint();
-                take(&l, &writer, a, true, 1, 0).unwrap();
+                let held = take(&l, &writer, a, true, 1, 0).unwrap();
                 taken.wait();
                 // Only makes the reader's blocked rungs likely: the
                 // assertion holds however the two threads interleave.
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 let eight = 8u64.to_le_bytes();
                 let writes = [WriteBack::new(data, &eight)];
-                SharedExclusiveLock::release_set(&l, &writer, &writes, &[(a, true)], 1).unwrap();
+                ExclusiveLock::release_set(&l, &writer, &writes, &mut [held]).unwrap();
             });
             taken.wait();
             let reader = f.endpoint();
             let mut fetched = [0u8; 8];
             let mut riders = [Rider { word: 0, addr: data, dst: &mut fetched }];
-            SharedExclusiveLock::acquire_set(&l, &reader, &[(a, false)], &mut riders, 2, u32::MAX).unwrap();
+            ExclusiveLock::acquire_set(&l, &reader, &mut [LockWord::reader(a)], &mut riders, 2, u32::MAX).unwrap();
             assert_eq!(u64::from_le_bytes(fetched), 8);
         });
     }
@@ -1040,15 +998,16 @@ mod tests {
         let (f, l, _) = setup();
         let locks: Vec<GlobalAddr> = (0..3).map(|_| l.alloc(8).unwrap()).collect();
         let data = l.alloc(8).unwrap();
-        let set = [(locks[0], false), (locks[1], true), (locks[2], false)];
+        let mut words = [LockWord::reader(locks[0]), LockWord::new(locks[1]), LockWord::reader(locks[2])];
         let ep = f.endpoint();
-        SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut [], 7, 0).unwrap();
+        ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
         let attempts = dsm::RetryPolicy::default().max_attempts;
         f.install_fault_plan(FaultPlan::new(1).transient_first_n(data.node(), attempts));
-        let err = SharedExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &[1; 8])], &set, 7).unwrap_err();
+        let err = ExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &[1; 8])], &mut words).unwrap_err();
         assert!(matches!(err, LockError::Dsm(e) if e.is_transient()), "{err:?}");
         assert_eq!(l.read_u64(&ep, data).unwrap(), 0, "the write-back did not land");
         f.clear_fault_plan();
+        assert!(words.iter().all(|w| !w.held()));
         for &lock in &locks {
             assert_eq!(word_at(&f, lock), 0);
             ExclusiveLock::acquire(&l, &f.endpoint(), lock, 9, 0).unwrap();
@@ -1058,35 +1017,39 @@ mod tests {
     /// A reader's fetch-and-add that landed before its doorbell was cut
     /// short is not posted again: the doorbell ends at a member that fails
     /// after the pre-flight, as at a node that died mid-doorbell (here a
-    /// word past the end of its region), and the count is taken once.
+    /// reader's word past the end of its region, as if held), and the count
+    /// is taken once.
     #[test]
     fn a_reader_release_that_landed_is_not_posted_again() {
         let (f, l, a) = setup();
         let ep = f.endpoint();
         take(&l, &f.endpoint(), a, false, 1, 0).unwrap();
-        take(&l, &ep, a, false, 2, 0).unwrap();
+        let held = take(&l, &ep, a, false, 2, 0).unwrap();
         let beyond = GlobalAddr::new(a.node(), 1 << 20);
-        let err = SharedExclusiveLock::release_set(&l, &ep, &[], &[(a, false), (beyond, false)], 2).unwrap_err();
+        let lost = LockWord { addr: beyond, expected: READER, prev: READER, mine: READER };
+        let err = ExclusiveLock::release_set(&l, &ep, &[], &mut [held, lost]).unwrap_err();
         assert!(matches!(err, LockError::Dsm(DsmError::Rdma(rdma_sim::RdmaError::OutOfBounds { .. }))), "{err:?}");
         assert_eq!(word_at(&f, a), READER, "the other reader's share is left");
     }
 
-    /// A reader's release that finds no reader — on a free word, or on a
-    /// writer's — is undone and returned as a checked error; the word
-    /// and the lock stay as they were.
+    /// A reader's release that finds no reader — on a word cleared under
+    /// it, or on a writer's — is undone and returned as a checked error;
+    /// the word stays as it was.
     #[test]
     fn release_violations_are_checked_errors_not_debug_asserts() {
         let (f, l, a) = setup();
         let ep = f.endpoint();
+        let region = f.region(a.node()).unwrap();
         let violation = LockError::ReleaseViolation("shared release with no readers");
-        assert_eq!(give(&l, &ep, a, false, 1).unwrap_err(), violation);
-        assert_eq!(word_at(&f, a), 0);
-        take(&l, &ep, a, true, 1, 0).unwrap();
-        assert_eq!(give(&l, &ep, a, false, 2).unwrap_err(), violation);
-        assert_eq!(word_at(&f, a), 1, "the writer still holds the word");
-        give(&l, &ep, a, true, 1).unwrap();
-        take(&l, &ep, a, false, 1, 0).unwrap();
-        give(&l, &ep, a, false, 1).unwrap();
+        for found in [0, 1] {
+            let held = take(&l, &ep, a, false, 1, 0).unwrap();
+            region.write(a.offset(), &u64::to_le_bytes(found)).unwrap();
+            assert_eq!(give(&l, &ep, held).unwrap_err(), violation, "found {found}");
+            assert_eq!(word_at(&f, a), found, "the word stays as it was");
+            region.write(a.offset(), &[0; 8]).unwrap();
+        }
+        let held = take(&l, &ep, a, false, 1, 0).unwrap();
+        give(&l, &ep, held).unwrap();
         assert_eq!(word_at(&f, a), 0);
     }
 
@@ -1296,12 +1259,12 @@ mod tests {
 
         // Shared-exclusive: a reader's share of the word, then the
         // writer's tag, then free.
-        take(&l, &owner, a, false, 1, 4).unwrap();
+        let held = take(&l, &owner, a, false, 1, 4).unwrap();
         assert_eq!(word(0), READER);
-        give(&l, &owner, a, false, 1).unwrap();
-        take(&l, &owner, a, true, 1, 4).unwrap();
+        give(&l, &owner, held).unwrap();
+        let held = take(&l, &owner, a, true, 1, 4).unwrap();
         assert_eq!(word(0), 1);
-        give(&l, &owner, a, true, 1).unwrap();
+        give(&l, &owner, held).unwrap();
         assert_eq!(word(0), 0);
 
         // Lease steal: the word moves from the zombie to the thief, the
@@ -1375,16 +1338,18 @@ mod tests {
                     let ep = f.endpoint();
                     let tag = t as u64 + 1;
                     for i in 0..200 {
-                        let set = [(a, (t + i) % 4 == 0)];
+                        let exclusive = (t + i) % 4 == 0;
+                        let mut words = [word(a, exclusive)];
                         let mut seen = [0u8; 8];
                         until_done(|| {
+                            words = [word(a, exclusive)];
                             let mut riders = [Rider { word: 0, addr: data, dst: &mut seen }];
-                            SharedExclusiveLock::acquire_set(&l, &ep, &set, &mut riders, tag, BUDGET)
+                            ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut riders, tag, BUDGET)
                         });
-                        let next = (u64::from_le_bytes(seen) + set[0].1 as u64).to_le_bytes();
-                        let writes: &[WriteBack<'_>] = if set[0].1 { &[WriteBack::new(data, &next)] } else { &[] };
-                        writes_done.fetch_add(set[0].1 as u64, std::sync::atomic::Ordering::Relaxed);
-                        SharedExclusiveLock::release_set(&l, &ep, writes, &set, tag).unwrap();
+                        let next = (u64::from_le_bytes(seen) + exclusive as u64).to_le_bytes();
+                        let writes: &[WriteBack<'_>] = if exclusive { &[WriteBack::new(data, &next)] } else { &[] };
+                        writes_done.fetch_add(exclusive as u64, std::sync::atomic::Ordering::Relaxed);
+                        ExclusiveLock::release_set(&l, &ep, writes, &mut words).unwrap();
                     }
                 });
             }

@@ -20,15 +20,14 @@
 //!
 //! Every protocol holds its locks as one set
 //! ([`ExclusiveLock::acquire_set`] / [`ExclusiveLock::release_set`];
-//! shared-exclusive 2PL through
-//! [`SharedExclusiveLock`](crate::SharedExclusiveLock)) and posts a fixed
-//! number of doorbells whatever its key count; only a word that lost its
-//! CAS retries alone:
+//! shared-exclusive 2PL takes a key it only reads as one of the word's
+//! readers, [`LockWord::reader`]) and posts a fixed number of doorbells
+//! whatever its key count; only a word that lost its CAS retries alone:
 //!
 //! | protocol | doorbells |
 //! |---|---|
 //! | 2PL | {CAS + payload READ per key}, {`[payload\|lock]` per key written, unlocks of the keys only read} — leased and writing: {seal CAS per key} between the two, and every unlock a CAS of its own |
-//! | 2PL shared | {CAS + payload READ per key}, {`[payload\|lock]` per key written, readers' FAAs} |
+//! | 2PL shared | the same, a key only read taken as a reader: its unlock a FAA |
 //! | OCC | {`[wts\|payload]` per key read}, {CAS + `[rts\|wts]` per key written}, {`lock`, then `wts`, per key only read}, {payload, `wts`, per key written, then unlocks} |
 //! | TSO | oracle FAA, {`lock`, then `[rts\|wts\|payload]`, per key read}, {`rts` CAS per key read}, {CAS + `[rts\|wts]` — the payload too for a delta — per key written}, {payload, `wts`, unlocks} |
 //! | MVCC | oracle FAA, {slot per key read}, {`rts` CAS + picked version's `wts` per key read}, {CAS + slot per key written}, {payload, `wts` into the oldest version, unlocks} |
@@ -236,7 +235,7 @@ impl From<LockError> for TxnError {
     }
 }
 
-/// How one transaction under exclusive locks uses one of its keys.
+/// How one transaction uses one of its keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyUse {
     /// The record.
@@ -269,18 +268,18 @@ pub(crate) fn key_uses(ops: &[Op]) -> Vec<KeyUse> {
     uses
 }
 
-/// How exclusive 2PL reaches record payloads. Lock words always go
-/// straight to DSM — synchronization state cannot be cached — but payload
-/// bytes may be served by a compute-node cache (Figure 3b). [`DirectIo`]
-/// is the no-cache Figure 3a path; the engine crate supplies the coherent
-/// one. OCC, TSO and MVCC run in 3a only: they share the lock-set path
-/// with exclusive 2PL, but move their payloads with the table's own
+/// How 2PL reaches record payloads. Lock words always go straight to DSM
+/// — synchronization state cannot be cached — but payload bytes may be
+/// served by a compute-node cache (Figure 3b, exclusive 2PL only).
+/// [`DirectIo`] is the no-cache Figure 3a path; the engine crate supplies
+/// the coherent one. OCC, TSO and MVCC run in 3a only: they share the
+/// lock-set path with 2PL, but move their payloads with the table's own
 /// addresses (the riders and write-back of `commit_set`), not through an
-/// io. So does shared-exclusive 2PL, around its latches.
+/// io.
 ///
-/// [`TwoPhaseLocking::exclusive`] holds a whole lock set and moves the
-/// payloads inside its own two doorbells: it asks the io three things, in
-/// order, about the set's [`KeyUse`]s, and tells it the outcome. A
+/// [`TwoPhaseLocking`] holds a whole lock set and moves the payloads
+/// inside its own two doorbells: it asks the io three things, in order,
+/// about the set's [`KeyUse`]s, and tells it the outcome. A
 /// read-only set is first offered to
 /// [`read_unlocked`](PayloadIo::read_unlocked), which may serve it with no
 /// lock at all. Every step sees one buffer, one chunk of
@@ -306,7 +305,8 @@ pub trait PayloadIo: Send + Sync {
 
     /// Step 1, before any lock is taken: the READs that ride the acquire
     /// doorbell behind each key's lock CAS, fetching into the key's chunk
-    /// of `buf`.
+    /// of `buf`. A key whose first op is a blind overwrite
+    /// ([`KeyUse::reads_old`] false) needs none.
     fn ride<'a>(&self, table: &RecordTable, uses: &mut [KeyUse], buf: &'a mut [u8], riders: &mut Vec<Rider<'a>>);
 
     /// Step 2, once every lock is won: see that each key whose old value
@@ -338,7 +338,8 @@ pub trait PayloadIo: Send + Sync {
 pub struct DirectIo;
 
 impl PayloadIo for DirectIo {
-    /// Every key's payload READ rides its lock CAS.
+    /// The payload READ of every key whose old value is observed rides its
+    /// lock CAS.
     fn ride<'a>(
         &self,
         table: &RecordTable,
@@ -347,10 +348,8 @@ impl PayloadIo for DirectIo {
         riders: &mut Vec<Rider<'a>>,
     ) {
         let copies = buf.chunks_exact_mut(table.copy_len());
-        riders.extend(uses.iter().zip(copies).enumerate().map(|(word, (u, copy))| Rider {
-            word,
-            addr: table.payload_read_addr(u.key, 0),
-            dst: &mut copy[..table.payload_size()],
+        riders.extend((uses.iter().zip(copies).enumerate()).filter(|(_, (u, _))| u.reads_old).map(|(word, (u, copy))| {
+            Rider { word, addr: table.payload_read_addr(u.key, 0), dst: &mut copy[..table.payload_size()] }
         }));
     }
 
@@ -383,8 +382,8 @@ pub struct TxnCtx<'a> {
     pub ep: &'a Endpoint,
     /// The table the transaction operates on.
     pub table: &'a RecordTable,
-    /// The payload path exclusive 2PL drives: [`DirectIo`] in 3a, the
-    /// node's coherent cache in 3b. The 3a-only protocols ignore it.
+    /// The payload path 2PL drives: [`DirectIo`] in 3a, the node's
+    /// coherent cache in 3b. The 3a-only protocols ignore it.
     pub io: &'a dyn PayloadIo,
     /// Nonzero unique tag for lock ownership ([`crate::LeaseLock::tag`]: leased).
     pub worker_tag: u64,
@@ -962,16 +961,18 @@ mod tests {
         });
         // The five keys written under a plain tag are one WRITE each on
         // the primary, payload and unlock (2PL, both lock modes); a leased
-        // unlock is a CAS, and OCC, TSO and MVCC unlock apart. A reader
+        // unlock is a CAS, and OCC, TSO and MVCC unlock apart. No protocol
+        // reads the blind overwrite of key 4: 2PL's nine payload READs
+        // (16 B each) ride the CASes of the other nine keys. A reader
         // that holds no lock reads the lock word ahead of the version, a
         // READ of its own now that the word ends the slot: OCC's five
         // validations are `lock` then `wts` (8 B each), TSO's nine reads
         // `lock` then `[rts | wts | payload]`. OCC's lock view and TSO's
         // are `[rts | wts]` (16 B).
         let pinned = [
-            ("2pl-excl", [10, 10, 10, 0, 8, 160, 160], 17_400),
+            ("2pl-excl", [9, 10, 10, 0, 8, 144, 160], 17_250),
             ("2pl-shared", [9, 5, 10, 5, 8, 144, 120], 17_700),
-            ("2pl-leased", [10, 5, 28, 0, 11, 160, 80], 25_400),
+            ("2pl-leased", [9, 5, 28, 0, 11, 144, 80], 25_250),
             ("occ", [24, 15, 5, 0, 13, 376, 160], 26_300),
             ("tso", [23, 15, 14, 4, 18, 504, 160], 37_613),
             ("mvcc", [23, 15, 14, 4, 18, 968, 160], 37_628),

@@ -34,17 +34,16 @@ use crate::table::{RTS_OFF, VER0_OFF};
 /// MVCC over a table created with `versions >= 2`.
 pub struct Mvcc {
     oracle: Arc<dyn TimestampOracle>,
-    /// Lock retries before aborting a writer.
-    pub max_retries: u32,
 }
 
 impl Mvcc {
+    /// Lock retries of one writer's lock before it is declared busy (the
+    /// transaction aborts).
+    pub const MAX_RETRIES: u32 = 8;
+
     /// MVCC drawing timestamps from `oracle`.
     pub fn new(oracle: Arc<dyn TimestampOracle>) -> Self {
-        Self {
-            oracle,
-            max_retries: 8,
-        }
+        Self { oracle }
     }
 }
 
@@ -108,7 +107,7 @@ impl ConcurrencyControl for Mvcc {
         let (out, staged) = stage(ops, |key| snapshot[slot_of(&uses, key)].clone());
 
         let keys: Vec<u64> = staged.iter().map(|(key, _)| *key).collect();
-        commit_set(ctx, &keys, self.max_retries, |_| slot_len, || Ok(()), |i, slot| {
+        commit_set(ctx, &keys, Self::MAX_RETRIES, |_| slot_len, || Ok(()), |i, slot| {
             let view = parse_slot(slot, psize, nv);
             let by_wts = |v: &usize| view.versions[*v].0;
             let (oldest, newest) = ((0..nv).min_by_key(by_wts), (0..nv).max_by_key(by_wts));

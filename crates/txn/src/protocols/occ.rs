@@ -38,15 +38,16 @@ use super::{
 };
 
 /// OCC with bounded-retry write-set locking.
-pub struct Occ {
-    /// CAS retries before aborting on a busy write-set lock.
-    pub max_retries: u32,
-}
+pub struct Occ;
 
 impl Occ {
-    /// Default configuration (3 retries).
+    /// CAS retries of one write-set lock before it is declared busy (the
+    /// transaction aborts).
+    pub const MAX_RETRIES: u32 = 3;
+
+    /// OCC.
     pub fn new() -> Self {
-        Self { max_retries: 3 }
+        Self
     }
 }
 
@@ -91,7 +92,7 @@ impl ConcurrencyControl for Occ {
             }
             Ok(())
         };
-        commit_set(ctx, &keys, self.max_retries, |_| HEADER, validate, |i, hdr| {
+        commit_set(ctx, &keys, Self::MAX_RETRIES, |_| HEADER, validate, |i, hdr| {
             let (u, copy) = written[i];
             let wts = word(hdr, 1);
             if u.reads_old && wts != word(copy, 0) {

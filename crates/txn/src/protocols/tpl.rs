@@ -1,85 +1,90 @@
 //! Two-phase locking over RDMA locks.
 //!
 //! The growing phase takes every lock before the transaction executes,
-//! the shrinking phase releases everything after it. Two lock
-//! configurations per §4 Challenge 6:
+//! the shrinking phase releases everything after it. One body serves both
+//! lock configurations of §4 Challenge 6; they differ only in how a key
+//! that no op writes takes its word:
 //!
-//! * `shared_locks = false` — the 1-RT exclusive spinlock for *every*
-//!   access, reads included. Cheap locks, zero read-read concurrency —
-//!   and the whole transaction is two doorbells, whatever sits in front
-//!   of the payloads. **Acquire:** one CAS per distinct key, each with
-//!   the READs the [`PayloadIo`](super::PayloadIo) wants right behind it
-//!   (no cache: the key's payload; a coherent cache: the sharer word
-//!   in front of the payload, with the payload if the key is not resident).
-//!   **Execute** on transaction-local copies, ops in program order.
-//!   **Release:** every write the io hands back — a changed sharer word,
-//!   then each written key's payload, which runs on into the key's lock
-//!   word and frees it — then the unlocks of the keys only read. A set no
-//!   op writes is first
-//!   offered to the io's lock-free read (a coherent cache in invalidate
-//!   mode serves it from resident pages: no lock, no verb).
-//!
-//!   **Leased**, when the worker tag is a [`LeaseLock::tag`]: a crashed
-//!   owner's words are stolen once its lease runs out. A transaction that
-//!   writes seals its words in one doorbell of CASes after it ran (the
-//!   fence), which no steal gets past: a word already stolen aborts it
-//!   with `lease-stolen`, having written nothing. An unlock that finds a
-//!   thief's word aborts a read-only set the same way.
-//! * `shared_locks = true` — the one-word shared-exclusive lock on the
-//!   same lock word, exclusive for a key some op writes and shared
-//!   otherwise: readers admit concurrently, writers wait them out. Two
-//!   doorbells too, whatever the key count: **grow** is one CAS per key,
-//!   each with its payload READ (none when a blind overwrite comes
-//!   first); **shrink** is the payloads, each freeing its writer's lock,
-//!   and one fetch-and-add per reader. ("It remains open if the allowed extra
+//! * [`TwoPhaseLocking::exclusive`] — the 1-RT exclusive spinlock for
+//!   *every* access, reads included. Cheap locks, zero read-read
+//!   concurrency.
+//! * [`TwoPhaseLocking::shared_exclusive`] — the one-word shared-exclusive
+//!   lock on the same lock word: a key only read takes it as one of its
+//!   readers ([`LockWord::reader`]), so readers admit concurrently and
+//!   writers wait them out. ("It remains open if the allowed extra
 //!   concurrency can offset the performance overhead of the advanced
 //!   locks" — experiment C2 measures it for our fabric.)
+//!
+//! A key some op writes takes its word exclusively in both. Either way the
+//! whole transaction is two doorbells, whatever sits in front of the
+//! payloads. **Acquire:** one CAS per distinct key, each with the READs
+//! the [`PayloadIo`](super::PayloadIo) wants right behind it (no cache:
+//! the key's payload, unless a blind overwrite comes first; a coherent
+//! cache: the sharer word in front of the payload, with the payload if
+//! the key is not resident). **Execute** on transaction-local copies, ops
+//! in program order. **Release:** every write the io hands back — a
+//! changed sharer word, then each written key's payload, which runs on
+//! into the key's lock word and frees it — then the unlocks of the keys
+//! only read: a WRITE of 0 for an exclusive word, a fetch-and-add for a
+//! reader's. A set no op writes is first offered to the io's lock-free
+//! read (a coherent cache in invalidate mode serves it from resident
+//! pages: no lock, no verb).
+//!
+//! **Leased**, when the worker tag is a [`LeaseLock::tag`] (exclusive
+//! words only): a crashed owner's words are stolen once its lease runs
+//! out. A transaction that writes seals its words in one doorbell of CASes
+//! after it ran (the fence), which no steal gets past: a word already
+//! stolen aborts it with `lease-stolen`, having written nothing. An unlock
+//! that finds a thief's word aborts a read-only set the same way.
 //!
 //! Neither waits: a lock still busy after its bounded retries aborts the
 //! transaction, so holding part of a set while retrying the rest cannot
 //! deadlock.
 
-use dsm::GlobalAddr;
 use rdma_sim::Phase;
 
 use super::{key_uses, run_on_copies, ConcurrencyControl, Op, TxnCtx, TxnError, TxnOutput};
-use crate::locks::{ExclusiveLock, LeaseLock, LockWord, Rider, SharedExclusiveLock, WriteBack};
+use crate::locks::{ExclusiveLock, LeaseLock, LockWord, WriteBack};
 
 /// 2PL with no-wait bounded-retry acquisition.
 pub struct TwoPhaseLocking {
-    /// Use shared-exclusive locks for read-only keys.
-    pub shared_locks: bool,
-    /// CAS retries before declaring a lock busy (aborting).
-    pub max_retries: u32,
+    /// Whether a key no op writes takes its word as one of its readers.
+    shared_locks: bool,
 }
 
 impl TwoPhaseLocking {
+    /// CAS retries of one word before it is declared busy (the
+    /// transaction aborts).
+    pub const MAX_RETRIES: u32 = 3;
+
     /// Exclusive-only 2PL (the 1-RT lock everywhere).
     pub fn exclusive() -> Self {
-        Self {
-            shared_locks: false,
-            max_retries: 3,
-        }
+        Self { shared_locks: false }
     }
 
     /// Shared-exclusive 2PL (readers share).
     pub fn shared_exclusive() -> Self {
-        Self {
-            shared_locks: true,
-            max_retries: 3,
+        Self { shared_locks: true }
+    }
+}
+
+impl ConcurrencyControl for TwoPhaseLocking {
+    fn name(&self) -> &'static str {
+        if self.shared_locks {
+            "2pl-shared"
+        } else {
+            "2pl-excl"
         }
     }
 
-    /// A transaction under exclusive locks: acquire doorbell, execute on
-    /// the transaction's own copies, release doorbell. What rides the two
-    /// doorbells beside the lock words is the [`PayloadIo`]'s to say, and
-    /// whether a read-only set needs them at all.
-    fn execute_exclusive(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
+    /// Acquire doorbell, execute on the transaction's own copies, release
+    /// doorbell. What rides the two doorbells beside the lock words is the
+    /// [`PayloadIo`](super::PayloadIo)'s to say, and whether a read-only
+    /// set needs them at all.
+    fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
         let (ep, table, io) = (ctx.ep, ctx.table, ctx.io);
         let layer = table.layer();
         let mut uses = key_uses(ops);
-        let mut words: Vec<LockWord> =
-            uses.iter().map(|u| LockWord::new(table.lock_addr(u.key))).collect();
         // One chunk per key, in key order: the io's header bytes, then the
         // transaction's own copy of the payload.
         let (hdr, psize) = (io.header_len(), table.payload_size());
@@ -87,12 +92,22 @@ impl TwoPhaseLocking {
         if uses.iter().all(|u| !u.written) && io.read_unlocked(ep, table, &uses, &mut buf) {
             return Ok(run_on_copies(ops, &uses, &mut buf, hdr, psize));
         }
+        let mut words: Vec<LockWord> = (uses.iter())
+            .map(|u| {
+                let addr = table.lock_addr(u.key);
+                if self.shared_locks && !u.written {
+                    LockWord::reader(addr)
+                } else {
+                    LockWord::new(addr)
+                }
+            })
+            .collect();
 
         let grown = {
             let mut riders = Vec::new();
             io.ride(table, &mut uses, &mut buf, &mut riders);
             let _span = ep.span(Phase::LockAcquire);
-            ExclusiveLock::acquire_set(layer, ep, &mut words, &mut riders, ctx.worker_tag, self.max_retries)
+            ExclusiveLock::acquire_set(layer, ep, &mut words, &mut riders, ctx.worker_tag, Self::MAX_RETRIES)
         };
 
         // Execute (only if fully locked).
@@ -136,50 +151,6 @@ impl TwoPhaseLocking {
         match failed {
             Some(e) => Err(e),
             None => released.map(|()| out).map_err(TxnError::from),
-        }
-    }
-
-    /// A transaction under shared-exclusive locks: grow, execute on the
-    /// transaction's own copies, shrink with the payloads riding.
-    fn execute_shared(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        let (ep, table) = (ctx.ep, ctx.table);
-        let (layer, psize) = (table.layer(), table.payload_size());
-        let uses = key_uses(ops);
-        let set: Vec<(GlobalAddr, bool)> = uses.iter().map(|u| (table.lock_addr(u.key), u.written)).collect();
-        let mut buf = vec![0u8; uses.len() * table.copy_len()];
-        {
-            let mut riders: Vec<Rider<'_>> = (uses.iter().zip(buf.chunks_exact_mut(table.copy_len())).enumerate())
-                .filter(|(_, (u, _))| u.reads_old)
-                .map(|(word, (u, copy))| Rider { word, addr: table.payload_read_addr(u.key, 0), dst: &mut copy[..psize] })
-                .collect();
-            let _span = ep.span(Phase::LockAcquire);
-            SharedExclusiveLock::acquire_set(layer, ep, &set, &mut riders, ctx.worker_tag, self.max_retries)?;
-        }
-        let out = run_on_copies(ops, &uses, &mut buf, 0, psize);
-        let mut writes: Vec<WriteBack<'_>> = Vec::new();
-        for (u, copy) in uses.iter().zip(buf.chunks_exact(table.copy_len())).filter(|(u, _)| u.written) {
-            writes.extend(table.write_back(u.key, copy));
-        }
-        let _span = ep.span(Phase::LockAcquire);
-        SharedExclusiveLock::release_set(layer, ep, &writes, &set, ctx.worker_tag)?;
-        Ok(out)
-    }
-}
-
-impl ConcurrencyControl for TwoPhaseLocking {
-    fn name(&self) -> &'static str {
-        if self.shared_locks {
-            "2pl-shared"
-        } else {
-            "2pl-excl"
-        }
-    }
-
-    fn execute(&self, ctx: &TxnCtx<'_>, ops: &[Op]) -> Result<TxnOutput, TxnError> {
-        if self.shared_locks {
-            self.execute_shared(ctx, ops)
-        } else {
-            self.execute_exclusive(ctx, ops)
         }
     }
 }
@@ -229,12 +200,13 @@ mod tests {
         assert_eq!(err, TxnError::Aborted("lock-busy"));
         let s = ep.stats();
         // Word 2 lost in the acquire doorbell and on every rung.
-        assert_eq!(s.cas_failures, cc.max_retries as u64 + 1);
-        assert_eq!(s.cas, 4 + cc.max_retries as u64);
+        let retries = TwoPhaseLocking::MAX_RETRIES as u64;
+        assert_eq!(s.cas_failures, retries + 1);
+        assert_eq!(s.cas, 4 + retries);
         assert_eq!(s.reads, s.cas, "each CAS brought its payload READ");
         // Acquire doorbell, one doorbell per rung, one release doorbell
         // of three unlocks and no write-back.
-        assert_eq!(s.wire_round_trips(), 1 + cc.max_retries as u64 + 1);
+        assert_eq!(s.wire_round_trips(), 1 + retries + 1);
         assert_eq!(s.writes, 3);
         for key in 0..4 {
             let held_by = if key == 2 { 42 } else { 0 };

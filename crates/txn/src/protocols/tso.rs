@@ -32,17 +32,16 @@ use crate::oracle::TimestampOracle;
 /// TSO with a pluggable timestamp oracle.
 pub struct Tso {
     oracle: Arc<dyn TimestampOracle>,
-    /// CAS retries for the short write lock.
-    pub max_retries: u32,
 }
 
 impl Tso {
+    /// CAS retries of one short write lock before it is declared busy
+    /// (the transaction aborts).
+    pub const MAX_RETRIES: u32 = 8;
+
     /// TSO drawing timestamps from `oracle`.
     pub fn new(oracle: Arc<dyn TimestampOracle>) -> Self {
-        Self {
-            oracle,
-            max_retries: 8,
-        }
+        Self { oracle }
     }
 }
 
@@ -84,7 +83,7 @@ impl ConcurrencyControl for Tso {
             Staged::Abs(_) => HEADER,
             Staged::Delta(_) => HEADER + psize,
         };
-        commit_set(ctx, &keys, self.max_retries, view_len, || Ok(()), |i, view| {
+        commit_set(ctx, &keys, Self::MAX_RETRIES, view_len, || Ok(()), |i, view| {
             if ts < word(view, 0) {
                 return Err(TxnError::Aborted("tso-write-after-read"));
             }
