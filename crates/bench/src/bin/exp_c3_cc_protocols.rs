@@ -27,7 +27,6 @@ fn run(cc: CcProtocol, theta: f64, read_pct: u32, txns: usize) -> WorkloadResult
         memory_nodes: 2,
         n_records: RECORDS,
         payload_size: 64,
-        versions: if cc == CcProtocol::Mvcc { 4 } else { 1 },
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
         cc,

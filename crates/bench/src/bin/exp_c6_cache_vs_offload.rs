@@ -36,7 +36,6 @@ fn setup() -> (Arc<DsmLayer>, GlobalAddr) {
             memory_nodes: 1,
             capacity_per_node: 16 << 20,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
             ..Default::default()
         },
     );

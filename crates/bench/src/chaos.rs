@@ -87,6 +87,9 @@ pub mod scenarios {
     }
 }
 
+/// Payload bytes per record of a chaos run.
+pub const PAYLOAD: usize = 64;
+
 /// Knobs for one chaos run. All sizes are full-scale; callers shrink via
 /// [`crate::scale_down`].
 #[derive(Debug, Clone, Copy)]
@@ -97,10 +100,9 @@ pub struct ChaosConfig {
     pub sessions: usize,
     /// Rounds per session; each round is one transfer attempt.
     pub rounds: usize,
-    /// Records in the table (striped across 2 mirror groups).
+    /// Records in the table (striped across 2 mirror groups), of
+    /// [`PAYLOAD`] bytes each.
     pub records: u64,
-    /// Payload bytes per record.
-    pub payload: usize,
     /// Lease horizon of every lock word, virtual ns.
     pub lease_ns: u64,
     /// Time-series window width, virtual ns (0 disables sampling; the
@@ -119,7 +121,6 @@ impl Default for ChaosConfig {
             sessions: 8,
             rounds: 900,
             records: 256,
-            payload: 64,
             lease_ns: 300_000,
             window_ns: DEFAULT_WINDOW_NS,
             inject: true,
@@ -215,7 +216,7 @@ fn run(cfg: &ChaosConfig, trace: bool) -> ChaosOutcome {
         replication: 2,
         capacity_per_node: 8 << 20,
         n_records: cfg.records,
-        payload_size: cfg.payload,
+        payload_size: PAYLOAD,
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
         cc: CcProtocol::TplExclusive,
@@ -285,7 +286,7 @@ fn run(cfg: &ChaosConfig, trace: bool) -> ChaosOutcome {
 
             // Degraded read: the dead group still answers from its mirror.
             let probe = fabric.endpoint();
-            let mut buf = vec![0u8; cfg.payload];
+            let mut buf = vec![0u8; PAYLOAD];
             if layer.read(&probe, table.payload_addr(hot_g0, 0), &mut buf).is_ok() {
                 out.degraded_reads += 1;
             }

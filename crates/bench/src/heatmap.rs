@@ -49,6 +49,12 @@ use crate::Planes;
 /// `EVENTS_PER_OP * ops_per_session` events, the whole run.
 const EVENTS_PER_OP: usize = 3;
 
+/// Payload bytes per record (40 → a 64-byte slot, 1024 slots per 64 KiB
+/// heat range).
+pub const PAYLOAD: usize = 40;
+/// Percentage of operations that are reads (the rest are writes).
+const READ_PCT: u32 = 80;
+
 /// One heat run's knobs. `window_ns = 0` disables utilization capture
 /// entirely (the zero-cost control); series sampling stays on either
 /// way so the report always carries a timeseries section.
@@ -59,16 +65,11 @@ pub struct HeatConfig {
     pub sessions: usize,
     /// Operations per session.
     pub ops_per_session: usize,
-    /// Record slots in the table. Must divide evenly by the bed's
-    /// group count.
+    /// Record slots in the table, of [`PAYLOAD`] bytes each. Must divide
+    /// evenly by the bed's group count.
     pub records: u64,
-    /// Payload bytes per record (40 → a 64-byte slot, 1024 slots per
-    /// 64 KiB heat range).
-    pub payload: usize,
     /// Zipf skew over app keys; 0 = uniform.
     pub theta: f64,
-    /// Percentage of operations that are reads (rest are writes).
-    pub read_pct: u32,
     /// Base width of the utilization windows; 0 turns the utilization
     /// plane off.
     pub window_ns: u64,
@@ -81,9 +82,7 @@ impl Default for HeatConfig {
             sessions: 4,
             ops_per_session: 2000,
             records: 16384,
-            payload: 40,
             theta: 0.9,
-            read_pct: 80,
             window_ns: DEFAULT_WINDOW_NS,
         }
     }
@@ -125,14 +124,13 @@ impl HeatBed {
                 capacity_per_node: 32 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         assert!(
             cfg.records.is_multiple_of(memory_nodes as u64),
             "records must stripe evenly over {memory_nodes} groups"
         );
-        let table = Arc::new(RecordTable::create(&layer, cfg.records, cfg.payload, 1).unwrap());
+        let table = Arc::new(RecordTable::create(&layer, cfg.records, PAYLOAD, 1).unwrap());
         Self {
             fabric,
             layer,
@@ -146,7 +144,7 @@ impl HeatBed {
     pub fn contiguous(cfg: &HeatConfig, cold: usize) -> Self {
         let bed = Self::striped(cfg, 1);
         for _ in 0..cold {
-            bed.layer.join_group(32 << 20, 1, 4.0);
+            bed.layer.join_group(32 << 20, 1);
         }
         bed
     }
@@ -177,12 +175,12 @@ pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
         .collect();
     let zipf = workload::ZipfGenerator::new(cfg.records, cfg.theta);
     let (mut ops, mut reads, mut writes) = (0u64, 0u64, 0u64);
-    let mut buf = vec![0u8; cfg.payload];
+    let mut buf = vec![0u8; PAYLOAD];
     for _ in 0..cfg.ops_per_session {
         for (t, ep) in eps.iter().enumerate() {
             let rank = zipf.next(&mut rngs[t]);
             let key = bed.key_of(rank);
-            if rngs[t].gen_range(0..100) < cfg.read_pct {
+            if rngs[t].gen_range(0..100) < READ_PCT {
                 let _g = ep.span(Phase::PageFetch);
                 bed.layer
                     .read(ep, bed.table.payload_read_addr(key, 0), &mut buf)

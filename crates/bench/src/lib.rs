@@ -9,10 +9,10 @@
 //!   real thread, interleaving their operations so shared
 //!   [`rdma_sim::clock::SharedTimeline`]s see realistic arrival patterns
 //!   (sequential per-client loops would serialize behind device tails);
-//! * [`run_cluster_workload`] — the real-thread driver for
-//!   message-passing architectures (3b coherence, 3c 2PC): every session
-//!   runs its share, one transaction at a time in virtual-time order,
-//!   and keeps serving peers until the fleet is done;
+//! * [`run_cluster_workload`] — the real-thread driver for every cluster
+//!   run, whatever its architecture (3a one-sided, 3b coherence, 3c
+//!   2PC): every session runs its share, one transaction at a time in
+//!   virtual-time order, and keeps serving peers until the fleet is done;
 //! * [`Planes`] — the one telemetry bundle every run records, merges and
 //!   attaches to its report;
 //! * [`report`] — report emission, and the validator of everything the

@@ -38,6 +38,9 @@ use crate::{AbortCauses, Planes};
 /// session worker-tag range so wait-for edges name it unambiguously.
 const ANTAGONIST_TAG: u64 = 0xA11;
 
+/// Payload bytes per record of an observatory run.
+pub const PAYLOAD: usize = 64;
+
 /// Knobs for one observatory run.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
@@ -47,10 +50,8 @@ pub struct ObsConfig {
     pub sessions: usize,
     /// Rounds per session; each round is one transaction attempt.
     pub rounds: usize,
-    /// Records in the table.
+    /// Records in the table, of [`PAYLOAD`] bytes each.
     pub records: u64,
-    /// Payload bytes per record.
-    pub payload: usize,
     /// Zipf skew (0.0 = uniform).
     pub theta: f64,
     /// Share of read-only transactions, percent.
@@ -74,7 +75,6 @@ impl Default for ObsConfig {
             sessions: 8,
             rounds: 600,
             records: 1024,
-            payload: 64,
             theta: 0.9,
             read_pct: 20,
             cc: CcProtocol::TplExclusive,
@@ -126,8 +126,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         threads_per_node: cfg.sessions,
         memory_nodes: 2,
         n_records: cfg.records,
-        payload_size: cfg.payload,
-        versions: if cfg.cc == CcProtocol::Mvcc { 4 } else { 1 },
+        payload_size: PAYLOAD,
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
         cc: cfg.cc,

@@ -105,13 +105,12 @@ pub struct ReshardConfig {
     pub records: u64,
     /// Payload bytes per record.
     pub payload: usize,
-    /// Lease horizon of every lock word, virtual ns.
-    pub lease_ns: u64,
-    /// Time-series window width, virtual ns (0 disables sampling).
-    pub window_ns: u64,
-    /// Copier pacing charge per chunk, virtual ns.
-    pub pace_ns: u64,
 }
+
+/// Lease horizon of every lock word of a reshard run, virtual ns.
+const LEASE_NS: u64 = 300_000;
+/// Copier pacing charge per chunk, virtual ns.
+const PACE_NS: u64 = 500;
 
 impl Default for ReshardConfig {
     fn default() -> Self {
@@ -121,9 +120,6 @@ impl Default for ReshardConfig {
             rounds: 2_200,
             records: 16_384,
             payload: 8_192,
-            lease_ns: 300_000,
-            window_ns: DEFAULT_WINDOW_NS,
-            pace_ns: 500,
         }
     }
 }
@@ -241,7 +237,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
         cc: CcProtocol::TplExclusive,
-        lease_ns: Some(cfg.lease_ns),
+        lease_ns: Some(LEASE_NS),
         ..Default::default()
     })
     .expect("reshard cluster");
@@ -267,7 +263,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let mut joiners: Vec<Session> = Vec::new();
     let coord = fabric.endpoint();
     for s in &core {
-        s.endpoint().enable_timeseries(cfg.window_ns);
+        s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
     }
     // The coordinator records NO series: its clock sits at the fleet
     // edge while it drives the copier, and an extra series would stretch
@@ -284,7 +280,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     // memory-node timelines instead of booking far-future device time.
     let streams: Vec<_> = (0..8).map(|_| fabric.endpoint()).collect();
 
-    let migrator = Migrator::create(&layer, &table, &coord, cfg.pace_ns).expect("descriptor");
+    let migrator = Migrator::create(&layer, &table, &coord, PACE_NS).expect("descriptor");
     let mut epoch = cluster
         .membership()
         .epoch(&layer, &coord, 0)
@@ -320,7 +316,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             out.migrate.start_ns = t;
             // Memory-node join: a fresh mirror group with room for the
             // whole table.
-            dst_group = layer.join_group(dst_capacity as usize, 2, 4.0);
+            dst_group = layer.join_group(dst_capacity as usize, 2);
             // Compute-node join: node 1 comes up and adds sessions with
             // clocks aligned to the fleet.
             cluster
@@ -330,7 +326,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
             joiners = (0..cfg.sessions).map(|t| cluster.session(1, t)).collect();
             for s in &joiners {
                 s.endpoint().charge_local(t);
-                s.endpoint().enable_timeseries(cfg.window_ns);
+                s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
             }
             coord.charge_local(t.saturating_sub(coord.clock().now_ns()));
             for st in &streams {
@@ -413,7 +409,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 .membership()
                 .bump_epoch(&layer, &rec, 0)
                 .expect("fence epoch");
-            let recovered = Migrator::attach(&layer, &table, migrator.descriptor(), cfg.pace_ns);
+            let recovered = Migrator::attach(&layer, &table, migrator.descriptor(), PACE_NS);
             let outcome = recovered.recover(&rec, new_epoch).expect("resolve descriptor");
             assert_eq!(
                 outcome,
@@ -640,8 +636,8 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
     rep.meta("records", Json::U(cfg.records));
     rep.meta("payload", Json::U(cfg.payload as u64));
     rep.meta("migration_bytes", Json::U(cfg.migration_bytes()));
-    rep.meta("window_ns", Json::U(cfg.window_ns));
-    rep.meta("pace_ns", Json::U(cfg.pace_ns));
+    rep.meta("window_ns", Json::U(DEFAULT_WINDOW_NS));
+    rep.meta("pace_ns", Json::U(PACE_NS));
     for out in outs {
         rep.row(
             out.scenario.name(),

@@ -17,7 +17,6 @@ fn cfg() -> ChaosConfig {
         sessions: 4,
         rounds: 600,
         records: 128,
-        payload: 64,
         lease_ns: 200_000,
         ..ChaosConfig::default()
     }

@@ -17,7 +17,6 @@ fn cfg() -> ReshardConfig {
         rounds: 80,
         records: 512,
         payload: 256,
-        ..ReshardConfig::default()
     }
 }
 

@@ -40,10 +40,10 @@ pub fn all_policies(capacity: usize) -> Vec<Box<dyn ReplacementPolicy>> {
     vec![
         Box::new(FifoPolicy::new(capacity)),
         Box::new(LruPolicy::new(capacity)),
-        Box::new(LruKPolicy::new(capacity, 2)),
+        Box::new(LruKPolicy::new(capacity)),
         Box::new(TwoQPolicy::new(capacity)),
         Box::new(ClockPolicy::new(capacity)),
         Box::new(ArcPolicy::new(capacity)),
-        Box::new(SampledLruPolicy::new(capacity, 5)),
+        Box::new(SampledLruPolicy::new(capacity)),
     ]
 }

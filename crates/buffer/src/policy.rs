@@ -200,24 +200,25 @@ impl ReplacementPolicy for LruPolicy {
 // LRU-K
 // ---------------------------------------------------------------------------
 
-/// LRU-K (O'Neil et al. \[46\]): evicts the frame whose K-th most recent
-/// access is oldest. History updates are cheap; victim selection scans all
-/// frames — the expensive-but-accurate end of the spectrum.
+/// History depth of [`LruKPolicy`].
+const LRU_K: usize = 2;
+
+/// LRU-K (O'Neil et al. \[46\]) with K = 2: evicts the frame whose
+/// second most recent access is oldest. History updates are cheap; victim
+/// selection scans all frames — the expensive-but-accurate end of the
+/// spectrum.
 pub struct LruKPolicy {
-    k: usize,
     /// Per-frame ring of the last K access times (0 = never).
-    history: Vec<Vec<u64>>,
+    history: Vec<[u64; LRU_K]>,
     resident: Vec<bool>,
     tick: u64,
 }
 
 impl LruKPolicy {
-    /// LRU-K over `capacity` frames with history depth `k`.
-    pub fn new(capacity: usize, k: usize) -> Self {
-        assert!(k >= 1);
+    /// LRU-K over `capacity` frames.
+    pub fn new(capacity: usize) -> Self {
         Self {
-            k,
-            history: vec![vec![0; k]; capacity],
+            history: vec![[0; LRU_K]; capacity],
             resident: vec![false; capacity],
             tick: 0,
         }
@@ -233,7 +234,7 @@ impl LruKPolicy {
     /// Backward K-distance: the K-th most recent access time (0 if fewer
     /// than K accesses — maximally evictable).
     fn kth(&self, frame: FrameId) -> u64 {
-        self.history[frame][self.k - 1]
+        self.history[frame][LRU_K - 1]
     }
 }
 
@@ -243,13 +244,13 @@ impl ReplacementPolicy for LruKPolicy {
     }
     fn on_hit(&mut self, frame: FrameId, _page: u64) -> u64 {
         self.touch(frame);
-        MAP_OP_NS + self.k as u64 * LIST_OP_NS
+        MAP_OP_NS + LRU_K as u64 * LIST_OP_NS
     }
     fn on_insert(&mut self, frame: FrameId, _page: u64) -> u64 {
         self.history[frame].fill(0);
         self.touch(frame);
         self.resident[frame] = true;
-        MAP_OP_NS + self.k as u64 * LIST_OP_NS
+        MAP_OP_NS + LRU_K as u64 * LIST_OP_NS
     }
     fn victim(&mut self) -> (FrameId, u64) {
         let mut best: Option<(u64, u64, FrameId)> = None; // (kth, recency, frame)
@@ -349,27 +350,26 @@ impl ReplacementPolicy for ClockPolicy {
 // Sampled LRU
 // ---------------------------------------------------------------------------
 
+/// Frames [`SampledLruPolicy`] inspects per eviction.
+const LRU_SAMPLE: usize = 5;
+
 /// Redis-style approximated LRU: hits stamp a logical timestamp
-/// (latch-free); eviction samples `sample_size` random frames and evicts
+/// (latch-free); eviction samples five random frames and evicts
 /// the stalest. Near-LRU hit rates at near-FIFO overhead — a candidate
 /// "new policy that considers actual running time" (§5).
 pub struct SampledLruPolicy {
     last_access: Vec<u64>,
     resident: Vec<bool>,
-    sample_size: usize,
     tick: u64,
     rng_state: u64,
 }
 
 impl SampledLruPolicy {
-    /// Sampled LRU over `capacity` frames, sampling `sample_size`
-    /// candidates per eviction.
-    pub fn new(capacity: usize, sample_size: usize) -> Self {
-        assert!(sample_size >= 1);
+    /// Sampled LRU over `capacity` frames.
+    pub fn new(capacity: usize) -> Self {
         Self {
             last_access: vec![0; capacity],
             resident: vec![false; capacity],
-            sample_size,
             tick: 0,
             rng_state: 0x9E3779B97F4A7C15,
         }
@@ -407,7 +407,7 @@ impl ReplacementPolicy for SampledLruPolicy {
         let mut cost = 0u64;
         let mut inspected = 0;
         let mut attempts = 0;
-        while inspected < self.sample_size && attempts < 8 * n.max(8) {
+        while inspected < LRU_SAMPLE && attempts < 8 * n.max(8) {
             attempts += 1;
             let f = (self.next_rand() % n as u64) as usize;
             cost += RNG_NS + SCAN_STEP_NS;
@@ -509,7 +509,7 @@ mod tests {
 
     #[test]
     fn lruk_prefers_evicting_single_touch_pages() {
-        let mut p = LruKPolicy::new(4, 2);
+        let mut p = LruKPolicy::new(4);
         for f in 0..4 {
             p.on_insert(f, f as u64);
         }
@@ -519,11 +519,21 @@ mod tests {
         p.on_hit(1, 1);
         assert_eq!(p.victim().0, 2);
         assert_eq!(p.victim().0, 3);
+
+        // K = 2: two twice-touched pages are ranked by their second most
+        // recent access, so the most recently used one goes (LRU and
+        // LRU-3 would both evict frame 1).
+        let mut p = LruKPolicy::new(2);
+        p.on_insert(0, 0);
+        p.on_insert(1, 1);
+        p.on_hit(1, 1);
+        p.on_hit(0, 0);
+        assert_eq!(p.victim().0, 0);
     }
 
     #[test]
     fn sampled_lru_roughly_tracks_recency() {
-        let mut p = SampledLruPolicy::new(64, 5);
+        let mut p = SampledLruPolicy::new(64);
         for f in 0..64 {
             p.on_insert(f, f as u64);
         }
@@ -531,8 +541,11 @@ mod tests {
         for f in 32..64 {
             p.on_hit(f, f as u64);
         }
+        // On a full pool an eviction inspects five frames, a draw each.
+        let (first, cost) = p.victim();
+        assert_eq!(cost, 5 * (RNG_NS + SCAN_STEP_NS));
         // Most victims should come from the stale half.
-        let stale_victims = (0..32).filter(|_| p.victim().0 < 32).count();
+        let stale_victims = usize::from(first < 32) + (1..32).filter(|_| p.victim().0 < 32).count();
         assert!(stale_victims >= 24, "only {stale_victims}/32 were stale");
     }
 

@@ -1058,7 +1058,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let pool = BufferPool::new(
@@ -1214,7 +1213,7 @@ mod tests {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let layer = DsmLayer::build(
             &fabric,
-            DsmConfig { memory_nodes: 1, capacity_per_node: 1 << 20, replication: 1, mem_cores: 1, weak_cpu_factor: 4.0 },
+            DsmConfig { memory_nodes: 1, capacity_per_node: 1 << 20, replication: 1, mem_cores: 1 },
         );
         let pool = BufferPool::new_striped(layer.clone(), 64, 16, 4, |cap| Box::new(LruPolicy::new(cap)));
         let ep = fabric.endpoint();
@@ -1274,7 +1273,6 @@ mod tests {
                     capacity_per_node: 1 << 20,
                     replication: 1,
                     mem_cores: 1,
-                    weak_cpu_factor: 4.0,
                 },
             );
             let name = policy.name();
@@ -1523,7 +1521,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let ep = fabric.endpoint();
@@ -1567,7 +1564,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let pool = BufferPool::new_striped(

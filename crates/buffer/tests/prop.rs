@@ -38,7 +38,6 @@ fn layer() -> Arc<DsmLayer> {
             capacity_per_node: 1 << 20,
             replication: 1,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     )
 }

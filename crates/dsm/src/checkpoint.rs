@@ -150,7 +150,6 @@ mod tests {
                 capacity_per_node: 256 << 10,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let store = Arc::new(ObjectStore::new(NetworkProfile::cloud_s3()));

@@ -81,7 +81,9 @@ impl From<RdmaError> for DsmError {
 /// Result alias for DSM operations.
 pub type DsmResult<T> = Result<T, DsmError>;
 
-/// Configuration for building a [`DsmLayer`].
+/// Configuration for building a [`DsmLayer`]: how many memory nodes, how
+/// big, how mirrored and how many cores each. How slow those cores are is
+/// not a setting ([`memnode::WEAK_CPU_FACTOR`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DsmConfig {
     /// Number of memory nodes (must be a multiple of `replication`).
@@ -92,8 +94,6 @@ pub struct DsmConfig {
     pub replication: usize,
     /// Weak-CPU cores per memory node (offload executor width).
     pub mem_cores: usize,
-    /// How much slower a memory-node core is than a compute-node core.
-    pub weak_cpu_factor: f64,
 }
 
 impl Default for DsmConfig {
@@ -103,7 +103,6 @@ impl Default for DsmConfig {
             capacity_per_node: 16 << 20,
             replication: 1,
             mem_cores: 2,
-            weak_cpu_factor: 4.0,
         }
     }
 }
@@ -461,12 +460,7 @@ impl DsmLayer {
         for _ in 0..(config.memory_nodes / config.replication) {
             let members: Vec<Arc<MemoryNode>> = (0..config.replication)
                 .map(|_| {
-                    Arc::new(MemoryNode::new(
-                        fabric,
-                        config.capacity_per_node,
-                        config.mem_cores,
-                        config.weak_cpu_factor,
-                    ))
+                    Arc::new(MemoryNode::new(fabric, config.capacity_per_node, config.mem_cores))
                 })
                 .collect();
             // Burn the first 8 bytes of each group so offset 0 is never
@@ -490,21 +484,9 @@ impl DsmLayer {
     /// `replication` new memory nodes, wires them as one group, and
     /// makes them immediately eligible for round-robin allocation.
     /// Returns the new group's index.
-    pub fn join_group(
-        &self,
-        capacity_per_node: usize,
-        mem_cores: usize,
-        weak_cpu_factor: f64,
-    ) -> usize {
+    pub fn join_group(&self, capacity_per_node: usize, mem_cores: usize) -> usize {
         let members: Vec<Arc<MemoryNode>> = (0..self.replication)
-            .map(|_| {
-                Arc::new(MemoryNode::new(
-                    &self.fabric,
-                    capacity_per_node,
-                    mem_cores,
-                    weak_cpu_factor,
-                ))
-            })
+            .map(|_| Arc::new(MemoryNode::new(&self.fabric, capacity_per_node, mem_cores)))
             .collect();
         members[0].alloc(8).expect("fresh node");
         let group = Arc::new(MirrorGroup {
@@ -535,11 +517,6 @@ impl DsmLayer {
     /// surface every fault to the caller).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         self.table.write().retry = policy;
-    }
-
-    /// The retry policy currently in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.table.read().retry
     }
 
     /// The fabric this layer lives on.
@@ -865,7 +842,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         (fabric, layer)
@@ -1235,7 +1211,7 @@ mod tests {
         let (f, l) = layer(2, 2);
         let ep = f.endpoint();
         assert_eq!(l.group_count(), 1);
-        let idx = l.join_group(1 << 20, 1, 4.0);
+        let idx = l.join_group(1 << 20, 1);
         assert_eq!(idx, 1);
         assert_eq!(l.group_count(), 2);
         let a = l.alloc_on(idx, 64).unwrap();

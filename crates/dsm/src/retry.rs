@@ -25,58 +25,46 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Deadline + capped exponential backoff with seeded jitter.
+/// Deadline + capped exponential backoff with seeded jitter: the
+/// [`Default`] policy, or [`RetryPolicy::none`]. Both share the schedule
+/// below; they differ only in their attempt budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = no retry).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, virtual ns.
-    pub base_backoff_ns: u64,
-    /// Ceiling on a single backoff, virtual ns.
-    pub max_backoff_ns: u64,
-    /// Give up once this much virtual time elapsed since the first try.
-    pub deadline_ns: u64,
-    /// Seed for the jitter (mixed with attempt number and clock).
-    pub seed: u64,
+    max_attempts: u32,
 }
+
+/// Backoff before the first retry, virtual ns.
+const BASE_BACKOFF_NS: u64 = 2_000;
+/// Ceiling on a single backoff, virtual ns.
+const MAX_BACKOFF_NS: u64 = 500_000;
+/// Give up once this much virtual time elapsed since the first try.
+const DEADLINE_NS: u64 = 5_000_000;
+/// Seed for the jitter (mixed with attempt number and clock).
+const SEED: u64 = 0x5EED;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 6,
-            base_backoff_ns: 2_000,
-            max_backoff_ns: 500_000,
-            deadline_ns: 5_000_000,
-            seed: 0x5EED,
-        }
+        Self { max_attempts: Self::MAX_ATTEMPTS }
     }
 }
 
 impl RetryPolicy {
+    /// Total attempts of the default policy, including the first.
+    pub const MAX_ATTEMPTS: u32 = 6;
+
     /// No retries: every failure surfaces on the first attempt.
     pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff_ns: 0,
-            max_backoff_ns: 0,
-            deadline_ns: 0,
-            seed: 0,
-        }
+        Self { max_attempts: 1 }
     }
 
     /// Backoff before retry number `attempt` (1-based): exponential from
-    /// `base_backoff_ns`, capped, with jitter in `[cap/2, cap]` so
+    /// `BASE_BACKOFF_NS`, capped, with jitter in `[cap/2, cap]` so
     /// contending retriers decorrelate without leaving the cap.
-    fn backoff_ns(&self, attempt: u32, now_ns: u64) -> u64 {
-        let exp = self
-            .base_backoff_ns
-            .saturating_mul(1u64 << (attempt - 1).min(20));
-        let cap = exp.min(self.max_backoff_ns);
-        if cap < 2 {
-            return cap;
-        }
+    fn backoff_ns(attempt: u32, now_ns: u64) -> u64 {
+        let cap = BASE_BACKOFF_NS.saturating_mul(1u64 << (attempt - 1).min(20)).min(MAX_BACKOFF_NS);
         let half = cap / 2;
-        half + splitmix64(self.seed ^ now_ns ^ attempt as u64) % (cap - half + 1)
+        half + splitmix64(SEED ^ now_ns ^ attempt as u64) % (cap - half + 1)
     }
 
     /// Run `op`, retrying transient failures until the attempt or
@@ -91,10 +79,10 @@ impl RetryPolicy {
                 Err(e) if e.is_transient() => {
                     attempt += 1;
                     let elapsed = ep.clock().now_ns().saturating_sub(start);
-                    if attempt >= self.max_attempts || elapsed >= self.deadline_ns {
+                    if attempt >= self.max_attempts || elapsed >= DEADLINE_NS {
                         return Err(e);
                     }
-                    ep.charge_local(self.backoff_ns(attempt, ep.clock().now_ns()));
+                    ep.charge_local(Self::backoff_ns(attempt, ep.clock().now_ns()));
                 }
                 Err(e) => return Err(e),
             }
@@ -150,34 +138,34 @@ mod tests {
             Err(DsmError::Rdma(RdmaError::Timeout(0)))
         });
         assert_eq!(out, Err(DsmError::Rdma(RdmaError::Timeout(0))));
-        assert_eq!(calls, RetryPolicy::default().max_attempts);
+        assert_eq!(calls, 6);
     }
 
+    /// Failed verbs of 2 ms each: the third ends past the 5 ms deadline,
+    /// so the loop stops there with attempts left.
     #[test]
     fn deadline_bounds_virtual_time_spent() {
         let ep = ep();
-        let policy = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff_ns: 1_000,
-            max_backoff_ns: 1_000_000,
-            deadline_ns: 50_000,
-            seed: 9,
-        };
-        let out: DsmResult<()> = policy.run(&ep, || {
-            ep.charge_local(10_000); // simulate the failed verb's cost
+        let mut calls = 0;
+        let out: DsmResult<()> = RetryPolicy::default().run(&ep, || {
+            calls += 1;
+            ep.charge_local(2_000_000); // simulate the failed verb's cost
             Err(DsmError::Rdma(RdmaError::Timeout(0)))
         });
         assert!(out.is_err());
-        assert!(ep.clock().now_ns() < 200_000, "deadline must stop the loop");
+        assert_eq!(calls, 3, "deadline must stop the loop");
+        assert!(ep.clock().now_ns() < 6_200_000, "{}", ep.clock().now_ns());
     }
 
+    /// Retry `n` waits in `[cap/2, cap]` for `cap = min(2 µs << (n - 1),
+    /// 500 µs)`, the same for the same attempt and clock.
     #[test]
     fn backoff_is_deterministic_per_seed() {
-        let a = RetryPolicy::default();
-        assert_eq!(a.backoff_ns(3, 777), a.backoff_ns(3, 777));
-        let capped = RetryPolicy::default();
+        assert_eq!(RetryPolicy::backoff_ns(3, 777), RetryPolicy::backoff_ns(3, 777));
         for attempt in 1..32 {
-            assert!(capped.backoff_ns(attempt, 1) <= capped.max_backoff_ns);
+            let cap = (2_000u64 << (attempt - 1).min(20)).min(500_000);
+            let b = RetryPolicy::backoff_ns(attempt, 1);
+            assert!(cap / 2 <= b && b <= cap, "attempt {attempt}: {b} outside [{}, {cap}]", cap / 2);
         }
     }
 

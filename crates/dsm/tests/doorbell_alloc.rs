@@ -45,7 +45,6 @@ fn steady_state_doorbells_allocate_nothing_at_either_layer() {
             capacity_per_node: 1 << 20,
             replication: 2,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     );
     let ep = fabric.endpoint();

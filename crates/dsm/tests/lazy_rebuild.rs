@@ -23,7 +23,7 @@ fn a_rebuilt_member_holds_only_the_pages_its_data_fills() {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
-        DsmConfig { memory_nodes: 2, capacity_per_node: NODE, replication: 2, mem_cores: 1, weak_cpu_factor: 4.0 },
+        DsmConfig { memory_nodes: 2, capacity_per_node: NODE, replication: 2, mem_cores: 1 },
     );
     let ep = fabric.endpoint();
     let record = layer.alloc(64).unwrap();

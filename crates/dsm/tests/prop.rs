@@ -15,7 +15,6 @@ fn layer(nodes: usize, replication: usize) -> Arc<DsmLayer> {
             capacity_per_node: 1 << 20,
             replication,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     )
 }

@@ -323,7 +323,6 @@ mod tests {
                 capacity_per_node: 4 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let table = Arc::new(RecordTable::create(&layer, 64, 16, 1).unwrap());
@@ -503,7 +502,7 @@ mod tests {
         let Setup { layer, table, caches, ios, .. } = setup();
         let ep = layer.fabric().endpoint();
         write(&ios[0], &table, &ep, 2, 3);
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         table.begin_migration(dst, 0, 8).unwrap();
         while table.migrate_chunk(&ep, 8).unwrap() > 0 {}
         assert_ne!(table.payload_read_addr(2, 0).node(), table.sharers_addr(2).node());

@@ -1,4 +1,6 @@
-//! Cluster configuration: the experiment knobs.
+//! Cluster configuration: the experiment knobs. What follows from a knob
+//! is derived, not set: the records' version count from the protocol
+//! ([`CcProtocol::versions`]).
 
 use rdma_sim::NetworkProfile;
 
@@ -37,11 +39,25 @@ pub enum CcProtocol {
     Occ,
     /// Timestamp ordering (FAA oracle).
     Tso,
-    /// Multi-version CC (FAA oracle; requires `versions >= 2`).
+    /// Multi-version CC (FAA oracle): every record keeps
+    /// [`MVCC_VERSIONS`] versions.
     Mvcc,
 }
 
-/// Everything needed to build a [`crate::Cluster`].
+/// In-record versions under [`CcProtocol::Mvcc`]: enough for a reader to
+/// find a snapshot while writers install newer ones.
+pub const MVCC_VERSIONS: usize = 4;
+
+impl CcProtocol {
+    /// In-record versions the protocol needs: [`MVCC_VERSIONS`] for MVCC,
+    /// one for every single-version protocol.
+    pub fn versions(self) -> usize {
+        if self == CcProtocol::Mvcc { MVCC_VERSIONS } else { 1 }
+    }
+}
+
+/// Everything needed to build a [`crate::Cluster`]. The records' version
+/// count is not a setting: it follows from `cc` ([`CcProtocol::versions`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Compute nodes (multi-master width). Max 64 (sharer bitmap).
@@ -58,8 +74,6 @@ pub struct ClusterConfig {
     pub n_records: u64,
     /// Payload bytes per record.
     pub payload_size: usize,
-    /// In-record versions (>= 2 enables MVCC).
-    pub versions: usize,
     /// Local buffer-pool frames per compute node (caching architectures).
     pub cache_frames: usize,
     /// Network tier.
@@ -87,7 +101,6 @@ impl Default for ClusterConfig {
             capacity_per_node: 32 << 20,
             n_records: 10_000,
             payload_size: 64,
-            versions: 1,
             cache_frames: 1_024,
             profile: NetworkProfile::rdma_cx6(),
             architecture: Architecture::NoCacheNoShard,
@@ -104,9 +117,6 @@ impl ClusterConfig {
         assert!(self.threads_per_node >= 1);
         assert!(self.n_records >= 1);
         assert!(self.payload_size >= 8, "payload must hold the i64 counter");
-        if self.cc == CcProtocol::Mvcc {
-            assert!(self.versions >= 2, "MVCC needs >= 2 versions");
-        }
         if let Some(lease_ns) = self.lease_ns {
             assert!(lease_ns > 0, "lease horizon must be positive");
             assert!(
@@ -136,20 +146,18 @@ impl ClusterConfig {
 mod tests {
     use super::*;
 
+    /// MVCC keeps four versions per record; every other protocol one.
     #[test]
-    fn default_config_is_valid() {
-        ClusterConfig::default().validate();
+    fn the_version_count_follows_from_the_protocol() {
+        assert_eq!(CcProtocol::Mvcc.versions(), 4);
+        for cc in [CcProtocol::TplExclusive, CcProtocol::TplSharedExclusive, CcProtocol::Occ, CcProtocol::Tso] {
+            assert_eq!(cc.versions(), 1, "{cc:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "MVCC needs")]
-    fn mvcc_requires_versions() {
-        ClusterConfig {
-            cc: CcProtocol::Mvcc,
-            versions: 1,
-            ..Default::default()
-        }
-        .validate();
+    fn default_config_is_valid() {
+        ClusterConfig::default().validate();
     }
 
     #[test]

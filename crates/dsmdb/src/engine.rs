@@ -98,11 +98,10 @@ impl Cluster {
                 capacity_per_node: config.capacity_per_node,
                 replication: config.replication,
                 mem_cores: 2,
-                weak_cpu_factor: 4.0,
             },
         );
         let table = Arc::new(
-            RecordTable::create(&layer, config.n_records, config.payload_size, config.versions)
+            RecordTable::create(&layer, config.n_records, config.payload_size, config.cc.versions())
                 .map_err(|e| EngineError::Setup(e.to_string()))?,
         );
         let membership = {
@@ -683,7 +682,6 @@ mod tests {
             memory_nodes: 2,
             n_records: 64,
             payload_size: 16,
-            versions: if cc == CcProtocol::Mvcc { 4 } else { 1 },
             cache_frames: 64,
             profile: NetworkProfile::zero(),
             architecture: arch,
@@ -848,6 +846,12 @@ mod tests {
         bank_run(Architecture::NoCacheNoShard, CcProtocol::Occ, 2, 2);
     }
 
+    /// MVCC from the default config: the version count follows from `cc`.
+    #[test]
+    fn multi_master_bank_invariant_3a_mvcc() {
+        bank_run_on(ClusterConfig { cc: CcProtocol::Mvcc, ..Default::default() });
+    }
+
     #[test]
     fn multi_master_bank_invariant_3a_leased() {
         bank_run_on(leased(2, 2));
@@ -956,7 +960,7 @@ mod tests {
         let mut total = 0i64;
         for k in 0..64u64 {
             // Latest version = max wts slot.
-            let versions = cluster.config.versions;
+            let versions = cluster.table().versions();
             let mut best = (0u64, 0i64);
             for v in 0..versions {
                 let wts = cluster

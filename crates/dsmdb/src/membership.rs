@@ -43,14 +43,13 @@ const EPOCH_OFF: u64 = 0;
 const STATUS_OFF: u64 = 8;
 
 /// The membership/epoch table. Cheap to clone-share via the engine.
+///
+/// Epoch and status reads decide fencing, so they retry under the
+/// default [`RetryPolicy`] whatever the layer's own policy: a transient
+/// here must not surface as a spurious unavailability abort, even when
+/// the data-plane policy is trimmed to [`RetryPolicy::none`].
 pub struct Membership {
     base: GlobalAddr,
-    nodes: usize,
-    /// Control-plane retry policy. Epoch/status reads decide fencing —
-    /// a transient here must not surface as a spurious unavailability
-    /// abort, even when the data-plane policy is trimmed to
-    /// [`RetryPolicy::none`] by an experiment.
-    retry: RetryPolicy,
 }
 
 impl Membership {
@@ -61,25 +60,16 @@ impl Membership {
             layer.write_u64(ep, Self::slot(base, node, EPOCH_OFF), 1)?;
             layer.write_u64(ep, Self::slot(base, node, STATUS_OFF), NodeStatus::Up.to_word())?;
         }
-        Ok(Self {
-            base,
-            nodes: compute_nodes,
-            retry: RetryPolicy::default(),
-        })
+        Ok(Self { base })
     }
 
     fn slot(base: GlobalAddr, node: usize, field: u64) -> GlobalAddr {
         base.offset_by(node as u64 * SLOT + field)
     }
 
-    /// Number of tracked compute nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Current epoch of `node` (one 8-byte read, control-plane retried).
     pub fn epoch(&self, layer: &DsmLayer, ep: &Endpoint, node: usize) -> DsmResult<u64> {
-        self.retry.run(ep, || layer.read_u64(ep, self.epoch_addr(node)))
+        RetryPolicy::default().run(ep, || layer.read_u64(ep, self.epoch_addr(node)))
     }
 
     /// Where `node`'s epoch word lives, for a caller that reads it in a
@@ -109,9 +99,7 @@ impl Membership {
 
     /// `node`'s recorded liveness (control-plane retried).
     pub fn status(&self, layer: &DsmLayer, ep: &Endpoint, node: usize) -> DsmResult<NodeStatus> {
-        let w = self
-            .retry
-            .run(ep, || layer.read_u64(ep, Self::slot(self.base, node, STATUS_OFF)))?;
+        let w = RetryPolicy::default().run(ep, || layer.read_u64(ep, Self::slot(self.base, node, STATUS_OFF)))?;
         Ok(NodeStatus::from_word(w))
     }
 }
@@ -132,7 +120,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let ep = fabric.endpoint();
@@ -161,7 +148,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let ep = fabric.endpoint();

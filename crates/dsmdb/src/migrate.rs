@@ -415,7 +415,6 @@ mod tests {
                 capacity_per_node: 4 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let table = Arc::new(RecordTable::create(&layer, 64, 32, 1).unwrap());
@@ -431,7 +430,7 @@ mod tests {
                 .write(&ep, table.payload_addr(k, 0), &[k as u8; 32])
                 .unwrap();
         }
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         let m = Migrator::create(&layer, &table, &ep, 50).unwrap();
         assert_eq!(m.state(&ep).unwrap().0, MigrationState::Idle);
         let moved = m.run_to_completion(&ep, dst, 0, 64, 1, 16).unwrap();
@@ -449,7 +448,7 @@ mod tests {
     #[test]
     fn stale_coordinator_is_fenced_after_recovery() {
         let (_f, layer, table, ep) = setup();
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         let m = Migrator::create(&layer, &table, &ep, 0).unwrap();
         m.begin(&ep, dst, 0, 32, 1).unwrap();
         while m.copy_step(&ep, 8).unwrap() > 0 {}
@@ -483,7 +482,7 @@ mod tests {
     #[test]
     fn recover_after_done_keeps_the_new_home() {
         let (_f, layer, table, ep) = setup();
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         let m = Migrator::create(&layer, &table, &ep, 0).unwrap();
         m.run_to_completion(&ep, dst, 0, 16, 1, 4).unwrap();
         let new_home = layer.group_primary(dst).id();
@@ -497,7 +496,7 @@ mod tests {
     #[test]
     fn abort_frees_the_window_for_a_fresh_begin() {
         let (_f, layer, table, ep) = setup();
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         let m = Migrator::create(&layer, &table, &ep, 0).unwrap();
         m.begin(&ep, dst, 8, 24, 3).unwrap();
         m.copy_step(&ep, 4).unwrap();

@@ -93,11 +93,10 @@ proptest! {
                 capacity_per_node: 4 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let table = Arc::new(RecordTable::create(&layer, KEYS, PAYLOAD, 1).unwrap());
-        let dst = layer.join_group(4 << 20, 1, 4.0);
+        let dst = layer.join_group(4 << 20, 1);
         let ep = fabric.endpoint();
         let m = Migrator::create(&layer, &table, &ep, 0).unwrap();
 

@@ -106,19 +106,18 @@ fn exclusive_2pl_allocates_no_more_per_transaction_than_its_ceiling() {
 /// versions per record.
 #[test]
 fn every_3a_protocol_allocates_no_more_per_transaction_than_its_ceiling() {
-    let on_3a = |cc, versions| ClusterConfig {
+    let on_3a = |cc| ClusterConfig {
         memory_nodes: 4,
         replication: 2,
         architecture: Architecture::NoCacheNoShard,
         cc,
-        versions,
         ..Default::default()
     };
     assert_under_ceilings([
-        ("2pl-shared", on_3a(CcProtocol::TplSharedExclusive, 1), 11.0),
-        ("occ", on_3a(CcProtocol::Occ, 1), 24.0),
-        ("tso", on_3a(CcProtocol::Tso, 1), 29.0),
-        ("mvcc", on_3a(CcProtocol::Mvcc, 4), 59.0),
+        ("2pl-shared", on_3a(CcProtocol::TplSharedExclusive), 11.0),
+        ("occ", on_3a(CcProtocol::Occ), 24.0),
+        ("tso", on_3a(CcProtocol::Tso), 29.0),
+        ("mvcc", on_3a(CcProtocol::Mvcc), 59.0),
     ]);
 }
 

@@ -364,7 +364,6 @@ mod tests {
                 capacity_per_node: 16 << 20,
                 replication: 1,
                 mem_cores: 2,
-                weak_cpu_factor: 4.0,
             },
         );
         RemoteLsm::register_offload(&l);

@@ -17,7 +17,6 @@ fn layer() -> Arc<DsmLayer> {
             capacity_per_node: 8 << 20,
             replication: 1,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     );
     RemoteLsm::register_offload(&l);

@@ -13,7 +13,8 @@
 //!   lists, and fragmentation accounting for experiment F1);
 //! * an **offload executor** ([`offload::OffloadExecutor`]) exposing the
 //!   paper's Function Offloading API: registered handlers run *at* the
-//!   memory node against its region, priced on a weak-CPU timeline so that
+//!   memory node against its region, priced on a weak-CPU timeline (every
+//!   core [`WEAK_CPU_FACTOR`] times slower than a compute node's) so that
 //!   saturating the node's few cores produces queueing delay (experiment
 //!   C6, caching vs offloading).
 
@@ -23,4 +24,4 @@ pub mod offload;
 
 pub use alloc::{AllocError, AllocStats, ExtentAllocator};
 pub use node::MemoryNode;
-pub use offload::{OffloadExecutor, OffloadFn, OffloadOutput};
+pub use offload::{OffloadExecutor, OffloadFn, OffloadOutput, WEAK_CPU_FACTOR};

@@ -25,16 +25,17 @@ pub struct MemoryNode {
 impl MemoryNode {
     /// Create a node with `capacity` bytes and register it on `fabric`.
     ///
-    /// `cores`/`weak_cpu_factor` parameterize the node's offload CPU (§1:
-    /// "a few CPU cores" that are slower than compute-node cores).
-    pub fn new(fabric: &Arc<Fabric>, capacity: usize, cores: usize, weak_cpu_factor: f64) -> Self {
+    /// `cores` is the width of the node's offload CPU (§1: "a few CPU
+    /// cores"), each [`crate::WEAK_CPU_FACTOR`] times slower than a
+    /// compute-node core.
+    pub fn new(fabric: &Arc<Fabric>, capacity: usize, cores: usize) -> Self {
         let id = fabric.register_node(capacity);
         let region = fabric.region(id).expect("just registered");
         Self {
             id,
             region: RwLock::new(region),
             allocator: Mutex::new(ExtentAllocator::new(capacity as u64)),
-            executor: OffloadExecutor::new(cores, weak_cpu_factor),
+            executor: OffloadExecutor::new(cores),
         }
     }
 
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn node_alloc_then_rdma_write_read() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let node = MemoryNode::new(&fabric, 4096, 2, 4.0);
+        let node = MemoryNode::new(&fabric, 4096, 2);
         let off = node.alloc(128).unwrap();
         let ep = fabric.endpoint();
         ep.write(node.id(), off, &[7u8; 128]).unwrap();
@@ -132,8 +133,8 @@ mod tests {
     #[test]
     fn two_nodes_get_distinct_ids() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let a = MemoryNode::new(&fabric, 1024, 1, 1.0);
-        let b = MemoryNode::new(&fabric, 1024, 1, 1.0);
+        let a = MemoryNode::new(&fabric, 1024, 1);
+        let b = MemoryNode::new(&fabric, 1024, 1);
         assert_ne!(a.id(), b.id());
         // Writes to one do not leak into the other.
         let ep = fabric.endpoint();
@@ -144,7 +145,7 @@ mod tests {
     #[test]
     fn alloc_stats_track_utilization() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
-        let node = MemoryNode::new(&fabric, 1 << 20, 1, 1.0);
+        let node = MemoryNode::new(&fabric, 1 << 20, 1);
         let _a = node.alloc(1 << 19).unwrap();
         let s = node.alloc_stats();
         assert!((s.utilization() - 0.5).abs() < 0.01);

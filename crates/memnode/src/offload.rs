@@ -7,7 +7,7 @@
 //! paper highlights:
 //!
 //! * memory-node CPUs are **weak**: handler work is scaled by
-//!   `weak_cpu_factor` relative to compute-node speed;
+//!   [`WEAK_CPU_FACTOR`] relative to compute-node speed;
 //! * memory-node CPUs are **few**: all offloaded work on one node shares a
 //!   [`SharedTimeline`] per core-group, so saturation shows up as queueing
 //!   delay — the effect that makes "offload everything" lose to caching at
@@ -20,8 +20,12 @@ use parking_lot::RwLock;
 use rdma_sim::clock::SharedTimeline;
 use rdma_sim::{Endpoint, RdmaError, RdmaResult, Region};
 
+/// How much slower a memory-node core is than a compute-node core (§1: "a
+/// few CPU cores", and weaker ones at that).
+pub const WEAK_CPU_FACTOR: f64 = 4.0;
+
 /// What a handler returns: the payload plus how much *compute-node-speed*
-/// work it performed (the executor scales this by the weak-CPU factor).
+/// work it performed (the executor scales this by [`WEAK_CPU_FACTOR`]).
 #[derive(Debug, Clone)]
 pub struct OffloadOutput {
     /// Result bytes shipped back to the caller.
@@ -39,21 +43,16 @@ pub struct OffloadExecutor {
     handlers: RwLock<HashMap<u32, OffloadFn>>,
     /// The node's (few) cores, modeled as one serial timeline per core.
     cores: Vec<Arc<SharedTimeline>>,
-    /// How much slower this node's CPU is than a compute node's (§1: "a
-    /// few CPU cores" and weaker ones at that). 1.0 = equal speed.
-    weak_cpu_factor: f64,
 }
 
 impl OffloadExecutor {
-    /// An executor with `cores` weak cores, each `weak_cpu_factor`x slower
-    /// than a compute-node core.
-    pub fn new(cores: usize, weak_cpu_factor: f64) -> Self {
+    /// An executor with `cores` weak cores, each [`WEAK_CPU_FACTOR`]
+    /// times slower than a compute-node core.
+    pub fn new(cores: usize) -> Self {
         assert!(cores >= 1, "a memory node needs at least one core");
-        assert!(weak_cpu_factor > 0.0);
         Self {
             handlers: RwLock::new(HashMap::new()),
             cores: (0..cores).map(|_| SharedTimeline::new()).collect(),
-            weak_cpu_factor,
         }
     }
 
@@ -98,7 +97,7 @@ impl OffloadExecutor {
 
         // The handler really executes (so results are real data).
         let out = handler(region, arg);
-        let service_ns = (out.work_ns as f64 * self.weak_cpu_factor) as u64;
+        let service_ns = (out.work_ns as f64 * WEAK_CPU_FACTOR) as u64;
 
         // Pick the core that frees up first; reserve the service interval.
         let core = self
@@ -126,7 +125,6 @@ impl std::fmt::Debug for OffloadExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OffloadExecutor")
             .field("cores", &self.cores.len())
-            .field("weak_cpu_factor", &self.weak_cpu_factor)
             .field("handlers", &self.handlers.read().len())
             .finish()
     }
@@ -160,7 +158,7 @@ mod tests {
         let region = fabric.region(node).unwrap();
         region.write(0, &[1u8; 100]).unwrap();
 
-        let exec = OffloadExecutor::new(2, 4.0);
+        let exec = OffloadExecutor::new(2);
         exec.register(1, sum_handler());
         let ep = fabric.endpoint();
         let mut arg = Vec::new();
@@ -176,32 +174,29 @@ mod tests {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let node = fabric.register_node(64);
         let region = fabric.region(node).unwrap();
-        let exec = OffloadExecutor::new(1, 1.0);
+        let exec = OffloadExecutor::new(1);
         let ep = fabric.endpoint();
         assert!(exec.invoke(&ep, &region, 99, &[]).is_err());
     }
 
+    /// On a free fabric a call costs its service time alone: the
+    /// handler's work times the weak-CPU factor.
     #[test]
     fn weak_cpu_scales_service_time() {
         let fabric = Fabric::new(NetworkProfile::zero());
         let node = fabric.register_node(1 << 16);
         let region = fabric.region(node).unwrap();
-
-        let fast = OffloadExecutor::new(1, 1.0);
-        let slow = OffloadExecutor::new(1, 8.0);
-        fast.register(1, sum_handler());
-        slow.register(1, sum_handler());
+        let exec = OffloadExecutor::new(1);
+        exec.register(1, sum_handler());
 
         let mut arg = Vec::new();
         arg.extend_from_slice(&0u64.to_le_bytes());
         arg.extend_from_slice(&10_000u64.to_le_bytes());
-
-        let ep1 = fabric.endpoint();
-        fast.invoke(&ep1, &region, 1, &arg).unwrap();
-        let ep2 = fabric.endpoint();
-        slow.invoke(&ep2, &region, 1, &arg).unwrap();
-        assert!(ep2.clock().now_ns() >= 8 * ep1.clock().now_ns() / 2);
-        assert!(ep2.clock().now_ns() >= ep1.clock().now_ns() * 7);
+        let ep = fabric.endpoint();
+        exec.invoke(&ep, &region, 1, &arg).unwrap();
+        // 10 000 ns of work at compute-node speed, four times that here.
+        assert_eq!(ep.clock().now_ns(), (10_000.0 * WEAK_CPU_FACTOR) as u64);
+        assert_eq!(ep.clock().now_ns(), 40_000);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
         arg.extend_from_slice(&10_000u64.to_le_bytes());
 
         let run = |cores: usize| -> u64 {
-            let exec = OffloadExecutor::new(cores, 1.0);
+            let exec = OffloadExecutor::new(cores);
             exec.register(1, sum_handler());
             (0..4)
                 .map(|_| {
@@ -227,9 +222,9 @@ mod tests {
                 .max()
                 .unwrap()
         };
-        let serial = run(1);
-        let parallel = run(4);
-        assert!(serial >= 4 * 10_000);
-        assert!(parallel < 2 * 10_000, "parallel makespan {parallel}");
+        let (serial, parallel) = (run(1), run(4));
+        let service = (10_000.0 * WEAK_CPU_FACTOR) as u64;
+        assert!(serial >= 4 * service);
+        assert!(parallel < 2 * service, "parallel makespan {parallel}");
     }
 }

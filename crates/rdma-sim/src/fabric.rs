@@ -164,11 +164,6 @@ impl Fabric {
         NodeTable { generation, slots: self.nodes.read().clone() }
     }
 
-    /// Number of registered nodes (alive or not).
-    pub fn node_count(&self) -> usize {
-        self.nodes.read().len()
-    }
-
     /// Run `f` on `node`'s slot, whatever its liveness.
     fn with_slot<T>(&self, node: NodeId, f: impl FnOnce(&NodeSlot) -> T) -> RdmaResult<T> {
         let nodes = self.nodes.read();
@@ -684,7 +679,7 @@ impl Endpoint {
     /// An injected fault `e` surfaced on a verb to `node`: charge the
     /// plan's detection latency and record the fault.
     fn fault_detected(&self, view: RefMut<'_, FaultView>, node: NodeId, e: RdmaError) -> RdmaError {
-        let detect = view.plan().map(|p| p.detect_ns()).unwrap_or(0);
+        let detect = view.plan().map_or(0, |_| FaultPlan::DETECT_NS);
         drop(view);
         self.clock.advance(detect);
         let code = match &e {
@@ -1369,13 +1364,11 @@ mod tests {
         ep.write_u64(node, 0, 9).unwrap();
         let start = ep.clock().now_ns();
         fabric.install_fault_plan(
-            FaultPlan::new(1)
-                .detect_after_ns(7_000)
-                .partition(node, start, start + 50_000),
+            FaultPlan::new(1).partition(node, start, start + 50_000),
         );
         assert_eq!(ep.read_u64(node, 0).unwrap_err(), RdmaError::Timeout(node));
-        // Detection latency was charged.
-        assert_eq!(ep.clock().now_ns(), start + 7_000);
+        // Detection latency was charged: 10 µs.
+        assert_eq!(ep.clock().now_ns(), start + 10_000);
         assert!(!ep.node_reachable(node) || fabric.is_alive(node)); // partition ≠ crash
         // Wait out the partition on the virtual clock: heals by itself.
         ep.charge_local(60_000);

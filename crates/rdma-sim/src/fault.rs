@@ -73,9 +73,6 @@ fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    /// Virtual time charged when a verb discovers a fault (the completion
-    /// timeout / QP error detection latency).
-    detect_ns: u64,
     crashes: Vec<Window>,
     partitions: Vec<Window>,
     spikes: Vec<Spike>,
@@ -84,24 +81,21 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Virtual time charged when a verb discovers an injected fault: the
+    /// completion-timeout / QP-error detection latency, 10 µs.
+    pub const DETECT_NS: u64 = 10_000;
+
     /// An empty plan with the given seed (probabilistic faults derive
     /// from it).
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            detect_ns: 10_000, // 10 µs completion-timeout detection
             crashes: Vec::new(),
             partitions: Vec::new(),
             spikes: Vec::new(),
             transient_first_n: Vec::new(),
             flaky: Vec::new(),
         }
-    }
-
-    /// Override the fault-detection latency charged per failed verb.
-    pub fn detect_after_ns(mut self, ns: u64) -> Self {
-        self.detect_ns = ns;
-        self
     }
 
     /// Node appears crashed during `[from_ns, until_ns)`: verbs fail hard
@@ -145,11 +139,6 @@ impl FaultPlan {
             permille: permille.min(1000),
         });
         self
-    }
-
-    /// Detection latency charged on an injected failure.
-    pub fn detect_ns(&self) -> u64 {
-        self.detect_ns
     }
 
     /// Whether a crash window makes `node` unreachable at `now_ns`.
@@ -228,8 +217,8 @@ impl FaultView {
 
     /// Evaluate injection for one verb to `node` at `now_ns`. Returns the
     /// extra latency to charge on success; `Err` carries the injected
-    /// fault (detection latency is charged by the caller via
-    /// [`FaultPlan::detect_ns`]).
+    /// fault (detection latency is charged by the caller:
+    /// [`FaultPlan::DETECT_NS`]).
     pub(crate) fn check(&mut self, node: NodeId, now_ns: u64) -> RdmaResult<u64> {
         let Some(plan) = self.plan.clone() else {
             return Ok(0);

@@ -9,20 +9,34 @@
 //! migrations in flight — it keeps itself, as running sums of the
 //! windows' begin and end counters.
 //!
-//! **Rules.** One per [`AlertKind`]: p99 SLO breach, throughput dip
-//! (the incremental form of `analysis` dip detection, via
-//! [`RollingBaseline`]), lease-steal storm, lock-wait concentration,
-//! coherence-invalidation storm, cache thrash, and stuck session.
+//! **Rules.** One per [`AlertKind`], each with a fixed threshold; a run
+//! sets only the window width, the session count, the p99 objective and
+//! the lock-wait share ([`WatchdogConfig`]):
 //!
-//! **Debounce.** A rule must breach for `open_after` *consecutive*
-//! windows before an `Open` fires, and look healthy for `clear_after`
-//! consecutive windows before the matching `Clear` — single-window
-//! noise never pages. Events carry the window-end virtual timestamp
-//! (a window's behaviour is only knowable once it closes — the same
-//! convention as `analysis::RecoveryFacts::time_to_detection_ns`), a sequence number,
-//! the observed value, and the threshold it crossed, so the log is a
-//! deterministic function of the window stream: same seed, same run,
-//! byte-identical alerts.
+//! * p99 SLO breach: the window's p99 above the run's objective;
+//! * throughput dip (the incremental form of `analysis` dip detection,
+//!   via [`RollingBaseline`]): armed once the baseline has learned 8
+//!   windows, a breach is a commit rate below 0.5 of the baseline;
+//! * lease-steal storm: 1 or more steals in the window;
+//! * lock-wait concentration: lock-wait time above `wait_frac` of the
+//!   window's session time;
+//! * coherence-invalidation storm: 64 or more invalidations;
+//! * cache thrash: 32 or more pool lookups at a hit rate below 0.5;
+//! * stuck session: sessions in flight and nothing retired;
+//! * migration stalled: a migration open and no bytes migrated.
+//!
+//! **Debounce.** A rule must breach for several *consecutive* windows
+//! before an `Open` fires, and look healthy for several consecutive
+//! windows before the matching `Clear` — single-window noise never
+//! pages. Most rules open after 2 and clear after 4; a steal storm opens
+//! on its first window and clears after 2; a stuck session or a stalled
+//! migration opens after 8 and clears on the first window that retires a
+//! transaction or moves a byte. Events carry the window-end virtual
+//! timestamp (a window's behaviour is only knowable once it closes — the
+//! same convention as `analysis::RecoveryFacts::time_to_detection_ns`),
+//! a sequence number, the observed value, and the threshold it crossed,
+//! so the log is a deterministic function of the window stream: same
+//! seed, same run, byte-identical alerts.
 //!
 //! The watchdog never touches any clock: evaluation is bookkeeping on
 //! already-recorded windows, so monitoring is free in virtual time.
@@ -36,9 +50,9 @@ pub const RULES: usize = 8;
 /// What went wrong. The discriminant is the rule-state index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertKind {
-    /// Windowed p99 latency above the configured objective.
+    /// Windowed p99 latency above the run's objective.
     P99SloBreach = 0,
-    /// Commit rate fell below `dip_frac` of the learned baseline.
+    /// Commit rate fell below half the learned baseline.
     ThroughputDip = 1,
     /// Expired leases stolen this window (lease churn ⇒ node trouble).
     LeaseStealStorm = 2,
@@ -125,91 +139,55 @@ pub struct AlertEvent {
 }
 
 /// Consecutive-window requirements before a transition fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Debounce {
-    /// Breaching windows in a row before `Open` (min 1).
-    pub open_after: u32,
-    /// Healthy windows in a row before `Clear` (min 1).
-    pub clear_after: u32,
+#[derive(Debug, Clone, Copy)]
+struct Debounce {
+    /// Breaching windows in a row before `Open`.
+    open_after: u32,
+    /// Healthy windows in a row before `Clear`.
+    clear_after: u32,
 }
 
-impl Debounce {
-    /// `open_after` breaches to open, `clear_after` healthy to clear.
-    pub fn new(open_after: u32, clear_after: u32) -> Self {
-        Self { open_after: open_after.max(1), clear_after: clear_after.max(1) }
-    }
-}
+/// The debounce of every rule but the three below.
+const DEBOUNCE: Debounce = Debounce { open_after: 2, clear_after: 4 };
+/// [`AlertKind::LeaseStealStorm`]: one steal already means node trouble.
+const STEAL_DEBOUNCE: Debounce = Debounce { open_after: 1, clear_after: 2 };
+/// [`AlertKind::StuckSession`] and [`AlertKind::MigrationStalled`]: a
+/// long silence to open, one sign of progress to clear.
+const SILENCE_DEBOUNCE: Debounce = Debounce { open_after: 8, clear_after: 1 };
+/// Windows the baseline must learn before the dip rule arms.
+const WARMUP_WINDOWS: u64 = 8;
+/// The dip rule breaches below this fraction of the baseline throughput.
+const DIP_FRAC: f64 = 0.5;
+/// Lease steals in a window that count as a storm.
+const STEAL_MIN: u64 = 1;
+/// Invalidations in a window that count as a storm.
+const INVAL_MIN: u64 = 64;
+/// Cache thrash: a hit rate below this...
+const THRASH_HIT_RATE: f64 = 0.5;
+/// ...over at least this many pool lookups in the window.
+const THRASH_MIN_LOOKUPS: u64 = 32;
 
-/// Thresholds and debounce for every rule. Rates are computed against
-/// `window_ns`; the wait-concentration budget is `window_ns * sessions`
-/// (total virtual session-time per window).
+/// What a run sets: the stream's shape, the p99 objective and the
+/// lock-wait share. Rates are computed against `window_ns`; the
+/// wait-concentration budget is `window_ns * sessions` (total virtual
+/// session-time per window). Every other threshold is fixed (module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// Window width of the stream being observed, virtual ns.
     pub window_ns: u64,
     /// Concurrent sessions feeding the stream (wait-budget denominator).
     pub sessions: u32,
-    /// Windows the baseline must see before the dip rule arms.
-    pub warmup_windows: u32,
-    /// Open the dip alert below this fraction of baseline throughput.
-    pub dip_frac: f64,
-    /// Debounce for [`AlertKind::ThroughputDip`].
-    pub dip: Debounce,
     /// p99 objective, virtual ns (`None` disables the rule).
     pub slo_p99_ns: Option<u64>,
-    /// Debounce for [`AlertKind::P99SloBreach`].
-    pub p99: Debounce,
-    /// Lease steals per window that count as a storm.
-    pub steal_min: u64,
-    /// Debounce for [`AlertKind::LeaseStealStorm`].
-    pub steal: Debounce,
     /// Open when `lock_wait_ns / (window_ns * sessions)` exceeds this.
     pub wait_frac: f64,
-    /// Debounce for [`AlertKind::LockWaitConcentration`].
-    pub wait: Debounce,
-    /// Invalidations per window that count as a storm.
-    pub inval_min: u64,
-    /// Debounce for [`AlertKind::InvalidationStorm`].
-    pub inval: Debounce,
-    /// Open when the windowed hit rate falls below this...
-    pub thrash_hit_rate: f64,
-    /// ...and the window saw at least this many pool lookups.
-    pub thrash_min_lookups: u64,
-    /// Debounce for [`AlertKind::CacheThrash`].
-    pub thrash: Debounce,
-    /// Windows with sessions in flight but zero commits+aborts before
-    /// [`AlertKind::StuckSession`] opens (its open debounce).
-    pub stuck_windows: u32,
-    /// Windows with a dual-ownership migration open but zero migrated
-    /// bytes before [`AlertKind::MigrationStalled`] opens.
-    pub migration_stall_windows: u32,
 }
 
 impl WatchdogConfig {
-    /// Defaults tuned for the experiment harnesses: open after 2
-    /// consecutive bad windows, clear after 4 good ones; storms need
-    /// absolute evidence, the dip rule needs a warmed-up baseline.
+    /// No p99 objective and a lock-wait share of one half.
     pub fn new(window_ns: u64, sessions: u32) -> Self {
-        Self {
-            window_ns,
-            sessions: sessions.max(1),
-            warmup_windows: 8,
-            dip_frac: 0.5,
-            dip: Debounce::new(2, 4),
-            slo_p99_ns: None,
-            p99: Debounce::new(2, 4),
-            steal_min: 1,
-            steal: Debounce::new(1, 2),
-            wait_frac: 0.5,
-            wait: Debounce::new(2, 4),
-            inval_min: 64,
-            inval: Debounce::new(2, 4),
-            thrash_hit_rate: 0.5,
-            thrash_min_lookups: 32,
-            thrash: Debounce::new(2, 4),
-            stuck_windows: 8,
-            migration_stall_windows: 8,
-        }
+        Self { window_ns, sessions: sessions.max(1), slo_p99_ns: None, wait_frac: 0.5 }
     }
 }
 
@@ -287,61 +265,56 @@ impl Watchdog {
 
         // P99 SLO: only when both an objective and a measurement exist.
         if let (Some(slo), Some(p99)) = (self.cfg.slo_p99_ns, p99_ns) {
-            let (db, breach) = (self.cfg.p99, p99 > slo);
-            self.step(AlertKind::P99SloBreach, db, breach, end_ns, p99 as f64, slo as f64);
+            self.step(AlertKind::P99SloBreach, DEBOUNCE, p99 > slo, end_ns, p99 as f64, slo as f64);
         }
 
         // Throughput dip: incremental analysis::detection. The baseline
         // learns only from windows it did not judge to be dipping, so a
         // long outage cannot teach the watchdog that outage is normal.
         let base = self.baseline.mean();
-        let armed = self.baseline.n() >= self.cfg.warmup_windows as u64 && base > 0.0;
-        let dip_breach = armed && rate < self.cfg.dip_frac * base;
+        let armed = self.baseline.n() >= WARMUP_WINDOWS && base > 0.0;
+        let dip_breach = armed && rate < DIP_FRAC * base;
         if !dip_breach {
             self.baseline.observe(rate);
         }
-        let (db, thr) = (self.cfg.dip, self.cfg.dip_frac * base);
-        self.step(AlertKind::ThroughputDip, db, dip_breach, end_ns, rate, thr);
+        self.step(AlertKind::ThroughputDip, DEBOUNCE, dip_breach, end_ns, rate, DIP_FRAC * base);
 
-        // Lease-steal storm: any window with steal_min+ steals.
+        // Lease-steal storm: any window with STEAL_MIN+ steals.
         let steals = counters[Metric::LockSteals as usize];
-        let (db, breach) = (self.cfg.steal, steals >= self.cfg.steal_min);
-        self.step(AlertKind::LeaseStealStorm, db, breach, end_ns, steals as f64, self.cfg.steal_min as f64);
+        let breach = steals >= STEAL_MIN;
+        self.step(AlertKind::LeaseStealStorm, STEAL_DEBOUNCE, breach, end_ns, steals as f64, STEAL_MIN as f64);
 
         // Lock-wait concentration: share of total session virtual time
         // spent spinning on lock words.
         let budget = (width * self.cfg.sessions as u64) as f64;
         let wait_share = counters[Metric::LockWaitNs as usize] as f64 / budget;
-        let (db, breach) = (self.cfg.wait, wait_share > self.cfg.wait_frac);
-        self.step(AlertKind::LockWaitConcentration, db, breach, end_ns, wait_share, self.cfg.wait_frac);
+        let (breach, frac) = (wait_share > self.cfg.wait_frac, self.cfg.wait_frac);
+        self.step(AlertKind::LockWaitConcentration, DEBOUNCE, breach, end_ns, wait_share, frac);
 
         // Invalidation storm.
         let invals = counters[Metric::Invals as usize];
-        let (db, breach) = (self.cfg.inval, invals >= self.cfg.inval_min);
-        self.step(AlertKind::InvalidationStorm, db, breach, end_ns, invals as f64, self.cfg.inval_min as f64);
+        let breach = invals >= INVAL_MIN;
+        self.step(AlertKind::InvalidationStorm, DEBOUNCE, breach, end_ns, invals as f64, INVAL_MIN as f64);
 
         // Cache thrash: enough lookups to judge, hit rate collapsed.
         let hits = counters[Metric::CacheHits as usize];
         let misses = counters[Metric::CacheMisses as usize];
         let lookups = hits + misses;
         let hit_rate = if lookups == 0 { 1.0 } else { hits as f64 / lookups as f64 };
-        let breach = lookups >= self.cfg.thrash_min_lookups && hit_rate < self.cfg.thrash_hit_rate;
-        let db = self.cfg.thrash;
-        self.step(AlertKind::CacheThrash, db, breach, end_ns, hit_rate, self.cfg.thrash_hit_rate);
+        let breach = lookups >= THRASH_MIN_LOOKUPS && hit_rate < THRASH_HIT_RATE;
+        self.step(AlertKind::CacheThrash, DEBOUNCE, breach, end_ns, hit_rate, THRASH_HIT_RATE);
 
         // Stuck session: sessions in flight, but the window retired
         // nothing at all.
         let in_flight = self.in_flight;
         let stuck = in_flight > 0 && commits + aborts == 0;
-        let db = Debounce::new(self.cfg.stuck_windows, 1);
-        self.step(AlertKind::StuckSession, db, stuck, end_ns, in_flight as f64, 0.0);
+        self.step(AlertKind::StuckSession, SILENCE_DEBOUNCE, stuck, end_ns, in_flight as f64, 0.0);
 
         // Migration stalled: a dual-ownership window is open but the
         // copier moved nothing this window.
         let migrating = self.migrating;
         let stalled = migrating > 0 && count(Metric::MigratedBytes) == 0;
-        let db = Debounce::new(self.cfg.migration_stall_windows, 1);
-        self.step(AlertKind::MigrationStalled, db, stalled, end_ns, migrating as f64, 0.0);
+        self.step(AlertKind::MigrationStalled, SILENCE_DEBOUNCE, stalled, end_ns, migrating as f64, 0.0);
     }
 
     /// Debounced open/clear state machine for one rule.
@@ -484,9 +457,7 @@ mod tests {
 
     #[test]
     fn dip_opens_after_debounce_and_clears_after_recovery() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.warmup_windows = 4;
-        let mut wd = Watchdog::new(cfg);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         let mut stream: Vec<[u64; METRICS]> = vec![window(10); 8];
         stream.extend(vec![window(1); 4]); // dip: windows 8..12
         stream.extend(vec![window(10); 6]); // recovery: windows 12..18
@@ -504,13 +475,38 @@ mod tests {
         assert!(wd.open_alerts().is_empty());
     }
 
+    /// The dip rule learns through 8 windows, judges the 9th, and
+    /// breaches strictly below half the baseline.
+    #[test]
+    fn dip_rule_arms_after_warm_up_and_opens_below_half_the_baseline() {
+        // A dip from window 7 on: window 7 is still warm-up (learned, not
+        // judged); windows 8 and 9 are the two breaches.
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
+        let mut stream = vec![window(10); 7];
+        stream.extend(vec![window(0); 3]);
+        feed(&mut wd, &stream);
+        assert_eq!(wd.log().len(), 1, "{:?}", wd.log());
+        assert_eq!((wd.log()[0].kind, wd.log()[0].at_ns), (AlertKind::ThroughputDip, 10 * W));
+
+        // Exactly half the baseline is no breach (and is learned); below
+        // half is, twice in a row.
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
+        let mut stream = vec![window(10); 8];
+        stream.push(window(5));
+        stream.extend(vec![window(4); 2]);
+        feed(&mut wd, &stream);
+        let log = wd.log();
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert_eq!((log[0].state, log[0].at_ns), (AlertState::Open, 11 * W));
+        let baseline = 85.0 / 9.0 * 1e9 / W as f64;
+        assert!((log[0].threshold - 0.5 * baseline).abs() < 1e-6, "{log:?}");
+    }
+
     #[test]
     fn single_window_noise_never_pages() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.warmup_windows = 4;
-        let mut wd = Watchdog::new(cfg);
-        let mut stream: Vec<[u64; METRICS]> = vec![window(10); 6];
-        stream.push(window(0)); // one bad window
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
+        let mut stream: Vec<[u64; METRICS]> = vec![window(10); 8];
+        stream.push(window(0)); // one bad window, past the warm-up
         stream.extend(vec![window(10); 6]);
         feed(&mut wd, &stream);
         assert!(wd.log().is_empty(), "{:?}", wd.log());
@@ -518,9 +514,7 @@ mod tests {
 
     #[test]
     fn baseline_does_not_learn_from_the_dip() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.warmup_windows = 4;
-        let mut wd = Watchdog::new(cfg);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         // Long outage: if the baseline absorbed the dip, the alert
         // would clear while throughput is still on the floor.
         let mut stream: Vec<[u64; METRICS]> = vec![window(10); 8];
@@ -537,7 +531,7 @@ mod tests {
     fn steal_storm_fires_on_a_single_steal_window() {
         let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         let mut w = window(5);
-        w[Metric::LockSteals as usize] = 2;
+        w[Metric::LockSteals as usize] = 1;
         wd.observe_window(W, &window(5), None);
         wd.observe_window(2 * W, &w, None);
         wd.observe_window(3 * W, &window(5), None);
@@ -545,7 +539,11 @@ mod tests {
         assert_eq!(log.len(), 1, "open but not yet cleared: {log:?}");
         assert_eq!(log[0].kind, AlertKind::LeaseStealStorm);
         assert_eq!(log[0].at_ns, 2 * W);
-        assert_eq!(log[0].value, 2.0);
+        assert_eq!((log[0].value, log[0].threshold), (1.0, 1.0));
+        // The second quiet window clears it.
+        wd.observe_window(4 * W, &window(5), None);
+        assert_eq!(wd.log().len(), 2);
+        assert_eq!((wd.log()[1].state, wd.log()[1].at_ns), (AlertState::Clear, 4 * W));
     }
 
     #[test]
@@ -569,58 +567,61 @@ mod tests {
 
     #[test]
     fn wait_concentration_scales_with_session_budget() {
-        let mut cfg = WatchdogConfig::new(W, 4);
-        cfg.wait_frac = 0.5;
-        let mut wd = Watchdog::new(cfg);
-        let mut w = window(5);
-        // 4 sessions * 100ns budget = 400ns; 250ns waiting = 62.5%.
-        w[Metric::LockWaitNs as usize] = 250;
-        wd.observe_window(W, &w, None);
-        wd.observe_window(2 * W, &w, None);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 4));
+        // 4 sessions * 100ns budget = 400ns: 200ns waiting is exactly the
+        // default share of one half (no breach), 250ns is 62.5%.
+        let waiting = |ns| {
+            let mut w = window(5);
+            w[Metric::LockWaitNs as usize] = ns;
+            w
+        };
+        feed(&mut wd, &[waiting(200), waiting(200), waiting(250), waiting(250)]);
         let log = wd.log();
         assert_eq!(log.len(), 1);
-        assert_eq!(log[0].kind, AlertKind::LockWaitConcentration);
+        assert_eq!((log[0].kind, log[0].at_ns), (AlertKind::LockWaitConcentration, 4 * W));
         assert!((log[0].value - 0.625).abs() < 1e-12);
+        assert_eq!(log[0].threshold, 0.5);
     }
 
+    /// Each storm rule at its edge: 63 invalidations or 31 lookups are
+    /// too few, a hit rate of exactly one half is no thrash.
     #[test]
     fn invalidation_storm_and_cache_thrash() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.inval_min = 10;
-        cfg.thrash_min_lookups = 10;
-        let mut wd = Watchdog::new(cfg);
-        let mut w = window(5);
-        w[Metric::Invals as usize] = 50;
-        w[Metric::CacheHits as usize] = 2;
-        w[Metric::CacheMisses as usize] = 18;
-        wd.observe_window(W, &w, None);
-        wd.observe_window(2 * W, &w, None);
-        let kinds: Vec<AlertKind> = wd.log().iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![AlertKind::InvalidationStorm, AlertKind::CacheThrash]);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
+        let w = |invals, hits, misses| {
+            let mut w = window(5);
+            w[Metric::Invals as usize] = invals;
+            w[Metric::CacheHits as usize] = hits;
+            w[Metric::CacheMisses as usize] = misses;
+            w
+        };
+        feed(&mut wd, &[w(63, 0, 31), w(63, 0, 31), w(64, 16, 16), w(64, 16, 16), w(64, 15, 17), w(64, 15, 17)]);
+        let seen: Vec<(AlertKind, u64, f64)> = wd.log().iter().map(|e| (e.kind, e.at_ns, e.threshold)).collect();
+        assert_eq!(seen, vec![(AlertKind::InvalidationStorm, 4 * W, 64.0), (AlertKind::CacheThrash, 6 * W, 0.5)]);
     }
 
     #[test]
     fn stuck_session_needs_sessions_in_flight_and_a_long_silence() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.stuck_windows = 3;
-        let mut wd = Watchdog::new(cfg);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         // Silence with nobody in flight is not stuck.
         wd.observe_window(W, &window(0), None);
-        // Two sessions begin and never retire: three silent windows
-        // (the one they began in included) open the alert.
+        // Two sessions begin and never retire: eight silent windows
+        // (the one they began in included) open the alert, seven do not.
         let mut entered = window(0);
         entered[Metric::Begins as usize] = 2;
         wd.observe_window(2 * W, &entered, None);
-        for i in 3..=4u64 {
+        for i in 3..=8u64 {
             wd.observe_window(i * W, &window(0), None);
         }
+        assert!(wd.log().is_empty(), "{:?}", wd.log());
+        wd.observe_window(9 * W, &window(0), None);
         let log = wd.log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, AlertKind::StuckSession);
-        assert_eq!(log[0].at_ns, 4 * W);
+        assert_eq!(log[0].at_ns, 9 * W);
         assert_eq!(log[0].value, 2.0);
         // One retired txn clears it (clear_after = 1) and lowers the level.
-        wd.observe_window(5 * W, &window(1), None);
+        wd.observe_window(10 * W, &window(1), None);
         assert_eq!(wd.log().len(), 2);
         assert_eq!(wd.log()[1].state, AlertState::Clear);
         assert_eq!(wd.log()[1].value, 1.0);
@@ -628,9 +629,7 @@ mod tests {
 
     #[test]
     fn migration_stall_needs_an_open_window_and_flat_progress() {
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.migration_stall_windows = 3;
-        let mut wd = Watchdog::new(cfg);
+        let mut wd = Watchdog::new(WatchdogConfig::new(W, 1));
         let mut moving = window(5);
         moving[Metric::MigratedBytes as usize] = 4_096;
         // A migration opens; progressing windows never breach.
@@ -641,24 +640,27 @@ mod tests {
             wd.observe_window(i * W, &moving, None);
         }
         assert!(wd.log().is_empty(), "{:?}", wd.log());
-        // Flat progress with the window still open: opens after 3.
-        for i in 5..=7u64 {
+        // Flat progress with the window still open: opens on the 8th
+        // flat window, not the 7th.
+        for i in 5..=11u64 {
             wd.observe_window(i * W, &window(5), None);
         }
+        assert!(wd.log().is_empty(), "{:?}", wd.log());
+        wd.observe_window(12 * W, &window(5), None);
         let log = wd.log();
         assert_eq!(log.len(), 1, "{log:?}");
         assert_eq!(log[0].kind, AlertKind::MigrationStalled);
-        assert_eq!(log[0].at_ns, 7 * W);
+        assert_eq!(log[0].at_ns, 12 * W);
         assert_eq!(log[0].value, 1.0);
         // Progress resumes: clears immediately (clear_after = 1).
-        wd.observe_window(8 * W, &moving, None);
+        wd.observe_window(13 * W, &moving, None);
         assert_eq!(wd.log().len(), 2);
         assert_eq!(wd.log()[1].state, AlertState::Clear);
         // Once the dual window closes, flat progress is not a stall.
         let mut ended = window(5);
         ended[Metric::MigrationsEnded as usize] = 1;
-        wd.observe_window(9 * W, &ended, None);
-        for i in 10..=13u64 {
+        wd.observe_window(14 * W, &ended, None);
+        for i in 15..=30u64 {
             wd.observe_window(i * W, &window(5), None);
         }
         assert_eq!(wd.log().len(), 2, "{:?}", wd.log());
@@ -673,8 +675,7 @@ mod tests {
             r.note(w * W + 50, Metric::Commits, c);
         }
         let s = r.snapshot();
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.warmup_windows = 4;
+        let cfg = WatchdogConfig::new(W, 1);
         let log = run_over(cfg.clone(), &s, None);
         let mut wd = Watchdog::new(cfg);
         for i in 0..s.len() - 1 {
@@ -693,14 +694,11 @@ mod tests {
         // Two txns begin, one commits; the other never leaves.
         r.note_all(50, [(Metric::Begins, 2), (Metric::Commits, 1)]);
         r.note(10 * W, Metric::Commits, 1); // extend span, silent middle
-        let mut cfg = WatchdogConfig::new(W, 1);
-        cfg.stuck_windows = 3;
-        cfg.warmup_windows = 100; // keep the dip rule out of this test
-        let log = run_over(cfg, &r.snapshot(), None);
-        assert_eq!(log.len(), 1, "{log:?}");
-        assert_eq!(log[0].kind, AlertKind::StuckSession);
-        // Window 0 retired a txn; windows 1..=3 are the silent three.
-        assert_eq!((log[0].at_ns, log[0].value), (4 * W, 1.0));
+        let log = run_over(WatchdogConfig::new(W, 1), &r.snapshot(), None);
+        let stuck: Vec<&AlertEvent> = log.iter().filter(|e| e.kind == AlertKind::StuckSession).collect();
+        assert_eq!(stuck.len(), 1, "{log:?}");
+        // Window 0 retired a txn; windows 1..=8 are the silent eight.
+        assert_eq!((stuck[0].at_ns, stuck[0].value), (9 * W, 1.0));
     }
 
     #[test]

@@ -117,9 +117,9 @@ fn record_notes(notes: &[(u64, Metric)]) -> SeriesSnapshot {
 
 /// Per-session series merged in a generated order and in its reverse
 /// give the single recorder's series, which passes the drain rule, and
-/// the watchdog (stuck-session threshold 2 windows, so silences inside
-/// long attempts open it) logs the same events over either. Returns the
-/// log.
+/// the watchdog (a stuck session opens after 8 silent windows, so
+/// silences inside long attempts open it) logs the same events over
+/// either. Returns the log.
 fn check_watchdog(txns: &[Txn]) -> Result<Vec<AlertEvent>, String> {
     let per: Vec<Vec<(u64, Metric)>> = (0..SESSIONS).map(|s| session_notes(txns, s)).collect();
     let mut all = per.concat();
@@ -143,8 +143,7 @@ fn check_watchdog(txns: &[Txn]) -> Result<Vec<AlertEvent>, String> {
     let makespan = all.last().map_or(0, |&(t, _)| t);
     prop_assert_eq!(reference.violations(makespan), Vec::<String>::new());
 
-    let mut cfg = WatchdogConfig::new(BASE_WIDTH_NS, SESSIONS as u32);
-    cfg.stuck_windows = 2;
+    let cfg = WatchdogConfig::new(BASE_WIDTH_NS, SESSIONS as u32);
     let log = run_over(cfg.clone(), &shuffled, None);
     prop_assert_eq!(&log, &run_over(cfg, &reference, None));
     for pair in log.windows(2) {

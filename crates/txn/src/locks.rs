@@ -561,7 +561,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         let addr = layer.alloc(16).unwrap();
@@ -578,7 +577,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 2,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         (fabric, layer)
@@ -1001,7 +999,7 @@ mod tests {
         let mut words = [LockWord::reader(locks[0]), LockWord::new(locks[1]), LockWord::reader(locks[2])];
         let ep = f.endpoint();
         ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
-        let attempts = dsm::RetryPolicy::default().max_attempts;
+        let attempts = dsm::RetryPolicy::MAX_ATTEMPTS;
         f.install_fault_plan(FaultPlan::new(1).transient_first_n(data.node(), attempts));
         let err = ExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &[1; 8])], &mut words).unwrap_err();
         assert!(matches!(err, LockError::Dsm(e) if e.is_transient()), "{err:?}");

@@ -157,7 +157,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         )
     }

@@ -675,7 +675,6 @@ pub(crate) mod testutil {
                 capacity_per_node: 8 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         Arc::new(RecordTable::create(&layer, n_records, payload, versions).unwrap())
@@ -693,7 +692,6 @@ pub(crate) mod testutil {
                 capacity_per_node: 1 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         );
         Arc::new(RecordTable::create(&layer, 8, 16, versions).unwrap())

@@ -431,7 +431,7 @@ mod tests {
         for cc in [TwoPhaseLocking::exclusive(), TwoPhaseLocking::shared_exclusive()] {
             let t = table(4, 16, 1);
             let ep = t.layer().fabric().endpoint();
-            t.begin_migration(t.layer().join_group(1 << 20, 1, 4.0), 0, 4).unwrap();
+            t.begin_migration(t.layer().join_group(1 << 20, 1), 0, 4).unwrap();
             while t.migrate_chunk(&ep, 4).unwrap() > 0 {}
             let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
             ep.enable_flight_recorder(64);
@@ -456,7 +456,7 @@ mod tests {
         const ROUNDS: i64 = 2_000;
         let t = table(4, 16, 1);
         let ep = t.layer().fabric().endpoint();
-        t.begin_migration(t.layer().join_group(1 << 20, 1, 4.0), 0, 4).unwrap();
+        t.begin_migration(t.layer().join_group(1 << 20, 1), 0, 4).unwrap();
         while t.migrate_chunk(&ep, 4).unwrap() > 0 {}
         let cc = TwoPhaseLocking::exclusive();
         std::thread::scope(|s| {

@@ -502,7 +502,6 @@ mod tests {
                 capacity_per_node: 4 << 20,
                 replication: 1,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         )
     }
@@ -548,7 +547,6 @@ mod tests {
                 capacity_per_node: 1 << 20,
                 replication: 2,
                 mem_cores: 1,
-                weak_cpu_factor: 4.0,
             },
         )
     }
@@ -584,7 +582,7 @@ mod tests {
         let l = mirrored();
         let t = RecordTable::create(&l, 16, 24, 1).unwrap();
         let ep = l.fabric().endpoint();
-        let dst = l.join_group(1 << 20, 1, 4.0);
+        let dst = l.join_group(1 << 20, 1);
         t.begin_migration(dst, 0, 16).unwrap();
         while t.migrate_chunk(&ep, 8).unwrap() > 0 {}
         ExclusiveLock::acquire(&l, &ep, t.lock_addr(5), 1, 0).unwrap();
@@ -604,7 +602,7 @@ mod tests {
         let l = mirrored();
         let t = RecordTable::create(&l, 16, 24, 1).unwrap();
         let ep = l.fabric().endpoint();
-        let dst = l.join_group(1 << 20, 1, 4.0);
+        let dst = l.join_group(1 << 20, 1);
         let base = t.begin_migration(dst, 0, 16).unwrap();
         t.abort_migration().unwrap();
         let filled = vec![0x5Au8; (16 * t.slot_size()) as usize];
@@ -692,7 +690,7 @@ mod tests {
             l.write(&ep, t.payload_addr(k, 0), &[k as u8; 16]).unwrap();
             l.write_u64(&ep, t.wts_addr(k, 0), 100 + k).unwrap();
         }
-        let dst = l.join_group(4 << 20, 1, 4.0);
+        let dst = l.join_group(4 << 20, 1);
         let old_home = t.slot_addr(5).node();
         t.begin_migration(dst, 0, 32).unwrap();
         // Mid-copy: copied keys read from the new home, uncopied from old.
@@ -733,7 +731,7 @@ mod tests {
         let l = layer(1);
         let t = RecordTable::create(&l, 8, 8, 2).unwrap();
         let ep = l.fabric().endpoint();
-        let dst = l.join_group(4 << 20, 1, 4.0);
+        let dst = l.join_group(4 << 20, 1);
         t.begin_migration(dst, 2, 6).unwrap();
         while t.migrate_chunk(&ep, 2).unwrap() > 0 {}
         // A lease lands on the old (still authoritative) home after the
@@ -751,7 +749,7 @@ mod tests {
         let t = RecordTable::create(&l, 8, 8, 1).unwrap();
         let ep = l.fabric().endpoint();
         let before: Vec<GlobalAddr> = (0..8).map(|k| t.slot_addr(k)).collect();
-        let dst = l.join_group(4 << 20, 1, 4.0);
+        let dst = l.join_group(4 << 20, 1);
         t.begin_migration(dst, 0, 8).unwrap();
         t.migrate_chunk(&ep, 3).unwrap();
         t.abort_migration().unwrap();

@@ -22,7 +22,6 @@ fn table(versions: usize) -> Arc<RecordTable> {
             capacity_per_node: 4 << 20,
             replication: 1,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     );
     Arc::new(RecordTable::create(&layer, 32, 16, versions).unwrap())
@@ -188,7 +187,6 @@ fn doorbells_match_the_model(
             capacity_per_node: 1 << 20,
             replication,
             mem_cores: 1,
-            weak_cpu_factor: 4.0,
         },
     );
     let t = RecordTable::create(&layer, KEYS, PAYLOAD, versions).unwrap();

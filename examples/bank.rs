@@ -5,54 +5,37 @@
 //! cargo run --release -p dsmdb --example bank
 //! ```
 //!
-//! Four worker threads across two compute nodes run the SmallBank mix
-//! against shared memory; at the end the sum of all balances must equal
+//! Four worker threads across two compute nodes run a SmallBank-style
+//! mix against shared memory; at the end the sum of all balances must equal
 //! the initial endowment — a serializability smoke test you can point at
 //! any architecture/CC combination by editing the config.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op, TxnError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rdma_sim::NetworkProfile;
-use workload::{SmallBankOp, SmallBankWorkload};
+use workload::ZipfGenerator;
 
 const ACCOUNTS: u64 = 1_000;
 const INITIAL: i64 = 100;
 
-/// Map a SmallBank transaction onto engine ops. Checking account of
-/// customer `c` is record `2c`, savings is `2c + 1`. Every write
-/// transaction *moves* money (balanced deltas) so the bank total is a
-/// serializability invariant.
-fn to_ops(txn: &SmallBankOp) -> Vec<Op> {
-    match *txn {
-        SmallBankOp::Balance(c) => vec![Op::Read(2 * c), Op::Read(2 * c + 1)],
-        // Deposit into checking, funded from the same customer's savings.
-        SmallBankOp::DepositChecking(c, amt) => vec![
-            Op::Rmw { key: 2 * c, delta: amt },
-            Op::Rmw { key: 2 * c + 1, delta: -amt },
-        ],
-        // Savings top-up funded from checking.
-        SmallBankOp::TransactSavings(c, amt) => vec![
-            Op::Rmw { key: 2 * c + 1, delta: amt },
-            Op::Rmw { key: 2 * c, delta: -amt },
-        ],
-        SmallBankOp::Amalgamate(from, to) => vec![
-            // Move a fixed slice (full-balance moves need a read-then-
-            // write transaction; the fixed slice keeps the example short).
-            Op::Rmw { key: 2 * from, delta: -10 },
-            Op::Rmw { key: 2 * from + 1, delta: -10 },
-            Op::Rmw { key: 2 * to, delta: 20 },
-        ],
-        SmallBankOp::SendPayment(from, to, amt) => vec![
-            Op::Rmw { key: 2 * from, delta: -amt },
-            Op::Rmw { key: 2 * to, delta: amt },
-        ],
-        // Check cashed from checking into savings (escrow-style).
-        SmallBankOp::WriteCheck(c, amt) => vec![
-            Op::Rmw { key: 2 * c, delta: -amt },
-            Op::Rmw { key: 2 * c + 1, delta: amt },
-        ],
+/// The next transaction of the mix, over Zipf-0.9 customers. Checking
+/// account of customer `c` is record `2c`, savings is `2c + 1`. One in
+/// five reads both balances of a customer; the rest *move* money from
+/// one customer's checking to a customer's savings (balanced deltas), so
+/// the bank total is a serializability invariant.
+fn next_txn(zipf: &ZipfGenerator, rng: &mut StdRng) -> Vec<Op> {
+    let c = zipf.next(rng);
+    if rng.gen_bool(0.2) {
+        return vec![Op::Read(2 * c), Op::Read(2 * c + 1)];
     }
+    let (to, amt) = (zipf.next(rng), rng.gen_range(1..100));
+    vec![
+        Op::Rmw { key: 2 * c, delta: -amt },
+        Op::Rmw { key: 2 * to + 1, delta: amt },
+    ]
 }
 
 fn main() {
@@ -93,14 +76,10 @@ fn main() {
                 let makespan = &makespan;
                 s.spawn(move || {
                     let mut session = cluster.session(node, thread);
-                    let mut wl = SmallBankWorkload::new(
-                        ACCOUNTS,
-                        0.9,
-                        0.2,
-                        (node * 2 + thread) as u64,
-                    );
+                    let zipf = ZipfGenerator::new(ACCOUNTS, 0.9);
+                    let mut rng = StdRng::seed_from_u64((node * 2 + thread) as u64);
                     for _ in 0..1_000 {
-                        let ops = to_ops(&wl.next_txn());
+                        let ops = next_txn(&zipf, &mut rng);
                         loop {
                             match session.execute(&ops) {
                                 Ok(_) => {

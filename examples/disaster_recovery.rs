@@ -23,7 +23,6 @@ fn main() {
             capacity_per_node: 4 << 20,
             replication: 2,
             mem_cores: 2,
-            weak_cpu_factor: 4.0,
         },
     );
     let log = DurableLog::new(DurabilityMode::ReplicatedLog { k: 2 }, &layer, 1 << 20)

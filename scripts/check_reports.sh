@@ -19,6 +19,10 @@
 # any host and core count (`taskset -c 0 scripts/check_reports.sh`
 # checks the one-core case).
 #
+# The binaries run at full scale on their own seeds with no trace
+# export (BENCH_SCALE=1, BENCH_SEED and BENCH_TRACE unset) whatever the
+# caller's environment says, from ${CARGO_TARGET_DIR:-target}.
+#
 # Excluded: exp_c12_hierarchy. It drives its own threads for a CAS
 # storm, whose point is overlap the transaction gate would remove; it
 # joins the check once verbs, not transactions, run in virtual-time
@@ -39,7 +43,7 @@ runs=0
 for src in crates/bench/src/bin/exp_*.rs; do
   exp="$(basename "$src" .rs)"
   [[ "$exp" == "$EXCLUDED" ]] && continue
-  BENCH_RESULTS_DIR="$OUT" "$BIN/$exp" >/dev/null
+  env -u BENCH_SEED -u BENCH_TRACE BENCH_SCALE=1 BENCH_RESULTS_DIR="$OUT" "$BIN/$exp" >/dev/null
   runs=$((runs + 1))
 done
 

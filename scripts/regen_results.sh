@@ -3,12 +3,14 @@
 #
 #   scripts/regen_results.sh
 #
-# Runs every crates/bench/src/bin/exp_*.rs at full scale into results/
-# (21 reports and the O5 move plan) and validates the whole directory
-# with check_telemetry.
+# Runs every crates/bench/src/bin/exp_*.rs at full scale on its own seed
+# with no trace export (BENCH_SCALE=1, BENCH_SEED and BENCH_TRACE unset,
+# whatever the caller's environment says) into results/ (21 reports and
+# the O5 move plan), from ${CARGO_TARGET_DIR:-target}, and validates the
+# whole directory with check_telemetry.
 #
 # Every report but exp_c12_hierarchy is virtual-time deterministic:
-# same toolchain + same seed (BENCH_SEED, default per-experiment)
+# same toolchain + same per-experiment seed
 # reproduces byte-identical JSON on any host and core count, and
 # `scripts/check_reports.sh` holds them to that. So a regeneration is a
 # reviewed diff: run this after any intentional perf or schema change
@@ -21,12 +23,13 @@ cd "$(dirname "$0")/.."
 
 echo "== build (release) =="
 cargo build --release
+BIN="${CARGO_TARGET_DIR:-target}/release"
 
 for src in crates/bench/src/bin/exp_*.rs; do
   exp="$(basename "$src" .rs)"
   echo "== $exp =="
-  BENCH_RESULTS_DIR=results BENCH_SCALE=1 "./target/release/$exp" >/dev/null
+  env -u BENCH_SEED -u BENCH_TRACE BENCH_SCALE=1 BENCH_RESULTS_DIR=results "$BIN/$exp" >/dev/null
 done
 echo "== check_telemetry =="
-BENCH_RESULTS_DIR=results ./target/release/check_telemetry
+BENCH_RESULTS_DIR=results "$BIN/check_telemetry"
 echo "regen complete: results/ is fresh"

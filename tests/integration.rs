@@ -9,7 +9,7 @@ use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, CoherenceMode, Op,
 use rdma_sim::NetworkProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use workload::{SmallBankOp, SmallBankWorkload, ZipfGenerator};
+use workload::ZipfGenerator;
 
 fn small_config(arch: Architecture, cc: CcProtocol) -> ClusterConfig {
     ClusterConfig {
@@ -18,7 +18,6 @@ fn small_config(arch: Architecture, cc: CcProtocol) -> ClusterConfig {
         memory_nodes: 2,
         n_records: 256,
         payload_size: 32,
-        versions: if cc == CcProtocol::Mvcc { 4 } else { 1 },
         cache_frames: 128,
         profile: NetworkProfile::zero(),
         architecture: arch,
@@ -79,7 +78,7 @@ fn audit_total(cluster: &Arc<Cluster>, n_records: u64) -> i64 {
     for k in 0..n_records {
         // Latest version by wts.
         let mut best = (0u64, 0i64);
-        for v in 0..cluster.config().versions {
+        for v in 0..cluster.table().versions() {
             let wts = cluster
                 .layer()
                 .read_u64(&ep, cluster.table().wts_addr(k, v))
@@ -111,32 +110,18 @@ fn smallbank_conserves_money_on_every_architecture() {
         (Architecture::CacheShard, CcProtocol::TplExclusive),
     ] {
         let cluster = Cluster::build(small_config(arch, cc)).unwrap();
-        let n_accounts = 128;
+        // SmallBank's money movers over 128 customers (checking `2c`,
+        // savings `2c + 1`): each moves an amount from one customer's
+        // checking to a Zipf-0.9 customer's savings, the same customer's
+        // included.
+        let zipf = ZipfGenerator::new(128, 0.9);
         run_two_nodes(&cluster, 200, |n, i| {
-            let mut wl = SmallBankWorkload::new(n_accounts, 0.9, 0.0, (n * 1_000 + i) as u64);
-            match wl.next_txn() {
-                SmallBankOp::SendPayment(a, b, amt) => vec![
-                    Op::Rmw { key: 2 * a, delta: -amt },
-                    Op::Rmw { key: 2 * b, delta: amt },
-                ],
-                SmallBankOp::DepositChecking(a, amt) => vec![
-                    Op::Rmw { key: 2 * a, delta: amt },
-                    Op::Rmw { key: 2 * a + 1, delta: -amt },
-                ],
-                SmallBankOp::TransactSavings(a, amt) => vec![
-                    Op::Rmw { key: 2 * a + 1, delta: amt },
-                    Op::Rmw { key: 2 * a, delta: -amt },
-                ],
-                SmallBankOp::Amalgamate(a, b) => vec![
-                    Op::Rmw { key: 2 * a, delta: -7 },
-                    Op::Rmw { key: 2 * b, delta: 7 },
-                ],
-                SmallBankOp::WriteCheck(a, amt) => vec![
-                    Op::Rmw { key: 2 * a, delta: -amt },
-                    Op::Rmw { key: 2 * a + 1, delta: amt },
-                ],
-                SmallBankOp::Balance(a) => vec![Op::Read(2 * a), Op::Read(2 * a + 1)],
-            }
+            let mut rng = StdRng::seed_from_u64((n * 1_000 + i) as u64);
+            let (from, to, amt) = (zipf.next(&mut rng), zipf.next(&mut rng), rng.gen_range(1..100));
+            vec![
+                Op::Rmw { key: 2 * from, delta: -amt },
+                Op::Rmw { key: 2 * to + 1, delta: amt },
+            ]
         });
         assert_eq!(
             audit_total(&cluster, 256),
