@@ -158,7 +158,8 @@ fn main() {
         flagship.planes.series.window_ns
     );
 
-    flagship.planes.live().attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
+    let live = flagship.planes.live();
+    live.attach(&mut rep, flagship.makespan_ns, &live.alerts(base.sessions as u32));
     rep.headline("tps", Json::F(flagship.tps()));
     rep.headline("wait_ns_total", Json::U(flagship.planes.contention.wait_ns_total));
     rep.headline("wait_for_edges", Json::U(wf.edges.len() as u64));

@@ -153,7 +153,8 @@ fn main() {
         }
     }
 
-    flagship.planes.attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
+    let alerts = flagship.planes.alerts(base.sessions as u32);
+    flagship.planes.attach(&mut rep, flagship.makespan_ns, &alerts);
     rep.headline("tps", Json::F(flagship.tps()));
     rep.headline("critical_path_wire_share", Json::F(ff.wire_share()));
     rep.headline(

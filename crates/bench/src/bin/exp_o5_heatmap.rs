@@ -156,7 +156,8 @@ fn main() {
         ],
     );
 
-    flagship.planes.attach(&mut rep, flagship.makespan_ns, base.sessions as u32);
+    let alerts = flagship.planes.alerts(base.sessions as u32);
+    flagship.planes.attach(&mut rep, flagship.makespan_ns, &alerts);
     rep.section(Section::Utilization, utilization_json(&flagship.utilization));
     rep.headline("imbalance_gini_flagship", Json::F(measured_gini(&flagship.utilization)));
     rep.headline("advisor_gini_before", Json::F(gini_before));

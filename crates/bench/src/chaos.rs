@@ -10,7 +10,7 @@
 //!
 //! Timeline (rounds split in thirds):
 //!
-//! 1. **pre** — healthy baseline. A seeded fault plan injects first-N
+//! 1. **pre** — healthy baseline. A fault plan injects first-N
 //!    transient failures and a short partition of a group-1 node; the
 //!    DSM retry policy absorbs both (they never surface as aborts).
 //! 2. **fault** — a "zombie" session takes leased locks on hot keys and
@@ -39,7 +39,7 @@ use telemetry::{blame_name, Blame, RecoveryFacts};
 use txn::{ExclusiveLock, LeaseLock, LockWord};
 
 use crate::fleet::{max_clock, Audit, Fleet};
-use crate::report::{abort_causes_json, alerts_json, phases_json, Json, Report, Section};
+use crate::report::{abort_causes_json, phases_json, Json, Report};
 use crate::{
     blame_share, share_cells, tail_blame, tail_majority, AbortCauses, AlertEvent, AlertKind,
     AlertState, Planes, WatchdogConfig,
@@ -67,8 +67,8 @@ pub mod scenarios {
     /// early partition of `victim`. Both are absorbed by the DSM retry
     /// policy (reads degrade to the mirror mid-partition) — the
     /// watchdog must stay silent through this.
-    pub fn background_noise(seed: u64, victim: NodeId) -> FaultPlan {
-        FaultPlan::new(seed)
+    pub fn background_noise(victim: NodeId) -> FaultPlan {
+        FaultPlan::new()
             .transient_first_n(victim, 2)
             .partition(victim, PARTITION_START_NS, PARTITION_END_NS)
     }
@@ -76,14 +76,14 @@ pub mod scenarios {
     /// Crash aftershock: from `from_ns` on, every verb against the
     /// surviving node `survivor` pays an extra `spike_ns` — the cluster
     /// limps rather than failing clean.
-    pub fn survivor_slowdown(seed: u64, survivor: NodeId, from_ns: u64, spike_ns: u64) -> FaultPlan {
-        FaultPlan::new(seed ^ 0xC13).latency_spike(survivor, from_ns, u64::MAX, spike_ns)
+    pub fn survivor_slowdown(survivor: NodeId, from_ns: u64, spike_ns: u64) -> FaultPlan {
+        FaultPlan::new().latency_spike(survivor, from_ns, u64::MAX, spike_ns)
     }
 
     /// Partition `coordinator` away during `[from_ns, to_ns)` — the
     /// mid-handover coordinator loss E1 resolves with epoch fencing.
-    pub fn coordinator_partition(seed: u64, coordinator: NodeId, from_ns: u64, to_ns: u64) -> FaultPlan {
-        FaultPlan::new(seed ^ 0xE1).partition(coordinator, from_ns, to_ns)
+    pub fn coordinator_partition(coordinator: NodeId, from_ns: u64, to_ns: u64) -> FaultPlan {
+        FaultPlan::new().partition(coordinator, from_ns, to_ns)
     }
 }
 
@@ -94,7 +94,7 @@ pub const PAYLOAD: usize = 64;
 /// [`crate::scale_down`].
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
-    /// Master seed: workload keys, fault plan, jitter.
+    /// Master seed: workload keys, jitter.
     pub seed: u64,
     /// Virtual sessions (threads on the single compute node).
     pub sessions: usize,
@@ -239,7 +239,7 @@ fn run(cfg: &ChaosConfig, trace: bool) -> ChaosOutcome {
     // short partition of group 1's primary. Both are absorbed by the DSM
     // retry policy (reads degrade to the mirror mid-partition).
     if cfg.inject {
-        fabric.install_fault_plan(scenarios::background_noise(cfg.seed, g1_primary));
+        fabric.install_fault_plan(scenarios::background_noise(g1_primary));
     }
 
     let mut sessions: Vec<Session> = (0..cfg.sessions).map(|t| cluster.session(0, t)).collect();
@@ -292,9 +292,7 @@ fn run(cfg: &ChaosConfig, trace: bool) -> ChaosOutcome {
             }
 
             // Survivors also get slower: latency spike on group 1.
-            fabric.install_fault_plan(scenarios::survivor_slowdown(
-                cfg.seed, g1_primary, t_crash, 2_000,
-            ));
+            fabric.install_fault_plan(scenarios::survivor_slowdown(g1_primary, t_crash, 2_000));
         }
         if round == r_recover {
             let t = max_clock(&sessions);
@@ -579,8 +577,7 @@ pub fn report_for(cfg: &ChaosConfig, c13: &C13) -> Report {
     ];
     cells.extend(share_cells(&tail));
     rep.row("tail", cells);
-    out.planes.attach(&mut rep, out.post.end_ns, cfg.sessions as u32);
-    rep.section(Section::Alerts, alerts_json(&c13.log));
+    out.planes.attach(&mut rep, out.post.end_ns, &c13.log);
     rep.headline("pre_tps", Json::F(out.pre.tps()));
     rep.headline("fault_tps", Json::F(out.fault.tps()));
     rep.headline("post_tps", Json::F(out.post.tps()));

@@ -109,15 +109,16 @@ impl Planes {
         run_over(cfg, &self.series, None)
     }
 
-    /// Attach the bundle as the report's plane sections — the flagship
-    /// run only; per-row planes would multiply report size without
-    /// adding a claim. A plane that recorded nothing gets no section;
-    /// the alert log always has one, empty or not.
-    pub fn attach(&self, rep: &mut Report, makespan_ns: u64, sessions: u32) {
+    /// Attach the bundle as the report's plane sections, with `alerts`
+    /// (usually [`Planes::alerts`]) as its alert log — the flagship run
+    /// only; per-row planes would multiply report size without adding a
+    /// claim. A plane that recorded nothing gets no section; the alert
+    /// log always has one, empty or not.
+    pub fn attach(&self, rep: &mut Report, makespan_ns: u64, alerts: &[AlertEvent]) {
         if !self.series.is_empty() {
             rep.section(Section::Timeseries, series_json(&self.series, makespan_ns));
         }
-        rep.section(Section::Alerts, alerts_json(&self.alerts(sessions)));
+        rep.section(Section::Alerts, alerts_json(alerts));
         if !self.forensics.is_empty() {
             rep.section(Section::Forensics, forensics_json(&self.forensics));
         }

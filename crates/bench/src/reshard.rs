@@ -7,7 +7,7 @@
 //! faults at fixed round boundaries, splitmix64 randomness from the
 //! seed — two same-seed runs are byte-identical):
 //!
-//! 1. **pre** — compute node 0's sessions run transfers; a seeded
+//! 1. **pre** — compute node 0's sessions run transfers; the
 //!    background-noise plan ([`crate::chaos::scenarios`]) is absorbed
 //!    by the DSM retry policy.
 //! 2. **join + migrate** — a fresh mirror group *joins* (memory-node
@@ -44,6 +44,7 @@ use dsmdb::{
 use rdma_sim::{NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
 use telemetry::RecoveryFacts;
+use txn::table::RecordTable;
 
 use crate::chaos::{scenarios, WindowStats};
 use crate::fleet::{max_clock, splitmix64, Audit, Fleet};
@@ -93,7 +94,7 @@ impl Scenario {
 /// `rounds` via [`crate::scale_down`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReshardConfig {
-    /// Master seed: workload keys, fault plans, audit sampling.
+    /// Master seed: workload keys, audit sampling.
     pub seed: u64,
     /// Sessions per compute node (node 1 adds the same number while
     /// joined).
@@ -111,6 +112,8 @@ pub struct ReshardConfig {
 const LEASE_NS: u64 = 300_000;
 /// Copier pacing charge per chunk, virtual ns.
 const PACE_NS: u64 = 500;
+/// The protocol of every reshard run, under [`LEASE_NS`] leases.
+const CC: CcProtocol = CcProtocol::TplExclusive;
 
 impl Default for ReshardConfig {
     fn default() -> Self {
@@ -125,9 +128,9 @@ impl Default for ReshardConfig {
 }
 
 impl ReshardConfig {
-    /// Bytes one slot occupies (mirrors `RecordTable` layout math).
+    /// Bytes one slot occupies ([`RecordTable::slot_size_for`]).
     pub fn slot_size(&self) -> u64 {
-        16 + 8 + self.payload.next_multiple_of(8) as u64
+        RecordTable::slot_size_for(self.payload, CC.versions())
     }
 
     /// Bytes the copier moves for a full-table migration.
@@ -236,7 +239,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         payload_size: cfg.payload,
         profile: NetworkProfile::rdma_cx6(),
         architecture: Architecture::NoCacheNoShard,
-        cc: CcProtocol::TplExclusive,
+        cc: CC,
         lease_ns: Some(LEASE_NS),
         ..Default::default()
     })
@@ -257,7 +260,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     }
 
     // Background noise from round 0, absorbed by the retry policy.
-    fabric.install_fault_plan(scenarios::background_noise(cfg.seed, g1_primary));
+    fabric.install_fault_plan(scenarios::background_noise(g1_primary));
 
     let mut core: Vec<Session> = (0..cfg.sessions).map(|t| cluster.session(0, t)).collect();
     let mut joiners: Vec<Session> = Vec::new();
@@ -351,9 +354,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     // included) fail over to the mirror; lock CASes on
                     // its stripe abort typed until the rebuild.
                     layer.crash_member(0, 0).expect("crash source primary");
-                    fabric.install_fault_plan(scenarios::survivor_slowdown(
-                        cfg.seed, g1_primary, t, 1_000,
-                    ));
+                    fabric.install_fault_plan(scenarios::survivor_slowdown(g1_primary, t, 1_000));
                 }
                 Scenario::CrashDest => {
                     out.t_fault_ns = t;
@@ -471,7 +472,6 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     out.t_fault_ns = t;
                     silent_since = round;
                     fabric.install_fault_plan(scenarios::coordinator_partition(
-                        cfg.seed,
                         g0_primary,
                         t,
                         t + 30_000,
@@ -676,7 +676,7 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
     if let Some(c) = clean {
         // Node 1 is joined for most of the run: 2x sessions feed the
         // watchdog's lock-wait budget.
-        c.planes.attach(&mut rep, c.post.end_ns, (cfg.sessions * 2) as u32);
+        c.planes.attach(&mut rep, c.post.end_ns, &c.planes.alerts((cfg.sessions * 2) as u32));
         rep.headline("pre_tps", Json::F(c.pre.tps()));
         rep.headline("migrate_tps", Json::F(c.migrate.tps()));
         rep.headline("post_tps", Json::F(c.post.tps()));

@@ -1149,7 +1149,7 @@ mod tests {
         assert_eq!((direct(other), pool.resident()), (7, 1));
 
         layer.set_retry_policy(dsm::RetryPolicy::none());
-        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        f.install_fault_plan(rdma_sim::FaultPlan::new().transient_first_n(layer.group_primary(0).id(), 1));
         assert!(pool.write_pages(&ep, &[(cached, &[8u8; 64])], &[(other, &[8u8; 64])]).is_err());
         f.clear_fault_plan();
         assert_eq!((direct(cached), direct(other), pool.contains(cached)), (5, 7, false));
@@ -1399,7 +1399,7 @@ mod tests {
         // If that doorbell fails, neither the written frame nor the
         // reserved one is left; a fetch dropped uncompleted frees its frame.
         layer.set_retry_policy(dsm::RetryPolicy::none());
-        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        f.install_fault_plan(rdma_sim::FaultPlan::new().transient_first_n(layer.group_primary(0).id(), 1));
         let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[4], &mut buf[..])]).unwrap();
         assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[(addrs[0], &[7u8; 64][..])], &[]).is_err());
         assert!(!pool.contains(addrs[0]) && !pool.contains(addrs[4]));
@@ -1453,7 +1453,7 @@ mod tests {
         pool.invalidate(&ep, addrs[1]);
         let resident = pool.resident();
         layer.set_retry_policy(dsm::RetryPolicy::none());
-        f.install_fault_plan(rdma_sim::FaultPlan::new(1).transient_first_n(layer.group_primary(0).id(), 1));
+        f.install_fault_plan(rdma_sim::FaultPlan::new().transient_first_n(layer.group_primary(0).id(), 1));
         let (_, fetch) = pool.resolve_reads(&ep, &mut [(addrs[1], &mut buf[..])]).unwrap();
         assert!(fetch.complete_writing(&ep, [&mut buf[..]], &[], &[(addrs[1], 5)]).is_err());
         f.clear_fault_plan();

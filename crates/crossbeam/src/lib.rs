@@ -1,41 +1,34 @@
 //! Vendored stand-in for the `crossbeam` crate.
 //!
-//! Only `crossbeam::channel` is provided — an unbounded MPMC channel
-//! (std's mpsc receiver is neither `Sync` nor cloneable, so a
-//! `Mutex<VecDeque>` + `Condvar` queue stands in). See the
+//! Only `crossbeam::channel` is provided, and of it only what a polled
+//! mailbox needs: an unbounded FIFO channel whose receiver is taken with
+//! [`channel::Receiver::try_recv`] and never blocks (std's mpsc receiver
+//! is not `Sync`, so a `Mutex<VecDeque>` stands in). No thread waits on
+//! the channel, so a send wakes nobody and makes no system call. See the
 //! `parking_lot` shim for why external deps are vendored.
-//!
-//! A send is free of system calls when no receiver is blocked in
-//! [`channel::Receiver::recv`]: the channel counts the threads blocked
-//! there and a send that finds none wakes nobody. A mailbox that is only
-//! polled with `try_recv` never pays for a wake.
 
 pub mod channel {
-    //! Unbounded multi-producer multi-consumer FIFO channel.
+    //! Unbounded FIFO channel, polled by its receiver.
 
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex, PoisonError};
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
-        ready: Condvar,
-        /// Receivers blocked in [`Receiver::recv`]; changed only under
-        /// `queue`'s mutex.
-        waiting: AtomicUsize,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
+        /// Each flag is stored (`Release`) by its half's drop and loaded
+        /// (`Acquire`) by the other half.
+        sender_gone: AtomicBool,
+        receiver_gone: AtomicBool,
     }
 
     /// Create an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            waiting: AtomicUsize::new(0),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
+            sender_gone: AtomicBool::new(false),
+            receiver_gone: AtomicBool::new(false),
         });
         (
             Sender {
@@ -45,44 +38,33 @@ pub mod channel {
         )
     }
 
-    /// Sending half; cloneable.
+    /// Sending half; shared by reference between threads.
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
     }
 
-    /// Receiving half; cloneable (MPMC).
+    /// Receiving half; shared by reference between threads.
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
     }
 
-    /// Error returned by [`Sender::send`] when every receiver is gone;
+    /// Error returned by [`Sender::send`] when the receiver is gone;
     /// carries the unsent message.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty
-    /// and every sender is gone.
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub struct RecvError;
 
     /// Error returned by [`Receiver::try_recv`].
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     pub enum TryRecvError {
         /// Channel currently empty.
         Empty,
-        /// Empty and all senders dropped.
+        /// Empty and the sender dropped.
         Disconnected,
     }
 
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty, disconnected channel")
         }
     }
 
@@ -95,26 +77,10 @@ pub mod channel {
         }
     }
 
-    impl<T> Shared<T> {
-        /// Wake blocked receivers, if any: one, or all. Called after the
-        /// state they wait on changed under `queue`'s mutex, so a
-        /// receiver that checked it before the change is counted.
-        fn wake(&self, all: bool) {
-            if self.waiting.load(Ordering::Relaxed) == 0 {
-                return;
-            }
-            if all {
-                self.ready.notify_all();
-            } else {
-                self.ready.notify_one();
-            }
-        }
-    }
-
     impl<T> Sender<T> {
-        /// Enqueue a message, waking one blocked receiver if there is one.
+        /// Enqueue a message; fails once the receiver is dropped.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            if self.shared.receivers.load(Ordering::Acquire) == 0 {
+            if self.shared.receiver_gone.load(Ordering::Acquire) {
                 return Err(SendError(msg));
             }
             self.shared
@@ -122,29 +88,13 @@ pub mod channel {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push_back(msg);
-            self.shared.wake(false);
             Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.senders.fetch_add(1, Ordering::Relaxed);
-            Sender {
-                shared: self.shared.clone(),
-            }
         }
     }
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last sender: wake blocked receivers so they observe
-                // the disconnect. Passing through the mutex orders the
-                // count after any receiver that saw a live sender.
-                drop(self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner));
-                self.shared.wake(true);
-            }
+            self.shared.sender_gone.store(true, Ordering::Release);
         }
     }
 
@@ -158,64 +108,17 @@ pub mod channel {
                 .unwrap_or_else(PoisonError::into_inner);
             match q.pop_front() {
                 Some(v) => Ok(v),
-                None if self.shared.senders.load(Ordering::Acquire) == 0 => {
+                None if self.shared.sender_gone.load(Ordering::Acquire) => {
                     Err(TryRecvError::Disconnected)
                 }
                 None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Blocking pop; errors once the channel is empty and sender-less.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(v) = q.pop_front() {
-                    return Ok(v);
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvError);
-                }
-                self.shared.waiting.fetch_add(1, Ordering::Relaxed);
-                q = self
-                    .shared
-                    .ready
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-                self.shared.waiting.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
-        /// Messages currently queued.
-        pub fn len(&self) -> usize {
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.receivers.fetch_add(1, Ordering::Relaxed);
-            Receiver {
-                shared: self.shared.clone(),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
+            self.shared.receiver_gone.store(true, Ordering::Release);
         }
     }
 
@@ -224,13 +127,12 @@ pub mod channel {
         use super::*;
 
         #[test]
-        fn fifo_order_and_len() {
+        fn fifo_order() {
             let (tx, rx) = unbounded();
             tx.send(1).unwrap();
             tx.send(2).unwrap();
-            assert_eq!(rx.len(), 2);
             assert_eq!(rx.try_recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(rx.try_recv(), Ok(2));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         }
 
@@ -239,51 +141,42 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-            assert_eq!(rx.recv(), Err(RecvError));
+            let (tx, rx) = unbounded::<u8>();
+            drop(rx);
+            assert_eq!(tx.send(1), Err(SendError(1)));
         }
 
-        /// A receiver blocked in `recv` is woken by a send, and by the
-        /// last sender going.
-        #[test]
-        fn a_blocked_recv_is_woken_by_a_send_or_the_disconnect() {
-            for send in [true, false] {
-                let (tx, rx) = unbounded::<u32>();
-                let shared = rx.shared.clone();
-                let receiver = std::thread::spawn(move || rx.recv());
-                while shared.waiting.load(Ordering::Relaxed) == 0 {
-                    std::thread::yield_now();
-                }
-                if send {
-                    tx.send(7).unwrap();
-                } else {
-                    drop(tx);
-                }
-                let want = if send { Ok(7) } else { Err(RecvError) };
-                assert_eq!(receiver.join().unwrap(), want);
-                assert_eq!(shared.waiting.load(Ordering::Relaxed), 0);
-            }
-        }
-
+        /// Four producers and four polling consumers share one channel by
+        /// reference: every message is taken exactly once.
         #[test]
         fn mpmc_across_threads() {
             let (tx, rx) = unbounded::<usize>();
-            let consumers: Vec<_> = (0..4)
-                .map(|_| {
-                    let rx = rx.clone();
-                    std::thread::spawn(move || {
-                        let mut got = 0usize;
-                        while rx.recv().is_ok() {
-                            got += 1;
-                        }
-                        got
+            let rx = &rx;
+            let total: usize = std::thread::scope(|sc| {
+                let consumers: Vec<_> = (0..4)
+                    .map(|_| {
+                        sc.spawn(move || {
+                            let mut got = 0usize;
+                            loop {
+                                match rx.try_recv() {
+                                    Ok(_) => got += 1,
+                                    Err(TryRecvError::Empty) => std::thread::yield_now(),
+                                    Err(TryRecvError::Disconnected) => return got,
+                                }
+                            }
+                        })
                     })
-                })
-                .collect();
-            for i in 0..1000 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+                    .collect();
+                std::thread::scope(|producers| {
+                    for p in 0..4 {
+                        let tx = &tx;
+                        producers
+                            .spawn(move || (0..250).for_each(|i| tx.send(p * 250 + i).unwrap()));
+                    }
+                });
+                drop(tx);
+                consumers.into_iter().map(|c| c.join().unwrap()).sum()
+            });
             assert_eq!(total, 1000);
         }
     }

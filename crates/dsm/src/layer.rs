@@ -1125,11 +1125,11 @@ mod tests {
             l.doorbell(&ep, &mut [GlobalWr::Read { addr: a, dst: &mut [0u8; 8] }, GlobalWr::Faa { addr: a, add: 1, prev }])
         };
         l.set_retry_policy(RetryPolicy::none());
-        f.install_fault_plan(FaultPlan::new(3).transient_first_n(ids[1], 1));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(ids[1], 1));
         assert_eq!(add_one(&mut prev), Err(DsmError::Rdma(RdmaError::Transient(ids[1]))));
         assert_eq!((prev, words()), (42, vec![45, 45]));
         l.set_retry_policy(RetryPolicy::default());
-        f.install_fault_plan(FaultPlan::new(3).transient_first_n(ids[1], 1));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(ids[1], 1));
         add_one(&mut prev).unwrap();
         assert_eq!((prev, words()), (45, vec![46, 46]));
     }
@@ -1141,7 +1141,7 @@ mod tests {
         let ep = f.endpoint();
         let (a, b) = (l.alloc_on(0, 8).unwrap(), l.alloc_on(1, 8).unwrap());
         let second_primary = l.group_primary(1).id();
-        f.install_fault_plan(FaultPlan::new(5).transient_first_n(second_primary, 1));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(second_primary, 1));
         let (mut on_a, mut on_b) = (u64::MAX, u64::MAX);
         let lock_both = |on_a: &mut u64, on_b: &mut u64| {
             l.doorbell(
@@ -1159,7 +1159,7 @@ mod tests {
         assert_eq!((ep.stats().cas, ep.stats().cas_failures), (2, 0));
         // Without a retry policy the fault surfaces, with nothing done.
         l.set_retry_policy(RetryPolicy::none());
-        f.install_fault_plan(FaultPlan::new(5).transient_first_n(second_primary, 1));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(second_primary, 1));
         let (c, d) = (l.alloc_on(0, 8).unwrap(), l.alloc_on(1, 8).unwrap());
         let refused = l.doorbell(
             &ep,
@@ -1182,7 +1182,7 @@ mod tests {
         // The next few verbs to both members hiccup; the default policy
         // must absorb them without the caller noticing.
         f.install_fault_plan(
-            FaultPlan::new(11)
+            FaultPlan::new()
                 .transient_first_n(0, 2)
                 .transient_first_n(1, 2),
         );
@@ -1200,7 +1200,7 @@ mod tests {
         let ep = f.endpoint();
         let a = l.alloc(8).unwrap();
         l.set_retry_policy(RetryPolicy::none());
-        f.install_fault_plan(FaultPlan::new(1).transient_first_n(0, 1));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(0, 1));
         let err = l.read_u64(&ep, a).unwrap_err();
         assert_eq!(err, DsmError::Rdma(RdmaError::Transient(0)));
         assert!(err.is_transient());

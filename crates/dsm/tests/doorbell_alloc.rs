@@ -118,6 +118,6 @@ fn steady_state_doorbells_allocate_nothing_at_either_layer() {
     };
     assert_eq!(steady(0..504), 0);
     // With a plan installed every group is pre-flighted node by node.
-    fabric.install_fault_plan(FaultPlan::new(1).latency_spike(nb, 0, u64::MAX, 100));
+    fabric.install_fault_plan(FaultPlan::new().latency_spike(nb, 0, u64::MAX, 100));
     assert_eq!(steady(504..1008), 0, "with a fault plan");
 }

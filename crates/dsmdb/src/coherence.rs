@@ -150,19 +150,11 @@ impl CoherentIo {
             }
             (payload.len() > 9).then(|| (node_inbox_id(node), self.reply_id, payload))
         });
-        let mut pending = ep.send_batch(msgs)?;
-        // Wait for acks; serve our own inbox meanwhile so two writers on
-        // different nodes cannot deadlock waiting on each other.
-        while pending > 0 {
-            match ep.try_recv(&self.reply) {
-                Ok(msg) if msg.payload.first() == Some(&MSG_ACK) => pending -= 1,
-                Ok(_) => {}
-                Err(_) => {
-                    if !self.handler.serve_one() {
-                        std::thread::yield_now();
-                    }
-                }
-            }
+        // One ack per delivered request; the handler serves this node's
+        // inbox meanwhile, so two writers on different nodes cannot
+        // deadlock waiting on each other.
+        for _ in 0..ep.send_batch(msgs)? {
+            self.handler.wait_for(ep, &self.reply, |msg| (msg.payload.first() == Some(&MSG_ACK)).then_some(()));
         }
         Ok(())
     }

@@ -574,7 +574,7 @@ impl Session {
         let unreachable = || TxnError::Aborted("owner-unreachable");
         let mut failed = ((delivered as usize) < remote.len()).then(unreachable);
         for _ in 0..delivered {
-            let vote = self.wait_reply(txn_id);
+            let vote = self.wait_reply(&node, txn_id);
             if vote.kind != MsgKind::VoteYes {
                 failed.get_or_insert(TxnError::Aborted("remote-vote-no"));
             }
@@ -587,7 +587,7 @@ impl Session {
             match self.ep.send(node_inbox_id(last), self.reply_id, msg) {
                 Err(_) => failed = Some(unreachable()),
                 Ok(()) => {
-                    let vote = self.wait_reply(txn_id);
+                    let vote = self.wait_reply(&node, txn_id);
                     if vote.kind != MsgKind::VoteYes {
                         failed = Some(TxnError::Aborted("remote-vote-no"));
                     } else {
@@ -616,7 +616,7 @@ impl Session {
             }))
             .unwrap_or(0);
         for _ in 0..decided {
-            self.wait_reply(txn_id);
+            self.wait_reply(&node, txn_id);
         }
         match failed {
             None => Ok(out),
@@ -640,29 +640,17 @@ impl Session {
         encode_2pc(kind, txn_id, &body)
     }
 
-    /// The next reply for `txn_id` on this session's box: a vote or an
-    /// ack. While there is none, serve this node's inbox — the owner
-    /// being waited for may be waiting for this node too.
-    fn wait_reply(&self, txn_id: u64) -> TwoPcMsg {
-        loop {
-            match self.ep.try_recv(&self.reply) {
-                Ok(msg) => match decode_2pc(&msg.payload) {
-                    Some(m) if m.txn_id == txn_id => return m,
-                    _ => {}
-                },
-                Err(_) => {
-                    if !self.serve_pending(2) {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+    /// The next reply for `txn_id` on this session's box, a vote or an
+    /// ack, waited for on `node` ([`NodeHandler::wait_for`]).
+    fn wait_reply(&self, node: &NodeHandler, txn_id: u64) -> TwoPcMsg {
+        node.wait_for(&self.ep, &self.reply, |msg| decode_2pc(&msg.payload).filter(|m| m.txn_id == txn_id))
     }
 
     /// Serve up to `budget` pending messages addressed to this node —
     /// coherence requests in 3b, 2PC participant work in 3c — on the
     /// node's handler. Returns whether anything was served. Workers call
-    /// this between transactions; waiters call it in their poll loops.
+    /// this between transactions; a session waiting for a reply serves
+    /// in `NodeHandler::wait_for` instead.
     pub fn serve_pending(&self, budget: usize) -> bool {
         self.handler.as_ref().is_some_and(|h| h.serve(budget))
     }
@@ -838,7 +826,7 @@ mod tests {
         let peer = cluster.fabric().endpoint();
         // Registered once: the session's handle and its io's are one box.
         peer.send(session_inbox_id(0, 0), 0, vec![0xAB]).unwrap();
-        assert_eq!(s.reply.try_recv().unwrap().payload, vec![0xAB]);
+        assert_eq!(s.ep.try_recv(&s.reply).unwrap().payload, vec![0xAB]);
     }
 
     #[test]
@@ -891,13 +879,68 @@ mod tests {
         });
     }
 
+    /// Two compute nodes, one session each and no other thread, and every
+    /// transfer a cross-shard one whose other owner is the peer: each
+    /// coordinator waits for a vote the other node's handler sends, so
+    /// each must serve its own node's inbox while it waits
+    /// ([`NodeHandler::wait_for`]). Without that serve the two wait for
+    /// each other for good, and the bound fails.
+    #[test]
+    fn two_coordinators_that_wait_for_each_other_both_finish() {
+        let config = config(Architecture::CacheShard, CcProtocol::TplExclusive, 2, 1);
+        within(30, move || bank_run_with(config, own_and_peer));
+    }
+
+    /// Run `op` on a thread of its own; panic if it does not return
+    /// within `secs` seconds.
+    fn within(secs: u64, op: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            op();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("did not return within {secs} s"),
+            outcome => outcome.expect("the operation panicked"),
+        }
+    }
+
     fn bank_run(arch: Architecture, cc: CcProtocol, nodes: usize, threads: usize) {
         bank_run_on(config(arch, cc, nodes, threads));
     }
 
-    /// The cross-architecture serializability smoke test: concurrent
-    /// transfers, each reading a third key, must conserve total balance.
     fn bank_run_on(config: ClusterConfig) {
+        bank_run_with(config, any_two);
+    }
+
+    fn xorshift(rng: &mut u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng
+    }
+
+    /// Two distinct keys of the 64.
+    fn any_two(_node: usize, rng: &mut u64) -> (u64, u64) {
+        let a = xorshift(rng) % 64;
+        let mut b = xorshift(rng) % 64;
+        while b == a {
+            b = xorshift(rng) % 64;
+        }
+        (a, b)
+    }
+
+    /// A key of node `node`'s shard and one of its peer's, on two nodes
+    /// that own 32 keys each.
+    fn own_and_peer(node: usize, rng: &mut u64) -> (u64, u64) {
+        let own = 32 * node as u64;
+        (own + xorshift(rng) % 32, (32 - own) + xorshift(rng) % 32)
+    }
+
+    /// The cross-architecture serializability smoke test: concurrent
+    /// transfers between the two keys `pick` draws for a session's node,
+    /// each reading a third key, must conserve total balance.
+    fn bank_run_with(config: ClusterConfig, pick: fn(usize, &mut u64) -> (u64, u64)) {
         let (arch, cc) = (config.architecture, config.cc);
         let (nodes, threads) = (config.compute_nodes, config.threads_per_node);
         let cluster = Cluster::build(config).unwrap();
@@ -911,22 +954,12 @@ mod tests {
                     sc.spawn(move || {
                         let mut s = cluster.session(n, t);
                         let mut rng = 0x9E37u64.wrapping_add((n * 16 + t) as u64);
-                        let mut rand = move || {
-                            rng ^= rng << 13;
-                            rng ^= rng >> 7;
-                            rng ^= rng << 17;
-                            rng
-                        };
                         for _ in 0..150 {
-                            let a = rand() % 64;
-                            let mut b = rand() % 64;
-                            while b == a {
-                                b = rand() % 64;
-                            }
+                            let (a, b) = pick(n, &mut rng);
                             let ops = [
                                 Op::Rmw { key: a, delta: -3 },
                                 Op::Rmw { key: b, delta: 3 },
-                                Op::Read(rand() % 64),
+                                Op::Read(xorshift(&mut rng) % 64),
                             ];
                             loop {
                                 match s.execute(&ops) {
@@ -1112,24 +1145,23 @@ mod tests {
         let txn_id = cluster.txn_ids.load(Ordering::Relaxed);
         let script = |payload: Vec<u8>| peer.ep.send(node_inbox_id(1), b.reply_id, payload).unwrap();
         // `execute` serves four messages before its window opens, the
-        // reply wait two per empty poll.
+        // reply wait one per empty poll.
         for _ in 0..4 {
             script(vec![0xFF]);
         }
         let served = [Op::Rmw { key: 50, delta: 5 }];
         let prepare = encode_prepare(peer.epoch, 0, 0xBEEF, &served);
         script(encode_2pc(MsgKind::PrepareCommit, txn_id, &prepare));
-        script(vec![0xFF]);
 
         let (handler, before) = (cluster.handler(1).unwrap(), b.ep.stats());
         let ops = [Op::Rmw { key: 33, delta: -5 }, Op::Rmw { key: 1, delta: 5 }];
         let trace = execute_and_refold(&mut b, &mut reference, &ops, false);
         assert_eq!(b.stats().cross_shard, 1);
         // B sent its `PrepareCommit` and took the vote; the handler took
-        // the six scripted messages and sent the vote.
+        // the five scripted messages and sent the vote.
         let (mine, served_by) = (b.ep.stats(), handler.stats());
         assert_eq!((mine.sends - before.sends, mine.recvs - before.recvs), (1, 1));
-        assert_eq!((served_by.recvs, served_by.sends, cluster.owner_work(1).0), (6, 1, 1));
+        assert_eq!((served_by.recvs, served_by.sends, cluster.owner_work(1).0), (5, 1, 1));
         // B's own prepare phase, and no other, under its trace.
         let prepares = b
             .ep
@@ -1427,7 +1459,7 @@ mod tests {
             // The prepare lands ~2.5 us on; the last agent's fetch leaves
             // ~0.1 us later and its commit doorbell ~1.9 us after that.
             let from = s0.ep.clock().now_ns() + 3_500;
-            cluster.fabric().install_fault_plan(FaultPlan::new(1).crash(down, from, u64::MAX));
+            cluster.fabric().install_fault_plan(FaultPlan::new().crash(down, from, u64::MAX));
             let result = s0.execute(&transfer);
             cluster.fabric().clear_fault_plan();
             result
@@ -1691,7 +1723,7 @@ mod tests {
             if was_cached {
                 assert_eq!(cached(key), old);
             }
-            cluster.fabric().install_fault_plan(FaultPlan::new(7).transient_first_n(addr(key).node(), 1));
+            cluster.fabric().install_fault_plan(FaultPlan::new().transient_first_n(addr(key).node(), 1));
             let err = s.execute(&txn).unwrap_err();
             assert!(matches!(err, TxnError::Aborted("transient-fault")), "{err}");
             assert!(txn.iter().all(|op| !pool.contains(addr(op.key()))));

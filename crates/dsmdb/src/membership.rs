@@ -155,7 +155,7 @@ mod tests {
         // Trim the data plane so every fault surfaces to callers...
         layer.set_retry_policy(RetryPolicy::none());
         let victim = layer.group_primary(0).id();
-        fabric.install_fault_plan(FaultPlan::new(7).transient_first_n(victim, 2));
+        fabric.install_fault_plan(FaultPlan::new().transient_first_n(victim, 2));
         // ...the control-plane policy still absorbs the hiccup.
         assert_eq!(m.epoch(&layer, &ep, 0).unwrap(), 1);
         fabric.clear_fault_plan();

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use buffer::BufferPool;
 use dsm::{GlobalAddr, GlobalWr};
 use parking_lot::Mutex;
-use rdma_sim::{Endpoint, Fabric, Mailbox, StatsSnapshot};
+use rdma_sim::{Endpoint, Fabric, Mailbox, Message, StatsSnapshot};
 use txn::table::RecordTable;
 use txn::twopc::{decode as decode_2pc, encode as encode_2pc, MsgKind};
 use txn::{apply_delta, distinct_keys, Op, TxnError, TxnOutput};
@@ -134,7 +134,7 @@ pub struct NodeHandler {
     pub pool: BufferPool,
     table: Arc<RecordTable>,
     membership: Arc<Membership>,
-    /// The node's inbox (multi-consumer).
+    /// The node's inbox, polled on the serving endpoint.
     inbox: Mailbox,
     /// The handler's endpoint and page arena: any session of the node may
     /// take them to serve, none lends the handler its own clock.
@@ -184,11 +184,10 @@ impl NodeHandler {
         let Some(mut serving) = self.serving.try_lock() else {
             return false;
         };
-        let Ok(msg) = self.inbox.try_recv() else {
+        let (ep, arena) = &mut *serving;
+        let Ok(msg) = ep.try_recv(&self.inbox) else {
             return false;
         };
-        let (ep, arena) = &mut *serving;
-        ep.observe_delivery(&msg);
         let reply = coherence::answer(&self.pool, ep, &msg.payload)
             .or_else(|| self.answer_2pc(ep, arena, &msg.payload));
         if let Some(reply) = reply {
@@ -201,6 +200,29 @@ impl NodeHandler {
     /// Serve up to `budget` requests; returns whether any was served.
     pub(crate) fn serve(&self, budget: usize) -> bool {
         (0..budget).take_while(|_| self.serve_one()).count() > 0
+    }
+
+    /// The one wait for a reply: poll `reply` on `ep` until `keep` takes a
+    /// message, dropping the ones it refuses. Each empty poll serves one
+    /// request from this node's inbox, or yields when there is none: the
+    /// peer being waited for may be waiting for this node. A 3c
+    /// coordinator waits here for its votes and acks, a 3b writer for its
+    /// invalidation acks.
+    pub(crate) fn wait_for<T>(&self, ep: &Endpoint, reply: &Mailbox, mut keep: impl FnMut(&Message) -> Option<T>) -> T {
+        loop {
+            match ep.try_recv(reply) {
+                Ok(msg) => {
+                    if let Some(kept) = keep(&msg) {
+                        return kept;
+                    }
+                }
+                Err(_) => {
+                    if !self.serve_one() {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        }
     }
 
     /// Restart the handler's clock at 0, between experiment phases: a

@@ -380,7 +380,7 @@ fn a_failed_release_leaves_no_page_it_filled_and_no_bit_it_meant_to_set() {
     let dead = c.table().lock_addr(1).node();
     assert_ne!(dead, c.table().lock_addr(0).node());
     let now = s0.endpoint().clock().now_ns();
-    c.fabric().install_fault_plan(FaultPlan::new(1).crash(dead, now + 1, u64::MAX));
+    c.fabric().install_fault_plan(FaultPlan::new().crash(dead, now + 1, u64::MAX));
     let ops = [Op::Read(0), Op::Read(1), Op::Rmw { key: 2, delta: 1 }, Op::Rmw { key: 3, delta: 1 }];
     let err = s0.execute(&ops).unwrap_err();
     assert_eq!(err, TxnError::NodeUnavailable { node: dead });
@@ -411,7 +411,7 @@ fn a_failed_release_leaves_no_remote_copy_holding_a_value_that_never_committed()
     let dead = c.table().lock_addr(3).node();
     assert_ne!(dead, c.table().lock_addr(2).node());
     let now = s0.endpoint().clock().now_ns();
-    c.fabric().install_fault_plan(FaultPlan::new(1).crash(dead, now + 1, u64::MAX));
+    c.fabric().install_fault_plan(FaultPlan::new().crash(dead, now + 1, u64::MAX));
     let ops = [Op::Rmw { key: 2, delta: 1 }, Op::Rmw { key: 3, delta: 1 }];
     let err = with_peer(&c, || s0.execute(&ops)).unwrap_err();
     assert_eq!(err, TxnError::NodeUnavailable { node: dead });

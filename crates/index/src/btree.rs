@@ -1106,7 +1106,7 @@ mod tests {
         // lock is only ever taken on a node that answers.
         while l.alloc(8).unwrap().node() != good {}
         let fabric = l.fabric();
-        fabric.install_fault_plan(FaultPlan::new(1).partition(bad, ep.clock().now_ns(), u64::MAX));
+        fabric.install_fault_plan(FaultPlan::new().partition(bad, ep.clock().now_ns(), u64::MAX));
         let splits = t.stats().splits;
         assert!(t.insert(&ep, leaf.fence_low + 9, 0).is_err(), "the sibling cannot be written");
         assert_eq!(t.stats().splits, splits);

@@ -265,8 +265,10 @@ fn fix_node(e: RdmaError, node: NodeId) -> RdmaError {
 /// see — verbs, faults, phase boundaries, lock waits, wait-for edges,
 /// fan-outs, upper layers' series notes — is one event pushed into the
 /// recorder, from which the series, the contention profile, forensics
-/// and utilization are all folded. Not `Sync`: create one per worker
-/// thread.
+/// and utilization are all folded. Two-sided messages leave through
+/// [`Endpoint::send`] / [`Endpoint::send_batch`] and arrive through
+/// [`Endpoint::try_recv`] alone: a receive is a poll, never a block. Not
+/// `Sync`: create one per worker thread.
 pub struct Endpoint {
     fabric: Arc<Fabric>,
     /// This endpoint's copy of the fabric's node table, read again when
@@ -999,25 +1001,13 @@ impl Endpoint {
         Ok(delivered)
     }
 
-    /// Receive from `mailbox`, advancing this endpoint's clock to the
-    /// message's delivery time (never backwards). Blocks the real thread if
-    /// the mailbox is empty.
-    pub fn recv(&self, mailbox: &Mailbox) -> RdmaResult<Message> {
-        let msg = mailbox.recv()?;
-        self.observe_delivery(&msg);
-        Ok(msg)
-    }
-
-    /// Non-blocking receive variant.
+    /// Two-sided RECV, the one way to take a message off a mailbox: poll
+    /// `mailbox` and, if a message is queued, advance this endpoint's
+    /// clock to its delivery time (never backwards) and complete the
+    /// RECV. [`RdmaError::WouldBlock`] when the mailbox is empty; nothing
+    /// is charged then.
     pub fn try_recv(&self, mailbox: &Mailbox) -> RdmaResult<Message> {
         let msg = mailbox.try_recv()?;
-        self.observe_delivery(&msg);
-        Ok(msg)
-    }
-
-    /// Account for a message obtained outside [`Endpoint::recv`] (e.g.
-    /// after a `drain`).
-    pub fn observe_delivery(&self, msg: &Message) {
         // Recv "latency" is the virtual wait for delivery: zero when the
         // message was already in flight past our clock.
         let wait = msg.deliver_at_ns.saturating_sub(self.clock.now_ns());
@@ -1031,6 +1021,7 @@ impl Endpoint {
             queue_ns: 0,
             outcome: outcome::OK,
         });
+        Ok(msg)
     }
 }
 
@@ -1282,7 +1273,7 @@ mod tests {
         let rx = fabric.endpoint();
         tx.charge_local(10_000);
         tx.send(42, 1, vec![0xAB; 32]).unwrap();
-        let msg = rx.recv(&mb).unwrap();
+        let msg = rx.try_recv(&mb).unwrap();
         assert_eq!(msg.payload.len(), 32);
         assert!(rx.clock().now_ns() >= 10_000);
         assert_eq!(rx.stats().recvs, 1);
@@ -1311,8 +1302,15 @@ mod tests {
         assert_eq!(bat.stats().doorbells, 1);
         assert_eq!(bat.stats().coalesced, 1);
         assert_eq!(bat.stats().wire_round_trips(), 1);
-        assert_eq!(mb_a.len(), 2);
-        assert_eq!(mb_b.len(), 2);
+        // Each live peer holds the sequential send and the batched one.
+        let rx = fabric.endpoint();
+        for mb in [&mb_a, &mb_b] {
+            let mut taken = 0;
+            while rx.try_recv(mb).is_ok() {
+                taken += 1;
+            }
+            assert_eq!(taken, 2);
+        }
     }
 
     #[test]
@@ -1364,7 +1362,7 @@ mod tests {
         ep.write_u64(node, 0, 9).unwrap();
         let start = ep.clock().now_ns();
         fabric.install_fault_plan(
-            FaultPlan::new(1).partition(node, start, start + 50_000),
+            FaultPlan::new().partition(node, start, start + 50_000),
         );
         assert_eq!(ep.read_u64(node, 0).unwrap_err(), RdmaError::Timeout(node));
         // Detection latency was charged: 10 µs.
@@ -1380,7 +1378,7 @@ mod tests {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let node = fabric.register_node(64);
         let ep = fabric.endpoint();
-        fabric.install_fault_plan(FaultPlan::new(1).crash(node, 0, 1_000_000));
+        fabric.install_fault_plan(FaultPlan::new().crash(node, 0, 1_000_000));
         let e = ep.read_u64(node, 0).unwrap_err();
         assert_eq!(e, RdmaError::NodeUnreachable(node));
         assert!(!e.is_transient());
@@ -1394,7 +1392,7 @@ mod tests {
     fn first_n_transients_then_clean() {
         let fabric = Fabric::new(NetworkProfile::rdma_cx6());
         let node = fabric.register_node(64);
-        fabric.install_fault_plan(FaultPlan::new(3).transient_first_n(node, 2));
+        fabric.install_fault_plan(FaultPlan::new().transient_first_n(node, 2));
         let ep = fabric.endpoint();
         assert_eq!(ep.read_u64(node, 0).unwrap_err(), RdmaError::Transient(node));
         assert_eq!(ep.write_u64(node, 0, 1).unwrap_err(), RdmaError::Transient(node));
@@ -1503,7 +1501,7 @@ mod tests {
         let b = fabric.register_node(64);
         // Node b fails the first verb: the whole batch must fail before
         // any byte lands on node a.
-        fabric.install_fault_plan(FaultPlan::new(5).transient_first_n(b, 1));
+        fabric.install_fault_plan(FaultPlan::new().transient_first_n(b, 1));
         let ep = fabric.endpoint();
         let err = ep
             .write_batch(&[(a, 0, &7u64.to_le_bytes()), (b, 0, &7u64.to_le_bytes())])
@@ -1540,7 +1538,7 @@ mod tests {
         let base = fabric.endpoint();
         base.read_u64(node, 0).unwrap();
         let clean_cost = base.clock().now_ns();
-        fabric.install_fault_plan(FaultPlan::new(0).latency_spike(node, 0, u64::MAX, 25_000));
+        fabric.install_fault_plan(FaultPlan::new().latency_spike(node, 0, u64::MAX, 25_000));
         let ep = fabric.endpoint();
         ep.read_u64(node, 0).unwrap();
         assert_eq!(ep.clock().now_ns(), clean_cost + 25_000);
@@ -1771,7 +1769,7 @@ mod tests {
             (OpKind::Send, Metric::Sends),
             (OpKind::Recv, Metric::Recvs),
         ];
-        // A script through all 12 entry points. Windows are narrower
+        // A script through all 10 entry points. Windows are narrower
         // than a verb, so batches straddle them. `ring` is the flight
         // recorder's capacity, with the series on; `None` turns both off.
         let run = |ring: Option<usize>| {
@@ -1823,11 +1821,12 @@ mod tests {
             ])
             .unwrap();
             assert_eq!((won, lost, added), (0, 1, 5));
-            ep.recv(&inbox).unwrap();
-            ep.try_recv(&inbox).unwrap();
-            for msg in inbox.drain() {
-                ep.observe_delivery(&msg);
+            // Three polls take the three messages; a fourth finds the
+            // mailbox empty and charges nothing.
+            for _ in 0..3 {
+                ep.try_recv(&inbox).unwrap();
             }
+            assert_eq!(ep.try_recv(&inbox).unwrap_err(), RdmaError::WouldBlock);
             ep
         };
         let ep = run(Some(256));
@@ -1925,7 +1924,7 @@ mod tests {
             let fabric = Fabric::new(NetworkProfile::rdma_cx6());
             let node = fabric.register_node(1 << 12);
             fabric.install_fault_plan(
-                FaultPlan::new(3)
+                FaultPlan::new()
                     .latency_spike(node, 1_000, 4_000, 300)
                     .partition(node, 6_500, 9_000),
             );

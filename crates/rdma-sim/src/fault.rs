@@ -1,9 +1,9 @@
 //! Deterministic fault injection scheduled on the virtual clock.
 //!
 //! A [`FaultPlan`] describes *when* (in virtual time) and *how* verbs to a
-//! node fail: crash windows, network partitions, latency spikes, a burst
-//! of transient failures, or a seeded per-op failure probability. The plan
-//! is installed on the [`crate::Fabric`] and consulted by every
+//! node fail: crash windows, network partitions, latency spikes, or a
+//! burst of transient failures. Nothing in a plan is random. The plan is
+//! installed on the [`crate::Fabric`] and consulted by every
 //! [`crate::Endpoint`] before a node-addressed verb executes.
 //!
 //! Two design rules make injection byte-reproducible:
@@ -12,12 +12,9 @@
 //!    clock.** Each endpoint observes a crash when *its* clock passes the
 //!    window start — exactly how a real client discovers a dead peer: by
 //!    its next verb failing. No cross-thread wall-clock coupling.
-//! 2. **All per-endpoint state (first-N counters, per-peer op indices)
-//!    lives in the endpoint.** Two runs that issue the same verb sequence
-//!    per endpoint see the same faults regardless of thread interleaving.
-//!
-//! Probabilistic faults hash `(seed, node, per-endpoint op index)` — a
-//! pure function of the endpoint's own history, never of global state.
+//! 2. **All per-endpoint state (the first-N budgets) lives in the
+//!    endpoint.** Two runs that issue the same verb sequence per endpoint
+//!    see the same faults regardless of thread interleaving.
 //!
 //! **Caveat (crash windows vs replication):** a crash window makes a node
 //! *observably* dead while its memory stays intact, so a replicated store
@@ -51,33 +48,14 @@ struct Spike {
     extra_ns: u64,
 }
 
-/// Seeded per-op transient failure probability inside a window.
-#[derive(Debug, Clone, Copy)]
-struct Flaky {
-    window: Window,
-    /// Failure probability in parts per thousand.
-    permille: u32,
-}
-
-/// SplitMix64 — the same finalizer the vendored `rand` uses for seeding;
-/// good enough to decorrelate (seed, node, op) triples.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A deterministic, seeded schedule of faults. Build one with the fluent
+/// A deterministic schedule of faults. Build one with the fluent
 /// methods, then install it via `Fabric::install_fault_plan`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    seed: u64,
     crashes: Vec<Window>,
     partitions: Vec<Window>,
     spikes: Vec<Spike>,
     transient_first_n: Vec<(NodeId, u32)>,
-    flaky: Vec<Flaky>,
 }
 
 impl FaultPlan {
@@ -85,17 +63,9 @@ impl FaultPlan {
     /// completion-timeout / QP-error detection latency, 10 µs.
     pub const DETECT_NS: u64 = 10_000;
 
-    /// An empty plan with the given seed (probabilistic faults derive
-    /// from it).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            crashes: Vec::new(),
-            partitions: Vec::new(),
-            spikes: Vec::new(),
-            transient_first_n: Vec::new(),
-            flaky: Vec::new(),
-        }
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Node appears crashed during `[from_ns, until_ns)`: verbs fail hard
@@ -130,17 +100,6 @@ impl FaultPlan {
         self
     }
 
-    /// Each verb to `node` inside the window fails with probability
-    /// `permille`/1000, derived from the plan seed and the endpoint's own
-    /// per-peer op index (deterministic per endpoint).
-    pub fn flaky(mut self, node: NodeId, from_ns: u64, until_ns: u64, permille: u32) -> Self {
-        self.flaky.push(Flaky {
-            window: Window { node, from_ns, until_ns },
-            permille: permille.min(1000),
-        });
-        self
-    }
-
     /// Whether a crash window makes `node` unreachable at `now_ns`.
     pub fn crash_active(&self, node: NodeId, now_ns: u64) -> bool {
         self.crashes.iter().any(|w| w.active(node, now_ns))
@@ -168,19 +127,10 @@ impl FaultPlan {
             .map(|s| s.extra_ns)
             .sum()
     }
-
-    /// Whether the endpoint's `op_idx`-th verb to `node` draws a flaky
-    /// failure at `now_ns`.
-    fn flaky_hit(&self, node: NodeId, now_ns: u64, op_idx: u64) -> bool {
-        self.flaky.iter().any(|f| {
-            f.window.active(node, now_ns)
-                && splitmix64(self.seed ^ (node as u64) << 32 ^ op_idx) % 1000 < f.permille as u64
-        })
-    }
 }
 
 /// Per-endpoint injection state: the cached plan and this endpoint's
-/// deterministic counters. Owned by `Endpoint` behind a `RefCell`.
+/// deterministic budgets. Owned by `Endpoint` behind a `RefCell`.
 #[derive(Default)]
 pub(crate) struct FaultView {
     /// Generation of the fabric plan this view was initialized from.
@@ -188,8 +138,6 @@ pub(crate) struct FaultView {
     plan: Option<std::sync::Arc<FaultPlan>>,
     /// Remaining first-N transient failures, per peer (lazily grown).
     transient_left: Vec<(NodeId, u32)>,
-    /// Verbs issued so far, per peer (indexes the flaky hash).
-    ops_seen: Vec<(NodeId, u64)>,
     /// Doorbell groups pre-flighted so far.
     group: u64,
     /// The last group each peer was pre-flighted in: a doorbell checks
@@ -198,12 +146,11 @@ pub(crate) struct FaultView {
 }
 
 impl FaultView {
-    /// Re-seed the view from a (possibly absent) plan at `generation`.
+    /// Reset the view to a (possibly absent) plan at `generation`.
     pub(crate) fn rebind(&mut self, generation: u64, plan: Option<std::sync::Arc<FaultPlan>>) {
         self.generation = generation;
         self.plan = plan;
         self.transient_left.clear();
-        self.ops_seen.clear();
         self.group_of.clear();
     }
 
@@ -223,7 +170,6 @@ impl FaultView {
         let Some(plan) = self.plan.clone() else {
             return Ok(0);
         };
-        let op_idx = self.bump_op(node);
         if plan.crash_active(node, now_ns) {
             return Err(RdmaError::NodeUnreachable(node));
         }
@@ -231,9 +177,6 @@ impl FaultView {
             return Err(RdmaError::Timeout(node));
         }
         if self.take_transient(&plan, node) {
-            return Err(RdmaError::Transient(node));
-        }
-        if plan.flaky_hit(node, now_ns, op_idx) {
             return Err(RdmaError::Transient(node));
         }
         Ok(plan.spike_extra_ns(node, now_ns))
@@ -278,18 +221,6 @@ impl FaultView {
         }
     }
 
-    /// Post-increment this endpoint's per-peer op index.
-    fn bump_op(&mut self, node: NodeId) -> u64 {
-        if let Some((_, c)) = self.ops_seen.iter_mut().find(|(n, _)| *n == node) {
-            let idx = *c;
-            *c += 1;
-            idx
-        } else {
-            self.ops_seen.push((node, 1));
-            0
-        }
-    }
-
     /// Consume one unit of the first-N transient budget for `node`.
     fn take_transient(&mut self, plan: &FaultPlan, node: NodeId) -> bool {
         let slot = if let Some(i) = self.transient_left.iter().position(|(n, _)| *n == node) {
@@ -313,7 +244,7 @@ mod tests {
 
     #[test]
     fn windows_are_half_open_and_per_node() {
-        let plan = FaultPlan::new(1).crash(3, 100, 200);
+        let plan = FaultPlan::new().crash(3, 100, 200);
         assert!(!plan.crash_active(3, 99));
         assert!(plan.crash_active(3, 100));
         assert!(plan.crash_active(3, 199));
@@ -323,7 +254,7 @@ mod tests {
 
     #[test]
     fn first_n_transients_consume_per_endpoint_budget() {
-        let plan = std::sync::Arc::new(FaultPlan::new(7).transient_first_n(2, 3));
+        let plan = std::sync::Arc::new(FaultPlan::new().transient_first_n(2, 3));
         let mut view = FaultView::default();
         view.rebind(1, Some(plan));
         for _ in 0..3 {
@@ -337,7 +268,7 @@ mod tests {
     #[test]
     fn a_group_checks_each_distinct_node_once() {
         let plan = std::sync::Arc::new(
-            FaultPlan::new(7)
+            FaultPlan::new()
                 .transient_first_n(2, 1)
                 .latency_spike(5, 0, u64::MAX, 300),
         );
@@ -349,33 +280,18 @@ mod tests {
             view.check_group([5, 5, 2, 9].into_iter(), 0),
             Err((2, RdmaError::Transient(2)))
         );
+        assert_eq!(view.transient_left, [(5, 0), (2, 0)]);
         // The retry finds node 2's budget spent; both nodes check clean.
         assert_eq!(view.check_group([5, 2, 5, 2].into_iter(), 0), Ok(300));
-        // Two groups consumed two of node 5's op indices, not four.
-        assert_eq!(view.ops_seen, [(5, 2), (2, 2)]);
         // No plan: nothing is evaluated.
         view.rebind(2, None);
         assert_eq!(view.check_group([5, 2].into_iter(), 0), Ok(0));
-        assert!(view.ops_seen.is_empty());
-    }
-
-    #[test]
-    fn flaky_is_deterministic_in_op_index() {
-        let plan = std::sync::Arc::new(FaultPlan::new(42).flaky(1, 0, u64::MAX, 300));
-        let run = || {
-            let mut view = FaultView::default();
-            view.rebind(1, Some(plan.clone()));
-            (0..64).map(|_| view.check(1, 500).is_err()).collect::<Vec<_>>()
-        };
-        let a = run();
-        assert_eq!(a, run(), "same seed + op sequence must fail identically");
-        assert!(a.iter().any(|&f| f), "p=0.3 over 64 ops should hit");
-        assert!(!a.iter().all(|&f| f), "p=0.3 over 64 ops should also miss");
+        assert!(view.transient_left.is_empty());
     }
 
     #[test]
     fn spikes_add_latency_without_failing() {
-        let plan = std::sync::Arc::new(FaultPlan::new(0).latency_spike(4, 10, 20, 5_000));
+        let plan = std::sync::Arc::new(FaultPlan::new().latency_spike(4, 10, 20, 5_000));
         let mut view = FaultView::default();
         view.rebind(1, Some(plan));
         assert_eq!(view.check(4, 15), Ok(5_000));
@@ -384,7 +300,7 @@ mod tests {
 
     #[test]
     fn partitions_are_transient_crashes_are_not() {
-        let plan = std::sync::Arc::new(FaultPlan::new(0).crash(1, 0, 100).partition(2, 0, 100));
+        let plan = std::sync::Arc::new(FaultPlan::new().crash(1, 0, 100).partition(2, 0, 100));
         let mut view = FaultView::default();
         view.rebind(1, Some(plan));
         let crash = view.check(1, 50).unwrap_err();

@@ -5,12 +5,14 @@
 //! #2), 2PC coordination between compute nodes (§4 Challenge 5), and
 //! function-offload RPCs to memory nodes (§3, §6).
 //!
+//! A mailbox is only ever polled, like a real receiver polls its
+//! completion queue: [`crate::Endpoint::try_recv`] is the one way to take
+//! a message off it, and no thread blocks on one.
+//!
 //! Virtual-time semantics: a message carries its *delivery time* —
 //! `sender_clock + send_latency`. On receive, the receiver's clock is
 //! advanced to at least that instant, so causality is respected across
 //! per-thread clocks.
-
-use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::RwLock;
@@ -55,8 +57,9 @@ impl MailboxRegistry {
         Mailbox { id, rx }
     }
 
-    /// Remove a mailbox (node shutdown). Pending messages are dropped with
-    /// the channel.
+    /// Remove a mailbox (node shutdown): later posts to `id` fail with
+    /// [`RdmaError::NoReceiver`], and its receiver reads what was queued,
+    /// then a disconnected channel.
     pub fn unregister(&self, id: MailboxId) {
         self.inner.write().remove(&id);
     }
@@ -67,14 +70,10 @@ impl MailboxRegistry {
         let tx = guard.get(&to).ok_or(RdmaError::NoReceiver(to))?;
         tx.send(msg).map_err(|_| RdmaError::NoReceiver(to))
     }
-
-    /// Whether anyone is listening on `id`.
-    pub fn has(&self, id: MailboxId) -> bool {
-        self.inner.read().contains_key(&id)
-    }
 }
 
-/// The receiving half of a registered mailbox.
+/// The receiving half of a registered mailbox, polled through
+/// [`crate::Endpoint::try_recv`].
 pub struct Mailbox {
     id: MailboxId,
     rx: Receiver<Message>,
@@ -86,43 +85,16 @@ impl Mailbox {
         self.id
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> RdmaResult<Message> {
+    /// Take the oldest queued message, if any; the endpoint that polls
+    /// charges the RECV.
+    pub(crate) fn try_recv(&self) -> RdmaResult<Message> {
         match self.rx.try_recv() {
             Ok(m) => Ok(m),
             Err(TryRecvError::Empty) => Err(RdmaError::WouldBlock),
             Err(TryRecvError::Disconnected) => Err(RdmaError::NoReceiver(self.id)),
         }
     }
-
-    /// Blocking receive (real-thread blocking; virtual-time advance is the
-    /// caller's job via the message's `deliver_at_ns`).
-    pub fn recv(&self) -> RdmaResult<Message> {
-        self.rx.recv().map_err(|_| RdmaError::NoReceiver(self.id))
-    }
-
-    /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::new();
-        while let Ok(m) = self.rx.try_recv() {
-            out.push(m);
-        }
-        out
-    }
-
-    /// Number of queued messages (approximate under concurrency).
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
 }
-
-/// Shared handle to a registry.
-pub type SharedRegistry = Arc<MailboxRegistry>;
 
 #[cfg(test)]
 mod tests {
@@ -201,8 +173,9 @@ mod tests {
             )
             .unwrap();
         }
-        let msgs = mb.drain();
-        assert_eq!(msgs.len(), 5);
-        assert!(msgs.windows(2).all(|w| w[0].payload[0] < w[1].payload[0]));
+        for i in 0..5u8 {
+            assert_eq!(mb.try_recv().unwrap().payload, vec![i]);
+        }
+        assert_eq!(mb.try_recv().unwrap_err(), RdmaError::WouldBlock);
     }
 }

@@ -1000,7 +1000,7 @@ mod tests {
         let ep = f.endpoint();
         ExclusiveLock::acquire_set(&l, &ep, &mut words, &mut [], 7, 0).unwrap();
         let attempts = dsm::RetryPolicy::MAX_ATTEMPTS;
-        f.install_fault_plan(FaultPlan::new(1).transient_first_n(data.node(), attempts));
+        f.install_fault_plan(FaultPlan::new().transient_first_n(data.node(), attempts));
         let err = ExclusiveLock::release_set(&l, &ep, &[WriteBack::new(data, &[1; 8])], &mut words).unwrap_err();
         assert!(matches!(err, LockError::Dsm(e) if e.is_transient()), "{err:?}");
         assert_eq!(l.read_u64(&ep, data).unwrap(), 0, "the write-back did not land");

@@ -719,7 +719,7 @@ pub(crate) mod testutil {
             .expect("the twin posted the verb");
         let t = timed_table(versions);
         let dead = t.lock_addr(1).node();
-        t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, crash_at, u64::MAX));
+        t.layer().fabric().install_fault_plan(FaultPlan::new().crash(dead, crash_at, u64::MAX));
         let ep = t.layer().fabric().endpoint();
         assert_eq!(run(&t, &ep).unwrap_err(), TxnError::NodeUnavailable { node: dead });
         t

@@ -227,7 +227,7 @@ mod tests {
         // first attempt taken word 0, the second would lose it to itself.
         let t = timed_table(1);
         let second = t.lock_addr(1).node();
-        t.layer().fabric().install_fault_plan(FaultPlan::new(1).transient_first_n(second, 1));
+        t.layer().fabric().install_fault_plan(FaultPlan::new().transient_first_n(second, 1));
         let ep = t.layer().fabric().endpoint();
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
@@ -240,7 +240,7 @@ mod tests {
         let t = timed_table(1);
         t.layer()
             .fabric()
-            .install_fault_plan(FaultPlan::new(1).partition(second, 1, 12_000));
+            .install_fault_plan(FaultPlan::new().partition(second, 1, 12_000));
         let ep = t.layer().fabric().endpoint();
         let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag: 7 };
         cc.execute(&ctx, &rmw_each(&[0, 1])).unwrap();
@@ -261,7 +261,7 @@ mod tests {
             let dead = t.lock_addr(1).node();
             // Group 1 disappears right after the acquire doorbell left; a
             // leased set finds out at its fence.
-            t.layer().fabric().install_fault_plan(FaultPlan::new(1).crash(dead, 1, u64::MAX));
+            t.layer().fabric().install_fault_plan(FaultPlan::new().crash(dead, 1, u64::MAX));
             let ep = t.layer().fabric().endpoint();
             let ctx = TxnCtx { ep: &ep, table: &t, io: &DirectIo, worker_tag };
             let err = TwoPhaseLocking::exclusive()

@@ -139,7 +139,10 @@ impl RecordTable {
         })
     }
 
-    fn slot_size_for(payload_size: usize, versions: usize) -> u64 {
+    /// Bytes of one slot of a table of `payload_size`-byte records with
+    /// `versions` version slots: the `rts` word, each version's `wts`
+    /// and payload padded to a word, and the lock word.
+    pub fn slot_size_for(payload_size: usize, versions: usize) -> u64 {
         let payload_rounded = (payload_size as u64 + 7) & !7;
         16 + versions as u64 * (8 + payload_rounded)
     }
